@@ -21,10 +21,12 @@
 //!
 //! Sizes: `small` is a 2×2×2 machine, `medium` a 4×4×4 machine (the size
 //! the ≥3× kernel-speedup acceptance gate is measured on), and `large` the
-//! paper's full 8×8×8 machine — measured on `uniform` only, once serially
+//! paper's full 8×8×8 machine — measured on `uniform`, once serially
 //! and once on the sharded parallel kernel (`--shards`, default 8), with
 //! the sharded entry recording its wall-clock speedup against the serial
-//! run of the identical workload (`speedup_vs_serial`). The saturated
+//! run of the identical workload (`speedup_vs_serial`), and on `latency`,
+//! whose `large` ÷ `medium` cycles/sec (`latency_large_over_medium`) is 1
+//! when an idle cycle costs the same on either machine. The saturated
 //! throughput workloads are kept as honest anchors: at full load both the
 //! event-driven and the dirty-scan kernel do the same irreducible per-flit
 //! work (~580 router sends/cycle on `uniform/medium`), so their speedup is
@@ -34,8 +36,7 @@
 //! Each measurement runs `--reps` times and keeps the fastest (wall-clock
 //! noise only ever slows a run down). `--phases` additionally runs one
 //! profiled pass per entry to break the cycle loop into its five phases via
-//! `TraceConfig::profile` (the `ANTON_SIM_PROFILE` environment variable
-//! still works; see DESIGN.md "Simulator kernel & profiling").
+//! `TraceConfig::profile` (see DESIGN.md "Simulator kernel & profiling").
 //! `--quick` shrinks everything for the CI smoke job.
 
 use std::hint::black_box;
@@ -308,9 +309,9 @@ fn time_run<D: anton_sim::ShardableDriver>(
 }
 
 /// Builds and runs one workload once, returning (cycles, wall seconds).
-/// `profile` turns on the per-phase profiler via [`TraceConfig`] (the
-/// structured replacement for exporting `ANTON_SIM_PROFILE`). `shards > 1`
-/// runs on the sharded parallel kernel (same cycles, different wall clock).
+/// `profile` turns on the per-phase profiler via [`TraceConfig`].
+/// `shards > 1` runs on the sharded parallel kernel (same cycles, different
+/// wall clock).
 fn run_once(
     workload: &str,
     k: u8,
@@ -484,7 +485,10 @@ fn main() {
     )
     .switch("quick", "CI smoke mode: small size only, tiny batches")
     .switch("no-phases", "skip the profiled per-phase pass")
-    .switch("no-large", "skip the large (k=8) serial-vs-sharded entries")
+    .switch(
+        "no-large",
+        "skip the large (k=8) uniform serial-vs-sharded entries",
+    )
     .switch("no-microbench", "skip the arbitration-core microbenchmark")
     .parse();
     let quick = args.on("quick");
@@ -504,9 +508,21 @@ fn main() {
         &[("small", 2, 96, 60, 400), ("medium", 4, 48, 30, 200)]
     };
 
+    // An idle 8×8×8 machine is cheap to simulate, so the ping-pong alone
+    // also runs at the paper's size: large ÷ medium cycles/sec says how far
+    // an idle cycle's cost is independent of the machine. Ten times
+    // medium's legs, so that cycle 0, which looks at every component once
+    // (8× as many here), is the same share of the run.
+    let latency_large = [("large", 8u8, 0u64, 0u64, if quick { 400 } else { 2000 })];
+
     let mut entries: Vec<Entry> = Vec::new();
     for workload in ["uniform", "neighbor", "fault", "latency"] {
-        for &(size, k, batch, open, legs) in sizes {
+        let extra: &[_] = if workload == "latency" {
+            &latency_large
+        } else {
+            &[]
+        };
+        for &(size, k, batch, open, legs) in sizes.iter().chain(extra) {
             let packets = match workload {
                 "fault" => open,
                 "latency" => legs,
@@ -670,6 +686,18 @@ fn main() {
             ])
         })
         .unwrap_or(Json::Null);
+    let latency_cps = |size: &str| {
+        entries
+            .iter()
+            .find(|e| e.workload == "latency" && e.size == size)
+            .map(|e| e.cycles_per_sec)
+    };
+    let latency_large_over_medium = latency_cps("large")
+        .zip(latency_cps("medium"))
+        .map(|(large, medium)| large / medium);
+    if let Some(ratio) = latency_large_over_medium {
+        println!("latency large/medium cycles/sec: {ratio:.2}");
+    }
     let micro_json = match &microbench {
         Some(micro) => {
             println!();
@@ -714,6 +742,10 @@ fn main() {
         ("schema", Json::from(1u64)),
         ("quick", Json::from(quick)),
         ("headline", headline),
+        (
+            "latency_large_over_medium",
+            latency_large_over_medium.map_or(Json::Null, Json::from),
+        ),
         (
             "baseline_kernel",
             Json::from("dirty-scan (pre event-driven rewrite, commit 5177f7c)"),

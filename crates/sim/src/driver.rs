@@ -50,12 +50,23 @@ pub struct BatchDriver {
     packets_per_endpoint: u64,
     payload_bytes: usize,
     remaining: Vec<u64>,
+    /// Endpoints with injection budget left, ascending: what
+    /// [`pre_cycle`](Driver::pre_cycle) visits, so a drained batch costs
+    /// nothing per cycle whatever the machine size.
+    active: Vec<u32>,
     expected: u64,
     delivered: u64,
     /// One independent RNG stream per endpoint (see [`endpoint_streams`]).
     rngs: Vec<StdRng>,
     /// Cycle of the final delivery (valid once done).
     pub finish_cycle: u64,
+}
+
+/// Indices of the endpoints with budget left, ascending.
+fn active_endpoints(remaining: &[u64]) -> Vec<u32> {
+    (0..remaining.len() as u32)
+        .filter(|&i| remaining[i as usize] > 0)
+        .collect()
 }
 
 impl std::fmt::Debug for BatchDriver {
@@ -101,46 +112,6 @@ impl BatchDriver {
         }
     }
 
-    /// Creates a batch driver over one pattern.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `BatchDriver::builder(sim).pattern(..)` instead"
-    )]
-    pub fn uniform_pattern(
-        sim: &Sim,
-        pattern: Box<dyn TrafficPattern>,
-        packets_per_endpoint: u64,
-        seed: u64,
-    ) -> BatchDriver {
-        BatchDriver::builder(sim)
-            .pattern(pattern)
-            .packets_per_endpoint(packets_per_endpoint)
-            .seed(seed)
-            .build()
-    }
-
-    /// Creates a batch driver over a weighted blend of patterns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `components` is empty or weights are non-positive in total.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `BatchDriver::builder(sim).components(..)` instead"
-    )]
-    pub fn blended(
-        sim: &Sim,
-        components: Vec<(Box<dyn TrafficPattern>, f64)>,
-        packets_per_endpoint: u64,
-        seed: u64,
-    ) -> BatchDriver {
-        BatchDriver::builder(sim)
-            .components(components)
-            .packets_per_endpoint(packets_per_endpoint)
-            .seed(seed)
-            .build()
-    }
-
     /// Throughput in packets per cycle per endpoint, measured as the batch
     /// size over the time to receive the last packet.
     ///
@@ -163,11 +134,13 @@ impl BatchDriver {
             .map(|(p, w)| (p, w / total))
             .collect::<Vec<_>>();
         let n_eps = b.n_eps;
+        let remaining = vec![b.packets_per_endpoint; n_eps];
         BatchDriver {
             components,
             packets_per_endpoint: b.packets_per_endpoint,
             payload_bytes: b.payload_bytes,
-            remaining: vec![b.packets_per_endpoint; n_eps],
+            active: active_endpoints(&remaining),
+            remaining,
             expected: b.packets_per_endpoint * n_eps as u64,
             delivered: 0,
             rngs: endpoint_streams(b.seed, n_eps),
@@ -270,10 +243,9 @@ impl BatchDriverBuilder {
 
 impl Driver for BatchDriver {
     fn pre_cycle(&mut self, sim: &mut Sim) {
-        for idx in 0..self.remaining.len() {
-            if self.remaining[idx] == 0 {
-                continue;
-            }
+        let mut exhausted = false;
+        for &idx in &self.active {
+            let idx = idx as usize;
             let src = sim.cfg.endpoint_at(idx);
             while self.remaining[idx] > 0 && sim.inject_queue_len(src) < LOW_WATER {
                 let rng = &mut self.rngs[idx];
@@ -284,6 +256,10 @@ impl Driver for BatchDriver {
                 sim.inject(src, pkt);
                 self.remaining[idx] -= 1;
             }
+            exhausted |= self.remaining[idx] == 0;
+        }
+        if exhausted {
+            self.active.retain(|&i| self.remaining[i as usize] > 0);
         }
     }
 
@@ -319,6 +295,7 @@ impl ShardableDriver for BatchDriver {
                     components: self.components.clone(),
                     packets_per_endpoint: self.packets_per_endpoint,
                     payload_bytes: self.payload_bytes,
+                    active: active_endpoints(&remaining),
                     remaining,
                     expected: u64::MAX,
                     delivered: 0,

@@ -76,6 +76,6 @@ pub use metrics::{
 pub use params::{EnergyParams, LatencyParams, PreflightMode, SimParams, TraceConfig};
 pub use shard::{ShardPlan, ShardableDriver, ShardedSim};
 pub use sim::{
-    DeadlockReport, Delivery, Driver, EnergyCounters, PacketDelivery, RunOutcome, Sim, SimStats,
-    StalledVc, StaticVerdict,
+    DeadlockReport, Delivery, Driver, EnergyCounters, KernelWork, PacketDelivery, RunOutcome, Sim,
+    SimStats, StalledVc, StaticVerdict,
 };

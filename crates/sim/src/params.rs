@@ -106,10 +106,7 @@ impl Default for EnergyParams {
 ///
 /// Everything here is off by default and the simulator checks a single
 /// `Option` per hook site, so a default-configured run pays one predictable
-/// branch per site and allocates nothing. The legacy `ANTON_SIM_PROFILE`
-/// environment variable is folded into [`TraceConfig::profile`] at
-/// construction time (`Sim::builder().build()`): setting either turns the
-/// phase profiler on.
+/// branch per site and allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Record typed events (inject/hop/VC-promotion/grant/retransmit/
@@ -120,8 +117,8 @@ pub struct TraceConfig {
     /// Snapshot the dense kernel counters into a time-series window every
     /// this many cycles; `0` disables sampling.
     pub sample_every: u64,
-    /// Accumulate per-phase wall-clock nanoseconds (the profiler previously
-    /// enabled only by the `ANTON_SIM_PROFILE` environment variable).
+    /// Accumulate per-phase wall-clock nanoseconds: the one switch of the
+    /// phase profiler (`PHASE_NS`, `ShardedSim::phase_ns`).
     pub profile: bool,
     /// Attribute stall cycles: whenever a buffered head fails to advance,
     /// classify the cause (no credit, lost SA1/SA2, output or serializer

@@ -496,8 +496,7 @@ impl ShardedSim {
     /// (`compute` / `barrier_wait` / `mailbox` / `merge`, indexed by
     /// [`anton_obs::ShardPhase`]), accumulated across [`run`] calls.
     /// `None` unless the phase profiler was on
-    /// ([`TraceConfig::profile`](crate::params::TraceConfig::profile) or
-    /// `ANTON_SIM_PROFILE`).
+    /// ([`TraceConfig::profile`](crate::params::TraceConfig::profile)).
     ///
     /// [`run`]: ShardedSim::run
     pub fn phase_ns(&self) -> Option<&[[u64; anton_obs::NUM_SHARD_PHASES]]> {
@@ -779,12 +778,10 @@ impl ShardedSim {
             self.link_window
         };
         let watchdog = self.control.params.watchdog_cycles;
-        // The phase profiler honors the same switches as the serial one:
-        // `TraceConfig::profile` or the legacy environment variable. Read
-        // the flag from a worker replica — the control replica's trace
-        // config is deliberately blanked.
-        let profile =
-            self.shards[0].params.trace.profile || std::env::var_os("ANTON_SIM_PROFILE").is_some();
+        // The phase profiler honors the same switch as the serial one,
+        // `TraceConfig::profile`. Read it from a worker replica — the
+        // control replica's trace config is deliberately blanked.
+        let profile = self.shards[0].params.trace.profile;
         let t0 = self.shards[0].now();
         let deadline = t0 + max_cycles;
 

@@ -50,9 +50,9 @@ use crate::wire::{BoundaryRole, BufEntry, GateEntry, Wire, WireCredits, WireRx};
 /// Maximum multicast copies queued at one replication point.
 const REPL_CAP: usize = 32;
 
-/// Per-phase nanosecond accumulators, active when the `ANTON_SIM_PROFILE`
-/// environment variable is set: wires, endpoints-inject, adapters, routers,
-/// endpoints-recv.
+/// Per-phase nanosecond accumulators, active under
+/// [`TraceConfig::profile`](crate::params::TraceConfig::profile): wires,
+/// endpoints-inject, adapters, routers, endpoints-recv.
 pub static PHASE_NS: [std::sync::atomic::AtomicU64; 5] = [
     std::sync::atomic::AtomicU64::new(0),
     std::sync::atomic::AtomicU64::new(0),
@@ -60,6 +60,36 @@ pub static PHASE_NS: [std::sync::atomic::AtomicU64; 5] = [
     std::sync::atomic::AtomicU64::new(0),
     std::sync::atomic::AtomicU64::new(0),
 ];
+
+/// Closes profiled phase `phase` and opens the next with one clock read. A
+/// phase that processed nothing (`worked` false) is not marked: the few
+/// nanoseconds since the last mark roll into the next phase that works.
+#[inline]
+fn mark_phase(phase: usize, worked: bool, t: &mut Option<std::time::Instant>) {
+    if let (true, Some(started)) = (worked, t) {
+        let now = std::time::Instant::now();
+        PHASE_NS[phase].fetch_add(
+            (now - *started).as_nanos() as u64,
+            std::sync::atomic::Ordering::Relaxed,
+        );
+        *started = now;
+    }
+}
+
+/// Host-independent work the kernel has done (see [`Sim::kernel_work`]):
+/// the counts that separate doing less work from doing work faster.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelWork {
+    /// Cycles stepped.
+    pub cycles: u64,
+    /// Components processed, by kind: routers, channel adapters, endpoint
+    /// adapters, wires.
+    pub wakes: [u64; 4],
+    /// Wake-wheel bitset words, summary levels included, read by the four
+    /// wheels' per-cycle clears (see
+    /// [`Scheduler::words_visited`](crate::wake::Scheduler::words_visited)).
+    pub wheel_words_visited: u64,
+}
 
 type WireId = usize;
 
@@ -748,9 +778,11 @@ pub struct Sim {
     /// endpoint attaches are ever stamped; mesh/skip rows hold placeholders
     /// routing never reads.
     target_of_code: Vec<(LocalAttach, MeshCoord)>,
-    /// Cached `ANTON_SIM_PROFILE` (checked once at construction): gates all
-    /// per-phase `Instant` reads in [`Sim::step`].
+    /// Cached [`TraceConfig::profile`](crate::params::TraceConfig::profile):
+    /// gates all per-phase `Instant` reads in [`Sim::step`].
     profile: bool,
+    /// Components processed so far, by kind (see [`KernelWork::wakes`]).
+    wakes: [u64; 4],
     moved: bool,
     idle_cycles: u64,
     deadlocked: bool,
@@ -1295,9 +1327,8 @@ impl Sim {
             .then(|| Box::new(StallTable::new(nwires, vc_shift)));
         Sim {
             cfg,
-            // The legacy environment variable still works; `TraceConfig`
-            // subsumes it.
-            profile: params.trace.profile || std::env::var_os("ANTON_SIM_PROFILE").is_some(),
+            profile: params.trace.profile,
+            wakes: [0; 4],
             params,
             record_routes: false,
             now: 0,
@@ -1800,17 +1831,7 @@ impl Sim {
 
     /// Advances one cycle.
     pub fn step(&mut self) {
-        let prof = self.profile;
-        let mut t = prof.then(std::time::Instant::now);
-        let mark = |phase: usize, t: &mut Option<std::time::Instant>| {
-            if let Some(started) = t {
-                PHASE_NS[phase].fetch_add(
-                    started.elapsed().as_nanos() as u64,
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-                *t = Some(std::time::Instant::now());
-            }
-        };
+        let mut t = self.profile.then(std::time::Instant::now);
         let now = self.now;
         self.moved = false;
         self.sched_router.begin_cycle(now);
@@ -1831,9 +1852,11 @@ impl Sim {
         // touching the wires themselves. Order against the wire ticks below
         // is immaterial — credits touch sender-side pools, arrivals touch
         // receive buffers, and producer wakes are idempotent bit sets.
+        let mut wires_worked;
         {
             let slot = (now % crate::wake::HORIZON) as usize;
             let mut returns = std::mem::take(&mut self.credit_wheel[slot]);
+            wires_worked = !returns.is_empty();
             for &(wu, vcidx, flits) in &returns {
                 let w = wu as usize;
                 self.wire_credits[w][vcidx as usize] += flits;
@@ -1873,8 +1896,10 @@ impl Sim {
             self.schedule_wire(w, now + 1);
         }
         self.sched_wire.end_cycle();
+        self.wakes[3] += wire_list.len() as u64;
+        wires_worked |= !wire_list.is_empty();
         self.scratch_wire = wire_list;
-        mark(0, &mut t);
+        mark_phase(0, wires_worked, &mut t);
         while let Some(&Reverse((t, ep_idx, counter))) = self.handler_heap.peek() {
             if t > now {
                 break;
@@ -1889,43 +1914,13 @@ impl Sim {
                 counter: CounterId(counter),
             });
         }
-        // Snapshot the woken components (in ascending index order — the
-        // processing order determinism depends on). All wake sources past
-        // this point target future cycles, so the snapshots are complete;
-        // the endpoint snapshot serves both the inject and receive phases,
-        // exactly like the old single dirty-scan did.
-        let mut ep_list = std::mem::take(&mut self.scratch_ep);
-        let mut chan_list = std::mem::take(&mut self.scratch_chan);
-        let mut router_list = std::mem::take(&mut self.scratch_router);
-        ep_list.clear();
-        chan_list.clear();
-        router_list.clear();
-        self.sched_ep.snapshot_into(&mut ep_list);
-        self.sched_chan.snapshot_into(&mut chan_list);
-        self.sched_router.snapshot_into(&mut router_list);
-        for &e in &ep_list {
-            self.ep_inject_step(e as usize);
+        // All wake sources past this point target future cycles, so the
+        // wheels' current sets are complete: a cycle that woke no endpoint,
+        // adapter or router is over.
+        if !(self.sched_ep.is_empty() && self.sched_chan.is_empty() && self.sched_router.is_empty())
+        {
+            self.step_woken(&mut t);
         }
-        mark(1, &mut t);
-        for &c in &chan_list {
-            self.chan_inbound_step(c as usize);
-            self.chan_outbound_step(c as usize);
-        }
-        mark(2, &mut t);
-        for &r in &router_list {
-            self.router_step(r as usize);
-        }
-        mark(3, &mut t);
-        for &e in &ep_list {
-            self.ep_recv_step(e as usize);
-        }
-        mark(4, &mut t);
-        self.sched_router.end_cycle();
-        self.sched_chan.end_cycle();
-        self.sched_ep.end_cycle();
-        self.scratch_ep = ep_list;
-        self.scratch_chan = chan_list;
-        self.scratch_router = router_list;
         if !self.external_control && self.packets.live() > 0 && !self.moved {
             self.idle_cycles += 1;
             if self.idle_cycles >= self.params.watchdog_cycles && !self.deadlocked {
@@ -1951,6 +1946,63 @@ impl Sim {
             }
         }
         self.now += 1;
+    }
+
+    /// The endpoint, adapter and router phases of a cycle that woke at
+    /// least one of them.
+    fn step_woken(&mut self, t: &mut Option<std::time::Instant>) {
+        // Snapshot the woken components (in ascending index order — the
+        // processing order determinism depends on); the endpoint snapshot
+        // serves both the inject and receive phases, exactly like the old
+        // single dirty-scan did.
+        let mut ep_list = std::mem::take(&mut self.scratch_ep);
+        let mut chan_list = std::mem::take(&mut self.scratch_chan);
+        let mut router_list = std::mem::take(&mut self.scratch_router);
+        ep_list.clear();
+        chan_list.clear();
+        router_list.clear();
+        self.sched_ep.snapshot_into(&mut ep_list);
+        self.sched_chan.snapshot_into(&mut chan_list);
+        self.sched_router.snapshot_into(&mut router_list);
+        for &e in &ep_list {
+            self.ep_inject_step(e as usize);
+        }
+        mark_phase(1, !ep_list.is_empty(), t);
+        for &c in &chan_list {
+            self.chan_inbound_step(c as usize);
+            self.chan_outbound_step(c as usize);
+        }
+        mark_phase(2, !chan_list.is_empty(), t);
+        for &r in &router_list {
+            self.router_step(r as usize);
+        }
+        mark_phase(3, !router_list.is_empty(), t);
+        for &e in &ep_list {
+            self.ep_recv_step(e as usize);
+        }
+        mark_phase(4, !ep_list.is_empty(), t);
+        self.sched_router.end_cycle();
+        self.sched_chan.end_cycle();
+        self.sched_ep.end_cycle();
+        self.wakes[0] += router_list.len() as u64;
+        self.wakes[1] += chan_list.len() as u64;
+        self.wakes[2] += ep_list.len() as u64;
+        self.scratch_ep = ep_list;
+        self.scratch_chan = chan_list;
+        self.scratch_router = router_list;
+    }
+
+    /// Work counters of the kernel so far: exact for a given input, the
+    /// same on every host.
+    pub fn kernel_work(&self) -> KernelWork {
+        KernelWork {
+            cycles: self.now,
+            wakes: self.wakes,
+            wheel_words_visited: self.sched_router.words_visited()
+                + self.sched_chan.words_visited()
+                + self.sched_ep.words_visited()
+                + self.sched_wire.words_visited(),
+        }
     }
 
     /// Moves the shim's logged link-layer events (retransmissions, frame
@@ -1994,11 +2046,7 @@ impl Sim {
         s.scratch.push(self.grants.serializer);
         let mut per_class = [0u64; crate::metrics::LinkClass::ALL.len()];
         for (i, w) in self.wires.iter().enumerate() {
-            let class = crate::metrics::LinkClass::of(&w.label);
-            let slot = crate::metrics::LinkClass::ALL
-                .iter()
-                .position(|c| *c == class)
-                .expect("LinkClass::ALL covers every class");
+            let slot = crate::metrics::LinkClass::of(&w.label) as usize;
             per_class[slot] += w.flits_carried + self.wire_flits[i];
         }
         s.scratch.extend_from_slice(&per_class);

@@ -2,12 +2,13 @@
 //! [`Metrics`] aggregates and the raw simulator counters, occupancy-
 //! histogram gating, and determinism of the whole record.
 
-use anton_core::config::MachineConfig;
-use anton_core::topology::TorusShape;
-use anton_sim::driver::BatchDriver;
+use anton_core::chip::{LocalEndpointId, NUM_CHAN_ADAPTERS};
+use anton_core::config::{GlobalEndpoint, MachineConfig};
+use anton_core::topology::{NodeCoord, TorusShape};
+use anton_sim::driver::{BatchDriver, PingPongDriver};
 use anton_sim::metrics::LinkClass;
-use anton_sim::params::{SimParams, TraceConfig};
-use anton_sim::sim::{RunOutcome, Sim};
+use anton_sim::params::{PreflightMode, SimParams, TraceConfig};
+use anton_sim::sim::{KernelWork, RunOutcome, Sim};
 use anton_traffic::patterns::UniformRandom;
 
 fn run_uniform(collect_metrics: bool, seed: u64) -> Sim {
@@ -257,4 +258,45 @@ fn recorder_and_sampler_capture_the_run() {
         sim.stats().injected_packets,
         "per-window counter deltas must sum to the run total"
     );
+}
+
+/// One ping-pong pair four torus hops apart on a `k`×`k`×`k` machine.
+fn pingpong_work(k: u8, far: NodeCoord) -> KernelWork {
+    let cfg = MachineConfig::new(TorusShape::cube(k));
+    let at = |node| GlobalEndpoint {
+        node: cfg.shape.id(node),
+        ep: LocalEndpointId(0),
+    };
+    let pair = (at(NodeCoord::new(0, 0, 0)), at(far));
+    // The certificate does not depend on the traffic; skip it at k=8.
+    let params = SimParams {
+        preflight: PreflightMode::Off,
+        ..SimParams::default()
+    };
+    let mut sim = Sim::builder().config(cfg).params(params).build();
+    let mut drv = PingPongDriver::new(vec![pair], 40);
+    assert_eq!(sim.run(&mut drv, 1_000_000), RunOutcome::Completed);
+    sim.kernel_work()
+}
+
+/// The host-independent form of "an idle cycle costs the same at 8×8×8 as
+/// at 4×4×4": the same four-hop ping-pong makes the wake wheels visit about
+/// as many bitset words per cycle on either machine, although the larger
+/// has eight times the components.
+#[test]
+fn wheel_work_per_cycle_is_independent_of_machine_size() {
+    let small = pingpong_work(4, NodeCoord::new(0, 2, 2));
+    let large = pingpong_work(8, NodeCoord::new(0, 0, 4));
+    let per_cycle = |w: &KernelWork| w.wheel_words_visited as f64 / w.cycles as f64;
+    assert!(
+        per_cycle(&large) <= 1.25 * per_cycle(&small),
+        "k=8 visits {:.2} wheel words/cycle, k=4 {:.2}",
+        per_cycle(&large),
+        per_cycle(&small)
+    );
+    // Wakes follow the packets: past the bootstrap look at every component,
+    // the same four torus hops wake the same number of channel adapters.
+    let adapter_wakes = |w: &KernelWork, nodes: u64| w.wakes[1] - nodes * NUM_CHAN_ADAPTERS as u64;
+    assert!(adapter_wakes(&small, 64) > 0);
+    assert_eq!(adapter_wakes(&small, 64), adapter_wakes(&large, 512));
 }

@@ -74,14 +74,16 @@ fn default_configuration_is_deadlock_free_end_to_end() {
         "shipped config has a VC dependency cycle"
     );
 
-    // And a saturating workload on the same shape drains completely. The
-    // deprecated constructor must keep working for downstream callers.
+    // And a saturating workload on the same shape drains completely.
     let mut sim = Sim::builder()
         .config(cfg)
         .params(SimParams::default())
         .build();
-    #[allow(deprecated)]
-    let mut driver = BatchDriver::uniform_pattern(&sim, Box::new(UniformRandom), 80, 9);
+    let mut driver = BatchDriver::builder(&sim)
+        .pattern(Box::new(UniformRandom))
+        .packets_per_endpoint(80)
+        .seed(9)
+        .build();
     assert_eq!(sim.run(&mut driver, 50_000_000), RunOutcome::Completed);
     assert_eq!(sim.live_packets(), 0);
 }
