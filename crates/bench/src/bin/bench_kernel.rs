@@ -95,10 +95,23 @@ struct Entry {
     cycles_per_sec: f64,
     peak_rss_kb: u64,
     speedup_vs_serial: Option<f64>,
+    /// Link-layer work of a serial run under a fault schedule (see
+    /// [`LinkWork`]).
+    link_work: Option<LinkWork>,
     /// The per-phase wall-clock breakdown from one profiled pass: the five
     /// serial kernel phases for `shards == 1` entries, the four sharded
     /// worker phases (summed plus `per_shard`) otherwise.
     phase_ns: Option<Json>,
+}
+
+/// Host-independent work counts of a serial run with lossy-link shims
+/// installed: wire wakes against data frames sent. An event-driven link
+/// layer wakes a wire a few times per frame; one ticked on every cycle its
+/// shim is busy reads tens.
+#[derive(Clone, Copy)]
+struct LinkWork {
+    wire_wakes: u64,
+    frames_sent: u64,
 }
 
 /// One row of the arbitration-core microbenchmark: ns/grant of the
@@ -279,14 +292,15 @@ fn reset_peak_rss() {
 }
 
 /// Times one run of a [`ShardableDriver`] workload on either kernel:
-/// serial for `shards <= 1`, the sharded parallel kernel otherwise.
+/// serial for `shards <= 1`, the sharded parallel kernel otherwise. Returns
+/// (cycles, wall seconds, link-layer work of a serial faulty run).
 fn time_run<D: anton_sim::ShardableDriver>(
     cfg: MachineConfig,
     params: SimParams,
     shards: usize,
     drv: &mut D,
     label: &str,
-) -> (u64, f64) {
+) -> (u64, f64, Option<LinkWork>) {
     if shards > 1 {
         let mut sim = Sim::builder()
             .config(cfg)
@@ -297,18 +311,23 @@ fn time_run<D: anton_sim::ShardableDriver>(
         let outcome = sim.run(drv, 600_000_000);
         let wall = t.elapsed().as_secs_f64();
         assert_eq!(outcome, RunOutcome::Completed, "{label} run");
-        (sim.now(), wall)
+        (sim.now(), wall, None)
     } else {
         let mut sim = Sim::builder().config(cfg).params(params).build();
         let t = Instant::now();
         let outcome = sim.run(drv, 600_000_000);
         let wall = t.elapsed().as_secs_f64();
         assert_eq!(outcome, RunOutcome::Completed, "{label} run");
-        (sim.now(), wall)
+        let link_work = sim.metrics().fault.map(|f| LinkWork {
+            wire_wakes: sim.kernel_work().wakes[3],
+            frames_sent: f.totals.frames_sent,
+        });
+        (sim.now(), wall, link_work)
     }
 }
 
-/// Builds and runs one workload once, returning (cycles, wall seconds).
+/// Builds and runs one workload once, returning (cycles, wall seconds,
+/// link-layer work).
 /// `profile` turns on the per-phase profiler via [`TraceConfig`].
 /// `shards > 1` runs on the sharded parallel kernel (same cycles, different
 /// wall clock).
@@ -319,7 +338,7 @@ fn run_once(
     seed: u64,
     profile: bool,
     shards: usize,
-) -> (u64, f64) {
+) -> (u64, f64, Option<LinkWork>) {
     let cfg = MachineConfig::new(TorusShape::cube(k));
     let base_params = SimParams {
         trace: TraceConfig {
@@ -379,7 +398,7 @@ fn run_once(
             let outcome = sim.run(&mut drv, 600_000_000);
             let wall = t.elapsed().as_secs_f64();
             assert_eq!(outcome, RunOutcome::Completed, "{workload} k{k} run");
-            (sim.now(), wall)
+            (sim.now(), wall, None)
         }
         other => anton_bench::fail_usage(
             &anton_verify::Diagnostic::error("AV101", format!("unknown workload `{other}`"))
@@ -531,8 +550,10 @@ fn main() {
             reset_peak_rss();
             let mut best_wall = f64::INFINITY;
             let mut cycles = 0u64;
+            let mut link_work = None;
             for rep in 0..reps {
-                let (c, wall) = run_once(workload, k, packets, seed, false, 1);
+                let (c, wall, work) = run_once(workload, k, packets, seed, false, 1);
+                link_work = work;
                 eprintln!(
                     "[bench_kernel] {workload}/{size} rep {}/{reps}: {c} cycles in {:.3}s \
                      ({:.0} cycles/sec)",
@@ -555,6 +576,7 @@ fn main() {
                 cycles_per_sec: cycles as f64 / best_wall,
                 peak_rss_kb: peak_rss_kb(),
                 speedup_vs_serial: None,
+                link_work,
                 phase_ns,
             });
         }
@@ -570,7 +592,7 @@ fn main() {
         let mut serial_cps = None;
         for shards in [1usize, large_shards.max(2)] {
             reset_peak_rss();
-            let (cycles, wall) = run_once(workload, k, packets, seed, false, shards);
+            let (cycles, wall, _) = run_once(workload, k, packets, seed, false, shards);
             let cps = cycles as f64 / wall;
             eprintln!(
                 "[bench_kernel] {workload}/large shards {shards}: {cycles} cycles in {wall:.3}s \
@@ -601,6 +623,7 @@ fn main() {
                 cycles_per_sec: cps,
                 peak_rss_kb: rss,
                 speedup_vs_serial,
+                link_work: None,
                 phase_ns,
             });
         }
@@ -664,6 +687,11 @@ fn main() {
                 e.speedup_vs_serial.map_or(Json::Null, Json::from),
             ),
         ];
+        let (wire_wakes, frames_sent) = e.link_work.map_or((Json::Null, Json::Null), |w| {
+            (Json::from(w.wire_wakes), Json::from(w.frames_sent))
+        });
+        obj.push(("wire_wakes".to_string(), wire_wakes));
+        obj.push(("frames_sent".to_string(), frames_sent));
         obj.push((
             "phase_ns".to_string(),
             e.phase_ns.clone().unwrap_or(Json::Null),

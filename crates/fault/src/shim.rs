@@ -277,6 +277,25 @@ impl LinkShim {
         completed
     }
 
+    /// The earliest cycle at which [`LinkShim::advance`] can do anything:
+    /// the next data frame or ack to land, or the next cycle a frame can be
+    /// put on the link — when the sender has one to (re)send, the token
+    /// bucket holds a frame's worth, and this cycle's slot is free.
+    /// `u64::MAX` exactly when [`LinkShim::idle`]. Between `advance(now)`
+    /// and that cycle, calling `advance` changes nothing (the token refill
+    /// is lazy and saturating, the RNG is drawn only when a frame or ack
+    /// goes onto the link), so a caller may tick only then, or every
+    /// cycle, with identical results.
+    pub fn next_event(&self) -> u64 {
+        let data = self.forward.front().map_or(u64::MAX, |&(t, _)| t);
+        let ack = self.reverse.front().map_or(u64::MAX, |&(t, _)| t);
+        let tokens_due =
+            self.tokens_at + TOKEN_COST.saturating_sub(self.tokens).div_ceil(TOKEN_GAIN);
+        let slot_free = self.last_tx.map_or(0, |t| t + 1);
+        let transmit = self.tx.next_frame_slot().max(tokens_due).max(slot_free);
+        data.min(ack).min(transmit)
+    }
+
     /// Whether the link has fully drained: no queued packets, no frames in
     /// flight, and no unacknowledged frames awaiting (re)transmission.
     pub fn idle(&self) -> bool {
@@ -609,6 +628,125 @@ mod tests {
             // exactly 0..n in order — no duplicate, no loss, no reorder.
             let expect: Vec<u32> = (0..total).collect();
             prop_assert_eq!(&delivered, &expect);
+        }
+    }
+
+    /// One shim under the differential test, plus everything observable
+    /// about it: the caller-side packet FIFO, the `(cycle, completions)`
+    /// stream and the recorded link-layer events.
+    struct Observed {
+        shim: LinkShim,
+        queue: VecDeque<u8>,
+        completions: Vec<(u64, u32)>,
+        events: Vec<(u64, ShimEvent)>,
+    }
+
+    impl Observed {
+        fn new(shim: LinkShim) -> Observed {
+            let mut o = Observed {
+                shim,
+                queue: VecDeque::new(),
+                completions: Vec::new(),
+                events: Vec::new(),
+            };
+            o.shim.set_event_recording(true);
+            o
+        }
+
+        fn tick(&mut self, now: u64) {
+            let done = self.shim.advance(now);
+            if done > 0 {
+                self.completions.push((now, done));
+                self.queue.drain(..done as usize);
+            }
+            self.events.extend(self.shim.take_events());
+            assert!(
+                self.shim.next_event() > now,
+                "advance({now}) left an event due at {}",
+                self.shim.next_event()
+            );
+        }
+
+        fn enqueue(&mut self, now: u64, flits: u8) {
+            self.queue.push_back(flits);
+            self.shim.enqueue(now, flits);
+            self.events.extend(self.shim.take_events());
+        }
+
+        /// The Down-onset recovery: tear the session down and requeue the
+        /// reported backlog through the fresh one.
+        fn reset_and_requeue(&mut self, now: u64) {
+            let undelivered = self.shim.drain_reset(now);
+            assert_eq!(undelivered, self.queue.len(), "backlog mismatch at reset");
+            for flits in std::mem::take(&mut self.queue) {
+                self.enqueue(now, flits);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// The event-driven contract: a shim ticked only on the cycles its
+        /// own `next_event()` names (plus a sprinkling of spurious ticks)
+        /// is indistinguishable from one ticked every cycle.
+        #[test]
+        fn ticking_only_at_next_event_matches_ticking_every_cycle(
+            ber_idx in 0usize..3,
+            latency in 1u64..60,
+            outage_from in 0u64..600,
+            outage_len in 0u64..400,
+            packets in proptest::collection::vec((1u8..5, 0u64..12), 3..40),
+            reset_at in 1u64..700,
+            seed in 0u64..1000,
+        ) {
+            let ber = [0.0, 1e-4, 2e-3][ber_idx];
+            let downs = vec![(outage_from, outage_from + outage_len)];
+            let make = || Observed::new(LinkShim::new(latency, gbn(), ber, downs.clone(), seed));
+            let (mut every, mut sparse) = (make(), make());
+            let mut spurious = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let mut sends = packets.iter().scan(0u64, |at, &(flits, gap)| {
+                *at += gap;
+                Some((*at, flits))
+            }).peekable();
+            let mut sparse_ticks = 0u64;
+            let mut now = 0u64;
+            while sends.peek().is_some() || now <= reset_at || !every.shim.idle() {
+                prop_assert!(now < 400_000, "shim failed to drain");
+                // The wire phase first, as in the simulator: the reference
+                // always ticks, the twin only when an event is due.
+                every.tick(now);
+                let due = sparse.shim.next_event();
+                prop_assert!(due >= now, "event due at {due} went unticked until {now}");
+                if due == now || spurious.gen_bool(1.0 / 16.0) {
+                    sparse.tick(now);
+                    sparse_ticks += u64::from(due == now);
+                }
+                while let Some(&(_, flits)) = sends.peek().filter(|&&(at, _)| at == now) {
+                    every.enqueue(now, flits);
+                    sparse.enqueue(now, flits);
+                    sends.next();
+                }
+                if now == reset_at {
+                    every.reset_and_requeue(now);
+                    sparse.reset_and_requeue(now);
+                }
+                for o in [&every, &sparse] {
+                    prop_assert_eq!(o.shim.next_event() == u64::MAX, o.shim.idle());
+                }
+                now += 1;
+            }
+            prop_assert!(sparse.shim.idle() && sparse.queue.is_empty());
+            prop_assert_eq!(&every.completions, &sparse.completions);
+            prop_assert_eq!(every.shim.stats(), sparse.shim.stats());
+            prop_assert_eq!(&every.events, &sparse.events);
+            // Per event, not per cycle: every due tick lands a frame or an
+            // ack or puts a frame on the link.
+            let s = sparse.shim.stats();
+            prop_assert!(
+                sparse_ticks <= 3 * s.frames_sent,
+                "{sparse_ticks} due ticks for {} frames", s.frames_sent
+            );
         }
     }
 

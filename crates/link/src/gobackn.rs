@@ -148,6 +148,22 @@ impl Sender {
         Some(Frame::data(seq, ack_for_peer, payload))
     }
 
+    /// The earliest slot at which [`Sender::next_frame`] can return a
+    /// frame, absent further `offer`/`on_ack` calls: any slot while unsent
+    /// frames are queued (reported as 0), the base frame's timeout while
+    /// everything queued is outstanding, `u64::MAX` with nothing buffered.
+    /// `next_frame` returns `None`, without side effect, at every slot
+    /// before it.
+    pub fn next_frame_slot(&self) -> u64 {
+        if self.cursor < self.buffer.len() {
+            0
+        } else if self.buffer.is_empty() {
+            u64::MAX
+        } else {
+            self.base_sent_at + self.cfg.timeout
+        }
+    }
+
     /// Unacknowledged frames currently buffered.
     pub fn in_flight(&self) -> usize {
         self.buffer.len()
@@ -256,6 +272,58 @@ mod tests {
         assert!(tx.retransmissions >= 1);
         let ack = rx.on_frame(&resent);
         assert_eq!(ack, 1);
+    }
+
+    /// `next_frame` must refuse every slot in `from..slot` and produce a
+    /// frame at `next_frame_slot()` itself (probed on clones: a successful
+    /// `next_frame` mutates).
+    fn assert_slot_is_exact(tx: &Sender, from: u64) -> u64 {
+        let slot = tx.next_frame_slot();
+        for t in from..slot {
+            assert_eq!(
+                tx.clone().next_frame(t, 0),
+                None,
+                "frame before slot at {t}"
+            );
+        }
+        assert!(tx.clone().next_frame(slot.max(from), 0).is_some());
+        slot
+    }
+
+    #[test]
+    fn next_frame_slot_is_exact() {
+        let cfg = GoBackNConfig {
+            window: 4,
+            timeout: 8,
+        };
+        let mut tx = Sender::new(cfg);
+        assert_eq!(tx.next_frame_slot(), u64::MAX, "nothing buffered");
+        assert_eq!(tx.next_frame(3, 0), None);
+        // Unsent frames queued: any slot will do.
+        for i in 0..4u8 {
+            tx.offer([i; 24]);
+        }
+        assert_eq!(assert_slot_is_exact(&tx, 10), 0);
+        // Window full and every frame sent once: only the base frame's
+        // timeout (sent at slot 10) can produce another.
+        for t in 10..14 {
+            tx.next_frame(t, 0).unwrap();
+        }
+        assert!(!tx.can_accept());
+        assert_eq!(assert_slot_is_exact(&tx, 14), 18);
+        // A partial ack restarts the timer; the cursor has still caught up
+        // with the (now shorter) buffer.
+        tx.on_ack(2, 15);
+        assert_eq!(tx.in_flight(), 2);
+        assert_eq!(assert_slot_is_exact(&tx, 15), 23);
+        // Timed out: the rewind resends the whole window, one frame a slot,
+        // and the timer restarts from the resent base.
+        assert_eq!(tx.next_frame(23, 0).unwrap().seq, 2);
+        assert_eq!(assert_slot_is_exact(&tx, 24), 0);
+        assert_eq!(tx.next_frame(24, 0).unwrap().seq, 3);
+        assert_eq!(assert_slot_is_exact(&tx, 25), 31);
+        tx.on_ack(4, 26);
+        assert_eq!(tx.next_frame_slot(), u64::MAX, "all acknowledged");
     }
 
     #[test]

@@ -725,10 +725,10 @@ pub struct Sim {
     sched_chan: Scheduler,
     sched_ep: Scheduler,
     /// Wake calendar for the wires themselves: a wire is ticked only on
-    /// cycles an event (arrival or credit maturity, or a shim needing its
-    /// every-cycle tick) was scheduled for, replacing the per-cycle scan of
-    /// an active-wire list. Events past the wheel's horizon chain forward
-    /// through clamped re-schedules.
+    /// cycles an event (arrival, credit maturity, or a lossy link layer's
+    /// next frame, ack, token refill or timeout) was scheduled for,
+    /// replacing the per-cycle scan of an active-wire list. Events past the
+    /// wheel's horizon chain forward through clamped re-schedules.
     sched_wire: Scheduler,
     /// Calendar of interior-wire credit returns: slot `c % HORIZON` holds
     /// the `(wire, vc index, flits)` returns maturing at cycle `c`. Pops
@@ -1402,13 +1402,15 @@ impl Sim {
     }
 
     /// (Re)schedules wire `w` on the wire wheel for its next pending event
-    /// ([`Wire::next_event`]). Events past the wheel's horizon are clamped
-    /// to its edge and chain forward through spurious wakes (each wake
-    /// re-schedules); an active shim's `next_event` of 0 clamps up to
-    /// `min_at`, giving it the every-cycle tick it needs. `min_at` is the
-    /// earliest cycle the caller may still tick the wire: `now` from
-    /// contexts that run before this cycle's wire phase (window barriers,
-    /// the degradation-epoch tick), `now + 1` once the phase has drained.
+    /// ([`Wire::next_event`]: an arrival, a credit return, or — on a lossy
+    /// link — a frame, an ack, a token refill or a retransmission timeout
+    /// coming due). Events past the wheel's horizon are clamped to its edge
+    /// and chain forward through spurious wakes (each wake re-schedules),
+    /// which is how a far credit return and a 192-slot go-back-N timeout
+    /// are both reached. `min_at` is the earliest cycle the caller may
+    /// still tick the wire: `now` from contexts that run before this
+    /// cycle's wire phase (window barriers, the degradation-epoch tick),
+    /// `now + 1` once the phase has drained.
     #[inline]
     fn schedule_wire(&mut self, w: WireId, min_at: u64) {
         let next = self.wires[w].next_event();
@@ -2006,8 +2008,9 @@ impl Sim {
     }
 
     /// Moves the shim's logged link-layer events (retransmissions, frame
-    /// drops) into the flight recorder on wire `w`'s track. Only called with
-    /// a recorder attached; allocation-free for shimless wires.
+    /// drops) into the flight recorder on wire `w`'s track, after every
+    /// call that can log one: a tick and a send. Only called with a
+    /// recorder attached; allocation-free for shimless wires.
     fn drain_shim_events(&mut self, w: usize) {
         let events = self.wires[w].take_shim_events();
         if events.is_empty() {
@@ -2358,6 +2361,9 @@ impl Sim {
                     debug_assert!(filed.is_none(), "shimmed wires never direct-file");
                 }
             }
+        }
+        if self.recorder.is_some() {
+            self.drain_shim_events(w);
         }
         self.schedule_wire(w, self.now);
         self.wake(CompRef::Chan(cidx as u32), self.now);
@@ -3018,6 +3024,13 @@ impl Sim {
             Some(u64::from(pid.0)),
             TraceEventKind::Hop { vc: vcidx, flits },
         );
+        if self.recorder.is_some() && t.flags & FAST_WIRE == 0 {
+            // A send into a lossy link transmits at once and may log a
+            // retransmission or frame drop stamped `now`. The wire's next
+            // tick can be a link latency away, so move them to the recorder
+            // here: its order must not depend on when ticks happen.
+            self.drain_shim_events(wire);
+        }
     }
 
     fn send_on_wire(&mut self, wire: WireId, pid: PacketId, vcidx: u8) {

@@ -390,7 +390,8 @@ impl Wire {
 
     /// Turns link-layer event logging (retransmissions, frame drops) on or
     /// off on the installed shim; a no-op without one. The flight recorder
-    /// drains the log each tick via [`Wire::take_shim_events`].
+    /// drains the log after each tick and each send via
+    /// [`Wire::take_shim_events`].
     pub fn set_shim_event_recording(&mut self, on: bool) {
         if let Some(s) = &mut self.shim {
             s.shim.set_event_recording(on);
@@ -663,25 +664,24 @@ impl Wire {
         self.credit_returns.push_back((at, vcidx, flits));
     }
 
-    /// The earliest future cycle at which ticking this wire can do anything:
-    /// the front of the in-flight and credit-return queues (both FIFO in
-    /// maturity order), or `u64::MAX` when nothing is pending. Wires with a
-    /// lossy-link shim installed report `0` while the shim holds traffic —
-    /// the go-back-N layer keeps internal timers and must tick every cycle.
+    /// The earliest cycle at which ticking this wire can do anything: the
+    /// front of the in-flight and credit-return queues (both FIFO in
+    /// maturity order) and, with a lossy-link shim installed, the link
+    /// layer's own next event (`LinkShim::next_event`: a frame or ack
+    /// landing, or the next cycle a frame can go out). `u64::MAX` exactly
+    /// when the wire is [`idle`](Wire::idle). A tick before that cycle is
+    /// harmless and changes nothing.
     #[inline]
     pub fn next_event(&self) -> u64 {
-        if let Some(s) = &self.shim {
-            if !s.shim.idle() {
-                return 0;
-            }
-        }
         let arrival = self.in_flight.front().map_or(u64::MAX, |&(t, _, _)| t);
         let credit = self.credit_returns.front().map_or(u64::MAX, |&(t, _, _)| t);
-        arrival.min(credit)
+        let link = self.shim.as_ref().map_or(u64::MAX, |s| s.shim.next_event());
+        arrival.min(credit).min(link)
     }
 
-    /// Whether the wire has no flits or credits in flight (nothing left to
-    /// tick).
+    /// Whether the wire has no flits or credits in flight and its link
+    /// layer (if any) has drained: nothing left to tick, ever, until the
+    /// next send.
     #[inline]
     pub fn idle(&self) -> bool {
         self.in_flight.is_empty()
@@ -1118,22 +1118,32 @@ mod tests {
         // would emit them (≥ 45/14 cycles apart per flit). The ideal wire
         // direct-files its sends (consumer wake returned from `send`); the
         // shim reports arrivals through `tick` — collect both streams of
-        // consumer-wake cycles and compare them at the end.
+        // consumer-wake cycles and compare them at the end. The ideal wire
+        // is ticked every cycle; the lossy one only on the cycles its own
+        // `next_event()` names, as the wire wheel would.
         let mut wakes_ideal = Vec::new();
         let mut wakes_lossy = Vec::new();
         wakes_ideal.extend(ideal.send(5, entry(1, 1), 0));
         lossy.send(5, entry(1, 1), 0);
-        assert_eq!(lossy.w.next_event(), 0, "an active shim ticks every cycle");
+        assert_eq!(lossy.w.next_event(), 49, "the frame lands one latency on");
         let mut popped = 0;
+        let mut lossy_ticks = 0;
         for t in 5..400u64 {
             if t == 12 {
                 wakes_ideal.extend(ideal.send(t, entry(2, 2), 3));
                 lossy.send(t, entry(2, 2), 3);
             }
             let (ra, ca) = ideal.tick(t);
-            let (rb, cb) = lossy.tick(t);
             wakes_ideal.extend(ra);
-            wakes_lossy.extend(rb);
+            assert!(lossy.w.next_event() >= t, "a due event went unticked");
+            let mut cb = false;
+            if lossy.w.next_event() == t {
+                let (rb, credited) = lossy.tick(t);
+                wakes_lossy.extend(rb);
+                cb = credited;
+                lossy_ticks += 1;
+                assert!(lossy.w.next_event() > t, "a tick must consume its event");
+            }
             assert_eq!(ca, cb, "credit wakeups diverge at cycle {t}");
             for vc in [0u8, 3] {
                 if ideal.head(t, vc).is_some() {
@@ -1146,6 +1156,11 @@ mod tests {
         }
         assert_eq!(popped, 2, "both packets must arrive");
         assert_eq!(wakes_ideal, wakes_lossy, "consumer wake cycles diverge");
+        assert!(lossy.w.idle() && lossy.w.next_event() == u64::MAX);
+        // Three frames: one tick to send the second flit of the two-flit
+        // packet, one per frame landing, one per ack landing (the two
+        // credit returns land with the acks at 93 and 101).
+        assert_eq!(lossy_ticks, 1 + 3 + 3, "ticks are per event, not per cycle");
         ideal.check_credit_balance().unwrap();
         lossy.check_credit_balance().unwrap();
     }

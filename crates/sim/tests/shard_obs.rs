@@ -112,3 +112,75 @@ fn merged_events_and_timeseries_agree_with_serial() {
         assert!(aligned > 0, "no aligned windows between serial and sharded");
     }
 }
+
+/// The canonical export of an event stream: `(cycle, track, recording
+/// order)` with sequence numbers reassigned and the per-kernel packet ids
+/// blanked, as pretty-printed JSON objects.
+fn render(mut events: Vec<anton_obs::TraceEvent>) -> String {
+    events.sort_by_key(|e| (e.cycle, e.track, e.seq));
+    let mut out = String::new();
+    for (seq, mut e) in events.into_iter().enumerate() {
+        e.seq = seq as u64;
+        e.packet = None;
+        out.push_str(&e.to_json().to_pretty_string());
+        out.push('\n');
+    }
+    out
+}
+
+/// Retransmissions and frame drops are logged inside the link layer by
+/// whichever call put the frame on the link — a wire tick or a send — and
+/// a lossy wire is ticked only when one of its events is due. The order in
+/// which they reach the recorder must not depend on tick timing: window
+/// barriers reschedule wires, so the sharded kernel ticks them on cycles
+/// the serial kernel does not.
+#[test]
+fn lossy_link_events_export_identically_serial_and_sharded() {
+    let cfg = MachineConfig::new(TorusShape::cube(2));
+    let params = |shards| SimParams {
+        shards,
+        fault: Some(anton_fault::FaultSchedule::uniform(5, 1e-4)),
+        ..trace_params()
+    };
+    let lossy_batch = || {
+        BatchDriver::builder_for(&cfg)
+            .pattern(Box::new(UniformRandom))
+            .packets_per_endpoint(24)
+            .seed(9)
+            .build()
+    };
+
+    let mut serial = Sim::builder().config(cfg.clone()).params(params(1)).build();
+    assert_eq!(
+        serial.run(&mut lossy_batch(), 1_000_000),
+        RunOutcome::Completed
+    );
+    let rec = serial.recorder().expect("tracing on");
+    let mut link_events = 0;
+    for t in 0..rec.num_tracks() as u32 {
+        assert_eq!(rec.track_dropped(t), 0, "ring too small for the test");
+        let cycles: Vec<u64> = rec.track_events(t).map(|e| e.cycle).collect();
+        assert!(
+            cycles.windows(2).all(|w| w[0] <= w[1]),
+            "track {t} ({}) went back in time",
+            rec.track_label(t)
+        );
+        link_events += rec
+            .track_events(t)
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    TraceEventKind::Retransmit | TraceEventKind::FrameDrop { .. }
+                )
+            })
+            .count();
+    }
+    assert!(link_events > 20, "BER 1e-4 must exercise the link layer");
+
+    let mut sharded = ShardedSim::new(cfg.clone(), params(2));
+    assert_eq!(
+        sharded.run(&mut lossy_batch(), 1_000_000),
+        RunOutcome::Completed
+    );
+    assert_eq!(render(sharded.merged_events()), render(rec.all_events()));
+}
