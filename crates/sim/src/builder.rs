@@ -129,12 +129,6 @@ impl SimBuilder {
         self
     }
 
-    /// Count arbitration grants per site class.
-    pub fn grants(mut self, on: bool) -> SimBuilder {
-        self.params.collect_grants = on;
-        self
-    }
-
     /// Idle cycles before the deadlock watchdog trips.
     pub fn watchdog(mut self, cycles: u64) -> SimBuilder {
         self.params.watchdog_cycles = cycles;

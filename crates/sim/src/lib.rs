@@ -18,8 +18,9 @@
 //!   latency, rate-controlled energy streams, open-loop load);
 //! * [`metrics`] — typed metrics records: per-link-class utilization, VC
 //!   occupancy histograms, arbiter grant counts, link-fault counters;
-//! * [`wire`] — credit-controlled channels, optionally wrapped in lossy
-//!   go-back-N link shims when a fault schedule is installed;
+//! * [`wire`] — the wire layer: one store owning every credit-controlled
+//!   channel (optionally behind a lossy go-back-N link shim when a fault
+//!   schedule is installed) and the one send / pop / step path;
 //! * [`params`] — physical constants and calibration parameters;
 //! * [`shard`] — the sharded parallel kernel ([`ShardedSim`]): bounded-lag
 //!   windows across one worker thread per contiguous torus sub-brick,

@@ -17,7 +17,7 @@ use anton_core::trace::GlobalLink;
 use anton_fault::ShimStats;
 
 use crate::sim::{Sim, SimStats};
-use crate::wire::OCC_BUCKETS;
+use crate::wire::{Wires, OCC_BUCKETS};
 
 /// Structural classes of wires, the granularity of utilization reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -108,8 +108,8 @@ pub struct LinkClassMetrics {
 pub struct VcOccupancyHistogram {
     /// Link class the histogram aggregates over.
     pub class: LinkClass,
-    /// Flattened VC index (class-major, see
-    /// [`Wire::vc_index`](crate::wire::Wire::vc_index)).
+    /// Flattened VC index (class-major: traffic class × VCs per class +
+    /// VC).
     pub vc_index: u8,
     /// `buckets[b]` = wire·cycles spent holding exactly `b` packets; the
     /// last bucket absorbs deeper occupancies.
@@ -195,24 +195,46 @@ pub struct Metrics {
 impl Metrics {
     /// Collects a metrics record from a simulator.
     pub fn collect(sim: &Sim) -> Metrics {
-        let now = sim.now();
+        let wires = sim.wires();
+        Metrics::collect_with(
+            sim.now(),
+            sim.stats().clone(),
+            sim.grant_counts(),
+            wires.len(),
+            |_| (wires, wires),
+        )
+    }
+
+    /// Aggregates a record over `nwires` wires at cycle `now`. `sides(w)`
+    /// names the wire stores holding wire `w`'s sending side (flits
+    /// carried, link-layer counters) and receiving side (queue occupancy):
+    /// the same store in a serial run, the two owning replicas' in a
+    /// sharded one.
+    pub(crate) fn collect_with<'a>(
+        now: u64,
+        stats: SimStats,
+        grants: ArbiterGrantCounts,
+        nwires: usize,
+        sides: impl Fn(usize) -> (&'a Wires, &'a Wires),
+    ) -> Metrics {
         let cycles = now.max(1);
         let mut per_class: Vec<(usize, u64, u64)> = vec![(0, 0, 0); LinkClass::ALL.len()];
         let mut occ: Vec<Vec<[u64; OCC_BUCKETS]>> = vec![Vec::new(); LinkClass::ALL.len()];
         let mut shimmed_links = 0usize;
         let mut shim_totals = ShimStats::default();
-        for (w, wire) in sim.wires().iter().enumerate() {
-            if let Some(stats) = wire.shim_stats() {
+        for w in 0..nwires {
+            let (tx, rx) = sides(w);
+            if let Some(stats) = tx.link_stats(w) {
                 shimmed_links += 1;
                 shim_totals.merge(&stats);
             }
-            let carried = sim.wire_flits_carried(w);
-            let ci = LinkClass::of(&wire.label) as usize;
+            let carried = tx.flits_carried(w);
+            let ci = LinkClass::of(&tx.label(w)) as usize;
             let (wires, flits, peak) = &mut per_class[ci];
             *wires += 1;
             *flits += carried;
             *peak = (*peak).max(carried);
-            if let Some(hists) = wire.occupancy_histograms(now) {
+            if let Some(hists) = rx.occupancy_histograms(w, now) {
                 let agg = &mut occ[ci];
                 if agg.len() < hists.len() {
                     agg.resize(hists.len(), [0; OCC_BUCKETS]);
@@ -250,10 +272,10 @@ impl Metrics {
             .collect();
         Metrics {
             cycles: now,
-            stats: sim.stats().clone(),
+            stats,
             link_classes,
             vc_occupancy,
-            grants: sim.grant_counts(),
+            grants,
             fault: (shimmed_links > 0).then_some(FaultMetrics {
                 shimmed_links,
                 totals: shim_totals,

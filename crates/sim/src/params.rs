@@ -214,12 +214,6 @@ pub struct SimParams {
     /// every wire and adds per-push/pop bookkeeping; off by default so the
     /// plain throughput path stays untouched).
     pub collect_metrics: bool,
-    /// Count arbiter grants per arbitration-site class for
-    /// [`Metrics`](crate::metrics::Metrics). On by default; benchmark mode
-    /// turns it off to measure the bare kernel. Toggling it never changes
-    /// routing decisions or delivered packets — only whether the counters
-    /// accumulate.
-    pub collect_grants: bool,
     /// RNG seed for routing randomization.
     pub seed: u64,
     /// Cycles without any flit movement (while packets are in flight) after
@@ -254,7 +248,6 @@ impl Default for SimParams {
             energy: EnergyParams::default(),
             track_energy: false,
             collect_metrics: false,
-            collect_grants: true,
             seed: 0xA2701,
             watchdog_cycles: 50_000,
             fault: None,

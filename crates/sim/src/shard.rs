@@ -57,17 +57,14 @@ use anton_core::multicast::McGroup;
 use anton_core::packet::{CounterId, Packet};
 use anton_core::topology::NodeId;
 use anton_core::trace::GlobalLink;
-use anton_fault::ShimStats;
 
-use crate::metrics::{
-    ArbiterGrantCounts, FaultMetrics, LinkClass, LinkClassMetrics, Metrics, VcOccupancyHistogram,
-};
+use crate::metrics::{ArbiterGrantCounts, Metrics};
 use crate::params::{SimParams, TraceConfig};
 use crate::sim::{
     DeadlockReport, Delivery, Driver, EnergyCounters, RunOutcome, Sim, SimStats, StaticVerdict,
 };
 use crate::state::PacketState;
-use crate::wire::{BufEntry, OCC_BUCKETS};
+use crate::wire::BufEntry;
 
 /// Window length used when only one shard exists (no boundary wires limit
 /// the lookahead; the window only bounds control-decision latency).
@@ -326,10 +323,11 @@ impl ShardedSim {
                 )
             })
             .collect();
-        let mut wire_tx_owner = Vec::with_capacity(control.wires().len());
-        let mut wire_rx_owner = Vec::with_capacity(control.wires().len());
-        for wire in control.wires() {
-            let (tx, rx) = match wire.label {
+        let nwires = control.wires().len();
+        let mut wire_tx_owner = Vec::with_capacity(nwires);
+        let mut wire_rx_owner = Vec::with_capacity(nwires);
+        for w in 0..nwires {
+            let (tx, rx) = match control.wires().label(w) {
                 GlobalLink::Torus { from, dir, .. } => {
                     let to = cfg.shape.id(cfg.shape.neighbor(cfg.shape.coord(from), dir));
                     (
@@ -565,13 +563,10 @@ impl ShardedSim {
     /// Raw flit counts per wire, labeled — each wire read from its
     /// producing-side owner (the replica that counted its traffic).
     pub fn wire_utilizations(&self) -> Vec<(GlobalLink, u64)> {
-        self.control
-            .wires()
-            .iter()
-            .enumerate()
-            .map(|(w, cw)| {
-                let owner = &self.shards[self.wire_tx_owner[w] as usize];
-                (cw.label, owner.wire_flits_carried(w))
+        (0..self.wire_tx_owner.len())
+            .map(|w| {
+                let owner = self.shards[self.wire_tx_owner[w] as usize].wires();
+                (owner.label(w), owner.flits_carried(w))
             })
             .collect()
     }
@@ -586,35 +581,13 @@ impl ShardedSim {
         anton_core::topology::Slice,
         f64,
     )> {
-        let cycles = self.end_cycle.max(1) as f64;
-        self.control
-            .wires()
-            .iter()
-            .enumerate()
-            .filter_map(|(w, cw)| match cw.label {
-                GlobalLink::Torus { from, dir, slice } => {
-                    let owner = &self.shards[self.wire_tx_owner[w] as usize];
-                    Some((
-                        from,
-                        dir,
-                        slice,
-                        owner.wire_flits_carried(w) as f64 / cycles,
-                    ))
-                }
-                _ => None,
-            })
-            .collect()
+        crate::sim::torus_utilizations_of(&self.wire_utilizations(), self.end_cycle)
     }
 
     /// Peak torus-channel utilization as a fraction of effective channel
     /// bandwidth, as in [`Sim::max_torus_utilization`].
     pub fn max_torus_utilization(&self) -> f64 {
-        let cap =
-            f64::from(crate::params::TORUS_TOKEN_GAIN) / f64::from(crate::params::TORUS_TOKEN_COST);
-        self.torus_utilizations()
-            .iter()
-            .map(|(_, _, _, u)| u / cap)
-            .fold(0.0, f64::max)
+        crate::sim::max_torus_utilization_of(&self.torus_utilizations())
     }
 
     /// Collects the merged typed metrics record. Per boundary wire, the
@@ -623,73 +596,18 @@ impl ShardedSim {
     /// consuming-side replica for queue-occupancy histograms (it runs the
     /// receive buffers); interior wires live wholly in their owning shard.
     pub fn metrics(&self) -> Metrics {
-        let now = self.end_cycle;
-        let cycles = now.max(1);
-        let mut per_class: Vec<(usize, u64, u64)> = vec![(0, 0, 0); LinkClass::ALL.len()];
-        let mut occ: Vec<Vec<[u64; OCC_BUCKETS]>> = vec![Vec::new(); LinkClass::ALL.len()];
-        let mut shimmed_links = 0usize;
-        let mut shim_totals = ShimStats::default();
-        for (w, cw) in self.control.wires().iter().enumerate() {
-            let tx_owner = &self.shards[self.wire_tx_owner[w] as usize];
-            let txw = &tx_owner.wires()[w];
-            let rxw = &self.shards[self.wire_rx_owner[w] as usize].wires()[w];
-            if let Some(stats) = txw.shim_stats() {
-                shimmed_links += 1;
-                shim_totals.merge(&stats);
-            }
-            let carried = tx_owner.wire_flits_carried(w);
-            let ci = LinkClass::of(&cw.label) as usize;
-            let (wires, flits, peak) = &mut per_class[ci];
-            *wires += 1;
-            *flits += carried;
-            *peak = (*peak).max(carried);
-            if let Some(hists) = rxw.occupancy_histograms(now) {
-                let agg = &mut occ[ci];
-                if agg.len() < hists.len() {
-                    agg.resize(hists.len(), [0; OCC_BUCKETS]);
-                }
-                for (vc, h) in hists.iter().enumerate() {
-                    for (b, c) in h.iter().enumerate() {
-                        agg[vc][b] += c;
-                    }
-                }
-            }
-        }
-        let link_classes = LinkClass::ALL
-            .iter()
-            .zip(&per_class)
-            .map(|(&class, &(wires, flits, peak))| LinkClassMetrics {
-                class,
-                wires,
-                flits,
-                mean_util: flits as f64 / cycles as f64 / (wires.max(1)) as f64,
-                peak_util: peak as f64 / cycles as f64,
-            })
-            .collect();
-        let vc_occupancy = LinkClass::ALL
-            .iter()
-            .zip(occ)
-            .flat_map(|(&class, agg)| {
-                agg.into_iter()
-                    .enumerate()
-                    .map(move |(vc, buckets)| VcOccupancyHistogram {
-                        class,
-                        vc_index: vc as u8,
-                        buckets,
-                    })
-            })
-            .collect();
-        Metrics {
-            cycles: now,
-            stats: self.stats(),
-            link_classes,
-            vc_occupancy,
-            grants: self.grant_counts(),
-            fault: (shimmed_links > 0).then_some(FaultMetrics {
-                shimmed_links,
-                totals: shim_totals,
-            }),
-        }
+        Metrics::collect_with(
+            self.end_cycle,
+            self.stats(),
+            self.grant_counts(),
+            self.wire_tx_owner.len(),
+            |w| {
+                (
+                    self.shards[self.wire_tx_owner[w] as usize].wires(),
+                    self.shards[self.wire_rx_owner[w] as usize].wires(),
+                )
+            },
+        )
     }
 
     /// Self-checks across the whole sharded machine:
@@ -706,21 +624,26 @@ impl ShardedSim {
             sh.check_invariants()
                 .map_err(|e| format!("shard {s}: {e}"))?;
         }
+        let parked: Vec<Vec<u8>> = self
+            .shards
+            .iter()
+            .map(|sh| sh.wires().parked_credits())
+            .collect();
         for (s, sh) in self.shards.iter().enumerate() {
+            let prod = sh.wires();
             for &(w, dest) in sh.export_wire_ids() {
                 let wid = w as usize;
-                let cons = &self.shards[dest as usize];
-                let wire = &sh.wires()[wid];
-                let depth = u32::from(wire.depth());
-                for vc in 0..wire.num_vcs() {
-                    let total = u32::from(sh.wire_credit_count(wid, vc))
-                        + sh.wire_accounted_flits(wid, vc)
-                        + cons.wire_accounted_flits(wid, vc);
+                let cons = self.shards[dest as usize].wires();
+                let depth = u32::from(prod.depth(wid));
+                for vc in 0..usize::from(prod.num_vcs(wid)) {
+                    let total = u32::from(prod.credits(wid, vc))
+                        + prod.accounted_flits(wid, vc, &parked[s])
+                        + cons.accounted_flits(wid, vc, &parked[dest as usize]);
                     if total != depth {
                         return Err(format!(
                             "boundary credit balance violated on wire {wid} ({:?}) vc {vc} \
                              between shards {s} and {dest}: accounted {total} != depth {depth}",
-                            wire.label
+                            prod.label(wid)
                         ));
                     }
                 }
@@ -741,8 +664,9 @@ impl ShardedSim {
         Ok(())
     }
 
-    /// Runs until the driver completes, deadlock, or the cycle budget, in
-    /// bounded-lag sync windows across one worker thread per shard.
+    /// Runs until the driver completes, deadlock, or the cycle budget
+    /// (capped as in [`Sim::run`]), in bounded-lag sync windows across one
+    /// worker thread per shard.
     ///
     /// The result — outcome, end cycle, delivery stream seen by `driver`,
     /// statistics, metrics — is byte-identical to
@@ -783,7 +707,7 @@ impl ShardedSim {
         // control replica's trace config is deliberately blanked.
         let profile = self.shards[0].params.trace.profile;
         let t0 = self.shards[0].now();
-        let deadline = t0 + max_cycles;
+        let deadline = crate::sim::run_deadline(t0, max_cycles);
 
         let sims = std::mem::take(&mut self.shards);
         let barrier = Barrier::new(nshards + 1);
@@ -863,7 +787,7 @@ impl ShardedSim {
                         mine.packets.sort_by_key(|p| p.wire);
                         mine.credits.sort_by_key(|c| c.wire);
                         for p in mine.packets {
-                            sim.apply_packet_import(t_end, p);
+                            sim.apply_packet_import(p);
                         }
                         for c in mine.credits {
                             sim.apply_credit_import(c);

@@ -45,7 +45,7 @@ use crate::params::{
 };
 use crate::state::{PacketId, PacketSlab, PacketState, RouteProgress};
 use crate::wake::Scheduler;
-use crate::wire::{BoundaryRole, BufEntry, GateEntry, Wire, WireCredits, WireRx};
+use crate::wire::{BoundaryRole, BufEntry, End, WireSpec, Wires, LAST_CYCLE};
 
 /// Maximum multicast copies queued at one replication point.
 const REPL_CAP: usize = 32;
@@ -93,31 +93,6 @@ pub struct KernelWork {
 
 type WireId = usize;
 
-/// Dense per-wire timing and classification (see `Sim::wire_timing`).
-#[derive(Debug, Clone, Copy)]
-struct WireTiming {
-    /// Flight latency in cycles (saturated to `u16::MAX` on wires too slow
-    /// for the fast path, which never reads it).
-    lat: u16,
-    /// Receiver pipeline delay in cycles.
-    rxp: u8,
-    /// `FAST_WIRE` / `TORUS_WIRE` flag bits.
-    flags: u8,
-}
-
-/// The wire is an ideal interior channel whose worst-case arrival fits the
-/// wake wheel: sends and pops may bypass the `Wire` struct entirely.
-const FAST_WIRE: u8 = 1;
-/// The wire realizes an external torus channel (dense mirror of the label
-/// for the send path's statistics).
-const TORUS_WIRE: u8 = 2;
-
-#[derive(Debug)]
-struct RouterPort {
-    in_wire: WireId,
-    out_wire: WireId,
-}
-
 /// Activity counters for the energy model (Section 4.5), per router.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyCounters {
@@ -160,7 +135,8 @@ struct PortEnergy {
 struct RouterState {
     node: NodeId,
     mesh: MeshCoord,
-    ports: Vec<RouterPort>,
+    /// Ports in use (`router_in_wire` / `router_out_wire` map them).
+    nports: u8,
     port_energy: Vec<PortEnergy>,
     energy: EnergyCounters,
 }
@@ -170,7 +146,7 @@ impl std::fmt::Debug for RouterState {
         f.debug_struct("RouterState")
             .field("node", &self.node)
             .field("mesh", &self.mesh)
-            .field("ports", &self.ports.len())
+            .field("ports", &self.nports)
             .finish()
     }
 }
@@ -663,6 +639,28 @@ enum CompRef {
     Ep(u32),
 }
 
+/// The wake calendars of the three component kinds.
+#[derive(Debug)]
+struct CompWheels {
+    router: Scheduler,
+    chan: Scheduler,
+    ep: Scheduler,
+}
+
+impl CompWheels {
+    /// Schedules a component for processing at exactly cycle `at` (see
+    /// [`crate::wake`] for why exact-cycle wakes are equivalent to the old
+    /// processed-until-deadline semantics).
+    #[inline]
+    fn wake(&mut self, c: CompRef, at: u64, now: u64) {
+        match c {
+            CompRef::Router(i) => self.router.schedule(i as usize, at, now),
+            CompRef::Chan(i) => self.chan.schedule(i as usize, at, now),
+            CompRef::Ep(i) => self.ep.schedule(i as usize, at, now),
+        }
+    }
+}
+
 /// The cycle-driven simulator of one Anton 2 machine.
 pub struct Sim {
     /// Machine configuration the simulator was built from.
@@ -672,76 +670,21 @@ pub struct Sim {
     /// Record per-packet link-level routes into deliveries.
     pub record_routes: bool,
     now: u64,
-    wires: Vec<Wire>,
-    /// Sender-side credit counters per wire — dense and simulator-owned so
-    /// the allocation loops' credit checks stay in a few cache lines instead
-    /// of chasing into the scattered `Wire` structs.
-    wire_credits: Vec<WireCredits>,
-    /// Bitmask of VCs with buffered packets, per wire (dense mirror of the
-    /// receive-buffer state, maintained by `Wire::tick`/`Wire::pop`).
-    wire_occupied: Vec<u16>,
-    /// Head-of-buffer slot per wire and VC: valid whenever the matching
-    /// `wire_occupied` bit is set. Switch allocation re-peeks blocked heads
-    /// every cycle, so they live here — one dense load — rather than behind
-    /// the per-VC deques inside `Wire`. Flat, `1 << vc_shift` slots per
-    /// wire.
-    wire_heads: Vec<BufEntry>,
-    /// Head gating record per wire and VC (ready cycle, cached route, flits,
-    /// pattern): everything the allocation scan's gates consult, packed to
-    /// 8 bytes per head so one load answers every gate and the scan's
-    /// working set stays L2-resident. Flat, `1 << vc_shift` slots per wire.
-    wire_gate: Vec<GateEntry>,
-    /// log2 row stride of `wire_heads`/`wire_gate`: the machine's widest
-    /// wire VC count rounded up to a power of two. Sizing rows to the
-    /// machine instead of [`MAX_WIRE_VCS`](crate::wire::MAX_WIRE_VCS)
-    /// halves the allocation scan's footprint on the common 8-index
-    /// configurations.
-    vc_shift: u32,
-    /// Per-wire timing and classification (flight latency, receiver
-    /// pipeline, `FAST_WIRE`/`TORUS_WIRE` flags), packed to 4 bytes: the
-    /// send/pop fast paths read this instead of the `Wire` struct.
-    wire_timing: Vec<WireTiming>,
-    /// Bitmask of VCs with packets queued *behind* the head, per wire —
-    /// maintained by the wire's filing/promotion points through
-    /// [`WireRx::queued`] and by the fast send path. A clear bit means a
-    /// pop needs no promotion, so [`Sim::pop_wire`] can skip the wire.
-    wire_queued: Vec<u16>,
-    /// Flits sent on each wire by the fast path, which never touches the
-    /// `Wire` struct; readers go through [`Sim::wire_flits_carried`],
-    /// which adds this mirror to the wire's own counter.
-    wire_flits: Vec<u64>,
-    /// `group_vcs` per wire (dense mirror for VC-index math).
-    wire_gvcs: Vec<u8>,
-    /// Total VC count per wire.
-    wire_nvcs: Vec<u8>,
+    /// Every channel of the machine: state, send / pop / step (see
+    /// [`crate::wire`]).
+    wires: Wires,
     /// Component consuming each wire's arrivals.
     wire_consumer: Vec<CompRef>,
     /// Component receiving each wire's credit returns.
     wire_producer: Vec<CompRef>,
-    /// Exact-cycle wake calendars, one per component kind: a component is
-    /// processed only on cycles somebody scheduled it for (see
-    /// [`crate::wake`]).
-    sched_router: Scheduler,
-    sched_chan: Scheduler,
-    sched_ep: Scheduler,
-    /// Wake calendar for the wires themselves: a wire is ticked only on
-    /// cycles an event (arrival, credit maturity, or a lossy link layer's
-    /// next frame, ack, token refill or timeout) was scheduled for,
-    /// replacing the per-cycle scan of an active-wire list. Events past the
-    /// wheel's horizon chain forward through clamped re-schedules.
-    sched_wire: Scheduler,
-    /// Calendar of interior-wire credit returns: slot `c % HORIZON` holds
-    /// the `(wire, vc index, flits)` returns maturing at cycle `c`. Pops
-    /// file here instead of into per-wire return queues, so the wires phase
-    /// applies a cycle's returns in one dense drain and most wires never
-    /// need a tick at all; returns beyond the horizon fall back to the
-    /// wire's own queue (see [`Sim::pop_wire`]).
-    credit_wheel: Vec<Vec<(u32, u8, u8)>>,
+    /// Exact-cycle wake calendars of the components (the wires keep their
+    /// own): a component is processed only on cycles somebody scheduled it
+    /// for (see [`crate::wake`]).
+    sched: CompWheels,
     /// Reused per-cycle wake-list buffers (drained scheduler snapshots).
     scratch_router: Vec<u32>,
     scratch_chan: Vec<u32>,
     scratch_ep: Vec<u32>,
-    scratch_wire: Vec<u32>,
     routers: Vec<RouterState>,
     chans: Vec<ChanState>,
     eps: Vec<EpState>,
@@ -781,8 +724,9 @@ pub struct Sim {
     /// Cached [`TraceConfig::profile`](crate::params::TraceConfig::profile):
     /// gates all per-phase `Instant` reads in [`Sim::step`].
     profile: bool,
-    /// Components processed so far, by kind (see [`KernelWork::wakes`]).
-    wakes: [u64; 4],
+    /// Routers, channel adapters and endpoint adapters processed so far
+    /// (see [`KernelWork::wakes`]; the wire layer counts its own).
+    wakes: [u64; 3],
     moved: bool,
     idle_cycles: u64,
     deadlocked: bool,
@@ -871,6 +815,47 @@ impl SamplerState {
     }
 }
 
+/// The cycle a run of at most `max_cycles` cycles from `now` must stop at
+/// (see [`Sim::run`]).
+pub(crate) fn run_deadline(now: u64, max_cycles: u64) -> u64 {
+    now.saturating_add(max_cycles).min(LAST_CYCLE)
+}
+
+/// The torus channels among labeled per-wire flit counts, as `(from node,
+/// direction, slice, flits per cycle)` over `cycles` elapsed cycles.
+pub(crate) fn torus_utilizations_of(
+    wires: &[(GlobalLink, u64)],
+    cycles: u64,
+) -> Vec<(NodeId, TorusDir, Slice, f64)> {
+    let cycles = cycles.max(1) as f64;
+    wires
+        .iter()
+        .filter_map(|&(label, flits)| match label {
+            GlobalLink::Torus { from, dir, slice } => {
+                Some((from, dir, slice, flits as f64 / cycles))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// The peak of [`torus_utilizations_of`] as a fraction of the effective
+/// channel bandwidth.
+pub(crate) fn max_torus_utilization_of(utils: &[(NodeId, TorusDir, Slice, f64)]) -> f64 {
+    let cap = f64::from(TORUS_TOKEN_GAIN) / f64::from(TORUS_TOKEN_COST);
+    utils.iter().map(|(_, _, _, u)| u / cap).fold(0.0, f64::max)
+}
+
+/// Packs the VC and arrival context of a chip traversal (see
+/// [`BufEntry::meta`]).
+fn stamp_meta(vcs: VcState, arrived_via: Option<TorusDir>) -> u8 {
+    let m_vc = vcs.vc_for(LinkGroup::M).0;
+    let t_vc = vcs.vc_for(LinkGroup::T).0;
+    debug_assert!(m_vc < 8 && t_vc < 8, "stamped VC exceeds 3 bits");
+    let arrived_x = arrived_via.map(|d| d.dim) == Some(Dim::X);
+    m_vc | (t_vc << 3) | (u8::from(arrived_x) << 6)
+}
+
 impl std::fmt::Debug for Sim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sim")
@@ -909,7 +894,7 @@ impl Sim {
         let policy = cfg.vc_policy;
         let depth = params.buffer_depth;
         let torus_latency = params.latency.torus_link_cycles().max(1);
-        let mut wires: Vec<Wire> = Vec::new();
+        let mut wires: Vec<WireSpec> = Vec::new();
         let mut routers: Vec<RouterState> = Vec::new();
         let mut chans: Vec<ChanState> = Vec::with_capacity(nodes * NUM_CHAN_ADAPTERS);
         let mut eps: Vec<EpState> = Vec::with_capacity(nodes * eps_per_node);
@@ -927,14 +912,14 @@ impl Sim {
         let mut ep_wires: Vec<(WireId, WireId)> = vec![(NONE, NONE); nodes * eps_per_node];
 
         let torus_depth = params.torus_buffer_depth;
-        let add_wire = move |wires: &mut Vec<Wire>, label: GlobalLink, latency, rx, group| {
+        let add_wire = move |wires: &mut Vec<WireSpec>, label: GlobalLink, latency, rx, group| {
             let vcs = policy.num_vcs(group);
             let d = if matches!(label, GlobalLink::Torus { .. }) {
                 torus_depth
             } else {
                 depth
             };
-            wires.push(Wire::new(label, latency, rx, vcs, d));
+            wires.push(WireSpec::ideal(label, latency, rx, vcs, d));
             wires.len() - 1
         };
 
@@ -942,7 +927,7 @@ impl Sim {
         // exactly one consuming component, so visiting components in their
         // processing order (per node: routers, channel adapters, endpoint
         // adapters) enumerates each wire exactly once, and each component's
-        // input gate/head/credit rows land contiguous in the dense mirrors
+        // input gate/head/credit rows land contiguous in the wire store
         // — the per-cycle allocation scans walk adjacent cache lines
         // instead of scattered ones. Renumbering is behavior-neutral:
         // nothing keys off wire ids except dense storage (fault-shim RNG
@@ -1069,13 +1054,13 @@ impl Sim {
                 let chan = ChanId::from_index(ti % NUM_CHAN_ADAPTERS);
                 let profile = schedule.profile(node, chan);
                 let seed = schedule.link_seed(cfg.torus_link_index(node, chan));
-                wires[w].install_shim(anton_fault::LinkShim::new(
+                wires[w].shim = Some(Box::new(anton_fault::LinkShim::new(
                     torus_latency,
                     schedule.gbn,
                     profile.ber,
                     profile.downs,
                     seed,
-                ));
+                )));
             }
         }
         // Sharded execution: mark the torus wires crossing a shard boundary
@@ -1095,17 +1080,22 @@ impl Sim {
                     let to = cfg.shape.id(cfg.shape.neighbor(node_coord, c.dir));
                     let to_shard = assign.owner(to);
                     if from_shard == assign.me && to_shard != assign.me {
-                        wires[w].set_boundary_role(BoundaryRole::Export);
+                        wires[w].role = BoundaryRole::Export;
                         export_wires.push((w as u32, to_shard as u32));
                     } else if from_shard != assign.me && to_shard == assign.me {
-                        wires[w].set_boundary_role(BoundaryRole::Import);
+                        wires[w].role = BoundaryRole::Import;
                         import_wires.push((w as u32, from_shard as u32));
                     }
                 }
             }
         }
 
-        // Pass 2: create components.
+        // Pass 2: create components, recording who consumes and who produces
+        // each wire (for event wakeups) as they attach.
+        let mut wire_consumer = vec![CompRef::Ep(0); wires.len()];
+        let mut wire_producer = vec![CompRef::Ep(0); wires.len()];
+        let mut router_in_wire = vec![u32::MAX; nrouters_total * MAX_ROUTER_PORTS];
+        let mut router_out_wire = vec![u32::MAX; nrouters_total * MAX_ROUTER_PORTS];
         let attach_codes = ATTACH_CODE_BASE + eps_per_node;
         let mut router_port_of = vec![0xFFu8; nrouters_total * attach_codes];
         // Chip-target decode for entry-stamped route computation: every
@@ -1125,9 +1115,8 @@ impl Sim {
             let node_coord = cfg.shape.coord(node);
             for r in MeshCoord::all() {
                 let attaches = cfg.chip.router_ports(r);
-                let mut ports = Vec::with_capacity(attaches.len());
                 let router_index = routers.len();
-                for attach in &attaches {
+                for (p, attach) in attaches.iter().enumerate() {
                     let (in_wire, out_wire) = match *attach {
                         LocalAttach::Mesh(d) => {
                             let nbr = r.step(d).expect("mesh port has neighbor");
@@ -1154,14 +1143,17 @@ impl Sim {
                             (to_router, to_ep)
                         }
                     };
-                    router_port_of[router_index * attach_codes + attach.code()] = ports.len() as u8;
-                    ports.push(RouterPort { in_wire, out_wire });
+                    router_port_of[router_index * attach_codes + attach.code()] = p as u8;
+                    router_in_wire[router_index * MAX_ROUTER_PORTS + p] = in_wire as u32;
+                    router_out_wire[router_index * MAX_ROUTER_PORTS + p] = out_wire as u32;
+                    wire_consumer[in_wire] = CompRef::Router(router_index as u32);
+                    wire_producer[out_wire] = CompRef::Router(router_index as u32);
                 }
-                let nports = ports.len();
+                let nports = attaches.len();
                 routers.push(RouterState {
                     node,
                     mesh: r,
-                    ports,
+                    nports: nports as u8,
                     port_energy: vec![
                         PortEnergy {
                             last_words: [0; 3],
@@ -1185,12 +1177,18 @@ impl Sim {
                         slice: c.slice,
                     }
                     .index()];
+                let torus_out = torus_wire[n as usize * NUM_CHAN_ADAPTERS + c.index()];
+                let me = CompRef::Chan(chans.len() as u32);
+                wire_consumer[from_router] = me;
+                wire_producer[to_router] = me;
+                wire_consumer[arriving_from] = me;
+                wire_producer[torus_out] = me;
                 chans.push(ChanState {
                     node,
                     chan: c,
                     from_router,
                     to_router,
-                    torus_out: torus_wire[n as usize * NUM_CHAN_ADAPTERS + c.index()],
+                    torus_out,
                     torus_in: arriving_from,
                     tokens: i64::from(TORUS_TOKEN_COST),
                     tokens_at: 0,
@@ -1206,6 +1204,8 @@ impl Sim {
             for e in cfg.chip.endpoints() {
                 let (from_router, to_router) = ep_wires[n as usize * eps_per_node + e.0 as usize];
                 let stream = anton_core::seed::derive_stream_seed(params.seed, eps.len() as u64);
+                wire_consumer[from_router] = CompRef::Ep(eps.len() as u32);
+                wire_producer[to_router] = CompRef::Ep(eps.len() as u32);
                 eps.push(EpState {
                     node,
                     ep: e,
@@ -1221,83 +1221,21 @@ impl Sim {
         }
 
         let num_eps = eps.len();
-        if params.collect_metrics {
-            for w in &mut wires {
-                w.enable_occupancy_tracking();
-            }
-        }
-        // Wire endpoint tables for event wakeups.
-        let mut wire_consumer = vec![CompRef::Ep(0); wires.len()];
-        let mut wire_producer = vec![CompRef::Ep(0); wires.len()];
-        for (ridx, r) in routers.iter().enumerate() {
-            for p in &r.ports {
-                wire_consumer[p.in_wire] = CompRef::Router(ridx as u32);
-                wire_producer[p.out_wire] = CompRef::Router(ridx as u32);
-            }
-        }
-        for (cidx, c) in chans.iter().enumerate() {
-            wire_consumer[c.from_router] = CompRef::Chan(cidx as u32);
-            wire_producer[c.to_router] = CompRef::Chan(cidx as u32);
-            wire_consumer[c.torus_in] = CompRef::Chan(cidx as u32);
-            wire_producer[c.torus_out] = CompRef::Chan(cidx as u32);
-        }
-        for (eidx, e) in eps.iter().enumerate() {
-            wire_consumer[e.from_router] = CompRef::Ep(eidx as u32);
-            wire_producer[e.to_router] = CompRef::Ep(eidx as u32);
-        }
-        let nwires = wires.len();
         let nrouters = routers.len();
         let nchans = chans.len();
-        let wire_credits: Vec<WireCredits> = wires.iter().map(Wire::initial_credits).collect();
-        let wire_gvcs: Vec<u8> = wires.iter().map(|w| w.group_vcs).collect();
-        let wire_nvcs: Vec<u8> = wires.iter().map(|w| w.num_vcs() as u8).collect();
-        // Row stride of the flat head/gate mirrors: the machine's widest
-        // wire, not the static MAX_WIRE_VCS bound, so the allocation scan's
-        // working set carries no padding on the common 8-index configs.
-        let vc_shift = wire_nvcs
-            .iter()
-            .copied()
-            .max()
-            .map_or(1, |n| (n as usize).next_power_of_two())
-            .trailing_zeros();
-        // All wire configuration (shims, occupancy tracking, boundary
-        // roles) happened above, so the fast-path classification is final
-        // for the life of the run. A packet is at most two flits
-        // (`Packet::num_flits`), which bounds the consumer-wake offset.
-        const MAX_PACKET_FLITS: u64 = 2;
-        let wire_timing: Vec<WireTiming> = wires
-            .iter()
-            .map(|w| {
-                let worst = w.latency + MAX_PACKET_FLITS - 1 + w.rx_pipeline;
-                let fast = w.is_ideal_interior() && worst < crate::wake::HORIZON;
-                let torus = matches!(w.label, GlobalLink::Torus { .. });
-                WireTiming {
-                    lat: w.latency.min(u64::from(u16::MAX)) as u16,
-                    rxp: w.rx_pipeline.min(u64::from(u8::MAX)) as u8,
-                    flags: u8::from(fast) * FAST_WIRE + u8::from(torus) * TORUS_WIRE,
-                }
-            })
-            .collect();
-        let mut router_in_wire = vec![u32::MAX; nrouters * MAX_ROUTER_PORTS];
-        let mut router_out_wire = vec![u32::MAX; nrouters * MAX_ROUTER_PORTS];
-        for (ridx, r) in routers.iter().enumerate() {
-            for (p, port) in r.ports.iter().enumerate() {
-                router_in_wire[ridx * MAX_ROUTER_PORTS + p] = port.in_wire as u32;
-                router_out_wire[ridx * MAX_ROUTER_PORTS + p] = port.out_wire as u32;
-            }
-        }
         // Dense arbiter state over the same strided port layout. Slots past
         // a router's port count hold inert single-lane placeholders so the
         // stride stays uniform.
         let mut router_out_arb = Vec::with_capacity(nrouters * MAX_ROUTER_PORTS);
         let mut router_in_arb = Vec::with_capacity(nrouters * MAX_ROUTER_PORTS);
-        for r in &routers {
-            let nports = r.ports.len();
+        for (ridx, r) in routers.iter().enumerate() {
+            let nports = usize::from(r.nports);
             for p in 0..MAX_ROUTER_PORTS {
                 if p < nports {
+                    let in_wire = router_in_wire[ridx * MAX_ROUTER_PORTS + p] as usize;
                     router_out_arb.push(BitsetArbiter::from_kind(&params.arbiter, nports));
                     router_in_arb.push(BitsetArbiter::round_robin(
-                        wires[r.ports[p].in_wire].num_vcs(),
+                        2 * wires[in_wire].group_vcs as usize,
                     ));
                 } else {
                     router_out_arb.push(BitsetArbiter::round_robin(1));
@@ -1305,44 +1243,30 @@ impl Sim {
                 }
             }
         }
-        let recorder = if params.trace.events {
+        let recorder = params.trace.events.then(|| {
             let mut rec = FlightRecorder::new(params.trace.ring_capacity);
             for w in &wires {
                 rec.add_track(w.label.to_string());
             }
-            // Lossy-link shims (if any) log retransmissions and frame drops
-            // only while a recorder is attached to drain them.
-            for w in &mut wires {
-                w.set_shim_event_recording(true);
-            }
-            Some(Box::new(rec))
-        } else {
-            None
-        };
+            Box::new(rec)
+        });
+        // Lossy-link shims (if any) log retransmissions and frame drops
+        // only while a recorder is attached to drain them.
+        let wires = Wires::new(wires, params.collect_metrics, params.trace.events);
         let sampler = (params.trace.sample_every > 0)
             .then(|| Box::new(SamplerState::new(params.trace.sample_every)));
         let stall = params
             .trace
             .stalls
-            .then(|| Box::new(StallTable::new(nwires, vc_shift)));
+            .then(|| Box::new(StallTable::new(wires.len(), wires.row_shift())));
         Sim {
             cfg,
             profile: params.trace.profile,
-            wakes: [0; 4],
+            wakes: [0; 3],
             params,
             record_routes: false,
             now: 0,
             wires,
-            wire_credits,
-            wire_occupied: vec![0; nwires],
-            wire_heads: vec![BufEntry::EMPTY; nwires << vc_shift],
-            wire_gate: vec![crate::wire::GateEntry::EMPTY; nwires << vc_shift],
-            vc_shift,
-            wire_timing,
-            wire_queued: vec![0; nwires],
-            wire_flits: vec![0; nwires],
-            wire_gvcs,
-            wire_nvcs,
             router_in_wire,
             router_out_wire,
             router_out_busy: vec![0; nrouters * MAX_ROUTER_PORTS],
@@ -1350,15 +1274,14 @@ impl Sim {
             router_in_arb,
             wire_consumer,
             wire_producer,
-            sched_router: Scheduler::new(nrouters),
-            sched_chan: Scheduler::new(nchans),
-            sched_ep: Scheduler::new(num_eps),
-            sched_wire: Scheduler::new(nwires),
-            credit_wheel: vec![Vec::new(); crate::wake::HORIZON as usize],
+            sched: CompWheels {
+                router: Scheduler::new(nrouters),
+                chan: Scheduler::new(nchans),
+                ep: Scheduler::new(num_eps),
+            },
             scratch_router: Vec::with_capacity(nrouters),
             scratch_chan: Vec::with_capacity(nchans),
             scratch_ep: Vec::with_capacity(num_eps),
-            scratch_wire: Vec::with_capacity(nwires),
             routers,
             chans,
             eps,
@@ -1389,36 +1312,10 @@ impl Sim {
         }
     }
 
-    /// Schedules a component for processing at exactly cycle `at` (see
-    /// [`crate::wake`] for why exact-cycle wakes are equivalent to the old
-    /// processed-until-deadline semantics).
+    /// Schedules a component for processing at exactly cycle `at`.
     #[inline]
     fn wake(&mut self, c: CompRef, at: u64) {
-        match c {
-            CompRef::Router(i) => self.sched_router.schedule(i as usize, at, self.now),
-            CompRef::Chan(i) => self.sched_chan.schedule(i as usize, at, self.now),
-            CompRef::Ep(i) => self.sched_ep.schedule(i as usize, at, self.now),
-        }
-    }
-
-    /// (Re)schedules wire `w` on the wire wheel for its next pending event
-    /// ([`Wire::next_event`]: an arrival, a credit return, or — on a lossy
-    /// link — a frame, an ack, a token refill or a retransmission timeout
-    /// coming due). Events past the wheel's horizon are clamped to its edge
-    /// and chain forward through spurious wakes (each wake re-schedules),
-    /// which is how a far credit return and a 192-slot go-back-N timeout
-    /// are both reached. `min_at` is the earliest cycle the caller may
-    /// still tick the wire: `now` from contexts that run before this
-    /// cycle's wire phase (window barriers, the degradation-epoch tick),
-    /// `now + 1` once the phase has drained.
-    #[inline]
-    fn schedule_wire(&mut self, w: WireId, min_at: u64) {
-        let next = self.wires[w].next_event();
-        if next == u64::MAX {
-            return;
-        }
-        let at = next.clamp(min_at, self.now + (crate::wake::HORIZON - 1));
-        self.sched_wire.schedule(w, at, self.now);
+        self.sched.wake(c, at, self.now);
     }
 
     /// Installs inverse weights at one router output arbiter.
@@ -1439,7 +1336,7 @@ impl Sim {
     ) {
         let ridx = node.0 as usize * NUM_ROUTERS + router_idx;
         let r = &self.routers[ridx];
-        assert!(out_port < r.ports.len(), "output port out of range");
+        assert!(out_port < usize::from(r.nports), "output port out of range");
         self.router_out_arb[ridx * MAX_ROUTER_PORTS + out_port] =
             BitsetArbiter::inverse_weighted(weights, m_bits);
     }
@@ -1461,7 +1358,7 @@ impl Sim {
     ) {
         let ridx = node.0 as usize * NUM_ROUTERS + router_idx;
         let r = &self.routers[ridx];
-        assert!(in_port < r.ports.len(), "input port out of range");
+        assert!(in_port < usize::from(r.nports), "input port out of range");
         self.router_in_arb[ridx * MAX_ROUTER_PORTS + in_port] =
             BitsetArbiter::inverse_weighted(weights, m_bits);
     }
@@ -1567,8 +1464,8 @@ impl Sim {
         self.grants
     }
 
-    /// Every wire of the machine (read-only, for metrics aggregation).
-    pub(crate) fn wires(&self) -> &[Wire] {
+    /// The wire layer (read-only, for metrics aggregation and audits).
+    pub(crate) fn wires(&self) -> &Wires {
         &self.wires
     }
 
@@ -1590,49 +1487,30 @@ impl Sim {
         self.deadlocked
     }
 
-    /// Total flits ever sent on one wire: the wire's own counter (slow
-    /// paths) plus the simulator's fast-path mirror, which bypasses the
-    /// `Wire` struct.
+    /// Total flits ever sent on one wire.
     pub fn wire_flits_carried(&self, w: usize) -> u64 {
-        self.wires[w].flits_carried + self.wire_flits[w]
+        self.wires.flits_carried(w)
     }
 
     /// Raw flit counts carried by every wire, labeled by its structural
     /// link — for utilization reporting and bottleneck analysis.
     pub fn wire_utilizations(&self) -> Vec<(GlobalLink, u64)> {
-        self.wires
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (w.label, self.wire_flits_carried(i)))
+        (0..self.wires.len())
+            .map(|w| (self.wires.label(w), self.wires.flits_carried(w)))
             .collect()
     }
 
     /// Utilization (flits per cycle) of every external torus channel, as
     /// `(from node, direction, slice, utilization)`.
-    pub fn torus_utilizations(&self) -> Vec<(NodeId, TorusDir, anton_core::topology::Slice, f64)> {
-        let cycles = self.now.max(1) as f64;
-        self.wires
-            .iter()
-            .enumerate()
-            .filter_map(|(i, w)| match w.label {
-                GlobalLink::Torus { from, dir, slice } => {
-                    Some((from, dir, slice, self.wire_flits_carried(i) as f64 / cycles))
-                }
-                _ => None,
-            })
-            .collect()
+    pub fn torus_utilizations(&self) -> Vec<(NodeId, TorusDir, Slice, f64)> {
+        torus_utilizations_of(&self.wire_utilizations(), self.now)
     }
 
     /// Peak torus-channel utilization as a fraction of the effective channel
     /// bandwidth (1.0 = the channel moved flits at the full 89.6 Gb/s for
     /// the whole run).
     pub fn max_torus_utilization(&self) -> f64 {
-        let cap =
-            f64::from(crate::params::TORUS_TOKEN_GAIN) / f64::from(crate::params::TORUS_TOKEN_COST);
-        self.torus_utilizations()
-            .iter()
-            .map(|(_, _, _, u)| u / cap)
-            .fold(0.0, f64::max)
+        max_torus_utilization_of(&self.torus_utilizations())
     }
 
     /// Sum of all routers' energy counters.
@@ -1671,11 +1549,9 @@ impl Sim {
     pub(crate) fn drain_boundary_exports(&mut self, out: &mut [crate::shard::ShardMail]) {
         let mut scratch: Vec<(u64, BufEntry, u8)> = Vec::new();
         let mut scratch_credits: Vec<(u64, u8, u8)> = Vec::new();
-        for i in 0..self.export_wires.len() {
-            let (w, dest) = self.export_wires[i];
-            scratch.clear();
-            self.wires[w as usize].take_outbox(&mut scratch);
-            for &(mature, entry, vcidx) in &scratch {
+        for &(w, dest) in &self.export_wires {
+            self.wires.take_exports(w as usize, &mut scratch);
+            for (mature, entry, vcidx) in scratch.drain(..) {
                 let state = self.packets.remove(entry.pkt);
                 out[dest as usize]
                     .packets
@@ -1688,11 +1564,10 @@ impl Sim {
                     });
             }
         }
-        for i in 0..self.import_wires.len() {
-            let (w, src) = self.import_wires[i];
-            scratch_credits.clear();
-            self.wires[w as usize].take_outbox_credits(&mut scratch_credits);
-            for &(at, vcidx, flits) in &scratch_credits {
+        for &(w, src) in &self.import_wires {
+            self.wires
+                .take_credit_exports(w as usize, &mut scratch_credits);
+            for (at, vcidx, flits) in scratch_credits.drain(..) {
                 out[src as usize]
                     .credits
                     .push(crate::shard::CreditTransfer {
@@ -1705,38 +1580,26 @@ impl Sim {
         }
     }
 
-    /// Applies one inbound boundary packet: inserts its state into the local
-    /// slab and files the entry into the import wire (in flight, or directly
-    /// into the receive buffer when it matured during the closing window).
-    /// `window_start` is the first cycle the next window will step.
-    pub(crate) fn apply_packet_import(
-        &mut self,
-        window_start: u64,
-        t: crate::shard::PacketTransfer,
-    ) {
+    /// Applies one inbound boundary packet at a window barrier: inserts its
+    /// state into the local slab and files the entry into the import wire
+    /// (in flight, or directly into the receive buffer when it matured
+    /// during the closing window).
+    pub(crate) fn apply_packet_import(&mut self, t: crate::shard::PacketTransfer) {
         let w = t.wire as usize;
         let mut entry = t.entry;
         entry.pkt = self.packets.insert(t.state);
-        let mut rx = WireRx {
-            occupied: &mut self.wire_occupied[w],
-            heads: &mut self.wire_heads[w << self.vc_shift..(w + 1) << self.vc_shift],
-            gate: &mut self.wire_gate[w << self.vc_shift..(w + 1) << self.vc_shift],
-            queued: &mut self.wire_queued[w],
-        };
-        if let Some(ready) =
-            self.wires[w].apply_import(window_start, t.mature, entry, t.vcidx, &mut rx)
+        if let Some(ready) = self
+            .wires
+            .import_packet(self.now, w, t.mature, entry, t.vcidx)
         {
-            let consumer = self.wire_consumer[w];
-            self.wake(consumer, ready.max(self.now));
+            self.wake(self.wire_consumer[w], ready.max(self.now));
         }
-        self.schedule_wire(w, self.now);
     }
 
     /// Applies one inbound boundary credit return on an export wire.
     pub(crate) fn apply_credit_import(&mut self, t: crate::shard::CreditTransfer) {
-        let w = t.wire as usize;
-        self.wires[w].apply_credit_return(t.at, t.vcidx, t.flits);
-        self.schedule_wire(w, self.now);
+        self.wires
+            .import_credit(self.now, t.wire as usize, t.at, t.vcidx, t.flits);
     }
 
     /// Replays a delivery on the control replica: updates the delivery
@@ -1749,34 +1612,6 @@ impl Sim {
             self.stats.recv_per_endpoint[idx] += 1;
             self.stats.last_delivery_cycle = p.delivered_at;
         }
-    }
-
-    /// Sender-side credit count of one wire VC (combined boundary balance
-    /// checks).
-    pub(crate) fn wire_credit_count(&self, w: usize, vc: usize) -> u8 {
-        self.wire_credits[w][vc]
-    }
-
-    /// Flits this replica accounts for on one wire VC (see
-    /// [`Wire::accounted_flits`]), including credit returns parked in the
-    /// global credit calendar.
-    pub(crate) fn wire_accounted_flits(&self, w: usize, vc: usize) -> u32 {
-        self.wires[w].accounted_flits(
-            vc,
-            self.wire_occupied[w],
-            &self.wire_heads[w << self.vc_shift..],
-        ) + self.wheel_credit_flits(w, vc)
-    }
-
-    /// Credit-return flits parked in the global credit calendar for one
-    /// wire VC (cold path: invariant checks only).
-    fn wheel_credit_flits(&self, w: usize, vc: usize) -> u32 {
-        self.credit_wheel
-            .iter()
-            .flatten()
-            .filter(|&&(wu, vcidx, _)| wu as usize == w && usize::from(vcidx) == vc)
-            .map(|&(_, _, flits)| u32::from(flits))
-            .sum()
     }
 
     /// Export-boundary wires of this replica, as `(wire, consumer shard)`.
@@ -1801,13 +1636,16 @@ impl Sim {
         report
     }
 
-    /// Runs until the driver completes, deadlock, or the cycle budget.
+    /// Runs until the driver completes, deadlock, or the cycle budget:
+    /// `max_cycles` more cycles, or cycle 2³² − 1 (the last one the head
+    /// gate records can represent) if that comes first — either way the
+    /// outcome is [`RunOutcome::TimedOut`].
     ///
     /// Every exit path audits the self-checking invariants (packet
     /// conservation and per-channel credit balance) and panics with a
     /// diagnostic on violation, so every simulation is self-checking.
     pub fn run(&mut self, driver: &mut dyn Driver, max_cycles: u64) -> RunOutcome {
-        let deadline = self.now + max_cycles;
+        let deadline = run_deadline(self.now, max_cycles);
         // Deliveries drain through a second buffer swapped in each cycle, so
         // the two vectors ping-pong and no cycle allocates.
         let mut dels: Vec<Delivery> = Vec::new();
@@ -1836,71 +1674,30 @@ impl Sim {
         let mut t = self.profile.then(std::time::Instant::now);
         let now = self.now;
         self.moved = false;
-        self.sched_router.begin_cycle(now);
-        self.sched_chan.begin_cycle(now);
-        self.sched_ep.begin_cycle(now);
+        self.sched.router.begin_cycle(now);
+        self.sched.chan.begin_cycle(now);
+        self.sched.ep.begin_cycle(now);
         if self.degraded.is_some() {
             self.degraded_epoch_tick(now);
         }
-        // Tick only the wires whose next arrival/credit maturity is due —
-        // the wire wheel's snapshot for this cycle — waking the components
-        // their events concern. Wakes raised here are either same-cycle
-        // (credits, zero-pipeline arrivals) or future, so the snapshots
-        // taken below see every component this cycle concerns. Direct-filed
-        // sends (see [`Wire::send`]) never appear here at all: their
-        // consumer wake was issued at send time.
-        // Apply this cycle's credit-calendar slot first: one dense drain
-        // covers every interior-wire credit return maturing now, without
-        // touching the wires themselves. Order against the wire ticks below
-        // is immaterial — credits touch sender-side pools, arrivals touch
-        // receive buffers, and producer wakes are idempotent bit sets.
-        let mut wires_worked;
-        {
-            let slot = (now % crate::wake::HORIZON) as usize;
-            let mut returns = std::mem::take(&mut self.credit_wheel[slot]);
-            wires_worked = !returns.is_empty();
-            for &(wu, vcidx, flits) in &returns {
-                let w = wu as usize;
-                self.wire_credits[w][vcidx as usize] += flits;
-                debug_assert!(
-                    self.wire_credits[w][vcidx as usize] <= self.wires[w].depth(),
-                    "credit overflow"
-                );
-                self.wake(self.wire_producer[w], now);
-            }
-            returns.clear();
-            self.credit_wheel[slot] = returns;
-        }
-        let rec_on = self.recorder.is_some();
-        let mut wire_list = std::mem::take(&mut self.scratch_wire);
-        wire_list.clear();
-        self.sched_wire.begin_cycle(now);
-        self.sched_wire.snapshot_into(&mut wire_list);
-        for &wu in &wire_list {
-            let w = wu as usize;
-            let mut rx = WireRx {
-                occupied: &mut self.wire_occupied[w],
-                heads: &mut self.wire_heads[w << self.vc_shift..(w + 1) << self.vc_shift],
-                gate: &mut self.wire_gate[w << self.vc_shift..(w + 1) << self.vc_shift],
-                queued: &mut self.wire_queued[w],
+        // The wires phase: this cycle's credit returns and arrivals, waking
+        // the components they concern. Wakes raised here are either
+        // same-cycle (credits, zero-pipeline arrivals) or future, so the
+        // snapshots taken below see every component this cycle concerns.
+        // Dense sends never appear here at all: their consumer wake was
+        // issued at send time.
+        let sched = &mut self.sched;
+        let (consumers, producers) = (&self.wire_consumer[..], &self.wire_producer[..]);
+        let wires_worked = self.wires.step(now, move |w, end, at| {
+            let comp = match end {
+                End::Producer => producers[w],
+                End::Consumer => consumers[w],
             };
-            let (arrival_ready, credited) =
-                self.wires[w].tick(now, &mut self.wire_credits[w], &mut rx);
-            if rec_on {
-                self.drain_shim_events(w);
-            }
-            if let Some(ready) = arrival_ready {
-                self.wake(self.wire_consumer[w], ready);
-            }
-            if credited {
-                self.wake(self.wire_producer[w], now);
-            }
-            self.schedule_wire(w, now + 1);
+            sched.wake(comp, at, now);
+        });
+        if self.recorder.is_some() {
+            self.drain_link_events();
         }
-        self.sched_wire.end_cycle();
-        self.wakes[3] += wire_list.len() as u64;
-        wires_worked |= !wire_list.is_empty();
-        self.scratch_wire = wire_list;
         mark_phase(0, wires_worked, &mut t);
         while let Some(&Reverse((t, ep_idx, counter))) = self.handler_heap.peek() {
             if t > now {
@@ -1919,7 +1716,7 @@ impl Sim {
         // All wake sources past this point target future cycles, so the
         // wheels' current sets are complete: a cycle that woke no endpoint,
         // adapter or router is over.
-        if !(self.sched_ep.is_empty() && self.sched_chan.is_empty() && self.sched_router.is_empty())
+        if !(self.sched.ep.is_empty() && self.sched.chan.is_empty() && self.sched.router.is_empty())
         {
             self.step_woken(&mut t);
         }
@@ -1963,9 +1760,9 @@ impl Sim {
         ep_list.clear();
         chan_list.clear();
         router_list.clear();
-        self.sched_ep.snapshot_into(&mut ep_list);
-        self.sched_chan.snapshot_into(&mut chan_list);
-        self.sched_router.snapshot_into(&mut router_list);
+        self.sched.ep.snapshot_into(&mut ep_list);
+        self.sched.chan.snapshot_into(&mut chan_list);
+        self.sched.router.snapshot_into(&mut router_list);
         for &e in &ep_list {
             self.ep_inject_step(e as usize);
         }
@@ -1983,9 +1780,9 @@ impl Sim {
             self.ep_recv_step(e as usize);
         }
         mark_phase(4, !ep_list.is_empty(), t);
-        self.sched_router.end_cycle();
-        self.sched_chan.end_cycle();
-        self.sched_ep.end_cycle();
+        self.sched.router.end_cycle();
+        self.sched.chan.end_cycle();
+        self.sched.ep.end_cycle();
         self.wakes[0] += router_list.len() as u64;
         self.wakes[1] += chan_list.len() as u64;
         self.wakes[2] += ep_list.len() as u64;
@@ -1997,33 +1794,33 @@ impl Sim {
     /// Work counters of the kernel so far: exact for a given input, the
     /// same on every host.
     pub fn kernel_work(&self) -> KernelWork {
+        let (wire_wakes, wire_words) = self.wires.work();
+        let [routers, chans, eps] = self.wakes;
         KernelWork {
             cycles: self.now,
-            wakes: self.wakes,
-            wheel_words_visited: self.sched_router.words_visited()
-                + self.sched_chan.words_visited()
-                + self.sched_ep.words_visited()
-                + self.sched_wire.words_visited(),
+            wakes: [routers, chans, eps, wire_wakes],
+            wheel_words_visited: self.sched.router.words_visited()
+                + self.sched.chan.words_visited()
+                + self.sched.ep.words_visited()
+                + wire_words,
         }
     }
 
-    /// Moves the shim's logged link-layer events (retransmissions, frame
-    /// drops) into the flight recorder on wire `w`'s track, after every
-    /// call that can log one: a tick and a send. Only called with a
-    /// recorder attached; allocation-free for shimless wires.
-    fn drain_shim_events(&mut self, w: usize) {
-        let events = self.wires[w].take_shim_events();
-        if events.is_empty() {
-            return;
-        }
+    /// Moves the link-layer events (retransmissions, frame drops) the wire
+    /// layer logged into the flight recorder, each on its wire's track.
+    /// Called after everything that can log one — the wires phase, a send,
+    /// a link drain — so the recorder's order never depends on when ticks
+    /// happen. Call only with a recorder attached (without one the log
+    /// stays empty).
+    fn drain_link_events(&mut self) {
         let rec = self.recorder.as_mut().expect("recorder checked by caller");
-        for (cycle, ev) in events {
+        for (w, cycle, ev) in self.wires.drain_link_events() {
             let kind = match ev {
                 ShimEvent::Retransmit => TraceEventKind::Retransmit,
                 ShimEvent::DataFrameDropped => TraceEventKind::FrameDrop { ack: false },
                 ShimEvent::AckFrameDropped => TraceEventKind::FrameDrop { ack: true },
             };
-            rec.record(w as u32, cycle, None, kind);
+            rec.record(w, cycle, None, kind);
         }
     }
 
@@ -2036,21 +1833,19 @@ impl Sim {
         s.scratch.push(self.stats.injected_packets);
         s.scratch.push(self.stats.delivered_packets);
         s.scratch.push(self.packets.live() as u64);
+        s.scratch.push(self.wires.occupied_vcs());
         s.scratch.push(
-            self.wire_occupied
-                .iter()
-                .map(|m| u64::from(m.count_ones()))
+            (0..self.wires.len())
+                .map(|w| self.wires.link_backlog(w))
                 .sum(),
         );
-        s.scratch
-            .push(self.wires.iter().map(Wire::shim_backlog).sum());
         s.scratch.push(self.grants.sa1);
         s.scratch.push(self.grants.output);
         s.scratch.push(self.grants.serializer);
         let mut per_class = [0u64; crate::metrics::LinkClass::ALL.len()];
-        for (i, w) in self.wires.iter().enumerate() {
-            let slot = crate::metrics::LinkClass::of(&w.label) as usize;
-            per_class[slot] += w.flits_carried + self.wire_flits[i];
+        for w in 0..self.wires.len() {
+            let class = crate::metrics::LinkClass::of(&self.wires.label(w));
+            per_class[class as usize] += self.wires.flits_carried(w);
         }
         s.scratch.extend_from_slice(&per_class);
         let scratch = std::mem::take(&mut s.scratch);
@@ -2080,7 +1875,8 @@ impl Sim {
     ///   remain live.
     /// - **Credit balance**: on every wire and VC, sender credits plus
     ///   flits in flight, inside the link layer, buffered, or returning as
-    ///   credits exactly equal the buffer depth.
+    ///   credits exactly equal the buffer depth (a shard-boundary wire is
+    ///   checked across its two replicas by `ShardedSim::check_invariants`).
     pub fn check_invariants(&self) -> Result<(), String> {
         let created = self.packets.created();
         let terminated = self.packets.terminated();
@@ -2091,31 +1887,8 @@ impl Sim {
                  {terminated} terminated + {live} live"
             ));
         }
-        for (wid, w) in self.wires.iter().enumerate() {
-            if w.boundary_role() != BoundaryRole::Interior {
-                // A boundary wire's flits split across two shard replicas;
-                // `ShardedSim::check_invariants` checks the combined balance.
-                continue;
-            }
-            // Credit returns parked in the global calendar are part of the
-            // wire's accounted flits: fold them into a scratch credit image
-            // before the balance check.
-            let mut credits = self.wire_credits[wid];
-            for (vc, c) in credits.iter_mut().enumerate() {
-                let parked = self.wheel_credit_flits(wid, vc);
-                *c = c.saturating_add(u8::try_from(parked).unwrap_or(u8::MAX));
-            }
-            w.check_credit_balance(
-                &credits,
-                self.wire_occupied[wid],
-                &self.wire_heads[wid << self.vc_shift..],
-            )?;
-        }
-        let quiescent = self
-            .wires
-            .iter()
-            .zip(&self.wire_occupied)
-            .all(|(w, &occ)| w.is_quiescent(occ))
+        self.wires.check_credit_balance()?;
+        let quiescent = self.wires.is_quiescent()
             && self.handler_heap.is_empty()
             && self
                 .eps
@@ -2336,36 +2109,19 @@ impl Sim {
     fn down_link_onset(&mut self, node: NodeId, chan: ChanId) {
         let cidx = node.0 as usize * NUM_CHAN_ADAPTERS + chan.index();
         let w = self.chans[cidx].torus_out;
-        let drained = self.wires[w].drain_shim_undelivered(self.now, &mut self.wire_credits[w]);
-        for (entry, vcidx) in drained {
-            match self.packets.get(entry.pkt).route {
-                RouteProgress::Unicast { .. } | RouteProgress::Table { .. } => {
-                    self.reroute_packet(node, entry.pkt);
-                }
-                _ => {
-                    // Re-enters the shim queue (the wire keeps its shim),
-                    // so no consumer wake can come back.
-                    let mut rx = WireRx {
-                        occupied: &mut self.wire_occupied[w],
-                        heads: &mut self.wire_heads[w << self.vc_shift..(w + 1) << self.vc_shift],
-                        gate: &mut self.wire_gate[w << self.vc_shift..(w + 1) << self.vc_shift],
-                        queued: &mut self.wire_queued[w],
-                    };
-                    let filed = self.wires[w].send(
-                        self.now,
-                        entry,
-                        vcidx,
-                        &mut self.wire_credits[w],
-                        &mut rx,
-                    );
-                    debug_assert!(filed.is_none(), "shimmed wires never direct-file");
-                }
-            }
+        let packets = &self.packets;
+        let stranded = self.wires.drain_link(self.now, w, |entry| {
+            !matches!(
+                packets.get(entry.pkt).route,
+                RouteProgress::Unicast { .. } | RouteProgress::Table { .. }
+            )
+        });
+        for entry in stranded {
+            self.reroute_packet(node, entry.pkt);
         }
         if self.recorder.is_some() {
-            self.drain_shim_events(w);
+            self.drain_link_events();
         }
-        self.schedule_wire(w, self.now);
         self.wake(CompRef::Chan(cidx as u32), self.now);
     }
 
@@ -2491,12 +2247,8 @@ impl Sim {
     fn absorb_at_down_serializer(&mut self, cidx: usize, in_wire: WireId) {
         let now = self.now;
         let node = self.chans[cidx].node;
-        let nvcs = self.wire_nvcs[in_wire];
-        for v in 0..nvcs {
-            while self.wire_occupied[in_wire] >> v & 1 != 0 {
-                let Some(entry) = self.wire_head(in_wire, v) else {
-                    break;
-                };
+        for v in 0..self.wires.num_vcs(in_wire) {
+            while let Some(entry) = self.wires.ready_head(now, in_wire, v) {
                 let pid = entry.pkt;
                 if !matches!(
                     self.packets.get(pid).route,
@@ -2508,11 +2260,11 @@ impl Sim {
                 self.reroute_packet(node, pid);
             }
         }
-        if self.wire_occupied[in_wire] != 0 {
+        if self.wires.occupied(in_wire) != 0 {
             if self.stall.is_some() {
                 // Whatever is left is parked at a dead serializer: multicast
                 // copies (no reroute table) waiting out the outage.
-                self.note_stall_all_ready(in_wire, StallCause::DeadLinkDrain);
+                self.note_stall_all_ready(in_wire, StallCause::DeadLinkDrain, None);
             }
             // Heads still maturing (or multicast copies waiting out the
             // outage): poll again next cycle.
@@ -2550,20 +2302,16 @@ impl Sim {
         }
         // (wire id, packet) per stalled VC, for the flight-recorder pass.
         let mut stall_sites: Vec<(u32, PacketId)> = Vec::new();
-        for (wid, w) in self.wires.iter().enumerate() {
-            let backlog = w.shim_backlog();
+        for wid in 0..self.wires.len() {
+            let label = self.wires.label(wid);
+            let backlog = self.wires.link_backlog(wid);
             if backlog > 0 {
-                report.shim_backlogs.push((w.label, backlog));
+                report.shim_backlogs.push((label, backlog));
             }
-            let mask = self.wire_occupied[wid];
-            for vc in 0..w.num_vcs() as u8 {
-                if mask & (1 << vc) == 0 {
+            for vc in 0..self.wires.num_vcs(wid) {
+                let Some(entry) = self.wires.ready_head(self.now, wid, vc) else {
                     continue;
-                }
-                let entry = &self.wire_heads[(wid << self.vc_shift) + vc as usize];
-                if entry.ready_at > self.now {
-                    continue;
-                }
+                };
                 if report.stalled.len() >= CAP {
                     report.truncated += 1;
                     continue;
@@ -2591,7 +2339,7 @@ impl Sim {
                 };
                 stall_sites.push((wid as u32, entry.pkt));
                 report.stalled.push(StalledVc {
-                    link: w.label,
+                    link: label,
                     vc_index: vc,
                     packet: entry.pkt,
                     flits: entry.flits,
@@ -2690,7 +2438,7 @@ impl Sim {
             .stalled_wires()
             .into_iter()
             .map(|w| {
-                let label = self.wires[w as usize].label;
+                let label = self.wires.label(w as usize);
                 LinkStat {
                     wire: w,
                     label: label.to_string(),
@@ -2701,7 +2449,7 @@ impl Sim {
             })
             .collect();
         CongestionReport::build(stats, table.edges(), |w| {
-            self.wires[w as usize].label.to_string()
+            self.wires.label(w as usize).to_string()
         })
     }
 
@@ -2722,16 +2470,38 @@ impl Sim {
 
     /// Classifies every ready head buffered on `wire` as stalled with
     /// `cause` — for whole-component stalls (busy adapter-to-router link,
-    /// serializer out of tokens, dead-link drain) where no per-VC scan runs.
-    /// Call only with stall attribution on.
-    fn note_stall_all_ready(&mut self, wire: WireId, cause: StallCause) {
-        let mut occ = self.wire_occupied[wire];
+    /// serializer out of tokens, dead-link drain, a credit-starved copy
+    /// ahead on `blocker`) where no per-VC scan runs. Call only with stall
+    /// attribution on.
+    fn note_stall_all_ready(&mut self, wire: WireId, cause: StallCause, blocker: Option<WireId>) {
+        let mut occ = self.wires.occupied(wire);
         while occ != 0 {
             let v = occ.trailing_zeros() as u8;
             occ &= occ - 1;
-            if u64::from(self.wire_gate[(wire << self.vc_shift) + v as usize].ready) <= self.now {
-                self.note_stall(wire, v, cause, None);
+            if u64::from(self.wires.gate(wire, v).ready) <= self.now {
+                self.note_stall(wire, v, cause, blocker);
             }
+        }
+    }
+
+    /// Why a head that cannot get credits on `blocker` is stalled: behind
+    /// a link layer still holding undelivered flits, or plainly out of
+    /// buffer space downstream.
+    fn credit_stall_cause(&self, blocker: WireId) -> StallCause {
+        if self.wires.link_backlog(blocker) > 0 {
+            StallCause::RetransmitBacklog
+        } else {
+            StallCause::NoCredit
+        }
+    }
+
+    /// Classifies the head of `(wire, vcidx)` as stalled for want of
+    /// credits on `blocker`; one branch when stall attribution is off.
+    #[inline]
+    fn note_credit_stall(&mut self, wire: WireId, vcidx: u8, blocker: WireId) {
+        if self.stall.is_some() {
+            let cause = self.credit_stall_cause(blocker);
+            self.note_stall(wire, vcidx, cause, Some(blocker));
         }
     }
 
@@ -2762,51 +2532,21 @@ impl Sim {
         }
     }
 
-    /// Output port and VC for a packet at a router. The result is cached in
-    /// the head buffer entry by the switch-allocation loop, so this is only
-    /// evaluated once per packet per router.
+    /// Output port and VC for a packet at a router, derived from its slab
+    /// state: the fallback for unstamped (table-routed) entries, and the
+    /// reference the stamped route is checked against in debug builds.
     fn route_output(&self, ridx: usize, pid: PacketId) -> (usize, Vc) {
-        let router = &self.routers[ridx];
         let st = self.packets.get(pid);
-        let target = self.chip_target(pid);
-        let target_router = match target {
-            LocalAttach::Chan(c) => self.cfg.chip.chan_router(c),
-            LocalAttach::Endpoint(e) => self.cfg.chip.endpoint_router(e),
-            _ => unreachable!("targets are adapters"),
-        };
-        let here = router.mesh;
-        let attach = if here == target_router {
-            target
-        } else if self.cfg.chip.skip_partner(here) == Some(target_router)
-            && matches!(target, LocalAttach::Chan(c) if c.dir.dim == Dim::X)
-            && st.arrived_via.map(|d| d.dim) == Some(Dim::X)
-        {
-            // X through-traffic bypasses two routers via the skip channel.
-            LocalAttach::Skip
-        } else {
-            let d = self
-                .cfg
-                .dir_order
-                .next_dir(here, target_router)
-                .expect("distinct routers need a mesh hop");
-            LocalAttach::Mesh(d)
-        };
-        let port = self.router_port_of[ridx * self.attach_codes + attach.code()];
-        debug_assert!(port != 0xFF, "routed attach must be a port");
-        let port = port as usize;
-        let group = match attach {
-            LocalAttach::Mesh(_) | LocalAttach::Endpoint(_) => LinkGroup::M,
-            LocalAttach::Skip | LocalAttach::Chan(_) => LinkGroup::T,
-        };
-        (port, st.vc.vc_for(group))
+        let code = self.chip_target(pid).code();
+        self.route_output_stamped(ridx, code as u8, stamp_meta(st.vc, st.arrived_via))
     }
 
-    /// Entry-stamped variant of [`Sim::route_output`]: routes from the
-    /// context the sender stamped into the buffer entry (see
-    /// [`BufEntry::target`]), touching no per-packet slab state. Identical
-    /// by construction to the slab-derived route — the stamp inputs are
-    /// stable for the whole chip traversal (asserted at the fill site in
-    /// debug builds).
+    /// Routes from the context the sender stamped into the buffer entry
+    /// (see [`BufEntry::target`]), touching no per-packet slab state. The
+    /// stamp inputs are stable for the whole chip traversal (a stale stamp
+    /// is caught at the fill site in debug builds). The result is cached
+    /// in the head's gate record by the switch-allocation loop, so this is
+    /// only evaluated once per packet per router.
     #[inline]
     fn route_output_stamped(&self, ridx: usize, target_code: u8, meta: u8) -> (usize, Vc) {
         let (target, target_router) = self.target_of_code[target_code as usize];
@@ -2836,85 +2576,16 @@ impl Sim {
         (port as usize, vc)
     }
 
-    /// Whether `flits` credits are available on a wire's VC.
-    #[inline]
-    fn wire_can_send(&self, wire: WireId, vcidx: u8, flits: u8) -> bool {
-        self.wire_credits[wire][vcidx as usize] >= flits
-    }
-
-    /// Pops the head packet of a wire's VC, refreshing the wire's dense
-    /// occupancy state and filing the credit return the pop puts in flight
-    /// into the global credit calendar (or, beyond the calendar's horizon,
-    /// back onto the wire's own return queue plus a wire-wheel tick).
+    /// Pops the head packet of a wire's VC. Every head advance funnels
+    /// through here, so this is the one resolution point for stall
+    /// attribution: the pop closes any open stall segment of this (wire,
+    /// VC) slot.
     #[inline]
     fn pop_wire(&mut self, wire: WireId, vcidx: u8) -> BufEntry {
-        // Every head advance funnels through here, so this is the one
-        // resolution point for stall attribution: the pop closes any open
-        // stall segment of this (wire, VC) slot.
         if let Some(st) = self.stall.as_deref_mut() {
             st.resolve(wire as u32, vcidx, self.now);
         }
-        let bit = 1u16 << vcidx;
-        let t = self.wire_timing[wire];
-        if t.flags & FAST_WIRE != 0 && self.wire_queued[wire] & bit == 0 {
-            // Ideal interior wire with nothing queued behind the head: the
-            // pop is pure dense-state bookkeeping — clear the occupied bit
-            // and file the credit return straight into the calendar
-            // (latency >= 1 and < HORIZON, so the slot is always valid).
-            debug_assert!(
-                self.wire_occupied[wire] & bit != 0,
-                "pop from empty VC buffer"
-            );
-            self.wire_occupied[wire] &= !bit;
-            let entry = self.wire_heads[(wire << self.vc_shift) + vcidx as usize];
-            let at = self.now + u64::from(t.lat);
-            let slot = (at % crate::wake::HORIZON) as usize;
-            self.credit_wheel[slot].push((wire as u32, vcidx, entry.flits));
-            return entry;
-        }
-        let mut rx = WireRx {
-            occupied: &mut self.wire_occupied[wire],
-            heads: &mut self.wire_heads[wire << self.vc_shift..(wire + 1) << self.vc_shift],
-            gate: &mut self.wire_gate[wire << self.vc_shift..(wire + 1) << self.vc_shift],
-            queued: &mut self.wire_queued[wire],
-        };
-        let (entry, credit) = self.wires[wire].pop_deferred(self.now, vcidx, &mut rx);
-        if let Some((at, vc, flits)) = credit {
-            // Zero-latency returns mature "now", but the wires phase has
-            // already run this cycle — they apply next cycle, exactly when
-            // a post-pop wire tick would have drained them.
-            let at = at.max(self.now + 1);
-            if at - self.now < crate::wake::HORIZON {
-                let slot = (at % crate::wake::HORIZON) as usize;
-                self.credit_wheel[slot].push((wire as u32, vc, flits));
-            } else {
-                self.wires[wire].file_credit_return(at, vc, flits);
-                self.schedule_wire(wire, self.now + 1);
-            }
-        }
-        entry
-    }
-
-    /// The head entry of a wire's VC, if one is buffered and ready at `now`.
-    /// The gate reads only the compact occupancy/ready mirrors; the full
-    /// entry is touched on a hit.
-    #[inline]
-    fn wire_head(&self, wire: WireId, vcidx: u8) -> Option<&BufEntry> {
-        if self.wire_occupied[wire] & (1 << vcidx) == 0
-            || u64::from(self.wire_gate[(wire << self.vc_shift) + vcidx as usize].ready) > self.now
-        {
-            return None;
-        }
-        Some(&self.wire_heads[(wire << self.vc_shift) + vcidx as usize])
-    }
-
-    /// Flattened VC index of `(class, vc)` on a wire, from the dense
-    /// `group_vcs` mirror (see [`Wire::vc_index`]).
-    #[inline]
-    fn vc_index_of(&self, wire: WireId, class: anton_core::vc::TrafficClass, vc: Vc) -> u8 {
-        let gvcs = self.wire_gvcs[wire];
-        debug_assert!(vc.0 < gvcs, "vc {vc} out of range");
-        class.index() as u8 * gvcs + vc.0
+        self.wires.pop(self.now, wire, vcidx)
     }
 
     /// Builds a fresh buffer entry for a packet from its slab state (hops
@@ -2938,11 +2609,6 @@ impl Sim {
                 code as u8
             }
         };
-        let vcs = st.pending_vc.unwrap_or(st.vc);
-        let m_vc = vcs.vc_for(LinkGroup::M).0;
-        let t_vc = vcs.vc_for(LinkGroup::T).0;
-        debug_assert!(m_vc < 8 && t_vc < 8, "stamped VC exceeds 3 bits");
-        let arrived_x = st.arrived_via.map(|d| d.dim) == Some(Dim::X);
         BufEntry {
             pkt: pid,
             ready_at: 0,
@@ -2952,71 +2618,29 @@ impl Sim {
             rc_port: 0xFF,
             rc_vcidx: 0,
             target,
-            meta: m_vc | (t_vc << 3) | (u8::from(arrived_x) << 6),
+            meta: stamp_meta(st.pending_vc.unwrap_or(st.vc), st.arrived_via),
             age: st.injected_at,
         }
     }
 
-    fn send_entry(&mut self, wire: WireId, mut entry: BufEntry, vcidx: u8) {
-        let now = self.now;
+    fn send_entry(&mut self, wire: WireId, entry: BufEntry, vcidx: u8) {
         let flits = entry.flits;
         let pid = entry.pkt;
-        let t = self.wire_timing[wire];
-        if t.flags & FAST_WIRE != 0 {
-            // Ideal interior wire: spend the credits, stamp the arrival and
-            // file the entry into the dense receive mirrors without loading
-            // the `Wire` struct. Its in-flight queue stays empty by
-            // construction — every arrival here fits the wake horizon — so
-            // this is exactly `Wire::send`'s direct-file path.
-            let credits = &mut self.wire_credits[wire];
-            assert!(credits[vcidx as usize] >= flits, "send without credits");
-            credits[vcidx as usize] -= flits;
-            self.wire_flits[wire] += u64::from(flits);
-            entry.rc_port = 0xFF;
-            let ready = now + u64::from(t.lat) + u64::from(flits) - 1 + u64::from(t.rxp);
-            entry.ready_at = ready;
-            let bit = 1u16 << vcidx;
-            if self.wire_occupied[wire] & bit == 0 {
-                self.wire_gate[(wire << self.vc_shift) + vcidx as usize] =
-                    crate::wire::GateEntry::of(&entry);
-                self.wire_heads[(wire << self.vc_shift) + vcidx as usize] = entry;
-                self.wire_occupied[wire] |= bit;
-            } else {
-                self.wires[wire].queue_behind_head(entry, vcidx);
-                self.wire_queued[wire] |= bit;
-            }
+        if let Some(ready) = self.wires.send(self.now, wire, entry, vcidx) {
+            // Filed straight into the receive buffers: wake the consumer
+            // for the cycle the head clears the receive pipeline. Any other
+            // delivery is reported by a later wires phase.
             self.wake(self.wire_consumer[wire], ready);
-        } else {
-            let filed = {
-                let mut rx = WireRx {
-                    occupied: &mut self.wire_occupied[wire],
-                    heads: &mut self.wire_heads[wire << self.vc_shift..(wire + 1) << self.vc_shift],
-                    gate: &mut self.wire_gate[wire << self.vc_shift..(wire + 1) << self.vc_shift],
-                    queued: &mut self.wire_queued[wire],
-                };
-                self.wires[wire].send(now, entry, vcidx, &mut self.wire_credits[wire], &mut rx)
-            };
-            if let Some(ready) = filed {
-                // Direct-filed arrival: the wire wheel never sees it; wake
-                // the consumer for the cycle the head clears the receive
-                // pipeline.
-                self.wake(self.wire_consumer[wire], ready);
-            } else {
-                self.schedule_wire(wire, now + 1);
-            }
         }
         self.moved = true;
         self.stats.flit_hops += u64::from(flits);
-        if t.flags & TORUS_WIRE != 0 {
+        if self.wires.is_torus(wire) {
             self.stats.torus_flits += u64::from(flits);
         }
         if self.record_routes {
-            let label = self.wires[wire].label;
-            let group_vcs = self.wires[wire].group_vcs;
-            let vc = Vc(vcidx % group_vcs);
-            let st = self.packets.get_mut(pid);
-            if let Some(log) = &mut st.route_log {
-                log.push((label, vc));
+            let hop = (self.wires.label(wire), self.wires.vc_of(wire, vcidx));
+            if let Some(log) = &mut self.packets.get_mut(pid).route_log {
+                log.push(hop);
             }
         }
         self.record_event(
@@ -3024,12 +2648,11 @@ impl Sim {
             Some(u64::from(pid.0)),
             TraceEventKind::Hop { vc: vcidx, flits },
         );
-        if self.recorder.is_some() && t.flags & FAST_WIRE == 0 {
-            // A send into a lossy link transmits at once and may log a
-            // retransmission or frame drop stamped `now`. The wire's next
-            // tick can be a link latency away, so move them to the recorder
-            // here: its order must not depend on when ticks happen.
-            self.drain_shim_events(wire);
+        if self.recorder.is_some() {
+            // A send into a lossy link transmits at once and may log an
+            // event stamped `now`, while the wire's next tick can be a link
+            // latency away.
+            self.drain_link_events();
         }
     }
 
@@ -3061,8 +2684,8 @@ impl Sim {
                 // before drawing the randomized route.
                 let wire_id = self.eps[eidx].to_router;
                 let flits = pkt.num_flits() as u8;
-                let vcidx = self.vc_index_of(wire_id, pkt.class, Vc(0));
-                if !self.wire_can_send(wire_id, vcidx, flits) {
+                let vcidx = self.wires.vc_index(wire_id, pkt.class, Vc(0));
+                if !self.wires.can_send(wire_id, vcidx, flits) {
                     return;
                 }
                 let src_c = self.cfg.shape.coord(node);
@@ -3171,8 +2794,8 @@ impl Sim {
         let class = st.packet.class;
         let vc = st.vc.vc_for(LinkGroup::M);
         let flits = st.flits;
-        let vcidx = self.vc_index_of(wire_id, class, vc);
-        if !self.wire_can_send(wire_id, vcidx, flits) {
+        let vcidx = self.wires.vc_index(wire_id, class, vc);
+        if !self.wires.can_send(wire_id, vcidx, flits) {
             return false;
         }
         self.send_on_wire(wire_id, pid, vcidx);
@@ -3187,11 +2810,11 @@ impl Sim {
 
     fn ep_recv_step(&mut self, eidx: usize) {
         let wire_id = self.eps[eidx].from_router;
-        let mut mask = self.wire_occupied[wire_id];
+        let mut mask = self.wires.occupied(wire_id);
         while mask != 0 {
             let v = mask.trailing_zeros() as u8;
             mask &= mask - 1;
-            let Some(entry) = self.wire_head(wire_id, v) else {
+            let Some(entry) = self.wires.ready_head(self.now, wire_id, v) else {
                 continue;
             };
             let pid = entry.pkt;
@@ -3249,7 +2872,7 @@ impl Sim {
                 // Ready arrivals are waiting out a transfer already on the
                 // adapter-to-router link.
                 let wire_id = self.chans[cidx].torus_in;
-                self.note_stall_all_ready(wire_id, StallCause::OutputBusy);
+                self.note_stall_all_ready(wire_id, StallCause::OutputBusy, None);
             }
             return;
         }
@@ -3261,44 +2884,31 @@ impl Sim {
                     // The copy took the adapter-to-router link; ready
                     // arrivals behind it wait out the transfer.
                     let wire_id = self.chans[cidx].torus_in;
-                    self.note_stall_all_ready(wire_id, StallCause::OutputBusy);
+                    self.note_stall_all_ready(wire_id, StallCause::OutputBusy, None);
                 }
             } else if self.stall.is_some() {
                 // The copy at the replication queue's head is itself
                 // credit-starved, and it holds up every arrival behind it.
                 let to_router = self.chans[cidx].to_router;
                 let wire_id = self.chans[cidx].torus_in;
-                let cause = if self.wires[to_router].shim_backlog() > 0 {
-                    StallCause::RetransmitBacklog
-                } else {
-                    StallCause::NoCredit
-                };
-                let mut occ = self.wire_occupied[wire_id];
-                while occ != 0 {
-                    let v = occ.trailing_zeros() as u8;
-                    occ &= occ - 1;
-                    if u64::from(self.wire_gate[(wire_id << self.vc_shift) + v as usize].ready)
-                        <= now
-                    {
-                        self.note_stall(wire_id, v, cause, Some(to_router));
-                    }
-                }
+                let cause = self.credit_stall_cause(to_router);
+                self.note_stall_all_ready(wire_id, cause, Some(to_router));
             }
             return;
         }
         let wire_id = self.chans[cidx].torus_in;
-        if self.wire_occupied[wire_id] == 0 {
+        if self.wires.occupied(wire_id) == 0 {
             return;
         }
-        let nvcs = self.wire_nvcs[wire_id];
+        let nvcs = self.wires.num_vcs(wire_id);
         let start = self.chans[cidx].rr_vc_in;
         let to_router = self.chans[cidx].to_router;
         for k in 0..nvcs {
             let v = (start + k) % nvcs;
-            if self.wire_occupied[wire_id] >> v & 1 == 0 {
+            if self.wires.occupied(wire_id) >> v & 1 == 0 {
                 continue;
             }
-            let m = self.wire_gate[(wire_id << self.vc_shift) + v as usize];
+            let m = self.wires.gate(wire_id, v);
             if u64::from(m.ready) > now {
                 continue;
             }
@@ -3309,38 +2919,29 @@ impl Sim {
             // classification and VC are stable while the head is parked —
             // packet VC state only advances when the packet moves.
             let (kind, cvcidx) = if m.rc_port == 0xFF {
-                let pid = self.wire_heads[(wire_id << self.vc_shift) + v as usize].pkt;
+                let pid = self.wires.head(wire_id, v).pkt;
                 let st = self.packets.get(pid);
                 let (kind, cvcidx) = match st.route {
                     RouteProgress::Unicast { .. } | RouteProgress::Table { .. } => {
                         let vc = st.vc.vc_for(LinkGroup::T);
-                        (0xFE, self.vc_index_of(to_router, st.packet.class, vc))
+                        (0xFE, self.wires.vc_index(to_router, st.packet.class, vc))
                     }
                     RouteProgress::McExit { .. } => (0xFD, 0),
                     RouteProgress::McDeliver { .. } => {
                         unreachable!("deliver copies never cross torus links")
                     }
                 };
-                let g = &mut self.wire_gate[(wire_id << self.vc_shift) + v as usize];
-                g.rc_port = kind;
-                g.rc_vcidx = cvcidx;
+                self.wires.cache_route(wire_id, v, kind, cvcidx);
                 (kind, cvcidx)
             } else {
                 (m.rc_port, m.rc_vcidx)
             };
             if kind == 0xFE {
-                if !self.wire_can_send(to_router, cvcidx, m.flits) {
-                    if self.stall.is_some() {
-                        let cause = if self.wires[to_router].shim_backlog() > 0 {
-                            StallCause::RetransmitBacklog
-                        } else {
-                            StallCause::NoCredit
-                        };
-                        self.note_stall(wire_id, v, cause, Some(to_router));
-                    }
+                if !self.wires.can_send(to_router, cvcidx, m.flits) {
+                    self.note_credit_stall(wire_id, v, to_router);
                     continue;
                 }
-                let pid = self.wire_heads[(wire_id << self.vc_shift) + v as usize].pkt;
+                let pid = self.wires.head(wire_id, v).pkt;
                 self.pop_wire(wire_id, v);
                 self.moved = true;
                 // Entry link uses the arriving T-phase VC; promotion
@@ -3352,7 +2953,7 @@ impl Sim {
                 return;
             }
             {
-                let pid = self.wire_heads[(wire_id << self.vc_shift) + v as usize].pkt;
+                let pid = self.wires.head(wire_id, v).pkt;
                 let st = self.packets.get(pid);
                 let RouteProgress::McExit { group, tree, .. } = st.route else {
                     unreachable!("gate cache says multicast exit")
@@ -3400,9 +3001,9 @@ impl Sim {
         let st = self.packets.get(pid);
         let wire_id = self.chans[cidx].to_router;
         let vc = st.vc.vc_for(LinkGroup::T);
-        let vcidx = self.vc_index_of(wire_id, st.packet.class, vc);
+        let vcidx = self.wires.vc_index(wire_id, st.packet.class, vc);
         let flits = st.flits;
-        if !self.wire_can_send(wire_id, vcidx, flits) {
+        if !self.wires.can_send(wire_id, vcidx, flits) {
             return false;
         }
         self.send_on_wire(wire_id, pid, vcidx);
@@ -3480,7 +3081,7 @@ impl Sim {
         let in_wire = self.chans[cidx].from_router;
         let out_wire = self.chans[cidx].torus_out;
         let crosses = self.chans[cidx].crosses_dateline;
-        if self.wire_occupied[in_wire] == 0 {
+        if self.wires.occupied(in_wire) == 0 {
             return;
         }
         if self.link_down_now(cidx) {
@@ -3490,7 +3091,7 @@ impl Sim {
         if self.chans[cidx].tokens < cost {
             if self.stall.is_some() {
                 // Ready heads wait out the token-bucket refill.
-                self.note_stall_all_ready(in_wire, StallCause::SerializerBusy);
+                self.note_stall_all_ready(in_wire, StallCause::SerializerBusy, None);
             }
             // Sleep until the bucket refills.
             let deficit = cost - self.chans[cidx].tokens;
@@ -3506,38 +3107,27 @@ impl Sim {
         // gate record (`0xFE` marker; packet VC state is stable while the
         // head is parked), so blocked heads re-gate without slab loads.
         let mut req: u64 = 0;
-        let mut occ = self.wire_occupied[in_wire];
+        let mut occ = self.wires.occupied(in_wire);
         while occ != 0 {
             let v = occ.trailing_zeros() as u8;
             occ &= occ - 1;
-            let m = self.wire_gate[(in_wire << self.vc_shift) + v as usize];
+            let m = self.wires.gate(in_wire, v);
             if u64::from(m.ready) > now {
                 continue;
             }
             let vcidx = if m.rc_port == 0xFF {
-                let st = self
-                    .packets
-                    .get(self.wire_heads[(in_wire << self.vc_shift) + v as usize].pkt);
+                let st = self.packets.get(self.wires.head(in_wire, v).pkt);
                 // VC on the torus link after a possible dateline promotion.
                 let mut vc_after = st.vc;
                 let tvc = vc_after.torus_hop(crosses);
-                let vcidx = self.vc_index_of(out_wire, st.packet.class, tvc);
-                let g = &mut self.wire_gate[(in_wire << self.vc_shift) + v as usize];
-                g.rc_port = 0xFE;
-                g.rc_vcidx = vcidx;
+                let vcidx = self.wires.vc_index(out_wire, st.packet.class, tvc);
+                self.wires.cache_route(in_wire, v, 0xFE, vcidx);
                 vcidx
             } else {
                 m.rc_vcidx
             };
-            if !self.wire_can_send(out_wire, vcidx, m.flits) {
-                if self.stall.is_some() {
-                    let cause = if self.wires[out_wire].shim_backlog() > 0 {
-                        StallCause::RetransmitBacklog
-                    } else {
-                        StallCause::NoCredit
-                    };
-                    self.note_stall(in_wire, v, cause, Some(out_wire));
-                }
+            if !self.wires.can_send(out_wire, vcidx, m.flits) {
+                self.note_credit_stall(in_wire, v, out_wire);
                 continue;
             }
             req |= 1 << v;
@@ -3546,17 +3136,13 @@ impl Sim {
             return;
         }
         let v = {
-            let base = in_wire << self.vc_shift;
-            let gate = &self.wire_gate[base..];
-            let heads = &self.wire_heads[base..];
+            let (gate, heads) = self.wires.rows(in_wire);
             self.chans[cidx]
                 .out_arbiter
                 .pick_mask(req, |i| gate[i as usize].pattern, |i| heads[i as usize].age)
                 .expect("nonempty requests yield a grant") as u8
         };
-        if self.params.collect_grants {
-            self.grants.serializer += 1;
-        }
+        self.grants.serializer += 1;
         if self.stall.is_some() {
             // VCs that requested but lost the serializer grant.
             let mut losers = req & !(1 << v);
@@ -3569,7 +3155,7 @@ impl Sim {
         // Re-derive the winner's target lane from its head entry: the
         // packet-state lookups above were gates only, so the per-loser
         // entry/target staging is gone.
-        let mut entry = self.wire_heads[(in_wire << self.vc_shift) + v as usize];
+        let mut entry = *self.wires.head(in_wire, v);
         // The stamped route context describes the chip being left; the next
         // chip's channel adapter re-stamps on mesh entry.
         entry.target = 0xFF;
@@ -3580,7 +3166,10 @@ impl Sim {
             let st = self.packets.get(pid);
             let mut vc_after = st.vc;
             let tvc = vc_after.torus_hop(crosses);
-            (self.vc_index_of(out_wire, st.packet.class, tvc), vc_after)
+            (
+                self.wires.vc_index(out_wire, st.packet.class, tvc),
+                vc_after,
+            )
         };
         if self.recorder.is_some() {
             self.record_event(
@@ -3748,7 +3337,7 @@ impl Sim {
 
     fn router_step(&mut self, ridx: usize) {
         let now = self.now;
-        let nports = self.routers[ridx].ports.len();
+        let nports = usize::from(self.routers[ridx].nports);
         #[derive(Clone, Copy)]
         struct Cand {
             vcidx: u8,
@@ -3773,7 +3362,7 @@ impl Sim {
         let rbase = ridx * MAX_ROUTER_PORTS;
         for (inp, cand) in cands.iter_mut().enumerate().take(nports) {
             let in_wire = self.router_in_wire[rbase + inp] as usize;
-            let occupied = self.wire_occupied[in_wire];
+            let occupied = self.wires.occupied(in_wire);
             if occupied == 0 {
                 continue;
             }
@@ -3787,7 +3376,7 @@ impl Sim {
             while occ != 0 {
                 let v = occ.trailing_zeros() as u8;
                 occ &= occ - 1;
-                let m = self.wire_gate[(in_wire << self.vc_shift) + v as usize];
+                let m = self.wires.gate(in_wire, v);
                 if u64::from(m.ready) > now {
                     continue;
                 }
@@ -3796,7 +3385,7 @@ impl Sim {
                     // in the head's gating metadata. Stamped entries route
                     // from their sender-provided context — no packet-slab
                     // load in the hot path.
-                    let e = self.wire_heads[(in_wire << self.vc_shift) + v as usize];
+                    let e = *self.wires.head(in_wire, v);
                     let (out_port, out_vc) = if e.target != 0xFF {
                         let r = self.route_output_stamped(ridx, e.target, e.meta);
                         debug_assert_eq!(
@@ -3814,10 +3403,8 @@ impl Sim {
                     } else {
                         anton_core::vc::TrafficClass::Reply
                     };
-                    let rc_vcidx = self.vc_index_of(out_wire, class, out_vc);
-                    let mm = &mut self.wire_gate[(in_wire << self.vc_shift) + v as usize];
-                    mm.rc_port = out_port as u8;
-                    mm.rc_vcidx = rc_vcidx;
+                    let rc_vcidx = self.wires.vc_index(out_wire, class, out_vc);
+                    self.wires.cache_route(in_wire, v, out_port as u8, rc_vcidx);
                     (out_port, rc_vcidx, e.flits)
                 } else {
                     (m.rc_port as usize, m.rc_vcidx, m.flits)
@@ -3827,15 +3414,8 @@ impl Sim {
                     continue;
                 }
                 let out_wire = self.router_out_wire[rbase + out_port] as usize;
-                if !self.wire_can_send(out_wire, out_vcidx, flits) {
-                    if self.stall.is_some() {
-                        let cause = if self.wires[out_wire].shim_backlog() > 0 {
-                            StallCause::RetransmitBacklog
-                        } else {
-                            StallCause::NoCredit
-                        };
-                        self.note_stall(in_wire, v, cause, Some(out_wire));
-                    }
+                if !self.wires.can_send(out_wire, out_vcidx, flits) {
+                    self.note_credit_stall(in_wire, v, out_wire);
                     continue;
                 }
                 req |= 1 << v;
@@ -3848,16 +3428,12 @@ impl Sim {
             let v = if req & (req - 1) == 0 {
                 req.trailing_zeros()
             } else {
-                let base = in_wire << self.vc_shift;
-                let gate = &self.wire_gate[base..];
-                let heads = &self.wire_heads[base..];
+                let (gate, heads) = self.wires.rows(in_wire);
                 self.router_in_arb[rbase + inp]
                     .pick_mask(req, |i| gate[i as usize].pattern, |i| heads[i as usize].age)
                     .expect("nonempty requests yield a grant")
-            };
-            if self.params.collect_grants {
-                self.grants.sa1 += 1;
-            }
+            } as u8;
+            self.grants.sa1 += 1;
             if self.stall.is_some() {
                 // VCs that requested but lost the input port's SA1 grant.
                 let mut losers = req & !(1 << v);
@@ -3867,12 +3443,12 @@ impl Sim {
                     self.note_stall(in_wire, l, StallCause::LostSa1, None);
                 }
             }
-            // Rebuild the winner's candidate from the head mirrors (the rc
+            // Rebuild the winner's candidate from its head and gate (the rc
             // cache above guarantees the route fields are populated).
-            let m = self.wire_gate[(in_wire << self.vc_shift) + v as usize];
-            let e = &self.wire_heads[(in_wire << self.vc_shift) + v as usize];
+            let m = self.wires.gate(in_wire, v);
+            let e = self.wires.head(in_wire, v);
             let c = Cand {
-                vcidx: v as u8,
+                vcidx: v,
                 pid: e.pkt,
                 out_port: m.rc_port as usize,
                 out_vcidx: m.rc_vcidx,
@@ -3924,9 +3500,7 @@ impl Sim {
                     )
                     .expect("nonempty requests yield a grant") as usize
             };
-            if self.params.collect_grants {
-                self.grants.output += 1;
-            }
+            self.grants.output += 1;
             if self.stall.is_some() {
                 // Input ports whose SA1 winner lost this output's SA2 grant.
                 let mut losers = req & !(1 << inp);

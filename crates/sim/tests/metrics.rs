@@ -2,29 +2,41 @@
 //! [`Metrics`] aggregates and the raw simulator counters, occupancy-
 //! histogram gating, and determinism of the whole record.
 
-use anton_core::chip::{LocalEndpointId, NUM_CHAN_ADAPTERS};
+use anton_core::chip::{ChanId, LocalEndpointId, NUM_CHAN_ADAPTERS};
 use anton_core::config::{GlobalEndpoint, MachineConfig};
-use anton_core::topology::{NodeCoord, TorusShape};
-use anton_fault::FaultSchedule;
+use anton_core::topology::{NodeCoord, NodeId, TorusShape};
+use anton_fault::{FaultKind, FaultSchedule};
 use anton_sim::driver::{BatchDriver, LoadDriver, PingPongDriver};
 use anton_sim::metrics::LinkClass;
 use anton_sim::params::{PreflightMode, SimParams, TraceConfig};
 use anton_sim::sim::{KernelWork, RunOutcome, Sim};
 use anton_traffic::patterns::UniformRandom;
 
-fn run_uniform(collect_metrics: bool, seed: u64) -> Sim {
+/// A 2×2×2 uniform batch (8 packets per endpoint) on the serial kernel,
+/// not yet run.
+fn small_batch(
+    collect_metrics: bool,
+    seed: u64,
+    fault: Option<FaultSchedule>,
+) -> (Sim, BatchDriver) {
     let cfg = MachineConfig::new(TorusShape::cube(2));
     let params = SimParams {
         collect_metrics,
+        fault,
         seed,
         ..SimParams::default()
     };
-    let mut sim = Sim::builder().config(cfg).params(params).build();
-    let mut drv = BatchDriver::builder(&sim)
+    let sim = Sim::builder().config(cfg).params(params).build();
+    let drv = BatchDriver::builder(&sim)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(8)
         .seed(1)
         .build();
+    (sim, drv)
+}
+
+fn run_uniform(collect_metrics: bool, seed: u64) -> Sim {
+    let (mut sim, mut drv) = small_batch(collect_metrics, seed, None);
     assert_eq!(sim.run(&mut drv, 1_000_000), RunOutcome::Completed);
     sim
 }
@@ -129,14 +141,14 @@ impl anton_sim::sim::Driver for RecordingBatch {
 
 #[test]
 fn instrumentation_toggles_never_change_routing_or_deliveries() {
-    // Flipping collect_grants, collect_metrics, and any TraceConfig (event
-    // recording, sampling at any window size) must be observationally
-    // invisible: identical link-level routes, VCs, per-packet delivery
-    // cycles, and final simulated time.
-    let run = |collect_grants: bool, collect_metrics: bool, trace: TraceConfig| {
+    // Flipping collect_metrics (untracked wires deliver through the dense
+    // path, tracked ones through their in-flight queues) and any
+    // TraceConfig (event recording, sampling at any window size) must be
+    // observationally invisible: identical link-level routes, VCs,
+    // per-packet delivery cycles, and final simulated time.
+    let run = |collect_metrics: bool, trace: TraceConfig| {
         let cfg = MachineConfig::new(TorusShape::cube(2));
         let params = SimParams {
-            collect_grants,
             collect_metrics,
             trace,
             seed: 11,
@@ -171,18 +183,13 @@ fn instrumentation_toggles_never_change_routing_or_deliveries() {
         log.sort_by_key(|(src, dst, inj, del, ..)| (*src, *dst, *inj, *del));
         (sim.now(), log)
     };
-    let reference = run(true, false, TraceConfig::default()); // the defaults
-    for (grants, metrics) in [(false, false), (true, true), (false, true)] {
-        let got = run(grants, metrics, TraceConfig::default());
-        assert_eq!(
-            reference.0, got.0,
-            "final cycle changed under grants={grants} metrics={metrics}"
-        );
-        assert_eq!(
-            reference.1, got.1,
-            "deliveries/routes changed under grants={grants} metrics={metrics}"
-        );
-    }
+    let reference = run(false, TraceConfig::default()); // the defaults
+    let tracked = run(true, TraceConfig::default());
+    assert_eq!(reference.0, tracked.0, "final cycle changed under metrics");
+    assert_eq!(
+        reference.1, tracked.1,
+        "deliveries/routes changed under metrics"
+    );
     // Observability at any setting: full event recording (tiny and large
     // rings), sampling at several window sizes, stall attribution, all at
     // once, and the profiler flag.
@@ -206,7 +213,7 @@ fn instrumentation_toggles_never_change_routing_or_deliveries() {
         },
     ];
     for trace in trace_variants {
-        let got = run(true, false, trace);
+        let got = run(false, trace);
         assert_eq!(reference.0, got.0, "final cycle changed under {trace:?}");
         assert_eq!(
             reference.1, got.1,
@@ -340,4 +347,90 @@ fn lossy_wire_wakes_follow_frames_not_cycles() {
         sim.step();
     }
     assert_eq!(sim.kernel_work().wakes[3], settled, "an idle link woke");
+}
+
+/// The kernel's exact work on three small runs ([`small_batch`] at route
+/// seed 5), one per delivery path of
+/// the wire layer, captured at the commit before `Wires` replaced `Wire` +
+/// the simulator's dense mirrors (PR 17): a refactor of the kernel must do
+/// the same work in the same number of wakes, on every host. Dense: every
+/// wire files sends straight into the receive rows, so only the bootstrap
+/// look wakes a wire. In flight: occupancy tracking sends every arrival
+/// through the wire wheel. Shim: BER 1e-4 on every torus link plus one
+/// link `Down` for cycles 150–900 (go-back-N events, a link drain, 24
+/// reroutes).
+#[test]
+fn kernel_work_is_pinned_on_each_delivery_path() {
+    let down = FaultSchedule::uniform(7, 1e-4).with_fault(
+        NodeId(0),
+        ChanId::from_index(0),
+        FaultKind::Down {
+            from_cycle: 150,
+            until_cycle: 900,
+        },
+    );
+    let pins = [
+        (
+            "dense",
+            false,
+            None,
+            296,
+            [18_972, 9_326, 2_688, 960],
+            3_559,
+        ),
+        (
+            "in flight",
+            true,
+            None,
+            296,
+            [18_972, 9_326, 2_688, 15_640],
+            7_301,
+        ),
+        (
+            "shim",
+            false,
+            Some(down),
+            1_189,
+            [21_566, 9_451, 2_720, 6_161],
+            13_254,
+        ),
+    ];
+    for (path, collect_metrics, fault, cycles, wakes, wheel_words_visited) in pins {
+        let (mut sim, mut drv) = small_batch(collect_metrics, 5, fault);
+        assert_eq!(sim.run(&mut drv, 1_000_000), RunOutcome::Completed);
+        assert_eq!(
+            sim.kernel_work(),
+            KernelWork {
+                cycles,
+                wakes,
+                wheel_words_visited
+            },
+            "{path} path"
+        );
+    }
+}
+
+/// `run(.., u64::MAX)` means "no budget", also on a simulator that has
+/// already stepped: the deadline saturates instead of overflowing (a panic
+/// in debug builds, an immediate `TimedOut` in release).
+#[test]
+fn unbounded_budget_on_a_stepped_simulator_completes() {
+    let (mut sim, mut drv) = small_batch(false, 5, None);
+    assert_eq!(sim.run(&mut drv, 10), RunOutcome::TimedOut);
+    assert_eq!(sim.now(), 10);
+    assert_eq!(sim.run(&mut drv, u64::MAX), RunOutcome::Completed);
+    assert_eq!(sim.stats().delivered_packets, sim.stats().injected_packets);
+
+    // The sharded kernel computes its own deadline: a second batch on a
+    // machine that has already run one.
+    let cfg = MachineConfig::new(TorusShape::cube(2));
+    let mut sharded = Sim::builder().config(cfg.clone()).shards(2).build_sharded();
+    for budget in [1_000_000, u64::MAX] {
+        let mut drv = BatchDriver::builder_for(&cfg)
+            .pattern(Box::new(UniformRandom))
+            .packets_per_endpoint(8)
+            .seed(1)
+            .build();
+        assert_eq!(sharded.run(&mut drv, budget), RunOutcome::Completed);
+    }
 }
