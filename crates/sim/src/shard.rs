@@ -637,8 +637,8 @@ impl ShardedSim {
                 let depth = u32::from(prod.depth(wid));
                 for vc in 0..usize::from(prod.num_vcs(wid)) {
                     let total = u32::from(prod.credits(wid, vc))
-                        + prod.accounted_flits(wid, vc, &parked[s])
-                        + cons.accounted_flits(wid, vc, &parked[dest as usize]);
+                        + prod.accounted_flits(wid, vc, &parked[s])?
+                        + cons.accounted_flits(wid, vc, &parked[dest as usize])?;
                     if total != depth {
                         return Err(format!(
                             "boundary credit balance violated on wire {wid} ({:?}) vc {vc} \

@@ -31,7 +31,7 @@ use anton_core::route_table::{DownLinkSet, RouteTable};
 use anton_core::routing::{DimOrder, RouteSpec};
 use anton_core::topology::{Dim, NodeId, Slice, TorusDir};
 use anton_core::trace::GlobalLink;
-use anton_core::vc::{Vc, VcState};
+use anton_core::vc::{TrafficClass, Vc, VcState};
 use anton_fault::{FaultKind, ShimEvent};
 use anton_obs::json::Json;
 use anton_obs::link_json;
@@ -45,7 +45,7 @@ use crate::params::{
 };
 use crate::state::{PacketId, PacketSlab, PacketState, RouteProgress};
 use crate::wake::Scheduler;
-use crate::wire::{BoundaryRole, BufEntry, End, WireSpec, Wires, LAST_CYCLE};
+use crate::wire::{saturate_cycle, BoundaryRole, BufEntry, End, WireSpec, Wires, LAST_CYCLE};
 
 /// Maximum multicast copies queued at one replication point.
 const REPL_CAP: usize = 32;
@@ -170,6 +170,9 @@ struct ChanState {
     /// Whether the outgoing torus hop crosses its dimension's dateline — a
     /// static property of the link (Section 2.5).
     crosses_dateline: bool,
+    /// The node at the far end of the outgoing torus link: where a
+    /// table-routed packet stands once the serializer has sent it.
+    next_node: NodeId,
     /// Multicast copies awaiting on-chip injection.
     repl: VecDeque<PacketId>,
     /// VC arbiter of the outbound serializer (per Section 3, every
@@ -846,14 +849,18 @@ pub(crate) fn max_torus_utilization_of(utils: &[(NodeId, TorusDir, Slice, f64)])
     utils.iter().map(|(_, _, _, u)| u / cap).fold(0.0, f64::max)
 }
 
-/// Packs the VC and arrival context of a chip traversal (see
-/// [`BufEntry::meta`]).
-fn stamp_meta(vcs: VcState, arrived_via: Option<TorusDir>) -> u8 {
+/// Packs the traffic class with the VC and arrival context of a chip
+/// traversal (see [`BufEntry::meta`]).
+fn stamp_meta(class: TrafficClass, vcs: VcState, arrived_via: Option<TorusDir>) -> u8 {
     let m_vc = vcs.vc_for(LinkGroup::M).0;
     let t_vc = vcs.vc_for(LinkGroup::T).0;
     debug_assert!(m_vc < 8 && t_vc < 8, "stamped VC exceeds 3 bits");
     let arrived_x = arrived_via.map(|d| d.dim) == Some(Dim::X);
-    m_vc | (t_vc << 3) | (u8::from(arrived_x) << 6)
+    let reply = match class {
+        TrafficClass::Request => 0,
+        TrafficClass::Reply => BufEntry::REPLY,
+    };
+    m_vc | (t_vc << 3) | (u8::from(arrived_x) << 6) | reply
 }
 
 impl std::fmt::Debug for Sim {
@@ -1193,6 +1200,7 @@ impl Sim {
                     tokens: i64::from(TORUS_TOKEN_COST),
                     tokens_at: 0,
                     crosses_dateline: cfg.shape.hop_crosses_dateline(node_coord, c.dir),
+                    next_node: nbr_id,
                     repl: VecDeque::new(),
                     out_arbiter: BitsetArbiter::round_robin(
                         2 * policy.num_vcs(LinkGroup::T) as usize,
@@ -1467,6 +1475,12 @@ impl Sim {
     /// The wire layer (read-only, for metrics aggregation and audits).
     pub(crate) fn wires(&self) -> &Wires {
         &self.wires
+    }
+
+    /// The most packets ever live at once (the range of packet ids used).
+    #[cfg(test)]
+    pub(crate) fn packet_high_water(&self) -> usize {
+        self.packets.high_water()
     }
 
     /// Collects the full typed metrics record (see
@@ -1888,6 +1902,7 @@ impl Sim {
             ));
         }
         self.wires.check_credit_balance()?;
+        self.wires.check_pool(self.packets.high_water())?;
         let quiescent = self.wires.is_quiescent()
             && self.handler_heap.is_empty()
             && self
@@ -2316,7 +2331,8 @@ impl Sim {
                     report.truncated += 1;
                     continue;
                 }
-                let route = match self.packets.get(entry.pkt).route {
+                let st = self.packets.get(entry.pkt);
+                let route = match st.route {
                     RouteProgress::Unicast { spec, dst } => format!(
                         "unicast to n{}:e{}, remaining offsets {:?}",
                         dst.node.0, dst.ep.0, spec.offsets
@@ -2343,7 +2359,7 @@ impl Sim {
                     vc_index: vc,
                     packet: entry.pkt,
                     flits: entry.flits,
-                    injected_at: entry.age,
+                    injected_at: st.injected_at,
                     route,
                     recent_events: Vec::new(),
                 });
@@ -2538,7 +2554,8 @@ impl Sim {
     fn route_output(&self, ridx: usize, pid: PacketId) -> (usize, Vc) {
         let st = self.packets.get(pid);
         let code = self.chip_target(pid).code();
-        self.route_output_stamped(ridx, code as u8, stamp_meta(st.vc, st.arrived_via))
+        let meta = stamp_meta(st.packet.class, st.vc, st.arrived_via);
+        self.route_output_stamped(ridx, code as u8, meta)
     }
 
     /// Routes from the context the sender stamped into the buffer entry
@@ -2612,14 +2629,15 @@ impl Sim {
         BufEntry {
             pkt: pid,
             ready_at: 0,
+            age: saturate_cycle(st.injected_at),
             flits: st.flits,
-            class: st.packet.class.index() as u8,
             pattern: st.packet.pattern.0,
-            rc_port: 0xFF,
-            rc_vcidx: 0,
             target,
-            meta: stamp_meta(st.pending_vc.unwrap_or(st.vc), st.arrived_via),
-            age: st.injected_at,
+            meta: stamp_meta(
+                st.packet.class,
+                st.pending_vc.unwrap_or(st.vc),
+                st.arrived_via,
+            ),
         }
     }
 
@@ -3139,7 +3157,11 @@ impl Sim {
             let (gate, heads) = self.wires.rows(in_wire);
             self.chans[cidx]
                 .out_arbiter
-                .pick_mask(req, |i| gate[i as usize].pattern, |i| heads[i as usize].age)
+                .pick_mask(
+                    req,
+                    |i| gate[i as usize].pattern,
+                    |i| u64::from(heads[i as usize].age),
+                )
                 .expect("nonempty requests yield a grant") as u8
         };
         self.grants.serializer += 1;
@@ -3159,7 +3181,7 @@ impl Sim {
         // The stamped route context describes the chip being left; the next
         // chip's channel adapter re-stamps on mesh entry.
         entry.target = 0xFF;
-        entry.meta = 0;
+        entry.meta &= BufEntry::REPLY;
         let pid = entry.pkt;
         let flits = entry.flits;
         let (vcidx, vc_after) = {
@@ -3185,10 +3207,7 @@ impl Sim {
         self.pop_wire(in_wire, v);
         {
             let dir = self.chans[cidx].chan.dir;
-            let next_node = {
-                let shape = &self.cfg.shape;
-                shape.id(shape.neighbor(shape.coord(self.chans[cidx].node), dir))
-            };
+            let next_node = self.chans[cidx].next_node;
             let st = self.packets.get_mut(pid);
             let from_tvc = st.vc.vc_for(LinkGroup::T).0;
             let to_tvc = vc_after.vc_for(LinkGroup::T).0;
@@ -3345,11 +3364,10 @@ impl Sim {
             out_port: usize,
             out_vcidx: u8,
             flits: u8,
-            class: u8,
             pattern: u8,
             target: u8,
             meta: u8,
-            age: u64,
+            age: u32,
         }
         let mut cands: [Option<Cand>; MAX_ROUTER_PORTS] = [None; MAX_ROUTER_PORTS];
         // SA2 request bitsets, built once during the SA1 pass: bit `inp` of
@@ -3398,12 +3416,7 @@ impl Sim {
                         self.route_output(ridx, e.pkt)
                     };
                     let out_wire = self.router_out_wire[rbase + out_port] as usize;
-                    let class = if e.class == 0 {
-                        anton_core::vc::TrafficClass::Request
-                    } else {
-                        anton_core::vc::TrafficClass::Reply
-                    };
-                    let rc_vcidx = self.wires.vc_index(out_wire, class, out_vc);
+                    let rc_vcidx = self.wires.vc_index(out_wire, e.class(), out_vc);
                     self.wires.cache_route(in_wire, v, out_port as u8, rc_vcidx);
                     (out_port, rc_vcidx, e.flits)
                 } else {
@@ -3430,7 +3443,11 @@ impl Sim {
             } else {
                 let (gate, heads) = self.wires.rows(in_wire);
                 self.router_in_arb[rbase + inp]
-                    .pick_mask(req, |i| gate[i as usize].pattern, |i| heads[i as usize].age)
+                    .pick_mask(
+                        req,
+                        |i| gate[i as usize].pattern,
+                        |i| u64::from(heads[i as usize].age),
+                    )
                     .expect("nonempty requests yield a grant")
             } as u8;
             self.grants.sa1 += 1;
@@ -3453,7 +3470,6 @@ impl Sim {
                 out_port: m.rc_port as usize,
                 out_vcidx: m.rc_vcidx,
                 flits: m.flits,
-                class: e.class,
                 pattern: m.pattern,
                 target: e.target,
                 meta: e.meta,
@@ -3493,9 +3509,8 @@ impl Sim {
                                 .pattern
                         },
                         |i| {
-                            cands_ref[i as usize]
-                                .expect("requesting input has a cand")
-                                .age
+                            let c = cands_ref[i as usize].expect("requesting input has a cand");
+                            u64::from(c.age)
                         },
                     )
                     .expect("nonempty requests yield a grant") as usize
@@ -3532,14 +3547,11 @@ impl Sim {
                 BufEntry {
                     pkt: cand.pid,
                     ready_at: 0,
+                    age: cand.age,
                     flits: cand.flits,
-                    class: cand.class,
                     pattern: cand.pattern,
-                    rc_port: 0xFF,
-                    rc_vcidx: 0,
                     target: cand.target,
                     meta: cand.meta,
-                    age: cand.age,
                 },
                 cand.out_vcidx,
             );

@@ -156,6 +156,11 @@ impl PacketSlab {
         self.live
     }
 
+    /// The most packets ever live at once: ids range below this.
+    pub fn high_water(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Packets ever inserted into the slab.
     pub fn created(&self) -> u64 {
         self.created
