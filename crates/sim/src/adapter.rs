@@ -1,0 +1,680 @@
+//! The channel-adapter layer: where a chip's mesh meets the torus.
+//!
+//! Each adapter has two independent halves. *Inbound*, it takes arrivals off
+//! its torus wire in round-robin VC order and enters them into the mesh,
+//! replicating multicast copies from the group's table. *Outbound*, a
+//! serializer with a token bucket (the effective link bandwidth, 14/45 flits
+//! per cycle) and a VC arbiter feeds the torus wire; while the link is down
+//! it absorbs its queue instead. [`Adapters`] owns the adapters' private
+//! state; the wires, wakes, counters and probe are the [`Fabric`]'s.
+
+use std::collections::VecDeque;
+
+use anton_arbiter::{BitsetArbiter, GrantSite};
+use anton_core::chip::{ChanId, LinkGroup, NUM_CHAN_ADAPTERS};
+use anton_core::topology::{NodeId, TorusShape};
+use anton_obs::{StallCause, TraceEventKind};
+
+use crate::fabric::{CompRef, Ctx, Fabric};
+use crate::params::{TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
+use crate::state::{PacketId, RouteProgress};
+use crate::wire::BufEntry;
+
+/// Gate-record marker of a head an adapter has classified (adapters own the
+/// route-cache slots of the wires they consume): a unicast or table-routed
+/// packet, with the VC index on the adapter's output wire alongside.
+const RC_UNICAST: u8 = 0xFE;
+/// Gate-record marker of a multicast copy arriving to be replicated.
+const RC_MULTICAST: u8 = 0xFD;
+
+/// The four wires of one channel adapter.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChanWires {
+    /// From the router into this adapter (outbound direction).
+    pub(crate) from_router: usize,
+    /// From this adapter into the router (inbound direction).
+    pub(crate) to_router: usize,
+    /// The torus wire this adapter transmits on.
+    pub(crate) torus_out: usize,
+    /// The torus wire this adapter receives on.
+    pub(crate) torus_in: usize,
+}
+
+#[derive(Debug)]
+struct ChanState {
+    node: NodeId,
+    chan: ChanId,
+    wires: ChanWires,
+    /// Serializer token bucket (gains [`TORUS_TOKEN_GAIN`]/cycle, a flit
+    /// costs [`TORUS_TOKEN_COST`]); accrued lazily since `tokens_at`.
+    tokens: i64,
+    /// Cycle at which `tokens` was last brought up to date.
+    tokens_at: u64,
+    /// Whether the outgoing torus hop crosses its dimension's dateline — a
+    /// static property of the link (Section 2.5).
+    crosses_dateline: bool,
+    /// The node at the far end of the outgoing torus link: where a
+    /// table-routed packet stands once the serializer has sent it.
+    next_node: NodeId,
+    /// Multicast copies awaiting on-chip injection: one arrival's fan-out
+    /// at a time (nothing else is taken off the torus wire while it
+    /// drains), so the queue is bounded by the largest table entry.
+    repl: VecDeque<PacketId>,
+    /// VC arbiter of the outbound serializer (per Section 3, every
+    /// arbitration point can be inverse-weighted).
+    out_arbiter: BitsetArbiter,
+    rr_vc_in: u8,
+    to_router_busy_until: u64,
+}
+
+/// Every channel adapter of one simulator instance (see the
+/// [module docs](self)).
+#[derive(Debug)]
+pub(crate) struct Adapters {
+    chans: Vec<ChanState>,
+}
+
+impl Adapters {
+    /// An empty layer with room for `n` adapters; [`Adapters::push`] adds
+    /// them.
+    pub(crate) fn new(n: usize) -> Adapters {
+        Adapters {
+            chans: Vec::with_capacity(n),
+        }
+    }
+
+    /// Adds the adapter of `node`'s channel `chan` (in index order: node-
+    /// major, [`ChanId::all`] within a node), whose torus wires carry
+    /// `torus_lanes` VC indices; returns its index.
+    pub(crate) fn push(
+        &mut self,
+        shape: &TorusShape,
+        node: NodeId,
+        chan: ChanId,
+        wires: ChanWires,
+        torus_lanes: usize,
+    ) -> usize {
+        let coord = shape.coord(node);
+        self.chans.push(ChanState {
+            node,
+            chan,
+            wires,
+            tokens: i64::from(TORUS_TOKEN_COST),
+            tokens_at: 0,
+            crosses_dateline: shape.hop_crosses_dateline(coord, chan.dir),
+            next_node: shape.id(shape.neighbor(coord, chan.dir)),
+            repl: VecDeque::new(),
+            out_arbiter: BitsetArbiter::round_robin(torus_lanes),
+            rr_vc_in: 0,
+            to_router_busy_until: 0,
+        });
+        self.chans.len() - 1
+    }
+
+    /// Whether no adapter holds a multicast copy awaiting injection.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.chans.iter().all(|c| c.repl.is_empty())
+    }
+
+    /// The serializer VC arbiter of adapter `chan_idx` on `node`, for
+    /// installing a weight program.
+    pub(crate) fn arbiter_mut(&mut self, node: NodeId, chan_idx: usize) -> &mut BitsetArbiter {
+        &mut self.chans[node.0 as usize * NUM_CHAN_ADAPTERS + chan_idx].out_arbiter
+    }
+
+    /// One wake of adapter `cidx`: the inbound half, then the outbound.
+    #[inline]
+    pub(crate) fn step(&mut self, cidx: usize, fab: &mut Fabric, ctx: &Ctx<'_>) {
+        let c = &mut self.chans[cidx];
+        let me = CompRef::Chan(cidx as u32);
+        c.inbound_step(me, fab, ctx);
+        c.outbound_step(me, fab, ctx);
+    }
+
+    /// Adapter `cidx`'s outgoing link just went `Down`: tear down its
+    /// go-back-N session, restore the credits its undelivered flits held,
+    /// and recover the stranded packets — unicast traffic reroutes over the
+    /// epoch's certified table; multicast copies (which have no table to
+    /// follow) re-enter the shim, which re-delivers them once the outage
+    /// clears.
+    pub(crate) fn link_onset(&mut self, cidx: usize, fab: &mut Fabric) {
+        let c = &self.chans[cidx];
+        let packets = &fab.packets;
+        let stranded = fab.wires.drain_link(fab.now, c.wires.torus_out, |entry| {
+            !packets.get(entry.pkt).route.is_unicast()
+        });
+        for entry in stranded {
+            fab.reroute(c.node, entry.pkt);
+        }
+        fab.drain_link_events();
+        fab.wheels
+            .wake(CompRef::Chan(cidx as u32), fab.now, fab.now);
+    }
+}
+
+impl ChanState {
+    /// Sends `pid` on the adapter-to-router link if it has credits; the
+    /// promotion staged for past the entry link (if any) applies the
+    /// instant the send completes.
+    fn send_to_router(
+        &mut self,
+        me: CompRef,
+        fab: &mut Fabric,
+        ctx: &Ctx<'_>,
+        pid: PacketId,
+    ) -> bool {
+        let wire = self.wires.to_router;
+        let Some(until) = fab.send_into_mesh(ctx, me, wire, LinkGroup::T, pid) else {
+            return false;
+        };
+        self.to_router_busy_until = until;
+        let st = fab.packets.get_mut(pid);
+        if let Some(promoted) = st.pending_vc.take() {
+            let from = st.vc.vc_for(LinkGroup::T).0;
+            st.vc = promoted;
+            let to = promoted.vc_for(LinkGroup::T).0;
+            fab.event(wire, pid, TraceEventKind::VcPromotion { from, to });
+        }
+        true
+    }
+
+    #[inline]
+    fn inbound_step(&mut self, me: CompRef, fab: &mut Fabric, ctx: &Ctx<'_>) {
+        let now = fab.now;
+        let (wire_id, to_router) = (self.wires.torus_in, self.wires.to_router);
+        if self.to_router_busy_until > now {
+            // Ready arrivals are waiting out a transfer already on the
+            // adapter-to-router link.
+            fab.stall_all_ready(wire_id, StallCause::OutputBusy, None);
+            return;
+        }
+        // Drain pending multicast copies first.
+        if let Some(&pid) = self.repl.front() {
+            if self.send_to_router(me, fab, ctx, pid) {
+                self.repl.pop_front();
+                // The copy took the adapter-to-router link; ready arrivals
+                // behind it wait out the transfer.
+                fab.stall_all_ready(wire_id, StallCause::OutputBusy, None);
+            } else {
+                // The copy at the replication queue's head is itself
+                // credit-starved, and it holds up every arrival behind it.
+                fab.stall_all_ready(wire_id, StallCause::NoCredit, Some(to_router));
+            }
+            return;
+        }
+        if fab.wires.occupied(wire_id) == 0 {
+            return;
+        }
+        let nvcs = fab.wires.num_vcs(wire_id);
+        let start = self.rr_vc_in;
+        for k in 0..nvcs {
+            let v = (start + k) % nvcs;
+            if fab.wires.occupied(wire_id) >> v & 1 == 0 {
+                continue;
+            }
+            let m = fab.wires.gate(wire_id, v);
+            if u64::from(m.ready) > now {
+                continue;
+            }
+            // Arrival classification, cached in the head's gate record so
+            // blocked heads never touch the packet slab. The classification
+            // and VC are stable while the head is parked — packet VC state
+            // only advances when the packet moves.
+            let (kind, cvcidx) = if m.rc_port == 0xFF {
+                let st = fab.packets.get(fab.wires.head(wire_id, v).pkt);
+                let (kind, cvcidx) = match st.route {
+                    RouteProgress::Unicast { .. } | RouteProgress::Table { .. } => {
+                        let vc = st.vc.vc_for(LinkGroup::T);
+                        let cvcidx = fab.wires.vc_index(to_router, st.packet.class, vc);
+                        (RC_UNICAST, cvcidx)
+                    }
+                    RouteProgress::McExit { .. } => (RC_MULTICAST, 0),
+                    RouteProgress::McDeliver { .. } => {
+                        unreachable!("deliver copies never cross torus links")
+                    }
+                };
+                fab.wires.cache_route(wire_id, v, kind, cvcidx);
+                (kind, cvcidx)
+            } else {
+                (m.rc_port, m.rc_vcidx)
+            };
+            if kind == RC_UNICAST {
+                if !fab.wires.can_send(to_router, cvcidx, m.flits) {
+                    fab.stall(wire_id, v, StallCause::NoCredit, Some(to_router));
+                    continue;
+                }
+                let pid = fab.pop(wire_id, v).pkt;
+                // Entry link uses the arriving T-phase VC; promotion
+                // (if the dimension finished) applies past it.
+                stage_unicast_arrival(fab, pid);
+                let sent = self.send_to_router(me, fab, ctx, pid);
+                debug_assert!(sent, "send checked above");
+            } else {
+                // A multicast copy: replace it by its fan-out at this node.
+                let pid = fab.pop(wire_id, v).pkt;
+                let parent = fab.packets.remove(pid);
+                let arrived = parent
+                    .arrived_via
+                    .expect("multicast copy arrived via torus");
+                let arrival = Some((arrived, parent.vc, parent.torus_hops));
+                let (pkt, at) = (&parent.packet, parent.injected_at);
+                let copies = fab.expand_multicast_at(ctx, self.node, pkt, at, arrival);
+                self.repl.extend(copies);
+                if let Some(&head) = self.repl.front() {
+                    if self.send_to_router(me, fab, ctx, head) {
+                        self.repl.pop_front();
+                    }
+                }
+                fab.wheels.wake(me, now + 1, now);
+            }
+            self.rr_vc_in = (v + 1) % nvcs;
+            return;
+        }
+    }
+
+    #[inline]
+    fn outbound_step(&mut self, me: CompRef, fab: &mut Fabric, ctx: &Ctx<'_>) {
+        let now = fab.now;
+        let gain = i64::from(TORUS_TOKEN_GAIN);
+        let cost = i64::from(TORUS_TOKEN_COST);
+        // Accumulate bandwidth tokens (lazily, since the adapter sleeps when
+        // idle), keeping the fractional remainder so the long-run rate is
+        // exactly 14/45 flits per cycle; the cap only bounds idle
+        // accumulation (at most one extra closely-spaced flit after idle).
+        let elapsed = (now - self.tokens_at) as i64;
+        self.tokens = (self.tokens + gain * elapsed).min(cost + gain - 1);
+        self.tokens_at = now;
+        let (in_wire, out_wire) = (self.wires.from_router, self.wires.torus_out);
+        let crosses = self.crosses_dateline;
+        if fab.wires.occupied(in_wire) == 0 {
+            return;
+        }
+        if fab.link_down_now(self.node, self.chan) {
+            self.absorb_at_down_serializer(me, fab);
+            return;
+        }
+        if self.tokens < cost {
+            // Ready heads wait out the token-bucket refill.
+            fab.stall_all_ready(in_wire, StallCause::SerializerBusy, None);
+            // Sleep until the bucket refills.
+            let deficit = cost - self.tokens;
+            let refill = (deficit + gain - 1) / gain;
+            fab.wheels.wake(me, now + refill as u64, now);
+            return;
+        }
+        // The requesting VC set — heads that are ready and whose
+        // post-dateline torus VC has credits — from which the serializer's
+        // VC arbiter picks branchlessly (with inverse weights installed,
+        // this is an EoS arbitration point). The torus-lane index is
+        // computed once per head and cached in its gate record (packet VC
+        // state is stable while the head is parked), so blocked heads
+        // re-gate without slab loads.
+        let req = fab.gather_requests(
+            in_wire,
+            |fab, e| {
+                let st = fab.packets.get(e.pkt);
+                // VC on the torus link after a possible dateline promotion.
+                let mut vc_after = st.vc;
+                let tvc = vc_after.torus_hop(crosses);
+                let lane = fab.wires.vc_index(out_wire, st.packet.class, tvc);
+                (RC_UNICAST, lane)
+            },
+            |_| Some(out_wire),
+        );
+        if req == 0 {
+            return;
+        }
+        let v = {
+            let (gate, heads) = fab.wires.rows(in_wire);
+            self.out_arbiter
+                .pick_mask(
+                    req,
+                    |i| gate[i as usize].pattern,
+                    |i| u64::from(heads[i as usize].age),
+                )
+                .expect("nonempty requests yield a grant") as u8
+        };
+        // The winner's torus lane, as the gather cached it.
+        let lane = fab.wires.gate(in_wire, v).rc_vcidx;
+        let mut entry = fab.pop(in_wire, v);
+        let pid = entry.pkt;
+        fab.grant(GrantSite::Serializer, out_wire, pid, req, v, |l| {
+            (in_wire, l)
+        });
+        // The stamped route context describes the chip being left; the next
+        // chip's channel adapter re-stamps on mesh entry.
+        entry.target = 0xFF;
+        entry.meta &= BufEntry::REPLY;
+        let dir = self.chan.dir;
+        let st = fab.packets.get_mut(pid);
+        let from_tvc = st.vc.vc_for(LinkGroup::T).0;
+        let to_tvc = st.vc.torus_hop(crosses).0;
+        st.torus_hops += 1;
+        st.arrived_via = Some(dir);
+        match &mut st.route {
+            RouteProgress::Unicast { spec, .. } => {
+                spec.take_hop(dir);
+            }
+            RouteProgress::Table { cur, .. } => *cur = self.next_node,
+            _ => {}
+        }
+        if crosses && from_tvc != to_tvc {
+            let kind = TraceEventKind::VcPromotion {
+                from: from_tvc,
+                to: to_tvc,
+            };
+            fab.event(out_wire, pid, kind);
+        }
+        fab.send(ctx, out_wire, entry, lane);
+        self.tokens -= cost * i64::from(entry.flits);
+        // More traffic may be waiting: wake at the next refill.
+        let deficit = (cost - self.tokens).max(gain);
+        let refill = (deficit + gain - 1) / gain;
+        fab.wheels.wake(me, now + refill as u64, now);
+    }
+
+    /// The serializer of a down link absorbs its queue instead of feeding
+    /// the dead channel: every rerouteable head is pulled off the adapter's
+    /// inbound wire and re-entered at this node over the certified table.
+    /// Multicast copies stay queued (they have no table) and resume when
+    /// the link comes back.
+    fn absorb_at_down_serializer(&mut self, me: CompRef, fab: &mut Fabric) {
+        let now = fab.now;
+        let in_wire = self.wires.from_router;
+        for v in 0..fab.wires.num_vcs(in_wire) {
+            while let Some(entry) = fab.wires.ready_head(now, in_wire, v) {
+                let pid = entry.pkt;
+                if !fab.packets.get(pid).route.is_unicast() {
+                    break;
+                }
+                fab.pop(in_wire, v);
+                fab.reroute(self.node, pid);
+            }
+        }
+        if fab.wires.occupied(in_wire) != 0 {
+            // Whatever is left is parked at a dead serializer: multicast
+            // copies (no reroute table) waiting out the outage, or heads
+            // still maturing. Poll again next cycle.
+            fab.stall_all_ready(in_wire, StallCause::DeadLinkDrain, None);
+            fab.wheels.wake(me, now + 1, now);
+        }
+    }
+}
+
+/// Stages the node-entry VC transitions of an arriving unicast packet: if
+/// its dimension finished, the promoted state (out of the T phase, and into
+/// the next dimension if one remains) applies after the entry link. The
+/// dimension run ends when the next hop (or ejection) departs from the
+/// arriving dimension — the grouping the certifier's witness-route model
+/// uses, and for a spec-routed packet the same as its offset in the
+/// arriving dimension reaching zero.
+fn stage_unicast_arrival(fab: &mut Fabric, pid: PacketId) {
+    let st = fab.packets.get(pid);
+    let arrived = st
+        .arrived_via
+        .expect("arrival transition outside torus arrival");
+    let next = fab.next_hop(&st.route);
+    if next.map(|d| d.dim) != Some(arrived.dim) {
+        let st = fab.packets.get_mut(pid);
+        let mut promoted = st.vc;
+        promoted.end_dim();
+        if next.is_some() {
+            promoted.begin_dim();
+        }
+        st.pending_vc = Some(promoted);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use anton_core::chip::LocalEndpointId;
+    use anton_core::config::{GlobalEndpoint, MachineConfig};
+    use anton_core::multicast::McGroupId;
+    use anton_core::packet::{Packet, Payload};
+    use anton_core::routing::{DimOrder, RouteSpec};
+    use anton_core::topology::{Dim, NodeCoord, Sign, Slice, TorusDir};
+    use anton_core::vc::Vc;
+
+    use super::*;
+    use crate::fabric::testkit;
+    use crate::params::{SimParams, ADAPTER_PIPELINE, ROUTER_PIPELINE};
+    use crate::state::PacketState;
+
+    const WIRES: ChanWires = ChanWires {
+        from_router: 0,
+        to_router: 1,
+        torus_out: 2,
+        torus_in: 3,
+    };
+    const X_PLUS: TorusDir = TorusDir {
+        dim: Dim::X,
+        sign: Sign::Plus,
+    };
+
+    /// One channel adapter — the X− adapter of node (1, 0, 0) of a 4×4×4
+    /// machine, so the one an X+ hop from node 0 arrives at, and its own
+    /// hops never cross a dateline — with hand-built ideal wires on its
+    /// four sides. The test plays the router and both torus neighbours.
+    struct Rig {
+        cfg: MachineConfig,
+        params: SimParams,
+        fab: Fabric,
+        adapters: Adapters,
+    }
+
+    impl Rig {
+        fn new() -> Rig {
+            let cfg = MachineConfig::new(TorusShape::cube(4));
+            let params = SimParams::default();
+            let vcs = cfg.vc_policy.num_vcs(LinkGroup::T);
+            let (me, other) = (CompRef::Chan(0), CompRef::Ep(0));
+            let wires = vec![
+                testkit::wire(0, (1, ADAPTER_PIPELINE - 1), (vcs, 8), me, other),
+                testkit::wire(1, (1, ROUTER_PIPELINE - 1), (vcs, 8), other, me),
+                testkit::wire(2, (1, 0), (vcs, 8), other, me),
+                testkit::wire(3, (1, ADAPTER_PIPELINE - 1), (vcs, 8), me, other),
+            ];
+            let fab = testkit::fabric(wires, [0, 1, 1], &params);
+            let node = cfg.shape.id(NodeCoord::new(1, 0, 0));
+            let chan = ChanId {
+                dir: X_PLUS.opposite(),
+                slice: Slice(0),
+            };
+            let mut adapters = Adapters::new(1);
+            adapters.push(&cfg.shape, node, chan, WIRES, 2 * usize::from(vcs));
+            Rig {
+                cfg,
+                params,
+                fab,
+                adapters,
+            }
+        }
+
+        /// Sends `entry` on `wire` through the fabric's one send path.
+        fn send(&mut self, wire: usize, entry: BufEntry, vcidx: u8) {
+            let ctx = Ctx::new(&self.cfg, &self.params, false);
+            self.fab.send(&ctx, wire, entry, vcidx);
+        }
+
+        /// One cycle: opens it, steps the adapter if it was woken, runs
+        /// `after` (the test's neighbours), closes it.
+        fn cycle(&mut self, after: impl FnOnce(&mut Rig)) {
+            if !testkit::open_cycle(&mut self.fab)[1].is_empty() {
+                let ctx = Ctx::new(&self.cfg, &self.params, false);
+                self.adapters.step(0, &mut self.fab, &ctx);
+            }
+            after(self);
+            testkit::close_cycle(&mut self.fab);
+        }
+
+        /// A multicast copy bound for this adapter's torus link, sent into
+        /// the adapter from the router side on VC index `vcidx` if that VC
+        /// has room.
+        fn feed_outbound(&mut self, vcidx: u8) {
+            if !self.fab.wires.can_send(WIRES.from_router, vcidx, 1) {
+                return;
+            }
+            let ep = GlobalEndpoint {
+                node: NodeId(0),
+                ep: LocalEndpointId(0),
+            };
+            let route = RouteProgress::McExit {
+                group: McGroupId(0),
+                tree: 0,
+                dir: X_PLUS.opposite(),
+                slice: Slice(0),
+            };
+            let mut vc = self.cfg.vc_policy.start();
+            vc.begin_dim();
+            let packet = Packet::write(ep, ep, Payload::zeros(16));
+            let state = PacketState::new(packet, route, vc, self.fab.now, false);
+            let pid = self.fab.packets.insert(state);
+            let ctx = Ctx::new(&self.cfg, &self.params, false);
+            let entry = self.fab.packet_entry(pid);
+            self.fab.send(&ctx, WIRES.from_router, entry, vcidx);
+        }
+
+        /// Pops every ready head of `wire`, as the component at its far end
+        /// would, retiring the packets; returns them in VC order.
+        fn drain(&mut self, wire: usize) -> Vec<(u8, BufEntry)> {
+            let mut out = Vec::new();
+            for v in 0..self.fab.wires.num_vcs(wire) {
+                if self.fab.wires.ready_head(self.fab.now, wire, v).is_some() {
+                    let entry = self.fab.pop(wire, v);
+                    out.push((v, entry));
+                }
+            }
+            out
+        }
+    }
+
+    /// Runs `cycles` cycles under a router side that always has a ready
+    /// head on two VCs and a far end that drains at once, appending the
+    /// flits the torus wire has carried by the end of each.
+    fn saturate(rig: &mut Rig, carried: &mut Vec<u64>, cycles: u64) {
+        for _ in 0..cycles {
+            rig.cycle(|rig| {
+                rig.feed_outbound(0);
+                rig.feed_outbound(5);
+                for (_, e) in rig.drain(WIRES.torus_out) {
+                    rig.fab.packets.remove(e.pkt);
+                }
+            });
+            carried.push(rig.fab.wires.flits_carried(WIRES.torus_out));
+        }
+    }
+
+    #[test]
+    fn the_serializer_sends_exactly_14_flits_every_45_cycles() {
+        let mut rig = Rig::new();
+        let (gain, cost) = (u64::from(TORUS_TOKEN_GAIN), u64::from(TORUS_TOKEN_COST));
+        // Flits on the torus wire by the end of each cycle.
+        let mut carried = Vec::new();
+        saturate(&mut rig, &mut carried, 20 + 20 * cost);
+        for start in 20..20 + cost as usize {
+            for periods in [1, 7, 19] {
+                let sent = carried[start + periods * cost as usize] - carried[start];
+                assert_eq!(sent, periods as u64 * gain, "window at {start}");
+            }
+        }
+        // Left idle, the bucket fills no further than one flit and change,
+        // so traffic resuming after an idle spell gets no burst.
+        let idle_from = carried.len();
+        for _ in 0..500 {
+            rig.cycle(|rig| {
+                for (_, e) in rig.drain(WIRES.torus_out) {
+                    rig.fab.packets.remove(e.pkt);
+                }
+            });
+            carried.push(rig.fab.wires.flits_carried(WIRES.torus_out));
+        }
+        assert_eq!(
+            carried[idle_from + 60],
+            carried[idle_from + 499],
+            "the queue ran dry"
+        );
+        let resumed = carried.len();
+        saturate(&mut rig, &mut carried, 4 * cost);
+        let sends: Vec<usize> = (resumed..carried.len())
+            .filter(|&c| carried[c] > carried[c - 1])
+            .collect();
+        assert_eq!(
+            sends[1] - sends[0],
+            3,
+            "the idle bucket holds one flit and change: the next waits for a refill"
+        );
+        let window = cost as usize;
+        assert!(carried
+            .windows(window + 1)
+            .all(|w| w[window] - w[0] <= gain + 1));
+        let settled = sends[0] + window;
+        assert_eq!(carried[settled + window] - carried[settled], gain);
+    }
+
+    /// A unicast packet that left node 0 on X+ for endpoint 0 of `dst`, as
+    /// it stands while crossing the torus link into this adapter.
+    fn arriving(rig: &mut Rig, dst: NodeCoord) -> PacketId {
+        let shape = &rig.cfg.shape;
+        let at = |c| GlobalEndpoint {
+            node: shape.id(c),
+            ep: LocalEndpointId(0),
+        };
+        let (src, dst_ep) = (at(NodeCoord::new(0, 0, 0)), at(dst));
+        let mut spec =
+            RouteSpec::deterministic(shape, NodeCoord::new(0, 0, 0), dst, DimOrder::XYZ, Slice(0));
+        spec.take_hop(X_PLUS);
+        let mut vc = rig.cfg.vc_policy.start();
+        vc.begin_dim();
+        vc.torus_hop(false);
+        let packet = Packet::write(src, dst_ep, Payload::zeros(16));
+        let route = RouteProgress::Unicast { spec, dst: dst_ep };
+        let state = PacketState {
+            arrived_via: Some(X_PLUS),
+            torus_hops: 1,
+            ..PacketState::new(packet, route, vc, 0, false)
+        };
+        rig.fab.packets.insert(state)
+    }
+
+    #[test]
+    fn inbound_takes_vcs_in_turn_and_promotes_past_the_entry_link() {
+        let mut rig = Rig::new();
+        // Two packets on torus VC 1 and one on VC 2, all ready together;
+        // each turns from X into Y at this node, so its X dimension is done.
+        let turn = NodeCoord::new(1, 1, 0);
+        let [a, c, b] = [1, 1, 2].map(|vcidx| {
+            let pid = arriving(&mut rig, turn);
+            // Straight onto the wire: the far serializer's send carries no
+            // chip stamp (it is re-stamped here, on mesh entry).
+            let entry = BufEntry {
+                pkt: pid,
+                flits: 1,
+                ..BufEntry::EMPTY
+            };
+            rig.send(WIRES.torus_in, entry, vcidx);
+            pid
+        });
+        let mut entered = Vec::new();
+        for _ in 0..12 {
+            rig.cycle(|rig| entered.extend(rig.drain(WIRES.to_router)));
+        }
+        // The pointer moved past VC 1 after serving it: `b` on VC 2 goes
+        // before the second packet of VC 1.
+        let order: Vec<PacketId> = entered.iter().map(|(_, e)| e.pkt).collect();
+        assert_eq!(order, [a, b, c]);
+        for (vcidx, e) in entered {
+            // The entry link was crossed on the arriving T-phase VC...
+            let arriving_vc = rig.fab.wires.vc_index(WIRES.to_router, e.class(), Vc(0));
+            assert_eq!(vcidx, arriving_vc);
+            // ...and the promoted state — out of X (M VC 1), into Y (T VC
+            // 1) — holds from the router on: in the stamp and in the slab.
+            assert_eq!((e.meta & 7, e.meta >> 3 & 7), (1, 1));
+            let st = rig.fab.packets.get(e.pkt);
+            assert_eq!(st.pending_vc, None);
+            assert_eq!(
+                (st.vc.vc_for(LinkGroup::M), st.vc.vc_for(LinkGroup::T)),
+                (Vc(1), Vc(1))
+            );
+        }
+    }
+}

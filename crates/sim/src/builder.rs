@@ -7,14 +7,21 @@
 //! rejection carries a stable `AVnnn` diagnostic code instead of a panic
 //! deep inside construction.
 //!
+//! Everything [`SimParams`] holds is set through
+//! [`params`](SimBuilder::params), with struct-update syntax over the
+//! defaults:
+//!
 //! ```
 //! use anton_core::topology::TorusShape;
-//! use anton_sim::Sim;
+//! use anton_sim::{Sim, SimParams};
 //!
 //! let sim = Sim::builder()
 //!     .shape(TorusShape::cube(2))
-//!     .seed(7)
-//!     .metrics(true)
+//!     .params(SimParams {
+//!         seed: 7,
+//!         collect_metrics: true,
+//!         ..SimParams::default()
+//!     })
 //!     .build();
 //! assert_eq!(sim.now(), 0);
 //! ```
@@ -31,9 +38,8 @@ use anton_arbiter::ArbiterKind;
 use anton_core::config::MachineConfig;
 use anton_core::pattern::TrafficPattern;
 use anton_core::topology::TorusShape;
-use anton_fault::FaultSchedule;
 
-use crate::params::{PreflightMode, SimParams, TraceConfig};
+use crate::params::{PreflightMode, SimParams};
 use crate::shard::ShardedSim;
 use crate::sim::Sim;
 
@@ -82,8 +88,8 @@ impl SimBuilder {
         self
     }
 
-    /// Wholesale parameter replacement; later fluent overrides still
-    /// apply on top.
+    /// Simulation parameters, wholesale; [`arbiter`](SimBuilder::arbiter)
+    /// and [`shards`](SimBuilder::shards) called later still apply on top.
     pub fn params(mut self, params: SimParams) -> SimBuilder {
         self.params = params;
         self
@@ -102,56 +108,6 @@ impl SimBuilder {
     /// with other arbiters the patterns are unused.
     pub fn traffic(mut self, pattern: Box<dyn TrafficPattern>) -> SimBuilder {
         self.traffic.push(pattern);
-        self
-    }
-
-    /// Base seed of the derived per-endpoint route-randomization streams.
-    pub fn seed(mut self, seed: u64) -> SimBuilder {
-        self.params.seed = seed;
-        self
-    }
-
-    /// Router input buffer depth per VC (flits).
-    pub fn buffer_depth(mut self, flits: u8) -> SimBuilder {
-        self.params.buffer_depth = flits;
-        self
-    }
-
-    /// Collect per-link-class utilization and VC occupancy histograms.
-    pub fn metrics(mut self, on: bool) -> SimBuilder {
-        self.params.collect_metrics = on;
-        self
-    }
-
-    /// Track per-router energy counters.
-    pub fn energy(mut self, on: bool) -> SimBuilder {
-        self.params.track_energy = on;
-        self
-    }
-
-    /// Idle cycles before the deadlock watchdog trips.
-    pub fn watchdog(mut self, cycles: u64) -> SimBuilder {
-        self.params.watchdog_cycles = cycles;
-        self
-    }
-
-    /// Install a link-fault schedule (lossy go-back-N shims on every torus
-    /// wire).
-    pub fn fault(mut self, schedule: FaultSchedule) -> SimBuilder {
-        self.params.fault = Some(schedule);
-        self
-    }
-
-    /// Observability configuration: flight recorder, time-series sampler,
-    /// profiler.
-    pub fn trace(mut self, trace: TraceConfig) -> SimBuilder {
-        self.params.trace = trace;
-        self
-    }
-
-    /// Static pre-flight verification policy.
-    pub fn preflight(mut self, mode: PreflightMode) -> SimBuilder {
-        self.params.preflight = mode;
         self
     }
 

@@ -1,0 +1,566 @@
+//! The endpoint-adapter layer: where packets enter and leave the network.
+//!
+//! An endpoint adapter serves two of a cycle's five phases from the one
+//! snapshot of woken endpoints: *inject* (phase 1) moves the head of its
+//! software queue, or the next copy of a multicast it is fanning out, onto
+//! its link into the mesh; *receive* (phase 4) drains its link from the
+//! mesh and counts counted writes down. [`Endpoints`] owns the adapters'
+//! private state and the handler heap; the rest is the [`Fabric`]'s.
+
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use anton_core::chip::{LinkGroup, LocalEndpointId};
+use anton_core::config::GlobalEndpoint;
+use anton_core::packet::{CounterId, Destination, Packet};
+use anton_core::routing::{DimOrder, RouteSpec};
+use anton_core::topology::NodeId;
+use anton_core::vc::Vc;
+use anton_obs::TraceEventKind;
+
+use crate::fabric::{CompRef, Ctx, Fabric, Reroute};
+use crate::sim::{Delivery, PacketDelivery};
+use crate::state::{PacketId, PacketState, RouteProgress};
+
+#[derive(Debug)]
+struct EpState {
+    node: NodeId,
+    ep: LocalEndpointId,
+    to_router: usize,
+    from_router: usize,
+    inject: VecDeque<InjectCmd>,
+    /// Copies of the multicast being fanned out, awaiting injection: one
+    /// packet's fan-out at a time (the software queue waits while it
+    /// drains), so the queue is bounded by the largest table entry.
+    repl: VecDeque<PacketId>,
+    /// Armed counted-write counters, keyed by counter id. Endpoints hold a
+    /// handful at a time, so a linear scan beats hashing.
+    counters: Vec<(u16, u32)>,
+    busy_until: u64,
+    /// Route-randomization stream of this endpoint, derived from the base
+    /// seed and the endpoint's dense index
+    /// ([`anton_core::seed::derive_stream_seed`]). Per-endpoint streams make
+    /// the draw sequence independent of which other endpoints inject, so a
+    /// sharded run reproduces the serial draws exactly.
+    rng: StdRng,
+}
+
+/// A queued injection: routing is either randomized (the normal oblivious
+/// policy), fixed to an explicit route spec (tests and controlled
+/// experiments), or a fault-time re-entry over the installed degraded
+/// tables.
+#[derive(Debug, Clone, Copy)]
+enum InjectCmd {
+    Auto(Packet),
+    WithSpec(Packet, RouteSpec),
+    Reroute(Reroute),
+}
+
+impl InjectCmd {
+    fn packet(&self) -> &Packet {
+        match self {
+            InjectCmd::Auto(p)
+            | InjectCmd::WithSpec(p, _)
+            | InjectCmd::Reroute(Reroute { packet: p, .. }) => p,
+        }
+    }
+}
+
+/// Every endpoint adapter of one simulator instance (see the
+/// [module docs](self)).
+#[derive(Debug)]
+pub(crate) struct Endpoints {
+    eps: Vec<EpState>,
+    /// Software handlers due to fire, as `(cycle, endpoint, counter)`.
+    handler_heap: BinaryHeap<Reverse<(u64, u32, u16)>>,
+    /// Base seed of the per-endpoint route-randomization streams.
+    seed: u64,
+}
+
+impl Endpoints {
+    /// An empty layer with room for `n` endpoints, which derive their
+    /// route-randomization streams from `seed`; [`Endpoints::push`] adds
+    /// them in index order.
+    pub(crate) fn new(seed: u64, n: usize) -> Endpoints {
+        Endpoints {
+            eps: Vec::with_capacity(n),
+            handler_heap: BinaryHeap::new(),
+            seed,
+        }
+    }
+
+    /// Adds endpoint adapter `ep` of `node` (in dense endpoint-index
+    /// order), injecting on `to_router` and receiving on `from_router`;
+    /// returns its index.
+    pub(crate) fn push(
+        &mut self,
+        node: NodeId,
+        ep: LocalEndpointId,
+        to_router: usize,
+        from_router: usize,
+    ) -> usize {
+        let stream = anton_core::seed::derive_stream_seed(self.seed, self.eps.len() as u64);
+        self.eps.push(EpState {
+            node,
+            ep,
+            to_router,
+            from_router,
+            inject: VecDeque::new(),
+            repl: VecDeque::new(),
+            counters: Vec::new(),
+            busy_until: 0,
+            rng: StdRng::seed_from_u64(stream),
+        });
+        self.eps.len() - 1
+    }
+
+    /// Whether nothing waits in any endpoint: no queued injection, no
+    /// multicast copy, no handler due.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.handler_heap.is_empty()
+            && self
+                .eps
+                .iter()
+                .all(|e| e.inject.is_empty() && e.repl.is_empty())
+    }
+
+    /// Arms counter `counter` of endpoint `idx` to fire after `count` more
+    /// packets naming it (see [`Sim::set_counter`](crate::sim::Sim::set_counter)).
+    pub(crate) fn set_counter(&mut self, idx: usize, counter: CounterId, count: u32) {
+        let counters = &mut self.eps[idx].counters;
+        match counters.iter_mut().find(|(c, _)| *c == counter.0) {
+            Some(slot) => slot.1 = count,
+            None => counters.push((counter.0, count)),
+        }
+    }
+
+    /// Queues a packet at endpoint `idx`, on `spec` if one is given and a
+    /// randomized oblivious route if not, and wakes the endpoint for the
+    /// cycle in progress.
+    pub(crate) fn inject(
+        &mut self,
+        idx: usize,
+        packet: Packet,
+        spec: Option<RouteSpec>,
+        fab: &mut Fabric,
+    ) {
+        self.eps[idx].inject.push_back(match spec {
+            Some(spec) => InjectCmd::WithSpec(packet, spec),
+            None => InjectCmd::Auto(packet),
+        });
+        fab.wheels.wake(CompRef::Ep(idx as u32), fab.now, fab.now);
+    }
+
+    /// Number of packets still queued in endpoint `idx`'s software queue.
+    pub(crate) fn inject_queue_len(&self, idx: usize) -> usize {
+        self.eps[idx].inject.len()
+    }
+
+    /// Takes the fabric's reroute outbox: each packet joins the software
+    /// queue of endpoint 0 of its stranding node. The wake is for
+    /// `now + 1` — a reroute raised mid-cycle lands after the endpoint
+    /// snapshot was taken — but the command is queued *now*, so an endpoint
+    /// already awake this cycle sees, in its inject phase, a reroute raised
+    /// before it (the epoch tick's).
+    #[inline]
+    pub(crate) fn accept_reroutes(&mut self, fab: &mut Fabric, ctx: &Ctx<'_>) {
+        if fab.reroutes.is_empty() {
+            return;
+        }
+        let now = fab.now;
+        for r in fab.reroutes.drain(..) {
+            let eidx = r.node.0 as usize * ctx.cfg.endpoints_per_node();
+            self.eps[eidx].inject.push_back(InjectCmd::Reroute(r));
+            fab.wheels.wake(CompRef::Ep(eidx as u32), now + 1, now);
+        }
+    }
+
+    /// Reports the software handlers due by the cycle in progress.
+    pub(crate) fn fire_handlers(&mut self, fab: &mut Fabric) {
+        while let Some(&Reverse((t, ep_idx, counter))) = self.handler_heap.peek() {
+            if t > fab.now {
+                break;
+            }
+            self.handler_heap.pop();
+            let ep = &self.eps[ep_idx as usize];
+            fab.deliveries.push(Delivery::Handler {
+                ep: GlobalEndpoint {
+                    node: ep.node,
+                    ep: ep.ep,
+                },
+                counter: CounterId(counter),
+            });
+        }
+    }
+
+    /// The inject phase of endpoint `eidx`'s wake: one packet onto its link
+    /// into the mesh, if the adapter is free and the link has credits.
+    #[inline]
+    pub(crate) fn inject_step(&mut self, eidx: usize, fab: &mut Fabric, ctx: &Ctx<'_>) {
+        let now = fab.now;
+        let ep = &mut self.eps[eidx];
+        let me = CompRef::Ep(eidx as u32);
+        if ep.busy_until > now {
+            return;
+        }
+        // Pending multicast copies first.
+        if let Some(&pid) = ep.repl.front() {
+            ep.send_to_router(me, fab, ctx, pid);
+            return;
+        }
+        let Some(cmd) = ep.inject.front().copied() else {
+            return;
+        };
+        let pkt = *cmd.packet();
+        let node = ep.node;
+        let wire_id = ep.to_router;
+        match pkt.dst {
+            Destination::Unicast(dst) => {
+                // Injection always starts on M-group VC 0; check credits
+                // before drawing the randomized route.
+                let flits = pkt.num_flits() as u8;
+                let vcidx = fab.wires.vc_index(wire_id, pkt.class, Vc(0));
+                if !fab.wires.can_send(wire_id, vcidx, flits) {
+                    return;
+                }
+                let shape = &ctx.cfg.shape;
+                let (here, there) = (shape.coord(node), shape.coord(dst.node));
+                let (route, injected_at, torus_hops, fresh) = match cmd {
+                    InjectCmd::WithSpec(_, spec) => {
+                        (RouteProgress::Unicast { spec, dst }, now, 0, true)
+                    }
+                    InjectCmd::Auto(_) => {
+                        let spec = RouteSpec::randomized(shape, here, there, &mut ep.rng);
+                        let route = fab.unicast_route(shape, node, spec, dst, false);
+                        (route, now, 0, true)
+                    }
+                    InjectCmd::Reroute(r) => {
+                        let spec =
+                            RouteSpec::deterministic(shape, here, there, DimOrder::XYZ, r.slice);
+                        let route = fab.unicast_route(shape, node, spec, dst, true);
+                        (route, r.injected_at, r.torus_hops, false)
+                    }
+                };
+                let on_table = matches!(route, RouteProgress::Table { .. });
+                let mut vc = ctx.cfg.vc_policy.start();
+                if fab.next_hop(&route).is_some() {
+                    vc.begin_dim();
+                }
+                let pid = fab.packets.insert(PacketState {
+                    torus_hops,
+                    rerouted: !fresh || on_table,
+                    ..PacketState::new(pkt, route, vc, injected_at, ctx.record_routes)
+                });
+                fab.event(wire_id, pid, TraceEventKind::Inject);
+                let sent = ep.send_to_router(me, fab, ctx, pid);
+                debug_assert!(sent, "credits were checked");
+                ep.inject.pop_front();
+                if fresh {
+                    fab.stats.injected_packets += 1;
+                    // Drained packets were already counted when pulled off
+                    // the dead link; fresh injections steered onto the
+                    // tables by the down-link check count here.
+                    if on_table {
+                        fab.stats.rerouted_packets += 1;
+                    }
+                }
+            }
+            Destination::Multicast { .. } => {
+                let copies = fab.expand_multicast_at(ctx, node, &pkt, now, None);
+                ep.inject.pop_front();
+                fab.stats.injected_packets += 1;
+                for &pid in &copies {
+                    fab.event(wire_id, pid, TraceEventKind::Inject);
+                }
+                ep.repl.extend(copies);
+                if let Some(&pid) = ep.repl.front() {
+                    ep.send_to_router(me, fab, ctx, pid);
+                }
+            }
+        }
+    }
+
+    /// The receive phase of endpoint `eidx`'s wake: every ready head of its
+    /// link from the mesh is delivered.
+    #[inline]
+    pub(crate) fn recv_step(&mut self, eidx: usize, fab: &mut Fabric, ctx: &Ctx<'_>) {
+        let now = fab.now;
+        let ep = &mut self.eps[eidx];
+        let wire_id = ep.from_router;
+        let mut mask = fab.wires.occupied(wire_id);
+        while mask != 0 {
+            let v = mask.trailing_zeros() as u8;
+            mask &= mask - 1;
+            if fab.wires.ready_head(now, wire_id, v).is_none() {
+                continue;
+            }
+            let pid = fab.pop(wire_id, v).pkt;
+            let st = fab.packets.remove(pid);
+            fab.stats.delivered_packets += 1;
+            fab.stats.last_delivery_cycle = now;
+            fab.stats.recv_per_endpoint[eidx] += 1;
+            fab.event(wire_id, pid, TraceEventKind::Deliver);
+            if let Some(cid) = st.packet.counter {
+                if let Some(pos) = ep.counters.iter().position(|&(c, _)| c == cid.0) {
+                    let rem = &mut ep.counters[pos].1;
+                    *rem = rem.saturating_sub(1);
+                    if *rem == 0 {
+                        ep.counters.swap_remove(pos);
+                        let fire = now + ctx.params.latency.handler_dispatch_cycles();
+                        self.handler_heap.push(Reverse((fire, eidx as u32, cid.0)));
+                    }
+                }
+            }
+            fab.deliveries.push(Delivery::Packet(PacketDelivery {
+                src: st.packet.src,
+                dst: GlobalEndpoint {
+                    node: ep.node,
+                    ep: ep.ep,
+                },
+                pattern: st.packet.pattern.0,
+                counter: st.packet.counter,
+                injected_at: st.injected_at,
+                delivered_at: now,
+                torus_hops: st.torus_hops,
+                rerouted: st.rerouted,
+                route_log: st.route_log,
+            }));
+        }
+    }
+}
+
+impl EpState {
+    /// Sends `pid` on the endpoint-to-router link if it has credits, taking
+    /// it off the replication queue if it heads it.
+    fn send_to_router(
+        &mut self,
+        me: CompRef,
+        fab: &mut Fabric,
+        ctx: &Ctx<'_>,
+        pid: PacketId,
+    ) -> bool {
+        let Some(until) = fab.send_into_mesh(ctx, me, self.to_router, LinkGroup::M, pid) else {
+            return false;
+        };
+        self.busy_until = until;
+        if self.repl.front() == Some(&pid) {
+            self.repl.pop_front();
+        }
+        true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use anton_core::config::MachineConfig;
+    use anton_core::multicast::McGroupId;
+    use anton_core::packet::{Payload, MAX_PAYLOAD_BYTES};
+    use anton_core::routing::DimOrder;
+    use anton_core::topology::{NodeCoord, Slice, TorusShape};
+
+    use super::*;
+    use crate::fabric::testkit;
+    use crate::params::{SimParams, ROUTER_PIPELINE};
+
+    const TO_ROUTER: usize = 0;
+    const FROM_ROUTER: usize = 1;
+
+    /// Endpoint adapter 0 of node 0 of a 2×2×2 machine, with hand-built
+    /// ideal wires to and from its router; the test plays the router.
+    struct Rig {
+        cfg: MachineConfig,
+        params: SimParams,
+        fab: Fabric,
+        endpoints: Endpoints,
+    }
+
+    impl Rig {
+        fn new() -> Rig {
+            let cfg = MachineConfig::new(TorusShape::cube(2));
+            let params = SimParams::default();
+            let vcs = cfg.vc_policy.num_vcs(LinkGroup::M);
+            let (me, router) = (CompRef::Ep(0), CompRef::Router(0));
+            let wires = vec![
+                testkit::wire(0, (1, ROUTER_PIPELINE - 1), (vcs, 8), router, me),
+                testkit::wire(1, (1, 0), (vcs, 8), me, router),
+            ];
+            let fab = testkit::fabric(wires, [1, 0, 1], &params);
+            let mut endpoints = Endpoints::new(params.seed, 1);
+            endpoints.push(NodeId(0), LocalEndpointId(0), TO_ROUTER, FROM_ROUTER);
+            Rig {
+                cfg,
+                params,
+                fab,
+                endpoints,
+            }
+        }
+
+        fn at(&self, node: NodeCoord) -> GlobalEndpoint {
+            GlobalEndpoint {
+                node: self.cfg.shape.id(node),
+                ep: LocalEndpointId(0),
+            }
+        }
+
+        /// One cycle in the conductor's order — reroutes raised `before`
+        /// the phases (the epoch tick's), the wires phase, due handlers,
+        /// the inject phase, reroutes raised `between` (the adapters
+        /// phase's), the receive phase — with the endpoint stepped only if
+        /// it was woken. Returns whether it was.
+        fn cycle(
+            &mut self,
+            before: impl FnOnce(&mut Fabric),
+            between: impl FnOnce(&mut Fabric),
+        ) -> bool {
+            let ctx = Ctx::new(&self.cfg, &self.params, false);
+            before(&mut self.fab);
+            self.endpoints.accept_reroutes(&mut self.fab, &ctx);
+            let woken = !testkit::open_cycle(&mut self.fab)[2].is_empty();
+            self.endpoints.fire_handlers(&mut self.fab);
+            if woken {
+                self.endpoints.inject_step(0, &mut self.fab, &ctx);
+            }
+            between(&mut self.fab);
+            self.endpoints.accept_reroutes(&mut self.fab, &ctx);
+            if woken {
+                self.endpoints.recv_step(0, &mut self.fab, &ctx);
+            }
+            testkit::close_cycle(&mut self.fab);
+            woken
+        }
+
+        fn idle_cycle(&mut self) -> bool {
+            self.cycle(|_| {}, |_| {})
+        }
+    }
+
+    #[test]
+    fn injections_are_spaced_by_the_packets_flits() {
+        let mut rig = Rig::new();
+        let (src, dst) = (
+            rig.at(NodeCoord::new(0, 0, 0)),
+            rig.at(NodeCoord::new(1, 1, 0)),
+        );
+        for _ in 0..3 {
+            let packet = Packet::write(src, dst, Payload::zeros(MAX_PAYLOAD_BYTES));
+            rig.endpoints.inject(0, packet, None, &mut rig.fab);
+        }
+        // Two flits each: the adapter is held for two cycles per packet.
+        let carried: Vec<u64> = (0..6)
+            .map(|_| {
+                rig.idle_cycle();
+                rig.fab.wires.flits_carried(TO_ROUTER)
+            })
+            .collect();
+        assert_eq!(carried, [2, 2, 4, 4, 6, 6]);
+        assert_eq!(rig.endpoints.inject_queue_len(0), 0);
+        assert_eq!(rig.fab.stats.injected_packets, 3);
+    }
+
+    #[test]
+    fn a_counted_write_fires_its_handler_a_dispatch_after_the_last_packet() {
+        let mut rig = Rig::new();
+        let me = rig.at(NodeCoord::new(0, 0, 0));
+        let counter = CounterId(4);
+        rig.endpoints.set_counter(0, counter, 2);
+        // Two packets naming the counter, the second two cycles behind.
+        let send = |rig: &mut Rig| {
+            let mut packet = Packet::write(me, me, Payload::zeros(16));
+            packet.counter = Some(counter);
+            let route = RouteProgress::McDeliver {
+                group: McGroupId(0),
+                ep: me.ep,
+            };
+            let vc = rig.cfg.vc_policy.start();
+            let state = PacketState::new(packet, route, vc, rig.fab.now, false);
+            let pid = rig.fab.packets.insert(state);
+            let ctx = Ctx::new(&rig.cfg, &rig.params, false);
+            let entry = rig.fab.packet_entry(pid);
+            rig.fab.send(&ctx, FROM_ROUTER, entry, 0);
+        };
+        // Every delivery with the cycle it was reported in.
+        let mut seen = Vec::new();
+        let mut tick = |rig: &mut Rig| {
+            let cycle = rig.fab.now;
+            rig.idle_cycle();
+            for d in rig.fab.deliveries.drain(..) {
+                seen.push((cycle, matches!(d, Delivery::Handler { .. })));
+            }
+        };
+        send(&mut rig);
+        tick(&mut rig);
+        tick(&mut rig);
+        send(&mut rig);
+        let dispatch = rig.params.latency.handler_dispatch_cycles();
+        for _ in 0..dispatch + 8 {
+            tick(&mut rig);
+        }
+        // Sent at cycles 0 and 2 on a one-cycle wire: delivered at 1 and 3.
+        assert_eq!(seen, [(1, false), (3, false), (3 + dispatch, true)]);
+        assert!(rig.endpoints.is_idle());
+    }
+
+    #[test]
+    fn a_reroute_is_injected_the_cycle_its_phase_order_allows() {
+        for from_epoch_tick in [true, false] {
+            let mut rig = Rig::new();
+            let (src, dst) = (
+                rig.at(NodeCoord::new(1, 0, 0)),
+                rig.at(NodeCoord::new(0, 1, 0)),
+            );
+            // A unicast packet stranded at node 0, mid-journey.
+            let spec = RouteSpec::deterministic(
+                &rig.cfg.shape,
+                NodeCoord::new(0, 0, 0),
+                NodeCoord::new(0, 1, 0),
+                DimOrder::XYZ,
+                Slice(0),
+            );
+            let state = PacketState {
+                torus_hops: 1,
+                ..PacketState::new(
+                    Packet::write(src, dst, Payload::zeros(16)),
+                    RouteProgress::Unicast { spec, dst },
+                    rig.cfg.vc_policy.start(),
+                    0,
+                    false,
+                )
+            };
+            let pid = rig.fab.packets.insert(state);
+            for _ in 0..5 {
+                assert!(!rig.idle_cycle(), "nothing wakes an idle endpoint");
+            }
+            // The endpoint is awake this cycle for a reason of its own.
+            let now = rig.fab.now;
+            rig.fab.wheels.wake(CompRef::Ep(0), now, now);
+            let strand = |fab: &mut Fabric| fab.reroute(NodeId(0), pid);
+            let woken = if from_epoch_tick {
+                rig.cycle(strand, |_| {})
+            } else {
+                rig.cycle(|_| {}, strand)
+            };
+            assert!(woken);
+            assert_eq!(rig.fab.stats.rerouted_packets, 1);
+            // A link onset's reroute is raised before the inject phase and
+            // goes out in it; an absorbing serializer's is raised after it
+            // and waits for the next cycle, which its wake guarantees.
+            let sent_at_once = rig.fab.wires.flits_carried(TO_ROUTER) == 1;
+            assert_eq!(sent_at_once, from_epoch_tick);
+            assert_eq!(
+                rig.endpoints.inject_queue_len(0),
+                usize::from(!from_epoch_tick)
+            );
+            assert!(rig.idle_cycle(), "woken for the cycle after either way");
+            assert_eq!(rig.fab.wires.flits_carried(TO_ROUTER), 1);
+            assert_eq!(rig.endpoints.inject_queue_len(0), 0);
+            // Re-entered, not injected: it keeps its history.
+            assert_eq!(rig.fab.stats.injected_packets, 0);
+            let head = rig.fab.wires.head(TO_ROUTER, 0).pkt;
+            let st = rig.fab.packets.get(head);
+            assert_eq!((st.torus_hops, st.rerouted, st.injected_at), (1, true, 0));
+        }
+    }
+}

@@ -1,0 +1,1001 @@
+//! What every layer of the simulator acts on.
+//!
+//! The unified network is one credit-flow-controlled VC switch reused at
+//! three kinds of component, and the kernel has one struct per kind (`router`,
+//! `adapter`, `endpoint`), each owning its components' private state.
+//! Everything they share lives here, in one [`Fabric`]. A layer's `step`
+//! takes `&mut Fabric` beside its own `&mut self` and never names another
+//! layer; the single cross-layer write — a packet pulled off a failed link
+//! re-entering at an endpoint — goes through the [`Fabric::reroutes`] outbox,
+//! which the conductor (`Sim`) hands to the endpoints.
+//!
+//! The probe hooks and the small paths the per-cycle loops call are
+//! `#[inline]` and test their guard first, so a hook that is off costs its
+//! caller one predictable branch and no call; [`Fabric::send`] is left to the
+//! compiler, which keeps it one out-of-line body every layer shares.
+
+use anton_arbiter::GrantSite;
+use anton_core::chip::{ChanId, LinkGroup, LocalAttach, NUM_CHAN_ADAPTERS};
+use anton_core::config::{GlobalEndpoint, MachineConfig};
+use anton_core::multicast::{McEntry, McGroup, McGroupId};
+use anton_core::packet::{Destination, Packet};
+use anton_core::route_table::{DownLinkSet, RouteTable};
+use anton_core::routing::RouteSpec;
+use anton_core::topology::{Dim, NodeId, Slice, TorusDir, TorusShape};
+use anton_core::vc::{TrafficClass, VcState};
+use anton_fault::{FaultKind, ShimEvent};
+use anton_obs::{FlightRecorder, StallCause, StallTable, TraceEventKind};
+
+use crate::metrics::ArbiterGrantCounts;
+use crate::params::{PreflightMode, SimParams, TraceConfig};
+use crate::sim::{Delivery, SimStats};
+use crate::state::{PacketId, PacketSlab, PacketState, RouteProgress};
+use crate::wake::Scheduler;
+use crate::wire::{saturate_cycle, BufEntry, End, WireSpec, Wires};
+
+/// What a layer step reads of the simulator's public configuration. Built
+/// by the conductor from [`Sim`](crate::sim::Sim)'s `pub` fields for each
+/// step — borrowed beside `&mut` the fabric and the layer, all disjoint
+/// fields — so a driver or test that changes one between steps is seen at
+/// once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ctx<'a> {
+    pub(crate) cfg: &'a MachineConfig,
+    pub(crate) params: &'a SimParams,
+    /// Record per-packet link-level routes into deliveries.
+    pub(crate) record_routes: bool,
+}
+
+impl<'a> Ctx<'a> {
+    pub(crate) fn new(cfg: &'a MachineConfig, params: &'a SimParams, record_routes: bool) -> Self {
+        Ctx {
+            cfg,
+            params,
+            record_routes,
+        }
+    }
+}
+
+/// A component, as the wake wheels and the wire-end tables name it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CompRef {
+    Router(u32),
+    Chan(u32),
+    Ep(u32),
+}
+
+/// The exact-cycle wake calendars of the three component kinds (the wires
+/// keep their own): a component is processed only on cycles somebody
+/// scheduled it for (see [`crate::wake`]).
+#[derive(Debug)]
+pub(crate) struct Wheels {
+    pub(crate) router: Scheduler,
+    pub(crate) chan: Scheduler,
+    pub(crate) ep: Scheduler,
+}
+
+impl Wheels {
+    /// Schedules a component for processing at exactly cycle `at`.
+    #[inline]
+    pub(crate) fn wake(&mut self, c: CompRef, at: u64, now: u64) {
+        match c {
+            CompRef::Router(i) => self.router.schedule(i as usize, at, now),
+            CompRef::Chan(i) => self.chan.schedule(i as usize, at, now),
+            CompRef::Ep(i) => self.ep.schedule(i as usize, at, now),
+        }
+    }
+}
+
+/// The one observation seam of the kernel: the flight recorder and the
+/// stall-attribution table, each present only when its [`TraceConfig`] flag
+/// is set. Layers never see either: they call the fabric's hooks
+/// ([`Fabric::event`], [`Fabric::stall`], [`Fabric::stall_all_ready`], and
+/// the ones inside [`Fabric::send`], [`Fabric::pop`] and [`Fabric::grant`])
+/// unconditionally, and a hook whose instrument is off is one branch.
+///
+/// One struct rather than one per instrument because the hooks interleave
+/// at every site — a grant counts, attributes its losers and records an
+/// event; a pop resolves a stall; a send records a hop and drains the link
+/// layer's log — and every site feeds either from the same two facts, the
+/// cycle and the wire.
+#[derive(Debug)]
+pub(crate) struct Probe {
+    pub(crate) recorder: Option<Box<FlightRecorder>>,
+    pub(crate) stall: Option<Box<StallTable>>,
+}
+
+impl Probe {
+    fn new(trace: &TraceConfig, wires: &Wires) -> Probe {
+        Probe {
+            recorder: trace.events.then(|| {
+                let mut rec = FlightRecorder::new(trace.ring_capacity);
+                for w in 0..wires.len() {
+                    rec.add_track(wires.label(w).to_string());
+                }
+                Box::new(rec)
+            }),
+            stall: trace
+                .stalls
+                .then(|| Box::new(StallTable::new(wires.len(), wires.row_shift()))),
+        }
+    }
+}
+
+/// What to book for a head stalled with `cause`, for want of credits on
+/// `blocker` if one is named: behind a link layer still holding undelivered
+/// flits that is a retransmit backlog, not plain lack of buffer space
+/// downstream. Worked out only with stall attribution on.
+fn booked(wires: &Wires, cause: StallCause, blocker: Option<usize>) -> (StallCause, Option<u32>) {
+    match blocker {
+        Some(w) if wires.link_backlog(w) > 0 => (StallCause::RetransmitBacklog, Some(w as u32)),
+        _ => (cause, blocker.map(|w| w as u32)),
+    }
+}
+
+/// Packs the traffic class with the VC and arrival context of a chip
+/// traversal (see [`BufEntry::meta`]).
+pub(crate) fn stamp_meta(class: TrafficClass, vcs: VcState, arrived_via: Option<TorusDir>) -> u8 {
+    let m_vc = vcs.vc_for(LinkGroup::M).0;
+    let t_vc = vcs.vc_for(LinkGroup::T).0;
+    debug_assert!(m_vc < 8 && t_vc < 8, "stamped VC exceeds 3 bits");
+    let arrived_x = arrived_via.map(|d| d.dim) == Some(Dim::X);
+    let reply = match class {
+        TrafficClass::Request => 0,
+        TrafficClass::Reply => BufEntry::REPLY,
+    };
+    m_vc | (t_vc << 3) | (u8::from(arrived_x) << 6) | reply
+}
+
+/// One epoch of the degradation timeline: a maximal interval over which the
+/// set of down links is constant.
+#[derive(Debug)]
+struct DegradedEpoch {
+    /// First cycle of the epoch.
+    start: u64,
+    /// Links down throughout the epoch.
+    downs: DownLinkSet,
+    /// Installed table set while this epoch is current (`None` when no
+    /// links are down: healthy randomized spec routing applies).
+    set: Option<u8>,
+}
+
+/// Runtime state of fault-aware degraded routing, built at construction
+/// from the fault schedule's `Down` windows and only present when at least
+/// one exists. Every table set referenced here passed the explicit
+/// certification gate ([`anton_verify::certify_tables`] over the union of
+/// all sets) before install — the simulator refuses to route over
+/// uncertified tables.
+#[derive(Debug)]
+pub(crate) struct DegradedState {
+    /// Unique certified table sets (one [`RouteTable`] per slice, in slice
+    /// order); epochs with identical down-link sets share a set. Never
+    /// written after construction, so a table packet's chip target is as
+    /// stable as a spec-routed packet's.
+    table_sets: Vec<Vec<RouteTable>>,
+    /// Epochs in ascending `start` order; `epochs[0].start == 0`.
+    epochs: Vec<DegradedEpoch>,
+    /// Index of the epoch covering the current cycle.
+    cur: usize,
+}
+
+impl DegradedState {
+    /// Builds the degraded-routing timeline from the fault schedule's `Down`
+    /// windows: the timeline splits into epochs over which the down-link set
+    /// is constant, each distinct non-empty set gets one route-table set
+    /// (generated by `anton-verify`), and the **union** of every set's
+    /// tables must pass the explicit deadlock certifier before anything is
+    /// installed — traffic pinned to different epochs' tables shares the
+    /// network in flight, so the mixed system is what has to be acyclic.
+    ///
+    /// Returns `None` when the schedule has no `Down` windows (BER-only
+    /// schedules keep the pure go-back-N recovery path) or preflight is
+    /// `Off` (the user opted out of verification, and uncertified tables
+    /// are never installed). When generation or certification fails,
+    /// [`PreflightMode::Enforce`] panics at construction; `WarnOnly` runs
+    /// without tables, leaving outage diagnosis to the legacy watchdog.
+    pub(crate) fn build(
+        cfg: &MachineConfig,
+        params: &SimParams,
+        quiet: bool,
+    ) -> Option<Box<DegradedState>> {
+        let schedule = params.fault.as_ref()?;
+        if params.preflight == PreflightMode::Off {
+            return None;
+        }
+        let mut windows: Vec<(NodeId, ChanId, u64, u64)> = Vec::new();
+        for f in &schedule.faults {
+            if let FaultKind::Down {
+                from_cycle,
+                until_cycle,
+            } = f.kind
+            {
+                if from_cycle < until_cycle {
+                    windows.push((f.from, f.chan, from_cycle, until_cycle));
+                }
+            }
+        }
+        if windows.is_empty() {
+            return None;
+        }
+        let mut boundaries: Vec<u64> = vec![0];
+        for &(_, _, from, until) in &windows {
+            boundaries.push(from);
+            if until != u64::MAX {
+                boundaries.push(until);
+            }
+        }
+        boundaries.sort_unstable();
+        boundaries.dedup();
+        let mut table_sets: Vec<Vec<RouteTable>> = Vec::new();
+        let mut set_keys: Vec<Vec<(NodeId, ChanId)>> = Vec::new();
+        let mut epochs: Vec<DegradedEpoch> = Vec::new();
+        let mut problems: Vec<String> = Vec::new();
+        for &b in &boundaries {
+            let mut downs = DownLinkSet::empty(cfg.shape);
+            for &(n, c, from, until) in &windows {
+                if from <= b && b < until {
+                    downs.insert(n, c);
+                }
+            }
+            let set = if downs.is_empty() {
+                None
+            } else {
+                let key: Vec<(NodeId, ChanId)> = downs.iter().collect();
+                let idx = match set_keys.iter().position(|k| *k == key) {
+                    Some(i) => i,
+                    None => {
+                        let (tables, diags) = anton_verify::build_degraded_tables(cfg, &downs);
+                        for d in &diags {
+                            if d.severity == anton_verify::Severity::Error {
+                                problems.push(d.to_string());
+                            }
+                        }
+                        set_keys.push(key);
+                        table_sets.push(tables);
+                        table_sets.len() - 1
+                    }
+                };
+                assert!(idx <= usize::from(u8::MAX), "too many distinct down sets");
+                Some(idx as u8)
+            };
+            epochs.push(DegradedEpoch {
+                start: b,
+                downs,
+                set,
+            });
+        }
+        if problems.is_empty() {
+            let union: Vec<RouteTable> = table_sets.iter().flatten().cloned().collect();
+            let cert = anton_verify::certify_tables(cfg, &union);
+            if !cert.acyclic {
+                problems.push(format!(
+                    "degraded route tables failed deadlock certification \
+                     ({} channel-VC nodes, {} edges, dependency cycle found)",
+                    cert.nodes, cert.edges
+                ));
+            }
+        }
+        if !problems.is_empty() {
+            let mut text = String::new();
+            for p in &problems {
+                text.push_str(&format!("{p}\n"));
+            }
+            if params.preflight == PreflightMode::Enforce {
+                panic!(
+                    "cannot install certified reroutes for this fault \
+                     schedule:\n{text}set SimParams::preflight to \
+                     PreflightMode::WarnOnly to run with the legacy outage \
+                     watchdog instead"
+                );
+            }
+            if !quiet {
+                for p in &problems {
+                    eprintln!("anton-sim degraded routing: {p} (tables not installed)");
+                }
+            }
+            return None;
+        }
+        Some(Box::new(DegradedState {
+            table_sets,
+            epochs,
+            cur: 0,
+        }))
+    }
+}
+
+/// A unicast packet pulled off a failed link, waiting in the
+/// [`Fabric::reroutes`] outbox (and then in an endpoint's injection queue)
+/// to re-enter at `node` over the current epoch's certified table. It keeps
+/// its original injection cycle, so latency accounting spans the whole
+/// journey, and the hops already taken.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Reroute {
+    pub(crate) node: NodeId,
+    pub(crate) packet: Packet,
+    pub(crate) slice: Slice,
+    pub(crate) injected_at: u64,
+    pub(crate) torus_hops: u16,
+}
+
+/// The shared state of one simulator instance (see the [module docs](self)).
+pub(crate) struct Fabric {
+    /// The cycle in progress (between steps: the next one to run).
+    pub(crate) now: u64,
+    /// Every channel of the machine: state, send / pop / step (see
+    /// [`crate::wire`]). Layers read it freely but send through
+    /// [`Fabric::send`] and pop through [`Fabric::pop`], which keep the
+    /// wakes, counters and probe in step.
+    pub(crate) wires: Wires,
+    /// Component consuming each wire's arrivals.
+    pub(crate) consumer: Vec<CompRef>,
+    /// Component receiving each wire's credit returns.
+    producer: Vec<CompRef>,
+    pub(crate) wheels: Wheels,
+    pub(crate) packets: PacketSlab,
+    /// Multicast groups, indexed by `McGroupId.0`.
+    mc_groups: Vec<Option<McGroup>>,
+    /// Fault-aware degraded routing: the epoch timeline and certified
+    /// table sets built from the schedule's `Down` windows. `None` without
+    /// Down windows (or with preflight off).
+    degraded: Option<Box<DegradedState>>,
+    pub(crate) stats: SimStats,
+    pub(crate) grants: ArbiterGrantCounts,
+    /// Whether the cycle in progress moved any flit (the watchdog input).
+    pub(crate) moved: bool,
+    /// Deliveries of the cycles stepped since the run loop last took them.
+    pub(crate) deliveries: Vec<Delivery>,
+    pub(crate) probe: Probe,
+    /// The one cross-layer write: packets the wire and adapter layers pulled
+    /// off a failed link, for the endpoints to re-inject. Raised by the
+    /// epoch tick (before the endpoint-inject phase) and by a down link's
+    /// absorbing serializer (in the adapters phase); the conductor hands
+    /// the outbox to the endpoints right after each, in the same cycle.
+    pub(crate) reroutes: Vec<Reroute>,
+}
+
+impl Fabric {
+    /// Builds the shared state over `specs`, with `ends` naming the
+    /// consumer and the producer of each wire and `counts` the number of
+    /// routers, channel adapters and endpoint adapters.
+    pub(crate) fn new(
+        specs: Vec<WireSpec>,
+        ends: (Vec<CompRef>, Vec<CompRef>),
+        counts: [usize; 3],
+        params: &SimParams,
+        degraded: Option<Box<DegradedState>>,
+    ) -> Fabric {
+        let (consumer, producer) = ends;
+        assert!(
+            consumer.len() == specs.len() && producer.len() == specs.len(),
+            "every wire has two ends"
+        );
+        // Lossy-link shims (if any) log retransmissions and frame drops
+        // only while a recorder is attached to drain them.
+        let wires = Wires::new(specs, params.collect_metrics, params.trace.events);
+        let [nrouters, nchans, neps] = counts;
+        Fabric {
+            now: 0,
+            probe: Probe::new(&params.trace, &wires),
+            wires,
+            consumer,
+            producer,
+            wheels: Wheels {
+                router: Scheduler::new(nrouters),
+                chan: Scheduler::new(nchans),
+                ep: Scheduler::new(neps),
+            },
+            packets: PacketSlab::new(),
+            mc_groups: Vec::new(),
+            degraded,
+            stats: SimStats {
+                recv_per_endpoint: vec![0; neps],
+                ..SimStats::default()
+            },
+            grants: ArbiterGrantCounts::default(),
+            moved: false,
+            deliveries: Vec::new(),
+            reroutes: Vec::new(),
+        }
+    }
+
+    /// The wires phase of the cycle in progress: this cycle's credit returns
+    /// and arrivals, waking the components they concern. Wakes raised here
+    /// are either same-cycle (credits, zero-pipeline arrivals) or future, so
+    /// component snapshots taken afterwards see every component this cycle
+    /// concerns. Dense sends never appear here at all: their consumer wake
+    /// was issued at send time. Returns whether the phase did anything.
+    pub(crate) fn wires_step(&mut self) -> bool {
+        let now = self.now;
+        let (wheels, consumer, producer) = (&mut self.wheels, &self.consumer, &self.producer);
+        let worked = self.wires.step(now, move |w, end, at| {
+            let comp = match end {
+                End::Producer => producer[w],
+                End::Consumer => consumer[w],
+            };
+            wheels.wake(comp, at, now);
+        });
+        self.drain_link_events();
+        worked
+    }
+
+    // ----- the probe's hooks ------------------------------------------------
+
+    /// Records a flight-recorder event about `pid` on `track` (a wire).
+    #[inline]
+    pub(crate) fn event(&mut self, track: usize, pid: PacketId, kind: TraceEventKind) {
+        if let Some(rec) = self.probe.recorder.as_deref_mut() {
+            rec.record(track as u32, self.now, Some(u64::from(pid.0)), kind);
+        }
+    }
+
+    /// Moves the link-layer events (retransmissions, frame drops) the wire
+    /// layer logged into the flight recorder, each on its wire's track.
+    /// Called after everything that can log one — the wires phase, a send,
+    /// a link drain — so the recorder's order never depends on when ticks
+    /// happen. Without a recorder the log stays empty and this is a branch.
+    #[inline]
+    pub(crate) fn drain_link_events(&mut self) {
+        if let Some(rec) = self.probe.recorder.as_deref_mut() {
+            for (w, cycle, ev) in self.wires.drain_link_events() {
+                let kind = match ev {
+                    ShimEvent::Retransmit => TraceEventKind::Retransmit,
+                    ShimEvent::DataFrameDropped => TraceEventKind::FrameDrop { ack: false },
+                    ShimEvent::AckFrameDropped => TraceEventKind::FrameDrop { ack: true },
+                };
+                rec.record(w, cycle, None, kind);
+            }
+        }
+    }
+
+    /// Classifies the head of `(wire, vcidx)` as stalled with `cause` — for
+    /// want of credits on `blocker`, if one is named.
+    #[inline]
+    pub(crate) fn stall(
+        &mut self,
+        wire: usize,
+        vcidx: u8,
+        cause: StallCause,
+        blocker: Option<usize>,
+    ) {
+        if let Some(st) = self.probe.stall.as_deref_mut() {
+            let (cause, blocker) = booked(&self.wires, cause, blocker);
+            st.observe(wire as u32, vcidx, cause, blocker, self.now);
+        }
+    }
+
+    /// Classifies every ready head buffered on `wire` as stalled — for
+    /// whole-component stalls (busy adapter-to-router link, serializer out
+    /// of tokens, dead-link drain, a credit-starved copy ahead) where no
+    /// per-VC scan runs.
+    #[inline]
+    pub(crate) fn stall_all_ready(
+        &mut self,
+        wire: usize,
+        cause: StallCause,
+        blocker: Option<usize>,
+    ) {
+        if self.probe.stall.is_some() {
+            self.observe_all_ready(wire, cause, blocker);
+        }
+    }
+
+    /// [`Fabric::stall_all_ready`] past its guard, out of line: the scan is
+    /// only ever run with attribution on, and inlined at every site it made
+    /// the adapter steps that much more code to fetch when they run cold.
+    fn observe_all_ready(&mut self, wire: usize, cause: StallCause, blocker: Option<usize>) {
+        let st = self.probe.stall.as_deref_mut().expect("guarded by caller");
+        let (cause, blocker) = booked(&self.wires, cause, blocker);
+        let mut occ = self.wires.occupied(wire);
+        while occ != 0 {
+            let v = occ.trailing_zeros() as u8;
+            occ &= occ - 1;
+            if u64::from(self.wires.gate(wire, v).ready) <= self.now {
+                st.observe(wire as u32, v, cause, blocker, self.now);
+            }
+        }
+    }
+
+    // ----- send / pop / arbitration ----------------------------------------
+
+    /// Builds a fresh buffer entry for a packet from its slab state: how a
+    /// packet enters a chip's mesh (hops that already hold a buffered copy
+    /// of the metadata pass it to [`Fabric::send`] directly).
+    pub(crate) fn packet_entry(&self, pid: PacketId) -> BufEntry {
+        let st = self.packets.get(pid);
+        // Stamp the chip-traversal route context while the slab line is
+        // hot: the target adapter is fixed until the packet leaves the
+        // chip (a table packet's too: its set is pinned at injection, the
+        // installed sets never change and `cur` moves only at a torus
+        // departure), the VC state changes only at adapters (a staged
+        // pending promotion applies the instant this send completes, so
+        // stamp the promoted state), and the arrival dimension is set once
+        // at torus arrival.
+        let code = self.chip_target(pid).code();
+        debug_assert!(code < 0xFF, "attach code overflows stamp");
+        let vcs = st.pending_vc.unwrap_or(st.vc);
+        BufEntry {
+            pkt: pid,
+            ready_at: 0,
+            age: saturate_cycle(st.injected_at),
+            flits: st.flits,
+            pattern: st.packet.pattern.0,
+            target: code as u8,
+            meta: stamp_meta(st.packet.class, vcs, st.arrived_via),
+        }
+    }
+
+    /// Pushes `entry` onto `wire`: the one send path, which wakes the
+    /// consumer, counts the flit-hops, logs the hop and feeds the probe.
+    pub(crate) fn send(&mut self, ctx: &Ctx<'_>, wire: usize, entry: BufEntry, vcidx: u8) {
+        let (flits, pid) = (entry.flits, entry.pkt);
+        if let Some(ready) = self.wires.send(self.now, wire, entry, vcidx) {
+            // Filed straight into the receive buffers: wake the consumer
+            // for the cycle the head clears the receive pipeline. Any other
+            // delivery is reported by a later wires phase.
+            self.wheels.wake(self.consumer[wire], ready, self.now);
+        }
+        self.moved = true;
+        self.stats.flit_hops += u64::from(flits);
+        if self.wires.is_torus(wire) {
+            self.stats.torus_flits += u64::from(flits);
+        }
+        if ctx.record_routes {
+            let hop = (self.wires.label(wire), self.wires.vc_of(wire, vcidx));
+            if let Some(log) = &mut self.packets.get_mut(pid).route_log {
+                log.push(hop);
+            }
+        }
+        self.event(wire, pid, TraceEventKind::Hop { vc: vcidx, flits });
+        // A send into a lossy link transmits at once and may log an event
+        // stamped `now`, while the wire's next tick can be a link latency
+        // away.
+        self.drain_link_events();
+    }
+
+    /// Sends packet `pid` from an adapter (`me`) onto its link into the
+    /// mesh — `wire`, on the packet's `group` VC, under an entry stamped
+    /// afresh from its slab state — if the link has credits. Returns the
+    /// cycle the adapter is held until (the packet's flits), for which it is
+    /// woken to re-examine its queues.
+    pub(crate) fn send_into_mesh(
+        &mut self,
+        ctx: &Ctx<'_>,
+        me: CompRef,
+        wire: usize,
+        group: LinkGroup,
+        pid: PacketId,
+    ) -> Option<u64> {
+        let st = self.packets.get(pid);
+        let vcidx = self
+            .wires
+            .vc_index(wire, st.packet.class, st.vc.vc_for(group));
+        if !self.wires.can_send(wire, vcidx, st.flits) {
+            return None;
+        }
+        let busy_until = self.now + u64::from(st.flits);
+        self.send(ctx, wire, self.packet_entry(pid), vcidx);
+        self.wheels.wake(me, busy_until, self.now);
+        Some(busy_until)
+    }
+
+    /// Pops the head packet of a wire's VC. Every head advance funnels
+    /// through here, so this is where the watchdog learns something moved
+    /// and the one resolution point for stall attribution: the pop closes
+    /// any open stall segment of this (wire, VC) slot.
+    #[inline]
+    pub(crate) fn pop(&mut self, wire: usize, vcidx: u8) -> BufEntry {
+        self.moved = true;
+        if let Some(st) = self.probe.stall.as_deref_mut() {
+            st.resolve(wire as u32, vcidx, self.now);
+        }
+        self.wires.pop(self.now, wire, vcidx)
+    }
+
+    /// Gathers the VCs of `in_wire` whose heads can move this cycle into a
+    /// request bitmask for an arbiter to pick from: the head is ready, its
+    /// output is free and its output VC has credits. A head's route —
+    /// `(output port, VC index on the output wire)` — is computed by
+    /// `route` once, when the head is first seen, and cached in its gate
+    /// record, so a blocked head re-gates from the packed gate alone;
+    /// `output` names the wire behind a port, or `None` while the port is
+    /// held by an earlier transfer. Heads that cannot move are attributed
+    /// their cause.
+    #[inline]
+    pub(crate) fn gather_requests(
+        &mut self,
+        in_wire: usize,
+        route: impl Fn(&Fabric, &BufEntry) -> (u8, u8),
+        output: impl Fn(u8) -> Option<usize>,
+    ) -> u64 {
+        let mut req: u64 = 0;
+        let mut occ = self.wires.occupied(in_wire);
+        while occ != 0 {
+            let v = occ.trailing_zeros() as u8;
+            occ &= occ - 1;
+            let m = self.wires.gate(in_wire, v);
+            if u64::from(m.ready) > self.now {
+                continue;
+            }
+            let (port, out_vcidx) = if m.rc_port == 0xFF {
+                let (port, out_vcidx) = route(self, self.wires.head(in_wire, v));
+                self.wires.cache_route(in_wire, v, port, out_vcidx);
+                (port, out_vcidx)
+            } else {
+                (m.rc_port, m.rc_vcidx)
+            };
+            match output(port) {
+                None => self.stall(in_wire, v, StallCause::OutputBusy, None),
+                Some(out) if !self.wires.can_send(out, out_vcidx, m.flits) => {
+                    self.stall(in_wire, v, StallCause::NoCredit, Some(out));
+                }
+                Some(_) => req |= 1 << v,
+            }
+        }
+        req
+    }
+
+    /// Books the grant an arbiter at `site` just issued to lane `winner` of
+    /// the request set `req`: counts it, attributes every other requester
+    /// as having lost it (`slot_of` names a lane's `(wire, VC)` slot), and
+    /// records the grant of `pid` on `track`.
+    #[inline]
+    pub(crate) fn grant(
+        &mut self,
+        site: GrantSite,
+        track: usize,
+        pid: PacketId,
+        req: u64,
+        winner: u8,
+        slot_of: impl Fn(u8) -> (usize, u8),
+    ) {
+        let (count, lost) = match site {
+            GrantSite::Sa1 => (&mut self.grants.sa1, StallCause::LostSa1),
+            GrantSite::Output => (&mut self.grants.output, StallCause::LostSa2),
+            GrantSite::Serializer => (&mut self.grants.serializer, StallCause::SerializerBusy),
+        };
+        *count += 1;
+        if let Some(st) = self.probe.stall.as_deref_mut() {
+            let mut losers = req & !(1 << winner);
+            while losers != 0 {
+                let (wire, vcidx) = slot_of(losers.trailing_zeros() as u8);
+                losers &= losers - 1;
+                st.observe(wire as u32, vcidx, lost, None, self.now);
+            }
+        }
+        let requests = req.count_ones() as u8;
+        let kind = TraceEventKind::Grant {
+            site,
+            requests,
+            winner,
+        };
+        self.event(track, pid, kind);
+    }
+
+    // ----- routing ----------------------------------------------------------
+
+    /// The degradation epoch covering the current cycle, with degraded
+    /// routing installed.
+    fn epoch(&self) -> Option<&DegradedEpoch> {
+        self.degraded.as_deref().map(|dg| &dg.epochs[dg.cur])
+    }
+
+    /// Next torus hop of a packet on `route`: a unicast packet's by its spec
+    /// or its table (`None` at its destination node), a multicast copy's as
+    /// its tree fixed it.
+    pub(crate) fn next_hop(&self, route: &RouteProgress) -> Option<TorusDir> {
+        match *route {
+            RouteProgress::Unicast { spec, .. } => spec.next_dir(),
+            RouteProgress::Table {
+                set,
+                slice,
+                cur,
+                dst,
+            } => {
+                let dg = self.degraded.as_ref();
+                let dg = dg.expect("table packets exist only with degraded state installed");
+                dg.table_sets[set as usize][slice.0 as usize].next_hop(cur, dst.node)
+            }
+            RouteProgress::McExit { dir, .. } => Some(dir),
+            RouteProgress::McDeliver { .. } => None,
+        }
+    }
+
+    /// The on-chip target (adapter) of a packet at its current node: the
+    /// departure adapter of its next hop, or its endpoint.
+    pub(crate) fn chip_target(&self, pid: PacketId) -> LocalAttach {
+        let route = &self.packets.get(pid).route;
+        let (slice, ep) = match *route {
+            RouteProgress::Unicast { spec, dst } => (spec.slice, dst.ep),
+            RouteProgress::Table { slice, dst, .. } => (slice, dst.ep),
+            RouteProgress::McExit { dir, slice, .. } => {
+                return LocalAttach::Chan(ChanId { dir, slice })
+            }
+            RouteProgress::McDeliver { ep, .. } => return LocalAttach::Endpoint(ep),
+        };
+        match self.next_hop(route) {
+            Some(dir) => LocalAttach::Chan(ChanId { dir, slice }),
+            None => LocalAttach::Endpoint(ep),
+        }
+    }
+
+    /// Route of a unicast packet entering the network at `node` with the
+    /// oblivious route `spec`: the spec on a healthy network; the current
+    /// epoch's certified table when one is installed and the spec would
+    /// traverse a link that is down right now — or whatever the spec, for
+    /// a packet re-entering off a failed link (`reentry`). Re-entering in
+    /// a healthy epoch (every outage cleared while the packet waited in the
+    /// re-injection queue) it keeps its spec: every link it needs is up.
+    pub(crate) fn unicast_route(
+        &self,
+        shape: &TorusShape,
+        node: NodeId,
+        spec: RouteSpec,
+        dst: GlobalEndpoint,
+        reentry: bool,
+    ) -> RouteProgress {
+        match self.epoch() {
+            Some(&DegradedEpoch {
+                set: Some(set),
+                ref downs,
+                ..
+            }) if reentry || spec_hits_down(shape, node, &spec, downs) => RouteProgress::Table {
+                set,
+                slice: spec.slice,
+                cur: node,
+                dst,
+            },
+            _ => RouteProgress::Unicast { spec, dst },
+        }
+    }
+
+    /// Whether the torus link leaving `node` through `chan` is down in the
+    /// current degradation epoch.
+    pub(crate) fn link_down_now(&self, node: NodeId, chan: ChanId) -> bool {
+        self.epoch()
+            .is_some_and(|e| !e.downs.is_empty() && e.downs.contains(node, chan))
+    }
+
+    /// Ejects a stranded unicast packet from the network at `node` and
+    /// queues it, in the [`reroutes`](Fabric::reroutes) outbox, for
+    /// re-injection over the degraded tables.
+    pub(crate) fn reroute(&mut self, node: NodeId, pid: PacketId) {
+        let st = self.packets.remove(pid);
+        let slice = match st.route {
+            RouteProgress::Unicast { spec, .. } => spec.slice,
+            RouteProgress::Table { slice, .. } => slice,
+            _ => unreachable!("only unicast traffic reroutes"),
+        };
+        self.stats.rerouted_packets += 1;
+        // A packet drained out of a torn-down link layer is movement too.
+        self.moved = true;
+        self.reroutes.push(Reroute {
+            node,
+            packet: st.packet,
+            slice,
+            injected_at: st.injected_at,
+            torus_hops: st.torus_hops,
+        });
+    }
+
+    /// Moves the degradation epoch one step towards the one covering the
+    /// cycle in progress, waking the serializers of the links that just
+    /// came back (an absorbed adapter resumes feeding the torus) and
+    /// returning the links that just went down; `None` once the epoch is
+    /// current, or without degraded routing.
+    pub(crate) fn advance_epoch(&mut self) -> Option<Vec<(NodeId, ChanId)>> {
+        let dg = self.degraded.as_mut()?;
+        let next = dg.cur + 1;
+        if next >= dg.epochs.len() || dg.epochs[next].start > self.now {
+            return None;
+        }
+        let (old, new) = (&dg.epochs[dg.cur].downs, &dg.epochs[next].downs);
+        for (n, c) in old.iter().filter(|&(n, c)| !new.contains(n, c)) {
+            let cidx = n.0 as usize * NUM_CHAN_ADAPTERS + c.index();
+            self.wheels
+                .wake(CompRef::Chan(cidx as u32), self.now, self.now);
+        }
+        let onsets = new.iter().filter(|&(n, c)| !old.contains(n, c)).collect();
+        dg.cur = next;
+        Some(onsets)
+    }
+
+    // ----- multicast --------------------------------------------------------
+
+    /// Registers a multicast group's tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group id is already registered.
+    pub(crate) fn add_multicast_group(&mut self, group: McGroup) {
+        let idx = group.id.0 as usize;
+        if idx >= self.mc_groups.len() {
+            self.mc_groups.resize_with(idx + 1, || None);
+        }
+        assert!(
+            self.mc_groups[idx].is_none(),
+            "duplicate multicast group id"
+        );
+        self.mc_groups[idx] = Some(group);
+    }
+
+    /// The tree `tree` of `group` and its table entry at `node`.
+    fn mc_entry(&self, node: NodeId, group: McGroupId, tree: u8) -> (Slice, &McEntry) {
+        let tree_ref = self
+            .mc_groups
+            .get(group.0 as usize)
+            .and_then(Option::as_ref)
+            .unwrap_or_else(|| panic!("unknown multicast group {group}"))
+            .trees
+            .get(tree as usize)
+            .unwrap_or_else(|| panic!("multicast group {group} has no tree {tree}"));
+        let entry = tree_ref
+            .entry(node)
+            .unwrap_or_else(|| panic!("multicast {group} tree {tree} has no entry at {node}"));
+        (tree_ref.slice, entry)
+    }
+
+    /// Creates the copies of multicast packet `pkt` that its group's table
+    /// entry at `node` names.
+    ///
+    /// `arrival` is `None` at the source endpoint, or the arriving direction
+    /// plus inherited state for copies spawned mid-tree. Mid-tree copies
+    /// keep the arriving T-phase VC for the entry link; turns and local
+    /// deliveries stage their promoted state via `pending_vc`.
+    pub(crate) fn expand_multicast_at(
+        &mut self,
+        ctx: &Ctx<'_>,
+        node: NodeId,
+        pkt: &Packet,
+        injected_at: u64,
+        arrival: Option<(TorusDir, VcState, u16)>,
+    ) -> Vec<PacketId> {
+        let Destination::Multicast { group, tree } = pkt.dst else {
+            unreachable!("only multicast packets fan out")
+        };
+        let (slice, entry) = self.mc_entry(node, group, tree);
+        let entry = entry.clone();
+        let (arrived_via, base_vc, torus_hops) = match arrival {
+            Some((dir, vc, hops)) => (Some(dir), vc, hops),
+            None => (None, ctx.cfg.vc_policy.start(), 0),
+        };
+        let mut copy = |route, vc, pending_vc| {
+            self.packets.insert(PacketState {
+                pending_vc,
+                arrived_via,
+                torus_hops,
+                ..PacketState::new(*pkt, route, vc, injected_at, ctx.record_routes)
+            })
+        };
+        let mut out = Vec::with_capacity(entry.forward.len() + entry.local.len());
+        for &dir in &entry.forward {
+            let (vc, pending_vc) = match arrived_via {
+                Some(a) if a.dim == dir.dim => {
+                    debug_assert_eq!(a, dir, "tree chains never reverse direction");
+                    (base_vc, None)
+                }
+                Some(_) => {
+                    let mut promoted = base_vc;
+                    promoted.end_dim();
+                    promoted.begin_dim();
+                    (base_vc, Some(promoted))
+                }
+                None => {
+                    // Source fanout: begin the dimension immediately (the
+                    // injection link's M VC is unaffected).
+                    let mut vc = base_vc;
+                    vc.begin_dim();
+                    (vc, None)
+                }
+            };
+            let route = RouteProgress::McExit {
+                group,
+                tree,
+                dir,
+                slice,
+            };
+            out.push(copy(route, vc, pending_vc));
+        }
+        for &ep in &entry.local {
+            let pending_vc = arrived_via.map(|_| {
+                let mut promoted = base_vc;
+                promoted.end_dim();
+                promoted
+            });
+            let route = RouteProgress::McDeliver { group, ep };
+            out.push(copy(route, base_vc, pending_vc));
+        }
+        out
+    }
+}
+
+/// Whether a route spec starting at `node` traverses any down link.
+fn spec_hits_down(shape: &TorusShape, node: NodeId, spec: &RouteSpec, downs: &DownLinkSet) -> bool {
+    let mut cur = shape.coord(node);
+    for dir in spec.hops() {
+        let chan = ChanId {
+            dir,
+            slice: spec.slice,
+        };
+        if downs.contains(shape.id(cur), chan) {
+            return true;
+        }
+        cur = shape.neighbor(cur, dir);
+    }
+    false
+}
+
+/// A conductor in miniature for the layer unit tests: a hand-built
+/// [`Fabric`] of a few ideal wires, stepped through the same cycle skeleton
+/// [`Sim::step`](crate::sim::Sim::step) uses, so a test drives one layer's
+/// production `step` with no machine around it.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use anton_core::chip::{LocalEndpointId, LocalLink};
+    use anton_core::trace::GlobalLink;
+
+    use super::*;
+
+    /// An ideal on-chip wire (the `i`-th of the test, for its label) with
+    /// `group_vcs` VCs per class, consumed and produced by the named
+    /// components.
+    pub(crate) fn wire(
+        i: u8,
+        (latency, rx_pipeline): (u64, u64),
+        (group_vcs, depth): (u8, u8),
+        consumer: CompRef,
+        producer: CompRef,
+    ) -> (WireSpec, (CompRef, CompRef)) {
+        let label = GlobalLink::Local {
+            node: NodeId(0),
+            link: LocalLink::EpToRouter(LocalEndpointId(i)),
+        };
+        let spec = WireSpec::ideal(label, latency, rx_pipeline, group_vcs, depth);
+        (spec, (consumer, producer))
+    }
+
+    /// A fabric over `wires` with `counts` routers, channel adapters and
+    /// endpoint adapters on its wheels and no degraded-routing state.
+    pub(crate) fn fabric(
+        wires: Vec<(WireSpec, (CompRef, CompRef))>,
+        counts: [usize; 3],
+        params: &SimParams,
+    ) -> Fabric {
+        let (specs, ends): (Vec<_>, Vec<_>) = wires.into_iter().unzip();
+        let ends = ends.into_iter().unzip();
+        let mut fab = Fabric::new(specs, ends, counts, params, None);
+        // A wheel starts with every component woken for cycle 0; the tests
+        // wake what they mean to step.
+        let wheels = &mut fab.wheels;
+        for wheel in [&mut wheels.router, &mut wheels.chan, &mut wheels.ep] {
+            wheel.begin_cycle(0);
+            wheel.end_cycle();
+        }
+        fab
+    }
+
+    /// Opens the cycle `fab.now`, as [`Sim::step`](crate::sim::Sim::step)
+    /// does: the wheels turn to it and the wires phase runs. Returns the
+    /// components woken for it so far, as `[routers, chans, eps]` in
+    /// ascending order.
+    pub(crate) fn open_cycle(fab: &mut Fabric) -> [Vec<u32>; 3] {
+        let now = fab.now;
+        fab.moved = false;
+        fab.wheels.router.begin_cycle(now);
+        fab.wheels.chan.begin_cycle(now);
+        fab.wheels.ep.begin_cycle(now);
+        fab.wires_step();
+        let mut woken = [Vec::new(), Vec::new(), Vec::new()];
+        fab.wheels.router.snapshot_into(&mut woken[0]);
+        fab.wheels.chan.snapshot_into(&mut woken[1]);
+        fab.wheels.ep.snapshot_into(&mut woken[2]);
+        woken
+    }
+
+    /// Closes the cycle in progress and moves to the next.
+    pub(crate) fn close_cycle(fab: &mut Fabric) {
+        fab.wheels.router.end_cycle();
+        fab.wheels.chan.end_cycle();
+        fab.wheels.ep.end_cycle();
+        fab.now += 1;
+    }
+}

@@ -11,7 +11,9 @@
 //! rate-limited external torus channels — and advances them cycle by cycle
 //! under credit-based virtual cut-through flow control.
 //!
-//! * [`sim`] — the simulator core ([`Sim`]);
+//! * [`sim`] — the simulator core ([`Sim`]): the conductor of the endpoint,
+//!   channel-adapter and router layers (one private module each) over the
+//!   state they share (`fabric.rs`);
 //! * [`builder`] — fluent, lint-validated construction
 //!   ([`Sim::builder`]);
 //! * [`driver`] — measurement workloads (batch throughput, ping-pong
@@ -57,10 +59,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod adapter;
 pub mod builder;
 pub mod driver;
+mod endpoint;
+mod fabric;
 pub mod metrics;
 pub mod params;
+mod router;
 pub mod shard;
 pub mod sim;
 pub mod state;

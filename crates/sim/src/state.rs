@@ -60,6 +60,19 @@ pub enum RouteProgress {
     },
 }
 
+impl RouteProgress {
+    /// Whether this is a unicast packet's route, by spec or by table. Only
+    /// unicast traffic can leave a failed link for the certified degraded
+    /// tables; a multicast copy has no table to follow and waits the outage
+    /// out where it is.
+    pub fn is_unicast(&self) -> bool {
+        matches!(
+            self,
+            RouteProgress::Unicast { .. } | RouteProgress::Table { .. }
+        )
+    }
+}
+
 /// Full state of one in-flight packet.
 #[derive(Debug, Clone)]
 pub struct PacketState {
@@ -89,10 +102,48 @@ pub struct PacketState {
     pub route_log: Option<Vec<(GlobalLink, Vc)>>,
 }
 
+impl PacketState {
+    /// The state of `packet` entering the network on `route` at cycle
+    /// `injected_at`: no hops taken, nothing pending, never rerouted, its
+    /// route logged from here on when `record_routes`. A reroute or a
+    /// multicast copy spawned mid-tree overrides what it inherits with
+    /// struct-update syntax.
+    pub fn new(
+        packet: Packet,
+        route: RouteProgress,
+        vc: VcState,
+        injected_at: u64,
+        record_routes: bool,
+    ) -> PacketState {
+        PacketState {
+            flits: packet.num_flits() as u8,
+            packet,
+            route,
+            vc,
+            pending_vc: None,
+            arrived_via: None,
+            injected_at,
+            torus_hops: 0,
+            rerouted: false,
+            route_log: record_routes.then(Vec::new),
+        }
+    }
+}
+
+/// Slots per chunk of the slab: a power of two, 136 KB a chunk.
+const CHUNK: usize = 1024;
+
 /// Slab of in-flight packets with id reuse.
 #[derive(Debug, Default)]
 pub struct PacketSlab {
-    slots: Vec<Option<PacketState>>,
+    /// Slot `id` is `chunks[id / CHUNK][id % CHUNK]`; every chunk is
+    /// allocated at `CHUNK` capacity and all but the last are full. The slab
+    /// grows by a chunk and never moves a slot: one `Vec` doubling in place
+    /// holds the old block beside the new one whenever the allocator cannot
+    /// extend it where it lies, and whether it can depends on the heap around
+    /// it, so the peak memory of a saturated run differed from one process
+    /// to the next by the size of the old block (4 MB at 4×4×4).
+    chunks: Vec<Vec<Option<PacketState>>>,
     free: Vec<u32>,
     live: usize,
     /// Packets ever inserted (multicast copies count individually).
@@ -112,12 +163,26 @@ impl PacketSlab {
         self.live += 1;
         self.created += 1;
         if let Some(idx) = self.free.pop() {
-            self.slots[idx as usize] = Some(state);
+            *self.slot_mut(idx) = Some(state);
             PacketId(idx)
         } else {
-            self.slots.push(Some(state));
-            PacketId((self.slots.len() - 1) as u32)
+            let idx = self.high_water();
+            if idx.is_multiple_of(CHUNK) {
+                self.chunks.push(Vec::with_capacity(CHUNK));
+            }
+            self.chunks[idx / CHUNK].push(Some(state));
+            PacketId(idx as u32)
         }
+    }
+
+    #[inline]
+    fn slot(&self, idx: u32) -> &Option<PacketState> {
+        &self.chunks[idx as usize / CHUNK][idx as usize % CHUNK]
+    }
+
+    #[inline]
+    fn slot_mut(&mut self, idx: u32) -> &mut Option<PacketState> {
+        &mut self.chunks[idx as usize / CHUNK][idx as usize % CHUNK]
     }
 
     /// Removes and returns a packet.
@@ -126,7 +191,7 @@ impl PacketSlab {
     ///
     /// Panics if the id is stale.
     pub fn remove(&mut self, id: PacketId) -> PacketState {
-        let state = self.slots[id.0 as usize].take().expect("stale packet id");
+        let state = self.slot_mut(id.0).take().expect("stale packet id");
         self.free.push(id.0);
         self.live -= 1;
         self.terminated += 1;
@@ -139,7 +204,7 @@ impl PacketSlab {
     ///
     /// Panics if the id is stale.
     pub fn get(&self, id: PacketId) -> &PacketState {
-        self.slots[id.0 as usize].as_ref().expect("stale packet id")
+        self.slot(id.0).as_ref().expect("stale packet id")
     }
 
     /// Mutably borrows a packet.
@@ -148,7 +213,7 @@ impl PacketSlab {
     ///
     /// Panics if the id is stale.
     pub fn get_mut(&mut self, id: PacketId) -> &mut PacketState {
-        self.slots[id.0 as usize].as_mut().expect("stale packet id")
+        self.slot_mut(id.0).as_mut().expect("stale packet id")
     }
 
     /// Number of live packets.
@@ -158,7 +223,10 @@ impl PacketSlab {
 
     /// The most packets ever live at once: ids range below this.
     pub fn high_water(&self) -> usize {
-        self.slots.len()
+        match self.chunks.last() {
+            Some(last) => (self.chunks.len() - 1) * CHUNK + last.len(),
+            None => 0,
+        }
     }
 
     /// Packets ever inserted into the slab.
@@ -198,18 +266,13 @@ mod tests {
             DimOrder::XYZ,
             Slice(0),
         );
-        PacketState {
-            packet: Packet::write(src, dst, Payload::zeros(16)),
-            route: RouteProgress::Unicast { spec, dst },
-            vc: VcPolicy::Anton.start(),
-            pending_vc: None,
-            arrived_via: None,
-            injected_at: 0,
-            torus_hops: 0,
-            rerouted: false,
-            flits: 1,
-            route_log: None,
-        }
+        PacketState::new(
+            Packet::write(src, dst, Payload::zeros(16)),
+            RouteProgress::Unicast { spec, dst },
+            VcPolicy::Anton.start(),
+            0,
+            false,
+        )
     }
 
     #[test]
@@ -223,6 +286,23 @@ mod tests {
         assert_eq!(c, a, "freed slot should be reused");
         assert_ne!(b, c);
         assert_eq!(slab.live(), 2);
+    }
+
+    #[test]
+    fn growth_adds_a_chunk_and_moves_no_slot() {
+        let mut slab = PacketSlab::new();
+        let first = slab.insert(dummy_state());
+        let at = slab.get(first) as *const PacketState;
+        for i in 1..=CHUNK {
+            assert_eq!(slab.insert(dummy_state()), PacketId(i as u32), "ids dense");
+        }
+        assert_eq!(slab.high_water(), CHUNK + 1);
+        assert_eq!(slab.chunks.len(), 2);
+        assert!(std::ptr::eq(slab.get(first), at), "slot 0 moved");
+        slab.get_mut(PacketId(CHUNK as u32)).torus_hops = 7;
+        assert_eq!(slab.remove(PacketId(CHUNK as u32)).torus_hops, 7);
+        assert_eq!(slab.insert(dummy_state()), PacketId(CHUNK as u32));
+        assert_eq!(slab.live(), CHUNK + 1);
     }
 
     #[test]

@@ -86,8 +86,8 @@ pub struct GateEntry {
     /// reach).
     pub ready: u32,
     /// Route-computation cache: output port (`0xFF` = not yet computed).
-    /// Receiving channel adapters reuse this slot as an arrival-kind cache
-    /// (see the adapter steps in [`Sim`](crate::sim::Sim)).
+    /// Channel adapters reuse this slot as an arrival-kind cache on the
+    /// wires they consume (see `adapter.rs`).
     pub rc_port: u8,
     /// Route-computation cache: VC index on the output wire.
     pub rc_vcidx: u8,
@@ -202,10 +202,10 @@ pub struct BufEntry {
     /// Traffic-pattern tag.
     pub pattern: u8,
     /// Stamped chip-traversal route context: dense [`LocalAttach`] code of
-    /// the packet's target adapter on the current chip (`0xFF` = unstamped;
-    /// routers fall back to the packet slab). Stamped where the packet
-    /// enters the mesh (injection or channel adapter), where its slab line
-    /// is already hot; stable until the packet leaves the chip.
+    /// the packet's target adapter on the current chip (`0xFF` only on a
+    /// torus wire, between chips). Stamped where the packet enters the mesh
+    /// (injection or channel adapter), where its slab line is already hot;
+    /// stable until the packet leaves the chip, whatever routes it.
     ///
     /// [`LocalAttach`]: anton_core::chip::LocalAttach
     pub target: u8,

@@ -2,15 +2,20 @@
 //! [`Metrics`] aggregates and the raw simulator counters, occupancy-
 //! histogram gating, and determinism of the whole record.
 
+use anton_arbiter::ArbiterKind;
 use anton_core::chip::{ChanId, LocalEndpointId, NUM_CHAN_ADAPTERS};
 use anton_core::config::{GlobalEndpoint, MachineConfig};
-use anton_core::topology::{NodeCoord, NodeId, TorusShape};
+use anton_core::multicast::{DestSet, McGroup, McGroupId};
+use anton_core::packet::{CounterId, Destination, Packet, PatternId, Payload};
+use anton_core::routing::DimOrder;
+use anton_core::topology::{NodeCoord, NodeId, Slice, TorusShape};
+use anton_core::vc::VcPolicy;
 use anton_fault::{FaultKind, FaultSchedule};
 use anton_sim::driver::{BatchDriver, LoadDriver, PingPongDriver};
 use anton_sim::metrics::LinkClass;
 use anton_sim::params::{PreflightMode, SimParams, TraceConfig};
-use anton_sim::sim::{KernelWork, RunOutcome, Sim};
-use anton_traffic::patterns::UniformRandom;
+use anton_sim::sim::{Delivery, Driver, KernelWork, RunOutcome, Sim};
+use anton_traffic::patterns::{ReverseTornado, Tornado, UniformRandom};
 
 /// A 2×2×2 uniform batch (8 packets per endpoint) on the serial kernel,
 /// not yet run.
@@ -408,6 +413,343 @@ fn kernel_work_is_pinned_on_each_delivery_path() {
             "{path} path"
         );
     }
+}
+
+/// Everything exact a kernel refactor must hold on one small serial run:
+/// the work counters, the grants per arbitration site, the flit counters,
+/// the per-cause totals of the stall table and the events the flight
+/// recorder saw (0 with event recording off).
+#[derive(Debug, PartialEq)]
+struct LayerPin {
+    work: KernelWork,
+    /// SA1, output (SA2), serializer.
+    grants: [u64; 3],
+    flit_hops: u64,
+    torus_flits: u64,
+    rerouted: u64,
+    /// Indexed by `StallCause::index`.
+    stall_cycles: [u64; 7],
+    events: u64,
+}
+
+impl LayerPin {
+    /// Reads the pin off a finished run (stall attribution must be on).
+    fn of(sim: &mut Sim) -> LayerPin {
+        sim.flush_stalls();
+        let table = sim.stall_table().expect("pins run with stalls on");
+        let mut stall_cycles = [0u64; 7];
+        for w in 0..table.num_wires() as u32 {
+            for (acc, c) in stall_cycles.iter_mut().zip(table.wire_cause_cycles(w)) {
+                *acc += c;
+            }
+        }
+        assert_eq!(
+            stall_cycles.iter().sum::<u64>(),
+            table.total_stall_cycles(),
+            "per-cause totals cover the table"
+        );
+        let g = sim.grant_counts();
+        LayerPin {
+            work: sim.kernel_work(),
+            grants: [g.sa1, g.output, g.serializer],
+            flit_hops: sim.stats().flit_hops,
+            torus_flits: sim.stats().torus_flits,
+            rerouted: sim.stats().rerouted_packets,
+            stall_cycles,
+            events: sim.recorder().map_or(0, |r| r.total_recorded()),
+        }
+    }
+}
+
+/// Waits for a number of packet deliveries and one handler dispatch.
+struct WaitFor {
+    packets: u64,
+    handler_seen: bool,
+}
+
+impl Driver for WaitFor {
+    fn pre_cycle(&mut self, _sim: &mut Sim) {}
+    fn on_delivery(&mut self, _sim: &mut Sim, d: &Delivery) {
+        match d {
+            Delivery::Packet(_) => self.packets -= 1,
+            Delivery::Handler { .. } => self.handler_seen = true,
+        }
+    }
+    fn done(&self, _sim: &Sim) -> bool {
+        self.packets == 0 && self.handler_seen
+    }
+}
+
+/// The `multicast_counted_write` golden's machine and traffic: two MD halo
+/// multicasts from the centre of a 3×3×3 machine (source and mid-tree
+/// replication, local delivery copies) and a three-packet counted write to
+/// a far corner (counter, handler dispatch).
+fn multicast_pin() -> LayerPin {
+    let cfg = MachineConfig::new(TorusShape::cube(3));
+    let src_node = NodeCoord::new(1, 1, 1);
+    let at = |node, ep| GlobalEndpoint {
+        node: cfg.shape.id(node),
+        ep: LocalEndpointId(ep),
+    };
+    let dests =
+        anton_traffic::md::halo_dest_set(&cfg, src_node, anton_traffic::md::HaloSpec::default());
+    let copies = dests.num_endpoints() as u64;
+    let group = McGroup::build(
+        &cfg.shape,
+        McGroupId(3),
+        src_node,
+        dests,
+        &anton_traffic::md::alternating_variants(),
+    );
+    let (src, dst) = (at(src_node, 0), at(NodeCoord::new(2, 2, 2), 5));
+    let params = SimParams {
+        trace: TraceConfig::stalls(),
+        ..SimParams::default()
+    };
+    let mut sim = Sim::builder().config(cfg).params(params).build();
+    sim.add_multicast_group(group);
+    sim.set_counter(dst, CounterId(4), 3);
+    for tree in [0u8, 1] {
+        let mut pkt = Packet::write(src, src, Payload::zeros(16));
+        pkt.dst = Destination::Multicast {
+            group: McGroupId(3),
+            tree,
+        };
+        sim.inject(src, pkt);
+    }
+    for _ in 0..3 {
+        let mut pkt = Packet::write(src, dst, Payload::zeros(16));
+        pkt.counter = Some(CounterId(4));
+        sim.inject(src, pkt);
+    }
+    let mut drv = WaitFor {
+        packets: 2 * copies + 3,
+        handler_seen: false,
+    };
+    assert_eq!(sim.run(&mut drv, 1_000_000), RunOutcome::Completed);
+    LayerPin::of(&mut sim)
+}
+
+/// A batch driver that also injects one multicast per cycle of `at` from
+/// node 0 to two endpoints of its X neighbour (`copies_left` deliveries in
+/// all), tagged so their deliveries stay out of the batch's count.
+struct BatchWithMulticasts {
+    inner: BatchDriver,
+    at: Vec<u64>,
+    payload_bytes: usize,
+    copies_left: u64,
+}
+
+const MC_TAG: PatternId = PatternId(9);
+
+impl Driver for BatchWithMulticasts {
+    fn pre_cycle(&mut self, sim: &mut Sim) {
+        while self.at.first().is_some_and(|&t| t <= sim.now()) {
+            self.at.remove(0);
+            let src = sim.cfg.endpoint_at(0);
+            let mut pkt = Packet::write(src, src, Payload::zeros(self.payload_bytes));
+            pkt.pattern = MC_TAG;
+            pkt.dst = Destination::Multicast {
+                group: McGroupId(0),
+                tree: 0,
+            };
+            sim.inject(src, pkt);
+        }
+        self.inner.pre_cycle(sim);
+    }
+    fn on_delivery(&mut self, sim: &mut Sim, d: &Delivery) {
+        match d {
+            Delivery::Packet(p) if p.pattern == MC_TAG.0 => self.copies_left -= 1,
+            _ => self.inner.on_delivery(sim, d),
+        }
+    }
+    fn done(&self, sim: &Sim) -> bool {
+        self.copies_left == 0 && self.inner.done(sim)
+    }
+}
+
+/// A uniform (or, with `blend`, 50/50 tornado / reverse-tornado) batch on
+/// `cfg`, stall attribution on, plus one multicast (see
+/// [`BatchWithMulticasts`]) at each cycle of `multicasts_at`.
+fn batch_pin(
+    cfg: MachineConfig,
+    params: SimParams,
+    blend: bool,
+    packets_per_endpoint: u64,
+    payload_bytes: usize,
+    multicasts_at: &[u64],
+) -> LayerPin {
+    let params = SimParams {
+        trace: TraceConfig {
+            stalls: true,
+            ..params.trace
+        },
+        seed: 5,
+        ..params
+    };
+    let mut dests = DestSet::new();
+    for ep in [0, 1] {
+        dests.add(NodeCoord::new(1, 0, 0), LocalEndpointId(ep));
+    }
+    let group = McGroup::build(
+        &cfg.shape,
+        McGroupId(0),
+        NodeCoord::new(0, 0, 0),
+        dests,
+        &[(DimOrder::XYZ, Slice(0))],
+    );
+    let mut builder = Sim::builder().config(cfg).params(params);
+    if blend {
+        builder = builder
+            .arbiter(ArbiterKind::InverseWeighted { m_bits: 5 })
+            .traffic(Box::new(Tornado))
+            .traffic(Box::new(ReverseTornado));
+    }
+    let mut sim = builder.build();
+    sim.add_multicast_group(group);
+    let drv = BatchDriver::builder(&sim)
+        .packets_per_endpoint(packets_per_endpoint)
+        .payload_bytes(payload_bytes)
+        .seed(1);
+    let inner = if blend {
+        drv.component(Box::new(Tornado), 0.5)
+            .component(Box::new(ReverseTornado), 0.5)
+    } else {
+        drv.pattern(Box::new(UniformRandom))
+    }
+    .build();
+    let mut drv = BatchWithMulticasts {
+        inner,
+        at: multicasts_at.to_vec(),
+        payload_bytes,
+        copies_left: 2 * multicasts_at.len() as u64,
+    };
+    assert_eq!(sim.run(&mut drv, 1_000_000), RunOutcome::Completed);
+    LayerPin::of(&mut sim)
+}
+
+/// Exact counts on small serial runs that between them reach every branch
+/// of the endpoint, channel-adapter and router layers. Every value was read
+/// at the parent of the commit that split those layers out of `Sim`
+/// (`ff42f24`, where this test passes as it stands): the split had to
+/// leave every wake, grant, flit-hop, attributed stall cycle and recorded
+/// event where it was, and so does whatever touches a layer next.
+#[test]
+fn exact_counts_are_pinned_on_each_layer_path() {
+    let pin = |name: &str, got: LayerPin, want: LayerPin| assert_eq!(got, want, "{name}");
+    let want =
+        |cycles, wakes, wheel_words_visited, grants, flits: [u64; 3], stall_cycles, events| {
+            LayerPin {
+                work: KernelWork {
+                    cycles,
+                    wakes,
+                    wheel_words_visited,
+                },
+                grants,
+                flit_hops: flits[0],
+                torus_flits: flits[1],
+                rerouted: flits[2],
+                stall_cycles,
+                events,
+            }
+        };
+    let cube2 = || MachineConfig::new(TorusShape::cube(2));
+    pin(
+        "multicast",
+        multicast_pin(),
+        want(
+            275,
+            [1_713, 763, 506, 3_240],
+            2_595,
+            [443, 443, 61],
+            [620, 61, 0],
+            [0, 0, 0, 0, 1, 0, 0],
+            0,
+        ),
+    );
+    // Inverse weights programmed by `build()` from two blended patterns:
+    // weighted picks at SA1, SA2 and the serializer.
+    let blend = MachineConfig::new(TorusShape::new(4, 2, 2));
+    pin(
+        "inverse-weighted blend",
+        batch_pin(blend, SimParams::default(), true, 16, 16, &[]),
+        want(
+            333,
+            [46_825, 15_034, 10_275, 1_920],
+            5_782,
+            [40_722, 30_726, 4_096],
+            [43_014, 4_096, 0],
+            [37_078, 825, 9_996, 0, 7_206, 0, 0],
+            0,
+        ),
+    );
+    // Two-flit payloads: output, adapter and endpoint busy windows.
+    pin(
+        "two-flit",
+        batch_pin(cube2(), SimParams::default(), false, 8, 32, &[10, 20, 30]),
+        want(
+            464,
+            [25_575, 8_630, 3_349, 960],
+            5_489,
+            [11_492, 10_211, 1_742],
+            [29_450, 3_484, 0],
+            [13_635, 111, 1_281, 3_840, 7_526, 0, 0],
+            0,
+        ),
+    );
+    let mut baseline = MachineConfig::new(TorusShape::new(4, 2, 2));
+    baseline.vc_policy = VcPolicy::Baseline2n;
+    pin(
+        "baseline 2n",
+        batch_pin(baseline, SimParams::default(), false, 8, 16, &[]),
+        want(
+            334,
+            [40_753, 21_693, 5_376, 1_920],
+            5_356,
+            [24_899, 23_253, 4_370],
+            [34_041, 4_370, 0],
+            [785, 6, 1_646, 0, 3_669, 0, 0],
+            0,
+        ),
+    );
+    // One link `Down` for cycles 150–900 under BER 1e-4, shallow torus
+    // buffers, events recorded: the absorbing serializer, reroute re-entry,
+    // multicast copies waiting out the outage, credits stuck behind a
+    // retransmit backlog.
+    let down = FaultSchedule::uniform(7, 1e-4).with_fault(
+        NodeId(0),
+        ChanId::from_index(0),
+        FaultKind::Down {
+            from_cycle: 150,
+            until_cycle: 900,
+        },
+    );
+    let params = SimParams {
+        fault: Some(down),
+        torus_buffer_depth: 4,
+        trace: TraceConfig::events(64),
+        ..SimParams::default()
+    };
+    pin(
+        "down window",
+        batch_pin(
+            cube2(),
+            params,
+            false,
+            8,
+            16,
+            &[100, 140, 145, 149, 150, 200, 300],
+        ),
+        want(
+            1_616,
+            [25_633, 9_792, 2_767, 5_474],
+            20_127,
+            [11_269, 10_363, 1_748],
+            [14_920, 1_748, 25],
+            [22_697, 5, 906, 0, 898, 29_813, 746],
+            43_506,
+        ),
+    );
 }
 
 /// `run(.., u64::MAX)` means "no budget", also on a simulator that has
