@@ -6,46 +6,113 @@
 //! `β` chosen so every weight fits in `M` bits. Inputs a pattern never uses
 //! get the maximum weight (they are never charged under that pattern).
 
-use std::collections::HashMap;
-
-use anton_core::chip::MeshCoord;
+use anton_core::chip::{ChanId, LocalLink, MeshCoord, MAX_ROUTER_PORTS};
 use anton_core::config::MachineConfig;
 use anton_core::topology::NodeId;
+use anton_core::trace::GlobalLink;
+use anton_core::vc::Vc;
 
-use crate::load::{router_port_flows, LoadAnalysis};
+use crate::load::{port_links, LoadAnalysis};
 
-/// Identifies one output-port arbiter: node, router, output port index
-/// (into [`anton_core::chip::ChipLayout::router_ports`]).
-pub type ArbiterKey = (NodeId, usize, usize);
+/// The weight tables of one kind of arbitration point, addressed by dense
+/// arbiter index. An arbiter the analyses placed no load on has no table;
+/// the simulator keeps its uniform weights there.
+#[derive(Debug, Clone)]
+pub struct WeightTables {
+    num_patterns: usize,
+    /// `weights[start[a]..start[a + 1]]` is arbiter `a`'s table, laid out
+    /// `[lane][pattern]`.
+    start: Vec<u32>,
+    weights: Vec<u32>,
+}
 
-/// Identifies one channel-adapter serializer VC arbiter: node, channel
-/// adapter index (into [`anton_core::chip::ChanId::index`]).
-pub type ChanArbiterKey = (NodeId, usize);
+impl WeightTables {
+    /// No arbiters yet; every table will cover `num_patterns` patterns.
+    pub fn new(num_patterns: usize) -> WeightTables {
+        WeightTables {
+            num_patterns,
+            start: vec![0],
+            weights: Vec::new(),
+        }
+    }
 
-/// Identifies one router input-port (SA1) VC arbiter: node, router index,
-/// input port index.
-pub type InputArbiterKey = (NodeId, usize, usize);
+    /// Appends the next arbiter's `[lane][pattern]` table; an empty table
+    /// leaves the arbiter unprogrammed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` is not a whole number of lanes.
+    pub fn push(&mut self, table: &[u32]) {
+        assert_eq!(table.len() % self.num_patterns, 0, "ragged weight table");
+        self.weights.extend_from_slice(table);
+        self.start.push(self.weights.len() as u32);
+    }
+
+    /// Appends the next arbiter's table from its `[lane][pattern]` loads:
+    /// `m = nint(β / γ)`, with `β` scaled to the smallest nonzero load so
+    /// the largest weight saturates the M-bit field; unused lanes get the
+    /// maximum weight. No load at all leaves the arbiter unprogrammed.
+    fn push_inverse(&mut self, loads: &[f64], max_w: u32) {
+        let used = loads.iter().copied().filter(|g| *g > 0.0);
+        let min_load = used.fold(f64::INFINITY, f64::min);
+        if min_load.is_finite() {
+            let beta = f64::from(max_w) * min_load;
+            let weight = |g: &f64| {
+                if *g > 0.0 {
+                    ((beta / g).round() as u32).clamp(1, max_w)
+                } else {
+                    max_w
+                }
+            };
+            self.weights.extend(loads.iter().map(weight));
+        }
+        self.start.push(self.weights.len() as u32);
+    }
+
+    /// Number of arbiters addressed, programmed or not.
+    pub fn num_arbiters(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The table of one arbiter as `weights[lane][pattern]`, if the
+    /// analyses placed load on it.
+    pub fn table(&self, arbiter: usize) -> Option<Vec<Vec<u32>>> {
+        let flat = &self.weights[self.start[arbiter] as usize..self.start[arbiter + 1] as usize];
+        let lanes = flat.chunks(self.num_patterns);
+        (!flat.is_empty()).then(|| lanes.map(<[u32]>::to_vec).collect())
+    }
+
+    /// Every programmed arbiter with its table, in index order.
+    pub fn programmed(&self) -> impl Iterator<Item = (usize, Vec<Vec<u32>>)> + '_ {
+        (0..self.num_arbiters()).filter_map(|a| Some((a, self.table(a)?)))
+    }
+
+    /// Every stored weight, for range checks.
+    pub fn weights(&self) -> &[u32] {
+        &self.weights
+    }
+}
 
 /// Inverse weights for every arbitration point in the machine: router
-/// output-port arbiters and channel-adapter serializer VC arbiters
-/// (Section 3 applies the inverse-weighted design at each network
-/// arbitration point).
+/// output-port arbiters, router input-port (SA1) VC arbiters and
+/// channel-adapter serializer VC arbiters (Section 3 applies the
+/// inverse-weighted design at each network arbitration point).
 #[derive(Debug, Clone)]
 pub struct ArbiterWeightSet {
     /// Number of inverse-weight bits `M`.
     pub m_bits: u32,
-    /// Per-router-arbiter table: `weights[input_port][pattern]`. Arbiters
-    /// without any analyzed load have no entry; the simulator falls back to
-    /// uniform weights there.
-    pub tables: HashMap<ArbiterKey, Vec<Vec<u32>>>,
-    /// Per-serializer table: `weights[vc_index][pattern]`, where the VC
-    /// index spans both traffic classes of the adapter's router-side input.
-    pub chan_tables: HashMap<ChanArbiterKey, Vec<Vec<u32>>>,
-    /// Per-router-input (SA1) table: `weights[vc_index][pattern]` for the
-    /// VC selection at each router input port.
-    pub input_tables: HashMap<InputArbiterKey, Vec<Vec<u32>>>,
-    /// Number of patterns each table covers.
-    pub num_patterns: usize,
+    /// Router output-port arbiters, at `(node × 16 + router) ×
+    /// MAX_ROUTER_PORTS + output port`; lanes are the router's input ports
+    /// (both indexed as [`anton_core::chip::ChipLayout::router_ports`]).
+    pub outputs: WeightTables,
+    /// Router input-port (SA1) arbiters, at `(node × 16 + router) ×
+    /// MAX_ROUTER_PORTS + input port`; lanes are the VC indices of the link
+    /// feeding the port, spanning both traffic classes.
+    pub inputs: WeightTables,
+    /// Channel-adapter serializer arbiters, at `node × 12 +`
+    /// [`ChanId::index`]; lanes are the VC indices of the adapter's
+    /// router-side input, spanning both traffic classes.
+    pub serializers: WeightTables,
 }
 
 impl ArbiterWeightSet {
@@ -65,207 +132,77 @@ impl ArbiterWeightSet {
             "m_bits={m_bits} out of range 2..=16"
         );
         let max_w = (1u32 << m_bits) - 1;
-        let mut tables: HashMap<ArbiterKey, Vec<Vec<u32>>> = HashMap::new();
-        for node in cfg.shape.nodes().map(|c| cfg.shape.id(c)) {
-            for router in MeshCoord::all() {
-                let nports = cfg.chip.router_ports(router).len();
-                // Gather per-output, per-input, per-pattern loads.
-                let mut loads = vec![vec![vec![0.0f64; analyses.len()]; nports]; nports];
-                let mut any = false;
-                for (n, analysis) in analyses.iter().enumerate() {
-                    for (out, ins) in router_port_flows(cfg, analysis, node, router) {
-                        for (input, load) in ins {
-                            loads[out][input][n] += load;
-                            any = true;
-                        }
-                    }
-                }
-                if !any {
-                    continue;
-                }
-                for (out, out_loads) in loads.iter().enumerate() {
-                    // β scaled to the smallest nonzero load so the largest
-                    // weight saturates the M-bit field.
-                    let min_load = out_loads
-                        .iter()
-                        .flatten()
-                        .copied()
-                        .filter(|l| *l > 0.0)
-                        .fold(f64::INFINITY, f64::min);
-                    if !min_load.is_finite() {
-                        continue; // no traffic through this output
-                    }
-                    let beta = f64::from(max_w) * min_load;
-                    let table: Vec<Vec<u32>> = (0..nports)
-                        .map(|input| {
-                            (0..analyses.len())
-                                .map(|n| {
-                                    let g = out_loads[input][n];
-                                    if g > 0.0 {
-                                        ((beta / g).round() as u32).clamp(1, max_w)
-                                    } else {
-                                        max_w
-                                    }
-                                })
-                                .collect()
-                        })
-                        .collect();
-                    tables.insert((node, router.index(), out), table);
-                }
+        // Per-VC loads of `link` as `[vc][pattern]` over both traffic
+        // classes. Analyzed traffic is Request class (VC indices
+        // `0..group_vcs`), so the Reply lanes carry no load.
+        let vc_loads = |loads: &mut Vec<f64>, node, link: LocalLink| {
+            let vcs = usize::from(cfg.vc_policy.num_vcs(link.group()));
+            let link = GlobalLink::Local { node, link };
+            loads.clear();
+            for vc in 0..vcs {
+                loads.extend(analyses.iter().map(|a| a.link_vc_load(&link, Vc(vc as u8))));
             }
-        }
-        // Serializer VC arbiters: one per channel adapter, weighted by the
-        // per-VC load on the adapter's router-side input link.
-        let mut chan_tables: HashMap<ChanArbiterKey, Vec<Vec<u32>>> = HashMap::new();
-        let group_vcs = cfg.vc_policy.num_vcs(anton_core::chip::LinkGroup::T) as usize;
-        let nvcs = 2 * group_vcs;
-        for node in cfg.shape.nodes().map(|c| cfg.shape.id(c)) {
-            for chan in anton_core::chip::ChanId::all() {
-                let link = anton_core::trace::GlobalLink::Local {
-                    node,
-                    link: anton_core::chip::LocalLink::RouterToChan(chan),
-                };
-                let mut loads = vec![vec![0.0f64; analyses.len()]; nvcs];
-                let mut any = false;
-                for (n, analysis) in analyses.iter().enumerate() {
-                    for (vc, slot) in loads.iter_mut().enumerate().take(group_vcs) {
-                        let l = analysis
-                            .link_vc_loads
-                            .get(&(link, anton_core::vc::Vc(vc as u8)))
-                            .copied()
-                            .unwrap_or(0.0);
-                        if l > 0.0 {
-                            // Analyzed traffic is Request class (VC indices
-                            // 0..group_vcs).
-                            slot[n] = l;
-                            any = true;
-                        }
-                    }
-                }
-                if !any {
-                    continue;
-                }
-                let min_load = loads
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .filter(|l| *l > 0.0)
-                    .fold(f64::INFINITY, f64::min);
-                let beta = f64::from(max_w) * min_load;
-                let table: Vec<Vec<u32>> = (0..nvcs)
-                    .map(|vc| {
-                        (0..analyses.len())
-                            .map(|n| {
-                                let g = loads[vc][n];
-                                if g > 0.0 {
-                                    ((beta / g).round() as u32).clamp(1, max_w)
-                                } else {
-                                    max_w
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect();
-                chan_tables.insert((node, chan.index()), table);
-            }
-        }
-        // SA1 VC arbiters: one per router input port, weighted by the
-        // per-VC load on the link feeding that port.
-        let mut input_tables: HashMap<InputArbiterKey, Vec<Vec<u32>>> = HashMap::new();
-        for node in cfg.shape.nodes().map(|c| cfg.shape.id(c)) {
-            for router in MeshCoord::all() {
-                for (port, attach) in cfg.chip.router_ports(router).iter().enumerate() {
-                    use anton_core::chip::{LocalAttach, LocalLink};
-                    let (link, group) = match *attach {
-                        LocalAttach::Mesh(d) => (
-                            LocalLink::Mesh {
-                                from: router.step(d).expect("mesh port has neighbor"),
-                                dir: d.opposite(),
-                            },
-                            anton_core::chip::LinkGroup::M,
-                        ),
-                        LocalAttach::Skip => (
-                            LocalLink::Skip {
-                                from: cfg.chip.skip_partner(router).expect("skip partner"),
-                            },
-                            anton_core::chip::LinkGroup::T,
-                        ),
-                        LocalAttach::Chan(c) => {
-                            (LocalLink::ChanToRouter(c), anton_core::chip::LinkGroup::T)
-                        }
-                        LocalAttach::Endpoint(e) => {
-                            (LocalLink::EpToRouter(e), anton_core::chip::LinkGroup::M)
-                        }
-                    };
-                    let glink = anton_core::trace::GlobalLink::Local { node, link };
-                    let group_vcs = cfg.vc_policy.num_vcs(group) as usize;
-                    let nvcs = 2 * group_vcs;
-                    let mut loads = vec![vec![0.0f64; analyses.len()]; nvcs];
-                    let mut any = false;
-                    for (n, analysis) in analyses.iter().enumerate() {
-                        for (vc, slot) in loads.iter_mut().enumerate().take(group_vcs) {
-                            let l = analysis
-                                .link_vc_loads
-                                .get(&(glink, anton_core::vc::Vc(vc as u8)))
-                                .copied()
-                                .unwrap_or(0.0);
-                            if l > 0.0 {
-                                slot[n] = l;
-                                any = true;
-                            }
-                        }
-                    }
-                    if !any {
-                        continue;
-                    }
-                    let min_load = loads
-                        .iter()
-                        .flatten()
-                        .copied()
-                        .filter(|l| *l > 0.0)
-                        .fold(f64::INFINITY, f64::min);
-                    let beta = f64::from(max_w) * min_load;
-                    let table: Vec<Vec<u32>> = (0..nvcs)
-                        .map(|vc| {
-                            (0..analyses.len())
-                                .map(|n| {
-                                    let g = loads[vc][n];
-                                    if g > 0.0 {
-                                        ((beta / g).round() as u32).clamp(1, max_w)
-                                    } else {
-                                        max_w
-                                    }
-                                })
-                                .collect()
-                        })
-                        .collect();
-                    input_tables.insert((node, router.index(), port), table);
-                }
-            }
-        }
-        ArbiterWeightSet {
+            loads.resize(2 * vcs * analyses.len(), 0.0);
+        };
+        let mut set = ArbiterWeightSet {
             m_bits,
-            tables,
-            chan_tables,
-            input_tables,
-            num_patterns: analyses.len(),
+            outputs: WeightTables::new(analyses.len()),
+            inputs: WeightTables::new(analyses.len()),
+            serializers: WeightTables::new(analyses.len()),
+        };
+        let router_links: Vec<_> = MeshCoord::all().map(|r| port_links(&cfg.chip, r)).collect();
+        let mut loads = Vec::new();
+        for node in (0..cfg.shape.num_nodes() as u32).map(NodeId) {
+            for (router, links) in router_links.iter().enumerate() {
+                for port in 0..MAX_ROUTER_PORTS {
+                    // An output arbitrates among the router's inputs by the
+                    // flow each sends it.
+                    loads.clear();
+                    for input in 0..links.len() {
+                        let flow = |a: &&LoadAnalysis| a.router_flow(node, router, input, port);
+                        loads.extend(analyses.iter().map(flow));
+                    }
+                    set.outputs.push_inverse(&loads, max_w);
+                    // SA1 arbitrates among the VCs of the link feeding the
+                    // input.
+                    match links.get(port) {
+                        Some(&(_, feeding)) => vc_loads(&mut loads, node, feeding),
+                        None => loads.clear(),
+                    }
+                    set.inputs.push_inverse(&loads, max_w);
+                }
+            }
+            // A serializer arbitrates among the VCs of its adapter's
+            // router-side input link.
+            for chan in ChanId::all() {
+                vc_loads(&mut loads, node, LocalLink::RouterToChan(chan));
+                set.serializers.push_inverse(&loads, max_w);
+            }
         }
-    }
-
-    /// The weight table of one arbiter, if the analyses placed load on it.
-    pub fn table(&self, node: NodeId, router: usize, out_port: usize) -> Option<&Vec<Vec<u32>>> {
-        self.tables.get(&(node, router, out_port))
+        set
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anton_core::chip::NUM_ROUTERS;
     use anton_core::topology::TorusShape;
     use anton_traffic::patterns::{ReverseTornado, Tornado, UniformRandom};
 
     fn cfg(k: u8) -> MachineConfig {
         MachineConfig::new(TorusShape::cube(k))
+    }
+
+    /// `(input port, load)` of every input sending traffic to the output
+    /// arbiter at dense index `arbiter`.
+    fn output_flows(analysis: &LoadAnalysis, arbiter: usize) -> Vec<(usize, f64)> {
+        let (router, out) = (arbiter / MAX_ROUTER_PORTS, arbiter % MAX_ROUTER_PORTS);
+        let (node, router) = (NodeId((router / NUM_ROUTERS) as u32), router % NUM_ROUTERS);
+        (0..MAX_ROUTER_PORTS)
+            .map(|i| (i, analysis.router_flow(node, router, i, out)))
+            .filter(|(_, load)| *load > 0.0)
+            .collect()
     }
 
     #[test]
@@ -277,18 +214,16 @@ mod tests {
         let m_bits = 5u32;
         let max_w = (1u32 << m_bits) - 1;
         let set = ArbiterWeightSet::compute(&cfg, &[&analysis], m_bits);
-        assert!(!set.tables.is_empty());
-        for ((node, router, out), table) in &set.tables {
-            let r = MeshCoord::from_index(*router);
-            let flows = router_port_flows(&cfg, &analysis, *node, r);
-            let Some(ins) = flows.get(out) else { continue };
+        assert!(set.outputs.programmed().count() > 0);
+        for (arbiter, table) in set.outputs.programmed() {
+            let ins = output_flows(&analysis, arbiter);
             let min_load = ins.iter().map(|(_, l)| *l).fold(f64::INFINITY, f64::min);
             let beta = f64::from(max_w) * min_load;
-            for (i, load) in ins {
+            for (i, load) in &ins {
                 let expect = ((beta / load).round() as u32).clamp(1, max_w);
                 assert_eq!(
                     table[*i][0], expect,
-                    "weight at {node}/{r}/out{out}/in{i} (load {load})"
+                    "weight at arbiter {arbiter} in{i} (load {load})"
                 );
             }
             // The busiest weight direction: the smallest load gets the
@@ -303,16 +238,14 @@ mod tests {
         let cfg = cfg(2);
         let analysis = LoadAnalysis::compute(&cfg, &UniformRandom);
         let set = ArbiterWeightSet::compute(&cfg, &[&analysis], 8);
-        for ((node, router, out), table) in &set.tables {
-            let r = MeshCoord::from_index(*router);
-            let flows = router_port_flows(&cfg, &analysis, *node, r);
-            let Some(ins) = flows.get(out) else { continue };
-            for a in ins {
-                for b in ins {
+        for (arbiter, table) in set.outputs.programmed() {
+            let ins = output_flows(&analysis, arbiter);
+            for a in &ins {
+                for b in &ins {
                     if a.1 > b.1 + 1e-12 {
                         assert!(
                             table[a.0][0] <= table[b.0][0],
-                            "monotonicity violated at {node}/{r}/{out}"
+                            "monotonicity violated at arbiter {arbiter}"
                         );
                     }
                 }
@@ -328,11 +261,13 @@ mod tests {
         for m in [4u32, 5, 8] {
             let set = ArbiterWeightSet::compute(&cfg, &[&a0, &a1], m);
             let max = (1u32 << m) - 1;
-            for table in set.tables.values() {
-                for row in table {
-                    assert_eq!(row.len(), 2);
-                    for &w in row {
-                        assert!((1..=max).contains(&w));
+            for tables in [&set.outputs, &set.inputs, &set.serializers] {
+                for (_, table) in tables.programmed() {
+                    for row in table {
+                        assert_eq!(row.len(), 2);
+                        for w in row {
+                            assert!((1..=max).contains(&w));
+                        }
                     }
                 }
             }
@@ -345,10 +280,8 @@ mod tests {
         let analysis = LoadAnalysis::compute(&cfg, &Tornado);
         let set = ArbiterWeightSet::compute(&cfg, &[&analysis], 5);
         let mut saw_unused = false;
-        for ((node, router, out), table) in &set.tables {
-            let r = MeshCoord::from_index(*router);
-            let flows = router_port_flows(&cfg, &analysis, *node, r);
-            let ins = &flows[out];
+        for (arbiter, table) in set.outputs.programmed() {
+            let ins = output_flows(&analysis, arbiter);
             for (i, row) in table.iter().enumerate() {
                 if !ins.iter().any(|(inp, _)| *inp == i) {
                     assert_eq!(row[0], 31, "unused input should carry max weight");

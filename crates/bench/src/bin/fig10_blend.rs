@@ -61,14 +61,11 @@ fn main() {
     // Saturation rate of each blend: the blended load is linear in the
     // mixing coefficients (Section 3.2), so analyze the mixture.
     let blend_saturation = |f: f64| {
-        let mut combined = LoadAnalysis::default();
-        for (link, load) in &fwd.link_loads {
-            *combined.link_loads.entry(*link).or_insert(0.0) += f * load;
-        }
-        for (link, load) in &rev.link_loads {
-            *combined.link_loads.entry(*link).or_insert(0.0) += (1.0 - f) * load;
-        }
-        combined.saturation_injection_rate(torus_capacity())
+        let blended = fwd
+            .torus_loads()
+            .zip(rev.torus_loads())
+            .map(|((_, _, fwd), (_, _, rev))| f * fwd + (1.0 - f) * rev);
+        torus_capacity() / blended.fold(0.0, f64::max)
     };
     let sats: Vec<(u64, f64)> = steps
         .iter()

@@ -1,10 +1,8 @@
 //! Diagnostic: per-source batch-completion fairness, round-robin versus
 //! fully weighted arbitration, printing completion-time percentiles.
 //! Usage: `probe_fair --k K --batch B`.
-use anton_analysis::load::LoadAnalysis;
-use anton_analysis::weights::ArbiterWeightSet;
 use anton_arbiter::ArbiterKind;
-use anton_bench::FlagSet;
+use anton_bench::{saturation_rate, FlagSet};
 use anton_core::config::MachineConfig;
 use anton_core::topology::TorusShape;
 use anton_sim::driver::BatchDriver;
@@ -45,9 +43,7 @@ fn main() {
     let k: u8 = args.get("k");
     let batch: u64 = args.get("batch");
     let cfg = MachineConfig::new(TorusShape::cube(k));
-    let analysis = LoadAnalysis::compute(&cfg, &UniformRandom);
-    let sat = analysis.saturation_injection_rate(14.0 / 45.0);
-    let weights = ArbiterWeightSet::compute(&cfg, &[&analysis], 5);
+    let sat = saturation_rate(&cfg, &UniformRandom);
     for kind in ["rr", "iw"] {
         let params = SimParams {
             arbiter: if kind == "rr" {
@@ -57,18 +53,11 @@ fn main() {
             },
             ..SimParams::default()
         };
-        let mut sim = Sim::builder().config(cfg.clone()).params(params).build();
-        if kind == "iw" {
-            for ((node, router, out), table) in &weights.tables {
-                sim.set_arbiter_weights(*node, *router, *out, table.clone(), 5);
-            }
-            for ((node, chan), table) in &weights.chan_tables {
-                sim.set_chan_arbiter_weights(*node, *chan, table.clone(), 5);
-            }
-            for ((node, router, port), table) in &weights.input_tables {
-                sim.set_input_arbiter_weights(*node, *router, *port, table.clone(), 5);
-            }
-        }
+        let mut sim = Sim::builder()
+            .config(cfg.clone())
+            .params(params)
+            .traffic(Box::new(UniformRandom))
+            .build();
         let n = cfg.num_endpoints();
         let inner = BatchDriver::builder(&sim)
             .pattern(Box::new(UniformRandom))

@@ -1,10 +1,8 @@
 //! Diagnostic: mean per-source completion time by on-chip endpoint/router
 //! position, exposing floorplan-correlated service inequity.
 //! Usage: `probe_position --k K --batch B --mode rr|iw|age --depth D`.
-use anton_analysis::load::LoadAnalysis;
-use anton_analysis::weights::ArbiterWeightSet;
 use anton_arbiter::ArbiterKind;
-use anton_bench::{apply_weights, FlagSet};
+use anton_bench::FlagSet;
 use anton_core::config::MachineConfig;
 use anton_core::topology::TorusShape;
 use anton_sim::driver::BatchDriver;
@@ -51,26 +49,20 @@ fn main() {
     let mode: String = args.get("mode");
     let depth: u8 = args.get("depth");
     let cfg = MachineConfig::new(TorusShape::cube(k));
-    let mut params = SimParams {
+    let params = SimParams {
         buffer_depth: depth,
+        arbiter: match mode.as_str() {
+            "iw" => ArbiterKind::InverseWeighted { m_bits: 5 },
+            "age" => ArbiterKind::Age,
+            _ => ArbiterKind::RoundRobin,
+        },
         ..SimParams::default()
     };
-    let weights = match mode.as_str() {
-        "iw" => {
-            let a = LoadAnalysis::compute(&cfg, &UniformRandom);
-            params.arbiter = ArbiterKind::InverseWeighted { m_bits: 5 };
-            Some(ArbiterWeightSet::compute(&cfg, &[&a], 5))
-        }
-        "age" => {
-            params.arbiter = ArbiterKind::Age;
-            None
-        }
-        _ => None,
-    };
-    let mut sim = Sim::builder().config(cfg.clone()).params(params).build();
-    if let Some(w) = &weights {
-        apply_weights(&mut sim, w);
-    }
+    let mut sim = Sim::builder()
+        .config(cfg.clone())
+        .params(params)
+        .traffic(Box::new(UniformRandom))
+        .build();
     let n = cfg.num_endpoints();
     let inner = BatchDriver::builder(&sim)
         .pattern(Box::new(UniformRandom))

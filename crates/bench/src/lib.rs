@@ -13,8 +13,8 @@
 //!   [`Measurement`](harness::Measurement) records;
 //! * [`json`] — dependency-free serialization of `results/<name>.json`;
 //! * [`flags`] — declarative typed command-line flags for the binaries;
-//! * plus the shared measurement loop: weight installation, saturation
-//!   normalization, and batch-throughput runs.
+//! * plus the shared measurement loop: saturation normalization and
+//!   batch-throughput runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,20 +44,6 @@ pub use json::Json;
 /// packets).
 pub fn torus_capacity() -> f64 {
     f64::from(TORUS_TOKEN_GAIN) / f64::from(TORUS_TOKEN_COST)
-}
-
-/// Installs a weight set at every router output arbiter and channel
-/// serializer the analysis covered.
-pub fn apply_weights(sim: &mut Sim, weights: &ArbiterWeightSet) {
-    for ((node, router, out), table) in &weights.tables {
-        sim.set_arbiter_weights(*node, *router, *out, table.clone(), weights.m_bits);
-    }
-    for ((node, chan), table) in &weights.chan_tables {
-        sim.set_chan_arbiter_weights(*node, *chan, table.clone(), weights.m_bits);
-    }
-    for ((node, router, port), table) in &weights.input_tables {
-        sim.set_input_arbiter_weights(*node, *router, *port, table.clone(), weights.m_bits);
-    }
 }
 
 /// Which arbitration configuration a throughput run uses.
@@ -179,7 +165,7 @@ pub fn run_batch_sharded(
     if shards > 1 {
         let mut sim = builder.shards(shards).build_sharded();
         if let ArbiterSetup::InverseWeighted(w) = setup {
-            sim.configure(|s| apply_weights(s, w));
+            sim.configure(|s| s.install_weights(w));
         }
         let outcome = sim.run(&mut driver, 600_000_000);
         assert_eq!(
@@ -197,7 +183,7 @@ pub fn run_batch_sharded(
     } else {
         let mut sim = builder.build();
         if let ArbiterSetup::InverseWeighted(w) = setup {
-            apply_weights(&mut sim, w);
+            sim.install_weights(w);
         }
         let outcome = sim.run(&mut driver, 600_000_000);
         assert_eq!(

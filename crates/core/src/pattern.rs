@@ -56,9 +56,11 @@ pub trait TrafficPattern: Send + Sync {
     /// Whether the pattern is invariant under torus translation (every node
     /// sees the same relative demand). Node-symmetric patterns let analyses
     /// compute loads for a single source node and replicate by translation.
-    fn node_symmetric(&self) -> bool {
-        true
-    }
+    ///
+    /// Required, with no default: a pattern that wrongly reported `true`
+    /// would be analyzed from node 0 alone — wrong loads and wrong arbiter
+    /// weights with no diagnostic.
+    fn node_symmetric(&self) -> bool;
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 
 use anton_arbiter::{BitsetArbiter, GrantSite};
-use anton_core::chip::{ChanId, LinkGroup, NUM_CHAN_ADAPTERS};
+use anton_core::chip::{ChanId, LinkGroup};
 use anton_core::topology::{NodeId, TorusShape};
 use anton_obs::{StallCause, TraceEventKind};
 
@@ -116,10 +116,10 @@ impl Adapters {
         self.chans.iter().all(|c| c.repl.is_empty())
     }
 
-    /// The serializer VC arbiter of adapter `chan_idx` on `node`, for
-    /// installing a weight program.
-    pub(crate) fn arbiter_mut(&mut self, node: NodeId, chan_idx: usize) -> &mut BitsetArbiter {
-        &mut self.chans[node.0 as usize * NUM_CHAN_ADAPTERS + chan_idx].out_arbiter
+    /// The serializer VC arbiter of adapter `cidx` (`node × 12 + adapter`),
+    /// for installing a weight program.
+    pub(crate) fn arbiter_mut(&mut self, cidx: usize) -> &mut BitsetArbiter {
+        &mut self.chans[cidx].out_arbiter
     }
 
     /// One wake of adapter `cidx`: the inbound half, then the outbound.

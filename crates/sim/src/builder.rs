@@ -136,7 +136,7 @@ impl SimBuilder {
         let weights = computed_weights(&cfg, &params, &traffic);
         let mut sim = Sim::construct(cfg, params, None);
         if let Some(set) = &weights {
-            install_weights(&mut sim, set);
+            sim.install_weights(set);
         }
         sim
     }
@@ -158,7 +158,7 @@ impl SimBuilder {
         let weights = computed_weights(&cfg, &params, &traffic);
         let mut sim = ShardedSim::new(cfg, params);
         if let Some(set) = weights {
-            sim.configure(|s| install_weights(s, &set));
+            sim.configure(|s| s.install_weights(&set));
         }
         sim
     }
@@ -200,17 +200,4 @@ fn computed_weights(
         }
     }
     Some(set)
-}
-
-/// Programs a computed weight set at every arbitration point.
-fn install_weights(sim: &mut Sim, set: &ArbiterWeightSet) {
-    for ((node, router, out), table) in &set.tables {
-        sim.set_arbiter_weights(*node, *router, *out, table.clone(), set.m_bits);
-    }
-    for ((node, chan), table) in &set.chan_tables {
-        sim.set_chan_arbiter_weights(*node, *chan, table.clone(), set.m_bits);
-    }
-    for ((node, router, port), table) in &set.input_tables {
-        sim.set_input_arbiter_weights(*node, *router, *port, table.clone(), set.m_bits);
-    }
 }

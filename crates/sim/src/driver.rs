@@ -776,6 +776,10 @@ mod tests {
         ) -> GlobalEndpoint {
             src
         }
+
+        fn node_symmetric(&self) -> bool {
+            false
+        }
     }
 
     #[test]

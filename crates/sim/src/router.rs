@@ -9,11 +9,9 @@
 //! handed.
 
 use anton_arbiter::{ArbiterKind, BitsetArbiter, GrantSite};
-use anton_core::chip::{
-    ChipLayout, LocalAttach, MeshCoord, ATTACH_CODE_BASE, MAX_ROUTER_PORTS, NUM_ROUTERS,
-};
+use anton_core::chip::{ChipLayout, LocalAttach, MeshCoord, ATTACH_CODE_BASE, MAX_ROUTER_PORTS};
 use anton_core::packet::Packet;
-use anton_core::topology::{Dim, NodeId};
+use anton_core::topology::Dim;
 use anton_core::vc::Vc;
 
 use crate::fabric::{CompRef, Ctx, Fabric};
@@ -161,21 +159,16 @@ impl Routers {
         ridx
     }
 
-    /// The arbiter at port `port` of router `router_idx` on `node` — the
-    /// input port's SA1 VC arbiter if `input`, the output port's SA2 arbiter
-    /// if not — for installing a weight program.
+    /// The arbiter at dense index `arbiter` = `router × MAX_ROUTER_PORTS +
+    /// port`, routers counted across nodes — the input port's SA1 VC arbiter
+    /// if `input`, the output port's SA2 arbiter if not — for installing a
+    /// weight program.
     ///
     /// # Panics
     ///
     /// Panics if the router or port index is out of range.
-    pub(crate) fn arbiter_mut(
-        &mut self,
-        node: NodeId,
-        router_idx: usize,
-        port: usize,
-        input: bool,
-    ) -> &mut BitsetArbiter {
-        let ridx = node.0 as usize * NUM_ROUTERS + router_idx;
+    pub(crate) fn arbiter_mut(&mut self, arbiter: usize, input: bool) -> &mut BitsetArbiter {
+        let (ridx, port) = (arbiter / MAX_ROUTER_PORTS, arbiter % MAX_ROUTER_PORTS);
         let nports = usize::from(self.routers[ridx].nports);
         assert!(port < nports, "port out of range");
         let arbiters = if input {
@@ -183,7 +176,7 @@ impl Routers {
         } else {
             &mut self.out_arb
         };
-        &mut arbiters[ridx * MAX_ROUTER_PORTS + port]
+        &mut arbiters[arbiter]
     }
 
     /// Sum of all routers' energy counters.
@@ -390,7 +383,7 @@ mod tests {
     use anton_core::config::{GlobalEndpoint, MachineConfig};
     use anton_core::multicast::McGroupId;
     use anton_core::packet::{PatternId, Payload, MAX_PAYLOAD_BYTES, PAYLOAD_BYTES_PER_FLIT};
-    use anton_core::topology::TorusShape;
+    use anton_core::topology::{NodeId, TorusShape};
     use anton_core::vc::{TrafficClass, VcState};
     use anton_obs::{StallCause, TraceEventKind};
     use proptest::prelude::*;
@@ -849,9 +842,9 @@ mod tests {
             let in_lanes = lanes(&rig, 2 * p);
             if weights.is_some() {
                 let (w_in, w_out) = (table(in_lanes), table(nports));
-                *rig.routers.arbiter_mut(NodeId(0), 0, p, true) =
+                *rig.routers.arbiter_mut(p, true) =
                     BitsetArbiter::inverse_weighted(w_in.clone(), m_bits);
-                *rig.routers.arbiter_mut(NodeId(0), 0, p, false) =
+                *rig.routers.arbiter_mut(p, false) =
                     BitsetArbiter::inverse_weighted(w_out.clone(), m_bits);
                 reference
                     .in_arb

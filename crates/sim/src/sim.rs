@@ -22,6 +22,7 @@
 //! incremental route computation is cross-checked against the reference
 //! tracer of `anton-core` in tests.
 
+use anton_analysis::weights::ArbiterWeightSet;
 use anton_arbiter::BitsetArbiter;
 use anton_core::chip::{
     ChanId, LinkGroup, LocalAttach, LocalLink, MeshCoord, NUM_CHAN_ADAPTERS, NUM_ROUTERS,
@@ -918,60 +919,32 @@ impl Sim {
         }
     }
 
-    /// Installs inverse weights at one router output arbiter.
-    ///
-    /// `weights[input_port][pattern]` must be indexed consistently with
-    /// [`anton_core::chip::ChipLayout::router_ports`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the router or port index is out of range.
-    pub fn set_arbiter_weights(
-        &mut self,
-        node: NodeId,
-        router_idx: usize,
-        out_port: usize,
-        weights: Vec<Vec<u32>>,
-        m_bits: u32,
-    ) {
-        *self.routers.arbiter_mut(node, router_idx, out_port, false) =
-            BitsetArbiter::inverse_weighted(weights, m_bits);
-    }
-
-    /// Installs inverse weights at one router input port's SA1 VC arbiter.
-    /// `weights[vc_index][pattern]` spans both traffic classes of the link
-    /// feeding the port.
+    /// Programs a computed weight set at every arbitration point it covers:
+    /// router output arbiters, router input (SA1) VC arbiters and
+    /// channel-adapter serializers. Arbiters the set leaves unprogrammed
+    /// keep their current weights. The set's dense arbiter indices are the
+    /// simulator's own (`(node × 16 + router) × MAX_ROUTER_PORTS + port`,
+    /// `node × 12 + adapter`).
     ///
     /// # Panics
     ///
-    /// Panics if the router or port index is out of range.
-    pub fn set_input_arbiter_weights(
-        &mut self,
-        node: NodeId,
-        router_idx: usize,
-        in_port: usize,
-        weights: Vec<Vec<u32>>,
-        m_bits: u32,
-    ) {
-        *self.routers.arbiter_mut(node, router_idx, in_port, true) =
-            BitsetArbiter::inverse_weighted(weights, m_bits);
-    }
-
-    /// Installs inverse weights at one channel adapter's serializer VC
-    /// arbiter. `weights[vc_index][pattern]` spans both traffic classes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the adapter index is out of range.
-    pub fn set_chan_arbiter_weights(
-        &mut self,
-        node: NodeId,
-        chan_idx: usize,
-        weights: Vec<Vec<u32>>,
-        m_bits: u32,
-    ) {
-        *self.adapters.arbiter_mut(node, chan_idx) =
-            BitsetArbiter::inverse_weighted(weights, m_bits);
+    /// Panics if the set addresses a port the router does not have, or a
+    /// table's lane count differs from its arbiter's — the set was computed
+    /// for another machine configuration.
+    pub fn install_weights(&mut self, set: &ArbiterWeightSet) {
+        let program = |arbiter: &mut BitsetArbiter, table: Vec<Vec<u32>>| {
+            assert_eq!(table.len(), arbiter.num_lanes(), "weight table lanes");
+            *arbiter = BitsetArbiter::inverse_weighted(table, set.m_bits);
+        };
+        for (a, table) in set.outputs.programmed() {
+            program(self.routers.arbiter_mut(a, false), table);
+        }
+        for (a, table) in set.inputs.programmed() {
+            program(self.routers.arbiter_mut(a, true), table);
+        }
+        for (a, table) in set.serializers.programmed() {
+            program(self.adapters.arbiter_mut(a), table);
+        }
     }
 
     /// Registers a multicast group's tables.

@@ -349,17 +349,7 @@ fn fig9_inverse_weighted(kernel: Kernel) -> String {
         collect_metrics: true,
         ..SimParams::default()
     };
-    let install = |sim: &mut Sim| {
-        for ((node, router, out), table) in &weights.tables {
-            sim.set_arbiter_weights(*node, *router, *out, table.clone(), weights.m_bits);
-        }
-        for ((node, chan), table) in &weights.chan_tables {
-            sim.set_chan_arbiter_weights(*node, *chan, table.clone(), weights.m_bits);
-        }
-        for ((node, router, port), table) in &weights.input_tables {
-            sim.set_input_arbiter_weights(*node, *router, *port, table.clone(), weights.m_bits);
-        }
-    };
+    let install = |sim: &mut Sim| sim.install_weights(&weights);
     let inner = BatchDriver::builder_for(&cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(8)

@@ -80,6 +80,10 @@ impl TrafficPattern for UniformRandom {
             ep: LocalEndpointId(rng.gen_range(0..cfg.endpoints_per_node()) as u8),
         }
     }
+
+    fn node_symmetric(&self) -> bool {
+        true
+    }
 }
 
 /// `n`-hop neighbor traffic: each packet travels to a random destination
@@ -160,6 +164,10 @@ impl TrafficPattern for NHopNeighbor {
             ep: LocalEndpointId(rng.gen_range(0..cfg.endpoints_per_node()) as u8),
         }
     }
+
+    fn node_symmetric(&self) -> bool {
+        true
+    }
 }
 
 /// Tornado traffic (Section 4.2): cores on node `(x, y, z)` send all of
@@ -206,6 +214,10 @@ impl TrafficPattern for Tornado {
     ) -> GlobalEndpoint {
         tornado_dst(cfg, src, 1)
     }
+
+    fn node_symmetric(&self) -> bool {
+        true
+    }
 }
 
 impl TrafficPattern for ReverseTornado {
@@ -227,6 +239,10 @@ impl TrafficPattern for ReverseTornado {
         _rng: &mut dyn RngCore,
     ) -> GlobalEndpoint {
         tornado_dst(cfg, src, -1)
+    }
+
+    fn node_symmetric(&self) -> bool {
+        true
     }
 }
 

@@ -585,23 +585,12 @@ pub fn lint_weights(set: &ArbiterWeightSet) -> Vec<Diagnostic> {
     let max_w = (1u32 << set.m_bits) - 1;
     let mut zero = 0usize;
     let mut overflow = 0usize;
-    let mut mismatched = 0usize;
-    let all_tables = set
-        .tables
-        .values()
-        .chain(set.chan_tables.values())
-        .chain(set.input_tables.values());
-    for table in all_tables {
-        for row in table {
-            if row.len() != set.num_patterns {
-                mismatched += 1;
-            }
-            for &w in row {
-                if w == 0 {
-                    zero += 1;
-                } else if w > max_w {
-                    overflow += 1;
-                }
+    for tables in [&set.outputs, &set.inputs, &set.serializers] {
+        for &w in tables.weights() {
+            if w == 0 {
+                zero += 1;
+            } else if w > max_w {
+                overflow += 1;
             }
         }
     }
@@ -625,18 +614,6 @@ pub fn lint_weights(set: &ArbiterWeightSet) -> Vec<Diagnostic> {
             )
             .with("overflowing_weights", overflow)
             .with("max_w", max_w),
-        );
-    }
-    if mismatched > 0 {
-        out.push(
-            Diagnostic::error(
-                "AV016",
-                format!(
-                    "{mismatched} weight row(s) do not cover all {} pattern(s)",
-                    set.num_patterns
-                ),
-            )
-            .with("mismatched_rows", mismatched),
         );
     }
     out

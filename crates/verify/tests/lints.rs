@@ -1,14 +1,13 @@
 //! Unit coverage for the configuration lint engine: one scenario per
 //! diagnostic code, plus a clean bill of health for the paper defaults.
 
-use anton_analysis::weights::ArbiterWeightSet;
+use anton_analysis::weights::{ArbiterWeightSet, WeightTables};
 use anton_core::chip::ChanId;
 use anton_core::config::MachineConfig;
 use anton_core::topology::{Dim, NodeId, Sign, Slice, TorusDir, TorusShape};
 use anton_core::vc::VcPolicy;
 use anton_fault::{FaultKind, FaultSchedule};
 use anton_verify::{lint_config, lint_params, lint_weights, ParamsView, Severity};
-use std::collections::HashMap;
 
 fn codes(diags: &[anton_verify::Diagnostic]) -> Vec<&'static str> {
     diags.iter().map(|d| d.code).collect()
@@ -252,33 +251,29 @@ fn av017_gobackn_window_and_timeout() {
     assert!(codes(&lint_params(&cfg, &view)).contains(&"AV017"));
 }
 
-fn weight_set(m_bits: u32, row: Vec<u32>, num_patterns: usize) -> ArbiterWeightSet {
-    let mut tables = HashMap::new();
-    tables.insert((NodeId(0), 0usize, 0usize), vec![row]);
+fn weight_set(m_bits: u32, row: Vec<u32>) -> ArbiterWeightSet {
+    let mut outputs = WeightTables::new(row.len());
+    outputs.push(&row);
     ArbiterWeightSet {
         m_bits,
-        tables,
-        chan_tables: HashMap::new(),
-        input_tables: HashMap::new(),
-        num_patterns,
+        outputs,
+        inputs: WeightTables::new(row.len()),
+        serializers: WeightTables::new(row.len()),
     }
 }
 
 #[test]
 fn av016_weight_set_lints() {
     // Clean set.
-    assert!(lint_weights(&weight_set(4, vec![1, 15], 2)).is_empty());
+    assert!(lint_weights(&weight_set(4, vec![1, 15])).is_empty());
     // Zero weight never wins arbitration.
-    let diags = lint_weights(&weight_set(4, vec![0, 3], 2));
+    let diags = lint_weights(&weight_set(4, vec![0, 3]));
     assert_eq!(codes(&diags), vec!["AV016"]);
     // Overflowing the M-bit field.
-    let diags = lint_weights(&weight_set(4, vec![16, 3], 2));
-    assert_eq!(codes(&diags), vec!["AV016"]);
-    // Row not covering every pattern.
-    let diags = lint_weights(&weight_set(4, vec![1], 2));
+    let diags = lint_weights(&weight_set(4, vec![16, 3]));
     assert_eq!(codes(&diags), vec!["AV016"]);
     // Out-of-range m_bits short-circuits.
-    let diags = lint_weights(&weight_set(0, vec![1, 2], 2));
+    let diags = lint_weights(&weight_set(0, vec![1, 2]));
     assert_eq!(codes(&diags), vec!["AV016"]);
 }
 

@@ -49,7 +49,7 @@ fn run(cfg: &MachineConfig, weights: Option<&ArbiterWeightSet>, batch: u64) -> (
     };
     let mut sim = Sim::builder().config(cfg.clone()).params(params).build();
     if let Some(w) = weights {
-        apply_weights(&mut sim, w);
+        sim.install_weights(w);
     }
     let n = cfg.num_endpoints();
     let mut driver = PerSource {
@@ -86,8 +86,8 @@ fn main() {
     let weights = ArbiterWeightSet::compute(&cfg, &[&analysis], 5);
     println!(
         "derived {} router tables and {} serializer tables from the tornado loads",
-        weights.tables.len(),
-        weights.chan_tables.len()
+        weights.outputs.programmed().count(),
+        weights.serializers.programmed().count()
     );
     let (iw_cycles, iw_jain) = run(&cfg, Some(&weights), batch);
     println!("inverse-weighted:  completed in {iw_cycles} cycles, Jain fairness {iw_jain:.4}");

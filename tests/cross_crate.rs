@@ -4,7 +4,7 @@
 use anton2::anton_analysis::deadlock::{build_unicast_dep_graph, RouteEnumeration};
 use anton2::anton_analysis::load::LoadAnalysis;
 use anton2::anton_analysis::weights::ArbiterWeightSet;
-use anton2::anton_bench::{apply_weights, torus_capacity};
+use anton2::anton_bench::torus_capacity;
 use anton2::anton_core::config::MachineConfig;
 use anton2::anton_core::topology::TorusShape;
 use anton2::anton_core::trace::GlobalLink;
@@ -95,21 +95,49 @@ fn weight_tables_install_at_every_arbitration_point() {
     let cfg = MachineConfig::new(TorusShape::cube(2));
     let analysis = LoadAnalysis::compute(&cfg, &UniformRandom);
     let weights = ArbiterWeightSet::compute(&cfg, &[&analysis], 5);
-    assert!(!weights.tables.is_empty());
-    assert!(!weights.chan_tables.is_empty());
-    assert!(!weights.input_tables.is_empty());
+    assert!(weights.outputs.programmed().count() > 0);
+    assert!(weights.serializers.programmed().count() > 0);
+    assert!(weights.inputs.programmed().count() > 0);
     let params = SimParams {
         arbiter: anton2::anton_arbiter::ArbiterKind::InverseWeighted { m_bits: 5 },
         ..SimParams::default()
     };
     let mut sim = Sim::builder().config(cfg).params(params).build();
-    apply_weights(&mut sim, &weights); // panics on any index mismatch
+    sim.install_weights(&weights); // panics on any index mismatch
     let mut driver = BatchDriver::builder(&sim)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(50)
         .seed(3)
         .build();
     assert_eq!(sim.run(&mut driver, 50_000_000), RunOutcome::Completed);
+}
+
+/// The paper's own configuration — 8×8×8, inverse-weighted arbiters
+/// programmed by `build()` from the uniform load analysis — is cheap enough
+/// to construct and run in the test suite.
+#[test]
+fn paper_configuration_builds_and_runs_at_8x8x8() {
+    let cfg = MachineConfig::new(TorusShape::cube(8));
+    let analysis = LoadAnalysis::compute(&cfg, &UniformRandom);
+    let weights = ArbiterWeightSet::compute(&cfg, &[&analysis], 5);
+    // Every port of every router on both sides of the switch, and every
+    // serializer: 512 nodes × 80 router ports, 512 × 12 channel adapters.
+    assert_eq!(weights.outputs.programmed().count(), 40_960);
+    assert_eq!(weights.serializers.programmed().count(), 6_144);
+    assert_eq!(weights.inputs.programmed().count(), 40_960);
+
+    let mut sim = Sim::builder()
+        .shape(TorusShape::cube(8))
+        .arbiter(anton2::anton_arbiter::ArbiterKind::InverseWeighted { m_bits: 5 })
+        .traffic(Box::new(UniformRandom))
+        .build();
+    let mut driver = BatchDriver::builder(&sim)
+        .pattern(Box::new(UniformRandom))
+        .packets_per_endpoint(2)
+        .seed(11)
+        .build();
+    assert_eq!(sim.run(&mut driver, 50_000_000), RunOutcome::Completed);
+    sim.check_invariants().unwrap();
 }
 
 /// The torus serializer's measured long-run rate matches the link layer's
