@@ -1,6 +1,6 @@
 //! # anton-bench
 //!
-//! Experiment runners and benchmarks regenerating every table and figure of
+//! Experiment runners regenerating every table and figure of
 //! *"Unifying on-chip and inter-node switching within the Anton 2 network"*
 //! (see DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
 //! results). Each `src/bin/figN_*.rs` / `tableN_*.rs` binary prints the
@@ -162,43 +162,41 @@ pub fn run_batch_sharded(
         .seed(seed)
         .build();
     let builder = Sim::builder().config(cfg.clone()).params(params);
-    if shards > 1 {
+    // The two kernels differ only in how a simulator is built, programmed and
+    // run; the tuple's fields evaluate left to right, so `run` comes first.
+    let (outcome, peak_utilization, metrics) = if shards > 1 {
         let mut sim = builder.shards(shards).build_sharded();
         if let ArbiterSetup::InverseWeighted(w) = setup {
             sim.configure(|s| s.install_weights(w));
         }
-        let outcome = sim.run(&mut driver, 600_000_000);
-        assert_eq!(
-            outcome,
-            RunOutcome::Completed,
-            "batch run did not complete: {outcome:?}"
-        );
-        let point = ThroughputPoint {
-            batch,
-            normalized: driver.throughput() / saturation_rate,
-            cycles: driver.finish_cycle,
-            peak_utilization: sim.max_torus_utilization(),
-        };
-        (point, sim.metrics())
+        (
+            sim.run(&mut driver, 600_000_000),
+            sim.max_torus_utilization(),
+            sim.metrics(),
+        )
     } else {
         let mut sim = builder.build();
         if let ArbiterSetup::InverseWeighted(w) = setup {
             sim.install_weights(w);
         }
-        let outcome = sim.run(&mut driver, 600_000_000);
-        assert_eq!(
-            outcome,
-            RunOutcome::Completed,
-            "batch run did not complete: {outcome:?}"
-        );
-        let point = ThroughputPoint {
-            batch,
-            normalized: driver.throughput() / saturation_rate,
-            cycles: driver.finish_cycle,
-            peak_utilization: sim.max_torus_utilization(),
-        };
-        (point, sim.metrics())
-    }
+        (
+            sim.run(&mut driver, 600_000_000),
+            sim.max_torus_utilization(),
+            sim.metrics(),
+        )
+    };
+    assert_eq!(
+        outcome,
+        RunOutcome::Completed,
+        "batch run did not complete: {outcome:?}"
+    );
+    let point = ThroughputPoint {
+        batch,
+        normalized: driver.throughput() / saturation_rate,
+        cycles: driver.finish_cycle,
+        peak_utilization,
+    };
+    (point, metrics)
 }
 
 /// Computes a pattern's analytic saturation injection rate on a machine.

@@ -31,7 +31,7 @@ use crate::net::{
     Arrival, ConcreteRoute, DepEdge, Progress, RoutePath, RouteState, RoutingFunction,
 };
 use crate::topology::{Dim, NodeCoord, NodeId, Sign, Slice, TorusDir};
-use crate::trace::{trace_hops_with, GlobalLink};
+use crate::trace::{mesh_steps, trace_hops_with, GlobalLink};
 use crate::vc::{Vc, VcState};
 
 fn dim_bit(d: Dim) -> u8 {
@@ -162,7 +162,14 @@ impl DimOrderRouting {
         let m = state.vc_for(LinkGroup::M);
         let mut out = Vec::new();
         for ep in cfg.chip.endpoints() {
-            let mut steps = self.mesh_steps(node, entry_router, cfg.chip.endpoint_router(ep), m);
+            let mut steps: Vec<_> = mesh_steps(
+                &self.cfg,
+                node,
+                entry_router,
+                cfg.chip.endpoint_router(ep),
+                m,
+            )
+            .collect();
             steps.push((
                 GlobalLink::Local {
                     node,
@@ -183,8 +190,14 @@ impl DimOrderRouting {
                     let mut st = state;
                     st.begin_dim();
                     let t_dep = st.vc_for(LinkGroup::T);
-                    let mut steps =
-                        self.mesh_steps(node, entry_router, cfg.chip.chan_router(depart), m);
+                    let mut steps: Vec<_> = mesh_steps(
+                        &self.cfg,
+                        node,
+                        entry_router,
+                        cfg.chip.chan_router(depart),
+                        m,
+                    )
+                    .collect();
                     steps.push((
                         GlobalLink::Local {
                             node,
@@ -221,29 +234,6 @@ impl DimOrderRouting {
             }
         }
         out
-    }
-
-    /// On-chip mesh hops from `from` to `to` (direction-order), all at `m`.
-    fn mesh_steps(
-        &self,
-        node: NodeId,
-        from: MeshCoord,
-        to: MeshCoord,
-        m: Vc,
-    ) -> Vec<(GlobalLink, Vc)> {
-        let mut steps = Vec::new();
-        let mut cur = from;
-        while let Some(d) = self.cfg.dir_order.next_dir(cur, to) {
-            steps.push((
-                GlobalLink::Local {
-                    node,
-                    link: LocalLink::Mesh { from: cur, dir: d },
-                },
-                m,
-            ));
-            cur = cur.step(d).expect("direction-order route stays on chip");
-        }
-        steps
     }
 
     /// Validates a candidate witness by re-tracing it through the reference

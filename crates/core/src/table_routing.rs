@@ -15,14 +15,14 @@
 
 use std::collections::HashSet;
 
-use crate::chip::{ChanId, LinkGroup, LocalEndpointId, LocalLink, MeshCoord};
+use crate::chip::{ChanId, LinkGroup, LocalEndpointId, LocalLink};
 use crate::config::{GlobalEndpoint, MachineConfig};
 use crate::net::{
     Arrival, ConcreteRoute, DepEdge, Progress, RoutePath, RouteState, RoutingFunction,
 };
 use crate::route_table::RouteTable;
 use crate::topology::NodeId;
-use crate::trace::{trace_table_hops, GlobalLink};
+use crate::trace::{mesh_steps, trace_table_hops, GlobalLink};
 use crate::vc::Vc;
 
 const TAG_PATH: u64 = 0;
@@ -142,29 +142,6 @@ impl TableRouting {
             &mut crosses,
         ))
     }
-
-    /// On-chip mesh hops from `from` to `to` (direction-order), all at `m`.
-    fn mesh_steps(
-        &self,
-        node: NodeId,
-        from: MeshCoord,
-        to: MeshCoord,
-        m: Vc,
-    ) -> Vec<(GlobalLink, Vc)> {
-        let mut steps = Vec::new();
-        let mut cur = from;
-        while let Some(d) = self.cfg.dir_order.next_dir(cur, to) {
-            steps.push((
-                GlobalLink::Local {
-                    node,
-                    link: LocalLink::Mesh { from: cur, dir: d },
-                },
-                m,
-            ));
-            cur = cur.step(d).expect("direction-order route stays on chip");
-        }
-        steps
-    }
 }
 
 fn pack(tag: u64, a: u64, b: u64, c: u64) -> RouteState {
@@ -271,8 +248,14 @@ impl RoutingFunction for TableRouting {
                 let (depart, tvc) = self.departs[nid][((s >> 30) & 0x3ff) as usize];
                 let node = NodeId(nid as u32);
                 let m0 = self.m0();
-                let mut steps =
-                    self.mesh_steps(node, chip.endpoint_router(ep), chip.chan_router(depart), m0);
+                let mut steps: Vec<_> = mesh_steps(
+                    &self.cfg,
+                    node,
+                    chip.endpoint_router(ep),
+                    chip.chan_router(depart),
+                    m0,
+                )
+                .collect();
                 steps.push((
                     GlobalLink::Local {
                         node,
@@ -287,8 +270,14 @@ impl RoutingFunction for TableRouting {
                 let ep = LocalEndpointId(((s >> 22) & 0xff) as u8);
                 let (arrive, _tvc, m) = self.arrivals[nid][((s >> 30) & 0x3ff) as usize];
                 let node = NodeId(nid as u32);
-                let mut steps =
-                    self.mesh_steps(node, chip.chan_router(arrive), chip.endpoint_router(ep), m);
+                let mut steps: Vec<_> = mesh_steps(
+                    &self.cfg,
+                    node,
+                    chip.chan_router(arrive),
+                    chip.endpoint_router(ep),
+                    m,
+                )
+                .collect();
                 steps.push((
                     GlobalLink::Local {
                         node,
@@ -304,12 +293,14 @@ impl RoutingFunction for TableRouting {
                 let ep2 = LocalEndpointId(((s >> 30) & 0xff) as u8);
                 let node = NodeId(nid as u32);
                 let m0 = self.m0();
-                let mut steps = self.mesh_steps(
+                let mut steps: Vec<_> = mesh_steps(
+                    &self.cfg,
                     node,
                     chip.endpoint_router(ep),
                     chip.endpoint_router(ep2),
                     m0,
-                );
+                )
+                .collect();
                 steps.push((
                     GlobalLink::Local {
                         node,

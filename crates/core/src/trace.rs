@@ -15,7 +15,7 @@ use crate::config::{GlobalEndpoint, MachineConfig};
 use crate::multicast::McGroup;
 use crate::routing::RouteSpec;
 use crate::topology::{Dim, NodeCoord, NodeId, Slice, TorusDir};
-use crate::vc::{Vc, VcState};
+use crate::vc::Vc;
 
 /// A directed link anywhere in the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -276,14 +276,13 @@ fn trace_hops_impl(
         vc.begin_dim();
         // M-phase: mesh hops from the current router to the departure adapter.
         let depart = ChanId { dir, slice };
-        push_mesh_route(
+        steps.extend(mesh_steps(
             cfg,
-            &mut steps,
-            node,
+            cfg.shape.id(node),
             cur_router,
             chip.chan_router(depart),
-            &vc,
-        );
+            vc.vc_for(LinkGroup::M),
+        ));
         cur_router = chip.chan_router(depart);
         for h in 0..run {
             if h > 0 {
@@ -338,14 +337,13 @@ fn trace_hops_impl(
         idx += run;
     }
     if let Some(ep) = final_ep {
-        push_mesh_route(
+        steps.extend(mesh_steps(
             cfg,
-            &mut steps,
-            node,
+            cfg.shape.id(node),
             cur_router,
             chip.endpoint_router(ep),
-            &vc,
-        );
+            vc.vc_for(LinkGroup::M),
+        ));
         steps.push((
             GlobalLink::Local {
                 node: cfg.shape.id(node),
@@ -357,25 +355,25 @@ fn trace_hops_impl(
     steps
 }
 
-fn push_mesh_route(
+/// On-chip mesh hops from router `from` to router `to` of `node`, in the
+/// chip's direction order, all on VC `m`. The one walk the tracer and the
+/// [`RoutingFunction`](crate::net::RoutingFunction)s the certifier walks
+/// ([`dimorder`](crate::dimorder), [`table_routing`](crate::table_routing))
+/// share, so they cannot drift apart.
+pub(crate) fn mesh_steps(
     cfg: &MachineConfig,
-    steps: &mut Vec<TraceStep>,
-    node: NodeCoord,
+    node: NodeId,
     from: MeshCoord,
     to: MeshCoord,
-    vc: &VcState,
-) {
+    m: Vc,
+) -> impl Iterator<Item = TraceStep> + '_ {
     let mut cur = from;
-    while let Some(d) = cfg.dir_order.next_dir(cur, to) {
-        steps.push((
-            GlobalLink::Local {
-                node: cfg.shape.id(node),
-                link: LocalLink::Mesh { from: cur, dir: d },
-            },
-            vc.vc_for(LinkGroup::M),
-        ));
-        cur = cur.step(d).expect("mesh route stays on chip");
-    }
+    std::iter::from_fn(move || {
+        let dir = cfg.dir_order.next_dir(cur, to)?;
+        let link = LocalLink::Mesh { from: cur, dir };
+        cur = cur.step(dir).expect("direction-order route stays on chip");
+        Some((GlobalLink::Local { node, link }, m))
+    })
 }
 
 #[cfg(test)]

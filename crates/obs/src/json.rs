@@ -169,11 +169,13 @@ impl Json {
     ///
     /// Numbers without a decimal point or exponent parse as [`Json::UInt`]
     /// when non-negative and [`Json::Int`] when negative; everything else
-    /// numeric parses as [`Json::Float`]. Trailing garbage is an error.
+    /// numeric parses as [`Json::Float`]. Trailing garbage is an error, and
+    /// so is nesting arrays and objects more than 128 deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -274,9 +276,17 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so unbounded input (a 400 kB file of
+/// `[`) would overflow the stack and abort the process instead of returning
+/// an error; the documents this workspace writes nest fewer than 10 deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -321,12 +331,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Runs `parse` (an array or an object) one nesting level down.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -620,6 +644,24 @@ mod tests {
         assert!(Json::parse("true false").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn parse_bounds_nesting_instead_of_overflowing_the_stack() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        for too_deep in [MAX_DEPTH + 1, 200_000] {
+            let e = Json::parse(&nest(too_deep)).unwrap_err();
+            assert_eq!(e.offset, MAX_DEPTH);
+            assert_eq!(e.message, "nesting deeper than 128");
+        }
+        // Arrays and objects count against the same bound: `[{"a":` is two.
+        let mixed = |pairs: usize| "[{\"a\":".repeat(pairs) + "0" + &"}]".repeat(pairs);
+        assert!(Json::parse(&mixed(MAX_DEPTH / 2)).is_ok());
+        assert!(Json::parse(&mixed(MAX_DEPTH / 2 + 1)).is_err());
+        // The bound is on depth, not on how many containers a document has.
+        let wide = format!("[{}]", vec!["[[]]"; 1000].join(","));
+        assert!(Json::parse(&wide).is_ok());
     }
 
     #[test]

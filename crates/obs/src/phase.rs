@@ -11,9 +11,10 @@
 //!   consumer shards' inboxes;
 //! * **merge** — sorting and applying this shard's imports.
 //!
-//! The clock costs one branch per lap when disabled. Per-shard totals are
-//! exported as `phase_ns` (see [`phases_to_json`]) on the sharded
-//! `bench_kernel` entries and as per-shard tracks in the Perfetto trace.
+//! The clock costs one branch per lap when disabled. Per-shard totals come
+//! back from `ShardedSim::phase_ns` — the repo benchmark reports them as
+//! `sim.shard.{compute,barrier_wait,mailbox,merge}_ns` — and are drawn as
+//! per-shard tracks in the Perfetto trace.
 
 use std::time::Instant;
 

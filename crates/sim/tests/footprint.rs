@@ -1,0 +1,103 @@
+//! Exact heap footprint of an idle machine: the bytes and allocations a
+//! built [`Sim`] holds, counted by the allocator rather than read from the
+//! process's resident set, so the number is the same on every host.
+//!
+//! A counting `#[global_allocator]` needs `unsafe impl GlobalAlloc`; it
+//! passes `alloc` and `dealloc` straight to [`System`] (the trait's default
+//! `alloc_zeroed` and `realloc` go through those two) and lives in this test
+//! binary only: the library crates stay `#![forbid(unsafe_code)]`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use anton_core::config::MachineConfig;
+use anton_core::topology::TorusShape;
+use anton_sim::params::{PreflightMode, SimParams};
+use anton_sim::sim::Sim;
+
+/// [`System`], keeping the calling thread's live (bytes, allocations) so
+/// that the test harness's other threads cannot move the count.
+struct Counting;
+
+thread_local! {
+    static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
+}
+
+fn count(bytes: i64, allocations: i64) {
+    // `try_with`: a thread may free memory after its locals are gone.
+    let _ = LIVE.try_with(|live| {
+        let (b, a) = live.get();
+        live.set((b + bytes, a + allocations));
+    });
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size() as i64, 1);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(-(layout.size() as i64), -1);
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Live (bytes, allocations) held by an idle `k`×`k`×`k` machine with
+/// default parameters. Pre-flight is off: certifying 8×8×8 takes seconds
+/// and is not what is measured.
+fn idle_footprint(k: u8) -> (i64, i64) {
+    let before = LIVE.get();
+    let sim = Sim::builder()
+        .config(MachineConfig::new(TorusShape::cube(k)))
+        .params(SimParams {
+            preflight: PreflightMode::Off,
+            ..SimParams::default()
+        })
+        .build();
+    let after = LIVE.get();
+    drop(sim);
+    (after.0 - before.0, after.1 - before.1)
+}
+
+/// An idle machine is a few flat arrays over the slot layout plus one block
+/// per router: 8×8×8 holds 37 MB in 8,233 blocks (8,192 routers), and costs
+/// per node what 4×4×4 does. Measured when written, identical on every run:
+/// k=8 36,976,837 bytes in 8,233 live allocations, k=4 4,626,629 in 1,065
+/// (ratio 7.99 for 8× the nodes).
+///
+/// What trips it: state per VC that is not a few bytes of a shared row. A
+/// `VecDeque` header per VC — the queues the packet-keyed pool replaced —
+/// is 491,520 × 32 B = +15.7 MB at k=8. Verified to fail: with a
+/// `Vec<[u64; 4]>` laid out like `qhead` added to `wire::Wires` (32 bytes
+/// per VC) this panics with `idle 8x8x8 machine holds 52705477 bytes`. The
+/// allocation ceiling is "fewer than two blocks per router"; the ratio
+/// catches a structure sized by the machine inside each node or wire.
+#[test]
+fn idle_machine_footprint_is_exact_and_per_node() {
+    let (k4_bytes, k4_allocations) = idle_footprint(4);
+    let (k8_bytes, k8_allocations) = idle_footprint(8);
+    println!(
+        "idle footprint: k=4 {k4_bytes} bytes in {k4_allocations} allocations, \
+         k=8 {k8_bytes} bytes in {k8_allocations} allocations"
+    );
+    assert!(
+        k4_bytes > 0 && k4_allocations > 0,
+        "the counter is not wired"
+    );
+    assert!(
+        k8_bytes <= 38_000_000,
+        "idle 8x8x8 machine holds {k8_bytes} bytes"
+    );
+    assert!(
+        k8_allocations <= 10_000,
+        "idle 8x8x8 machine holds {k8_allocations} allocations"
+    );
+    let ratio = k8_bytes as f64 / k4_bytes as f64;
+    assert!(
+        ratio <= 8.1,
+        "8x8x8 holds {ratio:.2}x the bytes of 4x4x4 for 8x the nodes"
+    );
+}
