@@ -30,6 +30,7 @@
 
 use std::fmt;
 
+use crate::onchip::DirOrder;
 use crate::topology::{Dim, Sign, Slice, TorusDir};
 
 /// Mesh extent along U.
@@ -440,6 +441,7 @@ impl ChipLayout {
         Self::chan_router_static(chan)
     }
 
+    #[inline]
     fn chan_router_static(chan: ChanId) -> MeshCoord {
         let s = chan.slice.0;
         match (chan.dir.dim, chan.dir.sign) {
@@ -475,6 +477,7 @@ impl ChipLayout {
         Self::skip_partner_static(r)
     }
 
+    #[inline]
     fn skip_partner_static(r: MeshCoord) -> Option<MeshCoord> {
         match (r.u, r.v) {
             (0, 0) => Some(MeshCoord::new(3, 0)),
@@ -482,6 +485,39 @@ impl ChipLayout {
             (0, 1) => Some(MeshCoord::new(3, 1)),
             (3, 1) => Some(MeshCoord::new(0, 1)),
             _ => None,
+        }
+    }
+
+    /// The on-chip routing rule (Section 2.4): the port a packet at router
+    /// `here` leaves by on its way to the adapter `target`. At the target's
+    /// own router that is the target; X through-traffic — `arrived_x`, bound
+    /// for an X adapter — standing at the skip partner of that adapter's
+    /// router takes the skip channel; everything else takes the mesh hop
+    /// `dir_order` gives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` is not a channel or endpoint adapter.
+    #[inline]
+    pub fn next_attach(
+        &self,
+        dir_order: &DirOrder,
+        here: MeshCoord,
+        target: LocalAttach,
+        arrived_x: bool,
+    ) -> LocalAttach {
+        let (target_router, through_x) = match target {
+            LocalAttach::Chan(c) => (self.chan_router(c), arrived_x && c.dir.dim == Dim::X),
+            LocalAttach::Endpoint(e) => (self.endpoint_router(e), false),
+            LocalAttach::Mesh(_) | LocalAttach::Skip => panic!("packets target adapters"),
+        };
+        if here == target_router {
+            target
+        } else if through_x && self.skip_partner(here) == Some(target_router) {
+            LocalAttach::Skip
+        } else {
+            let dir = dir_order.next_dir(here, target_router);
+            LocalAttach::Mesh(dir.expect("distinct routers need a mesh hop"))
         }
     }
 

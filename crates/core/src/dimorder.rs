@@ -22,17 +22,20 @@
 //! exploration over `(link, VC, state)` then reproduces, edge for edge, the
 //! channel-dependency graph of the previous hard-wired generator (pinned by
 //! the cross-check suite in `anton-verify`).
+//!
+//! Every transition that acquires links is one chip traversal of the route
+//! program (`trace::leg`, the function the reference tracer folds), so the
+//! steps here are the tracer's by construction; this module adds only the
+//! abstract states and which exits each admits.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
-use crate::chip::{ChanId, LinkGroup, LocalEndpointId, LocalLink, MeshCoord};
-use crate::config::{GlobalEndpoint, MachineConfig};
-use crate::net::{
-    Arrival, ConcreteRoute, DepEdge, Progress, RoutePath, RouteState, RoutingFunction,
-};
-use crate::topology::{Dim, NodeCoord, NodeId, Sign, Slice, TorusDir};
-use crate::trace::{mesh_steps, trace_hops_with, GlobalLink};
-use crate::vc::{Vc, VcState};
+use crate::chip::{ChanId, LinkGroup, LocalAttach, LocalLink};
+use crate::config::MachineConfig;
+use crate::net::{Arrival, Progress, RouteState, RoutingFunction};
+use crate::topology::{Dim, NodeCoord, Sign, Slice, TorusDir};
+use crate::trace::{leg, GlobalLink};
+use crate::vc::VcState;
 
 fn dim_bit(d: Dim) -> u8 {
     1 << d.index()
@@ -45,8 +48,12 @@ pub struct DimOrderRouting {
     cfg: MachineConfig,
     datelines: bool,
     long_arcs: bool,
-    /// Canonical M-phase states: `(representative VC state, dims-routed mask)`.
+    /// Canonical M-phase entries: a representative VC state as it *arrives*
+    /// (the start state, or the last hop of a run — the boundary is turned
+    /// by the leg that leaves the entry) and the dims-routed mask.
     mentries: Vec<(VcState, u8)>,
+    /// M-phase entry by `(M-group VC past the boundary, dims-routed mask)`.
+    mentry_idx: HashMap<(u8, u8), u32>,
     /// Mid-arc states: `(VC state inside the run, mask before this dim)`.
     inarcs: Vec<(VcState, u8)>,
     inarc_idx: HashMap<(VcState, u8), u32>,
@@ -66,39 +73,36 @@ impl DimOrderRouting {
         mentry_idx.insert((start.m_vc(), 0), 0);
         let mut inarcs: Vec<(VcState, u8)> = Vec::new();
         let mut inarc_idx: HashMap<(VcState, u8), u32> = HashMap::new();
-        let mut queue: VecDeque<u32> = VecDeque::from([0]);
-        while let Some(mi) = queue.pop_front() {
+        let mut queue: VecDeque<(u32, Option<TorusDir>)> = VecDeque::from([(0, None)]);
+        while let Some((mi, arrived)) = queue.pop_front() {
             let (st0, mask) = mentries[mi as usize];
             for dim in Dim::ALL {
                 if cfg.shape.k(dim) <= 1 || mask & dim_bit(dim) != 0 {
                     continue;
                 }
+                let dir = TorusDir::new(dim, Sign::Plus);
                 let mut entered = st0;
-                entered.begin_dim();
+                entered.turn(arrived, Some(dir));
                 // The two VC states a run in this dimension can occupy: the
                 // dateline not yet crossed (a non-crossing hop leaves the
                 // state untouched) and crossed (when datelines are active).
-                let mut variants = Vec::with_capacity(2);
-                let mut nc = entered;
-                let _ = nc.torus_hop(false);
-                variants.push(nc);
-                if datelines {
-                    let mut cr = entered;
-                    let _ = cr.torus_hop(true);
-                    variants.push(cr);
-                }
-                for v in variants {
+                for crossing in [false, true] {
+                    if crossing && !datelines {
+                        continue;
+                    }
+                    let mut v = entered;
+                    let _ = v.torus_hop(crossing);
                     inarc_idx.entry((v, mask)).or_insert_with(|| {
                         inarcs.push((v, mask));
                         (inarcs.len() - 1) as u32
                     });
                     let mut ended = v;
-                    let _ = ended.end_dim();
+                    ended.turn(Some(dir), None);
                     let key = (ended.m_vc(), mask | dim_bit(dim));
                     if let std::collections::hash_map::Entry::Vacant(e) = mentry_idx.entry(key) {
                         e.insert(mentries.len() as u32);
-                        queue.push_back(mentries.len() as u32);
-                        mentries.push((ended, mask | dim_bit(dim)));
+                        queue.push_back((mentries.len() as u32, Some(dir)));
+                        mentries.push((v, mask | dim_bit(dim)));
                     }
                 }
             }
@@ -108,6 +112,7 @@ impl DimOrderRouting {
             datelines,
             long_arcs,
             mentries,
+            mentry_idx,
             inarcs,
             inarc_idx,
         }
@@ -126,6 +131,10 @@ impl DimOrderRouting {
         RouteState((u64::from(idx) << 1) | 1 | (u64::from(hops) << 32))
     }
 
+    /// Directions a run can depart in along `dim`. For `k == 2` the minimal
+    /// tie-break always resolves to `+`, so `-` arcs are unreachable and
+    /// must not enter the dependency graph — unless the model covers the
+    /// degraded family, where a table may route `-` because `+` is down.
     fn signs_for(&self, dim: Dim) -> &'static [Sign] {
         if self.cfg.shape.k(dim) == 2 && !self.long_arcs {
             &[Sign::Plus]
@@ -147,149 +156,29 @@ impl DimOrderRouting {
         self.datelines && self.cfg.shape.hop_crosses_dateline(at, dir)
     }
 
-    /// M-phase exits shared by injections and dimension-boundary entries:
-    /// deliver to every local endpoint, or depart on any unrouted dimension.
-    fn phase_exits(
+    /// One [`leg`] from the buffer `entry` at `at` in VC state `st`, as a
+    /// transition: a delivery ends the route; a departure arrives `hops`
+    /// links into its run at the neighbor (`mask`: the dimensions routed
+    /// before the run).
+    fn traverse(
         &self,
-        node: NodeId,
-        entry_router: MeshCoord,
-        state: VcState,
+        at: NodeCoord,
+        entry: LocalLink,
+        exit: LocalAttach,
+        mut st: VcState,
         mask: u8,
-        slices: &[Slice],
-    ) -> Vec<Progress> {
-        let cfg = &self.cfg;
-        let coord = cfg.shape.coord(node);
-        let m = state.vc_for(LinkGroup::M);
-        let mut out = Vec::new();
-        for ep in cfg.chip.endpoints() {
-            let mut steps: Vec<_> = mesh_steps(
-                &self.cfg,
-                node,
-                entry_router,
-                cfg.chip.endpoint_router(ep),
-                m,
-            )
-            .collect();
-            steps.push((
-                GlobalLink::Local {
-                    node,
-                    link: LocalLink::RouterToEp(ep),
-                },
-                m,
-            ));
-            out.push(Progress { steps, next: None });
-        }
-        for dim in Dim::ALL {
-            if cfg.shape.k(dim) <= 1 || mask & dim_bit(dim) != 0 {
-                continue;
-            }
-            for &sign in self.signs_for(dim) {
-                let dir = TorusDir::new(dim, sign);
-                for &slice in slices {
-                    let depart = ChanId { dir, slice };
-                    let mut st = state;
-                    st.begin_dim();
-                    let t_dep = st.vc_for(LinkGroup::T);
-                    let mut steps: Vec<_> = mesh_steps(
-                        &self.cfg,
-                        node,
-                        entry_router,
-                        cfg.chip.chan_router(depart),
-                        m,
-                    )
-                    .collect();
-                    steps.push((
-                        GlobalLink::Local {
-                            node,
-                            link: LocalLink::RouterToChan(depart),
-                        },
-                        t_dep,
-                    ));
-                    let tvc = st.torus_hop(self.crosses(coord, dir));
-                    steps.push((
-                        GlobalLink::Torus {
-                            from: node,
-                            dir,
-                            slice,
-                        },
-                        tvc,
-                    ));
-                    let nbr = cfg.shape.id(cfg.shape.neighbor(coord, dir));
-                    steps.push((
-                        GlobalLink::Local {
-                            node: nbr,
-                            link: LocalLink::ChanToRouter(ChanId {
-                                dir: dir.opposite(),
-                                slice,
-                            }),
-                        },
-                        tvc,
-                    ));
-                    let ii = self.inarc_idx[&(st, mask)];
-                    out.push(Progress {
-                        steps,
-                        next: Some((nbr, Self::inarc_state(ii, 1))),
-                    });
-                }
-            }
-        }
-        out
+        hops: u32,
+    ) -> Progress {
+        let crosses = matches!(exit, LocalAttach::Chan(c) if self.crosses(at, c.dir));
+        // Most traversals fit: a few mesh hops, the exit, the torus link.
+        let mut steps = Vec::with_capacity(8);
+        let nbr = leg(&self.cfg, at, entry, exit, crosses, &mut st, &mut steps);
+        let next = matches!(exit, LocalAttach::Chan(_)).then(|| {
+            let state = Self::inarc_state(self.inarc_idx[&(st, mask)], hops);
+            (self.cfg.shape.id(nbr), state)
+        });
+        Progress { steps, next }
     }
-
-    /// Validates a candidate witness by re-tracing it through the reference
-    /// route semantics and checking the dependency edge appears verbatim.
-    fn validated_witness(
-        &self,
-        src: NodeCoord,
-        src_ep: LocalEndpointId,
-        dst_ep: LocalEndpointId,
-        hops: &[TorusDir],
-        slice: Slice,
-        edge: &DepEdge,
-    ) -> Option<ConcreteRoute> {
-        let steps = trace_hops_with(
-            &self.cfg,
-            src,
-            Some(src_ep),
-            hops,
-            slice,
-            Some(dst_ep),
-            &mut |c, d| self.crosses(c, d),
-        );
-        if !steps.windows(2).any(|w| w[0] == edge.0 && w[1] == edge.1) {
-            return None;
-        }
-        let mut dst = src;
-        for &h in hops {
-            dst = self.cfg.shape.neighbor(dst, h);
-        }
-        Some(ConcreteRoute {
-            src: GlobalEndpoint {
-                node: self.cfg.shape.id(src),
-                ep: src_ep,
-            },
-            dst: GlobalEndpoint {
-                node: self.cfg.shape.id(dst),
-                ep: dst_ep,
-            },
-            path: RoutePath::Torus {
-                hops: hops.to_vec(),
-                slice,
-            },
-            holds: edge.0,
-            waits_for: edge.1,
-        })
-    }
-}
-
-/// Concrete realization of an abstract arrival, carried through the witness
-/// search: the injection point and torus hops that reach the arrival state.
-#[derive(Debug, Clone)]
-struct WitnessPrefix {
-    src: NodeCoord,
-    src_ep: LocalEndpointId,
-    slice: Option<Slice>,
-    hops: Vec<TorusDir>,
 }
 
 impl RoutingFunction for DimOrderRouting {
@@ -328,234 +217,63 @@ impl RoutingFunction for DimOrderRouting {
     }
 
     fn transitions(&self, arrival: &Arrival) -> Vec<Progress> {
+        let GlobalLink::Local { link: entry, .. } = arrival.link else {
+            return Vec::new();
+        };
+        let at = self.cfg.shape.coord(arrival.node);
         if arrival.state.0 & 1 == 0 {
-            // M-phase entry: the slice constraint and entry router come from
-            // the arrival link (injections may use either slice; a packet
-            // arriving from the torus is pinned to its channel's slice).
+            // M-phase entry: deliver to any local endpoint, or depart on any
+            // unrouted dimension. Injections may use either slice; a packet
+            // arriving from the torus is pinned to its channel's slice.
             let (st, mask) = self.mentries[(arrival.state.0 >> 1) as usize];
-            let (entry_router, slices): (MeshCoord, &[Slice]) = match &arrival.link {
-                GlobalLink::Local {
-                    link: LocalLink::EpToRouter(e),
-                    ..
-                } => (self.cfg.chip.endpoint_router(*e), &Slice::ALL),
-                GlobalLink::Local {
-                    link: LocalLink::ChanToRouter(c),
-                    ..
-                } => (
-                    self.cfg.chip.chan_router(*c),
-                    if c.slice.0 == 0 {
-                        &Slice::ALL[0..1]
-                    } else {
-                        &Slice::ALL[1..2]
-                    },
-                ),
+            let slices: &[Slice] = match entry {
+                LocalLink::EpToRouter(_) => &Slice::ALL,
+                LocalLink::ChanToRouter(c) => &Slice::ALL[usize::from(c.slice.0)..][..1],
                 _ => return Vec::new(),
             };
-            self.phase_exits(arrival.node, entry_router, st, mask, slices)
-        } else {
-            // Mid-arc: continue the run or end the dimension in place.
-            let (st, pre_mask) = self.inarcs[((arrival.state.0 >> 1) & 0x7fff_ffff) as usize];
-            let hops = (arrival.state.0 >> 32) as u32;
-            let arrive = match &arrival.link {
-                GlobalLink::Local {
-                    link: LocalLink::ChanToRouter(c),
-                    ..
-                } => *c,
-                _ => return Vec::new(),
-            };
-            let dir = arrive.dir.opposite();
-            let node = arrival.node;
-            let coord = self.cfg.shape.coord(node);
             let mut out = Vec::new();
-            // End the dimension: reinterpret the same buffer as an M-phase
-            // entry (no new links are acquired at a dimension boundary).
-            {
-                let mut ended = st;
-                let _ = ended.end_dim();
-                let key = (ended.m_vc(), pre_mask | dim_bit(dir.dim));
-                let mi = self
-                    .mentries
-                    .iter()
-                    .position(|&(s, m)| (s.m_vc(), m) == key)
-                    .expect("M-entry closure covers every arc exit");
-                out.push(Progress {
-                    steps: Vec::new(),
-                    next: Some((node, Self::mentry_state(mi as u32))),
-                });
+            for ep in self.cfg.chip.endpoints() {
+                out.push(self.traverse(at, entry, LocalAttach::Endpoint(ep), st, mask, 0));
             }
-            if hops < self.max_arc_len(dir.dim) {
-                let crosses = self.crosses(coord, dir);
-                if !(crosses && st.crossed()) {
-                    let t = st.vc_for(LinkGroup::T);
-                    let mut st2 = st;
-                    let mut steps = Vec::new();
-                    if dir.dim == Dim::X {
-                        // X through-traffic bypasses the chip via the skip
-                        // channel; Y/Z adapters share a router.
-                        steps.push((
-                            GlobalLink::Local {
-                                node,
-                                link: LocalLink::Skip {
-                                    from: self.cfg.chip.chan_router(arrive),
-                                },
-                            },
-                            t,
-                        ));
+            for dim in Dim::ALL {
+                if self.cfg.shape.k(dim) <= 1 || mask & dim_bit(dim) != 0 {
+                    continue;
+                }
+                for &sign in self.signs_for(dim) {
+                    for &slice in slices {
+                        let dir = TorusDir::new(dim, sign);
+                        let exit = LocalAttach::Chan(ChanId { dir, slice });
+                        out.push(self.traverse(at, entry, exit, st, mask, 1));
                     }
-                    let depart = ChanId {
-                        dir,
-                        slice: arrive.slice,
-                    };
-                    steps.push((
-                        GlobalLink::Local {
-                            node,
-                            link: LocalLink::RouterToChan(depart),
-                        },
-                        t,
-                    ));
-                    let tvc = st2.torus_hop(crosses);
-                    steps.push((
-                        GlobalLink::Torus {
-                            from: node,
-                            dir,
-                            slice: arrive.slice,
-                        },
-                        tvc,
-                    ));
-                    let nbr = self.cfg.shape.id(self.cfg.shape.neighbor(coord, dir));
-                    steps.push((
-                        GlobalLink::Local {
-                            node: nbr,
-                            link: LocalLink::ChanToRouter(arrive),
-                        },
-                        tvc,
-                    ));
-                    let ii = self.inarc_idx[&(st2, pre_mask)];
-                    out.push(Progress {
-                        steps,
-                        next: Some((nbr, Self::inarc_state(ii, hops + 1))),
-                    });
                 }
             }
             out
-        }
-    }
-
-    /// Witness synthesis: re-run the abstract exploration carrying a concrete
-    /// realization (source endpoint + torus hops) for every reached state;
-    /// when an emitted dependency edge is wanted, complete the realization
-    /// into a full route and validate it against the reference tracer.
-    fn witnesses(&self, wanted: &[DepEdge], max: usize) -> Vec<Option<ConcreteRoute>> {
-        let mut out: Vec<Option<ConcreteRoute>> = vec![None; wanted.len()];
-        if wanted.is_empty() || max == 0 {
-            return out;
-        }
-        let mut wanted_at: HashMap<DepEdge, Vec<usize>> = HashMap::new();
-        for (i, e) in wanted.iter().enumerate() {
-            wanted_at.entry(*e).or_default().push(i);
-        }
-        let mut found = 0usize;
-        let budget = max.min(wanted.len());
-        let mut seen: HashSet<(GlobalLink, Vc, u64)> = HashSet::new();
-        let mut queue: VecDeque<(Arrival, WitnessPrefix)> = VecDeque::new();
-        for root in self.roots() {
-            let ep = match root.link {
-                GlobalLink::Local {
-                    link: LocalLink::EpToRouter(e),
-                    ..
-                } => e,
-                _ => continue,
+        } else {
+            // Mid-arc: end the dimension in place or continue the run.
+            let (st, pre_mask) = self.inarcs[((arrival.state.0 >> 1) & 0x7fff_ffff) as usize];
+            let hops = (arrival.state.0 >> 32) as u32;
+            let LocalLink::ChanToRouter(arrive) = entry else {
+                return Vec::new();
             };
-            if seen.insert((root.link, root.vc, root.state.0)) {
-                let prefix = WitnessPrefix {
-                    src: self.cfg.shape.coord(root.node),
-                    src_ep: ep,
-                    slice: None,
-                    hops: Vec::new(),
-                };
-                queue.push_back((root, prefix));
-            }
-        }
-        'search: while let Some((arrival, prefix)) = queue.pop_front() {
-            for prog in self.transitions(&arrival) {
-                // The concrete completion of this transition: either a local
-                // delivery of the prefix route, or the prefix extended by the
-                // torus hop this transition takes (delivered at the far end).
-                let torus_hop = prog.steps.iter().find_map(|(l, _)| match l {
-                    GlobalLink::Torus { dir, slice, .. } => Some((*dir, *slice)),
-                    _ => None,
+            let dir = arrive.dir.opposite();
+            // Ending reinterprets the same buffer as an M-phase entry (no
+            // new links are acquired at a dimension boundary).
+            let mut ended = st;
+            ended.turn(Some(dir), None);
+            let mi = self.mentry_idx[&(ended.m_vc(), pre_mask | dim_bit(dir.dim))];
+            let mut out = vec![Progress {
+                steps: Vec::new(),
+                next: Some((arrival.node, Self::mentry_state(mi))),
+            }];
+            if hops < self.max_arc_len(dir.dim) && !(self.crosses(at, dir) && st.crossed()) {
+                let exit = LocalAttach::Chan(ChanId {
+                    dir,
+                    slice: arrive.slice,
                 });
-                let candidate: Option<(Vec<TorusDir>, Slice, LocalEndpointId)> =
-                    if let Some((dir, slice)) = torus_hop {
-                        let mut hops = prefix.hops.clone();
-                        hops.push(dir);
-                        Some((hops, prefix.slice.unwrap_or(slice), LocalEndpointId(0)))
-                    } else {
-                        prog.steps.last().and_then(|(l, _)| match l {
-                            GlobalLink::Local {
-                                link: LocalLink::RouterToEp(e),
-                                ..
-                            } => Some((prefix.hops.clone(), prefix.slice.unwrap_or(Slice(0)), *e)),
-                            _ => None,
-                        })
-                    };
-                let mut prev = (arrival.link, arrival.vc);
-                for step in &prog.steps {
-                    let edge = (prev, *step);
-                    if let Some(idxs) = wanted_at.get(&edge) {
-                        if idxs.iter().any(|&i| out[i].is_none()) {
-                            if let Some((hops, slice, dst_ep)) = &candidate {
-                                if let Some(w) = self.validated_witness(
-                                    prefix.src,
-                                    prefix.src_ep,
-                                    *dst_ep,
-                                    hops,
-                                    *slice,
-                                    &edge,
-                                ) {
-                                    for &i in idxs {
-                                        if out[i].is_none() {
-                                            out[i] = Some(w.clone());
-                                            found += 1;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    prev = *step;
-                }
-                if found >= budget {
-                    break 'search;
-                }
-                if let Some((node, state)) = prog.next {
-                    let next = Arrival {
-                        node,
-                        link: prev.0,
-                        vc: prev.1,
-                        state,
-                    };
-                    if seen.insert((next.link, next.vc, next.state.0)) {
-                        let next_prefix = if let Some((dir, slice)) = torus_hop {
-                            WitnessPrefix {
-                                src: prefix.src,
-                                src_ep: prefix.src_ep,
-                                slice: Some(prefix.slice.unwrap_or(slice)),
-                                hops: {
-                                    let mut h = prefix.hops.clone();
-                                    h.push(dir);
-                                    h
-                                },
-                            }
-                        } else {
-                            prefix.clone()
-                        };
-                        queue.push_back((next, next_prefix));
-                    }
-                }
+                out.push(self.traverse(at, entry, exit, st, pre_mask, hops + 1));
             }
+            out
         }
-        out
     }
 }
 
@@ -563,7 +281,7 @@ impl RoutingFunction for DimOrderRouting {
 mod tests {
     use super::*;
     use crate::topology::TorusShape;
-    use crate::vc::VcPolicy;
+    use crate::vc::{Vc, VcPolicy};
 
     #[test]
     fn state_closure_is_small_and_complete() {

@@ -8,21 +8,25 @@
 //! traffic. This crate models everything structural about that network:
 //!
 //! * [`topology`] — the torus, its coordinates, slices, and datelines;
-//! * [`chip`] — the on-chip mesh, skip channels, and adapter floorplan;
+//! * [`chip`] — the on-chip mesh, skip channels, and adapter floorplan, and
+//!   the on-chip routing rule ([`chip::ChipLayout::next_attach`]);
 //! * [`routing`] — oblivious minimal dimension-order inter-node routing;
 //! * [`route_table`] — fault-aware next-hop tables for degraded tori;
 //! * [`onchip`] — direction-order on-chip routing (V⁻, U⁺, U⁻, V⁺);
 //! * [`vc`] — the n+1-VC promotion algorithm for deadlock avoidance, plus
-//!   the 2n baseline;
+//!   the 2n baseline, and the dimension-boundary rule
+//!   ([`vc::VcState::turn`]);
 //! * [`multicast`] — table-based multicast trees;
 //! * [`packet`] — fine-grained packets and flits;
-//! * [`trace`] — the reference link-level route semantics;
+//! * [`trace`] — the route program's chip traversal and the link-level
+//!   traces folded from it;
 //! * [`pattern`] — the traffic-pattern abstraction;
 //! * [`config`] — machine-level configuration;
 //! * [`net`] — the [`net::Topology`]/[`net::RoutingFunction`] trait layer
 //!   that the symbolic deadlock certifier consumes;
 //! * [`dimorder`] — the paper's dimension-order torus routing as a
-//!   [`net::RoutingFunction`] transition system;
+//!   [`net::RoutingFunction`] transition system over the same chip
+//!   traversal;
 //! * [`table_routing`] — explicit [`route_table::RouteTable`] routes as a
 //!   [`net::RoutingFunction`];
 //! * [`mesh`] — a full-mesh topology with VC-free routing, the first
@@ -79,8 +83,7 @@ pub use config::{GlobalEndpoint, MachineConfig};
 pub use dimorder::DimOrderRouting;
 pub use mesh::{FullMesh, MeshRouting, MeshRule};
 pub use net::{
-    Arrival, ConcreteRoute, DepEdge, Progress, RoutePath, RouteState, RoutingFunction, Topology,
-    TorusTopology,
+    Arrival, DepEdge, Progress, RoutePath, RouteState, RoutingFunction, Topology, TorusTopology,
 };
 pub use onchip::DirOrder;
 pub use packet::{Packet, Payload};

@@ -12,10 +12,7 @@
 //! catch and witness.
 
 use crate::chip::{LocalEndpointId, LocalLink};
-use crate::config::GlobalEndpoint;
-use crate::net::{
-    Arrival, ConcreteRoute, DepEdge, Progress, RoutePath, RouteState, RoutingFunction, Topology,
-};
+use crate::net::{Arrival, Progress, RouteState, RoutingFunction, Topology};
 use crate::topology::NodeId;
 use crate::trace::GlobalLink;
 use crate::vc::Vc;
@@ -228,53 +225,6 @@ impl RoutingFunction for MeshRouting {
             steps: self.route_steps(src, dst),
             next: None,
         }]
-    }
-
-    fn witnesses(&self, wanted: &[DepEdge], max: usize) -> Vec<Option<ConcreteRoute>> {
-        let mut out: Vec<Option<ConcreteRoute>> = vec![None; wanted.len()];
-        let mut found = 0usize;
-        let budget = max.min(wanted.len());
-        'pairs: for src in 0..self.nodes {
-            for dst in 0..self.nodes {
-                if src == dst {
-                    continue;
-                }
-                let inj = (
-                    GlobalLink::Local {
-                        node: NodeId(src as u32),
-                        link: LocalLink::EpToRouter(LocalEndpointId(0)),
-                    },
-                    Vc(0),
-                );
-                let mut chain = vec![inj];
-                chain.extend(self.route_steps(src, dst));
-                for w in chain.windows(2) {
-                    let edge = (w[0], w[1]);
-                    for (i, want) in wanted.iter().enumerate() {
-                        if out[i].is_none() && *want == edge {
-                            out[i] = Some(ConcreteRoute {
-                                src: GlobalEndpoint {
-                                    node: NodeId(src as u32),
-                                    ep: LocalEndpointId(0),
-                                },
-                                dst: GlobalEndpoint {
-                                    node: NodeId(dst as u32),
-                                    ep: LocalEndpointId(0),
-                                },
-                                path: RoutePath::Nodes(self.route_nodes(src, dst)),
-                                holds: edge.0,
-                                waits_for: edge.1,
-                            });
-                            found += 1;
-                            if found >= budget {
-                                break 'pairs;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
     }
 }
 

@@ -178,6 +178,23 @@ impl RouteSpec {
         self.offsets.iter().map(|o| o.unsigned_abs()).sum()
     }
 
+    /// The hops this spec takes from `start`, each as the node it leaves and
+    /// the direction it leaves in.
+    pub fn walk(
+        mut self,
+        shape: &TorusShape,
+        start: NodeCoord,
+    ) -> impl Iterator<Item = (NodeCoord, TorusDir)> + '_ {
+        let mut at = start;
+        std::iter::from_fn(move || {
+            let dir = self.next_dir()?;
+            self.take_hop(dir);
+            let from = at;
+            at = shape.neighbor(at, dir);
+            Some((from, dir))
+        })
+    }
+
     /// The full sequence of torus hops this spec will take.
     pub fn hops(&self) -> Vec<TorusDir> {
         let mut spec = *self;

@@ -5,25 +5,22 @@
 //! edges those paths produce — the full link-level trace of every pair
 //! (endpoint 0 standing in for the endpoint-independent torus portion), plus
 //! the injection / delivery mesh fans of every other endpoint at each node,
-//! and the node-local endpoint-pair deliveries. It reproduces, edge for
-//! edge, what the degraded certifier's hand-rolled path walker used to
-//! overlay on the healthy graph; the certifier now consumes it through the
-//! same engine as every other routing function.
+//! and the node-local endpoint-pair deliveries: each pair a fold of the
+//! route program's chip traversal (`trace::leg`) over the table's hops, each
+//! fan one traversal.
 //!
 //! Every transition here is a complete route (no successor state): the
 //! abstract state space is just an enumeration of the route set.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
-use crate::chip::{ChanId, LinkGroup, LocalEndpointId, LocalLink};
-use crate::config::{GlobalEndpoint, MachineConfig};
-use crate::net::{
-    Arrival, ConcreteRoute, DepEdge, Progress, RoutePath, RouteState, RoutingFunction,
-};
+use crate::chip::{ChanId, LinkGroup, LocalAttach, LocalEndpointId, LocalLink};
+use crate::config::MachineConfig;
+use crate::net::{Arrival, Progress, RouteState, RoutingFunction};
 use crate::route_table::RouteTable;
-use crate::topology::NodeId;
-use crate::trace::{mesh_steps, trace_table_hops, GlobalLink};
-use crate::vc::Vc;
+use crate::topology::{NodeId, TorusDir};
+use crate::trace::{leg, trace_legs, GlobalLink, TraceStep};
+use crate::vc::VcState;
 
 const TAG_PATH: u64 = 0;
 const TAG_INJ: u64 = 1;
@@ -36,76 +33,67 @@ const TAG_LOCAL: u64 = 3;
 pub struct TableRouting {
     cfg: MachineConfig,
     table: RouteTable,
-    /// Per source node: the first-departure adapters its table paths use,
-    /// with the VC requested there.
-    departs: Vec<Vec<(ChanId, Vc)>>,
-    /// Per destination node: the terminal arrival adapters, with the T-VC
-    /// of the arrival and the M-VC the delivery runs at.
-    arrivals: Vec<Vec<(ChanId, Vc, Vc)>>,
+    /// Per source node: the first-departure adapters its table paths use.
+    departs: Vec<Vec<ChanId>>,
+    /// Per destination node: the terminal arrival adapters, with the VC
+    /// state a path arrives there in.
+    arrivals: Vec<Vec<(ChanId, VcState)>>,
+}
+
+/// The trace of the table path `hops` from endpoint 0 of `src` — delivered
+/// to `final_ep` at its last node, or left in the arrival adapter's buffer
+/// there — and the VC state it ends in.
+fn path_trace(
+    cfg: &MachineConfig,
+    table: &RouteTable,
+    src: NodeId,
+    hops: &[TorusDir],
+    final_ep: Option<LocalEndpointId>,
+) -> (Vec<TraceStep>, VcState) {
+    let shape = cfg.shape;
+    trace_legs(
+        cfg,
+        shape.coord(src),
+        Some(LocalEndpointId(0)),
+        hops.iter().copied(),
+        table.slice(),
+        final_ep,
+        &mut |c, d| shape.hop_crosses_dateline(c, d),
+        false,
+    )
 }
 
 impl TableRouting {
     /// Wraps `table` (built for `cfg.shape`) as a routing function.
     ///
-    /// Construction walks every `(src, dst)` pair once through the
-    /// reference tracer to learn the adapter fan-in/fan-out of each node;
-    /// the per-pair traces themselves are re-derived on demand.
+    /// Construction folds every `(src, dst)` path once through the route
+    /// program to learn the adapter fan-in/fan-out of each node; the
+    /// per-pair traces themselves are re-derived on demand.
     pub fn new(cfg: MachineConfig, table: RouteTable) -> TableRouting {
-        let shape = cfg.shape;
         let slice = table.slice();
-        let ep0 = LocalEndpointId(0);
-        let n = shape.num_nodes();
-        let mut departs: Vec<HashSet<(ChanId, Vc)>> = vec![HashSet::new(); n];
-        let mut arrivals: Vec<HashSet<(ChanId, Vc, Vc)>> = vec![HashSet::new(); n];
-        let mut crosses = |c, d| shape.hop_crosses_dateline(c, d);
-        for src in shape.nodes() {
-            for dst in shape.nodes() {
-                if src == dst {
-                    continue;
-                }
-                let Some(hops) = table.path(shape.id(src), shape.id(dst)) else {
+        let n = cfg.shape.num_nodes();
+        let mut departs: Vec<BTreeSet<ChanId>> = vec![BTreeSet::new(); n];
+        let mut arrivals: Vec<BTreeSet<(ChanId, VcState)>> = vec![BTreeSet::new(); n];
+        let nodes = || (0..n as u32).map(NodeId);
+        for src in nodes() {
+            for dst in nodes() {
+                let Some(hops) = table.path(src, dst) else {
                     continue;
                 };
-                let steps =
-                    trace_table_hops(&cfg, src, Some(ep0), &hops, slice, Some(ep0), &mut crosses);
-                for (link, vc) in &steps {
-                    if let GlobalLink::Local {
-                        link: LocalLink::RouterToChan(c),
-                        ..
-                    } = link
-                    {
-                        departs[shape.id(src).0 as usize].insert((*c, *vc));
-                        break;
-                    }
-                }
-                let m_final = steps.last().expect("trace is never empty").1;
-                for (link, vc) in steps.iter().rev() {
-                    if let GlobalLink::Local {
-                        link: LocalLink::ChanToRouter(c),
-                        ..
-                    } = link
-                    {
-                        arrivals[shape.id(dst).0 as usize].insert((*c, *vc, m_final));
-                        break;
-                    }
-                }
+                let (Some(&first), Some(last)) = (hops.first(), hops.last()) else {
+                    continue;
+                };
+                let (_, vc) = path_trace(&cfg, &table, src, &hops, None);
+                departs[src.0 as usize].insert(ChanId { dir: first, slice });
+                let dir = last.opposite();
+                arrivals[dst.0 as usize].insert((ChanId { dir, slice }, vc));
             }
         }
-        let sort = |s: HashSet<(ChanId, Vc)>| {
-            let mut v: Vec<_> = s.into_iter().collect();
-            v.sort_by_key(|(c, vc)| (c.index(), vc.0));
-            v
-        };
-        let sort3 = |s: HashSet<(ChanId, Vc, Vc)>| {
-            let mut v: Vec<_> = s.into_iter().collect();
-            v.sort_by_key(|(c, vc, m)| (c.index(), vc.0, m.0));
-            v
-        };
         TableRouting {
             cfg,
             table,
-            departs: departs.into_iter().map(sort).collect(),
-            arrivals: arrivals.into_iter().map(sort3).collect(),
+            departs: departs.into_iter().map(Vec::from_iter).collect(),
+            arrivals: arrivals.into_iter().map(Vec::from_iter).collect(),
         }
     }
 
@@ -114,33 +102,15 @@ impl TableRouting {
         &self.table
     }
 
-    fn m0(&self) -> Vc {
-        self.cfg.vc_policy.start().vc_for(LinkGroup::M)
-    }
-
-    fn ep_in(&self, node: NodeId, ep: LocalEndpointId) -> GlobalLink {
-        GlobalLink::Local {
-            node,
-            link: LocalLink::EpToRouter(ep),
-        }
-    }
-
-    /// The reference trace of the table path `src → dst` (endpoint 0 both
-    /// ends), or `None` for a pair the table cannot reach.
-    fn pair_trace(&self, src: NodeId, dst: NodeId) -> Option<Vec<(GlobalLink, Vc)>> {
-        let shape = self.cfg.shape;
-        let hops = self.table.path(src, dst)?;
-        let ep0 = LocalEndpointId(0);
-        let mut crosses = |c, d| shape.hop_crosses_dateline(c, d);
-        Some(trace_table_hops(
-            &self.cfg,
-            shape.coord(src),
-            Some(ep0),
-            &hops,
-            self.table.slice(),
-            Some(ep0),
-            &mut crosses,
-        ))
+    /// One [`leg`] at `node` as a complete route: the mesh fan of an
+    /// endpoint other than the one the table paths are traced from.
+    fn fan(&self, node: NodeId, entry: LocalLink, exit: LocalAttach, mut vc: VcState) -> Progress {
+        let at = self.cfg.shape.coord(node);
+        let crosses =
+            matches!(exit, LocalAttach::Chan(c) if self.cfg.shape.hop_crosses_dateline(at, c.dir));
+        let mut steps = Vec::new();
+        leg(&self.cfg, at, entry, exit, crosses, &mut vc, &mut steps);
+        Progress { steps, next: None }
     }
 }
 
@@ -164,28 +134,26 @@ impl RoutingFunction for TableRouting {
 
     fn roots(&self) -> Vec<Arrival> {
         let cfg = &self.cfg;
-        let m0 = self.m0();
-        let ep0 = LocalEndpointId(0);
+        let m0 = cfg.vc_policy.start().vc_for(LinkGroup::M);
         let n = cfg.shape.num_nodes();
+        let ep_in = |node, ep, state| Arrival {
+            node,
+            link: GlobalLink::Local {
+                node,
+                link: LocalLink::EpToRouter(ep),
+            },
+            vc: m0,
+            state,
+        };
         let mut out = Vec::new();
         // Every (src, dst) table path, traced end to end.
         for src in 0..n {
             for dst in 0..n {
-                if src == dst
-                    || self
-                        .table
-                        .path(NodeId(src as u32), NodeId(dst as u32))
-                        .is_none()
-                {
-                    continue;
+                let (s, d) = (NodeId(src as u32), NodeId(dst as u32));
+                if src != dst && self.table.path(s, d).is_some() {
+                    let state = RouteState(TAG_PATH | ((src as u64) << 2) | ((dst as u64) << 22));
+                    out.push(ep_in(s, LocalEndpointId(0), state));
                 }
-                let node = NodeId(src as u32);
-                out.push(Arrival {
-                    node,
-                    link: self.ep_in(node, ep0),
-                    vc: m0,
-                    state: RouteState(TAG_PATH | ((src as u64) << 2) | ((dst as u64) << 22)),
-                });
             }
         }
         // Injection / delivery mesh fans of every other endpoint, plus
@@ -193,33 +161,24 @@ impl RoutingFunction for TableRouting {
         for nid in 0..n {
             let node = NodeId(nid as u32);
             for ep in cfg.chip.endpoints() {
+                let e = u64::from(ep.0);
                 for idx in 0..self.departs[nid].len() {
-                    out.push(Arrival {
-                        node,
-                        link: self.ep_in(node, ep),
-                        vc: m0,
-                        state: pack(TAG_INJ, nid as u64, u64::from(ep.0), idx as u64),
-                    });
+                    out.push(ep_in(node, ep, pack(TAG_INJ, nid as u64, e, idx as u64)));
                 }
-                for idx in 0..self.arrivals[nid].len() {
-                    let (arrive, tvc, _) = self.arrivals[nid][idx];
+                for (idx, (arrive, vc)) in self.arrivals[nid].iter().enumerate() {
                     out.push(Arrival {
                         node,
                         link: GlobalLink::Local {
                             node,
-                            link: LocalLink::ChanToRouter(arrive),
+                            link: LocalLink::ChanToRouter(*arrive),
                         },
-                        vc: tvc,
-                        state: pack(TAG_DELIVER, nid as u64, u64::from(ep.0), idx as u64),
+                        vc: vc.vc_for(LinkGroup::T),
+                        state: pack(TAG_DELIVER, nid as u64, e, idx as u64),
                     });
                 }
                 for ep2 in cfg.chip.endpoints() {
-                    out.push(Arrival {
-                        node,
-                        link: self.ep_in(node, ep),
-                        vc: m0,
-                        state: pack(TAG_LOCAL, nid as u64, u64::from(ep.0), u64::from(ep2.0)),
-                    });
+                    let state = pack(TAG_LOCAL, nid as u64, e, u64::from(ep2.0));
+                    out.push(ep_in(node, ep, state));
                 }
             }
         }
@@ -228,136 +187,42 @@ impl RoutingFunction for TableRouting {
 
     fn transitions(&self, arrival: &Arrival) -> Vec<Progress> {
         let s = arrival.state.0;
-        let chip = &self.cfg.chip;
-        match s & 3 {
-            TAG_PATH => {
-                let src = NodeId(((s >> 2) & 0xfffff) as u32);
-                let dst = NodeId(((s >> 22) & 0xfffff) as u32);
-                let Some(steps) = self.pair_trace(src, dst) else {
-                    return Vec::new();
-                };
-                // steps[0] is the injection buffer — the arrival itself.
-                vec![Progress {
-                    steps: steps[1..].to_vec(),
-                    next: None,
-                }]
-            }
-            TAG_INJ => {
-                let nid = ((s >> 2) & 0xfffff) as usize;
-                let ep = LocalEndpointId(((s >> 22) & 0xff) as u8);
-                let (depart, tvc) = self.departs[nid][((s >> 30) & 0x3ff) as usize];
-                let node = NodeId(nid as u32);
-                let m0 = self.m0();
-                let mut steps: Vec<_> = mesh_steps(
-                    &self.cfg,
-                    node,
-                    chip.endpoint_router(ep),
-                    chip.chan_router(depart),
-                    m0,
-                )
-                .collect();
-                steps.push((
-                    GlobalLink::Local {
-                        node,
-                        link: LocalLink::RouterToChan(depart),
-                    },
-                    tvc,
-                ));
-                vec![Progress { steps, next: None }]
-            }
+        let start = self.cfg.vc_policy.start();
+        if s & 3 == TAG_PATH {
+            let src = NodeId(((s >> 2) & 0xfffff) as u32);
+            let dst = NodeId(((s >> 22) & 0xfffff) as u32);
+            let Some(hops) = self.table.path(src, dst) else {
+                return Vec::new();
+            };
+            let ep0 = Some(LocalEndpointId(0));
+            let (steps, _) = path_trace(&self.cfg, &self.table, src, &hops, ep0);
+            // steps[0] is the injection buffer — the arrival itself.
+            return vec![Progress {
+                steps: steps[1..].to_vec(),
+                next: None,
+            }];
+        }
+        let nid = ((s >> 2) & 0xfffff) as usize;
+        let ep = LocalEndpointId(((s >> 22) & 0xff) as u8);
+        let (inject, deliver) = (LocalLink::EpToRouter(ep), LocalAttach::Endpoint(ep));
+        let idx = ((s >> 30) & 0x3ff) as usize;
+        let node = NodeId(nid as u32);
+        vec![match s & 3 {
+            TAG_INJ => self.fan(
+                node,
+                inject,
+                LocalAttach::Chan(self.departs[nid][idx]),
+                start,
+            ),
             TAG_DELIVER => {
-                let nid = ((s >> 2) & 0xfffff) as usize;
-                let ep = LocalEndpointId(((s >> 22) & 0xff) as u8);
-                let (arrive, _tvc, m) = self.arrivals[nid][((s >> 30) & 0x3ff) as usize];
-                let node = NodeId(nid as u32);
-                let mut steps: Vec<_> = mesh_steps(
-                    &self.cfg,
-                    node,
-                    chip.chan_router(arrive),
-                    chip.endpoint_router(ep),
-                    m,
-                )
-                .collect();
-                steps.push((
-                    GlobalLink::Local {
-                        node,
-                        link: LocalLink::RouterToEp(ep),
-                    },
-                    m,
-                ));
-                vec![Progress { steps, next: None }]
+                let (arrive, vc) = self.arrivals[nid][idx];
+                self.fan(node, LocalLink::ChanToRouter(arrive), deliver, vc)
             }
             _ => {
-                let nid = ((s >> 2) & 0xfffff) as usize;
-                let ep = LocalEndpointId(((s >> 22) & 0xff) as u8);
-                let ep2 = LocalEndpointId(((s >> 30) & 0xff) as u8);
-                let node = NodeId(nid as u32);
-                let m0 = self.m0();
-                let mut steps: Vec<_> = mesh_steps(
-                    &self.cfg,
-                    node,
-                    chip.endpoint_router(ep),
-                    chip.endpoint_router(ep2),
-                    m0,
-                )
-                .collect();
-                steps.push((
-                    GlobalLink::Local {
-                        node,
-                        link: LocalLink::RouterToEp(ep2),
-                    },
-                    m0,
-                ));
-                vec![Progress { steps, next: None }]
+                let to = LocalAttach::Endpoint(LocalEndpointId(idx as u8));
+                self.fan(node, inject, to, start)
             }
-        }
-    }
-
-    fn witnesses(&self, wanted: &[DepEdge], max: usize) -> Vec<Option<ConcreteRoute>> {
-        let mut out: Vec<Option<ConcreteRoute>> = vec![None; wanted.len()];
-        if wanted.is_empty() || max == 0 {
-            return out;
-        }
-        let shape = self.cfg.shape;
-        let ep0 = LocalEndpointId(0);
-        let mut found = 0usize;
-        let budget = max.min(wanted.len());
-        'pairs: for src in shape.nodes() {
-            for dst in shape.nodes() {
-                if src == dst {
-                    continue;
-                }
-                let (s, d) = (shape.id(src), shape.id(dst));
-                let Some(steps) = self.pair_trace(s, d) else {
-                    continue;
-                };
-                let Some(hops) = self.table.path(s, d) else {
-                    continue;
-                };
-                for w in steps.windows(2) {
-                    let edge = (w[0], w[1]);
-                    for (i, want) in wanted.iter().enumerate() {
-                        if out[i].is_none() && *want == edge {
-                            out[i] = Some(ConcreteRoute {
-                                src: GlobalEndpoint { node: s, ep: ep0 },
-                                dst: GlobalEndpoint { node: d, ep: ep0 },
-                                path: RoutePath::Torus {
-                                    hops: hops.clone(),
-                                    slice: self.table.slice(),
-                                },
-                                holds: edge.0,
-                                waits_for: edge.1,
-                            });
-                            found += 1;
-                            if found >= budget {
-                                break 'pairs;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
+        }]
     }
 }
 

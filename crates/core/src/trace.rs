@@ -7,15 +7,21 @@
 //! semantics of the network: the offline analyses (channel loads, arbiter
 //! weights, VC dependency graphs) are computed from it, and the simulator's
 //! incremental route computation is cross-checked against it in tests.
+//!
+//! A trace is a fold of one function, the chip traversal `leg`, over the
+//! route's torus hops; the certifier's routing functions
+//! ([`dimorder`](crate::dimorder), [`table_routing`](crate::table_routing))
+//! assemble their transitions from the same function, so what is certified
+//! and what is traced are one program driven two ways.
 
 use std::fmt;
 
-use crate::chip::{ChanId, LinkGroup, LocalEndpointId, LocalLink, MeshCoord};
+use crate::chip::{ChanId, LinkGroup, LocalAttach, LocalEndpointId, LocalLink};
 use crate::config::{GlobalEndpoint, MachineConfig};
 use crate::multicast::McGroup;
 use crate::routing::RouteSpec;
 use crate::topology::{Dim, NodeCoord, NodeId, Slice, TorusDir};
-use crate::vc::Vc;
+use crate::vc::{Vc, VcState};
 
 /// A directed link anywhere in the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -82,24 +88,22 @@ pub fn trace_unicast(
     dst: GlobalEndpoint,
     spec: &RouteSpec,
 ) -> Vec<TraceStep> {
-    let hops = spec.hops();
-    let mut end = cfg.shape.coord(src.node);
-    for h in &hops {
-        end = cfg.shape.neighbor(end, *h);
-    }
-    assert_eq!(
-        end,
-        cfg.shape.coord(dst.node),
-        "route spec does not reach destination"
-    );
-    trace_hops(
+    let start = cfg.shape.coord(src.node);
+    let (steps, _) = trace_legs(
         cfg,
-        cfg.shape.coord(src.node),
+        start,
         Some(src.ep),
-        &hops,
+        spec.walk(&cfg.shape, start).map(|(_, dir)| dir),
         spec.slice,
         Some(dst.ep),
-    )
+        &mut |node, dir| cfg.shape.hop_crosses_dateline(node, dir),
+        true,
+    );
+    assert!(
+        matches!(steps.last(), Some((GlobalLink::Local { node, .. }, _)) if *node == dst.node),
+        "route spec does not reach destination"
+    );
+    steps
 }
 
 /// Traces every root→leaf path of a multicast tree (one trace per delivered
@@ -135,7 +139,7 @@ pub fn trace_multicast(
 /// full link-level trace.
 ///
 /// * `src_ep`: if `Some`, the trace starts with the endpoint's injection
-///   link; otherwise it starts at the first node's arrival adapter (used for
+///   link; otherwise it starts at the first hop's departure router (used for
 ///   mid-route segments).
 /// * `final_ep`: if `Some`, the trace ends with ejection to that endpoint at
 ///   the last node.
@@ -181,7 +185,8 @@ pub fn trace_hops_with(
     final_ep: Option<LocalEndpointId>,
     crosses_dateline: &mut dyn FnMut(NodeCoord, TorusDir) -> bool,
 ) -> Vec<TraceStep> {
-    trace_hops_impl(
+    let hops = hops.iter().copied();
+    trace_legs(
         cfg,
         start,
         src_ep,
@@ -191,15 +196,16 @@ pub fn trace_hops_with(
         crosses_dateline,
         true,
     )
+    .0
 }
 
 /// [`trace_hops_with`] for *run-ordered* hop sequences as produced by
 /// degraded route tables: hops are grouped into maximal single-direction
 /// runs, but a dimension may be revisited in a later run (a BFS detour
 /// around a severed ring, e.g. `+Y +X +X -Y`). The VC-promotion state
-/// machine handles this — each run is its own `begin_dim`/`end_dim` phase
-/// and the `m_i = i` invariant holds per *run* — as long as the total run
-/// count stays within the promotion budget
+/// machine handles this — [`VcState::turn`] makes each run its own phase and
+/// the `m_i = i` invariant holds per *run* — as long as the total run count
+/// stays within the promotion budget
 /// ([`crate::route_table::RouteTable::validate`] enforces it), so only the
 /// dimension-revisit restriction is relaxed here.
 pub fn trace_table_hops(
@@ -211,7 +217,8 @@ pub fn trace_table_hops(
     final_ep: Option<LocalEndpointId>,
     crosses_dateline: &mut dyn FnMut(NodeCoord, TorusDir) -> bool,
 ) -> Vec<TraceStep> {
-    trace_hops_impl(
+    let hops = hops.iter().copied();
+    trace_legs(
         cfg,
         start,
         src_ep,
@@ -221,159 +228,139 @@ pub fn trace_table_hops(
         crosses_dateline,
         false,
     )
+    .0
 }
 
+/// A route as a fold of [`leg`]s over its torus hops: one chip traversal per
+/// hop, from the buffer the last one ended in, and a delivering one at the
+/// end. Returns the steps and the VC state past the last of them.
 #[allow(clippy::too_many_arguments)]
-fn trace_hops_impl(
+pub(crate) fn trace_legs(
     cfg: &MachineConfig,
     start: NodeCoord,
     src_ep: Option<LocalEndpointId>,
-    hops: &[TorusDir],
+    hops: impl Iterator<Item = TorusDir>,
     slice: Slice,
     final_ep: Option<LocalEndpointId>,
     crosses_dateline: &mut dyn FnMut(NodeCoord, TorusDir) -> bool,
     strict_dim_order: bool,
-) -> Vec<TraceStep> {
-    let chip = &cfg.chip;
-    let mut steps = Vec::new();
+) -> (Vec<TraceStep>, VcState) {
+    let mut hops = hops.peekable();
+    // Room for the two chip traversals at the ends and a few hops: most
+    // routes never regrow it.
+    let mut steps = Vec::with_capacity(32);
     let mut vc = cfg.vc_policy.start();
     let mut node = start;
-    // The router the packet's head currently sits at.
-    let mut cur_router = match src_ep {
+    let mut entry = match src_ep {
         Some(ep) => {
-            let r = chip.endpoint_router(ep);
-            steps.push((
-                GlobalLink::Local {
-                    node: cfg.shape.id(node),
-                    link: LocalLink::EpToRouter(ep),
-                },
-                vc.vc_for(LinkGroup::M),
-            ));
-            r
+            let link = LocalLink::EpToRouter(ep);
+            let node = cfg.shape.id(node);
+            steps.push((GlobalLink::Local { node, link }, vc.vc_for(LinkGroup::M)));
+            link
         }
-        None => {
-            // Mid-route segment: position at the first hop's departure router.
-            let first = hops.first().expect("segment trace needs at least one hop");
-            chip.chan_router(ChanId { dir: *first, slice })
-        }
+        // Mid-route segment: the packet stands at the router of the first
+        // hop's departure adapter, having arrived from nowhere.
+        None => LocalLink::RouterToChan(ChanId {
+            dir: *hops.peek().expect("segment trace needs at least one hop"),
+            slice,
+        }),
     };
-    let mut idx = 0;
-    while idx < hops.len() {
-        let dir = hops[idx];
-        // Count the contiguous run of hops in this dimension.
-        let run = hops[idx..].iter().take_while(|h| h.dim == dir.dim).count();
-        assert!(
-            hops[idx..idx + run].iter().all(|h| *h == dir),
-            "hops within a dimension must share a direction"
-        );
-        if strict_dim_order {
+    let mut routed = 0u8;
+    for dir in hops {
+        let continues = matches!(entry, LocalLink::ChanToRouter(c) if c.dir.dim == dir.dim);
+        if strict_dim_order && !continues {
             assert!(
-                hops[idx + run..].iter().all(|h| h.dim != dir.dim),
+                routed & (1 << dir.dim.index()) == 0,
                 "dimension {} revisited — not a dimension-order route",
                 dir.dim
             );
+            routed |= 1 << dir.dim.index();
         }
-        vc.begin_dim();
-        // M-phase: mesh hops from the current router to the departure adapter.
-        let depart = ChanId { dir, slice };
-        steps.extend(mesh_steps(
-            cfg,
-            cfg.shape.id(node),
-            cur_router,
-            chip.chan_router(depart),
-            vc.vc_for(LinkGroup::M),
-        ));
-        cur_router = chip.chan_router(depart);
-        for h in 0..run {
-            if h > 0 {
-                // Through-route within an intermediate node.
-                if dir.dim == Dim::X {
-                    // Arrival router is the skip partner of the departure router.
-                    steps.push((
-                        GlobalLink::Local {
-                            node: cfg.shape.id(node),
-                            link: LocalLink::Skip { from: cur_router },
-                        },
-                        vc.vc_for(LinkGroup::T),
-                    ));
-                    cur_router = chip
-                        .skip_partner(cur_router)
-                        .expect("X adapters sit on skip routers");
-                }
-                debug_assert_eq!(cur_router, chip.chan_router(depart));
-            }
-            steps.push((
-                GlobalLink::Local {
-                    node: cfg.shape.id(node),
-                    link: LocalLink::RouterToChan(depart),
-                },
-                vc.vc_for(LinkGroup::T),
-            ));
-            let crosses = crosses_dateline(node, dir);
-            let tvc = vc.torus_hop(crosses);
-            steps.push((
-                GlobalLink::Torus {
-                    from: cfg.shape.id(node),
-                    dir,
-                    slice,
-                },
-                tvc,
-            ));
-            node = cfg.shape.neighbor(node, dir);
-            let arrive = ChanId {
-                dir: dir.opposite(),
-                slice,
-            };
-            steps.push((
-                GlobalLink::Local {
-                    node: cfg.shape.id(node),
-                    link: LocalLink::ChanToRouter(arrive),
-                },
-                tvc,
-            ));
-            cur_router = chip.chan_router(arrive);
-        }
-        vc.end_dim();
-        idx += run;
+        let exit = LocalAttach::Chan(ChanId { dir, slice });
+        let crosses = crosses_dateline(node, dir);
+        node = leg(cfg, node, entry, exit, crosses, &mut vc, &mut steps);
+        entry = LocalLink::ChanToRouter(ChanId {
+            dir: dir.opposite(),
+            slice,
+        });
     }
     if let Some(ep) = final_ep {
-        steps.extend(mesh_steps(
-            cfg,
-            cfg.shape.id(node),
-            cur_router,
-            chip.endpoint_router(ep),
-            vc.vc_for(LinkGroup::M),
-        ));
-        steps.push((
-            GlobalLink::Local {
-                node: cfg.shape.id(node),
-                link: LocalLink::RouterToEp(ep),
-            },
-            vc.vc_for(LinkGroup::M),
-        ));
+        let exit = LocalAttach::Endpoint(ep);
+        leg(cfg, node, entry, exit, false, &mut vc, &mut steps);
     }
-    steps
+    (steps, vc)
 }
 
-/// On-chip mesh hops from router `from` to router `to` of `node`, in the
-/// chip's direction order, all on VC `m`. The one walk the tracer and the
-/// [`RoutingFunction`](crate::net::RoutingFunction)s the certifier walks
-/// ([`dimorder`](crate::dimorder), [`table_routing`](crate::table_routing))
-/// share, so they cannot drift apart.
-pub(crate) fn mesh_steps(
+/// One chip traversal of the route program, the unit every route is made
+/// of: a packet holding the buffer `entry` at node `at` (an injection link,
+/// or the link in from the adapter it arrived on) crosses the chip to
+/// `exit` — its destination endpoint, or the adapter it departs on, in
+/// which case it also takes the torus link behind it (`crosses` a dateline
+/// or not) into the neighbor's adapter. Pushes the `(link, VC)` requested
+/// at each step after `entry`, advances `vc` past them and returns the node
+/// the packet now stands at.
+///
+/// The dimension boundary is [`VcState::turn`] and every on-chip port
+/// [`ChipLayout::next_attach`](crate::chip::ChipLayout::next_attach), so the
+/// tracer, [`DimOrderRouting`](crate::dimorder::DimOrderRouting) and
+/// [`TableRouting`](crate::table_routing::TableRouting) — and the simulator,
+/// which calls the same two functions from its adapters and routers — cannot
+/// drift apart.
+pub(crate) fn leg(
     cfg: &MachineConfig,
-    node: NodeId,
-    from: MeshCoord,
-    to: MeshCoord,
-    m: Vc,
-) -> impl Iterator<Item = TraceStep> + '_ {
-    let mut cur = from;
-    std::iter::from_fn(move || {
-        let dir = cfg.dir_order.next_dir(cur, to)?;
-        let link = LocalLink::Mesh { from: cur, dir };
-        cur = cur.step(dir).expect("direction-order route stays on chip");
-        Some((GlobalLink::Local { node, link }, m))
-    })
+    at: NodeCoord,
+    entry: LocalLink,
+    exit: LocalAttach,
+    crosses: bool,
+    vc: &mut VcState,
+    steps: &mut Vec<TraceStep>,
+) -> NodeCoord {
+    let node = cfg.shape.id(at);
+    let arrived = match entry {
+        LocalLink::ChanToRouter(c) => Some(c.dir.opposite()),
+        _ => None,
+    };
+    let depart = match exit {
+        LocalAttach::Chan(c) => Some(c),
+        _ => None,
+    };
+    vc.turn(arrived, depart.map(|c| c.dir));
+    let arrived_x = arrived.is_some_and(|d| d.dim == Dim::X);
+    let mut here = cfg.chip.link_routers(entry).1;
+    loop {
+        let attach = cfg.chip.next_attach(&cfg.dir_order, here, exit, arrived_x);
+        let link = match attach {
+            LocalAttach::Mesh(dir) => LocalLink::Mesh { from: here, dir },
+            LocalAttach::Skip => LocalLink::Skip { from: here },
+            LocalAttach::Chan(c) => LocalLink::RouterToChan(c),
+            LocalAttach::Endpoint(e) => LocalLink::RouterToEp(e),
+        };
+        steps.push((GlobalLink::Local { node, link }, vc.vc_for(link.group())));
+        if attach == exit {
+            break;
+        }
+        here = cfg.chip.link_routers(link).1;
+    }
+    let Some(ChanId { dir, slice }) = depart else {
+        return at;
+    };
+    let tvc = vc.torus_hop(crosses);
+    steps.push((
+        GlobalLink::Torus {
+            from: node,
+            dir,
+            slice,
+        },
+        tvc,
+    ));
+    let next = cfg.shape.neighbor(at, dir);
+    let link = LocalLink::ChanToRouter(ChanId {
+        dir: dir.opposite(),
+        slice,
+    });
+    let node = cfg.shape.id(next);
+    steps.push((GlobalLink::Local { node, link }, tvc));
+    next
 }
 
 #[cfg(test)]

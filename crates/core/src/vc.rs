@@ -18,6 +18,7 @@
 use std::fmt;
 
 use crate::chip::LinkGroup;
+use crate::topology::TorusDir;
 
 /// Traffic class (Section 2.1): separate request and reply classes avoid
 /// protocol deadlock. Each class has its own full set of VCs.
@@ -64,7 +65,7 @@ impl fmt::Display for Vc {
 }
 
 /// Which VC allocation policy the network runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum VcPolicy {
     /// The Anton 2 promotion algorithm: n+1 = 4 VCs for each of the M- and
     /// T-groups on a 3-dimensional torus.
@@ -118,10 +119,10 @@ impl fmt::Display for VcPolicy {
 ///
 /// A packet's route alternates between the M-group (mesh hops to/from
 /// adapters) and the T-group (torus hops along one dimension). Callers drive
-/// the state machine with [`VcState::begin_dim`], [`VcState::torus_hop`], and
-/// [`VcState::end_dim`], and read the VC to request on each link with
-/// [`VcState::vc_for`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// the state machine with [`VcState::turn`] at every node and
+/// [`VcState::torus_hop`] on every torus link, and read the VC to request on
+/// each link with [`VcState::vc_for`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VcState {
     policy: VcPolicy,
     m_vc: u8,
@@ -138,6 +139,34 @@ impl VcState {
         match group {
             LinkGroup::M => Vc(self.m_vc),
             LinkGroup::T => Vc(self.t_vc),
+        }
+    }
+
+    /// The dimension-boundary rule, applied once per node a packet enters:
+    /// `arrived` is the torus direction it arrived travelling in (`None` at
+    /// its source), `next` the one it departs in (`None` at its
+    /// destination). Nothing changes while a run continues; a run that ends
+    /// here calls [`VcState::end_dim`], one that starts here
+    /// [`VcState::begin_dim`]. Runs are compared by dimension, so a degraded
+    /// table's detour may revisit one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run reverses direction, and as [`VcState::begin_dim`] and
+    /// [`VcState::end_dim`] do.
+    #[inline]
+    pub fn turn(&mut self, arrived: Option<TorusDir>, next: Option<TorusDir>) {
+        if let (Some(a), Some(n)) = (arrived, next) {
+            if a.dim == n.dim {
+                assert_eq!(a, n, "hops within a dimension must share a direction");
+                return;
+            }
+        }
+        if arrived.is_some() {
+            self.end_dim();
+        }
+        if next.is_some() {
+            self.begin_dim();
         }
     }
 

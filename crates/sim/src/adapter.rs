@@ -259,6 +259,12 @@ impl ChanState {
                 let arrival = Some((arrived, parent.vc, parent.torus_hops));
                 let (pkt, at) = (&parent.packet, parent.injected_at);
                 let copies = fab.expand_multicast_at(ctx, self.node, pkt, at, arrival);
+                // A recorded route is the whole path from the source.
+                if let Some(log) = &parent.route_log {
+                    for &copy in &copies {
+                        fab.packets.get_mut(copy).route_log = Some(log.clone());
+                    }
+                }
                 self.repl.extend(copies);
                 if let Some(&head) = self.repl.front() {
                     if self.send_to_router(me, fab, ctx, head) {
@@ -402,26 +408,17 @@ impl ChanState {
 }
 
 /// Stages the node-entry VC transitions of an arriving unicast packet: if
-/// its dimension finished, the promoted state (out of the T phase, and into
-/// the next dimension if one remains) applies after the entry link. The
-/// dimension run ends when the next hop (or ejection) departs from the
-/// arriving dimension — the grouping the certifier's witness-route model
-/// uses, and for a spec-routed packet the same as its offset in the
-/// arriving dimension reaching zero.
+/// its dimension finished ([`VcState::turn`](anton_core::vc::VcState::turn):
+/// the next hop, or ejection, departs from the arriving dimension — for a
+/// spec-routed packet the same as its offset in that dimension reaching
+/// zero), the promoted state applies after the entry link.
 fn stage_unicast_arrival(fab: &mut Fabric, pid: PacketId) {
     let st = fab.packets.get(pid);
-    let arrived = st
-        .arrived_via
-        .expect("arrival transition outside torus arrival");
-    let next = fab.next_hop(&st.route);
-    if next.map(|d| d.dim) != Some(arrived.dim) {
-        let st = fab.packets.get_mut(pid);
-        let mut promoted = st.vc;
-        promoted.end_dim();
-        if next.is_some() {
-            promoted.begin_dim();
-        }
-        st.pending_vc = Some(promoted);
+    debug_assert!(st.arrived_via.is_some(), "staged outside a torus arrival");
+    let mut promoted = st.vc;
+    promoted.turn(st.arrived_via, fab.next_hop(&st.route));
+    if promoted != st.vc {
+        fab.packets.get_mut(pid).pending_vc = Some(promoted);
     }
 }
 
@@ -525,7 +522,7 @@ mod tests {
                 slice: Slice(0),
             };
             let mut vc = self.cfg.vc_policy.start();
-            vc.begin_dim();
+            vc.turn(None, Some(X_PLUS.opposite()));
             let packet = Packet::write(ep, ep, Payload::zeros(16));
             let state = PacketState::new(packet, route, vc, self.fab.now, false);
             let pid = self.fab.packets.insert(state);
@@ -624,7 +621,7 @@ mod tests {
             RouteSpec::deterministic(shape, NodeCoord::new(0, 0, 0), dst, DimOrder::XYZ, Slice(0));
         spec.take_hop(X_PLUS);
         let mut vc = rig.cfg.vc_policy.start();
-        vc.begin_dim();
+        vc.turn(None, Some(X_PLUS));
         vc.torus_hop(false);
         let packet = Packet::write(src, dst_ep, Payload::zeros(16));
         let route = RouteProgress::Unicast { spec, dst: dst_ep };

@@ -246,9 +246,7 @@ impl Endpoints {
                 };
                 let on_table = matches!(route, RouteProgress::Table { .. });
                 let mut vc = ctx.cfg.vc_policy.start();
-                if fab.next_hop(&route).is_some() {
-                    vc.begin_dim();
-                }
+                vc.turn(None, fab.next_hop(&route));
                 let pid = fab.packets.insert(PacketState {
                     torus_hops,
                     rerouted: !fresh || on_table,

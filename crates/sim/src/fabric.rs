@@ -866,27 +866,20 @@ impl Fabric {
                 ..PacketState::new(*pkt, route, vc, injected_at, ctx.record_routes)
             })
         };
+        // The VC state a copy enters the mesh in and the one staged for past
+        // the entry link, by its next hop: a source fan-out begins its
+        // dimension at once (the injection link's M VC is unaffected).
+        let staged = |next: Option<TorusDir>| {
+            let mut turned = base_vc;
+            turned.turn(arrived_via, next);
+            match arrived_via {
+                None => (turned, None),
+                Some(_) => (base_vc, (turned != base_vc).then_some(turned)),
+            }
+        };
         let mut out = Vec::with_capacity(entry.forward.len() + entry.local.len());
         for &dir in &entry.forward {
-            let (vc, pending_vc) = match arrived_via {
-                Some(a) if a.dim == dir.dim => {
-                    debug_assert_eq!(a, dir, "tree chains never reverse direction");
-                    (base_vc, None)
-                }
-                Some(_) => {
-                    let mut promoted = base_vc;
-                    promoted.end_dim();
-                    promoted.begin_dim();
-                    (base_vc, Some(promoted))
-                }
-                None => {
-                    // Source fanout: begin the dimension immediately (the
-                    // injection link's M VC is unaffected).
-                    let mut vc = base_vc;
-                    vc.begin_dim();
-                    (vc, None)
-                }
-            };
+            let (vc, pending_vc) = staged(Some(dir));
             let route = RouteProgress::McExit {
                 group,
                 tree,
@@ -896,13 +889,9 @@ impl Fabric {
             out.push(copy(route, vc, pending_vc));
         }
         for &ep in &entry.local {
-            let pending_vc = arrived_via.map(|_| {
-                let mut promoted = base_vc;
-                promoted.end_dim();
-                promoted
-            });
+            let (vc, pending_vc) = staged(None);
             let route = RouteProgress::McDeliver { group, ep };
-            out.push(copy(route, base_vc, pending_vc));
+            out.push(copy(route, vc, pending_vc));
         }
         out
     }
@@ -910,18 +899,9 @@ impl Fabric {
 
 /// Whether a route spec starting at `node` traverses any down link.
 fn spec_hits_down(shape: &TorusShape, node: NodeId, spec: &RouteSpec, downs: &DownLinkSet) -> bool {
-    let mut cur = shape.coord(node);
-    for dir in spec.hops() {
-        let chan = ChanId {
-            dir,
-            slice: spec.slice,
-        };
-        if downs.contains(shape.id(cur), chan) {
-            return true;
-        }
-        cur = shape.neighbor(cur, dir);
-    }
-    false
+    let slice = spec.slice;
+    spec.walk(shape, shape.coord(node))
+        .any(|(at, dir)| downs.contains(shape.id(at), ChanId { dir, slice }))
 }
 
 /// A conductor in miniature for the layer unit tests: a hand-built

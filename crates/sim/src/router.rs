@@ -11,7 +11,6 @@
 use anton_arbiter::{ArbiterKind, BitsetArbiter, GrantSite};
 use anton_core::chip::{ChipLayout, LocalAttach, MeshCoord, ATTACH_CODE_BASE, MAX_ROUTER_PORTS};
 use anton_core::packet::Packet;
-use anton_core::topology::Dim;
 use anton_core::vc::Vc;
 
 use crate::fabric::{CompRef, Ctx, Fabric};
@@ -77,11 +76,10 @@ pub(crate) struct Routers {
     /// SA1 VC arbiter per router input port (same layout; lanes = the
     /// feeding wire's VC indices).
     in_arb: Vec<BitsetArbiter>,
-    /// Decode of stamped chip-target codes (see [`BufEntry::target`]): the
-    /// adapter attach plus the mesh router it hangs off. Only chan and
-    /// endpoint attaches are ever stamped; mesh/skip rows hold placeholders
-    /// routing never reads.
-    target_of_code: Vec<(LocalAttach, MeshCoord)>,
+    /// Decode of stamped chip-target codes (see [`BufEntry::target`]). Only
+    /// chan and endpoint attaches are ever stamped; routing never reads the
+    /// mesh/skip rows.
+    target_of_code: Vec<LocalAttach>,
 }
 
 impl Routers {
@@ -90,16 +88,11 @@ impl Routers {
     /// index order.
     pub(crate) fn new(chip: &ChipLayout, n: usize) -> Routers {
         let attach_codes = ATTACH_CODE_BASE + chip.endpoints().count();
-        // Every adapter attach is owned by exactly one mesh router, and the
-        // chip layout is identical on every node, so one table serves them
-        // all.
-        let mut target_of_code = vec![(LocalAttach::Skip, MeshCoord::new(0, 0)); attach_codes];
-        for r in MeshCoord::all() {
-            for attach in chip.router_ports(r) {
-                if matches!(attach, LocalAttach::Chan(_) | LocalAttach::Endpoint(_)) {
-                    target_of_code[attach.code()] = (attach, r);
-                }
-            }
+        // The chip layout is identical on every node, so one table serves
+        // them all.
+        let mut target_of_code = vec![LocalAttach::Skip; attach_codes];
+        for attach in MeshCoord::all().flat_map(|r| chip.router_ports(r)) {
+            target_of_code[attach.code()] = attach;
         }
         Routers {
             routers: Vec::with_capacity(n),
@@ -196,24 +189,10 @@ impl Routers {
     /// per packet per router.
     #[inline]
     fn route_stamped(&self, ridx: usize, ctx: &Ctx<'_>, target_code: u8, meta: u8) -> (usize, Vc) {
-        let (target, target_router) = self.target_of_code[target_code as usize];
-        let here = self.routers[ridx].mesh;
-        let attach = if here == target_router {
-            target
-        } else if ctx.cfg.chip.skip_partner(here) == Some(target_router)
-            && matches!(target, LocalAttach::Chan(c) if c.dir.dim == Dim::X)
-            && meta & 0x40 != 0
-        {
-            // X through-traffic bypasses two routers via the skip channel.
-            LocalAttach::Skip
-        } else {
-            let d = ctx
-                .cfg
-                .dir_order
-                .next_dir(here, target_router)
-                .expect("distinct routers need a mesh hop");
-            LocalAttach::Mesh(d)
-        };
+        let target = self.target_of_code[target_code as usize];
+        let (here, arrived_x) = (self.routers[ridx].mesh, meta & 0x40 != 0);
+        let (chip, order) = (&ctx.cfg.chip, &ctx.cfg.dir_order);
+        let attach = chip.next_attach(order, here, target, arrived_x);
         let port = self.port_of[ridx * self.attach_codes + attach.code()];
         debug_assert!(port != 0xFF, "routed attach must be a port");
         let vc = match attach {

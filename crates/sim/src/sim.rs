@@ -982,15 +982,11 @@ impl Sim {
         let Destination::Unicast(dst) = packet.dst else {
             panic!("explicit route specs apply to unicast packets only");
         };
-        let mut cur = self.cfg.shape.coord(src.node);
-        for hop in spec.hops() {
-            cur = self.cfg.shape.neighbor(cur, hop);
-        }
-        assert_eq!(
-            cur,
-            self.cfg.shape.coord(dst.node),
-            "spec does not reach destination"
-        );
+        let shape = &self.cfg.shape;
+        let start = shape.coord(src.node);
+        let last = spec.walk(shape, start).last();
+        let end = last.map_or(start, |(at, dir)| shape.neighbor(at, dir));
+        assert_eq!(shape.id(end), dst.node, "spec does not reach destination");
         let idx = self.cfg.endpoint_index(src);
         self.endpoints
             .inject(idx, packet, Some(spec), &mut self.fabric);

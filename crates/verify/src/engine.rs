@@ -13,9 +13,9 @@
 //!                     ├─► build_routing_graph ─► SymGraph ─► find_cycle
 //!   RoutingFunction ──┘          │                              │
 //!        (roots/transitions)     └── AV022/AV023 diags      minimize
-//!                                                               │
-//!   RoutingFunction::witnesses ◄── wanted cycle edges ──────────┘
-//!                     │
+//!            ▲                                                  │
+//!            └── the same walk again, keeping parent links ◄────┘
+//!                     │          (wanted cycle edges)
 //!                     ▼
 //!        DeadlockCertificate { acyclic | counterexample + witnesses }
 //! ```
@@ -30,18 +30,140 @@
 //! link the topology cannot address raises `AV023`, and the offending
 //! transition is excluded from the graph (certification then fails closed
 //! through the error diagnostic).
+//!
+//! Witness routes need nothing from a routing function beyond `roots` and
+//! `transitions`: only when a cycle is found, the walk runs once more
+//! remembering which transition first reached each arrival, and a wanted
+//! edge's transition is followed back along those links to the injection
+//! that started it and forward to a delivery.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
-use anton_core::net::{Arrival, DepEdge, RoutingFunction, Topology};
+use anton_core::chip::LocalLink;
+use anton_core::config::GlobalEndpoint;
+use anton_core::net::{Arrival, Progress, RoutePath, RouteState, RoutingFunction, Topology};
+use anton_core::topology::Slice;
 use anton_core::trace::GlobalLink;
 use anton_core::vc::Vc;
 
-use crate::graph::SymGraph;
+use crate::graph::{dense_index, SymGraph};
 use crate::report::{CycleCounterexample, DeadlockCertificate, Diagnostic, WitnessRoute};
 
 /// Cap on concrete witness routes attached to a counterexample.
 const MAX_WITNESSES: usize = 8;
+
+/// One transition the walk of a routing function takes.
+struct Taken<'a> {
+    /// The arrival being expanded.
+    from: &'a Arrival,
+    /// The position of `progress` among `from`'s transitions.
+    nth: usize,
+    progress: &'a Progress,
+    /// Dense indices of `from`'s buffer and of every step after it.
+    chain: &'a [u32],
+    /// The arrival `progress` resumes at, when the walk had not reached it
+    /// before.
+    found: Option<Arrival>,
+}
+
+/// Walks `rf`'s transition system breadth-first over `(link, VC, state)`
+/// arrivals, addressed as a graph over `topo` with `vcs` VCs per link, and
+/// hands every transition to `visit` until it returns `false`.
+///
+/// Envelope violations (`AV022` out-of-budget VC, `AV023` unaddressable
+/// link) are appended to `diags` — once per code — and the offending
+/// transitions are skipped.
+fn explore(
+    topo: &dyn Topology,
+    vcs: usize,
+    rf: &dyn RoutingFunction,
+    diags: &mut Vec<Diagnostic>,
+    mut visit: impl FnMut(Taken<'_>) -> bool,
+) {
+    let mut bad_vc = false;
+    let mut bad_link = false;
+    let mut unaddressable = |diags: &mut Vec<Diagnostic>, link: &GlobalLink, vc: Vc| {
+        if !std::mem::replace(&mut bad_link, true) {
+            diags.push(
+                Diagnostic::error(
+                    "AV023",
+                    format!(
+                        "routing function `{}` emitted {link}@{vc}, which topology `{}` cannot \
+                         address",
+                        rf.describe(),
+                        topo.describe()
+                    ),
+                )
+                .with("link", link),
+            );
+        }
+    };
+    let mut seen: HashSet<(u32, u64)> = HashSet::new();
+    let mut queue: VecDeque<(Arrival, u32)> = VecDeque::new();
+    for root in rf.roots() {
+        let Some(idx) = dense_index(topo, vcs, &root.link, root.vc) else {
+            unaddressable(diags, &root.link, root.vc);
+            continue;
+        };
+        if seen.insert((idx, root.state.0)) {
+            queue.push_back((root, idx));
+        }
+    }
+    while let Some((arrival, at)) = queue.pop_front() {
+        'progress: for (nth, progress) in rf.transitions(&arrival).iter().enumerate() {
+            // Validate the whole step chain before handing it on, so a bad
+            // transition contributes nothing.
+            let mut chain = Vec::with_capacity(progress.steps.len() + 1);
+            chain.push(at);
+            for (link, vc) in &progress.steps {
+                if usize::from(vc.0) >= vcs {
+                    if !std::mem::replace(&mut bad_vc, true) {
+                        diags.push(
+                            Diagnostic::error(
+                                "AV022",
+                                format!(
+                                    "routing function `{}` requested {link}@{vc}, outside its \
+                                     declared budget of {vcs} VCs",
+                                    rf.describe()
+                                ),
+                            )
+                            .with("vc", vc.0)
+                            .with("num_vcs", vcs),
+                        );
+                    }
+                    continue 'progress;
+                }
+                let Some(idx) = dense_index(topo, vcs, link, *vc) else {
+                    unaddressable(diags, link, *vc);
+                    continue 'progress;
+                };
+                chain.push(idx);
+            }
+            let last = *chain.last().expect("the chain starts at the arrival");
+            let found = progress.next.and_then(|(node, state)| {
+                let (link, vc) = *progress.steps.last().unwrap_or(&(arrival.link, arrival.vc));
+                let next = Arrival {
+                    node,
+                    link,
+                    vc,
+                    state,
+                };
+                seen.insert((last, state.0)).then_some(next)
+            });
+            queue.extend(found.map(|next| (next, last)));
+            let taken = Taken {
+                from: &arrival,
+                nth,
+                progress,
+                chain: &chain,
+                found,
+            };
+            if !visit(taken) {
+                return;
+            }
+        }
+    }
+}
 
 /// Builds the union channel-dependency graph of `routings` over `topo` by
 /// breadth-first exploration of each routing function's transition system.
@@ -57,95 +179,80 @@ pub fn build_routing_graph<'t>(
     let vcs = routings.iter().map(|r| r.num_vcs()).max().unwrap_or(1);
     let mut g = SymGraph::new(topo, vcs);
     for rf in routings {
-        let mut bad_vc = false;
-        let mut bad_link = false;
-        let mut seen: HashSet<(u32, u64)> = HashSet::new();
-        let mut queue: VecDeque<Arrival> = VecDeque::new();
-        for root in rf.roots() {
-            let Some(idx) = g.index_of(&root.link, root.vc) else {
-                if !bad_link {
-                    bad_link = true;
-                    diags.push(unaddressable_diag(topo, rf, &root.link, root.vc));
-                }
-                continue;
-            };
-            if seen.insert((idx, root.state.0)) {
-                queue.push_back(root);
+        explore(topo, vcs, *rf, diags, |taken| {
+            for w in taken.chain.windows(2) {
+                g.add_edge_idx(w[0], w[1]);
             }
-        }
-        while let Some(arrival) = queue.pop_front() {
-            'progress: for prog in rf.transitions(&arrival) {
-                // Validate the whole step chain before inserting any edge,
-                // so a bad transition contributes nothing.
-                let mut chain = Vec::with_capacity(prog.steps.len() + 1);
-                chain.push(g.index(&arrival.link, arrival.vc));
-                for (link, vc) in &prog.steps {
-                    if usize::from(vc.0) >= vcs {
-                        if !bad_vc {
-                            bad_vc = true;
-                            diags.push(
-                                Diagnostic::error(
-                                    "AV022",
-                                    format!(
-                                        "routing function `{}` requested {link}@{vc}, outside \
-                                         its declared budget of {vcs} VCs",
-                                        rf.describe()
-                                    ),
-                                )
-                                .with("vc", vc.0)
-                                .with("num_vcs", vcs),
-                            );
-                        }
-                        continue 'progress;
-                    }
-                    let Some(idx) = g.index_of(link, *vc) else {
-                        if !bad_link {
-                            bad_link = true;
-                            diags.push(unaddressable_diag(topo, rf, link, *vc));
-                        }
-                        continue 'progress;
-                    };
-                    chain.push(idx);
-                }
-                for w in chain.windows(2) {
-                    g.add_edge_idx(w[0], w[1]);
-                }
-                if let Some((node, state)) = prog.next {
-                    let (link, vc) = prog
-                        .steps
-                        .last()
-                        .map_or((arrival.link, arrival.vc), |&(l, v)| (l, v));
-                    let idx = g.index(&link, vc);
-                    if seen.insert((idx, state.0)) {
-                        queue.push_back(Arrival {
-                            node,
-                            link,
-                            vc,
-                            state,
-                        });
-                    }
-                }
-            }
-        }
+            true
+        });
     }
     g
 }
 
-fn unaddressable_diag(
-    topo: &dyn Topology,
-    rf: &&dyn RoutingFunction,
-    link: &GlobalLink,
-    vc: Vc,
-) -> Diagnostic {
-    Diagnostic::error(
-        "AV023",
-        format!(
-            "routing function `{}` emitted {link}@{vc}, which topology `{}` cannot address",
-            rf.describe(),
-            topo.describe()
-        ),
-    )
-    .with("link", link)
+/// Which transition first reached an arrival, keyed by the arrival's
+/// `(link, VC, state)`: the arrival it was taken from and its position there.
+type Parents = HashMap<(GlobalLink, Vc, RouteState), (Arrival, usize)>;
+
+/// The concrete route through transition `progress` of `from`: back along
+/// the parent links to a root, forward — by a delivering transition wherever
+/// one is offered — until the packet is delivered. `None` when the chain is
+/// not a whole route from an injection to a delivery (a table's mesh fans).
+fn witness_route(
+    rf: &dyn RoutingFunction,
+    parents: &Parents,
+    from: &Arrival,
+    progress: &Progress,
+) -> Option<(GlobalEndpoint, GlobalEndpoint, RoutePath)> {
+    let mut legs = vec![progress.steps.clone()];
+    let mut root = *from;
+    while let Some((parent, nth)) = parents.get(&(root.link, root.vc, root.state)) {
+        legs.push(rf.transitions(parent).swap_remove(*nth).steps);
+        root = *parent;
+    }
+    let mut steps = vec![(root.link, root.vc)];
+    steps.extend(legs.into_iter().rev().flatten());
+    let mut next = progress.next;
+    for _ in 0..=parents.len() {
+        let Some((node, state)) = next else { break };
+        let (link, vc) = *steps.last()?;
+        let mut onward = rf.transitions(&Arrival {
+            node,
+            link,
+            vc,
+            state,
+        });
+        let delivering = onward.iter().position(|p| p.next.is_none());
+        let taken = onward.swap_remove(delivering.unwrap_or(0));
+        steps.extend(taken.steps);
+        next = taken.next;
+    }
+    let endpoint = |step: &(GlobalLink, Vc)| match step.0 {
+        GlobalLink::Local {
+            node,
+            link: LocalLink::EpToRouter(ep) | LocalLink::RouterToEp(ep),
+        } => Some(GlobalEndpoint { node, ep }),
+        _ => None,
+    };
+    let (src, dst) = (endpoint(steps.first()?)?, endpoint(steps.last()?)?);
+    let mut hops = Vec::new();
+    let mut nodes = vec![src.node];
+    let mut on = Slice(0);
+    for (link, _) in &steps {
+        match *link {
+            GlobalLink::Torus { dir, slice, .. } => {
+                hops.push(dir);
+                on = slice;
+            }
+            GlobalLink::Direct { to, .. } => nodes.push(to),
+            GlobalLink::Local { .. } => {}
+        }
+    }
+    let path = if nodes.len() > 1 {
+        RoutePath::Nodes(nodes)
+    } else {
+        RoutePath::Torus { hops, slice: on }
+    };
+    next.is_none().then_some((src, dst, path))
 }
 
 /// Certifies the union of `routings` over `topo` deadlock-free, or extracts
@@ -170,43 +277,49 @@ pub fn certify_routing(
         return (base, diags);
     };
     let cycle = g.minimize_cycle(cycle);
-    let cvs: Vec<(GlobalLink, Vc)> = cycle.iter().map(|&i| g.decode(i)).collect();
-    let wanted: Vec<DepEdge> = (0..cvs.len())
-        .map(|i| (cvs[i], cvs[(i + 1) % cvs.len()]))
+    let wanted: HashMap<(u32, u32), usize> = (0..cycle.len())
+        .map(|i| ((cycle[i], cycle[(i + 1) % cycle.len()]), i))
         .collect();
     // Each routing function gets a chance to explain the edges no earlier
     // function could; first concrete route per edge wins.
-    let mut routes: Vec<Option<WitnessRoute>> = vec![None; wanted.len()];
+    let mut routes: Vec<Option<WitnessRoute>> = vec![None; cycle.len()];
+    let mut missing = cycle.len().min(MAX_WITNESSES);
     for rf in routings {
-        if routes.iter().filter(|w| w.is_some()).count() >= MAX_WITNESSES {
+        if missing == 0 {
             break;
         }
-        let missing: Vec<usize> = (0..wanted.len()).filter(|&i| routes[i].is_none()).collect();
-        if missing.is_empty() {
-            break;
-        }
-        let subset: Vec<DepEdge> = missing.iter().map(|&i| wanted[i]).collect();
-        for (slot, w) in missing
-            .into_iter()
-            .zip(rf.witnesses(&subset, MAX_WITNESSES))
-        {
-            if let Some(c) = w {
-                routes[slot] = Some(WitnessRoute {
-                    src: c.src,
-                    dst: c.dst,
-                    path: c.path,
-                    holds: c.holds,
-                    waits_for: c.waits_for,
-                });
+        let mut parents = Parents::new();
+        explore(topo, g.vcs, *rf, &mut Vec::new(), |taken| {
+            if let Some(a) = taken.found {
+                parents.insert((a.link, a.vc, a.state), (*taken.from, taken.nth));
             }
-        }
+            for w in taken.chain.windows(2) {
+                let Some(&i) = wanted.get(&(w[0], w[1])) else {
+                    continue;
+                };
+                if routes[i].is_some() || missing == 0 {
+                    continue;
+                }
+                let route = witness_route(*rf, &parents, taken.from, taken.progress);
+                if let Some((src, dst, path)) = route {
+                    routes[i] = Some(WitnessRoute {
+                        src,
+                        dst,
+                        path,
+                        holds: g.decode(w[0]),
+                        waits_for: g.decode(w[1]),
+                    });
+                    missing -= 1;
+                }
+            }
+            missing > 0
+        });
     }
-    let witnesses: Vec<WitnessRoute> = routes.into_iter().flatten().take(MAX_WITNESSES).collect();
     let cert = DeadlockCertificate {
         acyclic: false,
         counterexample: Some(CycleCounterexample {
-            cycle: cvs,
-            witnesses,
+            cycle: cycle.iter().map(|&i| g.decode(i)).collect(),
+            witnesses: routes.into_iter().flatten().collect(),
         }),
         ..base
     };
@@ -293,14 +406,13 @@ mod tests {
         assert_eq!(cert.edges, 0);
     }
 
-    /// A default-witness routing function: the engine must tolerate
-    /// `witnesses` returning all-`None`.
+    /// The ring mesh behind nothing but `roots` and `transitions`.
     #[derive(Debug)]
-    struct NoWitness;
+    struct BareRing;
 
-    impl RoutingFunction for NoWitness {
+    impl RoutingFunction for BareRing {
         fn describe(&self) -> String {
-            "witnessless ring".into()
+            "bare ring".into()
         }
         fn num_vcs(&self) -> usize {
             1
@@ -314,13 +426,25 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_routing_without_witnesses_still_reports_the_cycle() {
+    fn a_routing_function_of_roots_and_transitions_alone_gets_witnesses() {
         let topo = FullMesh::new(3);
-        let (cert, diags) = certify_routing(&topo, &[&NoWitness], "ring, no witnesses");
+        let (cert, diags) = certify_routing(&topo, &[&BareRing], "bare ring");
         assert!(diags.is_empty(), "{diags:?}");
         assert!(!cert.acyclic);
         let ce = cert.counterexample.expect("cycle");
-        assert!(!ce.cycle.is_empty());
-        assert!(ce.witnesses.is_empty());
+        assert_eq!(ce.witnesses.len(), ce.cycle.len());
+        for w in &ce.witnesses {
+            // A ring route: from its source node round to its destination.
+            let RoutePath::Nodes(nodes) = &w.path else {
+                panic!("mesh witness {w} has a torus path");
+            };
+            assert_eq!(nodes.first(), Some(&w.src.node));
+            assert_eq!(nodes.last(), Some(&w.dst.node));
+            assert!(nodes.windows(2).all(|p| p[1].0 == (p[0].0 + 1) % 3));
+            let on_cycle = (0..ce.cycle.len()).any(|i| {
+                ce.cycle[i] == w.holds && ce.cycle[(i + 1) % ce.cycle.len()] == w.waits_for
+            });
+            assert!(on_cycle, "witness {w} is not a cycle edge");
+        }
     }
 }

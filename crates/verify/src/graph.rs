@@ -19,7 +19,7 @@ use anton_core::vc::Vc;
 #[derive(Debug)]
 pub struct SymGraph<'t> {
     topo: &'t dyn Topology,
-    vcs: usize,
+    pub(crate) vcs: usize,
     adj: Vec<Vec<u32>>,
     num_edges: usize,
 }
@@ -39,11 +39,7 @@ impl<'t> SymGraph<'t> {
     /// The dense index of a `(link, VC)` pair, or `None` when the topology
     /// cannot address the link (or the VC exceeds the graph's budget).
     pub fn index_of(&self, link: &GlobalLink, vc: Vc) -> Option<u32> {
-        if usize::from(vc.0) >= self.vcs {
-            return None;
-        }
-        let (node, slot) = self.topo.slot(link)?;
-        Some(((node * self.topo.slots_per_node() + slot) * self.vcs + usize::from(vc.0)) as u32)
+        dense_index(self.topo, self.vcs, link, vc)
     }
 
     /// The dense index of a `(link, VC)` pair. Panics when the topology
@@ -211,6 +207,21 @@ impl<'t> SymGraph<'t> {
         }
         best
     }
+}
+
+/// [`SymGraph::index_of`] for a graph over `topo` with `vcs` VCs per link:
+/// what the engine's walk addresses buffers by, with or without a graph.
+pub(crate) fn dense_index(
+    topo: &dyn Topology,
+    vcs: usize,
+    link: &GlobalLink,
+    vc: Vc,
+) -> Option<u32> {
+    if usize::from(vc.0) >= vcs {
+        return None;
+    }
+    let (node, slot) = topo.slot(link)?;
+    Some(((node * topo.slots_per_node() + slot) * vcs + usize::from(vc.0)) as u32)
 }
 
 #[cfg(test)]

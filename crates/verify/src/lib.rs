@@ -52,7 +52,7 @@ pub mod report;
 pub mod symbolic;
 
 pub use anton_analysis::deadlock::{ChannelVc, RouteEnumeration};
-pub use anton_core::net::{ConcreteRoute, RoutePath, RoutingFunction, Topology};
+pub use anton_core::net::{RoutePath, RoutingFunction, Topology};
 pub use degraded::{
     build_degraded_tables, certify_family, certify_tables, verify_degraded, DegradedVerdict,
 };

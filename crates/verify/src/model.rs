@@ -6,7 +6,7 @@
 //! dateline-crossing rule is active.
 
 use anton_core::config::MachineConfig;
-use anton_core::topology::{Dim, NodeCoord, Sign, TorusDir};
+use anton_core::topology::{NodeCoord, TorusDir};
 
 /// A machine configuration as seen by the static verifier.
 #[derive(Debug, Clone)]
@@ -69,48 +69,5 @@ impl VerifyModel {
     #[inline]
     pub fn crosses(&self, node: NodeCoord, dir: TorusDir) -> bool {
         self.datelines && self.cfg.shape.hop_crosses_dateline(node, dir)
-    }
-
-    /// Dimensions a route can actually travel in (extent > 1).
-    pub fn usable_dims(&self) -> Vec<Dim> {
-        Dim::ALL
-            .iter()
-            .copied()
-            .filter(|d| self.cfg.shape.k(*d) > 1)
-            .collect()
-    }
-
-    /// Directions routing can depart in along `dim`.
-    ///
-    /// For `k == 2` the minimal tie-break always resolves to `+`
-    /// ([`anton_core::topology::TorusShape::minimal_offset_choices`]), so
-    /// `-` arcs are unreachable and must not enter the dependency graph —
-    /// unless the model covers the degraded family, where a table may route
-    /// `-` because the `+` link is down.
-    pub fn signs_for(&self, dim: Dim) -> &'static [Sign] {
-        if self.cfg.shape.k(dim) == 2 && !self.long_arcs {
-            &[Sign::Plus]
-        } else {
-            &[Sign::Plus, Sign::Minus]
-        }
-    }
-
-    /// Longest torus arc along `dim` the model admits: `⌊k/2⌋` hops
-    /// (minimal routing) or `k − 1` (the degraded family's long way
-    /// around).
-    #[inline]
-    pub fn max_arc_len(&self, dim: Dim) -> u8 {
-        let k = self.cfg.shape.k(dim);
-        if self.long_arcs {
-            k.saturating_sub(1)
-        } else {
-            k / 2
-        }
-    }
-
-    /// Whether a minimal arc along `dim` can cross a dateline under this
-    /// model (some arc of length `<= ⌊k/2⌋` includes the wrap hop).
-    pub fn crossing_possible(&self, dim: Dim) -> bool {
-        self.datelines && self.cfg.shape.k(dim) > 1
     }
 }
