@@ -97,16 +97,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Population standard deviation of a slice.
-///
-/// # Panics
-///
-/// Panics if `xs` is empty.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,43 +11,20 @@
 //! Figure 9/10 experiments.
 //!
 //! Loads are stored in flat arrays over [`TorusTopology`]'s per-node slot
-//! layout — the link numbering the deadlock certifier already uses — so a
-//! traced step costs an index computation, not a hash, and translating a
-//! node-symmetric result is index arithmetic.
+//! layout — the link numbering the deadlock certifier and the simulator's
+//! wires use — so a traced step costs an index computation, not a hash,
+//! the router ports a link joins are the topology's answer for its slot,
+//! and translating a node-symmetric result is index arithmetic.
 
-use anton_core::chip::{
-    ChanId, ChipLayout, LinkGroup, LocalAttach, LocalLink, MeshCoord, MAX_ROUTER_PORTS, NUM_ROUTERS,
-};
+use anton_core::chip::{ChanId, LinkGroup, MAX_ROUTER_PORTS, NUM_ROUTERS};
 use anton_core::config::{GlobalEndpoint, MachineConfig};
-use anton_core::net::{Topology, TorusTopology};
+use anton_core::net::{LinkEnd, Topology, TorusTopology};
 use anton_core::pattern::TrafficPattern;
 use anton_core::routing::{DimOrder, RouteSpec};
 use anton_core::topology::{Dim, NodeId, Slice};
 use anton_core::trace::{trace_unicast, GlobalLink};
 use anton_core::vc::Vc;
 use anton_traffic::patterns::offset_node;
-
-/// The two directed links at each port of router `r`, as `(link leaving
-/// through the port, link feeding it)` in [`ChipLayout::router_ports`] order.
-pub fn port_links(chip: &ChipLayout, r: MeshCoord) -> Vec<(LocalLink, LocalLink)> {
-    let links = |attach| match attach {
-        LocalAttach::Mesh(dir) => {
-            let from = r.step(dir).expect("mesh port has a neighbor");
-            let back = LocalLink::Mesh {
-                from,
-                dir: dir.opposite(),
-            };
-            (LocalLink::Mesh { from: r, dir }, back)
-        }
-        LocalAttach::Skip => {
-            let from = chip.skip_partner(r).expect("skip port has a partner");
-            (LocalLink::Skip { from: r }, LocalLink::Skip { from })
-        }
-        LocalAttach::Chan(c) => (LocalLink::RouterToChan(c), LocalLink::ChanToRouter(c)),
-        LocalAttach::Endpoint(e) => (LocalLink::RouterToEp(e), LocalLink::EpToRouter(e)),
-    };
-    chip.router_ports(r).into_iter().map(links).collect()
-}
 
 /// A router port as `(router index, port index)`.
 type Port = (usize, usize);
@@ -58,9 +35,6 @@ type Port = (usize, usize);
 #[derive(Debug, Clone)]
 pub struct LoadAnalysis {
     topo: TorusTopology,
-    /// Per slot, the router ports the link leaves and feeds: [`port_links`]
-    /// inverted, once per chip rather than per traced step.
-    ports: Vec<(Option<Port>, Option<Port>)>,
     /// VC rows per link: the most VCs the policy gives one class on any link.
     vc_stride: usize,
     /// Load per directed link, at `node × slots_per_node + slot`. Accumulated
@@ -74,6 +48,15 @@ pub struct LoadAnalysis {
     flows: Vec<f64>,
 }
 
+/// The router port at a link end, if it is one.
+#[inline]
+fn router_port(end: LinkEnd) -> Option<Port> {
+    match end {
+        LinkEnd::Router { router, port } => Some((router.index(), port)),
+        LinkEnd::Chan(_) | LinkEnd::Endpoint(_) => None,
+    }
+}
+
 fn flow_index(node: usize, (router, in_port): Port, out_port: usize) -> usize {
     ((node * NUM_ROUTERS + router) * MAX_ROUTER_PORTS + in_port) * MAX_ROUTER_PORTS + out_port
 }
@@ -83,23 +66,10 @@ impl LoadAnalysis {
     pub fn new(cfg: &MachineConfig) -> LoadAnalysis {
         let topo = TorusTopology::new(cfg);
         let (nodes, slots) = (topo.num_nodes(), topo.slots_per_node());
-        let node = NodeId(0);
-        let slot = |link| {
-            let at = topo.slot(&GlobalLink::Local { node, link });
-            at.expect("chip link has a slot").1
-        };
-        let mut ports = vec![(None, None); slots];
-        for r in MeshCoord::all() {
-            for (port, (leaving, feeding)) in port_links(&cfg.chip, r).into_iter().enumerate() {
-                ports[slot(leaving)].0 = Some((r.index(), port));
-                ports[slot(feeding)].1 = Some((r.index(), port));
-            }
-        }
         let vcs = |group| usize::from(cfg.vc_policy.num_vcs(group));
         let vc_stride = vcs(LinkGroup::M).max(vcs(LinkGroup::T));
         LoadAnalysis {
             topo,
-            ports,
             vc_stride,
             link: vec![0.0; nodes * slots],
             link_vc: vec![0.0; nodes * slots * vc_stride],
@@ -183,11 +153,12 @@ impl LoadAnalysis {
                     let mut fed: Option<(usize, Port)> = None;
                     for (link, vc) in trace_unicast(cfg, src, dst, &spec) {
                         let (node, slot) = self.topo.slot(&link).expect("traced link has a slot");
-                        let at = node * self.ports.len() + slot;
+                        let at = node * self.topo.slots_per_node() + slot;
                         self.link[at] += w;
                         self.link_vc[at * self.vc_stride + usize::from(vc.0)] += w;
-                        let (leaves, feeds) = self.ports[slot];
-                        if let (Some((n1, input)), Some((router, output))) = (fed, leaves) {
+                        if let (Some((n1, input)), Some((router, output))) =
+                            (fed, router_port(self.topo.producer(slot)))
+                        {
                             debug_assert_eq!(
                                 (n1, input.0),
                                 (node, router),
@@ -195,7 +166,7 @@ impl LoadAnalysis {
                             );
                             self.flows[flow_index(node, input, output)] += w;
                         }
-                        fed = feeds.map(|port| (node, port));
+                        fed = router_port(self.topo.consumer(slot)).map(|port| (node, port));
                     }
                 }
             }
@@ -204,7 +175,7 @@ impl LoadAnalysis {
 
     fn index(&self, link: &GlobalLink) -> Option<usize> {
         let (node, slot) = self.topo.slot(link)?;
-        Some(node * self.ports.len() + slot)
+        Some(node * self.topo.slots_per_node() + slot)
     }
 
     /// Load on one link (0 if untouched).
@@ -294,6 +265,7 @@ fn replicate(cfg: &MachineConfig, base: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anton_core::chip::{ChipLayout, MeshCoord};
     use anton_core::topology::{Sign, TorusShape};
     use anton_traffic::patterns::{Blend, NHopNeighbor, ReverseTornado, Tornado, UniformRandom};
 

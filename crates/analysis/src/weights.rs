@@ -6,13 +6,14 @@
 //! `β` chosen so every weight fits in `M` bits. Inputs a pattern never uses
 //! get the maximum weight (they are never charged under that pattern).
 
-use anton_core::chip::{ChanId, LocalLink, MeshCoord, MAX_ROUTER_PORTS};
+use anton_core::chip::{ChanId, LocalLink, MAX_ROUTER_PORTS, NUM_ROUTERS};
 use anton_core::config::MachineConfig;
+use anton_core::net::{LinkEnd, Topology, TorusTopology};
 use anton_core::topology::NodeId;
 use anton_core::trace::GlobalLink;
 use anton_core::vc::Vc;
 
-use crate::load::{port_links, LoadAnalysis};
+use crate::load::LoadAnalysis;
 
 /// The weight tables of one kind of arbitration point, addressed by dense
 /// arbiter index. An arbiter the analyses placed no load on has no table;
@@ -135,9 +136,8 @@ impl ArbiterWeightSet {
         // Per-VC loads of `link` as `[vc][pattern]` over both traffic
         // classes. Analyzed traffic is Request class (VC indices
         // `0..group_vcs`), so the Reply lanes carry no load.
-        let vc_loads = |loads: &mut Vec<f64>, node, link: LocalLink| {
+        let vc_loads = |loads: &mut Vec<f64>, link: GlobalLink| {
             let vcs = usize::from(cfg.vc_policy.num_vcs(link.group()));
-            let link = GlobalLink::Local { node, link };
             loads.clear();
             for vc in 0..vcs {
                 loads.extend(analyses.iter().map(|a| a.link_vc_load(&link, Vc(vc as u8))));
@@ -150,23 +150,32 @@ impl ArbiterWeightSet {
             inputs: WeightTables::new(analyses.len()),
             serializers: WeightTables::new(analyses.len()),
         };
-        let router_links: Vec<_> = MeshCoord::all().map(|r| port_links(&cfg.chip, r)).collect();
+        // The slot feeding each router input port, at `router ×
+        // MAX_ROUTER_PORTS + port`.
+        let topo = TorusTopology::new(cfg);
+        let mut feeding = [None; NUM_ROUTERS * MAX_ROUTER_PORTS];
+        for slot in 0..topo.slots_per_node() {
+            if let LinkEnd::Router { router, port } = topo.consumer(slot) {
+                feeding[router.index() * MAX_ROUTER_PORTS + port] = Some(slot);
+            }
+        }
         let mut loads = Vec::new();
         for node in (0..cfg.shape.num_nodes() as u32).map(NodeId) {
-            for (router, links) in router_links.iter().enumerate() {
-                for port in 0..MAX_ROUTER_PORTS {
+            for (router, fed) in feeding.chunks(MAX_ROUTER_PORTS).enumerate() {
+                let inputs = fed.iter().flatten().count();
+                for (port, slot) in fed.iter().enumerate() {
                     // An output arbitrates among the router's inputs by the
                     // flow each sends it.
                     loads.clear();
-                    for input in 0..links.len() {
+                    for input in 0..inputs {
                         let flow = |a: &&LoadAnalysis| a.router_flow(node, router, input, port);
                         loads.extend(analyses.iter().map(flow));
                     }
                     set.outputs.push_inverse(&loads, max_w);
                     // SA1 arbitrates among the VCs of the link feeding the
                     // input.
-                    match links.get(port) {
-                        Some(&(_, feeding)) => vc_loads(&mut loads, node, feeding),
+                    match slot.and_then(|slot| topo.link_at(node.0 as usize, slot)) {
+                        Some(link) => vc_loads(&mut loads, link),
                         None => loads.clear(),
                     }
                     set.inputs.push_inverse(&loads, max_w);
@@ -175,7 +184,8 @@ impl ArbiterWeightSet {
             // A serializer arbitrates among the VCs of its adapter's
             // router-side input link.
             for chan in ChanId::all() {
-                vc_loads(&mut loads, node, LocalLink::RouterToChan(chan));
+                let link = LocalLink::RouterToChan(chan);
+                vc_loads(&mut loads, GlobalLink::Local { node, link });
                 set.serializers.push_inverse(&loads, max_w);
             }
         }
@@ -186,7 +196,6 @@ impl ArbiterWeightSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anton_core::chip::NUM_ROUTERS;
     use anton_core::topology::TorusShape;
     use anton_traffic::patterns::{ReverseTornado, Tornado, UniformRandom};
 

@@ -13,11 +13,14 @@
 
 use anton_analysis::load::LoadAnalysis;
 use anton_analysis::weights::{ArbiterWeightSet, WeightTables};
-use anton_core::chip::{LinkGroup, MAX_ROUTER_PORTS, NUM_CHAN_ADAPTERS, NUM_ROUTERS};
+use anton_core::chip::{
+    ChanId, LinkGroup, LocalLink, MeshCoord, MeshDir, MAX_ROUTER_PORTS, NUM_CHAN_ADAPTERS,
+    NUM_ROUTERS,
+};
 use anton_core::config::MachineConfig;
-use anton_core::net::{Topology, TorusTopology};
 use anton_core::pattern::TrafficPattern;
 use anton_core::topology::{NodeId, TorusShape};
+use anton_core::trace::GlobalLink;
 use anton_core::vc::{Vc, VcPolicy};
 use anton_traffic::patterns::{ReverseTornado, Tornado, UniformRandom};
 
@@ -36,23 +39,54 @@ impl Fnv {
     }
 }
 
-/// Every load's `f64::to_bits`: per node and slot the link load and then
+/// A node's links in the order the digests enumerate them: the per-node
+/// slot numbering of the hash-map era — four mesh links and a skip link
+/// for every router, the channel-adapter links, the endpoint links, then
+/// the torus links departing the node. 28 of the mesh and skip links are
+/// not on the chip; they hash as the zero loads they always were.
+fn recorded_links(cfg: &MachineConfig, node: NodeId) -> Vec<GlobalLink> {
+    let local = |link| GlobalLink::Local { node, link };
+    let mut links = Vec::new();
+    for from in MeshCoord::all() {
+        links.extend(MeshDir::ALL.map(|dir| local(LocalLink::Mesh { from, dir })));
+    }
+    links.extend(MeshCoord::all().map(|from| local(LocalLink::Skip { from })));
+    links.extend(ChanId::all().map(|c| local(LocalLink::ChanToRouter(c))));
+    links.extend(ChanId::all().map(|c| local(LocalLink::RouterToChan(c))));
+    links.extend(
+        cfg.chip
+            .endpoints()
+            .map(|e| local(LocalLink::EpToRouter(e))),
+    );
+    links.extend(
+        cfg.chip
+            .endpoints()
+            .map(|e| local(LocalLink::RouterToEp(e))),
+    );
+    links.extend(ChanId::all().map(|c| GlobalLink::Torus {
+        from: node,
+        dir: c.dir,
+        slice: c.slice,
+    }));
+    links
+}
+
+/// Every load's `f64::to_bits`: per node and link the link load and then
 /// its VC rows, then per node, router, input and output the router flow.
 fn loads_digest(cfg: &MachineConfig, a: &LoadAnalysis) -> u64 {
-    let topo = TorusTopology::new(cfg);
+    let nodes = cfg.shape.num_nodes();
     let vcs = |group| cfg.vc_policy.num_vcs(group);
     let vc_stride = vcs(LinkGroup::M).max(vcs(LinkGroup::T));
     let mut h = Fnv::new();
-    for node in 0..topo.num_nodes() {
-        for slot in 0..topo.slots_per_node() {
-            let link = topo.link_at(node, slot).expect("slot in range");
+    for node in 0..nodes {
+        for link in recorded_links(cfg, NodeId(node as u32)) {
             h.word(a.link_load(&link).to_bits());
             for vc in 0..vc_stride {
                 h.word(a.link_vc_load(&link, Vc(vc)).to_bits());
             }
         }
     }
-    for node in 0..topo.num_nodes() {
+    for node in 0..nodes {
         for router in 0..NUM_ROUTERS {
             for i in 0..MAX_ROUTER_PORTS {
                 for o in 0..MAX_ROUTER_PORTS {

@@ -29,12 +29,12 @@
 use std::sync::Mutex;
 
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
-use anton_bench::json::Json;
 use anton_bench::{fail_usage, saturation_rate, values, FlagSet};
 use anton_core::chip::ChanId;
 use anton_core::config::MachineConfig;
 use anton_core::topology::{NodeId, TorusShape};
 use anton_fault::{FaultKind, FaultSchedule, SHIM_TIMEOUT, SHIM_WINDOW};
+use anton_obs::json::Json;
 use anton_sim::driver::LoadDriver;
 use anton_sim::params::SimParams;
 use anton_sim::sim::{RunOutcome, Sim};

@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::json::Json;
+use anton_obs::json::Json;
 
 /// A typed parameter or metric value.
 ///

@@ -11,7 +11,6 @@
 //! * [`harness`] — typed [`ExperimentSpec`](harness::ExperimentSpec) sweeps
 //!   executed across a scoped worker pool, collecting
 //!   [`Measurement`](harness::Measurement) records;
-//! * [`json`] — dependency-free serialization of `results/<name>.json`;
 //! * [`flags`] — declarative typed command-line flags for the binaries;
 //! * plus the shared measurement loop: saturation normalization and
 //!   batch-throughput runs.
@@ -23,7 +22,6 @@
 pub mod cli;
 pub mod flags;
 pub mod harness;
-pub mod json;
 
 use anton_analysis::load::LoadAnalysis;
 use anton_analysis::weights::ArbiterWeightSet;
@@ -38,7 +36,6 @@ use anton_sim::sim::{RunOutcome, Sim};
 pub use cli::{checked_cube, fail_usage, make_pattern, write_output};
 pub use flags::{FlagSet, ParsedFlags};
 pub use harness::{ExperimentSpec, Measurement, SweepPoint, Value};
-pub use json::Json;
 
 /// Effective torus-channel capacity in packets per cycle (single-flit
 /// packets).

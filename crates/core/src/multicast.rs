@@ -44,15 +44,6 @@ impl DestSet {
         self
     }
 
-    /// Builds a set delivering to endpoint 0 of each listed node.
-    pub fn from_nodes<I: IntoIterator<Item = NodeCoord>>(nodes: I) -> DestSet {
-        let mut set = DestSet::new();
-        for n in nodes {
-            set.add(n, LocalEndpointId(0));
-        }
-        set
-    }
-
     /// Number of destination nodes.
     pub fn num_nodes(&self) -> usize {
         self.dests.len()

@@ -40,14 +40,6 @@ impl DirOrder {
         MeshDir::VPlus,
     ]);
 
-    /// Dimension-order (U then V) routing, a special case of direction order.
-    pub const UV: DirOrder = DirOrder([
-        MeshDir::UPlus,
-        MeshDir::UMinus,
-        MeshDir::VPlus,
-        MeshDir::VMinus,
-    ]);
-
     /// Creates a direction order from a permutation of the four directions.
     ///
     /// # Panics

@@ -9,28 +9,55 @@
 //! at the partner router rather than only for traffic passing through in X
 //! (the unicast, table and multicast digests all move under either).
 
-use anton_core::chip::{ChanId, LocalEndpointId};
+use anton_core::chip::{ChanId, LocalEndpointId, LocalLink};
 use anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton_core::multicast::{DestSet, McGroup, McGroupId};
-use anton_core::net::{Topology, TorusTopology};
 use anton_core::route_table::{build_route_table, DownLinkSet};
 use anton_core::routing::{DimOrder, RouteSpec};
 use anton_core::topology::{Dim, NodeCoord, Sign, Slice, TorusDir, TorusShape};
-use anton_core::trace::{trace_multicast, trace_table_hops, trace_unicast, TraceStep};
+use anton_core::trace::{trace_multicast, trace_table_hops, trace_unicast, GlobalLink, TraceStep};
 use anton_core::vc::VcPolicy;
 
+/// The dense index a step's link was hashed by: the per-node slot
+/// numbering of the commit the digests were taken at, 148 slots a node at
+/// 16 endpoints — four mesh links and a skip link for every router, the
+/// channel-adapter links, the endpoint links, then the torus links
+/// departing the node.
+fn recorded_index(link: &GlobalLink) -> u64 {
+    const EPS: usize = 16;
+    const ADAPTERS: usize = 16 * 5;
+    const ENDPOINTS: usize = ADAPTERS + 24;
+    const DEPARTURES: usize = ENDPOINTS + 2 * EPS;
+    let (node, slot) = match *link {
+        GlobalLink::Local { node, link } => {
+            let slot = match link {
+                LocalLink::Mesh { from, dir } => from.index() * 4 + dir.index(),
+                LocalLink::Skip { from } => 16 * 4 + from.index(),
+                LocalLink::ChanToRouter(c) => ADAPTERS + c.index(),
+                LocalLink::RouterToChan(c) => ADAPTERS + 12 + c.index(),
+                LocalLink::EpToRouter(e) => ENDPOINTS + usize::from(e.0),
+                LocalLink::RouterToEp(e) => ENDPOINTS + EPS + usize::from(e.0),
+            };
+            (node, slot)
+        }
+        GlobalLink::Torus { from, dir, slice } => {
+            (from, DEPARTURES + ChanId { dir, slice }.index())
+        }
+        GlobalLink::Direct { .. } => unreachable!("torus traces use no direct links"),
+    };
+    (node.0 as usize * (DEPARTURES + 12) + slot) as u64
+}
+
 /// FNV-1a over little-endian 64-bit words: one word per step (the link's
-/// dense slot and the VC), and the step count after each trace.
-struct Fnv<'a> {
-    topo: &'a TorusTopology,
+/// [`recorded_index`] and the VC), and the step count after each trace.
+struct Fnv {
     hash: u64,
     traces: u64,
 }
 
-impl Fnv<'_> {
-    fn new(topo: &TorusTopology) -> Fnv<'_> {
+impl Fnv {
+    fn new() -> Fnv {
         Fnv {
-            topo,
             hash: 0xcbf2_9ce4_8422_2325,
             traces: 0,
         }
@@ -44,9 +71,7 @@ impl Fnv<'_> {
 
     fn trace(&mut self, steps: &[TraceStep]) {
         for (link, vc) in steps {
-            let (node, slot) = self.topo.slot(link).expect("traced link is addressable");
-            let dense = node * self.topo.slots_per_node() + slot;
-            self.word((dense as u64) << 8 | u64::from(vc.0));
+            self.word(recorded_index(link) << 8 | u64::from(vc.0));
         }
         self.word(steps.len() as u64);
         self.traces += 1;
@@ -64,8 +89,7 @@ fn check(name: &str, got: (u64, u64), expected: (u64, u64)) {
 /// Every unicast route between endpoints {0, 5, 15} and {0, 10, 15} of all
 /// node pairs: six orders, two slices, every minimal tie-break.
 fn unicast_digest(cfg: &MachineConfig) -> (u64, u64) {
-    let topo = TorusTopology::new(cfg);
-    let mut h = Fnv::new(&topo);
+    let mut h = Fnv::new();
     let shape = &cfg.shape;
     for src in shape.nodes() {
         for dst in shape.nodes() {
@@ -127,8 +151,7 @@ fn unicast_traces_are_pinned() {
 fn table_traces_are_pinned() {
     let cfg = MachineConfig::new(TorusShape::cube(4));
     let shape = cfg.shape;
-    let topo = TorusTopology::new(&cfg);
-    let mut h = Fnv::new(&topo);
+    let mut h = Fnv::new();
     let mut downs = DownLinkSet::empty(shape);
     downs.insert(
         shape.id(NodeCoord::new(0, 2, 3)),
@@ -171,8 +194,7 @@ fn table_traces_are_pinned() {
 #[test]
 fn multicast_traces_are_pinned() {
     let cfg = MachineConfig::new(TorusShape::new(4, 3, 2));
-    let topo = TorusTopology::new(&cfg);
-    let mut h = Fnv::new(&topo);
+    let mut h = Fnv::new();
     let mut dests = DestSet::new();
     for (x, y, z, ep) in [
         (1, 0, 0, 0),

@@ -74,18 +74,6 @@ impl PhaseClock {
     }
 }
 
-/// Renders one shard's phase nanoseconds as an object keyed by
-/// [`SHARD_PHASE_NAMES`].
-pub fn phases_to_json(ns: &[u64; NUM_SHARD_PHASES]) -> crate::json::Json {
-    crate::json::Json::Obj(
-        SHARD_PHASE_NAMES
-            .iter()
-            .zip(ns)
-            .map(|(name, v)| (name.to_string(), crate::json::Json::from(*v)))
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,16 +96,5 @@ mod tests {
         let ns = c.into_ns();
         assert!(ns[ShardPhase::Compute as usize] >= 1_000_000);
         assert_eq!(ns[ShardPhase::BarrierWait as usize], 0);
-    }
-
-    #[test]
-    fn json_keys_follow_the_phase_names() {
-        let j = phases_to_json(&[1, 2, 3, 4]);
-        for (i, name) in SHARD_PHASE_NAMES.iter().enumerate() {
-            assert_eq!(
-                j.get(name).and_then(crate::json::Json::as_u64),
-                Some(i as u64 + 1)
-            );
-        }
     }
 }

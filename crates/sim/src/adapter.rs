@@ -28,7 +28,7 @@ const RC_UNICAST: u8 = 0xFE;
 const RC_MULTICAST: u8 = 0xFD;
 
 /// The four wires of one channel adapter.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ChanWires {
     /// From the router into this adapter (outbound direction).
     pub(crate) from_router: usize,
@@ -257,7 +257,7 @@ impl ChanState {
                     .arrived_via
                     .expect("multicast copy arrived via torus");
                 let arrival = Some((arrived, parent.vc, parent.torus_hops));
-                let (pkt, at) = (&parent.packet, parent.injected_at);
+                let (pkt, at) = (&parent.packet, (parent.injected_at, parent.queued_at));
                 let copies = fab.expand_multicast_at(ctx, self.node, pkt, at, arrival);
                 // A recorded route is the whole path from the source.
                 if let Some(log) = &parent.route_log {

@@ -23,6 +23,7 @@ use anton_core::packet::{CounterId, Destination, Packet, PatternId, Payload};
 use anton_core::pattern::TrafficPattern;
 use anton_core::seed::derive_stream_seed;
 use anton_core::vc::TrafficClass;
+use anton_traffic::patterns::Blend;
 
 use crate::params::CYCLE_NS;
 use crate::shard::ShardableDriver;
@@ -46,7 +47,9 @@ fn endpoint_streams(seed: u64, n_eps: usize) -> Vec<StdRng> {
 /// each drawn from one of the weighted pattern components and labeled with
 /// that component's [`PatternId`].
 pub struct BatchDriver {
-    components: Vec<(Arc<dyn TrafficPattern>, f64)>,
+    /// The weighted components; a draw's component index is its
+    /// [`PatternId`].
+    blend: Arc<Blend>,
     packets_per_endpoint: u64,
     payload_bytes: usize,
     remaining: Vec<u64>,
@@ -125,18 +128,10 @@ impl BatchDriver {
     }
 
     fn from_builder(b: BatchDriverBuilder) -> BatchDriver {
-        assert!(!b.components.is_empty(), "need at least one pattern");
-        let total: f64 = b.components.iter().map(|(_, w)| w).sum();
-        assert!(total > 0.0, "weights must be positive");
-        let components = b
-            .components
-            .into_iter()
-            .map(|(p, w)| (p, w / total))
-            .collect::<Vec<_>>();
         let n_eps = b.n_eps;
         let remaining = vec![b.packets_per_endpoint; n_eps];
         BatchDriver {
-            components,
+            blend: Arc::new(Blend::new(b.components)),
             packets_per_endpoint: b.packets_per_endpoint,
             payload_bytes: b.payload_bytes,
             active: active_endpoints(&remaining),
@@ -147,17 +142,6 @@ impl BatchDriver {
             finish_cycle: 0,
         }
     }
-
-    fn sample_component(components: &[(Arc<dyn TrafficPattern>, f64)], rng: &mut StdRng) -> usize {
-        let mut x: f64 = rng.gen();
-        for (i, (_, w)) in components.iter().enumerate() {
-            if x < *w || i == components.len() - 1 {
-                return i;
-            }
-            x -= *w;
-        }
-        unreachable!("normalized weights")
-    }
 }
 
 /// Configures a [`BatchDriver`]; obtained from [`BatchDriver::builder`] or
@@ -167,7 +151,7 @@ impl BatchDriver {
 /// one pattern component must be added before [`build`](Self::build).
 pub struct BatchDriverBuilder {
     n_eps: usize,
-    components: Vec<(Arc<dyn TrafficPattern>, f64)>,
+    components: Vec<(Box<dyn TrafficPattern>, f64)>,
     packets_per_endpoint: u64,
     payload_bytes: usize,
     seed: u64,
@@ -198,7 +182,7 @@ impl BatchDriverBuilder {
         pattern: Box<dyn TrafficPattern>,
         weight: f64,
     ) -> BatchDriverBuilder {
-        self.components.push((Arc::from(pattern), weight));
+        self.components.push((pattern, weight));
         self
     }
 
@@ -207,8 +191,7 @@ impl BatchDriverBuilder {
         mut self,
         components: Vec<(Box<dyn TrafficPattern>, f64)>,
     ) -> BatchDriverBuilder {
-        self.components
-            .extend(components.into_iter().map(|(p, w)| (Arc::from(p), w)));
+        self.components.extend(components);
         self
     }
 
@@ -234,8 +217,8 @@ impl BatchDriverBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if no components were added or weights are non-positive in
-    /// total.
+    /// Panics if no components were added, a weight is negative, or the
+    /// weights are zero in total.
     pub fn build(self) -> BatchDriver {
         BatchDriver::from_builder(self)
     }
@@ -249,8 +232,7 @@ impl Driver for BatchDriver {
             let src = sim.cfg.endpoint_at(idx);
             while self.remaining[idx] > 0 && sim.inject_queue_len(src) < LOW_WATER {
                 let rng = &mut self.rngs[idx];
-                let comp = BatchDriver::sample_component(&self.components, rng);
-                let dst = self.components[comp].0.sample_dst(&sim.cfg, src, rng);
+                let (comp, dst) = self.blend.sample_with_component(&sim.cfg, src, rng);
                 let mut pkt = Packet::write(src, dst, Payload::zeros(self.payload_bytes));
                 pkt.pattern = PatternId(comp as u8);
                 sim.inject(src, pkt);
@@ -292,7 +274,7 @@ impl ShardableDriver for BatchDriver {
                 let mut remaining = vec![0u64; self.remaining.len()];
                 remaining[r.clone()].copy_from_slice(&self.remaining[r.clone()]);
                 Box::new(BatchDriver {
-                    components: self.components.clone(),
+                    blend: Arc::clone(&self.blend),
                     packets_per_endpoint: self.packets_per_endpoint,
                     payload_bytes: self.payload_bytes,
                     active: active_endpoints(&remaining),

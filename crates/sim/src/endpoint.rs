@@ -51,20 +51,28 @@ struct EpState {
 /// A queued injection: routing is either randomized (the normal oblivious
 /// policy), fixed to an explicit route spec (tests and controlled
 /// experiments), or a fault-time re-entry over the installed degraded
-/// tables.
+/// tables. A fresh packet carries the cycle it was queued.
 #[derive(Debug, Clone, Copy)]
 enum InjectCmd {
-    Auto(Packet),
-    WithSpec(Packet, RouteSpec),
+    Auto(Packet, u64),
+    WithSpec(Packet, RouteSpec, u64),
     Reroute(Reroute),
 }
 
 impl InjectCmd {
     fn packet(&self) -> &Packet {
         match self {
-            InjectCmd::Auto(p)
-            | InjectCmd::WithSpec(p, _)
+            InjectCmd::Auto(p, _)
+            | InjectCmd::WithSpec(p, ..)
             | InjectCmd::Reroute(Reroute { packet: p, .. }) => p,
+        }
+    }
+
+    /// The cycle the packet — a reroute's original — joined a source queue.
+    fn queued_at(&self) -> u64 {
+        match *self {
+            InjectCmd::Auto(_, at) | InjectCmd::WithSpec(_, _, at) => at,
+            InjectCmd::Reroute(r) => r.queued_at,
         }
     }
 }
@@ -139,7 +147,7 @@ impl Endpoints {
 
     /// Queues a packet at endpoint `idx`, on `spec` if one is given and a
     /// randomized oblivious route if not, and wakes the endpoint for the
-    /// cycle in progress.
+    /// cycle in progress. The packet's age counts from now.
     pub(crate) fn inject(
         &mut self,
         idx: usize,
@@ -148,8 +156,8 @@ impl Endpoints {
         fab: &mut Fabric,
     ) {
         self.eps[idx].inject.push_back(match spec {
-            Some(spec) => InjectCmd::WithSpec(packet, spec),
-            None => InjectCmd::Auto(packet),
+            Some(spec) => InjectCmd::WithSpec(packet, spec, fab.now),
+            None => InjectCmd::Auto(packet, fab.now),
         });
         fab.wheels.wake(CompRef::Ep(idx as u32), fab.now, fab.now);
     }
@@ -229,10 +237,10 @@ impl Endpoints {
                 let shape = &ctx.cfg.shape;
                 let (here, there) = (shape.coord(node), shape.coord(dst.node));
                 let (route, injected_at, torus_hops, fresh) = match cmd {
-                    InjectCmd::WithSpec(_, spec) => {
+                    InjectCmd::WithSpec(_, spec, _) => {
                         (RouteProgress::Unicast { spec, dst }, now, 0, true)
                     }
-                    InjectCmd::Auto(_) => {
+                    InjectCmd::Auto(..) => {
                         let spec = RouteSpec::randomized(shape, here, there, &mut ep.rng);
                         let route = fab.unicast_route(shape, node, spec, dst, false);
                         (route, now, 0, true)
@@ -249,6 +257,7 @@ impl Endpoints {
                 vc.turn(None, fab.next_hop(&route));
                 let pid = fab.packets.insert(PacketState {
                     torus_hops,
+                    queued_at: cmd.queued_at(),
                     rerouted: !fresh || on_table,
                     ..PacketState::new(pkt, route, vc, injected_at, ctx.record_routes)
                 });
@@ -267,7 +276,8 @@ impl Endpoints {
                 }
             }
             Destination::Multicast { .. } => {
-                let copies = fab.expand_multicast_at(ctx, node, &pkt, now, None);
+                let born = (now, cmd.queued_at());
+                let copies = fab.expand_multicast_at(ctx, node, &pkt, born, None);
                 ep.inject.pop_front();
                 fab.stats.injected_packets += 1;
                 for &pid in &copies {
@@ -456,6 +466,31 @@ mod tests {
         assert_eq!(carried, [2, 2, 4, 4, 6, 6]);
         assert_eq!(rig.endpoints.inject_queue_len(0), 0);
         assert_eq!(rig.fab.stats.injected_packets, 3);
+    }
+
+    #[test]
+    fn a_held_back_packet_is_as_old_as_its_place_in_the_queue() {
+        let mut rig = Rig::new();
+        let (src, dst) = (
+            rig.at(NodeCoord::new(0, 0, 0)),
+            rig.at(NodeCoord::new(1, 1, 0)),
+        );
+        for _ in 0..3 {
+            let packet = Packet::write(src, dst, Payload::zeros(MAX_PAYLOAD_BYTES));
+            rig.endpoints.inject(0, packet, None, &mut rig.fab);
+        }
+        for _ in 0..6 {
+            rig.idle_cycle();
+        }
+        // Queued together, they enter the mesh two cycles apart; latency
+        // counts from entry, oldest-first arbitration from the queue.
+        let sent: Vec<(u32, u64)> = (0..3)
+            .map(|_| {
+                let entry = rig.fab.pop(TO_ROUTER, 0);
+                (entry.age, rig.fab.packets.get(entry.pkt).injected_at)
+            })
+            .collect();
+        assert_eq!(sent, [(0, 0), (0, 2), (0, 4)]);
     }
 
     #[test]

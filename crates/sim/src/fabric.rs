@@ -306,14 +306,15 @@ impl DegradedState {
 /// A unicast packet pulled off a failed link, waiting in the
 /// [`Fabric::reroutes`] outbox (and then in an endpoint's injection queue)
 /// to re-enter at `node` over the current epoch's certified table. It keeps
-/// its original injection cycle, so latency accounting spans the whole
-/// journey, and the hops already taken.
+/// its original injection and queueing cycles, so latency accounting and
+/// its age span the whole journey, and the hops already taken.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Reroute {
     pub(crate) node: NodeId,
     pub(crate) packet: Packet,
     pub(crate) slice: Slice,
     pub(crate) injected_at: u64,
+    pub(crate) queued_at: u64,
     pub(crate) torus_hops: u16,
 }
 
@@ -516,7 +517,7 @@ impl Fabric {
         BufEntry {
             pkt: pid,
             ready_at: 0,
-            age: saturate_cycle(st.injected_at),
+            age: saturate_cycle(st.queued_at),
             flits: st.flits,
             pattern: st.packet.pattern.0,
             target: code as u8,
@@ -773,6 +774,7 @@ impl Fabric {
             packet: st.packet,
             slice,
             injected_at: st.injected_at,
+            queued_at: st.queued_at,
             torus_hops: st.torus_hops,
         });
     }
@@ -835,7 +837,8 @@ impl Fabric {
     }
 
     /// Creates the copies of multicast packet `pkt` that its group's table
-    /// entry at `node` names.
+    /// entry at `node` names, each with the original's injection and
+    /// queueing cycles.
     ///
     /// `arrival` is `None` at the source endpoint, or the arriving direction
     /// plus inherited state for copies spawned mid-tree. Mid-tree copies
@@ -846,7 +849,7 @@ impl Fabric {
         ctx: &Ctx<'_>,
         node: NodeId,
         pkt: &Packet,
-        injected_at: u64,
+        (injected_at, queued_at): (u64, u64),
         arrival: Option<(TorusDir, VcState, u16)>,
     ) -> Vec<PacketId> {
         let Destination::Multicast { group, tree } = pkt.dst else {
@@ -863,6 +866,7 @@ impl Fabric {
                 pending_vc,
                 arrived_via,
                 torus_hops,
+                queued_at,
                 ..PacketState::new(*pkt, route, vc, injected_at, ctx.record_routes)
             })
         };

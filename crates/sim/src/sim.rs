@@ -29,6 +29,7 @@ use anton_core::chip::{
 };
 use anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton_core::multicast::McGroup;
+use anton_core::net::{LinkEnd, Topology, TorusTopology};
 use anton_core::packet::{CounterId, Destination, Packet};
 use anton_core::routing::RouteSpec;
 use anton_core::topology::{NodeId, Slice, TorusDir};
@@ -677,132 +678,49 @@ impl Sim {
         let nodes = cfg.shape.num_nodes();
         let policy = cfg.vc_policy;
         let torus_latency = params.latency.torus_link_cycles().max(1);
-        let neighbor = |node: NodeId, c: ChanId| {
-            cfg.shape
-                .id(cfg.shape.neighbor(cfg.shape.coord(node), c.dir))
-        };
-        let opposite = |c: ChanId| ChanId {
-            dir: c.dir.opposite(),
-            slice: c.slice,
-        };
 
-        // The wires of one node, numbered by *consumer*: every wire has
-        // exactly one consuming component, so visiting components in their
-        // processing order (routers, channel adapters, endpoint adapters)
-        // enumerates each wire exactly once, and each component's input
-        // gate/head/credit rows land contiguous in the wire store — the
-        // per-cycle allocation scans walk adjacent cache lines instead of
-        // scattered ones. Every node is laid out alike, so slot `s` of node
-        // `n` is wire `n * per_node + s`. Numbering is behavior-neutral:
-        // nothing keys off wire ids except dense storage (fault-shim RNG
-        // streams and shard boundaries are derived from structural indices).
-        #[derive(Clone, Copy, PartialEq)]
-        enum Slot {
-            Local(LocalLink),
-            /// The external channel arriving at this channel adapter.
-            TorusInto(ChanId),
-        }
-        // The links into and out of a router port.
-        let port_links = |r: MeshCoord, attach: LocalAttach| match attach {
-            LocalAttach::Mesh(d) => {
-                let nbr = r.step(d).expect("mesh port has neighbor");
-                let into = LocalLink::Mesh {
-                    from: nbr,
-                    dir: d.opposite(),
-                };
-                (into, LocalLink::Mesh { from: r, dir: d })
-            }
-            LocalAttach::Skip => {
-                let from = cfg.chip.skip_partner(r).expect("skip port has partner");
-                (LocalLink::Skip { from }, LocalLink::Skip { from: r })
-            }
-            LocalAttach::Chan(c) => (LocalLink::ChanToRouter(c), LocalLink::RouterToChan(c)),
-            LocalAttach::Endpoint(e) => (LocalLink::EpToRouter(e), LocalLink::RouterToEp(e)),
-        };
-        let mut slots = Vec::new();
-        for r in MeshCoord::all() {
-            for attach in cfg.chip.router_ports(r) {
-                slots.push(Slot::Local(port_links(r, attach).0));
-            }
-        }
-        for c in ChanId::all() {
-            slots.extend([Slot::Local(LocalLink::RouterToChan(c)), Slot::TorusInto(c)]);
-        }
-        slots.extend(
-            cfg.chip
-                .endpoints()
-                .map(|e| Slot::Local(LocalLink::RouterToEp(e))),
-        );
-        let per_node = slots.len();
-        let slot_of = |slot: Slot| {
-            let found = slots.iter().position(|s| *s == slot);
-            found.expect("every link of a node has one consumer")
-        };
-        let local = |link: LocalLink| slot_of(Slot::Local(link));
-        // Resolved once for the chip: per router port `(attach, slot in, slot
-        // out)`, per channel adapter `[from router, to router, torus in]`,
-        // per endpoint adapter `[from router, to router]`.
-        let router_slots: Vec<Vec<(LocalAttach, usize, usize)>> = MeshCoord::all()
-            .map(|r| {
-                let port = |attach| {
-                    let (into, out) = port_links(r, attach);
-                    (attach, local(into), local(out))
-                };
-                cfg.chip.router_ports(r).into_iter().map(port).collect()
-            })
-            .collect();
-        let chan_slots: Vec<[usize; 3]> = ChanId::all()
-            .map(|c| {
-                let (from_router, to_router) =
-                    (LocalLink::RouterToChan(c), LocalLink::ChanToRouter(c));
-                [
-                    local(from_router),
-                    local(to_router),
-                    slot_of(Slot::TorusInto(c)),
-                ]
-            })
-            .collect();
-        let ep_slots: Vec<[usize; 2]> = cfg
-            .chip
-            .endpoints()
-            .map(|e| {
-                [
-                    local(LocalLink::RouterToEp(e)),
-                    local(LocalLink::EpToRouter(e)),
-                ]
-            })
-            .collect();
-        // The channel departing `node` through `c` arrives at the opposite
-        // adapter of the neighbor it leads to.
+        // The wires are the topology's slots: slot `s` of node `n` is wire
+        // `n * per_node + s`, and its label is the certifier's link there.
+        // A node's slots are the links it receives, in the order their
+        // consumers are processed (routers, channel adapters, endpoint
+        // adapters), so each component's input gate/head/credit rows land
+        // contiguous in the wire store — the per-cycle allocation scans walk
+        // adjacent cache lines instead of scattered ones. Numbering is
+        // behavior-neutral: nothing keys off wire ids except dense storage
+        // (fault-shim RNG streams and shard boundaries are derived from
+        // structural indices).
+        let topo = TorusTopology::new(&cfg);
+        let per_node = topo.slots_per_node();
+        // The torus wire departing `node` through `c`, in the block of the
+        // neighbor it arrives at.
         let torus_out = |node: NodeId, c: ChanId| {
-            neighbor(node, c).0 as usize * per_node + chan_slots[opposite(c).index()][2]
+            let departs = GlobalLink::Torus {
+                from: node,
+                dir: c.dir,
+                slice: c.slice,
+            };
+            let (to, slot) = topo.slot(&departs).expect("every torus link is a wire");
+            to * per_node + slot
         };
-
         let mut wires: Vec<WireSpec> = Vec::with_capacity(nodes * per_node);
-        for n in 0..nodes as u32 {
-            let node = NodeId(n);
-            wires.extend(slots.iter().map(|&slot| match slot {
-                Slot::Local(link) => {
-                    let rx_pipeline = match link {
-                        LocalLink::RouterToChan(_) => ADAPTER_PIPELINE - 1,
-                        LocalLink::RouterToEp(_) => 0,
-                        _ => ROUTER_PIPELINE - 1,
-                    };
-                    let vcs = policy.num_vcs(link.group());
-                    let label = GlobalLink::Local { node, link };
-                    WireSpec::ideal(label, 1, rx_pipeline, vcs, params.buffer_depth)
-                }
-                Slot::TorusInto(c) => {
-                    // Labeled as its sender sees it: departing our neighbor
-                    // in this adapter's direction, the opposite way.
-                    let label = GlobalLink::Torus {
-                        from: neighbor(node, c),
-                        dir: c.dir.opposite(),
-                        slice: c.slice,
-                    };
-                    let vcs = policy.num_vcs(LinkGroup::T);
-                    let depth = params.torus_buffer_depth;
-                    WireSpec::ideal(label, torus_latency, ADAPTER_PIPELINE - 1, vcs, depth)
+        for n in 0..nodes {
+            wires.extend((0..per_node).map(|slot| {
+                match topo.link_at(n, slot).expect("slot in range") {
+                    label @ GlobalLink::Local { link, .. } => {
+                        let rx_pipeline = match link {
+                            LocalLink::RouterToChan(_) => ADAPTER_PIPELINE - 1,
+                            LocalLink::RouterToEp(_) => 0,
+                            _ => ROUTER_PIPELINE - 1,
+                        };
+                        let vcs = policy.num_vcs(link.group());
+                        WireSpec::ideal(label, 1, rx_pipeline, vcs, params.buffer_depth)
+                    }
+                    // A torus arrival, labeled as its sender sees it.
+                    label => {
+                        let vcs = policy.num_vcs(LinkGroup::T);
+                        let depth = params.torus_buffer_depth;
+                        WireSpec::ideal(label, torus_latency, ADAPTER_PIPELINE - 1, vcs, depth)
+                    }
                 }
             }));
         }
@@ -835,7 +753,8 @@ impl Sim {
                 // imports. Wires between two foreign nodes stay inert —
                 // nothing ever injects on them.
                 let Some(assign) = shard else { continue };
-                let (from_shard, to_shard) = (assign.owner(node), assign.owner(neighbor(node, c)));
+                let to = NodeId((w / per_node) as u32);
+                let (from_shard, to_shard) = (assign.owner(node), assign.owner(to));
                 if from_shard == assign.me && to_shard != assign.me {
                     wires[w].role = BoundaryRole::Export;
                     export_wires.push((w as u32, to_shard as u32));
@@ -860,37 +779,68 @@ impl Sim {
         let mut adapters = Adapters::new(counts[1]);
         let mut endpoints = Endpoints::new(params.seed, counts[2]);
         let torus_lanes = 2 * policy.num_vcs(LinkGroup::T) as usize;
+        let attaches: Vec<Vec<LocalAttach>> =
+            MeshCoord::all().map(|r| cfg.chip.router_ports(r)).collect();
         for n in 0..nodes {
-            let (node, base) = (NodeId(n as u32), n * per_node);
-            for (r, slots) in MeshCoord::all().zip(&router_slots) {
-                let port = |&(attach, into, out): &(LocalAttach, usize, usize)| PortWiring {
-                    attach,
-                    in_wire: base + into,
-                    out_wire: base + out,
-                    in_lanes: 2 * wires[base + into].group_vcs as usize,
-                };
-                let ports: Vec<PortWiring> = slots.iter().map(port).collect();
-                let me = CompRef::Router(routers.push(r, &ports, &params.arbiter) as u32);
-                for p in &ports {
+            let node = NodeId(n as u32);
+            // Wire this node's components by walking its slots, each of
+            // which names the component sending on it and the one receiving.
+            let port = |&attach| PortWiring {
+                attach,
+                in_wire: 0,
+                out_wire: 0,
+                in_lanes: 0,
+            };
+            let mut ports: Vec<Vec<PortWiring>> = attaches
+                .iter()
+                .map(|a| a.iter().map(port).collect())
+                .collect();
+            let mut chans: Vec<ChanWires> = ChanId::all()
+                .map(|c| ChanWires {
+                    torus_out: torus_out(node, c),
+                    ..ChanWires::default()
+                })
+                .collect();
+            // Per endpoint adapter, `[to router, from router]`.
+            let mut eps = vec![[0; 2]; eps_per_node];
+            for slot in 0..per_node {
+                let w = n * per_node + slot;
+                let (from, to) = (topo.producer(slot), topo.consumer(slot));
+                if let (LinkEnd::Chan(_), LinkEnd::Chan(c)) = (from, to) {
+                    // A torus arrival: its sender takes it as `torus_out`.
+                    chans[c.index()].torus_in = w;
+                    continue;
+                }
+                match from {
+                    LinkEnd::Router { router, port } => ports[router.index()][port].out_wire = w,
+                    LinkEnd::Chan(c) => chans[c.index()].to_router = w,
+                    LinkEnd::Endpoint(e) => eps[usize::from(e.0)][0] = w,
+                }
+                match to {
+                    LinkEnd::Router { router, port } => {
+                        let p = &mut ports[router.index()][port];
+                        p.in_wire = w;
+                        p.in_lanes = 2 * wires[w].group_vcs as usize;
+                    }
+                    LinkEnd::Chan(c) => chans[c.index()].from_router = w,
+                    LinkEnd::Endpoint(e) => eps[usize::from(e.0)][1] = w,
+                }
+            }
+            for (r, ports) in MeshCoord::all().zip(&ports) {
+                let me = CompRef::Router(routers.push(r, ports, &params.arbiter) as u32);
+                for p in ports {
                     consumer[p.in_wire] = me;
                     producer[p.out_wire] = me;
                 }
             }
-            for (c, &[from_router, to_router, torus_in]) in ChanId::all().zip(&chan_slots) {
-                let w = ChanWires {
-                    from_router: base + from_router,
-                    to_router: base + to_router,
-                    torus_out: torus_out(node, c),
-                    torus_in: base + torus_in,
-                };
+            for (c, &w) in ChanId::all().zip(&chans) {
                 let me = CompRef::Chan(adapters.push(&cfg.shape, node, c, w, torus_lanes) as u32);
                 consumer[w.from_router] = me;
                 producer[w.to_router] = me;
                 consumer[w.torus_in] = me;
                 producer[w.torus_out] = me;
             }
-            for (e, &[from_router, to_router]) in cfg.chip.endpoints().zip(&ep_slots) {
-                let (from_router, to_router) = (base + from_router, base + to_router);
+            for (e, &[to_router, from_router]) in cfg.chip.endpoints().zip(&eps) {
                 let me = CompRef::Ep(endpoints.push(node, e, to_router, from_router) as u32);
                 consumer[from_router] = me;
                 producer[to_router] = me;
@@ -1040,11 +990,6 @@ impl Sim {
     /// Whether the deadlock watchdog has fired.
     pub fn deadlocked(&self) -> bool {
         self.deadlocked
-    }
-
-    /// Total flits ever sent on one wire.
-    pub fn wire_flits_carried(&self, w: usize) -> u64 {
-        self.wires().flits_carried(w)
     }
 
     /// Raw flit counts carried by every wire, labeled by its structural

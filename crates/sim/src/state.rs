@@ -91,6 +91,9 @@ pub struct PacketState {
     pub arrived_via: Option<TorusDir>,
     /// Cycle the original packet entered the network.
     pub injected_at: u64,
+    /// Cycle the original packet joined its source's software queue: the
+    /// age oldest-first arbitration ranks by.
+    pub queued_at: u64,
     /// Inter-node hops taken so far.
     pub torus_hops: u16,
     /// Whether the packet was ever ejected from a failed link and
@@ -104,9 +107,10 @@ pub struct PacketState {
 
 impl PacketState {
     /// The state of `packet` entering the network on `route` at cycle
-    /// `injected_at`: no hops taken, nothing pending, never rerouted, its
-    /// route logged from here on when `record_routes`. A reroute or a
-    /// multicast copy spawned mid-tree overrides what it inherits with
+    /// `injected_at`, queued that same cycle: no hops taken, nothing
+    /// pending, never rerouted, its route logged from here on when
+    /// `record_routes`. A packet that waited in its source queue, a reroute
+    /// or a multicast copy spawned mid-tree overrides what it inherits with
     /// struct-update syntax.
     pub fn new(
         packet: Packet,
@@ -123,6 +127,7 @@ impl PacketState {
             pending_vc: None,
             arrived_via: None,
             injected_at,
+            queued_at: injected_at,
             torus_hops: 0,
             rerouted: false,
             route_log: record_routes.then(Vec::new),
@@ -130,7 +135,7 @@ impl PacketState {
     }
 }
 
-/// Slots per chunk of the slab: a power of two, 136 KB a chunk.
+/// Slots per chunk of the slab: a power of two, 144 KB a chunk.
 const CHUNK: usize = 1024;
 
 /// Slab of in-flight packets with id reuse.

@@ -25,11 +25,11 @@
 
 use std::collections::HashSet;
 
-use anton_core::chip::{ChanId, LocalEndpointId};
+use anton_core::chip::{ChanId, ChipLayout, LocalEndpointId};
 use anton_core::config::MachineConfig;
 use anton_core::dimorder::DimOrderRouting;
 use anton_core::multicast::{DestSet, McGroup, McGroupId};
-use anton_core::net::{DepEdge, RoutingFunction, TorusTopology};
+use anton_core::net::{DepEdge, RoutingFunction, Topology, TorusTopology};
 use anton_core::packet::{Destination, Packet, Payload};
 use anton_core::route_table::{DownLinkSet, RouteTable};
 use anton_core::routing::DimOrder;
@@ -57,6 +57,29 @@ fn certified_edges(cfg: &MachineConfig, tables: &[RouteTable]) -> HashSet<DepEdg
     let graph = build_routing_graph(&topo, &rfs, &mut diags);
     assert!(diags.is_empty(), "{diags:?}");
     graph.edges().collect()
+}
+
+/// Simulator wire `w` is the certifier's link `w`: both number a node's
+/// links by [`TorusTopology`], so a wire is named by its slot, not joined
+/// to a certified link through its label.
+#[test]
+fn simulator_wires_are_the_topology_slots() {
+    let mut five = MachineConfig::new(TorusShape::new(4, 3, 2));
+    five.chip = ChipLayout::new(5);
+    for cfg in [
+        MachineConfig::new(TorusShape::new(3, 2, 1)),
+        MachineConfig::new(TorusShape::cube(4)),
+        five,
+    ] {
+        let topo = TorusTopology::new(&cfg);
+        let per = topo.slots_per_node();
+        let sim = Sim::builder().config(cfg).build();
+        let wires = sim.wire_utilizations();
+        assert_eq!(wires.len(), topo.num_nodes() * per);
+        for (w, (label, _)) in wires.iter().enumerate() {
+            assert_eq!(topo.link_at(w / per, w % per), Some(*label), "wire {w}");
+        }
+    }
 }
 
 /// Wraps a driver, keeping the route log of every delivery.

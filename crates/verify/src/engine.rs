@@ -329,9 +329,11 @@ pub fn certify_routing(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anton_core::chip::{LocalEndpointId, MeshCoord};
+    use anton_core::config::MachineConfig;
     use anton_core::mesh::{FullMesh, MeshRouting, MeshRule};
-    use anton_core::net::Progress;
-    use anton_core::topology::NodeId;
+    use anton_core::net::{Progress, TorusTopology};
+    use anton_core::topology::{NodeId, TorusShape};
 
     /// A routing function that immediately violates its VC budget.
     #[derive(Debug)]
@@ -387,6 +389,48 @@ mod tests {
                 next: None,
             }]
         }
+    }
+
+    /// A torus routing function that takes a skip channel from a router
+    /// with no skip partner.
+    #[derive(Debug)]
+    struct PhantomSkip;
+
+    impl RoutingFunction for PhantomSkip {
+        fn describe(&self) -> String {
+            "phantom-skip test routing".into()
+        }
+        fn num_vcs(&self) -> usize {
+            1
+        }
+        fn roots(&self) -> Vec<Arrival> {
+            let node = NodeId(0);
+            let link = LocalLink::EpToRouter(LocalEndpointId(5));
+            vec![Arrival {
+                node,
+                link: GlobalLink::Local { node, link },
+                vc: Vc(0),
+                state: RouteState(0),
+            }]
+        }
+        fn transitions(&self, arrival: &Arrival) -> Vec<Progress> {
+            let skip = LocalLink::Skip {
+                from: MeshCoord::new(1, 1),
+            };
+            let node = arrival.node;
+            vec![Progress {
+                steps: vec![(GlobalLink::Local { node, link: skip }, Vc(0))],
+                next: None,
+            }]
+        }
+    }
+
+    #[test]
+    fn a_link_the_chip_lacks_raises_av023_on_the_torus() {
+        let topo = TorusTopology::new(&MachineConfig::new(TorusShape::cube(2)));
+        let (cert, diags) = certify_routing(&topo, &[&PhantomSkip], "phantom skip");
+        assert!(diags.iter().any(|d| d.code == "AV023"), "{diags:?}");
+        assert_eq!(cert.edges, 0);
     }
 
     #[test]

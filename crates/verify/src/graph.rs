@@ -227,7 +227,7 @@ pub(crate) fn dense_index(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anton_core::chip::{ChanId, LocalLink, MeshCoord, MeshDir};
+    use anton_core::chip::ChanId;
     use anton_core::config::MachineConfig;
     use anton_core::net::TorusTopology;
     use anton_core::topology::{NodeId, Slice, TorusDir, TorusShape};
@@ -238,44 +238,14 @@ mod tests {
         let topo = TorusTopology::new(&cfg);
         let g = SymGraph::new(&topo, 4);
         let node = NodeId(4);
-        let mut links: Vec<GlobalLink> = Vec::new();
-        for r in MeshCoord::all() {
-            for dir in MeshDir::ALL {
-                links.push(GlobalLink::Local {
-                    node,
-                    link: LocalLink::Mesh { from: r, dir },
-                });
-            }
-            links.push(GlobalLink::Local {
-                node,
-                link: LocalLink::Skip { from: r },
-            });
-        }
-        for c in ChanId::all() {
-            links.push(GlobalLink::Local {
-                node,
-                link: LocalLink::ChanToRouter(c),
-            });
-            links.push(GlobalLink::Local {
-                node,
-                link: LocalLink::RouterToChan(c),
-            });
-            links.push(GlobalLink::Torus {
-                from: node,
-                dir: c.dir,
-                slice: c.slice,
-            });
-        }
-        for e in cfg.chip.endpoints() {
-            links.push(GlobalLink::Local {
-                node,
-                link: LocalLink::EpToRouter(e),
-            });
-            links.push(GlobalLink::Local {
-                node,
-                link: LocalLink::RouterToEp(e),
-            });
-        }
+        let local = cfg.chip.local_links().into_iter();
+        let mut links: Vec<GlobalLink> =
+            local.map(|link| GlobalLink::Local { node, link }).collect();
+        links.extend(ChanId::all().map(|c| GlobalLink::Torus {
+            from: node,
+            dir: c.dir,
+            slice: c.slice,
+        }));
         let mut seen = std::collections::HashSet::new();
         for link in links {
             for vc in 0..4u8 {
