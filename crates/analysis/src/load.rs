@@ -19,12 +19,11 @@
 use anton_core::chip::{ChanId, LinkGroup, MAX_ROUTER_PORTS, NUM_ROUTERS};
 use anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton_core::net::{LinkEnd, Topology, TorusTopology};
-use anton_core::pattern::TrafficPattern;
+use anton_core::pattern::{offset_node, TrafficPattern};
 use anton_core::routing::{DimOrder, RouteSpec};
 use anton_core::topology::{Dim, NodeId, Slice};
 use anton_core::trace::{trace_unicast, GlobalLink};
 use anton_core::vc::Vc;
-use anton_traffic::patterns::offset_node;
 
 /// A router port as `(router index, port index)`.
 type Port = (usize, usize);

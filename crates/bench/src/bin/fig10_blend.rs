@@ -15,10 +15,11 @@
 use anton_analysis::load::LoadAnalysis;
 use anton_analysis::weights::ArbiterWeightSet;
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
-use anton_bench::{run_batch_detailed, torus_capacity, values, ArbiterSetup, FlagSet};
+use anton_bench::{
+    checked_cube, fail_usage, run_batch_detailed, torus_capacity, values, ArbiterSetup, FlagSet,
+};
 use anton_core::config::MachineConfig;
 use anton_core::pattern::TrafficPattern;
-use anton_core::topology::TorusShape;
 use anton_traffic::patterns::{ReverseTornado, Tornado};
 
 fn main() {
@@ -41,13 +42,16 @@ fn main() {
     let seed: u64 = args.get("seed");
     let steps = args.list("fractions-pct");
     let threads: usize = args.get("threads");
+    let cfg = MachineConfig::new(checked_cube(k));
     if k < 4 {
-        eprintln!(
-            "fig10_blend: --k must be at least 4 (the tornado offset k/2-1 vanishes below that)"
+        fail_usage(
+            &anton_verify::Diagnostic::error(
+                "AV102",
+                format!("torus extent {k} below 4: the tornado offset k/2 - 1 vanishes"),
+            )
+            .with("k", k),
         );
-        std::process::exit(2);
     }
-    let cfg = MachineConfig::new(TorusShape::cube(k));
 
     println!("## Figure 10 — blended tornado / reverse tornado ({k}x{k}x{k}, {batch} pkts/core)");
     println!();

@@ -4,10 +4,10 @@
 //! reports (80.7 ns fixed + 39.1 ns/hop).
 
 use anton_analysis::fit::linear_fit;
-use anton_bench::FlagSet;
+use anton_bench::{checked_cube, FlagSet};
 use anton_core::chip::LocalEndpointId;
 use anton_core::config::{GlobalEndpoint, MachineConfig};
-use anton_core::topology::{NodeCoord, TorusShape};
+use anton_core::topology::NodeCoord;
 use anton_sim::driver::PingPongDriver;
 use anton_sim::params::SimParams;
 use anton_sim::sim::{RunOutcome, Sim};
@@ -22,7 +22,7 @@ fn main() {
     .parse();
     let k: u8 = args.get("k");
     let legs: u32 = args.get("legs");
-    let cfg = MachineConfig::new(TorusShape::cube(k));
+    let cfg = MachineConfig::new(checked_cube(k));
 
     println!("## Figure 11 — one-way message latency vs inter-node hops ({k}x{k}x{k})");
     println!();

@@ -7,12 +7,12 @@
 //! channels. Finishes with a live simulation of a full machine-wide halo
 //! exchange through the multicast tables.
 
-use anton_bench::FlagSet;
+use anton_bench::{checked_cube, FlagSet};
 use anton_core::chip::LocalEndpointId;
 use anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton_core::multicast::{McGroup, McGroupId};
 use anton_core::packet::{Destination, Packet, Payload};
-use anton_core::topology::{Dim, NodeCoord, TorusShape};
+use anton_core::topology::{Dim, NodeCoord};
 use anton_sim::params::SimParams;
 use anton_sim::sim::{Delivery, Driver, RunOutcome, Sim};
 use anton_traffic::md::{alternating_variants, build_halo_groups, halo_dest_set, HaloSpec};
@@ -47,7 +47,7 @@ fn main() {
     )
     .parse();
     let k: u8 = args.get("k");
-    let cfg = MachineConfig::new(TorusShape::cube(k));
+    let cfg = MachineConfig::new(checked_cube(k));
     let src = NodeCoord::new(k / 2, k / 2, k / 2);
 
     println!("## Figure 3 / Section 2.3 — table-based multicast ({k}x{k}x{k})");
@@ -109,7 +109,7 @@ fn main() {
 
     // Live halo exchange through the simulator's multicast tables.
     let sim_k: u8 = args.get("sim-k");
-    let sim_cfg = MachineConfig::new(TorusShape::cube(sim_k));
+    let sim_cfg = MachineConfig::new(checked_cube(sim_k));
     println!("Machine-wide halo exchange on {sim_k}x{sim_k}x{sim_k} (one broadcast per node):");
     let groups = build_halo_groups(&sim_cfg, HaloSpec::default(), &alternating_variants());
     let copies_per_group = groups[0].dests.num_endpoints() as u64;

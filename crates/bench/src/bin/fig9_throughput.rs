@@ -63,8 +63,10 @@ fn main() {
     let uniform_analysis = LoadAnalysis::compute(&cfg, &UniformRandom);
     let weights = ArbiterWeightSet::compute(&cfg, &[&uniform_analysis], 5);
 
-    let sat_uniform = saturation_rate(&cfg, &UniformRandom);
-    let sat_2hop = saturation_rate(&cfg, &NHopNeighbor::new(2));
+    let sat = |pattern: &dyn TrafficPattern| {
+        saturation_rate(&cfg, pattern).unwrap_or_else(|d| fail_usage(&d))
+    };
+    let (sat_uniform, sat_2hop) = (sat(&UniformRandom), sat(&NHopNeighbor::new(2)));
     eprintln!("[fig9] uniform saturation {sat_uniform:.5}, 2-hop {sat_2hop:.5} pkts/cycle/core");
 
     let mut spec = ExperimentSpec::new("fig9_throughput", seed);

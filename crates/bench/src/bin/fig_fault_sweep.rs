@@ -29,10 +29,10 @@
 use std::sync::Mutex;
 
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
-use anton_bench::{fail_usage, saturation_rate, values, FlagSet};
+use anton_bench::{checked_cube, fail_usage, saturation_rate, values, FlagSet};
 use anton_core::chip::ChanId;
 use anton_core::config::MachineConfig;
-use anton_core::topology::{NodeId, TorusShape};
+use anton_core::topology::NodeId;
 use anton_fault::{FaultKind, FaultSchedule, SHIM_TIMEOUT, SHIM_WINDOW};
 use anton_obs::json::Json;
 use anton_sim::driver::LoadDriver;
@@ -142,11 +142,11 @@ fn main() {
     };
     // The down link of every point: node 0's x+ channel on slice 0.
     let down_link = (NodeId(0), ChanId::from_index(0));
-    let cfg = MachineConfig::new(TorusShape::cube(k));
+    let cfg = MachineConfig::new(checked_cube(k));
 
     println!("## Fault sweep — lossy torus links ({k}x{k}x{k} torus, 16 cores/node)");
     println!();
-    let sat = saturation_rate(&cfg, &UniformRandom);
+    let sat = saturation_rate(&cfg, &UniformRandom).unwrap_or_else(|d| fail_usage(&d));
     eprintln!("[fault-sweep] uniform saturation {sat:.5} pkts/cycle/core");
 
     let mut spec = ExperimentSpec::new("fig_fault_sweep", seed);

@@ -1,10 +1,9 @@
 //! Diagnostic: peak and mean utilization by link class (mesh, skip,
 //! adapters, torus) at saturation, for locating the binding resource.
 //! Usage: `probe_bottleneck --k K --batch B`.
-use anton_bench::FlagSet;
+use anton_bench::{checked_cube, FlagSet};
 use anton_core::chip::LocalLink;
 use anton_core::config::MachineConfig;
-use anton_core::topology::TorusShape;
 use anton_core::trace::GlobalLink;
 use anton_sim::driver::BatchDriver;
 use anton_sim::params::SimParams;
@@ -18,7 +17,7 @@ fn main() {
         .parse();
     let k: u8 = args.get("k");
     let batch: u64 = args.get("batch");
-    let cfg = MachineConfig::new(TorusShape::cube(k));
+    let cfg = MachineConfig::new(checked_cube(k));
     let mut sim = Sim::builder()
         .config(cfg.clone())
         .params(SimParams::default())

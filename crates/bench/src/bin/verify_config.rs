@@ -17,7 +17,7 @@
 //! verify_config --json results/verify_config.json
 //! ```
 
-use anton_bench::{fail_usage, write_output, FlagSet};
+use anton_bench::{checked_cube, fail_usage, write_output, FlagSet};
 use anton_core::chip::ChanId;
 use anton_core::config::MachineConfig;
 use anton_core::mesh::MeshRule;
@@ -262,17 +262,7 @@ fn main() {
 
     let shape_spec: String = args.get("shape");
     let shape = if shape_spec.is_empty() {
-        let k: u8 = args.get("k");
-        if !(1..=TorusShape::MAX_K).contains(&k) {
-            fail_usage(
-                &anton_verify::Diagnostic::error(
-                    "AV102",
-                    format!("torus extent {k} out of range 1..={}", TorusShape::MAX_K),
-                )
-                .with("k", k),
-            );
-        }
-        TorusShape::cube(k)
+        checked_cube(args.get("k"))
     } else {
         parse_shape(&shape_spec)
     };

@@ -1,12 +1,13 @@
 //! Command-line-input validation for the experiment binaries, expressed as
-//! `anton-verify` diagnostics (codes `AV101..AV103`).
+//! `anton-verify` diagnostics (codes `AV101..AV104`).
 //!
 //! The flag parser ([`crate::flags`]) already rejects malformed tokens;
 //! these helpers cover the *values*: a `--k` outside what [`TorusShape`]
 //! supports, a pattern or workload name no binary knows, or an output path
-//! that cannot be written. Binaries report all three through
-//! [`fail_usage`] — one readable diagnostic on stderr and a nonzero exit —
-//! instead of a panic backtrace.
+//! that cannot be written; [`crate::saturation_rate`] adds a machine on
+//! which the pattern loads no torus channel (AV104). Binaries report them
+//! through [`fail_usage`] — one readable diagnostic on stderr and a nonzero
+//! exit — instead of a panic backtrace.
 
 use anton_core::pattern::TrafficPattern;
 use anton_core::topology::TorusShape;

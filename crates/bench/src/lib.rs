@@ -32,6 +32,7 @@ use anton_sim::driver::BatchDriver;
 use anton_sim::metrics::Metrics;
 use anton_sim::params::{SimParams, TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
 use anton_sim::sim::{RunOutcome, Sim};
+use anton_verify::Diagnostic;
 
 pub use cli::{checked_cube, fail_usage, make_pattern, write_output};
 pub use flags::{FlagSet, ParsedFlags};
@@ -196,16 +197,32 @@ pub fn run_batch_sharded(
     (point, metrics)
 }
 
-/// Computes a pattern's analytic saturation injection rate on a machine.
-pub fn saturation_rate(cfg: &MachineConfig, pattern: &dyn TrafficPattern) -> f64 {
-    LoadAnalysis::compute(cfg, pattern).saturation_injection_rate(torus_capacity())
+/// Computes a pattern's analytic saturation injection rate on a machine, or
+/// AV104 if the pattern loads no torus channel there (one node, or a
+/// pattern that never leaves its node) and so never saturates.
+pub fn saturation_rate(
+    cfg: &MachineConfig,
+    pattern: &dyn TrafficPattern,
+) -> Result<f64, Diagnostic> {
+    let analysis = LoadAnalysis::compute(cfg, pattern);
+    if analysis.max_torus_load() > 0.0 {
+        return Ok(analysis.saturation_injection_rate(torus_capacity()));
+    }
+    Err(Diagnostic::error(
+        "AV104",
+        format!(
+            "{} traffic places no load on the torus channels of a {} machine",
+            pattern.name(),
+            cfg.shape
+        ),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use anton_core::topology::TorusShape;
-    use anton_traffic::patterns::UniformRandom;
+    use anton_traffic::patterns::{Tornado, UniformRandom};
 
     #[test]
     fn capacity_is_effective_over_mesh() {
@@ -215,7 +232,7 @@ mod tests {
     #[test]
     fn batch_run_completes_on_tiny_machine() {
         let cfg = MachineConfig::new(TorusShape::cube(2));
-        let sat = saturation_rate(&cfg, &UniformRandom);
+        let sat = saturation_rate(&cfg, &UniformRandom).unwrap();
         let p = run_batch(
             &cfg,
             vec![(Box::new(UniformRandom), 1.0)],
@@ -230,5 +247,15 @@ mod tests {
             p.normalized
         );
         assert!(p.cycles > 0);
+    }
+
+    #[test]
+    fn a_pattern_that_loads_no_torus_channel_has_no_saturation_rate() {
+        let one_node = MachineConfig::new(TorusShape::cube(1));
+        let err = saturation_rate(&one_node, &UniformRandom).unwrap_err();
+        assert_eq!(err.code, "AV104");
+        // The tornado offset k/2 − 1 vanishes at k = 2: every packet stays home.
+        let cfg = MachineConfig::new(TorusShape::cube(2));
+        assert_eq!(saturation_rate(&cfg, &Tornado).unwrap_err().code, "AV104");
     }
 }

@@ -46,7 +46,7 @@ fn body(
 #[test]
 fn parallel_measurements_are_byte_identical_to_serial() {
     let cfg = MachineConfig::new(TorusShape::cube(2));
-    let sat = saturation_rate(&cfg, &UniformRandom);
+    let sat = saturation_rate(&cfg, &UniformRandom).unwrap();
     let spec = mini_sweep();
 
     let serial = spec.run(1, body(&cfg, sat));
@@ -74,7 +74,7 @@ fn parallel_measurements_are_byte_identical_to_serial() {
 #[test]
 fn sharded_measurements_match_serial_exactly() {
     let cfg = MachineConfig::new(TorusShape::cube(2));
-    let sat = saturation_rate(&cfg, &UniformRandom);
+    let sat = saturation_rate(&cfg, &UniformRandom).unwrap();
     for shards in [2usize, 4, 8] {
         let (serial, ms) = run_batch_detailed(
             &cfg,
@@ -107,7 +107,7 @@ fn sharded_measurements_match_serial_exactly() {
 #[test]
 fn rerunning_the_spec_reproduces_the_measurements() {
     let cfg = MachineConfig::new(TorusShape::cube(2));
-    let sat = saturation_rate(&cfg, &UniformRandom);
+    let sat = saturation_rate(&cfg, &UniformRandom).unwrap();
     let a = mini_sweep().run(2, body(&cfg, sat));
     let b = mini_sweep().run(3, body(&cfg, sat));
     assert_eq!(

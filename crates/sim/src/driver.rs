@@ -728,6 +728,7 @@ impl ShardableDriver for LoadDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anton_core::pattern::{Destinations, EndpointChoice, NodeChoice};
 
     /// Minimal pattern for driver unit tests: every packet targets its own
     /// source endpoint.
@@ -739,28 +740,8 @@ mod tests {
             "self".into()
         }
 
-        fn flows_from(
-            &self,
-            _cfg: &anton_core::config::MachineConfig,
-            src: GlobalEndpoint,
-        ) -> Vec<anton_core::pattern::Flow> {
-            vec![anton_core::pattern::Flow {
-                dst: src,
-                rate: 1.0,
-            }]
-        }
-
-        fn sample_dst(
-            &self,
-            _cfg: &anton_core::config::MachineConfig,
-            src: GlobalEndpoint,
-            _rng: &mut dyn rand::RngCore,
-        ) -> GlobalEndpoint {
-            src
-        }
-
-        fn node_symmetric(&self) -> bool {
-            false
+        fn destinations(&self) -> Destinations<'_> {
+            Destinations::Pick(NodeChoice::Map(|_, c| c), EndpointChoice::Same)
         }
     }
 

@@ -8,8 +8,8 @@
 //!   tornado, blends, and explicit node permutations;
 //! * [`md`] — MD-like halo multicast workloads (Figure 3).
 //!
-//! All patterns implement [`anton_core::pattern::TrafficPattern`], serving
-//! both the offline load analyses and the online simulation drivers.
+//! All patterns implement [`anton_core::pattern::TrafficPattern`] with one
+//! description, from which both the load analyses and the drivers derive.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

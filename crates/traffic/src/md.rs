@@ -9,10 +9,9 @@
 use anton_core::chip::LocalEndpointId;
 use anton_core::config::MachineConfig;
 use anton_core::multicast::{DestSet, McGroup, McGroupId};
+use anton_core::pattern::offset_node;
 use anton_core::routing::DimOrder;
 use anton_core::topology::{Dim, NodeCoord, Slice};
-
-use crate::patterns::offset_node;
 
 /// Shape of a halo destination set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

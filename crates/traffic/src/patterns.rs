@@ -1,4 +1,6 @@
-//! The traffic patterns of the paper's evaluation (Section 4).
+//! The traffic patterns of the paper's evaluation (Section 4), each a name
+//! plus a [`Destinations`] description; flows, sampling and node symmetry
+//! are derived from the description in `anton_core::pattern`.
 //!
 //! * [`UniformRandom`] — every packet goes to a uniformly random destination
 //!   on another node;
@@ -8,29 +10,15 @@
 //!   of Section 4.2;
 //! * [`Blend`] — a mixture of patterns with given weights, as blended in
 //!   Figure 10;
+//! * [`BitComplement`], [`Transpose`] — classic adversarial node maps;
 //! * [`NodePermutation`] — an explicit node-level permutation (used for the
 //!   worst-case analyses and tests).
 
-use rand::Rng;
 use rand::RngCore;
 
-use anton_core::chip::LocalEndpointId;
 use anton_core::config::{GlobalEndpoint, MachineConfig};
-use anton_core::pattern::{Flow, TrafficPattern};
-use anton_core::topology::{Dim, NodeCoord, NodeId};
-
-fn wrap(shape_k: u8, base: u8, delta: i32) -> u8 {
-    (i32::from(base) + delta).rem_euclid(i32::from(shape_k)) as u8
-}
-
-/// Offsets a node coordinate by `(dx, dy, dz)` with wraparound.
-pub fn offset_node(cfg: &MachineConfig, c: NodeCoord, d: [i32; 3]) -> NodeCoord {
-    NodeCoord::new(
-        wrap(cfg.shape.k(Dim::X), c.x, d[0]),
-        wrap(cfg.shape.k(Dim::Y), c.y, d[1]),
-        wrap(cfg.shape.k(Dim::Z), c.z, d[2]),
-    )
-}
+use anton_core::pattern::{Destinations, EndpointChoice, NodeChoice, TrafficPattern};
+use anton_core::topology::{Dim, NodeCoord, TorusShape};
 
 /// Uniform random traffic: each packet is sent to a random endpoint on a
 /// random *other* node, without locality constraints.
@@ -42,47 +30,8 @@ impl TrafficPattern for UniformRandom {
         "uniform".into()
     }
 
-    fn flows_from(&self, cfg: &MachineConfig, src: GlobalEndpoint) -> Vec<Flow> {
-        let nodes = cfg.shape.num_nodes();
-        let eps = cfg.endpoints_per_node();
-        let rate = 1.0 / (((nodes - 1) * eps) as f64);
-        let mut flows = Vec::with_capacity((nodes - 1) * eps);
-        for node in 0..nodes {
-            if node as u32 == src.node.0 {
-                continue;
-            }
-            for e in 0..eps {
-                flows.push(Flow {
-                    dst: GlobalEndpoint {
-                        node: NodeId(node as u32),
-                        ep: LocalEndpointId(e as u8),
-                    },
-                    rate,
-                });
-            }
-        }
-        flows
-    }
-
-    fn sample_dst(
-        &self,
-        cfg: &MachineConfig,
-        src: GlobalEndpoint,
-        rng: &mut dyn RngCore,
-    ) -> GlobalEndpoint {
-        let nodes = cfg.shape.num_nodes() as u32;
-        let mut node = rng.gen_range(0..nodes - 1);
-        if node >= src.node.0 {
-            node += 1;
-        }
-        GlobalEndpoint {
-            node: NodeId(node),
-            ep: LocalEndpointId(rng.gen_range(0..cfg.endpoints_per_node()) as u8),
-        }
-    }
-
-    fn node_symmetric(&self) -> bool {
-        true
+    fn destinations(&self) -> Destinations<'_> {
+        Destinations::Pick(NodeChoice::Others, EndpointChoice::Any)
     }
 }
 
@@ -105,24 +54,6 @@ impl NHopNeighbor {
         assert!(n > 0, "n-hop neighbor traffic needs n >= 1");
         NHopNeighbor { n }
     }
-
-    /// The distinct destination nodes for a source node (wraparound can
-    /// alias offsets on small tori, so this deduplicates).
-    fn neighbor_nodes(&self, cfg: &MachineConfig, src: NodeCoord) -> Vec<NodeCoord> {
-        let n = i32::from(self.n);
-        let mut out = Vec::new();
-        for dx in -n..=n {
-            for dy in -n..=n {
-                for dz in -n..=n {
-                    let c = offset_node(cfg, src, [dx, dy, dz]);
-                    if c != src && !out.contains(&c) {
-                        out.push(c);
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 impl TrafficPattern for NHopNeighbor {
@@ -130,43 +61,8 @@ impl TrafficPattern for NHopNeighbor {
         format!("{}-hop-neighbor", self.n)
     }
 
-    fn flows_from(&self, cfg: &MachineConfig, src: GlobalEndpoint) -> Vec<Flow> {
-        let src_c = cfg.node_coord(src);
-        let nodes = self.neighbor_nodes(cfg, src_c);
-        let eps = cfg.endpoints_per_node();
-        let rate = 1.0 / ((nodes.len() * eps) as f64);
-        nodes
-            .iter()
-            .flat_map(|c| {
-                let node = cfg.shape.id(*c);
-                (0..eps).map(move |e| Flow {
-                    dst: GlobalEndpoint {
-                        node,
-                        ep: LocalEndpointId(e as u8),
-                    },
-                    rate,
-                })
-            })
-            .collect()
-    }
-
-    fn sample_dst(
-        &self,
-        cfg: &MachineConfig,
-        src: GlobalEndpoint,
-        rng: &mut dyn RngCore,
-    ) -> GlobalEndpoint {
-        let src_c = cfg.node_coord(src);
-        let nodes = self.neighbor_nodes(cfg, src_c);
-        let node = nodes[rng.gen_range(0..nodes.len())];
-        GlobalEndpoint {
-            node: cfg.shape.id(node),
-            ep: LocalEndpointId(rng.gen_range(0..cfg.endpoints_per_node()) as u8),
-        }
-    }
-
-    fn node_symmetric(&self) -> bool {
-        true
+    fn destinations(&self) -> Destinations<'_> {
+        Destinations::Pick(NodeChoice::Within(self.n), EndpointChoice::Any)
     }
 }
 
@@ -181,17 +77,8 @@ pub struct Tornado;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReverseTornado;
 
-fn tornado_dst(cfg: &MachineConfig, src: GlobalEndpoint, sign: i32) -> GlobalEndpoint {
-    let c = cfg.node_coord(src);
-    let d = [
-        sign * (i32::from(cfg.shape.k(Dim::X)) / 2 - 1),
-        sign * (i32::from(cfg.shape.k(Dim::Y)) / 2 - 1),
-        sign * (i32::from(cfg.shape.k(Dim::Z)) / 2 - 1),
-    ];
-    GlobalEndpoint {
-        node: cfg.shape.id(offset_node(cfg, c, d)),
-        ep: src.ep,
-    }
+fn tornado_offset(shape: &TorusShape) -> [i32; 3] {
+    Dim::ALL.map(|d| i32::from(shape.k(d)) / 2 - 1)
 }
 
 impl TrafficPattern for Tornado {
@@ -199,24 +86,8 @@ impl TrafficPattern for Tornado {
         "tornado".into()
     }
 
-    fn flows_from(&self, cfg: &MachineConfig, src: GlobalEndpoint) -> Vec<Flow> {
-        vec![Flow {
-            dst: tornado_dst(cfg, src, 1),
-            rate: 1.0,
-        }]
-    }
-
-    fn sample_dst(
-        &self,
-        cfg: &MachineConfig,
-        src: GlobalEndpoint,
-        _rng: &mut dyn RngCore,
-    ) -> GlobalEndpoint {
-        tornado_dst(cfg, src, 1)
-    }
-
-    fn node_symmetric(&self) -> bool {
-        true
+    fn destinations(&self) -> Destinations<'_> {
+        Destinations::Pick(NodeChoice::Offset(tornado_offset), EndpointChoice::Same)
     }
 }
 
@@ -225,47 +96,18 @@ impl TrafficPattern for ReverseTornado {
         "reverse-tornado".into()
     }
 
-    fn flows_from(&self, cfg: &MachineConfig, src: GlobalEndpoint) -> Vec<Flow> {
-        vec![Flow {
-            dst: tornado_dst(cfg, src, -1),
-            rate: 1.0,
-        }]
-    }
-
-    fn sample_dst(
-        &self,
-        cfg: &MachineConfig,
-        src: GlobalEndpoint,
-        _rng: &mut dyn RngCore,
-    ) -> GlobalEndpoint {
-        tornado_dst(cfg, src, -1)
-    }
-
-    fn node_symmetric(&self) -> bool {
-        true
+    fn destinations(&self) -> Destinations<'_> {
+        let reverse = |shape: &TorusShape| tornado_offset(shape).map(|d| -d);
+        Destinations::Pick(NodeChoice::Offset(reverse), EndpointChoice::Same)
     }
 }
 
 /// A weighted mixture of traffic patterns (Figure 10 blends tornado and
 /// reverse tornado). Sampling first draws a component by weight; the flow
 /// matrix is the weighted sum of the components'.
+#[derive(Debug)]
 pub struct Blend {
     components: Vec<(Box<dyn TrafficPattern>, f64)>,
-}
-
-impl std::fmt::Debug for Blend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Blend")
-            .field(
-                "components",
-                &self
-                    .components
-                    .iter()
-                    .map(|(p, w)| (p.name(), *w))
-                    .collect::<Vec<_>>(),
-            )
-            .finish()
-    }
 }
 
 impl Blend {
@@ -290,23 +132,16 @@ impl Blend {
         Blend { components }
     }
 
-    /// Which component a sampled packet came from on the last call is not
-    /// tracked here; use [`Blend::sample_with_component`] when the caller
-    /// needs to tag packets with their pattern id.
+    /// Samples a destination and the index of the component it was drawn
+    /// from, for callers that tag packets with their pattern id — the same
+    /// draw `sample_dst` makes.
     pub fn sample_with_component(
         &self,
         cfg: &MachineConfig,
         src: GlobalEndpoint,
         rng: &mut dyn RngCore,
     ) -> (usize, GlobalEndpoint) {
-        let mut x: f64 = rng.gen();
-        for (i, (p, w)) in self.components.iter().enumerate() {
-            if x < *w || i == self.components.len() - 1 {
-                return (i, p.sample_dst(cfg, src, rng));
-            }
-            x -= *w;
-        }
-        unreachable!("weights are normalized")
+        self.destinations().sample(cfg, src, rng)
     }
 }
 
@@ -320,33 +155,8 @@ impl TrafficPattern for Blend {
         format!("blend({})", parts.join("+"))
     }
 
-    fn flows_from(&self, cfg: &MachineConfig, src: GlobalEndpoint) -> Vec<Flow> {
-        let mut flows: Vec<Flow> = Vec::new();
-        for (p, w) in &self.components {
-            for f in p.flows_from(cfg, src) {
-                match flows.iter_mut().find(|g| g.dst == f.dst) {
-                    Some(g) => g.rate += f.rate * w,
-                    None => flows.push(Flow {
-                        dst: f.dst,
-                        rate: f.rate * w,
-                    }),
-                }
-            }
-        }
-        flows
-    }
-
-    fn sample_dst(
-        &self,
-        cfg: &MachineConfig,
-        src: GlobalEndpoint,
-        rng: &mut dyn RngCore,
-    ) -> GlobalEndpoint {
-        self.sample_with_component(cfg, src, rng).1
-    }
-
-    fn node_symmetric(&self) -> bool {
-        self.components.iter().all(|(p, _)| p.node_symmetric())
+    fn destinations(&self) -> Destinations<'_> {
+        Destinations::Mix(&self.components)
     }
 }
 
@@ -356,43 +166,20 @@ impl TrafficPattern for Blend {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BitComplement;
 
-fn complement_dst(cfg: &MachineConfig, src: GlobalEndpoint) -> GlobalEndpoint {
-    let c = cfg.node_coord(src);
-    let n = NodeCoord::new(
-        cfg.shape.k(Dim::X) - 1 - c.x,
-        cfg.shape.k(Dim::Y) - 1 - c.y,
-        cfg.shape.k(Dim::Z) - 1 - c.z,
-    );
-    GlobalEndpoint {
-        node: cfg.shape.id(n),
-        ep: src.ep,
-    }
-}
-
 impl TrafficPattern for BitComplement {
     fn name(&self) -> String {
         "bit-complement".into()
     }
 
-    fn flows_from(&self, cfg: &MachineConfig, src: GlobalEndpoint) -> Vec<Flow> {
-        vec![Flow {
-            dst: complement_dst(cfg, src),
-            rate: 1.0,
-        }]
-    }
-
-    fn sample_dst(
-        &self,
-        cfg: &MachineConfig,
-        src: GlobalEndpoint,
-        _rng: &mut dyn RngCore,
-    ) -> GlobalEndpoint {
-        complement_dst(cfg, src)
-    }
-
-    fn node_symmetric(&self) -> bool {
-        // Reflection, not translation: loads must be computed per source.
-        false
+    fn destinations(&self) -> Destinations<'_> {
+        let complement = |s: &TorusShape, c: NodeCoord| {
+            NodeCoord::new(
+                s.k(Dim::X) - 1 - c.x,
+                s.k(Dim::Y) - 1 - c.y,
+                s.k(Dim::Z) - 1 - c.z,
+            )
+        };
+        Destinations::Pick(NodeChoice::Map(complement), EndpointChoice::Same)
     }
 }
 
@@ -401,49 +188,22 @@ impl TrafficPattern for BitComplement {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Transpose;
 
-fn transpose_dst(cfg: &MachineConfig, src: GlobalEndpoint) -> GlobalEndpoint {
-    let c = cfg.node_coord(src);
-    let n = NodeCoord::new(c.y, c.z, c.x);
-    GlobalEndpoint {
-        node: cfg.shape.id(n),
-        ep: src.ep,
-    }
-}
-
 impl TrafficPattern for Transpose {
     fn name(&self) -> String {
         "transpose".into()
     }
 
-    fn flows_from(&self, cfg: &MachineConfig, src: GlobalEndpoint) -> Vec<Flow> {
-        assert_cubic(cfg);
-        vec![Flow {
-            dst: transpose_dst(cfg, src),
-            rate: 1.0,
-        }]
+    fn destinations(&self) -> Destinations<'_> {
+        let transpose = |s: &TorusShape, c: NodeCoord| {
+            let k = s.k(Dim::X);
+            assert!(
+                s.k(Dim::Y) == k && s.k(Dim::Z) == k,
+                "transpose traffic requires a cubic torus"
+            );
+            NodeCoord::new(c.y, c.z, c.x)
+        };
+        Destinations::Pick(NodeChoice::Map(transpose), EndpointChoice::Same)
     }
-
-    fn sample_dst(
-        &self,
-        cfg: &MachineConfig,
-        src: GlobalEndpoint,
-        _rng: &mut dyn RngCore,
-    ) -> GlobalEndpoint {
-        assert_cubic(cfg);
-        transpose_dst(cfg, src)
-    }
-
-    fn node_symmetric(&self) -> bool {
-        false
-    }
-}
-
-fn assert_cubic(cfg: &MachineConfig) {
-    let k = cfg.shape.k(Dim::X);
-    assert!(
-        cfg.shape.k(Dim::Y) == k && cfg.shape.k(Dim::Z) == k,
-        "transpose traffic requires a cubic torus"
-    );
 }
 
 /// An explicit node-level permutation: every endpoint of node `i` sends to
@@ -471,13 +231,6 @@ impl NodePermutation {
         }
         NodePermutation { perm }
     }
-
-    fn dst(&self, src: GlobalEndpoint) -> GlobalEndpoint {
-        GlobalEndpoint {
-            node: NodeId(self.perm[src.node.0 as usize]),
-            ep: src.ep,
-        }
-    }
 }
 
 impl TrafficPattern for NodePermutation {
@@ -485,34 +238,8 @@ impl TrafficPattern for NodePermutation {
         "node-permutation".into()
     }
 
-    fn flows_from(&self, cfg: &MachineConfig, src: GlobalEndpoint) -> Vec<Flow> {
-        assert_eq!(
-            self.perm.len(),
-            cfg.shape.num_nodes(),
-            "permutation sized for another machine"
-        );
-        vec![Flow {
-            dst: self.dst(src),
-            rate: 1.0,
-        }]
-    }
-
-    fn sample_dst(
-        &self,
-        cfg: &MachineConfig,
-        src: GlobalEndpoint,
-        _rng: &mut dyn RngCore,
-    ) -> GlobalEndpoint {
-        assert_eq!(
-            self.perm.len(),
-            cfg.shape.num_nodes(),
-            "permutation sized for another machine"
-        );
-        self.dst(src)
-    }
-
-    fn node_symmetric(&self) -> bool {
-        false
+    fn destinations(&self) -> Destinations<'_> {
+        Destinations::Pick(NodeChoice::Permutation(&self.perm), EndpointChoice::Same)
     }
 }
 
@@ -558,35 +285,15 @@ mod tests {
     #[test]
     fn uniform_never_sends_to_own_node() {
         let cfg = cfg();
+        let uniform: &dyn TrafficPattern = &UniformRandom;
         let mut rng = StdRng::seed_from_u64(0);
         let src = cfg.endpoint_at(33);
         for _ in 0..200 {
-            let dst = UniformRandom.sample_dst(&cfg, src, &mut rng);
+            let dst = uniform.sample_dst(&cfg, src, &mut rng);
             assert_ne!(dst.node, src.node);
         }
-        for f in UniformRandom.flows_from(&cfg, src) {
+        for f in uniform.flows_from(&cfg, src) {
             assert_ne!(f.dst.node, src.node);
-        }
-    }
-
-    #[test]
-    fn samples_match_flow_support() {
-        let cfg = cfg();
-        let mut rng = StdRng::seed_from_u64(1);
-        for pat in [
-            &NHopNeighbor::new(1) as &dyn TrafficPattern,
-            &NHopNeighbor::new(2),
-        ] {
-            let src = cfg.endpoint_at(5);
-            let flows = pat.flows_from(&cfg, src);
-            for _ in 0..200 {
-                let dst = pat.sample_dst(&cfg, src, &mut rng);
-                assert!(
-                    flows.iter().any(|f| f.dst == dst),
-                    "{}: sampled {dst} off-support",
-                    pat.name()
-                );
-            }
         }
     }
 
@@ -595,7 +302,7 @@ mod tests {
         // On a 4^3 torus, the 1-hop box holds 3^3 - 1 = 26 distinct nodes.
         let cfg = cfg();
         let src = cfg.endpoint_at(0);
-        let flows = NHopNeighbor::new(1).flows_from(&cfg, src);
+        let flows = (&NHopNeighbor::new(1) as &dyn TrafficPattern).flows_from(&cfg, src);
         assert_eq!(flows.len(), 26 * cfg.endpoints_per_node());
     }
 
@@ -604,7 +311,7 @@ mod tests {
         // n=2 on k=4 covers every node except the source (aliasing dedup).
         let cfg = cfg();
         let src = cfg.endpoint_at(0);
-        let flows = NHopNeighbor::new(2).flows_from(&cfg, src);
+        let flows = (&NHopNeighbor::new(2) as &dyn TrafficPattern).flows_from(&cfg, src);
         assert_eq!(flows.len(), 63 * cfg.endpoints_per_node());
     }
 
@@ -612,10 +319,11 @@ mod tests {
     fn tornado_is_reverse_of_reverse() {
         let cfg = MachineConfig::new(TorusShape::cube(8));
         let mut rng = StdRng::seed_from_u64(0);
+        let (fwd, rev): (&dyn TrafficPattern, &dyn TrafficPattern) = (&Tornado, &ReverseTornado);
         for idx in [0usize, 100, 511] {
             let src = cfg.endpoint_at(idx * cfg.endpoints_per_node());
-            let fwd = Tornado.sample_dst(&cfg, src, &mut rng);
-            let back = ReverseTornado.sample_dst(&cfg, fwd, &mut rng);
+            let there = fwd.sample_dst(&cfg, src, &mut rng);
+            let back = rev.sample_dst(&cfg, there, &mut rng);
             assert_eq!(back.node, src.node, "reverse tornado must undo tornado");
         }
     }
@@ -624,7 +332,8 @@ mod tests {
     fn tornado_offset_is_half_ring_minus_one() {
         let cfg = MachineConfig::new(TorusShape::cube(8));
         let src = cfg.endpoint_at(0); // node (0,0,0)
-        let dst = Tornado.sample_dst(&cfg, src, &mut StdRng::seed_from_u64(0));
+        let tornado: &dyn TrafficPattern = &Tornado;
+        let dst = tornado.sample_dst(&cfg, src, &mut StdRng::seed_from_u64(0));
         assert_eq!(cfg.shape.coord(dst.node), NodeCoord::new(3, 3, 3));
     }
 
@@ -632,15 +341,16 @@ mod tests {
     fn blend_extremes_match_components() {
         let cfg = cfg();
         let mut rng = StdRng::seed_from_u64(9);
-        let blend = Blend::new(vec![
+        let blend: &dyn TrafficPattern = &Blend::new(vec![
             (Box::new(Tornado), 1.0),
             (Box::new(ReverseTornado), 0.0),
         ]);
+        let tornado: &dyn TrafficPattern = &Tornado;
         let src = cfg.endpoint_at(7);
         for _ in 0..50 {
             assert_eq!(
                 blend.sample_dst(&cfg, src, &mut rng),
-                Tornado.sample_dst(&cfg, src, &mut rng)
+                tornado.sample_dst(&cfg, src, &mut rng)
             );
         }
     }
@@ -668,11 +378,12 @@ mod tests {
     #[test]
     fn bit_complement_is_an_involution() {
         let cfg = MachineConfig::new(TorusShape::cube(4));
+        let complement: &dyn TrafficPattern = &BitComplement;
         let mut rng = StdRng::seed_from_u64(0);
         for idx in [0usize, 17, 63 * 16] {
             let src = cfg.endpoint_at(idx);
-            let there = BitComplement.sample_dst(&cfg, src, &mut rng);
-            let back = BitComplement.sample_dst(&cfg, there, &mut rng);
+            let there = complement.sample_dst(&cfg, src, &mut rng);
+            let back = complement.sample_dst(&cfg, there, &mut rng);
             assert_eq!(back.node, src.node);
         }
     }
@@ -680,11 +391,12 @@ mod tests {
     #[test]
     fn transpose_cycles_in_three() {
         let cfg = MachineConfig::new(TorusShape::cube(4));
+        let transpose: &dyn TrafficPattern = &Transpose;
         let mut rng = StdRng::seed_from_u64(0);
         let src = cfg.endpoint_at(7 * 16 + 3);
-        let a = Transpose.sample_dst(&cfg, src, &mut rng);
-        let b = Transpose.sample_dst(&cfg, a, &mut rng);
-        let c = Transpose.sample_dst(&cfg, b, &mut rng);
+        let a = transpose.sample_dst(&cfg, src, &mut rng);
+        let b = transpose.sample_dst(&cfg, a, &mut rng);
+        let c = transpose.sample_dst(&cfg, b, &mut rng);
         assert_eq!(c.node, src.node, "transpose^3 = identity");
     }
 
@@ -693,7 +405,7 @@ mod tests {
     fn transpose_rejects_rectangles() {
         let cfg = MachineConfig::new(TorusShape::new(4, 2, 2));
         let mut rng = StdRng::seed_from_u64(0);
-        Transpose.sample_dst(&cfg, cfg.endpoint_at(0), &mut rng);
+        (&Transpose as &dyn TrafficPattern).sample_dst(&cfg, cfg.endpoint_at(0), &mut rng);
     }
 
     #[test]

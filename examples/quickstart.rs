@@ -20,7 +20,7 @@ fn main() {
 
     // The analytic saturation rate: the injection rate at which the busiest
     // torus channel reaches its effective 89.6 Gb/s.
-    let sat = saturation_rate(&cfg, &UniformRandom);
+    let sat = saturation_rate(&cfg, &UniformRandom).expect("uniform traffic loads the torus");
     println!("uniform-traffic saturation: {sat:.4} packets/cycle/endpoint");
 
     // Every core sends a batch of 64 packets as fast as the network accepts.
