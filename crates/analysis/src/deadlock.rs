@@ -160,6 +160,7 @@ impl Default for RouteEnumeration {
 /// minimal tie-break) combination through the reference tracer.
 pub fn build_unicast_dep_graph(cfg: &MachineConfig, en: &RouteEnumeration) -> DepGraph {
     let mut graph = DepGraph::new();
+    let crosses = |n, d| cfg.shape.hop_crosses_dateline(n, d);
     for src_n in cfg.shape.nodes() {
         for dst_n in cfg.shape.nodes() {
             // Enumerate tie combinations exactly.
@@ -177,11 +178,7 @@ pub fn build_unicast_dep_graph(cfg: &MachineConfig, en: &RouteEnumeration) -> De
                             offsets[d] = ch[idx % ch.len()];
                             idx /= ch.len();
                         }
-                        let spec = RouteSpec {
-                            order,
-                            slice,
-                            offsets,
-                        };
+                        let spec = RouteSpec::new(order, slice, offsets);
                         for &se in &en.src_endpoints {
                             for &de in &en.dst_endpoints {
                                 let src = GlobalEndpoint {
@@ -192,7 +189,7 @@ pub fn build_unicast_dep_graph(cfg: &MachineConfig, en: &RouteEnumeration) -> De
                                     node: cfg.shape.id(dst_n),
                                     ep: LocalEndpointId(de),
                                 };
-                                let steps = trace_unicast(cfg, src, dst, &spec);
+                                let steps = trace_unicast(cfg, src, dst, &spec, &crosses);
                                 graph.add_route(&steps);
                             }
                         }

@@ -134,6 +134,7 @@ impl LoadAnalysis {
             .collect();
         let num_combos: usize = choices.iter().map(|c| c.len()).product();
         let w = rate / (12.0 * num_combos as f64);
+        let crosses = |n, d| cfg.shape.hop_crosses_dateline(n, d);
         for order in DimOrder::ALL {
             for slice in Slice::ALL {
                 for combo in 0..num_combos {
@@ -143,14 +144,10 @@ impl LoadAnalysis {
                         offsets[d] = ch[idx % ch.len()];
                         idx /= ch.len();
                     }
-                    let spec = RouteSpec {
-                        order,
-                        slice,
-                        offsets,
-                    };
+                    let spec = RouteSpec::new(order, slice, offsets);
                     // The router input the previous link fed, if any.
                     let mut fed: Option<(usize, Port)> = None;
-                    for (link, vc) in trace_unicast(cfg, src, dst, &spec) {
+                    for (link, vc) in trace_unicast(cfg, src, dst, &spec, &crosses) {
                         let (node, slot) = self.topo.slot(&link).expect("traced link has a slot");
                         let at = node * self.topo.slots_per_node() + slot;
                         self.link[at] += w;

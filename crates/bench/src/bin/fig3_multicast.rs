@@ -7,7 +7,7 @@
 //! channels. Finishes with a live simulation of a full machine-wide halo
 //! exchange through the multicast tables.
 
-use anton_bench::{checked_cube, FlagSet};
+use anton_bench::{checked_torus, FlagSet};
 use anton_core::chip::LocalEndpointId;
 use anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton_core::multicast::{McGroup, McGroupId};
@@ -46,8 +46,9 @@ fn main() {
         "torus dimension for the live halo-exchange simulation",
     )
     .parse();
-    let k: u8 = args.get("k");
-    let cfg = MachineConfig::new(checked_cube(k));
+    let (k, sim_k): (u8, u8) = (args.get("k"), args.get("sim-k"));
+    let cfg = MachineConfig::new(checked_torus(k, "halo"));
+    let sim_cfg = MachineConfig::new(checked_torus(sim_k, "halo"));
     let src = NodeCoord::new(k / 2, k / 2, k / 2);
 
     println!("## Figure 3 / Section 2.3 — table-based multicast ({k}x{k}x{k})");
@@ -108,8 +109,6 @@ fn main() {
     }
 
     // Live halo exchange through the simulator's multicast tables.
-    let sim_k: u8 = args.get("sim-k");
-    let sim_cfg = MachineConfig::new(checked_cube(sim_k));
     println!("Machine-wide halo exchange on {sim_k}x{sim_k}x{sim_k} (one broadcast per node):");
     let groups = build_halo_groups(&sim_cfg, HaloSpec::default(), &alternating_variants());
     let copies_per_group = groups[0].dests.num_endpoints() as u64;

@@ -1,7 +1,7 @@
 //! Diagnostic: peak and mean utilization by link class (mesh, skip,
 //! adapters, torus) at saturation, for locating the binding resource.
 //! Usage: `probe_bottleneck --k K --batch B`.
-use anton_bench::{checked_cube, FlagSet};
+use anton_bench::{checked_torus, FlagSet};
 use anton_core::chip::LocalLink;
 use anton_core::config::MachineConfig;
 use anton_core::trace::GlobalLink;
@@ -17,7 +17,7 @@ fn main() {
         .parse();
     let k: u8 = args.get("k");
     let batch: u64 = args.get("batch");
-    let cfg = MachineConfig::new(checked_cube(k));
+    let cfg = MachineConfig::new(checked_torus(k, "uniform"));
     let mut sim = Sim::builder()
         .config(cfg.clone())
         .params(SimParams::default())

@@ -23,7 +23,7 @@
 //! Usage: `probe_congestion --k K --batch B --sample CYCLES --shards N`.
 
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
-use anton_bench::{checked_cube, values, FlagSet};
+use anton_bench::{checked_torus, values, FlagSet};
 use anton_core::config::MachineConfig;
 use anton_obs::{ChromeTrace, CongestionReport, TimeSeries, SHARD_PHASE_NAMES};
 use anton_sim::driver::BatchDriver;
@@ -68,7 +68,7 @@ fn main() {
     let shards: usize = args.get("shards");
     let rows: usize = args.get("rows");
     let seed: u64 = args.get("seed");
-    let cfg = MachineConfig::new(checked_cube(k));
+    let cfg = MachineConfig::new(checked_torus(k, "uniform"));
 
     let mut spec = ExperimentSpec::new("probe_congestion", seed);
     spec.push_point(values![

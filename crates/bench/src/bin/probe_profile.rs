@@ -10,7 +10,7 @@
 //!
 //! Usage: `probe_profile --k K --batch B --bucket CYCLES`.
 use anton_bench::harness::ExperimentSpec;
-use anton_bench::{checked_cube, values, FlagSet};
+use anton_bench::{checked_torus, values, FlagSet};
 use anton_core::config::MachineConfig;
 use anton_obs::ChannelKind;
 use anton_sim::driver::BatchDriver;
@@ -30,7 +30,7 @@ fn main() {
     let k: u8 = args.get("k");
     let batch: u64 = args.get("batch");
     let bucket: u64 = args.get("bucket");
-    let cfg = MachineConfig::new(checked_cube(k));
+    let cfg = MachineConfig::new(checked_torus(k, "uniform"));
     let n_eps = cfg.num_endpoints() as f64;
     let params = SimParams {
         trace: TraceConfig::sampled(bucket),

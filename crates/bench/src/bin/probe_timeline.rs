@@ -13,7 +13,7 @@
 use std::sync::Mutex;
 
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
-use anton_bench::{checked_cube, fail_usage, values, FlagSet};
+use anton_bench::{checked_torus, fail_usage, values, FlagSet};
 use anton_core::config::MachineConfig;
 use anton_core::pattern::TrafficPattern;
 use anton_obs::{ChromeTrace, Json};
@@ -41,7 +41,7 @@ fn main() {
     let sample: u64 = args.get("sample");
     let ring: usize = args.get("ring");
     let seed: u64 = args.get("seed");
-    let cfg = MachineConfig::new(checked_cube(k));
+    let cfg = MachineConfig::new(checked_torus(k, "uniform"));
 
     let mut spec = ExperimentSpec::new("probe_timeline", seed);
     for pattern in ["uniform", "2-hop-neighbor"] {

@@ -4,8 +4,9 @@
 //! The flag parser ([`crate::flags`]) already rejects malformed tokens;
 //! these helpers cover the *values*: a `--k` outside what [`TorusShape`]
 //! supports, a pattern or workload name no binary knows, or an output path
-//! that cannot be written; [`crate::saturation_rate`] adds a machine on
-//! which the pattern loads no torus channel (AV104). Binaries report them
+//! that cannot be written; [`checked_torus`] and [`crate::saturation_rate`]
+//! add a machine on which the traffic loads no torus channel (AV104).
+//! Binaries report them
 //! through [`fail_usage`] — one readable diagnostic on stderr and a nonzero
 //! exit — instead of a panic backtrace.
 
@@ -34,6 +35,23 @@ pub fn checked_cube(k: u8) -> TorusShape {
         );
     }
     TorusShape::cube(k)
+}
+
+/// [`checked_cube`] for a binary whose traffic must leave its node (AV104):
+/// on a one-node machine uniform traffic has no destination, a ping-pong no
+/// hop and a halo no neighbour.
+pub fn checked_torus(k: u8, traffic: &str) -> TorusShape {
+    let shape = checked_cube(k);
+    if shape.num_nodes() < 2 {
+        fail_usage(
+            &Diagnostic::error(
+                "AV104",
+                format!("{traffic} traffic cannot leave the one node of a {shape} machine"),
+            )
+            .with("k", k),
+        );
+    }
+    shape
 }
 
 /// Looks up a named traffic pattern (AV101). The fig9-family binaries

@@ -34,7 +34,7 @@ use anton_sim::params::{SimParams, TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
 use anton_sim::sim::{RunOutcome, Sim};
 use anton_verify::Diagnostic;
 
-pub use cli::{checked_cube, fail_usage, make_pattern, write_output};
+pub use cli::{checked_cube, checked_torus, fail_usage, make_pattern, write_output};
 pub use flags::{FlagSet, ParsedFlags};
 pub use harness::{ExperimentSpec, Measurement, SweepPoint, Value};
 

@@ -40,6 +40,27 @@ fn a_machine_without_torus_load_is_av104() {
     assert_usage_error(env!("CARGO_BIN_EXE_probe_position"), &["--k", "1"], "AV104");
 }
 
+/// Traffic that cannot leave the one node of a `--k 1` machine is rejected
+/// before any simulator is built.
+#[test]
+fn one_node_traffic_is_av104() {
+    for bin in [
+        env!("CARGO_BIN_EXE_probe_bottleneck"),
+        env!("CARGO_BIN_EXE_probe_profile"),
+        env!("CARGO_BIN_EXE_probe_timeline"),
+        env!("CARGO_BIN_EXE_probe_congestion"),
+        env!("CARGO_BIN_EXE_fig11_latency"),
+        env!("CARGO_BIN_EXE_fig3_multicast"),
+    ] {
+        assert_usage_error(bin, &["--k", "1"], "AV104");
+    }
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_fig3_multicast"),
+        &["--k", "2", "--sim-k", "1"],
+        "AV104",
+    );
+}
+
 #[test]
 fn an_extent_out_of_range_is_av102() {
     assert_usage_error(env!("CARGO_BIN_EXE_probe_position"), &["--k", "0"], "AV102");

@@ -10,8 +10,10 @@
 //! * [`topology`] — the torus, its coordinates, slices, and datelines;
 //! * [`chip`] — the on-chip mesh, skip channels, and adapter floorplan, and
 //!   the on-chip routing rule ([`chip::ChipLayout::next_attach`]);
-//! * [`routing`] — oblivious minimal dimension-order inter-node routing;
-//! * [`route_table`] — fault-aware next-hop tables for degraded tori;
+//! * [`routing`] — the route type ([`routing::RouteSpec`]: a slice and at
+//!   most three single-direction runs) and oblivious minimal dimension-order
+//!   inter-node routing;
+//! * [`route_table`] — fault-aware route tables for degraded tori;
 //! * [`onchip`] — direction-order on-chip routing (V⁻, U⁺, U⁻, V⁺);
 //! * [`vc`] — the n+1-VC promotion algorithm for deadlock avoidance, plus
 //!   the 2n baseline, and the dimension-boundary rule
@@ -53,7 +55,7 @@
 //!     DimOrder::XYZ,
 //!     Slice(0),
 //! );
-//! let steps = trace_unicast(&cfg, src, dst, &spec);
+//! let steps = trace_unicast(&cfg, src, dst, &spec, &|n, d| cfg.shape.hop_crosses_dateline(n, d));
 //! assert!(!steps.is_empty());
 //! ```
 

@@ -4,7 +4,9 @@
 //! route through the torus, and each packet may use any of the six possible
 //! dimension orders (XYZ, XZY, YXZ, YZX, ZXY, ZYX) on either of the two
 //! torus slices. A packet's dimension order and slice are typically
-//! randomized, independent of network load.
+//! randomized, independent of network load. A degraded route table's detour
+//! (see [`crate::route_table`]) is the same [`RouteSpec`], built from its
+//! hops by [`RouteSpec::from_hops`].
 
 use std::fmt;
 
@@ -69,24 +71,45 @@ impl fmt::Display for DimOrder {
     }
 }
 
-/// The inter-node routing state a packet carries: its dimension order, torus
-/// slice, and the remaining signed offset along each dimension.
+/// A packet's inter-node route: the torus slice it travels on and at most
+/// three single-direction runs, each a dimension and the signed count of the
+/// hops still to take along it.
 ///
-/// The offsets are indexed by canonical dimension (X=0, Y=1, Z=2) and count
-/// the *remaining* hops with their direction of travel. The route is minimal
-/// by construction; ties between the two minimal directions (offset exactly
-/// `k/2`) are broken at construction time.
+/// Three runs is the n+1-VC promotion budget (Section 2.5): each run is one
+/// dimension phase, and a run that neither reverses nor wraps its ring
+/// crosses its dateline at most once. An oblivious route has one run per
+/// dimension, in its dimension order; a degraded-table detour may revisit a
+/// dimension in a later run (`+Y +X +X −Y`). No other value can be built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RouteSpec {
-    /// Order in which the torus dimensions are traversed.
-    pub order: DimOrder,
     /// Torus slice used for the packet's entire route.
     pub slice: Slice,
-    /// Remaining signed offsets, indexed by canonical dimension.
-    pub offsets: [i32; 3],
+    /// The runs in travel order; a finished or unused run holds 0.
+    runs: [(Dim, i8); 3],
 }
 
 impl RouteSpec {
+    /// The oblivious route that travels `offsets` (signed, indexed by
+    /// canonical dimension) one dimension at a time, in `order`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an offset is at least [`TorusShape::MAX_K`] hops long.
+    pub fn new(order: DimOrder, slice: Slice, offsets: [i32; 3]) -> RouteSpec {
+        let run = |dim: Dim| {
+            let off = offsets[dim.index()];
+            assert!(
+                off.unsigned_abs() < u32::from(TorusShape::MAX_K),
+                "offset {off} along {dim} is longer than any ring"
+            );
+            (dim, off as i8)
+        };
+        RouteSpec {
+            slice,
+            runs: order.dims().map(run),
+        }
+    }
+
     /// Builds a route spec with explicit order and slice, breaking minimal
     /// ties toward the positive direction.
     pub fn deterministic(
@@ -96,11 +119,7 @@ impl RouteSpec {
         order: DimOrder,
         slice: Slice,
     ) -> RouteSpec {
-        RouteSpec {
-            order,
-            slice,
-            offsets: shape.minimal_offsets(src, dst),
-        }
+        RouteSpec::new(order, slice, shape.minimal_offsets(src, dst))
     }
 
     /// Builds a fully randomized route spec: random dimension order, random
@@ -137,45 +156,86 @@ impl RouteSpec {
             };
             offsets[dim.index()] = pick;
         }
-        RouteSpec {
-            order,
-            slice,
-            offsets,
+        RouteSpec::new(order, slice, offsets)
+    }
+
+    /// The route that takes `hops` on `slice`, if the n+1-VC state machine
+    /// can carry it: grouped into maximal same-dimension runs, no run
+    /// reverses direction (it could cross its dateline twice), there are at
+    /// most three runs, and no run is as long as its ring. Otherwise the
+    /// reason it cannot.
+    pub fn from_hops(
+        shape: &TorusShape,
+        slice: Slice,
+        hops: &[TorusDir],
+    ) -> Result<RouteSpec, String> {
+        // Each run's direction and length; runs past the third are counted.
+        let mut runs = [(TorusDir::new(Dim::X, Sign::Plus), 0u32); 3];
+        let mut count = 0;
+        let mut last: Option<TorusDir> = None;
+        for &h in hops {
+            match last {
+                Some(l) if l.dim == h.dim => {
+                    if l.sign != h.sign {
+                        return Err(format!("direction reversal within a {} run", h.dim));
+                    }
+                }
+                _ => count += 1,
+            }
+            last = Some(h);
+            if let Some(run) = runs.get_mut(count - 1) {
+                *run = (h, run.1 + 1);
+            }
         }
+        if count > 3 {
+            return Err(format!("{count} dimension runs exceed the 3-run budget"));
+        }
+        let mut spec = RouteSpec {
+            slice,
+            runs: [(Dim::X, 0); 3],
+        };
+        for (i, &(dir, len)) in runs[..count].iter().enumerate() {
+            let k = u32::from(shape.k(dir.dim));
+            if len >= k.max(2) {
+                return Err(format!("{len}-hop run wraps the {}-ring (k={k})", dir.dim));
+            }
+            spec.runs[i] = (dir.dim, len as i8 * dir.sign.delta() as i8);
+        }
+        Ok(spec)
     }
 
     /// The next torus direction the packet must travel, or `None` if all
     /// inter-node routing is complete.
+    #[inline]
     pub fn next_dir(&self) -> Option<TorusDir> {
-        for dim in self.order.dims() {
-            let off = self.offsets[dim.index()];
-            if off != 0 {
-                let sign = if off > 0 { Sign::Plus } else { Sign::Minus };
-                return Some(TorusDir::new(dim, sign));
-            }
-        }
-        None
+        let &(dim, off) = self.runs.iter().find(|r| r.1 != 0)?;
+        let sign = if off > 0 { Sign::Plus } else { Sign::Minus };
+        Some(TorusDir::new(dim, sign))
     }
 
-    /// Records one torus hop in direction `dir`, consuming one offset unit.
-    ///
-    /// Returns `true` if the hop *finished* its dimension (the offset reached
-    /// zero).
+    /// Records one torus hop in direction `dir`, consuming one hop of the
+    /// current run.
     ///
     /// # Panics
     ///
     /// Panics if `dir` is not the direction returned by
     /// [`RouteSpec::next_dir`].
-    pub fn take_hop(&mut self, dir: TorusDir) -> bool {
+    pub fn take_hop(&mut self, dir: TorusDir) {
         assert_eq!(self.next_dir(), Some(dir), "hop taken out of route order");
-        let off = &mut self.offsets[dir.dim.index()];
-        *off -= dir.sign.delta();
-        *off == 0
+        let run = self
+            .runs
+            .iter_mut()
+            .find(|r| r.1 != 0)
+            .expect("a hop remains");
+        run.1 -= dir.sign.delta() as i8;
     }
 
     /// Total remaining inter-node hops.
     pub fn remaining_hops(&self) -> u32 {
-        self.offsets.iter().map(|o| o.unsigned_abs()).sum()
+        self.runs
+            .iter()
+            .map(|r| u32::from(r.1.unsigned_abs()))
+            .sum()
     }
 
     /// The hops this spec takes from `start`, each as the node it leaves and
@@ -204,6 +264,17 @@ impl RouteSpec {
             out.push(d);
         }
         out
+    }
+}
+
+/// The slice and the runs still to travel, e.g. `s1 Y+1 X+2 Y-1`.
+impl fmt::Display for RouteSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.slice)?;
+        for &(dim, off) in self.runs.iter().filter(|r| r.1 != 0) {
+            write!(f, " {dim}{off:+}")?;
+        }
+        Ok(())
     }
 }
 
@@ -276,10 +347,9 @@ mod tests {
         let mut saw_minus = false;
         for _ in 0..64 {
             let spec = RouteSpec::randomized(&shape, src, dst, &mut rng);
-            match spec.offsets[0].signum() {
-                1 => saw_plus = true,
-                -1 => saw_minus = true,
-                _ => panic!("zero offset for distinct nodes"),
+            match spec.next_dir().expect("distinct nodes").sign {
+                Sign::Plus => saw_plus = true,
+                Sign::Minus => saw_minus = true,
             }
         }
         assert!(saw_plus && saw_minus, "tie-break never flipped");
@@ -298,5 +368,51 @@ mod tests {
         );
         // Y hop before the X offset is exhausted.
         spec.take_hop(TorusDir::new(Dim::Y, Sign::Plus));
+    }
+
+    fn hops(dirs: &str) -> Vec<TorusDir> {
+        dirs.split(' ')
+            .map(|h| {
+                let dim = Dim::ALL["XYZ".find(&h[..1]).unwrap()];
+                let sign = if &h[1..] == "+" {
+                    Sign::Plus
+                } else {
+                    Sign::Minus
+                };
+                TorusDir::new(dim, sign)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn from_hops_accepts_a_detour_that_revisits_a_dimension() {
+        let shape = TorusShape::new(4, 4, 1);
+        let detour = hops("Y+ X+ X+ Y-");
+        let spec = RouteSpec::from_hops(&shape, Slice(1), &detour).unwrap();
+        assert_eq!(spec.hops(), detour);
+        assert_eq!(spec.to_string(), "s1 Y+1 X+2 Y-1");
+        let none = RouteSpec::from_hops(&shape, Slice(0), &[]).unwrap();
+        assert_eq!(none.next_dir(), None);
+    }
+
+    #[test]
+    fn from_hops_rejects_a_reversal_inside_a_run() {
+        let err = RouteSpec::from_hops(&TorusShape::cube(4), Slice(0), &hops("X+ X- Y+"));
+        assert_eq!(err.unwrap_err(), "direction reversal within a X run");
+    }
+
+    #[test]
+    fn from_hops_rejects_a_fourth_run() {
+        let err = RouteSpec::from_hops(&TorusShape::cube(4), Slice(0), &hops("X+ Y+ X+ Y+"));
+        assert_eq!(err.unwrap_err(), "4 dimension runs exceed the 3-run budget");
+    }
+
+    #[test]
+    fn from_hops_rejects_a_run_as_long_as_its_ring() {
+        let shape = TorusShape::new(4, 3, 2);
+        let err = RouteSpec::from_hops(&shape, Slice(0), &hops("X+ Y- Y- Y-"));
+        assert_eq!(err.unwrap_err(), "3-hop run wraps the Y-ring (k=3)");
+        // One hop short of the ring is the long way round, and legal.
+        assert!(RouteSpec::from_hops(&shape, Slice(0), &hops("X+ Y- Y-")).is_ok());
     }
 }

@@ -5,9 +5,9 @@
 //! edges those paths produce — the full link-level trace of every pair
 //! (endpoint 0 standing in for the endpoint-independent torus portion), plus
 //! the injection / delivery mesh fans of every other endpoint at each node,
-//! and the node-local endpoint-pair deliveries: each pair a fold of the
-//! route program's chip traversal (`trace::leg`) over the table's hops, each
-//! fan one traversal.
+//! and the node-local endpoint-pair deliveries: each pair the tracer's fold
+//! of the route program's chip traversal (`trace::leg`) over the table's
+//! [`RouteSpec`](crate::routing::RouteSpec), each fan one traversal.
 //!
 //! Every transition here is a complete route (no successor state): the
 //! abstract state space is just an enumeration of the route set.
@@ -15,10 +15,10 @@
 use std::collections::BTreeSet;
 
 use crate::chip::{ChanId, LinkGroup, LocalAttach, LocalEndpointId, LocalLink};
-use crate::config::MachineConfig;
+use crate::config::{GlobalEndpoint, MachineConfig};
 use crate::net::{Arrival, Progress, RouteState, RoutingFunction};
 use crate::route_table::RouteTable;
-use crate::topology::{NodeId, TorusDir};
+use crate::topology::NodeId;
 use crate::trace::{leg, trace_legs, GlobalLink, TraceStep};
 use crate::vc::VcState;
 
@@ -40,27 +40,23 @@ pub struct TableRouting {
     arrivals: Vec<Vec<(ChanId, VcState)>>,
 }
 
-/// The trace of the table path `hops` from endpoint 0 of `src` — delivered
-/// to `final_ep` at its last node, or left in the arrival adapter's buffer
+/// The trace of the table route from endpoint 0 of `src` to `dst` —
+/// delivered to `final_ep` at `dst`, or left in the arrival adapter's buffer
 /// there — and the VC state it ends in.
 fn path_trace(
     cfg: &MachineConfig,
     table: &RouteTable,
     src: NodeId,
-    hops: &[TorusDir],
+    dst: NodeId,
     final_ep: Option<LocalEndpointId>,
 ) -> (Vec<TraceStep>, VcState) {
     let shape = cfg.shape;
-    trace_legs(
-        cfg,
-        shape.coord(src),
-        Some(LocalEndpointId(0)),
-        hops.iter().copied(),
-        table.slice(),
-        final_ep,
-        &mut |c, d| shape.hop_crosses_dateline(c, d),
-        false,
-    )
+    let ep0 = GlobalEndpoint {
+        node: src,
+        ep: LocalEndpointId(0),
+    };
+    let crosses = |c, d| shape.hop_crosses_dateline(c, d);
+    trace_legs(cfg, ep0, &table.route(src, dst), final_ep, &crosses)
 }
 
 impl TableRouting {
@@ -77,13 +73,11 @@ impl TableRouting {
         let nodes = || (0..n as u32).map(NodeId);
         for src in nodes() {
             for dst in nodes() {
-                let Some(hops) = table.path(src, dst) else {
-                    continue;
-                };
+                let hops = table.route(src, dst).hops();
                 let (Some(&first), Some(last)) = (hops.first(), hops.last()) else {
                     continue;
                 };
-                let (_, vc) = path_trace(&cfg, &table, src, &hops, None);
+                let (_, vc) = path_trace(&cfg, &table, src, dst, None);
                 departs[src.0 as usize].insert(ChanId { dir: first, slice });
                 let dir = last.opposite();
                 arrivals[dst.0 as usize].insert((ChanId { dir, slice }, vc));
@@ -148,12 +142,9 @@ impl RoutingFunction for TableRouting {
         let mut out = Vec::new();
         // Every (src, dst) table path, traced end to end.
         for src in 0..n {
-            for dst in 0..n {
-                let (s, d) = (NodeId(src as u32), NodeId(dst as u32));
-                if src != dst && self.table.path(s, d).is_some() {
-                    let state = RouteState(TAG_PATH | ((src as u64) << 2) | ((dst as u64) << 22));
-                    out.push(ep_in(s, LocalEndpointId(0), state));
-                }
+            for dst in (0..n).filter(|&dst| dst != src) {
+                let state = RouteState(TAG_PATH | ((src as u64) << 2) | ((dst as u64) << 22));
+                out.push(ep_in(NodeId(src as u32), LocalEndpointId(0), state));
             }
         }
         // Injection / delivery mesh fans of every other endpoint, plus
@@ -191,11 +182,8 @@ impl RoutingFunction for TableRouting {
         if s & 3 == TAG_PATH {
             let src = NodeId(((s >> 2) & 0xfffff) as u32);
             let dst = NodeId(((s >> 22) & 0xfffff) as u32);
-            let Some(hops) = self.table.path(src, dst) else {
-                return Vec::new();
-            };
             let ep0 = Some(LocalEndpointId(0));
-            let (steps, _) = path_trace(&self.cfg, &self.table, src, &hops, ep0);
+            let (steps, _) = path_trace(&self.cfg, &self.table, src, dst, ep0);
             // steps[0] is the injection buffer — the arrival itself.
             return vec![Progress {
                 steps: steps[1..].to_vec(),

@@ -8,8 +8,8 @@
 //! weights, VC dependency graphs) are computed from it, and the simulator's
 //! incremental route computation is cross-checked against it in tests.
 //!
-//! A trace is a fold of one function, the chip traversal `leg`, over the
-//! route's torus hops; the certifier's routing functions
+//! A trace is a fold of one function, the chip traversal `leg`, over a
+//! [`RouteSpec`]'s torus hops — an oblivious route's or a degraded table's; the certifier's routing functions
 //! ([`dimorder`](crate::dimorder), [`table_routing`](crate::table_routing))
 //! assemble their transitions from the same function, so what is certified
 //! and what is traced are one program driven two ways.
@@ -77,7 +77,13 @@ impl fmt::Display for GlobalLink {
 /// One step of a traced route: the link taken and the VC requested on it.
 pub type TraceStep = (GlobalLink, Vc);
 
-/// Traces the complete link-level route of a unicast packet.
+/// Traces the complete link-level route of a unicast packet: from `src`'s
+/// injection link, along `spec`'s torus hops, to `dst`'s ejection link.
+///
+/// `crosses_dateline` is the dateline rule, normally
+/// [`TorusShape::hop_crosses_dateline`](crate::topology::TorusShape::hop_crosses_dateline);
+/// the static verifier passes a hypothetical one (e.g. datelines disabled)
+/// to re-trace its counterexamples.
 ///
 /// # Panics
 ///
@@ -87,18 +93,9 @@ pub fn trace_unicast(
     src: GlobalEndpoint,
     dst: GlobalEndpoint,
     spec: &RouteSpec,
+    crosses_dateline: &dyn Fn(NodeCoord, TorusDir) -> bool,
 ) -> Vec<TraceStep> {
-    let start = cfg.shape.coord(src.node);
-    let (steps, _) = trace_legs(
-        cfg,
-        start,
-        Some(src.ep),
-        spec.walk(&cfg.shape, start).map(|(_, dir)| dir),
-        spec.slice,
-        Some(dst.ep),
-        &mut |node, dir| cfg.shape.hop_crosses_dateline(node, dir),
-        true,
-    );
+    let (steps, _) = trace_legs(cfg, src, spec, Some(dst.ep), crosses_dateline);
     assert!(
         matches!(steps.last(), Some((GlobalLink::Local { node, .. }, _)) if *node == dst.node),
         "route spec does not reach destination"
@@ -113,169 +110,53 @@ pub fn trace_multicast(
     src: GlobalEndpoint,
     group: &McGroup,
 ) -> Vec<Vec<TraceStep>> {
-    let src_node = cfg.shape.coord(src.node);
+    let shape = cfg.shape;
+    let crosses = |n, d| shape.hop_crosses_dateline(n, d);
     let mut out = Vec::new();
     for tree in &group.trees {
-        assert_eq!(tree.src, src_node, "multicast tree rooted elsewhere");
-        let walk = tree.traverse(&cfg.shape);
+        assert_eq!(
+            tree.src,
+            shape.coord(src.node),
+            "multicast tree rooted elsewhere"
+        );
+        let walk = tree.traverse(&shape);
         for (leaf, hops) in &walk.paths {
-            let entry = tree.entry(cfg.shape.id(*leaf)).expect("leaf has an entry");
+            let entry = tree.entry(shape.id(*leaf)).expect("leaf has an entry");
+            let spec = RouteSpec::from_hops(&shape, tree.slice, hops)
+                .expect("a tree path is a dimension-order route");
             for ep in &entry.local {
-                out.push(trace_hops(
-                    cfg,
-                    src_node,
-                    Some(src.ep),
-                    hops,
-                    tree.slice,
-                    Some(*ep),
-                ));
+                out.push(trace_legs(cfg, src, &spec, Some(*ep), &crosses).0);
             }
         }
     }
     out
 }
 
-/// Replays an explicit torus-hop sequence through the machine, producing the
-/// full link-level trace.
-///
-/// * `src_ep`: if `Some`, the trace starts with the endpoint's injection
-///   link; otherwise it starts at the first hop's departure router (used for
-///   mid-route segments).
-/// * `final_ep`: if `Some`, the trace ends with ejection to that endpoint at
-///   the last node.
-///
-/// The hop sequence must be a valid dimension-order route: hops of the same
-/// dimension must be contiguous and share a direction, and each dimension
-/// must appear at most once.
-///
-/// # Panics
-///
-/// Panics if the hop sequence violates dimension-order routing, since the
-/// VC-promotion state machine is only defined for such routes.
-pub fn trace_hops(
-    cfg: &MachineConfig,
-    start: NodeCoord,
-    src_ep: Option<LocalEndpointId>,
-    hops: &[TorusDir],
-    slice: Slice,
-    final_ep: Option<LocalEndpointId>,
-) -> Vec<TraceStep> {
-    trace_hops_with(
-        cfg,
-        start,
-        src_ep,
-        hops,
-        slice,
-        final_ep,
-        &mut |node, dir| cfg.shape.hop_crosses_dateline(node, dir),
-    )
-}
-
-/// [`trace_hops`] with the dateline-crossing rule supplied by the caller.
-///
-/// The static verifier uses this to trace routes under hypothetical crossing
-/// rules (e.g. datelines disabled) without re-implementing the tracer; all
-/// other semantics are identical to [`trace_hops`].
-pub fn trace_hops_with(
-    cfg: &MachineConfig,
-    start: NodeCoord,
-    src_ep: Option<LocalEndpointId>,
-    hops: &[TorusDir],
-    slice: Slice,
-    final_ep: Option<LocalEndpointId>,
-    crosses_dateline: &mut dyn FnMut(NodeCoord, TorusDir) -> bool,
-) -> Vec<TraceStep> {
-    let hops = hops.iter().copied();
-    trace_legs(
-        cfg,
-        start,
-        src_ep,
-        hops,
-        slice,
-        final_ep,
-        crosses_dateline,
-        true,
-    )
-    .0
-}
-
-/// [`trace_hops_with`] for *run-ordered* hop sequences as produced by
-/// degraded route tables: hops are grouped into maximal single-direction
-/// runs, but a dimension may be revisited in a later run (a BFS detour
-/// around a severed ring, e.g. `+Y +X +X -Y`). The VC-promotion state
-/// machine handles this — [`VcState::turn`] makes each run its own phase and
-/// the `m_i = i` invariant holds per *run* — as long as the total run count
-/// stays within the promotion budget
-/// ([`crate::route_table::RouteTable::validate`] enforces it), so only the
-/// dimension-revisit restriction is relaxed here.
-pub fn trace_table_hops(
-    cfg: &MachineConfig,
-    start: NodeCoord,
-    src_ep: Option<LocalEndpointId>,
-    hops: &[TorusDir],
-    slice: Slice,
-    final_ep: Option<LocalEndpointId>,
-    crosses_dateline: &mut dyn FnMut(NodeCoord, TorusDir) -> bool,
-) -> Vec<TraceStep> {
-    let hops = hops.iter().copied();
-    trace_legs(
-        cfg,
-        start,
-        src_ep,
-        hops,
-        slice,
-        final_ep,
-        crosses_dateline,
-        false,
-    )
-    .0
-}
-
 /// A route as a fold of [`leg`]s over its torus hops: one chip traversal per
-/// hop, from the buffer the last one ended in, and a delivering one at the
-/// end. Returns the steps and the VC state past the last of them.
-#[allow(clippy::too_many_arguments)]
+/// hop, from the buffer the last one ended in, and a delivering one to
+/// `final_ep` at the end — or none, leaving the packet in the last arrival
+/// adapter's buffer. Returns the steps and the VC state past the last of
+/// them.
 pub(crate) fn trace_legs(
     cfg: &MachineConfig,
-    start: NodeCoord,
-    src_ep: Option<LocalEndpointId>,
-    hops: impl Iterator<Item = TorusDir>,
-    slice: Slice,
+    src: GlobalEndpoint,
+    spec: &RouteSpec,
     final_ep: Option<LocalEndpointId>,
-    crosses_dateline: &mut dyn FnMut(NodeCoord, TorusDir) -> bool,
-    strict_dim_order: bool,
+    crosses_dateline: &dyn Fn(NodeCoord, TorusDir) -> bool,
 ) -> (Vec<TraceStep>, VcState) {
-    let mut hops = hops.peekable();
     // Room for the two chip traversals at the ends and a few hops: most
     // routes never regrow it.
     let mut steps = Vec::with_capacity(32);
     let mut vc = cfg.vc_policy.start();
-    let mut node = start;
-    let mut entry = match src_ep {
-        Some(ep) => {
-            let link = LocalLink::EpToRouter(ep);
-            let node = cfg.shape.id(node);
-            steps.push((GlobalLink::Local { node, link }, vc.vc_for(LinkGroup::M)));
-            link
-        }
-        // Mid-route segment: the packet stands at the router of the first
-        // hop's departure adapter, having arrived from nowhere.
-        None => LocalLink::RouterToChan(ChanId {
-            dir: *hops.peek().expect("segment trace needs at least one hop"),
-            slice,
-        }),
+    let mut node = cfg.shape.coord(src.node);
+    let mut entry = LocalLink::EpToRouter(src.ep);
+    let inject = GlobalLink::Local {
+        node: src.node,
+        link: entry,
     };
-    let mut routed = 0u8;
-    for dir in hops {
-        let continues = matches!(entry, LocalLink::ChanToRouter(c) if c.dir.dim == dir.dim);
-        if strict_dim_order && !continues {
-            assert!(
-                routed & (1 << dir.dim.index()) == 0,
-                "dimension {} revisited — not a dimension-order route",
-                dir.dim
-            );
-            routed |= 1 << dir.dim.index();
-        }
+    steps.push((inject, vc.vc_for(LinkGroup::M)));
+    let slice = spec.slice;
+    for (_, dir) in spec.walk(&cfg.shape, node) {
         let exit = LocalAttach::Chan(ChanId { dir, slice });
         let crosses = crosses_dateline(node, dir);
         node = leg(cfg, node, entry, exit, crosses, &mut vc, &mut steps);
@@ -374,6 +255,18 @@ mod tests {
         MachineConfig::new(TorusShape::cube(k))
     }
 
+    /// A unicast trace under the machine's datelines.
+    fn trace(
+        cfg: &MachineConfig,
+        src: GlobalEndpoint,
+        dst: GlobalEndpoint,
+        spec: &RouteSpec,
+    ) -> Vec<TraceStep> {
+        trace_unicast(cfg, src, dst, spec, &|n, d| {
+            cfg.shape.hop_crosses_dateline(n, d)
+        })
+    }
+
     fn ep(cfg: &MachineConfig, node: NodeCoord, e: u8) -> GlobalEndpoint {
         GlobalEndpoint {
             node: cfg.shape.id(node),
@@ -393,7 +286,7 @@ mod tests {
             DimOrder::XYZ,
             Slice(1),
         );
-        let steps = trace_unicast(&cfg, src, dst, &spec);
+        let steps = trace(&cfg, src, dst, &spec);
         let skips = steps
             .iter()
             .filter(|(l, _)| {
@@ -424,7 +317,7 @@ mod tests {
             DimOrder::XYZ,
             Slice(0),
         );
-        let steps = trace_unicast(&cfg, src, dst, &spec);
+        let steps = trace(&cfg, src, dst, &spec);
         let mid = cfg.shape.id(NodeCoord::new(0, 1, 0));
         let mesh_at_mid = steps
             .iter()
@@ -445,8 +338,7 @@ mod tests {
                     for order in DimOrder::ALL {
                         let spec =
                             RouteSpec::deterministic(&cfg.shape, src_n, dst_n, order, Slice(0));
-                        let steps =
-                            trace_unicast(&cfg, ep(&cfg, src_n, 0), ep(&cfg, dst_n, 5), &spec);
+                        let steps = trace(&cfg, ep(&cfg, src_n, 0), ep(&cfg, dst_n, 5), &spec);
                         for (link, vc) in steps {
                             let budget = policy.num_vcs(link.group());
                             assert!(
@@ -472,7 +364,7 @@ mod tests {
             DimOrder::XYZ,
             Slice(0),
         );
-        let steps = trace_unicast(&cfg, src, dst, &spec);
+        let steps = trace(&cfg, src, dst, &spec);
         // Phases: M (inject + mesh), then T/M alternation, ending in M.
         let groups: Vec<LinkGroup> = steps.iter().map(|(l, _)| l.group()).collect();
         assert_eq!(*groups.first().unwrap(), LinkGroup::M);
@@ -491,7 +383,7 @@ mod tests {
     fn intra_node_route_stays_on_vc0_mesh() {
         let cfg = cfg(4);
         let n = NodeCoord::new(2, 2, 2);
-        let steps = trace_unicast(
+        let steps = trace(
             &cfg,
             ep(&cfg, n, 0),
             ep(&cfg, n, 15),
@@ -509,8 +401,8 @@ mod tests {
         let src_n = NodeCoord::new(3, 0, 0);
         let dst_n = NodeCoord::new(1, 0, 0); // +X route crossing 3 -> 0
         let spec = RouteSpec::deterministic(&cfg.shape, src_n, dst_n, DimOrder::XYZ, Slice(0));
-        assert_eq!(spec.offsets[0], 2);
-        let steps = trace_unicast(&cfg, ep(&cfg, src_n, 0), ep(&cfg, dst_n, 0), &spec);
+        assert_eq!(spec.hops(), [TorusDir::new(Dim::X, Sign::Plus); 2]);
+        let steps = trace(&cfg, ep(&cfg, src_n, 0), ep(&cfg, dst_n, 0), &spec);
         let torus_vcs: Vec<Vc> = steps
             .iter()
             .filter(|(l, _)| matches!(l, GlobalLink::Torus { .. }))
@@ -528,21 +420,5 @@ mod tests {
             }
         ));
         assert_eq!(*vc, Vc(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "revisited")]
-    fn non_dimension_order_hops_rejected() {
-        let cfg = cfg(4);
-        let x = TorusDir::new(Dim::X, Sign::Plus);
-        let y = TorusDir::new(Dim::Y, Sign::Plus);
-        trace_hops(
-            &cfg,
-            NodeCoord::new(0, 0, 0),
-            Some(LocalEndpointId(0)),
-            &[x, y, x],
-            Slice(0),
-            None,
-        );
     }
 }

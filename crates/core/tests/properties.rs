@@ -69,7 +69,7 @@ proptest! {
         );
         let src = GlobalEndpoint { node: shape.id(src_n), ep: LocalEndpointId(src_ep) };
         let dst = GlobalEndpoint { node: shape.id(dst_n), ep: LocalEndpointId(dst_ep) };
-        let steps = trace_unicast(&cfg, src, dst, &spec);
+        let steps = trace_unicast(&cfg, src, dst, &spec, &|n, d| cfg.shape.hop_crosses_dateline(n, d));
         prop_assert!(!steps.is_empty());
         let starts_at_ep = matches!(
             steps.first().unwrap().0,
@@ -188,7 +188,9 @@ fn route_diversity_matches_order_slice_product() {
     for order in DimOrder::ALL {
         for slice in Slice::ALL {
             let spec = RouteSpec::deterministic(&cfg.shape, src_n, dst_n, order, slice);
-            routes.insert(trace_unicast(&cfg, src, dst, &spec));
+            routes.insert(trace_unicast(&cfg, src, dst, &spec, &|n, d| {
+                cfg.shape.hop_crosses_dateline(n, d)
+            }));
         }
     }
     assert_eq!(

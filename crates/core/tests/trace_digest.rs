@@ -7,7 +7,9 @@
 //! `VcState::turn` does not end the dimension at a delivery, and when
 //! `ChipLayout::next_attach` takes the skip channel for any X-bound traffic
 //! at the partner router rather than only for traffic passing through in X
-//! (the unicast, table and multicast digests all move under either).
+//! (the unicast, table and multicast digests all move under either). The
+//! BFS-table digest was taken at `de98c27`, the last commit whose tables
+//! were next-hop bytes walked by a tracer of bare hop lists.
 
 use anton_core::chip::{ChanId, LocalEndpointId, LocalLink};
 use anton_core::config::{GlobalEndpoint, MachineConfig};
@@ -15,7 +17,7 @@ use anton_core::multicast::{DestSet, McGroup, McGroupId};
 use anton_core::route_table::{build_route_table, DownLinkSet};
 use anton_core::routing::{DimOrder, RouteSpec};
 use anton_core::topology::{Dim, NodeCoord, Sign, Slice, TorusDir, TorusShape};
-use anton_core::trace::{trace_multicast, trace_table_hops, trace_unicast, GlobalLink, TraceStep};
+use anton_core::trace::{trace_multicast, trace_unicast, GlobalLink, TraceStep};
 use anton_core::vc::VcPolicy;
 
 /// The dense index a step's link was hashed by: the per-node slot
@@ -78,6 +80,18 @@ impl Fnv {
     }
 }
 
+/// A unicast trace under the machine's datelines.
+fn trace(
+    cfg: &MachineConfig,
+    src: GlobalEndpoint,
+    dst: GlobalEndpoint,
+    spec: &RouteSpec,
+) -> Vec<TraceStep> {
+    trace_unicast(cfg, src, dst, spec, &|n, d| {
+        cfg.shape.hop_crosses_dateline(n, d)
+    })
+}
+
 fn check(name: &str, got: (u64, u64), expected: (u64, u64)) {
     assert_eq!(
         got, expected,
@@ -99,11 +113,7 @@ fn unicast_digest(cfg: &MachineConfig) -> (u64, u64) {
                     for &x in &choices[0] {
                         for &y in &choices[1] {
                             for &z in &choices[2] {
-                                let spec = RouteSpec {
-                                    order,
-                                    slice,
-                                    offsets: [x, y, z],
-                                };
+                                let spec = RouteSpec::new(order, slice, [x, y, z]);
                                 for se in [0, 5, 15] {
                                     for de in [0, 10, 15] {
                                         let s = GlobalEndpoint {
@@ -114,7 +124,7 @@ fn unicast_digest(cfg: &MachineConfig) -> (u64, u64) {
                                             node: shape.id(dst),
                                             ep: LocalEndpointId(de),
                                         };
-                                        h.trace(&trace_unicast(cfg, s, d, &spec));
+                                        h.trace(&trace(cfg, s, d, &spec));
                                     }
                                 }
                             }
@@ -144,14 +154,35 @@ fn unicast_traces_are_pinned() {
     );
 }
 
-/// Every path of both degraded tables of a 4×4×4 machine whose Z− link of
-/// slice 0 at (0, 2, 3) is down, run-ordered (detours revisit a dimension),
-/// between endpoints 0 → 0 and 5 → 10.
+/// Every route of both degraded tables of `cfg` with `downs` down, between
+/// endpoints 0 → 0 and 5 → 10 of every node pair.
+fn table_digest(cfg: &MachineConfig, downs: &DownLinkSet) -> (u64, u64) {
+    let shape = cfg.shape;
+    let mut h = Fnv::new();
+    for slice in Slice::ALL {
+        let table = build_route_table(&shape, slice, downs).expect("the down set reroutes");
+        for src in shape.nodes() {
+            for dst in shape.nodes() {
+                let spec = table.route(shape.id(src), shape.id(dst));
+                for (se, de) in [(0, 0), (5, 10)] {
+                    let at = |node, ep| GlobalEndpoint {
+                        node: shape.id(node),
+                        ep: LocalEndpointId(ep),
+                    };
+                    h.trace(&trace(cfg, at(src, se), at(dst, de), &spec));
+                }
+            }
+        }
+    }
+    (h.hash, h.traces)
+}
+
+/// Both direction-ordered tables of a 4×4×4 machine whose Z− link of slice
+/// 0 at (0, 2, 3) is down: long-way arcs through the dateline.
 #[test]
 fn table_traces_are_pinned() {
     let cfg = MachineConfig::new(TorusShape::cube(4));
     let shape = cfg.shape;
-    let mut h = Fnv::new();
     let mut downs = DownLinkSet::empty(shape);
     downs.insert(
         shape.id(NodeCoord::new(0, 2, 3)),
@@ -160,31 +191,35 @@ fn table_traces_are_pinned() {
             slice: Slice(0),
         },
     );
-    for slice in Slice::ALL {
-        let table = build_route_table(&shape, slice, &downs).expect("one down link reroutes");
-        for src in shape.nodes() {
-            for dst in shape.nodes() {
-                let Some(hops) = table.path(shape.id(src), shape.id(dst)) else {
-                    continue;
-                };
-                for (se, de) in [(0, 0), (5, 10)] {
-                    h.trace(&trace_table_hops(
-                        &cfg,
-                        src,
-                        Some(LocalEndpointId(se)),
-                        &hops,
-                        slice,
-                        Some(LocalEndpointId(de)),
-                        &mut |n, d| shape.hop_crosses_dateline(n, d),
-                    ));
-                }
-            }
-        }
-    }
     check(
         "tables",
-        (h.hash, h.traces),
+        table_digest(&cfg, &downs),
         (0x35ec_c8aa_6d72_d337, 16_384),
+    );
+}
+
+/// Both tables of a 4×4×1 machine whose y = 0 X-ring is severed in both
+/// rotations for (0, 0) → (2, 0): slice 0 falls back to BFS detours that
+/// revisit a dimension (`+Y +X +X −Y`).
+#[test]
+fn bfs_table_traces_are_pinned() {
+    let cfg = MachineConfig::new(TorusShape::new(4, 4, 1));
+    let shape = cfg.shape;
+    let x = |sign| ChanId {
+        dir: TorusDir::new(Dim::X, sign),
+        slice: Slice(0),
+    };
+    let downs = DownLinkSet::from_links(
+        shape,
+        [
+            (shape.id(NodeCoord::new(1, 0, 0)), x(Sign::Plus)),
+            (shape.id(NodeCoord::new(3, 0, 0)), x(Sign::Minus)),
+        ],
+    );
+    check(
+        "bfs tables",
+        table_digest(&cfg, &downs),
+        (0x674e_921e_75be_4b54, 1_024),
     );
 }
 

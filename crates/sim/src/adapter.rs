@@ -21,8 +21,8 @@ use crate::state::{PacketId, RouteProgress};
 use crate::wire::BufEntry;
 
 /// Gate-record marker of a head an adapter has classified (adapters own the
-/// route-cache slots of the wires they consume): a unicast or table-routed
-/// packet, with the VC index on the adapter's output wire alongside.
+/// route-cache slots of the wires they consume): a unicast packet, with the
+/// VC index on the adapter's output wire alongside.
 const RC_UNICAST: u8 = 0xFE;
 /// Gate-record marker of a multicast copy arriving to be replicated.
 const RC_MULTICAST: u8 = 0xFD;
@@ -53,9 +53,6 @@ struct ChanState {
     /// Whether the outgoing torus hop crosses its dimension's dateline — a
     /// static property of the link (Section 2.5).
     crosses_dateline: bool,
-    /// The node at the far end of the outgoing torus link: where a
-    /// table-routed packet stands once the serializer has sent it.
-    next_node: NodeId,
     /// Multicast copies awaiting on-chip injection: one arrival's fan-out
     /// at a time (nothing else is taken off the torus wire while it
     /// drains), so the queue is bounded by the largest table entry.
@@ -102,7 +99,6 @@ impl Adapters {
             tokens: i64::from(TORUS_TOKEN_COST),
             tokens_at: 0,
             crosses_dateline: shape.hop_crosses_dateline(coord, chan.dir),
-            next_node: shape.id(shape.neighbor(coord, chan.dir)),
             repl: VecDeque::new(),
             out_arbiter: BitsetArbiter::round_robin(torus_lanes),
             rr_vc_in: 0,
@@ -223,7 +219,7 @@ impl ChanState {
             let (kind, cvcidx) = if m.rc_port == 0xFF {
                 let st = fab.packets.get(fab.wires.head(wire_id, v).pkt);
                 let (kind, cvcidx) = match st.route {
-                    RouteProgress::Unicast { .. } | RouteProgress::Table { .. } => {
+                    RouteProgress::Unicast { .. } => {
                         let vc = st.vc.vc_for(LinkGroup::T);
                         let cvcidx = fab.wires.vc_index(to_router, st.packet.class, vc);
                         (RC_UNICAST, cvcidx)
@@ -357,12 +353,8 @@ impl ChanState {
         let to_tvc = st.vc.torus_hop(crosses).0;
         st.torus_hops += 1;
         st.arrived_via = Some(dir);
-        match &mut st.route {
-            RouteProgress::Unicast { spec, .. } => {
-                spec.take_hop(dir);
-            }
-            RouteProgress::Table { cur, .. } => *cur = self.next_node,
-            _ => {}
+        if let RouteProgress::Unicast { spec, .. } = &mut st.route {
+            spec.take_hop(dir);
         }
         if crosses && from_tvc != to_tvc {
             let kind = TraceEventKind::VcPromotion {
@@ -409,14 +401,14 @@ impl ChanState {
 
 /// Stages the node-entry VC transitions of an arriving unicast packet: if
 /// its dimension finished ([`VcState::turn`](anton_core::vc::VcState::turn):
-/// the next hop, or ejection, departs from the arriving dimension — for a
-/// spec-routed packet the same as its offset in that dimension reaching
-/// zero), the promoted state applies after the entry link.
+/// the next hop, or ejection, departs from the arriving dimension — the
+/// same as its spec's run reaching zero), the promoted state applies after
+/// the entry link.
 fn stage_unicast_arrival(fab: &mut Fabric, pid: PacketId) {
     let st = fab.packets.get(pid);
     debug_assert!(st.arrived_via.is_some(), "staged outside a torus arrival");
     let mut promoted = st.vc;
-    promoted.turn(st.arrived_via, fab.next_hop(&st.route));
+    promoted.turn(st.arrived_via, st.route.next_hop());
     if promoted != st.vc {
         fab.packets.get_mut(pid).pending_vc = Some(promoted);
     }

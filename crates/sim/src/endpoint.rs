@@ -236,25 +236,23 @@ impl Endpoints {
                 }
                 let shape = &ctx.cfg.shape;
                 let (here, there) = (shape.coord(node), shape.coord(dst.node));
-                let (route, injected_at, torus_hops, fresh) = match cmd {
-                    InjectCmd::WithSpec(_, spec, _) => {
-                        (RouteProgress::Unicast { spec, dst }, now, 0, true)
-                    }
+                let ((spec, on_table), injected_at, torus_hops, fresh) = match cmd {
+                    InjectCmd::WithSpec(_, spec, _) => ((spec, false), now, 0, true),
                     InjectCmd::Auto(..) => {
                         let spec = RouteSpec::randomized(shape, here, there, &mut ep.rng);
-                        let route = fab.unicast_route(shape, node, spec, dst, false);
+                        let route = fab.unicast_route(shape, node, spec, dst.node, false);
                         (route, now, 0, true)
                     }
                     InjectCmd::Reroute(r) => {
                         let spec =
                             RouteSpec::deterministic(shape, here, there, DimOrder::XYZ, r.slice);
-                        let route = fab.unicast_route(shape, node, spec, dst, true);
+                        let route = fab.unicast_route(shape, node, spec, dst.node, true);
                         (route, r.injected_at, r.torus_hops, false)
                     }
                 };
-                let on_table = matches!(route, RouteProgress::Table { .. });
+                let route = RouteProgress::Unicast { spec, dst };
                 let mut vc = ctx.cfg.vc_policy.start();
-                vc.turn(None, fab.next_hop(&route));
+                vc.turn(None, route.next_hop());
                 let pid = fab.packets.insert(PacketState {
                     torus_hops,
                     queued_at: cmd.queued_at(),

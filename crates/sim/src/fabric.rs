@@ -15,8 +15,8 @@
 //! compiler, which keeps it one out-of-line body every layer shares.
 
 use anton_arbiter::GrantSite;
-use anton_core::chip::{ChanId, LinkGroup, LocalAttach, NUM_CHAN_ADAPTERS};
-use anton_core::config::{GlobalEndpoint, MachineConfig};
+use anton_core::chip::{ChanId, LinkGroup, NUM_CHAN_ADAPTERS};
+use anton_core::config::MachineConfig;
 use anton_core::multicast::{McEntry, McGroup, McGroupId};
 use anton_core::packet::{Destination, Packet};
 use anton_core::route_table::{DownLinkSet, RouteTable};
@@ -156,7 +156,7 @@ struct DegradedEpoch {
     downs: DownLinkSet,
     /// Installed table set while this epoch is current (`None` when no
     /// links are down: healthy randomized spec routing applies).
-    set: Option<u8>,
+    set: Option<usize>,
 }
 
 /// Runtime state of fault-aware degraded routing, built at construction
@@ -168,9 +168,7 @@ struct DegradedEpoch {
 #[derive(Debug)]
 pub(crate) struct DegradedState {
     /// Unique certified table sets (one [`RouteTable`] per slice, in slice
-    /// order); epochs with identical down-link sets share a set. Never
-    /// written after construction, so a table packet's chip target is as
-    /// stable as a spec-routed packet's.
+    /// order); epochs with identical down-link sets share a set.
     table_sets: Vec<Vec<RouteTable>>,
     /// Epochs in ascending `start` order; `epochs[0].start == 0`.
     epochs: Vec<DegradedEpoch>,
@@ -255,8 +253,7 @@ impl DegradedState {
                         table_sets.len() - 1
                     }
                 };
-                assert!(idx <= usize::from(u8::MAX), "too many distinct down sets");
-                Some(idx as u8)
+                Some(idx)
             };
             epochs.push(DegradedEpoch {
                 start: b,
@@ -505,13 +502,11 @@ impl Fabric {
         let st = self.packets.get(pid);
         // Stamp the chip-traversal route context while the slab line is
         // hot: the target adapter is fixed until the packet leaves the
-        // chip (a table packet's too: its set is pinned at injection, the
-        // installed sets never change and `cur` moves only at a torus
-        // departure), the VC state changes only at adapters (a staged
-        // pending promotion applies the instant this send completes, so
-        // stamp the promoted state), and the arrival dimension is set once
-        // at torus arrival.
-        let code = self.chip_target(pid).code();
+        // chip (its spec advances only at a torus departure), the VC state
+        // changes only at adapters (a staged pending promotion applies the
+        // instant this send completes, so stamp the promoted state), and
+        // the arrival dimension is set once at torus arrival.
+        let code = st.route.chip_target().code();
         debug_assert!(code < 0xFF, "attach code overflows stamp");
         let vcs = st.pending_vc.unwrap_or(st.vc);
         BufEntry {
@@ -680,73 +675,32 @@ impl Fabric {
         self.degraded.as_deref().map(|dg| &dg.epochs[dg.cur])
     }
 
-    /// Next torus hop of a packet on `route`: a unicast packet's by its spec
-    /// or its table (`None` at its destination node), a multicast copy's as
-    /// its tree fixed it.
-    pub(crate) fn next_hop(&self, route: &RouteProgress) -> Option<TorusDir> {
-        match *route {
-            RouteProgress::Unicast { spec, .. } => spec.next_dir(),
-            RouteProgress::Table {
-                set,
-                slice,
-                cur,
-                dst,
-            } => {
-                let dg = self.degraded.as_ref();
-                let dg = dg.expect("table packets exist only with degraded state installed");
-                dg.table_sets[set as usize][slice.0 as usize].next_hop(cur, dst.node)
-            }
-            RouteProgress::McExit { dir, .. } => Some(dir),
-            RouteProgress::McDeliver { .. } => None,
-        }
-    }
-
-    /// The on-chip target (adapter) of a packet at its current node: the
-    /// departure adapter of its next hop, or its endpoint.
-    pub(crate) fn chip_target(&self, pid: PacketId) -> LocalAttach {
-        let route = &self.packets.get(pid).route;
-        let (slice, ep) = match *route {
-            RouteProgress::Unicast { spec, dst } => (spec.slice, dst.ep),
-            RouteProgress::Table { slice, dst, .. } => (slice, dst.ep),
-            RouteProgress::McExit { dir, slice, .. } => {
-                return LocalAttach::Chan(ChanId { dir, slice })
-            }
-            RouteProgress::McDeliver { ep, .. } => return LocalAttach::Endpoint(ep),
-        };
-        match self.next_hop(route) {
-            Some(dir) => LocalAttach::Chan(ChanId { dir, slice }),
-            None => LocalAttach::Endpoint(ep),
-        }
-    }
-
-    /// Route of a unicast packet entering the network at `node` with the
-    /// oblivious route `spec`: the spec on a healthy network; the current
-    /// epoch's certified table when one is installed and the spec would
-    /// traverse a link that is down right now — or whatever the spec, for
-    /// a packet re-entering off a failed link (`reentry`). Re-entering in
-    /// a healthy epoch (every outage cleared while the packet waited in the
-    /// re-injection queue) it keeps its spec: every link it needs is up.
+    /// The route spec of a unicast packet entering the network at `node`
+    /// for `dst` with the oblivious route `spec`, and whether it was steered
+    /// onto the degraded tables: the spec on a healthy network; the current
+    /// epoch's certified table route when one is installed and the spec
+    /// would traverse a link that is down right now — or whatever the spec,
+    /// for a packet re-entering off a failed link (`reentry`). Re-entering
+    /// in a healthy epoch (every outage cleared while the packet waited in
+    /// the re-injection queue) it keeps its spec: every link it needs is up.
     pub(crate) fn unicast_route(
         &self,
         shape: &TorusShape,
         node: NodeId,
         spec: RouteSpec,
-        dst: GlobalEndpoint,
+        dst: NodeId,
         reentry: bool,
-    ) -> RouteProgress {
-        match self.epoch() {
-            Some(&DegradedEpoch {
-                set: Some(set),
-                ref downs,
-                ..
-            }) if reentry || spec_hits_down(shape, node, &spec, downs) => RouteProgress::Table {
-                set,
-                slice: spec.slice,
-                cur: node,
-                dst,
-            },
-            _ => RouteProgress::Unicast { spec, dst },
+    ) -> (RouteSpec, bool) {
+        if let Some(dg) = self.degraded.as_deref() {
+            let epoch = &dg.epochs[dg.cur];
+            if let Some(set) = epoch.set {
+                if reentry || spec_hits_down(shape, node, &spec, &epoch.downs) {
+                    let table = &dg.table_sets[set][usize::from(spec.slice.0)];
+                    return (table.route(node, dst), true);
+                }
+            }
         }
+        (spec, false)
     }
 
     /// Whether the torus link leaving `node` through `chan` is down in the
@@ -761,10 +715,8 @@ impl Fabric {
     /// re-injection over the degraded tables.
     pub(crate) fn reroute(&mut self, node: NodeId, pid: PacketId) {
         let st = self.packets.remove(pid);
-        let slice = match st.route {
-            RouteProgress::Unicast { spec, .. } => spec.slice,
-            RouteProgress::Table { slice, .. } => slice,
-            _ => unreachable!("only unicast traffic reroutes"),
+        let RouteProgress::Unicast { spec, .. } = st.route else {
+            unreachable!("only unicast traffic reroutes")
         };
         self.stats.rerouted_packets += 1;
         // A packet drained out of a torn-down link layer is movement too.
@@ -772,7 +724,7 @@ impl Fabric {
         self.reroutes.push(Reroute {
             node,
             packet: st.packet,
-            slice,
+            slice: spec.slice,
             injected_at: st.injected_at,
             queued_at: st.queued_at,
             torus_hops: st.torus_hops,

@@ -212,7 +212,7 @@ impl Routers {
         #[cfg(debug_assertions)]
         {
             let st = fab.packets.get(e.pkt);
-            let code = fab.chip_target(e.pkt).code() as u8;
+            let code = st.route.chip_target().code() as u8;
             let meta = crate::fabric::stamp_meta(st.packet.class, st.vc, st.arrived_via);
             assert_eq!(
                 (out_port, out_vc),

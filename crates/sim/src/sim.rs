@@ -1424,17 +1424,8 @@ impl Sim {
                 let st = fab.packets.get(entry.pkt);
                 let route = match st.route {
                     RouteProgress::Unicast { spec, dst } => format!(
-                        "unicast to n{}:e{}, remaining offsets {:?}",
-                        dst.node.0, dst.ep.0, spec.offsets
-                    ),
-                    RouteProgress::Table {
-                        set,
-                        slice,
-                        cur,
-                        dst,
-                    } => format!(
-                        "table-routed (set {set}) to n{}:e{}, at n{} slice {}",
-                        dst.node.0, dst.ep.0, cur.0, slice.0
+                        "unicast to n{}:e{}, remaining route {spec}",
+                        dst.node.0, dst.ep.0
                     ),
                     RouteProgress::McExit { dir, slice, .. } => {
                         format!("multicast exit {:?} slice {}", dir, slice.0)

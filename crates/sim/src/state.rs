@@ -1,11 +1,11 @@
 //! Per-packet simulation state and the packet slab.
 
-use anton_core::chip::LocalEndpointId;
+use anton_core::chip::{ChanId, LocalAttach, LocalEndpointId};
 use anton_core::config::GlobalEndpoint;
 use anton_core::multicast::McGroupId;
 use anton_core::packet::Packet;
 use anton_core::routing::RouteSpec;
-use anton_core::topology::{NodeId, Slice, TorusDir};
+use anton_core::topology::{Slice, TorusDir};
 use anton_core::trace::GlobalLink;
 use anton_core::vc::{Vc, VcState};
 
@@ -16,26 +16,12 @@ pub struct PacketId(pub u32);
 /// Where an in-flight packet (or multicast copy) is headed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RouteProgress {
-    /// A unicast packet following its route spec to `dst`.
+    /// A unicast packet following its route spec to `dst`: its oblivious
+    /// route, or the route of the degradation epoch's certified table it
+    /// was steered onto at (re)injection.
     Unicast {
         /// Remaining inter-node route.
         spec: RouteSpec,
-        /// Final destination endpoint.
-        dst: GlobalEndpoint,
-    },
-    /// A unicast packet following an installed degraded route table —
-    /// per-node next-hop lookup instead of a precomputed spec. The packet
-    /// is pinned to the table set of the degradation epoch that (re)injected
-    /// it; the install gate certifies the union of every epoch's tables, so
-    /// mixed-set traffic in flight together stays deadlock-free.
-    Table {
-        /// Index into the simulator's installed table sets.
-        set: u8,
-        /// Slice whose table routes this packet.
-        slice: Slice,
-        /// Node the packet currently sits at (advanced at the serializer,
-        /// like a spec's `take_hop`).
-        cur: NodeId,
         /// Final destination endpoint.
         dst: GlobalEndpoint,
     },
@@ -61,15 +47,39 @@ pub enum RouteProgress {
 }
 
 impl RouteProgress {
-    /// Whether this is a unicast packet's route, by spec or by table. Only
-    /// unicast traffic can leave a failed link for the certified degraded
-    /// tables; a multicast copy has no table to follow and waits the outage
-    /// out where it is.
+    /// Whether this is a unicast packet's route. Only unicast traffic can
+    /// leave a failed link for the certified degraded tables; a multicast
+    /// copy has no table to follow and waits the outage out where it is.
     pub fn is_unicast(&self) -> bool {
-        matches!(
-            self,
-            RouteProgress::Unicast { .. } | RouteProgress::Table { .. }
-        )
+        matches!(self, RouteProgress::Unicast { .. })
+    }
+
+    /// Next torus hop: a unicast packet's by its spec (`None` at its
+    /// destination node), a multicast copy's as its tree fixed it.
+    #[inline]
+    pub fn next_hop(&self) -> Option<TorusDir> {
+        match *self {
+            RouteProgress::Unicast { spec, .. } => spec.next_dir(),
+            RouteProgress::McExit { dir, .. } => Some(dir),
+            RouteProgress::McDeliver { .. } => None,
+        }
+    }
+
+    /// The on-chip target (adapter) at the packet's current node: the
+    /// departure adapter of its next hop, or its endpoint.
+    #[inline]
+    pub fn chip_target(&self) -> LocalAttach {
+        match *self {
+            RouteProgress::Unicast { spec, dst } => match spec.next_dir() {
+                Some(dir) => LocalAttach::Chan(ChanId {
+                    dir,
+                    slice: spec.slice,
+                }),
+                None => LocalAttach::Endpoint(dst.ep),
+            },
+            RouteProgress::McExit { dir, slice, .. } => LocalAttach::Chan(ChanId { dir, slice }),
+            RouteProgress::McDeliver { ep, .. } => LocalAttach::Endpoint(ep),
+        }
     }
 }
 
@@ -135,7 +145,7 @@ impl PacketState {
     }
 }
 
-/// Slots per chunk of the slab: a power of two, 144 KB a chunk.
+/// Slots per chunk of the slab: a power of two, 136 KB a chunk.
 const CHUNK: usize = 1024;
 
 /// Slab of in-flight packets with id reuse.

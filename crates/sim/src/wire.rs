@@ -53,7 +53,7 @@ use anton_core::trace::GlobalLink;
 use anton_core::vc::{TrafficClass, Vc};
 use anton_fault::{LinkShim, ShimEvent, ShimStats};
 
-use crate::state::PacketId;
+use crate::state::{PacketId, RouteProgress};
 use crate::wake::{Scheduler, HORIZON};
 
 /// Number of occupancy buckets tracked per VC: bucket `i` accumulates the
@@ -248,6 +248,9 @@ impl BufEntry {
 // route cache lives in the gate alone and the two cycles are `u32` to fit.
 const _: () = assert!(std::mem::size_of::<BufEntry>() <= 20);
 const _: () = assert!(64 % std::mem::size_of::<BufEntry>() == 0);
+// The route a packet's slab state carries: a 7-byte spec of three runs and
+// its destination, 16 bytes with the multicast variants beside it.
+const _: () = assert!(std::mem::size_of::<RouteProgress>() <= 16);
 
 /// Narrows a cycle to the `u32` the gate and entry records keep, saturating
 /// at [`LAST_CYCLE`] instead of wrapping: a run never steps past that cycle,

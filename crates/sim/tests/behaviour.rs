@@ -74,7 +74,9 @@ fn sim_routes_match_reference_tracer() {
                 let src = ep(&cfg, src_c, se);
                 let dst = ep(&cfg, dst_c, de);
                 let spec = RouteSpec::deterministic(&cfg.shape, src_c, dst_c, order, slice);
-                let expected = trace_unicast(&cfg, src, dst, &spec);
+                let expected = trace_unicast(&cfg, src, dst, &spec, &|n, d| {
+                    cfg.shape.hop_crosses_dateline(n, d)
+                });
                 let pkt = Packet::write(src, dst, Payload::zeros(16));
                 sim.inject_with_spec(src, pkt, spec);
                 let mut drv = Idle::new(1);
@@ -106,7 +108,9 @@ fn two_flit_packets_route_identically() {
         DimOrder::XYZ,
         Slice(1),
     );
-    let expected = trace_unicast(&cfg, src, dst, &spec);
+    let expected = trace_unicast(&cfg, src, dst, &spec, &|n, d| {
+        cfg.shape.hop_crosses_dateline(n, d)
+    });
     let pkt = Packet::write(src, dst, Payload::ones(32));
     assert_eq!(pkt.num_flits(), 2);
     sim.inject_with_spec(src, pkt, spec);

@@ -38,7 +38,7 @@
 use anton_core::config::MachineConfig;
 use anton_core::net::RoutingFunction;
 use anton_core::net::TorusTopology;
-use anton_core::route_table::{build_route_table, DownLinkSet, RouteTable, TableMethod};
+use anton_core::route_table::{build_route_table, DownLinkSet, RouteTable};
 use anton_core::table_routing::TableRouting;
 use anton_core::topology::Slice;
 
@@ -117,12 +117,13 @@ impl DegradedVerdict {
     }
 }
 
-/// Builds the per-slice degraded route tables for one down-link set and
-/// structurally validates them, reporting failures as `AV020`/`AV021`
-/// diagnostics. Returns fewer than [`Slice::ALL`] tables when a slice
-/// fails. This is the generation half of [`verify_degraded`]; the
-/// simulator calls it per degradation epoch, then certifies the union of
-/// all epochs' tables with [`certify_tables`].
+/// Builds the per-slice degraded route tables for one down-link set,
+/// reporting failures as `AV020`/`AV021` diagnostics: a partition, or a
+/// detour that is not a [`RouteSpec`](anton_core::routing::RouteSpec).
+/// Returns fewer than [`Slice::ALL`] tables when a slice fails. This is
+/// the generation half of [`verify_degraded`]; the simulator calls it per
+/// degradation epoch, then certifies the union of all epochs' tables with
+/// [`certify_tables`].
 pub fn build_degraded_tables(
     cfg: &MachineConfig,
     downs: &DownLinkSet,
@@ -135,31 +136,6 @@ pub fn build_degraded_tables(
             Err(e) => diagnostics.push(table_error_diag(slice, downs, &e)),
         }
     }
-    // BFS tables must satisfy the VC-state structural rules before the
-    // symbolic walk is even defined on their paths.
-    tables.retain(|t| {
-        if t.method() != TableMethod::Bfs {
-            return true;
-        }
-        match t.validate() {
-            Ok(()) => true,
-            Err(e) => {
-                diagnostics.push(
-                    Diagnostic::error(
-                        "AV021",
-                        format!(
-                            "degraded {} table for {} is not VC-compatible: {e}",
-                            t.method(),
-                            t.slice()
-                        ),
-                    )
-                    .with("slice", t.slice())
-                    .with("down_links", downs.len()),
-                );
-                false
-            }
-        }
-    });
     (tables, diagnostics)
 }
 
@@ -227,6 +203,7 @@ fn table_error_diag(
 mod tests {
     use super::*;
     use anton_core::chip::ChanId;
+    use anton_core::route_table::TableMethod;
     use anton_core::topology::{Dim, NodeCoord, NodeId, Sign, TorusDir, TorusShape};
 
     fn chan(dim: Dim, sign: Sign, slice: Slice) -> ChanId {

@@ -33,7 +33,7 @@
 //! | AV101 | error    | unknown traffic pattern / workload name |
 //! | AV102 | error    | torus extent outside `1..=16` |
 //! | AV103 | error    | cannot write an output file |
-//! | AV104 | error    | traffic pattern places no load on any torus channel (no saturation rate) |
+//! | AV104 | error    | traffic places no load on any torus channel: no saturation rate, or no other node to reach |
 
 use anton_analysis::weights::ArbiterWeightSet;
 use anton_core::chip::{LinkGroup, MeshCoord, NUM_ROUTERS};

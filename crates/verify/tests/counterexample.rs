@@ -3,8 +3,9 @@
 
 use anton_core::config::MachineConfig;
 use anton_core::net::RoutePath;
+use anton_core::routing::RouteSpec;
 use anton_core::topology::TorusShape;
-use anton_core::trace::trace_hops_with;
+use anton_core::trace::trace_unicast;
 use anton_core::vc::VcPolicy;
 use anton_verify::{certify, verify_config, verify_model, Severity, VerifyModel};
 
@@ -39,19 +40,11 @@ fn assert_counterexample_valid(model: &VerifyModel) {
     // Every reported witness must re-trace to a route that holds the edge's
     // first (channel, VC) while requesting the second.
     for w in &ce.witnesses {
-        let src = model.cfg.shape.coord(w.src.node);
         let RoutePath::Torus { hops, slice } = &w.path else {
             panic!("torus witness {w} has a non-torus path");
         };
-        let steps = trace_hops_with(
-            &model.cfg,
-            src,
-            Some(w.src.ep),
-            hops,
-            *slice,
-            Some(w.dst.ep),
-            &mut |n, d| model.crosses(n, d),
-        );
+        let spec = RouteSpec::from_hops(&model.cfg.shape, *slice, hops).expect("witness route");
+        let steps = trace_unicast(&model.cfg, w.src, w.dst, &spec, &|n, d| model.crosses(n, d));
         assert!(
             steps
                 .windows(2)

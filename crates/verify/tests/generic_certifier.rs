@@ -13,8 +13,9 @@
 use anton_core::config::MachineConfig;
 use anton_core::net::RoutePath;
 use anton_core::route_table::DownLinkSet;
+use anton_core::routing::RouteSpec;
 use anton_core::topology::{NodeId, Slice, TorusDir, TorusShape};
-use anton_core::trace::trace_table_hops;
+use anton_core::trace::trace_unicast;
 use anton_verify::{
     certify, certify_family, certify_tables, cross_check, DeadlockCertificate, VerifyModel,
 };
@@ -82,7 +83,7 @@ fn k2_degenerate_rings_certify() {
 
 /// Every witness riding on a certificate's counterexample must re-trace
 /// to a real route: walking the witness hops through the reference
-/// tracer (run-ordered, real datelines — the superset semantics covering
+/// tracer (as a route spec, so run-ordered, under real datelines — covering
 /// both dimension-order and table routes) must reproduce the exact
 /// `holds -> waits_for` step pair, and that pair must be a cycle edge.
 fn assert_witnesses_retrace(cfg: &MachineConfig, cert: &DeadlockCertificate) {
@@ -92,15 +93,10 @@ fn assert_witnesses_retrace(cfg: &MachineConfig, cert: &DeadlockCertificate) {
         let RoutePath::Torus { hops, slice } = &w.path else {
             panic!("torus witness {w} has a non-torus path");
         };
-        let steps = trace_table_hops(
-            cfg,
-            cfg.shape.coord(w.src.node),
-            Some(w.src.ep),
-            hops,
-            *slice,
-            Some(w.dst.ep),
-            &mut |n, d| cfg.shape.hop_crosses_dateline(n, d),
-        );
+        let spec = RouteSpec::from_hops(&cfg.shape, *slice, hops).expect("witness route");
+        let steps = trace_unicast(cfg, w.src, w.dst, &spec, &|n, d| {
+            cfg.shape.hop_crosses_dateline(n, d)
+        });
         assert!(
             steps
                 .windows(2)
