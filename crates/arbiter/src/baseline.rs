@@ -5,8 +5,6 @@
 //! * [`AgeArbiter`] — age-based arbitration [Abts & Weisser, SC'07], the
 //!   heavyweight equality-of-service scheme the paper deemed too expensive
 //!   for an on-chip router.
-//! * [`FixedPriorityArbiter`] — a pathologically unfair msb-first arbiter,
-//!   useful as a negative control in fairness experiments.
 
 use crate::priority::{priority_arb_fast1, rr_therm_after_grant};
 use crate::{ArbRequest, PortArbiter};
@@ -83,37 +81,6 @@ impl PortArbiter for AgeArbiter {
     }
 }
 
-/// Fixed msb-first priority: the highest requesting input always wins.
-#[derive(Debug, Clone)]
-pub struct FixedPriorityArbiter {
-    k: usize,
-}
-
-impl FixedPriorityArbiter {
-    /// Creates a fixed-priority arbiter over `k` inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    pub fn new(k: usize) -> FixedPriorityArbiter {
-        assert!(k > 0, "input count must be positive");
-        FixedPriorityArbiter { k }
-    }
-}
-
-impl PortArbiter for FixedPriorityArbiter {
-    fn num_inputs(&self) -> usize {
-        self.k
-    }
-
-    fn pick(&mut self, reqs: &[ArbRequest]) -> Option<usize> {
-        reqs.iter()
-            .enumerate()
-            .max_by_key(|(_, r)| r.input)
-            .map(|(idx, _)| idx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,18 +144,8 @@ mod tests {
     }
 
     #[test]
-    fn fixed_priority_starves_low_inputs() {
-        let mut arb = FixedPriorityArbiter::new(4);
-        let rs = reqs(&[0, 3]);
-        for _ in 0..10 {
-            assert_eq!(rs[arb.pick(&rs).unwrap()].input, 3);
-        }
-    }
-
-    #[test]
     fn empty_requests() {
         assert_eq!(RoundRobinArbiter::new(3).pick(&[]), None);
         assert_eq!(AgeArbiter::new(3).pick(&[]), None);
-        assert_eq!(FixedPriorityArbiter::new(3).pick(&[]), None);
     }
 }

@@ -8,7 +8,7 @@
 //! of mask operations, and the grant is extracted with a prefix-OR smear
 //! ([`ks_suffix_or`]) followed by an edge detect ([`msb_one_hot`]).
 //!
-//! [`BitsetArbiter`] packs all four [`ArbiterKind`] policies into one
+//! [`BitsetArbiter`] packs all three [`ArbiterKind`] policies into one
 //! monomorphic enum so the simulator can keep dense `Vec<BitsetArbiter>`
 //! state arrays instead of boxed trait objects. The inverse-weighted policy
 //! maintains the Figure 6 accumulator bank with its priority vector cached
@@ -168,8 +168,6 @@ impl IwLanes {
 enum Policy {
     /// Single-level round-robin ([`crate::baseline::RoundRobinArbiter`]).
     RoundRobin,
-    /// Fixed msb-first ([`crate::baseline::FixedPriorityArbiter`]).
-    FixedPriority,
     /// Oldest packet first ([`crate::baseline::AgeArbiter`]).
     Age,
     /// Two-level prioritized round-robin over the Figure 6 accumulator
@@ -213,15 +211,6 @@ impl BitsetArbiter {
     /// Panics if `k` is zero or exceeds 64.
     pub fn round_robin(k: usize) -> BitsetArbiter {
         Self::with_policy(k, Policy::RoundRobin)
-    }
-
-    /// A fixed msb-first priority arbiter over `k` lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero or exceeds 64.
-    pub fn fixed_priority(k: usize) -> BitsetArbiter {
-        Self::with_policy(k, Policy::FixedPriority)
     }
 
     /// An age-based arbiter over `k` lanes (oldest packet wins, ties break
@@ -293,7 +282,6 @@ impl BitsetArbiter {
             ArbiterKind::RoundRobin => Self::round_robin(k),
             ArbiterKind::InverseWeighted { m_bits } => Self::uniform_iw(k, *m_bits),
             ArbiterKind::Age => Self::age(k),
-            ArbiterKind::FixedPriority => Self::fixed_priority(k),
         }
     }
 
@@ -350,7 +338,6 @@ impl BitsetArbiter {
                 self.rr_therm = rr_therm_after_grant64(winner);
                 Some(winner)
             }
-            Policy::FixedPriority => Some(msb_one_hot(req).trailing_zeros()),
             Policy::Age => {
                 let mut rest = req;
                 let mut best_lane = rest.trailing_zeros();
@@ -487,12 +474,6 @@ mod tests {
             arb.pick_mask(0b1001_0101, |_| 0, |i| ages[i as usize]),
             Some(2)
         );
-    }
-
-    #[test]
-    fn fixed_priority_picks_msb() {
-        let mut arb = BitsetArbiter::fixed_priority(64);
-        assert_eq!(arb.pick_mask(1 << 63 | 0b111, |_| 0, |_| 0), Some(63));
     }
 
     #[test]

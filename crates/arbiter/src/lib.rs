@@ -11,7 +11,7 @@
 //! * [`accumulator`] — the sliding-window accumulator update of Figure 6;
 //! * [`iwarb`] — the composed [`InverseWeightedArbiter`] providing equality
 //!   of service over blends of pre-characterized traffic patterns;
-//! * [`baseline`] — round-robin, age-based, and fixed-priority baselines;
+//! * [`baseline`] — round-robin and age-based baselines;
 //! * [`bitset`] — the branchless bitmask arbitration core the simulator's
 //!   hot path uses: every policy over `u64` request lanes, property-tested
 //!   per-grant-equivalent to the reference arbiters above.
@@ -30,7 +30,7 @@ pub mod iwarb;
 pub mod priority;
 
 pub use accumulator::AccumulatorBank;
-pub use baseline::{AgeArbiter, FixedPriorityArbiter, RoundRobinArbiter};
+pub use baseline::{AgeArbiter, RoundRobinArbiter};
 pub use bitset::BitsetArbiter;
 pub use iwarb::InverseWeightedArbiter;
 
@@ -113,6 +113,4 @@ pub enum ArbiterKind {
     },
     /// Age-based (oldest packet first).
     Age,
-    /// Fixed msb-first priority (negative control).
-    FixedPriority,
 }

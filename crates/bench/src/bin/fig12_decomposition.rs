@@ -9,9 +9,10 @@
 
 use anton_core::chip::LocalEndpointId;
 use anton_core::config::{GlobalEndpoint, MachineConfig};
+use anton_core::timing::{HANDLER_DISPATCH_NS, SERDES_WIRE_NS, SW_INJECT_NS};
 use anton_core::topology::{NodeCoord, TorusShape};
 use anton_sim::driver::PingPongDriver;
-use anton_sim::params::{SimParams, CYCLE_NS, TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
+use anton_sim::params::{CYCLE_NS, TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
 use anton_sim::sim::{RunOutcome, Sim};
 
 fn main() {
@@ -21,7 +22,6 @@ fn main() {
     )
     .parse();
     let cfg = MachineConfig::new(TorusShape::cube(4));
-    let params = SimParams::default();
 
     // Nearest-neighbor in Y: source endpoint on the Y-adapter router so the
     // minimum-latency path is exercised, as in the paper's 99 ns case.
@@ -33,10 +33,7 @@ fn main() {
         node: cfg.shape.id(NodeCoord::new(0, 1, 0)),
         ep: LocalEndpointId(8),
     };
-    let mut sim = Sim::builder()
-        .config(cfg.clone())
-        .params(params.clone())
-        .build();
+    let mut sim = Sim::builder().config(cfg).build();
     let mut drv = PingPongDriver::new(vec![(a, b)], 60);
     let outcome = sim.run(&mut drv, 10_000_000);
     assert_eq!(outcome, RunOutcome::Completed);
@@ -48,11 +45,8 @@ fn main() {
     println!("(paper: ~99 ns; the network accounts for ~40% of it)");
     println!();
 
-    // Component accounting in cycles (see anton_sim::params):
-    let lat = &params.latency;
+    // Component accounting (see anton_core::timing and anton_sim::params):
     let cyc = |c: f64| c * CYCLE_NS;
-    let sw = lat.sw_inject_ns;
-    let dispatch = lat.handler_dispatch_ns;
     // Endpoint adapter: wire + no pipeline on rx side; injection side 1
     // cycle of serialization.
     let inject_wire = cyc(1.0);
@@ -64,8 +58,6 @@ fn main() {
     // Channel adapter out: wire 1 + pipeline 2 + serialization of one flit
     // at the effective rate (45/14 cycles).
     let chan_out = cyc(1.0 + 2.0 + f64::from(TORUS_TOKEN_COST) / f64::from(TORUS_TOKEN_GAIN));
-    // SerDes + wire flight.
-    let serdes_wire = lat.serdes_wire_ns;
     // Channel adapter in: pipeline 2 + forward wire 1.
     let chan_in = cyc(2.0 + 1.0);
     // Destination router and ejection wire.
@@ -73,15 +65,15 @@ fn main() {
     let eject_wire = cyc(1.0);
 
     let rows: [(&str, f64); 9] = [
-        ("software send overhead", sw),
+        ("software send overhead", SW_INJECT_NS),
         ("endpoint adapter (E) + injection wire", inject_wire),
         ("router (R): RC+VA+SA1+SA2", router),
         ("mesh hops to channel adapter", mesh),
         ("channel adapter (C) out + serialization", chan_out),
-        ("SerDes + wire", serdes_wire),
+        ("SerDes + wire", SERDES_WIRE_NS),
         ("channel adapter (C) in", chan_in),
         ("destination router (R) + ejection", router_dst + eject_wire),
-        ("synchronization + handler dispatch", dispatch),
+        ("synchronization + handler dispatch", HANDLER_DISPATCH_NS),
     ];
     let mut sum = 0.0;
     println!("{:<42} {:>9} {:>7}", "component", "ns", "%");
@@ -91,7 +83,7 @@ fn main() {
     }
     println!("{:-<60}", "");
     println!("{:<42} {sum:>9.1}", "component sum");
-    let network = measured - sw - dispatch;
+    let network = measured - SW_INJECT_NS - HANDLER_DISPATCH_NS;
     println!();
     println!(
         "Network share: {:.1} ns = {:.0}% of total (paper: ~40%)",

@@ -13,7 +13,6 @@ use anton_bench::{values, FlagSet};
 use anton_energy::experiment::{measure_rate, EnergyMeasurement};
 use anton_energy::model::EnergyModel;
 use anton_sim::driver::PayloadKind;
-use anton_sim::params::EnergyParams;
 
 fn main() {
     let args = FlagSet::new("fig13_energy", "Figure 13: router energy vs injection rate")
@@ -22,7 +21,6 @@ fn main() {
         .parse();
     let packets: u64 = args.get("packets");
     let threads: usize = args.get("threads");
-    let energy = EnergyParams::default();
 
     println!("## Figure 13 — router energy per flit vs injection rate");
     println!();
@@ -47,7 +45,7 @@ fn main() {
             _ => PayloadKind::Random,
         };
         let rate = (point.int("rate_num") as u32, point.int("rate_den") as u32);
-        let m = measure_rate(rate, kind, packets, &energy);
+        let m = measure_rate(rate, kind, packets);
         values![
             "rate" => m.rate,
             "h_mean" => m.h_mean,

@@ -25,8 +25,9 @@ use anton_core::route_table::DownLinkSet;
 use anton_core::topology::{Dim, NodeCoord, NodeId, Sign, Slice, TorusDir, TorusShape};
 use anton_core::vc::VcPolicy;
 use anton_obs::json::Json;
+use anton_sim::params::SimParams;
 use anton_verify::{
-    cross_check, full_enumeration, lint_params, verify_degraded, verify_mesh, ParamsView, Severity,
+    cross_check, full_enumeration, lint_params, verify_degraded, verify_mesh, Severity,
     VerifyModel, VerifyReport,
 };
 
@@ -281,11 +282,10 @@ fn main() {
         if model.datelines { "on" } else { "off" }
     );
     let mut report: VerifyReport = anton_verify::verify_model(&model);
-    // Standalone runs have no SimParams; lint the paper defaults so the
-    // report covers the parameters an experiment binary would use.
+    // Lint the default parameters, the ones an experiment binary uses.
     report
         .diagnostics
-        .extend(lint_params(&cfg, &ParamsView::reference()));
+        .extend(lint_params(&cfg, &SimParams::default().verify_view()));
 
     let mut degraded_json: Option<Json> = None;
     let down_spec: String = args.get("down-links");

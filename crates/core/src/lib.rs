@@ -24,6 +24,7 @@
 //!   traces folded from it;
 //! * [`pattern`] — the traffic-pattern abstraction;
 //! * [`config`] — machine-level configuration;
+//! * [`timing`] — the core clock and the paper's latency calibration;
 //! * [`net`] — the [`net::Topology`]/[`net::RoutingFunction`] trait layer
 //!   that the symbolic deadlock certifier consumes;
 //! * [`dimorder`] — the paper's dimension-order torus routing as a
@@ -76,6 +77,7 @@ pub mod route_table;
 pub mod routing;
 pub mod seed;
 pub mod table_routing;
+pub mod timing;
 pub mod topology;
 pub mod trace;
 pub mod vc;

@@ -14,6 +14,8 @@ use anton_sim::driver::{PayloadKind, RateDriver};
 use anton_sim::params::SimParams;
 use anton_sim::sim::{RunOutcome, Sim};
 
+use crate::model::EnergyModel;
+
 /// One energy measurement point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyMeasurement {
@@ -71,21 +73,18 @@ fn run_route(
 
 /// Measures per-router-hop, per-flit energy at injection rate
 /// `rate = (num, den)` with the given payload pattern, using the
-/// two-route subtraction of Section 4.5.
-pub fn measure_rate(
-    rate: (u32, u32),
-    payload: PayloadKind,
-    packets: u64,
-    energy: &anton_sim::params::EnergyParams,
-) -> EnergyMeasurement {
+/// two-route subtraction of Section 4.5 and pricing the activity with
+/// [`EnergyModel::paper`].
+pub fn measure_rate(rate: (u32, u32), payload: PayloadKind, packets: u64) -> EnergyMeasurement {
     let (short, n_short, r_short) = run_route(SHORT_DST, rate, payload, packets, 0xE);
     let (long, n_long, r_long) = run_route(LONG_DST, rate, payload, packets, 0xE);
     assert_eq!(n_short, n_long);
     assert!(r_long > r_short, "route lengths must differ");
     let hop_diff = (r_long - r_short) as f64;
     let flits = packets as f64;
-    let e_short = short.energy_pj(energy);
-    let e_long = long.energy_pj(energy);
+    let paper = EnergyModel::paper();
+    let e_short = paper.energy_pj(&short);
+    let e_long = paper.energy_pj(&long);
     let energy_pj_per_flit = (e_long - e_short) / hop_diff / flits;
     // Per-hop activity statistics, from the differential counters.
     let d_flits = (long.flits - short.flits) as f64 / hop_diff;
@@ -106,11 +105,10 @@ pub fn measure_rate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anton_sim::params::EnergyParams;
 
     #[test]
     fn zero_payload_stream_has_no_flips() {
-        let m = measure_rate((1, 2), PayloadKind::Zeros, 400, &EnergyParams::default());
+        let m = measure_rate((1, 2), PayloadKind::Zeros, 400);
         // Identical headers and zero payloads: no datapath flips except the
         // one-time startup transition at each port.
         assert!(m.h_mean.abs() < 0.2, "h = {}", m.h_mean);
@@ -121,7 +119,7 @@ mod tests {
 
     #[test]
     fn ones_payload_counts_set_bits() {
-        let m = measure_rate((1, 2), PayloadKind::Ones, 400, &EnergyParams::default());
+        let m = measure_rate((1, 2), PayloadKind::Ones, 400);
         assert!((m.n_mean - 128.0).abs() < 1e-9, "n = {}", m.n_mean);
         // Payload constant between flits: no steady-state flips (startup
         // transition only).
@@ -130,23 +128,23 @@ mod tests {
 
     #[test]
     fn random_payload_flips_about_half_the_bits() {
-        let m = measure_rate((1, 2), PayloadKind::Random, 2000, &EnergyParams::default());
+        let m = measure_rate((1, 2), PayloadKind::Random, 2000);
         assert!((m.h_mean - 64.0).abs() < 6.0, "h = {}", m.h_mean);
         assert!((m.n_mean - 64.0).abs() < 6.0, "n = {}", m.n_mean);
     }
 
     #[test]
     fn full_rate_stream_never_reactivates() {
-        let m = measure_rate((1, 1), PayloadKind::Zeros, 400, &EnergyParams::default());
+        let m = measure_rate((1, 1), PayloadKind::Zeros, 400);
         assert!(m.a_over_r < 0.05, "a/r = {}", m.a_over_r);
     }
 
     #[test]
     fn measured_energy_matches_charged_model() {
         // The differential measurement must reproduce the coefficients the
-        // simulator charges.
-        let p = EnergyParams::default();
-        let m = measure_rate((1, 2), PayloadKind::Zeros, 800, &p);
+        // activity is priced with.
+        let p = EnergyModel::paper();
+        let m = measure_rate((1, 2), PayloadKind::Zeros, 800);
         let predicted = p.fixed_pj + p.activation_pj * m.a_over_r;
         assert!(
             (m.energy_pj_per_flit - predicted).abs() / predicted < 0.05,

@@ -1,7 +1,7 @@
 //! The per-flit router energy model and its least-squares fit.
 
 use anton_analysis::fit::least_squares;
-use anton_sim::params::EnergyParams;
+use anton_sim::sim::EnergyCounters;
 
 use crate::experiment::EnergyMeasurement;
 
@@ -20,6 +20,8 @@ pub struct EnergyModel {
 
 impl EnergyModel {
     /// The paper's fitted coefficients: `E = 42.7 + 0.837h + (34.4 + 0.250n)(a/r)`.
+    /// The simulator only counts activity ([`EnergyCounters`]); these are
+    /// the coefficients that price it.
     pub fn paper() -> EnergyModel {
         EnergyModel {
             fixed_pj: 42.7,
@@ -27,6 +29,14 @@ impl EnergyModel {
             activation_pj: 34.4,
             per_set_bit_pj: 0.250,
         }
+    }
+
+    /// Energy in picojoules of the activity `c` counted.
+    pub fn energy_pj(&self, c: &EnergyCounters) -> f64 {
+        c.flits as f64 * self.fixed_pj
+            + c.flips as f64 * self.per_flip_pj
+            + c.activations as f64 * self.activation_pj
+            + c.set_bits as f64 * self.per_set_bit_pj
     }
 
     /// Predicted per-flit energy (pJ) for mean flip count `h`, mean set
@@ -74,17 +84,6 @@ impl EnergyModel {
             })
             .sum();
         (se / measurements.len() as f64).sqrt()
-    }
-}
-
-impl From<EnergyParams> for EnergyModel {
-    fn from(p: EnergyParams) -> EnergyModel {
-        EnergyModel {
-            fixed_pj: p.fixed_pj,
-            per_flip_pj: p.per_flip_pj,
-            activation_pj: p.activation_pj,
-            per_set_bit_pj: p.per_set_bit_pj,
-        }
     }
 }
 

@@ -19,7 +19,7 @@
 //!     .shape(TorusShape::cube(2))
 //!     .params(SimParams {
 //!         seed: 7,
-//!         collect_metrics: true,
+//!         track_energy: true,
 //!         ..SimParams::default()
 //!     })
 //!     .build();

@@ -22,6 +22,7 @@ use anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton_core::packet::{CounterId, Destination, Packet, PatternId, Payload};
 use anton_core::pattern::TrafficPattern;
 use anton_core::seed::derive_stream_seed;
+use anton_core::timing::SW_INJECT_CYCLES;
 use anton_core::vc::TrafficClass;
 use anton_traffic::patterns::Blend;
 
@@ -365,7 +366,6 @@ impl PingPongDriver {
 impl Driver for PingPongDriver {
     fn pre_cycle(&mut self, sim: &mut Sim) {
         let now = sim.now();
-        let sw = sim.params.latency.sw_inject_cycles();
         for (i, p) in self.pairs.iter_mut().enumerate() {
             if p.remaining_legs == 0 {
                 continue;
@@ -373,7 +373,7 @@ impl Driver for PingPongDriver {
             if let Some(at) = p.inject_at {
                 // The injection becomes visible to hardware after the
                 // software send overhead.
-                if now >= at + sw {
+                if now >= at + SW_INJECT_CYCLES {
                     let (src, dst) = if p.a_sends { (p.a, p.b) } else { (p.b, p.a) };
                     let counter = CounterId(i as u16);
                     sim.set_counter(dst, counter, 1);

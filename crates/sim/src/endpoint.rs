@@ -17,6 +17,7 @@ use anton_core::chip::{LinkGroup, LocalEndpointId};
 use anton_core::config::GlobalEndpoint;
 use anton_core::packet::{CounterId, Destination, Packet};
 use anton_core::routing::{DimOrder, RouteSpec};
+use anton_core::timing::HANDLER_DISPATCH_CYCLES;
 use anton_core::topology::NodeId;
 use anton_core::vc::Vc;
 use anton_obs::TraceEventKind;
@@ -292,7 +293,7 @@ impl Endpoints {
     /// The receive phase of endpoint `eidx`'s wake: every ready head of its
     /// link from the mesh is delivered.
     #[inline]
-    pub(crate) fn recv_step(&mut self, eidx: usize, fab: &mut Fabric, ctx: &Ctx<'_>) {
+    pub(crate) fn recv_step(&mut self, eidx: usize, fab: &mut Fabric) {
         let now = fab.now;
         let ep = &mut self.eps[eidx];
         let wire_id = ep.from_router;
@@ -315,7 +316,7 @@ impl Endpoints {
                     *rem = rem.saturating_sub(1);
                     if *rem == 0 {
                         ep.counters.swap_remove(pos);
-                        let fire = now + ctx.params.latency.handler_dispatch_cycles();
+                        let fire = now + HANDLER_DISPATCH_CYCLES;
                         self.handler_heap.push(Reverse((fire, eidx as u32, cid.0)));
                     }
                 }
@@ -432,7 +433,7 @@ mod tests {
             between(&mut self.fab);
             self.endpoints.accept_reroutes(&mut self.fab, &ctx);
             if woken {
-                self.endpoints.recv_step(0, &mut self.fab, &ctx);
+                self.endpoints.recv_step(0, &mut self.fab);
             }
             testkit::close_cycle(&mut self.fab);
             woken
@@ -525,12 +526,14 @@ mod tests {
         tick(&mut rig);
         tick(&mut rig);
         send(&mut rig);
-        let dispatch = rig.params.latency.handler_dispatch_cycles();
-        for _ in 0..dispatch + 8 {
+        for _ in 0..HANDLER_DISPATCH_CYCLES + 8 {
             tick(&mut rig);
         }
         // Sent at cycles 0 and 2 on a one-cycle wire: delivered at 1 and 3.
-        assert_eq!(seen, [(1, false), (3, false), (3 + dispatch, true)]);
+        assert_eq!(
+            seen,
+            [(1, false), (3, false), (3 + HANDLER_DISPATCH_CYCLES, true)]
+        );
         assert!(rig.endpoints.is_idle());
     }
 

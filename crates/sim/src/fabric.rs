@@ -369,7 +369,7 @@ impl Fabric {
         );
         // Lossy-link shims (if any) log retransmissions and frame drops
         // only while a recorder is attached to drain them.
-        let wires = Wires::new(specs, params.collect_metrics, params.trace.events);
+        let wires = Wires::new(specs, params.trace.events);
         let [nrouters, nchans, neps] = counts;
         Fabric {
             now: 0,

@@ -18,12 +18,12 @@
 //!   ([`Sim::builder`]);
 //! * [`driver`] — measurement workloads (batch throughput, ping-pong
 //!   latency, rate-controlled energy streams, open-loop load);
-//! * [`metrics`] — typed metrics records: per-link-class utilization, VC
-//!   occupancy histograms, arbiter grant counts, link-fault counters;
+//! * [`metrics`] — typed metrics records: per-link-class utilization,
+//!   arbiter grant counts, link-fault counters;
 //! * [`wire`] — the wire layer: one store owning every credit-controlled
 //!   channel (optionally behind a lossy go-back-N link shim when a fault
 //!   schedule is installed) and the one send / pop / step path;
-//! * [`params`] — physical constants and calibration parameters;
+//! * [`params`] — simulation parameters and physical constants;
 //! * [`shard`] — the sharded parallel kernel ([`ShardedSim`]): bounded-lag
 //!   windows across one worker thread per contiguous torus sub-brick,
 //!   byte-identical to serial execution for every shard count;
@@ -77,10 +77,8 @@ pub use builder::SimBuilder;
 pub use driver::{
     BatchDriver, BatchDriverBuilder, LoadDriver, PayloadKind, PingPongDriver, RateDriver,
 };
-pub use metrics::{
-    ArbiterGrantCounts, FaultMetrics, LinkClass, LinkClassMetrics, Metrics, VcOccupancyHistogram,
-};
-pub use params::{EnergyParams, LatencyParams, PreflightMode, SimParams, TraceConfig};
+pub use metrics::{ArbiterGrantCounts, FaultMetrics, LinkClass, LinkClassMetrics, Metrics};
+pub use params::{PreflightMode, SimParams, TraceConfig};
 pub use shard::{ShardPlan, ShardableDriver, ShardedSim};
 pub use sim::{
     DeadlockReport, Delivery, Driver, EnergyCounters, KernelWork, PacketDelivery, RunOutcome, Sim,

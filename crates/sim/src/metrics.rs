@@ -2,22 +2,17 @@
 //!
 //! [`SimStats`](crate::sim::SimStats) counts the headline events; this
 //! module aggregates the instrumentation underneath them into a typed
-//! [`Metrics`] record: per-[link-class](LinkClass) utilization, per-VC
-//! queue-occupancy histograms, and grant counts at each arbitration-site
-//! class. The experiment harness in `anton-bench` serializes these records
-//! into `results/<name>.json`.
-//!
-//! Occupancy histograms cost memory and per-event bookkeeping, so they are
-//! gated behind [`SimParams::collect_metrics`](crate::params::SimParams::collect_metrics);
-//! utilization and grant counts are derived from counters the simulator
-//! maintains anyway and are always available.
+//! [`Metrics`] record: per-[link-class](LinkClass) utilization, grant counts
+//! at each arbitration-site class and link-layer fault counters, all derived
+//! from counters the simulator maintains anyway. The experiment harness in
+//! `anton-bench` serializes these records into `results/<name>.json`.
 
 use anton_core::chip::LocalLink;
 use anton_core::trace::GlobalLink;
 use anton_fault::ShimStats;
 
 use crate::sim::{Sim, SimStats};
-use crate::wire::{Wires, OCC_BUCKETS};
+use crate::wire::Wires;
 
 /// Structural classes of wires, the granularity of utilization reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -102,46 +97,6 @@ pub struct LinkClassMetrics {
     pub peak_util: f64,
 }
 
-/// Time-weighted queue-occupancy histogram of one VC index across every
-/// tracked wire of a link class.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VcOccupancyHistogram {
-    /// Link class the histogram aggregates over.
-    pub class: LinkClass,
-    /// Flattened VC index (class-major: traffic class × VCs per class +
-    /// VC).
-    pub vc_index: u8,
-    /// `buckets[b]` = wire·cycles spent holding exactly `b` packets; the
-    /// last bucket absorbs deeper occupancies.
-    pub buckets: [u64; OCC_BUCKETS],
-}
-
-impl VcOccupancyHistogram {
-    /// Mean occupancy in packets (last bucket counted at its floor value).
-    pub fn mean(&self) -> f64 {
-        let total: u64 = self.buckets.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let weighted: u64 = self
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(b, &c)| b as u64 * c)
-            .sum();
-        weighted as f64 / total as f64
-    }
-
-    /// Fraction of wire·cycles with at least one packet buffered.
-    pub fn busy_fraction(&self) -> f64 {
-        let total: u64 = self.buckets.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        (total - self.buckets[0]) as f64 / total as f64
-    }
-}
-
 /// Grants issued at each of the simulator's arbitration-site classes
 /// (every site the paper's Section 3 makes inverse-weightable).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -181,10 +136,6 @@ pub struct Metrics {
     pub stats: SimStats,
     /// Utilization per link class, in [`LinkClass::ALL`] order.
     pub link_classes: Vec<LinkClassMetrics>,
-    /// Occupancy histograms per (link class, VC index); empty unless
-    /// [`SimParams::collect_metrics`](crate::params::SimParams::collect_metrics)
-    /// was set when the simulator was built.
-    pub vc_occupancy: Vec<VcOccupancyHistogram>,
     /// Arbiter grant counts.
     pub grants: ArbiterGrantCounts,
     /// Link-layer fault counters; `None` when no fault schedule was
@@ -201,29 +152,27 @@ impl Metrics {
             sim.stats().clone(),
             sim.grant_counts(),
             wires.len(),
-            |_| (wires, wires),
+            |_| wires,
         )
     }
 
-    /// Aggregates a record over `nwires` wires at cycle `now`. `sides(w)`
-    /// names the wire stores holding wire `w`'s sending side (flits
-    /// carried, link-layer counters) and receiving side (queue occupancy):
-    /// the same store in a serial run, the two owning replicas' in a
-    /// sharded one.
+    /// Aggregates a record over `nwires` wires at cycle `now`. `sender(w)`
+    /// names the wire store holding wire `w`'s sending side (flits carried,
+    /// link-layer counters): the one store of a serial run, the producing
+    /// replica's in a sharded one.
     pub(crate) fn collect_with<'a>(
         now: u64,
         stats: SimStats,
         grants: ArbiterGrantCounts,
         nwires: usize,
-        sides: impl Fn(usize) -> (&'a Wires, &'a Wires),
+        sender: impl Fn(usize) -> &'a Wires,
     ) -> Metrics {
         let cycles = now.max(1);
         let mut per_class: Vec<(usize, u64, u64)> = vec![(0, 0, 0); LinkClass::ALL.len()];
-        let mut occ: Vec<Vec<[u64; OCC_BUCKETS]>> = vec![Vec::new(); LinkClass::ALL.len()];
         let mut shimmed_links = 0usize;
         let mut shim_totals = ShimStats::default();
         for w in 0..nwires {
-            let (tx, rx) = sides(w);
+            let tx = sender(w);
             if let Some(stats) = tx.link_stats(w) {
                 shimmed_links += 1;
                 shim_totals.merge(&stats);
@@ -234,17 +183,6 @@ impl Metrics {
             *wires += 1;
             *flits += carried;
             *peak = (*peak).max(carried);
-            if let Some(hists) = rx.occupancy_histograms(w, now) {
-                let agg = &mut occ[ci];
-                if agg.len() < hists.len() {
-                    agg.resize(hists.len(), [0; OCC_BUCKETS]);
-                }
-                for (vc, h) in hists.iter().enumerate() {
-                    for (b, c) in h.iter().enumerate() {
-                        agg[vc][b] += c;
-                    }
-                }
-            }
         }
         let link_classes = LinkClass::ALL
             .iter()
@@ -257,24 +195,10 @@ impl Metrics {
                 peak_util: peak as f64 / cycles as f64,
             })
             .collect();
-        let vc_occupancy = LinkClass::ALL
-            .iter()
-            .zip(occ)
-            .flat_map(|(&class, agg)| {
-                agg.into_iter()
-                    .enumerate()
-                    .map(move |(vc, buckets)| VcOccupancyHistogram {
-                        class,
-                        vc_index: vc as u8,
-                        buckets,
-                    })
-            })
-            .collect();
         Metrics {
             cycles: now,
             stats,
             link_classes,
-            vc_occupancy,
             grants,
             fault: (shimmed_links > 0).then_some(FaultMetrics {
                 shimmed_links,
@@ -292,22 +216,6 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_summaries() {
-        let mut h = VcOccupancyHistogram {
-            class: LinkClass::Mesh,
-            vc_index: 0,
-            buckets: [0; OCC_BUCKETS],
-        };
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.busy_fraction(), 0.0);
-        h.buckets[0] = 6;
-        h.buckets[2] = 2;
-        // (0·6 + 2·2) / 8 = 0.5 mean; 2/8 busy.
-        assert!((h.mean() - 0.5).abs() < 1e-12);
-        assert!((h.busy_fraction() - 0.25).abs() < 1e-12);
-    }
 
     #[test]
     fn class_of_every_link_kind() {

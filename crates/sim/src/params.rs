@@ -1,11 +1,10 @@
-//! Simulation parameters and physical constants.
+//! Simulation parameters and physical constants. The clock and the latency
+//! calibration are [`anton_core::timing`]'s; the clock is re-exported here.
 
 use anton_arbiter::ArbiterKind;
 
-/// Core clock frequency (GHz): the on-chip network runs at 1.5 GHz.
-pub const CLOCK_GHZ: f64 = 1.5;
-/// Nanoseconds per core clock cycle.
-pub const CYCLE_NS: f64 = 1.0 / CLOCK_GHZ;
+pub use anton_core::timing::{CLOCK_GHZ, CYCLE_NS};
+
 /// Mesh channel bandwidth: 192 bits per cycle at 1.5 GHz = 288 Gb/s.
 pub const MESH_GBPS: f64 = 288.0;
 /// Effective torus channel bandwidth per direction (after the link layer).
@@ -22,84 +21,6 @@ pub const TORUS_TOKEN_GAIN: u32 = 14;
 pub const ROUTER_PIPELINE: u64 = 4;
 /// Adapter forwarding pipeline depth in cycles.
 pub const ADAPTER_PIPELINE: u64 = 2;
-
-/// Latency calibration parameters, in nanoseconds where noted.
-///
-/// Defaults land the minimum software-to-software one-way latency near the
-/// paper's 99 ns and the per-hop cost near 39 ns (Figures 11–12).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyParams {
-    /// Software send overhead: from the decision to send until the packet
-    /// enters the endpoint adapter (ns).
-    pub sw_inject_ns: f64,
-    /// Hardware synchronization + software handler dispatch overhead at the
-    /// receiver (ns).
-    pub handler_dispatch_ns: f64,
-    /// SerDes (TX + RX) plus wire flight time per torus hop (ns).
-    pub serdes_wire_ns: f64,
-}
-
-impl Default for LatencyParams {
-    fn default() -> LatencyParams {
-        LatencyParams {
-            sw_inject_ns: 26.0,
-            handler_dispatch_ns: 23.0,
-            serdes_wire_ns: 29.0,
-        }
-    }
-}
-
-impl LatencyParams {
-    /// Converts cycles to nanoseconds.
-    pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
-        cycles as f64 * CYCLE_NS
-    }
-
-    /// Torus link latency in whole cycles (SerDes + wire).
-    pub fn torus_link_cycles(&self) -> u64 {
-        (self.serdes_wire_ns / CYCLE_NS).round() as u64
-    }
-
-    /// Handler dispatch overhead in whole cycles.
-    pub fn handler_dispatch_cycles(&self) -> u64 {
-        (self.handler_dispatch_ns / CYCLE_NS).round() as u64
-    }
-
-    /// Software injection overhead in whole cycles.
-    pub fn sw_inject_cycles(&self) -> u64 {
-        (self.sw_inject_ns / CYCLE_NS).round() as u64
-    }
-}
-
-/// Per-flit energy coefficients (pJ), the model of Section 4.5:
-///
-/// `E = fixed + per_flip·h + (activation + per_set_bit·n)(a/r)`
-///
-/// The simulator charges energy per event with these coefficients; the
-/// Figure 13 experiment re-fits the model to the simulated measurements.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyParams {
-    /// Data-independent energy per flit traversal (arbitration, control).
-    pub fixed_pj: f64,
-    /// Energy per datapath bit flip between successive flits.
-    pub per_flip_pj: f64,
-    /// Energy per idle→valid activation event (valid signals, clock gates).
-    pub activation_pj: f64,
-    /// Additional activation energy per set payload bit.
-    pub per_set_bit_pj: f64,
-}
-
-impl Default for EnergyParams {
-    fn default() -> EnergyParams {
-        // The paper's fitted coefficients (Section 4.5).
-        EnergyParams {
-            fixed_pj: 42.7,
-            per_flip_pj: 0.837,
-            activation_pj: 34.4,
-            per_set_bit_pj: 0.250,
-        }
-    }
-}
 
 /// Observability configuration: the flight recorder, the time-series
 /// sampler, and the phase profiler.
@@ -203,17 +124,8 @@ pub struct SimParams {
     pub torus_buffer_depth: u8,
     /// Which arbiter sits at each router output port.
     pub arbiter: ArbiterKind,
-    /// Latency calibration.
-    pub latency: LatencyParams,
-    /// Energy coefficients.
-    pub energy: EnergyParams,
     /// Collect energy/activity counters (small per-transfer cost).
     pub track_energy: bool,
-    /// Collect per-VC queue-occupancy histograms for
-    /// [`Metrics`](crate::metrics::Metrics) (allocates tracker state on
-    /// every wire and adds per-push/pop bookkeeping; off by default so the
-    /// plain throughput path stays untouched).
-    pub collect_metrics: bool,
     /// RNG seed for routing randomization.
     pub seed: u64,
     /// Cycles without any flit movement (while packets are in flight) after
@@ -244,10 +156,7 @@ impl Default for SimParams {
             buffer_depth: 8,
             torus_buffer_depth: 32,
             arbiter: ArbiterKind::RoundRobin,
-            latency: LatencyParams::default(),
-            energy: EnergyParams::default(),
             track_energy: false,
-            collect_metrics: false,
             seed: 0xA2701,
             watchdog_cycles: 50_000,
             fault: None,
@@ -261,18 +170,11 @@ impl Default for SimParams {
 impl SimParams {
     /// Projects these parameters into the lint engine's view
     /// ([`anton_verify::ParamsView`]); `anton-verify` cannot depend on this
-    /// crate, so the mapping lives here. [`ParamsView::reference`] mirrors
-    /// [`SimParams::default`]; a test below pins the two in sync.
-    ///
-    /// [`ParamsView::reference`]: anton_verify::ParamsView::reference
+    /// crate, so the mapping lives here.
     pub fn verify_view(&self) -> anton_verify::ParamsView<'_> {
         anton_verify::ParamsView {
             buffer_depth: self.buffer_depth,
             torus_buffer_depth: self.torus_buffer_depth,
-            sw_inject_ns: self.latency.sw_inject_ns,
-            handler_dispatch_ns: self.latency.handler_dispatch_ns,
-            serdes_wire_ns: self.latency.serdes_wire_ns,
-            torus_link_cycles: self.latency.torus_link_cycles(),
             arbiter_m_bits: match self.arbiter {
                 ArbiterKind::InverseWeighted { m_bits } => Some(m_bits),
                 _ => None,
@@ -281,10 +183,6 @@ impl SimParams {
             fault: self.fault.as_ref(),
             trace_events: self.trace.events,
             trace_ring_capacity: self.trace.ring_capacity,
-            energy_fixed_pj: self.energy.fixed_pj,
-            energy_per_flip_pj: self.energy.per_flip_pj,
-            energy_activation_pj: self.energy.activation_pj,
-            energy_per_set_bit_pj: self.energy.per_set_bit_pj,
             shards: self.shards,
         }
     }
@@ -303,33 +201,10 @@ mod tests {
 
     #[test]
     fn latency_conversions_round_trip() {
-        let lp = LatencyParams::default();
-        assert_eq!(lp.torus_link_cycles(), 44);
-        assert!((lp.cycles_to_ns(3) - 2.0).abs() < 1e-12);
-    }
-
-    /// `ParamsView::reference` (used by `verify_config` without a
-    /// simulator) must stay identical to the default parameters' view.
-    #[test]
-    fn verify_view_matches_reference() {
-        let params = SimParams::default();
-        let view = params.verify_view();
-        let r = anton_verify::ParamsView::reference();
-        assert_eq!(view.buffer_depth, r.buffer_depth);
-        assert_eq!(view.torus_buffer_depth, r.torus_buffer_depth);
-        assert_eq!(view.sw_inject_ns, r.sw_inject_ns);
-        assert_eq!(view.handler_dispatch_ns, r.handler_dispatch_ns);
-        assert_eq!(view.serdes_wire_ns, r.serdes_wire_ns);
-        assert_eq!(view.torus_link_cycles, r.torus_link_cycles);
-        assert_eq!(view.arbiter_m_bits, r.arbiter_m_bits);
-        assert_eq!(view.watchdog_cycles, r.watchdog_cycles);
-        assert!(view.fault.is_none() && r.fault.is_none());
-        assert_eq!(view.trace_events, r.trace_events);
-        assert_eq!(view.trace_ring_capacity, r.trace_ring_capacity);
-        assert_eq!(view.energy_fixed_pj, r.energy_fixed_pj);
-        assert_eq!(view.energy_per_flip_pj, r.energy_per_flip_pj);
-        assert_eq!(view.energy_activation_pj, r.energy_activation_pj);
-        assert_eq!(view.energy_per_set_bit_pj, r.energy_per_set_bit_pj);
-        assert_eq!(view.shards, r.shards);
+        use anton_core::timing::{HANDLER_DISPATCH_CYCLES, SW_INJECT_CYCLES, TORUS_LINK_CYCLES};
+        assert_eq!(TORUS_LINK_CYCLES, 44);
+        assert_eq!(SW_INJECT_CYCLES, 39);
+        assert_eq!(HANDLER_DISPATCH_CYCLES, 35);
+        assert!((3.0 * CYCLE_NS - 2.0).abs() < 1e-12);
     }
 }

@@ -5,7 +5,7 @@
 //! wheel independently up to a conservative lookahead horizon — the
 //! bounded-lag scheme classically built from null messages, except that the
 //! lookahead here is *static*: the minimum latency of any torus link
-//! crossing a shard boundary (44 cycles at default calibration), so no null
+//! crossing a shard boundary ([`TORUS_LINK_CYCLES`], 44 cycles), so no null
 //! messages are needed. At each horizon barrier the shards exchange
 //! boundary traffic through mutex-striped mailboxes: departed packets
 //! travel producer → consumer with their full slab state, and credit
@@ -55,6 +55,7 @@ use std::sync::{Barrier, Mutex};
 use anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton_core::multicast::McGroup;
 use anton_core::packet::{CounterId, Packet};
+use anton_core::timing::TORUS_LINK_CYCLES;
 use anton_core::topology::NodeId;
 use anton_core::trace::GlobalLink;
 
@@ -261,12 +262,8 @@ pub struct ShardedSim {
     shards: Vec<Sim>,
     control: Sim,
     /// Shard owning each wire's producing side (intra-node wires: the
-    /// node's owner on both sides).
+    /// node's owner).
     wire_tx_owner: Vec<u32>,
-    /// Shard owning each wire's consuming side.
-    wire_rx_owner: Vec<u32>,
-    /// Boundary lookahead: the minimum latency of a shard-crossing link.
-    link_window: u64,
     fault_present: bool,
     end_cycle: u64,
     idle_cycles: u64,
@@ -298,14 +295,12 @@ impl ShardedSim {
             "shard plan does not cover the machine"
         );
         let fault_present = params.fault.is_some();
-        let link_window = params.latency.torus_link_cycles().max(1);
         // The control replica never steps: it exists for preflight (run
         // once, under the caller's policy), for driver callbacks during
         // replay, and as the keeper of the merged delivery statistics.
-        // Tracing and metric trackers on it would only waste memory.
+        // Tracing and energy counting on it would only waste memory.
         let mut control_params = params.clone();
         control_params.trace = TraceConfig::default();
-        control_params.collect_metrics = false;
         control_params.track_energy = false;
         let control = Sim::construct(cfg.clone(), control_params, None);
         // Replicas keep the caller's preflight mode: `Sim::construct` skips
@@ -323,37 +318,21 @@ impl ShardedSim {
                 )
             })
             .collect();
-        let nwires = control.wires().len();
-        let mut wire_tx_owner = Vec::with_capacity(nwires);
-        let mut wire_rx_owner = Vec::with_capacity(nwires);
-        for w in 0..nwires {
-            let (tx, rx) = match control.wires().label(w) {
-                GlobalLink::Torus { from, dir, .. } => {
-                    let to = cfg.shape.id(cfg.shape.neighbor(cfg.shape.coord(from), dir));
-                    (
-                        plan.owner_of_node(from.0 as usize),
-                        plan.owner_of_node(to.0 as usize),
-                    )
-                }
-                GlobalLink::Local { node, .. } => {
-                    let o = plan.owner_of_node(node.0 as usize);
-                    (o, o)
-                }
-                GlobalLink::Direct { from, to } => (
-                    plan.owner_of_node(from.0 as usize),
-                    plan.owner_of_node(to.0 as usize),
-                ),
-            };
-            wire_tx_owner.push(tx as u32);
-            wire_rx_owner.push(rx as u32);
-        }
+        let wires = control.wires();
+        let wire_tx_owner = (0..wires.len())
+            .map(|w| {
+                let from = match wires.label(w) {
+                    GlobalLink::Torus { from, .. } | GlobalLink::Direct { from, .. } => from,
+                    GlobalLink::Local { node, .. } => node,
+                };
+                plan.owner_of_node(from.0 as usize) as u32
+            })
+            .collect();
         ShardedSim {
             plan,
             shards,
             control,
             wire_tx_owner,
-            wire_rx_owner,
-            link_window,
             fault_present,
             end_cycle: 0,
             idle_cycles: 0,
@@ -592,21 +571,15 @@ impl ShardedSim {
 
     /// Collects the merged typed metrics record. Per boundary wire, the
     /// producing-side replica is authoritative for flits carried and
-    /// link-layer shim counters (it runs the send path and the shim), the
-    /// consuming-side replica for queue-occupancy histograms (it runs the
-    /// receive buffers); interior wires live wholly in their owning shard.
+    /// link-layer shim counters (it runs the send path and the shim);
+    /// interior wires live wholly in their owning shard.
     pub fn metrics(&self) -> Metrics {
         Metrics::collect_with(
             self.end_cycle,
             self.stats(),
             self.grant_counts(),
             self.wire_tx_owner.len(),
-            |w| {
-                (
-                    self.shards[self.wire_tx_owner[w] as usize].wires(),
-                    self.shards[self.wire_rx_owner[w] as usize].wires(),
-                )
-            },
+            |w| self.shards[self.wire_tx_owner[w] as usize].wires(),
         )
     }
 
@@ -699,7 +672,7 @@ impl ShardedSim {
         } else if self.fault_present {
             1
         } else {
-            self.link_window
+            TORUS_LINK_CYCLES
         };
         let watchdog = self.control.params.watchdog_cycles;
         // The phase profiler honors the same switch as the serial one,

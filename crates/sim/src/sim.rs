@@ -32,6 +32,7 @@ use anton_core::multicast::McGroup;
 use anton_core::net::{LinkEnd, Topology, TorusTopology};
 use anton_core::packet::{CounterId, Destination, Packet};
 use anton_core::routing::RouteSpec;
+use anton_core::timing::TORUS_LINK_CYCLES;
 use anton_core::topology::{NodeId, Slice, TorusDir};
 use anton_core::trace::GlobalLink;
 use anton_core::vc::Vc;
@@ -115,14 +116,6 @@ impl EnergyCounters {
         self.flips += other.flips;
         self.activations += other.activations;
         self.set_bits += other.set_bits;
-    }
-
-    /// Energy in picojoules under the given coefficients.
-    pub fn energy_pj(&self, p: &crate::params::EnergyParams) -> f64 {
-        self.flits as f64 * p.fixed_pj
-            + self.flips as f64 * p.per_flip_pj
-            + self.activations as f64 * p.activation_pj
-            + self.set_bits as f64 * p.per_set_bit_pj
     }
 }
 
@@ -677,7 +670,6 @@ impl Sim {
         let degraded = DegradedState::build(&cfg, &params, is_replica);
         let nodes = cfg.shape.num_nodes();
         let policy = cfg.vc_policy;
-        let torus_latency = params.latency.torus_link_cycles().max(1);
 
         // The wires are the topology's slots: slot `s` of node `n` is wire
         // `n * per_node + s`, and its label is the certifier's link there.
@@ -719,7 +711,7 @@ impl Sim {
                     label => {
                         let vcs = policy.num_vcs(LinkGroup::T);
                         let depth = params.torus_buffer_depth;
-                        WireSpec::ideal(label, torus_latency, ADAPTER_PIPELINE - 1, vcs, depth)
+                        WireSpec::ideal(label, TORUS_LINK_CYCLES, ADAPTER_PIPELINE - 1, vcs, depth)
                     }
                 }
             }));
@@ -739,7 +731,7 @@ impl Sim {
                     let profile = schedule.profile(node, c);
                     let seed = schedule.link_seed(cfg.torus_link_index(node, c));
                     wires[w].shim = Some(Box::new(anton_fault::LinkShim::new(
-                        torus_latency,
+                        TORUS_LINK_CYCLES,
                         schedule.gbn,
                         profile.ber,
                         profile.downs,
@@ -975,9 +967,7 @@ impl Sim {
     }
 
     /// Collects the full typed metrics record (see
-    /// [`Metrics`](crate::metrics::Metrics)); occupancy histograms are
-    /// present only when the simulator was built with
-    /// [`SimParams::collect_metrics`](crate::params::SimParams::collect_metrics).
+    /// [`Metrics`](crate::metrics::Metrics)).
     pub fn metrics(&self) -> crate::metrics::Metrics {
         crate::metrics::Metrics::collect(self)
     }
@@ -1258,7 +1248,7 @@ impl Sim {
         }
         mark_phase(3, !router_list.is_empty(), t);
         for &e in ep_list.iter() {
-            self.endpoints.recv_step(e as usize, fab, &ctx);
+            self.endpoints.recv_step(e as usize, fab);
         }
         mark_phase(4, !ep_list.is_empty(), t);
         fab.wheels.router.end_cycle();

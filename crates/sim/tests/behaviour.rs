@@ -272,8 +272,10 @@ fn counted_write_handler_fires_after_count() {
     };
     assert_eq!(sim.run(&mut drv, 100_000), RunOutcome::Completed);
     assert_eq!(drv.packets, 3, "handler fired before all writes arrived");
-    let dispatch = sim.params.latency.handler_dispatch_cycles();
-    assert_eq!(drv.fired.unwrap(), drv.last_packet_at + dispatch);
+    assert_eq!(
+        drv.fired.unwrap(),
+        drv.last_packet_at + anton_core::timing::HANDLER_DISPATCH_CYCLES
+    );
 }
 
 #[test]

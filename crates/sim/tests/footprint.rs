@@ -63,9 +63,9 @@ fn idle_footprint(k: u8) -> (i64, i64) {
 }
 
 /// An idle machine is a few flat arrays over the slot layout plus one block
-/// per router: 8×8×8 holds 37 MB in 8,233 blocks (8,192 routers), and costs
-/// per node what 4×4×4 does. Measured when written, identical on every run:
-/// k=8 36,976,837 bytes in 8,233 live allocations, k=4 4,626,629 in 1,065
+/// per router: 8×8×8 holds 36 MB in 8,233 blocks (8,192 routers), and costs
+/// per node what 4×4×4 does. Measured, identical on every run: k=8
+/// 36,485,251 bytes in 8,233 live allocations, k=4 4,565,123 in 1,065
 /// (ratio 7.99 for 8× the nodes).
 ///
 /// What trips it: state per VC that is not a few bytes of a shared row. A

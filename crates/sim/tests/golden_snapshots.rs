@@ -4,9 +4,11 @@
 //! fault-sweep open-loop traffic, multicast + counted writes) on a small
 //! machine and serializes every observable output — delivery stream, event
 //! counters, per-endpoint receive counts, grant counts, link-class
-//! utilization, occupancy histograms, per-wire flit counts — into a
-//! deterministic text form compared byte-for-byte against the committed
-//! snapshot under `tests/snapshots/`.
+//! utilization, per-wire flit counts — into a deterministic text form
+//! compared byte-for-byte against the committed snapshot under
+//! `tests/snapshots/`. The simulators are built as every production run
+//! builds them, so on a fault-free machine every wire takes the dense
+//! delivery path; the fault sweep adds the lossy-link path.
 //!
 //! Any kernel change that alters a single routing decision, arbitration
 //! grant, delivery cycle, or metric shows up here as a byte diff. To
@@ -221,16 +223,6 @@ fn render<D>(name: &str, obs: &Observed, drv: &Recorder<D>) -> String {
             lc.class, lc.wires, lc.flits
         );
     }
-    for occ in &m.vc_occupancy {
-        if occ.buckets.iter().all(|&b| b == 0) {
-            continue;
-        }
-        let _ = write!(w, "occ {} vc{}:", occ.class, occ.vc_index);
-        for b in occ.buckets {
-            let _ = write!(w, " {b}");
-        }
-        let _ = writeln!(w);
-    }
     if let Some(f) = &m.fault {
         let t = f.totals;
         let _ = writeln!(
@@ -301,13 +293,10 @@ fn ep(cfg: &MachineConfig, c: NodeCoord, i: u8) -> GlobalEndpoint {
 }
 
 /// Figure 9-shaped: closed-loop batch of uniform traffic, round-robin
-/// arbitration, metrics collection on.
+/// arbitration.
 fn fig9_round_robin(kernel: Kernel) -> String {
     let cfg = MachineConfig::new(TorusShape::cube(2));
-    let params = SimParams {
-        collect_metrics: true,
-        ..SimParams::default()
-    };
+    let params = SimParams::default();
     let inner = BatchDriver::builder_for(&cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(10)
@@ -346,7 +335,6 @@ fn fig9_inverse_weighted(kernel: Kernel) -> String {
     let weights = ArbiterWeightSet::compute(&cfg, &[&analysis], 5);
     let params = SimParams {
         arbiter: ArbiterKind::InverseWeighted { m_bits: 5 },
-        collect_metrics: true,
         ..SimParams::default()
     };
     let install = |sim: &mut Sim| sim.install_weights(&weights);
@@ -387,7 +375,7 @@ fn fig9_inverse_weighted(kernel: Kernel) -> String {
 }
 
 /// Fault-sweep-shaped: open-loop load under a lossy schedule with an outage
-/// window, metrics collection on.
+/// window.
 fn fault_sweep(kernel: Kernel) -> String {
     let cfg = MachineConfig::new(TorusShape::cube(2));
     let schedule = FaultSchedule::uniform(5, 1e-4).with_fault(
@@ -399,7 +387,6 @@ fn fault_sweep(kernel: Kernel) -> String {
         },
     );
     let params = SimParams {
-        collect_metrics: true,
         fault: Some(schedule),
         ..SimParams::default()
     };

@@ -1,6 +1,6 @@
 //! End-to-end validation of the typed metrics layer: conservation between
-//! [`Metrics`] aggregates and the raw simulator counters, occupancy-
-//! histogram gating, and determinism of the whole record.
+//! [`Metrics`] aggregates and the raw simulator counters, and determinism
+//! of the whole record.
 
 use anton_arbiter::ArbiterKind;
 use anton_core::chip::{ChanId, LocalEndpointId, NUM_CHAN_ADAPTERS};
@@ -19,14 +19,9 @@ use anton_traffic::patterns::{ReverseTornado, Tornado, UniformRandom};
 
 /// A 2×2×2 uniform batch (8 packets per endpoint) on the serial kernel,
 /// not yet run.
-fn small_batch(
-    collect_metrics: bool,
-    seed: u64,
-    fault: Option<FaultSchedule>,
-) -> (Sim, BatchDriver) {
+fn small_batch(seed: u64, fault: Option<FaultSchedule>) -> (Sim, BatchDriver) {
     let cfg = MachineConfig::new(TorusShape::cube(2));
     let params = SimParams {
-        collect_metrics,
         fault,
         seed,
         ..SimParams::default()
@@ -40,15 +35,15 @@ fn small_batch(
     (sim, drv)
 }
 
-fn run_uniform(collect_metrics: bool, seed: u64) -> Sim {
-    let (mut sim, mut drv) = small_batch(collect_metrics, seed, None);
+fn run_uniform(seed: u64) -> Sim {
+    let (mut sim, mut drv) = small_batch(seed, None);
     assert_eq!(sim.run(&mut drv, 1_000_000), RunOutcome::Completed);
     sim
 }
 
 #[test]
 fn link_class_flits_sum_to_flit_hops() {
-    let sim = run_uniform(false, 1);
+    let sim = run_uniform(1);
     let m = sim.metrics();
     let class_total: u64 = m.link_classes.iter().map(|c| c.flits).sum();
     assert_eq!(
@@ -65,52 +60,9 @@ fn link_class_flits_sum_to_flit_hops() {
 }
 
 #[test]
-fn occupancy_histograms_gated_by_params() {
-    let plain = run_uniform(false, 1).metrics();
-    assert!(plain.vc_occupancy.is_empty(), "tracking must default off");
-
-    let tracked_sim = run_uniform(true, 1);
-    let tracked = tracked_sim.metrics();
-    assert!(!tracked.vc_occupancy.is_empty());
-    // Histogram totals are wire·cycles: every tracked (class, vc) of a
-    // class with w wires accounts exactly w × cycles.
-    for h in &tracked.vc_occupancy {
-        let total: u64 = h.buckets.iter().sum();
-        let wires = tracked.link_class(h.class).wires as u64;
-        assert_eq!(
-            total,
-            wires * tracked.cycles,
-            "{} vc{} histogram does not cover the run",
-            h.class,
-            h.vc_index
-        );
-        assert!(h.mean() >= 0.0 && h.busy_fraction() <= 1.0);
-    }
-    // Traffic flowed, so something was buffered somewhere.
-    assert!(tracked.vc_occupancy.iter().any(|h| h.busy_fraction() > 0.0));
-}
-
-#[test]
-fn collecting_metrics_does_not_perturb_results() {
-    let plain = run_uniform(false, 7);
-    let tracked = run_uniform(true, 7);
-    assert_eq!(
-        plain.stats().delivered_packets,
-        tracked.stats().delivered_packets
-    );
-    assert_eq!(plain.stats().flit_hops, tracked.stats().flit_hops);
-    assert_eq!(
-        plain.now(),
-        tracked.now(),
-        "tracking must not change timing"
-    );
-    assert_eq!(plain.grant_counts(), tracked.grant_counts());
-}
-
-#[test]
 fn grant_counts_are_live_and_deterministic() {
-    let a = run_uniform(false, 3);
-    let b = run_uniform(false, 3);
+    let a = run_uniform(3);
+    let b = run_uniform(3);
     let g = a.grant_counts();
     assert!(
         g.sa1 > 0 && g.output > 0 && g.serializer > 0,
@@ -146,15 +98,12 @@ impl anton_sim::sim::Driver for RecordingBatch {
 
 #[test]
 fn instrumentation_toggles_never_change_routing_or_deliveries() {
-    // Flipping collect_metrics (untracked wires deliver through the dense
-    // path, tracked ones through their in-flight queues) and any
-    // TraceConfig (event recording, sampling at any window size) must be
-    // observationally invisible: identical link-level routes, VCs,
+    // Any TraceConfig (event recording, sampling at any window size) must
+    // be observationally invisible: identical link-level routes, VCs,
     // per-packet delivery cycles, and final simulated time.
-    let run = |collect_metrics: bool, trace: TraceConfig| {
+    let run = |trace: TraceConfig| {
         let cfg = MachineConfig::new(TorusShape::cube(2));
         let params = SimParams {
-            collect_metrics,
             trace,
             seed: 11,
             ..SimParams::default()
@@ -188,13 +137,7 @@ fn instrumentation_toggles_never_change_routing_or_deliveries() {
         log.sort_by_key(|(src, dst, inj, del, ..)| (*src, *dst, *inj, *del));
         (sim.now(), log)
     };
-    let reference = run(false, TraceConfig::default()); // the defaults
-    let tracked = run(true, TraceConfig::default());
-    assert_eq!(reference.0, tracked.0, "final cycle changed under metrics");
-    assert_eq!(
-        reference.1, tracked.1,
-        "deliveries/routes changed under metrics"
-    );
+    let reference = run(TraceConfig::default());
     // Observability at any setting: full event recording (tiny and large
     // rings), sampling at several window sizes, stall attribution, all at
     // once, and the profiler flag.
@@ -218,7 +161,7 @@ fn instrumentation_toggles_never_change_routing_or_deliveries() {
         },
     ];
     for trace in trace_variants {
-        let got = run(false, trace);
+        let got = run(trace);
         assert_eq!(reference.0, got.0, "final cycle changed under {trace:?}");
         assert_eq!(
             reference.1, got.1,
@@ -354,14 +297,13 @@ fn lossy_wire_wakes_follow_frames_not_cycles() {
     assert_eq!(sim.kernel_work().wakes[3], settled, "an idle link woke");
 }
 
-/// The kernel's exact work on three small runs ([`small_batch`] at route
-/// seed 5), one per delivery path of
+/// The kernel's exact work on two small runs ([`small_batch`] at route
+/// seed 5), one per delivery path a serial run takes through
 /// the wire layer, captured at the commit before `Wires` replaced `Wire` +
 /// the simulator's dense mirrors (PR 17): a refactor of the kernel must do
 /// the same work in the same number of wakes, on every host. Dense: every
 /// wire files sends straight into the receive rows, so only the bootstrap
-/// look wakes a wire. In flight: occupancy tracking sends every arrival
-/// through the wire wheel. Shim: BER 1e-4 on every torus link plus one
+/// look wakes a wire. Shim: BER 1e-4 on every torus link plus one
 /// link `Down` for cycles 150–900 (go-back-N events, a link drain, 24
 /// reroutes).
 #[test]
@@ -375,33 +317,17 @@ fn kernel_work_is_pinned_on_each_delivery_path() {
         },
     );
     let pins = [
-        (
-            "dense",
-            false,
-            None,
-            296,
-            [18_972, 9_326, 2_688, 960],
-            3_559,
-        ),
-        (
-            "in flight",
-            true,
-            None,
-            296,
-            [18_972, 9_326, 2_688, 15_640],
-            7_301,
-        ),
+        ("dense", None, 296, [18_972, 9_326, 2_688, 960], 3_559),
         (
             "shim",
-            false,
             Some(down),
             1_189,
             [21_566, 9_451, 2_720, 6_161],
             13_254,
         ),
     ];
-    for (path, collect_metrics, fault, cycles, wakes, wheel_words_visited) in pins {
-        let (mut sim, mut drv) = small_batch(collect_metrics, 5, fault);
+    for (path, fault, cycles, wakes, wheel_words_visited) in pins {
+        let (mut sim, mut drv) = small_batch(5, fault);
         assert_eq!(sim.run(&mut drv, 1_000_000), RunOutcome::Completed);
         assert_eq!(
             sim.kernel_work(),
@@ -757,7 +683,7 @@ fn exact_counts_are_pinned_on_each_layer_path() {
 /// in debug builds, an immediate `TimedOut` in release).
 #[test]
 fn unbounded_budget_on_a_stepped_simulator_completes() {
-    let (mut sim, mut drv) = small_batch(false, 5, None);
+    let (mut sim, mut drv) = small_batch(5, None);
     assert_eq!(sim.run(&mut drv, 10), RunOutcome::TimedOut);
     assert_eq!(sim.now(), 10);
     assert_eq!(sim.run(&mut drv, u64::MAX), RunOutcome::Completed);

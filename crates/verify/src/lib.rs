@@ -29,9 +29,8 @@
 //!   (`AV020`/`AV021`).
 //! - **Config lint engine** ([`lint_config`], [`lint_params`],
 //!   [`lint_weights`]): ~18 typed checks with stable `AV0xx` codes covering
-//!   VC budgets, dateline placement, direction-order tables, buffer and
-//!   latency parameters, fault schedules, arbiter weights, and tracing
-//!   configuration. See `crate::lint` for the code table.
+//!   VC budgets, dateline placement, direction-order tables, buffer
+//!   depths, fault schedules, arbiter weights, and tracing configuration. See `crate::lint` for the code table.
 //!
 //! The simulator runs [`preflight`] during construction (fail-fast by
 //! default), the experiment harness verifies configurations before

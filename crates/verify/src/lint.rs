@@ -15,8 +15,8 @@
 //! | AV006 | error    | VC count does not fit the 16-entry wire mask |
 //! | AV007 | error    | zero router / torus buffer depth |
 //! | AV008 | warning  | torus buffers below the retransmission BDP |
-//! | AV009 | error/warning | non-finite, negative, or zero latency |
-//! | AV010 | error    | zero torus link latency |
+//! | AV009 | —        | retired, not reused (latency parameters became constants) |
+//! | AV010 | —        | retired, not reused (torus link latency became a constant) |
 //! | AV011 | error/warning | fault schedule references a bad link |
 //! | AV012 | error    | bit-error rate outside `[0, 1]` |
 //! | AV013 | warning  | empty or inverted link-down window |
@@ -24,7 +24,7 @@
 //! | AV015 | error    | zero watchdog period (trips immediately) |
 //! | AV016 | error    | arbiter `m_bits` / weight-table inconsistency |
 //! | AV017 | error/warning | go-back-N window or timeout misconfigured |
-//! | AV018 | error/warning | non-finite or negative energy coefficient |
+//! | AV018 | —        | retired, not reused (the simulator prices no energy) |
 //! | AV019 | error    | shard count zero or above the node count |
 //! | AV020 | error    | down links partition the network (unreachable node pairs) |
 //! | AV021 | error    | degraded route tables uncertifiable (VC-incompatible or cyclic) |
@@ -38,6 +38,7 @@
 use anton_analysis::weights::ArbiterWeightSet;
 use anton_core::chip::{LinkGroup, MeshCoord, NUM_ROUTERS};
 use anton_core::config::MachineConfig;
+use anton_core::timing::TORUS_LINK_CYCLES;
 use anton_fault::{FaultKind, FaultSchedule};
 
 use crate::model::VerifyModel;
@@ -54,24 +55,14 @@ pub const MIN_TORUS_BDP_FLITS: u8 = 28;
 ///
 /// `anton-sim` depends on this crate (pre-flight runs when the builder
 /// constructs a `Sim`), so the lints cannot read `SimParams` directly; the
-/// simulator projects
-/// its parameters into this view instead. [`ParamsView::reference`]
-/// duplicates the paper-default values for standalone use (`verify_config`
-/// without a simulator); `anton-sim`'s tests pin the two in sync.
+/// simulator projects its parameters into this view instead
+/// (`SimParams::verify_view`).
 #[derive(Debug, Clone)]
 pub struct ParamsView<'a> {
     /// Router input buffer depth per VC (flits).
     pub buffer_depth: u8,
     /// Torus arrival buffer depth per VC (flits).
     pub torus_buffer_depth: u8,
-    /// Software injection overhead (ns).
-    pub sw_inject_ns: f64,
-    /// Receive handler dispatch overhead (ns).
-    pub handler_dispatch_ns: f64,
-    /// SerDes + wire flight time per torus hop (ns).
-    pub serdes_wire_ns: f64,
-    /// Torus link latency in cycles.
-    pub torus_link_cycles: u64,
     /// Inverse-weight bit width when weighted arbitration is configured.
     pub arbiter_m_bits: Option<u32>,
     /// Idle cycles before the deadlock watchdog trips.
@@ -82,41 +73,8 @@ pub struct ParamsView<'a> {
     pub trace_events: bool,
     /// Flight-recorder ring capacity (events).
     pub trace_ring_capacity: usize,
-    /// Fixed energy per packet (pJ).
-    pub energy_fixed_pj: f64,
-    /// Energy per toggled wire bit (pJ).
-    pub energy_per_flip_pj: f64,
-    /// Buffer activation energy (pJ).
-    pub energy_activation_pj: f64,
-    /// Energy per stored set bit (pJ).
-    pub energy_per_set_bit_pj: f64,
     /// Worker shards of the parallel kernel (`1` = serial).
     pub shards: usize,
-}
-
-impl ParamsView<'static> {
-    /// The paper-default parameters (mirrors `anton-sim`'s defaults; the
-    /// simulator's tests assert the two stay identical).
-    pub fn reference() -> ParamsView<'static> {
-        ParamsView {
-            buffer_depth: 8,
-            torus_buffer_depth: 32,
-            sw_inject_ns: 26.0,
-            handler_dispatch_ns: 23.0,
-            serdes_wire_ns: 29.0,
-            torus_link_cycles: 44,
-            arbiter_m_bits: None,
-            watchdog_cycles: 50_000,
-            fault: None,
-            trace_events: false,
-            trace_ring_capacity: 256,
-            energy_fixed_pj: 42.7,
-            energy_per_flip_pj: 0.837,
-            energy_activation_pj: 34.4,
-            energy_per_set_bit_pj: 0.250,
-            shards: 1,
-        }
-    }
 }
 
 /// Lints the machine configuration proper (topology, VC budget, routing
@@ -336,39 +294,6 @@ pub fn lint_params(cfg: &MachineConfig, view: &ParamsView<'_>) -> Vec<Diagnostic
         );
     }
 
-    // AV009: latency parameters.
-    for (name, v) in [
-        ("sw_inject_ns", view.sw_inject_ns),
-        ("handler_dispatch_ns", view.handler_dispatch_ns),
-        ("serdes_wire_ns", view.serdes_wire_ns),
-    ] {
-        if !v.is_finite() || v < 0.0 {
-            out.push(
-                Diagnostic::error(
-                    "AV009",
-                    format!("latency {name} = {v} is not a valid delay"),
-                )
-                .with(name, v),
-            );
-        } else if v == 0.0 {
-            out.push(
-                Diagnostic::warning(
-                    "AV009",
-                    format!("latency {name} is zero — the modeled overhead vanishes"),
-                )
-                .with(name, v),
-            );
-        }
-    }
-
-    // AV010: zero-cycle torus links break the latency model.
-    if view.torus_link_cycles == 0 {
-        out.push(Diagnostic::error(
-            "AV010",
-            "torus link latency is zero cycles",
-        ));
-    }
-
     // AV015: the watchdog compares idle_cycles >= watchdog_cycles, so zero
     // trips on the very first idle cycle.
     if view.watchdog_cycles == 0 {
@@ -400,32 +325,6 @@ pub fn lint_params(cfg: &MachineConfig, view: &ParamsView<'_>) -> Vec<Diagnostic
         ));
     }
 
-    // AV018: energy coefficients.
-    for (name, v) in [
-        ("fixed_pj", view.energy_fixed_pj),
-        ("per_flip_pj", view.energy_per_flip_pj),
-        ("activation_pj", view.energy_activation_pj),
-        ("per_set_bit_pj", view.energy_per_set_bit_pj),
-    ] {
-        if !v.is_finite() {
-            out.push(
-                Diagnostic::error(
-                    "AV018",
-                    format!("energy coefficient {name} = {v} is not finite"),
-                )
-                .with(name, v),
-            );
-        } else if v < 0.0 {
-            out.push(
-                Diagnostic::warning(
-                    "AV018",
-                    format!("energy coefficient {name} = {v} is negative"),
-                )
-                .with(name, v),
-            );
-        }
-    }
-
     // AV019: the sharded kernel assigns one contiguous node sub-brick per
     // shard, so the count must be 1..=num_nodes.
     if view.shards == 0 {
@@ -447,18 +346,13 @@ pub fn lint_params(cfg: &MachineConfig, view: &ParamsView<'_>) -> Vec<Diagnostic
     }
 
     if let Some(fault) = view.fault {
-        lint_fault(cfg, view, fault, &mut out);
+        lint_fault(cfg, fault, &mut out);
     }
 
     out
 }
 
-fn lint_fault(
-    cfg: &MachineConfig,
-    view: &ParamsView<'_>,
-    fault: &FaultSchedule,
-    out: &mut Vec<Diagnostic>,
-) {
+fn lint_fault(cfg: &MachineConfig, fault: &FaultSchedule, out: &mut Vec<Diagnostic>) {
     // AV012: bit-error rates are probabilities.
     let bad_ber = |ber: f64| !(0.0..=1.0).contains(&ber) || ber.is_nan();
     if bad_ber(fault.default_ber) {
@@ -549,7 +443,7 @@ fn lint_fault(
             .with("window", fault.gbn.window),
         );
     }
-    let min_timeout = 2 * view.torus_link_cycles;
+    let min_timeout = 2 * TORUS_LINK_CYCLES;
     if fault.gbn.timeout < min_timeout {
         out.push(
             Diagnostic::warning(

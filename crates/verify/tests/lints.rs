@@ -1,5 +1,9 @@
 //! Unit coverage for the configuration lint engine: one scenario per
 //! diagnostic code, plus a clean bill of health for the paper defaults.
+//! Parameter views start from the simulator's defaults
+//! (`SimParams::default().verify_view()`).
+
+use std::sync::LazyLock;
 
 use anton_analysis::weights::{ArbiterWeightSet, WeightTables};
 use anton_core::chip::ChanId;
@@ -7,10 +11,17 @@ use anton_core::config::MachineConfig;
 use anton_core::topology::{Dim, NodeId, Sign, Slice, TorusDir, TorusShape};
 use anton_core::vc::VcPolicy;
 use anton_fault::{FaultKind, FaultSchedule};
+use anton_sim::params::SimParams;
 use anton_verify::{lint_config, lint_params, lint_weights, ParamsView, Severity};
 
 fn codes(diags: &[anton_verify::Diagnostic]) -> Vec<&'static str> {
     diags.iter().map(|d| d.code).collect()
+}
+
+/// The view of the simulator's default parameters.
+fn default_view() -> ParamsView<'static> {
+    static DEFAULTS: LazyLock<SimParams> = LazyLock::new(SimParams::default);
+    DEFAULTS.verify_view()
 }
 
 fn default_cfg() -> MachineConfig {
@@ -20,7 +31,7 @@ fn default_cfg() -> MachineConfig {
 #[test]
 fn reference_params_are_clean() {
     let cfg = default_cfg();
-    let diags = lint_params(&cfg, &ParamsView::reference());
+    let diags = lint_params(&cfg, &default_view());
     assert!(diags.is_empty(), "{diags:?}");
     assert!(lint_config(&cfg).is_empty());
 }
@@ -47,13 +58,13 @@ fn av001_does_not_fire_on_a_mesh_degenerate_shape() {
 #[test]
 fn av007_av008_buffer_depths() {
     let cfg = default_cfg();
-    let mut view = ParamsView::reference();
+    let mut view = default_view();
     view.buffer_depth = 0;
     view.torus_buffer_depth = 0;
     let c = codes(&lint_params(&cfg, &view));
     assert_eq!(c.iter().filter(|c| **c == "AV007").count(), 2, "{c:?}");
 
-    let mut view = ParamsView::reference();
+    let mut view = default_view();
     view.torus_buffer_depth = 8; // below the 28-flit BDP
     let diags = lint_params(&cfg, &view);
     let av008 = diags.iter().find(|d| d.code == "AV008").expect("AV008");
@@ -61,46 +72,18 @@ fn av007_av008_buffer_depths() {
 }
 
 #[test]
-fn av009_latency_validation() {
+fn av015_zero_watchdog() {
     let cfg = default_cfg();
-    let mut view = ParamsView::reference();
-    view.sw_inject_ns = f64::NAN;
-    view.handler_dispatch_ns = -1.0;
-    view.serdes_wire_ns = 0.0;
-    let diags = lint_params(&cfg, &view);
-    let av009: Vec<_> = diags.iter().filter(|d| d.code == "AV009").collect();
-    assert_eq!(av009.len(), 3, "{diags:?}");
-    assert_eq!(
-        av009
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count(),
-        2
-    );
-    assert_eq!(
-        av009
-            .iter()
-            .filter(|d| d.severity == Severity::Warning)
-            .count(),
-        1
-    );
-}
-
-#[test]
-fn av010_av015_zero_cycles() {
-    let cfg = default_cfg();
-    let mut view = ParamsView::reference();
-    view.torus_link_cycles = 0;
+    let mut view = default_view();
     view.watchdog_cycles = 0;
     let c = codes(&lint_params(&cfg, &view));
-    assert!(c.contains(&"AV010"), "{c:?}");
-    assert!(c.contains(&"AV015"), "{c:?}");
+    assert_eq!(c, ["AV015"]);
 }
 
 #[test]
 fn av014_tracing_into_empty_ring() {
     let cfg = default_cfg();
-    let mut view = ParamsView::reference();
+    let mut view = default_view();
     view.trace_events = true;
     view.trace_ring_capacity = 0;
     assert!(codes(&lint_params(&cfg, &view)).contains(&"AV014"));
@@ -112,7 +95,7 @@ fn av014_tracing_into_empty_ring() {
 #[test]
 fn av016_m_bits_range() {
     let cfg = default_cfg();
-    let mut view = ParamsView::reference();
+    let mut view = default_view();
     view.arbiter_m_bits = Some(1);
     assert!(codes(&lint_params(&cfg, &view)).contains(&"AV016"));
     view.arbiter_m_bits = Some(17);
@@ -122,29 +105,16 @@ fn av016_m_bits_range() {
 }
 
 #[test]
-fn av018_energy_coefficients() {
-    let cfg = default_cfg();
-    let mut view = ParamsView::reference();
-    view.energy_fixed_pj = f64::INFINITY;
-    view.energy_per_flip_pj = -0.1;
-    let diags = lint_params(&cfg, &view);
-    let av018: Vec<_> = diags.iter().filter(|d| d.code == "AV018").collect();
-    assert_eq!(av018.len(), 2, "{diags:?}");
-    assert!(av018.iter().any(|d| d.severity == Severity::Error));
-    assert!(av018.iter().any(|d| d.severity == Severity::Warning));
-}
-
-#[test]
 fn av019_shard_count_bounds() {
     let cfg = default_cfg();
-    let mut view = ParamsView::reference();
+    let mut view = default_view();
     view.shards = 0;
     let diags = lint_params(&cfg, &view);
     let zero = diags.iter().find(|d| d.code == "AV019").expect("AV019");
     assert_eq!(zero.severity, Severity::Error);
 
     // One shard per node is the maximum a 4x4x4 machine admits.
-    let mut view = ParamsView::reference();
+    let mut view = default_view();
     view.shards = 64;
     assert!(!codes(&lint_params(&cfg, &view)).contains(&"AV019"));
     view.shards = 65;
@@ -177,7 +147,7 @@ fn av011_fault_on_nonexistent_link() {
         chan,
         FaultKind::Degraded { ber: 1e-9 },
     );
-    let mut view = ParamsView::reference();
+    let mut view = default_view();
     view.fault = Some(&sched);
     let diags = lint_params(&cfg, &view);
     let av011 = diags.iter().find(|d| d.code == "AV011").expect("AV011");
@@ -200,7 +170,7 @@ fn av011_warns_on_extent_1_dimension() {
         chan,
         FaultKind::Degraded { ber: 1e-9 },
     );
-    let mut view = ParamsView::reference();
+    let mut view = default_view();
     view.fault = Some(&sched);
     let diags = lint_params(&cfg, &view);
     let av011 = diags.iter().find(|d| d.code == "AV011").expect("AV011");
@@ -222,7 +192,7 @@ fn av012_av013_bad_ber_and_empty_window() {
                 until_cycle: 100,
             },
         );
-    let mut view = ParamsView::reference();
+    let mut view = default_view();
     view.fault = Some(&sched);
     let diags = lint_params(&cfg, &view);
     let c = codes(&diags);
@@ -236,7 +206,7 @@ fn av017_gobackn_window_and_timeout() {
     let mut sched = FaultSchedule::uniform(1, 0.0);
     sched.gbn.window = 0;
     sched.gbn.timeout = 10; // below 2 * 44 cycles round trip
-    let mut view = ParamsView::reference();
+    let mut view = default_view();
     view.fault = Some(&sched);
     let diags = lint_params(&cfg, &view);
     let av017: Vec<_> = diags.iter().filter(|d| d.code == "AV017").collect();
@@ -246,7 +216,7 @@ fn av017_gobackn_window_and_timeout() {
     // window 128 wraps the sequence-number space.
     sched.gbn.window = 128;
     sched.gbn.timeout = 1_000;
-    let mut view = ParamsView::reference();
+    let mut view = default_view();
     view.fault = Some(&sched);
     assert!(codes(&lint_params(&cfg, &view)).contains(&"AV017"));
 }

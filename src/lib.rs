@@ -57,7 +57,7 @@ pub mod prelude {
         BatchDriver, BatchDriverBuilder, LoadDriver, PayloadKind, PingPongDriver, RateDriver,
     };
     pub use anton_sim::metrics::{LinkClass, Metrics};
-    pub use anton_sim::params::{EnergyParams, LatencyParams, SimParams};
+    pub use anton_sim::params::SimParams;
     pub use anton_sim::sim::{Delivery, Driver, RunOutcome, Sim, SimStats};
     pub use anton_traffic::patterns::{
         BitComplement, Blend, NHopNeighbor, NodePermutation, ReverseTornado, Tornado, Transpose,

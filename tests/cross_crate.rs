@@ -172,19 +172,18 @@ fn packaging_covers_every_simulated_channel() {
     assert_eq!(torus_channels, 512 * 12);
 }
 
-/// The energy experiment's fit must recover the coefficients the simulator
-/// charges — methodology closes end to end.
+/// The energy experiment's fit must recover the coefficients its activity
+/// is priced with — methodology closes end to end.
 #[test]
 fn energy_fit_recovers_charged_coefficients() {
     use anton2::anton_energy::experiment::measure_rate;
     use anton2::anton_energy::model::EnergyModel;
     use anton2::anton_sim::driver::PayloadKind;
-    use anton2::anton_sim::params::EnergyParams;
-    let p = EnergyParams::default();
+    let p = EnergyModel::paper();
     let mut ms = Vec::new();
     for rate in [(1u32, 4u32), (1, 2), (3, 4), (1, 1)] {
         for kind in [PayloadKind::Zeros, PayloadKind::Ones, PayloadKind::Random] {
-            ms.push(measure_rate(rate, kind, 600, &p));
+            ms.push(measure_rate(rate, kind, 600));
         }
     }
     let fit = EnergyModel::fit(&ms);
