@@ -17,7 +17,7 @@ use anton_obs::{StallCause, TraceEventKind};
 
 use crate::fabric::{CompRef, Ctx, Fabric};
 use crate::params::{TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
-use crate::state::{PacketId, RouteProgress};
+use crate::state::{PacketId, PacketState, RouteProgress};
 use crate::wire::BufEntry;
 
 /// Gate-record marker of a head an adapter has classified (adapters own the
@@ -174,6 +174,39 @@ impl ChanState {
         true
     }
 
+    /// Replaces multicast copy `pid`, just taken off the torus, by the
+    /// copies its group's table entry at this node names, and sends the
+    /// first into the mesh; the rest wait in the replication queue. Each
+    /// copy inherits the parent's header, cycles, hops and arrival, and its
+    /// cold record: a recorded route is the whole path from the source.
+    fn fan_out(&mut self, me: CompRef, fab: &mut Fabric, ctx: &Ctx<'_>, pid: PacketId) {
+        let now = fab.now;
+        let (parent, cold) = fab.packets.remove(pid);
+        let RouteProgress::McExit { group, tree, .. } = parent.route else {
+            unreachable!("classified as a multicast copy")
+        };
+        let arrived = parent
+            .arrived_via
+            .expect("multicast copy arrived via torus");
+        let arrival = Some((arrived, parent.vc));
+        for (route, vc, pending_vc) in fab.multicast_copies(ctx, self.node, (group, tree), arrival)
+        {
+            let copy = PacketState {
+                route,
+                vc,
+                pending_vc,
+                ..parent
+            };
+            self.repl.push_back(fab.packets.insert(copy, cold.clone()));
+        }
+        if let Some(&head) = self.repl.front() {
+            if self.send_to_router(me, fab, ctx, head) {
+                self.repl.pop_front();
+            }
+        }
+        fab.wheels.wake(me, now + 1, now);
+    }
+
     #[inline]
     fn inbound_step(&mut self, me: CompRef, fab: &mut Fabric, ctx: &Ctx<'_>) {
         let now = fab.now;
@@ -221,7 +254,7 @@ impl ChanState {
                 let (kind, cvcidx) = match st.route {
                     RouteProgress::Unicast { .. } => {
                         let vc = st.vc.vc_for(LinkGroup::T);
-                        let cvcidx = fab.wires.vc_index(to_router, st.packet.class, vc);
+                        let cvcidx = fab.wires.vc_index(to_router, st.class, vc);
                         (RC_UNICAST, cvcidx)
                     }
                     RouteProgress::McExit { .. } => (RC_MULTICAST, 0),
@@ -246,28 +279,8 @@ impl ChanState {
                 let sent = self.send_to_router(me, fab, ctx, pid);
                 debug_assert!(sent, "send checked above");
             } else {
-                // A multicast copy: replace it by its fan-out at this node.
                 let pid = fab.pop(wire_id, v).pkt;
-                let parent = fab.packets.remove(pid);
-                let arrived = parent
-                    .arrived_via
-                    .expect("multicast copy arrived via torus");
-                let arrival = Some((arrived, parent.vc, parent.torus_hops));
-                let (pkt, at) = (&parent.packet, (parent.injected_at, parent.queued_at));
-                let copies = fab.expand_multicast_at(ctx, self.node, pkt, at, arrival);
-                // A recorded route is the whole path from the source.
-                if let Some(log) = &parent.route_log {
-                    for &copy in &copies {
-                        fab.packets.get_mut(copy).route_log = Some(log.clone());
-                    }
-                }
-                self.repl.extend(copies);
-                if let Some(&head) = self.repl.front() {
-                    if self.send_to_router(me, fab, ctx, head) {
-                        self.repl.pop_front();
-                    }
-                }
-                fab.wheels.wake(me, now + 1, now);
+                self.fan_out(me, fab, ctx, pid);
             }
             self.rr_vc_in = (v + 1) % nvcs;
             return;
@@ -318,7 +331,7 @@ impl ChanState {
                 // VC on the torus link after a possible dateline promotion.
                 let mut vc_after = st.vc;
                 let tvc = vc_after.torus_hop(crosses);
-                let lane = fab.wires.vc_index(out_wire, st.packet.class, tvc);
+                let lane = fab.wires.vc_index(out_wire, st.class, tvc);
                 (RC_UNICAST, lane)
             },
             |_| Some(out_wire),
@@ -427,7 +440,6 @@ mod tests {
     use super::*;
     use crate::fabric::testkit;
     use crate::params::{SimParams, ADAPTER_PIPELINE, ROUTER_PIPELINE};
-    use crate::state::PacketState;
 
     const WIRES: ChanWires = ChanWires {
         from_router: 0,
@@ -516,8 +528,8 @@ mod tests {
             let mut vc = self.cfg.vc_policy.start();
             vc.turn(None, Some(X_PLUS.opposite()));
             let packet = Packet::write(ep, ep, Payload::zeros(16));
-            let state = PacketState::new(packet, route, vc, self.fab.now, false);
-            let pid = self.fab.packets.insert(state);
+            let state = PacketState::new(&packet, route, vc, self.fab.now);
+            let pid = self.fab.packets.insert(state, None);
             let ctx = Ctx::new(&self.cfg, &self.params, false);
             let entry = self.fab.packet_entry(pid);
             self.fab.send(&ctx, WIRES.from_router, entry, vcidx);
@@ -620,9 +632,9 @@ mod tests {
         let state = PacketState {
             arrived_via: Some(X_PLUS),
             torus_hops: 1,
-            ..PacketState::new(packet, route, vc, 0, false)
+            ..PacketState::new(&packet, route, vc, 0)
         };
-        rig.fab.packets.insert(state)
+        rig.fab.packets.insert(state, None)
     }
 
     #[test]

@@ -24,7 +24,8 @@ use anton_obs::TraceEventKind;
 
 use crate::fabric::{CompRef, Ctx, Fabric, Reroute};
 use crate::sim::{Delivery, PacketDelivery};
-use crate::state::{PacketId, PacketState, RouteProgress};
+use crate::state::{ColdState, PacketId, PacketState, RouteProgress};
+use crate::wire::saturate_cycle;
 
 #[derive(Debug)]
 struct EpState {
@@ -52,30 +53,13 @@ struct EpState {
 /// A queued injection: routing is either randomized (the normal oblivious
 /// policy), fixed to an explicit route spec (tests and controlled
 /// experiments), or a fault-time re-entry over the installed degraded
-/// tables. A fresh packet carries the cycle it was queued.
-#[derive(Debug, Clone, Copy)]
+/// tables — boxed, since it carries the packet's whole state and is rare.
+/// A fresh packet carries the cycle it was queued.
+#[derive(Debug)]
 enum InjectCmd {
     Auto(Packet, u64),
     WithSpec(Packet, RouteSpec, u64),
-    Reroute(Reroute),
-}
-
-impl InjectCmd {
-    fn packet(&self) -> &Packet {
-        match self {
-            InjectCmd::Auto(p, _)
-            | InjectCmd::WithSpec(p, ..)
-            | InjectCmd::Reroute(Reroute { packet: p, .. }) => p,
-        }
-    }
-
-    /// The cycle the packet — a reroute's original — joined a source queue.
-    fn queued_at(&self) -> u64 {
-        match *self {
-            InjectCmd::Auto(_, at) | InjectCmd::WithSpec(_, _, at) => at,
-            InjectCmd::Reroute(r) => r.queued_at,
-        }
-    }
+    Reroute(Box<Reroute>),
 }
 
 /// Every endpoint adapter of one simulator instance (see the
@@ -182,7 +166,9 @@ impl Endpoints {
         let now = fab.now;
         for r in fab.reroutes.drain(..) {
             let eidx = r.node.0 as usize * ctx.cfg.endpoints_per_node();
-            self.eps[eidx].inject.push_back(InjectCmd::Reroute(r));
+            self.eps[eidx]
+                .inject
+                .push_back(InjectCmd::Reroute(Box::new(r)));
             fab.wheels.wake(CompRef::Ep(eidx as u32), now + 1, now);
         }
     }
@@ -220,72 +206,88 @@ impl Endpoints {
             ep.send_to_router(me, fab, ctx, pid);
             return;
         }
-        let Some(cmd) = ep.inject.front().copied() else {
+        let Some(cmd) = ep.inject.front() else {
             return;
         };
-        let pkt = *cmd.packet();
         let node = ep.node;
         let wire_id = ep.to_router;
-        match pkt.dst {
-            Destination::Unicast(dst) => {
-                // Injection always starts on M-group VC 0; check credits
-                // before drawing the randomized route.
-                let flits = pkt.num_flits() as u8;
-                let vcidx = fab.wires.vc_index(wire_id, pkt.class, Vc(0));
-                if !fab.wires.can_send(wire_id, vcidx, flits) {
-                    return;
-                }
-                let shape = &ctx.cfg.shape;
-                let (here, there) = (shape.coord(node), shape.coord(dst.node));
-                let ((spec, on_table), injected_at, torus_hops, fresh) = match cmd {
-                    InjectCmd::WithSpec(_, spec, _) => ((spec, false), now, 0, true),
-                    InjectCmd::Auto(..) => {
-                        let spec = RouteSpec::randomized(shape, here, there, &mut ep.rng);
-                        let route = fab.unicast_route(shape, node, spec, dst.node, false);
-                        (route, now, 0, true)
-                    }
-                    InjectCmd::Reroute(r) => {
-                        let spec =
-                            RouteSpec::deterministic(shape, here, there, DimOrder::XYZ, r.slice);
-                        let route = fab.unicast_route(shape, node, spec, dst.node, true);
-                        (route, r.injected_at, r.torus_hops, false)
-                    }
-                };
-                let route = RouteProgress::Unicast { spec, dst };
-                let mut vc = ctx.cfg.vc_policy.start();
-                vc.turn(None, route.next_hop());
-                let pid = fab.packets.insert(PacketState {
-                    torus_hops,
-                    queued_at: cmd.queued_at(),
-                    rerouted: !fresh || on_table,
-                    ..PacketState::new(pkt, route, vc, injected_at, ctx.record_routes)
-                });
-                fab.event(wire_id, pid, TraceEventKind::Inject);
-                let sent = ep.send_to_router(me, fab, ctx, pid);
-                debug_assert!(sent, "credits were checked");
-                ep.inject.pop_front();
-                if fresh {
-                    fab.stats.injected_packets += 1;
-                    // Drained packets were already counted when pulled off
-                    // the dead link; fresh injections steered onto the
-                    // tables by the down-link check count here.
-                    if on_table {
-                        fab.stats.rerouted_packets += 1;
-                    }
-                }
-            }
-            Destination::Multicast { .. } => {
-                let born = (now, cmd.queued_at());
-                let copies = fab.expand_multicast_at(ctx, node, &pkt, born, None);
+        let (dst, class, flits) = match *cmd {
+            InjectCmd::Auto(pkt, queued_at) if !matches!(pkt.dst, Destination::Unicast(_)) => {
                 ep.inject.pop_front();
                 fab.stats.injected_packets += 1;
-                for &pid in &copies {
-                    fab.event(wire_id, pid, TraceEventKind::Inject);
-                }
-                ep.repl.extend(copies);
-                if let Some(&pid) = ep.repl.front() {
-                    ep.send_to_router(me, fab, ctx, pid);
-                }
+                ep.fan_out(me, fab, ctx, &pkt, queued_at);
+                return;
+            }
+            InjectCmd::Auto(pkt, _) | InjectCmd::WithSpec(pkt, ..) => {
+                let Destination::Unicast(dst) = pkt.dst else {
+                    unreachable!("explicit route specs are unicast")
+                };
+                (dst, pkt.class, pkt.num_flits() as u8)
+            }
+            InjectCmd::Reroute(ref r) => (r.dst, r.state.class, r.state.flits),
+        };
+        // Injection always starts on M-group VC 0; check credits before
+        // drawing the randomized route.
+        let vcidx = fab.wires.vc_index(wire_id, class, Vc(0));
+        if !fab.wires.can_send(wire_id, vcidx, flits) {
+            return;
+        }
+        let cmd = ep.inject.pop_front().expect("peeked above");
+        let shape = &ctx.cfg.shape;
+        let (here, there) = (shape.coord(node), shape.coord(dst.node));
+        let ((spec, on_table), fresh) = match &cmd {
+            InjectCmd::WithSpec(_, spec, _) => ((*spec, false), true),
+            InjectCmd::Auto(..) => {
+                let spec = RouteSpec::randomized(shape, here, there, &mut ep.rng);
+                (fab.unicast_route(shape, node, spec, dst.node, false), true)
+            }
+            InjectCmd::Reroute(r) => {
+                let spec = RouteSpec::deterministic(shape, here, there, DimOrder::XYZ, r.slice);
+                (fab.unicast_route(shape, node, spec, dst.node, true), false)
+            }
+        };
+        let route = RouteProgress::Unicast { spec, dst };
+        let mut vc = ctx.cfg.vc_policy.start();
+        vc.turn(None, route.next_hop());
+        let (state, cold) = match cmd {
+            InjectCmd::Auto(pkt, queued_at) | InjectCmd::WithSpec(pkt, _, queued_at) => {
+                let state = PacketState {
+                    queued_at: saturate_cycle(queued_at),
+                    rerouted: on_table,
+                    ..PacketState::new(&pkt, route, vc, now)
+                };
+                (state, ctx.cold(pkt.payload))
+            }
+            InjectCmd::Reroute(r) => {
+                let Reroute { state, cold, .. } = *r;
+                let state = PacketState {
+                    route,
+                    vc,
+                    pending_vc: None,
+                    arrived_via: None,
+                    rerouted: true,
+                    ..state
+                };
+                // The route log restarts at the re-entry: the hops before it
+                // led onto the failed link.
+                let cold = cold.map(|c| ColdState {
+                    route_log: Vec::new(),
+                    ..c
+                });
+                (state, cold)
+            }
+        };
+        let pid = fab.packets.insert(state, cold);
+        fab.event(wire_id, pid, TraceEventKind::Inject);
+        let sent = ep.send_to_router(me, fab, ctx, pid);
+        debug_assert!(sent, "credits were checked");
+        if fresh {
+            fab.stats.injected_packets += 1;
+            // Drained packets were already counted when pulled off the dead
+            // link; fresh injections steered onto the tables by the
+            // down-link check count here.
+            if on_table {
+                fab.stats.rerouted_packets += 1;
             }
         }
     }
@@ -305,12 +307,12 @@ impl Endpoints {
                 continue;
             }
             let pid = fab.pop(wire_id, v).pkt;
-            let st = fab.packets.remove(pid);
+            let (st, cold) = fab.packets.remove(pid);
             fab.stats.delivered_packets += 1;
             fab.stats.last_delivery_cycle = now;
             fab.stats.recv_per_endpoint[eidx] += 1;
             fab.event(wire_id, pid, TraceEventKind::Deliver);
-            if let Some(cid) = st.packet.counter {
+            if let Some(cid) = st.counter {
                 if let Some(pos) = ep.counters.iter().position(|&(c, _)| c == cid.0) {
                     let rem = &mut ep.counters[pos].1;
                     *rem = rem.saturating_sub(1);
@@ -322,24 +324,56 @@ impl Endpoints {
                 }
             }
             fab.deliveries.push(Delivery::Packet(PacketDelivery {
-                src: st.packet.src,
+                src: st.src,
                 dst: GlobalEndpoint {
                     node: ep.node,
                     ep: ep.ep,
                 },
-                pattern: st.packet.pattern.0,
-                counter: st.packet.counter,
-                injected_at: st.injected_at,
+                pattern: st.pattern.0,
+                counter: st.counter,
+                injected_at: u64::from(st.injected_at),
                 delivered_at: now,
                 torus_hops: st.torus_hops,
                 rerouted: st.rerouted,
-                route_log: st.route_log,
+                // Recorded, a route has at least the injection hop.
+                route_log: cold.map(|c| c.route_log).filter(|log| !log.is_empty()),
             }));
         }
     }
 }
 
 impl EpState {
+    /// Fans multicast packet `pkt`, queued at cycle `queued_at`, out into
+    /// the copies its group's table entry at this node names, and sends the
+    /// first: the rest wait in the replication queue.
+    fn fan_out(
+        &mut self,
+        me: CompRef,
+        fab: &mut Fabric,
+        ctx: &Ctx<'_>,
+        pkt: &Packet,
+        queued_at: u64,
+    ) {
+        let Destination::Multicast { group, tree } = pkt.dst else {
+            unreachable!("only multicast packets fan out")
+        };
+        let now = fab.now;
+        let cold = ctx.cold(pkt.payload);
+        for (route, vc, pending_vc) in fab.multicast_copies(ctx, self.node, (group, tree), None) {
+            let copy = PacketState {
+                pending_vc,
+                queued_at: saturate_cycle(queued_at),
+                ..PacketState::new(pkt, route, vc, now)
+            };
+            let pid = fab.packets.insert(copy, cold.clone());
+            fab.event(self.to_router, pid, TraceEventKind::Inject);
+            self.repl.push_back(pid);
+        }
+        if let Some(&pid) = self.repl.front() {
+            self.send_to_router(me, fab, ctx, pid);
+        }
+    }
+
     /// Sends `pid` on the endpoint-to-router link if it has credits, taking
     /// it off the replication queue if it heads it.
     fn send_to_router(
@@ -483,7 +517,7 @@ mod tests {
         }
         // Queued together, they enter the mesh two cycles apart; latency
         // counts from entry, oldest-first arbitration from the queue.
-        let sent: Vec<(u32, u64)> = (0..3)
+        let sent: Vec<(u32, u32)> = (0..3)
             .map(|_| {
                 let entry = rig.fab.pop(TO_ROUTER, 0);
                 (entry.age, rig.fab.packets.get(entry.pkt).injected_at)
@@ -504,11 +538,12 @@ mod tests {
             packet.counter = Some(counter);
             let route = RouteProgress::McDeliver {
                 group: McGroupId(0),
+                tree: 0,
                 ep: me.ep,
             };
             let vc = rig.cfg.vc_policy.start();
-            let state = PacketState::new(packet, route, vc, rig.fab.now, false);
-            let pid = rig.fab.packets.insert(state);
+            let state = PacketState::new(&packet, route, vc, rig.fab.now);
+            let pid = rig.fab.packets.insert(state, None);
             let ctx = Ctx::new(&rig.cfg, &rig.params, false);
             let entry = rig.fab.packet_entry(pid);
             rig.fab.send(&ctx, FROM_ROUTER, entry, 0);
@@ -556,14 +591,17 @@ mod tests {
             let state = PacketState {
                 torus_hops: 1,
                 ..PacketState::new(
-                    Packet::write(src, dst, Payload::zeros(16)),
+                    &Packet::write(src, dst, Payload::zeros(16)),
                     RouteProgress::Unicast { spec, dst },
                     rig.cfg.vc_policy.start(),
                     0,
-                    false,
                 )
             };
-            let pid = rig.fab.packets.insert(state);
+            let cold = ColdState {
+                payload: Payload::ones(16),
+                route_log: Vec::new(),
+            };
+            let pid = rig.fab.packets.insert(state, Some(cold));
             for _ in 0..5 {
                 assert!(!rig.idle_cycle(), "nothing wakes an idle endpoint");
             }
@@ -595,6 +633,9 @@ mod tests {
             let head = rig.fab.wires.head(TO_ROUTER, 0).pkt;
             let st = rig.fab.packets.get(head);
             assert_eq!((st.torus_hops, st.rerouted, st.injected_at), (1, true, 0));
+            // Its payload came with it.
+            let packet = rig.fab.packets.packet(head).expect("cold record kept");
+            assert_eq!(packet.payload, Payload::ones(16));
         }
     }
 }

@@ -16,9 +16,9 @@
 
 use anton_arbiter::GrantSite;
 use anton_core::chip::{ChanId, LinkGroup, NUM_CHAN_ADAPTERS};
-use anton_core::config::MachineConfig;
+use anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton_core::multicast::{McEntry, McGroup, McGroupId};
-use anton_core::packet::{Destination, Packet};
+use anton_core::packet::Payload;
 use anton_core::route_table::{DownLinkSet, RouteTable};
 use anton_core::routing::RouteSpec;
 use anton_core::topology::{Dim, NodeId, Slice, TorusDir, TorusShape};
@@ -29,9 +29,9 @@ use anton_obs::{FlightRecorder, StallCause, StallTable, TraceEventKind};
 use crate::metrics::ArbiterGrantCounts;
 use crate::params::{PreflightMode, SimParams, TraceConfig};
 use crate::sim::{Delivery, SimStats};
-use crate::state::{PacketId, PacketSlab, PacketState, RouteProgress};
+use crate::state::{ColdState, PacketId, PacketSlab, PacketState, RouteProgress};
 use crate::wake::Scheduler;
-use crate::wire::{saturate_cycle, BufEntry, End, WireSpec, Wires};
+use crate::wire::{BufEntry, End, WireSpec, Wires};
 
 /// What a layer step reads of the simulator's public configuration. Built
 /// by the conductor from [`Sim`](crate::sim::Sim)'s `pub` fields for each
@@ -53,6 +53,16 @@ impl<'a> Ctx<'a> {
             params,
             record_routes,
         }
+    }
+
+    /// The cold record of a packet entering the network with `payload`:
+    /// kept only while an instrument reads it — the energy counters its
+    /// payload, route recording its log.
+    pub(crate) fn cold(&self, payload: Payload) -> Option<ColdState> {
+        (self.params.track_energy || self.record_routes).then(|| ColdState {
+            payload,
+            route_log: Vec::new(),
+        })
     }
 }
 
@@ -303,16 +313,17 @@ impl DegradedState {
 /// A unicast packet pulled off a failed link, waiting in the
 /// [`Fabric::reroutes`] outbox (and then in an endpoint's injection queue)
 /// to re-enter at `node` over the current epoch's certified table. It keeps
-/// its original injection and queueing cycles, so latency accounting and
-/// its age span the whole journey, and the hops already taken.
-#[derive(Debug, Clone, Copy)]
+/// its state as it left the network — among it the original injection and
+/// queueing cycles, so latency accounting and its age span the whole
+/// journey, and the hops already taken — and its cold record.
+#[derive(Debug)]
 pub(crate) struct Reroute {
     pub(crate) node: NodeId,
-    pub(crate) packet: Packet,
+    /// Where its route was taking it, and on which slice.
+    pub(crate) dst: GlobalEndpoint,
     pub(crate) slice: Slice,
-    pub(crate) injected_at: u64,
-    pub(crate) queued_at: u64,
-    pub(crate) torus_hops: u16,
+    pub(crate) state: PacketState,
+    pub(crate) cold: Option<ColdState>,
 }
 
 /// The shared state of one simulator instance (see the [module docs](self)).
@@ -512,11 +523,11 @@ impl Fabric {
         BufEntry {
             pkt: pid,
             ready_at: 0,
-            age: saturate_cycle(st.queued_at),
+            age: st.queued_at,
             flits: st.flits,
-            pattern: st.packet.pattern.0,
+            pattern: st.pattern.0,
             target: code as u8,
-            meta: stamp_meta(st.packet.class, vcs, st.arrived_via),
+            meta: stamp_meta(st.class, vcs, st.arrived_via),
         }
     }
 
@@ -537,8 +548,8 @@ impl Fabric {
         }
         if ctx.record_routes {
             let hop = (self.wires.label(wire), self.wires.vc_of(wire, vcidx));
-            if let Some(log) = &mut self.packets.get_mut(pid).route_log {
-                log.push(hop);
+            if let Some(cold) = self.packets.cold_mut(pid) {
+                cold.route_log.push(hop);
             }
         }
         self.event(wire, pid, TraceEventKind::Hop { vc: vcidx, flits });
@@ -562,9 +573,7 @@ impl Fabric {
         pid: PacketId,
     ) -> Option<u64> {
         let st = self.packets.get(pid);
-        let vcidx = self
-            .wires
-            .vc_index(wire, st.packet.class, st.vc.vc_for(group));
+        let vcidx = self.wires.vc_index(wire, st.class, st.vc.vc_for(group));
         if !self.wires.can_send(wire, vcidx, st.flits) {
             return None;
         }
@@ -714,8 +723,8 @@ impl Fabric {
     /// queues it, in the [`reroutes`](Fabric::reroutes) outbox, for
     /// re-injection over the degraded tables.
     pub(crate) fn reroute(&mut self, node: NodeId, pid: PacketId) {
-        let st = self.packets.remove(pid);
-        let RouteProgress::Unicast { spec, .. } = st.route else {
+        let (state, cold) = self.packets.remove(pid);
+        let RouteProgress::Unicast { spec, dst } = state.route else {
             unreachable!("only unicast traffic reroutes")
         };
         self.stats.rerouted_packets += 1;
@@ -723,11 +732,10 @@ impl Fabric {
         self.moved = true;
         self.reroutes.push(Reroute {
             node,
-            packet: st.packet,
+            dst,
             slice: spec.slice,
-            injected_at: st.injected_at,
-            queued_at: st.queued_at,
-            torus_hops: st.torus_hops,
+            state,
+            cold,
         });
     }
 
@@ -788,39 +796,27 @@ impl Fabric {
         (tree_ref.slice, entry)
     }
 
-    /// Creates the copies of multicast packet `pkt` that its group's table
-    /// entry at `node` names, each with the original's injection and
-    /// queueing cycles.
+    /// The copies multicast `(group, tree)` makes at `node`, as the group's
+    /// table entry there names them — forwards first, then local deliveries
+    /// — each as its route, the VC state it enters the mesh in and the one
+    /// staged for past the entry link. The caller inserts them, each with
+    /// the header, cycles and cold record of the packet it copies.
     ///
     /// `arrival` is `None` at the source endpoint, or the arriving direction
-    /// plus inherited state for copies spawned mid-tree. Mid-tree copies
-    /// keep the arriving T-phase VC for the entry link; turns and local
-    /// deliveries stage their promoted state via `pending_vc`.
-    pub(crate) fn expand_multicast_at(
-        &mut self,
+    /// and VC state for copies spawned mid-tree. Mid-tree copies keep the
+    /// arriving T-phase VC for the entry link; turns and local deliveries
+    /// stage their promoted state via `pending_vc`.
+    pub(crate) fn multicast_copies(
+        &self,
         ctx: &Ctx<'_>,
         node: NodeId,
-        pkt: &Packet,
-        (injected_at, queued_at): (u64, u64),
-        arrival: Option<(TorusDir, VcState, u16)>,
-    ) -> Vec<PacketId> {
-        let Destination::Multicast { group, tree } = pkt.dst else {
-            unreachable!("only multicast packets fan out")
-        };
+        (group, tree): (McGroupId, u8),
+        arrival: Option<(TorusDir, VcState)>,
+    ) -> Vec<(RouteProgress, VcState, Option<VcState>)> {
         let (slice, entry) = self.mc_entry(node, group, tree);
-        let entry = entry.clone();
-        let (arrived_via, base_vc, torus_hops) = match arrival {
-            Some((dir, vc, hops)) => (Some(dir), vc, hops),
-            None => (None, ctx.cfg.vc_policy.start(), 0),
-        };
-        let mut copy = |route, vc, pending_vc| {
-            self.packets.insert(PacketState {
-                pending_vc,
-                arrived_via,
-                torus_hops,
-                queued_at,
-                ..PacketState::new(*pkt, route, vc, injected_at, ctx.record_routes)
-            })
+        let (arrived_via, base_vc) = match arrival {
+            Some((dir, vc)) => (Some(dir), vc),
+            None => (None, ctx.cfg.vc_policy.start()),
         };
         // The VC state a copy enters the mesh in and the one staged for past
         // the entry link, by its next hop: a source fan-out begins its
@@ -833,23 +829,21 @@ impl Fabric {
                 Some(_) => (base_vc, (turned != base_vc).then_some(turned)),
             }
         };
-        let mut out = Vec::with_capacity(entry.forward.len() + entry.local.len());
-        for &dir in &entry.forward {
-            let (vc, pending_vc) = staged(Some(dir));
+        let forwards = entry.forward.iter().map(|&dir| {
             let route = RouteProgress::McExit {
                 group,
                 tree,
                 dir,
                 slice,
             };
-            out.push(copy(route, vc, pending_vc));
-        }
-        for &ep in &entry.local {
+            let (vc, pending_vc) = staged(Some(dir));
+            (route, vc, pending_vc)
+        });
+        let locals = entry.local.iter().map(|&ep| {
             let (vc, pending_vc) = staged(None);
-            let route = RouteProgress::McDeliver { group, ep };
-            out.push(copy(route, vc, pending_vc));
-        }
-        out
+            (RouteProgress::McDeliver { group, tree, ep }, vc, pending_vc)
+        });
+        forwards.chain(locals).collect()
     }
 }
 

@@ -124,7 +124,9 @@ pub struct SimParams {
     pub torus_buffer_depth: u8,
     /// Which arbiter sits at each router output port.
     pub arbiter: ArbiterKind,
-    /// Collect energy/activity counters (small per-transfer cost).
+    /// Collect energy/activity counters (small per-transfer cost). A packet
+    /// is counted if this was on when it entered the network: only then is
+    /// its payload kept, in the packet slab's side table.
     pub track_energy: bool,
     /// RNG seed for routing randomization.
     pub seed: u64,

@@ -10,11 +10,11 @@
 
 use anton_arbiter::{ArbiterKind, BitsetArbiter, GrantSite};
 use anton_core::chip::{ChipLayout, LocalAttach, MeshCoord, ATTACH_CODE_BASE, MAX_ROUTER_PORTS};
-use anton_core::packet::Packet;
 use anton_core::vc::Vc;
 
 use crate::fabric::{CompRef, Ctx, Fabric};
 use crate::sim::EnergyCounters;
+use crate::state::PacketSlab;
 use crate::wire::BufEntry;
 
 #[derive(Debug, Clone, Copy)]
@@ -213,7 +213,7 @@ impl Routers {
         {
             let st = fab.packets.get(e.pkt);
             let code = st.route.chip_target().code() as u8;
-            let meta = crate::fabric::stamp_meta(st.packet.class, st.vc, st.arrived_via);
+            let meta = crate::fabric::stamp_meta(st.class, st.vc, st.arrived_via);
             assert_eq!(
                 (out_port, out_vc),
                 self.route_stamped(ridx, ctx, code, meta),
@@ -325,13 +325,26 @@ impl Routers {
             fab.wheels.wake(CompRef::Router(ridx as u32), now + 1, now);
             fab.wheels.wake(CompRef::Router(ridx as u32), now + 2, now);
             if ctx.params.track_energy {
-                let packet = &fab.packets.get(entry.pkt).packet;
-                self.record_energy(ridx, out, packet, entry.flits, now);
+                self.record_energy(ridx, out, &fab.packets, &entry, now);
             }
         }
     }
 
-    fn record_energy(&mut self, ridx: usize, out: usize, packet: &Packet, flits: u8, now: u64) {
+    /// Counts the transfer of `entry`'s packet out of port `out` of router
+    /// `ridx`. A packet that entered the network before energy tracking was
+    /// turned on has no payload kept to count.
+    fn record_energy(
+        &mut self,
+        ridx: usize,
+        out: usize,
+        packets: &PacketSlab,
+        entry: &BufEntry,
+        now: u64,
+    ) {
+        let Some(packet) = packets.packet(entry.pkt) else {
+            return;
+        };
+        let flits = entry.flits;
         let r = &mut self.routers[ridx];
         let pe = &mut r.port_energy[out];
         for j in 0..usize::from(flits) {
@@ -361,7 +374,9 @@ mod tests {
     use anton_core::chip::{LinkGroup, LocalEndpointId};
     use anton_core::config::{GlobalEndpoint, MachineConfig};
     use anton_core::multicast::McGroupId;
-    use anton_core::packet::{PatternId, Payload, MAX_PAYLOAD_BYTES, PAYLOAD_BYTES_PER_FLIT};
+    use anton_core::packet::{
+        Packet, PatternId, Payload, MAX_PAYLOAD_BYTES, PAYLOAD_BYTES_PER_FLIT,
+    };
     use anton_core::topology::{NodeId, TorusShape};
     use anton_core::vc::{TrafficClass, VcState};
     use anton_obs::{StallCause, TraceEventKind};
@@ -459,6 +474,7 @@ mod tests {
                 });
                 let deliver = |ep| RouteProgress::McDeliver {
                     group: McGroupId(0),
+                    tree: 0,
                     ep,
                 };
                 let route = match attach {
@@ -533,8 +549,8 @@ mod tests {
                 .fab
                 .wires
                 .vc_index(out_wire, packet.class, vc.vc_for(t.group));
-            let state = PacketState::new(packet, t.route, vc, self.fab.now, false);
-            (self.fab.packets.insert(state), out_vcidx)
+            let state = PacketState::new(&packet, t.route, vc, self.fab.now);
+            (self.fab.packets.insert(state, None), out_vcidx)
         }
 
         /// Sends `pid` into input port `inp` on VC index `vcidx`, stamped

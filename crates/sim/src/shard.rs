@@ -64,7 +64,7 @@ use crate::params::{SimParams, TraceConfig};
 use crate::sim::{
     DeadlockReport, Delivery, Driver, EnergyCounters, RunOutcome, Sim, SimStats, StaticVerdict,
 };
-use crate::state::PacketState;
+use crate::state::{ColdState, PacketState};
 use crate::wire::BufEntry;
 
 /// Window length used when only one shard exists (no boundary wires limit
@@ -204,14 +204,15 @@ impl ShardAssignment<'_> {
 }
 
 /// A packet crossing a shard boundary: the buffer entry departing an export
-/// wire plus the packet's full slab state, which moves producer → consumer
-/// with it.
+/// wire plus the packet's slab state, hot record and cold, which moves
+/// producer → consumer with it.
 pub(crate) struct PacketTransfer {
     pub(crate) wire: u32,
     pub(crate) mature: u64,
     pub(crate) entry: BufEntry,
     pub(crate) vcidx: u8,
     pub(crate) state: PacketState,
+    pub(crate) cold: Option<ColdState>,
 }
 
 /// A credit return crossing a shard boundary (consumer → producer).

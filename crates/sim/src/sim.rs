@@ -488,7 +488,9 @@ pub struct Sim {
     pub cfg: MachineConfig,
     /// Simulation parameters.
     pub params: SimParams,
-    /// Record per-packet link-level routes into deliveries.
+    /// Record per-packet link-level routes into deliveries: of the packets
+    /// that enter the network while it is on, each in the packet slab's side
+    /// table until delivered.
     pub record_routes: bool,
     /// What every layer acts on: clock, wires, wake wheels, packet slab,
     /// routing state, counters, probe (see [`crate::fabric`]).
@@ -1040,7 +1042,7 @@ impl Sim {
         for &(w, dest) in &self.export_wires {
             fab.wires.take_exports(w as usize, &mut scratch);
             for (mature, entry, vcidx) in scratch.drain(..) {
-                let state = fab.packets.remove(entry.pkt);
+                let (state, cold) = fab.packets.remove(entry.pkt);
                 out[dest as usize]
                     .packets
                     .push(crate::shard::PacketTransfer {
@@ -1049,6 +1051,7 @@ impl Sim {
                         entry,
                         vcidx,
                         state,
+                        cold,
                     });
             }
         }
@@ -1076,7 +1079,7 @@ impl Sim {
         let fab = &mut self.fabric;
         let (w, now) = (t.wire as usize, fab.now);
         let mut entry = t.entry;
-        entry.pkt = fab.packets.insert(t.state);
+        entry.pkt = fab.packets.insert(t.state, t.cold);
         if let Some(ready) = fab.wires.import_packet(now, w, t.mature, entry, t.vcidx) {
             fab.wheels.wake(fab.consumer[w], ready.max(now), now);
         }
@@ -1430,7 +1433,7 @@ impl Sim {
                     vc_index: vc,
                     packet: entry.pkt,
                     flits: entry.flits,
-                    injected_at: st.injected_at,
+                    injected_at: u64::from(st.injected_at),
                     route,
                     recent_events: Vec::new(),
                 });

@@ -3,11 +3,13 @@
 use anton_core::chip::{ChanId, LocalAttach, LocalEndpointId};
 use anton_core::config::GlobalEndpoint;
 use anton_core::multicast::McGroupId;
-use anton_core::packet::Packet;
+use anton_core::packet::{CounterId, Destination, Packet, PatternId, Payload};
 use anton_core::routing::RouteSpec;
 use anton_core::topology::{Slice, TorusDir};
 use anton_core::trace::GlobalLink;
-use anton_core::vc::{Vc, VcState};
+use anton_core::vc::{TrafficClass, Vc, VcState};
+
+use crate::wire::saturate_cycle;
 
 /// Dense id of an in-flight packet (slab index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,6 +43,8 @@ pub enum RouteProgress {
     McDeliver {
         /// Multicast group (for accounting).
         group: McGroupId,
+        /// Tree index within the group, as the packet's header names it.
+        tree: u8,
         /// Destination endpoint on the current node.
         ep: LocalEndpointId,
     },
@@ -52,6 +56,18 @@ impl RouteProgress {
     /// copy has no table to follow and waits the outage out where it is.
     pub fn is_unicast(&self) -> bool {
         matches!(self, RouteProgress::Unicast { .. })
+    }
+
+    /// The packet's destination as its header names it: a unicast packet's
+    /// endpoint, or a multicast copy's group and tree.
+    pub fn destination(&self) -> Destination {
+        match *self {
+            RouteProgress::Unicast { dst, .. } => Destination::Unicast(dst),
+            RouteProgress::McExit { group, tree, .. }
+            | RouteProgress::McDeliver { group, tree, .. } => {
+                Destination::Multicast { group, tree }
+            }
+        }
     }
 
     /// Next torus hop: a unicast packet's by its spec (`None` at its
@@ -83,11 +99,23 @@ impl RouteProgress {
     }
 }
 
-/// Full state of one in-flight packet.
-#[derive(Debug, Clone)]
+/// The hot record of one in-flight packet: what the kernel reads as the
+/// packet moves, in one 64-byte cache line. The header fields are the
+/// packet's own; its destination is held by `route`
+/// ([`RouteProgress::destination`]). What only an instrument reads — the
+/// payload bytes and the route log — lives in the slab's side table
+/// ([`ColdState`]).
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
 pub struct PacketState {
-    /// The packet header and payload.
-    pub packet: Packet,
+    /// Injecting endpoint.
+    pub src: GlobalEndpoint,
+    /// Traffic class.
+    pub class: TrafficClass,
+    /// Traffic-pattern tag for inverse-weighted arbitration.
+    pub pattern: PatternId,
+    /// Counted-write counter to decrement at the destination, if any.
+    pub counter: Option<CounterId>,
     /// Routing progress.
     pub route: RouteProgress,
     /// VC promotion state.
@@ -99,11 +127,13 @@ pub struct PacketState {
     /// The torus direction this packet most recently arrived on (`None`
     /// after injection or local turns) — gates the skip-channel shortcut.
     pub arrived_via: Option<TorusDir>,
-    /// Cycle the original packet entered the network.
-    pub injected_at: u64,
+    /// Cycle the original packet entered the network. 32 bits hold every
+    /// cycle a run steps (it stops at `u32::MAX`), as in a buffer entry's
+    /// age.
+    pub injected_at: u32,
     /// Cycle the original packet joined its source's software queue: the
     /// age oldest-first arbitration ranks by.
-    pub queued_at: u64,
+    pub queued_at: u32,
     /// Inter-node hops taken so far.
     pub torus_hops: u16,
     /// Whether the packet was ever ejected from a failed link and
@@ -111,27 +141,26 @@ pub struct PacketState {
     pub rerouted: bool,
     /// Flits occupied on channels.
     pub flits: u8,
-    /// Link-level route log (only when `SimParams::record_routes`).
-    pub route_log: Option<Vec<(GlobalLink, Vc)>>,
 }
 
 impl PacketState {
     /// The state of `packet` entering the network on `route` at cycle
     /// `injected_at`, queued that same cycle: no hops taken, nothing
-    /// pending, never rerouted, its route logged from here on when
-    /// `record_routes`. A packet that waited in its source queue, a reroute
-    /// or a multicast copy spawned mid-tree overrides what it inherits with
+    /// pending, never rerouted. A packet that waited in its source queue,
+    /// a reroute or a multicast copy overrides what it inherits with
     /// struct-update syntax.
     pub fn new(
-        packet: Packet,
+        packet: &Packet,
         route: RouteProgress,
         vc: VcState,
         injected_at: u64,
-        record_routes: bool,
     ) -> PacketState {
+        let injected_at = saturate_cycle(injected_at);
         PacketState {
-            flits: packet.num_flits() as u8,
-            packet,
+            src: packet.src,
+            class: packet.class,
+            pattern: packet.pattern,
+            counter: packet.counter,
             route,
             vc,
             pending_vc: None,
@@ -140,13 +169,44 @@ impl PacketState {
             queued_at: injected_at,
             torus_hops: 0,
             rerouted: false,
-            route_log: record_routes.then(Vec::new),
+            flits: packet.num_flits() as u8,
+        }
+    }
+
+    /// The packet this state carries, given its payload: every header field
+    /// is the hot record's.
+    pub fn packet(&self, payload: Payload) -> Packet {
+        Packet {
+            src: self.src,
+            dst: self.route.destination(),
+            class: self.class,
+            pattern: self.pattern,
+            counter: self.counter,
+            payload,
         }
     }
 }
 
-/// Slots per chunk of the slab: a power of two, 136 KB a chunk.
+/// The cold side of an in-flight packet: what only an instrument reads,
+/// kept in the slab's side table for a packet that entered the network
+/// while [`SimParams::track_energy`](crate::params::SimParams::track_energy)
+/// or [`Sim::record_routes`](crate::sim::Sim::record_routes) was on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColdState {
+    /// The payload bytes, whose bit flips the energy counters count.
+    pub payload: Payload,
+    /// Link-level route log: every hop sent while `Sim::record_routes` is
+    /// on, so empty unless it was.
+    pub route_log: Vec<(GlobalLink, Vc)>,
+}
+
+/// Slots per chunk of the slab: a power of two, 64 KB a chunk.
 const CHUNK: usize = 1024;
+
+// One cache line per slot: the hot record fills 64 bytes on a 64-byte
+// boundary, and an empty slot is no larger than a full one.
+const _: () = assert!(std::mem::size_of::<Option<PacketState>>() == 64);
+const _: () = assert!(std::mem::align_of::<Option<PacketState>>() == 64);
 
 /// Slab of in-flight packets with id reuse.
 #[derive(Debug, Default)]
@@ -159,6 +219,11 @@ pub struct PacketSlab {
     /// it, so the peak memory of a saturated run differed from one process
     /// to the next by the size of the old block (4 MB at 4×4×4).
     chunks: Vec<Vec<Option<PacketState>>>,
+    /// The cold side table: slot `id`'s [`ColdState`] at `cold[id]`, for a
+    /// packet inserted with one. Grown only by such an insert, so it stays
+    /// empty while no instrument is on; a removal takes the entry out, so a
+    /// recycled id starts with none.
+    cold: Vec<Option<ColdState>>,
     free: Vec<u32>,
     live: usize,
     /// Packets ever inserted (multicast copies count individually).
@@ -173,21 +238,29 @@ impl PacketSlab {
         PacketSlab::default()
     }
 
-    /// Inserts a packet, returning its id.
-    pub fn insert(&mut self, state: PacketState) -> PacketId {
+    /// Inserts a packet with its cold record, if it has one, returning its
+    /// id.
+    pub fn insert(&mut self, state: PacketState, cold: Option<ColdState>) -> PacketId {
         self.live += 1;
         self.created += 1;
-        if let Some(idx) = self.free.pop() {
+        let idx = if let Some(idx) = self.free.pop() {
             *self.slot_mut(idx) = Some(state);
-            PacketId(idx)
+            idx as usize
         } else {
             let idx = self.high_water();
             if idx.is_multiple_of(CHUNK) {
                 self.chunks.push(Vec::with_capacity(CHUNK));
             }
             self.chunks[idx / CHUNK].push(Some(state));
-            PacketId(idx as u32)
+            idx
+        };
+        if let Some(cold) = cold {
+            if self.cold.len() <= idx {
+                self.cold.resize_with(idx + 1, || None);
+            }
+            self.cold[idx] = Some(cold);
         }
+        PacketId(idx as u32)
     }
 
     #[inline]
@@ -200,17 +273,18 @@ impl PacketSlab {
         &mut self.chunks[idx as usize / CHUNK][idx as usize % CHUNK]
     }
 
-    /// Removes and returns a packet.
+    /// Removes and returns a packet with its cold record, if it has one.
     ///
     /// # Panics
     ///
     /// Panics if the id is stale.
-    pub fn remove(&mut self, id: PacketId) -> PacketState {
+    pub fn remove(&mut self, id: PacketId) -> (PacketState, Option<ColdState>) {
         let state = self.slot_mut(id.0).take().expect("stale packet id");
+        let cold = self.cold.get_mut(id.0 as usize).and_then(Option::take);
         self.free.push(id.0);
         self.live -= 1;
         self.terminated += 1;
-        state
+        (state, cold)
     }
 
     /// Borrows a packet.
@@ -229,6 +303,22 @@ impl PacketSlab {
     /// Panics if the id is stale.
     pub fn get_mut(&mut self, id: PacketId) -> &mut PacketState {
         self.slot_mut(id.0).as_mut().expect("stale packet id")
+    }
+
+    /// A live packet's cold record, if it was inserted with one.
+    pub fn cold_mut(&mut self, id: PacketId) -> Option<&mut ColdState> {
+        self.cold.get_mut(id.0 as usize)?.as_mut()
+    }
+
+    /// The whole packet behind `id` — the header from its hot record, the
+    /// payload from its cold one — if it was inserted with a cold record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is stale.
+    pub fn packet(&self, id: PacketId) -> Option<Packet> {
+        let cold = self.cold.get(id.0 as usize)?.as_ref()?;
+        Some(self.get(id).packet(cold.payload))
     }
 
     /// Number of live packets.
@@ -282,22 +372,21 @@ mod tests {
             Slice(0),
         );
         PacketState::new(
-            Packet::write(src, dst, Payload::zeros(16)),
+            &Packet::write(src, dst, Payload::zeros(16)),
             RouteProgress::Unicast { spec, dst },
             VcPolicy::Anton.start(),
             0,
-            false,
         )
     }
 
     #[test]
     fn slab_reuses_slots() {
         let mut slab = PacketSlab::new();
-        let a = slab.insert(dummy_state());
-        let b = slab.insert(dummy_state());
+        let a = slab.insert(dummy_state(), None);
+        let b = slab.insert(dummy_state(), None);
         assert_eq!(slab.live(), 2);
         slab.remove(a);
-        let c = slab.insert(dummy_state());
+        let c = slab.insert(dummy_state(), None);
         assert_eq!(c, a, "freed slot should be reused");
         assert_ne!(b, c);
         assert_eq!(slab.live(), 2);
@@ -306,25 +395,50 @@ mod tests {
     #[test]
     fn growth_adds_a_chunk_and_moves_no_slot() {
         let mut slab = PacketSlab::new();
-        let first = slab.insert(dummy_state());
+        let first = slab.insert(dummy_state(), None);
         let at = slab.get(first) as *const PacketState;
         for i in 1..=CHUNK {
-            assert_eq!(slab.insert(dummy_state()), PacketId(i as u32), "ids dense");
+            assert_eq!(
+                slab.insert(dummy_state(), None),
+                PacketId(i as u32),
+                "ids dense"
+            );
         }
         assert_eq!(slab.high_water(), CHUNK + 1);
         assert_eq!(slab.chunks.len(), 2);
         assert!(std::ptr::eq(slab.get(first), at), "slot 0 moved");
         slab.get_mut(PacketId(CHUNK as u32)).torus_hops = 7;
-        assert_eq!(slab.remove(PacketId(CHUNK as u32)).torus_hops, 7);
-        assert_eq!(slab.insert(dummy_state()), PacketId(CHUNK as u32));
+        assert_eq!(slab.remove(PacketId(CHUNK as u32)).0.torus_hops, 7);
+        assert_eq!(slab.insert(dummy_state(), None), PacketId(CHUNK as u32));
         assert_eq!(slab.live(), CHUNK + 1);
+    }
+
+    #[test]
+    fn a_cold_record_follows_its_packet_and_leaves_with_it() {
+        let mut slab = PacketSlab::new();
+        let plain = slab.insert(dummy_state(), None);
+        assert!(slab.cold.is_empty(), "no cold record, no side table");
+        let cold = ColdState {
+            payload: Payload::ones(20),
+            route_log: Vec::new(),
+        };
+        let with = slab.insert(dummy_state(), Some(cold.clone()));
+        let packet = slab.packet(with).expect("inserted with a payload");
+        assert_eq!((packet.payload, packet.num_flits()), (cold.payload, 2));
+        assert_eq!(packet.dst, slab.get(with).route.destination());
+        assert_eq!(slab.packet(plain), None);
+        assert_eq!(slab.remove(with).1, Some(cold));
+        // The recycled id starts without the record it held.
+        assert_eq!(slab.insert(dummy_state(), None), with);
+        assert_eq!(slab.packet(with), None);
+        assert!(slab.cold_mut(with).is_none());
     }
 
     #[test]
     #[should_panic(expected = "stale packet id")]
     fn stale_id_panics() {
         let mut slab = PacketSlab::new();
-        let a = slab.insert(dummy_state());
+        let a = slab.insert(dummy_state(), None);
         slab.remove(a);
         slab.get(a);
     }

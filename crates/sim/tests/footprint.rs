@@ -1,6 +1,7 @@
-//! Exact heap footprint of an idle machine: the bytes and allocations a
-//! built [`Sim`] holds, counted by the allocator rather than read from the
-//! process's resident set, so the number is the same on every host.
+//! Exact heap footprint of a machine: the bytes and allocations a built
+//! [`Sim`] holds idle, and the most it holds above that while a saturated
+//! batch is in flight — counted by the allocator rather than read from the
+//! process's resident set, so the numbers are the same on every host.
 //!
 //! A counting `#[global_allocator]` needs `unsafe impl GlobalAlloc`; it
 //! passes `alloc` and `dealloc` straight to [`System`] (the trait's default
@@ -12,15 +13,19 @@ use std::cell::Cell;
 
 use anton_core::config::MachineConfig;
 use anton_core::topology::TorusShape;
+use anton_sim::driver::BatchDriver;
 use anton_sim::params::{PreflightMode, SimParams};
-use anton_sim::sim::Sim;
+use anton_sim::sim::{RunOutcome, Sim};
+use anton_traffic::patterns::UniformRandom;
 
-/// [`System`], keeping the calling thread's live (bytes, allocations) so
-/// that the test harness's other threads cannot move the count.
+/// [`System`], keeping the calling thread's live (bytes, allocations) and
+/// the most bytes it has held live since [`PEAK`] was last reset, so that
+/// the test harness's other threads cannot move the count.
 struct Counting;
 
 thread_local! {
     static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count(bytes: i64, allocations: i64) {
@@ -28,6 +33,7 @@ fn count(bytes: i64, allocations: i64) {
     let _ = LIVE.try_with(|live| {
         let (b, a) = live.get();
         live.set((b + bytes, a + allocations));
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(b + bytes)));
     });
 }
 
@@ -45,18 +51,22 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Live (bytes, allocations) held by an idle `k`×`k`×`k` machine with
-/// default parameters. Pre-flight is off: certifying 8×8×8 takes seconds
-/// and is not what is measured.
-fn idle_footprint(k: u8) -> (i64, i64) {
-    let before = LIVE.get();
-    let sim = Sim::builder()
+/// A `k`×`k`×`k` machine with default parameters. Pre-flight is off:
+/// certifying 8×8×8 takes seconds and is not what is measured.
+fn machine(k: u8) -> Sim {
+    Sim::builder()
         .config(MachineConfig::new(TorusShape::cube(k)))
         .params(SimParams {
             preflight: PreflightMode::Off,
             ..SimParams::default()
         })
-        .build();
+        .build()
+}
+
+/// Live (bytes, allocations) held by an idle `k`×`k`×`k` machine.
+fn idle_footprint(k: u8) -> (i64, i64) {
+    let before = LIVE.get();
+    let sim = machine(k);
     let after = LIVE.get();
     drop(sim);
     (after.0 - before.0, after.1 - before.1)
@@ -99,5 +109,42 @@ fn idle_machine_footprint_is_exact_and_per_node() {
     assert!(
         ratio <= 8.1,
         "8x8x8 holds {ratio:.2}x the bytes of 4x4x4 for 8x the nodes"
+    );
+}
+
+/// The most heap a 4×4×4 machine holds above its built self and its
+/// driver while a uniform-random batch of `packets` per endpoint (driver
+/// seed 42) runs to completion.
+fn saturated_peak(packets: u64) -> i64 {
+    let mut sim = machine(4);
+    let mut driver = BatchDriver::builder(&sim)
+        .pattern(Box::new(UniformRandom))
+        .packets_per_endpoint(packets)
+        .seed(42)
+        .build();
+    let built = LIVE.get().0;
+    PEAK.set(built);
+    assert_eq!(sim.run(&mut driver, 10_000_000), RunOutcome::Completed);
+    PEAK.get() - built
+}
+
+/// A saturated batch keeps most of itself in flight, so its peak is the
+/// packet slab: one 64-byte line per in-flight packet, 1,024 to a chunk.
+/// Measured, identical on every run: 64 packets per endpoint peak at
+/// 5,950,208 bytes above the built machine, 16 per endpoint at 3,044,032.
+///
+/// What trips it: a wider slab slot. With the whole `Packet` and the route
+/// log in every slot (136 bytes) the 64-packet batch peaked at 8,964,864
+/// bytes, and 16 at 4,289,216.
+#[test]
+fn saturated_batch_peak_is_the_packet_slab() {
+    let (peak64, peak16) = (saturated_peak(64), saturated_peak(16));
+    println!(
+        "saturated 4x4x4 peak above the built machine: 64 packets/endpoint \
+         {peak64} bytes, 16 packets/endpoint {peak16} bytes"
+    );
+    assert!(
+        peak64 <= 6_100_000,
+        "a saturated 4x4x4 batch peaks at {peak64} bytes above the machine"
     );
 }

@@ -109,11 +109,14 @@ fn explore(
             queue.push_back((root, idx));
         }
     }
+    // One chain buffer for the whole walk: an 8×8×8 certificate takes a
+    // million transitions.
+    let mut chain: Vec<u32> = Vec::new();
     while let Some((arrival, at)) = queue.pop_front() {
         'progress: for (nth, progress) in rf.transitions(&arrival).iter().enumerate() {
             // Validate the whole step chain before handing it on, so a bad
             // transition contributes nothing.
-            let mut chain = Vec::with_capacity(progress.steps.len() + 1);
+            chain.clear();
             chain.push(at);
             for (link, vc) in &progress.steps {
                 if usize::from(vc.0) >= vcs {
