@@ -81,9 +81,6 @@ pub enum GrantSite {
 }
 
 impl GrantSite {
-    /// All grant sites in a fixed order.
-    pub const ALL: [GrantSite; 3] = [GrantSite::Sa1, GrantSite::Output, GrantSite::Serializer];
-
     /// Stable lowercase name, used in serialized traces.
     pub fn name(&self) -> &'static str {
         match self {
@@ -91,11 +88,6 @@ impl GrantSite {
             GrantSite::Output => "output",
             GrantSite::Serializer => "serializer",
         }
-    }
-
-    /// Inverse of [`GrantSite::name`].
-    pub fn from_name(name: &str) -> Option<GrantSite> {
-        GrantSite::ALL.iter().copied().find(|s| s.name() == name)
     }
 }
 

@@ -228,46 +228,8 @@ pub const RESULTS_SCHEMA_VERSION: u64 = 1;
 /// Schema version stamped when observability attachments (sampled `windows`,
 /// `deadlock_reports`, …) are appended after `points`. A v2 document is a v1
 /// document plus extra top-level sections — v1 readers that ignore unknown
-/// keys keep working, and [`read_results`] accepts both.
+/// keys keep working.
 pub const RESULTS_SCHEMA_VERSION_V2: u64 = 2;
-
-/// Parses and validates a results document at schema version 1 or 2.
-///
-/// Checks the envelope (`experiment`, `schema_version`, `points`) and
-/// rejects versions this build does not know how to read; the attachments of
-/// a v2 file ride along untouched.
-pub fn read_results(text: &str) -> Result<Json, String> {
-    let doc = Json::parse(text).map_err(|e| e.to_string())?;
-    let ver = doc
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .ok_or("results: missing `schema_version`")?;
-    if ver == 0 || ver > RESULTS_SCHEMA_VERSION_V2 {
-        return Err(format!("results: unsupported schema_version {ver}"));
-    }
-    doc.get("experiment")
-        .and_then(Json::as_str)
-        .ok_or("results: missing `experiment`")?;
-    doc.get("points")
-        .and_then(Json::as_arr)
-        .ok_or("results: missing `points`")?;
-    if let Some(shards) = doc.get("shards") {
-        let n = shards.as_u64().ok_or("results: `shards` is not a count")?;
-        if n == 0 {
-            return Err("results: `shards` must be at least 1".to_string());
-        }
-    }
-    Ok(doc)
-}
-
-/// Worker-shard count recorded in a results document.
-///
-/// Documents written before the sharded kernel existed have no `shards` key
-/// and read back as `1` (serial) — the same tolerant-default treatment
-/// `static_verdict` received in deadlock reports.
-pub fn results_shards(doc: &Json) -> u64 {
-    doc.get("shards").and_then(Json::as_u64).unwrap_or(1)
-}
 
 /// A named sweep: the typed front door of the experiment harness.
 #[derive(Debug, Clone)]
@@ -384,9 +346,7 @@ impl ExperimentSpec {
     /// [ { index, seed, params: {..}, metrics: {..} } ] }`. Thread count is
     /// deliberately absent — it must not influence results. `shards` records
     /// which kernel produced the numbers (serial at `1`); the sharded kernel
-    /// is measurement-identical, so the field is provenance, not a parameter
-    /// ([`read_results`] defaults it to `1` for documents written before it
-    /// existed).
+    /// is measurement-identical, so the field is provenance, not a parameter.
     pub fn results_json(&self, measurements: &[Measurement]) -> Json {
         let points = measurements
             .iter()
@@ -584,28 +544,15 @@ mod tests {
     }
 
     #[test]
-    fn shards_are_recorded_and_read_back_tolerantly() {
+    fn shards_are_recorded_and_zero_means_serial() {
         let mut spec = ExperimentSpec::new("shard_check", 5);
         spec.set_shards(4);
         assert_eq!(spec.shards(), 4);
         spec.push_point(values!["k" => 2u64]);
         let out = spec.run(1, |_| values!["m" => 1u64]);
-        let text = spec.results_json(&out).to_pretty_string();
-        assert!(text.contains("\"shards\": 4"));
-        let doc = read_results(&text).expect("valid results document");
-        assert_eq!(results_shards(&doc), 4);
-
-        // Documents from before the sharded kernel carry no `shards` key and
-        // read back as serial, exactly like `static_verdict` defaults in old
-        // deadlock reports.
-        let old = "{\"experiment\": \"x\", \"schema_version\": 1, \"points\": []}";
-        let doc = read_results(old).expect("pre-shard document stays readable");
-        assert_eq!(results_shards(&doc), 1);
-
-        // A present-but-nonsensical count is rejected, and `set_shards`
-        // itself clamps zero to serial.
-        let zero = "{\"experiment\": \"x\", \"schema_version\": 1, \"shards\": 0, \"points\": []}";
-        assert!(read_results(zero).unwrap_err().contains("shards"));
+        let doc = Json::parse(&spec.results_json(&out).to_pretty_string()).unwrap();
+        assert_eq!(doc.get("shards").and_then(Json::as_u64), Some(4));
+        // `set_shards` clamps zero to serial.
         assert_eq!(ExperimentSpec::new("z", 0).set_shards(0).shards(), 1);
     }
 
@@ -622,22 +569,22 @@ mod tests {
             .to_pretty_string();
         assert!(v2.contains("\"schema_version\": 2"));
         assert!(v2.contains("\"windows\""));
-        // Both versions parse and validate through the back-compat reader.
-        for text in [&v1, &v2] {
-            let doc = read_results(text).expect("valid results document");
+        // Both versions parse, with the envelope a reader keys on.
+        for (text, version) in [(&v1, 1), (&v2, 2)] {
+            let doc = Json::parse(text).expect("valid results document");
             assert_eq!(
                 doc.get("experiment").and_then(Json::as_str),
                 Some("v2_check")
             );
+            assert_eq!(
+                doc.get("schema_version").and_then(Json::as_u64),
+                Some(version)
+            );
+            assert_eq!(
+                doc.get("points").and_then(Json::as_arr).map(<[_]>::len),
+                Some(1)
+            );
         }
-    }
-
-    #[test]
-    fn read_results_rejects_bad_envelopes() {
-        assert!(read_results("not json").is_err());
-        assert!(read_results("{\"experiment\": \"x\"}").is_err());
-        let future = "{\"experiment\": \"x\", \"schema_version\": 99, \"points\": []}";
-        assert!(read_results(future).unwrap_err().contains("unsupported"));
     }
 
     #[test]

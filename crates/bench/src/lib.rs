@@ -29,7 +29,7 @@ use anton_arbiter::ArbiterKind;
 use anton_core::config::MachineConfig;
 use anton_core::pattern::TrafficPattern;
 use anton_sim::driver::BatchDriver;
-use anton_sim::metrics::Metrics;
+use anton_sim::metrics::{LinkClass, Metrics};
 use anton_sim::params::{SimParams, TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
 use anton_sim::sim::{RunOutcome, Sim};
 use anton_verify::Diagnostic;
@@ -162,26 +162,18 @@ pub fn run_batch_sharded(
     let builder = Sim::builder().config(cfg.clone()).params(params);
     // The two kernels differ only in how a simulator is built, programmed and
     // run; the tuple's fields evaluate left to right, so `run` comes first.
-    let (outcome, peak_utilization, metrics) = if shards > 1 {
+    let (outcome, metrics) = if shards > 1 {
         let mut sim = builder.shards(shards).build_sharded();
         if let ArbiterSetup::InverseWeighted(w) = setup {
             sim.configure(|s| s.install_weights(w));
         }
-        (
-            sim.run(&mut driver, 600_000_000),
-            sim.max_torus_utilization(),
-            sim.metrics(),
-        )
+        (sim.run(&mut driver, 600_000_000), sim.metrics())
     } else {
         let mut sim = builder.build();
         if let ArbiterSetup::InverseWeighted(w) = setup {
             sim.install_weights(w);
         }
-        (
-            sim.run(&mut driver, 600_000_000),
-            sim.max_torus_utilization(),
-            sim.metrics(),
-        )
+        (sim.run(&mut driver, 600_000_000), sim.metrics())
     };
     assert_eq!(
         outcome,
@@ -192,7 +184,7 @@ pub fn run_batch_sharded(
         batch,
         normalized: driver.throughput() / saturation_rate,
         cycles: driver.finish_cycle,
-        peak_utilization,
+        peak_utilization: metrics.link_class(LinkClass::Torus).peak_util / torus_capacity(),
     };
     (point, metrics)
 }

@@ -28,6 +28,15 @@ pub const HANDLER_DISPATCH_CYCLES: u64 = ns_to_cycles(HANDLER_DISPATCH_NS);
 /// Torus link latency in whole cycles: [`SERDES_WIRE_NS`], rounded.
 pub const TORUS_LINK_CYCLES: u64 = ns_to_cycles(SERDES_WIRE_NS);
 
+/// Torus serializer cost accounting: a flit costs [`TORUS_TOKEN_COST`] tokens
+/// and every cycle earns [`TORUS_TOKEN_GAIN`]; the long-run rate is
+/// `14/45 = 89.6/288` flits per cycle, exactly the effective bandwidth of a
+/// torus channel. The channel adapter's serializer and the lossy-link shim
+/// both meter with it.
+pub const TORUS_TOKEN_COST: u32 = 45;
+/// Tokens earned per cycle by a torus serializer.
+pub const TORUS_TOKEN_GAIN: u32 = 14;
+
 /// Nearest whole number of cycles to `ns` nanoseconds.
 const fn ns_to_cycles(ns: f64) -> u64 {
     (ns / CYCLE_NS).round() as u64

@@ -19,19 +19,18 @@
 
 use std::collections::VecDeque;
 
+use anton_core::timing::{TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
 use anton_link::frame::{Frame, FRAME_BYTES};
 use anton_link::gobackn::{GoBackNConfig, Receiver, Sender};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Token gain per cycle (mirrors the serializer's `TORUS_TOKEN_GAIN`).
-const TOKEN_GAIN: u64 = 14;
-/// Tokens consumed per frame (mirrors the serializer's `TORUS_TOKEN_COST`).
-const TOKEN_COST: u64 = 45;
 /// Bucket depth: two frames, so the shim can absorb the serializer's own
 /// burstiness (its bucket holds `cost + gain - 1` tokens) without ever
-/// becoming the tighter bottleneck.
-const TOKEN_CAP: u64 = 2 * TOKEN_COST;
+/// becoming the tighter bottleneck. The shim meters frames at the
+/// serializer's rate: it earns [`TORUS_TOKEN_GAIN`] tokens a cycle and
+/// spends [`TORUS_TOKEN_COST`] a frame.
+const TOKEN_CAP: u64 = 2 * TORUS_TOKEN_COST as u64;
 /// Bits per frame on the wire, for converting bit-error rate to a per-frame
 /// corruption probability.
 const FRAME_BITS: u32 = FRAME_BYTES as u32 * 8;
@@ -289,8 +288,10 @@ impl LinkShim {
     pub fn next_event(&self) -> u64 {
         let data = self.forward.front().map_or(u64::MAX, |&(t, _)| t);
         let ack = self.reverse.front().map_or(u64::MAX, |&(t, _)| t);
-        let tokens_due =
-            self.tokens_at + TOKEN_COST.saturating_sub(self.tokens).div_ceil(TOKEN_GAIN);
+        let tokens_due = self.tokens_at
+            + u64::from(TORUS_TOKEN_COST)
+                .saturating_sub(self.tokens)
+                .div_ceil(u64::from(TORUS_TOKEN_GAIN));
         let slot_free = self.last_tx.map_or(0, |t| t + 1);
         let transmit = self.tx.next_frame_slot().max(tokens_due).max(slot_free);
         data.min(ack).min(transmit)
@@ -364,7 +365,8 @@ impl LinkShim {
     /// Offers queued flits into the window and transmits at most one data
     /// frame (token bucket permitting).
     fn pump(&mut self, now: u64) {
-        self.tokens = (self.tokens + TOKEN_GAIN * (now - self.tokens_at)).min(TOKEN_CAP);
+        self.tokens =
+            (self.tokens + u64::from(TORUS_TOKEN_GAIN) * (now - self.tokens_at)).min(TOKEN_CAP);
         self.tokens_at = now;
         while self.next_offer < self.next_enqueue && self.tx.can_accept() {
             let mut payload = [0u8; 24];
@@ -372,12 +374,12 @@ impl LinkShim {
             self.tx.offer(payload);
             self.next_offer += 1;
         }
-        if self.last_tx == Some(now) || self.tokens < TOKEN_COST {
+        if self.last_tx == Some(now) || self.tokens < u64::from(TORUS_TOKEN_COST) {
             return;
         }
         let retrans_before = self.tx.retransmissions;
         if let Some(frame) = self.tx.next_frame(now, self.rx.expected()) {
-            self.tokens -= TOKEN_COST;
+            self.tokens -= u64::from(TORUS_TOKEN_COST);
             self.last_tx = Some(now);
             if self.tx.retransmissions > retrans_before {
                 self.log_event(now, ShimEvent::Retransmit);

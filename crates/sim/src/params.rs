@@ -1,21 +1,15 @@
-//! Simulation parameters and physical constants. The clock and the latency
-//! calibration are [`anton_core::timing`]'s; the clock is re-exported here.
+//! Simulation parameters and physical constants. The clock, the latency
+//! calibration and the torus link rate are [`anton_core::timing`]'s; the
+//! clock and the rate are re-exported here.
 
 use anton_arbiter::ArbiterKind;
 
-pub use anton_core::timing::{CLOCK_GHZ, CYCLE_NS};
+pub use anton_core::timing::{CLOCK_GHZ, CYCLE_NS, TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
 
 /// Mesh channel bandwidth: 192 bits per cycle at 1.5 GHz = 288 Gb/s.
 pub const MESH_GBPS: f64 = 288.0;
 /// Effective torus channel bandwidth per direction (after the link layer).
 pub const TORUS_EFFECTIVE_GBPS: f64 = 89.6;
-
-/// Torus serializer cost accounting: a flit costs [`TORUS_TOKEN_COST`] tokens
-/// and every cycle earns [`TORUS_TOKEN_GAIN`]; the long-run rate is
-/// `14/45 = 89.6/288` flits per cycle, exactly the effective bandwidth.
-pub const TORUS_TOKEN_COST: u32 = 45;
-/// Tokens earned per cycle by a torus serializer.
-pub const TORUS_TOKEN_GAIN: u32 = 14;
 
 /// Router pipeline depth in cycles: RC, VA, SA1, SA2 (Figure 12).
 pub const ROUTER_PIPELINE: u64 = 4;

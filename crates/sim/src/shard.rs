@@ -204,11 +204,11 @@ impl ShardAssignment<'_> {
 }
 
 /// A packet crossing a shard boundary: the buffer entry departing an export
-/// wire plus the packet's slab state, hot record and cold, which moves
-/// producer → consumer with it.
+/// wire, stamped with the cycle it clears the consumer's receive pipeline,
+/// plus the packet's slab state, hot record and cold, which moves producer →
+/// consumer with it.
 pub(crate) struct PacketTransfer {
     pub(crate) wire: u32,
-    pub(crate) mature: u64,
     pub(crate) entry: BufEntry,
     pub(crate) vcidx: u8,
     pub(crate) state: PacketState,
@@ -549,25 +549,6 @@ impl ShardedSim {
                 (owner.label(w), owner.flits_carried(w))
             })
             .collect()
-    }
-
-    /// Utilization of every external torus channel, as in
-    /// [`Sim::torus_utilizations`], over the serial end cycle.
-    pub fn torus_utilizations(
-        &self,
-    ) -> Vec<(
-        NodeId,
-        anton_core::topology::TorusDir,
-        anton_core::topology::Slice,
-        f64,
-    )> {
-        crate::sim::torus_utilizations_of(&self.wire_utilizations(), self.end_cycle)
-    }
-
-    /// Peak torus-channel utilization as a fraction of effective channel
-    /// bandwidth, as in [`Sim::max_torus_utilization`].
-    pub fn max_torus_utilization(&self) -> f64 {
-        crate::sim::max_torus_utilization_of(&self.torus_utilizations())
     }
 
     /// Collects the merged typed metrics record. Per boundary wire, the

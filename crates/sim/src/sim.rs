@@ -33,7 +33,7 @@ use anton_core::net::{LinkEnd, Topology, TorusTopology};
 use anton_core::packet::{CounterId, Destination, Packet};
 use anton_core::routing::RouteSpec;
 use anton_core::timing::TORUS_LINK_CYCLES;
-use anton_core::topology::{NodeId, Slice, TorusDir};
+use anton_core::topology::NodeId;
 use anton_core::trace::GlobalLink;
 use anton_core::vc::Vc;
 use anton_fault::FaultKind;
@@ -47,9 +47,7 @@ use anton_obs::{
 use crate::adapter::{Adapters, ChanWires};
 use crate::endpoint::Endpoints;
 use crate::fabric::{CompRef, Ctx, DegradedState, Fabric};
-use crate::params::{
-    PreflightMode, SimParams, ADAPTER_PIPELINE, ROUTER_PIPELINE, TORUS_TOKEN_COST, TORUS_TOKEN_GAIN,
-};
+use crate::params::{PreflightMode, SimParams, ADAPTER_PIPELINE, ROUTER_PIPELINE};
 use crate::router::{PortWiring, Routers};
 use crate::state::{PacketId, RouteProgress};
 use crate::wire::{BoundaryRole, BufEntry, WireSpec, Wires, LAST_CYCLE};
@@ -220,8 +218,7 @@ pub struct StalledVc {
 /// simulator diverged from the verified model — a model or simulator bug.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum StaticVerdict {
-    /// Verification did not run (`PreflightMode::Off`), or the report was
-    /// read from JSON written before this field existed.
+    /// Verification did not run (`PreflightMode::Off`).
     #[default]
     Unknown,
     /// The symbolic channel-dependency graph was certified acyclic.
@@ -236,14 +233,6 @@ impl StaticVerdict {
             StaticVerdict::Unknown => "unknown",
             StaticVerdict::CertifiedAcyclic => "certified",
             StaticVerdict::PredictedDeadlock => "predicted",
-        }
-    }
-
-    fn from_str(s: &str) -> StaticVerdict {
-        match s {
-            "certified" => StaticVerdict::CertifiedAcyclic,
-            "predicted" => StaticVerdict::PredictedDeadlock,
-            _ => StaticVerdict::Unknown,
         }
     }
 }
@@ -349,33 +338,6 @@ impl StalledVc {
             ),
         ])
     }
-
-    fn from_json(j: &Json) -> Result<StalledVc, String> {
-        let field = |k: &str| j.get(k).ok_or_else(|| format!("stalled vc: missing `{k}`"));
-        let uint = |k: &str| {
-            field(k).and_then(|v| {
-                v.as_u64()
-                    .ok_or_else(|| format!("stalled vc: `{k}` not a uint"))
-            })
-        };
-        Ok(StalledVc {
-            link: link_json::link_from_json(field("link")?)?,
-            vc_index: u8::try_from(uint("vc_index")?).map_err(|_| "vc_index out of range")?,
-            packet: PacketId(u32::try_from(uint("packet")?).map_err(|_| "packet out of range")?),
-            flits: u8::try_from(uint("flits")?).map_err(|_| "flits out of range")?,
-            injected_at: uint("injected_at")?,
-            route: field("route")?
-                .as_str()
-                .ok_or("stalled vc: `route` not a string")?
-                .to_string(),
-            recent_events: field("recent_events")?
-                .as_arr()
-                .ok_or("stalled vc: `recent_events` not an array")?
-                .iter()
-                .map(TraceEvent::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        })
-    }
 }
 
 impl DeadlockReport {
@@ -405,67 +367,6 @@ impl DeadlockReport {
                 Json::arr(self.down_links.iter().map(link_json::link_to_json)),
             ),
         ])
-    }
-
-    /// Inverse of [`DeadlockReport::to_json`].
-    pub fn from_json(j: &Json) -> Result<DeadlockReport, String> {
-        let field = |k: &str| {
-            j.get(k)
-                .ok_or_else(|| format!("deadlock report: missing `{k}`"))
-        };
-        let uint = |k: &str| {
-            field(k).and_then(|v| {
-                v.as_u64()
-                    .ok_or_else(|| format!("deadlock report: `{k}` not a uint"))
-            })
-        };
-        Ok(DeadlockReport {
-            cycle: uint("cycle")?,
-            live_packets: uint("live_packets")? as usize,
-            idle_cycles: uint("idle_cycles")?,
-            stalled: field("stalled")?
-                .as_arr()
-                .ok_or("deadlock report: `stalled` not an array")?
-                .iter()
-                .map(StalledVc::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            truncated: uint("truncated")? as usize,
-            shim_backlogs: field("shim_backlogs")?
-                .as_arr()
-                .ok_or("deadlock report: `shim_backlogs` not an array")?
-                .iter()
-                .map(|b| {
-                    let link = b
-                        .get("link")
-                        .ok_or("deadlock report: backlog missing `link`")
-                        .and_then(|l| {
-                            link_json::link_from_json(l).map_err(|_| "bad backlog link")
-                        })?;
-                    let flits = b
-                        .get("flits")
-                        .and_then(Json::as_u64)
-                        .ok_or("deadlock report: backlog missing `flits`")?;
-                    Ok::<_, String>((link, flits))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            // Tolerant of reports written before this field existed.
-            static_verdict: j
-                .get("static_verdict")
-                .and_then(Json::as_str)
-                .map(StaticVerdict::from_str)
-                .unwrap_or_default(),
-            // Likewise tolerant: absent (or partially unreadable) in old
-            // reports, which simply carry no fault-state annotation.
-            down_links: j
-                .get("down_links")
-                .and_then(Json::as_arr)
-                .map(|a| {
-                    a.iter()
-                        .filter_map(|l| link_json::link_from_json(l).ok())
-                        .collect()
-                })
-                .unwrap_or_default(),
-        })
     }
 }
 
@@ -610,31 +511,6 @@ impl SamplerState {
 /// (see [`Sim::run`]).
 pub(crate) fn run_deadline(now: u64, max_cycles: u64) -> u64 {
     now.saturating_add(max_cycles).min(LAST_CYCLE)
-}
-
-/// The torus channels among labeled per-wire flit counts, as `(from node,
-/// direction, slice, flits per cycle)` over `cycles` elapsed cycles.
-pub(crate) fn torus_utilizations_of(
-    wires: &[(GlobalLink, u64)],
-    cycles: u64,
-) -> Vec<(NodeId, TorusDir, Slice, f64)> {
-    let cycles = cycles.max(1) as f64;
-    wires
-        .iter()
-        .filter_map(|&(label, flits)| match label {
-            GlobalLink::Torus { from, dir, slice } => {
-                Some((from, dir, slice, flits as f64 / cycles))
-            }
-            _ => None,
-        })
-        .collect()
-}
-
-/// The peak of [`torus_utilizations_of`] as a fraction of the effective
-/// channel bandwidth.
-pub(crate) fn max_torus_utilization_of(utils: &[(NodeId, TorusDir, Slice, f64)]) -> f64 {
-    let cap = f64::from(TORUS_TOKEN_GAIN) / f64::from(TORUS_TOKEN_COST);
-    utils.iter().map(|(_, _, _, u)| u / cap).fold(0.0, f64::max)
 }
 
 impl std::fmt::Debug for Sim {
@@ -993,19 +869,6 @@ impl Sim {
             .collect()
     }
 
-    /// Utilization (flits per cycle) of every external torus channel, as
-    /// `(from node, direction, slice, utilization)`.
-    pub fn torus_utilizations(&self) -> Vec<(NodeId, TorusDir, Slice, f64)> {
-        torus_utilizations_of(&self.wire_utilizations(), self.now())
-    }
-
-    /// Peak torus-channel utilization as a fraction of the effective channel
-    /// bandwidth (1.0 = the channel moved flits at the full 89.6 Gb/s for
-    /// the whole run).
-    pub fn max_torus_utilization(&self) -> f64 {
-        max_torus_utilization_of(&self.torus_utilizations())
-    }
-
     /// Sum of all routers' energy counters.
     pub fn router_energy(&self) -> EnergyCounters {
         self.routers.energy()
@@ -1037,17 +900,16 @@ impl Sim {
     /// the producing shard. Called once per sync window, at the barrier.
     pub(crate) fn drain_boundary_exports(&mut self, out: &mut [crate::shard::ShardMail]) {
         let fab = &mut self.fabric;
-        let mut scratch: Vec<(u64, BufEntry, u8)> = Vec::new();
+        let mut scratch: Vec<(BufEntry, u8)> = Vec::new();
         let mut scratch_credits: Vec<(u64, u8, u8)> = Vec::new();
         for &(w, dest) in &self.export_wires {
             fab.wires.take_exports(w as usize, &mut scratch);
-            for (mature, entry, vcidx) in scratch.drain(..) {
+            for (entry, vcidx) in scratch.drain(..) {
                 let (state, cold) = fab.packets.remove(entry.pkt);
                 out[dest as usize]
                     .packets
                     .push(crate::shard::PacketTransfer {
                         wire: w,
-                        mature,
                         entry,
                         vcidx,
                         state,
@@ -1072,17 +934,15 @@ impl Sim {
     }
 
     /// Applies one inbound boundary packet at a window barrier: inserts its
-    /// state into the local slab and files the entry into the import wire
-    /// (in flight, or directly into the receive buffer when it matured
-    /// during the closing window).
+    /// state into the local slab, files the entry into the import wire's
+    /// receive buffer and wakes the consumer for the cycle it reads ready.
     pub(crate) fn apply_packet_import(&mut self, t: crate::shard::PacketTransfer) {
         let fab = &mut self.fabric;
         let (w, now) = (t.wire as usize, fab.now);
         let mut entry = t.entry;
         entry.pkt = fab.packets.insert(t.state, t.cold);
-        if let Some(ready) = fab.wires.import_packet(now, w, t.mature, entry, t.vcidx) {
-            fab.wheels.wake(fab.consumer[w], ready.max(now), now);
-        }
+        let ready = fab.wires.import_packet(now, w, entry, t.vcidx);
+        fab.wheels.wake(fab.consumer[w], ready, now);
     }
 
     /// Applies one inbound boundary credit return on an export wire.

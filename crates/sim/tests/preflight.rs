@@ -102,15 +102,12 @@ fn predicted_deadlock_is_labeled_in_the_report() {
     let text = report.to_string();
     assert!(text.contains("statically predicted"), "got: {text}");
 
-    // The verdict survives the JSON round trip, and reports written before
-    // the field existed default to `Unknown`.
-    let j = report.to_json();
-    let back = anton_sim::sim::DeadlockReport::from_json(&j).expect("round trip");
-    assert_eq!(back, *report);
-    let mut old = j.clone();
-    if let anton_obs::json::Json::Obj(pairs) = &mut old {
-        pairs.retain(|(k, _)| k != "static_verdict");
-    }
-    let back = anton_sim::sim::DeadlockReport::from_json(&old).expect("tolerant parse");
-    assert_eq!(back.static_verdict, StaticVerdict::Unknown);
+    // The verdict is written into the report's JSON.
+    let parsed = anton_obs::Json::parse(&report.to_json().to_pretty_string()).unwrap();
+    assert_eq!(
+        parsed
+            .get("static_verdict")
+            .and_then(anton_obs::Json::as_str),
+        Some("predicted")
+    );
 }
