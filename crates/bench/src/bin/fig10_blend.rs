@@ -16,7 +16,7 @@ use anton_analysis::load::LoadAnalysis;
 use anton_analysis::weights::ArbiterWeightSet;
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
 use anton_bench::{
-    checked_cube, fail_usage, run_batch_detailed, torus_capacity, values, ArbiterSetup, FlagSet,
+    checked_cube, fail_usage, run_batch, torus_capacity, values, ArbiterSetup, FlagSet, RunOptions,
 };
 use anton_core::config::MachineConfig;
 use anton_core::pattern::TrafficPattern;
@@ -96,7 +96,16 @@ fn main() {
         let sat = sats.iter().find(|(p, _)| *p == pct).expect("precomputed").1;
         let components: Vec<(Box<dyn TrafficPattern>, f64)> =
             vec![(Box::new(Tornado), f), (Box::new(ReverseTornado), 1.0 - f)];
-        let (p, m) = run_batch_detailed(&cfg, components, batch, &setup, sat, point.seed);
+        let run = run_batch(
+            &cfg,
+            components,
+            batch,
+            &setup,
+            sat,
+            point.seed,
+            RunOptions::default(),
+        );
+        let (p, m) = (run.point, run.metrics);
         eprintln!(
             "[fig10] {}/{n_points} {} at {pct}% done",
             point.index + 1,
@@ -128,7 +137,7 @@ fn main() {
             m.metric_f64("peak_utilization"),
         );
     }
-    match spec.write_results(&measurements) {
+    match spec.write_results(std::path::Path::new("."), &measurements, &[]) {
         Ok(path) => eprintln!("[fig10] wrote {}", path.display()),
         Err(e) => eprintln!("[fig10] could not write results JSON: {e}"),
     }

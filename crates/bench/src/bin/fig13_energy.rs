@@ -80,7 +80,7 @@ fn main() {
         );
         all.push(em);
     }
-    match spec.write_results(&measurements) {
+    match spec.write_results(std::path::Path::new("."), &measurements, &[]) {
         Ok(path) => eprintln!("[fig13] wrote {}", path.display()),
         Err(e) => eprintln!("[fig13] could not write results JSON: {e}"),
     }

@@ -20,8 +20,8 @@ use anton_analysis::load::LoadAnalysis;
 use anton_analysis::weights::ArbiterWeightSet;
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
 use anton_bench::{
-    checked_cube, fail_usage, make_pattern, run_batch_sharded, saturation_rate, values,
-    ArbiterSetup, FlagSet,
+    checked_cube, fail_usage, make_pattern, run_batch, saturation_rate, values, ArbiterSetup,
+    FlagSet, RunOptions,
 };
 use anton_core::config::MachineConfig;
 use anton_core::pattern::TrafficPattern;
@@ -96,15 +96,19 @@ fn main() {
             sat_2hop
         };
         let batch = point.int("batch") as u64;
-        let (p, m) = run_batch_sharded(
+        let run = run_batch(
             &cfg,
             vec![(pattern_or_exit(pattern), 1.0)],
             batch,
             &setup,
             sat,
             point.seed,
-            shards,
+            RunOptions {
+                shards,
+                ..RunOptions::default()
+            },
         );
+        let (p, m) = (run.point, run.metrics);
         eprintln!(
             "[fig9] {}/{n_points} {pattern} {} batch {batch} done",
             point.index + 1,
@@ -137,7 +141,7 @@ fn main() {
             m.metric_f64("peak_utilization"),
         );
     }
-    match spec.write_results(&measurements) {
+    match spec.write_results(std::path::Path::new("."), &measurements, &[]) {
         Ok(path) => eprintln!("[fig9] wrote {}", path.display()),
         Err(e) => eprintln!("[fig9] could not write results JSON: {e}"),
     }

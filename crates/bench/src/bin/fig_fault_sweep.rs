@@ -320,7 +320,7 @@ fn main() {
             ),
         ),
     ]);
-    let mut doc = spec.results_json(&measurements);
+    let mut doc = spec.results_json(&measurements, &[]);
     if !deadlock_reports.is_empty() {
         let reports = Json::Arr(
             deadlock_reports
@@ -333,7 +333,7 @@ fn main() {
                 })
                 .collect(),
         );
-        doc = spec.results_json_with(
+        doc = spec.results_json(
             &measurements,
             &[("fault_model", fault_model), ("deadlock_reports", reports)],
         );

@@ -88,7 +88,7 @@ fn main() {
     }
     println!();
     println!("Goodput column is relative to the 89.6 Gb/s framing-limited ceiling.");
-    match spec.write_results(&measurements) {
+    match spec.write_results(std::path::Path::new("."), &measurements, &[]) {
         Ok(path) => eprintln!("[sec22] wrote {}", path.display()),
         Err(e) => eprintln!("[sec22] could not write results JSON: {e}"),
     }

@@ -340,97 +340,65 @@ impl ExperimentSpec {
             .collect()
     }
 
-    /// Renders measurements as the structured results document.
+    /// Renders measurements plus observability attachments as the
+    /// structured results document.
     ///
     /// Schema: `{ experiment, schema_version, base_seed, shards, points:
     /// [ { index, seed, params: {..}, metrics: {..} } ] }`. Thread count is
     /// deliberately absent — it must not influence results. `shards` records
     /// which kernel produced the numbers (serial at `1`); the sharded kernel
     /// is measurement-identical, so the field is provenance, not a parameter.
-    pub fn results_json(&self, measurements: &[Measurement]) -> Json {
+    ///
+    /// With an empty attachment list the document is schema version 1; any
+    /// attachment (sampled `windows`, `deadlock_reports`, …) bumps it to
+    /// [`RESULTS_SCHEMA_VERSION_V2`] and appends the sections after
+    /// `points`.
+    pub fn results_json(&self, measurements: &[Measurement], attachments: &[(&str, Json)]) -> Json {
+        let obj = |pairs: &[(String, Value)]| {
+            Json::Obj(
+                pairs
+                    .iter()
+                    .map(|(k, v)| (k.clone(), Json::from(v)))
+                    .collect(),
+            )
+        };
         let points = measurements
             .iter()
             .map(|m| {
                 Json::obj([
                     ("index", Json::from(m.index)),
                     ("seed", Json::from(m.seed)),
-                    (
-                        "params",
-                        Json::Obj(
-                            m.params
-                                .iter()
-                                .map(|(k, v)| (k.clone(), Json::from(v)))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "metrics",
-                        Json::Obj(
-                            m.metrics
-                                .iter()
-                                .map(|(k, v)| (k.clone(), Json::from(v)))
-                                .collect(),
-                        ),
-                    ),
+                    ("params", obj(&m.params)),
+                    ("metrics", obj(&m.metrics)),
                 ])
             })
             .collect::<Vec<_>>();
-        Json::obj([
-            ("experiment", Json::from(self.name.as_str())),
-            ("schema_version", Json::from(RESULTS_SCHEMA_VERSION)),
-            ("base_seed", Json::from(self.base_seed)),
-            ("shards", Json::from(self.shards as u64)),
-            ("points", Json::Arr(points)),
-        ])
-    }
-
-    /// Renders measurements plus observability attachments. With an empty
-    /// attachment list this is byte-identical to [`results_json`]
-    /// (schema version 1); any attachment bumps the document to
-    /// [`RESULTS_SCHEMA_VERSION_V2`] and appends the sections after `points`.
-    ///
-    /// [`results_json`]: ExperimentSpec::results_json
-    pub fn results_json_with(
-        &self,
-        measurements: &[Measurement],
-        attachments: &[(&str, Json)],
-    ) -> Json {
-        let mut doc = self.results_json(measurements);
-        if attachments.is_empty() {
-            return doc;
-        }
-        let Json::Obj(fields) = &mut doc else {
-            unreachable!("results_json returns an object")
+        let version = if attachments.is_empty() {
+            RESULTS_SCHEMA_VERSION
+        } else {
+            RESULTS_SCHEMA_VERSION_V2
         };
-        for (k, v) in fields.iter_mut() {
-            if k == "schema_version" {
-                *v = Json::from(RESULTS_SCHEMA_VERSION_V2);
-            }
-        }
-        for (k, v) in attachments {
-            fields.push(((*k).to_string(), v.clone()));
-        }
-        doc
+        let mut fields = vec![
+            ("experiment".to_string(), Json::from(self.name.as_str())),
+            ("schema_version".to_string(), Json::from(version)),
+            ("base_seed".to_string(), Json::from(self.base_seed)),
+            ("shards".to_string(), Json::from(self.shards as u64)),
+            ("points".to_string(), Json::Arr(points)),
+        ];
+        fields.extend(
+            attachments
+                .iter()
+                .map(|(k, v)| ((*k).to_string(), v.clone())),
+        );
+        Json::Obj(fields)
     }
 
-    /// Writes `results/<name>.json` under `dir` (creating `results/` if
-    /// needed) and returns the path written. The write is atomic
+    /// Writes [`results_json`](ExperimentSpec::results_json) to
+    /// `results/<name>.json` under `dir` (creating `results/` if needed)
+    /// and returns the path written. The write is atomic
     /// (temp-file-then-rename), so a crashed or interrupted run never leaves
     /// a truncated results file behind.
-    pub fn write_results_under(
-        &self,
-        dir: &Path,
-        measurements: &[Measurement],
-    ) -> io::Result<PathBuf> {
-        self.write_results_with_under(dir, measurements, &[])
-    }
-
-    /// [`write_results_under`], plus observability attachments (see
-    /// [`results_json_with`]).
-    ///
-    /// [`write_results_under`]: ExperimentSpec::write_results_under
-    /// [`results_json_with`]: ExperimentSpec::results_json_with
-    pub fn write_results_with_under(
+    pub fn write_results(
         &self,
         dir: &Path,
         measurements: &[Measurement],
@@ -439,14 +407,9 @@ impl ExperimentSpec {
         let results_dir = dir.join("results");
         std::fs::create_dir_all(&results_dir)?;
         let path = results_dir.join(format!("{}.json", self.name));
-        let doc = self.results_json_with(measurements, attachments);
+        let doc = self.results_json(measurements, attachments);
         anton_obs::write_atomic(&path, &doc.to_pretty_string())?;
         Ok(path)
-    }
-
-    /// Writes `results/<name>.json` relative to the current directory.
-    pub fn write_results(&self, measurements: &[Measurement]) -> io::Result<PathBuf> {
-        self.write_results_under(Path::new("."), measurements)
     }
 }
 
@@ -508,8 +471,8 @@ mod tests {
         }
         // Identical JSON bytes, the strongest form of the guarantee.
         assert_eq!(
-            spec.results_json(&serial).to_pretty_string(),
-            spec.results_json(&parallel).to_pretty_string()
+            spec.results_json(&serial, &[]).to_pretty_string(),
+            spec.results_json(&parallel, &[]).to_pretty_string()
         );
     }
 
@@ -531,7 +494,7 @@ mod tests {
         let mut spec = ExperimentSpec::new("schema_check", 5);
         spec.push_point(values!["k" => 4u64]);
         let out = spec.run(1, |_| values!["metric" => 1.5]);
-        let doc = spec.results_json(&out).to_pretty_string();
+        let doc = spec.results_json(&out, &[]).to_pretty_string();
         assert!(doc.contains("\"experiment\": \"schema_check\""));
         assert!(doc.contains("\"schema_version\": 1"));
         assert!(doc.contains("\"base_seed\": 5"));
@@ -550,7 +513,7 @@ mod tests {
         assert_eq!(spec.shards(), 4);
         spec.push_point(values!["k" => 2u64]);
         let out = spec.run(1, |_| values!["m" => 1u64]);
-        let doc = Json::parse(&spec.results_json(&out).to_pretty_string()).unwrap();
+        let doc = Json::parse(&spec.results_json(&out, &[]).to_pretty_string()).unwrap();
         assert_eq!(doc.get("shards").and_then(Json::as_u64), Some(4));
         // `set_shards` clamps zero to serial.
         assert_eq!(ExperimentSpec::new("z", 0).set_shards(0).shards(), 1);
@@ -561,14 +524,26 @@ mod tests {
         let mut spec = ExperimentSpec::new("v2_check", 3);
         spec.push_point(values!["k" => 1u64]);
         let out = spec.run(1, |_| values!["m" => 2u64]);
-        let v1 = spec.results_json(&out).to_pretty_string();
-        assert_eq!(spec.results_json_with(&out, &[]).to_pretty_string(), v1);
+        let v1 = spec.results_json(&out, &[]).to_pretty_string();
         let windows = Json::obj([("every", Json::from(100u64))]);
         let v2 = spec
-            .results_json_with(&out, &[("windows", windows)])
+            .results_json(&out, &[("windows", windows)])
             .to_pretty_string();
+        assert!(v1.contains("\"schema_version\": 1"));
         assert!(v2.contains("\"schema_version\": 2"));
         assert!(v2.contains("\"windows\""));
+        // A v2 document is the v1 document, byte for byte, plus its sections.
+        let mut stripped = Json::parse(&v2).expect("valid results document");
+        let Json::Obj(fields) = &mut stripped else {
+            unreachable!("results_json returns an object")
+        };
+        fields.retain(|(k, _)| k != "windows");
+        for (k, v) in fields.iter_mut() {
+            if k == "schema_version" {
+                *v = Json::from(RESULTS_SCHEMA_VERSION);
+            }
+        }
+        assert_eq!(stripped.to_pretty_string(), v1);
         // Both versions parse, with the envelope a reader keys on.
         for (text, version) in [(&v1, 1), (&v2, 2)] {
             let doc = Json::parse(text).expect("valid results document");
@@ -593,10 +568,10 @@ mod tests {
         spec.push_point(values!["k" => 2u64]);
         let out = spec.run(1, |_| values!["ok" => true]);
         let dir = std::env::temp_dir().join(format!("anton_harness_test_{}", std::process::id()));
-        let path = spec.write_results_under(&dir, &out).expect("write results");
+        let path = spec.write_results(&dir, &out, &[]).expect("write results");
         assert_eq!(path, dir.join("results").join("write_check.json"));
         let text = std::fs::read_to_string(&path).expect("read back");
-        assert_eq!(text, spec.results_json(&out).to_pretty_string());
+        assert_eq!(text, spec.results_json(&out, &[]).to_pretty_string());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

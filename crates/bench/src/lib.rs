@@ -12,8 +12,9 @@
 //!   executed across a scoped worker pool, collecting
 //!   [`Measurement`](harness::Measurement) records;
 //! * [`flags`] — declarative typed command-line flags for the binaries;
-//! * plus the shared measurement loop: saturation normalization and
-//!   batch-throughput runs.
+//! * plus the shared measurement loop: saturation normalization and the
+//!   one batch runner, [`run_batch`], on either kernel with any instruments
+//!   attached (the `probe` binary is its instrumented view).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,11 +29,14 @@ use anton_analysis::weights::ArbiterWeightSet;
 use anton_arbiter::ArbiterKind;
 use anton_core::config::MachineConfig;
 use anton_core::pattern::TrafficPattern;
+use anton_obs::{CongestionReport, FlightRecorder, TimeSeries, NUM_SHARD_PHASES};
 use anton_sim::driver::BatchDriver;
 use anton_sim::metrics::{LinkClass, Metrics};
-use anton_sim::params::{SimParams, TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
-use anton_sim::sim::{RunOutcome, Sim};
+use anton_sim::params::{SimParams, TraceConfig, TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
+use anton_sim::shard::ShardableDriver;
+use anton_sim::sim::{Delivery, Driver, RunOutcome, Sim};
 use anton_verify::Diagnostic;
+use std::ops::Range;
 
 pub use cli::{checked_cube, checked_torus, fail_usage, make_pattern, write_output};
 pub use flags::{FlagSet, ParsedFlags};
@@ -51,6 +55,8 @@ pub enum ArbiterSetup {
     RoundRobin,
     /// Inverse-weighted arbiters programmed from the given weight set.
     InverseWeighted(ArbiterWeightSet),
+    /// Age-based arbitration (oldest packet first) everywhere.
+    Age,
 }
 
 impl ArbiterSetup {
@@ -59,6 +65,7 @@ impl ArbiterSetup {
         match self {
             ArbiterSetup::RoundRobin => "round-robin",
             ArbiterSetup::InverseWeighted(_) => "inverse-weighted",
+            ArbiterSetup::Age => "age",
         }
     }
 }
@@ -78,14 +85,97 @@ pub struct ThroughputPoint {
     pub peak_utilization: f64,
 }
 
+/// The kernel a batch runs on and the instruments attached to it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunOptions {
+    /// Worker shards of the parallel kernel; `0` and `1` run the serial
+    /// kernel. Every measurement is byte-identical for every value.
+    pub shards: usize,
+    /// The instruments: sampler, stall attribution, flight recorder (serial
+    /// kernel only) and phase profiler.
+    pub trace: TraceConfig,
+}
+
+/// Everything one batch run produced.
+#[derive(Debug)]
+pub struct BatchRun {
+    /// The throughput measurement.
+    pub point: ThroughputPoint,
+    /// The typed metrics record of the whole run.
+    pub metrics: Metrics,
+    /// The cycle each source endpoint's last packet was delivered, by
+    /// endpoint index.
+    pub source_finish: Vec<u64>,
+    /// What the instruments [`RunOptions::trace`] turned on observed.
+    pub instruments: Instruments,
+}
+
+/// What a batch run's instruments observed; each is `None` when it was off.
+#[derive(Debug)]
+pub struct Instruments {
+    /// The sampled windows, the last one closed at the end of the run
+    /// ([`TraceConfig::sample_every`]).
+    pub timeseries: Option<TimeSeries>,
+    /// The stall analysis ([`TraceConfig::stalls`]).
+    pub congestion: Option<CongestionReport>,
+    /// The flight recorder ([`TraceConfig::events`], serial kernel only).
+    pub recorder: Option<FlightRecorder>,
+    /// Each shard worker's wall-clock split by phase
+    /// ([`TraceConfig::profile`] on the sharded kernel).
+    pub phase_ns: Option<Vec<[u64; NUM_SHARD_PHASES]>>,
+}
+
+/// A batch driver that also records the cycle each source's last packet
+/// lands. On the sharded kernel the control replica replays deliveries in
+/// serial order, so the finish cycles match the serial kernel's.
+struct SourceFinish {
+    inner: BatchDriver,
+    remaining: Vec<u64>,
+    finish: Vec<u64>,
+}
+
+impl Driver for SourceFinish {
+    fn pre_cycle(&mut self, sim: &mut Sim) {
+        self.inner.pre_cycle(sim)
+    }
+    fn on_delivery(&mut self, sim: &mut Sim, d: &Delivery) {
+        if let Delivery::Packet(p) = d {
+            let i = sim.cfg.endpoint_index(p.src);
+            self.remaining[i] -= 1;
+            if self.remaining[i] == 0 {
+                self.finish[i] = sim.now();
+            }
+        }
+        self.inner.on_delivery(sim, d)
+    }
+    fn done(&self, sim: &Sim) -> bool {
+        self.inner.done(sim)
+    }
+}
+
+impl ShardableDriver for SourceFinish {
+    fn split(&self, cfg: &MachineConfig, ranges: &[Range<usize>]) -> Vec<Box<dyn Driver + Send>> {
+        self.inner.split(cfg, ranges)
+    }
+    fn done_implies_quiescent(&self) -> bool {
+        self.inner.done_implies_quiescent()
+    }
+}
+
 /// Runs one batch-throughput measurement (the Figure 9/10 procedure): all
 /// cores send `batch` packets of the blended pattern; throughput is the
 /// batch size over the time of the last delivery, normalized by the
-/// pattern's analytic saturation rate.
+/// pattern's analytic saturation rate. The simulator keeps the
+/// [`SimParams`] default seed; `seed` drives the traffic.
 ///
 /// # Panics
 ///
-/// Panics if the run deadlocks or exceeds the cycle budget.
+/// Panics if the run deadlocks or exceeds the cycle budget, if the static
+/// pre-flight verification inside [`Sim::builder`] rejects the
+/// configuration (AV019: more shards than nodes), if an
+/// [`ArbiterSetup::InverseWeighted`] weight set fails its lints (AV016) —
+/// every experiment fails fast on a broken setup rather than measuring it —
+/// or if the flight recorder is asked of the sharded kernel.
 pub fn run_batch(
     cfg: &MachineConfig,
     components: Vec<(Box<dyn TrafficPattern>, f64)>,
@@ -93,87 +183,75 @@ pub fn run_batch(
     setup: &ArbiterSetup,
     saturation_rate: f64,
     seed: u64,
-) -> ThroughputPoint {
-    run_batch_detailed(cfg, components, batch, setup, saturation_rate, seed).0
-}
-
-/// Like [`run_batch`], but also returns the full typed [`Metrics`] record
-/// (link-class utilization, arbiter grant counts) collected from the run,
-/// for structured results export.
-///
-/// # Panics
-///
-/// Panics if the run deadlocks or exceeds the cycle budget, if the static
-/// pre-flight verification inside [`Sim::builder`] rejects the
-/// configuration, or if an [`ArbiterSetup::InverseWeighted`] weight set
-/// fails its lints (AV016) — every experiment fails fast on a broken setup
-/// rather than measuring it.
-pub fn run_batch_detailed(
-    cfg: &MachineConfig,
-    components: Vec<(Box<dyn TrafficPattern>, f64)>,
-    batch: u64,
-    setup: &ArbiterSetup,
-    saturation_rate: f64,
-    seed: u64,
-) -> (ThroughputPoint, Metrics) {
-    run_batch_sharded(cfg, components, batch, setup, saturation_rate, seed, 1)
-}
-
-/// [`run_batch_detailed`] on the sharded parallel kernel: the machine is
-/// partitioned into `shards` contiguous sub-bricks, each stepped by its own
-/// worker thread under bounded-lag synchronization. `shards <= 1` runs the
-/// serial kernel. Measurements are byte-identical for every shard count —
-/// only wall-clock time changes — which the golden shard-equivalence suite
-/// pins.
-///
-/// # Panics
-///
-/// As [`run_batch_detailed`]; additionally if the pre-flight lints reject
-/// the shard count (AV019: more shards than nodes).
-pub fn run_batch_sharded(
-    cfg: &MachineConfig,
-    components: Vec<(Box<dyn TrafficPattern>, f64)>,
-    batch: u64,
-    setup: &ArbiterSetup,
-    saturation_rate: f64,
-    seed: u64,
-    shards: usize,
-) -> (ThroughputPoint, Metrics) {
-    if let ArbiterSetup::InverseWeighted(w) = setup {
-        let diags = anton_verify::lint_weights(w);
-        assert!(
-            diags.is_empty(),
-            "arbiter weight set failed verification:\n{}",
-            diags.iter().map(|d| format!("{d}\n")).collect::<String>()
-        );
-    }
+    opts: RunOptions,
+) -> BatchRun {
+    let sharded = opts.shards > 1;
+    assert!(
+        !(sharded && opts.trace.events),
+        "the flight recorder runs on the serial kernel only"
+    );
+    let weights = match setup {
+        ArbiterSetup::InverseWeighted(w) => {
+            let diags = anton_verify::lint_weights(w);
+            assert!(
+                diags.is_empty(),
+                "arbiter weight set failed verification:\n{}",
+                diags.iter().map(|d| format!("{d}\n")).collect::<String>()
+            );
+            Some(w)
+        }
+        _ => None,
+    };
     let params = SimParams {
         arbiter: match setup {
             ArbiterSetup::RoundRobin => ArbiterKind::RoundRobin,
             ArbiterSetup::InverseWeighted(w) => ArbiterKind::InverseWeighted { m_bits: w.m_bits },
+            ArbiterSetup::Age => ArbiterKind::Age,
         },
+        trace: opts.trace,
         ..SimParams::default()
     };
-    let mut driver = BatchDriver::builder_for(cfg)
-        .components(components)
-        .packets_per_endpoint(batch)
-        .seed(seed)
-        .build();
+    let n = cfg.num_endpoints();
+    let mut driver = SourceFinish {
+        inner: BatchDriver::builder_for(cfg)
+            .components(components)
+            .packets_per_endpoint(batch)
+            .seed(seed)
+            .build(),
+        remaining: vec![batch; n],
+        finish: vec![0; n],
+    };
     let builder = Sim::builder().config(cfg.clone()).params(params);
-    // The two kernels differ only in how a simulator is built, programmed and
-    // run; the tuple's fields evaluate left to right, so `run` comes first.
-    let (outcome, metrics) = if shards > 1 {
-        let mut sim = builder.shards(shards).build_sharded();
-        if let ArbiterSetup::InverseWeighted(w) = setup {
+    // The two kernels differ only in how a simulator is built, programmed,
+    // run and read out.
+    let (outcome, metrics, instruments) = if sharded {
+        let mut sim = builder.shards(opts.shards).build_sharded();
+        if let Some(w) = weights {
             sim.configure(|s| s.install_weights(w));
         }
-        (sim.run(&mut driver, 600_000_000), sim.metrics())
+        let outcome = sim.run(&mut driver, 600_000_000);
+        let instruments = Instruments {
+            timeseries: sim.merged_timeseries(),
+            congestion: sim.congestion_report(),
+            recorder: None,
+            phase_ns: sim.phase_ns().map(<[_]>::to_vec),
+        };
+        (outcome, sim.metrics(), instruments)
     } else {
         let mut sim = builder.build();
-        if let ArbiterSetup::InverseWeighted(w) = setup {
+        if let Some(w) = weights {
             sim.install_weights(w);
         }
-        (sim.run(&mut driver, 600_000_000), sim.metrics())
+        let outcome = sim.run(&mut driver, 600_000_000);
+        sim.flush_samples();
+        sim.flush_stalls();
+        let instruments = Instruments {
+            timeseries: sim.timeseries().cloned(),
+            congestion: sim.congestion_report(),
+            recorder: sim.recorder().cloned(),
+            phase_ns: None,
+        };
+        (outcome, sim.metrics(), instruments)
     };
     assert_eq!(
         outcome,
@@ -182,11 +260,16 @@ pub fn run_batch_sharded(
     );
     let point = ThroughputPoint {
         batch,
-        normalized: driver.throughput() / saturation_rate,
-        cycles: driver.finish_cycle,
+        normalized: driver.inner.throughput() / saturation_rate,
+        cycles: driver.inner.finish_cycle,
         peak_utilization: metrics.link_class(LinkClass::Torus).peak_util / torus_capacity(),
     };
-    (point, metrics)
+    BatchRun {
+        point,
+        metrics,
+        source_finish: driver.finish,
+        instruments,
+    }
 }
 
 /// Computes a pattern's analytic saturation injection rate on a machine, or
@@ -232,7 +315,9 @@ mod tests {
             &ArbiterSetup::RoundRobin,
             sat,
             1,
-        );
+            RunOptions::default(),
+        )
+        .point;
         assert!(
             p.normalized > 0.1 && p.normalized < 1.2,
             "normalized {}",

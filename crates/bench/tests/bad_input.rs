@@ -37,7 +37,7 @@ fn a_machine_without_torus_load_is_av104() {
         &["--k", "1"],
         "AV104",
     );
-    assert_usage_error(env!("CARGO_BIN_EXE_probe_position"), &["--k", "1"], "AV104");
+    assert_usage_error(env!("CARGO_BIN_EXE_probe"), &["--k", "1"], "AV104");
 }
 
 /// Traffic that cannot leave the one node of a `--k 1` machine is rejected
@@ -45,10 +45,6 @@ fn a_machine_without_torus_load_is_av104() {
 #[test]
 fn one_node_traffic_is_av104() {
     for bin in [
-        env!("CARGO_BIN_EXE_probe_bottleneck"),
-        env!("CARGO_BIN_EXE_probe_profile"),
-        env!("CARGO_BIN_EXE_probe_timeline"),
-        env!("CARGO_BIN_EXE_probe_congestion"),
         env!("CARGO_BIN_EXE_fig11_latency"),
         env!("CARGO_BIN_EXE_fig3_multicast"),
     ] {
@@ -63,12 +59,8 @@ fn one_node_traffic_is_av104() {
 
 #[test]
 fn an_extent_out_of_range_is_av102() {
-    assert_usage_error(env!("CARGO_BIN_EXE_probe_position"), &["--k", "0"], "AV102");
-    assert_usage_error(
-        env!("CARGO_BIN_EXE_probe_position"),
-        &["--k", "17"],
-        "AV102",
-    );
+    assert_usage_error(env!("CARGO_BIN_EXE_probe"), &["--k", "0"], "AV102");
+    assert_usage_error(env!("CARGO_BIN_EXE_probe"), &["--k", "17"], "AV102");
     assert_usage_error(env!("CARGO_BIN_EXE_fig10_blend"), &["--k", "17"], "AV102");
     assert_usage_error(env!("CARGO_BIN_EXE_fig10_blend"), &["--k", "2"], "AV102");
     assert_usage_error(env!("CARGO_BIN_EXE_fig11_latency"), &["--k", "0"], "AV102");
@@ -77,8 +69,18 @@ fn an_extent_out_of_range_is_av102() {
 #[test]
 fn an_unknown_mode_is_av101() {
     assert_usage_error(
-        env!("CARGO_BIN_EXE_probe_position"),
+        env!("CARGO_BIN_EXE_probe"),
         &["--k", "2", "--mode", "fifo"],
         "AV101",
+    );
+}
+
+/// The flight recorder runs on the serial kernel only.
+#[test]
+fn a_recorder_on_the_sharded_kernel_is_av105() {
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_probe"),
+        &["--k", "2", "--ring", "64", "--shards", "2"],
+        "AV105",
     );
 }

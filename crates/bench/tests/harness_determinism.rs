@@ -3,7 +3,7 @@
 //! per-point seeds, same values, same serialized results document.
 
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
-use anton_bench::{run_batch_detailed, run_batch_sharded, saturation_rate, values, ArbiterSetup};
+use anton_bench::{run_batch, saturation_rate, values, ArbiterSetup, BatchRun, RunOptions};
 use anton_core::config::MachineConfig;
 use anton_core::topology::TorusShape;
 use anton_traffic::patterns::UniformRandom;
@@ -25,13 +25,18 @@ fn body(
 ) -> impl Fn(&SweepPoint) -> Vec<(String, anton_bench::Value)> + Sync + '_ {
     move |point| {
         let batch = point.int("batch") as u64;
-        let (p, m) = run_batch_detailed(
+        let BatchRun {
+            point: p,
+            metrics: m,
+            ..
+        } = run_batch(
             cfg,
             vec![(Box::new(UniformRandom), 1.0)],
             batch,
             &ArbiterSetup::RoundRobin,
             sat,
             point.seed,
+            RunOptions::default(),
         );
         values![
             "normalized" => p.normalized,
@@ -56,8 +61,12 @@ fn parallel_measurements_are_byte_identical_to_serial() {
     // identical computation), and so do the serialized bytes.
     assert_eq!(serial, parallel);
     assert_eq!(
-        spec.results_json(&serial).to_pretty_string().into_bytes(),
-        spec.results_json(&parallel).to_pretty_string().into_bytes()
+        spec.results_json(&serial, &[])
+            .to_pretty_string()
+            .into_bytes(),
+        spec.results_json(&parallel, &[])
+            .to_pretty_string()
+            .into_bytes()
     );
 
     // The sweep did real work: cycles grow with batch size.
@@ -69,29 +78,34 @@ fn parallel_measurements_are_byte_identical_to_serial() {
 }
 
 /// The sharded kernel behind `--shards` is measurement-invisible: the same
-/// sweep point produces bit-identical throughput numbers and metrics on the
-/// serial kernel and on any shard count.
+/// sweep point produces bit-identical throughput numbers, metrics and
+/// per-source finish cycles on the serial kernel and on any shard count.
 #[test]
 fn sharded_measurements_match_serial_exactly() {
     let cfg = MachineConfig::new(TorusShape::cube(2));
     let sat = saturation_rate(&cfg, &UniformRandom).unwrap();
+    let run = |shards| {
+        run_batch(
+            &cfg,
+            vec![(Box::new(UniformRandom), 1.0)],
+            8,
+            &ArbiterSetup::RoundRobin,
+            sat,
+            42,
+            RunOptions {
+                shards,
+                ..RunOptions::default()
+            },
+        )
+    };
+    let serial_run = run(1);
+    let (serial, ms) = (serial_run.point, &serial_run.metrics);
     for shards in [2usize, 4, 8] {
-        let (serial, ms) = run_batch_detailed(
-            &cfg,
-            vec![(Box::new(UniformRandom), 1.0)],
-            8,
-            &ArbiterSetup::RoundRobin,
-            sat,
-            42,
-        );
-        let (sharded, mp) = run_batch_sharded(
-            &cfg,
-            vec![(Box::new(UniformRandom), 1.0)],
-            8,
-            &ArbiterSetup::RoundRobin,
-            sat,
-            42,
-            shards,
+        let sharded_run = run(shards);
+        let (sharded, mp) = (sharded_run.point, &sharded_run.metrics);
+        assert_eq!(
+            serial_run.source_finish, sharded_run.source_finish,
+            "{shards} shards"
         );
         assert_eq!(serial.normalized.to_bits(), sharded.normalized.to_bits());
         assert_eq!(serial.cycles, sharded.cycles);

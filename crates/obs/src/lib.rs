@@ -9,9 +9,9 @@
 //! * [`event`] — the typed trace-event taxonomy (inject, hop, VC promotion,
 //!   arbiter grant, retransmit, deliver, stall);
 //! * [`recorder`] — the flight recorder: fixed-capacity per-component ring
-//!   buffers of [`event::TraceEvent`]s with drop-oldest semantics, plus the
-//!   canonical [`merged_events`](recorder::merged_events) order for the
-//!   per-shard rings of a sharded run;
+//!   buffers of [`event::TraceEvent`]s with drop-oldest semantics (a sharded
+//!   run merges its per-shard rings itself, each track from the shard that
+//!   sends on it);
 //! * [`sampler`] — the time-series sampler: periodic snapshots of dense
 //!   kernel counters folded into typed windows, with
 //!   [`TimeSeries::merged`](sampler::TimeSeries::merged) summing per-shard
@@ -52,7 +52,7 @@ pub use congestion::{CongestionReport, LinkStat};
 pub use event::{TraceEvent, TraceEventKind};
 pub use json::Json;
 pub use phase::{PhaseClock, ShardPhase, NUM_SHARD_PHASES, SHARD_PHASE_NAMES};
-pub use recorder::{merged_events, EventRing, FlightRecorder};
+pub use recorder::{EventRing, FlightRecorder};
 pub use sampler::{ChannelKind, SampleWindow, TimeSeries};
 pub use stall::{StallCause, StallTable};
 

@@ -176,39 +176,6 @@ impl FlightRecorder {
     }
 }
 
-/// Merges the held events of several recorders — the per-shard rings of a
-/// sharded simulation — into one canonical stream.
-///
-/// The order is `(cycle, track, part index, seq)`: global time first, then
-/// the machine's stable component order, then the shard that recorded it,
-/// then that shard's own recording order. Every key is deterministic for a
-/// deterministic simulation, so the merged stream is byte-identical across
-/// runs and thread schedules — the property the sharded kernel's trace
-/// export contract requires. Sequence numbers are reassigned to the merged
-/// position, making the result a valid single-recorder event stream for
-/// downstream exporters.
-pub fn merged_events<'a>(parts: impl IntoIterator<Item = &'a FlightRecorder>) -> Vec<TraceEvent> {
-    let mut tagged: Vec<(usize, TraceEvent)> = parts
-        .into_iter()
-        .enumerate()
-        .flat_map(|(i, rec)| {
-            rec.rings
-                .iter()
-                .flat_map(EventRing::iter)
-                .map(move |e| (i, *e))
-        })
-        .collect();
-    tagged.sort_by_key(|(part, e)| (e.cycle, e.track, *part, e.seq));
-    tagged
-        .into_iter()
-        .enumerate()
-        .map(|(seq, (_, mut e))| {
-            e.seq = seq as u64;
-            e
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,86 +245,6 @@ mod tests {
         let seqs: Vec<u64> = all.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
         assert_eq!(all[1].track, b);
-    }
-
-    #[test]
-    fn merged_events_order_by_cycle_track_part_and_reassign_seq() {
-        // Two "shards" that each recorded an interleaved slice of the same
-        // machine: the merge must land in (cycle, track, part) order with
-        // fresh consecutive sequence numbers, regardless of per-part seq.
-        let mut p0 = FlightRecorder::new(8);
-        let t0 = p0.add_track("wire-0");
-        let t1 = p0.add_track("wire-1");
-        p0.record(t1, 5, Some(1), TraceEventKind::Inject);
-        p0.record(t0, 7, Some(1), TraceEventKind::Deliver);
-        let mut p1 = FlightRecorder::new(8);
-        let u0 = p1.add_track("wire-0");
-        let u1 = p1.add_track("wire-1");
-        p1.record(u0, 5, Some(2), TraceEventKind::Inject);
-        p1.record(u1, 5, Some(3), TraceEventKind::Inject);
-
-        let merged = merged_events([&p0, &p1]);
-        let key: Vec<(u64, u32, Option<u64>)> = merged
-            .iter()
-            .map(|e| (e.cycle, e.track, e.packet))
-            .collect();
-        assert_eq!(
-            key,
-            vec![
-                (5, u0, Some(2)),
-                (5, t1, Some(1)), // part 0 before part 1 on the same track
-                (5, u1, Some(3)),
-                (7, t0, Some(1)),
-            ]
-        );
-        let seqs: Vec<u64> = merged.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3]);
-        // Merging a single recorder reproduces its own stream.
-        assert_eq!(merged_events([&p0]).len(), 2);
-    }
-
-    #[test]
-    fn overflowed_ring_merge_stays_monotone_and_renumbers_stably() {
-        // Shard 0's ring overflows (drop-oldest); shard 1's does not. The
-        // merged stream must still be monotone in (cycle, track, part) and
-        // its renumbering must be a pure function of the surviving events —
-        // i.e. stable across a replay.
-        let build = || {
-            let mut p0 = FlightRecorder::new(4);
-            let w = p0.add_track("wire-0");
-            for i in 0..12 {
-                p0.record(w, 100 + i, Some(i), TraceEventKind::Inject);
-            }
-            let mut p1 = FlightRecorder::new(4);
-            let w1 = p1.add_track("wire-0");
-            p1.record(w1, 103, Some(50), TraceEventKind::Deliver);
-            p1.record(w1, 109, Some(51), TraceEventKind::Deliver);
-            (p0, p1)
-        };
-        let (p0, p1) = build();
-        assert_eq!(p0.track_dropped(0), 8);
-        assert_eq!(p1.track_dropped(0), 0);
-
-        let merged = merged_events([&p0, &p1]);
-        // Drop-oldest kept exactly p0's last four events; p1 kept both.
-        assert_eq!(merged.len(), 6);
-        let mut last = (0u64, 0u32, 0usize);
-        for (i, e) in merged.iter().enumerate() {
-            assert_eq!(e.seq, i as u64, "seq renumbered to merged position");
-            let part = usize::from(e.kind == TraceEventKind::Deliver);
-            let key = (e.cycle, e.track, part);
-            assert!(key >= last, "merged order must stay monotone");
-            last = key;
-        }
-        // The non-overflowed shard's early event survives even though the
-        // overflowed shard dropped that whole cycle range.
-        assert_eq!(merged[0].cycle, 103);
-        assert_eq!(merged[0].packet, Some(50));
-
-        // Stability: replaying the identical recordings renumbers
-        // identically.
-        let (q0, q1) = build();
-        assert_eq!(merged_events([&q0, &q1]), merged);
     }
 
     #[test]

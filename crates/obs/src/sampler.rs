@@ -192,12 +192,16 @@ impl TimeSeries {
         out
     }
 
-    /// Drops windows that start at or after `cycle`. A sharded worker may
-    /// legally overrun a drained network by a partial lookahead window and
-    /// sample inside it; truncating the merged series at the run's true end
-    /// cycle removes those artifacts.
+    /// Drops windows that start at or after `cycle` and ends the window
+    /// that straddles it at `cycle`. A sharded worker may legally overrun a
+    /// drained network by a partial lookahead window and sample inside it;
+    /// nothing moves in a drained network, so cutting the merged series at
+    /// the run's true end cycle leaves the windows a serial run flushes.
     pub fn truncate_after(&mut self, cycle: u64) {
         self.windows.retain(|w| w.start < cycle);
+        if let Some(last) = self.windows.last_mut() {
+            last.end = last.end.min(cycle);
+        }
     }
 
     /// Serializes the series as the `windows` section of a v2 results file.
@@ -295,6 +299,19 @@ mod tests {
         // `a`'s partial tail survives on its own bounds.
         assert_eq!((w[1].start, w[1].end), (100, 150));
         assert_eq!(w[1].values, vec![15, 2]);
+    }
+
+    #[test]
+    fn truncate_after_drops_late_windows_and_ends_the_straddler() {
+        let mut ts = TimeSeries::new(100);
+        ts.channel("delivered", ChannelKind::Counter);
+        for (cycle, total) in [(0, 0), (100, 5), (200, 9), (284, 12), (300, 12)] {
+            ts.record(cycle, &[total]);
+        }
+        ts.truncate_after(247);
+        let bounds: Vec<(u64, u64)> = ts.windows().iter().map(|w| (w.start, w.end)).collect();
+        assert_eq!(bounds, [(0, 100), (100, 200), (200, 247)]);
+        assert_eq!(ts.windows()[2].values, vec![3]);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use anton_core::routing::RouteSpec;
 use anton_core::topology::{Dim, NodeId, Slice, TorusDir, TorusShape};
 use anton_core::vc::{TrafficClass, VcState};
 use anton_fault::{FaultKind, ShimEvent};
-use anton_obs::{FlightRecorder, StallCause, StallTable, TraceEventKind};
+use anton_obs::{ChannelKind, FlightRecorder, StallCause, StallTable, TimeSeries, TraceEventKind};
 
 use crate::metrics::ArbiterGrantCounts;
 use crate::params::{PreflightMode, SimParams, TraceConfig};
@@ -96,12 +96,14 @@ impl Wheels {
     }
 }
 
-/// The one observation seam of the kernel: the flight recorder and the
-/// stall-attribution table, each present only when its [`TraceConfig`] flag
-/// is set. Layers never see either: they call the fabric's hooks
-/// ([`Fabric::event`], [`Fabric::stall`], [`Fabric::stall_all_ready`], and
-/// the ones inside [`Fabric::send`], [`Fabric::pop`] and [`Fabric::grant`])
-/// unconditionally, and a hook whose instrument is off is one branch.
+/// The one observation seam of the kernel: the flight recorder, the
+/// stall-attribution table and the time-series sampler, each present only
+/// when its [`TraceConfig`] field is set. Layers never see them: they call
+/// the fabric's hooks ([`Fabric::event`], [`Fabric::stall`],
+/// [`Fabric::stall_all_ready`], and the ones inside [`Fabric::send`],
+/// [`Fabric::pop`] and [`Fabric::grant`]) unconditionally, and a hook whose
+/// instrument is off is one branch. The conductor closes sample windows
+/// ([`Fabric::sample_if_due`]) as each cycle retires.
 ///
 /// One struct rather than one per instrument because the hooks interleave
 /// at every site — a grant counts, attributes its losers and records an
@@ -112,6 +114,7 @@ impl Wheels {
 pub(crate) struct Probe {
     pub(crate) recorder: Option<Box<FlightRecorder>>,
     pub(crate) stall: Option<Box<StallTable>>,
+    pub(crate) sampler: Option<Box<SamplerState>>,
 }
 
 impl Probe {
@@ -127,7 +130,86 @@ impl Probe {
             stall: trace
                 .stalls
                 .then(|| Box::new(StallTable::new(wires.len(), wires.row_shift()))),
+            sampler: (trace.sample_every > 0)
+                .then(|| Box::new(SamplerState::new(trace.sample_every))),
         }
+    }
+}
+
+/// Time-series sampler state: the typed window store plus the next sample
+/// cycle, boxed behind one `Option` so the disabled path costs one branch
+/// per [`Sim::step`](crate::sim::Sim::step).
+#[derive(Debug)]
+pub(crate) struct SamplerState {
+    pub(crate) ts: TimeSeries,
+    every: u64,
+    next_at: u64,
+    scratch: Vec<u64>,
+}
+
+/// How a sampled channel reads its counter.
+type Reading = fn(&Fabric) -> u64;
+
+impl SamplerState {
+    /// The fixed channels in registration order, each with how it is read;
+    /// one `flits_<class>` counter per
+    /// [`LinkClass`](crate::metrics::LinkClass) follows, in `LinkClass::ALL`
+    /// order.
+    const CHANNELS: [(&'static str, ChannelKind, Reading); 8] = [
+        ("injected_packets", ChannelKind::Counter, |f| {
+            f.stats.injected_packets
+        }),
+        ("delivered_packets", ChannelKind::Counter, |f| {
+            f.stats.delivered_packets
+        }),
+        ("in_flight_packets", ChannelKind::Gauge, |f| {
+            f.packets.live() as u64
+        }),
+        ("occupied_vcs", ChannelKind::Gauge, |f| {
+            f.wires.occupied_vcs()
+        }),
+        ("shim_backlog_flits", ChannelKind::Gauge, |f| {
+            (0..f.wires.len()).map(|w| f.wires.link_backlog(w)).sum()
+        }),
+        ("grants_sa1", ChannelKind::Counter, |f| f.grants.sa1),
+        ("grants_output", ChannelKind::Counter, |f| f.grants.output),
+        ("grants_serializer", ChannelKind::Counter, |f| {
+            f.grants.serializer
+        }),
+    ];
+
+    fn new(every: u64) -> SamplerState {
+        let mut ts = TimeSeries::new(every);
+        for (name, kind, _) in SamplerState::CHANNELS {
+            ts.channel(name, kind);
+        }
+        for class in crate::metrics::LinkClass::ALL {
+            ts.channel(format!("flits_{}", class.name()), ChannelKind::Counter);
+        }
+        let n = ts.num_channels();
+        // Every dense counter is zero at construction, so priming with zeros
+        // at cycle 0 makes the first emitted window cover [0, every).
+        ts.record(0, &vec![0; n]);
+        SamplerState {
+            ts,
+            every,
+            next_at: every,
+            scratch: Vec::with_capacity(n),
+        }
+    }
+
+    /// Snapshots the dense kernel counters as the reading for `cycle`.
+    fn record(&mut self, fab: &Fabric, cycle: u64) {
+        self.scratch.clear();
+        let fixed = SamplerState::CHANNELS.iter();
+        self.scratch.extend(fixed.map(|(_, _, read)| read(fab)));
+        let mut per_class = [0u64; crate::metrics::LinkClass::ALL.len()];
+        for w in 0..fab.wires.len() {
+            let class = crate::metrics::LinkClass::of(&fab.wires.label(w));
+            per_class[class as usize] += fab.wires.flits_carried(w);
+        }
+        self.scratch.extend_from_slice(&per_class);
+        self.ts.record(cycle, &self.scratch);
     }
 }
 
@@ -428,6 +510,28 @@ impl Fabric {
     }
 
     // ----- the probe's hooks ------------------------------------------------
+
+    /// Closes a sample window at `cycle` if the sampler is on and one is
+    /// due, and schedules the next.
+    #[inline]
+    pub(crate) fn sample_if_due(&mut self, cycle: u64) {
+        let Some(s) = self.probe.sampler.as_deref_mut() else {
+            return;
+        };
+        if cycle >= s.next_at {
+            s.next_at = cycle + s.every;
+            self.sample(cycle);
+        }
+    }
+
+    /// Snapshots the dense counters as the sampler's reading for `cycle`; a
+    /// no-op when sampling is off.
+    pub(crate) fn sample(&mut self, cycle: u64) {
+        if let Some(mut s) = self.probe.sampler.take() {
+            s.record(self, cycle);
+            self.probe.sampler = Some(s);
+        }
+    }
 
     /// Records a flight-recorder event about `pid` on `track` (a wire).
     #[inline]

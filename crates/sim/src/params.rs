@@ -113,8 +113,9 @@ pub struct SimParams {
     pub buffer_depth: u8,
     /// Input buffer depth per VC at torus-channel receivers, in flits.
     /// Must cover the round-trip bandwidth-delay product of the external
-    /// link (≈ 2 × 36 cycles × 14/45 flits/cycle ≈ 23 flits) for a single
-    /// VC to sustain full channel bandwidth.
+    /// link (⌈2 × 44 cycles × 14/45 flits/cycle⌉ = 28 flits,
+    /// `anton_verify::lint::MIN_TORUS_BDP_FLITS`) for a single VC to
+    /// sustain full channel bandwidth.
     pub torus_buffer_depth: u8,
     /// Which arbiter sits at each router output port.
     pub arbiter: ArbiterKind,

@@ -430,7 +430,7 @@ impl ShardedSim {
     /// legally overrunning a drained network past the run's end cycle are
     /// dropped, and the stream is ordered by `(cycle, track)` with
     /// reassigned sequence numbers: a deterministic, schedule-independent
-    /// export (see [`anton_obs::merged_events`] for the order's rationale).
+    /// export, and a valid single-recorder stream for the Chrome exporter.
     ///
     /// [`TraceConfig::events`]: crate::params::TraceConfig::events
     pub fn merged_events(&self) -> Vec<anton_obs::TraceEvent> {

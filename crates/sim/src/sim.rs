@@ -14,8 +14,9 @@
 //! endpoint receive — each a layer struct (`endpoint.rs`, `adapter.rs`,
 //! `router.rs`) acting on the one shared `Fabric` (`fabric.rs`). What stays
 //! here concerns the run as a whole: the run loop, the forward-progress
-//! watchdog and its report, the time-series sampler, the phase profiler and
-//! the sharded kernel's hooks.
+//! watchdog and its report, the phase profiler and the sharded kernel's
+//! hooks; the time-series sampler sits behind the fabric's probe beside the
+//! other instruments.
 //!
 //! Modelling notes (see DESIGN.md): packets are at most two flits and are
 //! switched whole (store-and-forward for the rare two-flit packet), and the
@@ -40,8 +41,7 @@ use anton_fault::FaultKind;
 use anton_obs::json::Json;
 use anton_obs::link_json;
 use anton_obs::{
-    ChannelKind, CongestionReport, FlightRecorder, LinkStat, StallTable, TimeSeries, TraceEvent,
-    TraceEventKind,
+    CongestionReport, FlightRecorder, LinkStat, StallTable, TimeSeries, TraceEvent, TraceEventKind,
 };
 
 use crate::adapter::{Adapters, ChanWires};
@@ -411,10 +411,6 @@ pub struct Sim {
     /// What the pre-flight verifier concluded (stamped into any
     /// [`DeadlockReport`] the watchdog produces).
     static_verdict: StaticVerdict,
-    /// Time-series sampler. `None` unless
-    /// [`TraceConfig::sample_every`](crate::params::TraceConfig::sample_every)
-    /// is non-zero.
-    sampler: Option<Box<SamplerState>>,
     /// Boundary torus wires this shard replica exports on, with the shard
     /// that consumes each (empty in serial runs; see [`crate::shard`]).
     export_wires: Vec<(u32, u32)>,
@@ -430,82 +426,6 @@ pub struct Sim {
 /// Last-K flight-recorder events attached to each stalled VC of a
 /// [`DeadlockReport`].
 const DEADLOCK_RECENT_EVENTS: usize = 8;
-
-/// Time-series sampler state: the typed window store plus the next sample
-/// cycle, boxed behind one `Option` so the disabled path costs one branch
-/// per [`Sim::step`].
-struct SamplerState {
-    ts: TimeSeries,
-    every: u64,
-    next_at: u64,
-    scratch: Vec<u64>,
-}
-
-/// How a sampled channel reads its counter.
-type Reading = fn(&Fabric) -> u64;
-
-impl SamplerState {
-    /// The fixed channels in registration order, each with how it is read;
-    /// one `flits_<class>` counter per
-    /// [`LinkClass`](crate::metrics::LinkClass) follows, in `LinkClass::ALL`
-    /// order.
-    const CHANNELS: [(&'static str, ChannelKind, Reading); 8] = [
-        ("injected_packets", ChannelKind::Counter, |f| {
-            f.stats.injected_packets
-        }),
-        ("delivered_packets", ChannelKind::Counter, |f| {
-            f.stats.delivered_packets
-        }),
-        ("in_flight_packets", ChannelKind::Gauge, |f| {
-            f.packets.live() as u64
-        }),
-        ("occupied_vcs", ChannelKind::Gauge, |f| {
-            f.wires.occupied_vcs()
-        }),
-        ("shim_backlog_flits", ChannelKind::Gauge, |f| {
-            (0..f.wires.len()).map(|w| f.wires.link_backlog(w)).sum()
-        }),
-        ("grants_sa1", ChannelKind::Counter, |f| f.grants.sa1),
-        ("grants_output", ChannelKind::Counter, |f| f.grants.output),
-        ("grants_serializer", ChannelKind::Counter, |f| {
-            f.grants.serializer
-        }),
-    ];
-
-    fn new(every: u64) -> SamplerState {
-        let mut ts = TimeSeries::new(every);
-        for (name, kind, _) in SamplerState::CHANNELS {
-            ts.channel(name, kind);
-        }
-        for class in crate::metrics::LinkClass::ALL {
-            ts.channel(format!("flits_{}", class.name()), ChannelKind::Counter);
-        }
-        let n = ts.num_channels();
-        // Every dense counter is zero at construction, so priming with zeros
-        // at cycle 0 makes the first emitted window cover [0, every).
-        ts.record(0, &vec![0; n]);
-        SamplerState {
-            ts,
-            every,
-            next_at: every,
-            scratch: Vec::with_capacity(n),
-        }
-    }
-
-    /// Snapshots the dense kernel counters as the reading for `cycle`.
-    fn record(&mut self, fab: &Fabric, cycle: u64) {
-        self.scratch.clear();
-        let fixed = SamplerState::CHANNELS.iter();
-        self.scratch.extend(fixed.map(|(_, _, read)| read(fab)));
-        let mut per_class = [0u64; crate::metrics::LinkClass::ALL.len()];
-        for w in 0..fab.wires.len() {
-            let class = crate::metrics::LinkClass::of(&fab.wires.label(w));
-            per_class[class as usize] += fab.wires.flits_carried(w);
-        }
-        self.scratch.extend_from_slice(&per_class);
-        self.ts.record(cycle, &self.scratch);
-    }
-}
 
 /// The cycle a run of at most `max_cycles` cycles from `now` must stop at
 /// (see [`Sim::run`]).
@@ -716,8 +636,6 @@ impl Sim {
                 producer[to_router] = me;
             }
         }
-        let sampler = (params.trace.sample_every > 0)
-            .then(|| Box::new(SamplerState::new(params.trace.sample_every)));
         Sim {
             fabric: Fabric::new(wires, (consumer, producer), counts, &params, degraded),
             cfg,
@@ -732,7 +650,6 @@ impl Sim {
             deadlocked: false,
             deadlock_report: None,
             static_verdict,
-            sampler,
             export_wires,
             import_wires,
             external_control: shard.is_some(),
@@ -1069,13 +986,8 @@ impl Sim {
             packets.terminated() + packets.live() as u64,
             "packet conservation violated at cycle {now}"
         );
-        if let Some(s) = &mut self.sampler {
-            // `now + 1` cycles have completed once this step retires.
-            if now + 1 >= s.next_at {
-                s.record(&self.fabric, now + 1);
-                s.next_at = now + 1 + s.every;
-            }
-        }
+        // `now + 1` cycles have completed once this step retires.
+        self.fabric.sample_if_due(now + 1);
         self.fabric.now += 1;
     }
 
@@ -1336,16 +1248,14 @@ impl Sim {
     /// [`TraceConfig::sample_every`](crate::params::TraceConfig::sample_every)
     /// was non-zero.
     pub fn timeseries(&self) -> Option<&TimeSeries> {
-        self.sampler.as_ref().map(|s| &s.ts)
+        self.fabric.probe.sampler.as_ref().map(|s| &s.ts)
     }
 
     /// Forces a final (possibly partial) sample window at the current cycle.
     /// Call after a run completes so the tail of the simulation is not lost;
     /// a no-op when sampling is off or a window was just emitted.
     pub fn flush_samples(&mut self) {
-        if let Some(s) = &mut self.sampler {
-            s.record(&self.fabric, self.fabric.now);
-        }
+        self.fabric.sample(self.fabric.now);
     }
 
     /// The stall attribution table, when [`TraceConfig::stalls`] was set.

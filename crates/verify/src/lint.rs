@@ -34,22 +34,26 @@
 //! | AV102 | error    | torus extent outside `1..=16` |
 //! | AV103 | error    | cannot write an output file |
 //! | AV104 | error    | traffic places no load on any torus channel: no saturation rate, or no other node to reach |
+//! | AV105 | error    | instruments the chosen kernel cannot run (the flight recorder on the sharded kernel) |
 
 use anton_analysis::weights::ArbiterWeightSet;
 use anton_core::chip::{LinkGroup, MeshCoord, NUM_ROUTERS};
 use anton_core::config::MachineConfig;
-use anton_core::timing::TORUS_LINK_CYCLES;
+use anton_core::timing::{TORUS_LINK_CYCLES, TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
 use anton_fault::{FaultKind, FaultSchedule};
 
 use crate::model::VerifyModel;
 use crate::report::Diagnostic;
 
 /// Minimum torus buffering (flits) that keeps a reliable link busy across
-/// the go-back-N shim: the 89.6 Gb/s effective rate is 45 wire cycles per
-/// 14 payload-flit frame, and two frames must be in flight —
-/// `⌈2 · 44 · 14 / 45⌉ = 28`. (Mirrors the sizing argument behind the
-/// simulator's default of 32.)
-pub const MIN_TORUS_BDP_FLITS: u8 = 28;
+/// the go-back-N shim: the round trip of a [`TORUS_LINK_CYCLES`] link at the
+/// 14/45 flits-per-cycle effective rate ([`TORUS_TOKEN_GAIN`] /
+/// [`TORUS_TOKEN_COST`]) — `⌈2 · 44 · 14 / 45⌉ = 28`. (Mirrors the sizing
+/// argument behind the simulator's default of 32.)
+pub const MIN_TORUS_BDP_FLITS: u8 = {
+    let flit_cycles = 2 * TORUS_LINK_CYCLES * TORUS_TOKEN_GAIN as u64;
+    flit_cycles.div_ceil(TORUS_TOKEN_COST as u64) as u8
+};
 
 /// The parameters of a simulation run, as seen by the lint engine.
 ///

@@ -69,6 +69,14 @@ fn av007_av008_buffer_depths() {
     let diags = lint_params(&cfg, &view);
     let av008 = diags.iter().find(|d| d.code == "AV008").expect("AV008");
     assert_eq!(av008.severity, Severity::Warning);
+
+    // The bandwidth-delay product is ⌈2 · 44 · 14 / 45⌉ = 28 flits.
+    for (depth, warns) in [(27, true), (28, false)] {
+        let mut view = default_view();
+        view.torus_buffer_depth = depth;
+        let c = codes(&lint_params(&cfg, &view));
+        assert_eq!(c.contains(&"AV008"), warns, "depth {depth}: {c:?}");
+    }
 }
 
 #[test]

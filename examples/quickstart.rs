@@ -31,7 +31,9 @@ fn main() {
         &ArbiterSetup::RoundRobin,
         sat,
         1,
-    );
+        RunOptions::default(),
+    )
+    .point;
     println!(
         "batch of {} pkts/core delivered in {} cycles ({:.0} ns)",
         point.batch,

@@ -48,7 +48,9 @@ pub mod prelude {
     pub use anton_analysis::load::LoadAnalysis;
     pub use anton_analysis::weights::ArbiterWeightSet;
     pub use anton_bench::harness::{ExperimentSpec, Measurement, SweepPoint, Value};
-    pub use anton_bench::{run_batch, run_batch_detailed, saturation_rate, ArbiterSetup, FlagSet};
+    pub use anton_bench::{
+        run_batch, saturation_rate, ArbiterSetup, BatchRun, FlagSet, RunOptions,
+    };
     pub use anton_core::config::MachineConfig;
     pub use anton_core::pattern::TrafficPattern;
     pub use anton_core::topology::TorusShape;
