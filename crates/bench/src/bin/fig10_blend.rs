@@ -16,10 +16,11 @@ use anton_analysis::load::LoadAnalysis;
 use anton_analysis::weights::ArbiterWeightSet;
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
 use anton_bench::{
-    checked_cube, fail_usage, run_batch, torus_capacity, values, ArbiterSetup, FlagSet, RunOptions,
+    checked_cube, fail_usage, require, run_batch, torus_capacity, values, ArbiterSetup, FlagSet,
 };
 use anton_core::config::MachineConfig;
 use anton_core::pattern::TrafficPattern;
+use anton_sim::params::TraceConfig;
 use anton_traffic::patterns::{ReverseTornado, Tornado};
 
 fn main() {
@@ -51,6 +52,10 @@ fn main() {
             )
             .with("k", k),
         );
+    }
+    require(batch > 0, "batch", batch, "at least 1 packet per core");
+    for &pct in &steps {
+        require(pct <= 100, "fractions-pct", pct, "0..=100 percent");
     }
 
     println!("## Figure 10 — blended tornado / reverse tornado ({k}x{k}x{k}, {batch} pkts/core)");
@@ -103,7 +108,7 @@ fn main() {
             &setup,
             sat,
             point.seed,
-            RunOptions::default(),
+            TraceConfig::default(),
         );
         let (p, m) = (run.point, run.metrics);
         eprintln!(

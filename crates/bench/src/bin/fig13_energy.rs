@@ -9,7 +9,7 @@
 //! points.
 
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
-use anton_bench::{values, FlagSet};
+use anton_bench::{require, values, FlagSet};
 use anton_energy::experiment::{measure_rate, EnergyMeasurement};
 use anton_energy::model::EnergyModel;
 use anton_sim::driver::PayloadKind;
@@ -21,6 +21,14 @@ fn main() {
         .parse();
     let packets: u64 = args.get("packets");
     let threads: usize = args.get("threads");
+    // One packet per point activates once at every rate, so the model's
+    // regressors would be collinear and the fit singular.
+    require(
+        packets >= 2,
+        "packets",
+        packets,
+        "at least 2 packets per point",
+    );
 
     println!("## Figure 13 — router energy per flit vs injection rate");
     println!();

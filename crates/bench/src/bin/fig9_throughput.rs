@@ -11,20 +11,18 @@
 //! land in `results/fig9_throughput.json` alongside the text table.
 //!
 //! Defaults reproduce the paper's 8×8×8 machine; pass `--k 4` and smaller
-//! `--batches` for a quick run. `--shards N` runs every point on the
-//! sharded parallel kernel (N sub-bricks, one worker thread each) —
-//! measurements are byte-identical to serial, only wall-clock time changes,
-//! and the recorded results note the shard count.
+//! `--batches` for a quick run.
 
 use anton_analysis::load::LoadAnalysis;
 use anton_analysis::weights::ArbiterWeightSet;
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
 use anton_bench::{
-    checked_cube, fail_usage, make_pattern, run_batch, saturation_rate, values, ArbiterSetup,
-    FlagSet, RunOptions,
+    checked_cube, fail_usage, make_pattern, require, run_batch, saturation_rate, values,
+    ArbiterSetup, FlagSet,
 };
 use anton_core::config::MachineConfig;
 use anton_core::pattern::TrafficPattern;
+use anton_sim::params::TraceConfig;
 use anton_traffic::patterns::{NHopNeighbor, UniformRandom};
 
 fn pattern_or_exit(name: &str) -> Box<dyn TrafficPattern> {
@@ -44,18 +42,15 @@ fn main() {
     )
     .flag("seed", 42u64, "base seed; per-point seeds derive from it")
     .flag("threads", 1usize, "worker threads for the sweep")
-    .flag(
-        "shards",
-        1usize,
-        "worker shards per simulation (1 = serial kernel; results identical)",
-    )
     .parse();
     let k: u8 = args.get("k");
     let batches = args.list("batches");
     let seed: u64 = args.get("seed");
     let threads: usize = args.get("threads");
-    let shards: usize = args.get("shards");
     let cfg = MachineConfig::new(checked_cube(k));
+    for &batch in &batches {
+        require(batch > 0, "batches", batch, "at least 1 packet per core");
+    }
 
     println!("## Figure 9 — throughput beyond saturation ({k}x{k}x{k} torus, 16 cores/node)");
     println!();
@@ -70,7 +65,6 @@ fn main() {
     eprintln!("[fig9] uniform saturation {sat_uniform:.5}, 2-hop {sat_2hop:.5} pkts/cycle/core");
 
     let mut spec = ExperimentSpec::new("fig9_throughput", seed);
-    spec.set_shards(shards);
     for pattern in ["uniform", "2-hop-neighbor"] {
         for arbiter in ["round-robin", "inverse-weighted"] {
             for &batch in &batches {
@@ -103,10 +97,7 @@ fn main() {
             &setup,
             sat,
             point.seed,
-            RunOptions {
-                shards,
-                ..RunOptions::default()
-            },
+            TraceConfig::default(),
         );
         let (p, m) = (run.point, run.metrics);
         eprintln!(

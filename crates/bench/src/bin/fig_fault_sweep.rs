@@ -29,7 +29,7 @@
 use std::sync::Mutex;
 
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
-use anton_bench::{checked_cube, fail_usage, saturation_rate, values, FlagSet};
+use anton_bench::{checked_cube, fail_usage, require, saturation_rate, values, FlagSet};
 use anton_core::chip::ChanId;
 use anton_core::config::MachineConfig;
 use anton_core::topology::NodeId;
@@ -102,11 +102,6 @@ fn main() {
     )
     .flag("seed", 42u64, "base seed; per-point seeds derive from it")
     .flag("threads", 1usize, "worker threads for the sweep")
-    .flag(
-        "shards",
-        1usize,
-        "worker shards per simulation (1 = serial kernel; results identical)",
-    )
     .parse();
     let k: u8 = args.get("k");
     let bers = args.flist("bers");
@@ -114,7 +109,6 @@ fn main() {
     let packets: u64 = args.get("packets");
     let seed: u64 = args.get("seed");
     let threads: usize = args.get("threads");
-    let shards: usize = args.get("shards");
     let down_spec: String = args.get("down-window");
     let down_window: Option<(u64, u64)> = if down_spec.is_empty() {
         None
@@ -143,14 +137,26 @@ fn main() {
     // The down link of every point: node 0's x+ channel on slice 0.
     let down_link = (NodeId(0), ChanId::from_index(0));
     let cfg = MachineConfig::new(checked_cube(k));
+    require(
+        packets > 0,
+        "packets",
+        packets,
+        "at least 1 packet per endpoint",
+    );
+    for &ber in &bers {
+        require((0.0..=1.0).contains(&ber), "bers", ber, "[0, 1]");
+    }
 
     println!("## Fault sweep — lossy torus links ({k}x{k}x{k} torus, 16 cores/node)");
     println!();
     let sat = saturation_rate(&cfg, &UniformRandom).unwrap_or_else(|d| fail_usage(&d));
+    for &load in &loads {
+        let valid = format!("load x saturation rate ({sat:.5}) in (0, 1]");
+        require(load > 0.0 && load * sat <= 1.0, "loads", load, &valid);
+    }
     eprintln!("[fault-sweep] uniform saturation {sat:.5} pkts/cycle/core");
 
     let mut spec = ExperimentSpec::new("fig_fault_sweep", seed);
-    spec.set_shards(shards);
     for &load in &loads {
         for &ber in &bers {
             spec.push_point(values![
@@ -193,39 +199,23 @@ fn main() {
             packets,
             point.seed,
         );
-        // Either kernel produces identical measurements; `--shards` only
-        // changes how many worker threads step the machine.
-        let (outcome, m, rerouted, report) = if shards > 1 {
-            let mut sim = Sim::builder()
-                .config(cfg.clone())
-                .params(params)
-                .shards(shards)
-                .build_sharded();
-            let outcome = sim.run(&mut driver, 50_000_000);
-            if outcome == RunOutcome::Completed {
-                sim.check_invariants()
-                    .expect("invariants must hold at quiesce");
-            }
-            let report = sim.deadlock_report().map(|r| (r.to_string(), r.to_json()));
-            (outcome, sim.metrics(), sim.stats().rerouted_packets, report)
-        } else {
-            let mut sim = Sim::builder().config(cfg.clone()).params(params).build();
-            let outcome = sim.run(&mut driver, 50_000_000);
-            if outcome == RunOutcome::Completed {
-                sim.check_invariants()
-                    .expect("invariants must hold at quiesce");
-            }
-            let report = sim.deadlock_report().map(|r| (r.to_string(), r.to_json()));
-            (outcome, sim.metrics(), sim.stats().rerouted_packets, report)
-        };
+        let mut sim = Sim::builder().config(cfg.clone()).params(params).build();
+        let outcome = sim.run(&mut driver, 50_000_000);
+        if outcome == RunOutcome::Completed {
+            sim.check_invariants()
+                .expect("invariants must hold at quiesce");
+        }
+        let m = sim.metrics();
         let deadlocked = outcome == RunOutcome::Deadlocked;
         if deadlocked {
-            let (text, json) = report.expect("deadlock outcome carries a report");
-            eprintln!("[fault-sweep] point {} deadlocked:\n{text}", point.index);
+            let report = sim
+                .deadlock_report()
+                .expect("deadlock outcome carries a report");
+            eprintln!("[fault-sweep] point {} deadlocked:\n{report}", point.index);
             deadlock_reports
                 .lock()
                 .expect("report list poisoned")
-                .push((point.index, json));
+                .push((point.index, report.to_json()));
         } else {
             assert_eq!(
                 outcome,
@@ -249,7 +239,7 @@ fn main() {
             "retransmissions" => fault.totals.retransmissions,
             "data_frames_dropped" => fault.totals.data_frames_dropped,
             "retransmission_overhead" => fault.retransmission_overhead(),
-            "rerouted_packets" => rerouted,
+            "rerouted_packets" => m.stats.rerouted_packets,
             "reroute_latency_inflation" => driver.reroute_latency_inflation(),
             "deadlocked" => deadlocked,
         ]

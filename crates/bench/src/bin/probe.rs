@@ -1,4 +1,4 @@
-//! Diagnostic: one instrumented uniform-random batch, on either kernel.
+//! Diagnostic: one instrumented uniform-random batch.
 //!
 //! Every view comes from the one run:
 //!
@@ -12,18 +12,16 @@
 //! * `--stalls`: the ranked congestion report (stall cycles by link class
 //!   and cause, hotspot links, root-blocker trees);
 //! * `--ring N`: the flight recorder's per-link and per-packet spans in the
-//!   trace (serial kernel only);
-//! * `--shards N` (> 1): the sharded kernel with its phase profiler on, and
-//!   one track per shard worker in the trace showing its wall-clock split.
+//!   trace.
 //!
 //! Writes `results/probe.json` (schema v2: `sources` and `link_classes`,
 //! plus `windows` and `congestion` when their instrument is on) and, when
-//! `--sample`, `--ring` or `--shards` draws one, `results/probe.trace.json`
+//! `--sample` or `--ring` draws one, `results/probe.trace.json`
 //! for Perfetto. The simulator keeps its default seed; `--seed` drives the
 //! traffic and is the results' `base_seed`.
 //!
-//! Usage: `probe --k K --batch B --mode rr|iw|age --seed S --shards N
-//! --sample CYCLES --ring EVENTS --stalls`.
+//! Usage: `probe --k K --batch B --mode rr|iw|age --seed S --sample CYCLES
+//! --ring EVENTS --stalls`.
 
 use std::path::Path;
 
@@ -31,11 +29,11 @@ use anton_analysis::load::LoadAnalysis;
 use anton_analysis::weights::ArbiterWeightSet;
 use anton_bench::harness::ExperimentSpec;
 use anton_bench::{
-    checked_cube, fail_usage, run_batch, saturation_rate, torus_capacity, values, write_output,
-    ArbiterSetup, FlagSet, RunOptions,
+    checked_cube, fail_usage, require, run_batch, saturation_rate, torus_capacity, values,
+    write_output, ArbiterSetup, FlagSet,
 };
 use anton_core::config::MachineConfig;
-use anton_obs::{ChannelKind, ChromeTrace, Json, SHARD_PHASE_NAMES};
+use anton_obs::{ChannelKind, ChromeTrace, Json};
 use anton_sim::metrics::LinkClass;
 use anton_sim::params::TraceConfig;
 use anton_traffic::patterns::UniformRandom;
@@ -43,8 +41,6 @@ use anton_verify::Diagnostic;
 
 /// Process id of the per-link-class counter tracks.
 const PID_COUNTERS: u64 = 3;
-/// Process id of the per-shard phase tracks.
-const PID_SHARDS: u64 = 4;
 /// Hotspot rows of the printed congestion report.
 const HOTSPOT_ROWS: usize = 12;
 
@@ -52,13 +48,12 @@ fn main() {
     let args = FlagSet::new(
         "probe",
         "Diagnostic: one instrumented uniform batch — per-source fairness, link classes, \
-         and optional sampler, stall, recorder and shard views",
+         and optional sampler, stall and recorder views",
     )
     .flag("k", 4u8, "torus dimension per side")
     .flag("batch", 512u64, "packets per endpoint")
     .flag("seed", 42u64, "traffic seed")
     .flag("mode", "rr".to_string(), "arbitration: rr, iw, or age")
-    .flag("shards", 1usize, "sharded kernel workers (> 1)")
     .flag("sample", 0u64, "sample window in cycles (0 = off)")
     .flag("ring", 0usize, "recorder ring per wire (0 = off)")
     .switch("stalls", "attribute stall cycles and rank the congestion")
@@ -67,20 +62,11 @@ fn main() {
     let batch: u64 = args.get("batch");
     let seed: u64 = args.get("seed");
     let mode: String = args.get("mode");
-    let shards: usize = args.get("shards");
     let sample: u64 = args.get("sample");
     let ring: usize = args.get("ring");
     let stalls = args.on("stalls");
     let cfg = MachineConfig::new(checked_cube(k));
-    if ring > 0 && shards > 1 {
-        fail_usage(
-            &Diagnostic::error(
-                "AV105",
-                "the flight recorder (--ring) runs on the serial kernel only",
-            )
-            .with("shards", shards),
-        );
-    }
+    require(batch > 0, "batch", batch, "at least 1 packet per endpoint");
     let setup = match mode.as_str() {
         "rr" => ArbiterSetup::RoundRobin,
         "iw" => ArbiterSetup::InverseWeighted(ArbiterWeightSet::compute(
@@ -99,8 +85,8 @@ fn main() {
         events: ring > 0,
         ring_capacity: ring,
         sample_every: sample,
-        profile: shards > 1,
         stalls,
+        ..TraceConfig::default()
     };
     let run = run_batch(
         &cfg,
@@ -109,7 +95,7 @@ fn main() {
         &setup,
         sat,
         seed,
-        RunOptions { shards, trace },
+        trace,
     );
     let mut attachments = Vec::new();
 
@@ -208,7 +194,7 @@ fn main() {
         attachments.push(("congestion", report.to_json()));
     }
 
-    if ins.recorder.is_some() || ins.timeseries.is_some() || ins.phase_ns.is_some() {
+    if ins.recorder.is_some() || ins.timeseries.is_some() {
         let mut trace = ins
             .recorder
             .as_ref()
@@ -216,20 +202,6 @@ fn main() {
         if let Some(ts) = &ins.timeseries {
             trace.process_name(PID_COUNTERS, "link-class flit counters");
             trace.counters_from_timeseries(PID_COUNTERS, ts, |name| name.starts_with("flits_"));
-        }
-        if let Some(per) = &ins.phase_ns {
-            trace.process_name(PID_SHARDS, "shard phases (1us = 1ms wall)");
-            for (i, p) in per.iter().enumerate() {
-                trace.thread_name(PID_SHARDS, i as u64, format!("shard {i}"));
-                let mut t = 0u64;
-                for (phase, ns) in SHARD_PHASE_NAMES.iter().zip(p) {
-                    // Lay the phases end to end so each track reads as the
-                    // worker's wall-clock split (1 trace us per wall ms).
-                    let dur = (ns / 1_000_000).max(1);
-                    trace.complete(PID_SHARDS, i as u64, t, dur, *phase, None);
-                    t += dur;
-                }
-            }
         }
         let path = Path::new("results/probe.trace.json");
         std::fs::create_dir_all("results").expect("create results/");
@@ -241,7 +213,6 @@ fn main() {
     }
 
     let mut spec = ExperimentSpec::new("probe", seed);
-    spec.set_shards(shards);
     spec.push_point(values!["pattern" => "uniform", "mode" => mode.as_str(), "batch" => batch]);
     let measurements = spec.run(1, |_| {
         values![

@@ -3,9 +3,10 @@
 //!
 //! The flag parser ([`crate::flags`]) already rejects malformed tokens;
 //! these helpers cover the *values*: a `--k` outside what [`TorusShape`]
-//! supports, a pattern or workload name no binary knows, or an output path
-//! that cannot be written; [`checked_torus`] and [`crate::saturation_rate`]
-//! add a machine on which the traffic loads no torus channel (AV104).
+//! supports, a pattern or workload name no binary knows, a numeric flag
+//! outside its valid range ([`require`]), or an output path that cannot be
+//! written; [`checked_torus`] and [`crate::saturation_rate`] add a machine
+//! on which the traffic loads no torus channel (AV104).
 //! Binaries report them
 //! through [`fail_usage`] — one readable diagnostic on stderr and a nonzero
 //! exit — instead of a panic backtrace.
@@ -20,6 +21,18 @@ use anton_verify::Diagnostic;
 pub fn fail_usage(diag: &Diagnostic) -> ! {
     eprintln!("{diag}");
     std::process::exit(2);
+}
+
+/// Rejects a flag value outside its valid range (AV103) — a zero batch, a
+/// percentage above 100, a bit-error rate that is not a probability —
+/// before any simulator is built; `valid` names the range.
+pub fn require(ok: bool, flag: &str, value: impl std::fmt::Display, valid: &str) {
+    if !ok {
+        fail_usage(
+            &Diagnostic::error("AV103", format!("--{flag} {value} is out of range"))
+                .with("valid", valid),
+        );
+    }
 }
 
 /// Validates a user-supplied torus extent (AV102) before it reaches

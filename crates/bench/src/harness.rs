@@ -236,7 +236,6 @@ pub const RESULTS_SCHEMA_VERSION_V2: u64 = 2;
 pub struct ExperimentSpec {
     name: String,
     base_seed: u64,
-    shards: usize,
     points: Vec<SweepPoint>,
 }
 
@@ -247,7 +246,6 @@ impl ExperimentSpec {
         ExperimentSpec {
             name: name.into(),
             base_seed,
-            shards: 1,
             points: Vec::new(),
         }
     }
@@ -260,20 +258,6 @@ impl ExperimentSpec {
     /// The base seed the point seeds are derived from.
     pub fn base_seed(&self) -> u64 {
         self.base_seed
-    }
-
-    /// Declares that every point of this sweep runs on the sharded kernel
-    /// with `shards` worker shards (`1` = serial kernel). Recorded in the
-    /// results document; the sharded kernel is byte-identical to serial, so
-    /// this — like the thread count — must never change measurements.
-    pub fn set_shards(&mut self, shards: usize) -> &mut Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Worker shards each point's simulation runs on (`1` = serial kernel).
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Appends a sweep point, assigning its index and derived seed.
@@ -343,11 +327,9 @@ impl ExperimentSpec {
     /// Renders measurements plus observability attachments as the
     /// structured results document.
     ///
-    /// Schema: `{ experiment, schema_version, base_seed, shards, points:
+    /// Schema: `{ experiment, schema_version, base_seed, points:
     /// [ { index, seed, params: {..}, metrics: {..} } ] }`. Thread count is
-    /// deliberately absent — it must not influence results. `shards` records
-    /// which kernel produced the numbers (serial at `1`); the sharded kernel
-    /// is measurement-identical, so the field is provenance, not a parameter.
+    /// deliberately absent — it must not influence results.
     ///
     /// With an empty attachment list the document is schema version 1; any
     /// attachment (sampled `windows`, `deadlock_reports`, …) bumps it to
@@ -382,7 +364,6 @@ impl ExperimentSpec {
             ("experiment".to_string(), Json::from(self.name.as_str())),
             ("schema_version".to_string(), Json::from(version)),
             ("base_seed".to_string(), Json::from(self.base_seed)),
-            ("shards".to_string(), Json::from(self.shards as u64)),
             ("points".to_string(), Json::Arr(points)),
         ];
         fields.extend(
@@ -498,25 +479,21 @@ mod tests {
         assert!(doc.contains("\"experiment\": \"schema_check\""));
         assert!(doc.contains("\"schema_version\": 1"));
         assert!(doc.contains("\"base_seed\": 5"));
-        assert!(doc.contains("\"shards\": 1"));
         assert!(doc.contains("\"metric\": 1.5"));
         assert!(
             !doc.contains("threads"),
             "thread count must not leak into results"
         );
-    }
-
-    #[test]
-    fn shards_are_recorded_and_zero_means_serial() {
-        let mut spec = ExperimentSpec::new("shard_check", 5);
-        spec.set_shards(4);
-        assert_eq!(spec.shards(), 4);
-        spec.push_point(values!["k" => 2u64]);
-        let out = spec.run(1, |_| values!["m" => 1u64]);
-        let doc = Json::parse(&spec.results_json(&out, &[]).to_pretty_string()).unwrap();
-        assert_eq!(doc.get("shards").and_then(Json::as_u64), Some(4));
-        // `set_shards` clamps zero to serial.
-        assert_eq!(ExperimentSpec::new("z", 0).set_shards(0).shards(), 1);
+        // Nothing records how the points ran (threads, kernel): exactly
+        // these top-level keys.
+        let Json::Obj(fields) = Json::parse(&doc).unwrap() else {
+            panic!("results document is an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["experiment", "schema_version", "base_seed", "points"]
+        );
     }
 
     #[test]

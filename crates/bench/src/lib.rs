@@ -13,8 +13,8 @@
 //!   [`Measurement`](harness::Measurement) records;
 //! * [`flags`] — declarative typed command-line flags for the binaries;
 //! * plus the shared measurement loop: saturation normalization and the
-//!   one batch runner, [`run_batch`], on either kernel with any instruments
-//!   attached (the `probe` binary is its instrumented view).
+//!   one batch runner, [`run_batch`], with any instruments attached (the
+//!   `probe` binary is its instrumented view).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,16 +29,14 @@ use anton_analysis::weights::ArbiterWeightSet;
 use anton_arbiter::ArbiterKind;
 use anton_core::config::MachineConfig;
 use anton_core::pattern::TrafficPattern;
-use anton_obs::{CongestionReport, FlightRecorder, TimeSeries, NUM_SHARD_PHASES};
+use anton_obs::{CongestionReport, FlightRecorder, TimeSeries};
 use anton_sim::driver::BatchDriver;
 use anton_sim::metrics::{LinkClass, Metrics};
 use anton_sim::params::{SimParams, TraceConfig, TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
-use anton_sim::shard::ShardableDriver;
 use anton_sim::sim::{Delivery, Driver, RunOutcome, Sim};
 use anton_verify::Diagnostic;
-use std::ops::Range;
 
-pub use cli::{checked_cube, checked_torus, fail_usage, make_pattern, write_output};
+pub use cli::{checked_cube, checked_torus, fail_usage, make_pattern, require, write_output};
 pub use flags::{FlagSet, ParsedFlags};
 pub use harness::{ExperimentSpec, Measurement, SweepPoint, Value};
 
@@ -85,17 +83,6 @@ pub struct ThroughputPoint {
     pub peak_utilization: f64,
 }
 
-/// The kernel a batch runs on and the instruments attached to it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunOptions {
-    /// Worker shards of the parallel kernel; `0` and `1` run the serial
-    /// kernel. Every measurement is byte-identical for every value.
-    pub shards: usize,
-    /// The instruments: sampler, stall attribution, flight recorder (serial
-    /// kernel only) and phase profiler.
-    pub trace: TraceConfig,
-}
-
 /// Everything one batch run produced.
 #[derive(Debug)]
 pub struct BatchRun {
@@ -106,7 +93,7 @@ pub struct BatchRun {
     /// The cycle each source endpoint's last packet was delivered, by
     /// endpoint index.
     pub source_finish: Vec<u64>,
-    /// What the instruments [`RunOptions::trace`] turned on observed.
+    /// What the instruments the run's [`TraceConfig`] turned on observed.
     pub instruments: Instruments,
 }
 
@@ -118,16 +105,12 @@ pub struct Instruments {
     pub timeseries: Option<TimeSeries>,
     /// The stall analysis ([`TraceConfig::stalls`]).
     pub congestion: Option<CongestionReport>,
-    /// The flight recorder ([`TraceConfig::events`], serial kernel only).
+    /// The flight recorder ([`TraceConfig::events`]).
     pub recorder: Option<FlightRecorder>,
-    /// Each shard worker's wall-clock split by phase
-    /// ([`TraceConfig::profile`] on the sharded kernel).
-    pub phase_ns: Option<Vec<[u64; NUM_SHARD_PHASES]>>,
 }
 
 /// A batch driver that also records the cycle each source's last packet
-/// lands. On the sharded kernel the control replica replays deliveries in
-/// serial order, so the finish cycles match the serial kernel's.
+/// lands.
 struct SourceFinish {
     inner: BatchDriver,
     remaining: Vec<u64>,
@@ -153,29 +136,20 @@ impl Driver for SourceFinish {
     }
 }
 
-impl ShardableDriver for SourceFinish {
-    fn split(&self, cfg: &MachineConfig, ranges: &[Range<usize>]) -> Vec<Box<dyn Driver + Send>> {
-        self.inner.split(cfg, ranges)
-    }
-    fn done_implies_quiescent(&self) -> bool {
-        self.inner.done_implies_quiescent()
-    }
-}
-
 /// Runs one batch-throughput measurement (the Figure 9/10 procedure): all
 /// cores send `batch` packets of the blended pattern; throughput is the
 /// batch size over the time of the last delivery, normalized by the
 /// pattern's analytic saturation rate. The simulator keeps the
-/// [`SimParams`] default seed; `seed` drives the traffic.
+/// [`SimParams`] default seed; `seed` drives the traffic, and `trace` turns
+/// the instruments on.
 ///
 /// # Panics
 ///
-/// Panics if the run deadlocks or exceeds the cycle budget, if the static
-/// pre-flight verification inside [`Sim::builder`] rejects the
-/// configuration (AV019: more shards than nodes), if an
-/// [`ArbiterSetup::InverseWeighted`] weight set fails its lints (AV016) —
-/// every experiment fails fast on a broken setup rather than measuring it —
-/// or if the flight recorder is asked of the sharded kernel.
+/// Panics if `batch` is zero, if the run deadlocks or exceeds the cycle
+/// budget, if the static pre-flight verification inside [`Sim::builder`]
+/// rejects the configuration, or if an [`ArbiterSetup::InverseWeighted`]
+/// weight set fails its lints (AV016) — every experiment fails fast on a
+/// broken setup rather than measuring it.
 pub fn run_batch(
     cfg: &MachineConfig,
     components: Vec<(Box<dyn TrafficPattern>, f64)>,
@@ -183,13 +157,8 @@ pub fn run_batch(
     setup: &ArbiterSetup,
     saturation_rate: f64,
     seed: u64,
-    opts: RunOptions,
+    trace: TraceConfig,
 ) -> BatchRun {
-    let sharded = opts.shards > 1;
-    assert!(
-        !(sharded && opts.trace.events),
-        "the flight recorder runs on the serial kernel only"
-    );
     let weights = match setup {
         ArbiterSetup::InverseWeighted(w) => {
             let diags = anton_verify::lint_weights(w);
@@ -208,7 +177,7 @@ pub fn run_batch(
             ArbiterSetup::InverseWeighted(w) => ArbiterKind::InverseWeighted { m_bits: w.m_bits },
             ArbiterSetup::Age => ArbiterKind::Age,
         },
-        trace: opts.trace,
+        trace,
         ..SimParams::default()
     };
     let n = cfg.num_endpoints();
@@ -221,43 +190,19 @@ pub fn run_batch(
         remaining: vec![batch; n],
         finish: vec![0; n],
     };
-    let builder = Sim::builder().config(cfg.clone()).params(params);
-    // The two kernels differ only in how a simulator is built, programmed,
-    // run and read out.
-    let (outcome, metrics, instruments) = if sharded {
-        let mut sim = builder.shards(opts.shards).build_sharded();
-        if let Some(w) = weights {
-            sim.configure(|s| s.install_weights(w));
-        }
-        let outcome = sim.run(&mut driver, 600_000_000);
-        let instruments = Instruments {
-            timeseries: sim.merged_timeseries(),
-            congestion: sim.congestion_report(),
-            recorder: None,
-            phase_ns: sim.phase_ns().map(<[_]>::to_vec),
-        };
-        (outcome, sim.metrics(), instruments)
-    } else {
-        let mut sim = builder.build();
-        if let Some(w) = weights {
-            sim.install_weights(w);
-        }
-        let outcome = sim.run(&mut driver, 600_000_000);
-        sim.flush_samples();
-        sim.flush_stalls();
-        let instruments = Instruments {
-            timeseries: sim.timeseries().cloned(),
-            congestion: sim.congestion_report(),
-            recorder: sim.recorder().cloned(),
-            phase_ns: None,
-        };
-        (outcome, sim.metrics(), instruments)
-    };
+    let mut sim = Sim::builder().config(cfg.clone()).params(params).build();
+    if let Some(w) = weights {
+        sim.install_weights(w);
+    }
+    let outcome = sim.run(&mut driver, 600_000_000);
+    sim.flush_samples();
+    sim.flush_stalls();
     assert_eq!(
         outcome,
         RunOutcome::Completed,
         "batch run did not complete: {outcome:?}"
     );
+    let metrics = sim.metrics();
     let point = ThroughputPoint {
         batch,
         normalized: driver.inner.throughput() / saturation_rate,
@@ -268,7 +213,11 @@ pub fn run_batch(
         point,
         metrics,
         source_finish: driver.finish,
-        instruments,
+        instruments: Instruments {
+            timeseries: sim.timeseries().cloned(),
+            congestion: sim.congestion_report(),
+            recorder: sim.recorder().cloned(),
+        },
     }
 }
 
@@ -315,7 +264,7 @@ mod tests {
             &ArbiterSetup::RoundRobin,
             sat,
             1,
-            RunOptions::default(),
+            TraceConfig::default(),
         )
         .point;
         assert!(

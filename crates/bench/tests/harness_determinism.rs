@@ -3,9 +3,10 @@
 //! per-point seeds, same values, same serialized results document.
 
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
-use anton_bench::{run_batch, saturation_rate, values, ArbiterSetup, BatchRun, RunOptions};
+use anton_bench::{run_batch, saturation_rate, values, ArbiterSetup, BatchRun};
 use anton_core::config::MachineConfig;
 use anton_core::topology::TorusShape;
+use anton_sim::params::TraceConfig;
 use anton_traffic::patterns::UniformRandom;
 
 /// A miniature Figure-9-style sweep on a 2×2×2 torus: real simulations, so
@@ -36,7 +37,7 @@ fn body(
             &ArbiterSetup::RoundRobin,
             sat,
             point.seed,
-            RunOptions::default(),
+            TraceConfig::default(),
         );
         values![
             "normalized" => p.normalized,
@@ -75,47 +76,6 @@ fn parallel_measurements_are_byte_identical_to_serial() {
         cycles[0] > 0.0 && cycles[0] < cycles[2],
         "cycles {cycles:?}"
     );
-}
-
-/// The sharded kernel behind `--shards` is measurement-invisible: the same
-/// sweep point produces bit-identical throughput numbers, metrics and
-/// per-source finish cycles on the serial kernel and on any shard count.
-#[test]
-fn sharded_measurements_match_serial_exactly() {
-    let cfg = MachineConfig::new(TorusShape::cube(2));
-    let sat = saturation_rate(&cfg, &UniformRandom).unwrap();
-    let run = |shards| {
-        run_batch(
-            &cfg,
-            vec![(Box::new(UniformRandom), 1.0)],
-            8,
-            &ArbiterSetup::RoundRobin,
-            sat,
-            42,
-            RunOptions {
-                shards,
-                ..RunOptions::default()
-            },
-        )
-    };
-    let serial_run = run(1);
-    let (serial, ms) = (serial_run.point, &serial_run.metrics);
-    for shards in [2usize, 4, 8] {
-        let sharded_run = run(shards);
-        let (sharded, mp) = (sharded_run.point, &sharded_run.metrics);
-        assert_eq!(
-            serial_run.source_finish, sharded_run.source_finish,
-            "{shards} shards"
-        );
-        assert_eq!(serial.normalized.to_bits(), sharded.normalized.to_bits());
-        assert_eq!(serial.cycles, sharded.cycles);
-        assert_eq!(
-            serial.peak_utilization.to_bits(),
-            sharded.peak_utilization.to_bits()
-        );
-        assert_eq!(ms.stats, mp.stats, "{shards} shards");
-        assert_eq!(ms.grants, mp.grants, "{shards} shards");
-    }
 }
 
 #[test]

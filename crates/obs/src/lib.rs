@@ -9,16 +9,14 @@
 //! * [`event`] — the typed trace-event taxonomy (inject, hop, VC promotion,
 //!   arbiter grant, retransmit, deliver, stall);
 //! * [`recorder`] — the flight recorder: fixed-capacity per-component ring
-//!   buffers of [`event::TraceEvent`]s with drop-oldest semantics (a sharded
-//!   run merges its per-shard rings itself, each track from the shard that
-//!   sends on it);
+//!   buffers of [`event::TraceEvent`]s with drop-oldest semantics;
 //! * [`sampler`] — the time-series sampler: periodic snapshots of dense
-//!   kernel counters folded into typed windows, with
-//!   [`TimeSeries::merged`](sampler::TimeSeries::merged) summing per-shard
-//!   series into the machine-wide view;
+//!   kernel counters folded into typed windows;
 //! * [`stall`] — stall attribution: segmented per-link/per-VC stall-cycle
 //!   counters keyed by cause (credit starvation, lost arbitration,
-//!   serializer busy, retransmit backlog, dead-link drain);
+//!   serializer busy, retransmit backlog, dead-link drain), with
+//!   [`StallTable::merge`](stall::StallTable::merge) summing per-shard
+//!   tables into the machine-wide one;
 //! * [`congestion`] — the analyzer over a stall table: ranked hotspots,
 //!   per-link-class totals, and root-blocker backpressure trees;
 //! * [`phase`] — shard phase profiling: per-worker wall-clock split into
@@ -27,6 +25,10 @@
 //!   including counter ("C") tracks derived from sampled time series;
 //! * [`link_json`] — structural JSON round-tripping for
 //!   [`anton_core::trace::GlobalLink`].
+//!
+//! The recorder and the sampler are serial-kernel instruments; the sharded
+//! kernel reports only merged stalls and phase times, which is what the
+//! repository benchmark reads of it.
 //!
 //! The crate deliberately knows nothing about the simulator: the simulator
 //! pushes events and counter snapshots in, exporters pull JSON out. This

@@ -12,9 +12,8 @@
 //! * **merge** — sorting and applying this shard's imports.
 //!
 //! The clock costs one branch per lap when disabled. Per-shard totals come
-//! back from `ShardedSim::phase_ns` — the repo benchmark reports them as
-//! `sim.shard.{compute,barrier_wait,mailbox,merge}_ns` — and are drawn as
-//! per-shard tracks in the Perfetto trace.
+//! back from `ShardedSim::phase_ns`, and the repository benchmark, the one
+//! reader, reports them as `sim.shard.{compute,barrier_wait,mailbox,merge}_ns`.
 
 use std::time::Instant;
 

@@ -149,61 +149,6 @@ impl TimeSeries {
         }
     }
 
-    /// Merges per-shard series — same channel set, snapshots taken at the
-    /// same machine cycles — into one machine-wide series by summing aligned
-    /// windows element-wise.
-    ///
-    /// Counter channels sum naturally (each shard counted its own flits);
-    /// gauges sum too, because a sharded gauge (packets in flight, shim
-    /// backlog) is a per-shard partition of the machine-wide reading. A
-    /// window present in only some parts (a shard that flushed a partial
-    /// tail the others did not) is carried through as the sum of the parts
-    /// that have it, keyed — and deterministically ordered — by its
-    /// `(start, end)` bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty or the parts disagree on the sampling
-    /// period or channel set.
-    #[must_use]
-    pub fn merged(parts: &[&TimeSeries]) -> TimeSeries {
-        let first = parts.first().expect("merged() needs at least one series");
-        let mut out = TimeSeries::new(first.every);
-        out.channels = first.channels.clone();
-        out.baseline = vec![0; first.channels.len()];
-        let mut acc: std::collections::BTreeMap<(u64, u64), Vec<u64>> =
-            std::collections::BTreeMap::new();
-        for part in parts {
-            assert_eq!(part.every, first.every, "sampling periods disagree");
-            assert_eq!(part.channels, first.channels, "channel sets disagree");
-            for w in &part.windows {
-                let slot = acc
-                    .entry((w.start, w.end))
-                    .or_insert_with(|| vec![0; first.channels.len()]);
-                for (s, v) in slot.iter_mut().zip(&w.values) {
-                    *s += v;
-                }
-            }
-        }
-        out.windows = acc
-            .into_iter()
-            .map(|((start, end), values)| SampleWindow { start, end, values })
-            .collect();
-        out
-    }
-
-    /// Drops windows that start at or after `cycle` and ends the window
-    /// that straddles it at `cycle`. A sharded worker may legally overrun a
-    /// drained network by a partial lookahead window and sample inside it;
-    /// nothing moves in a drained network, so cutting the merged series at
-    /// the run's true end cycle leaves the windows a serial run flushes.
-    pub fn truncate_after(&mut self, cycle: u64) {
-        self.windows.retain(|w| w.start < cycle);
-        if let Some(last) = self.windows.last_mut() {
-            last.end = last.end.min(cycle);
-        }
-    }
-
     /// Serializes the series as the `windows` section of a v2 results file.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -272,56 +217,6 @@ mod tests {
         let w = ts.windows();
         assert_eq!((w[1].start, w[1].end), (100, 130));
         assert_eq!(w[1].values[0], 3);
-    }
-
-    #[test]
-    fn merged_sums_aligned_windows_and_carries_ragged_tails() {
-        let mut a = TimeSeries::new(100);
-        a.channel("delivered", ChannelKind::Counter);
-        a.channel("in_flight", ChannelKind::Gauge);
-        a.record(0, &[0, 0]);
-        a.record(100, &[40, 7]);
-        a.record(150, &[55, 2]);
-        let mut b = TimeSeries::new(100);
-        b.channel("delivered", ChannelKind::Counter);
-        b.channel("in_flight", ChannelKind::Gauge);
-        b.record(0, &[0, 0]);
-        b.record(100, &[10, 1]);
-
-        let m = TimeSeries::merged(&[&a, &b]);
-        assert_eq!(m.every(), 100);
-        assert_eq!(m.channels(), a.channels());
-        let w = m.windows();
-        assert_eq!(w.len(), 2);
-        // The aligned first window sums counters and gauges alike.
-        assert_eq!((w[0].start, w[0].end), (0, 100));
-        assert_eq!(w[0].values, vec![50, 8]);
-        // `a`'s partial tail survives on its own bounds.
-        assert_eq!((w[1].start, w[1].end), (100, 150));
-        assert_eq!(w[1].values, vec![15, 2]);
-    }
-
-    #[test]
-    fn truncate_after_drops_late_windows_and_ends_the_straddler() {
-        let mut ts = TimeSeries::new(100);
-        ts.channel("delivered", ChannelKind::Counter);
-        for (cycle, total) in [(0, 0), (100, 5), (200, 9), (284, 12), (300, 12)] {
-            ts.record(cycle, &[total]);
-        }
-        ts.truncate_after(247);
-        let bounds: Vec<(u64, u64)> = ts.windows().iter().map(|w| (w.start, w.end)).collect();
-        assert_eq!(bounds, [(0, 100), (100, 200), (200, 247)]);
-        assert_eq!(ts.windows()[2].values, vec![3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "channel sets disagree")]
-    fn merged_rejects_mismatched_channels() {
-        let mut a = TimeSeries::new(10);
-        a.channel("x", ChannelKind::Counter);
-        let mut b = TimeSeries::new(10);
-        b.channel("y", ChannelKind::Counter);
-        let _ = TimeSeries::merged(&[&a, &b]);
     }
 
     #[test]

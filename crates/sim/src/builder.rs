@@ -40,7 +40,7 @@ use anton_core::pattern::TrafficPattern;
 use anton_core::topology::TorusShape;
 
 use crate::params::{PreflightMode, SimParams};
-use crate::shard::ShardedSim;
+use crate::shard::{ShardPlan, ShardedSim};
 use crate::sim::Sim;
 
 /// Fluent builder for [`Sim`] and [`ShardedSim`]; see the
@@ -49,6 +49,7 @@ pub struct SimBuilder {
     cfg: MachineConfig,
     params: SimParams,
     traffic: Vec<Box<dyn TrafficPattern>>,
+    shards: usize,
 }
 
 impl std::fmt::Debug for SimBuilder {
@@ -57,6 +58,7 @@ impl std::fmt::Debug for SimBuilder {
             .field("shape", &self.cfg.shape)
             .field("params", &self.params)
             .field("traffic_patterns", &self.traffic.len())
+            .field("shards", &self.shards)
             .finish()
     }
 }
@@ -69,6 +71,7 @@ impl Sim {
             cfg: MachineConfig::new(TorusShape::cube(2)),
             params: SimParams::default(),
             traffic: Vec::new(),
+            shards: 1,
         }
     }
 }
@@ -89,7 +92,7 @@ impl SimBuilder {
     }
 
     /// Simulation parameters, wholesale; [`arbiter`](SimBuilder::arbiter)
-    /// and [`shards`](SimBuilder::shards) called later still apply on top.
+    /// called later still applies on top.
     pub fn params(mut self, params: SimParams) -> SimBuilder {
         self.params = params;
         self
@@ -112,10 +115,11 @@ impl SimBuilder {
     }
 
     /// Worker shards of the parallel kernel. Honored by
-    /// [`build_sharded`](SimBuilder::build_sharded); [`build`]
-    /// (SimBuilder::build) always constructs the serial kernel.
+    /// [`build_sharded`](SimBuilder::build_sharded);
+    /// [`build`](SimBuilder::build) constructs the serial kernel and ignores
+    /// the count.
     pub fn shards(mut self, shards: usize) -> SimBuilder {
-        self.params.shards = shards;
+        self.shards = shards;
         self
     }
 
@@ -124,14 +128,14 @@ impl SimBuilder {
     /// # Panics
     ///
     /// With the default [`PreflightMode::Enforce`], panics if the lint
-    /// engine reports any error-severity diagnostic (`AV001`–`AV019`)
-    /// against the configuration, parameters, or computed arbiter
-    /// weights.
+    /// engine reports any error-severity diagnostic (`AV0xx`) against the
+    /// configuration, parameters, or computed arbiter weights.
     pub fn build(self) -> Sim {
         let SimBuilder {
             cfg,
             params,
             traffic,
+            ..
         } = self;
         let weights = computed_weights(&cfg, &params, &traffic);
         let mut sim = Sim::construct(cfg, params, None);
@@ -142,21 +146,27 @@ impl SimBuilder {
     }
 
     /// Builds the sharded parallel simulator with the configured
-    /// [`shards`](SimBuilder::shards) count (`1` reproduces the serial
-    /// kernel byte for byte).
+    /// [`shards`](SimBuilder::shards) count, one contiguous range of nodes
+    /// per shard (`1` reproduces the serial kernel byte for byte).
     ///
     /// # Panics
     ///
-    /// As [`build`](SimBuilder::build); additionally if the shard count
-    /// exceeds the node count (also lint `AV019`).
+    /// As [`build`](SimBuilder::build); additionally, under every
+    /// [`PreflightMode`], if the shard count is zero or exceeds the node
+    /// count (lint `AV019`).
     pub fn build_sharded(self) -> ShardedSim {
         let SimBuilder {
             cfg,
             params,
             traffic,
+            shards,
         } = self;
+        if let Some(d) = anton_verify::lint_shards(&cfg, shards) {
+            panic!("cannot build the sharded kernel: {d}");
+        }
         let weights = computed_weights(&cfg, &params, &traffic);
-        let mut sim = ShardedSim::new(cfg, params);
+        let plan = ShardPlan::contiguous(cfg.shape.num_nodes(), shards);
+        let mut sim = ShardedSim::with_plan(cfg, params, plan);
         if let Some(set) = weights {
             sim.configure(|s| s.install_weights(&set));
         }

@@ -520,7 +520,7 @@ impl Driver for RateDriver {
 /// queues short), offered load here is independent of network state, so
 /// latency inflation under faults is directly visible.
 pub struct LoadDriver {
-    pattern: Arc<dyn TrafficPattern>,
+    pattern: Box<dyn TrafficPattern>,
     rate: f64,
     payload_bytes: usize,
     remaining: Vec<u64>,
@@ -564,8 +564,8 @@ impl LoadDriver {
         LoadDriver::for_config(&sim.cfg, pattern, rate, packets_per_endpoint, seed)
     }
 
-    /// Creates a load driver from a machine configuration alone (the entry
-    /// point sharded runs use); see [`LoadDriver::new`].
+    /// Creates a load driver from a machine configuration alone; see
+    /// [`LoadDriver::new`].
     ///
     /// # Panics
     ///
@@ -581,7 +581,7 @@ impl LoadDriver {
         let n_eps = cfg.num_endpoints();
         let expected = packets_per_endpoint * n_eps as u64;
         LoadDriver {
-            pattern: Arc::from(pattern),
+            pattern,
             rate,
             payload_bytes: 16,
             remaining: vec![packets_per_endpoint; n_eps],
@@ -691,40 +691,6 @@ impl Driver for LoadDriver {
     }
 }
 
-impl ShardableDriver for LoadDriver {
-    fn split(
-        &self,
-        _cfg: &MachineConfig,
-        ranges: &[std::ops::Range<usize>],
-    ) -> Vec<Box<dyn Driver + Send>> {
-        ranges
-            .iter()
-            .map(|r| {
-                let mut remaining = vec![0u64; self.remaining.len()];
-                remaining[r.clone()].copy_from_slice(&self.remaining[r.clone()]);
-                Box::new(LoadDriver {
-                    pattern: Arc::clone(&self.pattern),
-                    rate: self.rate,
-                    payload_bytes: self.payload_bytes,
-                    remaining,
-                    expected: u64::MAX,
-                    delivered: 0,
-                    rngs: self.rngs.clone(),
-                    latencies: Vec::new(),
-                    rerouted_latencies: Vec::new(),
-                    finish_cycle: 0,
-                }) as Box<dyn Driver + Send>
-            })
-            .collect()
-    }
-
-    /// The injection budget is bounded and every unicast packet delivers
-    /// once, so the last expected delivery drains the network.
-    fn done_implies_quiescent(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -748,7 +714,7 @@ mod tests {
     #[test]
     fn load_driver_percentiles_use_nearest_rank() {
         let mut d = LoadDriver {
-            pattern: Arc::new(SelfPattern),
+            pattern: Box::new(SelfPattern),
             rate: 0.5,
             payload_bytes: 16,
             remaining: vec![0],

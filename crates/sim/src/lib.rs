@@ -26,7 +26,8 @@
 //! * [`params`] — simulation parameters and physical constants;
 //! * [`shard`] — the sharded parallel kernel ([`ShardedSim`]): bounded-lag
 //!   windows across one worker thread per contiguous torus sub-brick,
-//!   byte-identical to serial execution for every shard count;
+//!   byte-identical to serial execution for every shard count; only the
+//!   repository benchmark runs it;
 //! * [`state`] — in-flight packet state.
 //!
 //! # Self-checking invariants

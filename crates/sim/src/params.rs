@@ -139,12 +139,6 @@ pub struct SimParams {
     pub trace: TraceConfig,
     /// Static pre-flight verification policy (see [`PreflightMode`]).
     pub preflight: PreflightMode,
-    /// Worker shards for the parallel kernel: `1` (the default) runs the
-    /// serial kernel; `N > 1` partitions the torus into `N` contiguous
-    /// sub-bricks stepped by one worker thread each (see
-    /// [`ShardedSim`](crate::shard::ShardedSim)). Output is byte-identical
-    /// for every value.
-    pub shards: usize,
 }
 
 impl Default for SimParams {
@@ -159,7 +153,6 @@ impl Default for SimParams {
             fault: None,
             trace: TraceConfig::default(),
             preflight: PreflightMode::default(),
-            shards: 1,
         }
     }
 }
@@ -180,7 +173,6 @@ impl SimParams {
             fault: self.fault.as_ref(),
             trace_events: self.trace.events,
             trace_ring_capacity: self.trace.ring_capacity,
-            shards: self.shards,
         }
     }
 }

@@ -1,5 +1,10 @@
 //! Sharded parallel execution of the simulation kernel.
 //!
+//! The repository benchmark is this kernel's one user: it times a sharded
+//! batch against the serial one and reads back the merged statistics,
+//! metrics, stall table and per-shard phase times. The flight recorder and
+//! the time-series sampler are serial-kernel instruments.
+//!
 //! [`ShardedSim`] partitions the torus into contiguous sub-bricks of nodes
 //! (one shard per worker thread) and runs each shard's event-driven wake
 //! wheel independently up to a conservative lookahead horizon — the
@@ -61,19 +66,13 @@ use anton_core::trace::GlobalLink;
 
 use crate::metrics::{ArbiterGrantCounts, Metrics};
 use crate::params::{SimParams, TraceConfig};
-use crate::sim::{
-    DeadlockReport, Delivery, Driver, EnergyCounters, RunOutcome, Sim, SimStats, StaticVerdict,
-};
+use crate::sim::{Delivery, Driver, EnergyCounters, RunOutcome, Sim, SimStats};
 use crate::state::{ColdState, PacketState};
 use crate::wire::BufEntry;
 
 /// Window length used when only one shard exists (no boundary wires limit
 /// the lookahead; the window only bounds control-decision latency).
 const SOLO_WINDOW: u64 = 1024;
-
-/// Serial cap on stalled-VC entries in a deadlock report, mirrored when
-/// merging per-shard reports.
-const REPORT_CAP: usize = 64;
 
 /// A driver that can be decomposed into per-shard sub-drivers.
 ///
@@ -164,11 +163,6 @@ impl ShardPlan {
         self.node_ranges.len()
     }
 
-    /// The node-id range of each shard.
-    pub fn node_ranges(&self) -> &[Range<usize>] {
-        &self.node_ranges
-    }
-
     /// Total nodes covered.
     pub fn num_nodes(&self) -> usize {
         self.node_ranges.last().map_or(0, |r| r.end)
@@ -252,11 +246,13 @@ struct WindowLog {
 /// coordinator replays global decisions on. See the [module
 /// docs](self) for the protocol.
 ///
-/// The driver-facing surface mirrors [`Sim`]: build it (normally through
-/// [`Sim::builder`](crate::sim::Sim) with a shard count), optionally
-/// [`configure`](ShardedSim::configure) / [`inject`](ShardedSim::inject) /
-/// [`set_counter`](ShardedSim::set_counter), then [`run`](ShardedSim::run)
-/// with a [`ShardableDriver`] and read the merged statistics and metrics.
+/// The driver-facing surface mirrors [`Sim`]: build it (through
+/// [`SimBuilder::build_sharded`](crate::builder::SimBuilder::build_sharded),
+/// or [`with_plan`](ShardedSim::with_plan) for an explicit partition),
+/// optionally [`configure`](ShardedSim::configure) /
+/// [`inject`](ShardedSim::inject) / [`set_counter`](ShardedSim::set_counter),
+/// then [`run`](ShardedSim::run) with a [`ShardableDriver`] and read the
+/// merged statistics, metrics, stall table and phase times.
 #[derive(Debug)]
 pub struct ShardedSim {
     plan: ShardPlan,
@@ -269,7 +265,6 @@ pub struct ShardedSim {
     end_cycle: u64,
     idle_cycles: u64,
     deadlocked: bool,
-    deadlock_report: Option<Box<DeadlockReport>>,
     /// Per-shard wall-clock nanoseconds split by worker phase
     /// ([`anton_obs::phase`]), accumulated across [`ShardedSim::run`] calls.
     /// Empty unless the phase profiler is on.
@@ -277,18 +272,12 @@ pub struct ShardedSim {
 }
 
 impl ShardedSim {
-    /// Builds a sharded simulation with `params.shards` contiguous shards.
+    /// Builds a sharded simulation over an explicit [`ShardPlan`].
     ///
     /// The static pre-flight verification runs once (on the control
-    /// replica) under the caller's [`PreflightMode`]; shard replicas skip
+    /// replica) under the caller's
+    /// [`PreflightMode`](crate::params::PreflightMode); shard replicas skip
     /// it.
-    pub fn new(cfg: MachineConfig, params: SimParams) -> ShardedSim {
-        let shards = params.shards.max(1);
-        let plan = ShardPlan::contiguous(cfg.shape.num_nodes(), shards);
-        ShardedSim::with_plan(cfg, params, plan)
-    }
-
-    /// Builds a sharded simulation over an explicit [`ShardPlan`].
     pub fn with_plan(cfg: MachineConfig, params: SimParams, plan: ShardPlan) -> ShardedSim {
         assert_eq!(
             plan.num_nodes(),
@@ -338,31 +327,8 @@ impl ShardedSim {
             end_cycle: 0,
             idle_cycles: 0,
             deadlocked: false,
-            deadlock_report: None,
             phase_ns: Vec::new(),
         }
-    }
-
-    /// The machine configuration.
-    pub fn cfg(&self) -> &MachineConfig {
-        &self.control.cfg
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.plan.num_shards()
-    }
-
-    /// The shard plan.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// The per-shard replicas, in shard order — read-only access for
-    /// diagnostics and for merging per-shard observability state (flight
-    /// recorders, time series).
-    pub fn shards(&self) -> &[Sim] {
-        &self.shards
     }
 
     /// Applies a configuration closure to every shard replica (arbiter
@@ -405,71 +371,6 @@ impl ShardedSim {
         self.shards.iter().map(Sim::live_packets).sum()
     }
 
-    /// Whether the (globally evaluated) deadlock watchdog has fired.
-    pub fn deadlocked(&self) -> bool {
-        self.deadlocked
-    }
-
-    /// The merged deadlock diagnostic, when the watchdog fired.
-    pub fn deadlock_report(&self) -> Option<&DeadlockReport> {
-        self.deadlock_report.as_deref()
-    }
-
-    /// What the static pre-flight verifier concluded (run once, on the
-    /// control replica).
-    pub fn static_verdict(&self) -> StaticVerdict {
-        self.control.static_verdict()
-    }
-
-    /// The per-shard flight-recorder rings merged into one canonical event
-    /// stream, when [`TraceConfig::events`] tracing was on.
-    ///
-    /// Each wire's track is taken from its producing-side owner alone — the
-    /// same authority rule the merged statistics use — so boundary wires
-    /// contribute each event exactly once. Events a worker recorded while
-    /// legally overrunning a drained network past the run's end cycle are
-    /// dropped, and the stream is ordered by `(cycle, track)` with
-    /// reassigned sequence numbers: a deterministic, schedule-independent
-    /// export, and a valid single-recorder stream for the Chrome exporter.
-    ///
-    /// [`TraceConfig::events`]: crate::params::TraceConfig::events
-    pub fn merged_events(&self) -> Vec<anton_obs::TraceEvent> {
-        let mut out: Vec<anton_obs::TraceEvent> = Vec::new();
-        for (i, sh) in self.shards.iter().enumerate() {
-            let Some(rec) = sh.recorder() else { continue };
-            for t in 0..rec.num_tracks() as u32 {
-                if self.wire_tx_owner[t as usize] != i as u32 {
-                    continue;
-                }
-                out.extend(
-                    rec.track_events(t)
-                        .filter(|e| e.cycle <= self.end_cycle)
-                        .copied(),
-                );
-            }
-        }
-        out.sort_by_key(|e| (e.cycle, e.track, e.seq));
-        for (seq, e) in out.iter_mut().enumerate() {
-            e.seq = seq as u64;
-        }
-        out
-    }
-
-    /// The per-shard kernel-counter time series summed into the
-    /// machine-wide view, when
-    /// [`TraceConfig::sample_every`](crate::params::TraceConfig::sample_every)
-    /// was non-zero. Windows a worker sampled while overrunning a drained
-    /// network past the end cycle are truncated away.
-    pub fn merged_timeseries(&self) -> Option<anton_obs::TimeSeries> {
-        let parts: Vec<&anton_obs::TimeSeries> =
-            self.shards.iter().filter_map(Sim::timeseries).collect();
-        (!parts.is_empty()).then(|| {
-            let mut ts = anton_obs::TimeSeries::merged(&parts);
-            ts.truncate_after(self.end_cycle);
-            ts
-        })
-    }
-
     /// Per-shard wall-clock nanoseconds split by worker phase
     /// (`compute` / `barrier_wait` / `mailbox` / `merge`, indexed by
     /// [`anton_obs::ShardPhase`]), accumulated across [`run`] calls.
@@ -494,13 +395,6 @@ impl ShardedSim {
             merged.merge(p);
         }
         Some(merged)
-    }
-
-    /// Congestion analysis over [`merged_stalls`](ShardedSim::merged_stalls):
-    /// ranked hotspots, per-cause totals, and root-blocker trees.
-    pub fn congestion_report(&self) -> Option<anton_obs::CongestionReport> {
-        let merged = self.merged_stalls()?;
-        Some(self.shards[0].congestion_report_from(&merged))
     }
 
     /// Merged statistics: delivery-side counters come from the control
@@ -675,7 +569,6 @@ impl ShardedSim {
             .map(|_| Mutex::new(WindowLog::default()))
             .collect();
 
-        let mut pending_deadlock: Option<(u64, u64)> = None;
         let (collected, phases, outcome, end) = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(nshards);
             for (me, (mut sim, mut sub)) in sims.into_iter().zip(subs).enumerate() {
@@ -802,7 +695,7 @@ impl ShardedSim {
                     if live > 0 && !moved {
                         self.idle_cycles += 1;
                         if self.idle_cycles >= watchdog {
-                            pending_deadlock = Some((v, self.idle_cycles));
+                            self.deadlocked = true;
                             result = Some((RunOutcome::Deadlocked, v + 1));
                             break;
                         }
@@ -838,54 +731,13 @@ impl ShardedSim {
                 }
             }
         }
-        // Close each replica's open sample window so merged_timeseries()
-        // keeps the tail of the run (a no-op when sampling is off), and
-        // settle any stall segments still open at the final cycle.
+        // Settle any stall segments still open at the final cycle.
         for sh in &mut self.shards {
-            sh.flush_samples();
             sh.flush_stalls();
-        }
-        if let Some((cycle, idle)) = pending_deadlock {
-            self.deadlocked = true;
-            let report = self.synthesize_deadlock_report(cycle, idle);
-            self.deadlock_report = Some(Box::new(report));
         }
         if let Err(msg) = self.check_invariants() {
             panic!("sharded simulation failed self-check at {outcome:?}: {msg}");
         }
         outcome
-    }
-
-    /// Merges per-shard stalled-state diagnostics into one report, as if
-    /// the serial watchdog had tripped at `cycle`.
-    fn synthesize_deadlock_report(&mut self, cycle: u64, idle_cycles: u64) -> DeadlockReport {
-        let static_verdict = self.control.static_verdict();
-        let mut merged = DeadlockReport {
-            cycle,
-            live_packets: 0,
-            idle_cycles,
-            stalled: Vec::new(),
-            truncated: 0,
-            shim_backlogs: Vec::new(),
-            static_verdict,
-            down_links: Vec::new(),
-        };
-        for sh in &mut self.shards {
-            let r = sh.forced_deadlock_report(cycle, idle_cycles);
-            merged.live_packets += r.live_packets;
-            merged.truncated += r.truncated;
-            merged.stalled.extend(r.stalled);
-            merged.shim_backlogs.extend(r.shim_backlogs);
-            for link in r.down_links {
-                if !merged.down_links.contains(&link) {
-                    merged.down_links.push(link);
-                }
-            }
-        }
-        if merged.stalled.len() > REPORT_CAP {
-            merged.truncated += merged.stalled.len() - REPORT_CAP;
-            merged.stalled.truncate(REPORT_CAP);
-        }
-        merged
     }
 }

@@ -888,23 +888,6 @@ impl Sim {
         &self.export_wires
     }
 
-    /// Builds a deadlock report from the current state as if the watchdog
-    /// tripped at `cycle` after `idle_cycles` idle cycles (the coordinator
-    /// evaluates the watchdog globally and synthesizes the report from each
-    /// shard's stalled state).
-    pub(crate) fn forced_deadlock_report(
-        &mut self,
-        cycle: u64,
-        idle_cycles: u64,
-    ) -> DeadlockReport {
-        let saved = self.fabric.now;
-        self.fabric.now = cycle;
-        self.idle_cycles = idle_cycles;
-        let report = self.build_deadlock_report();
-        self.fabric.now = saved;
-        report
-    }
-
     /// Runs until the driver completes, deadlock, or the cycle budget:
     /// `max_cycles` more cycles, or cycle 2³² − 1 (the last one the head
     /// gate records can represent) if that comes first — either way the
@@ -1278,13 +1261,6 @@ impl Sim {
     /// root-blocker trees), when stall attribution is on. Flush first.
     pub fn congestion_report(&self) -> Option<CongestionReport> {
         let table = self.stall_table()?;
-        Some(self.congestion_report_from(table))
-    }
-
-    /// Builds a congestion report from an explicit stall table with this
-    /// replica's wire labels and link classes (the sharded kernel merges
-    /// per-shard tables first).
-    pub(crate) fn congestion_report_from(&self, table: &StallTable) -> CongestionReport {
         let wires = self.wires();
         let stats = table
             .stalled_wires()
@@ -1300,8 +1276,8 @@ impl Sim {
                 }
             })
             .collect();
-        CongestionReport::build(stats, table.edges(), |w| {
+        Some(CongestionReport::build(stats, table.edges(), |w| {
             wires.label(w as usize).to_string()
-        })
+        }))
     }
 }

@@ -12,7 +12,6 @@ use anton_core::topology::{NodeId, TorusShape};
 use anton_fault::{FaultKind, FaultSchedule};
 use anton_sim::driver::BatchDriver;
 use anton_sim::params::SimParams;
-use anton_sim::shard::ShardedSim;
 use anton_sim::sim::{RunOutcome, Sim};
 use anton_traffic::patterns::UniformRandom;
 use anton_verify::verify_degraded;
@@ -150,13 +149,11 @@ fn sharded_kernel_matches_serial_under_permanent_outage() {
     serial.check_invariants().unwrap();
 
     for shards in [2usize, 4] {
-        let mut sharded = ShardedSim::new(
-            cfg.clone(),
-            SimParams {
-                shards,
-                ..params.clone()
-            },
-        );
+        let mut sharded = Sim::builder()
+            .config(cfg.clone())
+            .params(params.clone())
+            .shards(shards)
+            .build_sharded();
         let mut sdrv = BatchDriver::builder_for(&cfg)
             .pattern(Box::new(UniformRandom))
             .packets_per_endpoint(20)

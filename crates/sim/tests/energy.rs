@@ -16,7 +16,7 @@ use anton_core::packet::{Destination, Packet, Payload};
 use anton_core::topology::{Dim, NodeCoord, Sign, Slice, TorusDir, TorusShape};
 use anton_fault::{FaultKind, FaultSchedule};
 use anton_sim::params::SimParams;
-use anton_sim::shard::{ShardableDriver, ShardedSim};
+use anton_sim::shard::ShardableDriver;
 use anton_sim::sim::{Delivery, Driver, EnergyCounters, RunOutcome, Sim, SimStats};
 use anton_traffic::md::{alternating_variants, halo_dest_set, HaloSpec};
 
@@ -182,7 +182,11 @@ fn run(shards: usize) -> (EnergyCounters, SimStats, u64) {
         sim.check_invariants().unwrap();
         (sim.router_energy(), sim.stats().clone())
     } else {
-        let mut sim = ShardedSim::new(cfg, SimParams { shards, ..params });
+        let mut sim = Sim::builder()
+            .config(cfg)
+            .params(params)
+            .shards(shards)
+            .build_sharded();
         sim.add_multicast_group(group);
         for (src, pkt) in packets {
             sim.inject(src, pkt);

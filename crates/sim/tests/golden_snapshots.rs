@@ -15,10 +15,11 @@
 //! regenerate after an *intentional* behavioral change, run with
 //! `ANTON_UPDATE_SNAPSHOTS=1`.
 //!
-//! Every scenario additionally runs on the sharded parallel kernel
-//! ([`ShardedSim`]) at 1, 2, 4, and 8 shards, and the rendered output must
-//! be byte-identical to the serial kernel's — the sharded kernel's
-//! determinism contract.
+//! The batch, multicast and counted-write scenarios additionally run on the
+//! sharded parallel kernel ([`ShardedSim`]) at 1, 2, 4, and 8 shards, and
+//! the rendered output must be byte-identical to the serial kernel's — the
+//! sharded kernel's determinism contract. The open-loop fault sweep runs on
+//! the serial kernel only.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -312,13 +313,11 @@ fn fig9_round_robin(kernel: Kernel) -> String {
             render("fig9_round_robin", &observe(&sim, outcome), &drv)
         }
         Kernel::Sharded(n) => {
-            let mut sim = ShardedSim::new(
-                cfg,
-                SimParams {
-                    shards: n,
-                    ..params
-                },
-            );
+            let mut sim = Sim::builder()
+                .config(cfg)
+                .params(params)
+                .shards(n)
+                .build_sharded();
             let outcome = sim.run(&mut drv, 2_000_000);
             assert_eq!(outcome, RunOutcome::Completed);
             sim.check_invariants().unwrap();
@@ -354,13 +353,11 @@ fn fig9_inverse_weighted(kernel: Kernel) -> String {
             render("fig9_inverse_weighted", &observe(&sim, outcome), &drv)
         }
         Kernel::Sharded(n) => {
-            let mut sim = ShardedSim::new(
-                cfg,
-                SimParams {
-                    shards: n,
-                    ..params
-                },
-            );
+            let mut sim = Sim::builder()
+                .config(cfg)
+                .params(params)
+                .shards(n)
+                .build_sharded();
             sim.configure(install);
             let outcome = sim.run(&mut drv, 2_000_000);
             assert_eq!(outcome, RunOutcome::Completed);
@@ -375,8 +372,8 @@ fn fig9_inverse_weighted(kernel: Kernel) -> String {
 }
 
 /// Fault-sweep-shaped: open-loop load under a lossy schedule with an outage
-/// window.
-fn fault_sweep(kernel: Kernel) -> String {
+/// window, on the serial kernel.
+fn fault_sweep() -> String {
     let cfg = MachineConfig::new(TorusShape::cube(2));
     let schedule = FaultSchedule::uniform(5, 1e-4).with_fault(
         NodeId(0),
@@ -392,28 +389,11 @@ fn fault_sweep(kernel: Kernel) -> String {
     };
     let inner = LoadDriver::for_config(&cfg, Box::new(UniformRandom), 0.05, 20, 13);
     let mut drv = Recorder::new(inner);
-    match kernel {
-        Kernel::Serial => {
-            let mut sim = Sim::builder().config(cfg).params(params).build();
-            let outcome = sim.run(&mut drv, 10_000_000);
-            assert_eq!(outcome, RunOutcome::Completed);
-            sim.check_invariants().unwrap();
-            render("fault_sweep", &observe(&sim, outcome), &drv)
-        }
-        Kernel::Sharded(n) => {
-            let mut sim = ShardedSim::new(
-                cfg,
-                SimParams {
-                    shards: n,
-                    ..params
-                },
-            );
-            let outcome = sim.run(&mut drv, 10_000_000);
-            assert_eq!(outcome, RunOutcome::Completed);
-            sim.check_invariants().unwrap();
-            render("fault_sweep", &observe_sharded(&sim, outcome), &drv)
-        }
-    }
+    let mut sim = Sim::builder().config(cfg).params(params).build();
+    let outcome = sim.run(&mut drv, 10_000_000);
+    assert_eq!(outcome, RunOutcome::Completed);
+    sim.check_invariants().unwrap();
+    render("fault_sweep", &observe(&sim, outcome), &drv)
 }
 
 /// Driver for the multicast scenario: waits for a fixed delivery count plus
@@ -526,13 +506,11 @@ fn multicast_counted_write(kernel: Kernel) -> String {
             render("multicast_counted_write", &observe(&sim, outcome), &drv)
         }
         Kernel::Sharded(n) => {
-            let mut sim = ShardedSim::new(
-                cfg.clone(),
-                SimParams {
-                    shards: n,
-                    ..SimParams::default()
-                },
-            );
+            let mut sim = Sim::builder()
+                .config(cfg.clone())
+                .params(SimParams::default())
+                .shards(n)
+                .build_sharded();
             sim.add_multicast_group(group);
             sim.set_counter(dst, counter, 3);
             for pkt in packets() {
@@ -565,7 +543,7 @@ fn golden_fig9_inverse_weighted() {
 
 #[test]
 fn golden_fault_sweep() {
-    check("fault_sweep", &fault_sweep(Kernel::Serial));
+    check("fault_sweep", &fault_sweep());
 }
 
 #[test]
@@ -584,11 +562,6 @@ fn sharded_equivalence_fig9_round_robin() {
 #[test]
 fn sharded_equivalence_fig9_inverse_weighted() {
     check_shard_equivalence(fig9_inverse_weighted, &[1, 2, 4, 8]);
-}
-
-#[test]
-fn sharded_equivalence_fault_sweep() {
-    check_shard_equivalence(fault_sweep, &[1, 2, 4, 8]);
 }
 
 #[test]

@@ -27,14 +27,18 @@ fn explicit_config_and_params_certify_through_the_builder() {
 }
 
 /// `.shards()` flows through the builder into the lint engine: AV019
-/// rejects more shards than nodes under the default enforce mode.
+/// rejects more shards than nodes when the sharded kernel is built. The
+/// serial build ignores the count.
 #[test]
-#[should_panic(expected = "static pre-flight verification rejected")]
+#[should_panic(expected = "AV019")]
 fn enforce_mode_rejects_oversharded_machine() {
+    // A 2x2x2 machine has 8 nodes.
+    let serial = Sim::builder().shape(TorusShape::cube(2)).shards(9).build();
+    assert_eq!(serial.static_verdict(), StaticVerdict::CertifiedAcyclic);
     let _ = Sim::builder()
         .shape(TorusShape::cube(2))
-        .shards(9) // a 2x2x2 machine has 8 nodes
-        .build();
+        .shards(9)
+        .build_sharded();
 }
 
 #[test]

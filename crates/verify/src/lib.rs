@@ -28,7 +28,7 @@
 //!   `k ≥ 4`.) The simulator refuses to install anything uncertified
 //!   (`AV020`/`AV021`).
 //! - **Config lint engine** ([`lint_config`], [`lint_params`],
-//!   [`lint_weights`]): ~18 typed checks with stable `AV0xx` codes covering
+//!   [`lint_shards`], [`lint_weights`]): ~18 typed checks with stable `AV0xx` codes covering
 //!   VC budgets, dateline placement, direction-order tables, buffer
 //!   depths, fault schedules, arbiter weights, and tracing configuration. See `crate::lint` for the code table.
 //!
@@ -56,7 +56,7 @@ pub use degraded::{
     build_degraded_tables, certify_family, certify_tables, verify_degraded, DegradedVerdict,
 };
 pub use engine::{build_routing_graph, certify_routing};
-pub use lint::{lint_config, lint_model, lint_params, lint_weights, ParamsView};
+pub use lint::{lint_config, lint_model, lint_params, lint_shards, lint_weights, ParamsView};
 pub use mesh::verify_mesh;
 pub use model::VerifyModel;
 pub use report::{

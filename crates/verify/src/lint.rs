@@ -32,9 +32,8 @@
 //! | AV023 | error    | routing function emits a link its topology cannot address |
 //! | AV101 | error    | unknown traffic pattern / workload name |
 //! | AV102 | error    | torus extent outside `1..=16` |
-//! | AV103 | error    | cannot write an output file |
+//! | AV103 | error    | cannot write an output file, or a flag value outside its valid range |
 //! | AV104 | error    | traffic places no load on any torus channel: no saturation rate, or no other node to reach |
-//! | AV105 | error    | instruments the chosen kernel cannot run (the flight recorder on the sharded kernel) |
 
 use anton_analysis::weights::ArbiterWeightSet;
 use anton_core::chip::{LinkGroup, MeshCoord, NUM_ROUTERS};
@@ -77,8 +76,6 @@ pub struct ParamsView<'a> {
     pub trace_events: bool,
     /// Flight-recorder ring capacity (events).
     pub trace_ring_capacity: usize,
-    /// Worker shards of the parallel kernel (`1` = serial).
-    pub shards: usize,
 }
 
 /// Lints the machine configuration proper (topology, VC budget, routing
@@ -329,31 +326,35 @@ pub fn lint_params(cfg: &MachineConfig, view: &ParamsView<'_>) -> Vec<Diagnostic
         ));
     }
 
-    // AV019: the sharded kernel assigns one contiguous node sub-brick per
-    // shard, so the count must be 1..=num_nodes.
-    if view.shards == 0 {
-        out.push(Diagnostic::error("AV019", "shard count is zero").with("shards", 0));
-    } else if view.shards > cfg.shape.num_nodes() {
-        out.push(
-            Diagnostic::error(
-                "AV019",
-                format!(
-                    "{} shards exceed the {}-node machine — a shard needs at \
-                     least one node",
-                    view.shards,
-                    cfg.shape.num_nodes()
-                ),
-            )
-            .with("shards", view.shards)
-            .with("nodes", cfg.shape.num_nodes()),
-        );
-    }
-
     if let Some(fault) = view.fault {
         lint_fault(cfg, fault, &mut out);
     }
 
     out
+}
+
+/// Lints the shard count of the sharded kernel (AV019): it assigns one
+/// contiguous node sub-brick per shard, so the count must be
+/// `1..=num_nodes`.
+pub fn lint_shards(cfg: &MachineConfig, shards: usize) -> Option<Diagnostic> {
+    let nodes = cfg.shape.num_nodes();
+    if shards == 0 {
+        Some(Diagnostic::error("AV019", "shard count is zero").with("shards", 0))
+    } else if shards > nodes {
+        Some(
+            Diagnostic::error(
+                "AV019",
+                format!(
+                    "{shards} shards exceed the {nodes}-node machine — a shard needs at \
+                     least one node"
+                ),
+            )
+            .with("shards", shards)
+            .with("nodes", nodes),
+        )
+    } else {
+        None
+    }
 }
 
 fn lint_fault(cfg: &MachineConfig, fault: &FaultSchedule, out: &mut Vec<Diagnostic>) {

@@ -12,7 +12,7 @@ use anton_core::topology::{Dim, NodeId, Sign, Slice, TorusDir, TorusShape};
 use anton_core::vc::VcPolicy;
 use anton_fault::{FaultKind, FaultSchedule};
 use anton_sim::params::SimParams;
-use anton_verify::{lint_config, lint_params, lint_weights, ParamsView, Severity};
+use anton_verify::{lint_config, lint_params, lint_shards, lint_weights, ParamsView, Severity};
 
 fn codes(diags: &[anton_verify::Diagnostic]) -> Vec<&'static str> {
     diags.iter().map(|d| d.code).collect()
@@ -115,20 +115,14 @@ fn av016_m_bits_range() {
 #[test]
 fn av019_shard_count_bounds() {
     let cfg = default_cfg();
-    let mut view = default_view();
-    view.shards = 0;
-    let diags = lint_params(&cfg, &view);
-    let zero = diags.iter().find(|d| d.code == "AV019").expect("AV019");
-    assert_eq!(zero.severity, Severity::Error);
+    let zero = lint_shards(&cfg, 0).expect("AV019");
+    assert_eq!((zero.code, zero.severity), ("AV019", Severity::Error));
 
     // One shard per node is the maximum a 4x4x4 machine admits.
-    let mut view = default_view();
-    view.shards = 64;
-    assert!(!codes(&lint_params(&cfg, &view)).contains(&"AV019"));
-    view.shards = 65;
-    let diags = lint_params(&cfg, &view);
-    let over = diags.iter().find(|d| d.code == "AV019").expect("AV019");
-    assert_eq!(over.severity, Severity::Error);
+    assert!(lint_shards(&cfg, 1).is_none());
+    assert!(lint_shards(&cfg, 64).is_none());
+    let over = lint_shards(&cfg, 65).expect("AV019");
+    assert_eq!((over.code, over.severity), ("AV019", Severity::Error));
 }
 
 fn x_plus_link() -> (NodeId, ChanId) {

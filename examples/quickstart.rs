@@ -31,7 +31,7 @@ fn main() {
         &ArbiterSetup::RoundRobin,
         sat,
         1,
-        RunOptions::default(),
+        TraceConfig::default(),
     )
     .point;
     println!(

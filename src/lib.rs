@@ -48,9 +48,7 @@ pub mod prelude {
     pub use anton_analysis::load::LoadAnalysis;
     pub use anton_analysis::weights::ArbiterWeightSet;
     pub use anton_bench::harness::{ExperimentSpec, Measurement, SweepPoint, Value};
-    pub use anton_bench::{
-        run_batch, saturation_rate, ArbiterSetup, BatchRun, FlagSet, RunOptions,
-    };
+    pub use anton_bench::{run_batch, saturation_rate, ArbiterSetup, BatchRun, FlagSet};
     pub use anton_core::config::MachineConfig;
     pub use anton_core::pattern::TrafficPattern;
     pub use anton_core::topology::TorusShape;
@@ -59,7 +57,7 @@ pub mod prelude {
         BatchDriver, BatchDriverBuilder, LoadDriver, PayloadKind, PingPongDriver, RateDriver,
     };
     pub use anton_sim::metrics::{LinkClass, Metrics};
-    pub use anton_sim::params::SimParams;
+    pub use anton_sim::params::{SimParams, TraceConfig};
     pub use anton_sim::sim::{Delivery, Driver, RunOutcome, Sim, SimStats};
     pub use anton_traffic::patterns::{
         BitComplement, Blend, NHopNeighbor, NodePermutation, ReverseTornado, Tornado, Transpose,
