@@ -8,21 +8,21 @@
 //! * [`weights`] — inverse arbiter weight derivation (Section 3.3);
 //! * [`worstcase`] — the direction-order routing search over worst-case
 //!   switching demands (Section 2.4, Figure 4, equation (1));
-//! * [`deadlock`] — VC dependency graphs and cycle detection (Section 2.5);
 //! * [`fit`] — least-squares fitting and fairness statistics used by the
 //!   measurement reproductions.
+//!
+//! The Section 2.5 dependency graph is `anton-verify`'s: its route
+//! enumerator and its symbolic certifier write one graph type.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod deadlock;
 pub mod fit;
 pub mod load;
 pub mod weights;
 pub mod worstcase;
 
-pub use deadlock::{build_unicast_dep_graph, DepGraph, RouteEnumeration};
 pub use fit::{jain_fairness, least_squares, linear_fit};
 pub use load::LoadAnalysis;
 pub use weights::ArbiterWeightSet;

@@ -57,6 +57,7 @@ fn main() {
     for &pct in &steps {
         require(pct <= 100, "fractions-pct", pct, "0..=100 percent");
     }
+    require(threads > 0, "threads", threads, "at least 1 worker");
 
     println!("## Figure 10 — blended tornado / reverse tornado ({k}x{k}x{k}, {batch} pkts/core)");
     println!();

@@ -29,6 +29,7 @@ fn main() {
         packets,
         "at least 2 packets per point",
     );
+    require(threads > 0, "threads", threads, "at least 1 worker");
 
     println!("## Figure 13 — router energy per flit vs injection rate");
     println!();

@@ -51,6 +51,7 @@ fn main() {
     for &batch in &batches {
         require(batch > 0, "batches", batch, "at least 1 packet per core");
     }
+    require(threads > 0, "threads", threads, "at least 1 worker");
 
     println!("## Figure 9 — throughput beyond saturation ({k}x{k}x{k} torus, 16 cores/node)");
     println!();

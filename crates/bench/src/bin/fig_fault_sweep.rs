@@ -146,6 +146,7 @@ fn main() {
     for &ber in &bers {
         require((0.0..=1.0).contains(&ber), "bers", ber, "[0, 1]");
     }
+    require(threads > 0, "threads", threads, "at least 1 worker");
 
     println!("## Fault sweep — lossy torus links ({k}x{k}x{k} torus, 16 cores/node)");
     println!();

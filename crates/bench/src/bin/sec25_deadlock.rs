@@ -1,21 +1,23 @@
 //! Section 2.5: deadlock avoidance.
 //!
-//! Builds the full unicast VC dependency graph for the Anton n+1-VC
-//! promotion algorithm, the prior 2n-VC scheme, and the single-VC negative
-//! control, reporting acyclicity and VC budgets — then demonstrates the
+//! Enumerates every unicast route into the VC dependency graph
+//! (`anton_verify::enumerate_routes`) for the Anton n+1-VC promotion
+//! algorithm, the prior 2n-VC scheme, and the single-VC negative control,
+//! reporting acyclicity and VC budgets — then demonstrates the
 //! negative control actually deadlocking (and Anton draining) in live
 //! simulation.
 
-use anton_analysis::deadlock::{build_unicast_dep_graph, RouteEnumeration};
 use anton_bench::{checked_cube, FlagSet};
 use anton_core::chip::LinkGroup;
 use anton_core::config::MachineConfig;
+use anton_core::net::TorusTopology;
 use anton_core::topology::TorusShape;
 use anton_core::vc::VcPolicy;
 use anton_sim::driver::BatchDriver;
 use anton_sim::params::{PreflightMode, SimParams};
 use anton_sim::sim::Sim;
 use anton_traffic::patterns::NodePermutation;
+use anton_verify::{enumerate_routes, RouteEnumeration};
 
 fn main() {
     let args = FlagSet::new(
@@ -35,19 +37,22 @@ fn main() {
     for policy in [VcPolicy::Anton, VcPolicy::Baseline2n, VcPolicy::NaiveSingle] {
         let mut cfg = MachineConfig::new(shape);
         cfg.vc_policy = policy;
-        let graph = build_unicast_dep_graph(&cfg, &RouteEnumeration::default());
+        let topo = TorusTopology::new(&cfg);
+        let graph = enumerate_routes(&topo, &cfg, &RouteEnumeration::default());
         let cycle = graph.find_cycle();
         println!(
             "{:<16} {:>6} {:>6} {:>10} {:>10} {:>9}",
             policy.to_string(),
             policy.num_vcs(LinkGroup::M),
             policy.num_vcs(LinkGroup::T),
-            graph.num_nodes(),
+            graph.num_live_nodes(),
             graph.num_edges(),
             if cycle.is_none() { "yes" } else { "NO" }
         );
         if let Some(c) = cycle {
-            println!("    cycle of length {} through {} ...", c.len(), c[0].0);
+            let c = graph.minimize_cycle(c);
+            let (link, _) = graph.decode(c[0]);
+            println!("    cycle of length {} through {link} ...", c.len());
         }
     }
     println!();

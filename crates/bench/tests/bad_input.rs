@@ -104,7 +104,7 @@ fn shards_is_an_unknown_flag() {
 /// is built, naming the flag and the range.
 #[test]
 fn a_flag_value_out_of_range_is_av103() {
-    let cases: [(&str, &[&str], &str); 10] = [
+    let cases: [(&str, &[&str], &str); 14] = [
         (
             env!("CARGO_BIN_EXE_fig9_throughput"),
             &["--k", "2", "--batches", "0"],
@@ -154,6 +154,26 @@ fn a_flag_value_out_of_range_is_av103() {
             env!("CARGO_BIN_EXE_fig13_energy"),
             &["--packets", "0"],
             "--packets",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig9_throughput"),
+            &["--k", "2", "--threads", "0"],
+            "--threads",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig10_blend"),
+            &["--k", "4", "--batch", "4", "--threads", "0"],
+            "--threads",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig13_energy"),
+            &["--threads", "0"],
+            "--threads",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig_fault_sweep"),
+            &["--k", "2", "--threads", "0"],
+            "--threads",
         ),
     ];
     for (bin, args, flag) in cases {

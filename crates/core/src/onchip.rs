@@ -182,6 +182,28 @@ mod tests {
     }
 
     #[test]
+    fn mesh_dependencies_strictly_rise() {
+        // A packet holding one mesh hop while requesting the next always
+        // raises (direction rank, position along that direction), so the
+        // single-VC mesh dependency graph of every order is acyclic.
+        for order in DirOrder::all() {
+            let key = |at: MeshCoord, d: MeshDir| {
+                let rank = order.dirs().iter().position(|&x| x == d).unwrap();
+                let (du, dv) = d.delta();
+                (rank, du * at.u as i8 + dv * at.v as i8)
+            };
+            for a in MeshCoord::all() {
+                for b in MeshCoord::all() {
+                    let hops = order.route(a, b);
+                    let path = order.router_path(a, b);
+                    let keys: Vec<_> = path.iter().zip(&hops).map(|(&at, &d)| key(at, d)).collect();
+                    assert!(keys.windows(2).all(|w| w[0] < w[1]), "{order}: {a}->{b}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn anton_order_is_v_minus_first() {
         assert_eq!(
             DirOrder::ANTON.dirs(),

@@ -1,18 +1,23 @@
-//! Dense `(channel, VC)` dependency graph for the symbolic verifier.
+//! The `(channel, VC)` dependency graph of Section 2.5 — the one graph
+//! every deadlock verdict reads.
 //!
-//! The symbolic construction visits millions of edges on a full-size
-//! machine, so unlike [`anton_analysis::deadlock::DepGraph`] (which interns
-//! nodes through a `HashMap`), this graph addresses every possible
-//! `(link, VC)` pair arithmetically through a
-//! [`Topology`](anton_core::net::Topology): each node of the machine
-//! contributes a fixed block of link slots, and an index is
-//! `(node · slots + slot) · vcs + vc`. Absent pairs simply keep an empty
-//! adjacency list. The graph itself is topology-agnostic — the same
+//! The certification engine ([`crate::engine`]) — torus, full mesh and
+//! degraded tables alike — and the route enumerator it is cross-checked
+//! against ([`crate::deadlock::enumerate_routes`]) both write into a
+//! [`SymGraph`], and [`SymGraph::find_cycle`] is the one cycle search. A
+//! full-size machine has millions of edges, so the graph interns nothing:
+//! it addresses every possible `(link, VC)` pair arithmetically through a
+//! [`Topology`]: each node of the machine contributes a fixed block of link
+//! slots, and an index is `(node · slots + slot) · vcs + vc`. Absent pairs
+//! simply keep an empty adjacency list. The graph itself is topology-agnostic — the same
 //! structure certifies a torus and a full mesh.
 
 use anton_core::net::Topology;
 use anton_core::trace::GlobalLink;
 use anton_core::vc::Vc;
+
+/// A node of the dependency graph: a directed channel and a VC on it.
+pub type ChannelVc = (GlobalLink, Vc);
 
 /// A dependency graph over every addressable `(link, VC)` pair of one
 /// topology, with adjacency stored densely by arithmetic index.
@@ -50,7 +55,7 @@ impl<'t> SymGraph<'t> {
     }
 
     /// Inverse of [`SymGraph::index`].
-    pub fn decode(&self, idx: u32) -> (GlobalLink, Vc) {
+    pub fn decode(&self, idx: u32) -> ChannelVc {
         let idx = idx as usize;
         let vc = Vc((idx % self.vcs) as u8);
         let rest = idx / self.vcs;
@@ -64,7 +69,7 @@ impl<'t> SymGraph<'t> {
 
     /// Adds one dependency edge (idempotent). Panics on unaddressable
     /// endpoints; the engine validates links before insertion.
-    pub fn add_edge(&mut self, from: (GlobalLink, Vc), to: (GlobalLink, Vc)) {
+    pub fn add_edge(&mut self, from: ChannelVc, to: ChannelVc) {
         let f = self.index(&from.0, from.1);
         let t = self.index(&to.0, to.1);
         self.add_edge_idx(f, t);
@@ -100,7 +105,7 @@ impl<'t> SymGraph<'t> {
     }
 
     /// Iterates every edge as decoded `(from, to)` pairs.
-    pub fn edges(&self) -> impl Iterator<Item = ((GlobalLink, Vc), (GlobalLink, Vc))> + '_ {
+    pub fn edges(&self) -> impl Iterator<Item = (ChannelVc, ChannelVc)> + '_ {
         self.adj.iter().enumerate().flat_map(move |(f, tos)| {
             tos.iter()
                 .map(move |&t| (self.decode(f as u32), self.decode(t)))
@@ -108,8 +113,7 @@ impl<'t> SymGraph<'t> {
     }
 
     /// Finds a dependency cycle, if one exists, as the index sequence around
-    /// the cycle (same three-color iterative DFS as the enumerating
-    /// checker, over the dense index space).
+    /// the cycle (three-color iterative DFS over the dense index space).
     pub fn find_cycle(&self) -> Option<Vec<u32>> {
         #[derive(Clone, Copy, PartialEq)]
         enum Color {

@@ -13,8 +13,10 @@
 //!   instantiated with dimension-order torus routing — all dimension
 //!   orders, dateline-crossing patterns, and slices at once, without
 //!   enumerating routes. A cross-check mode ([`cross_check`]) compares the
-//!   symbolic graph edge-for-edge against the route-enumerating checker in
-//!   `anton-analysis` on small machines.
+//!   symbolic graph edge-for-edge against the route enumerator
+//!   ([`enumerate_routes`]) on small machines; both live in [`deadlock`].
+//!   The symbolic engine and the enumerator write the one dependency graph
+//!   type, [`graph::SymGraph`], and read its one cycle search.
 //! - **Full-mesh certification** ([`verify_mesh`]): the first non-torus
 //!   instance — proves single-hop mesh routing deadlock-free with zero
 //!   VCs, and extracts concrete cycle witnesses from the deliberately
@@ -28,9 +30,10 @@
 //!   `k ≥ 4`.) The simulator refuses to install anything uncertified
 //!   (`AV020`/`AV021`).
 //! - **Config lint engine** ([`lint_config`], [`lint_params`],
-//!   [`lint_shards`], [`lint_weights`]): ~18 typed checks with stable `AV0xx` codes covering
-//!   VC budgets, dateline placement, direction-order tables, buffer
-//!   depths, fault schedules, arbiter weights, and tracing configuration. See `crate::lint` for the code table.
+//!   [`lint_shards`], [`lint_weights`]): 18 typed checks with stable `AV0xx`
+//!   codes covering VC budgets, dateline placement, buffer depths, fault
+//!   schedules, arbiter weights, and tracing configuration. See
+//!   `crate::lint` for the code table.
 //!
 //! The simulator runs [`preflight`] during construction (fail-fast by
 //! default), the experiment harness verifies configurations before
@@ -41,6 +44,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod deadlock;
 pub mod degraded;
 pub mod engine;
 pub mod graph;
@@ -50,19 +54,20 @@ pub mod model;
 pub mod report;
 pub mod symbolic;
 
-pub use anton_analysis::deadlock::{ChannelVc, RouteEnumeration};
 pub use anton_core::net::{RoutePath, RoutingFunction, Topology};
+pub use deadlock::{cross_check, enumerate_routes, full_enumeration, CrossCheck, RouteEnumeration};
 pub use degraded::{
     build_degraded_tables, certify_family, certify_tables, verify_degraded, DegradedVerdict,
 };
 pub use engine::{build_routing_graph, certify_routing};
+pub use graph::ChannelVc;
 pub use lint::{lint_config, lint_model, lint_params, lint_shards, lint_weights, ParamsView};
 pub use mesh::verify_mesh;
 pub use model::VerifyModel;
 pub use report::{
     CycleCounterexample, DeadlockCertificate, Diagnostic, Severity, VerifyReport, WitnessRoute,
 };
-pub use symbolic::{certify, cross_check, full_enumeration, CrossCheck};
+pub use symbolic::certify;
 
 use anton_core::config::MachineConfig;
 

@@ -10,8 +10,8 @@
 //! | AV001 | error    | VC budget below the `n+1` the shape needs |
 //! | AV002 | error    | channel-dependency cycle (symbolic verifier) |
 //! | AV003 | error    | dateline promotion disabled on a wrapping torus |
-//! | AV004 | error    | direction-order routing fails to converge |
-//! | AV005 | error    | on-chip mesh dependency cycle |
+//! | AV004 | —        | retired, not reused (a `DirOrder` converges by construction) |
+//! | AV005 | —        | retired, not reused (a `DirOrder`'s mesh graph is acyclic by construction) |
 //! | AV006 | error    | VC count does not fit the 16-entry wire mask |
 //! | AV007 | error    | zero router / torus buffer depth |
 //! | AV008 | warning  | torus buffers below the retransmission BDP |
@@ -36,7 +36,7 @@
 //! | AV104 | error    | traffic places no load on any torus channel: no saturation rate, or no other node to reach |
 
 use anton_analysis::weights::ArbiterWeightSet;
-use anton_core::chip::{LinkGroup, MeshCoord, NUM_ROUTERS};
+use anton_core::chip::LinkGroup;
 use anton_core::config::MachineConfig;
 use anton_core::timing::{TORUS_LINK_CYCLES, TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
 use anton_fault::{FaultKind, FaultSchedule};
@@ -78,9 +78,13 @@ pub struct ParamsView<'a> {
     pub trace_ring_capacity: usize,
 }
 
-/// Lints the machine configuration proper (topology, VC budget, routing
-/// tables). Deadlock certification (AV002) is separate — see
-/// [`crate::verify_model`].
+/// Lints the machine configuration proper (topology, VC budget).
+/// Deadlock certification (AV002) is separate — see
+/// [`crate::verify_model`]. The on-chip direction order needs no lint: a
+/// `DirOrder` is a permutation of the four mesh directions by construction,
+/// so it reaches every router in its Manhattan distance, and each mesh
+/// dependency strictly raises (direction rank, position along that
+/// direction), so the mesh alone has no dependency cycle.
 pub fn lint_config(cfg: &MachineConfig) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let n = usable_dim_count(cfg);
@@ -124,60 +128,6 @@ pub fn lint_config(cfg: &MachineConfig) -> Vec<Diagnostic> {
         }
     }
 
-    // AV004: the direction-order table must route every router pair within
-    // the mesh diameter (6 hops on a 4x4 mesh).
-    let mut bad_pairs = 0usize;
-    for a in MeshCoord::all() {
-        for b in MeshCoord::all() {
-            let mut cur = a;
-            let mut steps = 0;
-            while let Some(d) = cfg.dir_order.next_dir(cur, b) {
-                match cur.step(d) {
-                    Some(next) => cur = next,
-                    None => break,
-                }
-                steps += 1;
-                if steps > 6 {
-                    break;
-                }
-            }
-            if cur != b {
-                bad_pairs += 1;
-            }
-        }
-    }
-    if bad_pairs > 0 {
-        out.push(
-            Diagnostic::error(
-                "AV004",
-                format!(
-                    "direction order {} fails to route {bad_pairs} router pair(s) \
-                     within the mesh diameter",
-                    cfg.dir_order
-                ),
-            )
-            .with("dir_order", cfg.dir_order)
-            .with("bad_pairs", bad_pairs),
-        );
-    }
-
-    // AV005: single-VC direction-order mesh routing must itself be
-    // deadlock-free on one generic chip. Build the (router, direction) link
-    // dependency graph over all router-pair routes and check acyclicity.
-    if let Some(cycle_len) = mesh_dep_cycle(cfg) {
-        out.push(
-            Diagnostic::error(
-                "AV005",
-                format!(
-                    "direction order {} creates an on-chip mesh dependency cycle \
-                     of length {cycle_len}",
-                    cfg.dir_order
-                ),
-            )
-            .with("dir_order", cfg.dir_order),
-        );
-    }
-
     out
 }
 
@@ -186,66 +136,6 @@ fn usable_dim_count(cfg: &MachineConfig) -> u8 {
         .iter()
         .filter(|d| cfg.shape.k(**d) > 1)
         .count() as u8
-}
-
-/// Cycle check over the on-chip mesh links of one generic node under the
-/// configured direction order. Returns the cycle length if one exists.
-fn mesh_dep_cycle(cfg: &MachineConfig) -> Option<usize> {
-    // Link index: from.index() * 4 + dir.index() (64 mesh links).
-    let n = NUM_ROUTERS * 4;
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for a in MeshCoord::all() {
-        for b in MeshCoord::all() {
-            let mut cur = a;
-            let mut prev: Option<usize> = None;
-            while let Some(d) = cfg.dir_order.next_dir(cur, b) {
-                let idx = cur.index() * 4 + d.index();
-                if let Some(p) = prev {
-                    if !adj[p].contains(&idx) {
-                        adj[p].push(idx);
-                    }
-                }
-                prev = Some(idx);
-                cur = cur.step(d)?;
-            }
-        }
-    }
-    // Three-color DFS.
-    #[derive(Clone, Copy, PartialEq)]
-    enum C {
-        W,
-        G,
-        B,
-    }
-    let mut color = vec![C::W; n];
-    let mut depth_of = vec![0usize; n];
-    for s in 0..n {
-        if color[s] != C::W {
-            continue;
-        }
-        let mut stack = vec![(s, 0usize)];
-        color[s] = C::G;
-        depth_of[s] = 0;
-        while let Some(&mut (u, ref mut ei)) = stack.last_mut() {
-            if *ei < adj[u].len() {
-                let v = adj[u][*ei];
-                *ei += 1;
-                match color[v] {
-                    C::W => {
-                        color[v] = C::G;
-                        depth_of[v] = stack.len();
-                        stack.push((v, 0));
-                    }
-                    C::G => return Some(stack.len() - depth_of[v]),
-                    C::B => {}
-                }
-            } else {
-                color[u] = C::B;
-                stack.pop();
-            }
-        }
-    }
-    None
 }
 
 /// Model-level lints: [`lint_config`] plus checks that depend on the

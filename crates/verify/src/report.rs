@@ -8,11 +8,12 @@
 
 use std::fmt;
 
-use anton_analysis::deadlock::ChannelVc;
 use anton_core::config::GlobalEndpoint;
 use anton_core::net::RoutePath;
 use anton_obs::json::Json;
 use anton_obs::link_json::link_to_json;
+
+use crate::graph::ChannelVc;
 
 /// How serious a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

@@ -1,31 +1,23 @@
 //! Torus instantiation of the symbolic certification engine.
 //!
-//! The enumerating checker in `anton-analysis` builds the VC dependency
-//! graph by tracing every concrete route (all sources × destinations ×
-//! dimension orders × slices × tie-breaks) — `O(N²)` traces for `N` nodes.
-//! The symbolic engine ([`crate::engine`]) builds the *same* graph in
-//! `O(machine size)` from the abstract transition system of
+//! The symbolic engine ([`crate::engine`]) builds the VC dependency graph
+//! in `O(machine size)` from the abstract transition system of
 //! [`anton_core::dimorder::DimOrderRouting`]: a packet's VC-promotion state
 //! between torus dimensions is fully captured by `(m_vc, routed-dimension
 //! mask)`, so a breadth-first walk over a handful of abstract states covers
-//! every route the machine can carry. The cross-check tests compare edge
-//! sets verbatim against the enumeration on small machines; the 8×8×8
-//! default certifies in well under a second.
+//! every route the machine can carry, without tracing any of them. The
+//! 8×8×8 default certifies in well under a second. The route enumerator
+//! it is cross-checked against lives in [`crate::deadlock`].
 //!
 //! This module is the torus-flavored front door: it translates a
 //! [`VerifyModel`] (config + dateline/long-arc knobs) into the
 //! topology/routing-function pair the engine consumes and preserves the
-//! historical `certify`/`cross_check` API.
+//! historical `certify` API.
 
-use std::collections::HashSet;
-
-use anton_analysis::deadlock::{build_unicast_dep_graph, ChannelVc, RouteEnumeration};
-use anton_core::config::MachineConfig;
 use anton_core::dimorder::DimOrderRouting;
 use anton_core::net::TorusTopology;
 
-use crate::engine::{build_routing_graph, certify_routing};
-use crate::graph::SymGraph;
+use crate::engine::certify_routing;
 use crate::model::VerifyModel;
 use crate::report::DeadlockCertificate;
 
@@ -55,66 +47,4 @@ pub fn certify(model: &VerifyModel) -> DeadlockCertificate {
         "torus routing broke its envelope: {diags:?}"
     );
     cert
-}
-
-/// Result of cross-checking the symbolic construction against the
-/// route-enumerating checker.
-#[derive(Debug, Clone)]
-pub struct CrossCheck {
-    /// Verdict of the symbolic graph.
-    pub symbolic_acyclic: bool,
-    /// Verdict of the enumerated graph.
-    pub enumerated_acyclic: bool,
-    /// Symbolic edge count (after dedup).
-    pub symbolic_edges: usize,
-    /// Enumerated edge count.
-    pub enumerated_edges: usize,
-    /// Every enumerated edge appears in the symbolic graph (must always
-    /// hold — the enumeration samples endpoints, the symbolic graph covers
-    /// all of them).
-    pub enumerated_subset_of_symbolic: bool,
-    /// The two edge sets are identical (expected exactly when `en`
-    /// enumerates every endpoint).
-    pub edges_equal: bool,
-}
-
-impl CrossCheck {
-    /// Whether the two engines agree on the deadlock verdict.
-    pub fn verdicts_agree(&self) -> bool {
-        self.symbolic_acyclic == self.enumerated_acyclic
-    }
-}
-
-/// Cross-checks the symbolic graph against
-/// [`anton_analysis::deadlock::build_unicast_dep_graph`] on the same
-/// configuration.
-pub fn cross_check(cfg: &MachineConfig, en: &RouteEnumeration) -> CrossCheck {
-    let model = VerifyModel::new(cfg.clone());
-    let topo = TorusTopology::new(cfg);
-    let rf = model_routing(&model);
-    let mut diags = Vec::new();
-    let g: SymGraph<'_> = build_routing_graph(&topo, &[&rf], &mut diags);
-    debug_assert!(diags.is_empty(), "{diags:?}");
-    let sym: HashSet<(ChannelVc, ChannelVc)> = g.edges().collect();
-    let enumerated = build_unicast_dep_graph(cfg, en);
-    let enu: HashSet<(ChannelVc, ChannelVc)> = enumerated.edges().collect();
-    CrossCheck {
-        symbolic_acyclic: g.find_cycle().is_none(),
-        enumerated_acyclic: enumerated.find_cycle().is_none(),
-        symbolic_edges: sym.len(),
-        enumerated_edges: enu.len(),
-        enumerated_subset_of_symbolic: enu.is_subset(&sym),
-        edges_equal: sym == enu,
-    }
-}
-
-/// A [`RouteEnumeration`] covering every endpoint — makes the enumerated
-/// graph exactly the full unicast dependency graph, so
-/// [`cross_check`] must report `edges_equal` (only tractable on tiny tori).
-pub fn full_enumeration(cfg: &MachineConfig) -> RouteEnumeration {
-    let eps: Vec<u8> = (0..cfg.chip.num_endpoints()).collect();
-    RouteEnumeration {
-        src_endpoints: eps.clone(),
-        dst_endpoints: eps,
-    }
 }

@@ -1,5 +1,5 @@
 //! Cross-checks of the symbolic dependency-graph construction against the
-//! route-enumerating checker in `anton-analysis`.
+//! route enumerator (`enumerate_routes`).
 //!
 //! The symbolic graph is claimed to be *exactly* the union of all unicast
 //! route dependency edges. These tests pin that claim:
@@ -7,8 +7,10 @@
 //! - on tiny machines, the symbolic edge set must equal the full
 //!   enumeration (every endpoint pair) edge for edge;
 //! - on every torus up to 4×4×4 (and degenerate/rectangular shapes), the
-//!   verdict must agree with `build_unicast_dep_graph`, and the sampled
-//!   enumeration must be a subset of the symbolic graph.
+//!   verdict must agree with the enumeration, and the sampled enumeration
+//!   must be a subset of the symbolic graph;
+//! - the enumerated verdicts are Section 2.5's: the n+1 and 2n policies are
+//!   acyclic on every shape, the single-VC control cyclic even at k = 2.
 
 use anton_core::config::MachineConfig;
 use anton_core::topology::TorusShape;
@@ -72,8 +74,13 @@ fn verdicts_agree_on_cubes_up_to_4() {
                 cc.enumerated_subset_of_symbolic,
                 "k={k} {policy}: enumeration found an edge the symbolic graph lacks"
             );
-            // The safe policies must actually certify; the naive one must not.
+            // The safe policies must actually certify; the naive one must not,
+            // even at k = 2 where no ring wraps: its M-group VC is shared
+            // before and after each torus dimension, closing cycles through
+            // the mesh (M → T_x → M → T_y → …).
             let expect_acyclic = policy != VcPolicy::NaiveSingle;
+            assert!(cc.enumerated_edges > 0, "k={k} {policy}");
+            assert_eq!(cc.enumerated_acyclic, expect_acyclic, "k={k} {policy}");
             assert_eq!(cc.symbolic_acyclic, expect_acyclic, "k={k} {policy}");
         }
     }
@@ -92,6 +99,7 @@ fn verdicts_agree_on_degenerate_and_rectangular_shapes() {
             let cc = cross_check(&cfg, &sampled());
             assert!(cc.verdicts_agree(), "{shape} {policy}");
             assert!(cc.enumerated_subset_of_symbolic, "{shape} {policy}");
+            assert!(cc.enumerated_acyclic, "{shape} {policy}");
             assert!(cc.symbolic_acyclic, "{shape} {policy}");
         }
     }

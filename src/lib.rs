@@ -11,8 +11,9 @@
 //! * [`anton_fault`] — fault injection: deterministic lossy-link schedules
 //!   and the go-back-N shim embedded in the simulator's torus channels;
 //! * [`anton_traffic`] — evaluation traffic patterns and MD workloads;
-//! * [`anton_analysis`] — channel loads, worst-case search, weights,
-//!   deadlock graphs;
+//! * [`anton_analysis`] — channel loads, worst-case search, weights;
+//! * [`anton_verify`] — the Section 2.5 dependency graph (route enumeration
+//!   and symbolic certification), deadlock certificates and config lints;
 //! * [`anton_sim`] — the cycle-driven flit-level simulator;
 //! * [`anton_energy`] — the router energy model and measurement;
 //! * [`anton_area`] — the silicon area model;
@@ -76,3 +77,4 @@ pub use anton_link;
 pub use anton_pack;
 pub use anton_sim;
 pub use anton_traffic;
+pub use anton_verify;

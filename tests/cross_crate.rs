@@ -1,17 +1,18 @@
 //! Cross-crate integration tests: the offline analyses, the simulator, and
 //! the models must agree with each other.
 
-use anton2::anton_analysis::deadlock::{build_unicast_dep_graph, RouteEnumeration};
 use anton2::anton_analysis::load::LoadAnalysis;
 use anton2::anton_analysis::weights::ArbiterWeightSet;
 use anton2::anton_bench::torus_capacity;
 use anton2::anton_core::config::MachineConfig;
+use anton2::anton_core::net::TorusTopology;
 use anton2::anton_core::topology::TorusShape;
 use anton2::anton_core::trace::GlobalLink;
 use anton2::anton_sim::driver::BatchDriver;
 use anton2::anton_sim::params::SimParams;
 use anton2::anton_sim::sim::{RunOutcome, Sim};
 use anton2::anton_traffic::patterns::UniformRandom;
+use anton2::anton_verify::{enumerate_routes, RouteEnumeration};
 
 /// The simulator's measured per-link flit counts should track the analytic
 /// expected loads: same busiest-link class, high correlation.
@@ -62,7 +63,9 @@ fn simulated_link_traffic_tracks_analytic_loads() {
 #[test]
 fn default_configuration_is_deadlock_free_end_to_end() {
     let cfg = MachineConfig::new(TorusShape::cube(3));
-    let graph = build_unicast_dep_graph(
+    let topo = TorusTopology::new(&cfg);
+    let graph = enumerate_routes(
+        &topo,
         &cfg,
         &RouteEnumeration {
             src_endpoints: vec![0],
