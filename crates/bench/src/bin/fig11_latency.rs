@@ -4,7 +4,7 @@
 //! reports (80.7 ns fixed + 39.1 ns/hop).
 
 use anton_analysis::fit::linear_fit;
-use anton_bench::{checked_torus, FlagSet};
+use anton_bench::{checked_torus, require, FlagSet};
 use anton_core::chip::LocalEndpointId;
 use anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton_core::topology::NodeCoord;
@@ -22,6 +22,7 @@ fn main() {
     .parse();
     let k: u8 = args.get("k");
     let legs: u32 = args.get("legs");
+    require(legs > 0, "legs", legs, "> 0");
     let cfg = MachineConfig::new(checked_torus(k, "ping-pong"));
 
     println!("## Figure 11 — one-way message latency vs inter-node hops ({k}x{k}x{k})");

@@ -8,7 +8,7 @@
 //! the text table.
 
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
-use anton_bench::{values, FlagSet};
+use anton_bench::{require, values, FlagSet};
 use anton_link::channel::{LinkParams, LinkSim};
 use anton_link::gobackn::GoBackNConfig;
 use rand::rngs::StdRng;
@@ -27,6 +27,10 @@ fn main() {
     let slots: u64 = args.get("slots");
     let bers = args.flist("bers");
     let seed: u64 = args.get("seed");
+    require(slots > 0, "slots", slots, "> 0");
+    for &ber in &bers {
+        require((0.0..=1.0).contains(&ber), "bers", ber, "[0, 1]");
+    }
     println!("## Section 2.2 — torus channel link layer (8 x 14 Gb/s SerDes)");
     println!();
     let base = LinkParams::default();

@@ -146,10 +146,10 @@ impl Driver for SourceFinish {
 /// # Panics
 ///
 /// Panics if `batch` is zero, if the run deadlocks or exceeds the cycle
-/// budget, if the static pre-flight verification inside [`Sim::builder`]
-/// rejects the configuration, or if an [`ArbiterSetup::InverseWeighted`]
-/// weight set fails its lints (AV016) — every experiment fails fast on a
-/// broken setup rather than measuring it.
+/// budget, or if the pre-run gate of [`Sim::builder`] rejects the
+/// configuration or an [`ArbiterSetup::InverseWeighted`] weight set
+/// (AV016) — every experiment fails fast on a broken setup rather than
+/// measuring it.
 pub fn run_batch(
     cfg: &MachineConfig,
     components: Vec<(Box<dyn TrafficPattern>, f64)>,
@@ -159,18 +159,6 @@ pub fn run_batch(
     seed: u64,
     trace: TraceConfig,
 ) -> BatchRun {
-    let weights = match setup {
-        ArbiterSetup::InverseWeighted(w) => {
-            let diags = anton_verify::lint_weights(w);
-            assert!(
-                diags.is_empty(),
-                "arbiter weight set failed verification:\n{}",
-                diags.iter().map(|d| format!("{d}\n")).collect::<String>()
-            );
-            Some(w)
-        }
-        _ => None,
-    };
     let params = SimParams {
         arbiter: match setup {
             ArbiterSetup::RoundRobin => ArbiterKind::RoundRobin,
@@ -190,10 +178,11 @@ pub fn run_batch(
         remaining: vec![batch; n],
         finish: vec![0; n],
     };
-    let mut sim = Sim::builder().config(cfg.clone()).params(params).build();
-    if let Some(w) = weights {
-        sim.install_weights(w);
+    let mut builder = Sim::builder().config(cfg.clone()).params(params);
+    if let ArbiterSetup::InverseWeighted(w) = setup {
+        builder = builder.weights(w.clone());
     }
+    let mut sim = builder.build();
     let outcome = sim.run(&mut driver, 600_000_000);
     sim.flush_samples();
     sim.flush_stalls();

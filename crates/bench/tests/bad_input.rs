@@ -104,7 +104,7 @@ fn shards_is_an_unknown_flag() {
 /// is built, naming the flag and the range.
 #[test]
 fn a_flag_value_out_of_range_is_av103() {
-    let cases: [(&str, &[&str], &str); 14] = [
+    let cases: [(&str, &[&str], &str); 18] = [
         (
             env!("CARGO_BIN_EXE_fig9_throughput"),
             &["--k", "2", "--batches", "0"],
@@ -174,6 +174,22 @@ fn a_flag_value_out_of_range_is_av103() {
             env!("CARGO_BIN_EXE_fig_fault_sweep"),
             &["--k", "2", "--threads", "0"],
             "--threads",
+        ),
+        (env!("CARGO_BIN_EXE_sec22_link"), &["--bers", "2"], "--bers"),
+        (
+            env!("CARGO_BIN_EXE_sec22_link"),
+            &["--bers", "-1"],
+            "--bers",
+        ),
+        (
+            env!("CARGO_BIN_EXE_sec22_link"),
+            &["--slots", "0"],
+            "--slots",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig11_latency"),
+            &["--k", "2", "--legs", "0"],
+            "--legs",
         ),
     ];
     for (bin, args, flag) in cases {

@@ -1,11 +1,14 @@
-//! Fluent construction of simulators.
+//! Fluent construction of simulators, and the one pre-run gate.
 //!
-//! [`Sim::builder`] is the one supported way to stand up a simulator. The
-//! builder gathers the machine shape, parameter overrides, and optional
-//! traffic patterns, then validates the whole configuration through the
-//! `anton-verify` lint engine at [`build`](SimBuilder::build) time — every
-//! rejection carries a stable `AVnnn` diagnostic code instead of a panic
-//! deep inside construction.
+//! [`Sim::builder`] is the one supported way to stand up a simulator. At
+//! [`build`](SimBuilder::build) time everything decided before cycle 0 is
+//! decided once, for either kernel: the configuration and parameter lints
+//! with the VC deadlock certificate, the reroute tables of the fault
+//! schedule's `Down` epochs (certified as one union by
+//! [`anton_verify::verify_degraded_epochs`]) and the weight lints (AV016)
+//! form one report, to which one function applies [`PreflightMode`]. Every
+//! rejection carries a stable `AVnnn` code; `Sim::construct` only
+//! assembles what the gate settled.
 //!
 //! Everything [`SimParams`] holds is set through
 //! [`params`](SimBuilder::params), with struct-update syntax over the
@@ -26,11 +29,10 @@
 //! assert_eq!(sim.now(), 0);
 //! ```
 //!
-//! When the arbiter is [`ArbiterKind::InverseWeighted`], supplying the
-//! expected traffic via [`traffic`](SimBuilder::traffic) makes `build()`
-//! run the offline load analysis, lint the resulting weight tables
-//! (AV016), and program every arbitration point — the boilerplate the
-//! experiment binaries used to repeat by hand.
+//! With an [`ArbiterKind::InverseWeighted`] arbiter, expected traffic
+//! ([`traffic`](SimBuilder::traffic)) makes `build()` run the offline load
+//! analysis and program every arbitration point; a caller that holds a
+//! weight set passes it with [`weights`](SimBuilder::weights) instead.
 
 use anton_analysis::load::LoadAnalysis;
 use anton_analysis::weights::ArbiterWeightSet;
@@ -38,10 +40,12 @@ use anton_arbiter::ArbiterKind;
 use anton_core::config::MachineConfig;
 use anton_core::pattern::TrafficPattern;
 use anton_core::topology::TorusShape;
+use anton_verify::VerifyReport;
 
+use crate::fabric::DegradedState;
 use crate::params::{PreflightMode, SimParams};
 use crate::shard::{ShardPlan, ShardedSim};
-use crate::sim::Sim;
+use crate::sim::{Sim, StaticVerdict};
 
 /// Fluent builder for [`Sim`] and [`ShardedSim`]; see the
 /// [module docs](self).
@@ -49,6 +53,7 @@ pub struct SimBuilder {
     cfg: MachineConfig,
     params: SimParams,
     traffic: Vec<Box<dyn TrafficPattern>>,
+    weights: Option<ArbiterWeightSet>,
     shards: usize,
 }
 
@@ -58,6 +63,7 @@ impl std::fmt::Debug for SimBuilder {
             .field("shape", &self.cfg.shape)
             .field("params", &self.params)
             .field("traffic_patterns", &self.traffic.len())
+            .field("weights", &self.weights.is_some())
             .field("shards", &self.shards)
             .finish()
     }
@@ -71,6 +77,7 @@ impl Sim {
             cfg: MachineConfig::new(TorusShape::cube(2)),
             params: SimParams::default(),
             traffic: Vec::new(),
+            weights: None,
             shards: 1,
         }
     }
@@ -114,6 +121,14 @@ impl SimBuilder {
         self
     }
 
+    /// A precomputed arbiter weight set to program at every arbitration
+    /// point it covers, for callers that share one set across simulators.
+    /// Building panics if [`traffic`](SimBuilder::traffic) was also given.
+    pub fn weights(mut self, set: ArbiterWeightSet) -> SimBuilder {
+        self.weights = Some(set);
+        self
+    }
+
     /// Worker shards of the parallel kernel. Honored by
     /// [`build_sharded`](SimBuilder::build_sharded);
     /// [`build`](SimBuilder::build) constructs the serial kernel and ignores
@@ -127,22 +142,12 @@ impl SimBuilder {
     ///
     /// # Panics
     ///
-    /// With the default [`PreflightMode::Enforce`], panics if the lint
-    /// engine reports any error-severity diagnostic (`AV0xx`) against the
-    /// configuration, parameters, or computed arbiter weights.
-    pub fn build(self) -> Sim {
-        let SimBuilder {
-            cfg,
-            params,
-            traffic,
-            ..
-        } = self;
-        let weights = computed_weights(&cfg, &params, &traffic);
-        let mut sim = Sim::construct(cfg, params, None);
-        if let Some(set) = &weights {
-            sim.install_weights(set);
-        }
-        sim
+    /// With the default [`PreflightMode::Enforce`], panics if the pre-run
+    /// gate reports any error-severity diagnostic (`AV0xx`) against the
+    /// configuration, parameters, degraded route tables or arbiter weights.
+    pub fn build(mut self) -> Sim {
+        let pre = self.pre_run();
+        Sim::construct(self.cfg, self.params, &pre, None)
     }
 
     /// Builds the sharded parallel simulator with the configured
@@ -155,27 +160,109 @@ impl SimBuilder {
     /// [`PreflightMode`], if the shard count is zero or exceeds the node
     /// count (lint `AV019`).
     pub fn build_sharded(self) -> ShardedSim {
-        let SimBuilder {
-            cfg,
-            params,
-            traffic,
-            shards,
-        } = self;
-        if let Some(d) = anton_verify::lint_shards(&cfg, shards) {
+        if let Some(d) = anton_verify::lint_shards(&self.cfg, self.shards) {
             panic!("cannot build the sharded kernel: {d}");
         }
-        let weights = computed_weights(&cfg, &params, &traffic);
-        let plan = ShardPlan::contiguous(cfg.shape.num_nodes(), shards);
-        let mut sim = ShardedSim::with_plan(cfg, params, plan);
-        if let Some(set) = weights {
-            sim.configure(|s| s.install_weights(&set));
+        let plan = ShardPlan::contiguous(self.cfg.shape.num_nodes(), self.shards);
+        self.build_on(plan)
+    }
+
+    /// Builds the sharded kernel over an explicit plan: the gate runs once,
+    /// and every replica assembles its decisions.
+    pub(crate) fn build_on(mut self, plan: ShardPlan) -> ShardedSim {
+        let pre = self.pre_run();
+        ShardedSim::assemble(self.cfg, self.params, plan, &pre)
+    }
+
+    /// The one pre-run gate (see the [module docs](self)): resolves the
+    /// weights, gathers every check into one report and applies the
+    /// preflight mode to it.
+    fn pre_run(&mut self) -> PreRun {
+        let (cfg, params) = (&self.cfg, &self.params);
+        assert!(
+            self.weights.is_none() || self.traffic.is_empty(),
+            "SimBuilder: pass arbiter weights either precomputed (.weights) or \
+             derived from expected traffic (.traffic), not both"
+        );
+        let weights = self
+            .weights
+            .take()
+            .or_else(|| computed_weights(cfg, params, &self.traffic));
+        if params.preflight == PreflightMode::Off {
+            return PreRun {
+                weights,
+                ..PreRun::default()
+            };
         }
-        sim
+        let mut report = anton_verify::verify_config(cfg);
+        report
+            .diagnostics
+            .extend(anton_verify::lint_params(cfg, &params.verify_view()));
+        let timeline = params
+            .fault
+            .as_ref()
+            .and_then(|schedule| DegradedState::timeline(cfg.shape, schedule));
+        let has_downs = timeline.is_some();
+        let degraded = timeline.and_then(|(dg, sets)| {
+            let verdict = anton_verify::verify_degraded_epochs(cfg, &sets);
+            let certified = verdict.certified();
+            report.diagnostics.extend(verdict.diagnostics);
+            certified.then(|| Box::new(dg.with_tables(verdict.tables)))
+        });
+        if let Some(set) = &weights {
+            report.diagnostics.extend(anton_verify::lint_weights(set));
+        }
+        apply_mode(&report, params.preflight);
+        if has_downs && degraded.is_none() {
+            eprintln!("anton-sim pre-flight: degraded route tables not installed");
+        }
+        let verdict = match report.certificate.as_ref() {
+            Some(c) if c.acyclic => StaticVerdict::CertifiedAcyclic,
+            Some(_) => StaticVerdict::PredictedDeadlock,
+            None => StaticVerdict::Unknown,
+        };
+        PreRun {
+            verdict,
+            degraded,
+            weights,
+        }
     }
 }
 
-/// Computes and lints inverse-arbitration weights when the configuration
-/// calls for them.
+/// What the pre-run gate settled: the static verdict, the degraded-routing
+/// timeline with its certified tables (`None` without `Down` windows, with
+/// preflight off, or when certification failed) and the weights.
+#[derive(Default)]
+pub(crate) struct PreRun {
+    pub(crate) verdict: StaticVerdict,
+    pub(crate) degraded: Option<Box<DegradedState>>,
+    pub(crate) weights: Option<ArbiterWeightSet>,
+}
+
+/// Applies a [`PreflightMode`] other than `Off` to the gate's report:
+/// under `Enforce` any error panics, once, with every diagnostic in the
+/// message; otherwise every diagnostic is printed once.
+fn apply_mode(report: &VerifyReport, mode: PreflightMode) {
+    if report.has_errors() && mode == PreflightMode::Enforce {
+        let text: String = report
+            .diagnostics
+            .iter()
+            .map(|d| format!("{d}\n"))
+            .collect();
+        panic!(
+            "static pre-flight verification rejected this configuration \
+             ({}):\n{text}set SimParams::preflight to PreflightMode::WarnOnly \
+             to run it anyway",
+            report.summary()
+        );
+    }
+    for d in &report.diagnostics {
+        eprintln!("anton-sim pre-flight: {d}");
+    }
+}
+
+/// Computes inverse-arbitration weights from the expected traffic when the
+/// configuration calls for them.
 fn computed_weights(
     cfg: &MachineConfig,
     params: &SimParams,
@@ -192,22 +279,5 @@ fn computed_weights(
         .map(|p| LoadAnalysis::compute(cfg, p.as_ref()))
         .collect();
     let refs: Vec<&LoadAnalysis> = analyses.iter().collect();
-    let set = ArbiterWeightSet::compute(cfg, &refs, m_bits);
-    if params.preflight != PreflightMode::Off {
-        let diags = anton_verify::lint_weights(&set);
-        let errors = diags
-            .iter()
-            .filter(|d| d.severity == anton_verify::Severity::Error)
-            .count();
-        for d in &diags {
-            eprintln!("anton-sim pre-flight: {d}");
-        }
-        if errors > 0 && params.preflight == PreflightMode::Enforce {
-            panic!(
-                "computed arbiter weight set failed lint with {errors} error(s); \
-                 set preflight to PreflightMode::WarnOnly to run it anyway"
-            );
-        }
-    }
-    Some(set)
+    Some(ArbiterWeightSet::compute(cfg, &refs, m_bits))
 }

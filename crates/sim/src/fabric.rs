@@ -23,11 +23,11 @@ use anton_core::route_table::{DownLinkSet, RouteTable};
 use anton_core::routing::RouteSpec;
 use anton_core::topology::{Dim, NodeId, Slice, TorusDir, TorusShape};
 use anton_core::vc::{TrafficClass, VcState};
-use anton_fault::{FaultKind, ShimEvent};
+use anton_fault::{FaultKind, FaultSchedule, ShimEvent};
 use anton_obs::{ChannelKind, FlightRecorder, StallCause, StallTable, TimeSeries, TraceEventKind};
 
 use crate::metrics::ArbiterGrantCounts;
-use crate::params::{PreflightMode, SimParams, TraceConfig};
+use crate::params::{SimParams, TraceConfig};
 use crate::sim::{Delivery, SimStats};
 use crate::state::{ColdState, PacketId, PacketSlab, PacketState, RouteProgress};
 use crate::wake::Scheduler;
@@ -240,28 +240,29 @@ pub(crate) fn stamp_meta(class: TrafficClass, vcs: VcState, arrived_via: Option<
 
 /// One epoch of the degradation timeline: a maximal interval over which the
 /// set of down links is constant.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct DegradedEpoch {
     /// First cycle of the epoch.
     start: u64,
     /// Links down throughout the epoch.
     downs: DownLinkSet,
-    /// Installed table set while this epoch is current (`None` when no
-    /// links are down: healthy randomized spec routing applies).
+    /// Index of this epoch's down set, whose tables route while it is
+    /// current (`None` when no links are down: healthy randomized spec
+    /// routing applies).
     set: Option<usize>,
 }
 
-/// Runtime state of fault-aware degraded routing, built at construction
-/// from the fault schedule's `Down` windows and only present when at least
-/// one exists. Every table set referenced here passed the explicit
-/// certification gate ([`anton_verify::certify_tables`] over the union of
-/// all sets) before install — the simulator refuses to route over
+/// Runtime state of fault-aware degraded routing: the epoch timeline of the
+/// fault schedule's `Down` windows and the route tables of each distinct
+/// down set. The builder derives the timeline ([`DegradedState::timeline`]),
+/// certifies the union of every set's tables and only then attaches them
+/// ([`DegradedState::with_tables`]) — the simulator never routes over
 /// uncertified tables.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct DegradedState {
-    /// Unique certified table sets (one [`RouteTable`] per slice, in slice
-    /// order); epochs with identical down-link sets share a set.
-    table_sets: Vec<Vec<RouteTable>>,
+    /// One [`RouteTable`] per slice for each down set, set by set in slice
+    /// order; epochs with identical down-link sets share a set.
+    tables: Vec<RouteTable>,
     /// Epochs in ascending `start` order; `epochs[0].start == 0`.
     epochs: Vec<DegradedEpoch>,
     /// Index of the epoch covering the current cycle.
@@ -269,29 +270,15 @@ pub(crate) struct DegradedState {
 }
 
 impl DegradedState {
-    /// Builds the degraded-routing timeline from the fault schedule's `Down`
-    /// windows: the timeline splits into epochs over which the down-link set
-    /// is constant, each distinct non-empty set gets one route-table set
-    /// (generated by `anton-verify`), and the **union** of every set's
-    /// tables must pass the explicit deadlock certifier before anything is
-    /// installed — traffic pinned to different epochs' tables shares the
-    /// network in flight, so the mixed system is what has to be acyclic.
-    ///
-    /// Returns `None` when the schedule has no `Down` windows (BER-only
-    /// schedules keep the pure go-back-N recovery path) or preflight is
-    /// `Off` (the user opted out of verification, and uncertified tables
-    /// are never installed). When generation or certification fails,
-    /// [`PreflightMode::Enforce`] panics at construction; `WarnOnly` runs
-    /// without tables, leaving outage diagnosis to the legacy watchdog.
-    pub(crate) fn build(
-        cfg: &MachineConfig,
-        params: &SimParams,
-        quiet: bool,
-    ) -> Option<Box<DegradedState>> {
-        let schedule = params.fault.as_ref()?;
-        if params.preflight == PreflightMode::Off {
-            return None;
-        }
+    /// The degradation timeline of `schedule`'s `Down` windows, tables not
+    /// yet attached, with its distinct non-empty down sets in set-index
+    /// order: the run splits into epochs over which the down-link set is
+    /// constant. `None` without `Down` windows (BER-only schedules keep the
+    /// pure go-back-N recovery path).
+    pub(crate) fn timeline(
+        shape: TorusShape,
+        schedule: &FaultSchedule,
+    ) -> Option<(DegradedState, Vec<DownLinkSet>)> {
         let mut windows: Vec<(NodeId, ChanId, u64, u64)> = Vec::new();
         for f in &schedule.faults {
             if let FaultKind::Down {
@@ -316,79 +303,39 @@ impl DegradedState {
         }
         boundaries.sort_unstable();
         boundaries.dedup();
-        let mut table_sets: Vec<Vec<RouteTable>> = Vec::new();
-        let mut set_keys: Vec<Vec<(NodeId, ChanId)>> = Vec::new();
+        let mut sets: Vec<DownLinkSet> = Vec::new();
         let mut epochs: Vec<DegradedEpoch> = Vec::new();
-        let mut problems: Vec<String> = Vec::new();
         for &b in &boundaries {
-            let mut downs = DownLinkSet::empty(cfg.shape);
+            let mut downs = DownLinkSet::empty(shape);
             for &(n, c, from, until) in &windows {
                 if from <= b && b < until {
                     downs.insert(n, c);
                 }
             }
-            let set = if downs.is_empty() {
-                None
-            } else {
-                let key: Vec<(NodeId, ChanId)> = downs.iter().collect();
-                let idx = match set_keys.iter().position(|k| *k == key) {
-                    Some(i) => i,
-                    None => {
-                        let (tables, diags) = anton_verify::build_degraded_tables(cfg, &downs);
-                        for d in &diags {
-                            if d.severity == anton_verify::Severity::Error {
-                                problems.push(d.to_string());
-                            }
-                        }
-                        set_keys.push(key);
-                        table_sets.push(tables);
-                        table_sets.len() - 1
-                    }
-                };
-                Some(idx)
-            };
+            let set = (!downs.is_empty()).then(|| {
+                sets.iter().position(|s| *s == downs).unwrap_or_else(|| {
+                    sets.push(downs.clone());
+                    sets.len() - 1
+                })
+            });
             epochs.push(DegradedEpoch {
                 start: b,
                 downs,
                 set,
             });
         }
-        if problems.is_empty() {
-            let union: Vec<RouteTable> = table_sets.iter().flatten().cloned().collect();
-            let cert = anton_verify::certify_tables(cfg, &union);
-            if !cert.acyclic {
-                problems.push(format!(
-                    "degraded route tables failed deadlock certification \
-                     ({} channel-VC nodes, {} edges, dependency cycle found)",
-                    cert.nodes, cert.edges
-                ));
-            }
-        }
-        if !problems.is_empty() {
-            let mut text = String::new();
-            for p in &problems {
-                text.push_str(&format!("{p}\n"));
-            }
-            if params.preflight == PreflightMode::Enforce {
-                panic!(
-                    "cannot install certified reroutes for this fault \
-                     schedule:\n{text}set SimParams::preflight to \
-                     PreflightMode::WarnOnly to run with the legacy outage \
-                     watchdog instead"
-                );
-            }
-            if !quiet {
-                for p in &problems {
-                    eprintln!("anton-sim degraded routing: {p} (tables not installed)");
-                }
-            }
-            return None;
-        }
-        Some(Box::new(DegradedState {
-            table_sets,
+        let timeline = DegradedState {
+            tables: Vec::new(),
             epochs,
             cur: 0,
-        }))
+        };
+        Some((timeline, sets))
+    }
+
+    /// Attaches the certified tables: one per slice for each down set of
+    /// the timeline, set by set.
+    pub(crate) fn with_tables(self, tables: Vec<RouteTable>) -> DegradedState {
+        DegradedState { tables, ..self }
     }
 }
 
@@ -426,8 +373,8 @@ pub(crate) struct Fabric {
     /// Multicast groups, indexed by `McGroupId.0`.
     mc_groups: Vec<Option<McGroup>>,
     /// Fault-aware degraded routing: the epoch timeline and certified
-    /// table sets built from the schedule's `Down` windows. `None` without
-    /// Down windows (or with preflight off).
+    /// tables of the schedule's `Down` windows. `None` without Down
+    /// windows, with preflight off, or when the tables failed the gate.
     degraded: Option<Box<DegradedState>>,
     pub(crate) stats: SimStats,
     pub(crate) grants: ArbiterGrantCounts,
@@ -808,7 +755,7 @@ impl Fabric {
             let epoch = &dg.epochs[dg.cur];
             if let Some(set) = epoch.set {
                 if reentry || spec_hits_down(shape, node, &spec, &epoch.downs) {
-                    let table = &dg.table_sets[set][usize::from(spec.slice.0)];
+                    let table = &dg.tables[set * Slice::ALL.len() + usize::from(spec.slice.0)];
                     return (table.route(node, dst), true);
                 }
             }

@@ -87,9 +87,10 @@ impl TraceConfig {
     }
 }
 
-/// What simulator construction (`Sim::builder().build()`) does with the result of the
-/// static pre-flight verification (`anton-verify` lints plus symbolic
-/// deadlock certification of the configured VC policy).
+/// What the builder's one pre-run gate (`build()` / `build_sharded()`) does
+/// with its report: the `anton-verify` lints, the symbolic deadlock
+/// certification of the configured VC policy, the degraded route tables of
+/// the fault schedule's `Down` epochs and the arbiter weight lints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PreflightMode {
     /// Run the verifier and panic on any error-severity diagnostic before
@@ -98,11 +99,12 @@ pub enum PreflightMode {
     /// and the static report is far more actionable than a watchdog trip.
     #[default]
     Enforce,
-    /// Run the verifier, print every diagnostic to stderr, and continue.
-    /// For experiments that *intend* to run a broken configuration (e.g.
+    /// Run the verifier, print every diagnostic to stderr, and continue
+    /// without any degraded route tables it rejected. For experiments that *intend* to run a broken configuration (e.g.
     /// demonstrating that a single-VC torus deadlocks).
     WarnOnly,
-    /// Skip verification entirely; the static verdict stays `Unknown`.
+    /// Skip verification entirely; the static verdict stays `Unknown` and
+    /// no degraded route tables are installed.
     Off,
 }
 

@@ -64,6 +64,7 @@ use anton_core::timing::TORUS_LINK_CYCLES;
 use anton_core::topology::NodeId;
 use anton_core::trace::GlobalLink;
 
+use crate::builder::PreRun;
 use crate::metrics::{ArbiterGrantCounts, Metrics};
 use crate::params::{SimParams, TraceConfig};
 use crate::sim::{Delivery, Driver, EnergyCounters, RunOutcome, Sim, SimStats};
@@ -249,8 +250,8 @@ struct WindowLog {
 /// The driver-facing surface mirrors [`Sim`]: build it (through
 /// [`SimBuilder::build_sharded`](crate::builder::SimBuilder::build_sharded),
 /// or [`with_plan`](ShardedSim::with_plan) for an explicit partition),
-/// optionally [`configure`](ShardedSim::configure) /
-/// [`inject`](ShardedSim::inject) / [`set_counter`](ShardedSim::set_counter),
+/// optionally [`inject`](ShardedSim::inject) /
+/// [`set_counter`](ShardedSim::set_counter),
 /// then [`run`](ShardedSim::run) with a [`ShardableDriver`] and read the
 /// merged statistics, metrics, stall table and phase times.
 #[derive(Debug)]
@@ -272,40 +273,39 @@ pub struct ShardedSim {
 }
 
 impl ShardedSim {
-    /// Builds a sharded simulation over an explicit [`ShardPlan`].
-    ///
-    /// The static pre-flight verification runs once (on the control
-    /// replica) under the caller's
-    /// [`PreflightMode`](crate::params::PreflightMode); shard replicas skip
-    /// it.
+    /// Builds a sharded simulation over an explicit [`ShardPlan`], through
+    /// the same pre-run gate as
+    /// [`SimBuilder::build_sharded`](crate::builder::SimBuilder::build_sharded).
     pub fn with_plan(cfg: MachineConfig, params: SimParams, plan: ShardPlan) -> ShardedSim {
+        Sim::builder().config(cfg).params(params).build_on(plan)
+    }
+
+    /// Assembles the replicas from one gate's decisions: every shard gets
+    /// the verdict, a copy of the certified degraded tables and the weights.
+    pub(crate) fn assemble(
+        cfg: MachineConfig,
+        params: SimParams,
+        plan: ShardPlan,
+        pre: &PreRun,
+    ) -> ShardedSim {
         assert_eq!(
             plan.num_nodes(),
             cfg.shape.num_nodes(),
             "shard plan does not cover the machine"
         );
         let fault_present = params.fault.is_some();
-        // The control replica never steps: it exists for preflight (run
-        // once, under the caller's policy), for driver callbacks during
-        // replay, and as the keeper of the merged delivery statistics.
-        // Tracing and energy counting on it would only waste memory.
+        // The control replica never steps: it exists for driver callbacks
+        // during replay and as the keeper of the merged delivery
+        // statistics. Tracing, energy counting, tables and weights on it
+        // would only waste memory.
         let mut control_params = params.clone();
         control_params.trace = TraceConfig::default();
         control_params.track_energy = false;
-        let control = Sim::construct(cfg.clone(), control_params, None);
-        // Replicas keep the caller's preflight mode: `Sim::construct` skips
-        // the static pre-flight for them (the control replica above ran it
-        // once), but the mode still governs whether degraded route tables
-        // are built — every replica must reach the serial run's
-        // install-or-reject decision.
-        let shard_params = params;
+        let control = Sim::construct(cfg.clone(), control_params, &PreRun::default(), None);
         let shards: Vec<Sim> = (0..plan.num_shards())
             .map(|me| {
-                Sim::construct(
-                    cfg.clone(),
-                    shard_params.clone(),
-                    Some(&ShardAssignment { plan: &plan, me }),
-                )
+                let assign = ShardAssignment { plan: &plan, me };
+                Sim::construct(cfg.clone(), params.clone(), pre, Some(&assign))
             })
             .collect();
         let wires = control.wires();
@@ -328,15 +328,6 @@ impl ShardedSim {
             idle_cycles: 0,
             deadlocked: false,
             phase_ns: Vec::new(),
-        }
-    }
-
-    /// Applies a configuration closure to every shard replica (arbiter
-    /// weight installation and similar pre-run setup; the closure must be
-    /// deterministic and is applied to each replica in shard order).
-    pub fn configure(&mut self, mut f: impl FnMut(&mut Sim)) {
-        for sh in &mut self.shards {
-            f(sh);
         }
     }
 

@@ -45,9 +45,10 @@ use anton_obs::{
 };
 
 use crate::adapter::{Adapters, ChanWires};
+use crate::builder::PreRun;
 use crate::endpoint::Endpoints;
-use crate::fabric::{CompRef, Ctx, DegradedState, Fabric};
-use crate::params::{PreflightMode, SimParams, ADAPTER_PIPELINE, ROUTER_PIPELINE};
+use crate::fabric::{CompRef, Ctx, Fabric};
+use crate::params::{SimParams, ADAPTER_PIPELINE, ROUTER_PIPELINE};
 use crate::router::{PortWiring, Routers};
 use crate::state::{PacketId, RouteProgress};
 use crate::wire::{BoundaryRole, BufEntry, WireSpec, Wires, LAST_CYCLE};
@@ -210,7 +211,7 @@ pub struct StalledVc {
 
 /// What the static pre-flight verifier concluded about the configuration
 /// before the run started (see
-/// [`PreflightMode`](crate::params::PreflightMode)).
+/// [`SimParams::preflight`](crate::params::SimParams::preflight)).
 ///
 /// Embedded in [`DeadlockReport`] so a watchdog trip is immediately
 /// classifiable: a trip on a `PredictedDeadlock` config is the static
@@ -218,7 +219,7 @@ pub struct StalledVc {
 /// simulator diverged from the verified model — a model or simulator bug.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum StaticVerdict {
-    /// Verification did not run (`PreflightMode::Off`).
+    /// Verification did not run (pre-flight off).
     #[default]
     Unknown,
     /// The symbolic channel-dependency graph was certified acyclic.
@@ -444,28 +445,19 @@ impl std::fmt::Debug for Sim {
 }
 
 impl Sim {
-    /// Builds the simulator, optionally as one shard replica of a
-    /// [`crate::shard::ShardedSim`]: a full-machine instance whose boundary
-    /// torus wires divert traffic through the inter-shard mailboxes and
-    /// whose run-loop control lives on the coordinator.
+    /// Assembles the simulator from what the builder's pre-run gate
+    /// settled — the static verdict, the certified degraded-routing
+    /// timeline and the arbiter weights to program — optionally as one
+    /// shard replica of a [`crate::shard::ShardedSim`]: a full-machine
+    /// instance whose boundary torus wires divert traffic through the
+    /// inter-shard mailboxes and whose run-loop control lives on the
+    /// coordinator.
     pub(crate) fn construct(
         cfg: MachineConfig,
         params: SimParams,
+        pre: &PreRun,
         shard: Option<&crate::shard::ShardAssignment<'_>>,
     ) -> Sim {
-        // Shard replicas skip the static pre-flight (the coordinator's
-        // control replica ran it once) but must still build the degraded
-        // tables — the construction is deterministic, so every replica
-        // reaches the same install-or-reject decision the control replica
-        // (and a serial run) did. `quiet` keeps the rejection warnings from
-        // repeating once per shard.
-        let is_replica = shard.is_some();
-        let static_verdict = if is_replica {
-            StaticVerdict::Unknown
-        } else {
-            Self::run_preflight(&cfg, &params)
-        };
-        let degraded = DegradedState::build(&cfg, &params, is_replica);
         let nodes = cfg.shape.num_nodes();
         let policy = cfg.vc_policy;
 
@@ -636,8 +628,14 @@ impl Sim {
                 producer[to_router] = me;
             }
         }
-        Sim {
-            fabric: Fabric::new(wires, (consumer, producer), counts, &params, degraded),
+        let mut sim = Sim {
+            fabric: Fabric::new(
+                wires,
+                (consumer, producer),
+                counts,
+                &params,
+                pre.degraded.clone(),
+            ),
             cfg,
             params,
             record_routes: false,
@@ -649,14 +647,18 @@ impl Sim {
             idle_cycles: 0,
             deadlocked: false,
             deadlock_report: None,
-            static_verdict,
+            static_verdict: pre.verdict,
             export_wires,
             import_wires,
             external_control: shard.is_some(),
+        };
+        if let Some(set) = &pre.weights {
+            sim.install_weights(set);
         }
+        sim
     }
 
-    /// Programs a computed weight set at every arbitration point it covers:
+    /// Programs a weight set at every arbitration point it covers:
     /// router output arbiters, router input (SA1) VC arbiters and
     /// channel-adapter serializers. Arbiters the set leaves unprogrammed
     /// keep their current weights. The set's dense arbiter indices are the
@@ -668,7 +670,7 @@ impl Sim {
     /// Panics if the set addresses a port the router does not have, or a
     /// table's lane count differs from its arbiter's — the set was computed
     /// for another machine configuration.
-    pub fn install_weights(&mut self, set: &ArbiterWeightSet) {
+    fn install_weights(&mut self, set: &ArbiterWeightSet) {
         let program = |arbiter: &mut BitsetArbiter, table: Vec<Vec<u32>>| {
             assert_eq!(table.len(), arbiter.num_lanes(), "weight table lanes");
             *arbiter = BitsetArbiter::inverse_weighted(table, set.m_bits);
@@ -1092,36 +1094,6 @@ impl Sim {
     /// configuration at construction time.
     pub fn static_verdict(&self) -> StaticVerdict {
         self.static_verdict
-    }
-
-    /// Runs the `anton-verify` pre-flight according to
-    /// [`SimParams::preflight`](crate::params::SimParams::preflight).
-    fn run_preflight(cfg: &MachineConfig, params: &SimParams) -> StaticVerdict {
-        if params.preflight == PreflightMode::Off {
-            return StaticVerdict::Unknown;
-        }
-        let report = anton_verify::preflight(cfg, &params.verify_view());
-        let verdict = match report.certificate.as_ref() {
-            Some(c) if c.acyclic => StaticVerdict::CertifiedAcyclic,
-            Some(_) => StaticVerdict::PredictedDeadlock,
-            None => StaticVerdict::Unknown,
-        };
-        if report.has_errors() && params.preflight == PreflightMode::Enforce {
-            let mut text = String::new();
-            for d in &report.diagnostics {
-                text.push_str(&format!("{d}\n"));
-            }
-            panic!(
-                "static pre-flight verification rejected this configuration \
-                 ({}):\n{text}set SimParams::preflight to PreflightMode::WarnOnly \
-                 to run it anyway",
-                report.summary()
-            );
-        }
-        for d in &report.diagnostics {
-            eprintln!("anton-sim pre-flight: {d}");
-        }
-        verdict
     }
 
     fn build_deadlock_report(&mut self) -> DeadlockReport {

@@ -8,10 +8,10 @@
 use anton_core::chip::ChanId;
 use anton_core::config::MachineConfig;
 use anton_core::route_table::DownLinkSet;
-use anton_core::topology::{NodeId, TorusShape};
+use anton_core::topology::{Dim, NodeCoord, NodeId, Sign, Slice, TorusDir, TorusShape};
 use anton_fault::{FaultKind, FaultSchedule};
 use anton_sim::driver::BatchDriver;
-use anton_sim::params::SimParams;
+use anton_sim::params::{PreflightMode, SimParams};
 use anton_sim::sim::{RunOutcome, Sim};
 use anton_traffic::patterns::UniformRandom;
 use anton_verify::verify_degraded;
@@ -123,9 +123,10 @@ fn single_down_link_on_paper_scale_torus_delivers_everything() {
 
 #[test]
 fn sharded_kernel_matches_serial_under_permanent_outage() {
-    // The sharded kernel builds its degraded state independently per
-    // replica; it must agree with the serial kernel cycle-for-cycle even
-    // when the whole run executes on the degraded tables.
+    // The sharded kernel copies the builder's one certified degraded state
+    // into every replica; it must agree with the serial kernel
+    // cycle-for-cycle even when the whole run executes on the degraded
+    // tables.
     let shape = TorusShape::cube(2);
     let cfg = MachineConfig::new(shape);
     let schedule = down_forever(NodeId(0), ChanId::from_index(0));
@@ -173,4 +174,88 @@ fn sharded_kernel_matches_serial_under_permanent_outage() {
         assert_eq!(ss.rerouted_packets, ds.rerouted_packets);
         assert_eq!(ss.flit_hops, ds.flit_hops);
     }
+}
+
+/// Two sequential Down windows on the 4×4×4 ring (x = 0, y = 2): node
+/// (0,2,3) Z− on slice 0, then node (0,2,0) Z+ on slice 1 — the down sets
+/// of `anton_verify`'s `cross_slice_epoch_union_is_rejected`. Each epoch's
+/// tables certify alone; their union, which the simulator must install as
+/// one, does not. `second` drops the second window.
+fn cross_slice_windows(second: bool) -> (MachineConfig, SimParams) {
+    let cfg = MachineConfig::new(TorusShape::cube(4));
+    let down = |coord, dim, sign, slice, from_cycle, until_cycle| {
+        (
+            cfg.shape.id(coord),
+            ChanId {
+                dir: TorusDir::new(dim, sign),
+                slice: Slice(slice),
+            },
+            FaultKind::Down {
+                from_cycle,
+                until_cycle,
+            },
+        )
+    };
+    let mut windows = vec![down(
+        NodeCoord::new(0, 2, 3),
+        Dim::Z,
+        Sign::Minus,
+        0,
+        0,
+        1_500,
+    )];
+    if second {
+        windows.push(down(
+            NodeCoord::new(0, 2, 0),
+            Dim::Z,
+            Sign::Plus,
+            1,
+            1_500,
+            3_000,
+        ));
+    }
+    let mut schedule = FaultSchedule::uniform(3, 0.0);
+    for (node, chan, kind) in windows {
+        schedule = schedule.with_fault(node, chan, kind);
+    }
+    let params = SimParams {
+        fault: Some(schedule),
+        watchdog_cycles: 20_000,
+        ..SimParams::default()
+    };
+    (cfg, params)
+}
+
+/// Runs a short uniform batch and returns how many packets took the
+/// degraded tables.
+fn rerouted_in_short_batch(cfg: MachineConfig, params: SimParams) -> u64 {
+    let mut sim = Sim::builder().config(cfg).params(params).build();
+    let mut drv = BatchDriver::builder(&sim)
+        .pattern(Box::new(UniformRandom))
+        .packets_per_endpoint(4)
+        .seed(11)
+        .build();
+    assert_eq!(sim.run(&mut drv, 10_000_000), RunOutcome::Completed);
+    sim.check_invariants().unwrap();
+    sim.stats().rerouted_packets
+}
+
+#[test]
+#[should_panic(expected = "AV021")]
+fn enforce_refuses_an_uncertifiable_epoch_union() {
+    let (cfg, params) = cross_slice_windows(true);
+    let _ = Sim::builder().config(cfg).params(params).build();
+}
+
+#[test]
+fn warn_only_runs_an_uncertifiable_epoch_union_without_tables() {
+    // The first window alone certifies, and the batch does cross it.
+    let (cfg, params) = cross_slice_windows(false);
+    assert!(rerouted_in_short_batch(cfg, params) > 0);
+    let (cfg, params) = cross_slice_windows(true);
+    let params = SimParams {
+        preflight: PreflightMode::WarnOnly,
+        ..params
+    };
+    assert_eq!(rerouted_in_short_batch(cfg, params), 0);
 }

@@ -336,7 +336,6 @@ fn fig9_inverse_weighted(kernel: Kernel) -> String {
         arbiter: ArbiterKind::InverseWeighted { m_bits: 5 },
         ..SimParams::default()
     };
-    let install = |sim: &mut Sim| sim.install_weights(&weights);
     let inner = BatchDriver::builder_for(&cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(8)
@@ -345,8 +344,11 @@ fn fig9_inverse_weighted(kernel: Kernel) -> String {
     let mut drv = Recorder::new(inner);
     match kernel {
         Kernel::Serial => {
-            let mut sim = Sim::builder().config(cfg).params(params).build();
-            install(&mut sim);
+            let mut sim = Sim::builder()
+                .config(cfg)
+                .params(params)
+                .weights(weights)
+                .build();
             let outcome = sim.run(&mut drv, 2_000_000);
             assert_eq!(outcome, RunOutcome::Completed);
             sim.check_invariants().unwrap();
@@ -356,9 +358,9 @@ fn fig9_inverse_weighted(kernel: Kernel) -> String {
             let mut sim = Sim::builder()
                 .config(cfg)
                 .params(params)
+                .weights(weights)
                 .shards(n)
                 .build_sharded();
-            sim.configure(install);
             let outcome = sim.run(&mut drv, 2_000_000);
             assert_eq!(outcome, RunOutcome::Completed);
             sim.check_invariants().unwrap();

@@ -33,7 +33,9 @@
 //! certification together and reports failures through the
 //! `AV020`/`AV021` lint codes: a down set that partitions the network (no
 //! table exists) and a degradation whose tables cannot be certified
-//! deadlock-free (never installed).
+//! deadlock-free (never installed). [`verify_degraded_epochs`] is the same
+//! check over the union of several down sets, and the one place either
+//! formats those codes.
 
 use anton_core::config::MachineConfig;
 use anton_core::net::RoutingFunction;
@@ -90,11 +92,11 @@ pub fn certify_tables(cfg: &MachineConfig, tables: &[RouteTable]) -> DeadlockCer
 }
 
 /// Outcome of building and certifying degraded route tables for one
-/// down-link set.
+/// down-link set, or for every set of a fault schedule's epochs at once.
 #[derive(Debug)]
 pub struct DegradedVerdict {
-    /// The generated tables, one per slice in slice order (fewer when
-    /// generation failed for a slice).
+    /// The generated tables, one per slice in slice order for each down
+    /// set in turn (fewer when generation failed for a slice).
     pub tables: Vec<RouteTable>,
     /// The certificate over the installed system, when generation
     /// succeeded far enough to certify.
@@ -104,15 +106,14 @@ pub struct DegradedVerdict {
 }
 
 impl DegradedVerdict {
-    /// Whether the degradation is certified for install: a table exists
-    /// for every slice, no error diagnostics, and the certificate is
-    /// acyclic. The simulator refuses to install anything less.
+    /// Whether the degradation is certified for install: every table was
+    /// generated (a slice that fails raises an error), no error
+    /// diagnostics, and the certificate is acyclic. The simulator refuses
+    /// to install anything less.
     pub fn certified(&self) -> bool {
-        self.tables.len() == Slice::ALL.len()
-            && self
-                .diagnostics
-                .iter()
-                .all(|d| d.severity != Severity::Error)
+        self.diagnostics
+            .iter()
+            .all(|d| d.severity != Severity::Error)
             && self.certificate.as_ref().is_some_and(|c| c.acyclic)
     }
 }
@@ -121,9 +122,7 @@ impl DegradedVerdict {
 /// reporting failures as `AV020`/`AV021` diagnostics: a partition, or a
 /// detour that is not a [`RouteSpec`](anton_core::routing::RouteSpec).
 /// Returns fewer than [`Slice::ALL`] tables when a slice fails. This is
-/// the generation half of [`verify_degraded`]; the simulator calls it per
-/// degradation epoch, then certifies the union of all epochs' tables with
-/// [`certify_tables`].
+/// the generation half of [`verify_degraded`].
 pub fn build_degraded_tables(
     cfg: &MachineConfig,
     downs: &DownLinkSet,
@@ -141,12 +140,31 @@ pub fn build_degraded_tables(
 
 /// Builds and certifies the degraded route tables for a down-link set:
 /// generation plus the explicit per-path certification of
-/// [`certify_tables`]. This is both the offline check behind
-/// `verify_config --down-links` and the simulator's install gate for a
-/// single-epoch fault schedule.
+/// [`certify_tables`]. This is the offline check behind `verify_config
+/// --down-links`; [`verify_degraded_epochs`] is the same check over
+/// several sets.
 pub fn verify_degraded(cfg: &MachineConfig, downs: &DownLinkSet) -> DegradedVerdict {
-    let (tables, mut diagnostics) = build_degraded_tables(cfg, downs);
-    if tables.len() < Slice::ALL.len() {
+    verify_degraded_epochs(cfg, std::slice::from_ref(downs))
+}
+
+/// Builds the tables of every down-link set and certifies their **union**
+/// with [`certify_tables`] — the simulator's install gate for a fault
+/// schedule, whose epochs' tables carry packets at the same time. The
+/// tables come back set by set; certification is skipped when any
+/// generation failed.
+pub fn verify_degraded_epochs(cfg: &MachineConfig, sets: &[DownLinkSet]) -> DegradedVerdict {
+    let mut tables = Vec::new();
+    let mut diagnostics = Vec::new();
+    let mut all_downs = DownLinkSet::empty(cfg.shape);
+    for downs in sets {
+        let (t, d) = build_degraded_tables(cfg, downs);
+        tables.extend(t);
+        diagnostics.extend(d);
+        for (n, c) in downs.iter() {
+            all_downs.insert(n, c);
+        }
+    }
+    if !diagnostics.is_empty() {
         return DegradedVerdict {
             tables,
             certificate: None,
@@ -159,7 +177,7 @@ pub fn verify_degraded(cfg: &MachineConfig, downs: &DownLinkSet) -> DegradedVerd
             "AV021",
             format!("degraded route tables are uncertifiable — {certificate}"),
         )
-        .with("down_links", downs.len());
+        .with("down_links", all_downs.len());
         if let Some(ce) = &certificate.counterexample {
             d = d.with("cycle_length", ce.cycle.len());
             if let Some(w) = ce.witnesses.first() {

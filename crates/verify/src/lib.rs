@@ -35,10 +35,10 @@
 //!   schedules, arbiter weights, and tracing configuration. See
 //!   `crate::lint` for the code table.
 //!
-//! The simulator runs [`preflight`] during construction (fail-fast by
-//! default), the experiment harness verifies configurations before
-//! launching batches, and the `verify_config` binary emits a standalone
-//! JSON verification report.
+//! The simulator's builder gathers [`verify_config`], [`lint_params`],
+//! [`verify_degraded_epochs`] and [`lint_weights`] into one report before
+//! construction (fail-fast by default), and the `verify_config` binary
+//! emits a standalone JSON verification report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,7 +57,8 @@ pub mod symbolic;
 pub use anton_core::net::{RoutePath, RoutingFunction, Topology};
 pub use deadlock::{cross_check, enumerate_routes, full_enumeration, CrossCheck, RouteEnumeration};
 pub use degraded::{
-    build_degraded_tables, certify_family, certify_tables, verify_degraded, DegradedVerdict,
+    build_degraded_tables, certify_family, certify_tables, verify_degraded, verify_degraded_epochs,
+    DegradedVerdict,
 };
 pub use engine::{build_routing_graph, certify_routing};
 pub use graph::ChannelVc;
@@ -103,12 +104,4 @@ pub fn verify_model(model: &VerifyModel) -> VerifyReport {
 /// Verifies a machine configuration as built (datelines active).
 pub fn verify_config(cfg: &MachineConfig) -> VerifyReport {
     verify_model(&VerifyModel::new(cfg.clone()))
-}
-
-/// The pre-flight check the simulator runs before construction: full
-/// configuration verification plus parameter lints.
-pub fn preflight(cfg: &MachineConfig, view: &ParamsView<'_>) -> VerifyReport {
-    let mut report = verify_config(cfg);
-    report.diagnostics.extend(lint_params(cfg, view));
-    report
 }

@@ -47,10 +47,11 @@ fn run(cfg: &MachineConfig, weights: Option<&ArbiterWeightSet>, batch: u64) -> (
         },
         ..SimParams::default()
     };
-    let mut sim = Sim::builder().config(cfg.clone()).params(params).build();
+    let mut builder = Sim::builder().config(cfg.clone()).params(params);
     if let Some(w) = weights {
-        sim.install_weights(w);
+        builder = builder.weights(w.clone());
     }
+    let mut sim = builder.build();
     let n = cfg.num_endpoints();
     let mut driver = PerSource {
         inner: BatchDriver::builder(&sim)

@@ -105,8 +105,12 @@ fn weight_tables_install_at_every_arbitration_point() {
         arbiter: anton2::anton_arbiter::ArbiterKind::InverseWeighted { m_bits: 5 },
         ..SimParams::default()
     };
-    let mut sim = Sim::builder().config(cfg).params(params).build();
-    sim.install_weights(&weights); // panics on any index mismatch
+    // Construction panics on any index mismatch.
+    let mut sim = Sim::builder()
+        .config(cfg)
+        .params(params)
+        .weights(weights)
+        .build();
     let mut driver = BatchDriver::builder(&sim)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(50)
