@@ -32,7 +32,7 @@ use std::collections::{HashMap, VecDeque};
 
 use crate::chip::{ChanId, LinkGroup, LocalAttach, LocalLink};
 use crate::config::MachineConfig;
-use crate::net::{Arrival, Progress, RouteState, RoutingFunction};
+use crate::net::{Arrival, MulHash, RouteState, RoutingFunction, Transitions};
 use crate::topology::{Dim, NodeCoord, Sign, Slice, TorusDir};
 use crate::trace::{leg, GlobalLink};
 use crate::vc::VcState;
@@ -53,10 +53,10 @@ pub struct DimOrderRouting {
     /// by the leg that leaves the entry) and the dims-routed mask.
     mentries: Vec<(VcState, u8)>,
     /// M-phase entry by `(M-group VC past the boundary, dims-routed mask)`.
-    mentry_idx: HashMap<(u8, u8), u32>,
+    mentry_idx: HashMap<(u8, u8), u32, MulHash>,
     /// Mid-arc states: `(VC state inside the run, mask before this dim)`.
     inarcs: Vec<(VcState, u8)>,
-    inarc_idx: HashMap<(VcState, u8), u32>,
+    inarc_idx: HashMap<(VcState, u8), u32, MulHash>,
 }
 
 impl DimOrderRouting {
@@ -69,10 +69,10 @@ impl DimOrderRouting {
     pub fn new(cfg: MachineConfig, datelines: bool, long_arcs: bool) -> DimOrderRouting {
         let start = cfg.vc_policy.start();
         let mut mentries: Vec<(VcState, u8)> = vec![(start, 0)];
-        let mut mentry_idx: HashMap<(u8, u8), u32> = HashMap::new();
+        let mut mentry_idx: HashMap<(u8, u8), u32, MulHash> = HashMap::default();
         mentry_idx.insert((start.m_vc(), 0), 0);
         let mut inarcs: Vec<(VcState, u8)> = Vec::new();
-        let mut inarc_idx: HashMap<(VcState, u8), u32> = HashMap::new();
+        let mut inarc_idx: HashMap<(VcState, u8), u32, MulHash> = HashMap::default();
         let mut queue: VecDeque<(u32, Option<TorusDir>)> = VecDeque::from([(0, None)]);
         while let Some((mi, arrived)) = queue.pop_front() {
             let (st0, mask) = mentries[mi as usize];
@@ -157,27 +157,26 @@ impl DimOrderRouting {
     }
 
     /// One [`leg`] from the buffer `entry` at `at` in VC state `st`, as a
-    /// transition: a delivery ends the route; a departure arrives `hops`
-    /// links into its run at the neighbor (`mask`: the dimensions routed
-    /// before the run).
+    /// transition written to `out`: a delivery ends the route; a departure
+    /// arrives `hops` links into its run at the neighbor (`mask`: the
+    /// dimensions routed before the run).
     fn traverse(
         &self,
         at: NodeCoord,
         entry: LocalLink,
         exit: LocalAttach,
-        mut st: VcState,
-        mask: u8,
+        (mut st, mask): (VcState, u8),
         hops: u32,
-    ) -> Progress {
+        out: &mut Transitions,
+    ) {
         let crosses = matches!(exit, LocalAttach::Chan(c) if self.crosses(at, c.dir));
-        // Most traversals fit: a few mesh hops, the exit, the torus link.
-        let mut steps = Vec::with_capacity(8);
-        let nbr = leg(&self.cfg, at, entry, exit, crosses, &mut st, &mut steps);
+        let steps = out.steps_mut();
+        let nbr = leg(&self.cfg, at, entry, exit, crosses, &mut st, steps);
         let next = matches!(exit, LocalAttach::Chan(_)).then(|| {
             let state = Self::inarc_state(self.inarc_idx[&(st, mask)], hops);
             (self.cfg.shape.id(nbr), state)
         });
-        Progress { steps, next }
+        out.end(next);
     }
 }
 
@@ -216,24 +215,23 @@ impl RoutingFunction for DimOrderRouting {
         out
     }
 
-    fn transitions(&self, arrival: &Arrival) -> Vec<Progress> {
+    fn transitions(&self, arrival: &Arrival, out: &mut Transitions) {
         let GlobalLink::Local { link: entry, .. } = arrival.link else {
-            return Vec::new();
+            return;
         };
         let at = self.cfg.shape.coord(arrival.node);
         if arrival.state.0 & 1 == 0 {
             // M-phase entry: deliver to any local endpoint, or depart on any
             // unrouted dimension. Injections may use either slice; a packet
             // arriving from the torus is pinned to its channel's slice.
-            let (st, mask) = self.mentries[(arrival.state.0 >> 1) as usize];
+            let from @ (_, mask) = self.mentries[(arrival.state.0 >> 1) as usize];
             let slices: &[Slice] = match entry {
                 LocalLink::EpToRouter(_) => &Slice::ALL,
                 LocalLink::ChanToRouter(c) => &Slice::ALL[usize::from(c.slice.0)..][..1],
-                _ => return Vec::new(),
+                _ => return,
             };
-            let mut out = Vec::new();
             for ep in self.cfg.chip.endpoints() {
-                out.push(self.traverse(at, entry, LocalAttach::Endpoint(ep), st, mask, 0));
+                self.traverse(at, entry, LocalAttach::Endpoint(ep), from, 0, out);
             }
             for dim in Dim::ALL {
                 if self.cfg.shape.k(dim) <= 1 || mask & dim_bit(dim) != 0 {
@@ -243,17 +241,17 @@ impl RoutingFunction for DimOrderRouting {
                     for &slice in slices {
                         let dir = TorusDir::new(dim, sign);
                         let exit = LocalAttach::Chan(ChanId { dir, slice });
-                        out.push(self.traverse(at, entry, exit, st, mask, 1));
+                        self.traverse(at, entry, exit, from, 1, out);
                     }
                 }
             }
-            out
         } else {
             // Mid-arc: end the dimension in place or continue the run.
-            let (st, pre_mask) = self.inarcs[((arrival.state.0 >> 1) & 0x7fff_ffff) as usize];
+            let from @ (st, pre_mask) =
+                self.inarcs[((arrival.state.0 >> 1) & 0x7fff_ffff) as usize];
             let hops = (arrival.state.0 >> 32) as u32;
             let LocalLink::ChanToRouter(arrive) = entry else {
-                return Vec::new();
+                return;
             };
             let dir = arrive.dir.opposite();
             // Ending reinterprets the same buffer as an M-phase entry (no
@@ -261,18 +259,14 @@ impl RoutingFunction for DimOrderRouting {
             let mut ended = st;
             ended.turn(Some(dir), None);
             let mi = self.mentry_idx[&(ended.m_vc(), pre_mask | dim_bit(dir.dim))];
-            let mut out = vec![Progress {
-                steps: Vec::new(),
-                next: Some((arrival.node, Self::mentry_state(mi))),
-            }];
+            out.end(Some((arrival.node, Self::mentry_state(mi))));
             if hops < self.max_arc_len(dir.dim) && !(self.crosses(at, dir) && st.crossed()) {
                 let exit = LocalAttach::Chan(ChanId {
                     dir,
                     slice: arrive.slice,
                 });
-                out.push(self.traverse(at, entry, exit, st, pre_mask, hops + 1));
+                self.traverse(at, entry, exit, from, hops + 1, out);
             }
-            out
         }
     }
 }
@@ -312,11 +306,14 @@ mod tests {
         cfg.vc_policy = VcPolicy::NaiveSingle;
         let rf = DimOrderRouting::new(cfg, true, false);
         assert_eq!(rf.num_vcs(), 1);
+        let mut out = Transitions::default();
         for root in rf.roots().iter().take(1) {
-            for prog in rf.transitions(root) {
-                for (_, vc) in &prog.steps {
-                    assert_eq!(*vc, Vc(0));
-                }
+            rf.transitions(root, &mut out);
+        }
+        assert!(!out.is_empty());
+        for prog in out.iter() {
+            for (_, vc) in prog.steps {
+                assert_eq!(*vc, Vc(0));
             }
         }
     }

@@ -88,6 +88,7 @@ pub use dimorder::DimOrderRouting;
 pub use mesh::{FullMesh, MeshRouting, MeshRule};
 pub use net::{
     Arrival, DepEdge, Progress, RoutePath, RouteState, RoutingFunction, Topology, TorusTopology,
+    Transitions,
 };
 pub use onchip::DirOrder;
 pub use packet::{Packet, Payload};

@@ -12,7 +12,7 @@
 //! catch and witness.
 
 use crate::chip::{LocalEndpointId, LocalLink};
-use crate::net::{Arrival, Progress, RouteState, RoutingFunction, Topology};
+use crate::net::{Arrival, RouteState, RoutingFunction, Topology, Transitions};
 use crate::topology::NodeId;
 use crate::trace::GlobalLink;
 use crate::vc::Vc;
@@ -161,10 +161,10 @@ impl MeshRouting {
         nodes
     }
 
-    /// The full link chain of the route `src → dst`, all at VC 0.
-    fn route_steps(&self, src: usize, dst: usize) -> Vec<(GlobalLink, Vc)> {
+    /// Pushes the full link chain of the route `src → dst` to `steps`, all
+    /// at VC 0.
+    fn route_steps(&self, src: usize, dst: usize, steps: &mut Vec<(GlobalLink, Vc)>) {
         let path = self.route_nodes(src, dst);
-        let mut steps = Vec::with_capacity(path.len() + 1);
         for w in path.windows(2) {
             steps.push((
                 GlobalLink::Direct {
@@ -181,7 +181,6 @@ impl MeshRouting {
             },
             Vc(0),
         ));
-        steps
     }
 }
 
@@ -215,16 +214,14 @@ impl RoutingFunction for MeshRouting {
         out
     }
 
-    fn transitions(&self, arrival: &Arrival) -> Vec<Progress> {
+    fn transitions(&self, arrival: &Arrival, out: &mut Transitions) {
         let src = (arrival.state.0 >> 32) as usize;
         let dst = (arrival.state.0 & 0xffff_ffff) as usize;
         if src >= self.nodes || dst >= self.nodes || src == dst {
-            return Vec::new();
+            return;
         }
-        vec![Progress {
-            steps: self.route_steps(src, dst),
-            next: None,
-        }]
+        self.route_steps(src, dst, out.steps_mut());
+        out.end(None);
     }
 }
 
@@ -250,13 +247,16 @@ mod tests {
     fn direct_routes_are_single_hop() {
         let rf = MeshRouting::new(4, MeshRule::Direct);
         assert_eq!(rf.roots().len(), 12);
+        let mut progs = Transitions::default();
         for root in rf.roots() {
-            let progs = rf.transitions(&root);
+            progs.clear();
+            rf.transitions(&root, &mut progs);
             assert_eq!(progs.len(), 1);
             // one direct channel + delivery, all VC 0
-            assert_eq!(progs[0].steps.len(), 2);
-            assert!(progs[0].steps.iter().all(|(_, vc)| *vc == Vc(0)));
-            assert!(progs[0].next.is_none());
+            let prog = progs.get(0);
+            assert_eq!(prog.steps.len(), 2);
+            assert!(prog.steps.iter().all(|(_, vc)| *vc == Vc(0)));
+            assert!(prog.next.is_none());
         }
     }
 

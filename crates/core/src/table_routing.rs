@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 
 use crate::chip::{ChanId, LinkGroup, LocalAttach, LocalEndpointId, LocalLink};
 use crate::config::{GlobalEndpoint, MachineConfig};
-use crate::net::{Arrival, Progress, RouteState, RoutingFunction};
+use crate::net::{Arrival, RouteState, RoutingFunction, Transitions};
 use crate::route_table::RouteTable;
 use crate::topology::NodeId;
 use crate::trace::{leg, trace_legs, GlobalLink, TraceStep};
@@ -40,23 +40,24 @@ pub struct TableRouting {
     arrivals: Vec<Vec<(ChanId, VcState)>>,
 }
 
-/// The trace of the table route from endpoint 0 of `src` to `dst` —
-/// delivered to `final_ep` at `dst`, or left in the arrival adapter's buffer
-/// there — and the VC state it ends in.
+/// Pushes to `steps` the trace of the table route from endpoint 0 of `src`
+/// to `dst` — delivered to `final_ep` at `dst`, or left in the arrival
+/// adapter's buffer there — and returns the VC state it ends in.
 fn path_trace(
     cfg: &MachineConfig,
     table: &RouteTable,
     src: NodeId,
     dst: NodeId,
     final_ep: Option<LocalEndpointId>,
-) -> (Vec<TraceStep>, VcState) {
+    steps: &mut Vec<TraceStep>,
+) -> VcState {
     let shape = cfg.shape;
     let ep0 = GlobalEndpoint {
         node: src,
         ep: LocalEndpointId(0),
     };
     let crosses = |c, d| shape.hop_crosses_dateline(c, d);
-    trace_legs(cfg, ep0, &table.route(src, dst), final_ep, &crosses)
+    trace_legs(cfg, ep0, &table.route(src, dst), final_ep, &crosses, steps)
 }
 
 impl TableRouting {
@@ -71,13 +72,15 @@ impl TableRouting {
         let mut departs: Vec<BTreeSet<ChanId>> = vec![BTreeSet::new(); n];
         let mut arrivals: Vec<BTreeSet<(ChanId, VcState)>> = vec![BTreeSet::new(); n];
         let nodes = || (0..n as u32).map(NodeId);
+        let mut steps = Vec::new();
         for src in nodes() {
             for dst in nodes() {
                 let hops = table.route(src, dst).hops();
                 let (Some(&first), Some(last)) = (hops.first(), hops.last()) else {
                     continue;
                 };
-                let (_, vc) = path_trace(&cfg, &table, src, dst, None);
+                steps.clear();
+                let vc = path_trace(&cfg, &table, src, dst, None, &mut steps);
                 departs[src.0 as usize].insert(ChanId { dir: first, slice });
                 let dir = last.opposite();
                 arrivals[dst.0 as usize].insert((ChanId { dir, slice }, vc));
@@ -96,15 +99,30 @@ impl TableRouting {
         &self.table
     }
 
-    /// One [`leg`] at `node` as a complete route: the mesh fan of an
-    /// endpoint other than the one the table paths are traced from.
-    fn fan(&self, node: NodeId, entry: LocalLink, exit: LocalAttach, mut vc: VcState) -> Progress {
+    /// One [`leg`] at `node` as a complete route, written to `out`: the mesh
+    /// fan of an endpoint other than the one the table paths are traced
+    /// from.
+    fn fan(
+        &self,
+        node: NodeId,
+        entry: LocalLink,
+        exit: LocalAttach,
+        mut vc: VcState,
+        out: &mut Transitions,
+    ) {
         let at = self.cfg.shape.coord(node);
         let crosses =
             matches!(exit, LocalAttach::Chan(c) if self.cfg.shape.hop_crosses_dateline(at, c.dir));
-        let mut steps = Vec::new();
-        leg(&self.cfg, at, entry, exit, crosses, &mut vc, &mut steps);
-        Progress { steps, next: None }
+        leg(
+            &self.cfg,
+            at,
+            entry,
+            exit,
+            crosses,
+            &mut vc,
+            out.steps_mut(),
+        );
+        out.end(None);
     }
 }
 
@@ -176,41 +194,41 @@ impl RoutingFunction for TableRouting {
         out
     }
 
-    fn transitions(&self, arrival: &Arrival) -> Vec<Progress> {
+    fn transitions(&self, arrival: &Arrival, out: &mut Transitions) {
         let s = arrival.state.0;
         let start = self.cfg.vc_policy.start();
         if s & 3 == TAG_PATH {
             let src = NodeId(((s >> 2) & 0xfffff) as u32);
             let dst = NodeId(((s >> 22) & 0xfffff) as u32);
             let ep0 = Some(LocalEndpointId(0));
-            let (steps, _) = path_trace(&self.cfg, &self.table, src, dst, ep0);
-            // steps[0] is the injection buffer — the arrival itself.
-            return vec![Progress {
-                steps: steps[1..].to_vec(),
-                next: None,
-            }];
+            let steps = out.steps_mut();
+            let first = steps.len();
+            path_trace(&self.cfg, &self.table, src, dst, ep0, steps);
+            // The trace's first step is the injection buffer — the arrival
+            // itself.
+            steps.remove(first);
+            out.end(None);
+            return;
         }
         let nid = ((s >> 2) & 0xfffff) as usize;
         let ep = LocalEndpointId(((s >> 22) & 0xff) as u8);
         let (inject, deliver) = (LocalLink::EpToRouter(ep), LocalAttach::Endpoint(ep));
         let idx = ((s >> 30) & 0x3ff) as usize;
         let node = NodeId(nid as u32);
-        vec![match s & 3 {
-            TAG_INJ => self.fan(
-                node,
-                inject,
-                LocalAttach::Chan(self.departs[nid][idx]),
-                start,
-            ),
+        match s & 3 {
+            TAG_INJ => {
+                let depart = LocalAttach::Chan(self.departs[nid][idx]);
+                self.fan(node, inject, depart, start, out);
+            }
             TAG_DELIVER => {
                 let (arrive, vc) = self.arrivals[nid][idx];
-                self.fan(node, LocalLink::ChanToRouter(arrive), deliver, vc)
+                self.fan(node, LocalLink::ChanToRouter(arrive), deliver, vc, out);
             }
             _ => {
                 let to = LocalAttach::Endpoint(LocalEndpointId(idx as u8));
-                self.fan(node, inject, to, start)
+                self.fan(node, inject, to, start, out);
             }
-        }]
+        }
     }
 }
 
@@ -233,8 +251,11 @@ mod tests {
         let local_roots = n * eps * eps;
         assert!(rf.roots().len() >= pair_roots + local_roots);
         // Every root's transitions terminate (no successor states).
+        let mut out = Transitions::default();
         for root in rf.roots() {
-            for prog in rf.transitions(&root) {
+            out.clear();
+            rf.transitions(&root, &mut out);
+            for prog in out.iter() {
                 assert!(prog.next.is_none());
                 assert!(!prog.steps.is_empty());
             }

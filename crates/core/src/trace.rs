@@ -95,7 +95,10 @@ pub fn trace_unicast(
     spec: &RouteSpec,
     crosses_dateline: &dyn Fn(NodeCoord, TorusDir) -> bool,
 ) -> Vec<TraceStep> {
-    let (steps, _) = trace_legs(cfg, src, spec, Some(dst.ep), crosses_dateline);
+    // Room for the two chip traversals at the ends and a few hops: most
+    // routes never regrow it.
+    let mut steps = Vec::with_capacity(32);
+    trace_legs(cfg, src, spec, Some(dst.ep), crosses_dateline, &mut steps);
     assert!(
         matches!(steps.last(), Some((GlobalLink::Local { node, .. }, _)) if *node == dst.node),
         "route spec does not reach destination"
@@ -125,7 +128,9 @@ pub fn trace_multicast(
             let spec = RouteSpec::from_hops(&shape, tree.slice, hops)
                 .expect("a tree path is a dimension-order route");
             for ep in &entry.local {
-                out.push(trace_legs(cfg, src, &spec, Some(*ep), &crosses).0);
+                let mut steps = Vec::with_capacity(32);
+                trace_legs(cfg, src, &spec, Some(*ep), &crosses, &mut steps);
+                out.push(steps);
             }
         }
     }
@@ -135,18 +140,16 @@ pub fn trace_multicast(
 /// A route as a fold of [`leg`]s over its torus hops: one chip traversal per
 /// hop, from the buffer the last one ended in, and a delivering one to
 /// `final_ep` at the end — or none, leaving the packet in the last arrival
-/// adapter's buffer. Returns the steps and the VC state past the last of
-/// them.
+/// adapter's buffer. Pushes the steps to `steps`, the injection buffer
+/// first, and returns the VC state past the last of them.
 pub(crate) fn trace_legs(
     cfg: &MachineConfig,
     src: GlobalEndpoint,
     spec: &RouteSpec,
     final_ep: Option<LocalEndpointId>,
     crosses_dateline: &dyn Fn(NodeCoord, TorusDir) -> bool,
-) -> (Vec<TraceStep>, VcState) {
-    // Room for the two chip traversals at the ends and a few hops: most
-    // routes never regrow it.
-    let mut steps = Vec::with_capacity(32);
+    steps: &mut Vec<TraceStep>,
+) -> VcState {
     let mut vc = cfg.vc_policy.start();
     let mut node = cfg.shape.coord(src.node);
     let mut entry = LocalLink::EpToRouter(src.ep);
@@ -159,7 +162,7 @@ pub(crate) fn trace_legs(
     for (_, dir) in spec.walk(&cfg.shape, node) {
         let exit = LocalAttach::Chan(ChanId { dir, slice });
         let crosses = crosses_dateline(node, dir);
-        node = leg(cfg, node, entry, exit, crosses, &mut vc, &mut steps);
+        node = leg(cfg, node, entry, exit, crosses, &mut vc, steps);
         entry = LocalLink::ChanToRouter(ChanId {
             dir: dir.opposite(),
             slice,
@@ -167,9 +170,9 @@ pub(crate) fn trace_legs(
     }
     if let Some(ep) = final_ep {
         let exit = LocalAttach::Endpoint(ep);
-        leg(cfg, node, entry, exit, false, &mut vc, &mut steps);
+        leg(cfg, node, entry, exit, false, &mut vc, steps);
     }
-    (steps, vc)
+    vc
 }
 
 /// One chip traversal of the route program, the unit every route is made

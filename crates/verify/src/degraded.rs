@@ -59,7 +59,10 @@ use crate::symbolic::{model_label, model_routing};
 /// on-chip mesh), which is precisely why the simulator certifies each
 /// concrete table set explicitly with [`certify_tables`] instead of
 /// relying on one static certificate.
-pub fn certify_family(cfg: &MachineConfig) -> DeadlockCertificate {
+///
+/// Envelope diagnostics come back beside the certificate, as from
+/// [`crate::certify`].
+pub fn certify_family(cfg: &MachineConfig) -> (DeadlockCertificate, Vec<Diagnostic>) {
     crate::symbolic::certify(&VerifyModel::degraded_family(cfg.clone()))
 }
 
@@ -73,7 +76,13 @@ pub fn certify_family(cfg: &MachineConfig) -> DeadlockCertificate {
 /// for a simulation run with several degradation epochs, the union of all
 /// epochs' tables — since cross-table couplings through the shared mesh
 /// are exactly the failure mode a per-epoch check would miss.
-pub fn certify_tables(cfg: &MachineConfig, tables: &[RouteTable]) -> DeadlockCertificate {
+///
+/// Envelope diagnostics (`AV022`/`AV023`: transitions left out of the
+/// graph) come back beside the certificate.
+pub fn certify_tables(
+    cfg: &MachineConfig,
+    tables: &[RouteTable],
+) -> (DeadlockCertificate, Vec<Diagnostic>) {
     let model = VerifyModel::new(cfg.clone());
     let topo = TorusTopology::new(cfg);
     let healthy = model_routing(&model);
@@ -83,12 +92,7 @@ pub fn certify_tables(cfg: &MachineConfig, tables: &[RouteTable]) -> DeadlockCer
         .collect();
     let mut rfs: Vec<&dyn RoutingFunction> = vec![&healthy];
     rfs.extend(table_rfs.iter().map(|t| t as &dyn RoutingFunction));
-    let (cert, diags) = certify_routing(&topo, &rfs, model_label(&model));
-    debug_assert!(
-        diags.is_empty(),
-        "table routing broke its envelope: {diags:?}"
-    );
-    cert
+    certify_routing(&topo, &rfs, model_label(&model))
 }
 
 /// Outcome of building and certifying degraded route tables for one
@@ -101,7 +105,8 @@ pub struct DegradedVerdict {
     /// The certificate over the installed system, when generation
     /// succeeded far enough to certify.
     pub certificate: Option<DeadlockCertificate>,
-    /// `AV020`/`AV021` diagnostics raised along the way.
+    /// `AV020`/`AV021` diagnostics raised along the way, and the
+    /// certifier's `AV022`/`AV023` envelope errors.
     pub diagnostics: Vec<Diagnostic>,
 }
 
@@ -171,7 +176,8 @@ pub fn verify_degraded_epochs(cfg: &MachineConfig, sets: &[DownLinkSet]) -> Degr
             diagnostics,
         };
     }
-    let certificate = certify_tables(cfg, &tables);
+    let (certificate, envelope) = certify_tables(cfg, &tables);
+    diagnostics.extend(envelope);
     if !certificate.acyclic {
         let mut d = Diagnostic::error(
             "AV021",
@@ -240,14 +246,16 @@ mod tests {
         // the dateline opens low-VC mesh chains that couple
         // opposite-direction rings across slices, closing a cycle. Hence
         // every concrete table set must be certified explicitly.
-        let cert = certify_family(&MachineConfig::new(TorusShape::cube(4)));
+        let (cert, diags) = certify_family(&MachineConfig::new(TorusShape::cube(4)));
+        assert!(diags.is_empty(), "{diags:?}");
         assert!(!cert.acyclic, "family unexpectedly certified: {cert}");
         let ce = cert.counterexample.expect("cycle extracted");
         assert!(!ce.witnesses.is_empty(), "cycle has concrete witnesses");
         // On k = 3 every crossed arc ends at most one hop past the
         // dateline — the positional property healthy routing relies on —
         // so the family is still sound there.
-        let small = certify_family(&MachineConfig::new(TorusShape::cube(3)));
+        let (small, diags) = certify_family(&MachineConfig::new(TorusShape::cube(3)));
+        assert!(diags.is_empty(), "{diags:?}");
         assert!(small.acyclic, "{small}");
     }
 
@@ -385,7 +393,8 @@ mod tests {
             assert!(diags.is_empty(), "{diags:?}");
             all.extend(tables);
         }
-        let cert = certify_tables(&cfg, &all);
+        let (cert, diags) = certify_tables(&cfg, &all);
+        assert!(diags.is_empty(), "{diags:?}");
         assert!(!cert.acyclic, "union unexpectedly certified: {cert}");
         let ce = cert.counterexample.expect("cycle extracted");
         assert!(!ce.witnesses.is_empty());
@@ -421,7 +430,8 @@ mod tests {
             assert!(diags.is_empty(), "{diags:?}");
             all.extend(tables);
         }
-        let cert = certify_tables(&cfg, &all);
+        let (cert, diags) = certify_tables(&cfg, &all);
+        assert!(diags.is_empty(), "{diags:?}");
         assert!(cert.acyclic, "{cert}");
     }
 

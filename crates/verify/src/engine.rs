@@ -41,7 +41,9 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use anton_core::chip::LocalLink;
 use anton_core::config::GlobalEndpoint;
-use anton_core::net::{Arrival, Progress, RoutePath, RouteState, RoutingFunction, Topology};
+use anton_core::net::{
+    Arrival, MulHash, Progress, RoutePath, RouteState, RoutingFunction, Topology, Transitions,
+};
 use anton_core::topology::Slice;
 use anton_core::trace::GlobalLink;
 use anton_core::vc::Vc;
@@ -58,7 +60,7 @@ struct Taken<'a> {
     from: &'a Arrival,
     /// The position of `progress` among `from`'s transitions.
     nth: usize,
-    progress: &'a Progress,
+    progress: Progress<'a>,
     /// Dense indices of `from`'s buffer and of every step after it.
     chain: &'a [u32],
     /// The arrival `progress` resumes at, when the walk had not reached it
@@ -98,7 +100,7 @@ fn explore(
             );
         }
     };
-    let mut seen: HashSet<(u32, u64)> = HashSet::new();
+    let mut seen: HashSet<(u32, u64), MulHash> = HashSet::default();
     let mut queue: VecDeque<(Arrival, u32)> = VecDeque::new();
     for root in rf.roots() {
         let Some(idx) = dense_index(topo, vcs, &root.link, root.vc) else {
@@ -109,16 +111,19 @@ fn explore(
             queue.push_back((root, idx));
         }
     }
-    // One chain buffer for the whole walk: an 8×8×8 certificate takes a
-    // million transitions.
+    // One transition buffer and one chain buffer for the whole walk: an
+    // 8×8×8 certificate takes a million transitions.
+    let mut out = Transitions::default();
     let mut chain: Vec<u32> = Vec::new();
     while let Some((arrival, at)) = queue.pop_front() {
-        'progress: for (nth, progress) in rf.transitions(&arrival).iter().enumerate() {
+        out.clear();
+        rf.transitions(&arrival, &mut out);
+        'progress: for (nth, progress) in out.iter().enumerate() {
             // Validate the whole step chain before handing it on, so a bad
             // transition contributes nothing.
             chain.clear();
             chain.push(at);
-            for (link, vc) in &progress.steps {
+            for (link, vc) in progress.steps {
                 if usize::from(vc.0) >= vcs {
                     if !std::mem::replace(&mut bad_vc, true) {
                         diags.push(
@@ -204,12 +209,16 @@ fn witness_route(
     rf: &dyn RoutingFunction,
     parents: &Parents,
     from: &Arrival,
-    progress: &Progress,
+    progress: Progress<'_>,
 ) -> Option<(GlobalEndpoint, GlobalEndpoint, RoutePath)> {
-    let mut legs = vec![progress.steps.clone()];
+    let mut out = Transitions::default();
+    // The route's legs, last first.
+    let mut legs = vec![progress.steps.to_vec()];
     let mut root = *from;
     while let Some((parent, nth)) = parents.get(&(root.link, root.vc, root.state)) {
-        legs.push(rf.transitions(parent).swap_remove(*nth).steps);
+        out.clear();
+        rf.transitions(parent, &mut out);
+        legs.push(out.get(*nth).steps.to_vec());
         root = *parent;
     }
     let mut steps = vec![(root.link, root.vc)];
@@ -218,15 +227,17 @@ fn witness_route(
     for _ in 0..=parents.len() {
         let Some((node, state)) = next else { break };
         let (link, vc) = *steps.last()?;
-        let mut onward = rf.transitions(&Arrival {
+        let onward = Arrival {
             node,
             link,
             vc,
             state,
-        });
-        let delivering = onward.iter().position(|p| p.next.is_none());
-        let taken = onward.swap_remove(delivering.unwrap_or(0));
-        steps.extend(taken.steps);
+        };
+        out.clear();
+        rf.transitions(&onward, &mut out);
+        let delivering = out.iter().position(|p| p.next.is_none());
+        let taken = out.get(delivering.unwrap_or(0));
+        steps.extend_from_slice(taken.steps);
         next = taken.next;
     }
     let endpoint = |step: &(GlobalLink, Vc)| match step.0 {
@@ -335,7 +346,7 @@ mod tests {
     use anton_core::chip::{LocalEndpointId, MeshCoord};
     use anton_core::config::MachineConfig;
     use anton_core::mesh::{FullMesh, MeshRouting, MeshRule};
-    use anton_core::net::{Progress, TorusTopology};
+    use anton_core::net::TorusTopology;
     use anton_core::topology::{NodeId, TorusShape};
 
     /// A routing function that immediately violates its VC budget.
@@ -352,17 +363,13 @@ mod tests {
         fn roots(&self) -> Vec<Arrival> {
             MeshRouting::new(2, MeshRule::Direct).roots()
         }
-        fn transitions(&self, _arrival: &Arrival) -> Vec<Progress> {
-            vec![Progress {
-                steps: vec![(
-                    GlobalLink::Direct {
-                        from: NodeId(0),
-                        to: NodeId(1),
-                    },
-                    Vc(7),
-                )],
-                next: None,
-            }]
+        fn transitions(&self, _arrival: &Arrival, out: &mut Transitions) {
+            let link = GlobalLink::Direct {
+                from: NodeId(0),
+                to: NodeId(1),
+            };
+            out.steps_mut().push((link, Vc(7)));
+            out.end(None);
         }
     }
 
@@ -380,17 +387,13 @@ mod tests {
         fn roots(&self) -> Vec<Arrival> {
             MeshRouting::new(2, MeshRule::Direct).roots()
         }
-        fn transitions(&self, _arrival: &Arrival) -> Vec<Progress> {
-            vec![Progress {
-                steps: vec![(
-                    GlobalLink::Direct {
-                        from: NodeId(0),
-                        to: NodeId(99),
-                    },
-                    Vc(0),
-                )],
-                next: None,
-            }]
+        fn transitions(&self, _arrival: &Arrival, out: &mut Transitions) {
+            let link = GlobalLink::Direct {
+                from: NodeId(0),
+                to: NodeId(99),
+            };
+            out.steps_mut().push((link, Vc(0)));
+            out.end(None);
         }
     }
 
@@ -416,15 +419,14 @@ mod tests {
                 state: RouteState(0),
             }]
         }
-        fn transitions(&self, arrival: &Arrival) -> Vec<Progress> {
+        fn transitions(&self, arrival: &Arrival, out: &mut Transitions) {
             let skip = LocalLink::Skip {
                 from: MeshCoord::new(1, 1),
             };
             let node = arrival.node;
-            vec![Progress {
-                steps: vec![(GlobalLink::Local { node, link: skip }, Vc(0))],
-                next: None,
-            }]
+            out.steps_mut()
+                .push((GlobalLink::Local { node, link: skip }, Vc(0)));
+            out.end(None);
         }
     }
 
@@ -467,8 +469,8 @@ mod tests {
         fn roots(&self) -> Vec<Arrival> {
             MeshRouting::new(3, MeshRule::Ring).roots()
         }
-        fn transitions(&self, arrival: &Arrival) -> Vec<Progress> {
-            MeshRouting::new(3, MeshRule::Ring).transitions(arrival)
+        fn transitions(&self, arrival: &Arrival, out: &mut Transitions) {
+            MeshRouting::new(3, MeshRule::Ring).transitions(arrival, out);
         }
     }
 

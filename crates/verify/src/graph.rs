@@ -5,12 +5,20 @@
 //! degraded tables alike — and the route enumerator it is cross-checked
 //! against ([`crate::deadlock::enumerate_routes`]) both write into a
 //! [`SymGraph`], and [`SymGraph::find_cycle`] is the one cycle search. A
-//! full-size machine has millions of edges, so the graph interns nothing:
-//! it addresses every possible `(link, VC)` pair arithmetically through a
-//! [`Topology`]: each node of the machine contributes a fixed block of link
-//! slots, and an index is `(node · slots + slot) · vcs + vc`. Absent pairs
-//! simply keep an empty adjacency list. The graph itself is topology-agnostic — the same
-//! structure certifies a torus and a full mesh.
+//! full-size machine has millions of edge insertions, so the graph interns
+//! nothing: it addresses every possible `(link, VC)` pair arithmetically
+//! through a [`Topology`]: each node of the machine contributes a fixed
+//! block of link slots, and an index is `(node · slots + slot) · vcs + vc`.
+//! The graph itself is topology-agnostic — the same structure certifies a
+//! torus and a full mesh.
+//!
+//! Out-edges live in one flat array: each pair's successors are one run of
+//! it, addressed from the pair's `(start, len)` row, so an insertion scans
+//! a few contiguous words (out-degree is at most 9 at 8×8×8) and allocates
+//! nothing until a run outgrows its capacity. Absent pairs keep an empty
+//! run. Each run lists its successors in first-insertion order, which the
+//! cycle search walks in: the counterexample a cyclic graph reports
+//! depends on that order, so it is part of the graph's contract.
 
 use anton_core::net::Topology;
 use anton_core::trace::GlobalLink;
@@ -19,13 +27,29 @@ use anton_core::vc::Vc;
 /// A node of the dependency graph: a directed channel and a VC on it.
 pub type ChannelVc = (GlobalLink, Vc);
 
+/// The capacity a run of `len` successors occupies in [`SymGraph`]'s flat
+/// array: none for an empty run, then powers of two from four, so a run is
+/// full exactly when `len == run_capacity(len)`.
+fn run_capacity(len: u32) -> u32 {
+    if len == 0 {
+        0
+    } else {
+        len.next_power_of_two().max(4)
+    }
+}
+
 /// A dependency graph over every addressable `(link, VC)` pair of one
 /// topology, with adjacency stored densely by arithmetic index.
 #[derive(Debug)]
 pub struct SymGraph<'t> {
     topo: &'t dyn Topology,
     pub(crate) vcs: usize,
-    adj: Vec<Vec<u32>>,
+    /// Per pair: where its run of successors starts in `succ`, and its
+    /// length.
+    rows: Vec<(u32, u32)>,
+    /// Every pair's successors, one run per pair. A full run moves to the
+    /// end at twice the capacity, leaving its old slots unused.
+    succ: Vec<u32>,
     num_edges: usize,
 }
 
@@ -36,9 +60,17 @@ impl<'t> SymGraph<'t> {
         SymGraph {
             topo,
             vcs,
-            adj: vec![Vec::new(); n],
+            rows: vec![(0, 0); n],
+            succ: Vec::new(),
             num_edges: 0,
         }
+    }
+
+    /// The successors of pair `idx`, in the order their edges were first
+    /// added.
+    pub fn successors(&self, idx: u32) -> &[u32] {
+        let (start, len) = self.rows[idx as usize];
+        &self.succ[start as usize..][..len as usize]
     }
 
     /// The dense index of a `(link, VC)` pair, or `None` when the topology
@@ -77,26 +109,34 @@ impl<'t> SymGraph<'t> {
 
     /// Adds one dependency edge by pre-validated dense indices (idempotent).
     pub fn add_edge_idx(&mut self, f: u32, t: u32) {
-        let list = &mut self.adj[f as usize];
-        if !list.contains(&t) {
-            list.push(t);
-            self.num_edges += 1;
+        if self.successors(f).contains(&t) {
+            return;
         }
+        let (start, len) = &mut self.rows[f as usize];
+        if *len == run_capacity(*len) {
+            let to = self.succ.len();
+            let old = *start as usize;
+            self.succ.extend_from_within(old..old + *len as usize);
+            self.succ.resize(to + run_capacity(*len + 1) as usize, 0);
+            *start = u32::try_from(to).expect("fewer than 2^32 edge slots");
+        }
+        self.succ[(*start + *len) as usize] = t;
+        *len += 1;
+        self.num_edges += 1;
     }
 
     /// Number of `(link, VC)` pairs with at least one incident edge.
     pub fn num_live_nodes(&self) -> usize {
-        let mut has_in = vec![false; self.adj.len()];
-        for tos in &self.adj {
-            for &t in tos {
-                has_in[t as usize] = true;
+        let n = self.rows.len() as u32;
+        let mut live = vec![false; n as usize];
+        for f in 0..n {
+            let out = self.successors(f);
+            live[f as usize] |= !out.is_empty();
+            for &t in out {
+                live[t as usize] = true;
             }
         }
-        self.adj
-            .iter()
-            .zip(&has_in)
-            .filter(|(out, &inc)| !out.is_empty() || inc)
-            .count()
+        live.into_iter().filter(|&l| l).count()
     }
 
     /// Total dependency edges.
@@ -106,9 +146,10 @@ impl<'t> SymGraph<'t> {
 
     /// Iterates every edge as decoded `(from, to)` pairs.
     pub fn edges(&self) -> impl Iterator<Item = (ChannelVc, ChannelVc)> + '_ {
-        self.adj.iter().enumerate().flat_map(move |(f, tos)| {
-            tos.iter()
-                .map(move |&t| (self.decode(f as u32), self.decode(t)))
+        (0..self.rows.len() as u32).flat_map(move |f| {
+            self.successors(f)
+                .iter()
+                .map(move |&t| (self.decode(f), self.decode(t)))
         })
     }
 
@@ -121,17 +162,17 @@ impl<'t> SymGraph<'t> {
             Gray,
             Black,
         }
-        let n = self.adj.len();
+        let n = self.rows.len();
         let mut color = vec![Color::White; n];
         let mut parent = vec![u32::MAX; n];
         for start in 0..n {
-            if color[start] != Color::White || self.adj[start].is_empty() {
+            if color[start] != Color::White || self.rows[start].1 == 0 {
                 continue;
             }
             let mut stack = vec![(start as u32, 0usize)];
             color[start] = Color::Gray;
             while let Some(&mut (u, ref mut ei)) = stack.last_mut() {
-                let edges = &self.adj[u as usize];
+                let edges = self.successors(u);
                 if *ei < edges.len() {
                     let v = edges[*ei];
                     *ei += 1;
@@ -175,9 +216,9 @@ impl<'t> SymGraph<'t> {
         let mut best = cycle.clone();
         for &s in cycle.iter().take(MAX_STARTS) {
             // BFS from s's successors back to s.
-            let mut parent = vec![u32::MAX; self.adj.len()];
+            let mut parent = vec![u32::MAX; self.rows.len()];
             let mut queue = std::collections::VecDeque::new();
-            for &t in &self.adj[s as usize] {
+            for &t in self.successors(s) {
                 if t == s {
                     return vec![s]; // self-loop: cannot do better
                 }
@@ -187,7 +228,7 @@ impl<'t> SymGraph<'t> {
                 }
             }
             'bfs: while let Some(u) = queue.pop_front() {
-                for &v in &self.adj[u as usize] {
+                for &v in self.successors(u) {
                     if v == s {
                         // Reconstruct s -> ... -> u -> s.
                         let mut path = vec![u];

@@ -73,12 +73,14 @@ pub use symbolic::certify;
 use anton_core::config::MachineConfig;
 
 /// Verifies a model: configuration lints plus symbolic deadlock
-/// certification. A dependency cycle adds an `AV002` error carrying the
-/// counterexample summary; the full counterexample rides on the report's
-/// certificate.
+/// certification. A transition the certifier had to leave out adds its
+/// `AV022`/`AV023` error, and a dependency cycle an `AV002` error carrying
+/// the counterexample summary; the full counterexample rides on the
+/// report's certificate.
 pub fn verify_model(model: &VerifyModel) -> VerifyReport {
     let mut diagnostics = lint_model(model);
-    let certificate = certify(model);
+    let (certificate, envelope) = certify(model);
+    diagnostics.extend(envelope);
     if !certificate.acyclic {
         let mut d = Diagnostic::error(
             "AV002",

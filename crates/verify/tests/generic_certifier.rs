@@ -29,7 +29,8 @@ use proptest::prelude::*;
 fn rectangular_tori_certify_through_the_generic_engine() {
     for shape in [TorusShape::new(4, 3, 2), TorusShape::new(5, 4, 3)] {
         let cfg = MachineConfig::new(shape);
-        let cert = certify(&VerifyModel::new(cfg.clone()));
+        let (cert, diags) = certify(&VerifyModel::new(cfg.clone()));
+        assert!(diags.is_empty(), "{diags:?}");
         assert!(cert.acyclic, "{shape}: {cert}");
         let cc = cross_check(
             &cfg,
@@ -55,7 +56,8 @@ fn every_direction_order_certifies() {
     for order in DirOrder::all() {
         let mut cfg = MachineConfig::new(TorusShape::cube(3));
         cfg.dir_order = order;
-        let cert = certify(&VerifyModel::new(cfg));
+        let (cert, diags) = certify(&VerifyModel::new(cfg));
+        assert!(diags.is_empty(), "{diags:?}");
         assert!(cert.acyclic, "{order}: {cert}");
     }
 }
@@ -66,11 +68,14 @@ fn every_direction_order_certifies() {
 /// counterexample either way the verdict lands.
 #[test]
 fn degraded_family_verdicts_on_rectangular_tori() {
-    let acyclic = certify_family(&MachineConfig::new(TorusShape::new(4, 3, 2)));
+    let (acyclic, diags) = certify_family(&MachineConfig::new(TorusShape::new(4, 3, 2)));
+    assert!(diags.is_empty(), "{diags:?}");
     assert!(acyclic.acyclic, "{acyclic}");
     assert!(acyclic.counterexample.is_none());
 
-    let cyclic = certify_family(&MachineConfig::new(TorusShape::new(5, 4, 3)));
+    let (cyclic, diags) = certify_family(&MachineConfig::new(TorusShape::new(5, 4, 3)));
+
+    assert!(diags.is_empty(), "{diags:?}");
     assert!(!cyclic.acyclic, "{cyclic}");
     let ce = cyclic.counterexample.as_ref().expect("counterexample");
     assert!(ce.cycle.len() >= 2);
@@ -89,9 +94,11 @@ fn k2_degenerate_rings_certify() {
         TorusShape::new(2, 2, 2),
     ] {
         let cfg = MachineConfig::new(shape);
-        let cert = certify(&VerifyModel::new(cfg.clone()));
+        let (cert, diags) = certify(&VerifyModel::new(cfg.clone()));
+        assert!(diags.is_empty(), "{diags:?}");
         assert!(cert.acyclic, "{shape}: {cert}");
-        let family = certify_family(&cfg);
+        let (family, diags) = certify_family(&cfg);
+        assert!(diags.is_empty(), "{diags:?}");
         assert!(family.acyclic, "{shape}: {family}");
     }
 }
@@ -151,7 +158,8 @@ proptest! {
         // Generation may legitimately fail (partitioned ring); only a
         // complete table set reaches the install gate.
         prop_assume!(tables.len() == Slice::ALL.len() && diags.is_empty());
-        let cert = certify_tables(&cfg, &tables);
+        let (cert, diags) = certify_tables(&cfg, &tables);
+        assert!(diags.is_empty(), "{diags:?}");
         if !cert.acyclic {
             assert_witnesses_retrace(&cfg, &cert);
         }
