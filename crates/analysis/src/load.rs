@@ -20,8 +20,8 @@ use anton_core::chip::{ChanId, LinkGroup, MAX_ROUTER_PORTS, NUM_ROUTERS};
 use anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton_core::net::{LinkEnd, Topology, TorusTopology};
 use anton_core::pattern::{offset_node, TrafficPattern};
-use anton_core::routing::{DimOrder, RouteSpec};
-use anton_core::topology::{Dim, NodeId, Slice};
+use anton_core::routing::RouteSpec;
+use anton_core::topology::NodeId;
 use anton_core::trace::{trace_unicast, GlobalLink};
 use anton_core::vc::Vc;
 
@@ -125,46 +125,32 @@ impl LoadAnalysis {
         dst: GlobalEndpoint,
         rate: f64,
     ) {
-        let src_c = cfg.shape.coord(src.node);
-        let dst_c = cfg.shape.coord(dst.node);
-        // Enumerate tie choices per dimension.
-        let choices: Vec<Vec<i32>> = Dim::ALL
-            .iter()
-            .map(|d| cfg.shape.minimal_offset_choices(*d, src_c, dst_c))
-            .collect();
-        let num_combos: usize = choices.iter().map(|c| c.len()).product();
-        let w = rate / (12.0 * num_combos as f64);
+        let routes = RouteSpec::minimal_routes(
+            &cfg.shape,
+            cfg.shape.coord(src.node),
+            cfg.shape.coord(dst.node),
+        );
+        let w = rate / routes.len() as f64;
         let crosses = |n, d| cfg.shape.hop_crosses_dateline(n, d);
-        for order in DimOrder::ALL {
-            for slice in Slice::ALL {
-                for combo in 0..num_combos {
-                    let mut idx = combo;
-                    let mut offsets = [0i32; 3];
-                    for (d, ch) in choices.iter().enumerate() {
-                        offsets[d] = ch[idx % ch.len()];
-                        idx /= ch.len();
-                    }
-                    let spec = RouteSpec::new(order, slice, offsets);
-                    // The router input the previous link fed, if any.
-                    let mut fed: Option<(usize, Port)> = None;
-                    for (link, vc) in trace_unicast(cfg, src, dst, &spec, &crosses) {
-                        let (node, slot) = self.topo.slot(&link).expect("traced link has a slot");
-                        let at = node * self.topo.slots_per_node() + slot;
-                        self.link[at] += w;
-                        self.link_vc[at * self.vc_stride + usize::from(vc.0)] += w;
-                        if let (Some((n1, input)), Some((router, output))) =
-                            (fed, router_port(self.topo.producer(slot)))
-                        {
-                            debug_assert_eq!(
-                                (n1, input.0),
-                                (node, router),
-                                "consecutive links must share a router"
-                            );
-                            self.flows[flow_index(node, input, output)] += w;
-                        }
-                        fed = router_port(self.topo.consumer(slot)).map(|port| (node, port));
-                    }
+        for spec in routes {
+            // The router input the previous link fed, if any.
+            let mut fed: Option<(usize, Port)> = None;
+            for (link, vc) in trace_unicast(cfg, src, dst, &spec, &crosses) {
+                let (node, slot) = self.topo.slot(&link).expect("traced link has a slot");
+                let at = node * self.topo.slots_per_node() + slot;
+                self.link[at] += w;
+                self.link_vc[at * self.vc_stride + usize::from(vc.0)] += w;
+                if let (Some((n1, input)), Some((router, output))) =
+                    (fed, router_port(self.topo.producer(slot)))
+                {
+                    debug_assert_eq!(
+                        (n1, input.0),
+                        (node, router),
+                        "consecutive links must share a router"
+                    );
+                    self.flows[flow_index(node, input, output)] += w;
                 }
+                fed = router_port(self.topo.consumer(slot)).map(|port| (node, port));
             }
         }
     }

@@ -97,8 +97,10 @@ impl GrantSite {
 pub enum ArbiterKind {
     /// Plain round-robin (the paper's baseline).
     RoundRobin,
-    /// Inverse-weighted with the given per-port weight tables; the outer map
-    /// is keyed by an opaque port identifier assigned by the caller.
+    /// Inverse-weighted arbitration with `m_bits`-wide inverse weights. The
+    /// weights are not part of the kind: the simulator builder programs
+    /// them from the expected traffic it is given (`.traffic()`), or
+    /// installs a precomputed set (`.weights()`) whose width must match.
     InverseWeighted {
         /// `M`, the number of inverse-weight bits (the paper uses 5).
         m_bits: u32,

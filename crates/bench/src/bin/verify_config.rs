@@ -27,8 +27,8 @@ use anton_core::vc::VcPolicy;
 use anton_obs::json::Json;
 use anton_sim::params::SimParams;
 use anton_verify::{
-    cross_check, full_enumeration, lint_params, verify_degraded, verify_mesh, Severity,
-    VerifyModel, VerifyReport,
+    cross_check, full_enumeration, lint_params, verify_degraded, verify_mesh, DimOrderRouting,
+    Severity, VerifyReport,
 };
 
 fn parse_policy(name: &str) -> VcPolicy {
@@ -270,18 +270,18 @@ fn main() {
     let mut cfg = MachineConfig::new(shape);
     cfg.vc_policy = parse_policy(&args.get::<String>("policy"));
 
-    let model = if args.on("no-datelines") {
-        VerifyModel::without_datelines(cfg.clone())
+    let routing = if args.on("no-datelines") {
+        DimOrderRouting::without_datelines(cfg.clone())
     } else {
-        VerifyModel::new(cfg.clone())
+        DimOrderRouting::new(cfg.clone())
     };
 
     println!(
         "verify_config: {shape} torus, policy {}, datelines {}",
         cfg.vc_policy,
-        if model.datelines { "on" } else { "off" }
+        if routing.datelines() { "on" } else { "off" }
     );
-    let mut report: VerifyReport = anton_verify::verify_model(&model);
+    let mut report: VerifyReport = anton_verify::verify_model(&routing);
     // Lint the default parameters, the ones an experiment binary uses.
     report
         .diagnostics

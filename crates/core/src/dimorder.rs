@@ -41,12 +41,18 @@ fn dim_bit(d: Dim) -> u8 {
     1 << d.index()
 }
 
-/// Dimension-order routing over the torus, parameterized by the dateline and
-/// arc-length knobs of the verification model.
+/// Dimension-order routing over the torus: the one model of it the deadlock
+/// certifier, its lints and its certificate labels read. Besides the
+/// machine as built ([`new`](Self::new)) it covers two variants the
+/// verifier analyzes for counterexamples: the machine with its dateline
+/// rule off and the degraded route family.
 #[derive(Debug, Clone)]
 pub struct DimOrderRouting {
     cfg: MachineConfig,
+    /// Whether dateline crossings promote VCs.
     datelines: bool,
+    /// Whether runs may take the long way around a ring (arcs up to
+    /// `k − 1` hops, either sign), as degraded route tables do.
     long_arcs: bool,
     /// Canonical M-phase entries: a representative VC state as it *arrives*
     /// (the start state, or the last hop of a run — the boundary is turned
@@ -60,13 +66,42 @@ pub struct DimOrderRouting {
 }
 
 impl DimOrderRouting {
-    /// Builds the transition system for `cfg`.
+    /// The routing of the machine as configured: minimal arcs, datelines
+    /// active.
+    pub fn new(cfg: MachineConfig) -> DimOrderRouting {
+        DimOrderRouting::build(cfg, true, false)
+    }
+
+    /// The same routing with the dateline rule disabled: a machine whose
+    /// dateline registers were never programmed, the classic unsafe torus
+    /// configuration, which must make the certifier produce a concrete
+    /// dependency cycle.
+    pub fn without_datelines(cfg: MachineConfig) -> DimOrderRouting {
+        DimOrderRouting::build(cfg, false, false)
+    }
+
+    /// The degraded route family under active datelines: every
+    /// direction-ordered route the machine can carry, healthy minimal
+    /// routing *and* every direction-ordered degraded table (arcs up to
+    /// `k − 1` hops, either sign). A simple arc still crosses its ring's
+    /// dateline at most once whatever its length, so the same abstract
+    /// states apply; the edge set is strictly larger.
     ///
-    /// `datelines` disables dateline VC promotion when false (the deliberate
-    /// counterexample model); `long_arcs` raises the arc-length bound from
+    /// This over-approximation is **cyclic for `k ≥ 4`**: crossed long arcs
+    /// deliver promoted-VC arrivals far from the dateline, whose low-VC
+    /// mesh chains couple opposite-direction rings across slices (see
+    /// `anton_verify::degraded`). It exists as an analysis model and
+    /// counterexample generator; concrete table sets are certified
+    /// explicitly instead.
+    pub fn degraded_family(cfg: MachineConfig) -> DimOrderRouting {
+        DimOrderRouting::build(cfg, true, true)
+    }
+
+    /// Builds the transition system for `cfg`: `datelines` false disables
+    /// dateline VC promotion; `long_arcs` raises the arc-length bound from
     /// minimal (`k/2`) to the worst case a degraded route table may take
     /// (`k − 1`).
-    pub fn new(cfg: MachineConfig, datelines: bool, long_arcs: bool) -> DimOrderRouting {
+    fn build(cfg: MachineConfig, datelines: bool, long_arcs: bool) -> DimOrderRouting {
         let start = cfg.vc_policy.start();
         let mut mentries: Vec<(VcState, u8)> = vec![(start, 0)];
         let mut mentry_idx: HashMap<(u8, u8), u32, MulHash> = HashMap::default();
@@ -123,6 +158,22 @@ impl DimOrderRouting {
         &self.cfg
     }
 
+    /// Whether dateline crossings promote VCs (false only for
+    /// [`without_datelines`](Self::without_datelines)).
+    pub fn datelines(&self) -> bool {
+        self.datelines
+    }
+
+    /// The VC policy and dateline setting, e.g. `anton(n+1) policy,
+    /// datelines on`: the label a certificate of this routing carries.
+    pub fn label(&self) -> String {
+        format!(
+            "{} policy, datelines {}",
+            self.cfg.vc_policy,
+            if self.datelines { "on" } else { "off" }
+        )
+    }
+
     fn mentry_state(idx: u32) -> RouteState {
         RouteState(u64::from(idx) << 1)
     }
@@ -152,7 +203,9 @@ impl DimOrderRouting {
         }
     }
 
-    fn crosses(&self, at: NodeCoord, dir: TorusDir) -> bool {
+    /// The dateline rule: whether the hop leaving `at` in `dir` promotes
+    /// the packet's VC under this routing.
+    pub fn crosses(&self, at: NodeCoord, dir: TorusDir) -> bool {
         self.datelines && self.cfg.shape.hop_crosses_dateline(at, dir)
     }
 
@@ -183,9 +236,8 @@ impl DimOrderRouting {
 impl RoutingFunction for DimOrderRouting {
     fn describe(&self) -> String {
         format!(
-            "dimension-order, {} policy, datelines {}{}",
-            self.cfg.vc_policy,
-            if self.datelines { "on" } else { "off" },
+            "dimension-order, {}{}",
+            self.label(),
             if self.long_arcs { ", long arcs" } else { "" },
         )
     }
@@ -280,7 +332,7 @@ mod tests {
     #[test]
     fn state_closure_is_small_and_complete() {
         let cfg = MachineConfig::new(TorusShape::cube(4));
-        let rf = DimOrderRouting::new(cfg, true, false);
+        let rf = DimOrderRouting::new(cfg);
         // Anton policy: one canonical M-entry per dims-routed mask.
         assert_eq!(rf.mentries.len(), 8);
         // Per (entry, unrouted dim): crossed and uncrossed arc states.
@@ -296,7 +348,7 @@ mod tests {
         let cfg = MachineConfig::new(TorusShape::new(2, 2, 1));
         let eps = cfg.endpoints_per_node();
         let nodes = cfg.shape.num_nodes();
-        let rf = DimOrderRouting::new(cfg, true, false);
+        let rf = DimOrderRouting::new(cfg);
         assert_eq!(rf.roots().len(), nodes * eps);
     }
 
@@ -304,7 +356,7 @@ mod tests {
     fn naive_policy_stays_on_vc0() {
         let mut cfg = MachineConfig::new(TorusShape::cube(2));
         cfg.vc_policy = VcPolicy::NaiveSingle;
-        let rf = DimOrderRouting::new(cfg, true, false);
+        let rf = DimOrderRouting::new(cfg);
         assert_eq!(rf.num_vcs(), 1);
         let mut out = Transitions::default();
         for root in rf.roots().iter().take(1) {

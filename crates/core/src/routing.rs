@@ -122,6 +122,34 @@ impl RouteSpec {
         RouteSpec::new(order, slice, shape.minimal_offsets(src, dst))
     }
 
+    /// The oblivious route distribution from `src` to `dst`: every
+    /// dimension order × slice × choice between tied minimal directions,
+    /// each equally likely, in that nesting order (the tie combination
+    /// varies fastest, X's choice fastest within it). Load analysis weighs
+    /// each route `1 / len()`; the route enumerator traces them all.
+    pub fn minimal_routes(
+        shape: &TorusShape,
+        src: NodeCoord,
+        dst: NodeCoord,
+    ) -> impl ExactSizeIterator<Item = RouteSpec> {
+        let choices = Dim::ALL.map(|d| shape.minimal_offset_choices(d, src, dst));
+        let num_combos: usize = choices.iter().map(Vec::len).product();
+        let mut ties = Vec::with_capacity(num_combos);
+        for combo in 0..num_combos {
+            let mut idx = combo;
+            ties.push(choices.each_ref().map(|ch| {
+                let pick = ch[idx % ch.len()];
+                idx /= ch.len();
+                pick
+            }));
+        }
+        let per_order = Slice::ALL.len() * num_combos;
+        (0..DimOrder::ALL.len() * per_order).map(move |i| {
+            let slice = Slice::ALL[i % per_order / num_combos];
+            RouteSpec::new(DimOrder::ALL[i / per_order], slice, ties[i % num_combos])
+        })
+    }
+
     /// Builds a fully randomized route spec: random dimension order, random
     /// slice, and random choice between tied minimal directions — the default
     /// unicast policy of the Anton 2 network.

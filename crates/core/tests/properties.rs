@@ -8,7 +8,7 @@ use anton_core::chip::{LinkGroup, LocalEndpointId, LocalLink};
 use anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton_core::multicast::{DestSet, McTree};
 use anton_core::routing::{DimOrder, RouteSpec};
-use anton_core::topology::{NodeCoord, Slice, TorusShape};
+use anton_core::topology::{Dim, NodeCoord, Slice, TorusShape};
 use anton_core::trace::{trace_unicast, GlobalLink};
 use anton_core::vc::VcPolicy;
 
@@ -19,8 +19,11 @@ fn arb_shape() -> impl Strategy<Value = TorusShape> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every randomized route spec reaches its destination in the minimal
-    /// number of hops, regardless of shape, order, and slice.
+    /// Every randomized route spec, and every route of the enumerated
+    /// distribution, reaches its destination in the minimal number of hops,
+    /// regardless of shape, order, and slice. The distribution holds
+    /// `12 × ∏ ties` distinct routes: each order and slice once per
+    /// combination of tied minimal directions.
     #[test]
     fn route_specs_are_minimal_and_correct(
         shape in arb_shape(),
@@ -37,12 +40,24 @@ proptest! {
         let spec = RouteSpec::randomized_with(
             &shape, src, dst, DimOrder::ALL[order_idx], Slice(slice), &mut rng,
         );
-        prop_assert_eq!(spec.remaining_hops(), shape.min_hops(src, dst));
-        let mut cur = src;
-        for hop in spec.hops() {
-            cur = shape.neighbor(cur, hop);
+        let routes = RouteSpec::minimal_routes(&shape, src, dst);
+        let ties: usize = Dim::ALL
+            .iter()
+            .map(|&d| shape.minimal_offset_choices(d, src, dst).len())
+            .product();
+        prop_assert_eq!(routes.len(), 12 * ties);
+        let mut distinct = std::collections::HashSet::new();
+        for spec in std::iter::once(spec).chain(routes) {
+            prop_assert_eq!(spec.remaining_hops(), shape.min_hops(src, dst));
+            let mut cur = src;
+            for hop in spec.hops() {
+                cur = shape.neighbor(cur, hop);
+            }
+            prop_assert_eq!(cur, dst);
+            distinct.insert(spec);
         }
-        prop_assert_eq!(cur, dst);
+        // The randomized spec is one of the enumerated routes.
+        prop_assert_eq!(distinct.len(), 12 * ties);
     }
 
     /// Traced routes never exceed the VC budget of their policy, begin and

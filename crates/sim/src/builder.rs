@@ -40,7 +40,7 @@ use anton_arbiter::ArbiterKind;
 use anton_core::config::MachineConfig;
 use anton_core::pattern::TrafficPattern;
 use anton_core::topology::TorusShape;
-use anton_verify::VerifyReport;
+use anton_verify::{Diagnostic, VerifyReport};
 
 use crate::fabric::DegradedState;
 use crate::params::{PreflightMode, SimParams};
@@ -123,7 +123,10 @@ impl SimBuilder {
 
     /// A precomputed arbiter weight set to program at every arbitration
     /// point it covers, for callers that share one set across simulators.
-    /// Building panics if [`traffic`](SimBuilder::traffic) was also given.
+    /// The arbiter must be [`InverseWeighted`](ArbiterKind::InverseWeighted)
+    /// with the set's `m_bits`; otherwise the set is not installed and the
+    /// pre-run gate reports `AV016`. Building panics if
+    /// [`traffic`](SimBuilder::traffic) was also given.
     pub fn weights(mut self, set: ArbiterWeightSet) -> SimBuilder {
         self.weights = Some(set);
         self
@@ -184,10 +187,25 @@ impl SimBuilder {
             "SimBuilder: pass arbiter weights either precomputed (.weights) or \
              derived from expected traffic (.traffic), not both"
         );
-        let weights = self
+        // A given set programs only the arbiters `params.arbiter` makes
+        // inverse-weighted, at the set's width; any other pairing is AV016
+        // and the set stays uninstalled.
+        let mismatch = self
             .weights
-            .take()
-            .or_else(|| computed_weights(cfg, params, &self.traffic));
+            .as_ref()
+            .filter(|set| params.arbiter != ArbiterKind::InverseWeighted { m_bits: set.m_bits })
+            .map(|set| {
+                Diagnostic::error(
+                    "AV016",
+                    format!(
+                        "a {}-bit arbiter weight set was given, but the arbiter is {:?}",
+                        set.m_bits, params.arbiter
+                    ),
+                )
+                .with("weights_m_bits", set.m_bits)
+            });
+        let given = self.weights.take().filter(|_| mismatch.is_none());
+        let weights = given.or_else(|| computed_weights(cfg, params, &self.traffic));
         if params.preflight == PreflightMode::Off {
             return PreRun {
                 weights,
@@ -212,6 +230,7 @@ impl SimBuilder {
         if let Some(set) = &weights {
             report.diagnostics.extend(anton_verify::lint_weights(set));
         }
+        report.diagnostics.extend(mismatch);
         apply_mode(&report, params.preflight);
         if has_downs && degraded.is_none() {
             eprintln!("anton-sim pre-flight: degraded route tables not installed");

@@ -34,6 +34,10 @@ use crate::sim::{Delivery, Driver, Sim};
 /// never starved by the driver.
 const LOW_WATER: usize = 2;
 
+/// Payload of every packet the drivers send, in bytes (16, as in the
+/// paper); only a [`BatchDriver`] can be set to another size.
+pub const PAYLOAD_BYTES: usize = 16;
+
 /// Per-endpoint RNG streams derived from one base seed: endpoint `i` draws
 /// from stream `i` regardless of how many other endpoints draw, so a
 /// shard simulating only a sub-range of endpoints reproduces exactly the
@@ -111,7 +115,7 @@ impl BatchDriver {
             n_eps: cfg.num_endpoints(),
             components: Vec::new(),
             packets_per_endpoint: 1,
-            payload_bytes: 16,
+            payload_bytes: PAYLOAD_BYTES,
             seed: 0,
         }
     }
@@ -148,8 +152,9 @@ impl BatchDriver {
 /// Configures a [`BatchDriver`]; obtained from [`BatchDriver::builder`] or
 /// [`BatchDriver::builder_for`].
 ///
-/// Defaults: one packet per endpoint, 16-byte payloads, seed 0. At least
-/// one pattern component must be added before [`build`](Self::build).
+/// Defaults: one packet per endpoint, [`PAYLOAD_BYTES`] payloads, seed 0.
+/// At least one pattern component must be added before
+/// [`build`](Self::build).
 pub struct BatchDriverBuilder {
     n_eps: usize,
     components: Vec<(Box<dyn TrafficPattern>, f64)>,
@@ -202,7 +207,7 @@ impl BatchDriverBuilder {
         self
     }
 
-    /// Sets the payload size in bytes (default 16, as in the paper).
+    /// Sets the payload size in bytes (default [`PAYLOAD_BYTES`]).
     pub fn payload_bytes(mut self, bytes: usize) -> BatchDriverBuilder {
         self.payload_bytes = bytes;
         self
@@ -318,12 +323,11 @@ struct Pair {
 #[derive(Debug)]
 pub struct PingPongDriver {
     pairs: Vec<Pair>,
-    payload_bytes: usize,
 }
 
 impl PingPongDriver {
     /// Creates a driver running `legs` one-way messages per pair
-    /// (16-byte payloads, as in the paper).
+    /// ([`PAYLOAD_BYTES`] payloads).
     pub fn new(pairs: Vec<(GlobalEndpoint, GlobalEndpoint)>, legs: u32) -> PingPongDriver {
         assert!(legs > 0, "need at least one leg");
         let pairs = pairs
@@ -339,10 +343,7 @@ impl PingPongDriver {
                 legs_done: 0,
             })
             .collect();
-        PingPongDriver {
-            pairs,
-            payload_bytes: 16,
-        }
+        PingPongDriver { pairs }
     }
 
     /// Mean one-way latency of pair `i` in nanoseconds, including software
@@ -377,7 +378,7 @@ impl Driver for PingPongDriver {
                     let (src, dst) = if p.a_sends { (p.a, p.b) } else { (p.b, p.a) };
                     let counter = CounterId(i as u16);
                     sim.set_counter(dst, counter, 1);
-                    let mut pkt = Packet::write(src, dst, Payload::zeros(self.payload_bytes));
+                    let mut pkt = Packet::write(src, dst, Payload::zeros(PAYLOAD_BYTES));
                     pkt.counter = Some(counter);
                     sim.inject(src, pkt);
                     p.inject_at = None;
@@ -435,8 +436,8 @@ pub struct RateDriver {
 }
 
 impl RateDriver {
-    /// Creates a rate driver sending `total` 16-byte packets at rate
-    /// `rate_num/rate_den` flits per cycle.
+    /// Creates a rate driver sending `total` packets of [`PAYLOAD_BYTES`]
+    /// bytes at rate `rate_num/rate_den` flits per cycle.
     ///
     /// # Panics
     ///
@@ -491,9 +492,9 @@ impl Driver for RateDriver {
             return;
         }
         let payload = match self.payload {
-            PayloadKind::Zeros => Payload::zeros(16),
-            PayloadKind::Ones => Payload::ones(16),
-            PayloadKind::Random => Payload::random(16, &mut self.rng),
+            PayloadKind::Zeros => Payload::zeros(PAYLOAD_BYTES),
+            PayloadKind::Ones => Payload::ones(PAYLOAD_BYTES),
+            PayloadKind::Random => Payload::random(PAYLOAD_BYTES, &mut self.rng),
         };
         let mut pkt = Packet::write(self.src, self.dst, payload);
         pkt.class = TrafficClass::Request;
@@ -522,7 +523,6 @@ impl Driver for RateDriver {
 pub struct LoadDriver {
     pattern: Box<dyn TrafficPattern>,
     rate: f64,
-    payload_bytes: usize,
     remaining: Vec<u64>,
     expected: u64,
     delivered: u64,
@@ -549,7 +549,7 @@ impl std::fmt::Debug for LoadDriver {
 impl LoadDriver {
     /// Creates a load driver: each endpoint injects `packets_per_endpoint`
     /// packets drawn from `pattern`, offered at `rate` packets per cycle
-    /// per endpoint (16-byte payloads).
+    /// per endpoint ([`PAYLOAD_BYTES`] payloads).
     ///
     /// # Panics
     ///
@@ -583,7 +583,6 @@ impl LoadDriver {
         LoadDriver {
             pattern,
             rate,
-            payload_bytes: 16,
             remaining: vec![packets_per_endpoint; n_eps],
             expected,
             delivered: 0,
@@ -667,7 +666,7 @@ impl Driver for LoadDriver {
             }
             let src = sim.cfg.endpoint_at(idx);
             let dst = self.pattern.sample_dst(&sim.cfg, src, &mut self.rngs[idx]);
-            let pkt = Packet::write(src, dst, Payload::zeros(self.payload_bytes));
+            let pkt = Packet::write(src, dst, Payload::zeros(PAYLOAD_BYTES));
             sim.inject(src, pkt);
             self.remaining[idx] -= 1;
         }
@@ -716,7 +715,6 @@ mod tests {
         let mut d = LoadDriver {
             pattern: Box::new(SelfPattern),
             rate: 0.5,
-            payload_bytes: 16,
             remaining: vec![0],
             expected: 0,
             delivered: 0,

@@ -46,7 +46,7 @@ use anton_verify::{build_degraded_tables, build_routing_graph};
 /// Every edge of the certified graph of `cfg` with `tables` installed.
 fn certified_edges(cfg: &MachineConfig, tables: &[RouteTable]) -> HashSet<DepEdge> {
     let topo = TorusTopology::new(cfg);
-    let healthy = DimOrderRouting::new(cfg.clone(), true, false);
+    let healthy = DimOrderRouting::new(cfg.clone());
     let table_rfs: Vec<TableRouting> = tables
         .iter()
         .map(|t| TableRouting::new(cfg.clone(), t.clone()))

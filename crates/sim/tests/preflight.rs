@@ -1,12 +1,15 @@
 //! Static pre-flight verification wired into simulator construction.
 
+use anton_analysis::load::LoadAnalysis;
+use anton_analysis::weights::ArbiterWeightSet;
+use anton_arbiter::ArbiterKind;
 use anton_core::config::MachineConfig;
 use anton_core::topology::TorusShape;
 use anton_core::vc::VcPolicy;
 use anton_sim::driver::BatchDriver;
 use anton_sim::params::{PreflightMode, SimParams};
 use anton_sim::sim::{RunOutcome, Sim, StaticVerdict};
-use anton_traffic::patterns::NodePermutation;
+use anton_traffic::patterns::{NodePermutation, UniformRandom};
 
 #[test]
 fn default_config_certifies_at_construction() {
@@ -114,4 +117,66 @@ fn predicted_deadlock_is_labeled_in_the_report() {
             .and_then(anton_obs::Json::as_str),
         Some("predicted")
     );
+}
+
+/// An inverse-weight set for uniform traffic on a 2×2×2 machine.
+fn uniform_weights(cfg: &MachineConfig, m_bits: u32) -> ArbiterWeightSet {
+    let analysis = LoadAnalysis::compute(cfg, &UniformRandom);
+    ArbiterWeightSet::compute(cfg, &[&analysis], m_bits)
+}
+
+/// A weight set programs only the arbiters the parameters make
+/// inverse-weighted, at the set's own width: beside round-robin
+/// arbitration, or beside an inverse-weighted arbiter of another width, it
+/// is `AV016`.
+#[test]
+fn enforce_mode_rejects_weights_the_arbiter_does_not_take() {
+    let cfg = MachineConfig::new(TorusShape::cube(2));
+    for arbiter in [
+        ArbiterKind::RoundRobin,
+        ArbiterKind::Age,
+        ArbiterKind::InverseWeighted { m_bits: 4 },
+    ] {
+        let build = std::panic::catch_unwind(|| {
+            Sim::builder()
+                .config(cfg.clone())
+                .arbiter(arbiter.clone())
+                .weights(uniform_weights(&cfg, 5))
+                .build()
+        });
+        let err = build.expect_err("a mismatched weight set must be rejected");
+        let text = err
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(text.contains("AV016"), "{arbiter:?}: {text}");
+    }
+}
+
+/// Under `WarnOnly` the mismatched set is reported and left out: the run is
+/// the plain round-robin run, cycle for cycle.
+#[test]
+fn warn_only_leaves_a_mismatched_weight_set_uninstalled() {
+    let cfg = MachineConfig::new(TorusShape::cube(2));
+    let run = |weights: Option<ArbiterWeightSet>| {
+        let params = SimParams {
+            preflight: PreflightMode::WarnOnly,
+            ..SimParams::default()
+        };
+        let mut builder = Sim::builder()
+            .config(cfg.clone())
+            .params(params)
+            .arbiter(ArbiterKind::RoundRobin);
+        if let Some(set) = weights {
+            builder = builder.weights(set);
+        }
+        let mut sim = builder.build();
+        let mut drv = BatchDriver::builder(&sim)
+            .pattern(Box::new(UniformRandom))
+            .packets_per_endpoint(32)
+            .seed(11)
+            .build();
+        assert_eq!(sim.run(&mut drv, 1_000_000), RunOutcome::Completed);
+        (sim.now(), sim.grant_counts())
+    };
+    assert_eq!(run(Some(uniform_weights(&cfg, 5))), run(None));
 }

@@ -2,9 +2,10 @@
 //! cross-check against the symbolic certifier.
 //!
 //! [`enumerate_routes`] builds the VC dependency graph by tracing every
-//! concrete route (all sources × destinations × dimension orders × slices
-//! × tie-breaks) — `O(N²)` traces for `N` nodes — where the symbolic engine
-//! ([`crate::symbolic`]) walks a handful of abstract states. Both write a
+//! concrete route (all sources × destinations × the route distribution of
+//! [`RouteSpec::minimal_routes`], the one the load analysis weighs) —
+//! `O(N²)` traces for `N` nodes — where the symbolic engine ([`crate::certify`]
+//! over [`DimOrderRouting`]) walks a handful of abstract states. Both write a
 //! [`SymGraph`] over the machine's [`TorusTopology`] and read its one cycle
 //! search; [`cross_check`] compares the two edge sets verbatim on small
 //! machines.
@@ -13,15 +14,13 @@ use std::collections::HashSet;
 
 use anton_core::chip::LocalEndpointId;
 use anton_core::config::{GlobalEndpoint, MachineConfig};
+use anton_core::dimorder::DimOrderRouting;
 use anton_core::net::{RoutingFunction, TorusTopology};
-use anton_core::routing::{DimOrder, RouteSpec};
-use anton_core::topology::{Dim, Slice};
+use anton_core::routing::RouteSpec;
 use anton_core::trace::trace_unicast;
 
 use crate::engine::build_routing_graph;
 use crate::graph::{ChannelVc, SymGraph};
-use crate::model::VerifyModel;
-use crate::symbolic::model_routing;
 
 /// Which endpoints to include when enumerating routes (on-chip segments
 /// depend on endpoint placement; a small sample keeps the enumeration
@@ -54,42 +53,25 @@ pub fn enumerate_routes<'t>(
     cfg: &MachineConfig,
     en: &RouteEnumeration,
 ) -> SymGraph<'t> {
-    let vcs = model_routing(&VerifyModel::new(cfg.clone())).num_vcs();
+    let vcs = DimOrderRouting::new(cfg.clone()).num_vcs();
     let mut graph = SymGraph::new(topo, vcs);
     let crosses = |n, d| cfg.shape.hop_crosses_dateline(n, d);
     for src_n in cfg.shape.nodes() {
         for dst_n in cfg.shape.nodes() {
-            // Enumerate tie combinations exactly.
-            let choices: Vec<Vec<i32>> = Dim::ALL
-                .iter()
-                .map(|d| cfg.shape.minimal_offset_choices(*d, src_n, dst_n))
-                .collect();
-            let num_combos: usize = choices.iter().map(Vec::len).product();
-            for order in DimOrder::ALL {
-                for slice in Slice::ALL {
-                    for combo in 0..num_combos {
-                        let mut idx = combo;
-                        let mut offsets = [0i32; 3];
-                        for (d, ch) in choices.iter().enumerate() {
-                            offsets[d] = ch[idx % ch.len()];
-                            idx /= ch.len();
-                        }
-                        let spec = RouteSpec::new(order, slice, offsets);
-                        for &se in &en.src_endpoints {
-                            for &de in &en.dst_endpoints {
-                                let src = GlobalEndpoint {
-                                    node: cfg.shape.id(src_n),
-                                    ep: LocalEndpointId(se),
-                                };
-                                let dst = GlobalEndpoint {
-                                    node: cfg.shape.id(dst_n),
-                                    ep: LocalEndpointId(de),
-                                };
-                                let steps = trace_unicast(cfg, src, dst, &spec, &crosses);
-                                for hop in steps.windows(2) {
-                                    graph.add_edge(hop[0], hop[1]);
-                                }
-                            }
+            for spec in RouteSpec::minimal_routes(&cfg.shape, src_n, dst_n) {
+                for &se in &en.src_endpoints {
+                    for &de in &en.dst_endpoints {
+                        let src = GlobalEndpoint {
+                            node: cfg.shape.id(src_n),
+                            ep: LocalEndpointId(se),
+                        };
+                        let dst = GlobalEndpoint {
+                            node: cfg.shape.id(dst_n),
+                            ep: LocalEndpointId(de),
+                        };
+                        let steps = trace_unicast(cfg, src, dst, &spec, &crosses);
+                        for hop in steps.windows(2) {
+                            graph.add_edge(hop[0], hop[1]);
                         }
                     }
                 }
@@ -130,9 +112,8 @@ impl CrossCheck {
 /// Cross-checks the symbolic graph against [`enumerate_routes`] on the
 /// same configuration.
 pub fn cross_check(cfg: &MachineConfig, en: &RouteEnumeration) -> CrossCheck {
-    let model = VerifyModel::new(cfg.clone());
     let topo = TorusTopology::new(cfg);
-    let rf = model_routing(&model);
+    let rf = DimOrderRouting::new(cfg.clone());
     let mut diags = Vec::new();
     let g = build_routing_graph(&topo, &[&rf], &mut diags);
     debug_assert!(diags.is_empty(), "{diags:?}");

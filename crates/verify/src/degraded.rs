@@ -20,10 +20,10 @@
 //! minimal routing can never produce there. Those arrivals open
 //! mesh-level dependency chains at low VCs that couple opposite-direction
 //! rings on *different slices* through the shared on-chip mesh, closing a
-//! cycle ([`certify_family`] extracts a concrete 16-edge counterexample
-//! on a 4×4×4 torus; the `long_arc_family_is_cyclic` test pins it). Any
-//! one degradation only bends a few rings, so concrete table sets
-//! generally stay acyclic — but that must be *proved per table set*,
+//! cycle ([`crate::certify`] over [`DimOrderRouting::degraded_family`]
+//! extracts a concrete 16-edge counterexample on a 4×4×4 torus; the
+//! `long_arc_family_is_cyclic` test pins it). Any one degradation only
+//! bends a few rings, so concrete table sets generally stay acyclic — but that must be *proved per table set*,
 //! which is exactly what this module does and what the simulator's
 //! install gate enforces. This mirrors why full-blown fault-tolerant
 //! routing needs per-route-set proofs rather than a single static
@@ -38,6 +38,7 @@
 //! formats those codes.
 
 use anton_core::config::MachineConfig;
+use anton_core::dimorder::DimOrderRouting;
 use anton_core::net::RoutingFunction;
 use anton_core::net::TorusTopology;
 use anton_core::route_table::{build_route_table, DownLinkSet, RouteTable};
@@ -45,26 +46,7 @@ use anton_core::table_routing::TableRouting;
 use anton_core::topology::Slice;
 
 use crate::engine::certify_routing;
-use crate::model::VerifyModel;
 use crate::report::{DeadlockCertificate, Diagnostic, Severity};
-use crate::symbolic::{model_label, model_routing};
-
-/// Certifies the direction-ordered degraded route *family* — the
-/// down-set-independent over-approximation admitting arcs up to `k − 1`
-/// hops in either direction of every ring at once.
-///
-/// This is an **analysis tool, not an install gate**: the family is
-/// provably cyclic for `k ≥ 4` (see the module docs — long crossed arcs
-/// couple opposite-direction rings across slices through the shared
-/// on-chip mesh), which is precisely why the simulator certifies each
-/// concrete table set explicitly with [`certify_tables`] instead of
-/// relying on one static certificate.
-///
-/// Envelope diagnostics come back beside the certificate, as from
-/// [`crate::certify`].
-pub fn certify_family(cfg: &MachineConfig) -> (DeadlockCertificate, Vec<Diagnostic>) {
-    crate::symbolic::certify(&VerifyModel::degraded_family(cfg.clone()))
-}
 
 /// Explicitly certifies a concrete set of route tables: every
 /// `(src, dst)` path is walked through the reference tracer, the
@@ -83,16 +65,15 @@ pub fn certify_tables(
     cfg: &MachineConfig,
     tables: &[RouteTable],
 ) -> (DeadlockCertificate, Vec<Diagnostic>) {
-    let model = VerifyModel::new(cfg.clone());
     let topo = TorusTopology::new(cfg);
-    let healthy = model_routing(&model);
+    let healthy = DimOrderRouting::new(cfg.clone());
     let table_rfs: Vec<TableRouting> = tables
         .iter()
         .map(|t| TableRouting::new(cfg.clone(), t.clone()))
         .collect();
     let mut rfs: Vec<&dyn RoutingFunction> = vec![&healthy];
     rfs.extend(table_rfs.iter().map(|t| t as &dyn RoutingFunction));
-    certify_routing(&topo, &rfs, model_label(&model))
+    certify_routing(&topo, &rfs, healthy.label())
 }
 
 /// Outcome of building and certifying degraded route tables for one
@@ -179,17 +160,12 @@ pub fn verify_degraded_epochs(cfg: &MachineConfig, sets: &[DownLinkSet]) -> Degr
     let (certificate, envelope) = certify_tables(cfg, &tables);
     diagnostics.extend(envelope);
     if !certificate.acyclic {
-        let mut d = Diagnostic::error(
+        let d = Diagnostic::error(
             "AV021",
             format!("degraded route tables are uncertifiable — {certificate}"),
         )
-        .with("down_links", all_downs.len());
-        if let Some(ce) = &certificate.counterexample {
-            d = d.with("cycle_length", ce.cycle.len());
-            if let Some(w) = ce.witnesses.first() {
-                d = d.with("witness", w);
-            }
-        }
+        .with("down_links", all_downs.len())
+        .with_cycle(&certificate, 0);
         diagnostics.push(d);
     }
     DegradedVerdict {
@@ -246,7 +222,12 @@ mod tests {
         // the dateline opens low-VC mesh chains that couple
         // opposite-direction rings across slices, closing a cycle. Hence
         // every concrete table set must be certified explicitly.
-        let (cert, diags) = certify_family(&MachineConfig::new(TorusShape::cube(4)));
+        let family = |k| {
+            crate::certify(&DimOrderRouting::degraded_family(MachineConfig::new(
+                TorusShape::cube(k),
+            )))
+        };
+        let (cert, diags) = family(4);
         assert!(diags.is_empty(), "{diags:?}");
         assert!(!cert.acyclic, "family unexpectedly certified: {cert}");
         let ce = cert.counterexample.expect("cycle extracted");
@@ -254,7 +235,7 @@ mod tests {
         // On k = 3 every crossed arc ends at most one hop past the
         // dateline — the positional property healthy routing relies on —
         // so the family is still sound there.
-        let (small, diags) = certify_family(&MachineConfig::new(TorusShape::cube(3)));
+        let (small, diags) = family(3);
         assert!(diags.is_empty(), "{diags:?}");
         assert!(small.acyclic, "{small}");
     }
@@ -266,9 +247,8 @@ mod tests {
         // dependency edges must already be present in the
         // (over-approximating) long-arc family graph.
         let cfg = MachineConfig::new(TorusShape::cube(3));
-        let model = VerifyModel::degraded_family(cfg.clone());
         let topo = TorusTopology::new(&cfg);
-        let family_rf = model_routing(&model);
+        let family_rf = DimOrderRouting::degraded_family(cfg.clone());
         let mut diags = Vec::new();
         let family = crate::engine::build_routing_graph(&topo, &[&family_rf], &mut diags);
         assert!(diags.is_empty(), "{diags:?}");

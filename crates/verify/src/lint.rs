@@ -41,7 +41,6 @@ use anton_core::config::MachineConfig;
 use anton_core::timing::{TORUS_LINK_CYCLES, TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
 use anton_fault::{FaultKind, FaultSchedule};
 
-use crate::model::VerifyModel;
 use crate::report::Diagnostic;
 
 /// Minimum torus buffering (flits) that keeps a reliable link busy across
@@ -79,8 +78,8 @@ pub struct ParamsView<'a> {
 }
 
 /// Lints the machine configuration proper (topology, VC budget).
-/// Deadlock certification (AV002) is separate — see
-/// [`crate::verify_model`]. The on-chip direction order needs no lint: a
+/// Deadlock certification (AV002) and the dateline lint (AV003) depend on
+/// the routing, not the configuration — see [`crate::verify_model`]. The on-chip direction order needs no lint: a
 /// `DirOrder` is a permutation of the four mesh directions by construction,
 /// so it reaches every router in its Manhattan distance, and each mesh
 /// dependency strictly raises (direction rank, position along that
@@ -131,28 +130,12 @@ pub fn lint_config(cfg: &MachineConfig) -> Vec<Diagnostic> {
     out
 }
 
-fn usable_dim_count(cfg: &MachineConfig) -> u8 {
+/// Dimensions with a ring (extent above 1).
+pub(crate) fn usable_dim_count(cfg: &MachineConfig) -> u8 {
     anton_core::topology::Dim::ALL
         .iter()
         .filter(|d| cfg.shape.k(**d) > 1)
         .count() as u8
-}
-
-/// Model-level lints: [`lint_config`] plus checks that depend on the
-/// verifier's model knobs (AV003).
-pub fn lint_model(model: &VerifyModel) -> Vec<Diagnostic> {
-    let mut out = lint_config(&model.cfg);
-    if !model.datelines && usable_dim_count(&model.cfg) > 0 {
-        out.push(
-            Diagnostic::error(
-                "AV003",
-                "dateline VC promotion is disabled on a wrapping torus — \
-                 ring dependencies are unbroken",
-            )
-            .with("shape", model.cfg.shape),
-        );
-    }
-    out
 }
 
 /// Lints simulation parameters against the configuration.

@@ -74,6 +74,22 @@ impl Diagnostic {
         self
     }
 
+    /// Appends the summary of `cert`'s counterexample, if it has one: the
+    /// cycle length, its first `listed` `(channel, VC)` entries and the
+    /// first witness route.
+    pub(crate) fn with_cycle(mut self, cert: &DeadlockCertificate, listed: usize) -> Diagnostic {
+        if let Some(ce) = &cert.counterexample {
+            self = self.with("cycle_length", ce.cycle.len());
+            for (i, (link, vc)) in ce.cycle.iter().take(listed).enumerate() {
+                self = self.with(format!("cycle[{i}]"), format!("{link}@{vc}"));
+            }
+            if let Some(w) = ce.witnesses.first() {
+                self = self.with("witness", w);
+            }
+        }
+        self
+    }
+
     /// Exports the diagnostic as a JSON object.
     pub fn to_json(&self) -> Json {
         Json::obj([

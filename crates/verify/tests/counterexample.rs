@@ -2,13 +2,14 @@
 //! broken configurations.
 
 use anton_core::config::MachineConfig;
+use anton_core::dimorder::DimOrderRouting;
 use anton_core::net::{RoutePath, TorusTopology};
 use anton_core::routing::RouteSpec;
 use anton_core::topology::TorusShape;
 use anton_core::trace::trace_unicast;
 use anton_core::vc::VcPolicy;
 use anton_verify::{
-    certify, enumerate_routes, verify_config, verify_model, RouteEnumeration, Severity, VerifyModel,
+    certify, enumerate_routes, verify_config, verify_model, RouteEnumeration, Severity,
 };
 
 /// The paper's default machine certifies deadlock-free without enumerating
@@ -18,7 +19,7 @@ use anton_verify::{
 #[test]
 fn default_8x8x8_certifies_acyclic() {
     let cfg = MachineConfig::new(TorusShape::cube(8));
-    let (cert, diags) = certify(&VerifyModel::new(cfg));
+    let (cert, diags) = certify(&DimOrderRouting::new(cfg));
     assert!(diags.is_empty(), "{diags:?}");
     assert!(cert.acyclic, "{cert}");
     assert_eq!(cert.nodes, 198_912, "{cert}");
@@ -30,12 +31,12 @@ fn default_8x8x8_certifies_acyclic() {
 fn baseline_8x8x8_certifies_acyclic() {
     let mut cfg = MachineConfig::new(TorusShape::cube(8));
     cfg.vc_policy = VcPolicy::Baseline2n;
-    let (cert, diags) = certify(&VerifyModel::new(cfg));
+    let (cert, diags) = certify(&DimOrderRouting::new(cfg));
     assert!(diags.is_empty(), "{diags:?}");
     assert!(cert.acyclic, "{cert}");
 }
 
-fn assert_counterexample_valid(model: &VerifyModel) {
+fn assert_counterexample_valid(model: &DimOrderRouting) {
     let (cert, diags) = certify(model);
     assert!(diags.is_empty(), "{diags:?}");
     assert!(!cert.acyclic, "expected a dependency cycle: {cert}");
@@ -48,8 +49,9 @@ fn assert_counterexample_valid(model: &VerifyModel) {
         let RoutePath::Torus { hops, slice } = &w.path else {
             panic!("torus witness {w} has a non-torus path");
         };
-        let spec = RouteSpec::from_hops(&model.cfg.shape, *slice, hops).expect("witness route");
-        let steps = trace_unicast(&model.cfg, w.src, w.dst, &spec, &|n, d| model.crosses(n, d));
+        let cfg = model.config();
+        let spec = RouteSpec::from_hops(&cfg.shape, *slice, hops).expect("witness route");
+        let steps = trace_unicast(cfg, w.src, w.dst, &spec, &|n, d| model.crosses(n, d));
         assert!(
             steps
                 .windows(2)
@@ -68,7 +70,7 @@ fn assert_counterexample_valid(model: &VerifyModel) {
 #[test]
 fn datelines_off_yields_concrete_cycle() {
     let cfg = MachineConfig::new(TorusShape::cube(4));
-    let model = VerifyModel::without_datelines(cfg);
+    let model = DimOrderRouting::without_datelines(cfg);
     assert_counterexample_valid(&model);
     // And the report surfaces it as AV003 + AV002.
     let report = verify_model(&model);
@@ -84,7 +86,7 @@ fn datelines_off_yields_concrete_cycle() {
 fn naive_single_vc_8x8x8_yields_concrete_cycle() {
     let mut cfg = MachineConfig::new(TorusShape::cube(8));
     cfg.vc_policy = VcPolicy::NaiveSingle;
-    assert_counterexample_valid(&VerifyModel::new(cfg.clone()));
+    assert_counterexample_valid(&DimOrderRouting::new(cfg.clone()));
     let report = verify_config(&cfg);
     assert!(report.has_errors());
     let codes: Vec<&str> = report.diagnostics.iter().map(|d| d.code).collect();
@@ -146,7 +148,7 @@ const Z_RING_WITNESSES: [&str; 8] = [
 ];
 
 /// A model's counterexample, as the text the reports print.
-fn counterexample_text(model: &VerifyModel) -> (Vec<String>, Vec<String>) {
+fn counterexample_text(model: &DimOrderRouting) -> (Vec<String>, Vec<String>) {
     let cert = verify_model(model)
         .certificate
         .expect("a model is certified");
@@ -165,7 +167,7 @@ fn counterexample_text(model: &VerifyModel) -> (Vec<String>, Vec<String>) {
 fn naive_4x4x4_counterexample_is_pinned() {
     let mut cfg = MachineConfig::new(TorusShape::cube(4));
     cfg.vc_policy = VcPolicy::NaiveSingle;
-    let (cycle, witnesses) = counterexample_text(&VerifyModel::new(cfg.clone()));
+    let (cycle, witnesses) = counterexample_text(&DimOrderRouting::new(cfg.clone()));
     assert_eq!(cycle, Z_RING);
     assert_eq!(witnesses, Z_RING_WITNESSES);
     let report = verify_config(&cfg);
@@ -184,7 +186,7 @@ fn naive_4x4x4_counterexample_is_pinned() {
 /// witnesses as the naive policy: without promotion both stay on VC 0.
 #[test]
 fn datelines_off_4x4x4_counterexample_is_pinned() {
-    let model = VerifyModel::without_datelines(MachineConfig::new(TorusShape::cube(4)));
+    let model = DimOrderRouting::without_datelines(MachineConfig::new(TorusShape::cube(4)));
     let (cycle, witnesses) = counterexample_text(&model);
     assert_eq!(cycle, Z_RING);
     assert_eq!(witnesses, Z_RING_WITNESSES);

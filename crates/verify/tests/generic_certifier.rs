@@ -4,22 +4,22 @@
 //!
 //! Everything here goes through the one engine
 //! (`build_routing_graph`/`certify_routing`): the dimension-order torus
-//! instance via [`certify`]/[`certify_family`], and graph-generated route
+//! instance via [`certify`] over [`DimOrderRouting`] (the machine as
+//! built and the degraded family), and graph-generated route
 //! tables via [`certify_tables`]. The property test closes the loop the
 //! way `counterexample.rs` does for the healthy torus — any cycle the
 //! certifier reports must come with witness routes that re-trace, step
 //! for step, to real routes holding the cycle's edges.
 
 use anton_core::config::MachineConfig;
+use anton_core::dimorder::DimOrderRouting;
 use anton_core::net::RoutePath;
 use anton_core::onchip::DirOrder;
 use anton_core::route_table::DownLinkSet;
 use anton_core::routing::RouteSpec;
 use anton_core::topology::{NodeId, Slice, TorusDir, TorusShape};
 use anton_core::trace::trace_unicast;
-use anton_verify::{
-    certify, certify_family, certify_tables, cross_check, DeadlockCertificate, VerifyModel,
-};
+use anton_verify::{certify, certify_tables, cross_check, DeadlockCertificate};
 use proptest::prelude::*;
 
 /// Rectangular tori — odd extents, mixed radixes — certify acyclic
@@ -29,7 +29,7 @@ use proptest::prelude::*;
 fn rectangular_tori_certify_through_the_generic_engine() {
     for shape in [TorusShape::new(4, 3, 2), TorusShape::new(5, 4, 3)] {
         let cfg = MachineConfig::new(shape);
-        let (cert, diags) = certify(&VerifyModel::new(cfg.clone()));
+        let (cert, diags) = certify(&DimOrderRouting::new(cfg.clone()));
         assert!(diags.is_empty(), "{diags:?}");
         assert!(cert.acyclic, "{shape}: {cert}");
         let cc = cross_check(
@@ -56,7 +56,7 @@ fn every_direction_order_certifies() {
     for order in DirOrder::all() {
         let mut cfg = MachineConfig::new(TorusShape::cube(3));
         cfg.dir_order = order;
-        let (cert, diags) = certify(&VerifyModel::new(cfg));
+        let (cert, diags) = certify(&DimOrderRouting::new(cfg));
         assert!(diags.is_empty(), "{diags:?}");
         assert!(cert.acyclic, "{order}: {cert}");
     }
@@ -68,12 +68,16 @@ fn every_direction_order_certifies() {
 /// counterexample either way the verdict lands.
 #[test]
 fn degraded_family_verdicts_on_rectangular_tori() {
-    let (acyclic, diags) = certify_family(&MachineConfig::new(TorusShape::new(4, 3, 2)));
+    let (acyclic, diags) = certify(&DimOrderRouting::degraded_family(MachineConfig::new(
+        TorusShape::new(4, 3, 2),
+    )));
     assert!(diags.is_empty(), "{diags:?}");
     assert!(acyclic.acyclic, "{acyclic}");
     assert!(acyclic.counterexample.is_none());
 
-    let (cyclic, diags) = certify_family(&MachineConfig::new(TorusShape::new(5, 4, 3)));
+    let (cyclic, diags) = certify(&DimOrderRouting::degraded_family(MachineConfig::new(
+        TorusShape::new(5, 4, 3),
+    )));
 
     assert!(diags.is_empty(), "{diags:?}");
     assert!(!cyclic.acyclic, "{cyclic}");
@@ -94,10 +98,10 @@ fn k2_degenerate_rings_certify() {
         TorusShape::new(2, 2, 2),
     ] {
         let cfg = MachineConfig::new(shape);
-        let (cert, diags) = certify(&VerifyModel::new(cfg.clone()));
+        let (cert, diags) = certify(&DimOrderRouting::new(cfg.clone()));
         assert!(diags.is_empty(), "{diags:?}");
         assert!(cert.acyclic, "{shape}: {cert}");
-        let (family, diags) = certify_family(&cfg);
+        let (family, diags) = certify(&DimOrderRouting::degraded_family(cfg));
         assert!(diags.is_empty(), "{diags:?}");
         assert!(family.acyclic, "{shape}: {family}");
     }
