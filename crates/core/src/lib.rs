@@ -97,5 +97,5 @@ pub use route_table::{build_route_table, DownLinkSet, RouteTable, RouteTableErro
 pub use routing::{DimOrder, RouteSpec};
 pub use seed::derive_stream_seed;
 pub use table_routing::TableRouting;
-pub use topology::{Dim, NodeCoord, NodeId, Sign, Slice, TorusDir, TorusShape};
+pub use topology::{Dim, NodeCoord, NodeId, OffsetChoices, Sign, Slice, TorusDir, TorusShape};
 pub use vc::{TrafficClass, Vc, VcPolicy, VcState};

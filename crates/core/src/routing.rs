@@ -133,7 +133,7 @@ impl RouteSpec {
         dst: NodeCoord,
     ) -> impl ExactSizeIterator<Item = RouteSpec> {
         let choices = Dim::ALL.map(|d| shape.minimal_offset_choices(d, src, dst));
-        let num_combos: usize = choices.iter().map(Vec::len).product();
+        let num_combos: usize = choices.iter().map(|ch| ch.len()).product();
         let mut ties = Vec::with_capacity(num_combos);
         for combo in 0..num_combos {
             let mut idx = combo;

@@ -339,18 +339,24 @@ impl TorusShape {
     /// (distance exactly `k/2`, `k` even, `k > 2`). For `k == 2` the single
     /// positive hop is returned (the two "directions" are the same physical
     /// link).
-    pub fn minimal_offset_choices(&self, dim: Dim, src: NodeCoord, dst: NodeCoord) -> Vec<i32> {
+    pub fn minimal_offset_choices(
+        &self,
+        dim: Dim,
+        src: NodeCoord,
+        dst: NodeCoord,
+    ) -> OffsetChoices {
         let k = self.k(dim) as i32;
         let d = (dst.get(dim) as i32 - src.get(dim) as i32).rem_euclid(k);
-        if d == 0 {
-            vec![0]
+        let (offsets, len) = if d == 0 {
+            ([0, 0], 1)
         } else if d * 2 < k || k == 2 {
-            vec![d]
+            ([d, 0], 1)
         } else if d * 2 == k {
-            vec![d, d - k]
+            ([d, d - k], 2)
         } else {
-            vec![d - k]
-        }
+            ([d - k, 0], 1)
+        };
+        OffsetChoices { offsets, len }
     }
 
     /// Minimal inter-node hop count between two nodes (sum over dimensions).
@@ -359,6 +365,25 @@ impl TorusShape {
             .iter()
             .map(|d| d.unsigned_abs())
             .sum()
+    }
+}
+
+/// The minimal signed offset(s) along one dimension, as
+/// [`TorusShape::minimal_offset_choices`] finds them: one, or two when both
+/// directions are minimal. Held inline, so route randomization allocates
+/// nothing; reads as the slice of its choices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OffsetChoices {
+    offsets: [i32; 2],
+    len: u8,
+}
+
+impl std::ops::Deref for OffsetChoices {
+    type Target = [i32];
+
+    #[inline]
+    fn deref(&self) -> &[i32] {
+        &self.offsets[..usize::from(self.len)]
     }
 }
 
@@ -484,12 +509,12 @@ mod tests {
         let shape = TorusShape::cube(8);
         let choices =
             shape.minimal_offset_choices(Dim::X, NodeCoord::new(0, 0, 0), NodeCoord::new(4, 0, 0));
-        assert_eq!(choices, vec![4, -4]);
+        assert_eq!(choices[..], [4, -4]);
         // k=2 collapses to a single physical link.
         let shape2 = TorusShape::cube(2);
         let choices =
             shape2.minimal_offset_choices(Dim::X, NodeCoord::new(0, 0, 0), NodeCoord::new(1, 0, 0));
-        assert_eq!(choices, vec![1]);
+        assert_eq!(choices[..], [1]);
     }
 
     #[test]

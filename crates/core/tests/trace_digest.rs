@@ -110,9 +110,9 @@ fn unicast_digest(cfg: &MachineConfig) -> (u64, u64) {
             let choices = Dim::ALL.map(|d| shape.minimal_offset_choices(d, src, dst));
             for order in DimOrder::ALL {
                 for slice in Slice::ALL {
-                    for &x in &choices[0] {
-                        for &y in &choices[1] {
-                            for &z in &choices[2] {
+                    for &x in choices[0].iter() {
+                        for &y in choices[1].iter() {
+                            for &z in choices[2].iter() {
                                 let spec = RouteSpec::new(order, slice, [x, y, z]);
                                 for se in [0, 5, 15] {
                                     for de in [0, 10, 15] {

@@ -149,9 +149,10 @@ impl Adapters {
 }
 
 impl ChanState {
-    /// Sends `pid` on the adapter-to-router link if it has credits; the
-    /// promotion staged for past the entry link (if any) applies the
-    /// instant the send completes.
+    /// Sends `pid` on the adapter-to-router link if it has credits, taking
+    /// it off the replication queue if it heads it; the promotion staged
+    /// for past the entry link (if any) applies the instant the send
+    /// completes.
     fn send_to_router(
         &mut self,
         me: CompRef,
@@ -160,10 +161,14 @@ impl ChanState {
         pid: PacketId,
     ) -> bool {
         let wire = self.wires.to_router;
-        let Some(until) = fab.send_into_mesh(ctx, me, wire, LinkGroup::T, pid) else {
+        let Some(until) = fab.send_into_mesh(ctx, wire, LinkGroup::T, pid) else {
             return false;
         };
         self.to_router_busy_until = until;
+        if self.repl.front() == Some(&pid) {
+            self.repl.pop_front();
+        }
+        self.wake_after_transfer(me, fab);
         let st = fab.packets.get_mut(pid);
         if let Some(promoted) = st.pending_vc.take() {
             let from = st.vc.vc_for(LinkGroup::T).0;
@@ -200,11 +205,29 @@ impl ChanState {
             self.repl.push_back(fab.packets.insert(copy, cold.clone()));
         }
         if let Some(&head) = self.repl.front() {
-            if self.send_to_router(me, fab, ctx, head) {
-                self.repl.pop_front();
-            }
+            self.send_to_router(me, fab, ctx, head);
         }
         fab.wheels.wake(me, now + 1, now);
+    }
+
+    /// Whether the adapter holds anything to move: a multicast copy, or a
+    /// packet buffered on either wire it consumes. An adapter that holds
+    /// nothing schedules no follow-up wake (a transfer's end, a token
+    /// refill): whatever comes next wakes it on arrival, and its two halves
+    /// share one wake, whose stall observations cover both wires.
+    fn holds_work(&self, fab: &Fabric) -> bool {
+        !self.repl.is_empty()
+            || fab.wires.occupied(self.wires.torus_in) != 0
+            || fab.wires.occupied(self.wires.from_router) != 0
+    }
+
+    /// Wakes the adapter when the adapter-to-router link frees, if it holds
+    /// work. An arrival the link layer files later, inside the transfer,
+    /// re-arms this from its own wake.
+    fn wake_after_transfer(&self, me: CompRef, fab: &mut Fabric) {
+        if self.holds_work(fab) {
+            fab.wheels.wake(me, self.to_router_busy_until, fab.now);
+        }
     }
 
     #[inline]
@@ -215,12 +238,12 @@ impl ChanState {
             // Ready arrivals are waiting out a transfer already on the
             // adapter-to-router link.
             fab.stall_all_ready(wire_id, StallCause::OutputBusy, None);
+            self.wake_after_transfer(me, fab);
             return;
         }
         // Drain pending multicast copies first.
         if let Some(&pid) = self.repl.front() {
             if self.send_to_router(me, fab, ctx, pid) {
-                self.repl.pop_front();
                 // The copy took the adapter-to-router link; ready arrivals
                 // behind it wait out the transfer.
                 fab.stall_all_ready(wire_id, StallCause::OutputBusy, None);
@@ -268,7 +291,7 @@ impl ChanState {
                 (m.rc_port, m.rc_vcidx)
             };
             if kind == RC_UNICAST {
-                if !fab.wires.can_send(to_router, cvcidx, m.flits) {
+                if !fab.wires.credit_gate(to_router, cvcidx, m.flits) {
                     fab.stall(wire_id, v, StallCause::NoCredit, Some(to_router));
                     continue;
                 }
@@ -378,10 +401,14 @@ impl ChanState {
         }
         fab.send(ctx, out_wire, entry, lane);
         self.tokens -= cost * i64::from(entry.flits);
-        // More traffic may be waiting: wake at the next refill.
-        let deficit = (cost - self.tokens).max(gain);
-        let refill = (deficit + gain - 1) / gain;
-        fab.wheels.wake(me, now + refill as u64, now);
+        // Work left: wake at the next refill. Traffic that comes later wakes
+        // the adapter on arrival, and the tokens accrue lazily whenever it
+        // next steps.
+        if self.holds_work(fab) {
+            let deficit = (cost - self.tokens).max(gain);
+            let refill = (deficit + gain - 1) / gain;
+            fab.wheels.wake(me, now + refill as u64, now);
+        }
     }
 
     /// The serializer of a down link absorbs its queue instead of feeding
@@ -432,7 +459,7 @@ mod tests {
     use anton_core::chip::LocalEndpointId;
     use anton_core::config::{GlobalEndpoint, MachineConfig};
     use anton_core::multicast::McGroupId;
-    use anton_core::packet::{Packet, Payload};
+    use anton_core::packet::{Packet, Payload, MAX_PAYLOAD_BYTES};
     use anton_core::routing::{DimOrder, RouteSpec};
     use anton_core::topology::{Dim, NodeCoord, Sign, Slice, TorusDir};
     use anton_core::vc::Vc;
@@ -465,6 +492,12 @@ mod tests {
 
     impl Rig {
         fn new() -> Rig {
+            Rig::with_arrival_pipeline(ADAPTER_PIPELINE - 1)
+        }
+
+        /// The rig with `rx_pipeline` cycles of receive pipeline on the
+        /// torus wire the adapter consumes.
+        fn with_arrival_pipeline(rx_pipeline: u64) -> Rig {
             let cfg = MachineConfig::new(TorusShape::cube(4));
             let params = SimParams::default();
             let vcs = cfg.vc_policy.num_vcs(LinkGroup::T);
@@ -473,7 +506,7 @@ mod tests {
                 testkit::wire(0, (1, ADAPTER_PIPELINE - 1), (vcs, 8), me, other),
                 testkit::wire(1, (1, ROUTER_PIPELINE - 1), (vcs, 8), other, me),
                 testkit::wire(2, (1, 0), (vcs, 8), other, me),
-                testkit::wire(3, (1, ADAPTER_PIPELINE - 1), (vcs, 8), me, other),
+                testkit::wire(3, (1, rx_pipeline), (vcs, 8), me, other),
             ];
             let fab = testkit::fabric(wires, [0, 1, 1], &params);
             let node = cfg.shape.id(NodeCoord::new(1, 0, 0));
@@ -612,9 +645,9 @@ mod tests {
         assert_eq!(carried[settled + window] - carried[settled], gain);
     }
 
-    /// A unicast packet that left node 0 on X+ for endpoint 0 of `dst`, as
-    /// it stands while crossing the torus link into this adapter.
-    fn arriving(rig: &mut Rig, dst: NodeCoord) -> PacketId {
+    /// A unicast packet of `bytes` that left node 0 on X+ for endpoint 0 of
+    /// `dst`, as it stands while crossing the torus link into this adapter.
+    fn arriving(rig: &mut Rig, dst: NodeCoord, bytes: usize) -> PacketId {
         let shape = &rig.cfg.shape;
         let at = |c| GlobalEndpoint {
             node: shape.id(c),
@@ -627,7 +660,7 @@ mod tests {
         let mut vc = rig.cfg.vc_policy.start();
         vc.turn(None, Some(X_PLUS));
         vc.torus_hop(false);
-        let packet = Packet::write(src, dst_ep, Payload::zeros(16));
+        let packet = Packet::write(src, dst_ep, Payload::zeros(bytes));
         let route = RouteProgress::Unicast { spec, dst: dst_ep };
         let state = PacketState {
             arrived_via: Some(X_PLUS),
@@ -644,7 +677,7 @@ mod tests {
         // each turns from X into Y at this node, so its X dimension is done.
         let turn = NodeCoord::new(1, 1, 0);
         let [a, c, b] = [1, 1, 2].map(|vcidx| {
-            let pid = arriving(&mut rig, turn);
+            let pid = arriving(&mut rig, turn, 16);
             // Straight onto the wire: the far serializer's send carries no
             // chip stamp (it is re-stamped here, on mesh entry).
             let entry = BufEntry {
@@ -677,5 +710,38 @@ mod tests {
                 (Vc(1), Vc(1))
             );
         }
+    }
+
+    #[test]
+    fn an_arrival_filed_inside_a_transfer_goes_out_when_the_link_frees() {
+        // No receive pipeline on the torus wire: like a shard import, filed
+        // after the transfer began, the arrival reads ready while the
+        // transfer still holds the adapter-to-router link, and the wake it
+        // brings must be carried to the link's free cycle.
+        let mut rig = Rig::with_arrival_pipeline(0);
+        let dst = NodeCoord::new(1, 1, 0);
+        let (two, one) = (
+            arriving(&mut rig, dst, MAX_PAYLOAD_BYTES),
+            arriving(&mut rig, dst, 16),
+        );
+        let entry = |pkt, flits| BufEntry {
+            pkt,
+            flits,
+            ..BufEntry::EMPTY
+        };
+        // Ready at 2, it holds the link for cycles 2 and 3; the adapter then
+        // holds nothing, so it schedules no wake of its own.
+        rig.send(WIRES.torus_in, entry(two, 2), 1);
+        let mut carried = Vec::new();
+        for _ in 0..8 {
+            rig.cycle(|rig| {
+                if rig.fab.now == 2 {
+                    rig.send(WIRES.torus_in, entry(one, 1), 2);
+                }
+            });
+            carried.push(rig.fab.wires.flits_carried(WIRES.to_router));
+        }
+        // Ready at 3 inside the transfer; out at 4, when the link frees.
+        assert_eq!(carried, [0, 0, 2, 2, 3, 3, 3, 3]);
     }
 }

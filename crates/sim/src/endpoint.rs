@@ -132,7 +132,8 @@ impl Endpoints {
 
     /// Queues a packet at endpoint `idx`, on `spec` if one is given and a
     /// randomized oblivious route if not, and wakes the endpoint for the
-    /// cycle in progress. The packet's age counts from now.
+    /// cycle in progress, or the one its link frees at if a transfer holds
+    /// it. The packet's age counts from now.
     pub(crate) fn inject(
         &mut self,
         idx: usize,
@@ -140,11 +141,13 @@ impl Endpoints {
         spec: Option<RouteSpec>,
         fab: &mut Fabric,
     ) {
-        self.eps[idx].inject.push_back(match spec {
+        let ep = &mut self.eps[idx];
+        ep.inject.push_back(match spec {
             Some(spec) => InjectCmd::WithSpec(packet, spec, fab.now),
             None => InjectCmd::Auto(packet, fab.now),
         });
-        fab.wheels.wake(CompRef::Ep(idx as u32), fab.now, fab.now);
+        let at = fab.now.max(ep.busy_until);
+        fab.wheels.wake(CompRef::Ep(idx as u32), at, fab.now);
     }
 
     /// Number of packets still queued in endpoint `idx`'s software queue.
@@ -154,10 +157,11 @@ impl Endpoints {
 
     /// Takes the fabric's reroute outbox: each packet joins the software
     /// queue of endpoint 0 of its stranding node. The wake is for
-    /// `now + 1` — a reroute raised mid-cycle lands after the endpoint
-    /// snapshot was taken — but the command is queued *now*, so an endpoint
-    /// already awake this cycle sees, in its inject phase, a reroute raised
-    /// before it (the epoch tick's).
+    /// `now + 1` (or later, while a transfer holds the link) — a reroute
+    /// raised mid-cycle lands after the endpoint snapshot was taken — but
+    /// the command is queued *now*, so an endpoint already awake this cycle
+    /// sees, in its inject phase, a reroute raised before it (the epoch
+    /// tick's).
     #[inline]
     pub(crate) fn accept_reroutes(&mut self, fab: &mut Fabric, ctx: &Ctx<'_>) {
         if fab.reroutes.is_empty() {
@@ -166,10 +170,10 @@ impl Endpoints {
         let now = fab.now;
         for r in fab.reroutes.drain(..) {
             let eidx = r.node.0 as usize * ctx.cfg.endpoints_per_node();
-            self.eps[eidx]
-                .inject
-                .push_back(InjectCmd::Reroute(Box::new(r)));
-            fab.wheels.wake(CompRef::Ep(eidx as u32), now + 1, now);
+            let ep = &mut self.eps[eidx];
+            ep.inject.push_back(InjectCmd::Reroute(Box::new(r)));
+            let at = (now + 1).max(ep.busy_until);
+            fab.wheels.wake(CompRef::Ep(eidx as u32), at, now);
         }
     }
 
@@ -229,7 +233,7 @@ impl Endpoints {
         // Injection always starts on M-group VC 0; check credits before
         // drawing the randomized route.
         let vcidx = fab.wires.vc_index(wire_id, class, Vc(0));
-        if !fab.wires.can_send(wire_id, vcidx, flits) {
+        if !fab.wires.credit_gate(wire_id, vcidx, flits) {
             return;
         }
         let cmd = ep.inject.pop_front().expect("peeked above");
@@ -375,7 +379,8 @@ impl EpState {
     }
 
     /// Sends `pid` on the endpoint-to-router link if it has credits, taking
-    /// it off the replication queue if it heads it.
+    /// it off the replication queue if it heads it, and wakes the endpoint
+    /// when the link frees if more waits to go out.
     fn send_to_router(
         &mut self,
         me: CompRef,
@@ -383,12 +388,15 @@ impl EpState {
         ctx: &Ctx<'_>,
         pid: PacketId,
     ) -> bool {
-        let Some(until) = fab.send_into_mesh(ctx, me, self.to_router, LinkGroup::M, pid) else {
+        let Some(until) = fab.send_into_mesh(ctx, self.to_router, LinkGroup::M, pid) else {
             return false;
         };
         self.busy_until = until;
         if self.repl.front() == Some(&pid) {
             self.repl.pop_front();
+        }
+        if !(self.repl.is_empty() && self.inject.is_empty()) {
+            fab.wheels.wake(me, until, fab.now);
         }
         true
     }

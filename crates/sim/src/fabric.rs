@@ -441,11 +441,15 @@ impl Fabric {
     /// are either same-cycle (credits, zero-pipeline arrivals) or future, so
     /// component snapshots taken afterwards see every component this cycle
     /// concerns. Dense sends never appear here at all: their consumer wake
-    /// was issued at send time. Returns whether the phase did anything.
+    /// was issued at send time. A credit return wakes its producer only if
+    /// the producer was denied credits on that VC — on every return while
+    /// stall attribution samples causes (see [`Wires::step`]). Returns
+    /// whether the phase did anything.
     pub(crate) fn wires_step(&mut self) -> bool {
         let now = self.now;
+        let every_return = self.probe.stall.is_some();
         let (wheels, consumer, producer) = (&mut self.wheels, &self.consumer, &self.producer);
-        let worked = self.wires.step(now, move |w, end, at| {
+        let worked = self.wires.step(now, every_return, move |w, end, at| {
             let comp = match end {
                 End::Producer => producer[w],
                 End::Consumer => consumer[w],
@@ -610,28 +614,26 @@ impl Fabric {
         self.drain_link_events();
     }
 
-    /// Sends packet `pid` from an adapter (`me`) onto its link into the
-    /// mesh — `wire`, on the packet's `group` VC, under an entry stamped
-    /// afresh from its slab state — if the link has credits. Returns the
-    /// cycle the adapter is held until (the packet's flits), for which it is
-    /// woken to re-examine its queues.
+    /// Sends packet `pid` from an adapter onto its link into the mesh —
+    /// `wire`, on the packet's `group` VC, under an entry stamped afresh
+    /// from its slab state — if the link has credits. Returns the cycle the
+    /// adapter is held until (the packet's flits); the adapter wakes for it
+    /// only if something waits behind the packet.
     pub(crate) fn send_into_mesh(
         &mut self,
         ctx: &Ctx<'_>,
-        me: CompRef,
         wire: usize,
         group: LinkGroup,
         pid: PacketId,
     ) -> Option<u64> {
         let st = self.packets.get(pid);
+        let flits = st.flits;
         let vcidx = self.wires.vc_index(wire, st.class, st.vc.vc_for(group));
-        if !self.wires.can_send(wire, vcidx, st.flits) {
+        if !self.wires.credit_gate(wire, vcidx, flits) {
             return None;
         }
-        let busy_until = self.now + u64::from(st.flits);
         self.send(ctx, wire, self.packet_entry(pid), vcidx);
-        self.wheels.wake(me, busy_until, self.now);
-        Some(busy_until)
+        Some(self.now + u64::from(flits))
     }
 
     /// Pops the head packet of a wire's VC. Every head advance funnels
@@ -655,13 +657,14 @@ impl Fabric {
     /// record, so a blocked head re-gates from the packed gate alone;
     /// `output` names the wire behind a port, or `None` while the port is
     /// held by an earlier transfer. Heads that cannot move are attributed
-    /// their cause.
+    /// their cause; a credit denial marks the output VC starved (see
+    /// [`Wires::credit_gate`]).
     #[inline]
     pub(crate) fn gather_requests(
         &mut self,
         in_wire: usize,
         route: impl Fn(&Fabric, &BufEntry) -> (u8, u8),
-        output: impl Fn(u8) -> Option<usize>,
+        mut output: impl FnMut(u8) -> Option<usize>,
     ) -> u64 {
         let mut req: u64 = 0;
         let mut occ = self.wires.occupied(in_wire);
@@ -681,7 +684,7 @@ impl Fabric {
             };
             match output(port) {
                 None => self.stall(in_wire, v, StallCause::OutputBusy, None),
-                Some(out) if !self.wires.can_send(out, out_vcidx, m.flits) => {
+                Some(out) if !self.wires.credit_gate(out, out_vcidx, m.flits) => {
                     self.stall(in_wire, v, StallCause::NoCredit, Some(out));
                 }
                 Some(_) => req |= 1 << v,

@@ -227,6 +227,14 @@ impl Routers {
 
     /// One wake of router `ridx`: SA1 then SA2 over the heads its input
     /// wires hold, moving every SA2 winner onto its output wire.
+    ///
+    /// Every head left behind is either not ready (its arrival wake is
+    /// pending), credit-starved (the credit return wakes the router, see
+    /// [`Wires::credit_gate`](crate::wire::Wires::credit_gate)), denied a
+    /// held output, or beaten in an arbitration. The wake schedules the
+    /// router again only for the last two: at the earliest cycle a held
+    /// output frees, and at `now + 1` after a contested SA1 or SA2 or a pop
+    /// that promoted a ready head.
     // Inlined into the conductor's loop, like every layer step: most wakes
     // of a lightly loaded machine find nothing to do, and a call per wake
     // measured +5 % on `lossy-load-k4`.
@@ -243,6 +251,9 @@ impl Routers {
         let mut out_req = [0u64; MAX_ROUTER_PORTS];
         let mut outs: u32 = 0;
         let rbase = ridx * MAX_ROUTER_PORTS;
+        // The next cycle a head left behind can move without another
+        // component waking the router (`u64::MAX`: none).
+        let mut next = u64::MAX;
         for (inp, cand) in cands.iter_mut().enumerate().take(nports) {
             let in_wire = self.in_wire[rbase + inp] as usize;
             // SA1: gather the VCs whose heads can proceed into a request
@@ -255,7 +266,12 @@ impl Routers {
                 |fab, e| self.route(ridx, fab, ctx, e),
                 |port| {
                     let slot = rbase + usize::from(port);
-                    (self.out_busy[slot] <= now).then(|| self.out_wire[slot] as usize)
+                    let busy = self.out_busy[slot];
+                    if busy > now {
+                        next = next.min(busy);
+                        return None;
+                    }
+                    Some(self.out_wire[slot] as usize)
                 },
             );
             if req == 0 {
@@ -266,6 +282,7 @@ impl Routers {
             let v = if req & (req - 1) == 0 {
                 req.trailing_zeros()
             } else {
+                next = now + 1;
                 let (gate, heads) = fab.wires.rows(in_wire);
                 self.in_arb[rbase + inp]
                     .pick_mask(
@@ -298,6 +315,9 @@ impl Routers {
             let out = outs.trailing_zeros() as usize;
             outs &= outs - 1;
             let req = out_req[out];
+            if req & (req - 1) != 0 {
+                next = now + 1;
+            }
             let inp = self.out_arb[rbase + out]
                 .pick_mask(req, |i| cand_of(i).pattern, |i| u64::from(cand_of(i).age))
                 .expect("nonempty requests yield a grant");
@@ -307,6 +327,10 @@ impl Routers {
             // The popped entry travels on as it is: the stamp holds for the
             // whole chip, and the wire sets the ready cycle on every send.
             let entry = fab.pop(in_wire, cand.vcidx);
+            // A promoted head not yet ready has its arrival wake pending.
+            if fab.wires.ready_head(now, in_wire, cand.vcidx).is_some() {
+                next = now + 1;
+            }
             fab.grant(
                 GrantSite::Output,
                 out_wire,
@@ -320,13 +344,18 @@ impl Routers {
             );
             fab.send(ctx, out_wire, entry, cand.out_vcidx);
             self.out_busy[rbase + out] = now + u64::from(entry.flits);
-            // Both following cycles must be scheduled: other ports may act
-            // at `now + 1` while this one is still busy.
-            fab.wheels.wake(CompRef::Router(ridx as u32), now + 1, now);
-            fab.wheels.wake(CompRef::Router(ridx as u32), now + 2, now);
+            // Stall attribution reads a head's cause on every wake: one
+            // starved of credits for this output reads "output busy" while
+            // a two-flit transfer holds it, and the table books that cycle.
+            if entry.flits > 1 && fab.probe.stall.is_some() {
+                next = now + 1;
+            }
             if ctx.params.track_energy {
                 self.record_energy(ridx, out, &fab.packets, &entry, now);
             }
+        }
+        if next != u64::MAX {
+            fab.wheels.wake(CompRef::Router(ridx as u32), next, now);
         }
     }
 
@@ -1020,8 +1049,10 @@ mod tests {
         /// Verified to fail when: SA1 sends a sole candidate through its
         /// arbiter, or SA2 skips the arbiter for an uncontested request; a
         /// grant holds its output for one cycle whatever the flit count,
-        /// or the busy-output gate is dropped; either wake after a grant
-        /// (`now + 1`, `now + 2`) is dropped; the ready gate is dropped;
+        /// or the busy-output gate is dropped; the router's wake at a held
+        /// output's free cycle is dropped, or its `now + 1` wake after a
+        /// contested SA1, a contested SA2 or a pop that promoted a ready
+        /// head; the ready gate is dropped;
         /// the credit gate is dropped or tests one flit for every packet
         /// (a send without credits panics); SA2 charges every grant
         /// pattern 0's weight, or the lowest requester's pattern instead

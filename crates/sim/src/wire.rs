@@ -358,6 +358,10 @@ pub(crate) struct Wires {
     /// Bitmask of VCs with packets queued *behind* the head, per wire: when
     /// clear, a pop needs no promotion.
     queued: Vec<u16>,
+    /// Bitmask of VCs whose producer was denied a send for want of credits
+    /// ([`Wires::credit_gate`]) since their last credit return, per wire:
+    /// the returns that wake the producer.
+    starved: Vec<u16>,
     /// Head-of-buffer entry per wire and VC, valid where the occupied bit
     /// is set. Switch allocation re-peeks blocked heads every cycle, so
     /// they live here — one dense load — rather than behind per-VC deques.
@@ -477,6 +481,7 @@ impl Wires {
             credits,
             occupied: vec![0; n],
             queued: vec![0; n],
+            starved: vec![0; n],
             heads: vec![BufEntry::EMPTY; n << row_shift],
             gate: vec![GateEntry::EMPTY; n << row_shift],
             qhead: vec![0; n << row_shift],
@@ -508,8 +513,22 @@ impl Wires {
         self.row_shift
     }
 
-    /// Whether `flits` credits are available on a wire's VC.
+    /// Whether `flits` credits are available on a wire's VC: the one credit
+    /// gate every sender passes before a send. A denial marks the VC
+    /// starved, so the credit return that ends it wakes the producer (see
+    /// [`Wires::step`]); a return to a VC nobody was denied on wakes nobody.
     #[inline]
+    pub(crate) fn credit_gate(&mut self, w: usize, vcidx: u8, flits: u8) -> bool {
+        let room = self.credits[w][vcidx as usize] >= flits;
+        if !room {
+            self.starved[w] |= 1 << vcidx;
+        }
+        room
+    }
+
+    /// Whether `flits` credits are available on a wire's VC, marking
+    /// nothing: for tests that watch a wire without being its producer.
+    #[cfg(test)]
     pub(crate) fn can_send(&self, w: usize, vcidx: u8, flits: u8) -> bool {
         self.credits[w][vcidx as usize] >= flits
     }
@@ -661,7 +680,7 @@ impl Wires {
     ///
     /// # Panics
     ///
-    /// Panics without sufficient credits; check [`Wires::can_send`] first.
+    /// Panics without sufficient credits; check [`Wires::credit_gate`] first.
     #[inline]
     pub(crate) fn send(&mut self, now: u64, w: usize, entry: BufEntry, vcidx: u8) -> Option<u64> {
         let ready = self.transmit(now, w, entry, vcidx);
@@ -777,9 +796,15 @@ impl Wires {
     /// The wires phase of cycle `now`: applies the credit calendar's slot,
     /// then ticks the shimmed wires the wheel holds for this cycle. `wake`
     /// receives `(wire, end, cycle)` for every component wake the phase
-    /// raises — producers at `now` for returned credits, consumers at the
-    /// cycle a link-layer delivery clears the receive pipeline (`now` or
-    /// later). Returns whether the phase did anything.
+    /// raises — producers at `now` for credits returned to a VC marked
+    /// starved (the mark is cleared; with `every_return`, for every return),
+    /// consumers at the cycle a link-layer delivery clears the receive
+    /// pipeline (`now` or later). Returns whether the phase did anything.
+    ///
+    /// A producer that was never denied has nothing a return could unblock:
+    /// it is woken by its own arrivals and busy windows. Stall attribution
+    /// asks for `every_return`, because it samples each head's cause on
+    /// every wake and its per-cause cycles depend on when those are.
     ///
     /// Order between the calendar drain and the ticks is immaterial —
     /// credits touch sender-side pools, arrivals touch receive buffers, and
@@ -787,13 +812,23 @@ impl Wires {
     // Inlined so the caller's `wake` closure folds into the calendar drain
     // (one call per credit return otherwise).
     #[inline]
-    pub(crate) fn step(&mut self, now: u64, mut wake: impl FnMut(usize, End, u64)) -> bool {
+    pub(crate) fn step(
+        &mut self,
+        now: u64,
+        every_return: bool,
+        mut wake: impl FnMut(usize, End, u64),
+    ) -> bool {
         let slot = (now % HORIZON) as usize;
         let mut returns = std::mem::take(&mut self.calendar[slot]);
         let mut worked = !returns.is_empty();
         for &(wu, vcidx, flits) in &returns {
-            self.credit(wu as usize, vcidx, flits);
-            wake(wu as usize, End::Producer, now);
+            let w = wu as usize;
+            self.credit(w, vcidx, flits);
+            let bit = 1u16 << vcidx;
+            if every_return || self.starved[w] & bit != 0 {
+                self.starved[w] &= !bit;
+                wake(w, End::Producer, now);
+            }
         }
         returns.clear();
         self.calendar[slot] = returns;
@@ -1216,11 +1251,12 @@ mod tests {
 
     /// Runs the wires phase of every cycle in `cycles` (wheel and calendar
     /// slots only fire on their own cycle), returning the wakes raised as
-    /// `(end, cycle to wake at)`.
+    /// `(end, cycle to wake at)`: credit returns wake only starved
+    /// producers, as in a run without stall attribution.
     fn step(ws: &mut Wires, cycles: RangeInclusive<u64>) -> Vec<(End, u64)> {
         let mut wakes = Vec::new();
         for now in cycles {
-            ws.step(now, |_, end, at| wakes.push((end, at)));
+            ws.step(now, false, |_, end, at| wakes.push((end, at)));
         }
         wakes
     }
@@ -1260,19 +1296,56 @@ mod tests {
     #[test]
     fn credits_block_and_return() {
         let mut ws = one_wire(2, 0, 3);
-        assert!(ws.can_send(0, 0, 2));
+        assert!(ws.credit_gate(0, 0, 2));
         ws.send(0, 0, entry(1, 2), 0);
-        assert!(!ws.can_send(0, 0, 2), "only 1 credit left");
-        assert!(ws.can_send(0, 0, 1));
+        assert!(!ws.credit_gate(0, 0, 2), "only 1 credit left");
+        assert!(ws.credit_gate(0, 0, 1));
         ws.send(0, 0, entry(2, 1), 0);
-        assert!(!ws.can_send(0, 0, 1));
+        assert!(!ws.credit_gate(0, 0, 1));
         // Drain at the receiver; credits return after the wire latency.
         step(&mut ws, 0..=3);
         assert_eq!(ws.pop(3, 0, 0).pkt, PacketId(1));
         assert_eq!(step(&mut ws, 4..=4), vec![]);
-        assert!(!ws.can_send(0, 0, 2), "credits in flight");
+        assert!(!ws.credit_gate(0, 0, 2), "credits in flight");
         assert_eq!(step(&mut ws, 5..=5), vec![(End::Producer, 5)]);
-        assert!(ws.can_send(0, 0, 2), "credits should have returned");
+        assert!(ws.credit_gate(0, 0, 2), "credits should have returned");
+    }
+
+    #[test]
+    fn a_credit_return_wakes_only_a_starved_producer() {
+        let mut ws = one_wire(2, 0, 2);
+        ws.send(0, 0, entry(1, 2), 0);
+        ws.send(0, 0, entry(2, 2), 1);
+        step(&mut ws, 0..=3);
+        // Nobody was denied on VC 0: its return wakes nobody, and only the
+        // attribution mode wakes for it.
+        ws.pop(3, 0, 0);
+        assert_eq!(step(&mut ws, 4..=5), vec![]);
+        assert_eq!(ws.credits(0, 0), 2);
+        ws.pop(5, 0, 1);
+        let mut woken = Vec::new();
+        for now in 6..=7 {
+            ws.step(now, true, |_, end, at| woken.push((end, at)));
+        }
+        assert_eq!(woken, vec![(End::Producer, 7)]);
+        // A denial on VC 0 arms exactly one wake: the next return to it.
+        ws.send(8, 0, entry(3, 2), 0);
+        assert!(!ws.credit_gate(0, 0, 1), "VC 0 is spent");
+        assert!(ws.credit_gate(0, 3, 1), "VC 3 has room and stays unmarked");
+        ws.send(10, 0, entry(4, 1), 3);
+        step(&mut ws, 8..=11);
+        ws.pop(11, 0, 0);
+        assert_eq!(step(&mut ws, 12..=13), vec![(End::Producer, 13)]);
+        ws.pop(13, 0, 3);
+        ws.send(13, 0, entry(5, 1), 0);
+        step(&mut ws, 14..=15);
+        ws.pop(15, 0, 0);
+        assert_eq!(
+            step(&mut ws, 16..=17),
+            vec![],
+            "the mark went with its wake"
+        );
+        assert_eq!((ws.credits(0, 0), ws.credits(0, 3)), (2, 2));
     }
 
     #[test]
@@ -1398,6 +1471,7 @@ mod tests {
         step(&mut ws, 11..=13);
         ws.pop(13, 0, 0);
         assert_eq!(ws.next_event(0), u64::MAX, "the credit is in the calendar");
+        assert!(!ws.credit_gate(0, 0, 4), "a four-flit send waits for it");
         assert_eq!(step(&mut ws, 14..=16), vec![(End::Producer, 16)]);
         assert_eq!(ws.work().0, 1, "only the bootstrap look ticked the wire");
     }
@@ -1516,7 +1590,7 @@ mod tests {
                 (&mut ideal, &mut wakes_ideal, &mut ca),
                 (&mut lossy, &mut wakes_lossy, &mut cb),
             ] {
-                ws.step(t, |_, end, at| match end {
+                ws.step(t, true, |_, end, at| match end {
                     End::Consumer => wakes.push(at),
                     End::Producer => *credited = true,
                 });
@@ -1560,7 +1634,7 @@ mod tests {
         step(&mut ws, 0..=0);
         ws.send(0, 0, entry(1, 2), 0);
         step(&mut ws, 1..=99);
-        assert!(!ws.can_send(0, 0, 5));
+        assert!(!ws.credit_gate(0, 0, 5));
         assert_eq!(ws.link_backlog(0), 2);
         ws.check_credit_balance().unwrap();
         assert_ne!(
@@ -1636,6 +1710,7 @@ mod tests {
         cons.take_credit_exports(0, &mut credits);
         assert_eq!(credits, vec![(90, 2, 2)]);
         step(&mut prod, 44..=87);
+        assert!(!prod.credit_gate(0, 2, 7), "two of eight credits are away");
         prod.import_credit(88, 0, 90, 2, 2);
         assert_eq!(balance(&prod, &cons), 8, "the calendar holds the return");
         assert_eq!(prod.next_event(0), u64::MAX, "nothing for the wheel");
@@ -1653,13 +1728,15 @@ mod tests {
     /// The obvious model of one ideal wire: a packet sent at `t` is ready
     /// at `t + latency + flits - 1 + rx_pipeline`, behind everything sent
     /// before it on its VC; popping it at `p` returns its credits at
-    /// `p + latency`.
+    /// `p + latency`, which wakes the producer if it was refused a send on
+    /// that VC since the VC's last return.
     struct Model {
         latency: u64,
         rx_pipeline: u64,
         credits: [u8; 8],
         bufs: [VecDeque<(u64, u32, u8)>; 8],
         returning: Vec<(u64, u8, u8)>,
+        refused: u8,
     }
 
     impl Model {
@@ -1733,6 +1810,7 @@ mod tests {
             credits: [depth; 8],
             bufs: Default::default(),
             returning: Vec::new(),
+            refused: 0,
         };
         let (mut seen, mut expected) = (Observed::default(), Observed::default());
         let (mut cycles, arrived) = opening(latency, rx_pipeline, depth, schedule[0].1);
@@ -1751,7 +1829,7 @@ mod tests {
                 break;
             }
             prop_assert!(now < 4_000, "wire failed to drain");
-            ws.step(now, |_, end, at| {
+            ws.step(now, false, |_, end, at| {
                 match end {
                     End::Consumer => seen.consumer_wakes.insert(at),
                     End::Producer => seen.producer_wakes.insert(at),
@@ -1760,7 +1838,10 @@ mod tests {
             model.returning.retain(|&(at, vc, flits)| {
                 if at == now {
                     model.credits[vc as usize] += flits;
-                    expected.producer_wakes.insert(now);
+                    if model.refused & 1 << vc != 0 {
+                        model.refused &= !(1 << vc);
+                        expected.producer_wakes.insert(now);
+                    }
                 }
                 at != now
             });
@@ -1779,8 +1860,14 @@ mod tests {
                     free_ids.push(pkt);
                 }
             }
-            if send && now >= link_free_at && model.credits[vc as usize] >= flits {
-                prop_assert!(ws.can_send(0, vc, flits));
+            let room = model.credits[vc as usize] >= flits;
+            if send && now >= link_free_at {
+                prop_assert_eq!(ws.credit_gate(0, vc, flits), room);
+                if !room {
+                    model.refused |= 1 << vc;
+                }
+            }
+            if send && now >= link_free_at && room {
                 let pkt = free_ids.pop().unwrap_or_else(|| {
                     high_water += 1;
                     high_water - 1
@@ -1831,8 +1918,8 @@ mod tests {
         /// The dense path is indistinguishable from the obvious model at
         /// either end of a wire. Under a random send / pop schedule, a wire
         /// (filed at send, credits through the calendar) shows the
-        /// closed-form model's ready cycles, pop order and credit-return
-        /// cycles, at on-chip latencies and at torus latencies whose
+        /// closed-form model's ready cycles, pop order and the credit-return
+        /// cycles that wake a refused producer, at on-chip latencies and at torus latencies whose
         /// returns land in calendar slots up to the horizon's edge. Credits
         /// balance after every cycle.
         ///
@@ -1843,7 +1930,8 @@ mod tests {
         /// Verified to fail when: `transmit` drops `flits - 1` from the
         /// tail arrival; `file` leaves the queued bit clear behind a head,
         /// or `pop` never promotes one; a dense `pop` files its credit one
-        /// calendar slot late. And of the queues
+        /// calendar slot late; a return wakes its producer unrefused, or
+        /// leaves the refusal marked after waking it. And of the queues
         /// behind the heads: `promote` leaves the queued bit set on the
         /// last entry, does not advance `qhead`, takes the entry at
         /// `qtail` (the list walked from its tail), or does not reset the

@@ -73,9 +73,9 @@ fn idle_footprint(k: u8) -> (i64, i64) {
 }
 
 /// An idle machine is a few flat arrays over the slot layout plus one block
-/// per router: 8×8×8 holds 33 MB in 8,233 blocks (8,192 routers), and costs
+/// per router: 8×8×8 holds 33 MB in 8,234 blocks (8,192 routers), and costs
 /// per node what 4×4×4 does. Measured, identical on every run: k=8
-/// 32,553,091 bytes in 8,233 live allocations, k=4 4,073,603 in 1,065
+/// 32,675,971 bytes in 8,234 live allocations, k=4 4,088,963 in 1,066
 /// (ratio 7.99 for 8× the nodes). The ceiling sits below the 36,485,251
 /// bytes the machine held while each wire's cold record carried its own
 /// in-flight and far-credit queues (64 bytes on each of 61,440 wires).

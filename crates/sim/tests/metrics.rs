@@ -3,7 +3,7 @@
 //! of the whole record.
 
 use anton_arbiter::ArbiterKind;
-use anton_core::chip::{ChanId, LocalEndpointId, NUM_CHAN_ADAPTERS};
+use anton_core::chip::{ChanId, LocalEndpointId, NUM_CHAN_ADAPTERS, NUM_ROUTERS};
 use anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton_core::multicast::{DestSet, McGroup, McGroupId};
 use anton_core::packet::{CounterId, Destination, Packet, PatternId, Payload};
@@ -100,8 +100,11 @@ impl anton_sim::sim::Driver for RecordingBatch {
 fn instrumentation_toggles_never_change_routing_or_deliveries() {
     // Any TraceConfig (event recording, sampling at any window size) must
     // be observationally invisible: identical link-level routes, VCs,
-    // per-packet delivery cycles, and final simulated time.
-    let run = |trace: TraceConfig| {
+    // per-packet delivery cycles, and final simulated time. Stall
+    // attribution wakes components on cycles a run without it skips (every
+    // credit return, a router holding an output for two flits), so it is
+    // checked on a saturated batch of one-flit and of two-flit packets.
+    let run = |trace: TraceConfig, payload_bytes: usize| {
         let cfg = MachineConfig::new(TorusShape::cube(2));
         let params = SimParams {
             trace,
@@ -113,6 +116,7 @@ fn instrumentation_toggles_never_change_routing_or_deliveries() {
         let inner = BatchDriver::builder(&sim)
             .pattern(Box::new(UniformRandom))
             .packets_per_endpoint(6)
+            .payload_bytes(payload_bytes)
             .seed(5)
             .build();
         let mut drv = RecordingBatch {
@@ -137,36 +141,38 @@ fn instrumentation_toggles_never_change_routing_or_deliveries() {
         log.sort_by_key(|(src, dst, inj, del, ..)| (*src, *dst, *inj, *del));
         (sim.now(), log)
     };
-    let reference = run(TraceConfig::default());
-    // Observability at any setting: full event recording (tiny and large
-    // rings), sampling at several window sizes, stall attribution, all at
-    // once, and the profiler flag.
-    let trace_variants = [
-        TraceConfig::events(4),
-        TraceConfig::events(4096),
-        TraceConfig::sampled(1),
-        TraceConfig::sampled(37),
-        TraceConfig::sampled(100_000), // larger than the run: tail-only
-        TraceConfig::stalls(),
-        TraceConfig {
-            stalls: true,
-            ..TraceConfig::events(16)
-        },
-        TraceConfig {
-            events: true,
-            ring_capacity: 64,
-            sample_every: 50,
-            profile: true,
-            stalls: true,
-        },
-    ];
-    for trace in trace_variants {
-        let got = run(trace);
-        assert_eq!(reference.0, got.0, "final cycle changed under {trace:?}");
-        assert_eq!(
-            reference.1, got.1,
-            "deliveries/routes changed under {trace:?}"
-        );
+    for payload_bytes in [16, 32] {
+        let reference = run(TraceConfig::default(), payload_bytes);
+        // Observability at any setting: full event recording (tiny and large
+        // rings), sampling at several window sizes, stall attribution, all at
+        // once, and the profiler flag.
+        let trace_variants = [
+            TraceConfig::events(4),
+            TraceConfig::events(4096),
+            TraceConfig::sampled(1),
+            TraceConfig::sampled(37),
+            TraceConfig::sampled(100_000), // larger than the run: tail-only
+            TraceConfig::stalls(),
+            TraceConfig {
+                stalls: true,
+                ..TraceConfig::events(16)
+            },
+            TraceConfig {
+                events: true,
+                ring_capacity: 64,
+                sample_every: 50,
+                profile: true,
+                stalls: true,
+            },
+        ];
+        for trace in trace_variants {
+            let got = run(trace, payload_bytes);
+            assert_eq!(reference.0, got.0, "final cycle changed under {trace:?}");
+            assert_eq!(
+                reference.1, got.1,
+                "deliveries/routes changed under {trace:?}"
+            );
+        }
     }
 }
 
@@ -216,8 +222,9 @@ fn recorder_and_sampler_capture_the_run() {
     );
 }
 
-/// One ping-pong pair four torus hops apart on a `k`×`k`×`k` machine.
-fn pingpong_work(k: u8, far: NodeCoord) -> KernelWork {
+/// One ping-pong pair four torus hops apart on a `k`×`k`×`k` machine, run
+/// to completion.
+fn pingpong(k: u8, far: NodeCoord) -> Sim {
     let cfg = MachineConfig::new(TorusShape::cube(k));
     let at = |node| GlobalEndpoint {
         node: cfg.shape.id(node),
@@ -232,7 +239,40 @@ fn pingpong_work(k: u8, far: NodeCoord) -> KernelWork {
     let mut sim = Sim::builder().config(cfg).params(params).build();
     let mut drv = PingPongDriver::new(vec![pair], 40);
     assert_eq!(sim.run(&mut drv, 1_000_000), RunOutcome::Completed);
-    sim.kernel_work()
+    sim
+}
+
+fn pingpong_work(k: u8, far: NodeCoord) -> KernelWork {
+    pingpong(k, far).kernel_work()
+}
+
+/// A component is woken only on a cycle it can act. On the 8×8×8
+/// ping-pong nothing contends, so past the bootstrap look at every
+/// component each router wake grants one output, each torus hop wakes two
+/// channel adapters (the serializer it leaves by and the adapter it arrives
+/// at) and each packet two endpoints (injection and delivery): no router
+/// wakes itself on speculation, no serializer re-arms with nothing queued,
+/// no adapter waits out a transfer nothing is queued behind and no credit
+/// return wakes a producer that was never refused.
+#[test]
+fn every_wake_of_an_uncontended_run_acts() {
+    let sim = pingpong(8, NodeCoord::new(0, 0, 4));
+    let nodes = 512;
+    let [routers, chans, eps, _] = sim.kernel_work().wakes;
+    let stats = sim.stats();
+    assert_eq!(stats.delivered_packets, 40);
+    assert_eq!(
+        routers - nodes * NUM_ROUTERS as u64,
+        sim.grant_counts().output
+    );
+    assert_eq!(
+        chans - nodes * NUM_CHAN_ADAPTERS as u64,
+        2 * stats.torus_flits
+    );
+    assert_eq!(
+        eps - nodes * sim.cfg.endpoints_per_node() as u64,
+        2 * stats.delivered_packets
+    );
 }
 
 /// The host-independent form of "an idle cycle costs the same at 8×8×8 as
@@ -298,13 +338,16 @@ fn lossy_wire_wakes_follow_frames_not_cycles() {
 }
 
 /// The kernel's exact work on two small runs ([`small_batch`] at route
-/// seed 5), one per delivery path a serial run takes through
-/// the wire layer, captured at the commit before `Wires` replaced `Wire` +
-/// the simulator's dense mirrors (PR 17): a refactor of the kernel must do
-/// the same work in the same number of wakes, on every host. Dense: every
-/// wire files sends straight into the receive rows, so only the bootstrap
-/// look wakes a wire. Shim: BER 1e-4 on every torus link plus one
-/// link `Down` for cycles 150–900 (go-back-N events, a link drain, 24
+/// seed 5), one per delivery path a serial run takes through the wire
+/// layer: a refactor of the kernel must do the same work in the same number
+/// of wakes, on every host. The cycles and wire wakes date from before
+/// `Wires` replaced `Wire` + the simulator's dense mirrors; the component
+/// wakes were re-taken when a component came to be woken only on a cycle it
+/// can act (routers 18,972 → 9,401 and 21,566 → 9,721, adapters 9,326 →
+/// 5,989 and 9,451 → 4,302, endpoints 2,688 → 2,048 and 2,720 → 2,071).
+/// Dense: every wire files sends straight into the receive rows, so only
+/// the bootstrap look wakes a wire. Shim: BER 1e-4 on every torus link plus
+/// one link `Down` for cycles 150–900 (go-back-N events, a link drain, 24
 /// reroutes).
 #[test]
 fn kernel_work_is_pinned_on_each_delivery_path() {
@@ -317,13 +360,13 @@ fn kernel_work_is_pinned_on_each_delivery_path() {
         },
     );
     let pins = [
-        ("dense", None, 296, [18_972, 9_326, 2_688, 960], 3_559),
+        ("dense", None, 296, [9_401, 5_989, 2_048, 960], 3_392),
         (
             "shim",
             Some(down),
             1_189,
-            [21_566, 9_451, 2_720, 6_161],
-            13_254,
+            [9_721, 4_302, 2_071, 6_161],
+            11_848,
         ),
     ];
     for (path, fault, cycles, wakes, wheel_words_visited) in pins {
@@ -555,11 +598,14 @@ fn batch_pin(
 }
 
 /// Exact counts on small serial runs that between them reach every branch
-/// of the endpoint, channel-adapter and router layers. Every value was read
-/// at the parent of the commit that split those layers out of `Sim`
-/// (`ff42f24`, where this test passes as it stands): the split had to
-/// leave every wake, grant, flit-hop, attributed stall cycle and recorded
-/// event where it was, and so does whatever touches a layer next.
+/// of the endpoint, channel-adapter and router layers. Every value but the
+/// work counters was read at the parent of the commit that split those
+/// layers out of `Sim` (`ff42f24`): the split had to leave every wake,
+/// grant, flit-hop, attributed stall cycle and recorded event where it was,
+/// and so does whatever touches a layer next. The work counters were
+/// re-taken when components came to be woken only on cycles they can act;
+/// every other field held through that change, the stall cycles included
+/// (these runs attribute stalls, so every credit return still wakes).
 #[test]
 fn exact_counts_are_pinned_on_each_layer_path() {
     let pin = |name: &str, got: LayerPin, want: LayerPin| assert_eq!(got, want, "{name}");
@@ -585,8 +631,8 @@ fn exact_counts_are_pinned_on_each_layer_path() {
         multicast_pin(),
         want(
             275,
-            [1_713, 763, 506, 3_240],
-            2_595,
+            [1_278, 685, 506, 3_240],
+            2_393,
             [443, 443, 61],
             [620, 61, 0],
             [0, 0, 0, 0, 1, 0, 0],
@@ -601,8 +647,8 @@ fn exact_counts_are_pinned_on_each_layer_path() {
         batch_pin(blend, SimParams::default(), true, 16, 16, &[]),
         want(
             333,
-            [46_825, 15_034, 10_275, 1_920],
-            5_782,
+            [39_433, 14_979, 10_151, 1_920],
+            5_778,
             [40_722, 30_726, 4_096],
             [43_014, 4_096, 0],
             [37_078, 825, 9_996, 0, 7_206, 0, 0],
@@ -615,8 +661,8 @@ fn exact_counts_are_pinned_on_each_layer_path() {
         batch_pin(cube2(), SimParams::default(), false, 8, 32, &[10, 20, 30]),
         want(
             464,
-            [25_575, 8_630, 3_349, 960],
-            5_489,
+            [22_190, 8_369, 2_530, 960],
+            5_441,
             [11_492, 10_211, 1_742],
             [29_450, 3_484, 0],
             [13_635, 111, 1_281, 3_840, 7_526, 0, 0],
@@ -630,8 +676,8 @@ fn exact_counts_are_pinned_on_each_layer_path() {
         batch_pin(baseline, SimParams::default(), false, 8, 16, &[]),
         want(
             334,
-            [40_753, 21_693, 5_376, 1_920],
-            5_356,
+            [30_808, 20_946, 5_376, 1_920],
+            5_330,
             [24_899, 23_253, 4_370],
             [34_041, 4_370, 0],
             [785, 6, 1_646, 0, 3_669, 0, 0],
@@ -668,8 +714,8 @@ fn exact_counts_are_pinned_on_each_layer_path() {
         ),
         want(
             1_616,
-            [25_633, 9_792, 2_767, 5_474],
-            20_127,
+            [17_131, 8_073, 2_753, 5_474],
+            19_511,
             [11_269, 10_363, 1_748],
             [14_920, 1_748, 25],
             [22_697, 5, 906, 0, 898, 29_813, 746],
