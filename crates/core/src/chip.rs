@@ -470,7 +470,7 @@ impl ChipLayout {
 
     /// The skip-channel partner of a router, if it has one.
     ///
-    /// Skip channels connect `R(0,0) ↔ R(3,0)` and `R(0,3) ↔ R(3,3)`,
+    /// Skip channels connect `R(0,0) ↔ R(3,0)` and `R(0,1) ↔ R(3,1)`,
     /// letting X through-traffic bypass two intermediate routers.
     #[inline]
     pub fn skip_partner(&self, r: MeshCoord) -> Option<MeshCoord> {

@@ -11,7 +11,7 @@ use anton_core::chip::LocalEndpointId;
 use anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton_core::topology::{NodeId, TorusShape};
 use anton_sim::driver::{PayloadKind, RateDriver};
-use anton_sim::params::SimParams;
+use anton_sim::params::{SimParams, TraceConfig};
 use anton_sim::sim::{RunOutcome, Sim};
 
 use crate::model::EnergyModel;
@@ -46,7 +46,10 @@ fn run_route(
     // A single-node machine: all routes stay on the mesh.
     let cfg = MachineConfig::new(TorusShape::new(1, 1, 1));
     let params = SimParams {
-        track_energy: true,
+        trace: TraceConfig {
+            energy: true,
+            ..TraceConfig::default()
+        },
         ..SimParams::default()
     };
     let mut sim = Sim::builder().config(cfg.clone()).params(params).build();

@@ -526,7 +526,7 @@ mod tests {
 
         /// Sends `entry` on `wire` through the fabric's one send path.
         fn send(&mut self, wire: usize, entry: BufEntry, vcidx: u8) {
-            let ctx = Ctx::new(&self.cfg, &self.params, false);
+            let ctx = Ctx::new(&self.cfg, &self.params);
             self.fab.send(&ctx, wire, entry, vcidx);
         }
 
@@ -534,7 +534,7 @@ mod tests {
         /// `after` (the test's neighbours), closes it.
         fn cycle(&mut self, after: impl FnOnce(&mut Rig)) {
             if !testkit::open_cycle(&mut self.fab)[1].is_empty() {
-                let ctx = Ctx::new(&self.cfg, &self.params, false);
+                let ctx = Ctx::new(&self.cfg, &self.params);
                 self.adapters.step(0, &mut self.fab, &ctx);
             }
             after(self);
@@ -563,7 +563,7 @@ mod tests {
             let packet = Packet::write(ep, ep, Payload::zeros(16));
             let state = PacketState::new(&packet, route, vc, self.fab.now);
             let pid = self.fab.packets.insert(state, None);
-            let ctx = Ctx::new(&self.cfg, &self.params, false);
+            let ctx = Ctx::new(&self.cfg, &self.params);
             let entry = self.fab.packet_entry(pid);
             self.fab.send(&ctx, WIRES.from_router, entry, vcidx);
         }

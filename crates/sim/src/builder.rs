@@ -16,13 +16,16 @@
 //!
 //! ```
 //! use anton_core::topology::TorusShape;
-//! use anton_sim::{Sim, SimParams};
+//! use anton_sim::{Sim, SimParams, TraceConfig};
 //!
 //! let sim = Sim::builder()
 //!     .shape(TorusShape::cube(2))
 //!     .params(SimParams {
 //!         seed: 7,
-//!         track_energy: true,
+//!         trace: TraceConfig {
+//!             energy: true,
+//!             ..TraceConfig::default()
+//!         },
 //!         ..SimParams::default()
 //!     })
 //!     .build();

@@ -464,7 +464,7 @@ mod tests {
             before: impl FnOnce(&mut Fabric),
             between: impl FnOnce(&mut Fabric),
         ) -> bool {
-            let ctx = Ctx::new(&self.cfg, &self.params, false);
+            let ctx = Ctx::new(&self.cfg, &self.params);
             before(&mut self.fab);
             self.endpoints.accept_reroutes(&mut self.fab, &ctx);
             let woken = !testkit::open_cycle(&mut self.fab)[2].is_empty();
@@ -552,7 +552,7 @@ mod tests {
             let vc = rig.cfg.vc_policy.start();
             let state = PacketState::new(&packet, route, vc, rig.fab.now);
             let pid = rig.fab.packets.insert(state, None);
-            let ctx = Ctx::new(&rig.cfg, &rig.params, false);
+            let ctx = Ctx::new(&rig.cfg, &rig.params);
             let entry = rig.fab.packet_entry(pid);
             rig.fab.send(&ctx, FROM_ROUTER, entry, 0);
         };

@@ -18,7 +18,7 @@ use anton_arbiter::GrantSite;
 use anton_core::chip::{ChanId, LinkGroup, NUM_CHAN_ADAPTERS};
 use anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton_core::multicast::{McEntry, McGroup, McGroupId};
-use anton_core::packet::Payload;
+use anton_core::packet::{flit_hamming, Payload};
 use anton_core::route_table::{DownLinkSet, RouteTable};
 use anton_core::routing::RouteSpec;
 use anton_core::topology::{Dim, NodeId, Slice, TorusDir, TorusShape};
@@ -28,7 +28,7 @@ use anton_obs::{ChannelKind, FlightRecorder, StallCause, StallTable, TimeSeries,
 
 use crate::metrics::ArbiterGrantCounts;
 use crate::params::{SimParams, TraceConfig};
-use crate::sim::{Delivery, SimStats};
+use crate::sim::{Delivery, EnergyCounters, SimStats};
 use crate::state::{ColdState, PacketId, PacketSlab, PacketState, RouteProgress};
 use crate::wake::Scheduler;
 use crate::wire::{BufEntry, End, WireSpec, Wires};
@@ -42,24 +42,19 @@ use crate::wire::{BufEntry, End, WireSpec, Wires};
 pub(crate) struct Ctx<'a> {
     pub(crate) cfg: &'a MachineConfig,
     pub(crate) params: &'a SimParams,
-    /// Record per-packet link-level routes into deliveries.
-    pub(crate) record_routes: bool,
 }
 
 impl<'a> Ctx<'a> {
-    pub(crate) fn new(cfg: &'a MachineConfig, params: &'a SimParams, record_routes: bool) -> Self {
-        Ctx {
-            cfg,
-            params,
-            record_routes,
-        }
+    pub(crate) fn new(cfg: &'a MachineConfig, params: &'a SimParams) -> Self {
+        Ctx { cfg, params }
     }
 
     /// The cold record of a packet entering the network with `payload`:
     /// kept only while an instrument reads it — the energy counters its
     /// payload, route recording its log.
     pub(crate) fn cold(&self, payload: Payload) -> Option<ColdState> {
-        (self.params.track_energy || self.record_routes).then(|| ColdState {
+        let trace = &self.params.trace;
+        (trace.energy || trace.routes).then(|| ColdState {
             payload,
             route_log: Vec::new(),
         })
@@ -97,24 +92,27 @@ impl Wheels {
 }
 
 /// The one observation seam of the kernel: the flight recorder, the
-/// stall-attribution table and the time-series sampler, each present only
-/// when its [`TraceConfig`] field is set. Layers never see them: they call
-/// the fabric's hooks ([`Fabric::event`], [`Fabric::stall`],
-/// [`Fabric::stall_all_ready`], and the ones inside [`Fabric::send`],
-/// [`Fabric::pop`] and [`Fabric::grant`]) unconditionally, and a hook whose
-/// instrument is off is one branch. The conductor closes sample windows
-/// ([`Fabric::sample_if_due`]) as each cycle retires.
+/// stall-attribution table, the time-series sampler and the energy
+/// counters, each present only when its [`TraceConfig`] field is set. Layers
+/// never see them: they call the fabric's hooks ([`Fabric::event`],
+/// [`Fabric::stall`], [`Fabric::stall_all_ready`], and the ones inside
+/// [`Fabric::send`], [`Fabric::pop`] and [`Fabric::grant`])
+/// unconditionally, and a hook whose instrument is off is one branch. The
+/// conductor closes sample windows ([`Fabric::sample_if_due`]) as each cycle
+/// retires. Route recording has no state here: its log rides in each
+/// packet's cold record, which [`Fabric::send`] extends.
 ///
 /// One struct rather than one per instrument because the hooks interleave
-/// at every site — a grant counts, attributes its losers and records an
-/// event; a pop resolves a stall; a send records a hop and drains the link
-/// layer's log — and every site feeds either from the same two facts, the
-/// cycle and the wire.
+/// at every site — a grant counts, attributes its losers, records an event
+/// and meters a router output; a pop resolves a stall; a send records a hop
+/// and drains the link layer's log — and every site feeds either from the
+/// same two facts, the cycle and the wire.
 #[derive(Debug)]
 pub(crate) struct Probe {
     pub(crate) recorder: Option<Box<FlightRecorder>>,
     pub(crate) stall: Option<Box<StallTable>>,
     pub(crate) sampler: Option<Box<SamplerState>>,
+    pub(crate) energy: Option<Box<EnergyMeter>>,
 }
 
 impl Probe {
@@ -132,7 +130,62 @@ impl Probe {
                 .then(|| Box::new(StallTable::new(wires.len(), wires.row_shift()))),
             sampler: (trace.sample_every > 0)
                 .then(|| Box::new(SamplerState::new(trace.sample_every))),
+            energy: trace
+                .energy
+                .then(|| Box::new(EnergyMeter::new(wires.len()))),
         }
+    }
+}
+
+/// The energy counters of Section 4.5: router activity summed over every
+/// router of the machine, fed by each output grant.
+#[derive(Debug)]
+pub(crate) struct EnergyMeter {
+    pub(crate) total: EnergyCounters,
+    /// Per wire, read only on router output wires: the words of the last
+    /// flit the output drove, and the first cycle it is idle after its last
+    /// transfer.
+    outputs: Vec<([u64; 3], u64)>,
+}
+
+impl EnergyMeter {
+    fn new(wires: usize) -> EnergyMeter {
+        EnergyMeter {
+            total: EnergyCounters::default(),
+            outputs: vec![([0; 3], 0); wires],
+        }
+    }
+
+    /// Counts the transfer of packet `pid` onto router output wire `wire`
+    /// at `now`. A packet that entered the network with no instrument
+    /// keeping its payload is not counted.
+    // Out of line: cold paths inlined through the hooks into the
+    // conductor's loop grew it and measured slower on the lightly loaded
+    // workloads, with every instrument off (DESIGN.md "Layers").
+    #[inline(never)]
+    fn count(&mut self, wire: usize, packets: &PacketSlab, pid: PacketId, now: u64) {
+        let Some(packet) = packets.packet(pid) else {
+            return;
+        };
+        let (last_words, idle_from) = &mut self.outputs[wire];
+        let e = &mut self.total;
+        let flits = packet.num_flits();
+        for j in 0..flits {
+            let words = packet.flit_words(j);
+            // A transfer starting exactly when the previous one ended is
+            // back-to-back (no idle cycle): not an activation. The
+            // per-set-bit energy of the Section 4.5 model is an *activation*
+            // energy, so the activating flit's payload bits are recorded
+            // with the activation.
+            if j == 0 && now > *idle_from {
+                e.activations += 1;
+                e.set_bits += u64::from(words[1].count_ones() + words[2].count_ones());
+            }
+            e.flits += 1;
+            e.flips += u64::from(flit_hamming(last_words, &words));
+            *last_words = words;
+        }
+        *idle_from = now + flits as u64;
     }
 }
 
@@ -601,7 +654,7 @@ impl Fabric {
         if self.wires.is_torus(wire) {
             self.stats.torus_flits += u64::from(flits);
         }
-        if ctx.record_routes {
+        if ctx.params.trace.routes {
             let hop = (self.wires.label(wire), self.wires.vc_of(wire, vcidx));
             if let Some(cold) = self.packets.cold_mut(pid) {
                 cold.route_log.push(hop);
@@ -695,8 +748,9 @@ impl Fabric {
 
     /// Books the grant an arbiter at `site` just issued to lane `winner` of
     /// the request set `req`: counts it, attributes every other requester
-    /// as having lost it (`slot_of` names a lane's `(wire, VC)` slot), and
-    /// records the grant of `pid` on `track`.
+    /// as having lost it (`slot_of` names a lane's `(wire, VC)` slot),
+    /// records the grant of `pid` on `track` and, for a router output,
+    /// counts the transfer onto `track` for the energy model.
     #[inline]
     pub(crate) fn grant(
         &mut self,
@@ -720,6 +774,9 @@ impl Fabric {
                 losers &= losers - 1;
                 st.observe(wire as u32, vcidx, lost, None, self.now);
             }
+        }
+        if let (GrantSite::Output, Some(en)) = (site, self.probe.energy.as_deref_mut()) {
+            en.count(track, &self.packets, pid, self.now);
         }
         let requests = req.count_ones() as u8;
         let kind = TraceEventKind::Grant {

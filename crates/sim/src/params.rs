@@ -16,12 +16,16 @@ pub const ROUTER_PIPELINE: u64 = 4;
 /// Adapter forwarding pipeline depth in cycles.
 pub const ADAPTER_PIPELINE: u64 = 2;
 
-/// Observability configuration: the flight recorder, the time-series
-/// sampler, and the phase profiler.
+/// Observability configuration: the one switch of every instrument of the
+/// kernel — the flight recorder, the time-series sampler, the phase
+/// profiler, stall attribution, the energy counters and route recording.
 ///
-/// Everything here is off by default and the simulator checks a single
-/// `Option` per hook site, so a default-configured run pays one predictable
-/// branch per site and allocates nothing.
+/// Everything here is off by default. Each instrument's state is allocated
+/// at `build()` only when its switch is on, and the simulator checks a
+/// single `Option` or flag per hook site, so a default-configured run pays
+/// one predictable branch per site and allocates nothing for it. Set the
+/// switches before `build()`: an instrument switched on later has no state
+/// to count into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Record typed events (inject/hop/VC-promotion/grant/retransmit/
@@ -41,6 +45,14 @@ pub struct TraceConfig {
     /// per-VC counters (see [`anton_obs::stall`]). Off by default; the
     /// counters never influence simulation behavior.
     pub stalls: bool,
+    /// Count router activity for the Section 4.5 energy model — flits,
+    /// datapath bit flips, activations and set payload bits at every router
+    /// output (`Sim::router_energy`). A packet's payload is kept, in the
+    /// packet slab's side table, only while this or `routes` is on.
+    pub energy: bool,
+    /// Record every packet's link-level route into its delivery
+    /// (`PacketDelivery::route_log`).
+    pub routes: bool,
 }
 
 impl Default for TraceConfig {
@@ -51,6 +63,8 @@ impl Default for TraceConfig {
             sample_every: 0,
             profile: false,
             stalls: false,
+            energy: false,
+            routes: false,
         }
     }
 }
@@ -79,11 +93,6 @@ impl TraceConfig {
             stalls: true,
             ..TraceConfig::default()
         }
-    }
-
-    /// `true` when any tracing, sampling, or stall attribution is enabled.
-    pub fn any(&self) -> bool {
-        self.events || self.sample_every > 0 || self.stalls
     }
 }
 
@@ -121,10 +130,6 @@ pub struct SimParams {
     pub torus_buffer_depth: u8,
     /// Which arbiter sits at each router output port.
     pub arbiter: ArbiterKind,
-    /// Collect energy/activity counters (small per-transfer cost). A packet
-    /// is counted if this was on when it entered the network: only then is
-    /// its payload kept, in the packet slab's side table.
-    pub track_energy: bool,
     /// RNG seed for routing randomization.
     pub seed: u64,
     /// Cycles without any flit movement (while packets are in flight) after
@@ -136,8 +141,8 @@ pub struct SimParams {
     /// lossy go-back-N link shim on every torus wire, driven by the
     /// schedule's per-link BER and outage windows.
     pub fault: Option<anton_fault::FaultSchedule>,
-    /// Observability: flight recorder, time-series sampler, profiler.
-    /// All off by default; see [`TraceConfig`].
+    /// Observability: every instrument's switch. All off by default; see
+    /// [`TraceConfig`].
     pub trace: TraceConfig,
     /// Static pre-flight verification policy (see [`PreflightMode`]).
     pub preflight: PreflightMode,
@@ -149,7 +154,6 @@ impl Default for SimParams {
             buffer_depth: 8,
             torus_buffer_depth: 32,
             arbiter: ArbiterKind::RoundRobin,
-            track_energy: false,
             seed: 0xA2701,
             watchdog_cycles: 50_000,
             fault: None,

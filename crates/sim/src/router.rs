@@ -13,24 +13,13 @@ use anton_core::chip::{ChipLayout, LocalAttach, MeshCoord, ATTACH_CODE_BASE, MAX
 use anton_core::vc::Vc;
 
 use crate::fabric::{CompRef, Ctx, Fabric};
-use crate::sim::EnergyCounters;
-use crate::state::PacketSlab;
 use crate::wire::BufEntry;
-
-#[derive(Debug, Clone, Copy)]
-struct PortEnergy {
-    last_words: [u64; 3],
-    /// First cycle at which the port is idle after its last transfer.
-    idle_from: u64,
-}
 
 #[derive(Debug)]
 struct RouterState {
     mesh: MeshCoord,
     /// Ports in use (`in_wire` / `out_wire` map them).
     nports: u8,
-    port_energy: Vec<PortEnergy>,
-    energy: EnergyCounters,
 }
 
 /// One router port as construction wires it: what it attaches to, the wires
@@ -140,14 +129,6 @@ impl Routers {
         self.routers.push(RouterState {
             mesh,
             nports: nports as u8,
-            port_energy: vec![
-                PortEnergy {
-                    last_words: [0; 3],
-                    idle_from: 0
-                };
-                nports
-            ],
-            energy: EnergyCounters::default(),
         });
         ridx
     }
@@ -170,15 +151,6 @@ impl Routers {
             &mut self.out_arb
         };
         &mut arbiters[arbiter]
-    }
-
-    /// Sum of all routers' energy counters.
-    pub(crate) fn energy(&self) -> EnergyCounters {
-        let mut total = EnergyCounters::default();
-        for r in &self.routers {
-            total.add(&r.energy);
-        }
-        total
     }
 
     /// Output port and VC of a head at router `ridx`, from the context the
@@ -350,48 +322,10 @@ impl Routers {
             if entry.flits > 1 && fab.probe.stall.is_some() {
                 next = now + 1;
             }
-            if ctx.params.track_energy {
-                self.record_energy(ridx, out, &fab.packets, &entry, now);
-            }
         }
         if next != u64::MAX {
             fab.wheels.wake(CompRef::Router(ridx as u32), next, now);
         }
-    }
-
-    /// Counts the transfer of `entry`'s packet out of port `out` of router
-    /// `ridx`. A packet that entered the network before energy tracking was
-    /// turned on has no payload kept to count.
-    fn record_energy(
-        &mut self,
-        ridx: usize,
-        out: usize,
-        packets: &PacketSlab,
-        entry: &BufEntry,
-        now: u64,
-    ) {
-        let Some(packet) = packets.packet(entry.pkt) else {
-            return;
-        };
-        let flits = entry.flits;
-        let r = &mut self.routers[ridx];
-        let pe = &mut r.port_energy[out];
-        for j in 0..usize::from(flits) {
-            let words = packet.flit_words(j);
-            // A transfer starting exactly when the previous one ended is
-            // back-to-back (no idle cycle): not an activation. The
-            // per-set-bit energy of the Section 4.5 model is an *activation*
-            // energy, so the activating flit's payload bits are recorded
-            // with the activation.
-            if j == 0 && now > pe.idle_from {
-                r.energy.activations += 1;
-                r.energy.set_bits += u64::from(words[1].count_ones() + words[2].count_ones());
-            }
-            r.energy.flits += 1;
-            r.energy.flips += u64::from(anton_core::packet::flit_hamming(&pe.last_words, &words));
-            pe.last_words = words;
-        }
-        pe.idle_from = now + u64::from(flits);
     }
 }
 
@@ -585,7 +519,7 @@ mod tests {
         /// Sends `pid` into input port `inp` on VC index `vcidx`, stamped
         /// as a neighbour would stamp it.
         fn send(&mut self, inp: usize, vcidx: u8, pid: PacketId) {
-            let ctx = Ctx::new(&self.cfg, &self.params, false);
+            let ctx = Ctx::new(&self.cfg, &self.params);
             let entry = self.fab.packet_entry(pid);
             self.fab.send(&ctx, 2 * inp, entry, vcidx);
         }
@@ -595,7 +529,7 @@ mod tests {
         fn step_router(&mut self) -> bool {
             let woken = !testkit::open_cycle(&mut self.fab)[0].is_empty();
             if woken {
-                let ctx = Ctx::new(&self.cfg, &self.params, false);
+                let ctx = Ctx::new(&self.cfg, &self.params);
                 self.routers.step(0, &mut self.fab, &ctx);
             }
             woken

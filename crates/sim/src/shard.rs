@@ -296,11 +296,10 @@ impl ShardedSim {
         let fault_present = params.fault.is_some();
         // The control replica never steps: it exists for driver callbacks
         // during replay and as the keeper of the merged delivery
-        // statistics. Tracing, energy counting, tables and weights on it
-        // would only waste memory.
+        // statistics. Instruments, tables and weights on it would only
+        // waste memory.
         let mut control_params = params.clone();
         control_params.trace = TraceConfig::default();
-        control_params.track_energy = false;
         let control = Sim::construct(cfg.clone(), control_params, &PreRun::default(), None);
         let shards: Vec<Sim> = (0..plan.num_shards())
             .map(|me| {

@@ -94,7 +94,8 @@ pub struct KernelWork {
     pub wheel_words_visited: u64,
 }
 
-/// Activity counters for the energy model (Section 4.5), per router.
+/// Activity counters for the energy model (Section 4.5), kept with
+/// [`TraceConfig::energy`](crate::params::TraceConfig::energy) on.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyCounters {
     /// Flits traversed.
@@ -152,7 +153,9 @@ pub struct PacketDelivery {
     /// Whether the packet was rerouted over a degraded table after being
     /// ejected from a failed link.
     pub rerouted: bool,
-    /// Link-level route (when route recording is enabled).
+    /// Link-level route: every hop the packet was sent over, with its VC,
+    /// when [`TraceConfig::routes`](crate::params::TraceConfig::routes) is
+    /// on (a rerouted packet's log restarts at its re-entry).
     pub route_log: Option<Vec<(GlobalLink, Vc)>>,
 }
 
@@ -390,10 +393,6 @@ pub struct Sim {
     pub cfg: MachineConfig,
     /// Simulation parameters.
     pub params: SimParams,
-    /// Record per-packet link-level routes into deliveries: of the packets
-    /// that enter the network while it is on, each in the packet slab's side
-    /// table until delivered.
-    pub record_routes: bool,
     /// What every layer acts on: clock, wires, wake wheels, packet slab,
     /// routing state, counters, probe (see [`crate::fabric`]).
     fabric: Fabric,
@@ -638,7 +637,6 @@ impl Sim {
             ),
             cfg,
             params,
-            record_routes: false,
             endpoints,
             adapters,
             routers,
@@ -774,11 +772,6 @@ impl Sim {
         self.fabric.packets.live()
     }
 
-    /// Whether the deadlock watchdog has fired.
-    pub fn deadlocked(&self) -> bool {
-        self.deadlocked
-    }
-
     /// Raw flit counts carried by every wire, labeled by its structural
     /// link — for utilization reporting and bottleneck analysis.
     pub fn wire_utilizations(&self) -> Vec<(GlobalLink, u64)> {
@@ -788,9 +781,12 @@ impl Sim {
             .collect()
     }
 
-    /// Sum of all routers' energy counters.
+    /// Sum of all routers' energy counters: all zero unless
+    /// [`TraceConfig::energy`](crate::params::TraceConfig::energy) was on at
+    /// `build()`.
     pub fn router_energy(&self) -> EnergyCounters {
-        self.routers.energy()
+        let energy = self.fabric.probe.energy.as_deref();
+        energy.map_or_else(EnergyCounters::default, |e| e.total)
     }
 
     // ----- sharded-kernel hooks (see `crate::shard`) ------------------------
@@ -926,7 +922,7 @@ impl Sim {
     /// Advances one cycle.
     pub fn step(&mut self) {
         let mut t = self.params.trace.profile.then(std::time::Instant::now);
-        let ctx = Ctx::new(&self.cfg, &self.params, self.record_routes);
+        let ctx = Ctx::new(&self.cfg, &self.params);
         let fab = &mut self.fabric;
         let now = fab.now;
         fab.moved = false;
@@ -979,7 +975,7 @@ impl Sim {
     /// The endpoint, adapter and router phases of a cycle that woke at
     /// least one of them: phases 1–4 of [`PHASE_NS`], in order.
     fn step_woken(&mut self, t: &mut Option<std::time::Instant>) {
-        let ctx = Ctx::new(&self.cfg, &self.params, self.record_routes);
+        let ctx = Ctx::new(&self.cfg, &self.params);
         let fab = &mut self.fabric;
         // Snapshot the woken components (in ascending index order — the
         // processing order determinism depends on); the endpoint snapshot

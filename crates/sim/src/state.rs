@@ -189,13 +189,13 @@ impl PacketState {
 
 /// The cold side of an in-flight packet: what only an instrument reads,
 /// kept in the slab's side table for a packet that entered the network
-/// while [`SimParams::track_energy`](crate::params::SimParams::track_energy)
-/// or [`Sim::record_routes`](crate::sim::Sim::record_routes) was on.
+/// while [`TraceConfig::energy`](crate::params::TraceConfig::energy) or
+/// [`TraceConfig::routes`](crate::params::TraceConfig::routes) was on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColdState {
     /// The payload bytes, whose bit flips the energy counters count.
     pub payload: Payload,
-    /// Link-level route log: every hop sent while `Sim::record_routes` is
+    /// Link-level route log: every hop sent while `TraceConfig::routes` is
     /// on, so empty unless it was.
     pub route_log: Vec<(GlobalLink, Vc)>,
 }

@@ -10,7 +10,7 @@ use anton_core::topology::{NodeCoord, Slice, TorusShape};
 use anton_core::trace::trace_unicast;
 use anton_core::vc::VcPolicy;
 use anton_sim::driver::BatchDriver;
-use anton_sim::params::{PreflightMode, SimParams};
+use anton_sim::params::{PreflightMode, SimParams, TraceConfig};
 use anton_sim::sim::{Delivery, Driver, RunOutcome, Sim};
 use anton_traffic::patterns::{NodePermutation, UniformRandom};
 
@@ -58,9 +58,14 @@ fn sim_routes_match_reference_tracer() {
     let cfg = MachineConfig::new(TorusShape::new(4, 3, 2));
     let mut sim = Sim::builder()
         .config(cfg.clone())
-        .params(SimParams::default())
+        .params(SimParams {
+            trace: TraceConfig {
+                routes: true,
+                ..TraceConfig::default()
+            },
+            ..SimParams::default()
+        })
         .build();
-    sim.record_routes = true;
     let cases = [
         (NodeCoord::new(0, 0, 0), NodeCoord::new(2, 1, 1), 0u8, 15u8),
         (NodeCoord::new(3, 2, 1), NodeCoord::new(1, 0, 0), 5, 0),
@@ -96,9 +101,14 @@ fn two_flit_packets_route_identically() {
     let cfg = MachineConfig::new(TorusShape::cube(3));
     let mut sim = Sim::builder()
         .config(cfg.clone())
-        .params(SimParams::default())
+        .params(SimParams {
+            trace: TraceConfig {
+                routes: true,
+                ..TraceConfig::default()
+            },
+            ..SimParams::default()
+        })
         .build();
-    sim.record_routes = true;
     let src = ep(&cfg, NodeCoord::new(0, 0, 0), 0);
     let dst = ep(&cfg, NodeCoord::new(2, 2, 2), 8);
     let spec = RouteSpec::deterministic(

@@ -38,7 +38,7 @@ use anton_core::topology::{Dim, NodeCoord, Sign, Slice, TorusDir, TorusShape};
 use anton_core::trace::{trace_multicast, TraceStep};
 use anton_fault::{FaultKind, FaultSchedule};
 use anton_sim::driver::BatchDriver;
-use anton_sim::params::SimParams;
+use anton_sim::params::{SimParams, TraceConfig};
 use anton_sim::sim::{Delivery, Driver, RunOutcome, Sim};
 use anton_traffic::patterns::UniformRandom;
 use anton_verify::{build_degraded_tables, build_routing_graph};
@@ -119,10 +119,20 @@ fn exercised(logs: &[Vec<TraceStep>], certified: &HashSet<DepEdge>) -> HashSet<D
     edges
 }
 
-/// A uniform batch (8 packets per endpoint, seed 11) on `sim`, every route
-/// logged.
+/// `params` with every route recorded.
+fn recording(params: SimParams) -> SimParams {
+    SimParams {
+        trace: TraceConfig {
+            routes: true,
+            ..params.trace
+        },
+        ..params
+    }
+}
+
+/// A uniform batch (8 packets per endpoint, seed 11) on `sim`, built with
+/// [`recording`] parameters: every route logged.
 fn uniform_batch_logs(sim: &mut Sim) -> Vec<Vec<TraceStep>> {
-    sim.record_routes = true;
     let inner = BatchDriver::builder(sim)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(8)
@@ -142,7 +152,8 @@ fn healthy_uniform_batch_stays_inside_the_certificate() {
     let cfg = MachineConfig::new(TorusShape::new(4, 3, 2));
     let certified = certified_edges(&cfg, &[]);
     assert_eq!(certified.len(), 17_388);
-    let mut sim = Sim::builder().config(cfg).build();
+    let params = recording(SimParams::default());
+    let mut sim = Sim::builder().config(cfg).params(params).build();
     let logs = uniform_batch_logs(&mut sim);
     let edges = exercised(&logs, &certified);
     // Randomized orders, slices and tie-breaks reach most of the graph.
@@ -171,7 +182,7 @@ fn rerouted_packets_stay_inside_the_table_certificate() {
         fault: Some(FaultSchedule::uniform(3, 0.0).with_fault(node, chan, down)),
         ..SimParams::default()
     };
-    let mut sim = Sim::builder().config(cfg).params(params).build();
+    let mut sim = Sim::builder().config(cfg).params(recording(params)).build();
     let logs = uniform_batch_logs(&mut sim);
     assert!(sim.stats().rerouted_packets > 0, "nothing took the tables");
     let edges = exercised(&logs, &certified);
@@ -220,8 +231,8 @@ fn multicast_copies_follow_their_reference_traces() {
     assert_eq!(expected.len(), 12);
     let certified = certified_edges(&cfg, &[]);
 
-    let mut sim = Sim::builder().config(cfg).build();
-    sim.record_routes = true;
+    let params = recording(SimParams::default());
+    let mut sim = Sim::builder().config(cfg).params(params).build();
     sim.add_multicast_group(group);
     for tree in 0..2 {
         let mut pkt = Packet::write(src, src, Payload::zeros(16));

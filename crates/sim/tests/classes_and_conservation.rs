@@ -7,7 +7,7 @@ use anton_core::topology::{NodeCoord, TorusShape};
 use anton_core::trace::GlobalLink;
 use anton_core::vc::{TrafficClass, VcPolicy};
 use anton_sim::driver::BatchDriver;
-use anton_sim::params::SimParams;
+use anton_sim::params::{SimParams, TraceConfig};
 use anton_sim::sim::{Delivery, Driver, RunOutcome, Sim};
 use anton_traffic::patterns::{BitComplement, ReverseTornado, Tornado, Transpose};
 use rand::rngs::StdRng;
@@ -133,9 +133,14 @@ fn randomized_routes_respect_vc_budget_in_flight() {
     let cfg = MachineConfig::new(TorusShape::new(4, 3, 2));
     let mut sim = Sim::builder()
         .config(cfg.clone())
-        .params(SimParams::default())
+        .params(SimParams {
+            trace: TraceConfig {
+                routes: true,
+                ..TraceConfig::default()
+            },
+            ..SimParams::default()
+        })
         .build();
-    sim.record_routes = true;
     let mut rng = StdRng::seed_from_u64(7);
     let n = cfg.num_endpoints();
     let total = 300u64;

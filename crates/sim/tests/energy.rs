@@ -15,7 +15,7 @@ use anton_core::multicast::{McGroup, McGroupId};
 use anton_core::packet::{Destination, Packet, Payload};
 use anton_core::topology::{Dim, NodeCoord, Sign, Slice, TorusDir, TorusShape};
 use anton_fault::{FaultKind, FaultSchedule};
-use anton_sim::params::SimParams;
+use anton_sim::params::{SimParams, TraceConfig};
 use anton_sim::shard::ShardableDriver;
 use anton_sim::sim::{Delivery, Driver, EnergyCounters, RunOutcome, Sim, SimStats};
 use anton_traffic::md::{alternating_variants, halo_dest_set, HaloSpec};
@@ -114,7 +114,10 @@ fn scenario() -> (
         },
     );
     let params = SimParams {
-        track_energy: true,
+        trace: TraceConfig {
+            energy: true,
+            ..TraceConfig::default()
+        },
         fault: Some(schedule),
         ..SimParams::default()
     };

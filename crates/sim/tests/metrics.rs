@@ -98,21 +98,25 @@ impl anton_sim::sim::Driver for RecordingBatch {
 
 #[test]
 fn instrumentation_toggles_never_change_routing_or_deliveries() {
-    // Any TraceConfig (event recording, sampling at any window size) must
-    // be observationally invisible: identical link-level routes, VCs,
-    // per-packet delivery cycles, and final simulated time. Stall
+    // Any TraceConfig (event recording, sampling at any window size,
+    // energy counting, route recording) must be observationally invisible:
+    // identical link-level routes, VCs, per-packet delivery cycles, and
+    // final simulated time. Every run records its routes, so route
+    // recording is on in the reference and in every variant. Stall
     // attribution wakes components on cycles a run without it skips (every
     // credit return, a router holding an output for two flits), so it is
     // checked on a saturated batch of one-flit and of two-flit packets.
     let run = |trace: TraceConfig, payload_bytes: usize| {
         let cfg = MachineConfig::new(TorusShape::cube(2));
         let params = SimParams {
-            trace,
+            trace: TraceConfig {
+                routes: true,
+                ..trace
+            },
             seed: 11,
             ..SimParams::default()
         };
         let mut sim = Sim::builder().config(cfg).params(params).build();
-        sim.record_routes = true;
         let inner = BatchDriver::builder(&sim)
             .pattern(Box::new(UniformRandom))
             .packets_per_endpoint(6)
@@ -144,8 +148,8 @@ fn instrumentation_toggles_never_change_routing_or_deliveries() {
     for payload_bytes in [16, 32] {
         let reference = run(TraceConfig::default(), payload_bytes);
         // Observability at any setting: full event recording (tiny and large
-        // rings), sampling at several window sizes, stall attribution, all at
-        // once, and the profiler flag.
+        // rings), sampling at several window sizes, stall attribution, energy
+        // counting, all at once, and the profiler flag.
         let trace_variants = [
             TraceConfig::events(4),
             TraceConfig::events(4096),
@@ -158,11 +162,17 @@ fn instrumentation_toggles_never_change_routing_or_deliveries() {
                 ..TraceConfig::events(16)
             },
             TraceConfig {
+                energy: true,
+                ..TraceConfig::default()
+            },
+            TraceConfig {
                 events: true,
                 ring_capacity: 64,
                 sample_every: 50,
                 profile: true,
                 stalls: true,
+                energy: true,
+                routes: true,
             },
         ];
         for trace in trace_variants {
