@@ -178,7 +178,7 @@ impl LoadAnalysis {
     }
 
     /// Load of the flow from input port `in_port` to output port `out_port`
-    /// of one router, ports indexed as in [`ChipLayout::router_ports`] (0 if
+    /// of one router, ports indexed as in [`ChipLayout::router_ports`](anton_core::chip::ChipLayout::router_ports) (0 if
     /// untouched).
     pub fn router_flow(&self, node: NodeId, router: usize, in_port: usize, out_port: usize) -> f64 {
         assert!(router < NUM_ROUTERS && in_port.max(out_port) < MAX_ROUTER_PORTS);

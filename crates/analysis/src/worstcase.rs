@@ -3,7 +3,7 @@
 //! The ASIC should look like a perfect switch to its external torus
 //! channels. The search evaluates every direction-order routing algorithm
 //! against every possible switching demand and picks the order that
-//! minimizes the worst-case load on any mesh channel. Following [27], the
+//! minimizes the worst-case load on any mesh channel. Following \[27\], the
 //! worst case of the underlying linear program is attained at an extreme
 //! point, and extreme points are permutation traffic patterns — so the
 //! search is an exact enumeration: 24 direction orders × the permutations of

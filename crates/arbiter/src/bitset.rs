@@ -86,7 +86,7 @@ pub fn level_select2(req: u64, pri: u64, rr_therm: u64) -> u64 {
 /// round-robin arbiter: semantically identical to
 /// [`crate::priority::priority_arb_fast2`] but over `u64` lanes, with the
 /// winner extracted by Kogge-Stone prefix-OR instead of a count-leading-
-/// zeros instruction. Equivalence against [`priority_arb_spec64`] is
+/// zeros instruction. Equivalence against [`crate::priority::priority_arb_spec64`] is
 /// property-tested.
 #[inline]
 pub fn priority_arb_fast2_64(req: u64, pri: u64, rr_therm: u64) -> Option<u32> {

@@ -2,7 +2,7 @@
 //!
 //! Enumerates all 24 direction-order on-chip routing algorithms against
 //! every switching permutation (the extreme points of the worst-case LP of
-//! [27]) and prints the ranking, the worst-case load of the selected
+//! \[27\]) and prints the ranking, the worst-case load of the selected
 //! (V−, U+, U−, V+) order, and the superposed mesh loads induced by the
 //! paper's equation (1).
 

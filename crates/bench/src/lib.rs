@@ -8,9 +8,8 @@
 //!
 //! This library hosts the shared experiment infrastructure:
 //!
-//! * [`harness`] — typed [`ExperimentSpec`](harness::ExperimentSpec) sweeps
-//!   executed across a scoped worker pool, collecting
-//!   [`Measurement`](harness::Measurement) records;
+//! * [`harness`] — typed [`harness::ExperimentSpec`] sweeps executed across
+//!   a scoped worker pool, collecting [`harness::Measurement`] records;
 //! * [`flags`] — declarative typed command-line flags for the binaries;
 //! * plus the shared measurement loop: saturation normalization and the
 //!   one batch runner, [`run_batch`], with any instruments attached (the

@@ -87,8 +87,8 @@ pub use config::{GlobalEndpoint, MachineConfig};
 pub use dimorder::DimOrderRouting;
 pub use mesh::{FullMesh, MeshRouting, MeshRule};
 pub use net::{
-    Arrival, DepEdge, Progress, RoutePath, RouteState, RoutingFunction, Topology, TorusTopology,
-    Transitions,
+    Arrival, DepEdge, LinkIdx, Progress, RoutePath, RouteState, RoutingFunction, Step, Topology,
+    TorusTopology, Transitions,
 };
 pub use onchip::DirOrder;
 pub use packet::{Packet, Payload};

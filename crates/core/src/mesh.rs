@@ -12,7 +12,7 @@
 //! catch and witness.
 
 use crate::chip::{LocalEndpointId, LocalLink};
-use crate::net::{Arrival, RouteState, RoutingFunction, Topology, Transitions};
+use crate::net::{Arrival, RouteState, RoutingFunction, Step, Topology, Transitions};
 use crate::topology::NodeId;
 use crate::trace::GlobalLink;
 use crate::vc::Vc;
@@ -163,24 +163,20 @@ impl MeshRouting {
 
     /// Pushes the full link chain of the route `src → dst` to `steps`, all
     /// at VC 0.
-    fn route_steps(&self, src: usize, dst: usize, steps: &mut Vec<(GlobalLink, Vc)>) {
+    fn route_steps(&self, src: usize, dst: usize, steps: &mut Vec<Step>) {
+        let topo = FullMesh::new(self.nodes);
+        let mut step = |link| steps.push((topo.index(&link).expect("a mesh link"), Vc(0)));
         let path = self.route_nodes(src, dst);
         for w in path.windows(2) {
-            steps.push((
-                GlobalLink::Direct {
-                    from: w[0],
-                    to: w[1],
-                },
-                Vc(0),
-            ));
+            step(GlobalLink::Direct {
+                from: w[0],
+                to: w[1],
+            });
         }
-        steps.push((
-            GlobalLink::Local {
-                node: NodeId(dst as u32),
-                link: LocalLink::RouterToEp(LocalEndpointId(0)),
-            },
-            Vc(0),
-        ));
+        step(GlobalLink::Local {
+            node: NodeId(dst as u32),
+            link: LocalLink::RouterToEp(LocalEndpointId(0)),
+        });
     }
 }
 
@@ -194,18 +190,20 @@ impl RoutingFunction for MeshRouting {
     }
 
     fn roots(&self) -> Vec<Arrival> {
+        let topo = FullMesh::new(self.nodes);
         let mut out = Vec::new();
         for src in 0..self.nodes {
             for dst in 0..self.nodes {
                 if src == dst {
                     continue;
                 }
+                let inject = GlobalLink::Local {
+                    node: NodeId(src as u32),
+                    link: LocalLink::EpToRouter(LocalEndpointId(0)),
+                };
                 out.push(Arrival {
                     node: NodeId(src as u32),
-                    link: GlobalLink::Local {
-                        node: NodeId(src as u32),
-                        link: LocalLink::EpToRouter(LocalEndpointId(0)),
-                    },
+                    link: topo.index(&inject).expect("a mesh link"),
                     vc: Vc(0),
                     state: Self::pair_state(src, dst),
                 });

@@ -13,7 +13,8 @@
 //! * [`RoutingFunction`] presents a routing scheme as an abstract transition
 //!   system: a set of root [`Arrival`]s (packet injections) and, for each
 //!   arrival, the [`Progress`] a packet can make — the `(link, VC)` steps it
-//!   acquires in order, and the follow-on arrival state, if any. The
+//!   acquires in order, each link already named by its topology's dense
+//!   [`LinkIdx`], and the follow-on arrival state, if any. The
 //!   certifier derives every channel-dependency edge from consecutive steps
 //!   and explores the state space to a fixed point; when it finds a cycle it
 //!   reads the witness routes off the same transitions (an injection root
@@ -103,13 +104,25 @@ impl std::hash::Hasher for MulHasher {
     }
 }
 
+/// A link as its [`Topology`] numbers it: `node · slots_per_node + slot`,
+/// where `(node, slot)` is the link's [`Topology::slot`]. The one way a
+/// routing function names the buffers its packets take, so the certifier
+/// addresses a `(link, VC)` pair by arithmetic alone;
+/// [`Topology::link`] turns an index back into its [`GlobalLink`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct LinkIdx(pub u32);
+
+/// A buffer a transition acquires: a link, by its dense index, and the VC
+/// taken on it.
+pub type Step = (LinkIdx, Vc);
+
 /// A packet sitting at a node, holding `(link, vc)`, ready to make progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Arrival {
     /// The node the packet has reached.
     pub node: NodeId,
     /// The link whose buffer the packet currently occupies.
-    pub link: GlobalLink,
+    pub link: LinkIdx,
     /// The virtual channel it occupies on that link.
     pub vc: Vc,
     /// Opaque routing-function state.
@@ -127,7 +140,7 @@ pub struct Arrival {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Progress<'a> {
     /// Buffers acquired, in order.
-    pub steps: &'a [(GlobalLink, Vc)],
+    pub steps: &'a [Step],
     /// Follow-on arrival, or `None` if the packet is delivered.
     pub next: Option<(NodeId, RouteState)>,
 }
@@ -138,7 +151,7 @@ pub struct Progress<'a> {
 /// the buffer has grown to the largest fan-out.
 #[derive(Debug, Clone, Default)]
 pub struct Transitions {
-    steps: Vec<(GlobalLink, Vc)>,
+    steps: Vec<Step>,
     /// Per transition: where its steps end in `steps`, and its follow-on.
     ends: Vec<(usize, Option<(NodeId, RouteState)>)>,
 }
@@ -153,7 +166,7 @@ impl Transitions {
     /// The step buffer: a routing function pushes the steps of the
     /// transition it is writing here, then closes it with
     /// [`Transitions::end`]. Steps of earlier transitions must be left alone.
-    pub fn steps_mut(&mut self) -> &mut Vec<(GlobalLink, Vc)> {
+    pub fn steps_mut(&mut self) -> &mut Vec<Step> {
         &mut self.steps
     }
 
@@ -261,9 +274,26 @@ pub trait Topology: fmt::Debug {
     /// The link at a `(node, slot)` coordinate, or `None` if the slot is
     /// unpopulated.
     fn link_at(&self, node: usize, slot: usize) -> Option<GlobalLink>;
+
+    /// The dense index of a link, or `None` if this topology has no such
+    /// link.
+    fn index(&self, link: &GlobalLink) -> Option<LinkIdx> {
+        let (node, slot) = self.slot(link)?;
+        Some(LinkIdx((node * self.slots_per_node() + slot) as u32))
+    }
+
+    /// The link at dense index `idx`, or `None` if the index is past the
+    /// machine or its slot is unpopulated.
+    fn link(&self, idx: LinkIdx) -> Option<GlobalLink> {
+        let per = self.slots_per_node();
+        let idx = idx.0 as usize;
+        self.link_at(idx / per, idx % per)
+    }
 }
 
-/// A routing scheme presented as an abstract transition system.
+/// A routing scheme presented as an abstract transition system over one
+/// [`Topology`]: every [`LinkIdx`] it hands out — in a root, in a step —
+/// is that topology's, and the certifier is given the same topology.
 pub trait RoutingFunction {
     /// Human-readable routing-function name (for reports and diagnostics).
     fn describe(&self) -> String;
@@ -278,6 +308,14 @@ pub trait RoutingFunction {
     /// `out`, after whatever it already holds (a caller reusing one buffer
     /// clears it first).
     fn transitions(&self, arrival: &Arrival, out: &mut Transitions);
+
+    /// An exclusive bound on every [`RouteState`] this function's arrivals
+    /// carry, when it numbers its states densely from zero: the certifier
+    /// then marks the arrivals it has reached in a bitmap rather than a
+    /// hash set. `None` (the default) leaves the states opaque.
+    fn state_bound(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// One end of a node's link: the router port, channel adapter or endpoint
@@ -432,6 +470,12 @@ impl TorusTopology {
     /// The component that receives from slot `slot` of every node.
     pub fn consumer(&self, slot: usize) -> LinkEnd {
         self.slots[slot].2
+    }
+
+    /// The node one torus hop from `node` in direction `dir`.
+    #[inline]
+    pub fn neighbor(&self, node: NodeId, dir: TorusDir) -> NodeId {
+        NodeId(self.neighbors[node.0 as usize][dir.index()])
     }
 }
 

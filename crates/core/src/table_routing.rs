@@ -10,13 +10,16 @@
 //! [`RouteSpec`](crate::routing::RouteSpec), each fan one traversal.
 //!
 //! Every transition here is a complete route (no successor state): the
-//! abstract state space is just an enumeration of the route set.
+//! abstract state space is just an enumeration of the route set. Its steps
+//! are the traces' links by their [`TorusTopology`] index.
 
 use std::collections::BTreeSet;
 
 use crate::chip::{ChanId, LinkGroup, LocalAttach, LocalEndpointId, LocalLink};
 use crate::config::{GlobalEndpoint, MachineConfig};
-use crate::net::{Arrival, RouteState, RoutingFunction, Transitions};
+use crate::net::{
+    Arrival, LinkIdx, RouteState, RoutingFunction, Topology, TorusTopology, Transitions,
+};
 use crate::route_table::RouteTable;
 use crate::topology::NodeId;
 use crate::trace::{leg, trace_legs, GlobalLink, TraceStep};
@@ -33,6 +36,8 @@ const TAG_LOCAL: u64 = 3;
 pub struct TableRouting {
     cfg: MachineConfig,
     table: RouteTable,
+    /// The links the steps name.
+    topo: TorusTopology,
     /// Per source node: the first-departure adapters its table paths use.
     departs: Vec<Vec<ChanId>>,
     /// Per destination node: the terminal arrival adapters, with the VC
@@ -87,6 +92,7 @@ impl TableRouting {
             }
         }
         TableRouting {
+            topo: TorusTopology::new(&cfg),
             cfg,
             table,
             departs: departs.into_iter().map(Vec::from_iter).collect(),
@@ -113,16 +119,24 @@ impl TableRouting {
         let at = self.cfg.shape.coord(node);
         let crosses =
             matches!(exit, LocalAttach::Chan(c) if self.cfg.shape.hop_crosses_dateline(at, c.dir));
-        leg(
-            &self.cfg,
-            at,
-            entry,
-            exit,
-            crosses,
-            &mut vc,
-            out.steps_mut(),
-        );
+        let mut steps = Vec::with_capacity(16);
+        leg(&self.cfg, at, entry, exit, crosses, &mut vc, &mut steps);
+        self.end(&steps, out);
+    }
+
+    /// Writes the traced `steps` to `out` as one complete route.
+    fn end(&self, steps: &[TraceStep], out: &mut Transitions) {
+        out.steps_mut().extend(steps.iter().map(|(link, vc)| {
+            let idx = self.topo.index(link);
+            (idx.expect("a traced link has a slot"), *vc)
+        }));
         out.end(None);
+    }
+
+    /// The index of link `link` of `node`.
+    fn local(&self, node: NodeId, link: LocalLink) -> LinkIdx {
+        let link = GlobalLink::Local { node, link };
+        self.topo.index(&link).expect("a chip link has a slot")
     }
 }
 
@@ -150,10 +164,7 @@ impl RoutingFunction for TableRouting {
         let n = cfg.shape.num_nodes();
         let ep_in = |node, ep, state| Arrival {
             node,
-            link: GlobalLink::Local {
-                node,
-                link: LocalLink::EpToRouter(ep),
-            },
+            link: self.local(node, LocalLink::EpToRouter(ep)),
             vc: m0,
             state,
         };
@@ -177,10 +188,7 @@ impl RoutingFunction for TableRouting {
                 for (idx, (arrive, vc)) in self.arrivals[nid].iter().enumerate() {
                     out.push(Arrival {
                         node,
-                        link: GlobalLink::Local {
-                            node,
-                            link: LocalLink::ChanToRouter(*arrive),
-                        },
+                        link: self.local(node, LocalLink::ChanToRouter(*arrive)),
                         vc: vc.vc_for(LinkGroup::T),
                         state: pack(TAG_DELIVER, nid as u64, e, idx as u64),
                     });
@@ -201,13 +209,11 @@ impl RoutingFunction for TableRouting {
             let src = NodeId(((s >> 2) & 0xfffff) as u32);
             let dst = NodeId(((s >> 22) & 0xfffff) as u32);
             let ep0 = Some(LocalEndpointId(0));
-            let steps = out.steps_mut();
-            let first = steps.len();
-            path_trace(&self.cfg, &self.table, src, dst, ep0, steps);
+            let mut steps = Vec::with_capacity(32);
+            path_trace(&self.cfg, &self.table, src, dst, ep0, &mut steps);
             // The trace's first step is the injection buffer — the arrival
             // itself.
-            steps.remove(first);
-            out.end(None);
+            self.end(&steps[1..], out);
             return;
         }
         let nid = ((s >> 2) & 0xfffff) as usize;

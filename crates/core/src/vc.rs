@@ -7,7 +7,7 @@
 //! channel-adapter links, and torus channels); see
 //! [`crate::chip::LinkGroup`].
 //!
-//! Prior approaches ([20] in the paper) use `2n` T-group VCs for an
+//! Prior approaches (\[20\] in the paper) use `2n` T-group VCs for an
 //! n-dimensional torus: a fresh pair of dateline VCs per routed dimension.
 //! The Anton 2 algorithm instead increments a packet's VC only when it
 //! (1) crosses a dateline, or (2) finishes routing a torus dimension in which
@@ -71,7 +71,7 @@ pub enum VcPolicy {
     /// T-groups on a 3-dimensional torus.
     #[default]
     Anton,
-    /// The prior approach [20]: a fresh dateline VC pair per dimension.
+    /// The prior approach \[20\]: a fresh dateline VC pair per dimension.
     /// 2n = 6 T-group VCs and n+1 = 4 M-group VCs.
     Baseline2n,
     /// Negative control: a single VC everywhere. The T-group ring cycles are

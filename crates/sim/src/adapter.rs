@@ -207,7 +207,14 @@ impl ChanState {
         if let Some(&head) = self.repl.front() {
             self.send_to_router(me, fab, ctx, head);
         }
-        fab.wheels.wake(me, now + 1, now);
+        // The copies' next wake is booked where they can move: the link
+        // freeing, or a credit return to a starved VC. Stall attribution
+        // also books the cycle the arrivals behind wait out the transfer,
+        // so it re-wakes the adapter then, as a router does after a
+        // two-flit grant.
+        if fab.probe.stall.is_some() {
+            fab.wheels.wake(me, now + 1, now);
+        }
     }
 
     /// Whether the adapter holds anything to move: a multicast copy, or a

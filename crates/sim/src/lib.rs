@@ -36,8 +36,8 @@
 //! packet conservation (`created == terminated + live` at quiesce) and
 //! per-VC credit balance on every wire. A forward-progress watchdog turns
 //! silent deadlocks into a [`RunOutcome::Deadlock`](sim::RunOutcome) with a
-//! structured [`DeadlockReport`](sim::DeadlockReport) naming the stalled
-//! VCs, their head packets, and any link-shim backlogs.
+//! structured [`sim::DeadlockReport`] naming the stalled VCs, their head
+//! packets, and any link-shim backlogs.
 //!
 //! # Examples
 //!

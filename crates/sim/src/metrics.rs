@@ -1,7 +1,7 @@
 //! Structured metrics collected from a finished (or running) simulation.
 //!
-//! [`SimStats`](crate::sim::SimStats) counts the headline events; this
-//! module aggregates the instrumentation underneath them into a typed
+//! [`crate::sim::SimStats`] counts the headline events; this module
+//! aggregates the instrumentation underneath them into a typed
 //! [`Metrics`] record: per-[link-class](LinkClass) utilization, grant counts
 //! at each arbitration-site class and link-layer fault counters, all derived
 //! from counters the simulator maintains anyway. The experiment harness in

@@ -165,11 +165,11 @@ pub struct BufEntry {
     /// The buffered packet.
     pub pkt: PacketId,
     /// Cycle at which the packet clears the receiver pipeline, saturated at
-    /// [`LAST_CYCLE`] like [`GateEntry::ready`] (set by the wire on every
-    /// send; whatever the sender put here is ignored).
+    /// `u32::MAX` like [`GateEntry::ready`] (set by the wire on every send;
+    /// whatever the sender put here is ignored).
     pub ready_at: u32,
     /// Injection timestamp (age-based arbitration), saturated at
-    /// [`LAST_CYCLE`] (see [`saturate_cycle`]).
+    /// `u32::MAX`.
     pub age: u32,
     /// Flits the packet occupies.
     pub flits: u8,

@@ -256,33 +256,86 @@ fn pingpong_work(k: u8, far: NodeCoord) -> KernelWork {
     pingpong(k, far).kernel_work()
 }
 
-/// A component is woken only on a cycle it can act. On the 8×8×8
-/// ping-pong nothing contends, so past the bootstrap look at every
-/// component each router wake grants one output, each torus hop wakes two
-/// channel adapters (the serializer it leaves by and the adapter it arrives
-/// at) and each packet two endpoints (injection and delivery): no router
-/// wakes itself on speculation, no serializer re-arms with nothing queued,
-/// no adapter waits out a transfer nothing is queued behind and no credit
-/// return wakes a producer that was never refused.
-#[test]
-fn every_wake_of_an_uncontended_run_acts() {
-    let sim = pingpong(8, NodeCoord::new(0, 0, 4));
+/// A component is woken only on a cycle it can act. On an uncontended
+/// 8×8×8 run, past the bootstrap look at every component, each router wake
+/// grants one output, each torus hop wakes two channel adapters (the
+/// serializer it leaves by and the adapter it arrives at), each multicast
+/// copy waiting behind another in an adapter's replication queue wakes it
+/// once more, and each packet or copy wakes an endpoint at delivery, and
+/// at injection when injected during the run: no router wakes itself on speculation, no serializer re-arms
+/// with nothing queued, no adapter waits out a transfer nothing is queued
+/// behind and no credit return wakes a producer that was never refused.
+fn assert_every_wake_acts(sim: &Sim, run_injections: u64, queued_copies: u64) {
     let nodes = 512;
     let [routers, chans, eps, _] = sim.kernel_work().wakes;
     let stats = sim.stats();
-    assert_eq!(stats.delivered_packets, 40);
     assert_eq!(
         routers - nodes * NUM_ROUTERS as u64,
         sim.grant_counts().output
     );
     assert_eq!(
         chans - nodes * NUM_CHAN_ADAPTERS as u64,
-        2 * stats.torus_flits
+        2 * stats.torus_flits + queued_copies
     );
     assert_eq!(
         eps - nodes * sim.cfg.endpoints_per_node() as u64,
-        2 * stats.delivered_packets
+        run_injections + stats.delivered_packets
     );
+}
+
+#[test]
+fn every_wake_of_an_uncontended_run_acts() {
+    let sim = pingpong(8, NodeCoord::new(0, 0, 4));
+    assert_eq!(sim.stats().delivered_packets, 40);
+    assert_eq!(sim.stats().injected_packets, 40);
+    assert_eq!(sim.stats().torus_flits, 160);
+    assert_every_wake_acts(&sim, 40, 0);
+}
+
+/// The same with one multicast four torus hops from its source to two
+/// endpoints of one node: a fan-out at every adapter it arrives at, and at
+/// the last a second copy queued behind the first. A fan-out books no wake
+/// of its own beyond the copies' (stall attribution, off here, would add
+/// one on the next cycle).
+#[test]
+fn every_wake_of_an_uncontended_multicast_acts() {
+    let cfg = MachineConfig::new(TorusShape::cube(8));
+    let (src_node, dst_node) = (NodeCoord::new(0, 0, 0), NodeCoord::new(0, 0, 4));
+    let mut dests = DestSet::new();
+    for ep in [0, 1] {
+        dests.add(dst_node, LocalEndpointId(ep));
+    }
+    let group = McGroup::build(
+        &cfg.shape,
+        McGroupId(0),
+        src_node,
+        dests,
+        &[(DimOrder::XYZ, Slice(0))],
+    );
+    let src = GlobalEndpoint {
+        node: cfg.shape.id(src_node),
+        ep: LocalEndpointId(0),
+    };
+    let params = SimParams {
+        preflight: PreflightMode::Off,
+        ..SimParams::default()
+    };
+    let mut sim = Sim::builder().config(cfg).params(params).build();
+    sim.add_multicast_group(group);
+    let mut pkt = Packet::write(src, src, Payload::zeros(16));
+    pkt.dst = Destination::Multicast {
+        group: McGroupId(0),
+        tree: 0,
+    };
+    sim.inject(src, pkt);
+    let mut drv = WaitFor {
+        packets: 2,
+        handler_seen: true,
+    };
+    assert_eq!(sim.run(&mut drv, 1_000_000), RunOutcome::Completed);
+    assert_eq!(sim.stats().torus_flits, 4);
+    // Injected before the run, the packet leaves on the bootstrap look.
+    assert_every_wake_acts(&sim, 0, 1);
 }
 
 /// The host-independent form of "an idle cycle costs the same at 8×8×8 as

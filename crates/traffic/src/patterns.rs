@@ -5,7 +5,7 @@
 //! * [`UniformRandom`] — every packet goes to a uniformly random destination
 //!   on another node;
 //! * [`NHopNeighbor`] — destinations at most `n` hops away along *each*
-//!   dimension of the torus (Agarwal's neighbor traffic [2]);
+//!   dimension of the torus (Agarwal's neighbor traffic \[2\]);
 //! * [`Tornado`] / [`ReverseTornado`] — the adversarial half-ring patterns
 //!   of Section 4.2;
 //! * [`Blend`] — a mixture of patterns with given weights, as blended in

@@ -112,13 +112,12 @@ impl CrossCheck {
 /// Cross-checks the symbolic graph against [`enumerate_routes`] on the
 /// same configuration.
 pub fn cross_check(cfg: &MachineConfig, en: &RouteEnumeration) -> CrossCheck {
-    let topo = TorusTopology::new(cfg);
     let rf = DimOrderRouting::new(cfg.clone());
     let mut diags = Vec::new();
-    let g = build_routing_graph(&topo, &[&rf], &mut diags);
+    let g = build_routing_graph(rf.topology(), &[&rf], &mut diags);
     debug_assert!(diags.is_empty(), "{diags:?}");
     let sym: HashSet<(ChannelVc, ChannelVc)> = g.edges().collect();
-    let enumerated = enumerate_routes(&topo, cfg, en);
+    let enumerated = enumerate_routes(rf.topology(), cfg, en);
     let enu: HashSet<(ChannelVc, ChannelVc)> = enumerated.edges().collect();
     CrossCheck {
         symbolic_acyclic: g.find_cycle().is_none(),

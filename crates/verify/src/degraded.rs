@@ -40,7 +40,6 @@
 use anton_core::config::MachineConfig;
 use anton_core::dimorder::DimOrderRouting;
 use anton_core::net::RoutingFunction;
-use anton_core::net::TorusTopology;
 use anton_core::route_table::{build_route_table, DownLinkSet, RouteTable};
 use anton_core::table_routing::TableRouting;
 use anton_core::topology::Slice;
@@ -65,7 +64,6 @@ pub fn certify_tables(
     cfg: &MachineConfig,
     tables: &[RouteTable],
 ) -> (DeadlockCertificate, Vec<Diagnostic>) {
-    let topo = TorusTopology::new(cfg);
     let healthy = DimOrderRouting::new(cfg.clone());
     let table_rfs: Vec<TableRouting> = tables
         .iter()
@@ -73,7 +71,7 @@ pub fn certify_tables(
         .collect();
     let mut rfs: Vec<&dyn RoutingFunction> = vec![&healthy];
     rfs.extend(table_rfs.iter().map(|t| t as &dyn RoutingFunction));
-    certify_routing(&topo, &rfs, healthy.label())
+    certify_routing(healthy.topology(), &rfs, healthy.label())
 }
 
 /// Outcome of building and certifying degraded route tables for one
@@ -203,6 +201,7 @@ fn table_error_diag(
 mod tests {
     use super::*;
     use anton_core::chip::ChanId;
+    use anton_core::net::TorusTopology;
     use anton_core::route_table::TableMethod;
     use anton_core::topology::{Dim, NodeCoord, NodeId, Sign, TorusDir, TorusShape};
 

@@ -42,13 +42,14 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use anton_core::chip::LocalLink;
 use anton_core::config::GlobalEndpoint;
 use anton_core::net::{
-    Arrival, MulHash, Progress, RoutePath, RouteState, RoutingFunction, Topology, Transitions,
+    Arrival, LinkIdx, MulHash, Progress, RoutePath, RouteState, RoutingFunction, Step, Topology,
+    Transitions,
 };
 use anton_core::topology::Slice;
 use anton_core::trace::GlobalLink;
 use anton_core::vc::Vc;
 
-use crate::graph::{dense_index, SymGraph};
+use crate::graph::{pair_index, SymGraph};
 use crate::report::{CycleCounterexample, DeadlockCertificate, Diagnostic, WitnessRoute};
 
 /// Cap on concrete witness routes attached to a counterexample.
@@ -68,47 +69,152 @@ struct Taken<'a> {
     found: Option<Arrival>,
 }
 
+/// Which envelope a step breaks: a VC at or past the declared budget
+/// (`AV022`), or a link index the topology does not populate (`AV023`).
+#[derive(Clone, Copy)]
+enum Breach {
+    Vc,
+    Link,
+}
+
+/// The `(link, VC)` pairs a walk over one topology addresses: the link
+/// indices the topology populates, and the VCs per link.
+struct Pairs {
+    live: Vec<bool>,
+    vcs: usize,
+}
+
+impl Pairs {
+    fn new(topo: &dyn Topology, vcs: usize) -> Pairs {
+        let per = topo.slots_per_node();
+        let live = (0..topo.num_nodes() * per)
+            .map(|i| topo.link_at(i / per, i % per).is_some())
+            .collect();
+        Pairs { live, vcs }
+    }
+
+    /// The pair index of `step`, or the envelope it breaks.
+    #[inline]
+    fn of(&self, step @ (link, vc): Step) -> Result<u32, Breach> {
+        if usize::from(vc.0) >= self.vcs {
+            Err(Breach::Vc)
+        } else if self.live.get(link.0 as usize) == Some(&true) {
+            Ok(pair_index(self.vcs, step))
+        } else {
+            Err(Breach::Link)
+        }
+    }
+}
+
+/// The arrivals a walk has reached, by pair index and state: in a bitmap
+/// when the routing function numbers its states densely
+/// ([`RoutingFunction::state_bound`]) and the bitmap stays small, in a hash
+/// set otherwise.
+enum Seen {
+    Dense { bits: Vec<u64>, bound: u64 },
+    Sparse(HashSet<(u32, u64), MulHash>),
+}
+
+impl Seen {
+    /// The largest bitmap a walk allocates: 16 MiB.
+    const MAX_BITS: u64 = 1 << 27;
+
+    fn new(pairs: &Pairs, rf: &dyn RoutingFunction) -> Seen {
+        let n = (pairs.live.len() * pairs.vcs) as u64;
+        match rf.state_bound() {
+            Some(bound) if n.saturating_mul(bound) <= Seen::MAX_BITS => Seen::Dense {
+                bits: vec![0; (n * bound).div_ceil(64) as usize],
+                bound,
+            },
+            _ => Seen::Sparse(HashSet::default()),
+        }
+    }
+
+    /// Records `(pair, state)`, returning whether it is new.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a state past the routing function's declared bound.
+    #[inline]
+    fn insert(&mut self, pair: u32, state: RouteState) -> bool {
+        match self {
+            Seen::Dense { bits, bound } => {
+                assert!(state.0 < *bound, "{state:?} is past the declared bound");
+                let bit = u64::from(pair) * *bound + state.0;
+                let (word, mask) = (&mut bits[(bit / 64) as usize], 1 << (bit % 64));
+                let new = *word & mask == 0;
+                *word |= mask;
+                new
+            }
+            Seen::Sparse(set) => set.insert((pair, state.0)),
+        }
+    }
+}
+
 /// Walks `rf`'s transition system breadth-first over `(link, VC, state)`
-/// arrivals, addressed as a graph over `topo` with `vcs` VCs per link, and
-/// hands every transition to `visit` until it returns `false`.
+/// arrivals, addressed as `pairs` of `topo`, and hands every transition to
+/// `visit` until it returns `false`.
 ///
 /// Envelope violations (`AV022` out-of-budget VC, `AV023` unaddressable
 /// link) are appended to `diags` — once per code — and the offending
 /// transitions are skipped.
 fn explore(
     topo: &dyn Topology,
-    vcs: usize,
+    pairs: &Pairs,
     rf: &dyn RoutingFunction,
     diags: &mut Vec<Diagnostic>,
     mut visit: impl FnMut(Taken<'_>) -> bool,
 ) {
+    let vcs = pairs.vcs;
     let mut bad_vc = false;
     let mut bad_link = false;
-    let mut unaddressable = |diags: &mut Vec<Diagnostic>, link: &GlobalLink, vc: Vc| {
-        if !std::mem::replace(&mut bad_link, true) {
+    let mut envelope = |diags: &mut Vec<Diagnostic>, (link, vc): Step, breach| match breach {
+        Breach::Vc if !std::mem::replace(&mut bad_vc, true) => {
+            let link = topo
+                .link(link)
+                .map_or_else(|| format!("link #{}", link.0), |l| l.to_string());
+            diags.push(
+                Diagnostic::error(
+                    "AV022",
+                    format!(
+                        "routing function `{}` requested {link}@{vc}, outside its declared \
+                         budget of {vcs} VCs",
+                        rf.describe()
+                    ),
+                )
+                .with("vc", vc.0)
+                .with("num_vcs", vcs),
+            );
+        }
+        Breach::Link if !std::mem::replace(&mut bad_link, true) => {
             diags.push(
                 Diagnostic::error(
                     "AV023",
                     format!(
-                        "routing function `{}` emitted {link}@{vc}, which topology `{}` cannot \
-                         address",
+                        "routing function `{}` emitted link #{}@{vc}, which topology `{}` \
+                         cannot address",
                         rf.describe(),
+                        link.0,
                         topo.describe()
                     ),
                 )
-                .with("link", link),
+                .with("link", link.0),
             );
         }
+        _ => {}
     };
-    let mut seen: HashSet<(u32, u64), MulHash> = HashSet::default();
+    let mut seen = Seen::new(pairs, rf);
     let mut queue: VecDeque<(Arrival, u32)> = VecDeque::new();
     for root in rf.roots() {
-        let Some(idx) = dense_index(topo, vcs, &root.link, root.vc) else {
-            unaddressable(diags, &root.link, root.vc);
-            continue;
-        };
-        if seen.insert((idx, root.state.0)) {
-            queue.push_back((root, idx));
+        match pairs.of((root.link, root.vc)) {
+            Ok(idx) => {
+                if seen.insert(idx, root.state) {
+                    queue.push_back((root, idx));
+                }
+            }
+            // A root is an injection buffer: any envelope it breaks is an
+            // unaddressable buffer.
+            Err(_) => envelope(diags, (root.link, root.vc), Breach::Link),
         }
     }
     // One transition buffer and one chain buffer for the whole walk: an
@@ -123,29 +229,14 @@ fn explore(
             // transition contributes nothing.
             chain.clear();
             chain.push(at);
-            for (link, vc) in progress.steps {
-                if usize::from(vc.0) >= vcs {
-                    if !std::mem::replace(&mut bad_vc, true) {
-                        diags.push(
-                            Diagnostic::error(
-                                "AV022",
-                                format!(
-                                    "routing function `{}` requested {link}@{vc}, outside its \
-                                     declared budget of {vcs} VCs",
-                                    rf.describe()
-                                ),
-                            )
-                            .with("vc", vc.0)
-                            .with("num_vcs", vcs),
-                        );
+            for &step in progress.steps {
+                match pairs.of(step) {
+                    Ok(idx) => chain.push(idx),
+                    Err(breach) => {
+                        envelope(diags, step, breach);
+                        continue 'progress;
                     }
-                    continue 'progress;
                 }
-                let Some(idx) = dense_index(topo, vcs, link, *vc) else {
-                    unaddressable(diags, link, *vc);
-                    continue 'progress;
-                };
-                chain.push(idx);
             }
             let last = *chain.last().expect("the chain starts at the arrival");
             let found = progress.next.and_then(|(node, state)| {
@@ -156,7 +247,7 @@ fn explore(
                     vc,
                     state,
                 };
-                seen.insert((last, state.0)).then_some(next)
+                seen.insert(last, state).then_some(next)
             });
             queue.extend(found.map(|next| (next, last)));
             let taken = Taken {
@@ -186,8 +277,9 @@ pub fn build_routing_graph<'t>(
 ) -> SymGraph<'t> {
     let vcs = routings.iter().map(|r| r.num_vcs()).max().unwrap_or(1);
     let mut g = SymGraph::new(topo, vcs);
+    let pairs = Pairs::new(topo, vcs);
     for rf in routings {
-        explore(topo, vcs, *rf, diags, |taken| {
+        explore(topo, &pairs, *rf, diags, |taken| {
             for w in taken.chain.windows(2) {
                 g.add_edge_idx(w[0], w[1]);
             }
@@ -199,13 +291,15 @@ pub fn build_routing_graph<'t>(
 
 /// Which transition first reached an arrival, keyed by the arrival's
 /// `(link, VC, state)`: the arrival it was taken from and its position there.
-type Parents = HashMap<(GlobalLink, Vc, RouteState), (Arrival, usize)>;
+type Parents = HashMap<(LinkIdx, Vc, RouteState), (Arrival, usize)>;
 
 /// The concrete route through transition `progress` of `from`: back along
 /// the parent links to a root, forward — by a delivering transition wherever
 /// one is offered — until the packet is delivered. `None` when the chain is
 /// not a whole route from an injection to a delivery (a table's mesh fans).
+/// Links decode through `g`.
 fn witness_route(
+    g: &SymGraph<'_>,
     rf: &dyn RoutingFunction,
     parents: &Parents,
     from: &Arrival,
@@ -240,7 +334,11 @@ fn witness_route(
         steps.extend_from_slice(taken.steps);
         next = taken.next;
     }
-    let endpoint = |step: &(GlobalLink, Vc)| match step.0 {
+    let steps: Vec<GlobalLink> = steps
+        .into_iter()
+        .map(|step| g.decode(pair_index(g.vcs, step)).0)
+        .collect();
+    let endpoint = |link: &GlobalLink| match *link {
         GlobalLink::Local {
             node,
             link: LocalLink::EpToRouter(ep) | LocalLink::RouterToEp(ep),
@@ -251,7 +349,7 @@ fn witness_route(
     let mut hops = Vec::new();
     let mut nodes = vec![src.node];
     let mut on = Slice(0);
-    for (link, _) in &steps {
+    for link in &steps {
         match *link {
             GlobalLink::Torus { dir, slice, .. } => {
                 hops.push(dir);
@@ -298,12 +396,13 @@ pub fn certify_routing(
     // function could; first concrete route per edge wins.
     let mut routes: Vec<Option<WitnessRoute>> = vec![None; cycle.len()];
     let mut missing = cycle.len().min(MAX_WITNESSES);
+    let pairs = Pairs::new(topo, g.vcs);
     for rf in routings {
         if missing == 0 {
             break;
         }
         let mut parents = Parents::new();
-        explore(topo, g.vcs, *rf, &mut Vec::new(), |taken| {
+        explore(topo, &pairs, *rf, &mut Vec::new(), |taken| {
             if let Some(a) = taken.found {
                 parents.insert((a.link, a.vc, a.state), (*taken.from, taken.nth));
             }
@@ -314,7 +413,7 @@ pub fn certify_routing(
                 if routes[i].is_some() || missing == 0 {
                     continue;
                 }
-                let route = witness_route(*rf, &parents, taken.from, taken.progress);
+                let route = witness_route(&g, *rf, &parents, taken.from, taken.progress);
                 if let Some((src, dst, path)) = route {
                     routes[i] = Some(WitnessRoute {
                         src,
@@ -343,7 +442,7 @@ pub fn certify_routing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anton_core::chip::{LocalEndpointId, MeshCoord};
+    use anton_core::chip::{ChipLayout, LocalEndpointId};
     use anton_core::config::MachineConfig;
     use anton_core::mesh::{FullMesh, MeshRouting, MeshRule};
     use anton_core::net::TorusTopology;
@@ -368,12 +467,14 @@ mod tests {
                 from: NodeId(0),
                 to: NodeId(1),
             };
+            let link = FullMesh::new(2).index(&link).expect("a mesh link");
             out.steps_mut().push((link, Vc(7)));
             out.end(None);
         }
     }
 
-    /// A routing function that emits a link its topology does not have.
+    /// A routing function that emits a link its topology does not have: a
+    /// channel from a node to itself, in the slot a full mesh leaves empty.
     #[derive(Debug)]
     struct BadLink;
 
@@ -388,52 +489,61 @@ mod tests {
             MeshRouting::new(2, MeshRule::Direct).roots()
         }
         fn transitions(&self, _arrival: &Arrival, out: &mut Transitions) {
-            let link = GlobalLink::Direct {
-                from: NodeId(0),
-                to: NodeId(99),
-            };
-            out.steps_mut().push((link, Vc(0)));
+            // Node 0's block: injection, delivery, then the channel to
+            // each node by index — its own included.
+            let to_self = LinkIdx(2);
+            assert_eq!(FullMesh::new(2).link(to_self), None);
+            out.steps_mut().push((to_self, Vc(0)));
             out.end(None);
         }
     }
 
-    /// A torus routing function that takes a skip channel from a router
-    /// with no skip partner.
+    /// A torus routing function that injects on a one-node machine whose
+    /// chip has 5 endpoints and delivers to endpoint 15, which that chip
+    /// lacks: it names the link as a 16-endpoint chip numbers it, past
+    /// every link the machine has.
     #[derive(Debug)]
-    struct PhantomSkip;
+    struct PhantomEndpoint;
 
-    impl RoutingFunction for PhantomSkip {
+    fn one_node(endpoints: u8) -> TorusTopology {
+        let mut cfg = MachineConfig::new(TorusShape::cube(1));
+        cfg.chip = ChipLayout::new(endpoints);
+        TorusTopology::new(&cfg)
+    }
+
+    impl RoutingFunction for PhantomEndpoint {
         fn describe(&self) -> String {
-            "phantom-skip test routing".into()
+            "phantom-endpoint test routing".into()
         }
         fn num_vcs(&self) -> usize {
             1
         }
         fn roots(&self) -> Vec<Arrival> {
             let node = NodeId(0);
-            let link = LocalLink::EpToRouter(LocalEndpointId(5));
+            let link = LocalLink::EpToRouter(LocalEndpointId(0));
+            let link = GlobalLink::Local { node, link };
             vec![Arrival {
                 node,
-                link: GlobalLink::Local { node, link },
+                link: one_node(5).index(&link).expect("a chip link"),
                 vc: Vc(0),
                 state: RouteState(0),
             }]
         }
         fn transitions(&self, arrival: &Arrival, out: &mut Transitions) {
-            let skip = LocalLink::Skip {
-                from: MeshCoord::new(1, 1),
+            let deliver = GlobalLink::Local {
+                node: arrival.node,
+                link: LocalLink::RouterToEp(LocalEndpointId(15)),
             };
-            let node = arrival.node;
-            out.steps_mut()
-                .push((GlobalLink::Local { node, link: skip }, Vc(0)));
+            let link = one_node(16).index(&deliver).expect("a chip link");
+            out.steps_mut().push((link, Vc(0)));
             out.end(None);
         }
     }
 
     #[test]
     fn a_link_the_chip_lacks_raises_av023_on_the_torus() {
-        let topo = TorusTopology::new(&MachineConfig::new(TorusShape::cube(2)));
-        let (cert, diags) = certify_routing(&topo, &[&PhantomSkip], "phantom skip");
+        let topo = one_node(5);
+        let (cert, diags) = certify_routing(&topo, &[&PhantomEndpoint], "phantom endpoint");
         assert!(diags.iter().any(|d| d.code == "AV023"), "{diags:?}");
         assert_eq!(cert.edges, 0);
     }

@@ -8,7 +8,8 @@
 //! full-size machine has millions of edge insertions, so the graph interns
 //! nothing: it addresses every possible `(link, VC)` pair arithmetically
 //! through a [`Topology`]: each node of the machine contributes a fixed
-//! block of link slots, and an index is `(node · slots + slot) · vcs + vc`.
+//! block of link slots, and a pair's index is its link's dense index
+//! ([`LinkIdx`], `node · slots + slot`) times `vcs`, plus the VC.
 //! The graph itself is topology-agnostic — the same structure certifies a
 //! torus and a full mesh.
 //!
@@ -20,7 +21,7 @@
 //! cycle search walks in: the counterexample a cyclic graph reports
 //! depends on that order, so it is part of the graph's contract.
 
-use anton_core::net::Topology;
+use anton_core::net::{LinkIdx, Step, Topology};
 use anton_core::trace::GlobalLink;
 use anton_core::vc::Vc;
 
@@ -51,6 +52,8 @@ pub struct SymGraph<'t> {
     /// end at twice the capacity, leaving its old slots unused.
     succ: Vec<u32>,
     num_edges: usize,
+    /// Calls to [`SymGraph::add_edge_idx`], duplicates included.
+    insertions: usize,
 }
 
 impl<'t> SymGraph<'t> {
@@ -63,6 +66,7 @@ impl<'t> SymGraph<'t> {
             rows: vec![(0, 0); n],
             succ: Vec::new(),
             num_edges: 0,
+            insertions: 0,
         }
     }
 
@@ -76,7 +80,8 @@ impl<'t> SymGraph<'t> {
     /// The dense index of a `(link, VC)` pair, or `None` when the topology
     /// cannot address the link (or the VC exceeds the graph's budget).
     pub fn index_of(&self, link: &GlobalLink, vc: Vc) -> Option<u32> {
-        dense_index(self.topo, self.vcs, link, vc)
+        let idx = self.topo.index(link)?;
+        (usize::from(vc.0) < self.vcs).then(|| pair_index(self.vcs, (idx, vc)))
     }
 
     /// The dense index of a `(link, VC)` pair. Panics when the topology
@@ -88,15 +93,12 @@ impl<'t> SymGraph<'t> {
 
     /// Inverse of [`SymGraph::index`].
     pub fn decode(&self, idx: u32) -> ChannelVc {
-        let idx = idx as usize;
-        let vc = Vc((idx % self.vcs) as u8);
-        let rest = idx / self.vcs;
-        let slots = self.topo.slots_per_node();
+        let vcs = self.vcs as u32;
         let link = self
             .topo
-            .link_at(rest / slots, rest % slots)
+            .link(LinkIdx(idx / vcs))
             .expect("decode of an index the topology populated");
-        (link, vc)
+        (link, Vc((idx % vcs) as u8))
     }
 
     /// Adds one dependency edge (idempotent). Panics on unaddressable
@@ -109,6 +111,7 @@ impl<'t> SymGraph<'t> {
 
     /// Adds one dependency edge by pre-validated dense indices (idempotent).
     pub fn add_edge_idx(&mut self, f: u32, t: u32) {
+        self.insertions += 1;
         if self.successors(f).contains(&t) {
             return;
         }
@@ -142,6 +145,12 @@ impl<'t> SymGraph<'t> {
     /// Total dependency edges.
     pub fn num_edges(&self) -> usize {
         self.num_edges
+    }
+
+    /// Edge insertions made, each duplicate counted again: the work a
+    /// graph's builder did, where [`SymGraph::num_edges`] is its result.
+    pub fn num_insertions(&self) -> usize {
+        self.insertions
     }
 
     /// Iterates every edge as decoded `(from, to)` pairs.
@@ -254,19 +263,12 @@ impl<'t> SymGraph<'t> {
     }
 }
 
-/// [`SymGraph::index_of`] for a graph over `topo` with `vcs` VCs per link:
-/// what the engine's walk addresses buffers by, with or without a graph.
-pub(crate) fn dense_index(
-    topo: &dyn Topology,
-    vcs: usize,
-    link: &GlobalLink,
-    vc: Vc,
-) -> Option<u32> {
-    if usize::from(vc.0) >= vcs {
-        return None;
-    }
-    let (node, slot) = topo.slot(link)?;
-    Some(((node * topo.slots_per_node() + slot) * vcs + usize::from(vc.0)) as u32)
+/// The index of the `(link, VC)` pair `step` in a graph with `vcs` VCs per
+/// link: what the engine's walk addresses buffers by, with or without a
+/// graph. The VC must be below `vcs`.
+#[inline]
+pub(crate) fn pair_index(vcs: usize, (link, vc): Step) -> u32 {
+    link.0 * vcs as u32 + u32::from(vc.0)
 }
 
 #[cfg(test)]

@@ -72,7 +72,6 @@ pub use report::{
 };
 
 use anton_core::config::MachineConfig;
-use anton_core::net::TorusTopology;
 
 /// Symbolically certifies a torus routing deadlock-free, or extracts a
 /// minimal concrete `(channel, VC)` cycle with witness routes when it is
@@ -80,12 +79,11 @@ use anton_core::net::TorusTopology;
 /// left out of the graph) come back beside the certificate; they are
 /// errors, so a report that carries them fails.
 ///
-/// The 8×8×8 default — 140,288 arrivals, 1,009,664 transitions, 431,232
-/// distinct edges — certifies in a median 0.32 s on a 2-vCPU Xeon host
-/// (`verify.certify_k8_s`).
+/// The 8×8×8 default — 140,288 arrivals, 1,009,664 transitions replaying
+/// 1,516 traced chip traversals, 431,232 distinct edges — certifies in a
+/// median 0.12 s on a 2-vCPU Xeon host (`verify.certify_k8_s`).
 pub fn certify(rf: &DimOrderRouting) -> (DeadlockCertificate, Vec<Diagnostic>) {
-    let topo = TorusTopology::new(rf.config());
-    certify_routing(&topo, &[rf], rf.label())
+    certify_routing(rf.topology(), &[rf], rf.label())
 }
 
 /// Verifies a torus routing: configuration lints, the dateline lint
@@ -123,7 +121,8 @@ pub fn verify_model(rf: &DimOrderRouting) -> VerifyReport {
     }
 }
 
-/// Verifies a machine configuration as built (datelines active).
+/// Verifies a machine configuration as built (datelines active). At
+/// 8×8×8 nearly all of its cost is [`certify`]'s walk.
 pub fn verify_config(cfg: &MachineConfig) -> VerifyReport {
     verify_model(&DimOrderRouting::new(cfg.clone()))
 }
