@@ -36,6 +36,8 @@
 //! a run of steps named by slot and by which of the two nodes holds the
 //! link. A transition then substitutes the arrival's node and neighbour
 //! into the run, emitting the [`TorusTopology`]'s link indices directly.
+//! [`TableRouting`](crate::table_routing::TableRouting) lays out its routes
+//! from the same kind of table.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -45,7 +47,7 @@ use crate::net::{
     Arrival, LinkIdx, MulHash, RouteState, RoutingFunction, Topology, TorusTopology, Transitions,
 };
 use crate::topology::{Dim, NodeCoord, NodeId, Sign, Slice, TorusDir};
-use crate::trace::{leg, GlobalLink, TraceStep};
+use crate::trace::{leg, GlobalLink};
 use crate::vc::{Vc, VcState};
 
 fn dim_bit(d: Dim) -> u8 {
@@ -65,8 +67,81 @@ struct RelStep {
     vc: Vc,
 }
 
-/// A run of [`RelStep`]s in [`Table::steps`]: one traced traversal.
-type Run = (u32, u32);
+/// A run of [`RelStep`]s in [`Traversals`]: one traced traversal.
+pub(crate) type Run = (u32, u32);
+
+/// A chip traversal's shape: entry buffer, exit, VC state before it, and
+/// whether it crosses a dateline. Its steps depend on nothing else but the
+/// node it starts at and that node's neighbour.
+type Shape = (LocalLink, LocalAttach, VcState, bool);
+
+/// Chip traversals traced once per shape, by [`leg`] at the origin node,
+/// and replayed at any node with that node and its neighbour substituted.
+/// O(chip): nothing here grows with the machine.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Traversals {
+    /// Every traced traversal's steps, one run per traversal.
+    steps: Vec<RelStep>,
+    /// Each traced shape's run and the VC state past it.
+    traced: HashMap<Shape, (Run, VcState), MulHash>,
+}
+
+impl Traversals {
+    /// The run of the traversal from `entry` to `exit` in VC state `st`,
+    /// `crossing` a dateline or not, and the state past it: traced by
+    /// [`leg`] at the origin the first time the shape is asked for.
+    pub(crate) fn trace(
+        &mut self,
+        cfg: &MachineConfig,
+        topo: &TorusTopology,
+        entry: LocalLink,
+        exit: LocalAttach,
+        st: VcState,
+        crossing: bool,
+    ) -> (Run, VcState) {
+        let Traversals { steps, traced } = self;
+        *traced
+            .entry((entry, exit, st, crossing))
+            .or_insert_with(|| {
+                let origin = NodeCoord::new(0, 0, 0);
+                let node = cfg.shape.id(origin).0 as usize;
+                let mut past = st;
+                let mut scratch = Vec::new();
+                leg(cfg, origin, entry, exit, crossing, &mut past, &mut scratch);
+                let start = steps.len() as u32;
+                for (link, vc) in &scratch {
+                    let (at, slot) = topo.slot(link).expect("a traced link has a slot");
+                    let (slot, far) = (slot as u16, at != node);
+                    steps.push(RelStep { slot, far, vc: *vc });
+                }
+                ((start, steps.len() as u32), past)
+            })
+    }
+
+    /// How many shapes were traced.
+    pub(crate) fn len(&self) -> usize {
+        self.traced.len()
+    }
+
+    /// Writes the traced traversal `run` of `topo` as a transition's steps,
+    /// starting at `node` and departing (if it does) to `far`.
+    pub(crate) fn emit(
+        &self,
+        topo: &TorusTopology,
+        (start, end): Run,
+        node: NodeId,
+        far: NodeId,
+        out: &mut Transitions,
+    ) {
+        let per = topo.slots_per_node() as u32;
+        let (here, far) = (node.0 * per, far.0 * per);
+        let run = &self.steps[start as usize..end as usize];
+        out.steps_mut().extend(run.iter().map(|s| {
+            let base = if s.far { far } else { here };
+            (LinkIdx(base + u32::from(s.slot)), s.vc)
+        }));
+    }
+}
 
 /// One way a packet at an abstract arrival makes progress, in the order
 /// [`RoutingFunction::transitions`] writes them.
@@ -95,10 +170,8 @@ struct Table {
     /// for an arrival the routing never reaches.
     arrivals: Vec<Option<Run>>,
     moves: Vec<Move>,
-    /// Every traced traversal's steps, one run per traversal.
-    steps: Vec<RelStep>,
-    /// Number of traversals traced: each shape once.
-    traced: usize,
+    /// Every traversal the moves take.
+    traversals: Traversals,
 }
 
 /// Dimension-order routing over the torus: the one model of it the deadlock
@@ -238,8 +311,6 @@ impl DimOrderRouting {
         let mut t = Tabulator {
             rf: self,
             inarc_idx,
-            traced: HashMap::default(),
-            scratch: Vec::new(),
             work: (self.cfg.chip.endpoints())
                 .map(|ep| (0, LocalLink::EpToRouter(ep)))
                 .collect(),
@@ -324,7 +395,7 @@ impl DimOrderRouting {
     /// distinct shape — entry buffer, exit, VC state, dateline crossed or
     /// not — once, however many nodes and arrivals take it.
     pub fn traced_traversals(&self) -> usize {
-        self.table.traced
+        self.table.traversals.len()
     }
 
     /// Whether dateline crossings promote VCs (false only for
@@ -378,18 +449,6 @@ impl DimOrderRouting {
     pub fn crosses(&self, at: NodeCoord, dir: TorusDir) -> bool {
         self.datelines && self.cfg.shape.hop_crosses_dateline(at, dir)
     }
-
-    /// Writes the traced traversal `run` as a transition's steps, starting
-    /// at `node` and departing (if it does) to `far`.
-    fn emit(&self, (start, end): Run, node: NodeId, far: NodeId, out: &mut Transitions) {
-        let per = self.topo.slots_per_node() as u32;
-        let (here, far) = (node.0 * per, far.0 * per);
-        let run = &self.table.steps[start as usize..end as usize];
-        out.steps_mut().extend(run.iter().map(|s| {
-            let base = if s.far { far } else { here };
-            (LinkIdx(base + u32::from(s.slot)), s.vc)
-        }));
-    }
 }
 
 /// [`DimOrderRouting`]'s table under construction: the abstract arrivals
@@ -397,9 +456,6 @@ impl DimOrderRouting {
 struct Tabulator<'a> {
     rf: &'a DimOrderRouting,
     inarc_idx: &'a HashMap<(VcState, u8), u32, MulHash>,
-    /// Each traced shape's run and the VC state past it.
-    traced: HashMap<(LocalLink, LocalAttach, VcState, bool), (Run, VcState), MulHash>,
-    scratch: Vec<TraceStep>,
     /// Abstract arrivals to expand: state row and entry buffer.
     work: Vec<(usize, LocalLink)>,
     table: Table,
@@ -414,8 +470,7 @@ impl Tabulator<'_> {
     }
 
     /// The run of the traversal from `entry` to `exit` in VC state `st`,
-    /// `crossing` a dateline or not, and the state past it: traced by
-    /// [`leg`] at the origin the first time the shape is asked for.
+    /// `crossing` a dateline or not, and the state past it.
     fn trace(
         &mut self,
         entry: LocalLink,
@@ -423,30 +478,8 @@ impl Tabulator<'_> {
         st: VcState,
         crossing: bool,
     ) -> (Run, VcState) {
-        let Tabulator {
-            rf,
-            traced,
-            scratch,
-            table,
-            ..
-        } = self;
-        *traced
-            .entry((entry, exit, st, crossing))
-            .or_insert_with(|| {
-                let origin = NodeCoord::new(0, 0, 0);
-                let node = rf.cfg.shape.id(origin).0 as usize;
-                let mut past = st;
-                scratch.clear();
-                leg(&rf.cfg, origin, entry, exit, crossing, &mut past, scratch);
-                let start = table.steps.len() as u32;
-                for (link, vc) in scratch.iter() {
-                    let (at, slot) = rf.topo.slot(link).expect("a traced link has a slot");
-                    let (slot, far) = (slot as u16, at != node);
-                    table.steps.push(RelStep { slot, far, vc: *vc });
-                }
-                table.traced += 1;
-                ((start, table.steps.len() as u32), past)
-            })
+        let (cfg, topo) = (&self.rf.cfg, &self.rf.topo);
+        (self.table.traversals).trace(cfg, topo, entry, exit, st, crossing)
     }
 
     /// Adds the move leaving `entry` by adapter `exit` from `(st, mask)`,
@@ -537,7 +570,7 @@ impl RoutingFunction for DimOrderRouting {
         for mv in &self.table.moves[moves.0 as usize..moves.1 as usize] {
             match *mv {
                 Move::Deliver(run) => {
-                    self.emit(run, node, node, out);
+                    self.table.traversals.emit(&self.topo, run, node, node, out);
                     out.end(None);
                 }
                 Move::Depart { dir, via } => {
@@ -548,7 +581,7 @@ impl RoutingFunction for DimOrderRouting {
                         continue;
                     };
                     let nbr = self.topo.neighbor(node, dir);
-                    self.emit(run, node, nbr, out);
+                    self.table.traversals.emit(&self.topo, run, node, nbr, out);
                     out.end(Some((nbr, self.inarc_state(inarc, hops + 1))));
                 }
                 Move::End { mentry } => out.end(Some((node, Self::mentry_state(mentry)))),

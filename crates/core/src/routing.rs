@@ -150,6 +150,25 @@ impl RouteSpec {
         })
     }
 
+    /// Whether [`minimal_routes`](Self::minimal_routes)`(shape, src, dst)`
+    /// holds a spec with this one's hops on its slice: the runs take
+    /// distinct dimensions, and each dimension's offset — its run's, or 0
+    /// where no run takes it — is one of its minimal choices. Decided from
+    /// the runs alone, without enumerating the distribution.
+    pub fn is_minimal(&self, shape: &TorusShape, src: NodeCoord, dst: NodeCoord) -> bool {
+        let mut offsets = [0i32; 3];
+        for &(dim, off) in self.runs.iter().filter(|r| r.1 != 0) {
+            let taken = &mut offsets[dim.index()];
+            if *taken != 0 {
+                return false;
+            }
+            *taken = i32::from(off);
+        }
+        Dim::ALL
+            .into_iter()
+            .all(|d| (shape.minimal_offset_choices(d, src, dst)).contains(&offsets[d.index()]))
+    }
+
     /// Builds a fully randomized route spec: random dimension order, random
     /// slice, and random choice between tied minimal directions — the default
     /// unicast policy of the Anton 2 network.
@@ -421,6 +440,49 @@ mod tests {
         assert_eq!(spec.to_string(), "s1 Y+1 X+2 Y-1");
         let none = RouteSpec::from_hops(&shape, Slice(0), &[]).unwrap();
         assert_eq!(none.next_dir(), None);
+    }
+
+    #[test]
+    fn is_minimal_matches_the_minimal_route_distribution() {
+        // Every dimension-order route between every pair of a rectangular
+        // torus, each dimension's offset either way round its ring:
+        // `is_minimal` holds exactly when `minimal_routes` has the hops.
+        let shape = TorusShape::new(4, 3, 2);
+        let (mut minimal, mut not) = (0, 0);
+        for src in shape.nodes() {
+            for dst in shape.nodes() {
+                let ways = Dim::ALL.map(|d| {
+                    let k = i32::from(shape.k(d));
+                    let off = (i32::from(dst.get(d)) - i32::from(src.get(d))).rem_euclid(k);
+                    if off == 0 {
+                        vec![0]
+                    } else {
+                        vec![off, off - k]
+                    }
+                });
+                let routes: Vec<Vec<TorusDir>> = RouteSpec::minimal_routes(&shape, src, dst)
+                    .map(|r| r.hops())
+                    .collect();
+                for order in DimOrder::ALL {
+                    for &x in &ways[0] {
+                        for &y in &ways[1] {
+                            for &z in &ways[2] {
+                                let spec = RouteSpec::new(order, Slice(1), [x, y, z]);
+                                let expected = routes.contains(&spec.hops());
+                                assert_eq!(spec.is_minimal(&shape, src, dst), expected, "{spec}");
+                                *if expected { &mut minimal } else { &mut not } += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(minimal > 0 && not > 0);
+        // A detour that revisits a dimension is never minimal, even where
+        // its net offsets are.
+        let detour = RouteSpec::from_hops(&shape, Slice(0), &hops("Y+ X+ Y-")).unwrap();
+        let (src, dst) = (NodeCoord::new(0, 0, 0), NodeCoord::new(1, 0, 0));
+        assert!(!detour.is_minimal(&shape, src, dst));
     }
 
     #[test]

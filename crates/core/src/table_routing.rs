@@ -1,103 +1,139 @@
-//! Explicit [`RouteTable`] routes as a [`RoutingFunction`].
+//! Explicit [`RouteTable`] routes as a [`RoutingFunction`]: the routes a
+//! table adds beside [`DimOrderRouting`].
 //!
 //! A degraded-torus route table pins down one concrete path per `(src, dst)`
-//! pair on one slice. This adapter exposes exactly the channel-dependency
-//! edges those paths produce — the full link-level trace of every pair
-//! (endpoint 0 standing in for the endpoint-independent torus portion), plus
-//! the injection / delivery mesh fans of every other endpoint at each node,
-//! and the node-local endpoint-pair deliveries: each pair the tracer's fold
-//! of the route program's chip traversal (`trace::leg`) over the table's
-//! [`RouteSpec`](crate::routing::RouteSpec), each fan one traversal.
+//! pair on one slice. A table is only ever certified next to the healthy
+//! routing, whose walk — run first — has already inserted every edge of
+//! every minimal route, so this adapter exposes only what the table adds:
+//! the link-level trace of each pair whose path is not one of
+//! [`RouteSpec::minimal_routes`] (endpoint 0 standing in for the
+//! endpoint-independent torus portion), plus the injection / delivery mesh
+//! fans of every endpoint at the nodes those paths leave and reach. A
+//! skipped path or fan could only have re-inserted edges the graph already
+//! holds, so the union graph — its edges and the order each pair's
+//! successors were first inserted in — is the one every path would give.
+//! A healthy table adds nothing and has no roots.
 //!
-//! Every transition here is a complete route (no successor state): the
-//! abstract state space is just an enumeration of the route set. Its steps
-//! are the traces' links by their [`TorusTopology`] index.
+//! Every root's transition is a complete route (no successor state): the
+//! abstract state space is just an enumeration of the route set, each
+//! route a few chip traversals of the route program (`trace::leg`), each
+//! traversal shape traced once and replayed at its nodes. Its steps are
+//! the traces' links by their [`TorusTopology`] index.
+//!
+//! [`DimOrderRouting`]: crate::dimorder::DimOrderRouting
+//! [`RouteSpec::minimal_routes`]: crate::routing::RouteSpec::minimal_routes
 
 use std::collections::BTreeSet;
 
 use crate::chip::{ChanId, LinkGroup, LocalAttach, LocalEndpointId, LocalLink};
-use crate::config::{GlobalEndpoint, MachineConfig};
-use crate::net::{
-    Arrival, LinkIdx, RouteState, RoutingFunction, Topology, TorusTopology, Transitions,
-};
+use crate::config::MachineConfig;
+use crate::dimorder::{Run, Traversals};
+use crate::net::{Arrival, RouteState, RoutingFunction, Topology, TorusTopology, Transitions};
 use crate::route_table::RouteTable;
 use crate::topology::NodeId;
-use crate::trace::{leg, trace_legs, GlobalLink, TraceStep};
+use crate::trace::GlobalLink;
 use crate::vc::VcState;
 
-const TAG_PATH: u64 = 0;
-const TAG_INJ: u64 = 1;
-const TAG_DELIVER: u64 = 2;
-const TAG_LOCAL: u64 = 3;
+/// One chip traversal of a root's route: its traced run, the node it
+/// crosses and the node it departs to (the same node for a delivery).
+type Leg = (Run, NodeId, NodeId);
 
-/// One route table's dependency edges, exposed as a [`RoutingFunction`]
-/// over the torus topology it was built for.
+/// The routes one route table adds to the healthy routing's, exposed as a
+/// [`RoutingFunction`] over the torus topology it was built for.
 #[derive(Debug, Clone)]
 pub struct TableRouting {
     cfg: MachineConfig,
     table: RouteTable,
     /// The links the steps name.
     topo: TorusTopology,
-    /// Per source node: the first-departure adapters its table paths use.
-    departs: Vec<Vec<ChanId>>,
-    /// Per destination node: the terminal arrival adapters, with the VC
-    /// state a path arrives there in.
-    arrivals: Vec<Vec<(ChanId, VcState)>>,
-}
-
-/// Pushes to `steps` the trace of the table route from endpoint 0 of `src`
-/// to `dst` — delivered to `final_ep` at `dst`, or left in the arrival
-/// adapter's buffer there — and returns the VC state it ends in.
-fn path_trace(
-    cfg: &MachineConfig,
-    table: &RouteTable,
-    src: NodeId,
-    dst: NodeId,
-    final_ep: Option<LocalEndpointId>,
-    steps: &mut Vec<TraceStep>,
-) -> VcState {
-    let shape = cfg.shape;
-    let ep0 = GlobalEndpoint {
-        node: src,
-        ep: LocalEndpointId(0),
-    };
-    let crosses = |c, d| shape.hop_crosses_dateline(c, d);
-    trace_legs(cfg, ep0, &table.route(src, dst), final_ep, &crosses, steps)
+    /// Every traversal shape the routes take, traced once.
+    traversals: Traversals,
+    /// Each root, its state its index here, and its run of `legs`.
+    roots: Vec<(Arrival, (u32, u32))>,
+    legs: Vec<Leg>,
 }
 
 impl TableRouting {
     /// Wraps `table` (built for `cfg.shape`) as a routing function.
     ///
-    /// Construction folds every `(src, dst)` path once through the route
-    /// program to learn the adapter fan-in/fan-out of each node; the
-    /// per-pair traces themselves are re-derived on demand.
+    /// Construction decides from each pair's [`RouteSpec`] runs whether its
+    /// path is minimal, and lays out every other path and its nodes' fans
+    /// as replayed traversals.
+    ///
+    /// [`RouteSpec`]: crate::routing::RouteSpec
     pub fn new(cfg: MachineConfig, table: RouteTable) -> TableRouting {
+        let shape = cfg.shape;
         let slice = table.slice();
-        let n = cfg.shape.num_nodes();
-        let mut departs: Vec<BTreeSet<ChanId>> = vec![BTreeSet::new(); n];
-        let mut arrivals: Vec<BTreeSet<(ChanId, VcState)>> = vec![BTreeSet::new(); n];
-        let nodes = || (0..n as u32).map(NodeId);
-        let mut steps = Vec::new();
-        for src in nodes() {
-            for dst in nodes() {
-                let hops = table.route(src, dst).hops();
-                let (Some(&first), Some(last)) = (hops.first(), hops.last()) else {
-                    continue;
-                };
-                steps.clear();
-                let vc = path_trace(&cfg, &table, src, dst, None, &mut steps);
-                departs[src.0 as usize].insert(ChanId { dir: first, slice });
-                let dir = last.opposite();
-                arrivals[dst.0 as usize].insert((ChanId { dir, slice }, vc));
-            }
-        }
-        TableRouting {
+        let n = shape.num_nodes();
+        let start = cfg.vc_policy.start();
+        let mut rf = TableRouting {
             topo: TorusTopology::new(&cfg),
             cfg,
             table,
-            departs: departs.into_iter().map(Vec::from_iter).collect(),
-            arrivals: arrivals.into_iter().map(Vec::from_iter).collect(),
+            traversals: Traversals::default(),
+            roots: Vec::new(),
+            legs: Vec::new(),
+        };
+        // Per node: the first-departure adapters of the paths leaving it,
+        // and the terminal arrival adapters of the paths reaching it, with
+        // the VC state a path arrives in.
+        let mut departs: Vec<BTreeSet<ChanId>> = vec![BTreeSet::new(); n];
+        let mut arrivals: Vec<BTreeSet<(ChanId, VcState)>> = vec![BTreeSet::new(); n];
+        let ep0 = LocalEndpointId(0);
+        let nodes = || (0..n as u32).map(NodeId);
+        for src in nodes() {
+            for dst in nodes().filter(|&dst| dst != src) {
+                let spec = rf.table.route(src, dst);
+                if spec.is_minimal(&shape, shape.coord(src), shape.coord(dst)) {
+                    continue;
+                }
+                let first = rf.legs.len() as u32;
+                let (mut entry, mut vc) = (LocalLink::EpToRouter(ep0), start);
+                for (at, dir) in spec.walk(&shape, shape.coord(src)) {
+                    let exit = LocalAttach::Chan(ChanId { dir, slice });
+                    let crossing = shape.hop_crosses_dateline(at, dir);
+                    let node = shape.id(at);
+                    let far = rf.topo.neighbor(node, dir);
+                    vc = rf.leg(entry, exit, vc, crossing, node, far);
+                    entry = LocalLink::ChanToRouter(ChanId {
+                        dir: dir.opposite(),
+                        slice,
+                    });
+                }
+                let LocalLink::ChanToRouter(arrive) = entry else {
+                    unreachable!("a path between two nodes takes a hop")
+                };
+                let dir = spec
+                    .next_dir()
+                    .expect("a path between two nodes takes a hop");
+                departs[src.0 as usize].insert(ChanId { dir, slice });
+                arrivals[dst.0 as usize].insert((arrive, vc));
+                rf.leg(entry, LocalAttach::Endpoint(ep0), vc, false, dst, dst);
+                rf.root(src, LocalLink::EpToRouter(ep0), start, first);
+            }
         }
+        // The mesh fans of every endpoint at those nodes: from injection to
+        // each departure adapter, and from each arrival adapter to delivery.
+        for node in nodes() {
+            let at = shape.coord(node);
+            for ep in rf.cfg.chip.endpoints() {
+                let inject = LocalLink::EpToRouter(ep);
+                for &c in &departs[node.0 as usize] {
+                    let first = rf.legs.len() as u32;
+                    let crossing = shape.hop_crosses_dateline(at, c.dir);
+                    let far = rf.topo.neighbor(node, c.dir);
+                    rf.leg(inject, LocalAttach::Chan(c), start, crossing, node, far);
+                    rf.root(node, inject, start, first);
+                }
+                for &(arrive, vc) in &arrivals[node.0 as usize] {
+                    let first = rf.legs.len() as u32;
+                    let entry = LocalLink::ChanToRouter(arrive);
+                    rf.leg(entry, LocalAttach::Endpoint(ep), vc, false, node, node);
+                    rf.root(node, entry, vc, first);
+                }
+            }
+        }
+        rf
     }
 
     /// The wrapped table.
@@ -105,43 +141,34 @@ impl TableRouting {
         &self.table
     }
 
-    /// One [`leg`] at `node` as a complete route, written to `out`: the mesh
-    /// fan of an endpoint other than the one the table paths are traced
-    /// from.
-    fn fan(
-        &self,
-        node: NodeId,
+    /// Appends the traversal from `entry` to `exit` at `node`, departing to
+    /// `far`, to the route being laid out, and returns the VC state past it.
+    fn leg(
+        &mut self,
         entry: LocalLink,
         exit: LocalAttach,
-        mut vc: VcState,
-        out: &mut Transitions,
-    ) {
-        let at = self.cfg.shape.coord(node);
-        let crosses =
-            matches!(exit, LocalAttach::Chan(c) if self.cfg.shape.hop_crosses_dateline(at, c.dir));
-        let mut steps = Vec::with_capacity(16);
-        leg(&self.cfg, at, entry, exit, crosses, &mut vc, &mut steps);
-        self.end(&steps, out);
+        vc: VcState,
+        crossing: bool,
+        node: NodeId,
+        far: NodeId,
+    ) -> VcState {
+        let (run, past) = (self.traversals).trace(&self.cfg, &self.topo, entry, exit, vc, crossing);
+        self.legs.push((run, node, far));
+        past
     }
 
-    /// Writes the traced `steps` to `out` as one complete route.
-    fn end(&self, steps: &[TraceStep], out: &mut Transitions) {
-        out.steps_mut().extend(steps.iter().map(|(link, vc)| {
-            let idx = self.topo.index(link);
-            (idx.expect("a traced link has a slot"), *vc)
-        }));
-        out.end(None);
+    /// Closes the route laid out since leg `first` as a root holding
+    /// `node`'s buffer `link` in VC state `vc`.
+    fn root(&mut self, node: NodeId, link: LocalLink, vc: VcState, first: u32) {
+        let arrival = Arrival {
+            node,
+            link: (self.topo.index(&GlobalLink::Local { node, link }))
+                .expect("a chip link has a slot"),
+            vc: vc.vc_for(link.group()),
+            state: RouteState(self.roots.len() as u64),
+        };
+        self.roots.push((arrival, (first, self.legs.len() as u32)));
     }
-
-    /// The index of link `link` of `node`.
-    fn local(&self, node: NodeId, link: LocalLink) -> LinkIdx {
-        let link = GlobalLink::Local { node, link };
-        self.topo.index(&link).expect("a chip link has a slot")
-    }
-}
-
-fn pack(tag: u64, a: u64, b: u64, c: u64) -> RouteState {
-    RouteState(tag | (a << 2) | (b << 22) | (c << 30))
 }
 
 impl RoutingFunction for TableRouting {
@@ -159,82 +186,19 @@ impl RoutingFunction for TableRouting {
     }
 
     fn roots(&self) -> Vec<Arrival> {
-        let cfg = &self.cfg;
-        let m0 = cfg.vc_policy.start().vc_for(LinkGroup::M);
-        let n = cfg.shape.num_nodes();
-        let ep_in = |node, ep, state| Arrival {
-            node,
-            link: self.local(node, LocalLink::EpToRouter(ep)),
-            vc: m0,
-            state,
-        };
-        let mut out = Vec::new();
-        // Every (src, dst) table path, traced end to end.
-        for src in 0..n {
-            for dst in (0..n).filter(|&dst| dst != src) {
-                let state = RouteState(TAG_PATH | ((src as u64) << 2) | ((dst as u64) << 22));
-                out.push(ep_in(NodeId(src as u32), LocalEndpointId(0), state));
-            }
-        }
-        // Injection / delivery mesh fans of every other endpoint, plus
-        // node-local endpoint-pair deliveries.
-        for nid in 0..n {
-            let node = NodeId(nid as u32);
-            for ep in cfg.chip.endpoints() {
-                let e = u64::from(ep.0);
-                for idx in 0..self.departs[nid].len() {
-                    out.push(ep_in(node, ep, pack(TAG_INJ, nid as u64, e, idx as u64)));
-                }
-                for (idx, (arrive, vc)) in self.arrivals[nid].iter().enumerate() {
-                    out.push(Arrival {
-                        node,
-                        link: self.local(node, LocalLink::ChanToRouter(*arrive)),
-                        vc: vc.vc_for(LinkGroup::T),
-                        state: pack(TAG_DELIVER, nid as u64, e, idx as u64),
-                    });
-                }
-                for ep2 in cfg.chip.endpoints() {
-                    let state = pack(TAG_LOCAL, nid as u64, e, u64::from(ep2.0));
-                    out.push(ep_in(node, ep, state));
-                }
-            }
-        }
-        out
+        self.roots.iter().map(|&(arrival, _)| arrival).collect()
     }
 
+    /// # Panics
+    ///
+    /// Panics on an arrival that is not one of [`roots`](Self::roots).
     fn transitions(&self, arrival: &Arrival, out: &mut Transitions) {
-        let s = arrival.state.0;
-        let start = self.cfg.vc_policy.start();
-        if s & 3 == TAG_PATH {
-            let src = NodeId(((s >> 2) & 0xfffff) as u32);
-            let dst = NodeId(((s >> 22) & 0xfffff) as u32);
-            let ep0 = Some(LocalEndpointId(0));
-            let mut steps = Vec::with_capacity(32);
-            path_trace(&self.cfg, &self.table, src, dst, ep0, &mut steps);
-            // The trace's first step is the injection buffer — the arrival
-            // itself.
-            self.end(&steps[1..], out);
-            return;
+        let (root, (first, end)) = self.roots[arrival.state.0 as usize];
+        assert_eq!(root, *arrival, "not a root of {}", self.describe());
+        for &(run, node, far) in &self.legs[first as usize..end as usize] {
+            self.traversals.emit(&self.topo, run, node, far, out);
         }
-        let nid = ((s >> 2) & 0xfffff) as usize;
-        let ep = LocalEndpointId(((s >> 22) & 0xff) as u8);
-        let (inject, deliver) = (LocalLink::EpToRouter(ep), LocalAttach::Endpoint(ep));
-        let idx = ((s >> 30) & 0x3ff) as usize;
-        let node = NodeId(nid as u32);
-        match s & 3 {
-            TAG_INJ => {
-                let depart = LocalAttach::Chan(self.departs[nid][idx]);
-                self.fan(node, inject, depart, start, out);
-            }
-            TAG_DELIVER => {
-                let (arrive, vc) = self.arrivals[nid][idx];
-                self.fan(node, LocalLink::ChanToRouter(arrive), deliver, vc, out);
-            }
-            _ => {
-                let to = LocalAttach::Endpoint(LocalEndpointId(idx as u8));
-                self.fan(node, inject, to, start, out);
-            }
-        }
+        out.end(None);
     }
 }
 
@@ -242,29 +206,122 @@ impl RoutingFunction for TableRouting {
 mod tests {
     use super::*;
     use crate::route_table::{build_route_table, DownLinkSet};
-    use crate::topology::{Slice, TorusShape};
+    use crate::routing::RouteSpec;
+    use crate::topology::{Dim, NodeCoord, Sign, Slice, TorusDir, TorusShape};
 
     #[test]
-    fn healthy_table_roots_cover_all_pairs_and_fans() {
-        let cfg = MachineConfig::new(TorusShape::cube(2));
+    fn a_healthy_table_adds_no_roots() {
+        let cfg = MachineConfig::new(TorusShape::new(4, 3, 2));
         let shape = cfg.shape;
-        let table =
-            build_route_table(&shape, Slice(0), &DownLinkSet::empty(shape)).expect("healthy");
-        let rf = TableRouting::new(cfg.clone(), table);
-        let n = shape.num_nodes();
-        let eps = cfg.endpoints_per_node();
-        let pair_roots = n * (n - 1);
-        let local_roots = n * eps * eps;
-        assert!(rf.roots().len() >= pair_roots + local_roots);
-        // Every root's transitions terminate (no successor states).
-        let mut out = Transitions::default();
-        for root in rf.roots() {
-            out.clear();
-            rf.transitions(&root, &mut out);
-            for prog in out.iter() {
-                assert!(prog.next.is_none());
-                assert!(!prog.steps.is_empty());
+        for slice in Slice::ALL {
+            let table = build_route_table(&shape, slice, &DownLinkSet::empty(shape));
+            let rf = TableRouting::new(cfg.clone(), table.expect("healthy"));
+            assert!(rf.roots().is_empty());
+        }
+    }
+
+    #[test]
+    fn a_degraded_table_roots_its_non_minimal_pairs_and_their_fans() {
+        let cfg = MachineConfig::new(TorusShape::cube(4));
+        let shape = cfg.shape;
+        let topo = TorusTopology::new(&cfg);
+        let down = ChanId {
+            dir: TorusDir::new(Dim::X, Sign::Plus),
+            slice: Slice(0),
+        };
+        let origin = shape.id(NodeCoord::new(0, 0, 0));
+        let downs = DownLinkSet::from_links(shape, [(origin, down)]);
+        let table = build_route_table(&shape, Slice(0), &downs).expect("one link down");
+        // The pairs whose path no minimal route takes, by enumeration.
+        let mut kept = Vec::new();
+        for (src, dst) in shape
+            .nodes()
+            .flat_map(|a| shape.nodes().map(move |b| (a, b)))
+        {
+            let hops = table.route(shape.id(src), shape.id(dst)).hops();
+            let minimal = RouteSpec::minimal_routes(&shape, src, dst).any(|r| r.hops() == hops);
+            if !minimal {
+                kept.push((shape.id(src), shape.id(dst), hops[0]));
             }
         }
+        assert!(!kept.is_empty());
+        let rf = TableRouting::new(cfg.clone(), table);
+        let roots = rf.roots();
+        let decode = |step: (crate::net::LinkIdx, _)| topo.link(step.0).expect("a link");
+        let mut out = Transitions::default();
+        let mut ends = Vec::new();
+        for root in &roots {
+            out.clear();
+            rf.transitions(root, &mut out);
+            assert_eq!(out.len(), 1, "one complete route per root");
+            let route = out.get(0);
+            assert!(route.next.is_none());
+            ends.push((
+                decode((root.link, root.vc)),
+                decode(*route.steps.last().unwrap()),
+            ));
+        }
+        // First the paths, in pair order, from endpoint 0 to endpoint 0.
+        let ep0 = LocalEndpointId(0);
+        for (&(src, dst, _), (from, to)) in kept.iter().zip(&ends) {
+            let inject = LocalLink::EpToRouter(ep0);
+            assert_eq!(
+                *from,
+                GlobalLink::Local {
+                    node: src,
+                    link: inject
+                }
+            );
+            let deliver = LocalLink::RouterToEp(ep0);
+            assert_eq!(
+                *to,
+                GlobalLink::Local {
+                    node: dst,
+                    link: deliver
+                }
+            );
+        }
+        // Then the fans: every endpoint's injection to each adapter a kept
+        // path departs on, and each kept arrival's delivery to every
+        // endpoint — nothing at a node no kept path leaves or reaches.
+        let eps = cfg.endpoints_per_node();
+        let mut departs: Vec<(NodeId, TorusDir)> = kept.iter().map(|p| (p.0, p.2)).collect();
+        departs.sort_unstable();
+        departs.dedup();
+        let (mut inject_fans, mut deliver_fans) = (0, 0);
+        for (from, to) in &ends[kept.len()..] {
+            match (*from, *to) {
+                (
+                    GlobalLink::Local {
+                        node,
+                        link: LocalLink::EpToRouter(_),
+                    },
+                    GlobalLink::Local {
+                        link: LocalLink::ChanToRouter(c),
+                        ..
+                    },
+                ) => {
+                    assert!(departs.contains(&(node, c.dir.opposite())));
+                    inject_fans += 1;
+                }
+                (
+                    GlobalLink::Local {
+                        node,
+                        link: LocalLink::ChanToRouter(c),
+                    },
+                    GlobalLink::Local {
+                        link: LocalLink::RouterToEp(_),
+                        ..
+                    },
+                ) => {
+                    assert!(kept.iter().any(|p| p.1 == node));
+                    assert_eq!(c.slice, Slice(0));
+                    deliver_fans += 1;
+                }
+                other => panic!("a fan from {} to {}", other.0, other.1),
+            }
+        }
+        assert_eq!(inject_fans, eps * departs.len());
+        assert!(deliver_fans > 0 && deliver_fans % eps == 0);
     }
 }

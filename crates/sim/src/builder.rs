@@ -4,11 +4,11 @@
 //! [`build`](SimBuilder::build) time everything decided before cycle 0 is
 //! decided once, for either kernel: the configuration and parameter lints
 //! with the VC deadlock certificate, the reroute tables of the fault
-//! schedule's `Down` epochs (certified as one union by
-//! [`anton_verify::verify_degraded_epochs`]) and the weight lints (AV016)
-//! form one report, to which one function applies [`PreflightMode`]. Every
-//! rejection carries a stable `AVnnn` code; `Sim::construct` only
-//! assembles what the gate settled.
+//! schedule's `Down` epochs (certified as one union over the same healthy
+//! graph by [`anton_verify::verify_config_and_epochs`]) and the weight
+//! lints (AV016) form one report, to which one function applies
+//! [`PreflightMode`]. Every rejection carries a stable `AVnnn` code;
+//! `Sim::construct` only assembles what the gate settled.
 //!
 //! Everything [`SimParams`] holds is set through
 //! [`params`](SimBuilder::params), with struct-update syntax over the
@@ -215,17 +215,17 @@ impl SimBuilder {
                 ..PreRun::default()
             };
         }
-        let mut report = anton_verify::verify_config(cfg);
+        let (dg, sets) = params
+            .fault
+            .as_ref()
+            .and_then(|schedule| DegradedState::timeline(cfg.shape, schedule))
+            .map_or((None, Vec::new()), |(dg, sets)| (Some(dg), sets));
+        let (mut report, verdict) = anton_verify::verify_config_and_epochs(cfg, &sets);
         report
             .diagnostics
             .extend(anton_verify::lint_params(cfg, &params.verify_view()));
-        let timeline = params
-            .fault
-            .as_ref()
-            .and_then(|schedule| DegradedState::timeline(cfg.shape, schedule));
-        let has_downs = timeline.is_some();
-        let degraded = timeline.and_then(|(dg, sets)| {
-            let verdict = anton_verify::verify_degraded_epochs(cfg, &sets);
+        let has_downs = dg.is_some();
+        let degraded = dg.zip(verdict).and_then(|(dg, verdict)| {
             let certified = verdict.certified();
             report.diagnostics.extend(verdict.diagnostics);
             certified.then(|| Box::new(dg.with_tables(verdict.tables)))

@@ -3,11 +3,14 @@
 //! deadlocking.
 //!
 //! The load-bearing entry point is the **explicit table certificate**
-//! ([`certify_tables`]): every `(src, dst)` path of a concrete table set
-//! is walked through the reference tracer, the resulting
-//! channel-dependency edges are overlaid on the *healthy* minimal-routing
-//! graph (randomized minimal traffic that can be in flight alongside the
-//! rerouted traffic), and the union is checked for cycles. The simulator
+//! ([`certify_tables`]): the channel-dependency edges of every
+//! `(src, dst)` path of a concrete table set are overlaid on the *healthy*
+//! minimal-routing graph (randomized minimal traffic that can be in flight
+//! alongside the rerouted traffic), and the union is checked for cycles.
+//! The healthy walk runs first and has inserted every edge of every
+//! minimal path, so only the paths a table adds — and their nodes' mesh
+//! fans — are traced into the graph ([`TableRouting`]); the union is the
+//! one every path would give. The simulator
 //! certifies the union of every table it will ever install for a run —
 //! packets pinned to different degradation epochs coexist, so their
 //! dependency edges must be acyclic *together*, not just per epoch.
@@ -35,23 +38,26 @@
 //! table exists) and a degradation whose tables cannot be certified
 //! deadlock-free (never installed). [`verify_degraded_epochs`] is the same
 //! check over the union of several down sets, and the one place either
-//! formats those codes.
+//! formats those codes; it extends a healthy graph already walked (and
+//! certified, in the simulator's pre-run gate,
+//! [`verify_config_and_epochs`](crate::verify_config_and_epochs)) rather
+//! than walking its own.
 
 use anton_core::config::MachineConfig;
 use anton_core::dimorder::DimOrderRouting;
-use anton_core::net::RoutingFunction;
 use anton_core::route_table::{build_route_table, DownLinkSet, RouteTable};
 use anton_core::table_routing::TableRouting;
 use anton_core::topology::Slice;
 
-use crate::engine::certify_routing;
+use crate::engine::RoutingGraph;
+use crate::model_graph;
 use crate::report::{DeadlockCertificate, Diagnostic, Severity};
 
-/// Explicitly certifies a concrete set of route tables: every
-/// `(src, dst)` path is walked through the reference tracer, the
-/// resulting channel-dependency edges are overlaid on the *healthy*
-/// minimal-routing graph (the randomized minimal traffic that can be in
-/// flight at the same time), and the union is checked for cycles.
+/// Explicitly certifies a concrete set of route tables: the
+/// channel-dependency edges of every `(src, dst)` path are overlaid on the
+/// *healthy* minimal-routing graph (the randomized minimal traffic that
+/// can be in flight at the same time), and the union is checked for
+/// cycles. A path the healthy walk already took is not traced again.
 ///
 /// Pass **every table that can have packets in flight simultaneously** —
 /// for a simulation run with several degradation epochs, the union of all
@@ -65,13 +71,28 @@ pub fn certify_tables(
     tables: &[RouteTable],
 ) -> (DeadlockCertificate, Vec<Diagnostic>) {
     let healthy = DimOrderRouting::new(cfg.clone());
+    certify_union(&healthy, model_graph(&healthy), tables)
+}
+
+/// Extends `healthy`'s graph `g` with the routes `tables` add to it
+/// ([`TableRouting`]) and certifies the union. A path the healthy walk
+/// already took adds nothing, so it is not walked again.
+fn certify_union(
+    healthy: &DimOrderRouting,
+    g: RoutingGraph<'_>,
+    tables: &[RouteTable],
+) -> (DeadlockCertificate, Vec<Diagnostic>) {
+    let cfg = healthy.config();
     let table_rfs: Vec<TableRouting> = tables
         .iter()
         .map(|t| TableRouting::new(cfg.clone(), t.clone()))
         .collect();
-    let mut rfs: Vec<&dyn RoutingFunction> = vec![&healthy];
-    rfs.extend(table_rfs.iter().map(|t| t as &dyn RoutingFunction));
-    certify_routing(healthy.topology(), &rfs, healthy.label())
+    // The union lives no longer than the tables it walks.
+    let mut union: RoutingGraph<'_> = g;
+    for t in &table_rfs {
+        union.walk(t);
+    }
+    union.certify(healthy.label())
 }
 
 /// Outcome of building and certifying degraded route tables for one
@@ -128,15 +149,24 @@ pub fn build_degraded_tables(
 /// --down-links`; [`verify_degraded_epochs`] is the same check over
 /// several sets.
 pub fn verify_degraded(cfg: &MachineConfig, downs: &DownLinkSet) -> DegradedVerdict {
-    verify_degraded_epochs(cfg, std::slice::from_ref(downs))
+    let healthy = DimOrderRouting::new(cfg.clone());
+    let g = model_graph(&healthy);
+    verify_degraded_epochs(&healthy, g, std::slice::from_ref(downs))
 }
 
 /// Builds the tables of every down-link set and certifies their **union**
-/// with [`certify_tables`] — the simulator's install gate for a fault
-/// schedule, whose epochs' tables carry packets at the same time. The
-/// tables come back set by set; certification is skipped when any
-/// generation failed.
-pub fn verify_degraded_epochs(cfg: &MachineConfig, sets: &[DownLinkSet]) -> DegradedVerdict {
+/// with the healthy routing — the simulator's install gate for a fault
+/// schedule, whose epochs' tables carry packets at the same time. `g` is
+/// `healthy`'s walked graph ([`model_graph`]), the one
+/// [`verify_config_and_epochs`](crate::verify_config_and_epochs) has just
+/// certified; it is extended, not walked again. The tables come back set
+/// by set; certification is skipped when any generation failed.
+pub fn verify_degraded_epochs(
+    healthy: &DimOrderRouting,
+    g: RoutingGraph<'_>,
+    sets: &[DownLinkSet],
+) -> DegradedVerdict {
+    let cfg = healthy.config();
     let mut tables = Vec::new();
     let mut diagnostics = Vec::new();
     let mut all_downs = DownLinkSet::empty(cfg.shape);
@@ -155,7 +185,7 @@ pub fn verify_degraded_epochs(cfg: &MachineConfig, sets: &[DownLinkSet]) -> Degr
             diagnostics,
         };
     }
-    let (certificate, envelope) = certify_tables(cfg, &tables);
+    let (certificate, envelope) = certify_union(healthy, g, &tables);
     diagnostics.extend(envelope);
     if !certificate.acyclic {
         let d = Diagnostic::error(
@@ -201,7 +231,7 @@ fn table_error_diag(
 mod tests {
     use super::*;
     use anton_core::chip::ChanId;
-    use anton_core::net::TorusTopology;
+    use anton_core::net::{RoutingFunction, TorusTopology};
     use anton_core::route_table::TableMethod;
     use anton_core::topology::{Dim, NodeCoord, NodeId, Sign, TorusDir, TorusShape};
 
@@ -267,6 +297,10 @@ mod tests {
                 ));
             }
         }
+        // A table routing exposes only what it adds to the healthy walk, so
+        // the healthy routing is walked first, as every certificate does:
+        // the union still holds every table path's edges.
+        let healthy = DimOrderRouting::new(cfg.clone());
         for downs in &down_sets {
             let mut table_rfs = Vec::new();
             for slice in Slice::ALL {
@@ -274,10 +308,8 @@ mod tests {
                 assert_eq!(table.method(), TableMethod::DirectionOrdered);
                 table_rfs.push(TableRouting::new(cfg.clone(), table));
             }
-            let rfs: Vec<&dyn RoutingFunction> = table_rfs
-                .iter()
-                .map(|t| t as &dyn RoutingFunction)
-                .collect();
+            let mut rfs: Vec<&dyn RoutingFunction> = vec![&healthy];
+            rfs.extend(table_rfs.iter().map(|t| t as &dyn RoutingFunction));
             let mut diags = Vec::new();
             let explicit = crate::engine::build_routing_graph(&topo, &rfs, &mut diags);
             assert!(diags.is_empty(), "{diags:?}");

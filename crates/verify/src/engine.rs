@@ -23,7 +23,11 @@
 //! Passing several routing functions certifies their **union** — exactly
 //! what the degraded-table install gate needs (healthy traffic plus every
 //! epoch's rerouted traffic can be in flight at once, so their dependency
-//! edges must be jointly acyclic).
+//! edges must be jointly acyclic). A [`RoutingGraph`] keeps the graph
+//! together with the functions walked into it, so a graph already
+//! certified is extended with more routing functions and certified again
+//! as their union without walking the first ones again: the gate certifies
+//! the healthy graph, then extends it with the epochs' tables.
 //!
 //! A routing function that steps outside its declared envelope is reported
 //! rather than trusted: a VC beyond the declared budget raises `AV022`, a
@@ -79,6 +83,7 @@ enum Breach {
 
 /// The `(link, VC)` pairs a walk over one topology addresses: the link
 /// indices the topology populates, and the VCs per link.
+#[derive(Debug)]
 struct Pairs {
     live: Vec<bool>,
     vcs: usize,
@@ -264,6 +269,76 @@ fn explore(
     }
 }
 
+/// A channel-dependency graph and the routing functions walked into it, in
+/// walk order, with the envelope diagnostics their walks raised: what a
+/// certificate reads, and what a union extends. A graph certified for one
+/// routing function is extended with more by walking them into it, and
+/// certified again as their union, without walking the first again.
+pub struct RoutingGraph<'r> {
+    graph: SymGraph<'r>,
+    pairs: Pairs,
+    routings: Vec<&'r dyn RoutingFunction>,
+    diags: Vec<Diagnostic>,
+}
+
+impl std::fmt::Debug for RoutingGraph<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let routings: Vec<String> = self.routings.iter().map(|r| r.describe()).collect();
+        f.debug_struct("RoutingGraph")
+            .field("edges", &self.graph.num_edges())
+            .field("routings", &routings)
+            .field("diags", &self.diags)
+            .finish()
+    }
+}
+
+impl<'r> RoutingGraph<'r> {
+    /// An empty graph over `topo` with `vcs` VCs per link. A routing
+    /// function walked into it that asks for a VC past `vcs` raises `AV022`.
+    pub fn new(topo: &'r dyn Topology, vcs: usize) -> RoutingGraph<'r> {
+        RoutingGraph {
+            graph: SymGraph::new(topo, vcs),
+            pairs: Pairs::new(topo, vcs),
+            routings: Vec::new(),
+            diags: Vec::new(),
+        }
+    }
+
+    /// Inserts every edge of `rf`'s transition system, explored breadth
+    /// first, after those already in the graph. Envelope violations
+    /// (`AV022` out-of-budget VC, `AV023` unaddressable link) are recorded
+    /// once per code, and the offending transitions are left out.
+    pub fn walk(&mut self, rf: &'r dyn RoutingFunction) {
+        let RoutingGraph {
+            graph,
+            pairs,
+            diags,
+            ..
+        } = self;
+        explore(graph.topology(), pairs, rf, diags, |taken| {
+            for w in taken.chain.windows(2) {
+                graph.add_edge_idx(w[0], w[1]);
+            }
+            true
+        });
+        self.routings.push(rf);
+    }
+
+    /// The graph, without the routing functions that built it.
+    pub fn into_graph(self) -> SymGraph<'r> {
+        self.graph
+    }
+
+    /// Certifies the union of every routing function walked so far
+    /// deadlock-free, or extracts a minimal concrete `(channel, VC)` cycle
+    /// with witness routes when it is not: each routing function, in walk
+    /// order, explains the cycle edges no earlier one could. `model` labels
+    /// the certificate. The walks' envelope diagnostics come back beside it.
+    pub fn certify(&self, model: impl Into<String>) -> (DeadlockCertificate, Vec<Diagnostic>) {
+        (certify_graph(self, model.into()), self.diags.clone())
+    }
+}
+
 /// Builds the union channel-dependency graph of `routings` over `topo` by
 /// breadth-first exploration of each routing function's transition system.
 ///
@@ -272,19 +347,24 @@ fn explore(
 /// and the offending transitions are dropped from the graph.
 pub fn build_routing_graph<'t>(
     topo: &'t dyn Topology,
-    routings: &[&dyn RoutingFunction],
+    routings: &[&'t dyn RoutingFunction],
     diags: &mut Vec<Diagnostic>,
 ) -> SymGraph<'t> {
+    let g = routing_graph(topo, routings);
+    diags.extend_from_slice(&g.diags);
+    g.into_graph()
+}
+
+/// The graph of `routings` walked in order, sized for the most VCs any of
+/// them declares.
+fn routing_graph<'r>(
+    topo: &'r dyn Topology,
+    routings: &[&'r dyn RoutingFunction],
+) -> RoutingGraph<'r> {
     let vcs = routings.iter().map(|r| r.num_vcs()).max().unwrap_or(1);
-    let mut g = SymGraph::new(topo, vcs);
-    let pairs = Pairs::new(topo, vcs);
-    for rf in routings {
-        explore(topo, &pairs, *rf, diags, |taken| {
-            for w in taken.chain.windows(2) {
-                g.add_edge_idx(w[0], w[1]);
-            }
-            true
-        });
+    let mut g = RoutingGraph::new(topo, vcs);
+    for &rf in routings {
+        g.walk(rf);
     }
     g
 }
@@ -371,22 +451,27 @@ fn witness_route(
 /// a minimal concrete `(channel, VC)` cycle with witness routes when it is
 /// not. `model` labels the certificate (e.g. `"anton(n+1) policy, datelines
 /// on"`). Envelope diagnostics are returned alongside the certificate.
-pub fn certify_routing(
-    topo: &dyn Topology,
-    routings: &[&dyn RoutingFunction],
+pub fn certify_routing<'r>(
+    topo: &'r dyn Topology,
+    routings: &[&'r dyn RoutingFunction],
     model: impl Into<String>,
 ) -> (DeadlockCertificate, Vec<Diagnostic>) {
-    let mut diags = Vec::new();
-    let g = build_routing_graph(topo, routings, &mut diags);
+    routing_graph(topo, routings).certify(model)
+}
+
+/// The certificate of `rg`'s graph: its cycle search, and when a cycle is
+/// found, witnesses from the walks again, keeping parent links.
+fn certify_graph(rg: &RoutingGraph<'_>, model: String) -> DeadlockCertificate {
+    let g = &rg.graph;
     let base = DeadlockCertificate {
-        model: model.into(),
+        model,
         nodes: g.num_live_nodes(),
         edges: g.num_edges(),
         acyclic: true,
         counterexample: None,
     };
     let Some(cycle) = g.find_cycle() else {
-        return (base, diags);
+        return base;
     };
     let cycle = g.minimize_cycle(cycle);
     let wanted: HashMap<(u32, u32), usize> = (0..cycle.len())
@@ -396,13 +481,13 @@ pub fn certify_routing(
     // function could; first concrete route per edge wins.
     let mut routes: Vec<Option<WitnessRoute>> = vec![None; cycle.len()];
     let mut missing = cycle.len().min(MAX_WITNESSES);
-    let pairs = Pairs::new(topo, g.vcs);
-    for rf in routings {
+    let topo = g.topology();
+    for rf in &rg.routings {
         if missing == 0 {
             break;
         }
         let mut parents = Parents::new();
-        explore(topo, &pairs, *rf, &mut Vec::new(), |taken| {
+        explore(topo, &rg.pairs, *rf, &mut Vec::new(), |taken| {
             if let Some(a) = taken.found {
                 parents.insert((a.link, a.vc, a.state), (*taken.from, taken.nth));
             }
@@ -413,7 +498,7 @@ pub fn certify_routing(
                 if routes[i].is_some() || missing == 0 {
                     continue;
                 }
-                let route = witness_route(&g, *rf, &parents, taken.from, taken.progress);
+                let route = witness_route(g, *rf, &parents, taken.from, taken.progress);
                 if let Some((src, dst, path)) = route {
                     routes[i] = Some(WitnessRoute {
                         src,
@@ -428,15 +513,14 @@ pub fn certify_routing(
             missing > 0
         });
     }
-    let cert = DeadlockCertificate {
+    DeadlockCertificate {
         acyclic: false,
         counterexample: Some(CycleCounterexample {
             cycle: cycle.iter().map(|&i| g.decode(i)).collect(),
             witnesses: routes.into_iter().flatten().collect(),
         }),
         ..base
-    };
-    (cert, diags)
+    }
 }
 
 #[cfg(test)]

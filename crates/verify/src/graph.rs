@@ -70,6 +70,11 @@ impl<'t> SymGraph<'t> {
         }
     }
 
+    /// The topology whose links the graph's pairs are.
+    pub fn topology(&self) -> &'t dyn Topology {
+        self.topo
+    }
+
     /// The successors of pair `idx`, in the order their edges were first
     /// added.
     pub fn successors(&self, idx: u32) -> &[u32] {

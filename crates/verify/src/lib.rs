@@ -28,11 +28,12 @@
 //!   cyclic ring-forwarding rule.
 //! - **Degraded-topology certification** ([`degraded`]): builds fault-aware
 //!   route tables over the live link graph and certifies each concrete
-//!   table set explicitly — every path walked through the reference
-//!   tracer, overlaid on the healthy minimal-routing graph, the union
-//!   checked for cycles. (A single down-set-independent certificate is
-//!   provably impossible: the long-arc route family is cyclic for
-//!   `k ≥ 4`.) The simulator refuses to install anything uncertified
+//!   table set explicitly — every path overlaid on the healthy
+//!   minimal-routing graph, the union checked for cycles. The healthy walk
+//!   has inserted every minimal path's edges already, so only the paths a
+//!   table adds are traced into it. (A single down-set-independent
+//!   certificate is provably impossible: the long-arc route family is
+//!   cyclic for `k ≥ 4`.) The simulator refuses to install anything uncertified
 //!   (`AV020`/`AV021`).
 //! - **Config lint engine** ([`lint_config`], [`lint_params`],
 //!   [`lint_shards`], [`lint_weights`]): 18 typed checks with stable `AV0xx`
@@ -40,10 +41,12 @@
 //!   schedules, arbiter weights, and tracing configuration. See
 //!   `crate::lint` for the code table.
 //!
-//! The simulator's builder gathers [`verify_config`], [`lint_params`],
-//! [`verify_degraded_epochs`] and [`lint_weights`] into one report before
-//! construction (fail-fast by default), and the `verify_config` binary
-//! emits a standalone JSON verification report.
+//! The simulator's builder gathers [`verify_config_and_epochs`] (which
+//! walks the healthy routing once for [`verify_config`]'s certificate and
+//! extends that graph for [`verify_degraded_epochs`]), [`lint_params`]
+//! and [`lint_weights`] into one report before construction (fail-fast by
+//! default), and the `verify_config` binary emits a standalone JSON
+//! verification report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,7 +66,7 @@ pub use deadlock::{cross_check, enumerate_routes, full_enumeration, CrossCheck, 
 pub use degraded::{
     build_degraded_tables, certify_tables, verify_degraded, verify_degraded_epochs, DegradedVerdict,
 };
-pub use engine::{build_routing_graph, certify_routing};
+pub use engine::{build_routing_graph, certify_routing, RoutingGraph};
 pub use graph::ChannelVc;
 pub use lint::{lint_config, lint_params, lint_shards, lint_weights, ParamsView};
 pub use mesh::verify_mesh;
@@ -72,6 +75,7 @@ pub use report::{
 };
 
 use anton_core::config::MachineConfig;
+use anton_core::route_table::DownLinkSet;
 
 /// Symbolically certifies a torus routing deadlock-free, or extracts a
 /// minimal concrete `(channel, VC)` cycle with witness routes when it is
@@ -83,7 +87,16 @@ use anton_core::config::MachineConfig;
 /// 1,516 traced chip traversals, 431,232 distinct edges — certifies in a
 /// median 0.12 s on a 2-vCPU Xeon host (`verify.certify_k8_s`).
 pub fn certify(rf: &DimOrderRouting) -> (DeadlockCertificate, Vec<Diagnostic>) {
-    certify_routing(rf.topology(), &[rf], rf.label())
+    model_graph(rf).certify(rf.label())
+}
+
+/// The dependency graph of the torus routing `rf` alone, walked once: what
+/// [`verify_model`] certifies, and — for the machine as built — what
+/// [`verify_degraded_epochs`] extends with reroute tables.
+pub fn model_graph(rf: &DimOrderRouting) -> RoutingGraph<'_> {
+    let mut g = RoutingGraph::new(rf.topology(), rf.num_vcs());
+    g.walk(rf);
+    g
 }
 
 /// Verifies a torus routing: configuration lints, the dateline lint
@@ -92,6 +105,11 @@ pub fn certify(rf: &DimOrderRouting) -> (DeadlockCertificate, Vec<Diagnostic>) {
 /// dependency cycle an `AV002` error carrying the counterexample summary;
 /// the full counterexample rides on the report's certificate.
 pub fn verify_model(rf: &DimOrderRouting) -> VerifyReport {
+    model_report(rf, &model_graph(rf))
+}
+
+/// [`verify_model`]'s report, certifying `rf`'s graph `g`.
+fn model_report(rf: &DimOrderRouting, g: &RoutingGraph<'_>) -> VerifyReport {
     let cfg = rf.config();
     let mut diagnostics = lint_config(cfg);
     if !rf.datelines() && lint::usable_dim_count(cfg) > 0 {
@@ -104,7 +122,7 @@ pub fn verify_model(rf: &DimOrderRouting) -> VerifyReport {
             .with("shape", cfg.shape),
         );
     }
-    let (certificate, envelope) = certify(rf);
+    let (certificate, envelope) = g.certify(rf.label());
     diagnostics.extend(envelope);
     if !certificate.acyclic {
         diagnostics.push(
@@ -125,4 +143,21 @@ pub fn verify_model(rf: &DimOrderRouting) -> VerifyReport {
 /// 8×8×8 nearly all of its cost is [`certify`]'s walk.
 pub fn verify_config(cfg: &MachineConfig) -> VerifyReport {
     verify_model(&DimOrderRouting::new(cfg.clone()))
+}
+
+/// [`verify_config`], and with any `epochs` the reroute tables of those
+/// down-link sets certified as one union by [`verify_degraded_epochs`]:
+/// the simulator's pre-run gate. The healthy routing is walked once; its
+/// graph is certified for the report, then extended with the tables'
+/// routes and certified again. Both come out as [`verify_config`] and
+/// [`verify_degraded_epochs`] over a graph of their own give them.
+pub fn verify_config_and_epochs(
+    cfg: &MachineConfig,
+    epochs: &[DownLinkSet],
+) -> (VerifyReport, Option<DegradedVerdict>) {
+    let rf = DimOrderRouting::new(cfg.clone());
+    let g = model_graph(&rf);
+    let report = model_report(&rf, &g);
+    let degraded = (!epochs.is_empty()).then(|| verify_degraded_epochs(&rf, g, epochs));
+    (report, degraded)
 }
