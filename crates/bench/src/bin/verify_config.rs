@@ -27,8 +27,8 @@ use anton_core::vc::VcPolicy;
 use anton_obs::json::Json;
 use anton_sim::params::SimParams;
 use anton_verify::{
-    cross_check, full_enumeration, lint_params, verify_degraded, verify_mesh, DimOrderRouting,
-    Severity, VerifyReport,
+    cross_check, full_enumeration, lint_params, verify_config_and_epochs, verify_degraded,
+    verify_mesh, DimOrderRouting, Severity, VerifyReport,
 };
 
 fn parse_policy(name: &str) -> VcPolicy {
@@ -281,21 +281,31 @@ fn main() {
         cfg.vc_policy,
         if routing.datelines() { "on" } else { "off" }
     );
-    let mut report: VerifyReport = anton_verify::verify_model(&routing);
+    let down_spec: String = args.get("down-links");
+    let downs = (!down_spec.is_empty()).then(|| parse_down_links(shape, &down_spec));
+    // The degraded check certifies its tables beside the healthy routing
+    // with datelines; when that is the routing certified here, its graph is
+    // walked once and extended.
+    let (mut report, verdict) = match &downs {
+        Some(downs) if routing.datelines() => {
+            verify_config_and_epochs(&cfg, std::slice::from_ref(downs))
+        }
+        _ => (
+            anton_verify::verify_model(&routing),
+            downs.as_ref().map(|downs| verify_degraded(&cfg, downs)),
+        ),
+    };
     // Lint the default parameters, the ones an experiment binary uses.
     report
         .diagnostics
         .extend(lint_params(&cfg, &SimParams::default().verify_view()));
 
     let mut degraded_json: Option<Json> = None;
-    let down_spec: String = args.get("down-links");
-    if !down_spec.is_empty() {
-        let downs = parse_down_links(shape, &down_spec);
+    if let (Some(downs), Some(verdict)) = (&downs, verdict) {
         println!(
             "degraded check: {} down link(s) — building and certifying reroute tables",
             downs.len()
         );
-        let verdict = verify_degraded(&cfg, &downs);
         if let Some(cert) = &verdict.certificate {
             println!("degraded tables: {cert}");
         }

@@ -218,8 +218,8 @@ impl DimOrderRouting {
 
     /// The degraded route family under active datelines: every
     /// direction-ordered route the machine can carry, healthy minimal
-    /// routing *and* every direction-ordered degraded table (arcs up to
-    /// `k − 1` hops, either sign). A simple arc still crosses its ring's
+    /// routing *and* every degraded-table route of one run per dimension
+    /// (arcs up to `k − 1` hops, either sign). A simple arc still crosses its ring's
     /// dateline at most once whatever its length, so the same abstract
     /// states apply; the edge set is strictly larger.
     ///

@@ -93,7 +93,7 @@ pub use net::{
 pub use onchip::DirOrder;
 pub use packet::{Packet, Payload};
 pub use pattern::{Flow, TrafficPattern};
-pub use route_table::{build_route_table, DownLinkSet, RouteTable, RouteTableError, TableMethod};
+pub use route_table::{build_route_table, DownLinkSet, RouteTable, RouteTableError};
 pub use routing::{DimOrder, RouteSpec};
 pub use seed::derive_stream_seed;
 pub use table_routing::TableRouting;

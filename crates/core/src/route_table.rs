@@ -7,32 +7,29 @@
 //! route of every node pair over the *live* link graph (the Angara-style
 //! approach: table-driven routing recomputed from the current topology
 //! view). Every route is a [`RouteSpec`] — at most three single-direction
-//! runs — so the structural half of the n+1-VC argument holds by
-//! construction:
+//! runs, the n+1-VC promotion budget — and a pair's route is the first live
+//! one of:
 //!
-//! * **Direction-ordered generation** ([`TableMethod::DirectionOrdered`]):
-//!   dimensions are still traversed in canonical X, Y, Z order, but the
-//!   travel direction around each ring is chosen to avoid down links — the
-//!   long way around (up to `k − 1` hops) when the minimal side is severed.
-//!   The resulting paths keep the structural shape the n+1-VC promotion
-//!   algorithm relies on (one single-direction arc per dimension, at most
-//!   one dateline crossing each), so every such table is *certifiable*;
-//!   any *single* down link always leaves the other direction of its ring
-//!   intact, so single-link failures never need more than this. Note that
-//!   certifiable is a per-table-set property, not a family one: the union
-//!   of all long-way tables at once is genuinely cyclic on `k ≥ 4` tori
-//!   (see `anton_verify::degraded`), so each concrete degradation is
-//!   certified explicitly before install.
-//! * **BFS fallback** ([`TableMethod::Bfs`]): when some ring is severed in
-//!   both directions, a per-destination breadth-first search over the live
-//!   graph produces shortest detour paths, preferring hop choices that
-//!   minimize dimension-run counts. These may still zig-zag between
-//!   dimensions, so each detour becomes a route only through
-//!   [`RouteSpec::from_hops`], and the table still needs the explicit
-//!   per-table certification before install.
+//! * **One run per dimension**, in each of [`DimOrder::ALL`] in turn, XYZ
+//!   first. Each ring is travelled its minimal way if every link on that
+//!   side is up (ties go `+`), and otherwise the long way around (up to
+//!   `k − 1` hops). A ring's side does not depend on the other rings'
+//!   signs, so an order serves the pair exactly when each of its rings has
+//!   a live side. Any *single* down link leaves the other side of its ring
+//!   intact, so single-link failures are served in XYZ order, and a healthy
+//!   table is minimal XYZ dimension-order routing exactly.
+//! * **A split detour** `a x, b y, a z`, the fewest hops first: out along
+//!   one dimension, the whole way along a second, and on along the first
+//!   (`−Y +X +X +Y`), for a pair whose third dimension needs no hop. It
+//!   serves a pair whose ring is cut in both directions.
 //!
-//! On a healthy torus the direction-ordered table degenerates to minimal
-//! XYZ dimension-order routing exactly — the provably-identical fast path.
+//! Together these are every route of at most three runs, so a pair with
+//! none of them live has no route the n+1-VC state machine can carry. The
+//! table then fails: as a partition when some pair has no live path at
+//! all, and otherwise as not VC-compatible. Certifiable is a per-table-set
+//! property, not a family one: the union of all long-way tables at once is
+//! genuinely cyclic on `k ≥ 4` tori (see `anton_verify::degraded`), so each
+//! concrete degradation is certified explicitly before install.
 
 use std::fmt;
 
@@ -126,26 +123,6 @@ impl DownLinkSet {
     }
 }
 
-/// How a route table was generated (and therefore how it must be certified).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableMethod {
-    /// Canonical-order (X, Y, Z) traversal with per-ring direction choice.
-    /// Member of the symbolically certified direction-ordered family.
-    DirectionOrdered,
-    /// Per-destination BFS over the live graph. Requires explicit per-table
-    /// certification before install.
-    Bfs,
-}
-
-impl fmt::Display for TableMethod {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TableMethod::DirectionOrdered => write!(f, "direction-ordered"),
-            TableMethod::Bfs => write!(f, "bfs"),
-        }
-    }
-}
-
 /// Why a route table is unusable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RouteTableError {
@@ -156,14 +133,13 @@ pub enum RouteTableError {
         /// Destination node of the severed pair.
         dst: NodeId,
     },
-    /// A path violates the n+1-VC state machine's structural requirements.
+    /// The pair has live paths, but none of at most three runs: none the
+    /// n+1-VC state machine can carry.
     NotVcCompatible {
-        /// Source node of the offending path.
+        /// Source node of the pair.
         src: NodeId,
-        /// Destination node of the offending path.
+        /// Destination node of the pair.
         dst: NodeId,
-        /// Human-readable description of the violation.
-        reason: String,
     },
 }
 
@@ -173,8 +149,8 @@ impl fmt::Display for RouteTableError {
             RouteTableError::Unreachable { src, dst } => {
                 write!(f, "no live path from {src} to {dst}")
             }
-            RouteTableError::NotVcCompatible { src, dst, reason } => {
-                write!(f, "path {src} -> {dst} is not VC-compatible: {reason}")
+            RouteTableError::NotVcCompatible { src, dst } => {
+                write!(f, "{src} -> {dst} has no live route of at most three runs")
             }
         }
     }
@@ -188,7 +164,6 @@ impl fmt::Display for RouteTableError {
 pub struct RouteTable {
     shape: TorusShape,
     slice: Slice,
-    method: TableMethod,
     /// `routes[src * n + dst]`.
     routes: Vec<RouteSpec>,
 }
@@ -206,12 +181,6 @@ impl RouteTable {
         &self.shape
     }
 
-    /// How this table was generated.
-    #[inline]
-    pub fn method(&self) -> TableMethod {
-        self.method
-    }
-
     /// The route from `src` to `dst`: no hops when they are one node.
     #[inline]
     pub fn route(&self, src: NodeId, dst: NodeId) -> RouteSpec {
@@ -219,59 +188,58 @@ impl RouteTable {
     }
 }
 
-/// Builds the route table of one slice over the live link graph.
-///
-/// Tries direction-ordered generation first (certified as a family); falls
-/// back to per-destination BFS when some ring is severed in both directions.
-/// Fails when the down set partitions the slice's network, or when a BFS
-/// detour is not a [`RouteSpec`] ([`RouteSpec::from_hops`] says why).
+/// Builds the route table of one slice over the live link graph: each pair
+/// takes its first live route of at most three runs (see the module docs).
+/// Fails when the down set partitions the slice's network, reported first,
+/// or when some pair has no live route the n+1-VC state machine can carry.
 pub fn build_route_table(
     shape: &TorusShape,
     slice: Slice,
     downs: &DownLinkSet,
 ) -> Result<RouteTable, RouteTableError> {
-    let (method, routes) = match direction_ordered(shape, slice, downs) {
-        Some(routes) => (TableMethod::DirectionOrdered, routes),
-        None => (TableMethod::Bfs, bfs_routes(shape, slice, downs)?),
-    };
-    Ok(RouteTable {
-        shape: *shape,
-        slice,
-        method,
-        routes,
-    })
-}
-
-/// Direction-ordered generation: canonical X, Y, Z dimension order with the
-/// per-ring travel direction chosen to avoid down links, one run per
-/// dimension. Returns `None` if any required ring is blocked in both
-/// directions.
-///
-/// A ring's choice is made where the route enters the ring, and it is the
-/// choice every node along the run would make too: after one hop in the
-/// chosen direction the blocked side stays blocked and the clear side stays
-/// clear, so a next-hop table built node by node walks the same run.
-fn direction_ordered(
-    shape: &TorusShape,
-    slice: Slice,
-    downs: &DownLinkSet,
-) -> Option<Vec<RouteSpec>> {
     let n = shape.num_nodes();
     let mut routes = Vec::with_capacity(n * n);
     for src in shape.nodes() {
         for dst in shape.nodes() {
-            let mut at = src;
-            let mut offsets = [0; 3];
-            for dim in Dim::ALL {
-                if at.get(dim) != dst.get(dim) {
-                    offsets[dim.index()] = ring_offset(shape, slice, downs, dim, at, dst)?;
-                    at = at.with(dim, dst.get(dim));
-                }
-            }
-            routes.push(RouteSpec::new(DimOrder::XYZ, slice, offsets));
+            let route = one_run_per_dim(shape, slice, downs, src, dst)
+                .or_else(|| split_detour(shape, slice, downs, src, dst));
+            let Some(route) = route else {
+                let (src, dst) = (shape.id(src), shape.id(dst));
+                return Err(match first_unreachable(shape, slice, downs) {
+                    Some((src, dst)) => RouteTableError::Unreachable { src, dst },
+                    None => RouteTableError::NotVcCompatible { src, dst },
+                });
+            };
+            routes.push(route);
         }
     }
-    Some(routes)
+    Ok(RouteTable {
+        shape: *shape,
+        slice,
+        routes,
+    })
+}
+
+/// The pair's first live route of one run per dimension, trying each
+/// dimension order in turn, XYZ first.
+fn one_run_per_dim(
+    shape: &TorusShape,
+    slice: Slice,
+    downs: &DownLinkSet,
+    src: NodeCoord,
+    dst: NodeCoord,
+) -> Option<RouteSpec> {
+    DimOrder::ALL.into_iter().find_map(|order| {
+        let mut at = src;
+        let mut offsets = [0; 3];
+        for dim in order.dims() {
+            if at.get(dim) != dst.get(dim) {
+                offsets[dim.index()] = ring_offset(shape, slice, downs, dim, at, dst)?;
+                at = at.with(dim, dst.get(dim));
+            }
+        }
+        Some(RouteSpec::new(order, slice, offsets))
+    })
 }
 
 /// The signed run along `dim`'s ring from `cur` to `dst`: the minimal side
@@ -286,135 +254,140 @@ fn ring_offset(
     cur: NodeCoord,
     dst: NodeCoord,
 ) -> Option<i32> {
-    let k = i32::from(shape.k(dim));
-    let d_plus = (i32::from(dst.get(dim)) - i32::from(cur.get(dim))).rem_euclid(k);
+    let (k, d_plus) = plus_distance(shape, dim, cur, dst);
     debug_assert!(d_plus != 0);
-    let d_minus = k - d_plus;
-    let clear = |sign: Sign, len: i32| -> bool {
-        let dir = TorusDir::new(dim, sign);
-        let chan = ChanId { dir, slice };
-        let mut c = cur;
-        for _ in 0..len {
-            if downs.contains(shape.id(c), chan) {
-                return false;
-            }
-            c = shape.neighbor(c, dir);
-        }
-        true
-    };
-    let (first, second) = if d_plus <= d_minus {
-        ((Sign::Plus, d_plus), (Sign::Minus, d_minus))
-    } else {
-        ((Sign::Minus, d_minus), (Sign::Plus, d_plus))
-    };
-    [first, second]
-        .into_iter()
-        .find(|&(sign, len)| clear(sign, len))
-        .map(|(sign, len)| sign.delta() * len)
+    (both_ways(k, d_plus).into_iter()).find(|&off| run_is_live(shape, slice, downs, cur, dim, off))
 }
 
-/// BFS fallback: for each destination, a breadth-first search backward over
-/// the live link graph yields shortest detour paths. Among the equal-length
-/// choices at each node, the hop whose downstream path continues in the
-/// same direction is preferred (minimizing the number of dimension runs —
-/// the VC-promotion budget allows at most three); remaining ties follow
-/// [`TorusDir::ALL`] order, so the table is deterministic.
-///
-/// A partition is reported before any detour that is not a [`RouteSpec`];
-/// each is the first in destination-major order.
-fn bfs_routes(
+/// `dim`'s ring size, and the hops from `from` to `to` round it in `+`.
+fn plus_distance(shape: &TorusShape, dim: Dim, from: NodeCoord, to: NodeCoord) -> (i32, i32) {
+    let k = i32::from(shape.k(dim));
+    (
+        k,
+        (i32::from(to.get(dim)) - i32::from(from.get(dim))).rem_euclid(k),
+    )
+}
+
+/// The two signed runs round a `k`-ring that advance `d_plus` (mod `k`,
+/// not 0) hops in `+`: the shorter first, `+` on a tie.
+fn both_ways(k: i32, d_plus: i32) -> [i32; 2] {
+    if d_plus <= k - d_plus {
+        [d_plus, d_plus - k]
+    } else {
+        [d_plus - k, d_plus]
+    }
+}
+
+/// The direction of a signed run of `off` hops along `dim`.
+fn run_dir(dim: Dim, off: i32) -> TorusDir {
+    TorusDir::new(dim, if off > 0 { Sign::Plus } else { Sign::Minus })
+}
+
+/// Whether every link of the run of `off` hops along `dim` from `from` is
+/// up.
+fn run_is_live(
     shape: &TorusShape,
     slice: Slice,
     downs: &DownLinkSet,
-) -> Result<Vec<RouteSpec>, RouteTableError> {
-    let n = shape.num_nodes();
-    let mut routes = vec![RouteSpec::new(DimOrder::XYZ, slice, [0; 3]); n * n];
-    let mut not_vc_compatible = None;
-    let mut dist = vec![u32::MAX; n];
-    let mut runs_from = vec![u32::MAX; n];
-    let mut first_dir: Vec<Option<TorusDir>> = vec![None; n];
-    let mut order: Vec<NodeId> = Vec::with_capacity(n);
-    let mut queue = std::collections::VecDeque::new();
-    let mut hops = Vec::new();
-    for dst_id in 0..n {
-        // Pass 1: shortest live distance to the destination. Discovery
-        // order is nondecreasing in distance.
-        dist.fill(u32::MAX);
-        dist[dst_id] = 0;
-        order.clear();
-        queue.clear();
-        queue.push_back(NodeId(dst_id as u32));
-        while let Some(v) = queue.pop_front() {
-            let vc = shape.coord(v);
-            for dir in TorusDir::ALL {
-                // `u --dir--> v`, so u sits one hop *opposite* of v; the
-                // link that must be up departs u through `dir`.
-                let u = shape.id(shape.neighbor(vc, dir.opposite()));
-                if u == v || dist[u.0 as usize] != u32::MAX {
-                    continue;
-                }
-                if downs.contains(u, ChanId { dir, slice }) {
-                    continue;
-                }
-                dist[u.0 as usize] = dist[v.0 as usize] + 1;
-                order.push(u);
-                queue.push_back(u);
+    from: NodeCoord,
+    dim: Dim,
+    off: i32,
+) -> bool {
+    let chan = ChanId {
+        dir: run_dir(dim, off),
+        slice,
+    };
+    let mut at = from;
+    (0..off.unsigned_abs()).all(|_| {
+        let up = !downs.contains(shape.id(at), chan);
+        at = shape.neighbor(at, chan.dir);
+        up
+    })
+}
+
+/// The pair's fewest-hop live split detour `a x, b y, a z` (each run
+/// non-empty), for a pair whose third dimension needs no hop. Ties go to
+/// the first `a`, then `b`, in dimension order, then to `b`'s minimal
+/// side, then to the shorter `x` (`−` first), then to the shorter `z`
+/// (`+` first).
+fn split_detour(
+    shape: &TorusShape,
+    slice: Slice,
+    downs: &DownLinkSet,
+    src: NodeCoord,
+    dst: NodeCoord,
+) -> Option<RouteSpec> {
+    let advance = |at: NodeCoord, dim: Dim, off: i32| {
+        let k = i32::from(shape.k(dim));
+        at.with(dim, (i32::from(at.get(dim)) + off).rem_euclid(k) as u8)
+    };
+    let live = |from, dim, off| run_is_live(shape, slice, downs, from, dim, off);
+    let mut best: Option<(u32, [(Dim, i32); 3])> = None;
+    for a in Dim::ALL {
+        for b in Dim::ALL.into_iter().filter(|&b| b != a) {
+            let c = Dim::ALL[3 - a.index() - b.index()];
+            let (kb, db) = plus_distance(shape, b, src, dst);
+            if src.get(c) != dst.get(c) || db == 0 {
+                continue;
             }
-        }
-        let dst = NodeId(dst_id as u32);
-        if let Some(src) = dist.iter().position(|&d| d == u32::MAX) {
-            let src = NodeId(src as u32);
-            return Err(RouteTableError::Unreachable { src, dst });
-        }
-        // Pass 2: walking outward by distance, pick each node's next hop
-        // among its shortest-path successors to minimize the downstream
-        // run count (a hop extends the successor's first run when it
-        // continues in the same direction).
-        runs_from[dst_id] = 0;
-        first_dir[dst_id] = None;
-        for &u in &order {
-            let ucoord = shape.coord(u);
-            let mut best: Option<(u32, TorusDir)> = None;
-            for dir in TorusDir::ALL {
-                if downs.contains(u, ChanId { dir, slice }) {
-                    continue;
-                }
-                let w = shape.id(shape.neighbor(ucoord, dir));
-                if w == u || dist[w.0 as usize] != dist[u.0 as usize] - 1 {
-                    continue;
-                }
-                let runs =
-                    runs_from[w.0 as usize] + u32::from(first_dir[w.0 as usize] != Some(dir));
-                if best.is_none_or(|(b, _)| runs < b) {
-                    best = Some((runs, dir));
-                }
-            }
-            let (runs, dir) = best.expect("discovered node has a shortest-path successor");
-            runs_from[u.0 as usize] = runs;
-            first_dir[u.0 as usize] = Some(dir);
-        }
-        // Each source's detour follows the chosen hops down to distance 0.
-        for src in 0..n {
-            hops.clear();
-            let mut at = shape.coord(NodeId(src as u32));
-            while let Some(dir) = first_dir[shape.id(at).0 as usize] {
-                hops.push(dir);
-                at = shape.neighbor(at, dir);
-            }
-            match RouteSpec::from_hops(shape, slice, &hops) {
-                Ok(spec) => routes[src * n + dst_id] = spec,
-                Err(reason) => {
-                    let src = NodeId(src as u32);
-                    not_vc_compatible.get_or_insert(RouteTableError::NotVcCompatible {
-                        src,
-                        dst,
-                        reason,
-                    });
+            let ka = i32::from(shape.k(a));
+            for y in both_ways(kb, db) {
+                for x in (1..ka).flat_map(|len| [-len, len]) {
+                    let mid = advance(src, a, x);
+                    let end = advance(mid, b, y);
+                    let (_, dz) = plus_distance(shape, a, end, dst);
+                    if dz == 0 || !(live(src, a, x) && live(mid, b, y)) {
+                        continue;
+                    }
+                    for z in both_ways(ka, dz) {
+                        let len = x.unsigned_abs() + y.unsigned_abs() + z.unsigned_abs();
+                        if best.is_none_or(|(shortest, _)| len < shortest) && live(end, a, z) {
+                            best = Some((len, [(a, x), (b, y), (a, z)]));
+                        }
+                    }
                 }
             }
         }
     }
-    not_vc_compatible.map_or(Ok(routes), Err)
+    let (_, runs) = best?;
+    let hops: Vec<TorusDir> = (runs.into_iter())
+        .flat_map(|(dim, off)| std::iter::repeat_n(run_dir(dim, off), off.unsigned_abs() as usize))
+        .collect();
+    let spec = RouteSpec::from_hops(shape, slice, &hops);
+    Some(spec.expect("a split detour is three runs, each shorter than its ring"))
+}
+
+/// The first pair, destination-major, with no live path at all: each
+/// destination is flooded backward over the live links.
+fn first_unreachable(
+    shape: &TorusShape,
+    slice: Slice,
+    downs: &DownLinkSet,
+) -> Option<(NodeId, NodeId)> {
+    let n = shape.num_nodes();
+    let mut reached = vec![false; n];
+    let mut stack = Vec::with_capacity(n);
+    for dst in (0..n as u32).map(NodeId) {
+        reached.fill(false);
+        reached[dst.0 as usize] = true;
+        stack.push(dst);
+        while let Some(v) = stack.pop() {
+            let at = shape.coord(v);
+            for dir in TorusDir::ALL {
+                // `u --dir--> v`, so u sits one hop *opposite* of v; the
+                // link that must be up departs u through `dir`.
+                let u = shape.id(shape.neighbor(at, dir.opposite()));
+                if !reached[u.0 as usize] && !downs.contains(u, ChanId { dir, slice }) {
+                    reached[u.0 as usize] = true;
+                    stack.push(u);
+                }
+            }
+        }
+        if let Some(src) = reached.iter().position(|&r| !r) {
+            return Some((NodeId(src as u32), dst));
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -428,24 +401,56 @@ mod tests {
         }
     }
 
+    /// Walks every route of `table`: none crosses a link of `downs`, and
+    /// each ends at its destination.
+    fn assert_live(table: &RouteTable, downs: &DownLinkSet) {
+        let shape = *table.shape();
+        for src in shape.nodes() {
+            for dst in shape.nodes() {
+                let spec = table.route(shape.id(src), shape.id(dst));
+                let mut end = src;
+                for (at, dir) in spec.walk(&shape, src) {
+                    let chan = ChanId {
+                        dir,
+                        slice: table.slice(),
+                    };
+                    assert!(
+                        !downs.contains(shape.id(at), chan),
+                        "{src} -> {dst} ({spec}) crosses down link {at}/{chan}"
+                    );
+                    end = shape.neighbor(at, dir);
+                }
+                assert_eq!(end, dst, "{spec}");
+            }
+        }
+    }
+
+    /// Whether a route takes some dimension in two runs.
+    fn revisits_a_dimension(spec: RouteSpec) -> bool {
+        let hops = spec.hops();
+        let runs = 1 + hops.windows(2).filter(|w| w[0].dim != w[1].dim).count();
+        let dims = Dim::ALL
+            .iter()
+            .filter(|&&d| hops.iter().any(|h| h.dim == d));
+        runs > dims.count()
+    }
+
     #[test]
     fn healthy_table_is_minimal_xyz_dimension_order() {
         let shape = TorusShape::new(4, 3, 2);
         let downs = DownLinkSet::empty(shape);
         let table = build_route_table(&shape, Slice(0), &downs).unwrap();
-        assert_eq!(table.method(), TableMethod::DirectionOrdered);
         for src in shape.nodes() {
             for dst in shape.nodes() {
-                let want =
-                    RouteSpec::deterministic(&shape, src, dst, DimOrder::XYZ, Slice(0)).hops();
-                let got = table.route(shape.id(src), shape.id(dst)).hops();
+                let want = RouteSpec::deterministic(&shape, src, dst, DimOrder::XYZ, Slice(0));
+                let got = table.route(shape.id(src), shape.id(dst));
                 assert_eq!(got, want, "{src} -> {dst}");
             }
         }
     }
 
     #[test]
-    fn every_single_link_failure_stays_direction_ordered() {
+    fn every_single_link_failure_routes_xyz_each_ring_on_a_live_side() {
         let shape = TorusShape::cube(3);
         for slice in Slice::ALL {
             for (from, down_chan) in
@@ -461,19 +466,25 @@ mod tests {
                 }
                 let downs = DownLinkSet::from_links(shape, [(from, down_chan)]);
                 let table = build_route_table(&shape, slice, &downs).unwrap();
-                assert_eq!(table.method(), TableMethod::DirectionOrdered);
-                // No path may traverse the down link.
+                assert_live(&table, &downs);
+                // Each route is one XYZ run per dimension, minimal or the
+                // long way round.
                 for src in shape.nodes() {
                     for dst in shape.nodes() {
-                        let mut cur = src;
-                        for hop in table.route(shape.id(src), shape.id(dst)).hops() {
-                            assert!(
-                                !(shape.id(cur) == from && hop == down_chan.dir),
-                                "path {src}->{dst} crosses down link {from}/{down_chan}"
-                            );
-                            cur = shape.neighbor(cur, hop);
-                        }
-                        assert_eq!(cur, dst);
+                        let ways = Dim::ALL.map(|d| {
+                            let (k, d_plus) = plus_distance(&shape, d, src, dst);
+                            if d_plus == 0 {
+                                [0, 0]
+                            } else {
+                                both_ways(k, d_plus)
+                            }
+                        });
+                        let got = table.route(shape.id(src), shape.id(dst));
+                        let xyz = (0..8).map(|bits: usize| {
+                            let offsets = [0, 1, 2].map(|i| ways[i][bits >> i & 1]);
+                            RouteSpec::new(DimOrder::XYZ, slice, offsets)
+                        });
+                        assert!(xyz.into_iter().any(|r| r == got), "{src} -> {dst}: {got}");
                     }
                 }
             }
@@ -505,12 +516,12 @@ mod tests {
     }
 
     #[test]
-    fn severed_ring_falls_back_to_bfs() {
+    fn a_ring_cut_both_ways_takes_a_split_detour() {
         let shape = TorusShape::new(4, 4, 1);
         // Block travel out of the y=0 x-ring's node 0 toward node 2 in both
         // rotations: +X out of x=1 and -X out of x=3. The pair (0,0) ->
-        // (2,0) is then blocked clockwise *and* counterclockwise, so
-        // direction-ordered generation fails and BFS detours through y.
+        // (2,0) then has no route of one run per dimension and detours
+        // through y, revisiting it; pairs that some order serves take it.
         let downs = DownLinkSet::from_links(
             shape,
             [
@@ -525,19 +536,80 @@ mod tests {
             ],
         );
         let table = build_route_table(&shape, Slice(0), &downs).unwrap();
-        assert_eq!(table.method(), TableMethod::Bfs);
-        let src = shape.id(NodeCoord::new(0, 0, 0));
-        let dst = shape.id(NodeCoord::new(2, 0, 0));
-        let path = table.route(src, dst).hops();
-        assert!(
-            path.iter().any(|h| h.dim == Dim::Y),
-            "must detour: {path:?}"
+        assert_live(&table, &downs);
+        let route = |a, b| table.route(shape.id(a), shape.id(b));
+        let (o, two) = (NodeCoord::new(0, 0, 0), NodeCoord::new(2, 0, 0));
+        let detour = route(o, two);
+        assert!(revisits_a_dimension(detour), "{detour}");
+        let x = |sign| TorusDir::new(Dim::X, sign);
+        let y = |sign| TorusDir::new(Dim::Y, sign);
+        assert_eq!(
+            detour.hops(),
+            [y(Sign::Minus), x(Sign::Plus), x(Sign::Plus), y(Sign::Plus)]
         );
-        let mut cur = NodeCoord::new(0, 0, 0);
-        for hop in &path {
-            cur = shape.neighbor(cur, *hop);
+        // (0,0) -> (2,1) crosses the cut ring in XYZ order, and not in YXZ.
+        let yx = route(o, NodeCoord::new(2, 1, 0)).hops();
+        assert_eq!(yx, [y(Sign::Plus), x(Sign::Plus), x(Sign::Plus)]);
+        assert_eq!(route(o, NodeCoord::new(1, 0, 0)).hops(), [x(Sign::Plus)]);
+    }
+
+    #[test]
+    fn an_x_ring_cut_both_ways_leaves_every_4x4x4_pair_three_runs() {
+        // X+ out of (1,0,0) and X- out of (3,0,0) on slice 0: no route of
+        // one run per dimension from (0,0,0) to (2,0,0), while (0,0,0) ->
+        // (2,2,2) is served with one in another order.
+        let shape = TorusShape::cube(4);
+        let downs = DownLinkSet::from_links(
+            shape,
+            [
+                (
+                    shape.id(NodeCoord::new(1, 0, 0)),
+                    chan(Dim::X, Sign::Plus, Slice(0)),
+                ),
+                (
+                    shape.id(NodeCoord::new(3, 0, 0)),
+                    chan(Dim::X, Sign::Minus, Slice(0)),
+                ),
+            ],
+        );
+        for slice in Slice::ALL {
+            let table = build_route_table(&shape, slice, &downs).unwrap();
+            assert_live(&table, &downs);
         }
-        assert_eq!(cur, NodeCoord::new(2, 0, 0));
+        let table = build_route_table(&shape, Slice(0), &downs).unwrap();
+        let route = table.route(NodeId(0), NodeId(42));
+        let runs = route.hops().windows(2).filter(|w| w[0] != w[1]).count() + 1;
+        assert!(runs <= 3, "{route}");
+        assert_eq!(route.remaining_hops(), 6, "{route}");
+    }
+
+    #[test]
+    fn a_reachable_pair_without_a_three_run_route_is_not_vc_compatible() {
+        // The y=0 x-ring is cut both ways for (0,0) -> (2,0), and (0,0)
+        // cannot leave along y: every live path takes four runs.
+        let shape = TorusShape::new(4, 4, 1);
+        let origin = shape.id(NodeCoord::new(0, 0, 0));
+        let downs = DownLinkSet::from_links(
+            shape,
+            [
+                (
+                    shape.id(NodeCoord::new(1, 0, 0)),
+                    chan(Dim::X, Sign::Plus, Slice(0)),
+                ),
+                (
+                    shape.id(NodeCoord::new(3, 0, 0)),
+                    chan(Dim::X, Sign::Minus, Slice(0)),
+                ),
+                (origin, chan(Dim::Y, Sign::Plus, Slice(0))),
+                (origin, chan(Dim::Y, Sign::Minus, Slice(0))),
+            ],
+        );
+        match build_route_table(&shape, Slice(0), &downs).unwrap_err() {
+            RouteTableError::NotVcCompatible { src, dst } => {
+                assert_eq!((src, dst), (origin, shape.id(NodeCoord::new(2, 0, 0))));
+            }
+            other => panic!("expected NotVcCompatible, got {other:?}"),
+        }
     }
 
     #[test]

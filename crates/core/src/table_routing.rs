@@ -173,11 +173,7 @@ impl TableRouting {
 
 impl RoutingFunction for TableRouting {
     fn describe(&self) -> String {
-        format!(
-            "explicit {} route table, {}",
-            self.table.method(),
-            self.table.slice()
-        )
+        format!("explicit route table, {}", self.table.slice())
     }
 
     fn num_vcs(&self) -> usize {

@@ -8,8 +8,8 @@
 //! `ChipLayout::next_attach` takes the skip channel for any X-bound traffic
 //! at the partner router rather than only for traffic passing through in X
 //! (the unicast, table and multicast digests all move under either). The
-//! BFS-table digest was taken at `de98c27`, the last commit whose tables
-//! were next-hop bytes walked by a tracer of bare hop lists.
+//! detour-table digest was taken when one generator replaced the
+//! direction-ordered / BFS pair; it also pins the split detours' tie order.
 
 use anton_core::chip::{ChanId, LocalEndpointId, LocalLink};
 use anton_core::config::{GlobalEndpoint, MachineConfig};
@@ -177,7 +177,7 @@ fn table_digest(cfg: &MachineConfig, downs: &DownLinkSet) -> (u64, u64) {
     (h.hash, h.traces)
 }
 
-/// Both direction-ordered tables of a 4×4×4 machine whose Z− link of slice
+/// Both XYZ-order tables of a 4×4×4 machine whose Z− link of slice
 /// 0 at (0, 2, 3) is down: long-way arcs through the dateline.
 #[test]
 fn table_traces_are_pinned() {
@@ -199,10 +199,10 @@ fn table_traces_are_pinned() {
 }
 
 /// Both tables of a 4×4×1 machine whose y = 0 X-ring is severed in both
-/// rotations for (0, 0) → (2, 0): slice 0 falls back to BFS detours that
-/// revisit a dimension (`+Y +X +X −Y`).
+/// rotations for (0, 0) → (2, 0): on slice 0 the pairs no dimension order
+/// serves take split detours that revisit a dimension (`−Y +X +X +Y`).
 #[test]
-fn bfs_table_traces_are_pinned() {
+fn detour_table_traces_are_pinned() {
     let cfg = MachineConfig::new(TorusShape::new(4, 4, 1));
     let shape = cfg.shape;
     let x = |sign| ChanId {
@@ -217,9 +217,9 @@ fn bfs_table_traces_are_pinned() {
         ],
     );
     check(
-        "bfs tables",
+        "detour tables",
         table_digest(&cfg, &downs),
-        (0x674e_921e_75be_4b54, 1_024),
+        (0x5355_f874_f4f0_aac5, 1_024),
     );
 }
 

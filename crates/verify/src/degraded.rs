@@ -125,7 +125,7 @@ impl DegradedVerdict {
 
 /// Builds the per-slice degraded route tables for one down-link set,
 /// reporting failures as `AV020`/`AV021` diagnostics: a partition, or a
-/// detour that is not a [`RouteSpec`](anton_core::routing::RouteSpec).
+/// pair with no live route of at most three runs.
 /// Returns fewer than [`Slice::ALL`] tables when a slice fails. This is
 /// the generation half of [`verify_degraded`].
 pub fn build_degraded_tables(
@@ -232,7 +232,7 @@ mod tests {
     use super::*;
     use anton_core::chip::ChanId;
     use anton_core::net::{RoutingFunction, TorusTopology};
-    use anton_core::route_table::TableMethod;
+    use anton_core::routing::{DimOrder, RouteSpec};
     use anton_core::topology::{Dim, NodeCoord, NodeId, Sign, TorusDir, TorusShape};
 
     fn chan(dim: Dim, sign: Sign, slice: Slice) -> ChanId {
@@ -272,9 +272,9 @@ mod tests {
     #[test]
     fn explicit_tables_are_subset_of_family_graph() {
         // Cross-validates the explicit table walker against the symbolic
-        // transition system: every direction-ordered degraded table's
-        // dependency edges must already be present in the
-        // (over-approximating) long-arc family graph.
+        // transition system: every single-link degraded table routes one
+        // XYZ run per dimension, so its dependency edges must already be
+        // present in the (over-approximating) long-arc family graph.
         let cfg = MachineConfig::new(TorusShape::cube(3));
         let topo = TorusTopology::new(&cfg);
         let family_rf = DimOrderRouting::degraded_family(cfg.clone());
@@ -305,7 +305,6 @@ mod tests {
             let mut table_rfs = Vec::new();
             for slice in Slice::ALL {
                 let table = build_route_table(&shape, slice, downs).unwrap();
-                assert_eq!(table.method(), TableMethod::DirectionOrdered);
                 table_rfs.push(TableRouting::new(cfg.clone(), table));
             }
             let mut rfs: Vec<&dyn RoutingFunction> = vec![&healthy];
@@ -446,13 +445,10 @@ mod tests {
         assert!(cert.acyclic, "{cert}");
     }
 
-    #[test]
-    fn severed_ring_bfs_tables_certify_explicitly() {
-        let cfg = MachineConfig::new(TorusShape::new(4, 4, 1));
-        let shape = cfg.shape;
-        // Same double-down scenario as route_table's BFS test: the y=0
-        // x-ring is blocked in both rotations for the pair (0,0)->(2,0).
-        let downs = DownLinkSet::from_links(
+    /// X+ out of (1,0,0) and X- out of (3,0,0) on slice 0 of `shape`: the
+    /// y=0, z=0 X-ring is cut both ways for (0,0,0) -> (2,0,0).
+    fn x_ring_cut_both_ways(shape: TorusShape) -> DownLinkSet {
+        DownLinkSet::from_links(
             shape,
             [
                 (
@@ -464,13 +460,29 @@ mod tests {
                     chan(Dim::X, Sign::Minus, Slice(0)),
                 ),
             ],
-        );
-        let verdict = verify_degraded(&cfg, &downs);
+        )
+    }
+
+    #[test]
+    fn split_detour_tables_of_a_ring_cut_both_ways_certify() {
+        // Same double-down scenario as route_table's split-detour test: the
+        // pair (0,0) -> (2,0) detours through y, revisiting it.
+        let cfg = MachineConfig::new(TorusShape::new(4, 4, 1));
+        let verdict = verify_degraded(&cfg, &x_ring_cut_both_ways(cfg.shape));
         assert!(verdict.certified(), "{:?}", verdict.diagnostics);
-        assert!(verdict
-            .tables
+        let hops = verdict.tables[0].route(NodeId(0), NodeId(2)).hops();
+        let runs = hops.windows(2).filter(|w| w[0].dim != w[1].dim).count() + 1;
+        let dims = Dim::ALL
             .iter()
-            .any(|t| t.method() == TableMethod::Bfs));
+            .filter(|&&d| hops.iter().any(|h| h.dim == d));
+        assert!(runs > dims.count(), "{hops:?}");
+    }
+
+    #[test]
+    fn an_x_ring_cut_both_ways_on_4x4x4_certifies() {
+        let cfg = MachineConfig::new(TorusShape::cube(4));
+        let verdict = verify_degraded(&cfg, &x_ring_cut_both_ways(cfg.shape));
+        assert!(verdict.certified(), "{:?}", verdict.diagnostics);
     }
 
     #[test]
@@ -492,11 +504,17 @@ mod tests {
     #[test]
     fn healthy_tables_verify() {
         let cfg = MachineConfig::new(TorusShape::cube(3));
-        let verdict = verify_degraded(&cfg, &DownLinkSet::empty(cfg.shape));
+        let shape = cfg.shape;
+        let verdict = verify_degraded(&cfg, &DownLinkSet::empty(shape));
         assert!(verdict.certified());
-        assert!(verdict
-            .tables
-            .iter()
-            .all(|t| t.method() == TableMethod::DirectionOrdered));
+        for table in &verdict.tables {
+            for (src, dst) in shape
+                .nodes()
+                .flat_map(|a| shape.nodes().map(move |b| (a, b)))
+            {
+                let xyz = RouteSpec::deterministic(&shape, src, dst, DimOrder::XYZ, table.slice());
+                assert_eq!(table.route(shape.id(src), shape.id(dst)), xyz);
+            }
+        }
     }
 }
