@@ -144,8 +144,15 @@ fn main() {
         "at least 1 packet per endpoint",
     );
     for &ber in &bers {
-        require((0.0..=1.0).contains(&ber), "bers", ber, "[0, 1]");
+        require((0.0..1.0).contains(&ber), "bers", ber, "[0, 1)");
     }
+    // Latency inflation is read against the BER = 0 point at each load.
+    require(
+        bers.contains(&0.0),
+        "bers",
+        format!("{bers:?}"),
+        "a list including 0, the control",
+    );
     require(threads > 0, "threads", threads, "at least 1 worker");
 
     println!("## Fault sweep — lossy torus links ({k}x{k}x{k} torus, 16 cores/node)");
@@ -271,7 +278,7 @@ fn main() {
                 let bp = &spec.points()[b.index];
                 bp.float("ber") == 0.0 && bp.float("load") == load
             })
-            .expect("ber list must include the 0.0 control");
+            .expect("the ber list includes the 0 control");
         println!(
             "{:>6.2} {:>10.1e} {:>12.5} {:>9} {:>8.2}x {:>9} {:>8.2}x {:>12} {:>9.4}% {:>9} {:>7.2}x",
             load,

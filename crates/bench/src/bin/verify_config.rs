@@ -27,8 +27,8 @@ use anton_core::vc::VcPolicy;
 use anton_obs::json::Json;
 use anton_sim::params::SimParams;
 use anton_verify::{
-    cross_check, full_enumeration, lint_params, verify_config_and_epochs, verify_degraded,
-    verify_mesh, DimOrderRouting, Severity, VerifyReport,
+    cross_check, full_enumeration, lint_params, verify_mesh, verify_model_and_epochs,
+    DimOrderRouting, Severity, VerifyReport,
 };
 
 fn parse_policy(name: &str) -> VcPolicy {
@@ -283,18 +283,9 @@ fn main() {
     );
     let down_spec: String = args.get("down-links");
     let downs = (!down_spec.is_empty()).then(|| parse_down_links(shape, &down_spec));
-    // The degraded check certifies its tables beside the healthy routing
-    // with datelines; when that is the routing certified here, its graph is
-    // walked once and extended.
-    let (mut report, verdict) = match &downs {
-        Some(downs) if routing.datelines() => {
-            verify_config_and_epochs(&cfg, std::slice::from_ref(downs))
-        }
-        _ => (
-            anton_verify::verify_model(&routing),
-            downs.as_ref().map(|downs| verify_degraded(&cfg, downs)),
-        ),
-    };
+    // The degraded check certifies its tables beside the routing verified
+    // here, extending its graph: one walk.
+    let (mut report, verdict) = verify_model_and_epochs(&routing, downs.as_slice());
     // Lint the default parameters, the ones an experiment binary uses.
     report
         .diagnostics

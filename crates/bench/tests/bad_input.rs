@@ -104,7 +104,7 @@ fn shards_is_an_unknown_flag() {
 /// is built, naming the flag and the range.
 #[test]
 fn a_flag_value_out_of_range_is_av103() {
-    let cases: [(&str, &[&str], &str); 18] = [
+    let cases: [(&str, &[&str], &str); 20] = [
         (
             env!("CARGO_BIN_EXE_fig9_throughput"),
             &["--k", "2", "--batches", "0"],
@@ -148,6 +148,16 @@ fn a_flag_value_out_of_range_is_av103() {
         (
             env!("CARGO_BIN_EXE_fig_fault_sweep"),
             &["--k", "2", "--bers", "2"],
+            "--bers",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig_fault_sweep"),
+            &["--k", "2", "--bers", "1e-4"],
+            "--bers",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig_fault_sweep"),
+            &["--k", "2", "--bers", "0,1"],
             "--bers",
         ),
         (

@@ -8,6 +8,13 @@
 //! The wire keeps the actual packet queue (delivery is strictly FIFO, which
 //! go-back-N guarantees), so the shim itself stays packet-agnostic.
 //!
+//! State is O(window) per link direction, whatever traffic it carries: the
+//! sender's unacknowledged frames, the frames and acks on the wire (at most
+//! one a cycle each way over the latency), and the flit counts of queued
+//! packets. Each flit's payload carries its serial, and the shim checks it
+//! the moment the receiver accepts the frame — in order, exactly once —
+//! so nothing delivered is kept.
+//!
 //! Rate model: a token bucket with the same gain/cost ratio as the
 //! serializer's (14/45 ≈ 0.311 frames per cycle — exactly the 112 Gb/s raw
 //! lane rate at 240 bits per frame and 1.5 GHz), but with a deeper bucket
@@ -95,8 +102,6 @@ pub struct LinkShim {
     gbn: GoBackNConfig,
     tx: Sender,
     rx: Receiver,
-    /// Flits already consumed from `rx.delivered`.
-    rx_consumed: usize,
     /// Data frames in flight toward the receiver (`None` = lost).
     forward: VecDeque<(u64, Option<Frame>)>,
     /// Cumulative acks in flight back toward the sender (`None` = lost).
@@ -165,7 +170,6 @@ impl LinkShim {
             gbn,
             tx: Sender::new(gbn),
             rx: Receiver::new(),
-            rx_consumed: 0,
             forward: VecDeque::new(),
             reverse: VecDeque::new(),
             pending: VecDeque::new(),
@@ -200,7 +204,6 @@ impl LinkShim {
         self.prior_retransmissions += self.tx.retransmissions;
         self.tx = Sender::new(self.gbn);
         self.rx = Receiver::new();
-        self.rx_consumed = 0;
         self.forward.clear();
         self.reverse.clear();
         self.pending.clear();
@@ -248,10 +251,12 @@ impl LinkShim {
     }
 
     /// Advances the link by one cycle: lands acks and data frames whose
-    /// propagation delay has elapsed, consumes delivered flits, and
-    /// (re)transmits. Returns how many packets finished crossing the link
-    /// this cycle; the caller pops that many from its own FIFO.
+    /// propagation delay has elapsed, checks each flit the receiver
+    /// accepts, and (re)transmits. Returns how many packets finished
+    /// crossing the link this cycle; the caller pops that many from its
+    /// own FIFO.
     pub fn advance(&mut self, now: u64) -> u32 {
+        let mut completed = 0;
         while self.reverse.front().is_some_and(|&(t, _)| t <= now) {
             let (_, ack) = self.reverse.pop_front().unwrap();
             if let Some(ack) = ack {
@@ -261,7 +266,11 @@ impl LinkShim {
         while self.forward.front().is_some_and(|&(t, _)| t <= now) {
             let (_, frame) = self.forward.pop_front().unwrap();
             if let Some(frame) = frame {
+                let before = self.rx.expected();
                 let ack = self.rx.on_frame(&frame);
+                if ack != before {
+                    completed += self.accept(&frame);
+                }
                 if self.lose(now) {
                     self.ack_frames_dropped += 1;
                     self.log_event(now, ShimEvent::AckFrameDropped);
@@ -271,7 +280,6 @@ impl LinkShim {
                 }
             }
         }
-        let completed = self.consume_delivered();
         self.pump(now);
         completed
     }
@@ -327,39 +335,30 @@ impl LinkShim {
         }
     }
 
-    /// Drains newly delivered flits, self-checking order, and returns the
-    /// number of whole packets completed.
-    fn consume_delivered(&mut self) -> u32 {
-        let mut completed = 0;
-        while self.rx_consumed < self.rx.delivered.len() {
-            let payload = self.rx.delivered[self.rx_consumed];
-            self.rx_consumed += 1;
-            let serial = u64::from_le_bytes(payload[..8].try_into().unwrap());
-            assert_eq!(
-                serial, self.next_expect,
-                "lossy-link shim: go-back-N delivered flit {serial} while \
-                 expecting {} (out-of-order or duplicated delivery)",
-                self.next_expect
-            );
-            self.next_expect += 1;
-            self.flits_delivered += 1;
-            self.head_done += 1;
-            let head = *self
-                .pending
-                .front()
-                .expect("delivered flit without a pending packet");
-            if self.head_done == head {
-                self.pending.pop_front();
-                self.head_done = 0;
-                completed += 1;
-            }
+    /// Takes the flit the receiver has just accepted from `frame`:
+    /// self-checks its serial (in order, exactly once) and returns 1 when it
+    /// completes the head packet, else 0.
+    fn accept(&mut self, frame: &Frame) -> u32 {
+        let serial = u64::from_le_bytes(frame.payload[..8].try_into().unwrap());
+        assert_eq!(
+            serial, self.next_expect,
+            "lossy-link shim: go-back-N delivered flit {serial} while \
+             expecting {} (out-of-order or duplicated delivery)",
+            self.next_expect
+        );
+        self.next_expect += 1;
+        self.flits_delivered += 1;
+        self.head_done += 1;
+        let head = *self
+            .pending
+            .front()
+            .expect("delivered flit without a pending packet");
+        if self.head_done < head {
+            return 0;
         }
-        // Keep the receiver's delivered log from growing without bound.
-        if self.rx_consumed >= 4096 {
-            self.rx.delivered.drain(..self.rx_consumed);
-            self.rx_consumed = 0;
-        }
-        completed
+        self.pending.pop_front();
+        self.head_done = 0;
+        1
     }
 
     /// Offers queued flits into the window and transmits at most one data

@@ -5,6 +5,13 @@
 //! unacknowledged data frames; the receiver only accepts the next in-order
 //! sequence number and acknowledges cumulatively. Corrupted frames are
 //! dropped by CRC and recovered by timeout-driven rewind.
+//!
+//! A link direction holds O(window) state: the sender buffers at most
+//! `window` unacknowledged payloads, and the receiver keeps only its next
+//! expected sequence number and an accepted-flit count. It logs no
+//! delivered flit; a caller sees a flit accepted when
+//! [`Receiver::on_frame`] advances [`Receiver::expected`], and takes the
+//! payload from that frame.
 
 use std::collections::VecDeque;
 
@@ -170,12 +177,12 @@ impl Sender {
     }
 }
 
-/// Go-back-N receiver state machine.
+/// Go-back-N receiver state machine: the next expected sequence number and
+/// a count of accepted flits, nothing per flit.
 #[derive(Debug, Clone)]
 pub struct Receiver {
     expected: u8,
-    /// In-order flits delivered to the network layer.
-    pub delivered: Vec<[u8; FLIT_BYTES]>,
+    accepted: u64,
 }
 
 impl Receiver {
@@ -183,15 +190,17 @@ impl Receiver {
     pub fn new() -> Receiver {
         Receiver {
             expected: 0,
-            delivered: Vec::new(),
+            accepted: 0,
         }
     }
 
     /// Processes an arriving (already CRC-verified) frame. Returns the
-    /// cumulative ack to send back.
+    /// cumulative ack to send back. The frame's payload is accepted, in
+    /// order, exactly when the returned ack differs from the
+    /// [`Receiver::expected`] before the call.
     pub fn on_frame(&mut self, frame: &Frame) -> u8 {
         if frame.kind == FrameKind::Data && frame.seq == self.expected {
-            self.delivered.push(frame.payload);
+            self.accepted += 1;
             self.expected = self.expected.wrapping_add(1);
         }
         self.expected
@@ -200,6 +209,11 @@ impl Receiver {
     /// The next expected sequence number (the cumulative ack value).
     pub fn expected(&self) -> u8 {
         self.expected
+    }
+
+    /// Flits accepted in order so far.
+    pub fn accepted(&self) -> u64 {
+        self.accepted
     }
 }
 
@@ -226,17 +240,23 @@ mod tests {
         let mut rx = Receiver::new();
         let payloads: Vec<[u8; 24]> = (0..40u8).map(|i| [i; 24]).collect();
         let mut offered = 0;
+        let mut delivered = Vec::new();
         for now in 0..200u64 {
             while offered < payloads.len() && tx.can_accept() {
                 tx.offer(payloads[offered]);
                 offered += 1;
             }
             if let Some(f) = tx.next_frame(now, 0) {
+                let before = rx.expected();
                 let ack = rx.on_frame(&f);
+                if ack != before {
+                    delivered.push(f.payload);
+                }
                 tx.on_ack(ack, now);
             }
         }
-        assert_eq!(rx.delivered, payloads);
+        assert_eq!(delivered, payloads);
+        assert_eq!(rx.accepted(), payloads.len() as u64);
         assert_eq!(tx.retransmissions, 0);
     }
 

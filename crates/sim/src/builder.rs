@@ -5,7 +5,7 @@
 //! decided once, for either kernel: the configuration and parameter lints
 //! with the VC deadlock certificate, the reroute tables of the fault
 //! schedule's `Down` epochs (certified as one union over the same healthy
-//! graph by [`anton_verify::verify_config_and_epochs`]) and the weight
+//! graph by [`anton_verify::verify_model_and_epochs`]) and the weight
 //! lints (AV016) form one report, to which one function applies
 //! [`PreflightMode`]. Every rejection carries a stable `AVnnn` code;
 //! `Sim::construct` only assembles what the gate settled.
@@ -43,7 +43,7 @@ use anton_arbiter::ArbiterKind;
 use anton_core::config::MachineConfig;
 use anton_core::pattern::TrafficPattern;
 use anton_core::topology::TorusShape;
-use anton_verify::{Diagnostic, VerifyReport};
+use anton_verify::{Diagnostic, DimOrderRouting, VerifyReport};
 
 use crate::fabric::DegradedState;
 use crate::params::{PreflightMode, SimParams};
@@ -220,7 +220,8 @@ impl SimBuilder {
             .as_ref()
             .and_then(|schedule| DegradedState::timeline(cfg.shape, schedule))
             .map_or((None, Vec::new()), |(dg, sets)| (Some(dg), sets));
-        let (mut report, verdict) = anton_verify::verify_config_and_epochs(cfg, &sets);
+        let (mut report, verdict) =
+            anton_verify::verify_model_and_epochs(&DimOrderRouting::new(cfg.clone()), &sets);
         report
             .diagnostics
             .extend(anton_verify::lint_params(cfg, &params.verify_view()));

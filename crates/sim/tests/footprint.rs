@@ -13,7 +13,9 @@ use std::cell::Cell;
 
 use anton_core::config::MachineConfig;
 use anton_core::topology::TorusShape;
-use anton_sim::driver::BatchDriver;
+use anton_fault::{FaultSchedule, LinkShim, SHIM_TIMEOUT, SHIM_WINDOW};
+use anton_link::gobackn::GoBackNConfig;
+use anton_sim::driver::{BatchDriver, LoadDriver};
 use anton_sim::params::{PreflightMode, SimParams};
 use anton_sim::sim::{RunOutcome, Sim};
 use anton_traffic::patterns::UniformRandom;
@@ -151,4 +153,96 @@ fn saturated_batch_peak_is_the_packet_slab() {
         peak64 <= 6_100_000,
         "a saturated 4x4x4 batch peaks at {peak64} bytes above the machine"
     );
+}
+
+/// The most heap a 4×4×4 machine holds above its built self while an
+/// open-loop uniform-random load of 0.2% per endpoint per cycle (driver
+/// seed 42) delivers `packets` per endpoint over ideal wires, or (`lossy`)
+/// through a go-back-N shim on every torus link at bit-error rate 1e-4.
+fn light_load_peak(lossy: bool, packets: u64) -> i64 {
+    let mut sim = Sim::builder()
+        .config(MachineConfig::new(TorusShape::cube(4)))
+        .params(SimParams {
+            preflight: PreflightMode::Off,
+            fault: lossy.then(|| FaultSchedule::uniform(3, 1e-4)),
+            ..SimParams::default()
+        })
+        .build();
+    let mut driver = LoadDriver::new(&sim, Box::new(UniformRandom), 0.002, packets, 42);
+    let built = LIVE.get().0;
+    PEAK.set(built);
+    assert_eq!(sim.run(&mut driver, 10_000_000), RunOutcome::Completed);
+    PEAK.get() - built
+}
+
+/// What the 768 go-back-N shims of a lossy 4×4×4 machine add to its peak
+/// heap: the lossy run's peak less the ideal run's. At this light load both
+/// hold the same packets in flight and only the links differ.
+fn link_layer_peak(packets: u64) -> i64 {
+    light_load_peak(true, packets) - light_load_peak(false, packets)
+}
+
+/// A link direction holds its go-back-N window, not its history: the
+/// sender's unacknowledged flits, the frames and acks on the wire and the
+/// flit counts of queued packets, each queue grown to the most it has held.
+/// Measured, identical on every run: 420,112 bytes above the ideal run at
+/// 16 packets per endpoint, 596,896 at 64 (777 bytes a shim); the 4× longer
+/// run adds 176,784 bytes of queue high-water marks, not a word per flit.
+///
+/// What trips it: a per-flit log in the link layer. With every accepted
+/// flit kept in the receiver until 4,096 had been read, the shims added
+/// 2,208,016 bytes at 16 packets and 7,988,128 at 64 (5,780,112 more).
+#[test]
+fn lossy_links_hold_their_window_not_their_history() {
+    let (extra16, extra64) = (link_layer_peak(16), link_layer_peak(64));
+    println!(
+        "lossy 4x4x4 link-layer peak above the ideal run: 16 packets/endpoint \
+         {extra16} bytes, 64 packets/endpoint {extra64} bytes"
+    );
+    assert!(extra16 > 0, "the lossy run installs no shims");
+    assert!(
+        extra64 <= 640_000,
+        "768 shims add {extra64} bytes at 64 packets/endpoint"
+    );
+    assert!(
+        extra64 - extra16 <= 192_000,
+        "4x the traffic grows the link layer by {} bytes",
+        extra64 - extra16
+    );
+}
+
+/// Live heap of one shim (BER 1e-4, 44-cycle latency, the simulator's
+/// go-back-N window and timeout) once it has delivered `flits` flits,
+/// queued as 2-flit packets at most 8 deep.
+fn shim_heap(flits: u64) -> i64 {
+    let before = LIVE.get().0;
+    let gbn = GoBackNConfig {
+        window: SHIM_WINDOW,
+        timeout: SHIM_TIMEOUT,
+    };
+    let mut shim = LinkShim::new(44, gbn, 1e-4, Vec::new(), 7);
+    let (mut now, mut sent) = (0u64, 0u64);
+    while shim.stats().flits_delivered < flits {
+        if sent < flits && shim.backlog_packets() < 8 {
+            shim.enqueue(now, 2);
+            sent += 2;
+        }
+        shim.advance(now);
+        now += 1;
+    }
+    assert!(shim.stats().retransmissions > 0, "BER 1e-4 forces rewinds");
+    let held = LIVE.get().0 - before;
+    drop(shim);
+    held
+}
+
+/// Measured: 1,672 bytes after 1,000 flits and after 100,000, the same
+/// blocks. With the receiver logging every accepted flit until 4,096 had
+/// been read, the shim held 26,248 bytes after 1,000 flits and 99,976
+/// after 100,000.
+#[test]
+fn a_shim_holds_the_same_heap_after_100_000_flits_as_after_1_000() {
+    let (short, long) = (shim_heap(1_000), shim_heap(100_000));
+    println!("one shim's live heap: 1,000 flits {short} bytes, 100,000 flits {long} bytes");
+    assert_eq!(long, short, "a shim's heap grows with the flits it carried");
 }

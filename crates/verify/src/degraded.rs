@@ -40,7 +40,7 @@
 //! check over the union of several down sets, and the one place either
 //! formats those codes; it extends a healthy graph already walked (and
 //! certified, in the simulator's pre-run gate,
-//! [`verify_config_and_epochs`](crate::verify_config_and_epochs)) rather
+//! [`verify_model_and_epochs`](crate::verify_model_and_epochs)) rather
 //! than walking its own.
 
 use anton_core::config::MachineConfig;
@@ -158,7 +158,7 @@ pub fn verify_degraded(cfg: &MachineConfig, downs: &DownLinkSet) -> DegradedVerd
 /// with the healthy routing — the simulator's install gate for a fault
 /// schedule, whose epochs' tables carry packets at the same time. `g` is
 /// `healthy`'s walked graph ([`model_graph`]), the one
-/// [`verify_config_and_epochs`](crate::verify_config_and_epochs) has just
+/// [`verify_model_and_epochs`](crate::verify_model_and_epochs) has just
 /// certified; it is extended, not walked again. The tables come back set
 /// by set; certification is skipped when any generation failed.
 pub fn verify_degraded_epochs(
@@ -369,6 +369,30 @@ mod tests {
         );
         let verdict = verify_degraded(&cfg, &downs);
         assert!(verdict.certified(), "{:?}", verdict.diagnostics);
+    }
+
+    #[test]
+    fn tables_beside_a_routing_without_datelines_are_rejected() {
+        // The tables are certified beside the routing being verified: with
+        // dateline promotion off its rings close cycles, so the union does
+        // too, though the same tables certify beside the machine as built.
+        let cfg = MachineConfig::new(TorusShape::cube(4));
+        let downs = [DownLinkSet::from_links(
+            cfg.shape,
+            [(NodeId(0), chan(Dim::X, Sign::Plus, Slice(0)))],
+        )];
+        let on = crate::verify_model_and_epochs(&DimOrderRouting::new(cfg.clone()), &downs);
+        assert!(on.1.expect("a down set was given").certified());
+        let (report, verdict) =
+            crate::verify_model_and_epochs(&DimOrderRouting::without_datelines(cfg), &downs);
+        assert!(!report.certificate.expect("certified").acyclic);
+        let verdict = verdict.expect("a down set was given");
+        assert!(!verdict.certified());
+        assert!(
+            verdict.diagnostics.iter().any(|d| d.code == "AV021"),
+            "{:?}",
+            verdict.diagnostics
+        );
     }
 
     #[test]

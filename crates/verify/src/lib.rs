@@ -41,7 +41,7 @@
 //!   schedules, arbiter weights, and tracing configuration. See
 //!   `crate::lint` for the code table.
 //!
-//! The simulator's builder gathers [`verify_config_and_epochs`] (which
+//! The simulator's builder gathers [`verify_model_and_epochs`] (which
 //! walks the healthy routing once for [`verify_config`]'s certificate and
 //! extends that graph for [`verify_degraded_epochs`]), [`lint_params`]
 //! and [`lint_weights`] into one report before construction (fail-fast by
@@ -145,19 +145,20 @@ pub fn verify_config(cfg: &MachineConfig) -> VerifyReport {
     verify_model(&DimOrderRouting::new(cfg.clone()))
 }
 
-/// [`verify_config`], and with any `epochs` the reroute tables of those
-/// down-link sets certified as one union by [`verify_degraded_epochs`]:
-/// the simulator's pre-run gate. The healthy routing is walked once; its
-/// graph is certified for the report, then extended with the tables'
-/// routes and certified again. Both come out as [`verify_config`] and
-/// [`verify_degraded_epochs`] over a graph of their own give them.
-pub fn verify_config_and_epochs(
-    cfg: &MachineConfig,
+/// [`verify_model`], and with any `epochs` the reroute tables of those
+/// down-link sets certified beside `rf` as one union by
+/// [`verify_degraded_epochs`]: the simulator's pre-run gate (with `rf` the
+/// machine as built) and `verify_config --down-links`. The routing is
+/// walked once; its graph is certified for the report, then extended with
+/// the tables' routes and certified again. Both come out as
+/// [`verify_model`] and [`verify_degraded_epochs`] over a graph of their
+/// own give them.
+pub fn verify_model_and_epochs(
+    rf: &DimOrderRouting,
     epochs: &[DownLinkSet],
 ) -> (VerifyReport, Option<DegradedVerdict>) {
-    let rf = DimOrderRouting::new(cfg.clone());
-    let g = model_graph(&rf);
-    let report = model_report(&rf, &g);
-    let degraded = (!epochs.is_empty()).then(|| verify_degraded_epochs(&rf, g, epochs));
+    let g = model_graph(rf);
+    let report = model_report(rf, &g);
+    let degraded = (!epochs.is_empty()).then(|| verify_degraded_epochs(rf, g, epochs));
     (report, degraded)
 }
