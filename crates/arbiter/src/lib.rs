@@ -16,8 +16,10 @@
 //!   hot path uses: every policy over `u64` request lanes, property-tested
 //!   per-grant-equivalent to the reference arbiters above.
 //!
-//! All arbiters implement [`PortArbiter`], the interface the simulator's
-//! router output ports use.
+//! All arbiters implement [`PortArbiter`], the reference interface: the
+//! equivalence tests (`tests/bitset_equiv.rs`) and the simulator router's
+//! reference allocator (a test) drive it. The simulator's kernel itself
+//! arbitrates with [`BitsetArbiter`] directly, never through the trait.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,8 +54,9 @@ pub struct ArbRequest {
 /// Callers must only present requests that can actually proceed (credits
 /// available), since `pick` commits the grant.
 ///
-/// Arbiters are `Send`: each sharded-kernel worker thread owns the arbiters
-/// of its partition's routers outright.
+/// This is the reference interface, driven by the equivalence tests and
+/// the router's reference allocator; the simulator's routers, adapters and
+/// sharded workers hold monomorphic [`BitsetArbiter`]s instead.
 pub trait PortArbiter: std::fmt::Debug + Send {
     /// Number of physical inputs this arbiter serves.
     fn num_inputs(&self) -> usize;

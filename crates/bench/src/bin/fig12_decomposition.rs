@@ -12,7 +12,9 @@ use anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton_core::timing::{HANDLER_DISPATCH_NS, SERDES_WIRE_NS, SW_INJECT_NS};
 use anton_core::topology::{NodeCoord, TorusShape};
 use anton_sim::driver::PingPongDriver;
-use anton_sim::params::{CYCLE_NS, TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
+use anton_sim::params::{
+    ADAPTER_PIPELINE, CYCLE_NS, ROUTER_PIPELINE, TORUS_TOKEN_COST, TORUS_TOKEN_GAIN,
+};
 use anton_sim::sim::{RunOutcome, Sim};
 
 fn main() {
@@ -47,21 +49,23 @@ fn main() {
 
     // Component accounting (see anton_core::timing and anton_sim::params):
     let cyc = |c: f64| c * CYCLE_NS;
+    let (router_stages, adapter_stages) = (ROUTER_PIPELINE as f64, ADAPTER_PIPELINE as f64);
     // Endpoint adapter: wire + no pipeline on rx side; injection side 1
     // cycle of serialization.
     let inject_wire = cyc(1.0);
     // Router pipeline: RC, VA, SA1, SA2 — 4 stages of one cycle.
-    let router = cyc(4.0);
+    let router = cyc(router_stages);
     // Mesh hops between the endpoint router and the channel-adapter router.
     // Endpoint 8 sits on R(0,2), which hosts the Y0 adapters: no mesh hops.
     let mesh = cyc(0.0);
     // Channel adapter out: wire 1 + pipeline 2 + serialization of one flit
     // at the effective rate (45/14 cycles).
-    let chan_out = cyc(1.0 + 2.0 + f64::from(TORUS_TOKEN_COST) / f64::from(TORUS_TOKEN_GAIN));
+    let serialize = f64::from(TORUS_TOKEN_COST) / f64::from(TORUS_TOKEN_GAIN);
+    let chan_out = cyc(1.0 + adapter_stages + serialize);
     // Channel adapter in: pipeline 2 + forward wire 1.
-    let chan_in = cyc(2.0 + 1.0);
+    let chan_in = cyc(adapter_stages + 1.0);
     // Destination router and ejection wire.
-    let router_dst = cyc(4.0);
+    let router_dst = cyc(router_stages);
     let eject_wire = cyc(1.0);
 
     let rows: [(&str, f64); 9] = [

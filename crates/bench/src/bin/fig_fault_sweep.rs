@@ -22,13 +22,14 @@
 //! bumped to v2 with a `deadlock_reports` section when any point trips the
 //! forward-progress watchdog (each report serializes the stalled VCs, their
 //! routes, and — when event tracing is on — the last flight-recorder events
-//! per stall). Every completed run re-checks the simulator's
-//! packet-conservation and credit-balance invariants and says so on stdout —
-//! the CI smoke job greps for that line.
+//! per stall). A deadlocked point records no measurements, only
+//! `deadlocked: true`, and the sweep then exits 1. Every completed run
+//! re-checks the simulator's packet-conservation and credit-balance
+//! invariants and says so on stdout — the CI smoke job greps for that line.
 
 use std::sync::Mutex;
 
-use anton_bench::harness::{ExperimentSpec, SweepPoint};
+use anton_bench::harness::{ExperimentSpec, Measurement, SweepPoint, Value};
 use anton_bench::{checked_cube, fail_usage, require, saturation_rate, values, FlagSet};
 use anton_core::chip::ChanId;
 use anton_core::config::MachineConfig;
@@ -47,32 +48,29 @@ fn schedule_json(s: &FaultSchedule) -> Json {
         .faults
         .iter()
         .map(|f| {
-            let (kind, detail) = match f.kind {
-                FaultKind::Degraded { ber } => ("degraded", Json::obj([("ber", Json::from(ber))])),
-                FaultKind::Down {
-                    from_cycle,
-                    until_cycle,
-                } => (
-                    "down",
+            let FaultKind::Down {
+                from_cycle,
+                until_cycle,
+            } = f.kind;
+            Json::obj([
+                ("node", Json::from(u64::from(f.from.0))),
+                ("chan", Json::from(f.chan.index() as u64)),
+                ("kind", Json::from("down")),
+                (
+                    "detail",
                     Json::obj([
                         ("from_cycle", Json::from(from_cycle)),
                         ("until_cycle", Json::from(until_cycle)),
                     ]),
                 ),
-            };
-            Json::obj([
-                ("node", Json::from(u64::from(f.from.0))),
-                ("chan", Json::from(f.chan.index() as u64)),
-                ("kind", Json::from(kind)),
-                ("detail", detail),
             ])
         })
         .collect::<Vec<_>>();
     Json::obj([
         ("seed", Json::from(s.seed)),
         ("default_ber", Json::from(s.default_ber)),
-        ("gbn_window", Json::from(u64::from(s.gbn.window))),
-        ("gbn_timeout", Json::from(s.gbn.timeout)),
+        ("gbn_window", Json::from(u64::from(SHIM_WINDOW))),
+        ("gbn_timeout", Json::from(SHIM_TIMEOUT)),
         ("faults", Json::Arr(faults)),
     ])
 }
@@ -209,13 +207,9 @@ fn main() {
         );
         let mut sim = Sim::builder().config(cfg.clone()).params(params).build();
         let outcome = sim.run(&mut driver, 50_000_000);
-        if outcome == RunOutcome::Completed {
-            sim.check_invariants()
-                .expect("invariants must hold at quiesce");
-        }
-        let m = sim.metrics();
-        let deadlocked = outcome == RunOutcome::Deadlocked;
-        if deadlocked {
+        if outcome == RunOutcome::Deadlocked {
+            // The run never finished, so the point has nothing to measure:
+            // it keeps only its report, and the sweep exits 1.
             let report = sim
                 .deadlock_report()
                 .expect("deadlock outcome carries a report");
@@ -224,14 +218,17 @@ fn main() {
                 .lock()
                 .expect("report list poisoned")
                 .push((point.index, report.to_json()));
-        } else {
-            assert_eq!(
-                outcome,
-                RunOutcome::Completed,
-                "fault-sweep point {} timed out",
-                point.index,
-            );
+            return values!["deadlocked" => true];
         }
+        assert_eq!(
+            outcome,
+            RunOutcome::Completed,
+            "fault-sweep point {} timed out",
+            point.index,
+        );
+        sim.check_invariants()
+            .expect("invariants must hold at quiesce");
+        let m = sim.metrics();
         let fault = m.fault.expect("fault schedule installed on every point");
         eprintln!(
             "[fault-sweep] {}/{n_points} ber {ber:.1e} load {load:.2} done ({} cycles)",
@@ -249,9 +246,10 @@ fn main() {
             "retransmission_overhead" => fault.retransmission_overhead(),
             "rerouted_packets" => m.stats.rerouted_packets,
             "reroute_latency_inflation" => driver.reroute_latency_inflation(),
-            "deadlocked" => deadlocked,
+            "deadlocked" => false,
         ]
     });
+    let deadlocked = |m: &Measurement| m.metric("deadlocked") == Some(&Value::Bool(true));
 
     println!(
         "{:>6} {:>10} {:>12} {:>9} {:>9} {:>9} {:>9} {:>12} {:>10} {:>9} {:>8}",
@@ -270,24 +268,27 @@ fn main() {
     for m in &measurements {
         let p = &spec.points()[m.index];
         let (ber, load) = (p.float("ber"), p.float("load"));
+        if deadlocked(m) {
+            println!("{load:>6.2} {ber:>10.1e} deadlocked: see deadlock_reports");
+            continue;
+        }
         // Latency inflation is relative to the BER = 0 control at the same
-        // offered load.
-        let base = measurements
-            .iter()
-            .find(|b| {
-                let bp = &spec.points()[b.index];
-                bp.float("ber") == 0.0 && bp.float("load") == load
-            })
-            .expect("the ber list includes the 0 control");
+        // offered load (NaN when that control deadlocked).
+        let base = measurements.iter().find(|b| {
+            let bp = &spec.points()[b.index];
+            bp.float("ber") == 0.0 && bp.float("load") == load && !deadlocked(b)
+        });
+        let inflation =
+            |name: &str| base.map_or(f64::NAN, |b| m.metric_f64(name) / b.metric_f64(name));
         println!(
             "{:>6.2} {:>10.1e} {:>12.5} {:>9} {:>8.2}x {:>9} {:>8.2}x {:>12} {:>9.4}% {:>9} {:>7.2}x",
             load,
             ber,
             m.metric_f64("throughput"),
             m.metric_f64("p50_latency") as u64,
-            m.metric_f64("p50_latency") / base.metric_f64("p50_latency"),
+            inflation("p50_latency"),
             m.metric_f64("p99_latency") as u64,
-            m.metric_f64("p99_latency") / base.metric_f64("p99_latency"),
+            inflation("p99_latency"),
             m.metric_f64("retransmissions") as u64,
             100.0 * m.metric_f64("retransmission_overhead"),
             m.metric_f64("rerouted_packets") as u64,
@@ -350,4 +351,11 @@ fn main() {
     println!("Expected shape: retransmission overhead and latency inflation rise");
     println!("monotonically with BER; throughput holds until the link-layer rewinds");
     println!("eat the torus headroom, then collapses at high BER.");
+    if !deadlock_reports.is_empty() {
+        eprintln!(
+            "[fault-sweep] {} of {n_points} points deadlocked",
+            deadlock_reports.len()
+        );
+        std::process::exit(1);
+    }
 }

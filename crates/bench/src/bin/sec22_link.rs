@@ -9,7 +9,7 @@
 
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
 use anton_bench::{require, values, FlagSet};
-use anton_link::channel::{LinkParams, LinkSim};
+use anton_link::channel::{LinkParams, LinkSim, EFFECTIVE_GBPS, RAW_GBPS};
 use anton_link::gobackn::GoBackNConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,15 +33,8 @@ fn main() {
     }
     println!("## Section 2.2 — torus channel link layer (8 x 14 Gb/s SerDes)");
     println!();
-    let base = LinkParams::default();
-    println!(
-        "Raw bandwidth/direction:       {:>7.1} Gb/s",
-        base.raw_gbps()
-    );
-    println!(
-        "Effective after framing (24/30): {:>5.1} Gb/s (paper: 89.6)",
-        base.effective_gbps()
-    );
+    println!("Raw bandwidth/direction:       {RAW_GBPS:>7.1} Gb/s");
+    println!("Effective after framing (24/30): {EFFECTIVE_GBPS:>5.1} Gb/s (paper: 89.6)");
     println!();
 
     let mut spec = ExperimentSpec::new("sec22_link", seed);
@@ -67,7 +60,7 @@ fn main() {
         let stats = sim.run_saturated(slots);
         values![
             "goodput_fraction" => stats.goodput_fraction(),
-            "goodput_gbps" => stats.goodput_gbps(&params),
+            "goodput_gbps" => stats.goodput_gbps(),
             "delivered" => stats.delivered,
             "retransmissions" => stats.retransmissions,
             "corrupted" => stats.corrupted,

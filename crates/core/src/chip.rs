@@ -493,7 +493,7 @@ impl ChipLayout {
     /// own router that is the target; X through-traffic — `arrived_x`, bound
     /// for an X adapter — standing at the skip partner of that adapter's
     /// router takes the skip channel; everything else takes the mesh hop
-    /// `dir_order` gives.
+    /// the Anton direction order ([`DirOrder::ANTON`]) gives.
     ///
     /// # Panics
     ///
@@ -501,7 +501,6 @@ impl ChipLayout {
     #[inline]
     pub fn next_attach(
         &self,
-        dir_order: &DirOrder,
         here: MeshCoord,
         target: LocalAttach,
         arrived_x: bool,
@@ -516,7 +515,7 @@ impl ChipLayout {
         } else if through_x && self.skip_partner(here) == Some(target_router) {
             LocalAttach::Skip
         } else {
-            let dir = dir_order.next_dir(here, target_router);
+            let dir = DirOrder::ANTON.next_dir(here, target_router);
             LocalAttach::Mesh(dir.expect("distinct routers need a mesh hop"))
         }
     }

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use crate::chip::{ChanId, ChipLayout, LocalEndpointId, NUM_CHAN_ADAPTERS};
-use crate::onchip::DirOrder;
 use crate::topology::{NodeCoord, NodeId, TorusShape};
 use crate::vc::VcPolicy;
 
@@ -41,20 +40,17 @@ pub struct MachineConfig {
     pub chip: ChipLayout,
     /// Virtual-channel allocation policy.
     pub vc_policy: VcPolicy,
-    /// On-chip direction-order routing algorithm.
-    pub dir_order: DirOrder,
 }
 
 impl MachineConfig {
     /// Creates a configuration with the paper's defaults: one endpoint per
-    /// router, the Anton VC promotion policy, and the (V⁻, U⁺, U⁻, V⁺)
-    /// direction order.
+    /// router and the Anton VC promotion policy. On-chip routing always
+    /// takes the (V⁻, U⁺, U⁻, V⁺) direction order, `DirOrder::ANTON`.
     pub fn new(shape: TorusShape) -> MachineConfig {
         MachineConfig {
             shape,
             chip: ChipLayout::default(),
             vc_policy: VcPolicy::Anton,
-            dir_order: DirOrder::ANTON,
         }
     }
 
@@ -171,7 +167,6 @@ mod tests {
     fn defaults_match_paper() {
         let cfg = MachineConfig::new(TorusShape::cube(8));
         assert_eq!(cfg.vc_policy, VcPolicy::Anton);
-        assert_eq!(cfg.dir_order, DirOrder::ANTON);
         assert_eq!(cfg.endpoints_per_node(), 16);
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The paper reports one machine, so these are constants, not parameters.
 //! The simulator times software injection, handler dispatch and every torus
-//! hop with them; the lint engine reads the torus round trip (AV017) from
-//! [`TORUS_LINK_CYCLES`]. The calibration lands the minimum
+//! hop with them; the lint engine's torus buffer check (AV008) and
+//! `anton-fault`'s compile-time check of the go-back-N timeout read the
+//! torus round trip from [`TORUS_LINK_CYCLES`]. The calibration lands the minimum
 //! software-to-software one-way latency near the paper's 99 ns and the
 //! per-hop cost near 39 ns.
 

@@ -212,7 +212,7 @@ pub(crate) fn leg(
     let arrived_x = arrived.is_some_and(|d| d.dim == Dim::X);
     let mut here = cfg.chip.link_routers(entry).1;
     loop {
-        let attach = cfg.chip.next_attach(&cfg.dir_order, here, exit, arrived_x);
+        let attach = cfg.chip.next_attach(here, exit, arrived_x);
         let link = match attach {
             LocalAttach::Mesh(dir) => LocalLink::Mesh { from: here, dir },
             LocalAttach::Skip => LocalLink::Skip { from: here },

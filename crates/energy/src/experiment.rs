@@ -9,6 +9,7 @@
 
 use anton_core::chip::LocalEndpointId;
 use anton_core::config::{GlobalEndpoint, MachineConfig};
+use anton_core::onchip::DirOrder;
 use anton_core::topology::{NodeId, TorusShape};
 use anton_sim::driver::{PayloadKind, RateDriver};
 use anton_sim::params::{SimParams, TraceConfig};
@@ -70,7 +71,7 @@ fn run_route(
     );
     let src_r = cfg.chip.endpoint_router(LocalEndpointId(0));
     let dst_r = cfg.chip.endpoint_router(LocalEndpointId(dst));
-    let routers = cfg.dir_order.router_path(src_r, dst_r).len();
+    let routers = DirOrder::ANTON.router_path(src_r, dst_r).len();
     (sim.router_energy(), packets, routers)
 }
 

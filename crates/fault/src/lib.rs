@@ -7,8 +7,9 @@
 //! machinery instead of assuming it away:
 //!
 //! - [`FaultSchedule`] describes, deterministically and reproducibly, which
-//!   links misbehave and how — a seeded baseline bit-error rate, per-link
-//!   degradations, and transient or permanent link-down windows.
+//!   links misbehave and how — a seeded bit-error rate on every link, and
+//!   transient or permanent link-down windows on chosen ones. Every shim
+//!   runs go-back-N with the fixed [`SHIM_WINDOW`] and [`SHIM_TIMEOUT`].
 //! - [`LinkShim`] is a per-link lossy-channel model that runs the real
 //!   [`anton_link`] go-back-N sender/receiver state machines under that
 //!   schedule. The simulator's torus `Wire` routes its flits through the
@@ -27,5 +28,5 @@
 pub mod schedule;
 pub mod shim;
 
-pub use schedule::{FaultKind, FaultSchedule, LinkFault, LinkProfile, SHIM_TIMEOUT, SHIM_WINDOW};
+pub use schedule::{FaultKind, FaultSchedule, LinkFault, SHIM_TIMEOUT, SHIM_WINDOW};
 pub use shim::{LinkShim, ShimEvent, ShimStats};

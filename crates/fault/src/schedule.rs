@@ -1,34 +1,34 @@
 //! Deterministic fault schedules.
 //!
 //! A [`FaultSchedule`] is a complete, self-contained description of link
-//! misbehavior for one simulation: a seed, a baseline bit-error rate applied
-//! to every external torus link, and a list of per-link exceptions
-//! (degraded BER or down windows). Serializing these few values into a
-//! results file is enough to reproduce a faulty run exactly.
+//! misbehavior for one simulation: a seed, a bit-error rate applied to every
+//! external torus link, and a list of per-link down windows. Serializing
+//! these few values into a results file is enough to reproduce a faulty run
+//! exactly. Every link shim runs go-back-N with the same window and timeout,
+//! [`SHIM_WINDOW`] and [`SHIM_TIMEOUT`].
 
 use anton_core::chip::ChanId;
+use anton_core::timing::TORUS_LINK_CYCLES;
 use anton_core::topology::NodeId;
-use anton_link::gobackn::GoBackNConfig;
 
-/// Go-back-N window used by link shims unless overridden: large enough that
-/// a fault-free torus link (round trip ≈ 2 × 44 cycles at ≈ 0.31
-/// frames/cycle ≈ 28 frames in flight) never stalls on the window.
+/// Go-back-N window of every link shim: large enough that a fault-free
+/// torus link (round trip ≈ 2 × 44 cycles at ≈ 0.31 frames/cycle ≈ 28
+/// frames in flight) never stalls on the window.
 pub const SHIM_WINDOW: u8 = 64;
 
-/// Retransmission timeout (cycles) used by link shims unless overridden:
-/// comfortably above the torus round trip (≈ 88 cycles) plus ack service
-/// jitter, so fault-free traffic never rewinds spuriously.
+/// Retransmission timeout (cycles) of every link shim: comfortably above
+/// the torus round trip (≈ 88 cycles) plus ack service jitter, so
+/// fault-free traffic never rewinds spuriously.
 pub const SHIM_TIMEOUT: u64 = 192;
+
+// The window must leave the 8-bit sequence space's halves distinguishable,
+// and the timeout must cover a round trip, or fault-free traffic rewinds.
+const _: () = assert!(SHIM_WINDOW >= 1 && SHIM_WINDOW <= 127);
+const _: () = assert!(SHIM_TIMEOUT >= 2 * TORUS_LINK_CYCLES);
 
 /// What is wrong with one particular link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
-    /// The link runs at the given bit-error rate instead of the schedule's
-    /// default (use a higher value for a permanently degraded link).
-    Degraded {
-        /// Per-bit error probability for this link.
-        ber: f64,
-    },
     /// Every frame (data and ack) on the link is lost while
     /// `from_cycle <= now < until_cycle`. Use `until_cycle = u64::MAX` for a
     /// permanently dead link.
@@ -52,42 +52,24 @@ pub struct LinkFault {
     pub kind: FaultKind,
 }
 
-/// Effective fault profile of a single link after applying the schedule's
-/// default and all matching per-link entries.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LinkProfile {
-    /// Bit-error rate in effect on this link.
-    pub ber: f64,
-    /// Outage windows `[from, until)` during which all frames are lost.
-    pub downs: Vec<(u64, u64)>,
-}
-
 /// A deterministic, reproducible description of link faults for one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     /// Master seed; each link derives an independent RNG stream from it, so
     /// corruption decisions do not depend on link iteration order.
     pub seed: u64,
-    /// Bit-error rate applied to every torus link not overridden by a
-    /// [`FaultKind::Degraded`] entry.
+    /// Bit-error rate applied to every torus link.
     pub default_ber: f64,
-    /// Go-back-N parameters for every link shim.
-    pub gbn: GoBackNConfig,
-    /// Per-link exceptions, applied in order (later entries win for BER).
+    /// Per-link exceptions, in the order they were added.
     pub faults: Vec<LinkFault>,
 }
 
 impl FaultSchedule {
-    /// A schedule applying `ber` uniformly to every torus link, with the
-    /// default shim go-back-N parameters.
+    /// A schedule applying `ber` uniformly to every torus link.
     pub fn uniform(seed: u64, ber: f64) -> FaultSchedule {
         FaultSchedule {
             seed,
             default_ber: ber,
-            gbn: GoBackNConfig {
-                window: SHIM_WINDOW,
-                timeout: SHIM_TIMEOUT,
-            },
             faults: Vec::new(),
         }
     }
@@ -98,26 +80,20 @@ impl FaultSchedule {
         self
     }
 
-    /// Resolves the effective profile of the link departing `from` through
-    /// `chan`.
-    pub fn profile(&self, from: NodeId, chan: ChanId) -> LinkProfile {
-        let mut profile = LinkProfile {
-            ber: self.default_ber,
-            downs: Vec::new(),
-        };
-        for f in &self.faults {
-            if f.from != from || f.chan != chan {
-                continue;
-            }
-            match f.kind {
-                FaultKind::Degraded { ber } => profile.ber = ber,
-                FaultKind::Down {
+    /// The outage windows `[from, until)` of the link departing `from`
+    /// through `chan`, in schedule order.
+    pub fn downs(&self, from: NodeId, chan: ChanId) -> Vec<(u64, u64)> {
+        self.faults
+            .iter()
+            .filter(|f| f.from == from && f.chan == chan)
+            .map(|f| {
+                let FaultKind::Down {
                     from_cycle,
                     until_cycle,
-                } => profile.downs.push((from_cycle, until_cycle)),
-            }
-        }
-        profile
+                } = f.kind;
+                (from_cycle, until_cycle)
+            })
+            .collect()
     }
 
     /// Independent RNG seed for the link with the given dense index (see
@@ -141,24 +117,20 @@ mod tests {
         ChanId::from_index(idx)
     }
 
+    /// A link's down windows apply to it alone; every other link keeps the
+    /// default, no outage.
     #[test]
     fn per_link_faults_override_default() {
+        let down = |from_cycle, until_cycle| FaultKind::Down {
+            from_cycle,
+            until_cycle,
+        };
         let sched = FaultSchedule::uniform(1, 1e-6)
-            .with_fault(NodeId(3), chan(2), FaultKind::Degraded { ber: 1e-3 })
-            .with_fault(
-                NodeId(3),
-                chan(2),
-                FaultKind::Down {
-                    from_cycle: 10,
-                    until_cycle: 20,
-                },
-            );
-        let hit = sched.profile(NodeId(3), chan(2));
-        assert_eq!(hit.ber, 1e-3);
-        assert_eq!(hit.downs, vec![(10, 20)]);
-        let miss = sched.profile(NodeId(3), chan(3));
-        assert_eq!(miss.ber, 1e-6);
-        assert!(miss.downs.is_empty());
+            .with_fault(NodeId(3), chan(2), down(10, 20))
+            .with_fault(NodeId(4), chan(2), down(0, 5))
+            .with_fault(NodeId(3), chan(2), down(30, 40));
+        assert_eq!(sched.downs(NodeId(3), chan(2)), vec![(10, 20), (30, 40)]);
+        assert!(sched.downs(NodeId(3), chan(3)).is_empty());
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub struct LinkShim {
     downs: Vec<(u64, u64)>,
     /// Go-back-N parameters, kept so [`LinkShim::drain_reset`] can restart
     /// the session with a fresh sender.
-    gbn: GoBackNConfig,
+    go_back_n: GoBackNConfig,
     tx: Sender,
     rx: Receiver,
     /// Data frames in flight toward the receiver (`None` = lost).
@@ -151,9 +151,11 @@ impl std::fmt::Debug for LinkShim {
 impl LinkShim {
     /// Creates a shim for one link direction.
     ///
-    /// `latency` is the ideal wire's propagation delay; `ber` the per-bit
-    /// error probability; `downs` outage windows; `seed` this link's
-    /// independent RNG stream (see `FaultSchedule::link_seed`).
+    /// `latency` is the ideal wire's propagation delay; `gbn` the go-back-N
+    /// window and timeout (the simulator's shims take [`crate::SHIM_WINDOW`]
+    /// and [`crate::SHIM_TIMEOUT`]); `ber` the per-bit error probability;
+    /// `downs` outage windows; `seed` this link's independent RNG stream
+    /// (see `FaultSchedule::link_seed`).
     pub fn new(
         latency: u64,
         gbn: GoBackNConfig,
@@ -167,7 +169,7 @@ impl LinkShim {
             latency,
             frame_loss_p,
             downs,
-            gbn,
+            go_back_n: gbn,
             tx: Sender::new(gbn),
             rx: Receiver::new(),
             forward: VecDeque::new(),
@@ -202,7 +204,7 @@ impl LinkShim {
         let undelivered = self.pending.len();
         self.prior_frames_sent += self.tx.frames_sent;
         self.prior_retransmissions += self.tx.retransmissions;
-        self.tx = Sender::new(self.gbn);
+        self.tx = Sender::new(self.go_back_n);
         self.rx = Receiver::new();
         self.forward.clear();
         self.reverse.clear();

@@ -11,16 +11,23 @@ use std::collections::VecDeque;
 
 use rand::Rng;
 
-use crate::frame::{Frame, EFFICIENCY, FLIT_BYTES, FRAME_BYTES};
+use crate::frame::{Frame, FLIT_BYTES, FRAME_BYTES};
 use crate::gobackn::{GoBackNConfig, Receiver, Sender};
 
-/// Physical parameters of one torus channel.
+/// SerDes lanes per torus channel and direction (Section 2.2).
+pub const LANES: u32 = 8;
+/// Line rate of one SerDes lane in Gb/s (Section 2.2).
+pub const LANE_GBPS: f64 = 14.0;
+/// Raw channel bandwidth in Gb/s per direction: 8 × 14 = 112.
+pub const RAW_GBPS: f64 = LANES as f64 * LANE_GBPS;
+/// Effective bandwidth after 24/30 framing, in Gb/s per direction, on an
+/// error-free channel: 112 × 24 / 30 = 89.6.
+pub const EFFECTIVE_GBPS: f64 = RAW_GBPS * FLIT_BYTES as f64 / FRAME_BYTES as f64;
+
+/// The settable parameters of one simulated torus channel; its lane count
+/// and rate are the constants [`LANES`] and [`LANE_GBPS`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
-    /// SerDes lanes per channel (Anton 2: 8).
-    pub lanes: u32,
-    /// Line rate per lane in Gb/s (Anton 2: 14).
-    pub lane_gbps: f64,
     /// One-way propagation delay in frame slots.
     pub prop_delay: u64,
     /// Independent probability that any single wire bit flips.
@@ -30,24 +37,9 @@ pub struct LinkParams {
 impl Default for LinkParams {
     fn default() -> LinkParams {
         LinkParams {
-            lanes: 8,
-            lane_gbps: 14.0,
             prop_delay: 4,
             bit_error_rate: 0.0,
         }
-    }
-}
-
-impl LinkParams {
-    /// Raw channel bandwidth in Gb/s per direction (Anton 2: 112).
-    pub fn raw_gbps(&self) -> f64 {
-        f64::from(self.lanes) * self.lane_gbps
-    }
-
-    /// Effective bandwidth after framing, in Gb/s per direction, assuming an
-    /// error-free channel (Anton 2: 89.6).
-    pub fn effective_gbps(&self) -> f64 {
-        self.raw_gbps() * EFFICIENCY
     }
 }
 
@@ -70,7 +62,7 @@ pub struct LinkStats {
 
 impl LinkStats {
     /// Goodput as a fraction of the raw channel bandwidth
-    /// (≤ [`EFFICIENCY`] = 0.8; equality on an error-free saturated link).
+    /// (≤ [`EFFICIENCY`](crate::frame::EFFICIENCY) = 0.8; equality on an error-free saturated link).
     pub fn goodput_fraction(&self) -> f64 {
         if self.slots == 0 {
             return 0.0;
@@ -78,9 +70,9 @@ impl LinkStats {
         (self.delivered as f64 * FLIT_BYTES as f64) / (self.slots as f64 * FRAME_BYTES as f64)
     }
 
-    /// Delivered bandwidth in Gb/s for the given physical parameters.
-    pub fn goodput_gbps(&self, params: &LinkParams) -> f64 {
-        self.goodput_fraction() * params.raw_gbps()
+    /// Delivered bandwidth in Gb/s, a share of [`RAW_GBPS`].
+    pub fn goodput_gbps(&self) -> f64 {
+        self.goodput_fraction() * RAW_GBPS
     }
 }
 
@@ -210,9 +202,9 @@ mod tests {
 
     #[test]
     fn params_match_paper_bandwidths() {
-        let p = LinkParams::default();
-        assert!((p.raw_gbps() - 112.0).abs() < 1e-9);
-        assert!((p.effective_gbps() - 89.6).abs() < 1e-9);
+        assert_eq!(RAW_GBPS, 112.0);
+        assert_eq!(EFFECTIVE_GBPS, 89.6);
+        assert!((RAW_GBPS * crate::EFFICIENCY - EFFECTIVE_GBPS).abs() < 1e-9);
     }
 
     #[test]
@@ -232,7 +224,7 @@ mod tests {
             "goodput {} below framing efficiency",
             stats.goodput_fraction()
         );
-        assert!((stats.goodput_gbps(&LinkParams::default()) - 89.6).abs() < 1.0);
+        assert!((stats.goodput_gbps() - EFFECTIVE_GBPS).abs() < 1.0);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! *"Unifying on-chip and inter-node switching within the Anton 2 network"*).
 //!
 //! Each of a node's twelve torus channels comprises eight 14 Gb/s SerDes
-//! (112 Gb/s raw per direction). The physical and link layers provide
-//! framing, CRC error checking, and go-back-N retransmission, leaving
-//! 89.6 Gb/s of effective bandwidth per direction. This crate implements
-//! that stack:
+//! ([`LANES`] × [`LANE_GBPS`] = [`RAW_GBPS`], 112 Gb/s raw per direction).
+//! The physical and link layers provide framing, CRC error checking, and
+//! go-back-N retransmission, leaving [`EFFECTIVE_GBPS`] = 89.6 Gb/s of
+//! effective bandwidth per direction. This crate implements that stack:
 //!
 //! * [`crc`] — CRC-16/CCITT error detection;
 //! * [`frame`] — 30-byte frames carrying 24-byte flits (the 80% derate);
@@ -29,7 +29,7 @@
 //! );
 //! let stats = sim.run_saturated(5_000);
 //! // An error-free saturated link delivers the paper's 89.6 Gb/s.
-//! assert!((stats.goodput_gbps(&LinkParams::default()) - 89.6).abs() < 2.0);
+//! assert!((stats.goodput_gbps() - anton_link::EFFECTIVE_GBPS).abs() < 2.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,6 +41,6 @@ pub mod crc;
 pub mod frame;
 pub mod gobackn;
 
-pub use channel::{LinkParams, LinkSim, LinkStats};
+pub use channel::{LinkParams, LinkSim, LinkStats, EFFECTIVE_GBPS, LANES, LANE_GBPS, RAW_GBPS};
 pub use frame::{Frame, FrameKind, EFFICIENCY, FLIT_BYTES, FRAME_BYTES};
 pub use gobackn::{GoBackNConfig, Receiver, Sender};

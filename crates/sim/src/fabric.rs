@@ -334,14 +334,12 @@ impl DegradedState {
     ) -> Option<(DegradedState, Vec<DownLinkSet>)> {
         let mut windows: Vec<(NodeId, ChanId, u64, u64)> = Vec::new();
         for f in &schedule.faults {
-            if let FaultKind::Down {
+            let FaultKind::Down {
                 from_cycle,
                 until_cycle,
-            } = f.kind
-            {
-                if from_cycle < until_cycle {
-                    windows.push((f.from, f.chan, from_cycle, until_cycle));
-                }
+            } = f.kind;
+            if from_cycle < until_cycle {
+                windows.push((f.from, f.chan, from_cycle, until_cycle));
             }
         }
         if windows.is_empty() {

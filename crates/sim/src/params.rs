@@ -9,7 +9,7 @@ pub use anton_core::timing::{CLOCK_GHZ, CYCLE_NS, TORUS_TOKEN_COST, TORUS_TOKEN_
 /// Mesh channel bandwidth: 192 bits per cycle at 1.5 GHz = 288 Gb/s.
 pub const MESH_GBPS: f64 = 288.0;
 /// Effective torus channel bandwidth per direction (after the link layer).
-pub const TORUS_EFFECTIVE_GBPS: f64 = 89.6;
+pub const TORUS_EFFECTIVE_GBPS: f64 = anton_link::EFFECTIVE_GBPS;
 
 /// Router pipeline depth in cycles: RC, VA, SA1, SA2 (Figure 12).
 pub const ROUTER_PIPELINE: u64 = 4;
@@ -139,7 +139,7 @@ pub struct SimParams {
     /// keeps every torus channel an ideal fixed-latency wire — the
     /// simulator's behavior is bit-for-bit unchanged. `Some` installs a
     /// lossy go-back-N link shim on every torus wire, driven by the
-    /// schedule's per-link BER and outage windows.
+    /// schedule's bit-error rate and per-link outage windows.
     pub fault: Option<anton_fault::FaultSchedule>,
     /// Observability: every instrument's switch. All off by default; see
     /// [`TraceConfig`].

@@ -163,8 +163,7 @@ impl Routers {
     fn route_stamped(&self, ridx: usize, ctx: &Ctx<'_>, target_code: u8, meta: u8) -> (usize, Vc) {
         let target = self.target_of_code[target_code as usize];
         let (here, arrived_x) = (self.routers[ridx].mesh, meta & 0x40 != 0);
-        let (chip, order) = (&ctx.cfg.chip, &ctx.cfg.dir_order);
-        let attach = chip.next_attach(order, here, target, arrived_x);
+        let attach = ctx.cfg.chip.next_attach(here, target, arrived_x);
         let port = self.port_of[ridx * self.attach_codes + attach.code()];
         debug_assert!(port != 0xFF, "routed attach must be a port");
         let vc = match attach {

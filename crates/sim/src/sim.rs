@@ -37,7 +37,8 @@ use anton_core::timing::TORUS_LINK_CYCLES;
 use anton_core::topology::NodeId;
 use anton_core::trace::GlobalLink;
 use anton_core::vc::Vc;
-use anton_fault::FaultKind;
+use anton_fault::{FaultKind, LinkShim, SHIM_TIMEOUT, SHIM_WINDOW};
+use anton_link::GoBackNConfig;
 use anton_obs::json::Json;
 use anton_obs::link_json;
 use anton_obs::{
@@ -218,8 +219,10 @@ pub struct StalledVc {
 ///
 /// Embedded in [`DeadlockReport`] so a watchdog trip is immediately
 /// classifiable: a trip on a `PredictedDeadlock` config is the static
-/// analysis coming true; a trip on a `CertifiedAcyclic` config means the
-/// simulator diverged from the verified model — a model or simulator bug.
+/// analysis coming true; a trip on a `CertifiedAcyclic` config means either
+/// a lossy link layer that stopped delivering (the report's shim backlogs
+/// are non-empty) or a simulator that diverged from the verified model — a
+/// model or simulator bug.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum StaticVerdict {
     /// Verification did not run (pre-flight off).
@@ -262,8 +265,8 @@ pub struct DeadlockReport {
     /// What the static verifier predicted for this configuration.
     pub static_verdict: StaticVerdict,
     /// External torus links that were Down (outage window covering the trip
-    /// cycle) or Degraded per the fault schedule, so a report can be
-    /// interpreted without re-deriving the schedule.
+    /// cycle) per the fault schedule, so a report can be interpreted without
+    /// re-deriving the schedule.
     pub down_links: Vec<GlobalLink>,
 }
 
@@ -281,6 +284,17 @@ impl std::fmt::Display for DeadlockReport {
                 f,
                 "  statically predicted: the pre-flight verifier found a \
                  channel-dependency cycle in this configuration"
+            )?,
+            // Certified, yet the link layer still holds flits: go-back-N is
+            // losing frames faster than it recovers them, which the
+            // channel-dependency model does not cover.
+            StaticVerdict::CertifiedAcyclic if !self.shim_backlogs.is_empty() => writeln!(
+                f,
+                "  link layer: this configuration was statically certified \
+                 deadlock-free, but {} lossy links still hold undelivered flits \
+                 — go-back-N is not recovering lost frames (bit-error rate too \
+                 high or link down), not a model bug",
+                self.shim_backlogs.len()
             )?,
             StaticVerdict::CertifiedAcyclic => writeln!(
                 f,
@@ -517,13 +531,16 @@ impl Sim {
                 // seed and the link's dense index, so fault decisions are
                 // reproducible and independent of wire construction order.
                 if let Some(schedule) = &params.fault {
-                    let profile = schedule.profile(node, c);
+                    let gbn = GoBackNConfig {
+                        window: SHIM_WINDOW,
+                        timeout: SHIM_TIMEOUT,
+                    };
                     let seed = schedule.link_seed(cfg.torus_link_index(node, c));
-                    wires[w].shim = Some(Box::new(anton_fault::LinkShim::new(
+                    wires[w].shim = Some(Box::new(LinkShim::new(
                         TORUS_LINK_CYCLES,
-                        schedule.gbn,
-                        profile.ber,
-                        profile.downs,
+                        gbn,
+                        schedule.default_ber,
+                        schedule.downs(node, c),
                         seed,
                     )));
                 }
@@ -1108,13 +1125,11 @@ impl Sim {
                     dir: f.chan.dir,
                     slice: f.chan.slice,
                 };
-                let active = match f.kind {
-                    FaultKind::Down {
-                        from_cycle,
-                        until_cycle,
-                    } => from_cycle <= self.now() && self.now() < until_cycle,
-                    FaultKind::Degraded { .. } => true,
-                };
+                let FaultKind::Down {
+                    from_cycle,
+                    until_cycle,
+                } = f.kind;
+                let active = from_cycle <= self.now() && self.now() < until_cycle;
                 if active && !report.down_links.contains(&link) {
                     report.down_links.push(link);
                 }

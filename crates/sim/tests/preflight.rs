@@ -6,6 +6,7 @@ use anton_arbiter::ArbiterKind;
 use anton_core::config::MachineConfig;
 use anton_core::topology::TorusShape;
 use anton_core::vc::VcPolicy;
+use anton_fault::FaultSchedule;
 use anton_sim::driver::BatchDriver;
 use anton_sim::params::{PreflightMode, SimParams};
 use anton_sim::sim::{RunOutcome, Sim, StaticVerdict};
@@ -73,6 +74,21 @@ fn enforce_mode_rejects_single_vc_torus() {
 fn enforce_mode_rejects_zero_watchdog() {
     let params = SimParams {
         watchdog_cycles: 0,
+        ..SimParams::default()
+    };
+    let _ = Sim::builder()
+        .config(MachineConfig::new(TorusShape::cube(2)))
+        .params(params)
+        .build();
+}
+
+/// A bit-error rate of 1 passes no frame; the pre-run gate names it (AV012)
+/// rather than letting the link shim's own assertion fire unlabeled.
+#[test]
+#[should_panic(expected = "AV012")]
+fn enforce_mode_rejects_a_bit_error_rate_of_one() {
+    let params = SimParams {
+        fault: Some(FaultSchedule::uniform(1, 1.0)),
         ..SimParams::default()
     };
     let _ = Sim::builder()

@@ -18,12 +18,12 @@
 //! | AV009 | —        | retired, not reused (latency parameters became constants) |
 //! | AV010 | —        | retired, not reused (torus link latency became a constant) |
 //! | AV011 | error/warning | fault schedule references a bad link |
-//! | AV012 | error    | bit-error rate outside `[0, 1]` |
+//! | AV012 | error    | bit-error rate outside `[0, 1)` |
 //! | AV013 | warning  | empty or inverted link-down window |
 //! | AV014 | error    | event tracing enabled with a zero-capacity ring |
 //! | AV015 | error    | zero watchdog period (trips immediately) |
 //! | AV016 | error    | arbiter `m_bits` / weight-table inconsistency |
-//! | AV017 | error/warning | go-back-N window or timeout misconfigured |
+//! | AV017 | —        | retired, not reused (the shim's go-back-N window and timeout became constants) |
 //! | AV018 | —        | retired, not reused (the simulator prices no energy) |
 //! | AV019 | error    | shard count zero or above the node count |
 //! | AV020 | error    | down links partition the network (unreachable node pairs) |
@@ -231,14 +231,14 @@ pub fn lint_shards(cfg: &MachineConfig, shards: usize) -> Option<Diagnostic> {
 }
 
 fn lint_fault(cfg: &MachineConfig, fault: &FaultSchedule, out: &mut Vec<Diagnostic>) {
-    // AV012: bit-error rates are probabilities.
-    let bad_ber = |ber: f64| !(0.0..=1.0).contains(&ber) || ber.is_nan();
-    if bad_ber(fault.default_ber) {
+    // AV012: a bit-error rate is a probability, and at 1 no frame ever
+    // crosses the link (the shim refuses it).
+    if !(0.0..1.0).contains(&fault.default_ber) {
         out.push(
             Diagnostic::error(
                 "AV012",
                 format!(
-                    "default bit-error rate {} outside [0, 1]",
+                    "default bit-error rate {} outside [0, 1)",
                     fault.default_ber
                 ),
             )
@@ -274,67 +274,21 @@ fn lint_fault(cfg: &MachineConfig, fault: &FaultSchedule, out: &mut Vec<Diagnost
                 .with("dim", f.chan.dir.dim),
             );
         }
-        match f.kind {
-            FaultKind::Degraded { ber } => {
-                if bad_ber(ber) {
-                    out.push(
-                        Diagnostic::error(
-                            "AV012",
-                            format!("fault #{i} bit-error rate {ber} outside [0, 1]"),
-                        )
-                        .with("fault", i)
-                        .with("ber", ber),
-                    );
-                }
-            }
-            FaultKind::Down {
-                from_cycle,
-                until_cycle,
-            } => {
-                // AV013: an empty window never fires — almost certainly a
-                // typo in the schedule.
-                if until_cycle <= from_cycle {
-                    out.push(
-                        Diagnostic::warning(
-                            "AV013",
-                            format!(
-                                "fault #{i} down-window [{from_cycle}, {until_cycle}) is empty"
-                            ),
-                        )
-                        .with("fault", i),
-                    );
-                }
-            }
+        // AV013: an empty window never fires — almost certainly a typo in
+        // the schedule.
+        let FaultKind::Down {
+            from_cycle,
+            until_cycle,
+        } = f.kind;
+        if until_cycle <= from_cycle {
+            out.push(
+                Diagnostic::warning(
+                    "AV013",
+                    format!("fault #{i} down-window [{from_cycle}, {until_cycle}) is empty"),
+                )
+                .with("fault", i),
+            );
         }
-    }
-    // AV017: go-back-N parameters.
-    if fault.gbn.window == 0 || fault.gbn.window >= 128 {
-        out.push(
-            Diagnostic::error(
-                "AV017",
-                format!(
-                    "go-back-N window {} invalid (must be 1..=127 so sequence-number \
-                     halves disambiguate)",
-                    fault.gbn.window
-                ),
-            )
-            .with("window", fault.gbn.window),
-        );
-    }
-    let min_timeout = 2 * TORUS_LINK_CYCLES;
-    if fault.gbn.timeout < min_timeout {
-        out.push(
-            Diagnostic::warning(
-                "AV017",
-                format!(
-                    "go-back-N timeout {} is below one round trip ({} cycles); \
-                     fault-free traffic will rewind spuriously",
-                    fault.gbn.timeout, min_timeout
-                ),
-            )
-            .with("timeout", fault.gbn.timeout)
-            .with("round_trip", min_timeout),
-        );
     }
 }
 

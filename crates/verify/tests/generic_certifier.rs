@@ -14,7 +14,6 @@
 use anton_core::config::MachineConfig;
 use anton_core::dimorder::DimOrderRouting;
 use anton_core::net::RoutePath;
-use anton_core::onchip::DirOrder;
 use anton_core::route_table::DownLinkSet;
 use anton_core::routing::RouteSpec;
 use anton_core::topology::{NodeId, Slice, TorusDir, TorusShape};
@@ -44,21 +43,6 @@ fn rectangular_tori_certify_through_the_generic_engine() {
             cc.enumerated_subset_of_symbolic,
             "{shape}: enumeration found an edge the engine's graph lacks"
         );
-    }
-}
-
-/// Every one of the 24 on-chip direction orders certifies on a 3×3×3
-/// torus: a `DirOrder` is a permutation of the mesh directions, so no
-/// order can break convergence or close a mesh cycle, and no lint checks
-/// one.
-#[test]
-fn every_direction_order_certifies() {
-    for order in DirOrder::all() {
-        let mut cfg = MachineConfig::new(TorusShape::cube(3));
-        cfg.dir_order = order;
-        let (cert, diags) = certify(&DimOrderRouting::new(cfg));
-        assert!(diags.is_empty(), "{diags:?}");
-        assert!(cert.acyclic, "{order}: {cert}");
     }
 }
 

@@ -147,7 +147,10 @@ fn av011_fault_on_nonexistent_link() {
     let sched = FaultSchedule::uniform(1, 0.0).with_fault(
         NodeId(64),
         chan,
-        FaultKind::Degraded { ber: 1e-9 },
+        FaultKind::Down {
+            from_cycle: 0,
+            until_cycle: 100,
+        },
     );
     let mut view = default_view();
     view.fault = Some(&sched);
@@ -170,7 +173,10 @@ fn av011_warns_on_extent_1_dimension() {
     let sched = FaultSchedule::uniform(1, 0.0).with_fault(
         NodeId(0),
         chan,
-        FaultKind::Degraded { ber: 1e-9 },
+        FaultKind::Down {
+            from_cycle: 0,
+            until_cycle: 100,
+        },
     );
     let mut view = default_view();
     view.fault = Some(&sched);
@@ -183,44 +189,39 @@ fn av011_warns_on_extent_1_dimension() {
 fn av012_av013_bad_ber_and_empty_window() {
     let cfg = default_cfg();
     let (from, chan) = x_plus_link();
-    let mut sched = FaultSchedule::uniform(1, 1.5); // default BER out of range
-    sched = sched
-        .with_fault(from, chan, FaultKind::Degraded { ber: -0.5 })
-        .with_fault(
-            from,
-            chan,
-            FaultKind::Down {
-                from_cycle: 100,
-                until_cycle: 100,
-            },
-        );
+    let sched = FaultSchedule::uniform(1, 1.5).with_fault(
+        from,
+        chan,
+        FaultKind::Down {
+            from_cycle: 100,
+            until_cycle: 100,
+        },
+    );
     let mut view = default_view();
     view.fault = Some(&sched);
     let diags = lint_params(&cfg, &view);
     let c = codes(&diags);
-    assert_eq!(c.iter().filter(|c| **c == "AV012").count(), 2, "{c:?}");
+    assert_eq!(c.iter().filter(|c| **c == "AV012").count(), 1, "{c:?}");
     assert!(c.contains(&"AV013"), "{c:?}");
 }
 
+/// A bit-error rate of exactly 1 loses every frame, and the link shim
+/// refuses it, so the lint must too: AV012 is `[0, 1)`, not `[0, 1]`.
 #[test]
-fn av017_gobackn_window_and_timeout() {
+fn av012_rejects_a_bit_error_rate_of_one() {
     let cfg = default_cfg();
-    let mut sched = FaultSchedule::uniform(1, 0.0);
-    sched.gbn.window = 0;
-    sched.gbn.timeout = 10; // below 2 * 44 cycles round trip
-    let mut view = default_view();
-    view.fault = Some(&sched);
-    let diags = lint_params(&cfg, &view);
-    let av017: Vec<_> = diags.iter().filter(|d| d.code == "AV017").collect();
-    assert_eq!(av017.len(), 2, "{diags:?}");
-    assert!(av017.iter().any(|d| d.severity == Severity::Error));
-    assert!(av017.iter().any(|d| d.severity == Severity::Warning));
-    // window 128 wraps the sequence-number space.
-    sched.gbn.window = 128;
-    sched.gbn.timeout = 1_000;
-    let mut view = default_view();
-    view.fault = Some(&sched);
-    assert!(codes(&lint_params(&cfg, &view)).contains(&"AV017"));
+    let lint = |ber: f64| {
+        let sched = FaultSchedule::uniform(1, ber);
+        let mut view = default_view();
+        view.fault = Some(&sched);
+        lint_params(&cfg, &view)
+    };
+    let diags = lint(1.0);
+    assert_eq!(codes(&diags), vec!["AV012"], "{diags:?}");
+    assert_eq!(diags[0].severity, Severity::Error);
+    assert!(diags[0].message.contains("[0, 1)"), "{}", diags[0].message);
+    assert!(lint(0.999).is_empty());
+    assert_eq!(codes(&lint(f64::NAN)), vec!["AV012"]);
 }
 
 fn weight_set(m_bits: u32, row: Vec<u32>) -> ArbiterWeightSet {

@@ -15,6 +15,8 @@
 //! * [`anton_verify`] — the Section 2.5 dependency graph (route enumeration
 //!   and symbolic certification), deadlock certificates and config lints;
 //! * [`anton_sim`] — the cycle-driven flit-level simulator;
+//! * [`anton_obs`] — observability: the JSON tree, the flight recorder,
+//!   time series and stall attribution;
 //! * [`anton_energy`] — the router energy model and measurement;
 //! * [`anton_area`] — the silicon area model;
 //! * [`anton_pack`] — machine packaging (backplanes, racks, cables);
@@ -74,6 +76,7 @@ pub use anton_core;
 pub use anton_energy;
 pub use anton_fault;
 pub use anton_link;
+pub use anton_obs;
 pub use anton_pack;
 pub use anton_sim;
 pub use anton_traffic;

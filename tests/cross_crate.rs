@@ -151,9 +151,8 @@ fn paper_configuration_builds_and_runs_at_8x8x8() {
 /// effective bandwidth (89.6/288 of a mesh channel).
 #[test]
 fn torus_rate_matches_link_layer_effective_bandwidth() {
-    use anton2::anton_link::channel::LinkParams;
     let sim_rate = torus_capacity();
-    let link_rate = LinkParams::default().effective_gbps() / 288.0;
+    let link_rate = anton2::anton_link::EFFECTIVE_GBPS / 288.0;
     assert!((sim_rate - link_rate).abs() < 1e-12);
 }
 
