@@ -43,7 +43,9 @@ fn main() {
     let mut spec = ExperimentSpec::new("fig13_energy", 0);
     for (name, _) in payloads {
         for (p, q) in rates {
-            spec.push_point(values!["payload" => name, "rate_num" => p, "rate_den" => q]);
+            spec.push_point(
+                values!["payload" => name, "rate_num" => u64::from(p), "rate_den" => u64::from(q)],
+            );
         }
     }
 

@@ -29,7 +29,7 @@
 
 use std::sync::Mutex;
 
-use anton_bench::harness::{ExperimentSpec, Measurement, SweepPoint, Value};
+use anton_bench::harness::{ExperimentSpec, Measurement, SweepPoint};
 use anton_bench::{checked_cube, fail_usage, require, saturation_rate, values, FlagSet};
 use anton_core::chip::ChanId;
 use anton_core::config::MachineConfig;
@@ -249,7 +249,7 @@ fn main() {
             "deadlocked" => false,
         ]
     });
-    let deadlocked = |m: &Measurement| m.metric("deadlocked") == Some(&Value::Bool(true));
+    let deadlocked = |m: &Measurement| m.metric("deadlocked") == Some(&Json::Bool(true));
 
     println!(
         "{:>6} {:>10} {:>12} {:>9} {:>9} {:>9} {:>9} {:>12} {:>10} {:>9} {:>8}",

@@ -9,10 +9,13 @@
 
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
 use anton_bench::{require, values, FlagSet};
-use anton_link::channel::{LinkParams, LinkSim, EFFECTIVE_GBPS, RAW_GBPS};
 use anton_link::gobackn::GoBackNConfig;
+use anton_link::{flip_bits, goodput_fraction, Link, EFFECTIVE_GBPS, RAW_GBPS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// One-way propagation delay of the channel, in frame slots.
+const PROP_DELAY: u64 = 4;
 
 fn main() {
     let args = FlagSet::new("sec22_link", "Section 2.2: torus-channel link layer")
@@ -43,28 +46,33 @@ fn main() {
     }
     let measurements = spec.run(1, |point: &SweepPoint| {
         let ber = point.float("ber");
-        let params = LinkParams {
-            bit_error_rate: ber,
-            ..LinkParams::default()
-        };
-        let mut sim = LinkSim::new(
-            params,
+        let mut link = Link::new(
             GoBackNConfig {
                 window: 32,
                 timeout: 64,
             },
-            // Every point uses the flag seed directly (not the derived
-            // per-point seed) so the table matches the pre-harness output.
-            StdRng::seed_from_u64(seed),
+            PROP_DELAY,
         );
-        let stats = sim.run_saturated(slots);
+        // Every point uses the flag seed directly (not the derived
+        // per-point seed) so the table matches the pre-harness output.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut wire = |frame| flip_bits(&mut rng, ber, frame);
+        for now in 0..slots {
+            if link.sender().can_accept() {
+                link.offer();
+            }
+            link.land(now, &mut wire);
+            link.transmit(now, &mut wire);
+        }
+        let delivered = link.receiver().accepted();
+        let goodput = goodput_fraction(delivered, slots);
         values![
-            "goodput_fraction" => stats.goodput_fraction(),
-            "goodput_gbps" => stats.goodput_gbps(),
-            "delivered" => stats.delivered,
-            "retransmissions" => stats.retransmissions,
-            "corrupted" => stats.corrupted,
-            "slots" => stats.slots,
+            "goodput_fraction" => goodput,
+            "goodput_gbps" => goodput * RAW_GBPS,
+            "delivered" => delivered,
+            "retransmissions" => link.sender().retransmissions,
+            "corrupted" => link.lost(),
+            "slots" => slots,
         ]
     });
 

@@ -11,7 +11,7 @@
 //! never share state, and results land in index-addressed slots.
 //!
 //! ```
-//! use anton_bench::harness::{ExperimentSpec, Value};
+//! use anton_bench::harness::{ExperimentSpec, Json};
 //! use anton_bench::values;
 //!
 //! let mut spec = ExperimentSpec::new("doc_example", 42);
@@ -22,7 +22,7 @@
 //!     let k = point.int("k");
 //!     values!["k_squared" => k * k]
 //! });
-//! assert_eq!(out[1].metric("k_squared"), Some(&Value::Int(16)));
+//! assert_eq!(out[1].metric("k_squared"), Some(&Json::Int(16)));
 //! ```
 
 use std::io;
@@ -30,94 +30,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use anton_obs::json::Json;
+pub use anton_obs::json::Json;
 
-/// A typed parameter or metric value.
-///
-/// One enum serves both sides of a [`Measurement`]: sweep parameters (what
-/// was configured) and metrics (what was observed).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// An integer parameter or counter.
-    Int(i64),
-    /// A real-valued measurement.
-    Float(f64),
-    /// A label (pattern name, arbiter setup, payload kind…).
-    Str(String),
-    /// A boolean switch.
-    Bool(bool),
-}
-
-macro_rules! value_from_int {
-    ($($t:ty),*) => {$(
-        impl From<$t> for Value {
-            fn from(v: $t) -> Value {
-                Value::Int(v as i64)
-            }
-        }
-    )*};
-}
-value_from_int!(i8, i16, i32, i64, u8, u16, u32, usize);
-
-impl From<u64> for Value {
-    fn from(v: u64) -> Value {
-        Value::Int(i64::try_from(v).unwrap_or(i64::MAX))
-    }
-}
-
-impl From<f64> for Value {
-    fn from(v: f64) -> Value {
-        Value::Float(v)
-    }
-}
-
-impl From<f32> for Value {
-    fn from(v: f32) -> Value {
-        Value::Float(f64::from(v))
-    }
-}
-
-impl From<bool> for Value {
-    fn from(v: bool) -> Value {
-        Value::Bool(v)
-    }
-}
-
-impl From<&str> for Value {
-    fn from(v: &str) -> Value {
-        Value::Str(v.to_string())
-    }
-}
-
-impl From<String> for Value {
-    fn from(v: String) -> Value {
-        Value::Str(v)
-    }
-}
-
-impl From<&Value> for Json {
-    fn from(v: &Value) -> Json {
-        match v {
-            Value::Int(i) => Json::Int(*i),
-            Value::Float(x) => Json::Float(*x),
-            Value::Str(s) => Json::Str(s.clone()),
-            Value::Bool(b) => Json::Bool(*b),
-        }
-    }
-}
-
-impl std::fmt::Display for Value {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => write!(f, "{x}"),
-            Value::Str(s) => f.write_str(s),
-            Value::Bool(b) => write!(f, "{b}"),
-        }
-    }
-}
-
-/// Builds a `Vec<(String, Value)>` — the parameter/metric list shape used
+/// Builds a `Vec<(String, Json)>` — the parameter/metric list shape used
 /// throughout the harness — from `key => value` pairs of mixed types.
 ///
 /// ```
@@ -128,7 +43,7 @@ impl std::fmt::Display for Value {
 #[macro_export]
 macro_rules! values {
     ($($k:expr => $v:expr),* $(,)?) => {
-        vec![$(($k.to_string(), $crate::harness::Value::from($v))),*]
+        vec![$(($k.to_string(), $crate::harness::Json::from($v))),*]
     };
 }
 
@@ -142,48 +57,47 @@ pub struct SweepPoint {
     /// only, never of thread scheduling.
     pub seed: u64,
     /// Typed sweep parameters, in declaration order.
-    pub params: Vec<(String, Value)>,
+    pub params: Vec<(String, Json)>,
 }
 
 impl SweepPoint {
     /// Looks up a parameter by name.
-    pub fn param(&self, name: &str) -> Option<&Value> {
+    pub fn param(&self, name: &str) -> Option<&Json> {
         self.params.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
 
     /// Integer parameter accessor; panics with the point context if the
     /// parameter is missing or not an integer.
     pub fn int(&self, name: &str) -> i64 {
-        match self.param(name) {
-            Some(Value::Int(i)) => *i,
-            other => panic!(
-                "point {}: expected int param `{name}`, got {other:?}",
+        let value = self.param(name);
+        value.and_then(Json::as_i64).unwrap_or_else(|| {
+            panic!(
+                "point {}: expected int param `{name}`, got {value:?}",
                 self.index
-            ),
-        }
+            )
+        })
     }
 
     /// Float parameter accessor; integer parameters promote to float.
     pub fn float(&self, name: &str) -> f64 {
-        match self.param(name) {
-            Some(Value::Float(x)) => *x,
-            Some(Value::Int(i)) => *i as f64,
-            other => panic!(
-                "point {}: expected float param `{name}`, got {other:?}",
+        let value = self.param(name);
+        value.and_then(Json::as_f64).unwrap_or_else(|| {
+            panic!(
+                "point {}: expected float param `{name}`, got {value:?}",
                 self.index
-            ),
-        }
+            )
+        })
     }
 
     /// String parameter accessor.
     pub fn str(&self, name: &str) -> &str {
-        match self.param(name) {
-            Some(Value::Str(s)) => s,
-            other => panic!(
-                "point {}: expected string param `{name}`, got {other:?}",
+        let value = self.param(name);
+        value.and_then(Json::as_str).unwrap_or_else(|| {
+            panic!(
+                "point {}: expected string param `{name}`, got {value:?}",
                 self.index
-            ),
-        }
+            )
+        })
     }
 }
 
@@ -196,28 +110,27 @@ pub struct Measurement {
     /// The seed the point ran with.
     pub seed: u64,
     /// The point's parameters (copied so a measurement is self-describing).
-    pub params: Vec<(String, Value)>,
+    pub params: Vec<(String, Json)>,
     /// Observed metrics, in the order the experiment body reported them.
-    pub metrics: Vec<(String, Value)>,
+    pub metrics: Vec<(String, Json)>,
 }
 
 impl Measurement {
     /// Looks up a metric by name.
-    pub fn metric(&self, name: &str) -> Option<&Value> {
+    pub fn metric(&self, name: &str) -> Option<&Json> {
         self.metrics.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
 
     /// Float metric accessor; integer metrics promote to float. Panics if
     /// the metric is missing or non-numeric.
     pub fn metric_f64(&self, name: &str) -> f64 {
-        match self.metric(name) {
-            Some(Value::Float(x)) => *x,
-            Some(Value::Int(i)) => *i as f64,
-            other => panic!(
-                "measurement {}: expected numeric metric `{name}`, got {other:?}",
+        let value = self.metric(name);
+        value.and_then(Json::as_f64).unwrap_or_else(|| {
+            panic!(
+                "measurement {}: expected numeric metric `{name}`, got {value:?}",
                 self.index
-            ),
-        }
+            )
+        })
     }
 }
 
@@ -261,7 +174,7 @@ impl ExperimentSpec {
     }
 
     /// Appends a sweep point, assigning its index and derived seed.
-    pub fn push_point(&mut self, params: Vec<(String, Value)>) -> &mut Self {
+    pub fn push_point(&mut self, params: Vec<(String, Json)>) -> &mut Self {
         let index = self.points.len();
         let seed = derive_seed(self.base_seed, index as u64);
         self.points.push(SweepPoint {
@@ -288,12 +201,12 @@ impl ExperimentSpec {
     /// A panic in `body` propagates to the caller once the scope unwinds.
     pub fn run<F>(&self, threads: usize, body: F) -> Vec<Measurement>
     where
-        F: Fn(&SweepPoint) -> Vec<(String, Value)> + Sync,
+        F: Fn(&SweepPoint) -> Vec<(String, Json)> + Sync,
     {
         let n = self.points.len();
         let workers = threads.clamp(1, n.max(1));
         let next = AtomicUsize::new(0);
-        type ResultSlot = Mutex<Option<Vec<(String, Value)>>>;
+        type ResultSlot = Mutex<Option<Vec<(String, Json)>>>;
         let slots: Vec<ResultSlot> = (0..n).map(|_| Mutex::new(None)).collect();
 
         std::thread::scope(|scope| {
@@ -336,22 +249,14 @@ impl ExperimentSpec {
     /// [`RESULTS_SCHEMA_VERSION_V2`] and appends the sections after
     /// `points`.
     pub fn results_json(&self, measurements: &[Measurement], attachments: &[(&str, Json)]) -> Json {
-        let obj = |pairs: &[(String, Value)]| {
-            Json::Obj(
-                pairs
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::from(v)))
-                    .collect(),
-            )
-        };
         let points = measurements
             .iter()
             .map(|m| {
                 Json::obj([
                     ("index", Json::from(m.index)),
                     ("seed", Json::from(m.seed)),
-                    ("params", obj(&m.params)),
-                    ("metrics", obj(&m.metrics)),
+                    ("params", Json::Obj(m.params.clone())),
+                    ("metrics", Json::Obj(m.metrics.clone())),
                 ])
             })
             .collect::<Vec<_>>();

@@ -37,7 +37,7 @@ use anton_verify::Diagnostic;
 
 pub use cli::{checked_cube, checked_torus, fail_usage, make_pattern, require, write_output};
 pub use flags::{FlagSet, ParsedFlags};
-pub use harness::{ExperimentSpec, Measurement, SweepPoint, Value};
+pub use harness::{ExperimentSpec, Measurement, SweepPoint};
 
 /// Effective torus-channel capacity in packets per cycle (single-flit
 /// packets).

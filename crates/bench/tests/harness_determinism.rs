@@ -23,7 +23,7 @@ fn mini_sweep() -> ExperimentSpec {
 fn body(
     cfg: &MachineConfig,
     sat: f64,
-) -> impl Fn(&SweepPoint) -> Vec<(String, anton_bench::Value)> + Sync + '_ {
+) -> impl Fn(&SweepPoint) -> Vec<(String, anton_bench::harness::Json)> + Sync + '_ {
     move |point| {
         let batch = point.int("batch") as u64;
         let BatchRun {

@@ -10,16 +10,16 @@
 //!   links misbehave and how — a seeded bit-error rate on every link, and
 //!   transient or permanent link-down windows on chosen ones. Every shim
 //!   runs go-back-N with the fixed [`SHIM_WINDOW`] and [`SHIM_TIMEOUT`].
-//! - [`LinkShim`] is a per-link lossy-channel model that runs the real
-//!   [`anton_link`] go-back-N sender/receiver state machines under that
-//!   schedule. The simulator's torus `Wire` routes its flits through the
+//! - [`LinkShim`] is a per-link lossy-channel model that drives the real
+//!   go-back-N loop, [`anton_link::Link`], under that schedule: its wire
+//!   loses a frame during an outage or with the per-frame corruption
+//!   probability. The simulator's torus `Wire` routes its flits through the
 //!   shim, so corrupted frames stall and rewind real in-flight traffic.
 //!
 //! The shim is packet-agnostic: the wire hands it flit counts, the shim
 //! answers with "this many packets completed this cycle", and the wire keeps
-//! the actual packet queue. Flit payloads carry a serial number so the shim
-//! self-checks that the link layer delivered every flit exactly once and in
-//! order.
+//! the actual packet queue. Flit payloads carry a serial number so the link
+//! self-checks that it delivered every flit exactly once and in order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,18 +2,19 @@
 //!
 //! A [`LinkShim`] sits between a torus `Wire`'s send side and its receive
 //! buffers. The wire enqueues each packet's flits; the shim pushes them
-//! through the real [`anton_link`] go-back-N sender, frames them, corrupts
-//! or drops them according to the link's fault profile, runs the receiver,
-//! and reports how many *packets* finished crossing the link each cycle.
-//! The wire keeps the actual packet queue (delivery is strictly FIFO, which
-//! go-back-N guarantees), so the shim itself stays packet-agnostic.
+//! through [`anton_link::Link`], the go-back-N loop, handing it as its wire
+//! the link's fault profile (a frame is lost during an outage or with the
+//! per-frame corruption probability), and reports how many *packets*
+//! finished crossing the link each cycle. The wire keeps the actual packet
+//! queue (delivery is strictly FIFO, which go-back-N guarantees), so the
+//! shim itself stays packet-agnostic: it keeps only the rate limit, the
+//! queued packets' flit counts, the loss model and an optional event log.
 //!
 //! State is O(window) per link direction, whatever traffic it carries: the
 //! sender's unacknowledged frames, the frames and acks on the wire (at most
 //! one a cycle each way over the latency), and the flit counts of queued
-//! packets. Each flit's payload carries its serial, and the shim checks it
-//! the moment the receiver accepts the frame — in order, exactly once —
-//! so nothing delivered is kept.
+//! packets. The link checks each accepted flit's serial — in order, exactly
+//! once — so nothing delivered is kept.
 //!
 //! Rate model: a token bucket with the same gain/cost ratio as the
 //! serializer's (14/45 ≈ 0.311 frames per cycle — exactly the 112 Gb/s raw
@@ -27,8 +28,9 @@
 use std::collections::VecDeque;
 
 use anton_core::timing::{TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
-use anton_link::frame::{Frame, FRAME_BYTES};
-use anton_link::gobackn::{GoBackNConfig, Receiver, Sender};
+use anton_link::frame::{Frame, FrameKind, FRAME_BYTES};
+use anton_link::gobackn::GoBackNConfig;
+use anton_link::Link;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -89,63 +91,57 @@ pub enum ShimEvent {
     AckFrameDropped,
 }
 
-/// One direction of one lossy external torus link.
-pub struct LinkShim {
-    /// One-way propagation delay in cycles (same as the ideal wire's).
-    latency: u64,
+/// The shim's wire: which frames put on the link never arrive.
+#[derive(Debug)]
+struct Loss {
     /// Per-frame corruption probability, `1 - (1 - ber)^240`.
     frame_loss_p: f64,
     /// Outage windows `[from, until)`.
     downs: Vec<(u64, u64)>,
-    /// Go-back-N parameters, kept so [`LinkShim::drain_reset`] can restart
-    /// the session with a fresh sender.
-    go_back_n: GoBackNConfig,
-    tx: Sender,
-    rx: Receiver,
-    /// Data frames in flight toward the receiver (`None` = lost).
-    forward: VecDeque<(u64, Option<Frame>)>,
-    /// Cumulative acks in flight back toward the sender (`None` = lost).
-    reverse: VecDeque<(u64, Option<u8>)>,
+    rng: StdRng,
+    data_frames_dropped: u64,
+    ack_frames_dropped: u64,
+}
+
+impl Loss {
+    /// Carries a frame put on the wire at `now`: it is lost always during
+    /// an outage window, otherwise with the per-frame corruption
+    /// probability.
+    fn carry(&mut self, now: u64, frame: Frame) -> Option<Frame> {
+        let down = self
+            .downs
+            .iter()
+            .any(|&(from, until)| from <= now && now < until);
+        if !(down || self.frame_loss_p > 0.0 && self.rng.gen_bool(self.frame_loss_p)) {
+            return Some(frame);
+        }
+        match frame.kind {
+            FrameKind::Data => self.data_frames_dropped += 1,
+            FrameKind::Ack => self.ack_frames_dropped += 1,
+        }
+        None
+    }
+}
+
+/// One direction of one lossy external torus link.
+#[derive(Debug)]
+pub struct LinkShim {
+    link: Link,
+    loss: Loss,
     /// Flit counts of packets queued through the shim, FIFO.
     pending: VecDeque<u8>,
     /// Flits of the front pending packet already delivered.
-    head_done: u8,
-    /// Serial of the next flit to enqueue (payloads carry serials so the
-    /// shim can self-check in-order exactly-once delivery).
-    next_enqueue: u64,
-    /// Serial of the next flit to offer into the go-back-N window.
-    next_offer: u64,
-    /// Serial the next delivered flit must carry.
-    next_expect: u64,
+    head_done: u32,
+    /// Flits enqueued but not yet offered into the go-back-N window.
+    unoffered: u64,
     tokens: u64,
     tokens_at: u64,
     /// Cycle of the last data-frame transmission (at most one per cycle).
     last_tx: Option<u64>,
-    rng: StdRng,
-    data_frames_dropped: u64,
-    ack_frames_dropped: u64,
-    flits_delivered: u64,
-    /// Sender counters accumulated across [`LinkShim::drain_reset`] calls
-    /// (each reset rebuilds the sender, zeroing its own counters).
-    prior_frames_sent: u64,
-    prior_retransmissions: u64,
     /// Cycle-stamped event log; `None` (the default) records nothing, so
     /// the fault path's behavior and cost are unchanged unless a flight
     /// recorder asks for events.
     events: Option<Vec<(u64, ShimEvent)>>,
-}
-
-impl std::fmt::Debug for LinkShim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LinkShim")
-            .field("latency", &self.latency)
-            .field("frame_loss_p", &self.frame_loss_p)
-            .field("downs", &self.downs)
-            .field("pending", &self.pending.len())
-            .field("in_window", &self.tx.in_flight())
-            .field("stats", &self.stats())
-            .finish_non_exhaustive()
-    }
 }
 
 impl LinkShim {
@@ -164,56 +160,38 @@ impl LinkShim {
         seed: u64,
     ) -> LinkShim {
         assert!((0.0..1.0).contains(&ber), "bit-error rate must be in [0,1)");
-        let frame_loss_p = 1.0 - (1.0 - ber).powi(FRAME_BITS as i32);
         LinkShim {
-            latency,
-            frame_loss_p,
-            downs,
-            go_back_n: gbn,
-            tx: Sender::new(gbn),
-            rx: Receiver::new(),
-            forward: VecDeque::new(),
-            reverse: VecDeque::new(),
+            link: Link::new(gbn, latency),
+            loss: Loss {
+                frame_loss_p: 1.0 - (1.0 - ber).powi(FRAME_BITS as i32),
+                downs,
+                rng: StdRng::seed_from_u64(seed),
+                data_frames_dropped: 0,
+                ack_frames_dropped: 0,
+            },
             pending: VecDeque::new(),
             head_done: 0,
-            next_enqueue: 0,
-            next_offer: 0,
-            next_expect: 0,
+            unoffered: 0,
             tokens: TOKEN_CAP,
             tokens_at: 0,
             last_tx: None,
-            rng: StdRng::seed_from_u64(seed),
-            data_frames_dropped: 0,
-            ack_frames_dropped: 0,
-            flits_delivered: 0,
-            prior_frames_sent: 0,
-            prior_retransmissions: 0,
             events: None,
         }
     }
 
     /// Tears down the link-layer session when the link goes `Down`:
     /// discards every frame in flight, the retransmission window, and all
-    /// queued packets, and restarts the sender/receiver state machines
-    /// with realigned flit serials. Returns how many packets were still
-    /// queued (including a partially delivered head packet) — the caller
-    /// owns the actual packet queue and must requeue exactly those
-    /// entries through a higher-level recovery path, exactly once.
-    /// Cumulative statistics survive the reset.
+    /// queued packets, and restarts the sender/receiver state machines.
+    /// Returns how many packets were still queued (including a partially
+    /// delivered head packet) — the caller owns the actual packet queue and
+    /// must requeue exactly those entries through a higher-level recovery
+    /// path, exactly once. Cumulative statistics survive the reset.
     pub fn drain_reset(&mut self, now: u64) -> usize {
         let undelivered = self.pending.len();
-        self.prior_frames_sent += self.tx.frames_sent;
-        self.prior_retransmissions += self.tx.retransmissions;
-        self.tx = Sender::new(self.go_back_n);
-        self.rx = Receiver::new();
-        self.forward.clear();
-        self.reverse.clear();
+        self.link.reset();
         self.pending.clear();
         self.head_done = 0;
-        // Serials stay monotonic across sessions so the in-order
-        // self-check keeps holding after the restart.
-        self.next_offer = self.next_enqueue;
-        self.next_expect = self.next_enqueue;
+        self.unoffered = 0;
         self.tokens = TOKEN_CAP;
         self.tokens_at = now;
         self.last_tx = None;
@@ -235,10 +213,22 @@ impl LinkShim {
         }
     }
 
-    #[inline]
-    fn log_event(&mut self, now: u64, ev: ShimEvent) {
-        if let Some(log) = &mut self.events {
-            log.push((now, ev));
+    /// Logs, stamped `now`, what the counters gained since `before`: the
+    /// acks lost while landing, then the retransmission and the data frame
+    /// lost while transmitting (at most one transmission a cycle).
+    fn log_since(&mut self, now: u64, before: Option<ShimStats>) {
+        use ShimEvent::{AckFrameDropped, DataFrameDropped, Retransmit};
+        let Some(before) = before else { return };
+        let after = self.stats();
+        let Some(log) = &mut self.events else { return };
+        let gained = [
+            after.ack_frames_dropped - before.ack_frames_dropped,
+            after.retransmissions - before.retransmissions,
+            after.data_frames_dropped - before.data_frames_dropped,
+        ];
+        let kinds = [AckFrameDropped, Retransmit, DataFrameDropped];
+        for (ev, n) in kinds.into_iter().zip(gained) {
+            log.extend((0..n).map(|_| (now, ev)));
         }
     }
 
@@ -247,42 +237,36 @@ impl LinkShim {
     /// same cycle, matching the ideal wire's timing).
     pub fn enqueue(&mut self, now: u64, flits: u8) {
         assert!(flits > 0, "packets carry at least one flit");
+        let before = self.events.is_some().then(|| self.stats());
         self.pending.push_back(flits);
-        self.next_enqueue += u64::from(flits);
+        self.unoffered += u64::from(flits);
         self.pump(now);
+        self.log_since(now, before);
     }
 
     /// Advances the link by one cycle: lands acks and data frames whose
-    /// propagation delay has elapsed, checks each flit the receiver
-    /// accepts, and (re)transmits. Returns how many packets finished
-    /// crossing the link this cycle; the caller pops that many from its
-    /// own FIFO.
+    /// propagation delay has elapsed and (re)transmits. Returns how many
+    /// packets finished crossing the link this cycle; the caller pops that
+    /// many from its own FIFO.
     pub fn advance(&mut self, now: u64) -> u32 {
+        let before = self.events.is_some().then(|| self.stats());
+        let loss = &mut self.loss;
+        self.head_done += self.link.land(now, |f| loss.carry(now, f));
         let mut completed = 0;
-        while self.reverse.front().is_some_and(|&(t, _)| t <= now) {
-            let (_, ack) = self.reverse.pop_front().unwrap();
-            if let Some(ack) = ack {
-                self.tx.on_ack(ack, now);
+        while let Some(&head) = self.pending.front() {
+            if self.head_done < u32::from(head) {
+                break;
             }
+            self.head_done -= u32::from(head);
+            self.pending.pop_front();
+            completed += 1;
         }
-        while self.forward.front().is_some_and(|&(t, _)| t <= now) {
-            let (_, frame) = self.forward.pop_front().unwrap();
-            if let Some(frame) = frame {
-                let before = self.rx.expected();
-                let ack = self.rx.on_frame(&frame);
-                if ack != before {
-                    completed += self.accept(&frame);
-                }
-                if self.lose(now) {
-                    self.ack_frames_dropped += 1;
-                    self.log_event(now, ShimEvent::AckFrameDropped);
-                    self.reverse.push_back((now + self.latency, None));
-                } else {
-                    self.reverse.push_back((now + self.latency, Some(ack)));
-                }
-            }
-        }
+        assert!(
+            self.head_done == 0 || !self.pending.is_empty(),
+            "delivered flit without a pending packet"
+        );
         self.pump(now);
+        self.log_since(now, before);
         completed
     }
 
@@ -296,29 +280,29 @@ impl LinkShim {
     /// goes onto the link), so a caller may tick only then, or every
     /// cycle, with identical results.
     pub fn next_event(&self) -> u64 {
-        let data = self.forward.front().map_or(u64::MAX, |&(t, _)| t);
-        let ack = self.reverse.front().map_or(u64::MAX, |&(t, _)| t);
         let tokens_due = self.tokens_at
             + u64::from(TORUS_TOKEN_COST)
                 .saturating_sub(self.tokens)
                 .div_ceil(u64::from(TORUS_TOKEN_GAIN));
         let slot_free = self.last_tx.map_or(0, |t| t + 1);
-        let transmit = self.tx.next_frame_slot().max(tokens_due).max(slot_free);
-        data.min(ack).min(transmit)
+        let transmit = self
+            .link
+            .sender()
+            .next_frame_slot()
+            .max(tokens_due)
+            .max(slot_free);
+        self.link.next_landing().min(transmit)
     }
 
     /// Whether the link has fully drained: no queued packets, no frames in
     /// flight, and no unacknowledged frames awaiting (re)transmission.
     pub fn idle(&self) -> bool {
-        self.pending.is_empty()
-            && self.forward.is_empty()
-            && self.reverse.is_empty()
-            && self.tx.in_flight() == 0
+        self.pending.is_empty() && self.link.idle()
     }
 
     /// Flits currently inside the shim (enqueued but not yet delivered).
     pub fn backlog_flits(&self) -> u64 {
-        self.next_enqueue - self.next_expect
+        self.unoffered + self.link.in_transit()
     }
 
     /// Packets currently queued through the shim.
@@ -328,39 +312,14 @@ impl LinkShim {
 
     /// Snapshot of this link's counters.
     pub fn stats(&self) -> ShimStats {
+        let tx = self.link.sender();
         ShimStats {
-            frames_sent: self.prior_frames_sent + self.tx.frames_sent,
-            retransmissions: self.prior_retransmissions + self.tx.retransmissions,
-            data_frames_dropped: self.data_frames_dropped,
-            ack_frames_dropped: self.ack_frames_dropped,
-            flits_delivered: self.flits_delivered,
+            frames_sent: tx.frames_sent,
+            retransmissions: tx.retransmissions,
+            data_frames_dropped: self.loss.data_frames_dropped,
+            ack_frames_dropped: self.loss.ack_frames_dropped,
+            flits_delivered: self.link.receiver().accepted(),
         }
-    }
-
-    /// Takes the flit the receiver has just accepted from `frame`:
-    /// self-checks its serial (in order, exactly once) and returns 1 when it
-    /// completes the head packet, else 0.
-    fn accept(&mut self, frame: &Frame) -> u32 {
-        let serial = u64::from_le_bytes(frame.payload[..8].try_into().unwrap());
-        assert_eq!(
-            serial, self.next_expect,
-            "lossy-link shim: go-back-N delivered flit {serial} while \
-             expecting {} (out-of-order or duplicated delivery)",
-            self.next_expect
-        );
-        self.next_expect += 1;
-        self.flits_delivered += 1;
-        self.head_done += 1;
-        let head = *self
-            .pending
-            .front()
-            .expect("delivered flit without a pending packet");
-        if self.head_done < head {
-            return 0;
-        }
-        self.pending.pop_front();
-        self.head_done = 0;
-        1
     }
 
     /// Offers queued flits into the window and transmits at most one data
@@ -369,43 +328,18 @@ impl LinkShim {
         self.tokens =
             (self.tokens + u64::from(TORUS_TOKEN_GAIN) * (now - self.tokens_at)).min(TOKEN_CAP);
         self.tokens_at = now;
-        while self.next_offer < self.next_enqueue && self.tx.can_accept() {
-            let mut payload = [0u8; 24];
-            payload[..8].copy_from_slice(&self.next_offer.to_le_bytes());
-            self.tx.offer(payload);
-            self.next_offer += 1;
+        while self.unoffered > 0 && self.link.sender().can_accept() {
+            self.link.offer();
+            self.unoffered -= 1;
         }
         if self.last_tx == Some(now) || self.tokens < u64::from(TORUS_TOKEN_COST) {
             return;
         }
-        let retrans_before = self.tx.retransmissions;
-        if let Some(frame) = self.tx.next_frame(now, self.rx.expected()) {
+        let loss = &mut self.loss;
+        if self.link.transmit(now, |f| loss.carry(now, f)) {
             self.tokens -= u64::from(TORUS_TOKEN_COST);
             self.last_tx = Some(now);
-            if self.tx.retransmissions > retrans_before {
-                self.log_event(now, ShimEvent::Retransmit);
-            }
-            if self.lose(now) {
-                self.data_frames_dropped += 1;
-                self.log_event(now, ShimEvent::DataFrameDropped);
-                self.forward.push_back((now + self.latency, None));
-            } else {
-                self.forward.push_back((now + self.latency, Some(frame)));
-            }
         }
-    }
-
-    /// Whether a frame put on the wire at `now` is lost: always during an
-    /// outage window, otherwise with the per-frame corruption probability.
-    fn lose(&mut self, now: u64) -> bool {
-        if self
-            .downs
-            .iter()
-            .any(|&(from, until)| from <= now && now < until)
-        {
-            return true;
-        }
-        self.frame_loss_p > 0.0 && self.rng.gen_bool(self.frame_loss_p)
     }
 }
 
@@ -564,7 +498,7 @@ mod tests {
         );
         // The fresh session works: requeue and deliver on a healed link.
         let mut healed = shim;
-        healed.downs.clear();
+        healed.loss.downs.clear();
         for _ in 0..undelivered {
             healed.enqueue(200, 2);
         }

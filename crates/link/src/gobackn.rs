@@ -175,6 +175,16 @@ impl Sender {
     pub fn in_flight(&self) -> usize {
         self.buffer.len()
     }
+
+    /// Starts a fresh session: drops every buffered frame and restarts the
+    /// sequence space at 0, keeping the cumulative frame counters.
+    pub fn restart(&mut self) {
+        *self = Sender {
+            frames_sent: self.frames_sent,
+            retransmissions: self.retransmissions,
+            ..Sender::new(self.cfg)
+        };
+    }
 }
 
 /// Go-back-N receiver state machine: the next expected sequence number and
@@ -211,9 +221,14 @@ impl Receiver {
         self.expected
     }
 
-    /// Flits accepted in order so far.
+    /// Flits accepted in order so far, across restarts.
     pub fn accepted(&self) -> u64 {
         self.accepted
+    }
+
+    /// Starts a fresh session expecting sequence number 0.
+    pub fn restart(&mut self) {
+        self.expected = 0;
     }
 }
 

@@ -12,24 +12,33 @@
 //! * [`crc`] — CRC-16/CCITT error detection;
 //! * [`frame`] — 30-byte frames carrying 24-byte flits (the 80% derate);
 //! * [`gobackn`] — the go-back-N sender/receiver state machines;
-//! * [`channel`] — an end-to-end lossy-channel simulation used by the
-//!   Section 2.2 experiment runner.
+//! * [`channel`] — [`Link`], one link direction's landing/transmit loop
+//!   over a wire the caller supplies. The simulator's lossy-link shim
+//!   (`anton-fault`) drives it with Bernoulli and outage loss, the
+//!   Section 2.2 runner and the tests with [`flip_bits`] (240 bit flips,
+//!   then a CRC check).
 //!
 //! # Examples
 //!
 //! ```
-//! use anton_link::channel::{LinkParams, LinkSim};
 //! use anton_link::gobackn::GoBackNConfig;
+//! use anton_link::{flip_bits, goodput_fraction, Link, RAW_GBPS};
 //! use rand::SeedableRng;
 //!
-//! let mut sim = LinkSim::new(
-//!     LinkParams::default(),
-//!     GoBackNConfig::default(),
-//!     rand::rngs::StdRng::seed_from_u64(0),
-//! );
-//! let stats = sim.run_saturated(5_000);
+//! let mut link = Link::new(GoBackNConfig::default(), 4);
+//! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+//! let mut wire = |frame| flip_bits(&mut rng, 0.0, frame);
+//! let slots = 40_000;
+//! for now in 0..slots {
+//!     if link.sender().can_accept() {
+//!         link.offer();
+//!     }
+//!     link.land(now, &mut wire);
+//!     link.transmit(now, &mut wire);
+//! }
 //! // An error-free saturated link delivers the paper's 89.6 Gb/s.
-//! assert!((stats.goodput_gbps() - anton_link::EFFECTIVE_GBPS).abs() < 2.0);
+//! let gbps = goodput_fraction(link.receiver().accepted(), slots) * RAW_GBPS;
+//! assert_eq!(format!("{gbps:.1}"), "89.6");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,6 +50,6 @@ pub mod crc;
 pub mod frame;
 pub mod gobackn;
 
-pub use channel::{LinkParams, LinkSim, LinkStats, EFFECTIVE_GBPS, LANES, LANE_GBPS, RAW_GBPS};
+pub use channel::{flip_bits, goodput_fraction, Link, EFFECTIVE_GBPS, LANES, LANE_GBPS, RAW_GBPS};
 pub use frame::{Frame, FrameKind, EFFICIENCY, FLIT_BYTES, FRAME_BYTES};
 pub use gobackn::{GoBackNConfig, Receiver, Sender};

@@ -7,11 +7,9 @@
 //! in order, exactly once, and — once the channel heals — completely,
 //! while the sender never holds more than `window` unacknowledged frames.
 
-use std::collections::VecDeque;
-
-use anton_link::channel::{LinkParams, LinkSim};
-use anton_link::frame::{Frame, FLIT_BYTES, FRAME_BYTES};
-use anton_link::gobackn::{GoBackNConfig, Receiver, Sender};
+use anton_link::frame::{Frame, FRAME_BYTES};
+use anton_link::gobackn::GoBackNConfig;
+use anton_link::{flip_bits, Link};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,15 +36,13 @@ struct Adversary {
 }
 
 impl Adversary {
-    fn transmit(
-        &mut self,
-        mut wire: [u8; FRAME_BYTES],
-        queue: &mut VecDeque<(u64, [u8; FRAME_BYTES])>,
-        now: u64,
-    ) {
+    /// The wire the link sends each frame through: what arrives, if
+    /// anything, once the CRC has checked it.
+    fn carry(&mut self, frame: Frame) -> Option<Frame> {
         if self.drop_p > 0.0 && self.rng.gen_bool(self.drop_p) {
-            return;
+            return None;
         }
+        let mut wire = frame.encode();
         if self.corrupt_p > 0.0 && self.rng.gen_bool(self.corrupt_p) {
             match self.mode {
                 Corruption::Flips => {
@@ -67,7 +63,7 @@ impl Adversary {
                 }
             }
         }
-        queue.push_back((now + PROP_DELAY, wire));
+        Frame::decode(&wire)
     }
 
     fn heal(&mut self) {
@@ -76,9 +72,10 @@ impl Adversary {
     }
 }
 
-/// Drives `total` serial-numbered flits through an adversarial full-duplex
-/// channel, asserting in-order exactly-once delivery and the window bound
-/// every slot; then heals the channel and asserts complete delivery.
+/// Drives `total` serial-numbered flits through a [`Link`] whose wire is
+/// the adversary, asserting the window bound every slot (the link itself
+/// checks each accepted flit's serial: in order, exactly once); then heals
+/// the channel and asserts complete delivery.
 fn exercise(
     seed: u64,
     window: u8,
@@ -88,10 +85,7 @@ fn exercise(
     corrupt_p: f64,
     mode: Corruption,
 ) -> Result<(), TestCaseError> {
-    let mut tx = Sender::new(GoBackNConfig { window, timeout });
-    let mut rx = Receiver::new();
-    let mut forward: VecDeque<(u64, [u8; FRAME_BYTES])> = VecDeque::new();
-    let mut reverse: VecDeque<(u64, [u8; FRAME_BYTES])> = VecDeque::new();
+    let mut link = Link::new(GoBackNConfig { window, timeout }, PROP_DELAY);
     let mut adversary = Adversary {
         rng: StdRng::seed_from_u64(seed),
         drop_p,
@@ -99,9 +93,6 @@ fn exercise(
         mode,
     };
     let mut offered = 0u64;
-    // Flits accepted so far; each accepted flit's serial is checked
-    // against it.
-    let mut checked = 0u64;
     let lossy_slots = 4 * total;
     let deadline = lossy_slots + 20 * total + 8 * timeout + 1_000;
     let mut now = 0u64;
@@ -109,59 +100,24 @@ fn exercise(
         if now == lossy_slots {
             adversary.heal();
         }
-        if offered < total && tx.can_accept() {
-            let mut payload = [0u8; FLIT_BYTES];
-            payload[..8].copy_from_slice(&offered.to_le_bytes());
-            tx.offer(payload);
+        if offered < total && link.sender().can_accept() {
+            link.offer();
             offered += 1;
         }
-        while let Some(&(t, wire)) = reverse.front() {
-            if t > now {
-                break;
-            }
-            reverse.pop_front();
-            if let Some(f) = Frame::decode(&wire) {
-                tx.on_ack(f.ack, now);
-            }
-        }
-        while let Some(&(t, wire)) = forward.front() {
-            if t > now {
-                break;
-            }
-            forward.pop_front();
-            if let Some(f) = Frame::decode(&wire) {
-                let before = rx.expected();
-                let ack = rx.on_frame(&f);
-                if ack != before {
-                    let mut id = [0u8; 8];
-                    id.copy_from_slice(&f.payload[..8]);
-                    prop_assert_eq!(
-                        u64::from_le_bytes(id),
-                        checked,
-                        "delivery out of order or duplicated at index {}",
-                        checked
-                    );
-                    checked += 1;
-                }
-                adversary.transmit(Frame::ack(ack).encode(), &mut reverse, now);
-            }
-        }
-        if let Some(f) = tx.next_frame(now, rx.expected()) {
-            adversary.transmit(f.encode(), &mut forward, now);
-        }
+        link.land(now, |f| adversary.carry(f));
+        link.transmit(now, |f| adversary.carry(f));
+        let in_flight = link.sender().in_flight();
         prop_assert!(
-            tx.in_flight() <= window as usize,
-            "sender exceeded its window at slot {now}: {} > {window}",
-            tx.in_flight()
+            in_flight <= window as usize,
+            "sender exceeded its window at slot {now}: {in_flight} > {window}"
         );
-        if checked == total && tx.in_flight() == 0 {
+        if link.receiver().accepted() == total && in_flight == 0 {
             break;
         }
         now += 1;
     }
-    prop_assert_eq!(rx.accepted(), checked);
     prop_assert_eq!(
-        checked,
+        link.receiver().accepted(),
         total,
         "healed channel must deliver everything (offered {}, window {window}, timeout {timeout})",
         offered
@@ -205,36 +161,38 @@ proptest! {
 /// gap.
 #[test]
 fn lossy_link_stays_in_order_across_sequence_wraps() {
-    let params = LinkParams {
-        bit_error_rate: 1e-3,
-        ..LinkParams::default()
-    };
-    let mut sim = LinkSim::new(
-        params,
+    let mut link = Link::new(
         GoBackNConfig {
             window: 64,
             timeout: 48,
         },
-        StdRng::seed_from_u64(0xA2701),
+        PROP_DELAY,
     );
-    // `run_saturated` checks each accepted flit's serial against the count
-    // accepted before it.
-    let stats = sim.run_saturated(30_000);
+    let mut rng = StdRng::seed_from_u64(0xA2701);
+    let mut wire = |f| flip_bits(&mut rng, 1e-3, f);
+    // `land` checks each accepted flit's serial against the one it
+    // expects.
+    for now in 0..30_000 {
+        if link.sender().can_accept() {
+            link.offer();
+        }
+        link.land(now, &mut wire);
+        link.transmit(now, &mut wire);
+    }
+    let delivered = link.receiver().accepted();
     assert!(
-        stats.delivered > 2 * 256,
-        "need more than two sequence wraps, delivered {}",
-        stats.delivered
+        delivered > 2 * 256,
+        "need more than two sequence wraps, delivered {delivered}"
     );
     assert!(
-        stats.retransmissions > 0,
+        link.sender().retransmissions > 0,
         "errors must force retransmission"
     );
     // At most a window of offered flits is still unacknowledged: every
     // flit the sender released was delivered, and none twice.
     assert!(
-        stats.delivered <= stats.offered && stats.offered - stats.delivered <= 64,
-        "delivered {} of {} offered",
-        stats.delivered,
-        stats.offered
+        link.in_transit() <= 64,
+        "delivered {delivered}, {} offered flits outstanding",
+        link.in_transit()
     );
 }

@@ -134,11 +134,6 @@ impl FlightRecorder {
         self.rings[track as usize].iter()
     }
 
-    /// How many events a track has overwritten.
-    pub fn track_dropped(&self, track: u32) -> u64 {
-        self.rings[track as usize].dropped()
-    }
-
     /// All held events merged across tracks in recording (sequence) order.
     pub fn all_events(&self) -> Vec<TraceEvent> {
         let mut out: Vec<TraceEvent> = self

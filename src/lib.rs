@@ -50,7 +50,7 @@ pub mod prelude {
 
     pub use anton_analysis::load::LoadAnalysis;
     pub use anton_analysis::weights::ArbiterWeightSet;
-    pub use anton_bench::harness::{ExperimentSpec, Measurement, SweepPoint, Value};
+    pub use anton_bench::harness::{ExperimentSpec, Json, Measurement, SweepPoint};
     pub use anton_bench::{run_batch, saturation_rate, ArbiterSetup, BatchRun, FlagSet};
     pub use anton_core::config::MachineConfig;
     pub use anton_core::pattern::TrafficPattern;
