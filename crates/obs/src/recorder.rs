@@ -17,7 +17,6 @@ pub struct EventRing {
     /// Index of the oldest element once the ring has wrapped.
     head: usize,
     cap: usize,
-    dropped: u64,
 }
 
 impl EventRing {
@@ -28,7 +27,6 @@ impl EventRing {
             buf: Vec::with_capacity(cap),
             head: 0,
             cap,
-            dropped: 0,
         }
     }
 
@@ -39,7 +37,6 @@ impl EventRing {
         } else {
             self.buf[self.head] = ev;
             self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
         }
     }
 
@@ -56,11 +53,6 @@ impl EventRing {
     /// Maximum number of events the ring can hold.
     pub fn capacity(&self) -> usize {
         self.cap
-    }
-
-    /// How many events have been overwritten since construction.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Iterates the held events oldest → newest.
@@ -193,7 +185,6 @@ mod tests {
         }
         assert_eq!(ring.len(), 4);
         assert_eq!(ring.capacity(), 4);
-        assert_eq!(ring.dropped(), 6);
         // Exactly the newest four survive, oldest → newest.
         let seqs: Vec<u64> = ring.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9]);
@@ -212,7 +203,7 @@ mod tests {
         for i in 0..5 {
             ring.push(ev(i, i));
         }
-        assert_eq!(ring.dropped(), 0);
+        assert_eq!(ring.len(), 5);
         let seqs: Vec<u64> = ring.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
     }

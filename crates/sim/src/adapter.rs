@@ -370,12 +370,12 @@ impl ChanState {
             return;
         }
         let v = {
-            let (gate, heads) = fab.wires.rows(in_wire);
+            let wires = &fab.wires;
             self.out_arbiter
                 .pick_mask(
                     req,
-                    |i| gate[i as usize].pattern,
-                    |i| u64::from(heads[i as usize].age),
+                    |i| wires.gate(in_wire, i as u8).pattern,
+                    |i| u64::from(wires.head(in_wire, i as u8).age),
                 )
                 .expect("nonempty requests yield a grant") as u8
         };

@@ -38,7 +38,6 @@ struct Cand {
     vcidx: u8,
     out_vcidx: u8,
     pattern: u8,
-    age: u32,
 }
 
 /// Every router of one simulator instance (see the [module docs](self)).
@@ -254,28 +253,28 @@ impl Routers {
                 req.trailing_zeros()
             } else {
                 next = now + 1;
-                let (gate, heads) = fab.wires.rows(in_wire);
+                let wires = &fab.wires;
                 self.in_arb[rbase + inp]
                     .pick_mask(
                         req,
-                        |i| gate[i as usize].pattern,
-                        |i| u64::from(heads[i as usize].age),
+                        |i| wires.gate(in_wire, i as u8).pattern,
+                        |i| u64::from(wires.head(in_wire, i as u8).age),
                     )
                     .expect("nonempty requests yield a grant")
             } as u8;
-            // The winner's candidate, from its head and gate (the gather
-            // above guarantees the route fields are populated).
+            // The winner's candidate, from its gate (the gather above
+            // guarantees the route fields are populated). Its entry is
+            // loaded by the pop if SA2 grants it, or by an age arbiter.
             let m = fab.wires.gate(in_wire, v);
-            let e = fab.wires.head(in_wire, v);
             *cand = Some(Cand {
                 vcidx: v,
                 out_vcidx: m.rc_vcidx,
                 pattern: m.pattern,
-                age: e.age,
             });
             out_req[usize::from(m.rc_port)] |= 1 << inp;
             outs |= 1 << m.rc_port;
-            fab.grant(GrantSite::Sa1, in_wire, e.pkt, req, v, |l| (in_wire, l));
+            let pid = fab.wires.head_id(in_wire, v);
+            fab.grant(GrantSite::Sa1, in_wire, pid, req, v, |l| (in_wire, l));
         }
         // SA2: walk the contested outputs in ascending order and grant one
         // input each from its request bitset. Unlike SA1, the output
@@ -289,8 +288,16 @@ impl Routers {
             if req & (req - 1) != 0 {
                 next = now + 1;
             }
+            let wires = &fab.wires;
             let inp = self.out_arb[rbase + out]
-                .pick_mask(req, |i| cand_of(i).pattern, |i| u64::from(cand_of(i).age))
+                .pick_mask(
+                    req,
+                    |i| cand_of(i).pattern,
+                    |i| {
+                        let in_wire = self.in_wire[rbase + i as usize] as usize;
+                        u64::from(wires.head(in_wire, cand_of(i).vcidx).age)
+                    },
+                )
                 .expect("nonempty requests yield a grant");
             let cand = cand_of(inp);
             let in_wire = self.in_wire[rbase + inp as usize] as usize;
@@ -298,7 +305,7 @@ impl Routers {
             // The popped entry travels on as it is: the stamp holds for the
             // whole chip, and the wire sets the ready cycle on every send.
             let entry = fab.pop(in_wire, cand.vcidx);
-            // A promoted head not yet ready has its arrival wake pending.
+            // A new head not yet ready has its arrival wake pending.
             if fab.wires.ready_head(now, in_wire, cand.vcidx).is_some() {
                 next = now + 1;
             }

@@ -9,31 +9,32 @@
 //!
 //! The crate-internal `Wires` store owns all of them and is the only code
 //! that touches their state. What the per-cycle allocation scans read lives
-//! in dense struct-of-arrays form (credits, occupancy masks, head and gate
-//! rows, one packed info word per wire); everything else — its label, a
-//! lossy-link shim, a shard-boundary role and its outboxes — sits in one
-//! cold record per wire that an ideal wire never loads. The layer also owns
-//! its two calendars: the wire wheel (which shimmed wires have a link-layer
-//! event due) and the credit calendar (every credit return, drained densely
-//! without touching the wire).
+//! in dense struct-of-arrays form (credit, gate and queue-end rows,
+//! occupancy masks, one packed info word per wire); a wire's label sits in
+//! one dense array that only reports read. A lossy-link shim, a
+//! shard-boundary role and its outboxes sit in a cold record that only a
+//! wire off the dense path owns: an ideal interior wire has none. The layer
+//! also owns its two calendars: the wire wheel (which shimmed wires have a
+//! link-layer event due) and the credit calendar (every credit return,
+//! drained densely without touching the wire).
 //!
-//! A VC's receive buffer is its head slot plus a FIFO of the packets behind
-//! it, and at saturation most sends land behind a head (55 % on the 8×8×8
-//! uniform batch), so the FIFOs are hot state too. They have no storage of
-//! their own: a packet waiting behind a head is *parked* in one pool keyed
-//! by its packet id — its entry in `parked`, a link to the packet behind it
-//! in `next` — and each VC keeps only the ids of its queue's two ends
-//! (`qhead` / `qtail`, rows laid out like the head rows). Parking is three
-//! array writes and promoting two reads; no allocator, free list or
+//! A VC's receive buffer is a FIFO of packets, and at saturation most sends
+//! land behind a head (55 % on the 8×8×8 uniform batch), so the FIFOs are
+//! hot state. They have no storage of their own: every buffered packet, the
+//! head included, sits in one pool keyed by its packet id — its entry in
+//! `parked`, a link to the packet behind it in `next` — and each VC keeps
+//! only its head's gate and the ids at its queue's two ends (`qhead` /
+//! `qtail`), so an empty VC holds no entry. No allocator, free list or
 //! capacity is involved, because a packet is buffered in at most one place
 //! at a time. Three invariants hold between calls, audited by
-//! `Wires::check_pool` and on every park:
+//! `Wires::check_pool` and on every filing:
 //!
-//! * a VC's queued bit is set exactly when `qhead` / `qtail` name a queue,
-//!   and then its occupied bit is set too;
-//! * a packet is parked at most once (parking it again panics);
-//! * a packet's link reads "not parked" whenever it is in no queue — so a
-//!   recycled id starts clean.
+//! * a VC's occupied bit is set exactly when `qhead` / `qtail` name a queue,
+//!   head included, and a walk from `qhead` ends at `qtail` within `depth`
+//!   steps;
+//! * a packet is filed at most once (filing it again panics);
+//! * a packet's link reads "not parked" exactly when it is buffered nowhere
+//!   — so a recycled id starts clean.
 //!
 //! There is one `send`, one `pop` and one `step` (the wires phase of a
 //! cycle); which of the three delivery paths and two credit-return paths a
@@ -61,7 +62,7 @@ use crate::state::{PacketId, RouteProgress};
 use crate::wake::{Scheduler, HORIZON};
 
 /// Upper bound on flattened VC indices per wire (two classes of at most
-/// eight VCs), sizing the dense per-wire credit rows.
+/// eight VCs): the per-wire VC masks are `u16`.
 const MAX_WIRE_VCS: usize = 16;
 
 /// The last cycle a run may reach: gate records keep ready cycles as `u32`
@@ -101,7 +102,7 @@ pub struct GateEntry {
 }
 
 impl GateEntry {
-    /// Placeholder for unoccupied head slots.
+    /// Placeholder for unoccupied VCs.
     const EMPTY: GateEntry = GateEntry {
         ready: 0,
         rc_port: 0xFF,
@@ -110,8 +111,8 @@ impl GateEntry {
         pattern: 0,
     };
 
-    /// The gate of a head just filed: the route is computed (and cached
-    /// here) by whoever consumes the wire, so it starts out empty.
+    /// The gate of a new head: the route is computed (and cached here) by
+    /// whoever consumes the wire, so it starts out empty.
     fn of(entry: &BufEntry) -> GateEntry {
         GateEntry {
             ready: entry.ready_at,
@@ -194,7 +195,7 @@ impl BufEntry {
     /// The bit of [`BufEntry::meta`] set on reply-class packets.
     pub const REPLY: u8 = 0x80;
 
-    /// Placeholder for unoccupied head slots and scratch arrays.
+    /// Placeholder for pool slots and scratch arrays no packet fills.
     pub const EMPTY: BufEntry = BufEntry {
         pkt: PacketId(0),
         ready_at: 0,
@@ -216,10 +217,9 @@ impl BufEntry {
     }
 }
 
-// Four entries to a 64-byte line, none straddling two: a head row of 8
-// entries is 128 bytes (two lines) where the 32-byte entry made it 256, and
-// a parked entry (see `Wires::parked`) is one line whichever id it has. The
-// route cache lives in the gate alone and the two cycles are `u32` to fit.
+// Four entries to a 64-byte line, none straddling two, so a buffered entry
+// (see `Wires::parked`) is one line whichever id it has. The route cache
+// lives in the gate alone and the two cycles are `u32` to fit.
 const _: () = assert!(std::mem::size_of::<BufEntry>() <= 20);
 const _: () = assert!(64 % std::mem::size_of::<BufEntry>() == 0);
 // The route a packet's slab state carries: a 7-byte spec of three runs and
@@ -311,29 +311,31 @@ struct WireInfo {
 // One load per send and per pop, eight wires to a 64-byte line.
 const _: () = assert!(std::mem::size_of::<WireInfo>() == 8);
 
-/// The wire is ideal (no shim) and interior: sends file straight into the
-/// receive rows and pops file their credit straight into the calendar,
-/// neither touching the cold record. A shimmed wire delivers when its link
-/// layer completes, an export wire into its outbox, and an import wire's
-/// credits cross back through its outbox.
+/// The wire is ideal (no shim) and interior, and owns no cold record: sends
+/// file straight into the receive buffers and pops file their credit
+/// straight into the calendar. A shimmed wire delivers when its link layer
+/// completes, an export wire into its outbox, and an import wire's credits
+/// cross back through its outbox.
 const DENSE: u8 = 1;
 /// The wire realizes an external torus channel.
 const TORUS: u8 = 2;
 
-/// Link of a packet that is not parked behind any head (see
-/// [`Wires::next`]).
+/// Link of a packet that is buffered nowhere (see [`Wires::next`]).
 const NOT_PARKED: u32 = u32::MAX;
 /// Link of the last packet of a VC's queue. Packet ids are slab indices, far
 /// below either marker.
 const LAST: u32 = u32::MAX - 1;
 
-/// The cold remainder of one wire.
+/// Cold-record index of a dense wire (see [`Wires::cold_of`]).
+const NO_COLD: u32 = u32::MAX;
+
+/// The record of a wire off the dense path: one with a lossy-link shim or a
+/// shard-boundary role.
 #[derive(Debug)]
 struct WireCold {
-    label: GlobalLink,
     /// Lossy-link shim; `None` (the ideal fixed-latency channel) unless a
     /// fault schedule installed one.
-    shim: Option<Box<ShimState>>,
+    shim: Option<ShimState>,
     role: BoundaryRole,
     /// Packets awaiting transfer to the consuming shard (`Export` role
     /// only): `(entry, vc_index)` in send order, each entry stamped with
@@ -344,58 +346,55 @@ struct WireCold {
     outbox_credits: Vec<(u64, u8, u8)>,
 }
 
-// The label, the shim pointer, the boundary role and its two outboxes: an
-// idle 8×8×8 machine holds 61,440 of these.
-const _: () = assert!(std::mem::size_of::<WireCold>() <= 72);
-
 /// Every wire of one simulator instance (see the [module docs](self)).
 #[derive(Debug)]
 pub(crate) struct Wires {
-    /// Sender-side credit counters per wire and VC.
-    credits: Vec<[u8; MAX_WIRE_VCS]>,
-    /// Bitmask of VCs with a buffered head, per wire.
+    /// Sender-side credit counters per wire and VC, laid out like the gate
+    /// rows.
+    credits: Vec<u8>,
+    /// Bitmask of VCs with a packet buffered, per wire.
     occupied: Vec<u16>,
-    /// Bitmask of VCs with packets queued *behind* the head, per wire: when
-    /// clear, a pop needs no promotion.
-    queued: Vec<u16>,
     /// Bitmask of VCs whose producer was denied a send for want of credits
     /// ([`Wires::credit_gate`]) since their last credit return, per wire:
     /// the returns that wake the producer.
     starved: Vec<u16>,
-    /// Head-of-buffer entry per wire and VC, valid where the occupied bit
-    /// is set. Switch allocation re-peeks blocked heads every cycle, so
-    /// they live here — one dense load — rather than behind per-VC deques.
-    /// Flat, `1 << row_shift` slots per wire.
-    heads: Vec<BufEntry>,
-    /// Head gating record per wire and VC (same layout): everything the
-    /// allocation scan's gates consult, 8 bytes per head, so the scan's
-    /// working set stays L2-resident.
+    /// Head gating record per wire and VC, valid where the occupied bit is
+    /// set: everything the allocation scan's gates consult, 8 bytes per
+    /// head, so the scan's working set stays L2-resident. Flat,
+    /// `1 << row_shift` slots per wire.
     gate: Vec<GateEntry>,
-    /// First and last packet queued behind each VC's head (same layout),
-    /// meaningful where the queued bit is set. The queue itself is threaded
-    /// through `next`: a VC's receive buffer is the head slot plus one
-    /// intrusive FIFO, with no storage of its own.
+    /// First and last packet buffered on each VC (same layout), meaningful
+    /// where the occupied bit is set: `qhead` is the head. The queue itself
+    /// is threaded through `next`, so a VC's receive buffer has no storage
+    /// of its own.
     qhead: Vec<u32>,
     qtail: Vec<u32>,
-    /// The entries queued behind heads, keyed by packet id. A packet is
-    /// buffered in at most one place at a time, so its id names its slot
-    /// and the pool needs no allocator: it grows to the highest id ever
-    /// queued (the packet slab's high-water mark at most) and slots are
-    /// reused as the slab reuses ids.
+    /// Every buffered entry, keyed by packet id. A packet is buffered in at
+    /// most one place at a time, so its id names its slot and the pool
+    /// needs no allocator: it grows to the highest id ever buffered (the
+    /// packet slab's high-water mark at most) and slots are reused as the
+    /// slab reuses ids.
     parked: Vec<BufEntry>,
-    /// Queue link per packet id: [`NOT_PARKED`] whenever the packet is in
-    /// no queue, [`LAST`] at a queue's tail, else the id queued behind it.
-    /// Dense (4 bytes a packet), so linking a new tail writes a line that is
-    /// usually cached where a node pool would write a second random one.
+    /// Queue link per packet id: [`NOT_PARKED`] whenever the packet is
+    /// buffered nowhere, [`LAST`] at a queue's tail, else the id queued
+    /// behind it. Dense (4 bytes a packet), so linking a new tail writes a
+    /// line that is usually cached where a node pool would write a second
+    /// random one.
     next: Vec<u32>,
-    /// log2 row stride of `heads`/`gate`: the machine's widest wire rounded
-    /// up to a power of two. Sizing rows to the machine instead of
+    /// log2 row stride of the per-VC rows: the machine's widest wire
+    /// rounded up to a power of two. Sizing rows to the machine instead of
     /// [`MAX_WIRE_VCS`] halves the scan's footprint on the common 8-index
     /// configurations.
     row_shift: u32,
     info: Vec<WireInfo>,
     /// Total flits ever sent on each wire.
     flits: Vec<u64>,
+    /// The structural link each wire realizes.
+    labels: Vec<GlobalLink>,
+    /// Index of each wire's record in `cold`, [`NO_COLD`] exactly where the
+    /// wire is `DENSE`.
+    cold_of: Vec<u32>,
+    /// The records of the wires off the dense path.
     cold: Vec<WireCold>,
     /// Wake calendar of the shimmed wires: a wire is ticked only on cycles
     /// its link layer's next frame, ack, token refill or timeout was
@@ -433,20 +432,20 @@ impl Wires {
             .max()
             .map_or(1, usize::next_power_of_two)
             .trailing_zeros();
-        let mut credits = Vec::with_capacity(n);
+        let mut credits = vec![0; n << row_shift];
         let mut info = Vec::with_capacity(n);
-        let mut cold = Vec::with_capacity(n);
-        for s in specs {
+        let mut labels = Vec::with_capacity(n);
+        let mut cold_of = Vec::with_capacity(n);
+        let mut cold = Vec::new();
+        for (w, s) in specs.into_iter().enumerate() {
             assert!(s.latency >= 1, "wires need at least one cycle of latency");
             assert!(
                 s.group_vcs >= 1 && s.depth >= 2,
                 "need VCs and room for a max-size packet"
             );
             let nvcs = 2 * s.group_vcs as usize;
-            assert!(nvcs <= MAX_WIRE_VCS, "too many VCs for the credit rows");
-            let mut row = [0u8; MAX_WIRE_VCS];
-            row[..nvcs].fill(s.depth);
-            credits.push(row);
+            assert!(nvcs <= MAX_WIRE_VCS, "too many VCs for the VC masks");
+            credits[w << row_shift..][..nvcs].fill(s.depth);
             let worst = s.latency + MAX_PACKET_FLITS - 1 + s.rx_pipeline;
             assert!(
                 worst < HORIZON,
@@ -463,14 +462,20 @@ impl Wires {
                 depth: s.depth,
                 flags: u8::from(dense) * DENSE + u8::from(torus) * TORUS,
             });
+            labels.push(s.label);
+            if dense {
+                cold_of.push(NO_COLD);
+                continue;
+            }
+            cold_of.push(cold.len() as u32);
             cold.push(WireCold {
-                label: s.label,
-                shim: s.shim.map(|mut shim| {
+                shim: s.shim.map(|shim| {
+                    let mut shim = *shim;
                     shim.set_event_recording(log_link_events);
-                    Box::new(ShimState {
-                        shim: *shim,
+                    ShimState {
+                        shim,
                         queue: VecDeque::new(),
-                    })
+                    }
                 }),
                 role: s.role,
                 outbox: Vec::new(),
@@ -480,9 +485,7 @@ impl Wires {
         Wires {
             credits,
             occupied: vec![0; n],
-            queued: vec![0; n],
             starved: vec![0; n],
-            heads: vec![BufEntry::EMPTY; n << row_shift],
             gate: vec![GateEntry::EMPTY; n << row_shift],
             qhead: vec![0; n << row_shift],
             qtail: vec![0; n << row_shift],
@@ -491,6 +494,8 @@ impl Wires {
             row_shift,
             info,
             flits: vec![0; n],
+            labels,
+            cold_of,
             cold,
             wheel: Scheduler::new(n),
             calendar: vec![Vec::new(); HORIZON as usize],
@@ -508,9 +513,15 @@ impl Wires {
     }
 
     /// log2 of the per-wire VC row stride (for tables laid out like the
-    /// head rows).
+    /// gate rows).
     pub(crate) fn row_shift(&self) -> u32 {
         self.row_shift
+    }
+
+    /// Index of VC `vcidx`'s slot in the per-VC rows.
+    #[inline]
+    fn slot(&self, w: usize, vcidx: u8) -> usize {
+        (w << self.row_shift) + vcidx as usize
     }
 
     /// Whether `flits` credits are available on a wire's VC: the one credit
@@ -519,7 +530,7 @@ impl Wires {
     /// [`Wires::step`]); a return to a VC nobody was denied on wakes nobody.
     #[inline]
     pub(crate) fn credit_gate(&mut self, w: usize, vcidx: u8, flits: u8) -> bool {
-        let room = self.credits[w][vcidx as usize] >= flits;
+        let room = self.credits[self.slot(w, vcidx)] >= flits;
         if !room {
             self.starved[w] |= 1 << vcidx;
         }
@@ -530,7 +541,7 @@ impl Wires {
     /// nothing: for tests that watch a wire without being its producer.
     #[cfg(test)]
     pub(crate) fn can_send(&self, w: usize, vcidx: u8, flits: u8) -> bool {
-        self.credits[w][vcidx as usize] >= flits
+        self.credits[self.slot(w, vcidx)] >= flits
     }
 
     /// Flattened VC index of `(class, vc)` on a wire.
@@ -568,7 +579,7 @@ impl Wires {
     /// set).
     #[inline]
     pub(crate) fn gate(&self, w: usize, vcidx: u8) -> GateEntry {
-        self.gate[(w << self.row_shift) + vcidx as usize]
+        self.gate[self.slot(w, vcidx)]
     }
 
     /// Caches a head's route computation in its gate record, so a blocked
@@ -576,7 +587,8 @@ impl Wires {
     /// on.
     #[inline]
     pub(crate) fn cache_route(&mut self, w: usize, vcidx: u8, port: u8, out_vcidx: u8) {
-        let g = &mut self.gate[(w << self.row_shift) + vcidx as usize];
+        let i = self.slot(w, vcidx);
+        let g = &mut self.gate[i];
         g.rc_port = port;
         g.rc_vcidx = out_vcidx;
     }
@@ -584,7 +596,14 @@ impl Wires {
     /// The head entry of a VC (meaningful where the occupied bit is set).
     #[inline]
     pub(crate) fn head(&self, w: usize, vcidx: u8) -> &BufEntry {
-        &self.heads[(w << self.row_shift) + vcidx as usize]
+        &self.parked[self.qhead[self.slot(w, vcidx)] as usize]
+    }
+
+    /// The packet at the head of a VC (meaningful where the occupied bit is
+    /// set), read off the queue-end row without loading its entry.
+    #[inline]
+    pub(crate) fn head_id(&self, w: usize, vcidx: u8) -> PacketId {
+        PacketId(self.qhead[self.slot(w, vcidx)])
     }
 
     /// The head entry of a VC, if one is buffered and ready at `now`. The
@@ -596,40 +615,18 @@ impl Wires {
             .then(|| self.head(w, vcidx))
     }
 
-    /// A wire's gate and head rows, indexed by VC, for arbiters that read
-    /// pattern and age of several heads at once.
-    #[inline]
-    pub(crate) fn rows(&self, w: usize) -> (&[GateEntry], &[BufEntry]) {
-        let base = w << self.row_shift;
-        (&self.gate[base..], &self.heads[base..])
-    }
-
     // ----- send / pop / step -----------------------------------------------
 
-    /// Files `entry` as VC `vcidx`'s head.
-    #[inline]
-    fn set_head(&mut self, w: usize, entry: BufEntry, vcidx: u8) {
-        let i = (w << self.row_shift) + vcidx as usize;
-        self.gate[i] = GateEntry::of(&entry);
-        self.heads[i] = entry;
-    }
-
-    /// Files an entry into a wire's receive buffers: as the head when the
-    /// VC is empty, else parked behind it at the tail of the VC's queue. The
-    /// entry's `ready_at` alone gates when the consumer may see it.
+    /// Files an entry into a wire's receive buffers, at the tail of the
+    /// VC's queue, and when the VC was empty as its head, gated by the
+    /// entry's `ready_at` alone.
     ///
     /// # Panics
     ///
-    /// Panics if the packet is already parked: a packet is buffered in one
+    /// Panics if the packet is already buffered: a packet is buffered in one
     /// place at a time, which is what lets its id key the pool.
     #[inline]
     fn file(&mut self, w: usize, entry: BufEntry, vcidx: u8) {
-        let bit = 1u16 << vcidx;
-        if self.occupied[w] & bit == 0 {
-            self.set_head(w, entry, vcidx);
-            self.occupied[w] |= bit;
-            return;
-        }
         let id = entry.pkt.0;
         if id as usize >= self.next.len() {
             self.grow_pool(id);
@@ -637,23 +634,25 @@ impl Wires {
         assert!(
             self.next[id as usize] == NOT_PARKED,
             "packet {id} parked twice, the second time on {}",
-            self.cold[w].label
+            self.labels[w]
         );
         self.parked[id as usize] = entry;
         self.next[id as usize] = LAST;
-        let i = (w << self.row_shift) + vcidx as usize;
-        if self.queued[w] & bit == 0 {
-            self.queued[w] |= bit;
+        let i = self.slot(w, vcidx);
+        let bit = 1u16 << vcidx;
+        if self.occupied[w] & bit == 0 {
+            self.occupied[w] |= bit;
             self.qhead[i] = id;
+            self.gate[i] = GateEntry::of(&entry);
         } else {
             self.next[self.qtail[i] as usize] = id;
         }
         self.qtail[i] = id;
     }
 
-    /// Extends the pool to cover packet `id`, the highest yet parked. Exact
-    /// in length (never past the packet slab's high-water mark), amortized
-    /// by the vectors' own capacity doubling.
+    /// Extends the pool to cover packet `id`, the highest yet buffered.
+    /// Exact in length (never past the packet slab's high-water mark),
+    /// amortized by the vectors' own capacity doubling.
     #[cold]
     fn grow_pool(&mut self, id: u32) {
         assert!(id < LAST, "packet id collides with the link markers");
@@ -664,7 +663,8 @@ impl Wires {
     /// Returns credits to a wire's sender.
     #[inline]
     fn credit(&mut self, w: usize, vcidx: u8, flits: u8) {
-        let c = &mut self.credits[w][vcidx as usize];
+        let i = self.slot(w, vcidx);
+        let c = &mut self.credits[i];
         *c += flits;
         debug_assert!(*c <= self.info[w].depth, "credit overflow");
     }
@@ -695,11 +695,12 @@ impl Wires {
     #[inline]
     fn transmit(&mut self, now: u64, w: usize, mut entry: BufEntry, vcidx: u8) -> Option<u64> {
         let flits = entry.flits;
-        let credits = &mut self.credits[w][vcidx as usize];
+        let i = self.slot(w, vcidx);
+        let credits = &mut self.credits[i];
         assert!(
             *credits >= flits,
             "send without credits on {}",
-            self.cold[w].label
+            self.labels[w]
         );
         *credits -= flits;
         self.flits[w] += u64::from(flits);
@@ -716,10 +717,30 @@ impl Wires {
         None
     }
 
+    /// The cold record of a wire, if it owns one (is off the dense path).
+    fn record(&self, w: usize) -> Option<&WireCold> {
+        self.cold.get(self.cold_of[w] as usize)
+    }
+
+    /// The cold record of a wire off the dense path.
+    fn cold_mut(&mut self, w: usize) -> &mut WireCold {
+        &mut self.cold[self.cold_of[w] as usize]
+    }
+
+    /// The lossy-link shim of a wire, if one is installed.
+    fn shim(&self, w: usize) -> Option<&ShimState> {
+        self.record(w)?.shim.as_ref()
+    }
+
+    /// A wire's shard-boundary role.
+    fn role(&self, w: usize) -> BoundaryRole {
+        self.record(w).map_or(BoundaryRole::Interior, |c| c.role)
+    }
+
     /// The delivery paths off the dense one, selected by what the wire is:
     /// shimmed, or an export boundary.
     fn transmit_later(&mut self, now: u64, w: usize, entry: BufEntry, vcidx: u8) {
-        let cold = &mut self.cold[w];
+        let cold = self.cold_mut(w);
         if let Some(s) = &mut cold.shim {
             // Lossy path: the packet's flits cross the go-back-N link; the
             // entry waits in the shim queue until the link layer delivers
@@ -736,10 +757,11 @@ impl Wires {
         }
     }
 
-    /// Pops the head packet of a VC buffer at cycle `now`, promoting the
-    /// next queued entry (if any) into the head slot and putting the credit
-    /// return in flight: into the credit calendar, or into the boundary
-    /// outbox when the sender's credit pool lives in the producing shard.
+    /// Pops the head packet of a VC buffer at cycle `now`, making the next
+    /// queued entry (if any) the head, and puts the credit return in
+    /// flight: into the credit calendar, or into the boundary outbox when
+    /// the sender's credit pool lives in the producing shard. The popped
+    /// packet's link reads "not parked" again, for the id's next use.
     ///
     /// # Panics
     ///
@@ -748,11 +770,15 @@ impl Wires {
     pub(crate) fn pop(&mut self, now: u64, w: usize, vcidx: u8) -> BufEntry {
         let bit = 1u16 << vcidx;
         assert!(self.occupied[w] & bit != 0, "pop from empty VC buffer");
-        let entry = *self.head(w, vcidx);
-        if self.queued[w] & bit == 0 {
-            self.occupied[w] &= !bit;
-        } else {
-            self.promote(w, vcidx);
+        let i = self.slot(w, vcidx);
+        let id = self.qhead[i] as usize;
+        let entry = self.parked[id];
+        match std::mem::replace(&mut self.next[id], NOT_PARKED) {
+            LAST => self.occupied[w] &= !bit,
+            next => {
+                self.qhead[i] = next;
+                self.gate[i] = GateEntry::of(&self.parked[next as usize]);
+            }
         }
         let info = self.info[w];
         // Latency is at least one cycle, so the return never matures in
@@ -767,25 +793,10 @@ impl Wires {
         entry
     }
 
-    /// Moves the first entry queued behind a popped head into the head
-    /// slot, leaving its link reading "not parked" for the id's next use.
-    #[inline]
-    fn promote(&mut self, w: usize, vcidx: u8) {
-        let i = (w << self.row_shift) + vcidx as usize;
-        let id = self.qhead[i] as usize;
-        let next = std::mem::replace(&mut self.next[id], NOT_PARKED);
-        if next == LAST {
-            self.queued[w] &= !(1 << vcidx);
-        } else {
-            self.qhead[i] = next;
-        }
-        self.set_head(w, self.parked[id], vcidx);
-    }
-
     /// The rest of a pop off the dense path: the credit return crosses back
     /// to the producing shard, or (a shimmed wire) enters the calendar.
     fn pop_off_dense(&mut self, w: usize, at: u64, vcidx: u8, flits: u8) {
-        let cold = &mut self.cold[w];
+        let cold = self.cold_mut(w);
         if cold.role == BoundaryRole::Import {
             cold.outbox_credits.push((at, vcidx, flits));
         } else {
@@ -852,17 +863,18 @@ impl Wires {
     /// event, or of a wire without a shim (every wire's bootstrap look), is
     /// harmless and changes nothing.
     fn tick(&mut self, now: u64, w: usize, wake: &mut impl FnMut(usize, End, u64)) {
-        let Some(s) = &mut self.cold[w].shim else {
+        let c = self.cold_of[w] as usize;
+        let Some(s) = self.cold.get_mut(c).and_then(|cold| cold.shim.as_mut()) else {
             return;
         };
         let completed = s.shim.advance(now);
         let ready = now + u64::from(self.info[w].rxp);
         for _ in 0..completed {
-            let cold = &mut self.cold[w];
-            let s = cold.shim.as_mut().expect("completions come from a shim");
-            let (mut entry, vcidx) = s
-                .queue
-                .pop_front()
+            let cold = &mut self.cold[c];
+            let (mut entry, vcidx) = cold
+                .shim
+                .as_mut()
+                .and_then(|s| s.queue.pop_front())
                 .expect("shim completed a packet the wire never queued");
             entry.ready_at = saturate_cycle(ready);
             if cold.role == BoundaryRole::Export {
@@ -874,7 +886,7 @@ impl Wires {
             }
         }
         self.collect_link_events(w);
-        if completed > 0 && self.cold[w].role != BoundaryRole::Export {
+        if completed > 0 && self.cold[c].role != BoundaryRole::Export {
             wake(w, End::Consumer, ready);
         }
         self.schedule(w, now + 1, now);
@@ -885,10 +897,7 @@ impl Wires {
     /// landing, or the next cycle a frame can go out). `u64::MAX` without a
     /// shim, or when the link has nothing left to do until the next send.
     fn next_event(&self, w: usize) -> u64 {
-        self.cold[w]
-            .shim
-            .as_ref()
-            .map_or(u64::MAX, |s| s.shim.next_event())
+        self.shim(w).map_or(u64::MAX, |s| s.shim.next_event())
     }
 
     /// (Re)schedules a wire on the wheel for its next pending event. Events
@@ -916,13 +925,13 @@ impl Wires {
     /// Drains an export wire's outbox (`(entry, vc_index)` in send order).
     /// Called at window barriers by the sharded kernel.
     pub(crate) fn take_exports(&mut self, w: usize, out: &mut Vec<(BufEntry, u8)>) {
-        out.append(&mut self.cold[w].outbox);
+        out.append(&mut self.cold_mut(w).outbox);
     }
 
     /// Drains an import wire's credit-return outbox (`(arrival_cycle,
     /// vc_index, flits)` in pop order). Called at window barriers.
     pub(crate) fn take_credit_exports(&mut self, w: usize, out: &mut Vec<(u64, u8, u8)>) {
-        out.append(&mut self.cold[w].outbox_credits);
+        out.append(&mut self.cold_mut(w).outbox_credits);
     }
 
     /// Files a packet arriving from the producing shard's copy of an
@@ -935,7 +944,7 @@ impl Wires {
     /// under a one-cycle window. Filed like a dense send, the entry is
     /// invisible to the consumer until then, exactly as in a serial run.
     pub(crate) fn import_packet(&mut self, now: u64, w: usize, entry: BufEntry, vcidx: u8) -> u64 {
-        debug_assert_eq!(self.cold[w].role, BoundaryRole::Import);
+        debug_assert_eq!(self.role(w), BoundaryRole::Import);
         let ready = u64::from(entry.ready_at);
         debug_assert!(ready >= now, "import observable early");
         self.file(w, entry, vcidx);
@@ -948,7 +957,7 @@ impl Wires {
     /// in the window just closed, one link latency — longer than the
     /// window, shorter than the horizon — before `at`.
     pub(crate) fn import_credit(&mut self, now: u64, w: usize, at: u64, vcidx: u8, flits: u8) {
-        debug_assert_eq!(self.cold[w].role, BoundaryRole::Export);
+        debug_assert_eq!(self.role(w), BoundaryRole::Export);
         debug_assert!(
             (now..now + HORIZON).contains(&at),
             "credit import at {at} outside the calendar from {now}"
@@ -971,7 +980,8 @@ impl Wires {
         w: usize,
         mut stays: impl FnMut(&BufEntry) -> bool,
     ) -> Vec<BufEntry> {
-        let Some(s) = &mut self.cold[w].shim else {
+        let c = self.cold_of[w] as usize;
+        let Some(s) = self.cold.get_mut(c).and_then(|cold| cold.shim.as_mut()) else {
             return Vec::new();
         };
         let pending = s.shim.drain_reset(now);
@@ -998,22 +1008,20 @@ impl Wires {
 
     /// Flits held inside a wire's lossy-link shim (0 without a shim).
     pub(crate) fn link_backlog(&self, w: usize) -> u64 {
-        self.cold[w]
-            .shim
-            .as_ref()
-            .map_or(0, |s| s.shim.backlog_flits())
+        self.shim(w).map_or(0, |s| s.shim.backlog_flits())
     }
 
     /// A wire's lossy-link counters, if a shim is installed.
     pub(crate) fn link_stats(&self, w: usize) -> Option<ShimStats> {
-        self.cold[w].shim.as_ref().map(|s| s.shim.stats())
+        self.shim(w).map(|s| s.shim.stats())
     }
 
     /// Moves a shim's logged events into the layer's log, after every call
     /// that can log one, so the log's order never depends on when ticks
     /// happen. Allocation-free when logging is off or nothing was logged.
     fn collect_link_events(&mut self, w: usize) {
-        if let (Some(log), Some(s)) = (&mut self.link_events, &mut self.cold[w].shim) {
+        let cold = self.cold.get_mut(self.cold_of[w] as usize);
+        if let (Some(log), Some(s)) = (&mut self.link_events, cold.and_then(|c| c.shim.as_mut())) {
             log.extend(
                 s.shim
                     .take_events()
@@ -1033,7 +1041,7 @@ impl Wires {
 
     /// The structural link a wire realizes.
     pub(crate) fn label(&self, w: usize) -> GlobalLink {
-        self.cold[w].label
+        self.labels[w]
     }
 
     /// Buffer depth per VC in flits.
@@ -1043,7 +1051,7 @@ impl Wires {
 
     /// Sender-side credit count of one wire VC.
     pub(crate) fn credits(&self, w: usize, vc: usize) -> u8 {
-        self.credits[w][vc]
+        self.credits[(w << self.row_shift) + vc]
     }
 
     /// Total flits ever sent on a wire.
@@ -1070,31 +1078,23 @@ impl Wires {
     }
 
     /// Credit-return flits parked in the calendar per wire VC, laid out
-    /// like the head rows — one pass over the calendar for a whole audit.
+    /// like the gate rows — one pass over the calendar for a whole audit.
     pub(crate) fn parked_credits(&self) -> Vec<u8> {
-        let mut parked = vec![0u8; self.heads.len()];
+        let mut parked = vec![0u8; self.gate.len()];
         for &(w, vcidx, flits) in self.calendar.iter().flatten() {
-            let p = &mut parked[((w as usize) << self.row_shift) + vcidx as usize];
+            let p = &mut parked[self.slot(w as usize, vcidx)];
             *p = p.saturating_add(flits);
         }
         parked
     }
 
-    /// Packets and flits parked behind VC `vc`'s head, where the queued bit
-    /// is set, walking the queue front to back. Every parked packet holds at
+    /// Packets and flits buffered on VC `vc`, where its occupied bit is
+    /// set, walking its queue from the head. Every buffered packet holds at
     /// least one flit of the VC's buffer, so a sound queue is at most
     /// `depth` long: a walk that gets further, leaves the pool, or ends
     /// anywhere but at `qtail`, is reported instead of followed.
-    fn parked_behind(&self, w: usize, vc: usize) -> Result<(usize, u32), String> {
-        let broken = |what: &str| {
-            Err(format!(
-                "queue behind the head of {} vc {vc} {what}",
-                self.cold[w].label
-            ))
-        };
-        if self.occupied[w] & (1 << vc) == 0 {
-            return broken("has no head in front of it");
-        }
+    fn walk_queue(&self, w: usize, vc: usize) -> Result<(usize, u32), String> {
+        let broken = |what: &str| Err(format!("queue of {} vc {vc} {what}", self.labels[w]));
         let i = (w << self.row_shift) + vc;
         let mut id = self.qhead[i];
         let mut flits = 0;
@@ -1128,7 +1128,6 @@ impl Wires {
         vc: usize,
         parked: &[u8],
     ) -> Result<u32, String> {
-        let cold = &self.cold[w];
         let on_vc = |vcidx: u8, flits: u8| {
             if usize::from(vcidx) == vc {
                 u32::from(flits)
@@ -1137,21 +1136,20 @@ impl Wires {
             }
         };
         let mut total = u32::from(parked[(w << self.row_shift) + vc]);
-        total += cold
-            .outbox_credits
-            .iter()
-            .map(|&(_, vcidx, flits)| on_vc(vcidx, flits))
-            .sum::<u32>();
-        let shim_queue = cold.shim.iter().flat_map(|s| &s.queue);
-        total += shim_queue
-            .chain(&cold.outbox)
-            .map(|&(entry, vcidx)| on_vc(vcidx, entry.flits))
-            .sum::<u32>();
-        if self.occupied[w] & (1 << vc) != 0 {
-            total += u32::from(self.head(w, vc as u8).flits);
+        if let Some(cold) = self.record(w) {
+            total += cold
+                .outbox_credits
+                .iter()
+                .map(|&(_, vcidx, flits)| on_vc(vcidx, flits))
+                .sum::<u32>();
+            let shim_queue = cold.shim.iter().flat_map(|s| &s.queue);
+            total += shim_queue
+                .chain(&cold.outbox)
+                .map(|&(entry, vcidx)| on_vc(vcidx, entry.flits))
+                .sum::<u32>();
         }
-        if self.queued[w] & (1 << vc) != 0 {
-            total += self.parked_behind(w, vc)?.1;
+        if self.occupied[w] & (1 << vc) != 0 {
+            total += self.walk_queue(w, vc)?.1;
         }
         Ok(total)
     }
@@ -1163,19 +1161,19 @@ impl Wires {
     /// balance. Returns a diagnostic on violation.
     pub(crate) fn check_credit_balance(&self) -> Result<(), String> {
         let parked = self.parked_credits();
-        for (w, cold) in self.cold.iter().enumerate() {
-            if cold.role != BoundaryRole::Interior {
+        for w in 0..self.len() {
+            if self.role(w) != BoundaryRole::Interior {
                 continue;
             }
             let depth = self.info[w].depth;
             for vc in 0..usize::from(self.num_vcs(w)) {
                 let total =
-                    u32::from(self.credits[w][vc]) + self.accounted_flits(w, vc, &parked)?;
+                    u32::from(self.credits(w, vc)) + self.accounted_flits(w, vc, &parked)?;
                 if total != u32::from(depth) {
                     return Err(format!(
                         "credit imbalance on {} vc {vc}: accounted {total} flits \
                          against depth {depth}",
-                        cold.label
+                        self.labels[w]
                     ));
                 }
             }
@@ -1183,10 +1181,10 @@ impl Wires {
         Ok(())
     }
 
-    /// Verifies the pool of parked entries against the queues threaded
+    /// Verifies the pool of buffered entries against the queues threaded
     /// through it: every VC's queue is well formed (see
-    /// [`Wires::parked_behind`]), every link that reads parked belongs to
-    /// one of them, and the pool is no longer than `slab_high_water`, the
+    /// [`Wires::walk_queue`]), every link that reads parked belongs to one
+    /// of them, and the pool is no longer than `slab_high_water`, the
     /// number of packet ids ever in use at once. Returns a diagnostic on
     /// violation.
     pub(crate) fn check_pool(&self, slab_high_water: usize) -> Result<(), String> {
@@ -1197,9 +1195,9 @@ impl Wires {
             ));
         }
         let mut queued = 0;
-        for (w, mut mask) in self.queued.iter().copied().enumerate() {
+        for (w, mut mask) in self.occupied.iter().copied().enumerate() {
             while mask != 0 {
-                queued += self.parked_behind(w, mask.trailing_zeros() as usize)?.0;
+                queued += self.walk_queue(w, mask.trailing_zeros() as usize)?.0;
                 mask &= mask - 1;
             }
         }
@@ -1401,7 +1399,7 @@ mod tests {
         let mut ws = one_wire(1, 0, 8);
         ws.send(0, 0, entry(1, 1), 5);
         ws.send(1, 0, entry(2, 1), 5);
-        // Still parked behind packet 1 when the same id shows up again,
+        // Still queued behind packet 1 when the same id shows up again,
         // here behind a different head.
         ws.send(2, 0, entry(3, 1), 6);
         ws.send(3, 0, entry(2, 1), 6);
@@ -1413,23 +1411,30 @@ mod tests {
         for pkt in 0..4 {
             ws.send(u64::from(pkt), 0, entry(pkt, 1), 2);
         }
+        // Packet 4 passes through VC 3: its slot stays in the pool, filed in
+        // no queue.
+        ws.send(4, 0, entry(4, 1), 3);
+        ws.pop(5, 0, 3);
         ws.check_credit_balance().unwrap();
-        ws.check_pool(4).unwrap();
-        assert!(ws.check_pool(3).is_err(), "pool outgrew the slab");
-        // Packets 1 → 2 → 3 wait behind head 0. A link back to the front
-        // cycles; the walk stops at the buffer's depth.
-        ws.next[3] = 1;
+        ws.check_pool(5).unwrap();
+        assert!(ws.check_pool(4).is_err(), "pool outgrew the slab");
+        // Head 0, then 1 → 2 → 3. A link back to the front cycles; the walk
+        // stops at the buffer's depth.
+        ws.next[3] = 0;
         let err = ws.check_credit_balance().unwrap_err();
         assert!(err.contains("links cycle"), "{err}");
         ws.next[3] = LAST;
-        // A link marked parked that no queue reaches.
-        ws.next[0] = LAST;
-        let err = ws.check_pool(4).unwrap_err();
-        assert!(err.contains("4 packets read parked"), "{err}");
-        ws.next[0] = NOT_PARKED;
+        // A link that reads parked, of an id no queue reaches.
+        ws.next[4] = LAST;
+        let err = ws.check_pool(5).unwrap_err();
+        assert!(
+            err.contains("5 packets read parked but the VC queues hold 4"),
+            "{err}"
+        );
+        ws.next[4] = NOT_PARKED;
         // A queue cut short of its tail.
         ws.next[2] = LAST;
-        let err = ws.check_pool(4).unwrap_err();
+        let err = ws.check_pool(5).unwrap_err();
         assert!(err.contains("ends before its tail"), "{err}");
     }
 
@@ -1451,9 +1456,9 @@ mod tests {
         assert_eq!(sim.run(&mut drv, 1_000_000), RunOutcome::Completed);
         sim.check_invariants().unwrap();
         let ws = sim.wires();
-        assert!(ws.queued.iter().all(|&m| m == 0));
+        assert!(ws.occupied.iter().all(|&m| m == 0));
         assert!(ws.next.iter().all(|&n| n == NOT_PARKED));
-        assert!(!ws.next.is_empty(), "a saturated run must have queued");
+        assert!(!ws.next.is_empty(), "a saturated run must have buffered");
         assert_eq!(ws.parked.len(), ws.next.len());
         assert!(ws.next.len() <= sim.packet_high_water());
     }
@@ -1538,8 +1543,8 @@ mod tests {
         assert_eq!(ws.send(now, 0, entry(1, 1), 0), Some(LAST_CYCLE + 1));
         assert_eq!(ws.gate(0, 0).ready, u32::MAX, "saturated, not wrapped");
         assert_eq!(ready_pkt(&ws, LAST_CYCLE - 1, 0), None);
-        // The same through the pool: parked with a saturated `ready_at`,
-        // promoted into a gate that still never reads ready, while `send`
+        // The same behind the head: queued with a saturated `ready_at`, then
+        // the head in a gate that still never reads ready, while `send`
         // reports the cycle it really meant.
         assert_eq!(ws.send(now + 1, 0, entry(2, 1), 0), Some(LAST_CYCLE + 2));
         assert_eq!(ws.parked[2].ready_at, u32::MAX);
@@ -1563,11 +1568,10 @@ mod tests {
         };
         ws.send(0, 0, aged(1, LAST_CYCLE + 10), 0);
         ws.send(0, 0, aged(2, 100), 1);
-        let (gate, heads) = ws.rows(0);
         let winner = anton_arbiter::BitsetArbiter::age(8).pick_mask(
             0b11,
-            |i| gate[i as usize].pattern,
-            |i| u64::from(heads[i as usize].age),
+            |i| ws.gate(0, i as u8).pattern,
+            |i| u64::from(ws.head(0, i as u8).age),
         );
         assert_eq!(winner, Some(1), "the older packet wins");
     }
@@ -1765,9 +1769,8 @@ mod tests {
     type Cycle = (bool, u8, u8, u8);
 
     /// The opening every schedule starts with, timed from the wire's own
-    /// latency so that each case — not a lucky draw — drives the queues
-    /// behind the heads through what their representation has to get
-    /// right. Returns the cycles and how many of them pass before every
+    /// latency so that each case — not a lucky draw — drives the VC queues
+    /// through what their representation has to get right. Returns the cycles and how many of them pass before every
     /// packet of the first step has arrived.
     fn opening(latency: u64, rx_pipeline: u64, depth: u8, vc: u8) -> (Vec<Cycle>, usize) {
         let repeat = |cycle: Cycle, n: u64| std::iter::repeat_n(cycle, n as usize);
@@ -1779,9 +1782,10 @@ mod tests {
         cycles.extend(repeat((true, vc, 1, 0), u64::from(depth)));
         cycles.extend(repeat(idle, latency + rx_pipeline));
         let arrived = cycles.len();
-        // 2. Pop two of them, freeing ids 0 then 1 (1 was queued, promoted,
-        //    then popped), and offer sends until both credits are back: the
-        //    ids return last-freed-first, and 1 queues a second time.
+        // 2. Pop two of them, freeing ids 0 then 1 (1 was queued behind 0,
+        //    became the head, then popped), and offer sends until both
+        //    credits are back: the ids return last-freed-first, and 1 queues
+        //    a second time.
         cycles.extend(repeat((false, 0, 1, 1 << vc), 2));
         cycles.extend(repeat((true, vc, 1, 0), latency + 2));
         // 3. Fill a second VC with ids the pool has never seen, and wait
@@ -1887,11 +1891,11 @@ mod tests {
             if let Err(e) = audit {
                 return Err(TestCaseError::fail(format!("cycle {now}: {e}")));
             }
-            let mut queued = ws.queued[0];
-            while queued != 0 {
-                let v = queued.trailing_zeros() as usize;
-                queued &= queued - 1;
-                deepest = deepest.max(1 + ws.parked_behind(0, v).expect("audited").0);
+            let mut occupied = ws.occupied[0];
+            while occupied != 0 {
+                let v = occupied.trailing_zeros() as usize;
+                occupied &= occupied - 1;
+                deepest = deepest.max(ws.walk_queue(0, v).expect("audited").0);
             }
             if now as usize == arrived {
                 pool_after_fill = ws.next.len();
@@ -1928,16 +1932,15 @@ mod tests {
         /// the pool of queued entries mid-run, before the random part.
         ///
         /// Verified to fail when: `transmit` drops `flits - 1` from the
-        /// tail arrival; `file` leaves the queued bit clear behind a head,
-        /// or `pop` never promotes one; a dense `pop` files its credit one
-        /// calendar slot late; a return wakes its producer unrefused, or
-        /// leaves the refusal marked after waking it. And of the queues
-        /// behind the heads: `promote` leaves the queued bit set on the
-        /// last entry, does not advance `qhead`, takes the entry at
-        /// `qtail` (the list walked from its tail), or does not reset the
-        /// promoted id's link; `file` does not advance `qtail`, does not
-        /// link the old tail to the new one, leaves the new tail's link
-        /// unset, or moves `qhead` on every park.
+        /// tail arrival; a dense `pop` files its credit one calendar slot
+        /// late; a return wakes its producer unrefused, or leaves the
+        /// refusal marked after waking it. And of the queues threaded
+        /// through the pool: `file` moves `qhead` on every filing, does not
+        /// advance `qtail`, does not link the old tail to the new one, or
+        /// leaves the new tail's link unset; `pop` clears the occupied bit
+        /// with packets still behind the head, does not advance `qhead`,
+        /// leaves the gate of the popped head in place, takes the entry at
+        /// `qtail`, or does not reset the popped id's link.
         #[test]
         fn delivery_paths_agree_with_each_other_and_the_model(
             latency in (0u64..26).prop_map(|i| if i < 6 { i + 1 } else { i + 34 }),

@@ -75,22 +75,26 @@ fn idle_footprint(k: u8) -> (i64, i64) {
 }
 
 /// An idle machine is a few flat arrays over the slot layout, the same
-/// number of blocks at any size: 8×8×8 holds 31 MB in 42 blocks, and costs
+/// number of blocks at any size: 8×8×8 holds 19 MB in 41 blocks, and costs
 /// per node what 4×4×4 does. Measured, identical on every run: k=8
-/// 30,865,539 bytes in 42 live allocations, k=4 3,862,659 in 42 (ratio 7.99
-/// for 8× the nodes). The byte ceiling sits below the 32,675,971 bytes the
-/// machine held while every router kept its own energy state (a block of
-/// per-port last-flit words, allocated with the counters off).
+/// 18,946,179 bytes in 41 live allocations, k=4 2,372,739 in 41 (ratio 7.98
+/// for 8× the nodes). The byte ceiling sits just above the k=8 count: a VC
+/// holds no entry until a packet is buffered on it, and a wire on the dense
+/// path owns no cold record.
 ///
-/// What trips it: state per VC that is not a few bytes of a shared row. A
-/// `VecDeque` header per VC — the queues the packet-keyed pool replaced —
-/// is 491,520 × 32 B = +15.7 MB at k=8. Verified to fail: with a
-/// `Vec<[u64; 4]>` laid out like `qhead` added to `wire::Wires` (32 bytes
-/// per VC) this panics with `idle 8x8x8 machine holds 46594179 bytes`, and
-/// with each router's energy block back it reads 32,675,971 bytes in 8,234
-/// allocations. The allocation ceiling fails on one block per router
-/// (+8,192); the ratio catches a structure sized by the machine inside each
-/// node or wire.
+/// What trips it: state per VC or per wire that is not a few bytes of a
+/// shared row. A per-VC head row — the 16-byte `BufEntry` every VC held
+/// before its head joined the packet-keyed pool — is 491,520 × 16 B =
+/// +7.86 MB at k=8; a cold record per wire, as every wire owned before they
+/// went sparse, was +3.7 MB at 72 bytes beside the label row, and is
+/// +31.5 MB now that the shim sits inline in it. A `VecDeque` header per VC
+/// — the queues the pool replaced — is 491,520 × 32 B = +15.7 MB. Verified
+/// to fail: with a `Vec<BufEntry>` laid out like `qhead` added to
+/// `wire::Wires` this panics with `idle 8x8x8 machine holds 26810499
+/// bytes`, and with a cold record built for every wire it reads 50403459
+/// bytes. The allocation ceiling fails on one block per router (+8,192);
+/// the ratio catches a structure sized by the machine inside each node or
+/// wire.
 #[test]
 fn idle_machine_footprint_is_exact_and_per_node() {
     let (k4_bytes, k4_allocations) = idle_footprint(4);
@@ -104,7 +108,7 @@ fn idle_machine_footprint_is_exact_and_per_node() {
         "the counter is not wired"
     );
     assert!(
-        k8_bytes <= 31_500_000,
+        k8_bytes <= 19_000_000,
         "idle 8x8x8 machine holds {k8_bytes} bytes"
     );
     assert!(
@@ -137,7 +141,7 @@ fn saturated_peak(packets: u64) -> i64 {
 /// A saturated batch keeps most of itself in flight, so its peak is the
 /// packet slab: one 64-byte line per in-flight packet, 1,024 to a chunk.
 /// Measured, identical on every run: 64 packets per endpoint peak at
-/// 5,950,208 bytes above the built machine, 16 per endpoint at 3,044,032.
+/// 5,948,928 bytes above the built machine, 16 per endpoint at 3,043,712.
 ///
 /// What trips it: a wider slab slot. With the whole `Packet` and the route
 /// log in every slot (136 bytes) the 64-packet batch peaked at 8,964,864
@@ -185,8 +189,8 @@ fn link_layer_peak(packets: u64) -> i64 {
 /// A link direction holds its go-back-N window, not its history: the
 /// sender's unacknowledged flits, the frames and acks on the wire and the
 /// flit counts of queued packets, each queue grown to the most it has held.
-/// Measured, identical on every run: 420,112 bytes above the ideal run at
-/// 16 packets per endpoint, 596,896 at 64 (777 bytes a shim); the 4× longer
+/// Measured, identical on every run: 422,352 bytes above the ideal run at
+/// 16 packets per endpoint, 599,136 at 64 (780 bytes a shim); the 4× longer
 /// run adds 176,784 bytes of queue high-water marks, not a word per flit.
 ///
 /// What trips it: a per-flit log in the link layer. With every accepted
