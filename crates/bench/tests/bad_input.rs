@@ -212,3 +212,39 @@ fn a_flag_value_out_of_range_is_av103() {
         }
     }
 }
+
+/// Hostile fault specs: a malformed `--down-links` entry or `--down-window`
+/// is AV103 naming the flag, never a panic.
+#[test]
+fn a_malformed_fault_spec_is_av103() {
+    let down_links = [
+        "4,0,0,x+",
+        "0,0,4,z-",
+        "0,0,0,x+,2",
+        "0,0,0,w+",
+        "0,0,0",
+        ";;",
+        "256,0,0,x+",
+    ];
+    for spec in down_links {
+        let stderr = usage_error(
+            env!("CARGO_BIN_EXE_verify_config"),
+            &["--k", "4", "--down-links", spec],
+        );
+        assert!(
+            stderr.contains("[AV103]: ") && stderr.contains("--down-links"),
+            "--down-links {spec:?}: {stderr}"
+        );
+    }
+    let down_windows = ["5,5", "9,1", "a,b", "1,2,3", "0,18446744073709551616"];
+    for window in down_windows {
+        let stderr = usage_error(
+            env!("CARGO_BIN_EXE_fig_fault_sweep"),
+            &["--k", "2", "--down-window", window],
+        );
+        assert!(
+            stderr.contains("[AV103]: ") && stderr.contains("--down-window"),
+            "--down-window {window:?}: {stderr}"
+        );
+    }
+}

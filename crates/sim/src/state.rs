@@ -1,4 +1,9 @@
 //! Per-packet simulation state and the packet slab.
+//!
+//! The slab is chunked, one 64-byte line per slot: a live slot holds a
+//! packet's hot record, a vacant one the id of the next vacant slot, so the
+//! free list is threaded through the slots it lists and costs nothing
+//! beside them.
 
 use anton_core::chip::{ChanId, LocalAttach, LocalEndpointId};
 use anton_core::config::GlobalEndpoint;
@@ -203,13 +208,26 @@ pub struct ColdState {
 /// Slots per chunk of the slab: a power of two, 64 KB a chunk.
 const CHUNK: usize = 1024;
 
+/// End of the slab's free list.
+const NO_FREE: u32 = u32::MAX;
+
+/// One slot of the slab: a live packet's hot record, or, vacant, the next
+/// link of the free list threaded through the vacant slots.
+#[derive(Debug, Clone, Copy)]
+enum SlabEntry {
+    Live(PacketState),
+    /// The id of the slot freed before this one, [`NO_FREE`] at the end.
+    Vacant(u32),
+}
+
 // One cache line per slot: the hot record fills 64 bytes on a 64-byte
-// boundary, and an empty slot is no larger than a full one.
-const _: () = assert!(std::mem::size_of::<Option<PacketState>>() == 64);
-const _: () = assert!(std::mem::align_of::<Option<PacketState>>() == 64);
+// boundary, and a vacant slot, its link included, is no larger than a live
+// one.
+const _: () = assert!(std::mem::size_of::<SlabEntry>() == 64);
+const _: () = assert!(std::mem::align_of::<SlabEntry>() == 64);
 
 /// Slab of in-flight packets with id reuse.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PacketSlab {
     /// Slot `id` is `chunks[id / CHUNK][id % CHUNK]`; every chunk is
     /// allocated at `CHUNK` capacity and all but the last are full. The slab
@@ -218,18 +236,33 @@ pub struct PacketSlab {
     /// extend it where it lies, and whether it can depends on the heap around
     /// it, so the peak memory of a saturated run differed from one process
     /// to the next by the size of the old block (4 MB at 4×4×4).
-    chunks: Vec<Vec<Option<PacketState>>>,
+    chunks: Vec<Vec<SlabEntry>>,
     /// The cold side table: slot `id`'s [`ColdState`] at `cold[id]`, for a
     /// packet inserted with one. Grown only by such an insert, so it stays
     /// empty while no instrument is on; a removal takes the entry out, so a
     /// recycled id starts with none.
     cold: Vec<Option<ColdState>>,
-    free: Vec<u32>,
+    /// The most recently freed vacant slot, [`NO_FREE`] when none is: ids
+    /// are reused last-freed-first.
+    free_head: u32,
     live: usize,
     /// Packets ever inserted (multicast copies count individually).
     created: u64,
     /// Packets ever removed (delivered or absorbed into copies).
     terminated: u64,
+}
+
+impl Default for PacketSlab {
+    fn default() -> PacketSlab {
+        PacketSlab {
+            chunks: Vec::new(),
+            cold: Vec::new(),
+            free_head: NO_FREE,
+            live: 0,
+            created: 0,
+            terminated: 0,
+        }
+    }
 }
 
 impl PacketSlab {
@@ -243,15 +276,21 @@ impl PacketSlab {
     pub fn insert(&mut self, state: PacketState, cold: Option<ColdState>) -> PacketId {
         self.live += 1;
         self.created += 1;
-        let idx = if let Some(idx) = self.free.pop() {
-            *self.slot_mut(idx) = Some(state);
+        let idx = if self.free_head != NO_FREE {
+            let idx = self.free_head;
+            let slot = self.slot_mut(idx);
+            let SlabEntry::Vacant(next) = *slot else {
+                unreachable!("the free list runs through live slot {idx}");
+            };
+            *slot = SlabEntry::Live(state);
+            self.free_head = next;
             idx as usize
         } else {
             let idx = self.high_water();
             if idx.is_multiple_of(CHUNK) {
                 self.chunks.push(Vec::with_capacity(CHUNK));
             }
-            self.chunks[idx / CHUNK].push(Some(state));
+            self.chunks[idx / CHUNK].push(SlabEntry::Live(state));
             idx
         };
         if let Some(cold) = cold {
@@ -264,12 +303,12 @@ impl PacketSlab {
     }
 
     #[inline]
-    fn slot(&self, idx: u32) -> &Option<PacketState> {
+    fn slot(&self, idx: u32) -> &SlabEntry {
         &self.chunks[idx as usize / CHUNK][idx as usize % CHUNK]
     }
 
     #[inline]
-    fn slot_mut(&mut self, idx: u32) -> &mut Option<PacketState> {
+    fn slot_mut(&mut self, idx: u32) -> &mut SlabEntry {
         &mut self.chunks[idx as usize / CHUNK][idx as usize % CHUNK]
     }
 
@@ -279,9 +318,14 @@ impl PacketSlab {
     ///
     /// Panics if the id is stale.
     pub fn remove(&mut self, id: PacketId) -> (PacketState, Option<ColdState>) {
-        let state = self.slot_mut(id.0).take().expect("stale packet id");
+        let next = self.free_head;
+        let slot = self.slot_mut(id.0);
+        let SlabEntry::Live(state) = *slot else {
+            panic!("stale packet id");
+        };
+        *slot = SlabEntry::Vacant(next);
         let cold = self.cold.get_mut(id.0 as usize).and_then(Option::take);
-        self.free.push(id.0);
+        self.free_head = id.0;
         self.live -= 1;
         self.terminated += 1;
         (state, cold)
@@ -293,7 +337,10 @@ impl PacketSlab {
     ///
     /// Panics if the id is stale.
     pub fn get(&self, id: PacketId) -> &PacketState {
-        self.slot(id.0).as_ref().expect("stale packet id")
+        match self.slot(id.0) {
+            SlabEntry::Live(state) => state,
+            SlabEntry::Vacant(_) => panic!("stale packet id"),
+        }
     }
 
     /// Mutably borrows a packet.
@@ -302,7 +349,10 @@ impl PacketSlab {
     ///
     /// Panics if the id is stale.
     pub fn get_mut(&mut self, id: PacketId) -> &mut PacketState {
-        self.slot_mut(id.0).as_mut().expect("stale packet id")
+        match self.slot_mut(id.0) {
+            SlabEntry::Live(state) => state,
+            SlabEntry::Vacant(_) => panic!("stale packet id"),
+        }
     }
 
     /// A live packet's cold record, if it was inserted with one.
@@ -390,6 +440,20 @@ mod tests {
         assert_eq!(c, a, "freed slot should be reused");
         assert_ne!(b, c);
         assert_eq!(slab.live(), 2);
+    }
+
+    #[test]
+    fn freed_ids_come_back_last_freed_first() {
+        let mut slab = PacketSlab::new();
+        let ids: Vec<PacketId> = (0..5).map(|_| slab.insert(dummy_state(), None)).collect();
+        for &i in &[1, 3, 0] {
+            slab.remove(ids[i]);
+        }
+        assert_eq!(slab.insert(dummy_state(), None), ids[0]);
+        slab.remove(ids[4]);
+        let reused: Vec<PacketId> = (0..4).map(|_| slab.insert(dummy_state(), None)).collect();
+        assert_eq!(reused, vec![ids[4], ids[3], ids[1], PacketId(5)]);
+        assert_eq!((slab.live(), slab.high_water()), (6, 6));
     }
 
     #[test]

@@ -14,9 +14,14 @@
 //! one dense array that only reports read. A lossy-link shim, a
 //! shard-boundary role and its outboxes sit in a cold record that only a
 //! wire off the dense path owns: an ideal interior wire has none. The layer
-//! also owns its two calendars: the wire wheel (which shimmed wires have a
-//! link-layer event due) and the credit calendar (every credit return,
-//! drained densely without touching the wire).
+//! also owns its calendars: the wire wheel (which shimmed wires have a
+//! link-layer event due) and one credit wheel per distinct wire latency
+//! (every credit return, drained densely without touching the wire). A
+//! credit wheel has `(latency + 1).next_power_of_two()` slots — 2 for the
+//! one-cycle on-chip wires, 64 for the 44-cycle torus wires — so a slot
+//! only ever grows to one cycle's returns of its own latency: a saturated
+//! machine's bursts of one-cycle mesh returns fill the two slots of their
+//! own wheel, and the torus wheel's slots hold torus returns only.
 //!
 //! A VC's receive buffer is a FIFO of packets, and at saturation most sends
 //! land behind a head (55 % on the 8×8×8 uniform batch), so the FIFOs are
@@ -42,8 +47,9 @@
 //! "The wire layer"). Every wire delivers inside the wake wheel's horizon
 //! (`Wires::new` refuses one that does not), so a packet is always filed
 //! with the cycle it clears the receive pipeline and a credit return is
-//! always a calendar entry. The simulator keeps only who consumes and who
-//! produces each wire, and acts on the wake cycles this layer hands back.
+//! always an entry of its latency's credit wheel. The simulator keeps only
+//! who consumes and who produces each wire, and acts on the wake cycles
+//! this layer hands back.
 //!
 //! Buffer entries carry a copy of the scheduling-relevant packet metadata
 //! (flit count, class, pattern, age) in 16 bytes, and each head's gate
@@ -297,7 +303,10 @@ pub(crate) enum End {
 #[derive(Debug, Clone, Copy)]
 struct WireInfo {
     /// Flight latency in cycles.
-    lat: u32,
+    lat: u16,
+    /// Index of the wire's credit wheel in [`Wires::credit_wheels`]: the
+    /// wheel of its latency.
+    wheel: u8,
     /// Receiver pipeline delay in cycles.
     rxp: u8,
     /// VCs per traffic class.
@@ -313,8 +322,8 @@ const _: () = assert!(std::mem::size_of::<WireInfo>() == 8);
 
 /// The wire is ideal (no shim) and interior, and owns no cold record: sends
 /// file straight into the receive buffers and pops file their credit
-/// straight into the calendar. A shimmed wire delivers when its link layer
-/// completes, an export wire into its outbox, and an import wire's credits
+/// straight into its credit wheel. A shimmed wire delivers when its link
+/// layer completes, an export wire into its outbox, and an import wire's credits
 /// cross back through its outbox.
 const DENSE: u8 = 1;
 /// The wire realizes an external torus channel.
@@ -401,10 +410,15 @@ pub(crate) struct Wires {
     /// scheduled for. Events past the wheel's horizon chain forward through
     /// clamped re-schedules.
     wheel: Scheduler,
-    /// Calendar of credit returns: slot `c % HORIZON` holds the `(wire, vc
-    /// index, flits)` returns maturing at cycle `c`. A cycle's returns apply
-    /// in one dense drain, so no wire needs a tick for its credits.
-    calendar: Vec<Vec<(u32, u8, u8)>>,
+    /// Credit returns, one wheel per distinct wire latency `lat` (in order
+    /// of first appearance), each of `(lat + 1).next_power_of_two()` slots:
+    /// slot `c & (len - 1)` holds the `(wire, vc index, flits)` returns of
+    /// that latency maturing at cycle `c`. A return is filed at most `lat`
+    /// cycles ahead (a pop before the cycle's wires phase), so no two
+    /// pending cycles share a slot. A cycle's returns apply in one dense
+    /// drain, so no wire needs a tick for its credits, and a slot only ever
+    /// grows to one cycle's returns of its own latency.
+    credit_wheels: Vec<Vec<Vec<(u32, u8, u8)>>>,
     /// Reused wake-list buffer (the wheel's drained snapshot).
     scratch: Vec<u32>,
     /// Wires ticked so far.
@@ -437,6 +451,8 @@ impl Wires {
         let mut labels = Vec::with_capacity(n);
         let mut cold_of = Vec::with_capacity(n);
         let mut cold = Vec::new();
+        let mut credit_wheels: Vec<Vec<Vec<(u32, u8, u8)>>> = Vec::new();
+        let mut wheel_of_latency = [u8::MAX; HORIZON as usize];
         for (w, s) in specs.into_iter().enumerate() {
             assert!(s.latency >= 1, "wires need at least one cycle of latency");
             assert!(
@@ -455,8 +471,16 @@ impl Wires {
             );
             let dense = s.role == BoundaryRole::Interior && s.shim.is_none();
             let torus = matches!(s.label, GlobalLink::Torus { .. });
+            // Below the horizon, by the check above.
+            let wheel = &mut wheel_of_latency[s.latency as usize];
+            if *wheel == u8::MAX {
+                *wheel = credit_wheels.len() as u8;
+                let slots = (s.latency + 1).next_power_of_two() as usize;
+                credit_wheels.push(vec![Vec::new(); slots]);
+            }
             info.push(WireInfo {
-                lat: u32::try_from(s.latency).expect("wire latency overflows the info word"),
+                lat: s.latency as u16,
+                wheel: *wheel,
                 rxp: u8::try_from(s.rx_pipeline).expect("rx pipeline overflows the info word"),
                 gvcs: s.group_vcs,
                 depth: s.depth,
@@ -498,7 +522,7 @@ impl Wires {
             cold_of,
             cold,
             wheel: Scheduler::new(n),
-            calendar: vec![Vec::new(); HORIZON as usize],
+            credit_wheels,
             scratch: Vec::with_capacity(n),
             wakes: 0,
             link_events: log_link_events.then(Vec::new),
@@ -759,7 +783,7 @@ impl Wires {
 
     /// Pops the head packet of a VC buffer at cycle `now`, making the next
     /// queued entry (if any) the head, and puts the credit return in
-    /// flight: into the credit calendar, or into the boundary outbox when
+    /// flight: into its credit wheel, or into the boundary outbox when
     /// the sender's credit pool lives in the producing shard. The popped
     /// packet's link reads "not parked" again, for the id's next use.
     ///
@@ -782,11 +806,11 @@ impl Wires {
         }
         let info = self.info[w];
         // Latency is at least one cycle, so the return never matures in
-        // the cycle whose wires phase has already run; `Wires::new` keeps it
-        // inside the calendar's horizon.
+        // the cycle whose wires phase has already run; its wheel is longer
+        // than the latency, so the slot is one no pending cycle holds.
         let at = now + u64::from(info.lat);
         if info.flags & DENSE != 0 {
-            self.calendar[(at % HORIZON) as usize].push((w as u32, vcidx, entry.flits));
+            self.file_credit(w, at, vcidx, entry.flits);
         } else {
             self.pop_off_dense(w, at, vcidx, entry.flits);
         }
@@ -794,33 +818,46 @@ impl Wires {
     }
 
     /// The rest of a pop off the dense path: the credit return crosses back
-    /// to the producing shard, or (a shimmed wire) enters the calendar.
+    /// to the producing shard, or (a shimmed wire) enters its credit wheel.
     fn pop_off_dense(&mut self, w: usize, at: u64, vcidx: u8, flits: u8) {
         let cold = self.cold_mut(w);
         if cold.role == BoundaryRole::Import {
             cold.outbox_credits.push((at, vcidx, flits));
         } else {
-            self.calendar[(at % HORIZON) as usize].push((w as u32, vcidx, flits));
+            self.file_credit(w, at, vcidx, flits);
         }
     }
 
-    /// The wires phase of cycle `now`: applies the credit calendar's slot,
-    /// then ticks the shimmed wires the wheel holds for this cycle. `wake`
-    /// receives `(wire, end, cycle)` for every component wake the phase
-    /// raises — producers at `now` for credits returned to a VC marked
-    /// starved (the mark is cleared; with `every_return`, for every return),
-    /// consumers at the cycle a link-layer delivery clears the receive
-    /// pipeline (`now` or later). Returns whether the phase did anything.
+    /// Files a credit return of wire `w` maturing at cycle `at` into the
+    /// slot of `at` on the wire's credit wheel.
+    #[inline]
+    fn file_credit(&mut self, w: usize, at: u64, vcidx: u8, flits: u8) {
+        let slots = &mut self.credit_wheels[usize::from(self.info[w].wheel)];
+        let mask = slots.len() - 1;
+        slots[at as usize & mask].push((w as u32, vcidx, flits));
+    }
+
+    /// The wires phase of cycle `now`: applies the slot of `now` on every
+    /// credit wheel, then ticks the shimmed wires the wire wheel holds for
+    /// this cycle. `wake` receives `(wire, end, cycle)` for every component
+    /// wake the phase raises — producers at `now` for credits returned to a
+    /// VC marked starved (the mark is cleared; with `every_return`, for
+    /// every return), consumers at the cycle a link-layer delivery clears
+    /// the receive pipeline (`now` or later). Returns whether the phase did
+    /// anything.
     ///
     /// A producer that was never denied has nothing a return could unblock:
     /// it is woken by its own arrivals and busy windows. Stall attribution
     /// asks for `every_return`, because it samples each head's cause on
     /// every wake and its per-cause cycles depend on when those are.
     ///
-    /// Order between the calendar drain and the ticks is immaterial —
+    /// Order between the credit drain and the ticks is immaterial —
     /// credits touch sender-side pools, arrivals touch receive buffers, and
-    /// wakes are idempotent.
-    // Inlined so the caller's `wake` closure folds into the calendar drain
+    /// wakes are idempotent. So is the order of the credit wheels, drained
+    /// one after the other: returns commute (each adds credits to its own
+    /// VC, clears that VC's starved bit and sets a wake bit, which is
+    /// idempotent), so no simulated value depends on it.
+    // Inlined so the caller's `wake` closure folds into the credit drain
     // (one call per credit return otherwise).
     #[inline]
     pub(crate) fn step(
@@ -829,20 +866,27 @@ impl Wires {
         every_return: bool,
         mut wake: impl FnMut(usize, End, u64),
     ) -> bool {
-        let slot = (now % HORIZON) as usize;
-        let mut returns = std::mem::take(&mut self.calendar[slot]);
-        let mut worked = !returns.is_empty();
-        for &(wu, vcidx, flits) in &returns {
-            let w = wu as usize;
-            self.credit(w, vcidx, flits);
-            let bit = 1u16 << vcidx;
-            if every_return || self.starved[w] & bit != 0 {
-                self.starved[w] &= !bit;
-                wake(w, End::Producer, now);
+        let mut worked = false;
+        for k in 0..self.credit_wheels.len() {
+            let slots = &mut self.credit_wheels[k];
+            let slot = now as usize & (slots.len() - 1);
+            if slots[slot].is_empty() {
+                continue;
             }
+            let mut returns = std::mem::take(&mut slots[slot]);
+            worked = true;
+            for &(wu, vcidx, flits) in &returns {
+                let w = wu as usize;
+                self.credit(w, vcidx, flits);
+                let bit = 1u16 << vcidx;
+                if every_return || self.starved[w] & bit != 0 {
+                    self.starved[w] &= !bit;
+                    wake(w, End::Producer, now);
+                }
+            }
+            returns.clear();
+            self.credit_wheels[k][slot] = returns;
         }
-        returns.clear();
-        self.calendar[slot] = returns;
         let mut due = std::mem::take(&mut self.scratch);
         due.clear();
         self.wheel.begin_cycle(now);
@@ -953,16 +997,17 @@ impl Wires {
 
     /// Files a credit return arriving from the consuming shard's copy of
     /// an export wire, at a window barrier before cycle `now` steps, into
-    /// the calendar slot of its arrival cycle `at`. The return was popped
-    /// in the window just closed, one link latency — longer than the
-    /// window, shorter than the horizon — before `at`.
+    /// its credit wheel's slot of its arrival cycle `at`. The return was
+    /// popped in the window just closed, one link latency — no shorter than
+    /// the window — before `at`, so `at` lies in `now..now + lat`, inside
+    /// the wheel.
     pub(crate) fn import_credit(&mut self, now: u64, w: usize, at: u64, vcidx: u8, flits: u8) {
         debug_assert_eq!(self.role(w), BoundaryRole::Export);
         debug_assert!(
-            (now..now + HORIZON).contains(&at),
-            "credit import at {at} outside the calendar from {now}"
+            (now..now + u64::from(self.info[w].lat)).contains(&at),
+            "credit import at {at} outside the credit wheel from {now}"
         );
-        self.calendar[(at % HORIZON) as usize].push((w as u32, vcidx, flits));
+        self.file_credit(w, at, vcidx, flits);
     }
 
     // ----- faults ----------------------------------------------------------
@@ -1077,11 +1122,11 @@ impl Wires {
                 .all(|c| c.shim.as_ref().is_none_or(|s| s.queue.is_empty()) && c.outbox.is_empty())
     }
 
-    /// Credit-return flits parked in the calendar per wire VC, laid out
-    /// like the gate rows — one pass over the calendar for a whole audit.
+    /// Credit-return flits parked in the credit wheels per wire VC, laid
+    /// out like the gate rows — one pass over the wheels for a whole audit.
     pub(crate) fn parked_credits(&self) -> Vec<u8> {
         let mut parked = vec![0u8; self.gate.len()];
-        for &(w, vcidx, flits) in self.calendar.iter().flatten() {
+        for &(w, vcidx, flits) in self.credit_wheels.iter().flatten().flatten() {
             let p = &mut parked[self.slot(w as usize, vcidx)];
             *p = p.saturating_add(flits);
         }
@@ -1247,8 +1292,8 @@ mod tests {
         Wires::new(vec![s], false)
     }
 
-    /// Runs the wires phase of every cycle in `cycles` (wheel and calendar
-    /// slots only fire on their own cycle), returning the wakes raised as
+    /// Runs the wires phase of every cycle in `cycles` (wire wheel and credit
+    /// wheel slots only fire on their own cycle), returning the wakes raised as
     /// `(end, cycle to wake at)`: credit returns wake only starved
     /// producers, as in a run without stall attribution.
     fn step(ws: &mut Wires, cycles: RangeInclusive<u64>) -> Vec<(End, u64)> {
@@ -1307,6 +1352,68 @@ mod tests {
         assert!(!ws.credit_gate(0, 0, 2), "credits in flight");
         assert_eq!(step(&mut ws, 5..=5), vec![(End::Producer, 5)]);
         assert!(ws.credit_gate(0, 0, 2), "credits should have returned");
+    }
+
+    #[test]
+    fn each_latency_returns_its_credits_through_its_own_wheel() {
+        // Two one-cycle wires share a 2-slot wheel; a 44-cycle torus-like
+        // wire has a 64-slot one.
+        let mut ws = Wires::new(vec![spec(1, 0, 2), spec(44, 0, 2), spec(1, 0, 2)], false);
+        let slots: Vec<usize> = ws.credit_wheels.iter().map(Vec::len).collect();
+        assert_eq!(slots, vec![2, 64]);
+        assert_eq!(
+            (ws.info[0].wheel, ws.info[1].wheel, ws.info[2].wheel),
+            (0, 1, 0)
+        );
+        for w in 0..3 {
+            ws.send(0, w, entry(w as u32, 2), 0);
+        }
+        let now = 50;
+        step(&mut ws, 0..=now);
+        for w in 0..3 {
+            assert_eq!(ws.pop(now, w, 0).pkt, PacketId(w as u32));
+            assert!(!ws.credit_gate(w, 0, 1), "wire {w}'s credits are away");
+        }
+        let mut woken = Vec::new();
+        for t in now + 1..=now + 63 {
+            ws.step(t, false, |w, end, at| woken.push((w, end, at)));
+            let back: Vec<u8> = (0..3).map(|w| ws.credits(w, 0)).collect();
+            let torus = if t >= now + 44 { 2 } else { 0 };
+            assert_eq!(back, vec![2, torus, 2], "credits at cycle {t}");
+        }
+        assert_eq!(
+            woken,
+            vec![
+                (0, End::Producer, now + 1),
+                (2, End::Producer, now + 1),
+                (1, End::Producer, now + 44),
+            ]
+        );
+        assert!(ws.credit_wheels.iter().flatten().all(Vec::is_empty));
+        ws.check_credit_balance().unwrap();
+    }
+
+    #[test]
+    fn an_imported_credit_lands_on_its_cycle_at_either_window_edge() {
+        // The barrier before cycle 88 closes the window [44, 88) of a
+        // 44-cycle export wire: a return popped at its first cycle matures
+        // at the barrier itself, one popped at its last 43 cycles on.
+        let mut export = spec(44, 0, 8);
+        export.role = BoundaryRole::Export;
+        let mut ws = Wires::new(vec![export], false);
+        for (pkt, vcidx) in [(1, 0), (2, 1)] {
+            assert_eq!(ws.send(0, 0, entry(pkt, 2), vcidx), None);
+            assert!(!ws.credit_gate(0, vcidx, 7));
+        }
+        step(&mut ws, 0..=87);
+        ws.import_credit(88, 0, 44 + 44, 0, 2);
+        ws.import_credit(88, 0, 87 + 44, 1, 2);
+        let mut woken = Vec::new();
+        for t in 88..=160 {
+            ws.step(t, false, |_, end, at| woken.push((end, at)));
+        }
+        assert_eq!(woken, vec![(End::Producer, 88), (End::Producer, 131)]);
+        assert_eq!((ws.credits(0, 0), ws.credits(0, 1)), (8, 8));
     }
 
     #[test]
@@ -1466,7 +1573,7 @@ mod tests {
     #[test]
     fn next_event_tracks_pending_maturities() {
         // A dense wire never needs a tick: arrivals are filed at send time
-        // and credit returns go through the calendar.
+        // and credit returns go through the credit wheel.
         let mut ws = one_wire(3, 0, 4);
         assert_eq!(ws.next_event(0), u64::MAX, "idle wire has no events");
         step(&mut ws, 0..=10);
@@ -1475,7 +1582,7 @@ mod tests {
         assert_eq!(ws.next_event(0), u64::MAX);
         step(&mut ws, 11..=13);
         ws.pop(13, 0, 0);
-        assert_eq!(ws.next_event(0), u64::MAX, "the credit is in the calendar");
+        assert_eq!(ws.next_event(0), u64::MAX, "the credit is in its wheel");
         assert!(!ws.credit_gate(0, 0, 4), "a four-flit send waits for it");
         assert_eq!(step(&mut ws, 14..=16), vec![(End::Producer, 16)]);
         assert_eq!(ws.work().0, 1, "only the bootstrap look ticked the wire");
@@ -1624,7 +1731,7 @@ mod tests {
         assert!(lossy.is_quiescent());
         // Three frames: besides the bootstrap look, one tick to send the
         // second flit of the two-flit packet, one per frame landing, one
-        // per ack landing (the two credit returns come off the calendar).
+        // per ack landing (the two credit returns come off the credit wheel).
         assert_eq!(lossy.work().0, 1 + 1 + 3 + 3, "ticks follow events");
         assert_eq!(ideal.work().0, 1);
         ideal.check_credit_balance().unwrap();
@@ -1716,7 +1823,7 @@ mod tests {
         step(&mut prod, 44..=87);
         assert!(!prod.credit_gate(0, 2, 7), "two of eight credits are away");
         prod.import_credit(88, 0, 90, 2, 2);
-        assert_eq!(balance(&prod, &cons), 8, "the calendar holds the return");
+        assert_eq!(balance(&prod, &cons), 8, "its wheel holds the return");
         assert_eq!(prod.next_event(0), u64::MAX, "nothing for the wheel");
         assert_eq!(step(&mut prod, 88..=90), vec![(End::Producer, 90)]);
         assert_eq!(prod.credits(0, 2), 8);
@@ -1921,19 +2028,20 @@ mod tests {
 
         /// The dense path is indistinguishable from the obvious model at
         /// either end of a wire. Under a random send / pop schedule, a wire
-        /// (filed at send, credits through the calendar) shows the
+        /// (filed at send, credits through its credit wheel) shows the
         /// closed-form model's ready cycles, pop order and the credit-return
-        /// cycles that wake a refused producer, at on-chip latencies and at torus latencies whose
-        /// returns land in calendar slots up to the horizon's edge. Credits
-        /// balance after every cycle.
+        /// cycles that wake a refused producer, at on-chip latencies (wheels
+        /// of 2 to 8 slots, a return one latency ahead landing up to the
+        /// slot before the current one) and at torus latencies (a 64-slot
+        /// wheel). Credits balance after every cycle.
         ///
         /// Every case opens ([`opening`]) by filling a VC's queue to the
         /// buffer's depth, re-queueing a recycled packet id and growing
         /// the pool of queued entries mid-run, before the random part.
         ///
         /// Verified to fail when: `transmit` drops `flits - 1` from the
-        /// tail arrival; a dense `pop` files its credit one calendar slot
-        /// late; a return wakes its producer unrefused, or leaves the
+        /// tail arrival; a dense `pop` files its credit one credit-wheel
+        /// slot late; a return wakes its producer unrefused, or leaves the
         /// refusal marked after waking it. And of the queues threaded
         /// through the pool: `file` moves `qhead` on every filing, does not
         /// advance `qtail`, does not link the old tail to the new one, or

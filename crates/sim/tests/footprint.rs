@@ -75,9 +75,9 @@ fn idle_footprint(k: u8) -> (i64, i64) {
 }
 
 /// An idle machine is a few flat arrays over the slot layout, the same
-/// number of blocks at any size: 8×8×8 holds 19 MB in 41 blocks, and costs
+/// number of blocks at any size: 8×8×8 holds 19 MB in 43 blocks, and costs
 /// per node what 4×4×4 does. Measured, identical on every run: k=8
-/// 18,946,179 bytes in 41 live allocations, k=4 2,372,739 in 41 (ratio 7.98
+/// 18,946,323 bytes in 43 live allocations, k=4 2,372,883 in 43 (ratio 7.98
 /// for 8× the nodes). The byte ceiling sits just above the k=8 count: a VC
 /// holds no entry until a packet is buffered on it, and a wire on the dense
 /// path owns no cold record.
@@ -139,13 +139,19 @@ fn saturated_peak(packets: u64) -> i64 {
 }
 
 /// A saturated batch keeps most of itself in flight, so its peak is the
-/// packet slab: one 64-byte line per in-flight packet, 1,024 to a chunk.
+/// packet slab: one 64-byte line per in-flight packet, 1,024 to a chunk,
+/// with the free list threaded through the vacant lines. Beside it, the
+/// credit wheels hold one cycle's returns per latency and slot.
 /// Measured, identical on every run: 64 packets per endpoint peak at
-/// 5,948,928 bytes above the built machine, 16 per endpoint at 3,043,712.
+/// 4,546,048 bytes above the built machine, 16 per endpoint at 1,984,896.
 ///
-/// What trips it: a wider slab slot. With the whole `Packet` and the route
+/// What trips it: a wider slab slot — with the whole `Packet` and the route
 /// log in every slot (136 bytes) the 64-packet batch peaked at 8,964,864
-/// bytes, and 16 at 4,289,216.
+/// bytes, and 16 at 4,289,216. Each ceiling also fails on either lever
+/// undone: with one 64-slot credit calendar for every latency (each slot
+/// grows to a cycle's burst of one-cycle returns) the batches peak at
+/// 5,617,152 and 2,978,176 bytes; with a free-id `Vec` beside the slab at
+/// 4,877,824 and 2,050,432; with both at 5,948,928 and 3,043,712.
 #[test]
 fn saturated_batch_peak_is_the_packet_slab() {
     let (peak64, peak16) = (saturated_peak(64), saturated_peak(16));
@@ -154,8 +160,14 @@ fn saturated_batch_peak_is_the_packet_slab() {
          {peak64} bytes, 16 packets/endpoint {peak16} bytes"
     );
     assert!(
-        peak64 <= 6_100_000,
-        "a saturated 4x4x4 batch peaks at {peak64} bytes above the machine"
+        peak64 <= 4_700_000,
+        "a saturated 4x4x4 batch of 64 packets per endpoint peaks at {peak64} \
+         bytes above the machine"
+    );
+    assert!(
+        peak16 <= 2_030_000,
+        "a saturated 4x4x4 batch of 16 packets per endpoint peaks at {peak16} \
+         bytes above the machine"
     );
 }
 
@@ -189,9 +201,9 @@ fn link_layer_peak(packets: u64) -> i64 {
 /// A link direction holds its go-back-N window, not its history: the
 /// sender's unacknowledged flits, the frames and acks on the wire and the
 /// flit counts of queued packets, each queue grown to the most it has held.
-/// Measured, identical on every run: 422,352 bytes above the ideal run at
-/// 16 packets per endpoint, 599,136 at 64 (780 bytes a shim); the 4× longer
-/// run adds 176,784 bytes of queue high-water marks, not a word per flit.
+/// Measured, identical on every run: 420,560 bytes above the ideal run at
+/// 16 packets per endpoint, 595,424 at 64 (775 bytes a shim); the 4× longer
+/// run adds 174,864 bytes of queue high-water marks, not a word per flit.
 ///
 /// What trips it: a per-flit log in the link layer. With every accepted
 /// flit kept in the receiver until 4,096 had been read, the shims added
