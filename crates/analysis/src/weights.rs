@@ -17,7 +17,9 @@ use crate::load::LoadAnalysis;
 
 /// The weight tables of one kind of arbitration point, addressed by dense
 /// arbiter index. An arbiter the analyses placed no load on has no table;
-/// the simulator keeps its uniform weights there.
+/// the simulator leaves it with the policy its site starts with in the
+/// arbitration plan (`anton_arbiter::ArbiterPlan`): uniform weights at SA2
+/// under the `iw` plan, round-robin at SA1 and the serializers.
 #[derive(Debug, Clone)]
 pub struct WeightTables {
     num_patterns: usize,

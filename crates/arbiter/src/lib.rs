@@ -14,7 +14,9 @@
 //! * [`baseline`] — round-robin and age-based baselines;
 //! * [`bitset`] — the branchless bitmask arbitration core the simulator's
 //!   hot path uses: every policy over `u64` request lanes, property-tested
-//!   per-grant-equivalent to the reference arbiters above.
+//!   per-grant-equivalent to the reference arbiters above;
+//! * [`plan`] — the [`ArbiterPlan`]: which policy runs at each of the
+//!   simulator's arbitration sites, and where a weight set is programmed.
 //!
 //! All arbiters implement [`PortArbiter`], the reference interface: the
 //! equivalence tests (`tests/bitset_equiv.rs`) and the simulator router's
@@ -29,12 +31,14 @@ pub mod accumulator;
 pub mod baseline;
 pub mod bitset;
 pub mod iwarb;
+pub mod plan;
 pub mod priority;
 
 pub use accumulator::AccumulatorBank;
 pub use baseline::{AgeArbiter, RoundRobinArbiter};
 pub use bitset::BitsetArbiter;
 pub use iwarb::InverseWeightedArbiter;
+pub use plan::{ArbiterPlan, PlanError, SitePlan};
 
 /// One arbitration request: a head packet waiting at an arbiter input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,8 +98,8 @@ impl GrantSite {
     }
 }
 
-/// Which arbiter implementation a simulation should instantiate at each
-/// router output port.
+/// An arbitration policy: what one site of an [`ArbiterPlan`] starts
+/// with.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArbiterKind {
     /// Plain round-robin (the paper's baseline).

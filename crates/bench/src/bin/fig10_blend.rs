@@ -14,10 +14,9 @@
 
 use anton_analysis::load::LoadAnalysis;
 use anton_analysis::weights::ArbiterWeightSet;
+use anton_arbiter::{ArbiterKind, ArbiterPlan};
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
-use anton_bench::{
-    checked_cube, fail_usage, require, run_batch, torus_capacity, values, ArbiterSetup, FlagSet,
-};
+use anton_bench::{checked_cube, fail_usage, require, run_batch, torus_capacity, values, FlagSet};
 use anton_core::config::MachineConfig;
 use anton_core::pattern::TrafficPattern;
 use anton_sim::params::TraceConfig;
@@ -67,6 +66,8 @@ fn main() {
     let w_fwd = ArbiterWeightSet::compute(&cfg, &[&fwd], 5);
     let w_rev = ArbiterWeightSet::compute(&cfg, &[&rev], 5);
     let w_both = ArbiterWeightSet::compute(&cfg, &[&fwd, &rev], 5);
+    let rr = ArbiterPlan::from(ArbiterKind::RoundRobin);
+    let iw = ArbiterPlan::from(ArbiterKind::InverseWeighted { m_bits: 5 });
 
     // Saturation rate of each blend: the blended load is linear in the
     // mixing coefficients (Section 3.2), so analyze the mixture.
@@ -93,11 +94,11 @@ fn main() {
     let measurements = spec.run(threads, |point: &SweepPoint| {
         let pct = point.int("fwd_pct") as u64;
         let f = pct as f64 / 100.0;
-        let setup = match point.str("weights") {
-            "none" => ArbiterSetup::RoundRobin,
-            "forward" => ArbiterSetup::InverseWeighted(w_fwd.clone()),
-            "reverse" => ArbiterSetup::InverseWeighted(w_rev.clone()),
-            _ => ArbiterSetup::InverseWeighted(w_both.clone()),
+        let arbitration = match point.str("weights") {
+            "none" => (&rr, None),
+            "forward" => (&iw, Some(&w_fwd)),
+            "reverse" => (&iw, Some(&w_rev)),
+            _ => (&iw, Some(&w_both)),
         };
         let sat = sats.iter().find(|(p, _)| *p == pct).expect("precomputed").1;
         let components: Vec<(Box<dyn TrafficPattern>, f64)> =
@@ -106,7 +107,7 @@ fn main() {
             &cfg,
             components,
             batch,
-            &setup,
+            arbitration,
             sat,
             point.seed,
             TraceConfig::default(),

@@ -15,10 +15,10 @@
 
 use anton_analysis::load::LoadAnalysis;
 use anton_analysis::weights::ArbiterWeightSet;
+use anton_arbiter::{ArbiterKind, ArbiterPlan};
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
 use anton_bench::{
-    checked_cube, fail_usage, make_pattern, require, run_batch, saturation_rate, values,
-    ArbiterSetup, FlagSet,
+    checked_cube, fail_usage, make_pattern, require, run_batch, saturation_rate, values, FlagSet,
 };
 use anton_core::config::MachineConfig;
 use anton_core::pattern::TrafficPattern;
@@ -58,6 +58,8 @@ fn main() {
     eprintln!("[fig9] computing uniform loads and arbiter weights...");
     let uniform_analysis = LoadAnalysis::compute(&cfg, &UniformRandom);
     let weights = ArbiterWeightSet::compute(&cfg, &[&uniform_analysis], 5);
+    let rr = ArbiterPlan::from(ArbiterKind::RoundRobin);
+    let iw = ArbiterPlan::from(ArbiterKind::InverseWeighted { m_bits: 5 });
 
     let sat = |pattern: &dyn TrafficPattern| {
         saturation_rate(&cfg, pattern).unwrap_or_else(|d| fail_usage(&d))
@@ -80,10 +82,10 @@ fn main() {
 
     let n_points = spec.points().len();
     let measurements = spec.run(threads, |point: &SweepPoint| {
-        let pattern = point.str("pattern");
-        let setup = match point.str("arbiter") {
-            "round-robin" => ArbiterSetup::RoundRobin,
-            _ => ArbiterSetup::InverseWeighted(weights.clone()),
+        let (pattern, arbiter) = (point.str("pattern"), point.str("arbiter"));
+        let arbitration = match arbiter {
+            "round-robin" => (&rr, None),
+            _ => (&iw, Some(&weights)),
         };
         let sat = if pattern == "uniform" {
             sat_uniform
@@ -95,16 +97,15 @@ fn main() {
             &cfg,
             vec![(pattern_or_exit(pattern), 1.0)],
             batch,
-            &setup,
+            arbitration,
             sat,
             point.seed,
             TraceConfig::default(),
         );
         let (p, m) = (run.point, run.metrics);
         eprintln!(
-            "[fig9] {}/{n_points} {pattern} {} batch {batch} done",
+            "[fig9] {}/{n_points} {pattern} {arbiter} batch {batch} done",
             point.index + 1,
-            setup.label()
         );
         values![
             "normalized" => p.normalized,

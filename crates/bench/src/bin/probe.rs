@@ -20,17 +20,20 @@
 //! for Perfetto. The simulator keeps its default seed; `--seed` drives the
 //! traffic and is the results' `base_seed`.
 //!
-//! Usage: `probe --k K --batch B --mode rr|iw|age --seed S --sample CYCLES
-//! --ring EVENTS --stalls`.
+//! Usage: `probe --k K --batch B --mode PLAN --seed S --sample CYCLES
+//! --ring EVENTS --stalls`, where `PLAN` is an `anton_arbiter::ArbiterPlan`
+//! (`rr`, `iw`, `age` or e.g. `sa1=age,sa2=iw+w,ser=rr`; `+w` programs the
+//! uniform load analysis's weights at that site).
 
 use std::path::Path;
 
 use anton_analysis::load::LoadAnalysis;
 use anton_analysis::weights::ArbiterWeightSet;
+use anton_arbiter::{ArbiterPlan, PlanError};
 use anton_bench::harness::ExperimentSpec;
 use anton_bench::{
     checked_cube, fail_usage, require, run_batch, saturation_rate, torus_capacity, values,
-    write_output, ArbiterSetup, FlagSet,
+    write_output, FlagSet,
 };
 use anton_core::config::MachineConfig;
 use anton_obs::{ChannelKind, ChromeTrace, Json};
@@ -53,7 +56,11 @@ fn main() {
     .flag("k", 4u8, "torus dimension per side")
     .flag("batch", 512u64, "packets per endpoint")
     .flag("seed", 42u64, "traffic seed")
-    .flag("mode", "rr".to_string(), "arbitration: rr, iw, or age")
+    .flag(
+        "mode",
+        "rr".to_string(),
+        "arbitration plan: rr, iw, age or sa1=P,sa2=P,ser=P",
+    )
     .flag("sample", 0u64, "sample window in cycles (0 = off)")
     .flag("ring", 0usize, "recorder ring per wire (0 = off)")
     .switch("stalls", "attribute stall cycles and rank the congestion")
@@ -67,19 +74,17 @@ fn main() {
     let stalls = args.on("stalls");
     let cfg = MachineConfig::new(checked_cube(k));
     require(batch > 0, "batch", batch, "at least 1 packet per endpoint");
-    let setup = match mode.as_str() {
-        "rr" => ArbiterSetup::RoundRobin,
-        "iw" => ArbiterSetup::InverseWeighted(ArbiterWeightSet::compute(
-            &cfg,
-            &[&LoadAnalysis::compute(&cfg, &UniformRandom)],
-            5,
-        )),
-        "age" => ArbiterSetup::Age,
-        other => fail_usage(
-            &Diagnostic::error("AV101", format!("unknown mode `{other}`"))
-                .with("known", "rr, iw, age"),
-        ),
-    };
+    let plan: ArbiterPlan = mode.parse().unwrap_or_else(|e: PlanError| {
+        fail_usage(
+            &Diagnostic::error("AV101", format!("--mode `{mode}`: {e}"))
+                .with("known", "rr, iw, age, sa1=P,sa2=P,ser=P"),
+        )
+    });
+    let mode = plan.to_string();
+    let weights = plan.weight_bits().map(|m_bits| {
+        let uniform = LoadAnalysis::compute(&cfg, &UniformRandom);
+        ArbiterWeightSet::compute(&cfg, &[&uniform], m_bits)
+    });
     let sat = saturation_rate(&cfg, &UniformRandom).unwrap_or_else(|d| fail_usage(&d));
     let trace = TraceConfig {
         events: ring > 0,
@@ -92,7 +97,7 @@ fn main() {
         &cfg,
         vec![(Box::new(UniformRandom), 1.0)],
         batch,
-        &setup,
+        (&plan, weights.as_ref()),
         sat,
         seed,
         trace,

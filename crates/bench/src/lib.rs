@@ -25,7 +25,7 @@ pub mod harness;
 
 use anton_analysis::load::LoadAnalysis;
 use anton_analysis::weights::ArbiterWeightSet;
-use anton_arbiter::ArbiterKind;
+use anton_arbiter::ArbiterPlan;
 use anton_core::config::MachineConfig;
 use anton_core::pattern::TrafficPattern;
 use anton_obs::{CongestionReport, FlightRecorder, TimeSeries};
@@ -43,28 +43,6 @@ pub use harness::{ExperimentSpec, Measurement, SweepPoint};
 /// packets).
 pub fn torus_capacity() -> f64 {
     f64::from(TORUS_TOKEN_GAIN) / f64::from(TORUS_TOKEN_COST)
-}
-
-/// Which arbitration configuration a throughput run uses.
-#[derive(Debug, Clone)]
-pub enum ArbiterSetup {
-    /// Plain round-robin everywhere.
-    RoundRobin,
-    /// Inverse-weighted arbiters programmed from the given weight set.
-    InverseWeighted(ArbiterWeightSet),
-    /// Age-based arbitration (oldest packet first) everywhere.
-    Age,
-}
-
-impl ArbiterSetup {
-    /// Label used in experiment output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ArbiterSetup::RoundRobin => "round-robin",
-            ArbiterSetup::InverseWeighted(_) => "inverse-weighted",
-            ArbiterSetup::Age => "age",
-        }
-    }
 }
 
 /// Result of one batch-throughput measurement.
@@ -138,32 +116,28 @@ impl Driver for SourceFinish {
 /// Runs one batch-throughput measurement (the Figure 9/10 procedure): all
 /// cores send `batch` packets of the blended pattern; throughput is the
 /// batch size over the time of the last delivery, normalized by the
-/// pattern's analytic saturation rate. The simulator keeps the
-/// [`SimParams`] default seed; `seed` drives the traffic, and `trace` turns
-/// the instruments on.
+/// pattern's analytic saturation rate. `(plan, weights)` is the
+/// arbitration: the plan, and the weight set programmed at its weighted
+/// sites. The simulator keeps the [`SimParams`] default seed; `seed` drives
+/// the traffic, and `trace` turns the instruments on.
 ///
 /// # Panics
 ///
 /// Panics if `batch` is zero, if the run deadlocks or exceeds the cycle
 /// budget, or if the pre-run gate of [`Sim::builder`] rejects the
-/// configuration or an [`ArbiterSetup::InverseWeighted`] weight set
-/// (AV016) — every experiment fails fast on a broken setup rather than
-/// measuring it.
+/// configuration or a weight set the plan does not take (AV016) — every
+/// experiment fails fast on a broken setup rather than measuring it.
 pub fn run_batch(
     cfg: &MachineConfig,
     components: Vec<(Box<dyn TrafficPattern>, f64)>,
     batch: u64,
-    setup: &ArbiterSetup,
+    (plan, weights): (&ArbiterPlan, Option<&ArbiterWeightSet>),
     saturation_rate: f64,
     seed: u64,
     trace: TraceConfig,
 ) -> BatchRun {
     let params = SimParams {
-        arbiter: match setup {
-            ArbiterSetup::RoundRobin => ArbiterKind::RoundRobin,
-            ArbiterSetup::InverseWeighted(w) => ArbiterKind::InverseWeighted { m_bits: w.m_bits },
-            ArbiterSetup::Age => ArbiterKind::Age,
-        },
+        arbiter: plan.clone(),
         trace,
         ..SimParams::default()
     };
@@ -178,7 +152,7 @@ pub fn run_batch(
         finish: vec![0; n],
     };
     let mut builder = Sim::builder().config(cfg.clone()).params(params);
-    if let ArbiterSetup::InverseWeighted(w) = setup {
+    if let Some(w) = weights {
         builder = builder.weights(w.clone());
     }
     let mut sim = builder.build();
@@ -233,6 +207,7 @@ pub fn saturation_rate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anton_arbiter::ArbiterKind;
     use anton_core::topology::TorusShape;
     use anton_traffic::patterns::{Tornado, UniformRandom};
 
@@ -249,7 +224,7 @@ mod tests {
             &cfg,
             vec![(Box::new(UniformRandom), 1.0)],
             20,
-            &ArbiterSetup::RoundRobin,
+            (&ArbiterKind::RoundRobin.into(), None),
             sat,
             1,
             TraceConfig::default(),

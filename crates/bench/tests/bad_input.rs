@@ -80,6 +80,27 @@ fn an_unknown_mode_is_av101() {
     );
 }
 
+/// A per-site `--mode` that is not a plan — an unknown site or policy, a
+/// site given twice or not at all, nothing — is AV101 naming the flag.
+#[test]
+fn a_malformed_arbitration_plan_is_av101() {
+    for (mode, fault) in [
+        ("sa3=rr,sa2=rr,ser=rr", "unknown arbitration site `sa3`"),
+        ("sa1=rr,sa2=lru,ser=rr", "unknown arbitration policy `lru`"),
+        ("sa1=rr,sa1=age,ser=rr", "site `sa1` given twice"),
+        ("sa1=rr,sa2=iw+w", "site `ser` not given"),
+        ("", "empty arbitration plan"),
+    ] {
+        let stderr = usage_error(env!("CARGO_BIN_EXE_probe"), &["--k", "2", "--mode", mode]);
+        for want in ["AV101", "--mode", fault] {
+            assert!(
+                stderr.contains(want),
+                "--mode {mode:?}: no {want} in {stderr}"
+            );
+        }
+    }
+}
+
 /// Every tool runs the serial kernel: the shard-count flag those three
 /// once took is unknown to them.
 #[test]

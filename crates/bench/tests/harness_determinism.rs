@@ -2,8 +2,9 @@
 //! must produce *byte-identical* measurements to serial execution — same
 //! per-point seeds, same values, same serialized results document.
 
+use anton_arbiter::ArbiterKind;
 use anton_bench::harness::{ExperimentSpec, SweepPoint};
-use anton_bench::{run_batch, saturation_rate, values, ArbiterSetup, BatchRun};
+use anton_bench::{run_batch, saturation_rate, values, BatchRun};
 use anton_core::config::MachineConfig;
 use anton_core::topology::TorusShape;
 use anton_sim::params::TraceConfig;
@@ -34,7 +35,7 @@ fn body(
             cfg,
             vec![(Box::new(UniformRandom), 1.0)],
             batch,
-            &ArbiterSetup::RoundRobin,
+            (&ArbiterKind::RoundRobin.into(), None),
             sat,
             point.seed,
             TraceConfig::default(),

@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use anton_arbiter::{BitsetArbiter, GrantSite};
+use anton_arbiter::{ArbiterPlan, BitsetArbiter, GrantSite};
 use anton_core::chip::{ChanId, LinkGroup};
 use anton_core::topology::{NodeId, TorusShape};
 use anton_obs::{StallCause, TraceEventKind};
@@ -82,7 +82,8 @@ impl Adapters {
 
     /// Adds the adapter of `node`'s channel `chan` (in index order: node-
     /// major, [`ChanId::all`] within a node), whose torus wires carry
-    /// `torus_lanes` VC indices; returns its index.
+    /// `torus_lanes` VC indices, with the plan's serializer policy; returns
+    /// its index.
     pub(crate) fn push(
         &mut self,
         shape: &TorusShape,
@@ -90,6 +91,7 @@ impl Adapters {
         chan: ChanId,
         wires: ChanWires,
         torus_lanes: usize,
+        plan: &ArbiterPlan,
     ) -> usize {
         let coord = shape.coord(node);
         self.chans.push(ChanState {
@@ -100,7 +102,7 @@ impl Adapters {
             tokens_at: 0,
             crosses_dateline: shape.hop_crosses_dateline(coord, chan.dir),
             repl: VecDeque::new(),
-            out_arbiter: BitsetArbiter::round_robin(torus_lanes),
+            out_arbiter: BitsetArbiter::from_kind(&plan[GrantSite::Serializer].start, torus_lanes),
             rr_vc_in: 0,
             to_router_busy_until: 0,
         });
@@ -522,7 +524,8 @@ mod tests {
                 slice: Slice(0),
             };
             let mut adapters = Adapters::new(1);
-            adapters.push(&cfg.shape, node, chan, WIRES, 2 * usize::from(vcs));
+            let lanes = 2 * usize::from(vcs);
+            adapters.push(&cfg.shape, node, chan, WIRES, lanes, &params.arbiter);
             Rig {
                 cfg,
                 params,

@@ -32,14 +32,15 @@
 //! assert_eq!(sim.now(), 0);
 //! ```
 //!
-//! With an [`ArbiterKind::InverseWeighted`] arbiter, expected traffic
+//! With an [`ArbiterPlan`] that weights some site (the `iw` row weights
+//! SA1, SA2 and the serializer), expected traffic
 //! ([`traffic`](SimBuilder::traffic)) makes `build()` run the offline load
-//! analysis and program every arbitration point; a caller that holds a
-//! weight set passes it with [`weights`](SimBuilder::weights) instead.
+//! analysis and program the weighted sites; a caller that holds a weight
+//! set passes it with [`weights`](SimBuilder::weights) instead.
 
 use anton_analysis::load::LoadAnalysis;
 use anton_analysis::weights::ArbiterWeightSet;
-use anton_arbiter::ArbiterKind;
+use anton_arbiter::ArbiterPlan;
 use anton_core::config::MachineConfig;
 use anton_core::pattern::TrafficPattern;
 use anton_core::topology::TorusShape;
@@ -108,27 +109,29 @@ impl SimBuilder {
         self
     }
 
-    /// Arbitration policy at every on-chip arbitration point.
-    pub fn arbiter(mut self, arbiter: ArbiterKind) -> SimBuilder {
-        self.params.arbiter = arbiter;
+    /// The arbitration plan of SA1, SA2 and the serializer; an
+    /// [`ArbiterKind`](anton_arbiter::ArbiterKind) names its row of the
+    /// [`ArbiterPlan`] table.
+    pub fn arbiter(mut self, plan: impl Into<ArbiterPlan>) -> SimBuilder {
+        self.params.arbiter = plan.into();
         self
     }
 
-    /// Expected traffic pattern. With an
-    /// [`InverseWeighted`](ArbiterKind::InverseWeighted) arbiter,
+    /// Expected traffic pattern. With a plan that weights some site,
     /// `build()` computes the pattern's channel loads and programs the
-    /// inverse-weight tables (call repeatedly for multi-pattern weights);
-    /// with other arbiters the patterns are unused.
+    /// inverse-weight tables there (call repeatedly for multi-pattern
+    /// weights); with other plans the patterns are unused.
     pub fn traffic(mut self, pattern: Box<dyn TrafficPattern>) -> SimBuilder {
         self.traffic.push(pattern);
         self
     }
 
-    /// A precomputed arbiter weight set to program at every arbitration
-    /// point it covers, for callers that share one set across simulators.
-    /// The arbiter must be [`InverseWeighted`](ArbiterKind::InverseWeighted)
-    /// with the set's `m_bits`; otherwise the set is not installed and the
-    /// pre-run gate reports `AV016`. Building panics if
+    /// A precomputed arbiter weight set to program at the plan's weighted
+    /// sites, for callers that share one set across simulators. The plan
+    /// must weight some site, and every site it starts inverse-weighted
+    /// must have the set's `m_bits`
+    /// ([`ArbiterPlan::takes_weights`]); otherwise the set is not
+    /// installed and the pre-run gate reports `AV016`. Building panics if
     /// [`traffic`](SimBuilder::traffic) was also given.
     pub fn weights(mut self, set: ArbiterWeightSet) -> SimBuilder {
         self.weights = Some(set);
@@ -190,25 +193,27 @@ impl SimBuilder {
             "SimBuilder: pass arbiter weights either precomputed (.weights) or \
              derived from expected traffic (.traffic), not both"
         );
-        // A given set programs only the arbiters `params.arbiter` makes
-        // inverse-weighted, at the set's width; any other pairing is AV016
-        // and the set stays uninstalled.
-        let mismatch = self
+        // A set is programmed only at the plan's weighted sites, and only
+        // beside inverse-weighted sites of its own width; any other pairing
+        // is AV016 and the set stays uninstalled.
+        let weights = self
             .weights
+            .take()
+            .or_else(|| computed_weights(cfg, params, &self.traffic));
+        let mismatch = weights
             .as_ref()
-            .filter(|set| params.arbiter != ArbiterKind::InverseWeighted { m_bits: set.m_bits })
+            .filter(|set| !params.arbiter.takes_weights(set.m_bits))
             .map(|set| {
                 Diagnostic::error(
                     "AV016",
                     format!(
-                        "a {}-bit arbiter weight set was given, but the arbiter is {:?}",
+                        "a {}-bit arbiter weight set does not fit the arbitration plan `{}`",
                         set.m_bits, params.arbiter
                     ),
                 )
                 .with("weights_m_bits", set.m_bits)
             });
-        let given = self.weights.take().filter(|_| mismatch.is_none());
-        let weights = given.or_else(|| computed_weights(cfg, params, &self.traffic));
+        let weights = weights.filter(|_| mismatch.is_none());
         if params.preflight == PreflightMode::Off {
             return PreRun {
                 weights,
@@ -291,9 +296,7 @@ fn computed_weights(
     params: &SimParams,
     traffic: &[Box<dyn TrafficPattern>],
 ) -> Option<ArbiterWeightSet> {
-    let ArbiterKind::InverseWeighted { m_bits } = params.arbiter else {
-        return None;
-    };
+    let m_bits = params.arbiter.weight_bits()?;
     if traffic.is_empty() {
         return None;
     }

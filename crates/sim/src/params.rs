@@ -2,7 +2,7 @@
 //! calibration and the torus link rate are [`anton_core::timing`]'s; the
 //! clock and the rate are re-exported here.
 
-use anton_arbiter::ArbiterKind;
+use anton_arbiter::{ArbiterKind, ArbiterPlan};
 
 pub use anton_core::timing::{CLOCK_GHZ, CYCLE_NS, TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
 
@@ -128,8 +128,9 @@ pub struct SimParams {
     /// `anton_verify::lint::MIN_TORUS_BDP_FLITS`) for a single VC to
     /// sustain full channel bandwidth.
     pub torus_buffer_depth: u8,
-    /// Which arbiter sits at each router output port.
-    pub arbiter: ArbiterKind,
+    /// The policy each arbitration site (SA1, SA2, serializer) starts with
+    /// and the sites a weight set is programmed at; see [`ArbiterPlan`].
+    pub arbiter: ArbiterPlan,
     /// RNG seed for routing randomization.
     pub seed: u64,
     /// Cycles without any flit movement (while packets are in flight) after
@@ -153,7 +154,7 @@ impl Default for SimParams {
         SimParams {
             buffer_depth: 8,
             torus_buffer_depth: 32,
-            arbiter: ArbiterKind::RoundRobin,
+            arbiter: ArbiterKind::RoundRobin.into(),
             seed: 0xA2701,
             watchdog_cycles: 50_000,
             fault: None,
@@ -171,10 +172,11 @@ impl SimParams {
         anton_verify::ParamsView {
             buffer_depth: self.buffer_depth,
             torus_buffer_depth: self.torus_buffer_depth,
-            arbiter_m_bits: match self.arbiter {
-                ArbiterKind::InverseWeighted { m_bits } => Some(m_bits),
-                _ => None,
-            },
+            // The view holds one width: an out-of-range one when any site
+            // has it, so AV016 sees every inverse-weighted site.
+            arbiter_m_bits: (self.arbiter.iw_bits())
+                .find(|m| !(2..=16).contains(m))
+                .or_else(|| self.arbiter.iw_bits().next()),
             watchdog_cycles: self.watchdog_cycles,
             fault: self.fault.as_ref(),
             trace_events: self.trace.events,

@@ -8,7 +8,7 @@
 //! everything else a step touches it reaches through the [`Fabric`] it is
 //! handed.
 
-use anton_arbiter::{ArbiterKind, BitsetArbiter, GrantSite};
+use anton_arbiter::{ArbiterPlan, BitsetArbiter, GrantSite};
 use anton_core::chip::{ChipLayout, LocalAttach, MeshCoord, ATTACH_CODE_BASE, MAX_ROUTER_PORTS};
 use anton_core::vc::Vc;
 
@@ -96,13 +96,13 @@ impl Routers {
     }
 
     /// Adds the router at mesh position `mesh` of some node, with `ports`
-    /// in [`ChipLayout::router_ports`] order and `arbiter` at every output;
-    /// returns its index.
+    /// in [`ChipLayout::router_ports`] order and the plan's SA1 and SA2
+    /// policies at its inputs and outputs; returns its index.
     pub(crate) fn push(
         &mut self,
         mesh: MeshCoord,
         ports: &[PortWiring],
-        arbiter: &ArbiterKind,
+        plan: &ArbiterPlan,
     ) -> usize {
         let nports = ports.len();
         assert!(nports <= MAX_ROUTER_PORTS, "router has too many ports");
@@ -121,8 +121,10 @@ impl Routers {
             self.port_of[ridx * self.attach_codes + port.attach.code()] = p as u8;
             self.in_wire.push(port.in_wire as u32);
             self.out_wire.push(port.out_wire as u32);
-            self.out_arb.push(BitsetArbiter::from_kind(arbiter, nports));
-            self.in_arb.push(BitsetArbiter::round_robin(port.in_lanes));
+            let (sa1, sa2) = (&plan[GrantSite::Sa1].start, &plan[GrantSite::Output].start);
+            self.out_arb.push(BitsetArbiter::from_kind(sa2, nports));
+            self.in_arb
+                .push(BitsetArbiter::from_kind(sa1, port.in_lanes));
         }
         self.out_busy.resize((ridx + 1) * MAX_ROUTER_PORTS, 0);
         self.routers.push(RouterState {
@@ -404,10 +406,9 @@ mod tests {
     }
 
     impl Rig {
-        fn new(arbiter: ArbiterKind, depth: u8, trace: TraceConfig) -> Rig {
+        fn new(depth: u8, trace: TraceConfig) -> Rig {
             let cfg = MachineConfig::new(TorusShape::cube(2));
             let params = SimParams {
-                arbiter,
                 trace,
                 ..SimParams::default()
             };
@@ -560,7 +561,7 @@ mod tests {
 
     #[test]
     fn a_sole_sa1_candidate_bypasses_its_arbiter_while_sa2_always_commits() {
-        let mut rig = Rig::new(ArbiterKind::RoundRobin, 4, TraceConfig::default());
+        let mut rig = Rig::new(4, TraceConfig::default());
         let out = rig.targets[0].out_port;
         // Lanes above 0, so a committed round-robin pointer reads different.
         let (inp, vcidx) = (2, 3);
@@ -592,7 +593,7 @@ mod tests {
 
     #[test]
     fn a_two_flit_grant_holds_its_output_for_two_cycles() {
-        let mut rig = Rig::new(ArbiterKind::RoundRobin, 4, TraceConfig::stalls());
+        let mut rig = Rig::new(4, TraceConfig::stalls());
         let out = rig.targets[0].out_port;
         let two = Shape {
             two_flits: true,
@@ -764,11 +765,8 @@ mod tests {
         pops: &[u8],
     ) -> Result<(), TestCaseError> {
         let m_bits = 5;
-        let kind = match weights {
-            Some(_) => ArbiterKind::InverseWeighted { m_bits },
-            None => ArbiterKind::RoundRobin,
-        };
-        let mut rig = Rig::new(kind, depth, TraceConfig::events(1 << 14));
+        // Weights replace every arbiter below, so the rig starts round-robin.
+        let mut rig = Rig::new(depth, TraceConfig::events(1 << 14));
         let nports = rig.nports;
         let lanes = |rig: &Rig, w: usize| usize::from(rig.fab.wires.num_vcs(w));
         let mut reference = Reference {

@@ -4,9 +4,10 @@
 //! adapter, on-chip wire, and external torus channel of the configured
 //! machine — and advances it cycle by cycle. Routers implement the four-stage
 //! pipeline (RC, VA, SA1, SA2) with virtual cut-through flow control and
-//! pluggable output arbiters; channel adapters serialize flits onto the
-//! torus at the effective link bandwidth and host the multicast replication
-//! tables; endpoint adapters implement counted-write synchronization.
+//! the arbiters the arbitration plan sets; channel adapters serialize flits
+//! onto the torus at the effective link bandwidth and host the multicast
+//! replication tables; endpoint adapters implement counted-write
+//! synchronization.
 //!
 //! [`Sim`] is the conductor: it wires the machine together at construction
 //! and then steps five phases a cycle, one to one with [`PHASE_NS`] — the
@@ -24,7 +25,7 @@
 //! tracer of `anton-core` in tests.
 
 use anton_analysis::weights::ArbiterWeightSet;
-use anton_arbiter::BitsetArbiter;
+use anton_arbiter::{BitsetArbiter, GrantSite};
 use anton_core::chip::{
     ChanId, LinkGroup, LocalAttach, LocalLink, MeshCoord, NUM_CHAN_ADAPTERS, NUM_ROUTERS,
 };
@@ -632,7 +633,8 @@ impl Sim {
                 }
             }
             for (c, &w) in ChanId::all().zip(&chans) {
-                let me = CompRef::Chan(adapters.push(&cfg.shape, node, c, w, torus_lanes) as u32);
+                let me = adapters.push(&cfg.shape, node, c, w, torus_lanes, &params.arbiter);
+                let me = CompRef::Chan(me as u32);
                 consumer[w.from_router] = me;
                 producer[w.to_router] = me;
                 consumer[w.torus_in] = me;
@@ -673,10 +675,11 @@ impl Sim {
         sim
     }
 
-    /// Programs a weight set at every arbitration point it covers:
-    /// router output arbiters, router input (SA1) VC arbiters and
-    /// channel-adapter serializers. Arbiters the set leaves unprogrammed
-    /// keep their current weights. The set's dense arbiter indices are the
+    /// Programs a weight set at the sites the arbitration plan marks
+    /// weighted — router output (SA2) arbiters, router input (SA1) VC
+    /// arbiters, channel-adapter serializers — wherever the set has a
+    /// table; every other arbiter keeps the policy its site starts with
+    /// (`SimParams::arbiter`). The set's dense arbiter indices are the
     /// simulator's own (`(node × 16 + router) × MAX_ROUTER_PORTS + port`,
     /// `node × 12 + adapter`).
     ///
@@ -686,18 +689,25 @@ impl Sim {
     /// table's lane count differs from its arbiter's — the set was computed
     /// for another machine configuration.
     fn install_weights(&mut self, set: &ArbiterWeightSet) {
+        let plan = &self.params.arbiter;
         let program = |arbiter: &mut BitsetArbiter, table: Vec<Vec<u32>>| {
             assert_eq!(table.len(), arbiter.num_lanes(), "weight table lanes");
             *arbiter = BitsetArbiter::inverse_weighted(table, set.m_bits);
         };
-        for (a, table) in set.outputs.programmed() {
-            program(self.routers.arbiter_mut(a, false), table);
+        if plan[GrantSite::Output].weighted {
+            for (a, table) in set.outputs.programmed() {
+                program(self.routers.arbiter_mut(a, false), table);
+            }
         }
-        for (a, table) in set.inputs.programmed() {
-            program(self.routers.arbiter_mut(a, true), table);
+        if plan[GrantSite::Sa1].weighted {
+            for (a, table) in set.inputs.programmed() {
+                program(self.routers.arbiter_mut(a, true), table);
+            }
         }
-        for (a, table) in set.serializers.programmed() {
-            program(self.adapters.arbiter_mut(a), table);
+        if plan[GrantSite::Serializer].weighted {
+            for (a, table) in set.serializers.programmed() {
+                program(self.adapters.arbiter_mut(a), table);
+            }
         }
     }
 
@@ -1262,5 +1272,111 @@ impl Sim {
         Some(CongestionReport::build(stats, table.edges(), |w| {
             wires.label(w as usize).to_string()
         }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use anton_analysis::load::LoadAnalysis;
+    use anton_arbiter::{ArbiterKind, ArbiterPlan, SitePlan};
+    use anton_core::chip::MAX_ROUTER_PORTS;
+    use anton_core::topology::TorusShape;
+    use anton_traffic::patterns::UniformRandom;
+
+    use super::*;
+
+    /// Every arbiter of `sim`: its site, the dense index a weight set
+    /// addresses it by, and its state.
+    fn arbiters(sim: &mut Sim) -> Vec<(GrantSite, usize, BitsetArbiter)> {
+        let mut out = Vec::new();
+        for ridx in 0..sim.cfg.shape.num_nodes() * NUM_ROUTERS {
+            let mesh = MeshCoord::all().nth(ridx % NUM_ROUTERS).expect("router");
+            for port in 0..sim.cfg.chip.router_ports(mesh).len() {
+                let a = ridx * MAX_ROUTER_PORTS + port;
+                for (site, input) in [(GrantSite::Sa1, true), (GrantSite::Output, false)] {
+                    out.push((site, a, sim.routers.arbiter_mut(a, input).clone()));
+                }
+            }
+        }
+        for c in 0..sim.cfg.shape.num_nodes() * NUM_CHAN_ADAPTERS {
+            let arbiter = sim.adapters.arbiter_mut(c).clone();
+            out.push((GrantSite::Serializer, c, arbiter));
+        }
+        out
+    }
+
+    /// Each site's arbiters are what the plan sets there: its start policy
+    /// (`Routers::push` at SA1 and SA2, `Adapters::push` at the
+    /// serializer), replaced by the set's table only at a weighted site
+    /// (`install_weights`), over every start-policy combination and
+    /// weighted mask. `SimBuilder::arbiter` with an `ArbiterKind` builds
+    /// that kind's row of the plan table.
+    #[test]
+    fn every_site_reaches_its_arbiters() {
+        let cfg = MachineConfig::new(TorusShape::cube(2));
+        let uniform = LoadAnalysis::compute(&cfg, &UniformRandom);
+        let set = ArbiterWeightSet::compute(&cfg, &[&uniform], 5);
+        let sets = [
+            (GrantSite::Sa1, &set.inputs),
+            (GrantSite::Output, &set.outputs),
+            (GrantSite::Serializer, &set.serializers),
+        ];
+        let tables: HashMap<(GrantSite, usize), Vec<Vec<u32>>> = sets
+            .into_iter()
+            .flat_map(|(site, t)| t.programmed().map(move |(a, table)| ((site, a), table)))
+            .collect();
+        let build = |plan: ArbiterPlan| {
+            let weighted = plan.weight_bits().is_some();
+            let mut builder = Sim::builder().config(cfg.clone()).arbiter(plan);
+            if weighted {
+                builder = builder.weights(set.clone());
+            }
+            builder.build()
+        };
+        let (rr, age) = (ArbiterKind::RoundRobin, ArbiterKind::Age);
+        let iw = ArbiterKind::InverseWeighted { m_bits: 5 };
+        let starts = [rr.clone(), age.clone(), iw.clone()];
+        for i in 0..27 * 8 {
+            let site = |s: u32| SitePlan {
+                start: starts[i / 8 / 3usize.pow(s) % 3].clone(),
+                weighted: i >> s & 1 == 1,
+            };
+            let plan = ArbiterPlan {
+                sites: [0, 1, 2].map(site),
+            };
+            let mut programmed = 0;
+            for (s, a, arbiter) in arbiters(&mut build(plan.clone())) {
+                let want = match tables.get(&(s, a)) {
+                    Some(table) if plan[s].weighted => {
+                        programmed += 1;
+                        BitsetArbiter::inverse_weighted(table.clone(), 5)
+                    }
+                    _ => BitsetArbiter::from_kind(&plan[s].start, arbiter.num_lanes()),
+                };
+                assert_eq!(arbiter, want, "{plan}: {s:?} arbiter {a}");
+            }
+            assert_eq!(programmed > 0, plan.weight_bits().is_some(), "{plan}");
+        }
+        let site = |start: &ArbiterKind, weighted| SitePlan {
+            start: start.clone(),
+            weighted,
+        };
+        for (kind, [sa1, sa2, ser]) in [
+            (&rr, [(&rr, false), (&rr, false), (&rr, false)]),
+            (&age, [(&rr, false), (&age, false), (&rr, false)]),
+            (&iw, [(&rr, true), (&iw, true), (&rr, true)]),
+        ] {
+            let row = ArbiterPlan {
+                sites: [sa1, sa2, ser].map(|(start, weighted)| site(start, weighted)),
+            };
+            let mut sim = Sim::builder().config(cfg.clone()).arbiter(kind.clone());
+            if row.weight_bits().is_some() {
+                sim = sim.weights(set.clone());
+            }
+            let named = arbiters(&mut sim.build());
+            assert_eq!(named, arbiters(&mut build(row)), "{kind:?}");
+        }
     }
 }

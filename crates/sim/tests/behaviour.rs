@@ -378,15 +378,16 @@ fn multicast_alternating_trees_spread_traffic() {
 
 #[test]
 fn fairness_improves_with_inverse_weighted_arbiters() {
-    // Uniform random traffic beyond saturation: inverse-weighted arbiters
-    // should spread service at least as evenly as round-robin, measured by
-    // the spread of per-endpoint receive completion.
+    // Uniform random traffic beyond saturation. No weights are programmed,
+    // so the `iw` plan runs uniform-weight inverse-weighted arbiters at SA2
+    // and round-robin at SA1 and the serializers; it should finish no later
+    // than round-robin everywhere beyond noise.
     use anton_arbiter::ArbiterKind;
     let shape = TorusShape::cube(2);
     let run = |kind: ArbiterKind| -> f64 {
         let cfg = MachineConfig::new(shape);
         let params = SimParams {
-            arbiter: kind,
+            arbiter: kind.into(),
             ..SimParams::default()
         };
         let mut sim = Sim::builder().config(cfg).params(params).build();
@@ -400,7 +401,5 @@ fn fairness_improves_with_inverse_weighted_arbiters() {
     };
     let rr = run(ArbiterKind::RoundRobin);
     let iw = run(ArbiterKind::InverseWeighted { m_bits: 5 });
-    // With symmetric uniform traffic the uniform-weight IW arbiter should
-    // not be slower than RR beyond noise.
     assert!(iw < rr * 1.25, "IW completion {iw} much worse than RR {rr}");
 }

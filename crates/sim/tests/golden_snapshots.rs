@@ -333,7 +333,7 @@ fn fig9_inverse_weighted(kernel: Kernel) -> String {
     let analysis = LoadAnalysis::compute(&cfg, &UniformRandom);
     let weights = ArbiterWeightSet::compute(&cfg, &[&analysis], 5);
     let params = SimParams {
-        arbiter: ArbiterKind::InverseWeighted { m_bits: 5 },
+        arbiter: ArbiterKind::InverseWeighted { m_bits: 5 }.into(),
         ..SimParams::default()
     };
     let inner = BatchDriver::builder_for(&cfg)

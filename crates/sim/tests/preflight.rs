@@ -2,7 +2,7 @@
 
 use anton_analysis::load::LoadAnalysis;
 use anton_analysis::weights::ArbiterWeightSet;
-use anton_arbiter::ArbiterKind;
+use anton_arbiter::{ArbiterKind, ArbiterPlan, SitePlan};
 use anton_core::config::MachineConfig;
 use anton_core::topology::TorusShape;
 use anton_core::vc::VcPolicy;
@@ -141,30 +141,94 @@ fn uniform_weights(cfg: &MachineConfig, m_bits: u32) -> ArbiterWeightSet {
     ArbiterWeightSet::compute(cfg, &[&analysis], m_bits)
 }
 
-/// A weight set programs only the arbiters the parameters make
-/// inverse-weighted, at the set's own width: beside round-robin
-/// arbitration, or beside an inverse-weighted arbiter of another width, it
-/// is `AV016`.
+/// A plan built site by site, `(start, weighted)` in SA1, SA2, serializer
+/// order: the only way to give a site a width other than 5.
+fn plan(sites: [(ArbiterKind, bool); 3]) -> ArbiterPlan {
+    ArbiterPlan {
+        sites: sites.map(|(start, weighted)| SitePlan { start, weighted }),
+    }
+}
+
+/// Builds `plan` under `Enforce`, with `weights` if given, and returns
+/// the pre-run gate's panic message.
+fn rejection(cfg: &MachineConfig, plan: &ArbiterPlan, weights: Option<u32>) -> String {
+    let build = std::panic::catch_unwind(|| {
+        let mut builder = Sim::builder().config(cfg.clone()).arbiter(plan.clone());
+        if let Some(m_bits) = weights {
+            builder = builder.weights(uniform_weights(cfg, m_bits));
+        }
+        builder.build()
+    });
+    let err = build.expect_err("the plan must be rejected");
+    let text = err
+        .downcast_ref::<String>()
+        .expect("a formatted panic message");
+    text.clone()
+}
+
+/// A weight set is programmed only at the plan's weighted sites, beside
+/// inverse-weighted sites of its own width: under a plan that weights no
+/// site (the `rr` and `age` rows, or uniform IW at SA2 alone), or beside an
+/// inverse-weighted site of another width, it is `AV016`.
 #[test]
 fn enforce_mode_rejects_weights_the_arbiter_does_not_take() {
     let cfg = MachineConfig::new(TorusShape::cube(2));
-    for arbiter in [
+    let (rr, iw4) = (
         ArbiterKind::RoundRobin,
-        ArbiterKind::Age,
         ArbiterKind::InverseWeighted { m_bits: 4 },
+    );
+    let iw = ArbiterKind::InverseWeighted { m_bits: 5 };
+    let plans: [ArbiterPlan; 6] = [
+        rr.clone().into(),
+        ArbiterKind::Age.into(),
+        iw4.clone().into(),
+        "sa1=rr,sa2=iw,ser=rr".parse().unwrap(),
+        plan([
+            (rr.clone(), false),
+            (iw4.clone(), true),
+            (rr.clone(), false),
+        ]),
+        plan([(iw4, false), (iw, true), (rr, false)]),
+    ];
+    for plan in plans {
+        let text = rejection(&cfg, &plan, Some(5));
+        assert!(text.contains("AV016"), "{plan}: {text}");
+    }
+}
+
+/// The weight-width range check (`AV016`) sees every site that starts
+/// inverse-weighted, not only the first.
+#[test]
+fn enforce_mode_rejects_an_out_of_range_width_at_any_site() {
+    let cfg = MachineConfig::new(TorusShape::cube(2));
+    let (rr, iw) = (ArbiterKind::RoundRobin, |m_bits| {
+        ArbiterKind::InverseWeighted { m_bits }
+    });
+    for (sites, bad) in [
+        ([(rr.clone(), false), (iw(5), false), (iw(1), false)], 1),
+        ([(iw(5), false), (rr.clone(), false), (iw(17), false)], 17),
     ] {
-        let build = std::panic::catch_unwind(|| {
-            Sim::builder()
-                .config(cfg.clone())
-                .arbiter(arbiter.clone())
-                .weights(uniform_weights(&cfg, 5))
-                .build()
-        });
-        let err = build.expect_err("a mismatched weight set must be rejected");
-        let text = err
-            .downcast_ref::<String>()
-            .expect("a formatted panic message");
-        assert!(text.contains("AV016"), "{arbiter:?}: {text}");
+        let plan = plan(sites);
+        let text = rejection(&cfg, &plan, None);
+        assert!(text.contains("AV016"), "{plan}: {text}");
+        assert!(text.contains(&format!("m_bits = {bad} ")), "{plan}: {text}");
+    }
+}
+
+/// Weights fit any plan that weights some site and starts no
+/// inverse-weighted site at another width: the set's own width is what
+/// the weighted round-robin or age sites are programmed at.
+#[test]
+fn a_plan_weighted_at_any_site_takes_the_set() {
+    let cfg = MachineConfig::new(TorusShape::cube(2));
+    for plan in ["sa1=rr+w,sa2=rr,ser=rr", "sa1=age,sa2=age,ser=rr+w", "iw"] {
+        let plan: ArbiterPlan = plan.parse().unwrap();
+        let sim = Sim::builder()
+            .config(cfg.clone())
+            .arbiter(plan)
+            .weights(uniform_weights(&cfg, 5))
+            .build();
+        assert_eq!(sim.static_verdict(), StaticVerdict::CertifiedAcyclic);
     }
 }
 

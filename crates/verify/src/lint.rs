@@ -65,7 +65,8 @@ pub struct ParamsView<'a> {
     pub buffer_depth: u8,
     /// Torus arrival buffer depth per VC (flits).
     pub torus_buffer_depth: u8,
-    /// Inverse-weight bit width when weighted arbitration is configured.
+    /// Inverse-weight bit width when some arbitration site starts
+    /// inverse-weighted.
     pub arbiter_m_bits: Option<u32>,
     /// Idle cycles before the deadlock watchdog trips.
     pub watchdog_cycles: u64,

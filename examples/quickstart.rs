@@ -28,7 +28,7 @@ fn main() {
         &cfg,
         vec![(Box::new(UniformRandom), 1.0)],
         64,
-        &ArbiterSetup::RoundRobin,
+        (&ArbiterKind::RoundRobin.into(), None),
         sat,
         1,
         TraceConfig::default(),

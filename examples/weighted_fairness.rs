@@ -10,67 +10,34 @@
 //! ```
 
 use anton2::anton_analysis::fit::jain_fairness;
-use anton2::anton_arbiter::ArbiterKind;
 use anton2::prelude::*;
 
-/// Wraps the batch driver to record when each source finishes its batch.
-struct PerSource {
-    inner: BatchDriver,
-    remaining: Vec<u64>,
-    finish: Vec<u64>,
-}
-
-impl Driver for PerSource {
-    fn pre_cycle(&mut self, sim: &mut Sim) {
-        self.inner.pre_cycle(sim);
-    }
-    fn on_delivery(&mut self, sim: &mut Sim, d: &Delivery) {
-        if let Delivery::Packet(p) = d {
-            let idx = sim.cfg.endpoint_index(p.src);
-            self.remaining[idx] -= 1;
-            if self.remaining[idx] == 0 {
-                self.finish[idx] = sim.now();
-            }
-        }
-        self.inner.on_delivery(sim, d);
-    }
-    fn done(&self, sim: &Sim) -> bool {
-        self.inner.done(sim)
-    }
-}
-
-fn run(cfg: &MachineConfig, weights: Option<&ArbiterWeightSet>, batch: u64) -> (u64, f64) {
-    let params = SimParams {
-        arbiter: match weights {
-            Some(w) => ArbiterKind::InverseWeighted { m_bits: w.m_bits },
-            None => ArbiterKind::RoundRobin,
-        },
-        ..SimParams::default()
-    };
-    let mut builder = Sim::builder().config(cfg.clone()).params(params);
-    if let Some(w) = weights {
-        builder = builder.weights(w.clone());
-    }
-    let mut sim = builder.build();
-    let n = cfg.num_endpoints();
-    let mut driver = PerSource {
-        inner: BatchDriver::builder(&sim)
-            .pattern(Box::new(Tornado))
-            .packets_per_endpoint(batch)
-            .seed(7)
-            .build(),
-        remaining: vec![batch; n],
-        finish: vec![0; n],
-    };
-    let outcome = sim.run(&mut driver, 100_000_000);
-    assert_eq!(outcome, RunOutcome::Completed);
+/// One tornado batch of `batch` packets per core under `arbitration` (a
+/// plan and the weights programmed at its weighted sites): the completion
+/// cycle and the Jain fairness of the per-source service rates.
+fn run(
+    cfg: &MachineConfig,
+    arbitration: (&ArbiterPlan, Option<&ArbiterWeightSet>),
+    batch: u64,
+) -> (u64, f64) {
+    let sat = saturation_rate(cfg, &Tornado).expect("tornado traffic loads the torus");
+    let tornado: Box<dyn TrafficPattern> = Box::new(Tornado);
+    let run = run_batch(
+        cfg,
+        vec![(tornado, 1.0)],
+        batch,
+        arbitration,
+        sat,
+        7,
+        TraceConfig::default(),
+    );
     // Fairness of per-source *service rates* (packets per cycle to finish).
-    let rates: Vec<f64> = driver
-        .finish
+    let rates: Vec<f64> = run
+        .source_finish
         .iter()
         .map(|&f| batch as f64 / f as f64)
         .collect();
-    (driver.inner.finish_cycle, jain_fairness(&rates))
+    (run.point.cycles, jain_fairness(&rates))
 }
 
 fn main() {
@@ -78,11 +45,13 @@ fn main() {
     let batch = 256;
     println!("tornado traffic on a 4x4x4 torus, {batch} packets per core\n");
 
-    let (rr_cycles, rr_jain) = run(&cfg, None, batch);
+    let rr = ArbiterPlan::from(ArbiterKind::RoundRobin);
+    let (rr_cycles, rr_jain) = run(&cfg, (&rr, None), batch);
     println!("round-robin:       completed in {rr_cycles} cycles, Jain fairness {rr_jain:.4}");
 
-    // Offline: expected loads -> per-input inverse weights at every router
-    // output arbiter and channel serializer.
+    // Offline: expected loads -> per-input inverse weights for every router
+    // input and output arbiter and channel serializer the tornado loads; the
+    // `iw` plan programs them at all three sites.
     let analysis = LoadAnalysis::compute(&cfg, &Tornado);
     let weights = ArbiterWeightSet::compute(&cfg, &[&analysis], 5);
     println!(
@@ -90,7 +59,8 @@ fn main() {
         weights.outputs.programmed().count(),
         weights.serializers.programmed().count()
     );
-    let (iw_cycles, iw_jain) = run(&cfg, Some(&weights), batch);
+    let iw = ArbiterPlan::from(ArbiterKind::InverseWeighted { m_bits: 5 });
+    let (iw_cycles, iw_jain) = run(&cfg, (&iw, Some(&weights)), batch);
     println!("inverse-weighted:  completed in {iw_cycles} cycles, Jain fairness {iw_jain:.4}");
     println!();
     println!(

@@ -45,13 +45,14 @@
 
 pub mod prelude {
     //! One-stop imports for the common experiment workflow: machine
-    //! configuration, the simulator and its drivers, traffic patterns,
-    //! arbiter weights, and the experiment harness.
+    //! configuration, the simulator and its drivers, traffic patterns, the
+    //! arbitration plan and its weights, and the experiment harness.
 
     pub use anton_analysis::load::LoadAnalysis;
     pub use anton_analysis::weights::ArbiterWeightSet;
+    pub use anton_arbiter::{ArbiterKind, ArbiterPlan};
     pub use anton_bench::harness::{ExperimentSpec, Json, Measurement, SweepPoint};
-    pub use anton_bench::{run_batch, saturation_rate, ArbiterSetup, BatchRun, FlagSet};
+    pub use anton_bench::{run_batch, saturation_rate, BatchRun, FlagSet};
     pub use anton_core::config::MachineConfig;
     pub use anton_core::pattern::TrafficPattern;
     pub use anton_core::topology::TorusShape;

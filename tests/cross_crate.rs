@@ -102,7 +102,7 @@ fn weight_tables_install_at_every_arbitration_point() {
     assert!(weights.serializers.programmed().count() > 0);
     assert!(weights.inputs.programmed().count() > 0);
     let params = SimParams {
-        arbiter: anton2::anton_arbiter::ArbiterKind::InverseWeighted { m_bits: 5 },
+        arbiter: anton2::anton_arbiter::ArbiterKind::InverseWeighted { m_bits: 5 }.into(),
         ..SimParams::default()
     };
     // Construction panics on any index mismatch.
