@@ -1,16 +1,27 @@
 //! Bad machine input is a typed diagnostic, not a panic: each binary below
 //! exits 2 (the usage status) with its `AV1xx` code on stderr, never 101.
 
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
-/// Runs `bin` from a fresh temp directory, so nothing it might write lands
-/// in the checkout, asserts the usage exit status and returns its stderr.
-fn usage_error(bin: &str, args: &[&str]) -> String {
+use proptest::prelude::*;
+
+/// A fresh temp directory to run a binary from, so nothing it might write
+/// lands in the checkout.
+fn scratch_dir() -> std::path::PathBuf {
     static RUN: AtomicUsize = AtomicUsize::new(0);
     let run = RUN.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("anton-bad-input-{}-{run}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+/// Runs `bin` from a fresh temp directory, asserts the usage exit status
+/// and returns its stderr.
+fn usage_error(bin: &str, args: &[&str]) -> String {
+    let dir = scratch_dir();
     let out = Command::new(bin)
         .args(args)
         .current_dir(&dir)
@@ -267,5 +278,130 @@ fn a_malformed_fault_spec_is_av103() {
             stderr.contains("[AV103]: ") && stderr.contains("--down-window"),
             "--down-window {window:?}: {stderr}"
         );
+    }
+}
+
+/// What a generated flag value is made of: digits, the separators and signs
+/// of the fault-spec syntax, the axis letters, a space and one multi-byte
+/// character. (No NUL: argv cannot carry one.)
+const ALPHABET: &[char] = &[
+    '0', '1', '2', '3', '4', '5', '6', '7', '8', '9', ',', ';', 'x', 'y', 'z', '+', '-', ' ', 'é',
+];
+
+/// `base` with each `(op, at, pick)` applied in turn: an [`ALPHABET`]
+/// character inserted at, written over or a character deleted from
+/// position `at` (modulo the length). From an empty base the edits build
+/// a random string; from a valid value they reach just past it, where
+/// parsing is most likely to go wrong.
+fn edited(base: &str, edits: &[(u8, usize, usize)]) -> String {
+    let mut text: Vec<char> = base.chars().collect();
+    for &(op, at, pick) in edits {
+        let c = ALPHABET[pick % ALPHABET.len()];
+        let at = at % (text.len() + 1);
+        match op % 3 {
+            0 => text.insert(at, c),
+            1 if at < text.len() => text[at] = c,
+            _ if at < text.len() => {
+                text.remove(at);
+            }
+            _ => text.push(c),
+        }
+    }
+    text.into_iter().collect()
+}
+
+/// Runs `bin` from a fresh temp directory under a one-minute deadline (a
+/// run past it is killed and fails the case) and checks how it ended: 0 or
+/// 1 (the value parsed and the tool ran), or 2 with an AV103 diagnostic
+/// naming `flag`. Anything else — a panic's 101 above all — fails.
+fn exits_cleanly(bin: &str, args: &[&str], flag: &str) -> Result<(), TestCaseError> {
+    let dir = scratch_dir();
+    let mut child = Command::new(bin)
+        .args(args)
+        .current_dir(&dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("child status") {
+            break Some(status);
+        }
+        if Instant::now() > deadline {
+            child.kill().expect("kill overdue child");
+            child.wait().expect("reap killed child");
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("stderr is UTF-8");
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
+    let Some(status) = status else {
+        return Err(TestCaseError::fail(format!(
+            "{bin} {args:?} ran past its deadline"
+        )));
+    };
+    match status.code() {
+        Some(0 | 1) => Ok(()),
+        Some(2) => {
+            prop_assert!(
+                stderr.contains("[AV103]: ") && stderr.contains(flag),
+                "{} {:?}: usage exit without AV103 naming {}: {}",
+                bin,
+                args,
+                flag,
+                stderr
+            );
+            Ok(())
+        }
+        code => Err(TestCaseError::fail(format!(
+            "{bin} {args:?} exited {code:?}: {stderr}"
+        ))),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Generated `--down-links` values: a set of down links the machine
+    /// certifies or refuses, or AV103 naming the flag — never a panic.
+    #[test]
+    fn generated_down_links_never_panic(
+        base in 0usize..4,
+        edits in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 0..12),
+    ) {
+        let bases = ["", "0,0,0,x+", "1,0,1,y-;0,1,1,z+,1", "0,0,0,x+;0,0,0,x-"];
+        let links = edited(bases[base], &edits);
+        exits_cleanly(
+            env!("CARGO_BIN_EXE_verify_config"),
+            &["--k", "2", "--down-links", &links],
+            "--down-links",
+        )?;
+    }
+
+    /// Generated `--down-window` values: a fault sweep with the window
+    /// applied, or AV103 naming the flag — never a panic.
+    #[test]
+    fn generated_down_windows_never_panic(
+        base in 0usize..4,
+        edits in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 0..12),
+    ) {
+        let bases = ["", "3,9", "0,18446744073709551615", "100,5000"];
+        let window = edited(bases[base], &edits);
+        exits_cleanly(
+            env!("CARGO_BIN_EXE_fig_fault_sweep"),
+            &[
+                "--k", "2", "--packets", "2", "--bers", "0", "--loads", "0.3",
+                "--down-window", &window,
+            ],
+            "--down-window",
+        )?;
     }
 }

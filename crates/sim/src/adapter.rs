@@ -18,7 +18,6 @@ use anton_obs::{StallCause, TraceEventKind};
 use crate::fabric::{CompRef, Ctx, Fabric};
 use crate::params::{TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
 use crate::state::{PacketId, PacketState, RouteProgress};
-use crate::wire::BufEntry;
 
 /// Gate-record marker of a head an adapter has classified (adapters own the
 /// route-cache slots of the wires they consume): a unicast packet, with the
@@ -137,12 +136,13 @@ impl Adapters {
     /// clears.
     pub(crate) fn link_onset(&mut self, cidx: usize, fab: &mut Fabric) {
         let c = &self.chans[cidx];
-        let packets = &fab.packets;
-        let stranded = fab.wires.drain_link(fab.now, c.wires.torus_out, |entry| {
-            !packets.get(entry.pkt).route.is_unicast()
-        });
-        for entry in stranded {
-            fab.reroute(c.node, entry.pkt);
+        let stranded = fab
+            .wires
+            .drain_link(fab.now, c.wires.torus_out, &mut fab.packets, |st| {
+                !st.route.is_unicast()
+            });
+        for pid in stranded {
+            fab.reroute(c.node, pid);
         }
         fab.drain_link_events();
         fab.wheels
@@ -282,7 +282,7 @@ impl ChanState {
             // and VC are stable while the head is parked — packet VC state
             // only advances when the packet moves.
             let (kind, cvcidx) = if m.rc_port == 0xFF {
-                let st = fab.packets.get(fab.wires.head(wire_id, v).pkt);
+                let st = fab.packets.get(fab.wires.head(wire_id, v));
                 let (kind, cvcidx) = match st.route {
                     RouteProgress::Unicast { .. } => {
                         let vc = st.vc.vc_for(LinkGroup::T);
@@ -304,14 +304,14 @@ impl ChanState {
                     fab.stall(wire_id, v, StallCause::NoCredit, Some(to_router));
                     continue;
                 }
-                let pid = fab.pop(wire_id, v).pkt;
+                let pid = fab.pop(wire_id, v);
                 // Entry link uses the arriving T-phase VC; promotion
                 // (if the dimension finished) applies past it.
                 stage_unicast_arrival(fab, pid);
                 let sent = self.send_to_router(me, fab, ctx, pid);
                 debug_assert!(sent, "send checked above");
             } else {
-                let pid = fab.pop(wire_id, v).pkt;
+                let pid = fab.pop(wire_id, v);
                 self.fan_out(me, fab, ctx, pid);
             }
             self.rr_vc_in = (v + 1) % nvcs;
@@ -358,8 +358,8 @@ impl ChanState {
         // re-gate without slab loads.
         let req = fab.gather_requests(
             in_wire,
-            |fab, e| {
-                let st = fab.packets.get(e.pkt);
+            |fab, pid| {
+                let st = fab.packets.get(pid);
                 // VC on the torus link after a possible dateline promotion.
                 let mut vc_after = st.vc;
                 let tvc = vc_after.torus_hop(crosses);
@@ -372,26 +372,21 @@ impl ChanState {
             return;
         }
         let v = {
-            let wires = &fab.wires;
+            let (wires, packets) = (&fab.wires, &fab.packets);
             self.out_arbiter
                 .pick_mask(
                     req,
                     |i| wires.gate(in_wire, i as u8).pattern,
-                    |i| u64::from(wires.head(in_wire, i as u8).age),
+                    |i| u64::from(packets.get(wires.head(in_wire, i as u8)).queued_at),
                 )
                 .expect("nonempty requests yield a grant") as u8
         };
         // The winner's torus lane, as the gather cached it.
         let lane = fab.wires.gate(in_wire, v).rc_vcidx;
-        let mut entry = fab.pop(in_wire, v);
-        let pid = entry.pkt;
+        let pid = fab.pop(in_wire, v);
         fab.grant(GrantSite::Serializer, out_wire, pid, req, v, |l| {
             (in_wire, l)
         });
-        // The stamped route context describes the chip being left; the next
-        // chip's channel adapter re-stamps on mesh entry.
-        entry.target = 0xFF;
-        entry.meta &= BufEntry::REPLY;
         let dir = self.chan.dir;
         let st = fab.packets.get_mut(pid);
         let from_tvc = st.vc.vc_for(LinkGroup::T).0;
@@ -408,8 +403,8 @@ impl ChanState {
             };
             fab.event(out_wire, pid, kind);
         }
-        fab.send(ctx, out_wire, entry, lane);
-        self.tokens -= cost * i64::from(entry.flits);
+        let flits = fab.send(ctx, out_wire, pid, lane);
+        self.tokens -= cost * i64::from(flits);
         // Work left: wake at the next refill. Traffic that comes later wakes
         // the adapter on arrival, and the tokens accrue lazily whenever it
         // next steps.
@@ -429,8 +424,7 @@ impl ChanState {
         let now = fab.now;
         let in_wire = self.wires.from_router;
         for v in 0..fab.wires.num_vcs(in_wire) {
-            while let Some(entry) = fab.wires.ready_head(now, in_wire, v) {
-                let pid = entry.pkt;
+            while let Some(pid) = fab.wires.ready_head(now, in_wire, v) {
                 if !fab.packets.get(pid).route.is_unicast() {
                     break;
                 }
@@ -534,10 +528,10 @@ mod tests {
             }
         }
 
-        /// Sends `entry` on `wire` through the fabric's one send path.
-        fn send(&mut self, wire: usize, entry: BufEntry, vcidx: u8) {
+        /// Sends `pid` on `wire` through the fabric's one send path.
+        fn send(&mut self, wire: usize, pid: PacketId, vcidx: u8) {
             let ctx = Ctx::new(&self.cfg, &self.params);
-            self.fab.send(&ctx, wire, entry, vcidx);
+            self.fab.send(&ctx, wire, pid, vcidx);
         }
 
         /// One cycle: opens it, steps the adapter if it was woken, runs
@@ -573,19 +567,16 @@ mod tests {
             let packet = Packet::write(ep, ep, Payload::zeros(16));
             let state = PacketState::new(&packet, route, vc, self.fab.now);
             let pid = self.fab.packets.insert(state, None);
-            let ctx = Ctx::new(&self.cfg, &self.params);
-            let entry = self.fab.packet_entry(pid);
-            self.fab.send(&ctx, WIRES.from_router, entry, vcidx);
+            self.send(WIRES.from_router, pid, vcidx);
         }
 
         /// Pops every ready head of `wire`, as the component at its far end
-        /// would, retiring the packets; returns them in VC order.
-        fn drain(&mut self, wire: usize) -> Vec<(u8, BufEntry)> {
+        /// would; returns them in VC order.
+        fn drain(&mut self, wire: usize) -> Vec<(u8, PacketId)> {
             let mut out = Vec::new();
             for v in 0..self.fab.wires.num_vcs(wire) {
                 if self.fab.wires.ready_head(self.fab.now, wire, v).is_some() {
-                    let entry = self.fab.pop(wire, v);
-                    out.push((v, entry));
+                    out.push((v, self.fab.pop(wire, v)));
                 }
             }
             out
@@ -600,8 +591,8 @@ mod tests {
             rig.cycle(|rig| {
                 rig.feed_outbound(0);
                 rig.feed_outbound(5);
-                for (_, e) in rig.drain(WIRES.torus_out) {
-                    rig.fab.packets.remove(e.pkt);
+                for (_, pid) in rig.drain(WIRES.torus_out) {
+                    rig.fab.packets.remove(pid);
                 }
             });
             carried.push(rig.fab.wires.flits_carried(WIRES.torus_out));
@@ -626,8 +617,8 @@ mod tests {
         let idle_from = carried.len();
         for _ in 0..500 {
             rig.cycle(|rig| {
-                for (_, e) in rig.drain(WIRES.torus_out) {
-                    rig.fab.packets.remove(e.pkt);
+                for (_, pid) in rig.drain(WIRES.torus_out) {
+                    rig.fab.packets.remove(pid);
                 }
             });
             carried.push(rig.fab.wires.flits_carried(WIRES.torus_out));
@@ -688,14 +679,7 @@ mod tests {
         let turn = NodeCoord::new(1, 1, 0);
         let [a, c, b] = [1, 1, 2].map(|vcidx| {
             let pid = arriving(&mut rig, turn, 16);
-            // Straight onto the wire: the far serializer's send carries no
-            // chip stamp (it is re-stamped here, on mesh entry).
-            let entry = BufEntry {
-                pkt: pid,
-                flits: 1,
-                ..BufEntry::EMPTY
-            };
-            rig.send(WIRES.torus_in, entry, vcidx);
+            rig.send(WIRES.torus_in, pid, vcidx);
             pid
         });
         let mut entered = Vec::new();
@@ -704,16 +688,15 @@ mod tests {
         }
         // The pointer moved past VC 1 after serving it: `b` on VC 2 goes
         // before the second packet of VC 1.
-        let order: Vec<PacketId> = entered.iter().map(|(_, e)| e.pkt).collect();
+        let order: Vec<PacketId> = entered.iter().map(|&(_, pid)| pid).collect();
         assert_eq!(order, [a, b, c]);
-        for (vcidx, e) in entered {
+        for (vcidx, pid) in entered {
+            let st = rig.fab.packets.get(pid);
             // The entry link was crossed on the arriving T-phase VC...
-            let arriving_vc = rig.fab.wires.vc_index(WIRES.to_router, e.class(), Vc(0));
+            let arriving_vc = rig.fab.wires.vc_index(WIRES.to_router, st.class, Vc(0));
             assert_eq!(vcidx, arriving_vc);
             // ...and the promoted state — out of X (M VC 1), into Y (T VC
-            // 1) — holds from the router on: in the stamp and in the slab.
-            assert_eq!((e.meta & 7, e.meta >> 3 & 7), (1, 1));
-            let st = rig.fab.packets.get(e.pkt);
+            // 1) — holds from the router on, where routing reads it.
             assert_eq!(st.pending_vc, None);
             assert_eq!(
                 (st.vc.vc_for(LinkGroup::M), st.vc.vc_for(LinkGroup::T)),
@@ -734,19 +717,14 @@ mod tests {
             arriving(&mut rig, dst, MAX_PAYLOAD_BYTES),
             arriving(&mut rig, dst, 16),
         );
-        let entry = |pkt, flits| BufEntry {
-            pkt,
-            flits,
-            ..BufEntry::EMPTY
-        };
         // Ready at 2, it holds the link for cycles 2 and 3; the adapter then
         // holds nothing, so it schedules no wake of its own.
-        rig.send(WIRES.torus_in, entry(two, 2), 1);
+        rig.send(WIRES.torus_in, two, 1);
         let mut carried = Vec::new();
         for _ in 0..8 {
             rig.cycle(|rig| {
                 if rig.fab.now == 2 {
-                    rig.send(WIRES.torus_in, entry(one, 1), 2);
+                    rig.send(WIRES.torus_in, one, 2);
                 }
             });
             carried.push(rig.fab.wires.flits_carried(WIRES.to_router));

@@ -310,7 +310,7 @@ impl Endpoints {
             if fab.wires.ready_head(now, wire_id, v).is_none() {
                 continue;
             }
-            let pid = fab.pop(wire_id, v).pkt;
+            let pid = fab.pop(wire_id, v);
             let (st, cold) = fab.packets.remove(pid);
             fab.stats.delivered_packets += 1;
             fab.stats.last_delivery_cycle = now;
@@ -527,8 +527,9 @@ mod tests {
         // counts from entry, oldest-first arbitration from the queue.
         let sent: Vec<(u32, u32)> = (0..3)
             .map(|_| {
-                let entry = rig.fab.pop(TO_ROUTER, 0);
-                (entry.age, rig.fab.packets.get(entry.pkt).injected_at)
+                let pid = rig.fab.pop(TO_ROUTER, 0);
+                let st = rig.fab.packets.get(pid);
+                (st.queued_at, st.injected_at)
             })
             .collect();
         assert_eq!(sent, [(0, 0), (0, 2), (0, 4)]);
@@ -553,8 +554,7 @@ mod tests {
             let state = PacketState::new(&packet, route, vc, rig.fab.now);
             let pid = rig.fab.packets.insert(state, None);
             let ctx = Ctx::new(&rig.cfg, &rig.params);
-            let entry = rig.fab.packet_entry(pid);
-            rig.fab.send(&ctx, FROM_ROUTER, entry, 0);
+            rig.fab.send(&ctx, FROM_ROUTER, pid, 0);
         };
         // Every delivery with the cycle it was reported in.
         let mut seen = Vec::new();
@@ -638,7 +638,7 @@ mod tests {
             assert_eq!(rig.endpoints.inject_queue_len(0), 0);
             // Re-entered, not injected: it keeps its history.
             assert_eq!(rig.fab.stats.injected_packets, 0);
-            let head = rig.fab.wires.head(TO_ROUTER, 0).pkt;
+            let head = rig.fab.wires.head(TO_ROUTER, 0);
             let st = rig.fab.packets.get(head);
             assert_eq!((st.torus_hops, st.rerouted, st.injected_at), (1, true, 0));
             // Its payload came with it.

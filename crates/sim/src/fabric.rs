@@ -21,8 +21,8 @@ use anton_core::multicast::{McEntry, McGroup, McGroupId};
 use anton_core::packet::{flit_hamming, Payload};
 use anton_core::route_table::{DownLinkSet, RouteTable};
 use anton_core::routing::RouteSpec;
-use anton_core::topology::{Dim, NodeId, Slice, TorusDir, TorusShape};
-use anton_core::vc::{TrafficClass, VcState};
+use anton_core::topology::{NodeId, Slice, TorusDir, TorusShape};
+use anton_core::vc::VcState;
 use anton_fault::{FaultKind, FaultSchedule, ShimEvent};
 use anton_obs::{ChannelKind, FlightRecorder, StallCause, StallTable, TimeSeries, TraceEventKind};
 
@@ -31,7 +31,7 @@ use crate::params::{SimParams, TraceConfig};
 use crate::sim::{Delivery, EnergyCounters, SimStats};
 use crate::state::{ColdState, PacketId, PacketSlab, PacketState, RouteProgress};
 use crate::wake::Scheduler;
-use crate::wire::{BufEntry, End, WireSpec, Wires};
+use crate::wire::{End, WireSpec, Wires};
 
 /// What a layer step reads of the simulator's public configuration. Built
 /// by the conductor from [`Sim`](crate::sim::Sim)'s `pub` fields for each
@@ -277,20 +277,6 @@ fn booked(wires: &Wires, cause: StallCause, blocker: Option<usize>) -> (StallCau
     }
 }
 
-/// Packs the traffic class with the VC and arrival context of a chip
-/// traversal (see [`BufEntry::meta`]).
-pub(crate) fn stamp_meta(class: TrafficClass, vcs: VcState, arrived_via: Option<TorusDir>) -> u8 {
-    let m_vc = vcs.vc_for(LinkGroup::M).0;
-    let t_vc = vcs.vc_for(LinkGroup::T).0;
-    debug_assert!(m_vc < 8 && t_vc < 8, "stamped VC exceeds 3 bits");
-    let arrived_x = arrived_via.map(|d| d.dim) == Some(Dim::X);
-    let reply = match class {
-        TrafficClass::Request => 0,
-        TrafficClass::Reply => BufEntry::REPLY,
-    };
-    m_vc | (t_vc << 3) | (u8::from(arrived_x) << 6) | reply
-}
-
 /// One epoch of the degradation timeline: a maximal interval over which the
 /// set of down links is constant.
 #[derive(Debug, Clone)]
@@ -500,13 +486,16 @@ impl Fabric {
         let now = self.now;
         let every_return = self.probe.stall.is_some();
         let (wheels, consumer, producer) = (&mut self.wheels, &self.consumer, &self.producer);
-        let worked = self.wires.step(now, every_return, move |w, end, at| {
-            let comp = match end {
-                End::Producer => producer[w],
-                End::Consumer => consumer[w],
-            };
-            wheels.wake(comp, at, now);
-        });
+        let packets = &mut self.packets;
+        let worked = self
+            .wires
+            .step(now, every_return, packets, move |w, end, at| {
+                let comp = match end {
+                    End::Producer => producer[w],
+                    End::Consumer => consumer[w],
+                };
+                wheels.wake(comp, at, now);
+            });
         self.drain_link_events();
         worked
     }
@@ -612,36 +601,15 @@ impl Fabric {
 
     // ----- send / pop / arbitration ----------------------------------------
 
-    /// Builds a fresh buffer entry for a packet from its slab state: how a
-    /// packet enters a chip's mesh (hops that already hold a buffered copy
-    /// of the metadata pass it to [`Fabric::send`] directly).
-    pub(crate) fn packet_entry(&self, pid: PacketId) -> BufEntry {
-        let st = self.packets.get(pid);
-        // Stamp the chip-traversal route context while the slab line is
-        // hot: the target adapter is fixed until the packet leaves the
-        // chip (its spec advances only at a torus departure), the VC state
-        // changes only at adapters (a staged pending promotion applies the
-        // instant this send completes, so stamp the promoted state), and
-        // the arrival dimension is set once at torus arrival.
-        let code = st.route.chip_target().code();
-        debug_assert!(code < 0xFF, "attach code overflows stamp");
-        let vcs = st.pending_vc.unwrap_or(st.vc);
-        BufEntry {
-            pkt: pid,
-            ready_at: 0,
-            age: st.queued_at,
-            flits: st.flits,
-            pattern: st.pattern.0,
-            target: code as u8,
-            meta: stamp_meta(st.class, vcs, st.arrived_via),
-        }
-    }
-
-    /// Pushes `entry` onto `wire`: the one send path, which wakes the
+    /// Pushes packet `pid` onto `wire`: the one send path, which wakes the
     /// consumer, counts the flit-hops, logs the hop and feeds the probe.
-    pub(crate) fn send(&mut self, ctx: &Ctx<'_>, wire: usize, entry: BufEntry, vcidx: u8) {
-        let (flits, pid) = (entry.flits, entry.pkt);
-        if let Some(ready) = self.wires.send(self.now, wire, entry, vcidx) {
+    /// Returns the packet's flits, the cycles the send holds its sender.
+    pub(crate) fn send(&mut self, ctx: &Ctx<'_>, wire: usize, pid: PacketId, vcidx: u8) -> u8 {
+        let flits = self.packets.get(pid).flits;
+        if let Some(ready) = self
+            .wires
+            .send(self.now, wire, pid, vcidx, &mut self.packets)
+        {
             // Filed straight into the receive buffers: wake the consumer
             // for the cycle the head clears the receive pipeline. Any other
             // delivery is reported by a later wires phase.
@@ -663,13 +631,13 @@ impl Fabric {
         // stamped `now`, while the wire's next tick can be a link latency
         // away.
         self.drain_link_events();
+        flits
     }
 
     /// Sends packet `pid` from an adapter onto its link into the mesh —
-    /// `wire`, on the packet's `group` VC, under an entry stamped afresh
-    /// from its slab state — if the link has credits. Returns the cycle the
-    /// adapter is held until (the packet's flits); the adapter wakes for it
-    /// only if something waits behind the packet.
+    /// `wire`, on the packet's `group` VC — if the link has credits. Returns
+    /// the cycle the adapter is held until (the packet's flits); the
+    /// adapter wakes for it only if something waits behind the packet.
     pub(crate) fn send_into_mesh(
         &mut self,
         ctx: &Ctx<'_>,
@@ -683,7 +651,7 @@ impl Fabric {
         if !self.wires.credit_gate(wire, vcidx, flits) {
             return None;
         }
-        self.send(ctx, wire, self.packet_entry(pid), vcidx);
+        self.send(ctx, wire, pid, vcidx);
         Some(self.now + u64::from(flits))
     }
 
@@ -692,12 +660,12 @@ impl Fabric {
     /// and the one resolution point for stall attribution: the pop closes
     /// any open stall segment of this (wire, VC) slot.
     #[inline]
-    pub(crate) fn pop(&mut self, wire: usize, vcidx: u8) -> BufEntry {
+    pub(crate) fn pop(&mut self, wire: usize, vcidx: u8) -> PacketId {
         self.moved = true;
         if let Some(st) = self.probe.stall.as_deref_mut() {
             st.resolve(wire as u32, vcidx, self.now);
         }
-        self.wires.pop(self.now, wire, vcidx)
+        self.wires.pop(self.now, wire, vcidx, &mut self.packets)
     }
 
     /// Gathers the VCs of `in_wire` whose heads can move this cycle into a
@@ -714,7 +682,7 @@ impl Fabric {
     pub(crate) fn gather_requests(
         &mut self,
         in_wire: usize,
-        route: impl Fn(&Fabric, &BufEntry) -> (u8, u8),
+        route: impl Fn(&Fabric, PacketId) -> (u8, u8),
         mut output: impl FnMut(u8) -> Option<usize>,
     ) -> u64 {
         let mut req: u64 = 0;

@@ -9,11 +9,13 @@
 //! handed.
 
 use anton_arbiter::{ArbiterPlan, BitsetArbiter, GrantSite};
-use anton_core::chip::{ChipLayout, LocalAttach, MeshCoord, ATTACH_CODE_BASE, MAX_ROUTER_PORTS};
-use anton_core::vc::Vc;
+use anton_core::chip::{
+    ChipLayout, LinkGroup, LocalAttach, MeshCoord, ATTACH_CODE_BASE, MAX_ROUTER_PORTS,
+};
+use anton_core::topology::Dim;
 
 use crate::fabric::{CompRef, Ctx, Fabric};
-use crate::wire::BufEntry;
+use crate::state::PacketId;
 
 #[derive(Debug)]
 struct RouterState {
@@ -64,10 +66,6 @@ pub(crate) struct Routers {
     /// SA1 VC arbiter per router input port (same layout; lanes = the
     /// feeding wire's VC indices).
     in_arb: Vec<BitsetArbiter>,
-    /// Decode of stamped chip-target codes (see [`BufEntry::target`]). Only
-    /// chan and endpoint attaches are ever stamped; routing never reads the
-    /// mesh/skip rows.
-    target_of_code: Vec<LocalAttach>,
 }
 
 impl Routers {
@@ -76,12 +74,6 @@ impl Routers {
     /// index order.
     pub(crate) fn new(chip: &ChipLayout, n: usize) -> Routers {
         let attach_codes = ATTACH_CODE_BASE + chip.endpoints().count();
-        // The chip layout is identical on every node, so one table serves
-        // them all.
-        let mut target_of_code = vec![LocalAttach::Skip; attach_codes];
-        for attach in MeshCoord::all().flat_map(|r| chip.router_ports(r)) {
-            target_of_code[attach.code()] = attach;
-        }
         Routers {
             routers: Vec::with_capacity(n),
             port_of: Vec::with_capacity(n * attach_codes),
@@ -91,7 +83,6 @@ impl Routers {
             out_busy: Vec::with_capacity(n * MAX_ROUTER_PORTS),
             out_arb: Vec::with_capacity(n * MAX_ROUTER_PORTS),
             in_arb: Vec::with_capacity(n * MAX_ROUTER_PORTS),
-            target_of_code,
         }
     }
 
@@ -154,47 +145,31 @@ impl Routers {
         &mut arbiters[arbiter]
     }
 
-    /// Output port and VC of a head at router `ridx`, from the context the
-    /// sender stamped into its buffer entry (see [`BufEntry::target`]),
-    /// touching no per-packet slab state. The stamp inputs are stable for
-    /// the whole chip traversal. The result is cached in the head's gate
-    /// record by the switch-allocation loop, so this is only evaluated once
-    /// per packet per router.
+    /// Route computation for head `pid` first seen at router `ridx`: the
+    /// output port and the VC index on the wire behind it, from the
+    /// packet's slab line — its target adapter on this chip, its VC state
+    /// and the dimension it arrived on, all stable for the whole chip
+    /// traversal. The result is cached in the head's gate record by the
+    /// switch-allocation loop, so this is only evaluated once per packet
+    /// per router.
     #[inline]
-    fn route_stamped(&self, ridx: usize, ctx: &Ctx<'_>, target_code: u8, meta: u8) -> (usize, Vc) {
-        let target = self.target_of_code[target_code as usize];
-        let (here, arrived_x) = (self.routers[ridx].mesh, meta & 0x40 != 0);
-        let attach = ctx.cfg.chip.next_attach(here, target, arrived_x);
+    fn route(&self, ridx: usize, fab: &Fabric, ctx: &Ctx<'_>, pid: PacketId) -> (u8, u8) {
+        let st = fab.packets.get(pid);
+        let arrived_x = st.arrived_via.is_some_and(|d| d.dim == Dim::X);
+        let here = self.routers[ridx].mesh;
+        let attach = ctx
+            .cfg
+            .chip
+            .next_attach(here, st.route.chip_target(), arrived_x);
         let port = self.port_of[ridx * self.attach_codes + attach.code()];
         debug_assert!(port != 0xFF, "routed attach must be a port");
-        let vc = match attach {
-            LocalAttach::Mesh(_) | LocalAttach::Endpoint(_) => Vc(meta & 7),
-            LocalAttach::Skip | LocalAttach::Chan(_) => Vc((meta >> 3) & 7),
+        let group = match attach {
+            LocalAttach::Mesh(_) | LocalAttach::Endpoint(_) => LinkGroup::M,
+            LocalAttach::Skip | LocalAttach::Chan(_) => LinkGroup::T,
         };
-        (port as usize, vc)
-    }
-
-    /// Route computation for a head first seen at router `ridx`: the output
-    /// port and the VC index on the wire behind it.
-    #[inline]
-    fn route(&self, ridx: usize, fab: &Fabric, ctx: &Ctx<'_>, e: &BufEntry) -> (u8, u8) {
-        let (out_port, out_vc) = self.route_stamped(ridx, ctx, e.target, e.meta);
-        // The oracle: the same route derived from the packet's slab state,
-        // which every stamp must agree with for the whole chip traversal.
-        #[cfg(debug_assertions)]
-        {
-            let st = fab.packets.get(e.pkt);
-            let code = st.route.chip_target().code() as u8;
-            let meta = crate::fabric::stamp_meta(st.class, st.vc, st.arrived_via);
-            assert_eq!(
-                (out_port, out_vc),
-                self.route_stamped(ridx, ctx, code, meta),
-                "stamped route context diverged from slab route"
-            );
-        }
-        let out_wire = self.out_wire[ridx * MAX_ROUTER_PORTS + out_port] as usize;
-        let out_vcidx = fab.wires.vc_index(out_wire, e.class(), out_vc);
-        (out_port as u8, out_vcidx)
+        let out_wire = self.out_wire[ridx * MAX_ROUTER_PORTS + usize::from(port)] as usize;
+        let out_vcidx = fab.wires.vc_index(out_wire, st.class, st.vc.vc_for(group));
+        (port, out_vcidx)
     }
 
     /// One wake of router `ridx`: SA1 then SA2 over the heads its input
@@ -231,11 +206,11 @@ impl Routers {
             // SA1: gather the VCs whose heads can proceed into a request
             // bitmask, then let the input port's VC arbiter pick from it
             // (inverse-weighted when programmed). The gates read only the
-            // packed gate records; the winner's full entry is loaded after
+            // packed gate records; the winner's slab line is loaded after
             // the grant.
             let req = fab.gather_requests(
                 in_wire,
-                |fab, e| self.route(ridx, fab, ctx, e),
+                |fab, pid| self.route(ridx, fab, ctx, pid),
                 |port| {
                     let slot = rbase + usize::from(port);
                     let busy = self.out_busy[slot];
@@ -255,17 +230,17 @@ impl Routers {
                 req.trailing_zeros()
             } else {
                 next = now + 1;
-                let wires = &fab.wires;
+                let (wires, packets) = (&fab.wires, &fab.packets);
                 self.in_arb[rbase + inp]
                     .pick_mask(
                         req,
                         |i| wires.gate(in_wire, i as u8).pattern,
-                        |i| u64::from(wires.head(in_wire, i as u8).age),
+                        |i| u64::from(packets.get(wires.head(in_wire, i as u8)).queued_at),
                     )
                     .expect("nonempty requests yield a grant")
             } as u8;
             // The winner's candidate, from its gate (the gather above
-            // guarantees the route fields are populated). Its entry is
+            // guarantees the route fields are populated). Its slab line is
             // loaded by the pop if SA2 grants it, or by an age arbiter.
             let m = fab.wires.gate(in_wire, v);
             *cand = Some(Cand {
@@ -275,7 +250,7 @@ impl Routers {
             });
             out_req[usize::from(m.rc_port)] |= 1 << inp;
             outs |= 1 << m.rc_port;
-            let pid = fab.wires.head_id(in_wire, v);
+            let pid = fab.wires.head(in_wire, v);
             fab.grant(GrantSite::Sa1, in_wire, pid, req, v, |l| (in_wire, l));
         }
         // SA2: walk the contested outputs in ascending order and grant one
@@ -290,44 +265,36 @@ impl Routers {
             if req & (req - 1) != 0 {
                 next = now + 1;
             }
-            let wires = &fab.wires;
+            let (wires, packets) = (&fab.wires, &fab.packets);
             let inp = self.out_arb[rbase + out]
                 .pick_mask(
                     req,
                     |i| cand_of(i).pattern,
                     |i| {
                         let in_wire = self.in_wire[rbase + i as usize] as usize;
-                        u64::from(wires.head(in_wire, cand_of(i).vcidx).age)
+                        let head = wires.head(in_wire, cand_of(i).vcidx);
+                        u64::from(packets.get(head).queued_at)
                     },
                 )
                 .expect("nonempty requests yield a grant");
             let cand = cand_of(inp);
             let in_wire = self.in_wire[rbase + inp as usize] as usize;
             let out_wire = self.out_wire[rbase + out] as usize;
-            // The popped entry travels on as it is: the stamp holds for the
-            // whole chip, and the wire sets the ready cycle on every send.
-            let entry = fab.pop(in_wire, cand.vcidx);
+            let pid = fab.pop(in_wire, cand.vcidx);
             // A new head not yet ready has its arrival wake pending.
             if fab.wires.ready_head(now, in_wire, cand.vcidx).is_some() {
                 next = now + 1;
             }
-            fab.grant(
-                GrantSite::Output,
-                out_wire,
-                entry.pkt,
-                req,
-                inp as u8,
-                |l| {
-                    let lw = self.in_wire[rbase + usize::from(l)] as usize;
-                    (lw, cand_of(u32::from(l)).vcidx)
-                },
-            );
-            fab.send(ctx, out_wire, entry, cand.out_vcidx);
-            self.out_busy[rbase + out] = now + u64::from(entry.flits);
+            fab.grant(GrantSite::Output, out_wire, pid, req, inp as u8, |l| {
+                let lw = self.in_wire[rbase + usize::from(l)] as usize;
+                (lw, cand_of(u32::from(l)).vcidx)
+            });
+            let flits = fab.send(ctx, out_wire, pid, cand.out_vcidx);
+            self.out_busy[rbase + out] = now + u64::from(flits);
             // Stall attribution reads a head's cause on every wake: one
             // starved of credits for this output reads "output busy" while
             // a two-flit transfer holds it, and the table books that cycle.
-            if entry.flits > 1 && fab.probe.stall.is_some() {
+            if flits > 1 && fab.probe.stall.is_some() {
                 next = now + 1;
             }
         }
@@ -523,12 +490,10 @@ mod tests {
             (self.fab.packets.insert(state, None), out_vcidx)
         }
 
-        /// Sends `pid` into input port `inp` on VC index `vcidx`, stamped
-        /// as a neighbour would stamp it.
+        /// Sends `pid` into input port `inp` on VC index `vcidx`.
         fn send(&mut self, inp: usize, vcidx: u8, pid: PacketId) {
             let ctx = Ctx::new(&self.cfg, &self.params);
-            let entry = self.fab.packet_entry(pid);
-            self.fab.send(&ctx, 2 * inp, entry, vcidx);
+            self.fab.send(&ctx, 2 * inp, pid, vcidx);
         }
 
         /// Opens the cycle and steps the router if it was woken for it;
@@ -544,10 +509,7 @@ mod tests {
 
         /// The ready head of output port `out`'s VC `vcidx`.
         fn arrived(&self, out: usize, vcidx: u8) -> Option<PacketId> {
-            self.fab
-                .wires
-                .ready_head(self.fab.now, 2 * out + 1, vcidx)
-                .map(|e| e.pkt)
+            self.fab.wires.ready_head(self.fab.now, 2 * out + 1, vcidx)
         }
     }
 
@@ -906,7 +868,7 @@ mod tests {
                 }
                 wait = gap;
             }
-            if let Err(e) = rig.fab.wires.check_credit_balance() {
+            if let Err(e) = rig.fab.wires.check_credit_balance(&rig.fab.packets) {
                 return Err(TestCaseError::fail(format!("cycle {now}: {e}")));
             }
             for p in 0..nports {

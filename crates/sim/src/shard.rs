@@ -69,7 +69,6 @@ use crate::metrics::{ArbiterGrantCounts, Metrics};
 use crate::params::{SimParams, TraceConfig};
 use crate::sim::{Delivery, Driver, EnergyCounters, RunOutcome, Sim, SimStats};
 use crate::state::{ColdState, PacketState};
-use crate::wire::BufEntry;
 
 /// Window length used when only one shard exists (no boundary wires limit
 /// the lookahead; the window only bounds control-decision latency).
@@ -198,13 +197,12 @@ impl ShardAssignment<'_> {
     }
 }
 
-/// A packet crossing a shard boundary: the buffer entry departing an export
-/// wire, stamped with the cycle it clears the consumer's receive pipeline,
-/// plus the packet's slab state, hot record and cold, which moves producer →
-/// consumer with it.
+/// A packet crossing a shard boundary: the wire and VC it departs on, and
+/// its slab state, hot record — its ready cycle set to the cycle it clears
+/// the consumer's receive pipeline — and cold, which moves producer →
+/// consumer.
 pub(crate) struct PacketTransfer {
     pub(crate) wire: u32,
-    pub(crate) entry: BufEntry,
     pub(crate) vcidx: u8,
     pub(crate) state: PacketState,
     pub(crate) cold: Option<ColdState>,
@@ -476,8 +474,13 @@ impl ShardedSim {
                 let depth = u32::from(prod.depth(wid));
                 for vc in 0..usize::from(prod.num_vcs(wid)) {
                     let total = u32::from(prod.credits(wid, vc))
-                        + prod.accounted_flits(wid, vc, &parked[s])?
-                        + cons.accounted_flits(wid, vc, &parked[dest as usize])?;
+                        + prod.accounted_flits(wid, vc, &parked[s], sh.packets())?
+                        + cons.accounted_flits(
+                            wid,
+                            vc,
+                            &parked[dest as usize],
+                            self.shards[dest as usize].packets(),
+                        )?;
                     if total != depth {
                         return Err(format!(
                             "boundary credit balance violated on wire {wid} ({:?}) vc {vc} \

@@ -52,8 +52,8 @@ use crate::endpoint::Endpoints;
 use crate::fabric::{CompRef, Ctx, Fabric};
 use crate::params::{SimParams, ADAPTER_PIPELINE, ROUTER_PIPELINE};
 use crate::router::{PortWiring, Routers};
-use crate::state::{PacketId, RouteProgress};
-use crate::wire::{BoundaryRole, BufEntry, WireSpec, Wires, LAST_CYCLE};
+use crate::state::{PacketId, PacketSlab, RouteProgress};
+use crate::wire::{BoundaryRole, WireSpec, Wires, LAST_CYCLE};
 
 /// Per-phase nanosecond accumulators, active under
 /// [`TraceConfig::profile`](crate::params::TraceConfig::profile): wires,
@@ -782,10 +782,9 @@ impl Sim {
         &self.fabric.wires
     }
 
-    /// The most packets ever live at once (the range of packet ids used).
-    #[cfg(test)]
-    pub(crate) fn packet_high_water(&self) -> usize {
-        self.fabric.packets.high_water()
+    /// The packet slab (read-only, for audits).
+    pub(crate) fn packets(&self) -> &PacketSlab {
+        &self.fabric.packets
     }
 
     /// Collects the full typed metrics record (see
@@ -837,22 +836,21 @@ impl Sim {
     }
 
     /// Drains every export-boundary outbox into the per-destination-shard
-    /// mailboxes, transferring each departed packet's slab state along with
-    /// its buffer entry, and every import-boundary credit outbox back toward
+    /// mailboxes, transferring each departed packet's slab state — its
+    /// ready cycle at the far end included — and every import-boundary credit outbox back toward
     /// the producing shard. Called once per sync window, at the barrier.
     pub(crate) fn drain_boundary_exports(&mut self, out: &mut [crate::shard::ShardMail]) {
         let fab = &mut self.fabric;
-        let mut scratch: Vec<(BufEntry, u8)> = Vec::new();
+        let mut scratch: Vec<(PacketId, u8)> = Vec::new();
         let mut scratch_credits: Vec<(u64, u8, u8)> = Vec::new();
         for &(w, dest) in &self.export_wires {
             fab.wires.take_exports(w as usize, &mut scratch);
-            for (entry, vcidx) in scratch.drain(..) {
-                let (state, cold) = fab.packets.remove(entry.pkt);
+            for (pid, vcidx) in scratch.drain(..) {
+                let (state, cold) = fab.packets.remove(pid);
                 out[dest as usize]
                     .packets
                     .push(crate::shard::PacketTransfer {
                         wire: w,
-                        entry,
                         vcidx,
                         state,
                         cold,
@@ -876,14 +874,15 @@ impl Sim {
     }
 
     /// Applies one inbound boundary packet at a window barrier: inserts its
-    /// state into the local slab, files the entry into the import wire's
-    /// receive buffer and wakes the consumer for the cycle it reads ready.
+    /// state into the local slab, files it into the import wire's receive
+    /// buffer and wakes the consumer for the cycle it reads ready.
     pub(crate) fn apply_packet_import(&mut self, t: crate::shard::PacketTransfer) {
         let fab = &mut self.fabric;
         let (w, now) = (t.wire as usize, fab.now);
-        let mut entry = t.entry;
-        entry.pkt = fab.packets.insert(t.state, t.cold);
-        let ready = fab.wires.import_packet(now, w, entry, t.vcidx);
+        let pid = fab.packets.insert(t.state, t.cold);
+        let ready = fab
+            .wires
+            .import_packet(now, w, pid, t.vcidx, &mut fab.packets);
         fab.wheels.wake(fab.consumer[w], ready, now);
     }
 
@@ -1092,8 +1091,8 @@ impl Sim {
                  {terminated} terminated + {live} live"
             ));
         }
-        fab.wires.check_credit_balance()?;
-        fab.wires.check_pool(fab.packets.high_water())?;
+        fab.wires.check_credit_balance(&fab.packets)?;
+        fab.wires.check_queues(&fab.packets)?;
         let quiescent = fab.wires.is_quiescent()
             && fab.reroutes.is_empty()
             && self.endpoints.is_idle()
@@ -1155,14 +1154,14 @@ impl Sim {
                 report.shim_backlogs.push((label, backlog));
             }
             for vc in 0..fab.wires.num_vcs(wid) {
-                let Some(entry) = fab.wires.ready_head(fab.now, wid, vc) else {
+                let Some(pid) = fab.wires.ready_head(fab.now, wid, vc) else {
                     continue;
                 };
                 if report.stalled.len() >= CAP {
                     report.truncated += 1;
                     continue;
                 }
-                let st = fab.packets.get(entry.pkt);
+                let st = fab.packets.get(pid);
                 let route = match st.route {
                     RouteProgress::Unicast { spec, dst } => format!(
                         "unicast to n{}:e{}, remaining route {spec}",
@@ -1175,12 +1174,12 @@ impl Sim {
                         format!("multicast delivery to e{}", ep.0)
                     }
                 };
-                stall_sites.push((wid as u32, entry.pkt));
+                stall_sites.push((wid as u32, pid));
                 report.stalled.push(StalledVc {
                     link: label,
                     vc_index: vc,
-                    packet: entry.pkt,
-                    flits: entry.flits,
+                    packet: pid,
+                    flits: st.flits,
                     injected_at: u64::from(st.injected_at),
                     route,
                     recent_events: Vec::new(),

@@ -3,7 +3,9 @@
 //! The slab is chunked, one 64-byte line per slot: a live slot holds a
 //! packet's hot record, a vacant one the id of the next vacant slot, so the
 //! free list is threaded through the slots it lists and costs nothing
-//! beside them.
+//! beside them. A buffered packet is stored here and nowhere else: the
+//! wire layer keeps its ready cycle and its link in a VC queue in the last
+//! eight bytes of its line (see [`crate::wire`]).
 
 use anton_core::chip::{ChanId, LocalAttach, LocalEndpointId};
 use anton_core::config::GlobalEndpoint;
@@ -133,8 +135,8 @@ pub struct PacketState {
     /// after injection or local turns) — gates the skip-channel shortcut.
     pub arrived_via: Option<TorusDir>,
     /// Cycle the original packet entered the network. 32 bits hold every
-    /// cycle a run steps (it stops at `u32::MAX`), as in a buffer entry's
-    /// age.
+    /// cycle a run steps (it stops at `u32::MAX`), as in a gate's ready
+    /// cycle.
     pub injected_at: u32,
     /// Cycle the original packet joined its source's software queue: the
     /// age oldest-first arbitration ranks by.
@@ -146,7 +148,19 @@ pub struct PacketState {
     pub rerouted: bool,
     /// Flits occupied on channels.
     pub flits: u8,
+    /// Cycle the packet clears the receive pipeline of the wire it was last
+    /// sent on, saturated at 2³² − 1 like a gate's ready cycle: written by
+    /// the wire layer on every send, read when it files the packet.
+    pub(crate) ready_at: u32,
+    /// The packet's link in the VC queue buffering it (see [`crate::wire`]):
+    /// [`NOT_PARKED`] while it is buffered nowhere, which every insert into
+    /// the slab resets it to.
+    pub(crate) link: u32,
 }
+
+/// Queue link of a packet that is buffered nowhere (see
+/// [`PacketState::link`]). Packet ids are slab indices, far below it.
+pub(crate) const NOT_PARKED: u32 = u32::MAX;
 
 impl PacketState {
     /// The state of `packet` entering the network on `route` at cycle
@@ -175,6 +189,8 @@ impl PacketState {
             torus_hops: 0,
             rerouted: false,
             flits: packet.num_flits() as u8,
+            ready_at: 0,
+            link: NOT_PARKED,
         }
     }
 
@@ -220,9 +236,9 @@ enum SlabEntry {
     Vacant(u32),
 }
 
-// One cache line per slot: the hot record fills 64 bytes on a 64-byte
-// boundary, and a vacant slot, its link included, is no larger than a live
-// one.
+// One cache line per slot: the hot record, the wire layer's ready cycle and
+// queue link included, fills 64 bytes on a 64-byte boundary, and a vacant
+// slot, its free-list link included, is no larger than a live one.
 const _: () = assert!(std::mem::size_of::<SlabEntry>() == 64);
 const _: () = assert!(std::mem::align_of::<SlabEntry>() == 64);
 
@@ -272,8 +288,10 @@ impl PacketSlab {
     }
 
     /// Inserts a packet with its cold record, if it has one, returning its
-    /// id.
-    pub fn insert(&mut self, state: PacketState, cold: Option<ColdState>) -> PacketId {
+    /// id. The packet reads "not parked" whatever `state` held, so a
+    /// recycled id, a copy or a moved packet starts clean.
+    pub fn insert(&mut self, mut state: PacketState, cold: Option<ColdState>) -> PacketId {
+        state.link = NOT_PARKED;
         self.live += 1;
         self.created += 1;
         let idx = if self.free_head != NO_FREE {
@@ -355,6 +373,17 @@ impl PacketSlab {
         }
     }
 
+    /// The queue link of slot `id` (see [`PacketState::link`]), and
+    /// [`NOT_PARKED`] for a vacant slot or one past the slab's end: a free
+    /// list link never reads as a queue link.
+    pub(crate) fn link(&self, id: u32) -> u32 {
+        let slot = self.chunks.get(id as usize / CHUNK);
+        match slot.and_then(|c| c.get(id as usize % CHUNK)) {
+            Some(SlabEntry::Live(state)) => state.link,
+            _ => NOT_PARKED,
+        }
+    }
+
     /// A live packet's cold record, if it was inserted with one.
     pub fn cold_mut(&mut self, id: PacketId) -> Option<&mut ColdState> {
         self.cold.get_mut(id.0 as usize)?.as_mut()
@@ -395,39 +424,43 @@ impl PacketSlab {
     }
 }
 
+/// A one-flit unicast packet one X hop from node 0 to node 1 of a 4×4×4
+/// machine, entering the network at cycle 0: a live slab line for tests.
+#[cfg(test)]
+pub(crate) fn dummy_state() -> PacketState {
+    use anton_core::packet::Payload;
+    use anton_core::routing::DimOrder;
+    use anton_core::topology::{NodeCoord, NodeId, TorusShape};
+    use anton_core::vc::VcPolicy;
+
+    let shape = TorusShape::cube(4);
+    let src = GlobalEndpoint {
+        node: NodeId(0),
+        ep: LocalEndpointId(0),
+    };
+    let dst = GlobalEndpoint {
+        node: NodeId(1),
+        ep: LocalEndpointId(0),
+    };
+    let spec = RouteSpec::deterministic(
+        &shape,
+        NodeCoord::new(0, 0, 0),
+        NodeCoord::new(1, 0, 0),
+        DimOrder::XYZ,
+        Slice(0),
+    );
+    PacketState::new(
+        &Packet::write(src, dst, Payload::zeros(16)),
+        RouteProgress::Unicast { spec, dst },
+        VcPolicy::Anton.start(),
+        0,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use anton_core::packet::Payload;
-    use anton_core::routing::DimOrder;
-    use anton_core::topology::NodeCoord;
-    use anton_core::topology::{NodeId, TorusShape};
-    use anton_core::vc::VcPolicy;
-
-    fn dummy_state() -> PacketState {
-        let shape = TorusShape::cube(4);
-        let src = GlobalEndpoint {
-            node: NodeId(0),
-            ep: LocalEndpointId(0),
-        };
-        let dst = GlobalEndpoint {
-            node: NodeId(1),
-            ep: LocalEndpointId(0),
-        };
-        let spec = RouteSpec::deterministic(
-            &shape,
-            NodeCoord::new(0, 0, 0),
-            NodeCoord::new(1, 0, 0),
-            DimOrder::XYZ,
-            Slice(0),
-        );
-        PacketState::new(
-            &Packet::write(src, dst, Payload::zeros(16)),
-            RouteProgress::Unicast { spec, dst },
-            VcPolicy::Anton.start(),
-            0,
-        )
-    }
 
     #[test]
     fn slab_reuses_slots() {
@@ -496,6 +529,34 @@ mod tests {
         assert_eq!(slab.insert(dummy_state(), None), with);
         assert_eq!(slab.packet(with), None);
         assert!(slab.cold_mut(with).is_none());
+    }
+
+    #[test]
+    fn an_id_reads_not_parked_until_the_wire_layer_links_it() {
+        let mut slab = PacketSlab::new();
+        let ids: Vec<PacketId> = (0..3).map(|_| slab.insert(dummy_state(), None)).collect();
+        assert!(ids.iter().all(|id| slab.link(id.0) == NOT_PARKED));
+        // Linked into a queue, then removed still linked: the line it
+        // leaves behind is a free-list link to id 0, which must not read
+        // as a queue link to it.
+        slab.get_mut(ids[2]).link = ids[1].0;
+        slab.remove(ids[0]);
+        let (state, _) = slab.remove(ids[2]);
+        assert_eq!(state.link, ids[1].0);
+        assert_eq!(slab.link(ids[2].0), NOT_PARKED, "vacant, linked to id 0");
+        assert_eq!(slab.link(7), NOT_PARKED, "past the slab's end");
+        // Re-inserted — recycled or carried whole to another slab, as a
+        // shard transfer does — it starts clean; its ready cycle travels.
+        let moved = slab.insert(
+            PacketState {
+                ready_at: 9,
+                ..state
+            },
+            None,
+        );
+        assert_eq!(moved, ids[2]);
+        assert_eq!(slab.link(moved.0), NOT_PARKED);
+        assert_eq!(slab.get(moved).ready_at, 9);
     }
 
     #[test]

@@ -25,21 +25,22 @@
 //!
 //! A VC's receive buffer is a FIFO of packets, and at saturation most sends
 //! land behind a head (55 % on the 8×8×8 uniform batch), so the FIFOs are
-//! hot state. They have no storage of their own: every buffered packet, the
-//! head included, sits in one pool keyed by its packet id — its entry in
-//! `parked`, a link to the packet behind it in `next` — and each VC keeps
-//! only its head's gate and the ids at its queue's two ends (`qhead` /
-//! `qtail`), so an empty VC holds no entry. No allocator, free list or
-//! capacity is involved, because a packet is buffered in at most one place
-//! at a time. Three invariants hold between calls, audited by
-//! `Wires::check_pool` and on every filing:
+//! hot state. They have no storage of their own: a buffered packet, the
+//! head included, is stored once, in its line of the packet slab, which
+//! carries its ready cycle and a link to the packet behind it
+//! (`PacketState::ready_at` / `link`), and each VC keeps only its head's
+//! gate and the ids at its queue's two ends (`qhead` / `qtail`), so an
+//! empty VC holds nothing. No allocator, free list or capacity is involved,
+//! because a packet is buffered in at most one place at a time. Three
+//! invariants hold between calls, audited by `Wires::check_queues` and on
+//! every filing:
 //!
 //! * a VC's occupied bit is set exactly when `qhead` / `qtail` name a queue,
 //!   head included, and a walk from `qhead` ends at `qtail` within `depth`
 //!   steps;
 //! * a packet is filed at most once (filing it again panics);
 //! * a packet's link reads "not parked" exactly when it is buffered nowhere
-//!   — so a recycled id starts clean.
+//!   — and a slab insert resets it, so a recycled id starts clean.
 //!
 //! There is one `send`, one `pop` and one `step` (the wires phase of a
 //! cycle); which of the three delivery paths and two credit-return paths a
@@ -49,12 +50,13 @@
 //! with the cycle it clears the receive pipeline and a credit return is
 //! always an entry of its latency's credit wheel. The simulator keeps only
 //! who consumes and who produces each wire, and acts on the wake cycles
-//! this layer hands back.
+//! this layer hands back. Everything that names a packet — send, pop, the
+//! link layer's queue, the boundary outboxes — names it by id; the calls
+//! that file, pop or audit one are handed the slab that holds it.
 //!
-//! Buffer entries carry a copy of the scheduling-relevant packet metadata
-//! (flit count, class, pattern, age) in 16 bytes, and each head's gate
-//! record a per-hop route-computation cache, so the simulator's
-//! switch-allocation loops never touch the packet slab for blocked heads.
+//! Each head's gate record copies what the switch-allocation scans gate on
+//! (ready cycle, flit count, pattern) and caches its route computation, so
+//! a blocked head never touches the packet slab.
 
 use std::collections::VecDeque;
 
@@ -64,7 +66,7 @@ use anton_core::vc::{TrafficClass, Vc};
 use anton_fault::{LinkShim, ShimEvent, ShimStats};
 
 use crate::params::ADAPTER_PIPELINE;
-use crate::state::{PacketId, RouteProgress};
+use crate::state::{PacketId, PacketSlab, PacketState, RouteProgress, NOT_PARKED};
 use crate::wake::{Scheduler, HORIZON};
 
 /// Upper bound on flattened VC indices per wire (two classes of at most
@@ -89,7 +91,7 @@ const _: () = assert!(TORUS_LINK_CYCLES + MAX_PACKET_FLITS - 1 + (ADAPTER_PIPELI
 /// (cached route, flit count for the credit check, pattern for weighted
 /// arbitration). Packed to 8 bytes so one load fetches the whole gate and a
 /// full 16-VC row spans two cache lines (one for the common 8-VC wires); the
-/// full [`BufEntry`] is only loaded for heads that pass every gate.
+/// packet's slab line is only loaded for heads that pass every gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GateEntry {
     /// Head ready cycle, saturated at 2³² − 1 (the last cycle a run may
@@ -119,13 +121,13 @@ impl GateEntry {
 
     /// The gate of a new head: the route is computed (and cached here) by
     /// whoever consumes the wire, so it starts out empty.
-    fn of(entry: &BufEntry) -> GateEntry {
+    fn of(st: &PacketState) -> GateEntry {
         GateEntry {
-            ready: entry.ready_at,
+            ready: st.ready_at,
             rc_port: 0xFF,
             rc_vcidx: 0,
-            flits: entry.flits,
-            pattern: entry.pattern,
+            flits: st.flits,
+            pattern: st.pattern.0,
         }
     }
 }
@@ -136,12 +138,13 @@ const _: () = assert!(std::mem::size_of::<GateEntry>() == 8);
 
 /// A lossy-link shim installed on a wire, plus the packets currently
 /// crossing it. The shim tracks flits; this queue keeps the matching
-/// entries in FIFO order (go-back-N delivery is strictly in-order, so the
-/// head of this queue is always the next packet to complete).
+/// `(packet, vc_index)` pairs in FIFO order (go-back-N delivery is strictly
+/// in-order, so the head of this queue is always the next packet to
+/// complete).
 #[derive(Debug)]
 struct ShimState {
     shim: LinkShim,
-    queue: VecDeque<(BufEntry, u8)>,
+    queue: VecDeque<(PacketId, u8)>,
 }
 
 /// A wire's relationship to a shard boundary in the sharded kernel.
@@ -165,74 +168,11 @@ pub enum BoundaryRole {
     Import,
 }
 
-/// Scheduling metadata carried alongside a buffered packet: what a hop
-/// needs to forward the packet without touching the packet slab.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BufEntry {
-    /// The buffered packet.
-    pub pkt: PacketId,
-    /// Cycle at which the packet clears the receiver pipeline, saturated at
-    /// `u32::MAX` like [`GateEntry::ready`] (set by the wire on every send;
-    /// whatever the sender put here is ignored).
-    pub ready_at: u32,
-    /// Injection timestamp (age-based arbitration), saturated at
-    /// `u32::MAX`.
-    pub age: u32,
-    /// Flits the packet occupies.
-    pub flits: u8,
-    /// Traffic-pattern tag.
-    pub pattern: u8,
-    /// Stamped chip-traversal route context: dense [`LocalAttach`] code of
-    /// the packet's target adapter on the current chip (`0xFF` only on a
-    /// torus wire, between chips). Stamped where the packet enters the mesh
-    /// (injection or channel adapter), where its slab line is already hot;
-    /// stable until the packet leaves the chip, whatever routes it.
-    ///
-    /// [`LocalAttach`]: anton_core::chip::LocalAttach
-    pub target: u8,
-    /// Stamped VC/arrival context read together with [`BufEntry::target`]:
-    /// bits 0–2 the M-group VC, bits 3–5 the T-group VC, bit 6 set when the
-    /// packet arrived on an X-dimension torus link (skip-channel
-    /// eligibility), bit 7 ([`BufEntry::REPLY`]) the traffic class.
-    pub meta: u8,
-}
-
-impl BufEntry {
-    /// The bit of [`BufEntry::meta`] set on reply-class packets.
-    pub const REPLY: u8 = 0x80;
-
-    /// Placeholder for pool slots and scratch arrays no packet fills.
-    pub const EMPTY: BufEntry = BufEntry {
-        pkt: PacketId(0),
-        ready_at: 0,
-        age: 0,
-        flits: 0,
-        pattern: 0,
-        target: 0xFF,
-        meta: 0,
-    };
-
-    /// The packet's traffic class.
-    #[inline]
-    pub fn class(&self) -> TrafficClass {
-        if self.meta & BufEntry::REPLY == 0 {
-            TrafficClass::Request
-        } else {
-            TrafficClass::Reply
-        }
-    }
-}
-
-// Four entries to a 64-byte line, none straddling two, so a buffered entry
-// (see `Wires::parked`) is one line whichever id it has. The route cache
-// lives in the gate alone and the two cycles are `u32` to fit.
-const _: () = assert!(std::mem::size_of::<BufEntry>() <= 20);
-const _: () = assert!(64 % std::mem::size_of::<BufEntry>() == 0);
 // The route a packet's slab state carries: a 7-byte spec of three runs and
 // its destination, 16 bytes with the multicast variants beside it.
 const _: () = assert!(std::mem::size_of::<RouteProgress>() <= 16);
 
-/// Narrows a cycle to the `u32` the gate and entry records keep, saturating
+/// Narrows a cycle to the `u32` the gate and slab records keep, saturating
 /// at [`LAST_CYCLE`] instead of wrapping: a run never steps past that cycle,
 /// so a saturated ready cycle reads as never ready and a saturated age as
 /// the youngest there can be.
@@ -329,10 +269,8 @@ const DENSE: u8 = 1;
 /// The wire realizes an external torus channel.
 const TORUS: u8 = 2;
 
-/// Link of a packet that is buffered nowhere (see [`Wires::next`]).
-const NOT_PARKED: u32 = u32::MAX;
 /// Link of the last packet of a VC's queue. Packet ids are slab indices, far
-/// below either marker.
+/// below it and [`NOT_PARKED`].
 const LAST: u32 = u32::MAX - 1;
 
 /// Cold-record index of a dense wire (see [`Wires::cold_of`]).
@@ -347,9 +285,9 @@ struct WireCold {
     shim: Option<ShimState>,
     role: BoundaryRole,
     /// Packets awaiting transfer to the consuming shard (`Export` role
-    /// only): `(entry, vc_index)` in send order, each entry stamped with
-    /// the cycle it clears the far receive pipeline.
-    outbox: Vec<(BufEntry, u8)>,
+    /// only): `(packet, vc_index)` in send order, each packet's ready cycle
+    /// set to the cycle it clears the far receive pipeline.
+    outbox: Vec<(PacketId, u8)>,
     /// Credit returns awaiting transfer to the producing shard (`Import`
     /// role only): `(arrival_cycle, vc_index, flits)`, in pop order.
     outbox_credits: Vec<(u64, u8, u8)>,
@@ -374,22 +312,11 @@ pub(crate) struct Wires {
     gate: Vec<GateEntry>,
     /// First and last packet buffered on each VC (same layout), meaningful
     /// where the occupied bit is set: `qhead` is the head. The queue itself
-    /// is threaded through `next`, so a VC's receive buffer has no storage
-    /// of its own.
+    /// is threaded through the packets' slab lines (`PacketState::link`:
+    /// [`LAST`] at a queue's tail, else the id queued behind), so a VC's
+    /// receive buffer has no storage of its own.
     qhead: Vec<u32>,
     qtail: Vec<u32>,
-    /// Every buffered entry, keyed by packet id. A packet is buffered in at
-    /// most one place at a time, so its id names its slot and the pool
-    /// needs no allocator: it grows to the highest id ever buffered (the
-    /// packet slab's high-water mark at most) and slots are reused as the
-    /// slab reuses ids.
-    parked: Vec<BufEntry>,
-    /// Queue link per packet id: [`NOT_PARKED`] whenever the packet is
-    /// buffered nowhere, [`LAST`] at a queue's tail, else the id queued
-    /// behind it. Dense (4 bytes a packet), so linking a new tail writes a
-    /// line that is usually cached where a node pool would write a second
-    /// random one.
-    next: Vec<u32>,
     /// log2 row stride of the per-VC rows: the machine's widest wire
     /// rounded up to a power of two. Sizing rows to the machine instead of
     /// [`MAX_WIRE_VCS`] halves the scan's footprint on the common 8-index
@@ -513,8 +440,6 @@ impl Wires {
             gate: vec![GateEntry::EMPTY; n << row_shift],
             qhead: vec![0; n << row_shift],
             qtail: vec![0; n << row_shift],
-            parked: Vec::new(),
-            next: Vec::new(),
             row_shift,
             info,
             flits: vec![0; n],
@@ -607,8 +532,8 @@ impl Wires {
     }
 
     /// Caches a head's route computation in its gate record, so a blocked
-    /// head re-gates without recomputing it. Cleared when the entry is sent
-    /// on.
+    /// head re-gates without recomputing it. Cleared when the packet is
+    /// popped.
     #[inline]
     pub(crate) fn cache_route(&mut self, w: usize, vcidx: u8, port: u8, out_vcidx: u8) {
         let i = self.slot(w, vcidx);
@@ -617,71 +542,52 @@ impl Wires {
         g.rc_vcidx = out_vcidx;
     }
 
-    /// The head entry of a VC (meaningful where the occupied bit is set).
-    #[inline]
-    pub(crate) fn head(&self, w: usize, vcidx: u8) -> &BufEntry {
-        &self.parked[self.qhead[self.slot(w, vcidx)] as usize]
-    }
-
     /// The packet at the head of a VC (meaningful where the occupied bit is
-    /// set), read off the queue-end row without loading its entry.
+    /// set), read off the queue-end row without loading its slab line.
     #[inline]
-    pub(crate) fn head_id(&self, w: usize, vcidx: u8) -> PacketId {
+    pub(crate) fn head(&self, w: usize, vcidx: u8) -> PacketId {
         PacketId(self.qhead[self.slot(w, vcidx)])
     }
 
-    /// The head entry of a VC, if one is buffered and ready at `now`. The
-    /// test reads only the occupancy mask and the gate; the full entry is
-    /// touched on a hit.
+    /// The packet at the head of a VC, if one is buffered and ready at
+    /// `now`. The test reads only the occupancy mask and the gate.
     #[inline]
-    pub(crate) fn ready_head(&self, now: u64, w: usize, vcidx: u8) -> Option<&BufEntry> {
+    pub(crate) fn ready_head(&self, now: u64, w: usize, vcidx: u8) -> Option<PacketId> {
         (self.occupied[w] & (1 << vcidx) != 0 && u64::from(self.gate(w, vcidx).ready) <= now)
             .then(|| self.head(w, vcidx))
     }
 
     // ----- send / pop / step -----------------------------------------------
 
-    /// Files an entry into a wire's receive buffers, at the tail of the
-    /// VC's queue, and when the VC was empty as its head, gated by the
-    /// entry's `ready_at` alone.
+    /// Files packet `id` into a wire's receive buffers with ready cycle
+    /// `ready` (saturated), at the tail of the VC's queue, and when the VC
+    /// was empty as its head, gated by that cycle alone.
     ///
     /// # Panics
     ///
     /// Panics if the packet is already buffered: a packet is buffered in one
-    /// place at a time, which is what lets its id key the pool.
+    /// place at a time, which is what lets its slab line hold its link.
     #[inline]
-    fn file(&mut self, w: usize, entry: BufEntry, vcidx: u8) {
-        let id = entry.pkt.0;
-        if id as usize >= self.next.len() {
-            self.grow_pool(id);
-        }
+    fn file(&mut self, w: usize, id: PacketId, ready: u32, vcidx: u8, slab: &mut PacketSlab) {
+        let st = slab.get_mut(id);
         assert!(
-            self.next[id as usize] == NOT_PARKED,
-            "packet {id} parked twice, the second time on {}",
+            st.link == NOT_PARKED,
+            "packet {} parked twice, the second time on {}",
+            id.0,
             self.labels[w]
         );
-        self.parked[id as usize] = entry;
-        self.next[id as usize] = LAST;
+        st.ready_at = ready;
+        st.link = LAST;
         let i = self.slot(w, vcidx);
         let bit = 1u16 << vcidx;
         if self.occupied[w] & bit == 0 {
             self.occupied[w] |= bit;
-            self.qhead[i] = id;
-            self.gate[i] = GateEntry::of(&entry);
+            self.qhead[i] = id.0;
+            self.gate[i] = GateEntry::of(st);
         } else {
-            self.next[self.qtail[i] as usize] = id;
+            slab.get_mut(PacketId(self.qtail[i])).link = id.0;
         }
-        self.qtail[i] = id;
-    }
-
-    /// Extends the pool to cover packet `id`, the highest yet buffered.
-    /// Exact in length (never past the packet slab's high-water mark),
-    /// amortized by the vectors' own capacity doubling.
-    #[cold]
-    fn grow_pool(&mut self, id: u32) {
-        assert!(id < LAST, "packet id collides with the link markers");
-        self.parked.resize(id as usize + 1, BufEntry::EMPTY);
-        self.next.resize(id as usize + 1, NOT_PARKED);
+        self.qtail[i] = id.0;
     }
 
     /// Returns credits to a wire's sender.
@@ -693,10 +599,10 @@ impl Wires {
         debug_assert!(*c <= self.info[w].depth, "credit overflow");
     }
 
-    /// Pushes a packet onto a wire at cycle `now` (after this cycle's
-    /// [`step`](Wires::step)), spending the sender's credits.
+    /// Pushes packet `id` of `slab` onto a wire at cycle `now` (after this
+    /// cycle's [`step`](Wires::step)), spending the sender's credits.
     ///
-    /// Returns the cycle the consumer must be woken at when the entry was
+    /// Returns the cycle the consumer must be woken at when the packet was
     /// filed straight into the receive buffers (the dense path). `None`
     /// means the wire delivers it later — through its lossy-link shim or a
     /// shard-boundary outbox — and a later [`step`](Wires::step) (or window
@@ -706,8 +612,15 @@ impl Wires {
     ///
     /// Panics without sufficient credits; check [`Wires::credit_gate`] first.
     #[inline]
-    pub(crate) fn send(&mut self, now: u64, w: usize, entry: BufEntry, vcidx: u8) -> Option<u64> {
-        let ready = self.transmit(now, w, entry, vcidx);
+    pub(crate) fn send(
+        &mut self,
+        now: u64,
+        w: usize,
+        id: PacketId,
+        vcidx: u8,
+        slab: &mut PacketSlab,
+    ) -> Option<u64> {
+        let ready = self.transmit(now, w, id, vcidx, slab);
         if ready.is_none() {
             self.schedule(w, now + 1, now);
         }
@@ -717,8 +630,15 @@ impl Wires {
     /// [`Wires::send`] without the wire-wheel bookkeeping (the link drain
     /// re-sends before this cycle's step, and schedules once at its end).
     #[inline]
-    fn transmit(&mut self, now: u64, w: usize, mut entry: BufEntry, vcidx: u8) -> Option<u64> {
-        let flits = entry.flits;
+    fn transmit(
+        &mut self,
+        now: u64,
+        w: usize,
+        id: PacketId,
+        vcidx: u8,
+        slab: &mut PacketSlab,
+    ) -> Option<u64> {
+        let flits = slab.get(id).flits;
         let i = self.slot(w, vcidx);
         let credits = &mut self.credits[i];
         assert!(
@@ -731,13 +651,15 @@ impl Wires {
         let info = self.info[w];
         let tail_arrival = now + u64::from(info.lat) + u64::from(flits) - 1;
         let ready = tail_arrival + u64::from(info.rxp);
-        entry.ready_at = saturate_cycle(ready);
         if info.flags & DENSE != 0 {
             debug_assert!(u64::from(flits) <= MAX_PACKET_FLITS);
-            self.file(w, entry, vcidx);
+            self.file(w, id, saturate_cycle(ready), vcidx, slab);
             return Some(ready);
         }
-        self.transmit_later(now, w, entry, vcidx);
+        // An export ships the cycle it clears the far receive pipeline in
+        // the packet's line; a shim sets its own at delivery.
+        slab.get_mut(id).ready_at = saturate_cycle(ready);
+        self.transmit_later(now, w, (id, vcidx), flits);
         None
     }
 
@@ -763,45 +685,46 @@ impl Wires {
 
     /// The delivery paths off the dense one, selected by what the wire is:
     /// shimmed, or an export boundary.
-    fn transmit_later(&mut self, now: u64, w: usize, entry: BufEntry, vcidx: u8) {
+    fn transmit_later(&mut self, now: u64, w: usize, sent: (PacketId, u8), flits: u8) {
         let cold = self.cold_mut(w);
         if let Some(s) = &mut cold.shim {
-            // Lossy path: the packet's flits cross the go-back-N link; the
-            // entry waits in the shim queue until the link layer delivers
-            // its last flit, which sets its real `ready_at`. The shim
-            // transmits at once and may log an event stamped `now`.
-            s.queue.push_back((entry, vcidx));
-            s.shim.enqueue(now, entry.flits);
+            // Lossy path: the packet's flits cross the go-back-N link; it
+            // waits in the shim queue until the link layer delivers its
+            // last flit, which sets its real `ready_at`. The shim transmits
+            // at once and may log an event stamped `now`.
+            s.queue.push_back(sent);
+            s.shim.enqueue(now, flits);
             self.collect_link_events(w);
         } else {
-            // The receiver lives in another shard: the entry ships at the
+            // The receiver lives in another shard: the packet ships at the
             // next window barrier instead of entering local buffers.
             debug_assert_eq!(cold.role, BoundaryRole::Export);
-            cold.outbox.push((entry, vcidx));
+            cold.outbox.push(sent);
         }
     }
 
     /// Pops the head packet of a VC buffer at cycle `now`, making the next
-    /// queued entry (if any) the head, and puts the credit return in
+    /// queued packet (if any) the head, and puts the credit return in
     /// flight: into its credit wheel, or into the boundary outbox when
     /// the sender's credit pool lives in the producing shard. The popped
-    /// packet's link reads "not parked" again, for the id's next use.
+    /// packet's link reads "not parked" again, for its next send.
     ///
     /// # Panics
     ///
     /// Panics if the VC's occupied bit is clear.
     #[inline]
-    pub(crate) fn pop(&mut self, now: u64, w: usize, vcidx: u8) -> BufEntry {
+    pub(crate) fn pop(&mut self, now: u64, w: usize, vcidx: u8, slab: &mut PacketSlab) -> PacketId {
         let bit = 1u16 << vcidx;
         assert!(self.occupied[w] & bit != 0, "pop from empty VC buffer");
         let i = self.slot(w, vcidx);
-        let id = self.qhead[i] as usize;
-        let entry = self.parked[id];
-        match std::mem::replace(&mut self.next[id], NOT_PARKED) {
+        let id = PacketId(self.qhead[i]);
+        let st = slab.get_mut(id);
+        let flits = st.flits;
+        match std::mem::replace(&mut st.link, NOT_PARKED) {
             LAST => self.occupied[w] &= !bit,
             next => {
                 self.qhead[i] = next;
-                self.gate[i] = GateEntry::of(&self.parked[next as usize]);
+                self.gate[i] = GateEntry::of(slab.get(PacketId(next)));
             }
         }
         let info = self.info[w];
@@ -810,11 +733,11 @@ impl Wires {
         // than the latency, so the slot is one no pending cycle holds.
         let at = now + u64::from(info.lat);
         if info.flags & DENSE != 0 {
-            self.file_credit(w, at, vcidx, entry.flits);
+            self.file_credit(w, at, vcidx, flits);
         } else {
-            self.pop_off_dense(w, at, vcidx, entry.flits);
+            self.pop_off_dense(w, at, vcidx, flits);
         }
-        entry
+        id
     }
 
     /// The rest of a pop off the dense path: the credit return crosses back
@@ -839,7 +762,7 @@ impl Wires {
 
     /// The wires phase of cycle `now`: applies the slot of `now` on every
     /// credit wheel, then ticks the shimmed wires the wire wheel holds for
-    /// this cycle. `wake` receives `(wire, end, cycle)` for every component
+    /// this cycle, filing what they deliver (packets of `slab`). `wake` receives `(wire, end, cycle)` for every component
     /// wake the phase raises — producers at `now` for credits returned to a
     /// VC marked starved (the mark is cleared; with `every_return`, for
     /// every return), consumers at the cycle a link-layer delivery clears
@@ -864,6 +787,7 @@ impl Wires {
         &mut self,
         now: u64,
         every_return: bool,
+        slab: &mut PacketSlab,
         mut wake: impl FnMut(usize, End, u64),
     ) -> bool {
         let mut worked = false;
@@ -892,7 +816,7 @@ impl Wires {
         self.wheel.begin_cycle(now);
         self.wheel.snapshot_into(&mut due);
         for &wu in &due {
-            self.tick(now, wu as usize, &mut wake);
+            self.tick(now, wu as usize, slab, &mut wake);
         }
         self.wheel.end_cycle();
         self.wakes += due.len() as u64;
@@ -906,7 +830,13 @@ impl Wires {
     /// receive buffers (or the export outbox). A tick before the wire's next
     /// event, or of a wire without a shim (every wire's bootstrap look), is
     /// harmless and changes nothing.
-    fn tick(&mut self, now: u64, w: usize, wake: &mut impl FnMut(usize, End, u64)) {
+    fn tick(
+        &mut self,
+        now: u64,
+        w: usize,
+        slab: &mut PacketSlab,
+        wake: &mut impl FnMut(usize, End, u64),
+    ) {
         let c = self.cold_of[w] as usize;
         let Some(s) = self.cold.get_mut(c).and_then(|cold| cold.shim.as_mut()) else {
             return;
@@ -915,18 +845,18 @@ impl Wires {
         let ready = now + u64::from(self.info[w].rxp);
         for _ in 0..completed {
             let cold = &mut self.cold[c];
-            let (mut entry, vcidx) = cold
+            let (id, vcidx) = cold
                 .shim
                 .as_mut()
                 .and_then(|s| s.queue.pop_front())
                 .expect("shim completed a packet the wire never queued");
-            entry.ready_at = saturate_cycle(ready);
             if cold.role == BoundaryRole::Export {
                 // Link-layer delivery completed toward a foreign shard: the
-                // entry, stamped ready, ships at the barrier.
-                cold.outbox.push((entry, vcidx));
+                // packet, its ready cycle set, ships at the barrier.
+                slab.get_mut(id).ready_at = saturate_cycle(ready);
+                cold.outbox.push((id, vcidx));
             } else {
-                self.file(w, entry, vcidx);
+                self.file(w, id, saturate_cycle(ready), vcidx, slab);
             }
         }
         self.collect_link_events(w);
@@ -966,9 +896,9 @@ impl Wires {
 
     // ----- shard boundaries ------------------------------------------------
 
-    /// Drains an export wire's outbox (`(entry, vc_index)` in send order).
+    /// Drains an export wire's outbox (`(packet, vc_index)` in send order).
     /// Called at window barriers by the sharded kernel.
-    pub(crate) fn take_exports(&mut self, w: usize, out: &mut Vec<(BufEntry, u8)>) {
+    pub(crate) fn take_exports(&mut self, w: usize, out: &mut Vec<(PacketId, u8)>) {
         out.append(&mut self.cold_mut(w).outbox);
     }
 
@@ -978,21 +908,29 @@ impl Wires {
         out.append(&mut self.cold_mut(w).outbox_credits);
     }
 
-    /// Files a packet arriving from the producing shard's copy of an
-    /// import wire, at a window barrier before cycle `now` steps, and
-    /// returns the cycle the consumer must be woken at.
+    /// Files packet `id` of `slab`, arriving from the producing shard's
+    /// copy of an import wire, at a window barrier before cycle `now`
+    /// steps, and returns the cycle the consumer must be woken at.
     ///
-    /// The producer's copy stamped the entry with the cycle it clears this
-    /// receive pipeline, and that cycle lies at or past `now`: an ideal
-    /// wire's flight outlasts the window, and a lossy-link completion ships
-    /// under a one-cycle window. Filed like a dense send, the entry is
-    /// invisible to the consumer until then, exactly as in a serial run.
-    pub(crate) fn import_packet(&mut self, now: u64, w: usize, entry: BufEntry, vcidx: u8) -> u64 {
+    /// The producer's copy set the packet's ready cycle to the cycle it
+    /// clears this receive pipeline, and that cycle lies at or past `now`:
+    /// an ideal wire's flight outlasts the window, and a lossy-link
+    /// completion ships under a one-cycle window. Filed like a dense send,
+    /// the packet is invisible to the consumer until then, exactly as in a
+    /// serial run.
+    pub(crate) fn import_packet(
+        &mut self,
+        now: u64,
+        w: usize,
+        id: PacketId,
+        vcidx: u8,
+        slab: &mut PacketSlab,
+    ) -> u64 {
         debug_assert_eq!(self.role(w), BoundaryRole::Import);
-        let ready = u64::from(entry.ready_at);
-        debug_assert!(ready >= now, "import observable early");
-        self.file(w, entry, vcidx);
-        ready
+        let ready = slab.get(id).ready_at;
+        debug_assert!(u64::from(ready) >= now, "import observable early");
+        self.file(w, id, ready, vcidx, slab);
+        u64::from(ready)
     }
 
     /// Files a credit return arriving from the consuming shard's copy of
@@ -1015,16 +953,17 @@ impl Wires {
     /// A link just went down, before cycle `now` steps: tears down the
     /// shim's go-back-N session (see `LinkShim::drain_reset`), restores the
     /// sender-side credits its undelivered flits held, re-sends into the
-    /// fresh session every entry `stays` keeps on the link (it re-delivers
-    /// them once the outage clears), and hands back the rest, in their
-    /// original send order, for the caller to re-route. Empty without a
-    /// shim, or when the shim is idle.
+    /// fresh session every packet of `slab` that `stays` keeps on the link
+    /// (it re-delivers them once the outage clears), and hands back the
+    /// rest, in their original send order, for the caller to re-route.
+    /// Empty without a shim, or when the shim is idle.
     pub(crate) fn drain_link(
         &mut self,
         now: u64,
         w: usize,
-        mut stays: impl FnMut(&BufEntry) -> bool,
-    ) -> Vec<BufEntry> {
+        slab: &mut PacketSlab,
+        mut stays: impl FnMut(&PacketState) -> bool,
+    ) -> Vec<PacketId> {
         let c = self.cold_of[w] as usize;
         let Some(s) = self.cold.get_mut(c).and_then(|cold| cold.shim.as_mut()) else {
             return Vec::new();
@@ -1033,17 +972,17 @@ impl Wires {
         debug_assert_eq!(
             pending,
             s.queue.len(),
-            "shim pending packets out of sync with the wire's entry queue"
+            "shim pending packets out of sync with the wire's packet queue"
         );
-        let drained: Vec<(BufEntry, u8)> = s.queue.drain(..).collect();
+        let drained: Vec<(PacketId, u8)> = s.queue.drain(..).collect();
         let mut stranded = Vec::new();
-        for (entry, vcidx) in drained {
-            self.credit(w, vcidx, entry.flits);
-            if stays(&entry) {
-                let filed = self.transmit(now, w, entry, vcidx);
+        for (id, vcidx) in drained {
+            self.credit(w, vcidx, slab.get(id).flits);
+            if stays(slab.get(id)) {
+                let filed = self.transmit(now, w, id, vcidx, slab);
                 debug_assert!(filed.is_none(), "shimmed wires never direct-file");
             } else {
-                stranded.push(entry);
+                stranded.push(id);
             }
         }
         self.collect_link_events(w);
@@ -1134,24 +1073,25 @@ impl Wires {
     }
 
     /// Packets and flits buffered on VC `vc`, where its occupied bit is
-    /// set, walking its queue from the head. Every buffered packet holds at
-    /// least one flit of the VC's buffer, so a sound queue is at most
-    /// `depth` long: a walk that gets further, leaves the pool, or ends
+    /// set, walking its queue through `slab` from the head. Every buffered
+    /// packet holds at least one flit of the VC's buffer, so a sound queue
+    /// is at most `depth` long: a walk that gets further, reaches a packet
+    /// that is not parked (a vacant or missing slot reads so), or ends
     /// anywhere but at `qtail`, is reported instead of followed.
-    fn walk_queue(&self, w: usize, vc: usize) -> Result<(usize, u32), String> {
+    fn walk_queue(&self, w: usize, vc: usize, slab: &PacketSlab) -> Result<(usize, u32), String> {
         let broken = |what: &str| Err(format!("queue of {} vc {vc} {what}", self.labels[w]));
         let i = (w << self.row_shift) + vc;
         let mut id = self.qhead[i];
         let mut flits = 0;
         for len in 1..=usize::from(self.info[w].depth) {
-            let Some(&next) = self.next.get(id as usize) else {
-                return broken("leaves the pool");
-            };
-            flits += u32::from(self.parked[id as usize].flits);
+            let next = slab.link(id);
+            if next == NOT_PARKED {
+                return broken("runs into a packet that is not parked");
+            }
+            flits += u32::from(slab.get(PacketId(id)).flits);
             match next {
                 LAST if id == self.qtail[i] => return Ok((len, flits)),
                 LAST => return broken("ends before its tail"),
-                NOT_PARKED => return broken("runs into a packet that is not parked"),
                 next => id = next,
             }
         }
@@ -1165,13 +1105,15 @@ impl Wires {
     ///
     /// For an interior wire, `credits + accounted_flits` equals the buffer
     /// depth. For a boundary wire the depth is accounted jointly by the
-    /// producing copy's credits plus both copies' accounted flits. Returns
-    /// a diagnostic if the VC's queue is malformed.
+    /// producing copy's credits plus both copies' accounted flits. Every
+    /// packet this copy holds is a packet of `slab`. Returns a diagnostic
+    /// if the VC's queue is malformed.
     pub(crate) fn accounted_flits(
         &self,
         w: usize,
         vc: usize,
         parked: &[u8],
+        slab: &PacketSlab,
     ) -> Result<u32, String> {
         let on_vc = |vcidx: u8, flits: u8| {
             if usize::from(vcidx) == vc {
@@ -1190,11 +1132,11 @@ impl Wires {
             let shim_queue = cold.shim.iter().flat_map(|s| &s.queue);
             total += shim_queue
                 .chain(&cold.outbox)
-                .map(|&(entry, vcidx)| on_vc(vcidx, entry.flits))
+                .map(|&(id, vcidx)| on_vc(vcidx, slab.get(id).flits))
                 .sum::<u32>();
         }
         if self.occupied[w] & (1 << vc) != 0 {
-            total += self.walk_queue(w, vc)?.1;
+            total += self.walk_queue(w, vc, slab)?.1;
         }
         Ok(total)
     }
@@ -1203,8 +1145,9 @@ impl Wires {
     /// sender's credits plus every flit the wire is accountable for must
     /// equal the buffer depth. A boundary wire's flits split across two
     /// shard replicas; `ShardedSim::check_invariants` checks the combined
-    /// balance. Returns a diagnostic on violation.
-    pub(crate) fn check_credit_balance(&self) -> Result<(), String> {
+    /// balance. Every packet the wires hold is a packet of `slab`. Returns a
+    /// diagnostic on violation.
+    pub(crate) fn check_credit_balance(&self, slab: &PacketSlab) -> Result<(), String> {
         let parked = self.parked_credits();
         for w in 0..self.len() {
             if self.role(w) != BoundaryRole::Interior {
@@ -1213,7 +1156,7 @@ impl Wires {
             let depth = self.info[w].depth;
             for vc in 0..usize::from(self.num_vcs(w)) {
                 let total =
-                    u32::from(self.credits(w, vc)) + self.accounted_flits(w, vc, &parked)?;
+                    u32::from(self.credits(w, vc)) + self.accounted_flits(w, vc, &parked, slab)?;
                 if total != u32::from(depth) {
                     return Err(format!(
                         "credit imbalance on {} vc {vc}: accounted {total} flits \
@@ -1226,27 +1169,20 @@ impl Wires {
         Ok(())
     }
 
-    /// Verifies the pool of buffered entries against the queues threaded
-    /// through it: every VC's queue is well formed (see
-    /// [`Wires::walk_queue`]), every link that reads parked belongs to one
-    /// of them, and the pool is no longer than `slab_high_water`, the
-    /// number of packet ids ever in use at once. Returns a diagnostic on
+    /// Verifies the VC queues threaded through `slab`: every one is well
+    /// formed (see [`Wires::walk_queue`]), and every packet whose link
+    /// reads parked belongs to one of them. Returns a diagnostic on
     /// violation.
-    pub(crate) fn check_pool(&self, slab_high_water: usize) -> Result<(), String> {
-        if self.next.len() > slab_high_water {
-            return Err(format!(
-                "the pool covers {} packet ids, the slab only ever used {slab_high_water}",
-                self.next.len()
-            ));
-        }
+    pub(crate) fn check_queues(&self, slab: &PacketSlab) -> Result<(), String> {
         let mut queued = 0;
         for (w, mut mask) in self.occupied.iter().copied().enumerate() {
             while mask != 0 {
-                queued += self.walk_queue(w, mask.trailing_zeros() as usize)?.0;
+                queued += self.walk_queue(w, mask.trailing_zeros() as usize, slab)?.0;
                 mask &= mask - 1;
             }
         }
-        let linked = self.next.iter().filter(|&&n| n != NOT_PARKED).count();
+        let ids = 0..slab.high_water() as u32;
+        let linked = ids.filter(|&id| slab.link(id) != NOT_PARKED).count();
         if linked != queued {
             return Err(format!(
                 "{linked} packets read parked but the VC queues hold {queued}"
@@ -1267,6 +1203,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::state::dummy_state;
 
     fn spec(latency: u64, rx_pipeline: u64, depth: u8) -> WireSpec {
         let label = GlobalLink::Local {
@@ -1277,107 +1214,154 @@ mod tests {
     }
 
     /// A store of one ideal wire (wire 0, four VCs per class).
-    fn one_wire(latency: u64, rx_pipeline: u64, depth: u8) -> Wires {
-        Wires::new(vec![spec(latency, rx_pipeline, depth)], false)
+    fn one_wire(latency: u64, rx_pipeline: u64, depth: u8) -> Rig {
+        Rig::new(vec![spec(latency, rx_pipeline, depth)])
     }
 
     /// The same wire behind a lossy-link shim.
-    fn lossy_wire(latency: u64, depth: u8, downs: Vec<(u64, u64)>) -> Wires {
+    fn lossy_wire(latency: u64, depth: u8, downs: Vec<(u64, u64)>) -> Rig {
         let gbn = GoBackNConfig {
             window: 64,
             timeout: 192,
         };
         let mut s = spec(latency, 0, depth);
         s.shim = Some(Box::new(LinkShim::new(latency, gbn, 0.0, downs, 1)));
-        Wires::new(vec![s], false)
+        Rig::new(vec![s])
     }
 
-    /// Runs the wires phase of every cycle in `cycles` (wire wheel and credit
-    /// wheel slots only fire on their own cycle), returning the wakes raised as
-    /// `(end, cycle to wake at)`: credit returns wake only starved
-    /// producers, as in a run without stall attribution.
-    fn step(ws: &mut Wires, cycles: RangeInclusive<u64>) -> Vec<(End, u64)> {
-        let mut wakes = Vec::new();
-        for now in cycles {
-            ws.step(now, false, |_, end, at| wakes.push((end, at)));
+    /// A wire store and the packet slab its buffered packets live in.
+    #[derive(Debug)]
+    struct Rig {
+        ws: Wires,
+        slab: PacketSlab,
+    }
+
+    impl Rig {
+        fn new(specs: Vec<WireSpec>) -> Rig {
+            Rig {
+                ws: Wires::new(specs, false),
+                slab: PacketSlab::new(),
+            }
         }
-        wakes
-    }
 
-    fn entry(pkt: u32, flits: u8) -> BufEntry {
-        BufEntry {
-            pkt: PacketId(pkt),
-            flits,
-            ..BufEntry::EMPTY
+        /// A new live packet of `flits` flits.
+        fn packet(&mut self, flits: u8) -> PacketId {
+            self.slab.insert(
+                PacketState {
+                    flits,
+                    ..dummy_state()
+                },
+                None,
+            )
         }
-    }
 
-    fn ready_pkt(ws: &Wires, now: u64, vcidx: u8) -> Option<PacketId> {
-        ws.ready_head(now, 0, vcidx).map(|e| e.pkt)
+        fn send(&mut self, now: u64, w: usize, pid: PacketId, vcidx: u8) -> Option<u64> {
+            self.ws.send(now, w, pid, vcidx, &mut self.slab)
+        }
+
+        /// Sends a new packet of `flits` flits, returning it.
+        fn send_new(&mut self, now: u64, w: usize, flits: u8, vcidx: u8) -> PacketId {
+            let pid = self.packet(flits);
+            self.send(now, w, pid, vcidx);
+            pid
+        }
+
+        fn pop(&mut self, now: u64, w: usize, vcidx: u8) -> PacketId {
+            self.ws.pop(now, w, vcidx, &mut self.slab)
+        }
+
+        /// Runs the wires phase of every cycle in `cycles` (wire wheel and
+        /// credit wheel slots only fire on their own cycle), returning the
+        /// wakes raised as `(end, cycle to wake at)`: credit returns wake
+        /// only starved producers, as in a run without stall attribution.
+        fn step(&mut self, cycles: RangeInclusive<u64>) -> Vec<(End, u64)> {
+            let mut wakes = Vec::new();
+            for now in cycles {
+                self.ws.step(now, false, &mut self.slab, |_, end, at| {
+                    wakes.push((end, at))
+                });
+            }
+            wakes
+        }
+
+        fn ready_pkt(&self, now: u64, vcidx: u8) -> Option<PacketId> {
+            self.ws.ready_head(now, 0, vcidx)
+        }
+
+        fn check_credit_balance(&self) -> Result<(), String> {
+            self.ws.check_credit_balance(&self.slab)
+        }
+
+        fn check_queues(&self) -> Result<(), String> {
+            self.ws.check_queues(&self.slab)
+        }
+
+        /// Flits wire 0's copy is accountable for on VC `vc`.
+        fn accounted(&self, vc: usize) -> u32 {
+            let parked = self.ws.parked_credits();
+            self.ws.accounted_flits(0, vc, &parked, &self.slab).unwrap()
+        }
     }
 
     #[test]
     fn packet_arrives_after_latency() {
-        let mut ws = one_wire(3, 0, 4);
-        step(&mut ws, 0..=10);
-        assert_eq!(ws.send(10, 0, entry(7, 1), 0), Some(13));
+        let mut r = one_wire(3, 0, 4);
+        r.step(0..=10);
+        let p = r.packet(1);
+        assert_eq!(r.send(10, 0, p, 0), Some(13));
         for t in 10..13 {
-            step(&mut ws, t + 1..=t + 1);
-            assert_eq!(ready_pkt(&ws, t, 0), None, "arrived early at {t}");
+            r.step(t + 1..=t + 1);
+            assert_eq!(r.ready_pkt(t, 0), None, "arrived early at {t}");
         }
-        assert_eq!(ready_pkt(&ws, 13, 0), Some(PacketId(7)));
+        assert_eq!(r.ready_pkt(13, 0), Some(p));
     }
 
     #[test]
     fn two_flit_packet_arrives_one_cycle_later() {
-        let mut ws = one_wire(3, 0, 4);
-        ws.send(0, 0, entry(1, 2), 0);
-        assert_eq!(ready_pkt(&ws, 3, 0), None);
-        assert_eq!(ready_pkt(&ws, 4, 0), Some(PacketId(1)));
+        let mut r = one_wire(3, 0, 4);
+        let p = r.send_new(0, 0, 2, 0);
+        assert_eq!(r.ready_pkt(3, 0), None);
+        assert_eq!(r.ready_pkt(4, 0), Some(p));
     }
 
     #[test]
     fn credits_block_and_return() {
-        let mut ws = one_wire(2, 0, 3);
-        assert!(ws.credit_gate(0, 0, 2));
-        ws.send(0, 0, entry(1, 2), 0);
-        assert!(!ws.credit_gate(0, 0, 2), "only 1 credit left");
-        assert!(ws.credit_gate(0, 0, 1));
-        ws.send(0, 0, entry(2, 1), 0);
-        assert!(!ws.credit_gate(0, 0, 1));
+        let mut r = one_wire(2, 0, 3);
+        assert!(r.ws.credit_gate(0, 0, 2));
+        let first = r.send_new(0, 0, 2, 0);
+        assert!(!r.ws.credit_gate(0, 0, 2), "only 1 credit left");
+        assert!(r.ws.credit_gate(0, 0, 1));
+        r.send_new(0, 0, 1, 0);
+        assert!(!r.ws.credit_gate(0, 0, 1));
         // Drain at the receiver; credits return after the wire latency.
-        step(&mut ws, 0..=3);
-        assert_eq!(ws.pop(3, 0, 0).pkt, PacketId(1));
-        assert_eq!(step(&mut ws, 4..=4), vec![]);
-        assert!(!ws.credit_gate(0, 0, 2), "credits in flight");
-        assert_eq!(step(&mut ws, 5..=5), vec![(End::Producer, 5)]);
-        assert!(ws.credit_gate(0, 0, 2), "credits should have returned");
+        r.step(0..=3);
+        assert_eq!(r.pop(3, 0, 0), first);
+        assert_eq!(r.step(4..=4), vec![]);
+        assert!(!r.ws.credit_gate(0, 0, 2), "credits in flight");
+        assert_eq!(r.step(5..=5), vec![(End::Producer, 5)]);
+        assert!(r.ws.credit_gate(0, 0, 2), "credits should have returned");
     }
 
     #[test]
     fn each_latency_returns_its_credits_through_its_own_wheel() {
         // Two one-cycle wires share a 2-slot wheel; a 44-cycle torus-like
         // wire has a 64-slot one.
-        let mut ws = Wires::new(vec![spec(1, 0, 2), spec(44, 0, 2), spec(1, 0, 2)], false);
-        let slots: Vec<usize> = ws.credit_wheels.iter().map(Vec::len).collect();
+        let mut r = Rig::new(vec![spec(1, 0, 2), spec(44, 0, 2), spec(1, 0, 2)]);
+        let slots: Vec<usize> = r.ws.credit_wheels.iter().map(Vec::len).collect();
         assert_eq!(slots, vec![2, 64]);
-        assert_eq!(
-            (ws.info[0].wheel, ws.info[1].wheel, ws.info[2].wheel),
-            (0, 1, 0)
-        );
-        for w in 0..3 {
-            ws.send(0, w, entry(w as u32, 2), 0);
-        }
+        let info = &r.ws.info;
+        assert_eq!((info[0].wheel, info[1].wheel, info[2].wheel), (0, 1, 0));
+        let sent: Vec<PacketId> = (0..3).map(|w| r.send_new(0, w, 2, 0)).collect();
         let now = 50;
-        step(&mut ws, 0..=now);
-        for w in 0..3 {
-            assert_eq!(ws.pop(now, w, 0).pkt, PacketId(w as u32));
-            assert!(!ws.credit_gate(w, 0, 1), "wire {w}'s credits are away");
+        r.step(0..=now);
+        for (w, &pid) in sent.iter().enumerate() {
+            assert_eq!(r.pop(now, w, 0), pid);
+            assert!(!r.ws.credit_gate(w, 0, 1), "wire {w}'s credits are away");
         }
         let mut woken = Vec::new();
         for t in now + 1..=now + 63 {
-            ws.step(t, false, |w, end, at| woken.push((w, end, at)));
-            let back: Vec<u8> = (0..3).map(|w| ws.credits(w, 0)).collect();
+            r.ws.step(t, false, &mut r.slab, |w, end, at| woken.push((w, end, at)));
+            let back: Vec<u8> = (0..3).map(|w| r.ws.credits(w, 0)).collect();
             let torus = if t >= now + 44 { 2 } else { 0 };
             assert_eq!(back, vec![2, torus, 2], "credits at cycle {t}");
         }
@@ -1389,8 +1373,8 @@ mod tests {
                 (1, End::Producer, now + 44),
             ]
         );
-        assert!(ws.credit_wheels.iter().flatten().all(Vec::is_empty));
-        ws.check_credit_balance().unwrap();
+        assert!(r.ws.credit_wheels.iter().flatten().all(Vec::is_empty));
+        r.check_credit_balance().unwrap();
     }
 
     #[test]
@@ -1400,149 +1384,158 @@ mod tests {
         // at the barrier itself, one popped at its last 43 cycles on.
         let mut export = spec(44, 0, 8);
         export.role = BoundaryRole::Export;
-        let mut ws = Wires::new(vec![export], false);
-        for (pkt, vcidx) in [(1, 0), (2, 1)] {
-            assert_eq!(ws.send(0, 0, entry(pkt, 2), vcidx), None);
-            assert!(!ws.credit_gate(0, vcidx, 7));
+        let mut r = Rig::new(vec![export]);
+        for vcidx in [0, 1] {
+            let p = r.packet(2);
+            assert_eq!(r.send(0, 0, p, vcidx), None);
+            assert!(!r.ws.credit_gate(0, vcidx, 7));
         }
-        step(&mut ws, 0..=87);
-        ws.import_credit(88, 0, 44 + 44, 0, 2);
-        ws.import_credit(88, 0, 87 + 44, 1, 2);
-        let mut woken = Vec::new();
-        for t in 88..=160 {
-            ws.step(t, false, |_, end, at| woken.push((end, at)));
-        }
-        assert_eq!(woken, vec![(End::Producer, 88), (End::Producer, 131)]);
-        assert_eq!((ws.credits(0, 0), ws.credits(0, 1)), (8, 8));
+        r.step(0..=87);
+        r.ws.import_credit(88, 0, 44 + 44, 0, 2);
+        r.ws.import_credit(88, 0, 87 + 44, 1, 2);
+        assert_eq!(
+            r.step(88..=160),
+            vec![(End::Producer, 88), (End::Producer, 131)]
+        );
+        assert_eq!((r.ws.credits(0, 0), r.ws.credits(0, 1)), (8, 8));
     }
 
     #[test]
     fn a_credit_return_wakes_only_a_starved_producer() {
-        let mut ws = one_wire(2, 0, 2);
-        ws.send(0, 0, entry(1, 2), 0);
-        ws.send(0, 0, entry(2, 2), 1);
-        step(&mut ws, 0..=3);
+        let mut r = one_wire(2, 0, 2);
+        r.send_new(0, 0, 2, 0);
+        r.send_new(0, 0, 2, 1);
+        r.step(0..=3);
         // Nobody was denied on VC 0: its return wakes nobody, and only the
         // attribution mode wakes for it.
-        ws.pop(3, 0, 0);
-        assert_eq!(step(&mut ws, 4..=5), vec![]);
-        assert_eq!(ws.credits(0, 0), 2);
-        ws.pop(5, 0, 1);
+        r.pop(3, 0, 0);
+        assert_eq!(r.step(4..=5), vec![]);
+        assert_eq!(r.ws.credits(0, 0), 2);
+        r.pop(5, 0, 1);
         let mut woken = Vec::new();
         for now in 6..=7 {
-            ws.step(now, true, |_, end, at| woken.push((end, at)));
+            r.ws.step(now, true, &mut r.slab, |_, end, at| woken.push((end, at)));
         }
         assert_eq!(woken, vec![(End::Producer, 7)]);
         // A denial on VC 0 arms exactly one wake: the next return to it.
-        ws.send(8, 0, entry(3, 2), 0);
-        assert!(!ws.credit_gate(0, 0, 1), "VC 0 is spent");
-        assert!(ws.credit_gate(0, 3, 1), "VC 3 has room and stays unmarked");
-        ws.send(10, 0, entry(4, 1), 3);
-        step(&mut ws, 8..=11);
-        ws.pop(11, 0, 0);
-        assert_eq!(step(&mut ws, 12..=13), vec![(End::Producer, 13)]);
-        ws.pop(13, 0, 3);
-        ws.send(13, 0, entry(5, 1), 0);
-        step(&mut ws, 14..=15);
-        ws.pop(15, 0, 0);
-        assert_eq!(
-            step(&mut ws, 16..=17),
-            vec![],
-            "the mark went with its wake"
+        r.send_new(8, 0, 2, 0);
+        assert!(!r.ws.credit_gate(0, 0, 1), "VC 0 is spent");
+        assert!(
+            r.ws.credit_gate(0, 3, 1),
+            "VC 3 has room and stays unmarked"
         );
-        assert_eq!((ws.credits(0, 0), ws.credits(0, 3)), (2, 2));
+        r.send_new(10, 0, 1, 3);
+        r.step(8..=11);
+        r.pop(11, 0, 0);
+        assert_eq!(r.step(12..=13), vec![(End::Producer, 13)]);
+        r.pop(13, 0, 3);
+        r.send_new(13, 0, 1, 0);
+        r.step(14..=15);
+        r.pop(15, 0, 0);
+        assert_eq!(r.step(16..=17), vec![], "the mark went with its wake");
+        assert_eq!((r.ws.credits(0, 0), r.ws.credits(0, 3)), (2, 2));
     }
 
     #[test]
     fn vcs_are_independent() {
-        let mut ws = one_wire(1, 0, 2);
-        ws.send(0, 0, entry(1, 2), 0);
-        assert!(!ws.can_send(0, 0, 1));
-        assert!(ws.can_send(0, 3, 2), "other VC unaffected");
-        ws.send(0, 0, entry(2, 1), 3);
-        assert_eq!(ready_pkt(&ws, 2, 3), Some(PacketId(2)));
-        assert_eq!(ws.occupied(0), 0b1001);
+        let mut r = one_wire(1, 0, 2);
+        r.send_new(0, 0, 2, 0);
+        assert!(!r.ws.can_send(0, 0, 1));
+        assert!(r.ws.can_send(0, 3, 2), "other VC unaffected");
+        let p = r.send_new(0, 0, 1, 3);
+        assert_eq!(r.ready_pkt(2, 3), Some(p));
+        assert_eq!(r.ws.occupied(0), 0b1001);
     }
 
     #[test]
     fn rx_pipeline_delays_readiness() {
-        let mut ws = one_wire(1, 3, 4);
-        ws.send(0, 0, entry(9, 1), 1);
-        assert_eq!(
-            ready_pkt(&ws, 1, 1),
-            None,
-            "pipeline stages not yet elapsed"
-        );
-        assert_eq!(ready_pkt(&ws, 4, 1), Some(PacketId(9)));
+        let mut r = one_wire(1, 3, 4);
+        let p = r.send_new(0, 0, 1, 1);
+        assert_eq!(r.ready_pkt(1, 1), None, "pipeline stages not yet elapsed");
+        assert_eq!(r.ready_pkt(4, 1), Some(p));
     }
 
     #[test]
     fn occupied_mask_tracks_buffers() {
-        let mut ws = one_wire(1, 0, 4);
-        assert_eq!(ws.occupied(0), 0);
-        ws.send(0, 0, entry(1, 1), 2);
-        assert_eq!(ws.occupied(0), 0b100);
-        ws.pop(1, 0, 2);
-        assert_eq!(ws.occupied(0), 0);
+        let mut r = one_wire(1, 0, 4);
+        assert_eq!(r.ws.occupied(0), 0);
+        r.send_new(0, 0, 1, 2);
+        assert_eq!(r.ws.occupied(0), 0b100);
+        r.pop(1, 0, 2);
+        assert_eq!(r.ws.occupied(0), 0);
     }
 
     #[test]
     fn packets_queue_behind_the_head_in_order() {
-        let mut ws = one_wire(1, 0, 8);
-        for (t, pkt) in [(0, 1), (1, 2), (2, 3)] {
-            ws.send(t, 0, entry(pkt, 1), 5);
+        let mut r = one_wire(1, 0, 8);
+        let sent: Vec<PacketId> = (0..3).map(|t| r.send_new(t, 0, 1, 5)).collect();
+        assert_eq!(r.ws.occupied(0), 1 << 5, "one head however many queue");
+        for pid in sent {
+            assert_eq!(r.pop(3, 0, 5), pid, "FIFO per VC");
+            assert_eq!(
+                r.slab.link(pid.0),
+                NOT_PARKED,
+                "a popped packet is parked nowhere"
+            );
         }
-        assert_eq!(ws.occupied(0), 1 << 5, "one head however many queue");
-        for pkt in 1..=3 {
-            assert_eq!(ws.pop(3, 0, 5).pkt, PacketId(pkt), "FIFO per VC");
-        }
-        assert_eq!(ws.occupied(0), 0);
-        ws.check_credit_balance().unwrap();
+        assert_eq!(r.ws.occupied(0), 0);
+        r.check_credit_balance().unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "packet 2 parked twice")]
+    #[should_panic(expected = "packet 1 parked twice")]
     fn parking_a_packet_twice_panics() {
-        let mut ws = one_wire(1, 0, 8);
-        ws.send(0, 0, entry(1, 1), 5);
-        ws.send(1, 0, entry(2, 1), 5);
-        // Still queued behind packet 1 when the same id shows up again,
+        let mut r = one_wire(1, 0, 8);
+        let [a, b, c] = [1, 1, 1].map(|flits| r.packet(flits));
+        r.send(0, 0, a, 5);
+        r.send(1, 0, b, 5);
+        // Still queued behind packet `a` when the same id shows up again,
         // here behind a different head.
-        ws.send(2, 0, entry(3, 1), 6);
-        ws.send(3, 0, entry(2, 1), 6);
+        r.send(2, 0, c, 6);
+        r.send(3, 0, b, 6);
     }
 
     #[test]
     fn queue_audit_reports_broken_links_instead_of_following_them() {
-        let mut ws = one_wire(1, 0, 4);
-        for pkt in 0..4 {
-            ws.send(u64::from(pkt), 0, entry(pkt, 1), 2);
-        }
-        // Packet 4 passes through VC 3: its slot stays in the pool, filed in
-        // no queue.
-        ws.send(4, 0, entry(4, 1), 3);
-        ws.pop(5, 0, 3);
-        ws.check_credit_balance().unwrap();
-        ws.check_pool(5).unwrap();
-        assert!(ws.check_pool(4).is_err(), "pool outgrew the slab");
-        // Head 0, then 1 → 2 → 3. A link back to the front cycles; the walk
-        // stops at the buffer's depth.
-        ws.next[3] = 0;
-        let err = ws.check_credit_balance().unwrap_err();
+        let mut r = one_wire(1, 0, 4);
+        let q: Vec<PacketId> = (0..4).map(|t| r.send_new(t, 0, 1, 2)).collect();
+        // Packet `p` passes through VC 3: it stays live in the slab, filed
+        // in no queue.
+        let p = r.send_new(4, 0, 1, 3);
+        assert_eq!(r.pop(5, 0, 3), p);
+        r.check_credit_balance().unwrap();
+        r.check_queues().unwrap();
+        let relink = |r: &mut Rig, pid: PacketId, link: u32| r.slab.get_mut(pid).link = link;
+        // Head q0, then q1 → q2 → q3. A link back to the front cycles; the
+        // walk stops at the buffer's depth.
+        relink(&mut r, q[3], q[0].0);
+        let err = r.check_credit_balance().unwrap_err();
         assert!(err.contains("links cycle"), "{err}");
-        ws.next[3] = LAST;
-        // A link that reads parked, of an id no queue reaches.
-        ws.next[4] = LAST;
-        let err = ws.check_pool(5).unwrap_err();
+        relink(&mut r, q[3], LAST);
+        // A link that reads parked, of a packet no queue reaches.
+        relink(&mut r, p, LAST);
+        let err = r.check_queues().unwrap_err();
         assert!(
             err.contains("5 packets read parked but the VC queues hold 4"),
             "{err}"
         );
-        ws.next[4] = NOT_PARKED;
+        relink(&mut r, p, NOT_PARKED);
         // A queue cut short of its tail.
-        ws.next[2] = LAST;
-        let err = ws.check_pool(5).unwrap_err();
+        relink(&mut r, q[2], LAST);
+        let err = r.check_queues().unwrap_err();
         assert!(err.contains("ends before its tail"), "{err}");
+        relink(&mut r, q[2], q[3].0);
+        r.check_queues().unwrap();
+        // A queued packet freed from the slab: its vacant line holds a
+        // free-list link to `p`, freed before it, which must not read as a
+        // queue link — the walk reports it instead of following it to `p`.
+        r.slab.remove(p);
+        r.slab.remove(q[3]);
+        let err = r.check_queues().unwrap_err();
+        assert!(
+            err.contains("runs into a packet that is not parked"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1560,32 +1553,40 @@ mod tests {
             .packets_per_endpoint(32)
             .seed(1)
             .build();
+        // Mid-run, packets queue behind heads, each linked once.
+        assert_eq!(sim.run(&mut drv, 300), RunOutcome::TimedOut);
+        sim.check_invariants().unwrap();
+        let (ws, slab) = (sim.wires(), sim.packets());
+        let parked = (0..slab.high_water() as u32).filter(|&id| slab.link(id) != NOT_PARKED);
+        assert!(
+            parked.count() > ws.occupied_vcs() as usize,
+            "a saturated run must queue behind its heads"
+        );
         assert_eq!(sim.run(&mut drv, 1_000_000), RunOutcome::Completed);
         sim.check_invariants().unwrap();
-        let ws = sim.wires();
+        let (ws, slab) = (sim.wires(), sim.packets());
         assert!(ws.occupied.iter().all(|&m| m == 0));
-        assert!(ws.next.iter().all(|&n| n == NOT_PARKED));
-        assert!(!ws.next.is_empty(), "a saturated run must have buffered");
-        assert_eq!(ws.parked.len(), ws.next.len());
-        assert!(ws.next.len() <= sim.packet_high_water());
+        assert_eq!(slab.live(), 0);
+        assert!((0..slab.high_water() as u32).all(|id| slab.link(id) == NOT_PARKED));
     }
 
     #[test]
     fn next_event_tracks_pending_maturities() {
         // A dense wire never needs a tick: arrivals are filed at send time
         // and credit returns go through the credit wheel.
-        let mut ws = one_wire(3, 0, 4);
-        assert_eq!(ws.next_event(0), u64::MAX, "idle wire has no events");
-        step(&mut ws, 0..=10);
-        let ready = ws.send(10, 0, entry(7, 1), 0);
+        let mut r = one_wire(3, 0, 4);
+        assert_eq!(r.ws.next_event(0), u64::MAX, "idle wire has no events");
+        r.step(0..=10);
+        let p = r.packet(1);
+        let ready = r.send(10, 0, p, 0);
         assert_eq!(ready, Some(13), "a dense send wakes the consumer itself");
-        assert_eq!(ws.next_event(0), u64::MAX);
-        step(&mut ws, 11..=13);
-        ws.pop(13, 0, 0);
-        assert_eq!(ws.next_event(0), u64::MAX, "the credit is in its wheel");
-        assert!(!ws.credit_gate(0, 0, 4), "a four-flit send waits for it");
-        assert_eq!(step(&mut ws, 14..=16), vec![(End::Producer, 16)]);
-        assert_eq!(ws.work().0, 1, "only the bootstrap look ticked the wire");
+        assert_eq!(r.ws.next_event(0), u64::MAX);
+        r.step(11..=13);
+        r.pop(13, 0, 0);
+        assert_eq!(r.ws.next_event(0), u64::MAX, "the credit is in its wheel");
+        assert!(!r.ws.credit_gate(0, 0, 4), "a four-flit send waits for it");
+        assert_eq!(r.step(14..=16), vec![(End::Producer, 16)]);
+        assert_eq!(r.ws.work().0, 1, "only the bootstrap look ticked the wire");
     }
 
     #[test]
@@ -1595,8 +1596,9 @@ mod tests {
         // last cycle inside the horizon; on a latency-63 wire at 64, past
         // it, so even a wire that only ever carried one-flit packets (ready
         // at 63) is refused.
-        let mut ws = one_wire(62, 0, 8);
-        assert_eq!(ws.send(0, 0, entry(3, 2), 0), Some(63));
+        let mut r = one_wire(62, 0, 8);
+        let p = r.packet(2);
+        assert_eq!(r.send(0, 0, p, 0), Some(63));
         let refused = std::panic::catch_unwind(|| one_wire(63, 0, 8)).unwrap_err();
         let msg = refused.downcast_ref::<String>().expect("a formatted panic");
         assert!(
@@ -1611,22 +1613,22 @@ mod tests {
 
     #[test]
     fn rc_cache_cleared_on_send() {
-        // The route cache lives in the gate alone: an entry carries none,
+        // The route cache lives in the gate alone: a packet carries none,
         // so a head starts unrouted however it got there.
-        let mut ws = one_wire(1, 0, 4);
-        ws.send(0, 0, entry(1, 1), 0);
-        ws.send(1, 0, entry(2, 1), 0);
-        assert_eq!(ws.gate(0, 0).rc_port, 0xFF);
-        ws.cache_route(0, 0, 2, 5);
-        let g = ws.gate(0, 0);
+        let mut r = one_wire(1, 0, 4);
+        r.send_new(0, 0, 1, 0);
+        r.send_new(1, 0, 1, 0);
+        assert_eq!(r.ws.gate(0, 0).rc_port, 0xFF);
+        r.ws.cache_route(0, 0, 2, 5);
+        let g = r.ws.gate(0, 0);
         assert_eq!((g.rc_port, g.rc_vcidx), (2, 5));
-        ws.pop(2, 0, 0);
-        assert_eq!(ws.gate(0, 0).rc_port, 0xFF, "stale RC must not travel");
+        r.pop(2, 0, 0);
+        assert_eq!(r.ws.gate(0, 0).rc_port, 0xFF, "stale RC must not travel");
     }
 
     #[test]
     fn vc_index_layout() {
-        let ws = one_wire(1, 0, 4);
+        let ws = one_wire(1, 0, 4).ws;
         assert_eq!(ws.vc_index(0, TrafficClass::Request, Vc(0)), 0);
         assert_eq!(ws.vc_index(0, TrafficClass::Request, Vc(3)), 3);
         assert_eq!(ws.vc_index(0, TrafficClass::Reply, Vc(0)), 4);
@@ -1638,27 +1640,29 @@ mod tests {
     #[test]
     #[should_panic(expected = "without credits")]
     fn overcommit_rejected() {
-        let mut ws = one_wire(1, 0, 2);
-        ws.send(0, 0, entry(1, 2), 0);
-        ws.send(0, 0, entry(2, 1), 0);
+        let mut r = one_wire(1, 0, 2);
+        r.send_new(0, 0, 2, 0);
+        r.send_new(0, 0, 1, 0);
     }
 
     #[test]
     fn ready_cycles_past_the_gate_format_never_read_ready() {
-        let mut ws = one_wire(3, 0, 4);
+        let mut r = one_wire(3, 0, 4);
         let now = LAST_CYCLE - 2;
-        assert_eq!(ws.send(now, 0, entry(1, 1), 0), Some(LAST_CYCLE + 1));
-        assert_eq!(ws.gate(0, 0).ready, u32::MAX, "saturated, not wrapped");
-        assert_eq!(ready_pkt(&ws, LAST_CYCLE - 1, 0), None);
+        let a = r.packet(1);
+        assert_eq!(r.send(now, 0, a, 0), Some(LAST_CYCLE + 1));
+        assert_eq!(r.ws.gate(0, 0).ready, u32::MAX, "saturated, not wrapped");
+        assert_eq!(r.ready_pkt(LAST_CYCLE - 1, 0), None);
         // The same behind the head: queued with a saturated `ready_at`, then
         // the head in a gate that still never reads ready, while `send`
         // reports the cycle it really meant.
-        assert_eq!(ws.send(now + 1, 0, entry(2, 1), 0), Some(LAST_CYCLE + 2));
-        assert_eq!(ws.parked[2].ready_at, u32::MAX);
-        assert_eq!(ws.pop(LAST_CYCLE, 0, 0).pkt, PacketId(1));
-        assert_eq!(ws.head(0, 0).pkt, PacketId(2));
-        assert_eq!(ws.gate(0, 0).ready, u32::MAX);
-        assert_eq!(ready_pkt(&ws, LAST_CYCLE - 1, 0), None);
+        let b = r.packet(1);
+        assert_eq!(r.send(now + 1, 0, b, 0), Some(LAST_CYCLE + 2));
+        assert_eq!(r.slab.get(b).ready_at, u32::MAX);
+        assert_eq!(r.pop(LAST_CYCLE, 0, 0), a);
+        assert_eq!(r.ws.head(0, 0), b);
+        assert_eq!(r.ws.gate(0, 0).ready, u32::MAX);
+        assert_eq!(r.ready_pkt(LAST_CYCLE - 1, 0), None);
     }
 
     #[test]
@@ -1668,17 +1672,19 @@ mod tests {
         assert_eq!(saturate_cycle(LAST_CYCLE + 10), u32::MAX);
         assert_eq!(saturate_cycle(LAST_CYCLE), u32::MAX);
         assert_eq!(saturate_cycle(100), 100);
-        let mut ws = one_wire(1, 0, 4);
-        let aged = |pkt, injected_at| BufEntry {
-            age: saturate_cycle(injected_at),
-            ..entry(pkt, 1)
+        let mut r = one_wire(1, 0, 4);
+        let aged = |r: &mut Rig, injected_at, vcidx| {
+            let pid = r.packet(1);
+            r.slab.get_mut(pid).queued_at = saturate_cycle(injected_at);
+            r.send(0, 0, pid, vcidx);
         };
-        ws.send(0, 0, aged(1, LAST_CYCLE + 10), 0);
-        ws.send(0, 0, aged(2, 100), 1);
+        aged(&mut r, LAST_CYCLE + 10, 0);
+        aged(&mut r, 100, 1);
+        let (ws, slab) = (&r.ws, &r.slab);
         let winner = anton_arbiter::BitsetArbiter::age(8).pick_mask(
             0b11,
             |i| ws.gate(0, i as u8).pattern,
-            |i| u64::from(ws.head(0, i as u8).age),
+            |i| u64::from(slab.get(ws.head(0, i as u8)).queued_at),
         );
         assert_eq!(winner, Some(1), "the older packet wins");
     }
@@ -1691,49 +1697,52 @@ mod tests {
         // would emit them (≥ 45/14 cycles apart per flit). The ideal wire
         // files its sends at once (consumer wake returned from `send`); the
         // shim reports arrivals through the wires phase — collect both
-        // streams of consumer-wake cycles and compare them at the end.
+        // streams of consumer-wake cycles and compare them at the end. The
+        // two slabs hand out the same ids.
         let mut wakes_ideal = Vec::new();
         let mut wakes_lossy = Vec::new();
         let mut popped = 0;
         for t in 0..400u64 {
             let (mut ca, mut cb) = (false, false);
-            for (ws, wakes, credited) in [
+            for (r, wakes, credited) in [
                 (&mut ideal, &mut wakes_ideal, &mut ca),
                 (&mut lossy, &mut wakes_lossy, &mut cb),
             ] {
-                ws.step(t, true, |_, end, at| match end {
+                r.ws.step(t, true, &mut r.slab, |_, end, at| match end {
                     End::Consumer => wakes.push(at),
                     End::Producer => *credited = true,
                 });
-                assert!(ws.next_event(0) > t, "a tick must consume its event");
+                assert!(r.ws.next_event(0) > t, "a tick must consume its event");
             }
             assert_eq!(ca, cb, "credit wakes diverge at {t}");
-            for (at, pkt, flits, vc) in [(5, 1, 1, 0), (12, 2, 2, 3)] {
+            for (at, flits, vc) in [(5, 1, 0), (12, 2, 3)] {
                 if t == at {
-                    wakes_ideal.extend(ideal.send(t, 0, entry(pkt, flits), vc));
-                    assert_eq!(lossy.send(t, 0, entry(pkt, flits), vc), None);
+                    let (a, b) = (ideal.packet(flits), lossy.packet(flits));
+                    assert_eq!(a, b);
+                    wakes_ideal.extend(ideal.send(t, 0, a, vc));
+                    assert_eq!(lossy.send(t, 0, b, vc), None);
                 }
             }
             if t == 5 {
-                assert_eq!(lossy.next_event(0), 49, "the frame lands one latency on");
+                assert_eq!(lossy.ws.next_event(0), 49, "the frame lands one latency on");
             }
             for vc in [0u8, 3] {
-                if ideal.ready_head(t, 0, vc).is_some() {
+                if ideal.ws.ready_head(t, 0, vc).is_some() {
                     let (a, b) = (ideal.pop(t, 0, vc), lossy.pop(t, 0, vc));
-                    assert_eq!(a, b, "delivered entries diverge at cycle {t}");
+                    assert_eq!(a, b, "delivered packets diverge at cycle {t}");
                     popped += 1;
                 }
             }
         }
         assert_eq!(popped, 2, "both packets must arrive");
         assert_eq!(wakes_ideal, wakes_lossy, "consumer wake cycles diverge");
-        assert_eq!(lossy.next_event(0), u64::MAX);
-        assert!(lossy.is_quiescent());
+        assert_eq!(lossy.ws.next_event(0), u64::MAX);
+        assert!(lossy.ws.is_quiescent());
         // Three frames: besides the bootstrap look, one tick to send the
         // second flit of the two-flit packet, one per frame landing, one
         // per ack landing (the two credit returns come off the credit wheel).
-        assert_eq!(lossy.work().0, 1 + 1 + 3 + 3, "ticks follow events");
-        assert_eq!(ideal.work().0, 1);
+        assert_eq!(lossy.ws.work().0, 1 + 1 + 3 + 3, "ticks follow events");
+        assert_eq!(ideal.ws.work().0, 1);
         ideal.check_credit_balance().unwrap();
         lossy.check_credit_balance().unwrap();
     }
@@ -1741,43 +1750,52 @@ mod tests {
     #[test]
     fn credit_balance_accounts_for_shim_queue() {
         // Link down forever: flits stay inside the shim, credits stay spent.
-        let mut ws = lossy_wire(10, 6, vec![(0, u64::MAX)]);
-        step(&mut ws, 0..=0);
-        ws.send(0, 0, entry(1, 2), 0);
-        step(&mut ws, 1..=99);
-        assert!(!ws.credit_gate(0, 0, 5));
-        assert_eq!(ws.link_backlog(0), 2);
-        ws.check_credit_balance().unwrap();
+        let mut r = lossy_wire(10, 6, vec![(0, u64::MAX)]);
+        r.step(0..=0);
+        r.send_new(0, 0, 2, 0);
+        r.step(1..=99);
+        assert!(!r.ws.credit_gate(0, 0, 5));
+        assert_eq!(r.ws.link_backlog(0), 2);
+        r.check_credit_balance().unwrap();
         assert_ne!(
-            ws.next_event(0),
+            r.ws.next_event(0),
             u64::MAX,
             "a stuck shim must keep the wire on the wheel"
         );
-        assert!(!ws.is_quiescent());
+        assert!(!r.ws.is_quiescent());
     }
 
     #[test]
     fn link_drain_strands_or_requeues_each_undelivered_packet() {
-        let mut ws = lossy_wire(10, 6, vec![(0, 500)]);
-        step(&mut ws, 0..=0);
-        ws.send(0, 0, entry(1, 2), 0);
-        step(&mut ws, 1..=3);
-        ws.send(3, 0, entry(2, 1), 0);
-        step(&mut ws, 4..=4);
-        ws.send(4, 0, entry(3, 1), 4);
-        step(&mut ws, 5..=20);
-        assert_eq!(ws.link_backlog(0), 4);
-        let stranded = ws.drain_link(21, 0, |e| e.pkt == PacketId(2));
-        let ids: Vec<u32> = stranded.iter().map(|e| e.pkt.0).collect();
-        assert_eq!(ids, vec![1, 3], "send order, minus what stays");
-        assert_eq!(ws.link_backlog(0), 1, "packet 2 re-entered the link");
-        assert_eq!((ws.credits(0, 0), ws.credits(0, 4)), (5, 6));
-        assert_eq!(ws.flits_carried(0), 5, "a re-send crosses the wire again");
-        ws.check_credit_balance().unwrap();
+        let mut r = lossy_wire(10, 6, vec![(0, 500)]);
+        r.step(0..=0);
+        let a = r.send_new(0, 0, 2, 0);
+        r.step(1..=3);
+        // The packet the drain keeps on the link, told apart by its hops.
+        let keep = r.packet(1);
+        r.slab.get_mut(keep).torus_hops = 1;
+        r.send(3, 0, keep, 0);
+        r.step(4..=4);
+        let c = r.send_new(4, 0, 1, 4);
+        r.step(5..=20);
+        assert_eq!(r.ws.link_backlog(0), 4);
+        let stranded = r.ws.drain_link(21, 0, &mut r.slab, |st| st.torus_hops == 1);
+        assert_eq!(stranded, vec![a, c], "send order, minus what stays");
+        assert_eq!(
+            r.ws.link_backlog(0),
+            1,
+            "the kept packet re-entered the link"
+        );
+        assert_eq!((r.ws.credits(0, 0), r.ws.credits(0, 4)), (5, 6));
+        assert_eq!(r.ws.flits_carried(0), 5, "a re-send crosses the wire again");
+        for pid in stranded {
+            r.slab.remove(pid);
+        }
+        r.check_credit_balance().unwrap();
         // The outage clears at 500; the next retransmission round (every
         // 192 cycles from 21) delivers what stayed.
-        assert_eq!(step(&mut ws, 21..=700), vec![(End::Consumer, 607)]);
-        assert_eq!(ws.pop(700, 0, 0).pkt, PacketId(2));
+        assert_eq!(r.step(21..=700), vec![(End::Consumer, 607)]);
+        assert_eq!(r.pop(700, 0, 0), keep);
     }
 
     #[test]
@@ -1785,52 +1803,56 @@ mod tests {
         let (mut export, mut import) = (spec(44, 1, 8), spec(44, 1, 8));
         export.role = BoundaryRole::Export;
         import.role = BoundaryRole::Import;
-        let mut prod = Wires::new(vec![export], false);
-        let mut cons = Wires::new(vec![import], false);
-        let balance = |prod: &Wires, cons: &Wires| {
-            u32::from(prod.credits(0, 2))
-                + prod.accounted_flits(0, 2, &prod.parked_credits()).unwrap()
-                + cons.accounted_flits(0, 2, &cons.parked_credits()).unwrap()
+        let mut prod = Rig::new(vec![export]);
+        let mut cons = Rig::new(vec![import]);
+        let balance = |prod: &Rig, cons: &Rig| {
+            u32::from(prod.ws.credits(0, 2)) + prod.accounted(2) + cons.accounted(2)
         };
         // Window [0, 44): the producer sends into its outbox.
-        step(&mut prod, 0..=0);
-        assert_eq!(prod.send(0, 0, entry(9, 2), 2), None);
-        assert!(!prod.is_quiescent(), "the outbox holds a packet");
+        prod.step(0..=0);
+        let p = prod.packet(2);
+        assert_eq!(prod.send(0, 0, p, 2), None);
+        assert!(!prod.ws.is_quiescent(), "the outbox holds a packet");
         assert_eq!(balance(&prod, &cons), 8);
-        step(&mut prod, 1..=43);
-        step(&mut cons, 0..=43);
+        prod.step(1..=43);
+        cons.step(0..=43);
         let mut mail = Vec::new();
-        prod.take_exports(0, &mut mail);
-        assert_eq!(mail.len(), 1);
-        let (e, vcidx) = mail[0];
-        assert_eq!((e.ready_at, vcidx), (46, 2));
+        prod.ws.take_exports(0, &mut mail);
+        assert_eq!(mail, vec![(p, 2)]);
+        // The packet moves with its ready cycle, set by the producer's copy.
+        let (state, cold) = prod.slab.remove(p);
+        assert_eq!(state.ready_at, 46);
+        let q = cons.slab.insert(state, cold);
         // The barrier files it straight into the receive buffer, where it
-        // waits for the cycle the producer's copy stamped on it.
-        assert_eq!(cons.import_packet(44, 0, e, vcidx), 46);
+        // waits for that cycle.
+        assert_eq!(cons.ws.import_packet(44, 0, q, 2, &mut cons.slab), 46);
         assert_eq!(balance(&prod, &cons), 8);
         // Window [44, 88): the consumer pops it once ready; the credit
         // return waits in its outbox for the barrier.
         for t in 44..46 {
-            assert_eq!(step(&mut cons, t..=t), vec![]);
-            assert_eq!(ready_pkt(&cons, t, 2), None, "ready early at {t}");
+            assert_eq!(cons.step(t..=t), vec![]);
+            assert_eq!(cons.ready_pkt(t, 2), None, "ready early at {t}");
         }
-        assert_eq!(step(&mut cons, 46..=46), vec![]);
-        assert_eq!(cons.pop(46, 0, 2).pkt, PacketId(9));
+        assert_eq!(cons.step(46..=46), vec![]);
+        assert_eq!(cons.pop(46, 0, 2), q);
         assert_eq!(balance(&prod, &cons), 8);
         let mut credits = Vec::new();
-        cons.take_credit_exports(0, &mut credits);
+        cons.ws.take_credit_exports(0, &mut credits);
         assert_eq!(credits, vec![(90, 2, 2)]);
-        step(&mut prod, 44..=87);
-        assert!(!prod.credit_gate(0, 2, 7), "two of eight credits are away");
-        prod.import_credit(88, 0, 90, 2, 2);
+        prod.step(44..=87);
+        assert!(
+            !prod.ws.credit_gate(0, 2, 7),
+            "two of eight credits are away"
+        );
+        prod.ws.import_credit(88, 0, 90, 2, 2);
         assert_eq!(balance(&prod, &cons), 8, "its wheel holds the return");
-        assert_eq!(prod.next_event(0), u64::MAX, "nothing for the wheel");
-        assert_eq!(step(&mut prod, 88..=90), vec![(End::Producer, 90)]);
-        assert_eq!(prod.credits(0, 2), 8);
+        assert_eq!(prod.ws.next_event(0), u64::MAX, "nothing for the wheel");
+        assert_eq!(prod.step(88..=90), vec![(End::Producer, 90)]);
+        assert_eq!(prod.ws.credits(0, 2), 8);
         assert_eq!(balance(&prod, &cons), 8);
-        assert!(prod.is_quiescent() && cons.is_quiescent());
+        assert!(prod.ws.is_quiescent() && cons.ws.is_quiescent());
         assert_eq!(
-            (prod.work().0, cons.work().0),
+            (prod.ws.work().0, cons.ws.work().0),
             (1, 1),
             "only the bootstrap looks ticked either copy"
         );
@@ -1877,8 +1899,9 @@ mod tests {
 
     /// The opening every schedule starts with, timed from the wire's own
     /// latency so that each case — not a lucky draw — drives the VC queues
-    /// through what their representation has to get right. Returns the cycles and how many of them pass before every
-    /// packet of the first step has arrived.
+    /// through what their representation has to get right. Returns the
+    /// cycles and how many of them pass before every packet of the first
+    /// step has arrived.
     fn opening(latency: u64, rx_pipeline: u64, depth: u8, vc: u8) -> (Vec<Cycle>, usize) {
         let repeat = |cycle: Cycle, n: u64| std::iter::repeat_n(cycle, n as usize);
         let idle = (false, 0, 1, 0);
@@ -1895,21 +1918,22 @@ mod tests {
         //    a second time.
         cycles.extend(repeat((false, 0, 1, 1 << vc), 2));
         cycles.extend(repeat((true, vc, 1, 0), latency + 2));
-        // 3. Fill a second VC with ids the pool has never seen, and wait
-        //    for them too: it grows mid-run, with queues threaded through
-        //    it.
+        // 3. Fill a second VC with ids the slab has never handed out, and
+        //    wait for them too: fresh slab lines join mid-run, with a queue
+        //    threaded through them.
         cycles.extend(repeat((true, (vc + 1) % 8, 1, 0), u64::from(depth)));
         cycles.extend(repeat(idle, latency + rx_pipeline));
         (cycles, arrived)
     }
 
-    /// Drives `ws` (one wire) through the [`opening`] and then `schedule`
+    /// Drives `r` (one wire) through the [`opening`] and then `schedule`
     /// in lockstep with the model, checking every cycle that both show the
     /// same ready heads and the same credit, and that the store's credits
-    /// and queues audit clean; then drains both. Packet ids are recycled
-    /// last-freed-first, as [`crate::state::PacketSlab`] recycles them.
+    /// and queues audit clean; then drains both. A popped packet leaves the
+    /// slab at the end of its cycle, after the audit, and the slab hands its
+    /// id out again last-freed-first.
     fn run_against_model(
-        mut ws: Wires,
+        mut r: Rig,
         latency: u64,
         rx_pipeline: u64,
         depth: u8,
@@ -1928,10 +1952,8 @@ mod tests {
         cycles.extend_from_slice(schedule);
         // Senders serialize: a packet holds the link for its flit count.
         let mut link_free_at = 0;
-        // The packet slab's id policy: the last id freed is the next used.
-        let mut free_ids: Vec<u32> = Vec::new();
-        let (mut high_water, mut sent) = (0u32, 0u32);
-        let (mut deepest, mut pool_after_fill) = (0, 0);
+        let mut popped: Vec<PacketId> = Vec::new();
+        let (mut deepest, mut sent, mut ids_after_fill) = (0, 0, 0);
         let mut now = 0u64;
         loop {
             let cycle = cycles.get(now as usize).copied();
@@ -1940,7 +1962,7 @@ mod tests {
                 break;
             }
             prop_assert!(now < 4_000, "wire failed to drain");
-            ws.step(now, false, |_, end, at| {
+            r.ws.step(now, false, &mut r.slab, |_, end, at| {
                 match end {
                     End::Consumer => seen.consumer_wakes.insert(at),
                     End::Producer => seen.producer_wakes.insert(at),
@@ -1960,66 +1982,63 @@ mod tests {
             let (send, vc, flits, pop_mask) = cycle.unwrap_or((false, 0, 1, 0xFF));
             for v in 0..8u8 {
                 let ready = model.ready_pkt(now, v);
-                prop_assert_eq!(ready_pkt(&ws, now, v), ready, "head of vc {} at {}", v, now);
-                prop_assert_eq!(ws.credits(0, v as usize), model.credits[v as usize]);
+                prop_assert_eq!(r.ready_pkt(now, v), ready, "head of vc {} at {}", v, now);
+                prop_assert_eq!(r.ws.credits(0, v as usize), model.credits[v as usize]);
                 if ready.is_some() && pop_mask >> v & 1 != 0 {
                     let (_, pkt, f) = model.bufs[v as usize].pop_front().expect("ready head");
                     model.returning.push((now + model.latency, v, f));
                     expected.pops.push((now, pkt, v));
-                    let e = ws.pop(now, 0, v);
-                    seen.pops.push((now, e.pkt.0, v));
-                    free_ids.push(pkt);
+                    let pid = r.pop(now, 0, v);
+                    seen.pops.push((now, pid.0, v));
+                    popped.push(pid);
                 }
             }
             let room = model.credits[vc as usize] >= flits;
             if send && now >= link_free_at {
-                prop_assert_eq!(ws.credit_gate(0, vc, flits), room);
+                prop_assert_eq!(r.ws.credit_gate(0, vc, flits), room);
                 if !room {
                     model.refused |= 1 << vc;
                 }
             }
             if send && now >= link_free_at && room {
-                let pkt = free_ids.pop().unwrap_or_else(|| {
-                    high_water += 1;
-                    high_water - 1
-                });
+                let pid = r.packet(flits);
                 sent += 1;
                 let ready = now + model.latency + u64::from(flits) - 1 + model.rx_pipeline;
                 model.credits[vc as usize] -= flits;
-                model.bufs[vc as usize].push_back((ready, pkt, flits));
+                model.bufs[vc as usize].push_back((ready, pid.0, flits));
                 expected.consumer_wakes.insert(ready);
-                seen.consumer_wakes
-                    .extend(ws.send(now, 0, entry(pkt, flits), vc));
+                seen.consumer_wakes.extend(r.send(now, 0, pid, vc));
                 link_free_at = now + u64::from(flits);
             }
-            let audit = ws
-                .check_credit_balance()
-                .and_then(|()| ws.check_pool(high_water as usize));
+            let audit = r.check_credit_balance().and_then(|()| r.check_queues());
             if let Err(e) = audit {
                 return Err(TestCaseError::fail(format!("cycle {now}: {e}")));
             }
-            let mut occupied = ws.occupied[0];
+            for pid in popped.drain(..) {
+                r.slab.remove(pid);
+            }
+            let mut occupied = r.ws.occupied[0];
             while occupied != 0 {
                 let v = occupied.trailing_zeros() as usize;
                 occupied &= occupied - 1;
-                deepest = deepest.max(ws.walk_queue(0, v).expect("audited").0);
+                deepest = deepest.max(r.ws.walk_queue(0, v, &r.slab).expect("audited").0);
             }
             if now as usize == arrived {
-                pool_after_fill = ws.next.len();
+                ids_after_fill = r.slab.high_water();
             }
             now += 1;
         }
-        prop_assert!(ws.is_quiescent());
-        prop_assert_eq!(ws.next_event(0), u64::MAX, "nothing left to tick for");
+        prop_assert!(r.ws.is_quiescent());
+        prop_assert_eq!(r.ws.next_event(0), u64::MAX, "nothing left to tick for");
         prop_assert_eq!(&seen, &expected);
         // The opening did what it is there for.
         prop_assert_eq!(deepest, usize::from(depth), "a VC must fill up");
-        prop_assert!(sent > high_water, "ids must be recycled");
+        prop_assert!(sent > r.slab.high_water(), "ids must be recycled");
         prop_assert!(
-            ws.next.len() > pool_after_fill,
-            "the pool must grow mid-run"
+            r.slab.high_water() > ids_after_fill,
+            "fresh ids must join mid-run"
         );
-        prop_assert!(ws.next.iter().all(|&n| n == NOT_PARKED));
+        prop_assert_eq!(r.slab.live(), 0);
         Ok(())
     }
 
@@ -2036,19 +2055,20 @@ mod tests {
         /// wheel). Credits balance after every cycle.
         ///
         /// Every case opens ([`opening`]) by filling a VC's queue to the
-        /// buffer's depth, re-queueing a recycled packet id and growing
-        /// the pool of queued entries mid-run, before the random part.
+        /// buffer's depth, re-queueing a recycled packet id and threading
+        /// a queue through ids the slab hands out mid-run, before the
+        /// random part.
         ///
         /// Verified to fail when: `transmit` drops `flits - 1` from the
         /// tail arrival; a dense `pop` files its credit one credit-wheel
         /// slot late; a return wakes its producer unrefused, or leaves the
         /// refusal marked after waking it. And of the queues threaded
-        /// through the pool: `file` moves `qhead` on every filing, does not
+        /// through the slab: `file` moves `qhead` on every filing, does not
         /// advance `qtail`, does not link the old tail to the new one, or
         /// leaves the new tail's link unset; `pop` clears the occupied bit
         /// with packets still behind the head, does not advance `qhead`,
-        /// leaves the gate of the popped head in place, takes the entry at
-        /// `qtail`, or does not reset the popped id's link.
+        /// leaves the gate of the popped head in place, pops the packet at
+        /// `qtail`, or does not reset the popped packet's link.
         #[test]
         fn delivery_paths_agree_with_each_other_and_the_model(
             latency in (0u64..26).prop_map(|i| if i < 6 { i + 1 } else { i + 34 }),

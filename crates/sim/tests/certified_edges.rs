@@ -7,13 +7,13 @@
 //! [`TableRouting`] per degraded table the run installs. The certificate
 //! is a statement about the route program in `anton-core`; the simulator
 //! calls that program's two rules (`ChipLayout::next_attach`,
-//! `VcState::turn`) but drives them itself, one buffer at a time — stamped
-//! router lookups, promotions staged past the entry link, table reroutes,
+//! `VcState::turn`) but drives them itself, one buffer at a time — router
+//! lookups, promotions staged past the entry link, table reroutes,
 //! multicast replication — and this is the check that the driving stays
 //! inside what was certified.
 //!
-//! Verified to fail when `Routers::route_stamped` ignores the stamp's
-//! arrived-in-X bit (X through-traffic then crosses the mesh on its stale
+//! Verified to fail when `Routers::route` ignores the packet's arrival in
+//! X (X through-traffic then crosses the mesh on its stale
 //! M-group VC: 324, 904 and 1 dependencies outside the certificate in the
 //! three runs below), when `stage_unicast_arrival` applies the promotion
 //! before the entry link instead of staging it past it (640 and 2,130

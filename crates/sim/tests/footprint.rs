@@ -75,21 +75,22 @@ fn idle_footprint(k: u8) -> (i64, i64) {
 }
 
 /// An idle machine is a few flat arrays over the slot layout, the same
-/// number of blocks at any size: 8×8×8 holds 19 MB in 43 blocks, and costs
+/// number of blocks at any size: 8×8×8 holds 19 MB in 42 blocks, and costs
 /// per node what 4×4×4 does. Measured, identical on every run: k=8
-/// 18,946,323 bytes in 43 live allocations, k=4 2,372,883 in 43 (ratio 7.98
+/// 18,946,224 bytes in 42 live allocations, k=4 2,372,784 in 42 (ratio 7.98
 /// for 8× the nodes). The byte ceiling sits just above the k=8 count: a VC
 /// holds no entry until a packet is buffered on it, and a wire on the dense
 /// path owns no cold record.
 ///
 /// What trips it: state per VC or per wire that is not a few bytes of a
-/// shared row. A per-VC head row — the 16-byte `BufEntry` every VC held
-/// before its head joined the packet-keyed pool — is 491,520 × 16 B =
+/// shared row. A per-VC head row — the 16-byte entry every VC held before
+/// its head was linked in the packet slab — is 491,520 × 16 B =
 /// +7.86 MB at k=8; a cold record per wire, as every wire owned before they
 /// went sparse, was +3.7 MB at 72 bytes beside the label row, and is
 /// +31.5 MB now that the shim sits inline in it. A `VecDeque` header per VC
-/// — the queues the pool replaced — is 491,520 × 32 B = +15.7 MB. Verified
-/// to fail: with a `Vec<BufEntry>` laid out like `qhead` added to
+/// — the queues the slab links replaced — is 491,520 × 32 B = +15.7 MB.
+/// Verified to fail: with a `Vec` of 16-byte entries laid out like `qhead`
+/// added to
 /// `wire::Wires` this panics with `idle 8x8x8 machine holds 26810499
 /// bytes`, and with a cold record built for every wire it reads 50403459
 /// bytes. The allocation ceiling fails on one block per router (+8,192);
@@ -140,18 +141,22 @@ fn saturated_peak(packets: u64) -> i64 {
 
 /// A saturated batch keeps most of itself in flight, so its peak is the
 /// packet slab: one 64-byte line per in-flight packet, 1,024 to a chunk,
-/// with the free list threaded through the vacant lines. Beside it, the
+/// with the free list threaded through the vacant lines and a buffered
+/// packet's ready cycle and queue link in its own line. Beside it, the
 /// credit wheels hold one cycle's returns per latency and slot.
 /// Measured, identical on every run: 64 packets per endpoint peak at
-/// 4,546,048 bytes above the built machine, 16 per endpoint at 1,984,896.
+/// 3,235,328 bytes above the built machine, 16 per endpoint at 1,657,216.
 ///
 /// What trips it: a wider slab slot — with the whole `Packet` and the route
 /// log in every slot (136 bytes) the 64-packet batch peaked at 8,964,864
-/// bytes, and 16 at 4,289,216. Each ceiling also fails on either lever
-/// undone: with one 64-slot credit calendar for every latency (each slot
-/// grows to a cycle's burst of one-cycle returns) the batches peak at
-/// 5,617,152 and 2,978,176 bytes; with a free-id `Vec` beside the slab at
-/// 4,877,824 and 2,050,432; with both at 5,948,928 and 3,043,712.
+/// bytes, and 16 at 4,289,216. Each ceiling also fails on any lever
+/// undone: with a separate 20-byte pool entry per packet id beside the
+/// slab (a 16-byte copy of the scheduling fields plus a 4-byte link) the
+/// batches peak at 4,546,048 and 1,984,896 bytes; with one 64-slot
+/// credit calendar for every latency (each slot grows to a cycle's burst
+/// of one-cycle returns), measured with that pool, at 5,617,152 and
+/// 2,978,176; with a free-id `Vec` beside the slab, likewise, at 4,877,824
+/// and 2,050,432.
 #[test]
 fn saturated_batch_peak_is_the_packet_slab() {
     let (peak64, peak16) = (saturated_peak(64), saturated_peak(16));
@@ -160,12 +165,12 @@ fn saturated_batch_peak_is_the_packet_slab() {
          {peak64} bytes, 16 packets/endpoint {peak16} bytes"
     );
     assert!(
-        peak64 <= 4_700_000,
+        peak64 <= 3_345_000,
         "a saturated 4x4x4 batch of 64 packets per endpoint peaks at {peak64} \
          bytes above the machine"
     );
     assert!(
-        peak16 <= 2_030_000,
+        peak16 <= 1_695_000,
         "a saturated 4x4x4 batch of 16 packets per endpoint peaks at {peak16} \
          bytes above the machine"
     );
@@ -201,9 +206,9 @@ fn link_layer_peak(packets: u64) -> i64 {
 /// A link direction holds its go-back-N window, not its history: the
 /// sender's unacknowledged flits, the frames and acks on the wire and the
 /// flit counts of queued packets, each queue grown to the most it has held.
-/// Measured, identical on every run: 420,560 bytes above the ideal run at
-/// 16 packets per endpoint, 595,424 at 64 (775 bytes a shim); the 4× longer
-/// run adds 174,864 bytes of queue high-water marks, not a word per flit.
+/// Measured, identical on every run: 365,200 bytes above the ideal run at
+/// 16 packets per endpoint, 521,728 at 64 (679 bytes a shim); the 4× longer
+/// run adds 156,528 bytes of queue high-water marks, not a word per flit.
 ///
 /// What trips it: a per-flit log in the link layer. With every accepted
 /// flit kept in the receiver until 4,096 had been read, the shims added
