@@ -9,8 +9,8 @@
 //!   controlled injection and activation rate for the router-energy
 //!   measurements (Figure 13).
 //! * [`LoadDriver`] — open-loop Bernoulli injection at a fixed offered
-//!   rate, with per-packet latency samples and percentile reporting (the
-//!   fault-sweep workload).
+//!   rate, counting delivered packets by latency for percentile reporting
+//!   (the fault-sweep workload).
 
 use std::sync::Arc;
 
@@ -516,10 +516,16 @@ impl Driver for RateDriver {
 
 /// Open-loop load workload: every endpoint flips a Bernoulli coin each
 /// cycle and injects a fresh packet with probability `rate`, up to a fixed
-/// per-endpoint budget, recording the in-network latency of every delivered
-/// packet. Unlike [`BatchDriver`] (which backpressures injection to keep
-/// queues short), offered load here is independent of network state, so
-/// latency inflation under faults is directly visible.
+/// per-endpoint budget, counting delivered packets by in-network latency.
+/// Unlike [`BatchDriver`] (which backpressures injection to keep queues
+/// short), offered load here is independent of network state, so latency
+/// inflation under faults is directly visible.
+///
+/// The driver keeps no record per packet: a histogram of delivery counts
+/// indexed by latency in cycles, grown to the largest latency seen, plus
+/// the latency sums of all and of rerouted deliveries. Its memory grows with
+/// the worst latency, not with the packets delivered, and every percentile
+/// and mean is exact.
 pub struct LoadDriver {
     pattern: Box<dyn TrafficPattern>,
     rate: f64,
@@ -528,10 +534,16 @@ pub struct LoadDriver {
     delivered: u64,
     /// One independent RNG stream per endpoint (see [`endpoint_streams`]).
     rngs: Vec<StdRng>,
-    latencies: Vec<u64>,
-    /// Latencies of the subset of deliveries that were rerouted over a
-    /// degraded table after ejection from a failed link.
-    rerouted_latencies: Vec<u64>,
+    /// Deliveries by latency: entry `l` counts the packets delivered `l`
+    /// cycles after injection.
+    latency_counts: Vec<u64>,
+    /// Sum of every delivery's latency.
+    latency_sum: u64,
+    /// Deliveries rerouted over a degraded table after ejection from a
+    /// failed link.
+    rerouted: u64,
+    /// Sum of the rerouted deliveries' latencies.
+    rerouted_latency_sum: u64,
     /// Cycle of the final delivery (valid once done).
     pub finish_cycle: u64,
 }
@@ -579,16 +591,17 @@ impl LoadDriver {
     ) -> LoadDriver {
         assert!(rate > 0.0 && rate <= 1.0, "rate must be in (0, 1]");
         let n_eps = cfg.num_endpoints();
-        let expected = packets_per_endpoint * n_eps as u64;
         LoadDriver {
             pattern,
             rate,
             remaining: vec![packets_per_endpoint; n_eps],
-            expected,
+            expected: packets_per_endpoint * n_eps as u64,
             delivered: 0,
             rngs: endpoint_streams(seed, n_eps),
-            latencies: Vec::with_capacity(expected as usize),
-            rerouted_latencies: Vec::new(),
+            latency_counts: Vec::new(),
+            latency_sum: 0,
+            rerouted: 0,
+            rerouted_latency_sum: 0,
             finish_cycle: 0,
         }
     }
@@ -604,23 +617,31 @@ impl LoadDriver {
     ///
     /// Panics before the first delivery.
     pub fn mean_latency(&self) -> f64 {
-        assert!(!self.latencies.is_empty(), "no deliveries recorded");
-        self.latencies.iter().sum::<u64>() as f64 / self.latencies.len() as f64
+        assert!(self.delivered > 0, "no deliveries recorded");
+        self.latency_sum as f64 / self.delivered as f64
     }
 
     /// Latency percentile in cycles (`q` in `[0, 1]`, e.g. 0.99 for p99),
-    /// by the nearest-rank method.
+    /// by the nearest-rank method: the latency of the `⌈q·n⌉`-th fastest of
+    /// the `n` deliveries (the fastest for `q = 0`), found by walking the
+    /// cumulative counts.
     ///
     /// # Panics
     ///
     /// Panics before the first delivery or for `q` outside `[0, 1]`.
     pub fn latency_percentile(&self, q: f64) -> u64 {
         assert!((0.0..=1.0).contains(&q), "percentile must be in [0, 1]");
-        assert!(!self.latencies.is_empty(), "no deliveries recorded");
-        let mut sorted = self.latencies.clone();
-        sorted.sort_unstable();
-        let rank = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
-        sorted[rank.min(sorted.len() - 1)]
+        assert!(self.delivered > 0, "no deliveries recorded");
+        let n = self.delivered as usize;
+        let rank = (((q * n as f64).ceil() as usize).max(1) - 1).min(n - 1) as u64;
+        let mut faster = 0;
+        for (latency, &count) in self.latency_counts.iter().enumerate() {
+            faster += count;
+            if faster > rank {
+                return latency as u64;
+            }
+        }
+        unreachable!("the latency counts sum to the deliveries")
     }
 
     /// Mean latency of rerouted deliveries relative to the mean latency of
@@ -633,14 +654,13 @@ impl LoadDriver {
     /// Panics if *every* delivery was rerouted (no baseline to compare
     /// against).
     pub fn reroute_latency_inflation(&self) -> f64 {
-        if self.rerouted_latencies.is_empty() {
+        if self.rerouted == 0 {
             return 1.0;
         }
-        let n_base = self.latencies.len() - self.rerouted_latencies.len();
+        let n_base = self.delivered - self.rerouted;
         assert!(n_base > 0, "every delivery rerouted: no baseline latency");
-        let rerouted_sum: u64 = self.rerouted_latencies.iter().sum();
-        let base_sum = self.latencies.iter().sum::<u64>() - rerouted_sum;
-        let rerouted_mean = rerouted_sum as f64 / self.rerouted_latencies.len() as f64;
+        let base_sum = self.latency_sum - self.rerouted_latency_sum;
+        let rerouted_mean = self.rerouted_latency_sum as f64 / self.rerouted as f64;
         let base_mean = base_sum as f64 / n_base as f64;
         rerouted_mean / base_mean
     }
@@ -674,9 +694,16 @@ impl Driver for LoadDriver {
 
     fn on_delivery(&mut self, sim: &mut Sim, delivery: &Delivery) {
         if let Delivery::Packet(p) = delivery {
-            self.latencies.push(p.delivered_at - p.injected_at);
+            let latency = p.delivered_at - p.injected_at;
+            let slot = latency as usize;
+            if slot >= self.latency_counts.len() {
+                self.latency_counts.resize(slot + 1, 0);
+            }
+            self.latency_counts[slot] += 1;
+            self.latency_sum += latency;
             if p.rerouted {
-                self.rerouted_latencies.push(p.delivered_at - p.injected_at);
+                self.rerouted += 1;
+                self.rerouted_latency_sum += latency;
             }
             self.delivered += 1;
             if self.delivered == self.expected {
@@ -692,8 +719,13 @@ impl Driver for LoadDriver {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::params::{PreflightMode, SimParams};
+    use crate::sim::PacketDelivery;
     use anton_core::pattern::{Destinations, EndpointChoice, NodeChoice};
+    use anton_core::topology::TorusShape;
 
     /// Minimal pattern for driver unit tests: every packet targets its own
     /// source endpoint.
@@ -710,25 +742,141 @@ mod tests {
         }
     }
 
+    /// A load driver on a 2×2×2 machine that has been handed one delivery
+    /// per `(latency, rerouted)`, in order, and injected nothing.
+    fn fed_load_driver(deliveries: &[(u64, bool)]) -> LoadDriver {
+        let mut sim = Sim::builder()
+            .shape(TorusShape::cube(2))
+            .params(SimParams {
+                preflight: PreflightMode::Off,
+                ..SimParams::default()
+            })
+            .build();
+        let mut d = LoadDriver::new(&sim, Box::new(SelfPattern), 0.5, 1 << 20, 0);
+        let ep = sim.cfg.endpoint_at(0);
+        for &(latency, rerouted) in deliveries {
+            let delivery = Delivery::Packet(PacketDelivery {
+                src: ep,
+                dst: ep,
+                pattern: 0,
+                counter: None,
+                injected_at: 1_000,
+                delivered_at: 1_000 + latency,
+                torus_hops: 0,
+                rerouted,
+                route_log: None,
+            });
+            d.on_delivery(&mut sim, &delivery);
+        }
+        d
+    }
+
+    /// What the driver computed when it kept every latency in a `Vec` and
+    /// sorted a clone per percentile: the oracle for its counts.
+    struct LatencyLog {
+        /// Every delivery's latency, in delivery order.
+        all: Vec<u64>,
+        /// The rerouted deliveries' latencies.
+        rerouted: Vec<u64>,
+    }
+
+    impl LatencyLog {
+        fn new(deliveries: &[(u64, bool)]) -> LatencyLog {
+            LatencyLog {
+                all: deliveries.iter().map(|&(l, _)| l).collect(),
+                rerouted: deliveries.iter().filter(|d| d.1).map(|d| d.0).collect(),
+            }
+        }
+
+        fn mean_latency(&self) -> f64 {
+            self.all.iter().sum::<u64>() as f64 / self.all.len() as f64
+        }
+
+        fn latency_percentile(&self, q: f64) -> u64 {
+            let mut sorted = self.all.clone();
+            sorted.sort_unstable();
+            let rank = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
+            sorted[rank.min(sorted.len() - 1)]
+        }
+
+        fn reroute_latency_inflation(&self) -> f64 {
+            if self.rerouted.is_empty() {
+                return 1.0;
+            }
+            let n_base = self.all.len() - self.rerouted.len();
+            let rerouted_sum: u64 = self.rerouted.iter().sum();
+            let base_sum = self.all.iter().sum::<u64>() - rerouted_sum;
+            let rerouted_mean = rerouted_sum as f64 / self.rerouted.len() as f64;
+            let base_mean = base_sum as f64 / n_base as f64;
+            rerouted_mean / base_mean
+        }
+    }
+
     #[test]
     fn load_driver_percentiles_use_nearest_rank() {
-        let mut d = LoadDriver {
-            pattern: Box::new(SelfPattern),
-            rate: 0.5,
-            remaining: vec![0],
-            expected: 0,
-            delivered: 0,
-            rngs: endpoint_streams(0, 1),
-            latencies: vec![50, 10, 40, 20, 30],
-            rerouted_latencies: Vec::new(),
-            finish_cycle: 0,
-        };
+        let d = fed_load_driver(&[
+            (50, false),
+            (10, false),
+            (40, true),
+            (20, false),
+            (30, false),
+        ]);
+        assert_eq!(d.delivered(), 5);
         assert_eq!(d.latency_percentile(0.5), 30);
         assert_eq!(d.latency_percentile(0.0), 10);
         assert_eq!(d.latency_percentile(1.0), 50);
         assert!((d.mean_latency() - 30.0).abs() < 1e-12);
-        d.latencies = vec![7];
+        assert!((d.reroute_latency_inflation() - 40.0 / 27.5).abs() < 1e-12);
+        let d = fed_load_driver(&[(7, false)]);
         assert_eq!(d.latency_percentile(0.99), 7);
+        assert_eq!(d.reroute_latency_inflation(), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "every delivery rerouted")]
+    fn reroute_inflation_needs_a_baseline() {
+        fed_load_driver(&[(12, true), (30, true)]).reroute_latency_inflation();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The latency counts answer every query exactly as the per-packet
+        /// log and its sorted clone did: the same nearest-rank percentile at
+        /// the edges, the median, p99 and a random `q`, and the same mean
+        /// and reroute inflation to the bit. Latencies are folded into a
+        /// random span so that some cases are dense with ties, and a random
+        /// share of the deliveries is rerouted. A case where every delivery
+        /// is rerouted skips the inflation, which panics there and is tested
+        /// apart.
+        ///
+        /// Verified to fail when the walk stops at the first latency whose
+        /// cumulative count reaches the rank rather than passes it, and when
+        /// the baseline mean of the inflation is taken over every delivery,
+        /// the rerouted ones included.
+        #[test]
+        fn load_driver_counts_match_the_sorted_log(
+            raw in proptest::collection::vec((0u64..=5_000, any::<u8>()), 1..2_001),
+            span in 1u64..=5_001,
+            cut in any::<u8>(),
+            q in 0.0f64..1.0,
+        ) {
+            let deliveries: Vec<(u64, bool)> =
+                raw.iter().map(|&(l, coin)| (l % span, coin < cut)).collect();
+            let d = fed_load_driver(&deliveries);
+            let log = LatencyLog::new(&deliveries);
+            prop_assert_eq!(d.delivered(), deliveries.len() as u64);
+            for q in [0.0, 0.5, 0.99, 1.0, q] {
+                prop_assert_eq!(d.latency_percentile(q), log.latency_percentile(q));
+            }
+            prop_assert_eq!(d.mean_latency().to_bits(), log.mean_latency().to_bits());
+            if log.rerouted.len() < deliveries.len() {
+                prop_assert_eq!(
+                    d.reroute_latency_inflation().to_bits(),
+                    log.reroute_latency_inflation().to_bits()
+                );
+            }
+        }
     }
 
     #[test]

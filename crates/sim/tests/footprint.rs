@@ -176,24 +176,71 @@ fn saturated_batch_peak_is_the_packet_slab() {
     );
 }
 
-/// The most heap a 4×4×4 machine holds above its built self while an
-/// open-loop uniform-random load of 0.2% per endpoint per cycle (driver
-/// seed 42) delivers `packets` per endpoint over ideal wires, or (`lossy`)
-/// through a go-back-N shim on every torus link at bit-error rate 1e-4.
+/// The most heap a [`light_load_machine`] holds above its built self and
+/// its driver while the [`light_load`] of `packets` per endpoint runs.
 fn light_load_peak(lossy: bool, packets: u64) -> i64 {
-    let mut sim = Sim::builder()
+    let mut sim = light_load_machine(lossy);
+    let mut driver = light_load(&sim, packets);
+    let built = LIVE.get().0;
+    PEAK.set(built);
+    assert_eq!(sim.run(&mut driver, 10_000_000), RunOutcome::Completed);
+    PEAK.get() - built
+}
+
+/// A 4×4×4 machine with pre-flight off, over ideal wires or (`lossy`) with a
+/// go-back-N shim on every torus link at bit-error rate 1e-4.
+fn light_load_machine(lossy: bool) -> Sim {
+    Sim::builder()
         .config(MachineConfig::new(TorusShape::cube(4)))
         .params(SimParams {
             preflight: PreflightMode::Off,
             fault: lossy.then(|| FaultSchedule::uniform(3, 1e-4)),
             ..SimParams::default()
         })
-        .build();
-    let mut driver = LoadDriver::new(&sim, Box::new(UniformRandom), 0.002, packets, 42);
-    let built = LIVE.get().0;
-    PEAK.set(built);
+        .build()
+}
+
+/// The open-loop uniform-random load of 0.2% per endpoint per cycle, driver
+/// seed 42, that delivers `packets` per endpoint.
+fn light_load(sim: &Sim, packets: u64) -> LoadDriver {
+    LoadDriver::new(sim, Box::new(UniformRandom), 0.002, packets, 42)
+}
+
+/// The most heap an ideal [`light_load_machine`] holds above its built self
+/// while the [`light_load`] of `packets` per endpoint runs, the driver's
+/// construction included.
+fn load_driver_peak(packets: u64) -> i64 {
+    let mut sim = light_load_machine(false);
+    let before = LIVE.get().0;
+    PEAK.set(before);
+    let mut driver = light_load(&sim, packets);
     assert_eq!(sim.run(&mut driver, 10_000_000), RunOutcome::Completed);
-    PEAK.get() - built
+    PEAK.get() - before
+}
+
+/// An open-loop driver counts its latencies instead of logging them: one
+/// word per cycle of the slowest delivery, whatever the number delivered.
+/// Measured, identical on every run: the ideal light load peaks at 512,160
+/// bytes above the built machine at 16 packets per endpoint and at 512,672
+/// at 64, the driver included. Its histogram ends at 5,184 bytes in both,
+/// so the 512 between them is the machine's own.
+///
+/// What trips it: a record per delivered packet. With the `Vec<u64>` of
+/// every latency the driver kept before, sized up front to the expected
+/// deliveries, the 16- and 64-packet runs peak at 638,048 and 1,031,776
+/// bytes, 393,728 apart: the log's 48 × 1,024 × 8 = 393,216 bytes more.
+#[test]
+fn an_open_loop_driver_counts_its_latencies() {
+    let (peak16, peak64) = (load_driver_peak(16), load_driver_peak(64));
+    println!(
+        "light 4x4x4 load peak above the built machine, driver included: \
+         16 packets/endpoint {peak16} bytes, 64 packets/endpoint {peak64} bytes"
+    );
+    assert!(
+        peak64 - peak16 <= 4_096,
+        "4x the deliveries grow the load's peak by {} bytes",
+        peak64 - peak16
+    );
 }
 
 /// What the 768 go-back-N shims of a lossy 4×4×4 machine add to its peak
@@ -206,9 +253,10 @@ fn link_layer_peak(packets: u64) -> i64 {
 /// A link direction holds its go-back-N window, not its history: the
 /// sender's unacknowledged flits, the frames and acks on the wire and the
 /// flit counts of queued packets, each queue grown to the most it has held.
-/// Measured, identical on every run: 365,200 bytes above the ideal run at
-/// 16 packets per endpoint, 521,728 at 64 (679 bytes a shim); the 4× longer
-/// run adds 156,528 bytes of queue high-water marks, not a word per flit.
+/// Measured, identical on every run: 370,384 bytes above the ideal run at
+/// 16 packets per endpoint, 526,912 at 64 (679 bytes a shim, and 5,184 for
+/// the lossy run's wider latency histogram); the 4× longer run adds 156,528
+/// bytes of queue high-water marks, not a word per flit.
 ///
 /// What trips it: a per-flit log in the link layer. With every accepted
 /// flit kept in the receiver until 4,096 had been read, the shims added
