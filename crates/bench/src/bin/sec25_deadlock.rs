@@ -77,7 +77,7 @@ fn main() {
             ..SimParams::default()
         };
         let mut sim = Sim::builder().config(cfg).params(params).build();
-        let mut drv = BatchDriver::builder(&sim)
+        let mut drv = BatchDriver::builder_for(&sim.cfg)
             .pattern(Box::new(NodePermutation::new(perm.clone())))
             .packets_per_endpoint(400)
             .seed(7)

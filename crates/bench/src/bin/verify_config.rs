@@ -17,6 +17,7 @@
 //! verify_config --json results/verify_config.json
 //! ```
 
+use anton_arbiter::ArbiterKind;
 use anton_bench::{checked_cube, fail_usage, write_output, FlagSet};
 use anton_core::chip::ChanId;
 use anton_core::config::MachineConfig;
@@ -286,10 +287,11 @@ fn main() {
     // The degraded check certifies its tables beside the routing verified
     // here, extending its graph: one walk.
     let (mut report, verdict) = verify_model_and_epochs(&routing, downs.as_slice());
-    // Lint the default parameters, the ones an experiment binary uses.
-    report
-        .diagnostics
-        .extend(lint_params(&cfg, &SimParams::default().verify_view()));
+    // Lint the default parameters and arbiters, the ones an experiment
+    // binary uses.
+    let (params, plan) = (SimParams::default(), ArbiterKind::RoundRobin.into());
+    let view = params.verify_view(&plan);
+    report.diagnostics.extend(lint_params(&cfg, &view));
 
     let mut degraded_json: Option<Json> = None;
     if let (Some(downs), Some(verdict)) = (&downs, verdict) {

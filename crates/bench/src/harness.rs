@@ -163,16 +163,6 @@ impl ExperimentSpec {
         }
     }
 
-    /// The experiment name (also the stem of the results file).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The base seed the point seeds are derived from.
-    pub fn base_seed(&self) -> u64 {
-        self.base_seed
-    }
-
     /// Appends a sweep point, assigning its index and derived seed.
     pub fn push_point(&mut self, params: Vec<(String, Json)>) -> &mut Self {
         let index = self.points.len();

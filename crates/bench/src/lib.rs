@@ -136,22 +136,23 @@ pub fn run_batch(
     seed: u64,
     trace: TraceConfig,
 ) -> BatchRun {
-    let params = SimParams {
-        arbiter: plan.clone(),
-        trace,
-        ..SimParams::default()
-    };
     let n = cfg.num_endpoints();
+    let mut inner = BatchDriver::builder_for(cfg);
+    for (pattern, weight) in components {
+        inner = inner.component(pattern, weight);
+    }
     let mut driver = SourceFinish {
-        inner: BatchDriver::builder_for(cfg)
-            .components(components)
-            .packets_per_endpoint(batch)
-            .seed(seed)
-            .build(),
+        inner: inner.packets_per_endpoint(batch).seed(seed).build(),
         remaining: vec![batch; n],
         finish: vec![0; n],
     };
-    let mut builder = Sim::builder().config(cfg.clone()).params(params);
+    let mut builder = Sim::builder()
+        .config(cfg.clone())
+        .arbiter(plan.clone())
+        .params(SimParams {
+            trace,
+            ..SimParams::default()
+        });
     if let Some(w) = weights {
         builder = builder.weights(w.clone());
     }

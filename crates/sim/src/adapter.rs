@@ -519,7 +519,8 @@ mod tests {
             };
             let mut adapters = Adapters::new(1);
             let lanes = 2 * usize::from(vcs);
-            adapters.push(&cfg.shape, node, chan, WIRES, lanes, &params.arbiter);
+            let rr = anton_arbiter::ArbiterKind::RoundRobin.into();
+            adapters.push(&cfg.shape, node, chan, WIRES, lanes, &rr);
             Rig {
                 cfg,
                 params,

@@ -10,16 +10,21 @@
 //! [`PreflightMode`]. Every rejection carries a stable `AVnnn` code;
 //! `Sim::construct` only assembles what the gate settled.
 //!
-//! Everything [`SimParams`] holds is set through
+//! Each thing a caller sets has one setter, and no setter resets
+//! another's value, so their order does not matter: the machine is
+//! [`config`](SimBuilder::config), the arbitration plan
+//! [`arbiter`](SimBuilder::arbiter), and everything [`SimParams`] holds
 //! [`params`](SimBuilder::params), with struct-update syntax over the
 //! defaults:
 //!
 //! ```
-//! use anton_core::topology::TorusShape;
+//! use anton_arbiter::ArbiterKind;
+//! use anton_core::{MachineConfig, TorusShape};
 //! use anton_sim::{Sim, SimParams, TraceConfig};
 //!
 //! let sim = Sim::builder()
-//!     .shape(TorusShape::cube(2))
+//!     .arbiter(ArbiterKind::Age)
+//!     .config(MachineConfig::new(TorusShape::cube(2)))
 //!     .params(SimParams {
 //!         seed: 7,
 //!         trace: TraceConfig {
@@ -40,7 +45,7 @@
 
 use anton_analysis::load::LoadAnalysis;
 use anton_analysis::weights::ArbiterWeightSet;
-use anton_arbiter::ArbiterPlan;
+use anton_arbiter::{ArbiterKind, ArbiterPlan};
 use anton_core::config::MachineConfig;
 use anton_core::pattern::TrafficPattern;
 use anton_core::topology::TorusShape;
@@ -56,6 +61,7 @@ use crate::sim::{Sim, StaticVerdict};
 pub struct SimBuilder {
     cfg: MachineConfig,
     params: SimParams,
+    plan: ArbiterPlan,
     traffic: Vec<Box<dyn TrafficPattern>>,
     weights: Option<ArbiterWeightSet>,
     shards: usize,
@@ -66,6 +72,7 @@ impl std::fmt::Debug for SimBuilder {
         f.debug_struct("SimBuilder")
             .field("shape", &self.cfg.shape)
             .field("params", &self.params)
+            .field("plan", &self.plan)
             .field("traffic_patterns", &self.traffic.len())
             .field("weights", &self.weights.is_some())
             .field("shards", &self.shards)
@@ -74,12 +81,14 @@ impl std::fmt::Debug for SimBuilder {
 }
 
 impl Sim {
-    /// Starts a builder with the paper-default parameters on a 2×2×2
-    /// machine; set the real shape with [`SimBuilder::shape`].
+    /// Starts a builder with the paper-default parameters and round-robin
+    /// arbiters on a 2×2×2 machine; set the real machine with
+    /// [`SimBuilder::config`].
     pub fn builder() -> SimBuilder {
         SimBuilder {
             cfg: MachineConfig::new(TorusShape::cube(2)),
             params: SimParams::default(),
+            plan: ArbiterKind::RoundRobin.into(),
             traffic: Vec::new(),
             weights: None,
             shards: 1,
@@ -88,32 +97,24 @@ impl Sim {
 }
 
 impl SimBuilder {
-    /// Machine shape (replaces the configuration with the defaults for
-    /// this shape; call before other configuration overrides).
-    pub fn shape(mut self, shape: TorusShape) -> SimBuilder {
-        self.cfg = MachineConfig::new(shape);
-        self
-    }
-
-    /// Full machine configuration, for non-default VC policies or routing
-    /// tables.
+    /// The machine: its shape, VC policy and chip
+    /// ([`MachineConfig::new`] gives a shape's defaults).
     pub fn config(mut self, cfg: MachineConfig) -> SimBuilder {
         self.cfg = cfg;
         self
     }
 
-    /// Simulation parameters, wholesale; [`arbiter`](SimBuilder::arbiter)
-    /// called later still applies on top.
+    /// Simulation parameters, wholesale.
     pub fn params(mut self, params: SimParams) -> SimBuilder {
         self.params = params;
         self
     }
 
-    /// The arbitration plan of SA1, SA2 and the serializer; an
-    /// [`ArbiterKind`](anton_arbiter::ArbiterKind) names its row of the
+    /// The arbitration plan of SA1, SA2 and the serializer (round robin
+    /// everywhere by default); an [`ArbiterKind`] names its row of the
     /// [`ArbiterPlan`] table.
     pub fn arbiter(mut self, plan: impl Into<ArbiterPlan>) -> SimBuilder {
-        self.params.arbiter = plan.into();
+        self.plan = plan.into();
         self
     }
 
@@ -156,7 +157,7 @@ impl SimBuilder {
     /// configuration, parameters, degraded route tables or arbiter weights.
     pub fn build(mut self) -> Sim {
         let pre = self.pre_run();
-        Sim::construct(self.cfg, self.params, &pre, None)
+        Sim::construct(self.cfg, self.params, &self.plan, &pre, None)
     }
 
     /// Builds the sharded parallel simulator with the configured
@@ -180,14 +181,14 @@ impl SimBuilder {
     /// and every replica assembles its decisions.
     pub(crate) fn build_on(mut self, plan: ShardPlan) -> ShardedSim {
         let pre = self.pre_run();
-        ShardedSim::assemble(self.cfg, self.params, plan, &pre)
+        ShardedSim::assemble(self.cfg, self.params, &self.plan, plan, &pre)
     }
 
     /// The one pre-run gate (see the [module docs](self)): resolves the
     /// weights, gathers every check into one report and applies the
     /// preflight mode to it.
     fn pre_run(&mut self) -> PreRun {
-        let (cfg, params) = (&self.cfg, &self.params);
+        let (cfg, params, plan) = (&self.cfg, &self.params, &self.plan);
         assert!(
             self.weights.is_none() || self.traffic.is_empty(),
             "SimBuilder: pass arbiter weights either precomputed (.weights) or \
@@ -199,16 +200,16 @@ impl SimBuilder {
         let weights = self
             .weights
             .take()
-            .or_else(|| computed_weights(cfg, params, &self.traffic));
+            .or_else(|| computed_weights(cfg, plan, &self.traffic));
         let mismatch = weights
             .as_ref()
-            .filter(|set| !params.arbiter.takes_weights(set.m_bits))
+            .filter(|set| !plan.takes_weights(set.m_bits))
             .map(|set| {
                 Diagnostic::error(
                     "AV016",
                     format!(
                         "a {}-bit arbiter weight set does not fit the arbitration plan `{}`",
-                        set.m_bits, params.arbiter
+                        set.m_bits, plan
                     ),
                 )
                 .with("weights_m_bits", set.m_bits)
@@ -229,7 +230,7 @@ impl SimBuilder {
             anton_verify::verify_model_and_epochs(&DimOrderRouting::new(cfg.clone()), &sets);
         report
             .diagnostics
-            .extend(anton_verify::lint_params(cfg, &params.verify_view()));
+            .extend(anton_verify::lint_params(cfg, &params.verify_view(plan)));
         let has_downs = dg.is_some();
         let degraded = dg.zip(verdict).and_then(|(dg, verdict)| {
             let certified = verdict.certified();
@@ -290,13 +291,13 @@ fn apply_mode(report: &VerifyReport, mode: PreflightMode) {
 }
 
 /// Computes inverse-arbitration weights from the expected traffic when the
-/// configuration calls for them.
+/// plan calls for them.
 fn computed_weights(
     cfg: &MachineConfig,
-    params: &SimParams,
+    plan: &ArbiterPlan,
     traffic: &[Box<dyn TrafficPattern>],
 ) -> Option<ArbiterWeightSet> {
-    let m_bits = params.arbiter.weight_bits()?;
+    let m_bits = plan.weight_bits()?;
     if traffic.is_empty() {
         return None;
     }

@@ -87,29 +87,21 @@ impl std::fmt::Debug for BatchDriver {
 }
 
 impl BatchDriver {
-    /// Starts configuring a batch driver. This is the front door; terminal
-    /// call is [`BatchDriverBuilder::build`].
+    /// Starts configuring a batch driver for the machine `cfg`; the
+    /// terminal call is [`BatchDriverBuilder::build`].
     ///
     /// ```
     /// use anton_core::{MachineConfig, TorusShape};
     /// use anton_sim::driver::BatchDriver;
-    /// use anton_sim::params::SimParams;
-    /// use anton_sim::sim::Sim;
     /// use anton_traffic::UniformRandom;
     ///
-    /// let sim = Sim::builder().config(MachineConfig::new(TorusShape::cube(2))).params(SimParams::default()).build();
-    /// let driver = BatchDriver::builder(&sim)
+    /// let cfg = MachineConfig::new(TorusShape::cube(2));
+    /// let driver = BatchDriver::builder_for(&cfg)
     ///     .pattern(Box::new(UniformRandom))
     ///     .packets_per_endpoint(4)
     ///     .seed(1)
     ///     .build();
     /// ```
-    pub fn builder(sim: &Sim) -> BatchDriverBuilder {
-        BatchDriver::builder_for(&sim.cfg)
-    }
-
-    /// Starts configuring a batch driver from a machine configuration alone
-    /// (no simulator needed — the entry point sharded runs use).
     pub fn builder_for(cfg: &MachineConfig) -> BatchDriverBuilder {
         BatchDriverBuilder {
             n_eps: cfg.num_endpoints(),
@@ -149,8 +141,7 @@ impl BatchDriver {
     }
 }
 
-/// Configures a [`BatchDriver`]; obtained from [`BatchDriver::builder`] or
-/// [`BatchDriver::builder_for`].
+/// Configures a [`BatchDriver`]; obtained from [`BatchDriver::builder_for`].
 ///
 /// Defaults: one packet per endpoint, [`PAYLOAD_BYTES`] payloads, seed 0.
 /// At least one pattern component must be added before
@@ -189,15 +180,6 @@ impl BatchDriverBuilder {
         weight: f64,
     ) -> BatchDriverBuilder {
         self.components.push((pattern, weight));
-        self
-    }
-
-    /// Adds several weighted pattern components at once.
-    pub fn components(
-        mut self,
-        components: Vec<(Box<dyn TrafficPattern>, f64)>,
-    ) -> BatchDriverBuilder {
-        self.components.extend(components);
         self
     }
 
@@ -559,25 +541,9 @@ impl std::fmt::Debug for LoadDriver {
 }
 
 impl LoadDriver {
-    /// Creates a load driver: each endpoint injects `packets_per_endpoint`
-    /// packets drawn from `pattern`, offered at `rate` packets per cycle
-    /// per endpoint ([`PAYLOAD_BYTES`] payloads).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < rate <= 1`.
-    pub fn new(
-        sim: &Sim,
-        pattern: Box<dyn TrafficPattern>,
-        rate: f64,
-        packets_per_endpoint: u64,
-        seed: u64,
-    ) -> LoadDriver {
-        LoadDriver::for_config(&sim.cfg, pattern, rate, packets_per_endpoint, seed)
-    }
-
-    /// Creates a load driver from a machine configuration alone; see
-    /// [`LoadDriver::new`].
+    /// Creates a load driver for the machine `cfg`: each endpoint injects
+    /// `packets_per_endpoint` packets drawn from `pattern`, offered at
+    /// `rate` packets per cycle per endpoint ([`PAYLOAD_BYTES`] payloads).
     ///
     /// # Panics
     ///
@@ -746,13 +712,13 @@ mod tests {
     /// per `(latency, rerouted)`, in order, and injected nothing.
     fn fed_load_driver(deliveries: &[(u64, bool)]) -> LoadDriver {
         let mut sim = Sim::builder()
-            .shape(TorusShape::cube(2))
+            .config(MachineConfig::new(TorusShape::cube(2)))
             .params(SimParams {
                 preflight: PreflightMode::Off,
                 ..SimParams::default()
             })
             .build();
-        let mut d = LoadDriver::new(&sim, Box::new(SelfPattern), 0.5, 1 << 20, 0);
+        let mut d = LoadDriver::for_config(&sim.cfg, Box::new(SelfPattern), 0.5, 1 << 20, 0);
         let ep = sim.cfg.endpoint_at(0);
         for &(latency, rerouted) in deliveries {
             let delivery = Delivery::Packet(PacketDelivery {

@@ -50,15 +50,13 @@ struct EpState {
     rng: StdRng,
 }
 
-/// A queued injection: routing is either randomized (the normal oblivious
-/// policy), fixed to an explicit route spec (tests and controlled
-/// experiments), or a fault-time re-entry over the installed degraded
-/// tables — boxed, since it carries the packet's whole state and is rare.
-/// A fresh packet carries the cycle it was queued.
+/// A queued injection: a fresh packet on a randomized oblivious route,
+/// carrying the cycle it was queued, or a fault-time re-entry over the
+/// installed degraded tables — boxed, since it carries the packet's whole
+/// state and is rare.
 #[derive(Debug)]
 enum InjectCmd {
     Auto(Packet, u64),
-    WithSpec(Packet, RouteSpec, u64),
     Reroute(Box<Reroute>),
 }
 
@@ -130,22 +128,12 @@ impl Endpoints {
         }
     }
 
-    /// Queues a packet at endpoint `idx`, on `spec` if one is given and a
-    /// randomized oblivious route if not, and wakes the endpoint for the
+    /// Queues a packet at endpoint `idx` and wakes the endpoint for the
     /// cycle in progress, or the one its link frees at if a transfer holds
     /// it. The packet's age counts from now.
-    pub(crate) fn inject(
-        &mut self,
-        idx: usize,
-        packet: Packet,
-        spec: Option<RouteSpec>,
-        fab: &mut Fabric,
-    ) {
+    pub(crate) fn inject(&mut self, idx: usize, packet: Packet, fab: &mut Fabric) {
         let ep = &mut self.eps[idx];
-        ep.inject.push_back(match spec {
-            Some(spec) => InjectCmd::WithSpec(packet, spec, fab.now),
-            None => InjectCmd::Auto(packet, fab.now),
-        });
+        ep.inject.push_back(InjectCmd::Auto(packet, fab.now));
         let at = fab.now.max(ep.busy_until);
         fab.wheels.wake(CompRef::Ep(idx as u32), at, fab.now);
     }
@@ -222,9 +210,9 @@ impl Endpoints {
                 ep.fan_out(me, fab, ctx, &pkt, queued_at);
                 return;
             }
-            InjectCmd::Auto(pkt, _) | InjectCmd::WithSpec(pkt, ..) => {
+            InjectCmd::Auto(pkt, _) => {
                 let Destination::Unicast(dst) = pkt.dst else {
-                    unreachable!("explicit route specs are unicast")
+                    unreachable!("multicast packets fan out above")
                 };
                 (dst, pkt.class, pkt.num_flits() as u8)
             }
@@ -239,22 +227,19 @@ impl Endpoints {
         let cmd = ep.inject.pop_front().expect("peeked above");
         let shape = &ctx.cfg.shape;
         let (here, there) = (shape.coord(node), shape.coord(dst.node));
-        let ((spec, on_table), fresh) = match &cmd {
-            InjectCmd::WithSpec(_, spec, _) => ((*spec, false), true),
-            InjectCmd::Auto(..) => {
-                let spec = RouteSpec::randomized(shape, here, there, &mut ep.rng);
-                (fab.unicast_route(shape, node, spec, dst.node, false), true)
-            }
+        let fresh = matches!(cmd, InjectCmd::Auto(..));
+        let spec = match &cmd {
+            InjectCmd::Auto(..) => RouteSpec::randomized(shape, here, there, &mut ep.rng),
             InjectCmd::Reroute(r) => {
-                let spec = RouteSpec::deterministic(shape, here, there, DimOrder::XYZ, r.slice);
-                (fab.unicast_route(shape, node, spec, dst.node, true), false)
+                RouteSpec::deterministic(shape, here, there, DimOrder::XYZ, r.slice)
             }
         };
+        let (spec, on_table) = fab.unicast_route(shape, node, spec, dst.node, !fresh);
         let route = RouteProgress::Unicast { spec, dst };
         let mut vc = ctx.cfg.vc_policy.start();
         vc.turn(None, route.next_hop());
         let (state, cold) = match cmd {
-            InjectCmd::Auto(pkt, queued_at) | InjectCmd::WithSpec(pkt, _, queued_at) => {
+            InjectCmd::Auto(pkt, queued_at) => {
                 let state = PacketState {
                     queued_at: saturate_cycle(queued_at),
                     rerouted: on_table,
@@ -495,7 +480,7 @@ mod tests {
         );
         for _ in 0..3 {
             let packet = Packet::write(src, dst, Payload::zeros(MAX_PAYLOAD_BYTES));
-            rig.endpoints.inject(0, packet, None, &mut rig.fab);
+            rig.endpoints.inject(0, packet, &mut rig.fab);
         }
         // Two flits each: the adapter is held for two cycles per packet.
         let carried: Vec<u64> = (0..6)
@@ -518,7 +503,7 @@ mod tests {
         );
         for _ in 0..3 {
             let packet = Packet::write(src, dst, Payload::zeros(MAX_PAYLOAD_BYTES));
-            rig.endpoints.inject(0, packet, None, &mut rig.fab);
+            rig.endpoints.inject(0, packet, &mut rig.fab);
         }
         for _ in 0..6 {
             rig.idle_cycle();

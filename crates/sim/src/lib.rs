@@ -42,17 +42,18 @@
 //! # Examples
 //!
 //! ```
-//! use anton_core::TorusShape;
+//! use anton_core::{MachineConfig, TorusShape};
 //! use anton_sim::driver::BatchDriver;
 //! use anton_sim::sim::{RunOutcome, Sim};
 //! use anton_traffic::UniformRandom;
 //!
-//! let mut sim = Sim::builder().shape(TorusShape::cube(2)).build();
-//! let mut driver = BatchDriver::builder(&sim)
+//! let cfg = MachineConfig::new(TorusShape::cube(2));
+//! let mut driver = BatchDriver::builder_for(&cfg)
 //!     .pattern(Box::new(UniformRandom))
 //!     .packets_per_endpoint(4)
 //!     .seed(1)
 //!     .build();
+//! let mut sim = Sim::builder().config(cfg).build();
 //! assert_eq!(sim.run(&mut driver, 100_000), RunOutcome::Completed);
 //! ```
 

@@ -2,7 +2,7 @@
 //! calibration and the torus link rate are [`anton_core::timing`]'s; the
 //! clock and the rate are re-exported here.
 
-use anton_arbiter::{ArbiterKind, ArbiterPlan};
+use anton_arbiter::ArbiterPlan;
 
 pub use anton_core::timing::{CLOCK_GHZ, CYCLE_NS, TORUS_TOKEN_COST, TORUS_TOKEN_GAIN};
 
@@ -69,33 +69,6 @@ impl Default for TraceConfig {
     }
 }
 
-impl TraceConfig {
-    /// A config with event recording on at the given ring capacity.
-    pub fn events(ring_capacity: usize) -> TraceConfig {
-        TraceConfig {
-            events: true,
-            ring_capacity,
-            ..TraceConfig::default()
-        }
-    }
-
-    /// A config with time-series sampling on at the given period.
-    pub fn sampled(every: u64) -> TraceConfig {
-        TraceConfig {
-            sample_every: every,
-            ..TraceConfig::default()
-        }
-    }
-
-    /// A config with stall attribution on.
-    pub fn stalls() -> TraceConfig {
-        TraceConfig {
-            stalls: true,
-            ..TraceConfig::default()
-        }
-    }
-}
-
 /// What the builder's one pre-run gate (`build()` / `build_sharded()`) does
 /// with its report: the `anton-verify` lints, the symbolic deadlock
 /// certification of the configured VC policy, the degraded route tables of
@@ -128,9 +101,6 @@ pub struct SimParams {
     /// `anton_verify::lint::MIN_TORUS_BDP_FLITS`) for a single VC to
     /// sustain full channel bandwidth.
     pub torus_buffer_depth: u8,
-    /// The policy each arbitration site (SA1, SA2, serializer) starts with
-    /// and the sites a weight set is programmed at; see [`ArbiterPlan`].
-    pub arbiter: ArbiterPlan,
     /// RNG seed for routing randomization.
     pub seed: u64,
     /// Cycles without any flit movement (while packets are in flight) after
@@ -154,7 +124,6 @@ impl Default for SimParams {
         SimParams {
             buffer_depth: 8,
             torus_buffer_depth: 32,
-            arbiter: ArbiterKind::RoundRobin.into(),
             seed: 0xA2701,
             watchdog_cycles: 50_000,
             fault: None,
@@ -165,18 +134,20 @@ impl Default for SimParams {
 }
 
 impl SimParams {
-    /// Projects these parameters into the lint engine's view
-    /// ([`anton_verify::ParamsView`]); `anton-verify` cannot depend on this
-    /// crate, so the mapping lives here.
-    pub fn verify_view(&self) -> anton_verify::ParamsView<'_> {
+    /// Projects these parameters and the arbitration plan they run under
+    /// into the lint engine's view ([`anton_verify::ParamsView`]);
+    /// `anton-verify` cannot depend on this crate, so the mapping lives
+    /// here.
+    pub fn verify_view(&self, plan: &ArbiterPlan) -> anton_verify::ParamsView<'_> {
         anton_verify::ParamsView {
             buffer_depth: self.buffer_depth,
             torus_buffer_depth: self.torus_buffer_depth,
             // The view holds one width: an out-of-range one when any site
             // has it, so AV016 sees every inverse-weighted site.
-            arbiter_m_bits: (self.arbiter.iw_bits())
+            arbiter_m_bits: plan
+                .iw_bits()
                 .find(|m| !(2..=16).contains(m))
-                .or_else(|| self.arbiter.iw_bits().next()),
+                .or_else(|| plan.iw_bits().next()),
             watchdog_cycles: self.watchdog_cycles,
             fault: self.fault.as_ref(),
             trace_events: self.trace.events,

@@ -443,7 +443,7 @@ mod tests {
             let nports = ports.len();
             let fab = testkit::fabric(wires, [1, 0, nports], &params);
             let mut routers = Routers::new(&cfg.chip, 1);
-            routers.push(here, &ports, &params.arbiter);
+            routers.push(here, &ports, &anton_arbiter::ArbiterKind::RoundRobin.into());
             Rig {
                 cfg,
                 params,
@@ -555,7 +555,13 @@ mod tests {
 
     #[test]
     fn a_two_flit_grant_holds_its_output_for_two_cycles() {
-        let mut rig = Rig::new(4, TraceConfig::stalls());
+        let mut rig = Rig::new(
+            4,
+            TraceConfig {
+                stalls: true,
+                ..TraceConfig::default()
+            },
+        );
         let out = rig.targets[0].out_port;
         let two = Shape {
             two_flits: true,
@@ -728,7 +734,14 @@ mod tests {
     ) -> Result<(), TestCaseError> {
         let m_bits = 5;
         // Weights replace every arbiter below, so the rig starts round-robin.
-        let mut rig = Rig::new(depth, TraceConfig::events(1 << 14));
+        let mut rig = Rig::new(
+            depth,
+            TraceConfig {
+                events: true,
+                ring_capacity: 1 << 14,
+                ..TraceConfig::default()
+            },
+        );
         let nports = rig.nports;
         let lanes = |rig: &Rig, w: usize| usize::from(rig.fab.wires.num_vcs(w));
         let mut reference = Reference {

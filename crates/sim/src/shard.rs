@@ -57,6 +57,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
+use anton_arbiter::ArbiterPlan;
 use anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton_core::multicast::McGroup;
 use anton_core::packet::{CounterId, Packet};
@@ -279,10 +280,12 @@ impl ShardedSim {
     }
 
     /// Assembles the replicas from one gate's decisions: every shard gets
-    /// the verdict, a copy of the certified degraded tables and the weights.
+    /// the arbitration plan, the verdict, a copy of the certified degraded
+    /// tables and the weights.
     pub(crate) fn assemble(
         cfg: MachineConfig,
         params: SimParams,
+        arbiters: &ArbiterPlan,
         plan: ShardPlan,
         pre: &PreRun,
     ) -> ShardedSim {
@@ -298,11 +301,17 @@ impl ShardedSim {
         // waste memory.
         let mut control_params = params.clone();
         control_params.trace = TraceConfig::default();
-        let control = Sim::construct(cfg.clone(), control_params, &PreRun::default(), None);
+        let control = Sim::construct(
+            cfg.clone(),
+            control_params,
+            arbiters,
+            &PreRun::default(),
+            None,
+        );
         let shards: Vec<Sim> = (0..plan.num_shards())
             .map(|me| {
                 let assign = ShardAssignment { plan: &plan, me };
-                Sim::construct(cfg.clone(), params.clone(), pre, Some(&assign))
+                Sim::construct(cfg.clone(), params.clone(), arbiters, pre, Some(&assign))
             })
             .collect();
         let wires = control.wires();

@@ -25,15 +25,14 @@
 //! tracer of `anton-core` in tests.
 
 use anton_analysis::weights::ArbiterWeightSet;
-use anton_arbiter::{BitsetArbiter, GrantSite};
+use anton_arbiter::{ArbiterPlan, BitsetArbiter, GrantSite};
 use anton_core::chip::{
     ChanId, LinkGroup, LocalAttach, LocalLink, MeshCoord, NUM_CHAN_ADAPTERS, NUM_ROUTERS,
 };
 use anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton_core::multicast::McGroup;
 use anton_core::net::{LinkEnd, Topology, TorusTopology};
-use anton_core::packet::{CounterId, Destination, Packet};
-use anton_core::routing::RouteSpec;
+use anton_core::packet::{CounterId, Packet};
 use anton_core::timing::TORUS_LINK_CYCLES;
 use anton_core::topology::NodeId;
 use anton_core::trace::GlobalLink;
@@ -406,8 +405,8 @@ pub trait Driver {
 pub struct Sim {
     /// Machine configuration the simulator was built from.
     pub cfg: MachineConfig,
-    /// Simulation parameters.
-    pub params: SimParams,
+    /// Simulation parameters, fixed at `build()`.
+    pub(crate) params: SimParams,
     /// What every layer acts on: clock, wires, wake wheels, packet slab,
     /// routing state, counters, probe (see [`crate::fabric`]).
     fabric: Fabric,
@@ -459,9 +458,10 @@ impl std::fmt::Debug for Sim {
 }
 
 impl Sim {
-    /// Assembles the simulator from what the builder's pre-run gate
-    /// settled — the static verdict, the certified degraded-routing
-    /// timeline and the arbiter weights to program — optionally as one
+    /// Assembles the simulator, its arbiters as `plan` starts them, from
+    /// what the builder's pre-run gate settled — the static verdict, the
+    /// certified degraded-routing timeline and the arbiter weights to
+    /// program at `plan`'s weighted sites — optionally as one
     /// shard replica of a [`crate::shard::ShardedSim`]: a full-machine
     /// instance whose boundary torus wires divert traffic through the
     /// inter-shard mailboxes and whose run-loop control lives on the
@@ -469,6 +469,7 @@ impl Sim {
     pub(crate) fn construct(
         cfg: MachineConfig,
         params: SimParams,
+        plan: &ArbiterPlan,
         pre: &PreRun,
         shard: Option<&crate::shard::ShardAssignment<'_>>,
     ) -> Sim {
@@ -626,14 +627,14 @@ impl Sim {
                 }
             }
             for (r, ports) in MeshCoord::all().zip(&ports) {
-                let me = CompRef::Router(routers.push(r, ports, &params.arbiter) as u32);
+                let me = CompRef::Router(routers.push(r, ports, plan) as u32);
                 for p in ports {
                     consumer[p.in_wire] = me;
                     producer[p.out_wire] = me;
                 }
             }
             for (c, &w) in ChanId::all().zip(&chans) {
-                let me = adapters.push(&cfg.shape, node, c, w, torus_lanes, &params.arbiter);
+                let me = adapters.push(&cfg.shape, node, c, w, torus_lanes, plan);
                 let me = CompRef::Chan(me as u32);
                 consumer[w.from_router] = me;
                 producer[w.to_router] = me;
@@ -670,17 +671,17 @@ impl Sim {
             external_control: shard.is_some(),
         };
         if let Some(set) = &pre.weights {
-            sim.install_weights(set);
+            sim.install_weights(set, plan);
         }
         sim
     }
 
-    /// Programs a weight set at the sites the arbitration plan marks
-    /// weighted — router output (SA2) arbiters, router input (SA1) VC
-    /// arbiters, channel-adapter serializers — wherever the set has a
-    /// table; every other arbiter keeps the policy its site starts with
-    /// (`SimParams::arbiter`). The set's dense arbiter indices are the
-    /// simulator's own (`(node × 16 + router) × MAX_ROUTER_PORTS + port`,
+    /// Programs a weight set at the sites `plan` marks weighted — router
+    /// output (SA2) arbiters, router input (SA1) VC arbiters,
+    /// channel-adapter serializers — wherever the set has a table; every
+    /// other arbiter keeps the policy its site starts with. The set's
+    /// dense arbiter indices are the simulator's own
+    /// (`(node × 16 + router) × MAX_ROUTER_PORTS + port`,
     /// `node × 12 + adapter`).
     ///
     /// # Panics
@@ -688,8 +689,7 @@ impl Sim {
     /// Panics if the set addresses a port the router does not have, or a
     /// table's lane count differs from its arbiter's — the set was computed
     /// for another machine configuration.
-    fn install_weights(&mut self, set: &ArbiterWeightSet) {
-        let plan = &self.params.arbiter;
+    fn install_weights(&mut self, set: &ArbiterWeightSet, plan: &ArbiterPlan) {
         let program = |arbiter: &mut BitsetArbiter, table: Vec<Vec<u32>>| {
             assert_eq!(table.len(), arbiter.num_lanes(), "weight table lanes");
             *arbiter = BitsetArbiter::inverse_weighted(table, set.m_bits);
@@ -731,29 +731,7 @@ impl Sim {
     /// Queues a packet for injection at `src` (unbounded software queue).
     pub fn inject(&mut self, src: GlobalEndpoint, packet: Packet) {
         let idx = self.cfg.endpoint_index(src);
-        self.endpoints.inject(idx, packet, None, &mut self.fabric);
-    }
-
-    /// Queues a unicast packet with an explicit route spec instead of the
-    /// randomized oblivious route — used by controlled experiments and the
-    /// route cross-check tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packet` is not unicast or `spec` does not route from
-    /// `src`'s node to the destination node.
-    pub fn inject_with_spec(&mut self, src: GlobalEndpoint, packet: Packet, spec: RouteSpec) {
-        let Destination::Unicast(dst) = packet.dst else {
-            panic!("explicit route specs apply to unicast packets only");
-        };
-        let shape = &self.cfg.shape;
-        let start = shape.coord(src.node);
-        let last = spec.walk(shape, start).last();
-        let end = last.map_or(start, |(at, dir)| shape.neighbor(at, dir));
-        assert_eq!(shape.id(end), dst.node, "spec does not reach destination");
-        let idx = self.cfg.endpoint_index(src);
-        self.endpoints
-            .inject(idx, packet, Some(spec), &mut self.fabric);
+        self.endpoints.inject(idx, packet, &mut self.fabric);
     }
 
     /// Number of packets still queued in an endpoint's software queue.
@@ -945,8 +923,8 @@ impl Sim {
         }
     }
 
-    /// Advances one cycle.
-    pub fn step(&mut self) {
+    /// Advances one cycle; [`Sim::run`] is the public way to advance.
+    pub(crate) fn step(&mut self) {
         let mut t = self.params.trace.profile.then(std::time::Instant::now);
         let ctx = Ctx::new(&self.cfg, &self.params);
         let fab = &mut self.fabric;
@@ -1377,5 +1355,26 @@ mod tests {
             let named = arbiters(&mut sim.build());
             assert_eq!(named, arbiters(&mut build(row)), "{kind:?}");
         }
+    }
+
+    /// The plan is the builder's alone: `.params()` after `.arbiter()`
+    /// keeps it, and either setter order builds the same machine.
+    #[test]
+    fn params_after_arbiter_keeps_the_plan() {
+        let params = SimParams {
+            seed: 3,
+            ..SimParams::default()
+        };
+        let age = ArbiterKind::Age;
+        let first = Sim::builder().arbiter(age.clone()).params(params.clone());
+        let got = arbiters(&mut first.build());
+        for (site, a, arbiter) in &got {
+            if *site == GrantSite::Output {
+                let want = BitsetArbiter::from_kind(&age, arbiter.num_lanes());
+                assert_eq!(*arbiter, want, "SA2 arbiter {a}");
+            }
+        }
+        let last = Sim::builder().params(params).arbiter(age);
+        assert_eq!(got, arbiters(&mut last.build()));
     }
 }

@@ -6,8 +6,8 @@
 //! every state change that could enable a component to act schedules a wake
 //! for it at the exact cycle the opportunity opens (a flit clearing the
 //! receiver pipeline, a credit returning, a busy window or token bucket
-//! expiring), and [`Sim::step`](crate::sim::Sim::step) processes only the
-//! woken components.
+//! expiring), and each cycle of [`Sim::run`](crate::sim::Sim::run)
+//! processes only the woken components.
 //!
 //! A [`Scheduler`] is a small calendar wheel of per-cycle bitsets. Waking is
 //! an O(1) bit set; draining a cycle is an ascending-index bit scan, which

@@ -1548,7 +1548,7 @@ mod tests {
 
         let cfg = MachineConfig::new(TorusShape::cube(2));
         let mut sim = Sim::builder().config(cfg).build();
-        let mut drv = BatchDriver::builder(&sim)
+        let mut drv = BatchDriver::builder_for(&sim.cfg)
             .pattern(Box::new(UniformRandom))
             .packets_per_endpoint(32)
             .seed(1)

@@ -5,10 +5,10 @@ use anton_core::chip::LocalEndpointId;
 use anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton_core::multicast::McGroupId;
 use anton_core::packet::{CounterId, Destination, Packet, Payload};
-use anton_core::routing::{DimOrder, RouteSpec};
-use anton_core::topology::{NodeCoord, Slice, TorusShape};
-use anton_core::trace::trace_unicast;
-use anton_core::vc::VcPolicy;
+use anton_core::routing::RouteSpec;
+use anton_core::topology::{Dim, NodeCoord, Sign, Slice, TorusDir, TorusShape};
+use anton_core::trace::{trace_unicast, GlobalLink};
+use anton_core::vc::{Vc, VcPolicy};
 use anton_sim::driver::BatchDriver;
 use anton_sim::params::{PreflightMode, SimParams, TraceConfig};
 use anton_sim::sim::{Delivery, Driver, RunOutcome, Sim};
@@ -51,21 +51,106 @@ impl Driver for Idle {
     }
 }
 
-#[test]
-fn sim_routes_match_reference_tracer() {
-    // Every link and VC the simulator sends a packet over must match the
-    // reference trace, across all dimension orders and both slices.
-    let cfg = MachineConfig::new(TorusShape::new(4, 3, 2));
-    let mut sim = Sim::builder()
+/// A simulator on `cfg` that records every packet's route.
+fn routed_sim(cfg: &MachineConfig, seed: u64) -> Sim {
+    Sim::builder()
         .config(cfg.clone())
         .params(SimParams {
+            seed,
             trace: TraceConfig {
                 routes: true,
                 ..TraceConfig::default()
             },
             ..SimParams::default()
         })
-        .build();
+        .build()
+}
+
+/// The slice and torus hops of a recorded or traced route; a route that
+/// never leaves its node reads slice 0, since no link names its slice.
+fn torus_hops(log: &[(GlobalLink, Vc)]) -> (Slice, Vec<TorusDir>) {
+    let mut slice = Slice(0);
+    let hops = log
+        .iter()
+        .filter_map(|&(link, _)| match link {
+            GlobalLink::Torus { dir, slice: s, .. } => {
+                slice = s;
+                Some(dir)
+            }
+            _ => None,
+        })
+        .collect();
+    (slice, hops)
+}
+
+/// Queues `n` packets of `payload` bytes from `src` to `dst` through
+/// [`Sim::inject`], on the randomized oblivious routes, and checks every
+/// delivery against the reference tracer: the spec rebuilt from its torus
+/// hops (`RouteSpec::from_hops`) is one of the pair's
+/// `RouteSpec::minimal_routes`, and `trace_unicast` of that spec is the
+/// recorded log, link for link and VC for VC. Every distinct route of the
+/// distribution — each order × slice × tie that takes other hops — must
+/// be observed.
+fn check_random_routes(
+    sim: &mut Sim,
+    src: GlobalEndpoint,
+    dst: GlobalEndpoint,
+    bytes: usize,
+    n: u64,
+) {
+    let cfg = sim.cfg.clone();
+    let shape = &cfg.shape;
+    let (from, to) = (shape.coord(src.node), shape.coord(dst.node));
+    let trace = |spec: &RouteSpec| {
+        trace_unicast(&cfg, src, dst, spec, &|n, d| {
+            shape.hop_crosses_dateline(n, d)
+        })
+    };
+    let mut unseen = Vec::new();
+    for spec in RouteSpec::minimal_routes(shape, from, to) {
+        let key = torus_hops(&trace(&spec));
+        if !unseen.contains(&key) {
+            unseen.push(key);
+        }
+    }
+    let distinct = unseen.clone();
+    for _ in 0..n {
+        sim.inject(src, Packet::write(src, dst, Payload::ones(bytes)));
+    }
+    let mut drv = Idle::new(n);
+    assert_eq!(sim.run(&mut drv, 1_000_000), RunOutcome::Completed);
+    for d in &drv.deliveries {
+        let log = d.route_log.as_ref().expect("route recorded");
+        let key = torus_hops(log);
+        let (slice, hops) = &key;
+        assert!(
+            distinct.contains(&key),
+            "{from}->{to}: {hops:?} on slice {slice} is not a minimal route"
+        );
+        let spec = RouteSpec::from_hops(shape, *slice, hops).expect("a carriable route");
+        assert_eq!(
+            log,
+            &trace(&spec),
+            "route mismatch {from}->{to}: {hops:?} slice {slice}"
+        );
+        unseen.retain(|k| *k != key);
+    }
+    assert!(
+        unseen.is_empty(),
+        "{from}->{to}: {} of {} routes never taken in {n} packets: {unseen:?}",
+        unseen.len(),
+        distinct.len()
+    );
+}
+
+#[test]
+fn sim_routes_match_reference_tracer() {
+    // Every link and VC the simulator sends a packet over must match the
+    // reference trace, over every dimension order, slice and tie of each
+    // pair's route distribution (the minus side of a tie included): 600
+    // single-flit packets per case, route seed 11.
+    let cfg = MachineConfig::new(TorusShape::new(4, 3, 2));
+    let mut sim = routed_sim(&cfg, 11);
     let cases = [
         (NodeCoord::new(0, 0, 0), NodeCoord::new(2, 1, 1), 0u8, 15u8),
         (NodeCoord::new(3, 2, 1), NodeCoord::new(1, 0, 0), 5, 0),
@@ -74,84 +159,46 @@ fn sim_routes_match_reference_tracer() {
         (NodeCoord::new(0, 2, 0), NodeCoord::new(0, 0, 1), 4, 12),
     ];
     for (src_c, dst_c, se, de) in cases {
-        for order in DimOrder::ALL {
-            for slice in Slice::ALL {
-                let src = ep(&cfg, src_c, se);
-                let dst = ep(&cfg, dst_c, de);
-                let spec = RouteSpec::deterministic(&cfg.shape, src_c, dst_c, order, slice);
-                let expected = trace_unicast(&cfg, src, dst, &spec, &|n, d| {
-                    cfg.shape.hop_crosses_dateline(n, d)
-                });
-                let pkt = Packet::write(src, dst, Payload::zeros(16));
-                sim.inject_with_spec(src, pkt, spec);
-                let mut drv = Idle::new(1);
-                assert_eq!(sim.run(&mut drv, 50_000), RunOutcome::Completed);
-                let log = drv.deliveries[0].route_log.clone().expect("route recorded");
-                assert_eq!(
-                    log, expected,
-                    "route mismatch {src_c}->{dst_c} order {order} slice {slice}"
-                );
-            }
-        }
+        let (src, dst) = (ep(&cfg, src_c, se), ep(&cfg, dst_c, de));
+        check_random_routes(&mut sim, src, dst, 16, 600);
     }
 }
 
 #[test]
 fn two_flit_packets_route_identically() {
+    // 200 two-flit packets, route seed 11, over the 12 routes of a 3×3×3
+    // diagonal.
     let cfg = MachineConfig::new(TorusShape::cube(3));
-    let mut sim = Sim::builder()
-        .config(cfg.clone())
-        .params(SimParams {
-            trace: TraceConfig {
-                routes: true,
-                ..TraceConfig::default()
-            },
-            ..SimParams::default()
-        })
-        .build();
+    let mut sim = routed_sim(&cfg, 11);
     let src = ep(&cfg, NodeCoord::new(0, 0, 0), 0);
     let dst = ep(&cfg, NodeCoord::new(2, 2, 2), 8);
-    let spec = RouteSpec::deterministic(
-        &cfg.shape,
-        NodeCoord::new(0, 0, 0),
-        NodeCoord::new(2, 2, 2),
-        DimOrder::XYZ,
-        Slice(1),
-    );
-    let expected = trace_unicast(&cfg, src, dst, &spec, &|n, d| {
-        cfg.shape.hop_crosses_dateline(n, d)
-    });
-    let pkt = Packet::write(src, dst, Payload::ones(32));
-    assert_eq!(pkt.num_flits(), 2);
-    sim.inject_with_spec(src, pkt, spec);
-    let mut drv = Idle::new(1);
-    assert_eq!(sim.run(&mut drv, 50_000), RunOutcome::Completed);
-    assert_eq!(drv.deliveries[0].route_log.clone().unwrap(), expected);
+    assert_eq!(Packet::write(src, dst, Payload::ones(32)).num_flits(), 2);
+    check_random_routes(&mut sim, src, dst, 32, 200);
 }
 
 #[test]
 fn zero_load_latency_is_linear_in_hops() {
     let cfg = MachineConfig::new(TorusShape::new(8, 1, 1));
-    let mut sim = Sim::builder()
-        .config(cfg.clone())
-        .params(SimParams::default())
-        .build();
-    // Measure pure network latency (inject -> deliver) for 1..4 X hops.
+    let mut sim = routed_sim(&cfg, 11);
+    // Measure pure network latency (inject -> deliver) for 1..4 X hops,
+    // one packet in the network at a time, on the slice-0 route in +X:
+    // packets that draw another slice, or the -X side of the 4-hop tie,
+    // are sent again.
     let mut lat = Vec::new();
     for hops in 1..=4u8 {
         let src = ep(&cfg, NodeCoord::new(0, 0, 0), 0);
         let dst = ep(&cfg, NodeCoord::new(hops, 0, 0), 0);
-        let spec = RouteSpec::deterministic(
-            &cfg.shape,
-            NodeCoord::new(0, 0, 0),
-            NodeCoord::new(hops, 0, 0),
-            DimOrder::XYZ,
-            Slice(0),
-        );
-        sim.inject_with_spec(src, Packet::write(src, dst, Payload::zeros(16)), spec);
-        let mut drv = Idle::new(1);
-        assert_eq!(sim.run(&mut drv, 100_000), RunOutcome::Completed);
-        let d = &drv.deliveries[0];
+        let plus = vec![TorusDir::new(Dim::X, Sign::Plus); usize::from(hops)];
+        let d = (0..32)
+            .find_map(|_| {
+                sim.inject(src, Packet::write(src, dst, Payload::zeros(16)));
+                let mut drv = Idle::new(1);
+                assert_eq!(sim.run(&mut drv, 100_000), RunOutcome::Completed);
+                let d = drv.deliveries.pop().expect("one delivery");
+                let route = torus_hops(d.route_log.as_ref().expect("route recorded"));
+                (route == (Slice(0), plus.clone())).then_some(d)
+            })
+            .expect("a slice-0 +X route within 32 draws");
         assert_eq!(d.torus_hops, u16::from(hops));
         lat.push((d.delivered_at - d.injected_at) as f64);
     }
@@ -189,7 +236,7 @@ fn naive_single_vc_deadlocks_on_ring_wrap_traffic() {
         ..SimParams::default()
     };
     let mut sim = Sim::builder().config(cfg).params(params.clone()).build();
-    let mut drv = BatchDriver::builder(&sim)
+    let mut drv = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(NodePermutation::new(perm.clone())))
         .packets_per_endpoint(400)
         .seed(7)
@@ -205,7 +252,7 @@ fn naive_single_vc_deadlocks_on_ring_wrap_traffic() {
     let mut cfg = MachineConfig::new(shape);
     cfg.vc_policy = VcPolicy::Anton;
     let mut sim = Sim::builder().config(cfg).params(params).build();
-    let mut drv = BatchDriver::builder(&sim)
+    let mut drv = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(NodePermutation::new(perm)))
         .packets_per_endpoint(400)
         .seed(7)
@@ -221,7 +268,7 @@ fn uniform_batch_completes_and_is_conserved() {
         .params(SimParams::default())
         .build();
     let batch = 50;
-    let mut drv = BatchDriver::builder(&sim)
+    let mut drv = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(batch)
         .seed(3)
@@ -386,12 +433,8 @@ fn fairness_improves_with_inverse_weighted_arbiters() {
     let shape = TorusShape::cube(2);
     let run = |kind: ArbiterKind| -> f64 {
         let cfg = MachineConfig::new(shape);
-        let params = SimParams {
-            arbiter: kind.into(),
-            ..SimParams::default()
-        };
-        let mut sim = Sim::builder().config(cfg).params(params).build();
-        let mut drv = BatchDriver::builder(&sim)
+        let mut sim = Sim::builder().config(cfg).arbiter(kind).build();
+        let mut drv = BatchDriver::builder_for(&sim.cfg)
             .pattern(Box::new(UniformRandom))
             .packets_per_endpoint(150)
             .seed(11)

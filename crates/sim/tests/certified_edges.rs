@@ -133,7 +133,7 @@ fn recording(params: SimParams) -> SimParams {
 /// A uniform batch (8 packets per endpoint, seed 11) on `sim`, built with
 /// [`recording`] parameters: every route logged.
 fn uniform_batch_logs(sim: &mut Sim) -> Vec<Vec<TraceStep>> {
-    let inner = BatchDriver::builder(sim)
+    let inner = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(8)
         .seed(11)

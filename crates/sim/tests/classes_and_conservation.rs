@@ -71,15 +71,12 @@ fn blended_adversarial_patterns_conserve_packets() {
         .config(cfg)
         .params(SimParams::default())
         .build();
-    let blend: Vec<(Box<dyn anton_core::pattern::TrafficPattern>, f64)> = vec![
-        (Box::new(Tornado), 0.4),
-        (Box::new(ReverseTornado), 0.4),
-        (Box::new(BitComplement), 0.1),
-        (Box::new(Transpose), 0.1),
-    ];
     let batch = 40;
-    let mut drv = BatchDriver::builder(&sim)
-        .components(blend)
+    let mut drv = BatchDriver::builder_for(&sim.cfg)
+        .component(Box::new(Tornado), 0.4)
+        .component(Box::new(ReverseTornado), 0.4)
+        .component(Box::new(BitComplement), 0.1)
+        .component(Box::new(Transpose), 0.1)
         .packets_per_endpoint(batch)
         .seed(23)
         .build();

@@ -11,7 +11,10 @@ use anton_traffic::patterns::UniformRandom;
 
 fn stall_params() -> SimParams {
     SimParams {
-        trace: TraceConfig::stalls(),
+        trace: TraceConfig {
+            stalls: true,
+            ..TraceConfig::default()
+        },
         ..SimParams::default()
     }
 }

@@ -45,7 +45,7 @@ fn assert_survives_single_down(
         ..SimParams::default()
     };
     let mut sim = Sim::builder().config(cfg).params(params).build();
-    let mut drv = BatchDriver::builder(&sim)
+    let mut drv = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(packets_per_endpoint)
         .seed(11)
@@ -140,7 +140,7 @@ fn sharded_kernel_matches_serial_under_permanent_outage() {
         .config(cfg.clone())
         .params(params.clone())
         .build();
-    let mut drv = BatchDriver::builder(&serial)
+    let mut drv = BatchDriver::builder_for(&serial.cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(20)
         .seed(11)
@@ -230,7 +230,7 @@ fn cross_slice_windows(second: bool) -> (MachineConfig, SimParams) {
 /// degraded tables.
 fn rerouted_in_short_batch(cfg: MachineConfig, params: SimParams) -> u64 {
     let mut sim = Sim::builder().config(cfg).params(params).build();
-    let mut drv = BatchDriver::builder(&sim)
+    let mut drv = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(4)
         .seed(11)

@@ -21,7 +21,7 @@ fn run_batch(fault: Option<FaultSchedule>, packets: u64) -> (Sim, BatchDriver, R
         ..SimParams::default()
     };
     let mut sim = Sim::builder().config(cfg).params(params).build();
-    let mut drv = BatchDriver::builder(&sim)
+    let mut drv = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(packets)
         .seed(11)
@@ -149,7 +149,7 @@ fn permanent_outage_survives_via_certified_reroute() {
         ..SimParams::default()
     };
     let mut sim = Sim::builder().config(cfg).params(params).build();
-    let mut drv = BatchDriver::builder(&sim)
+    let mut drv = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(20)
         .seed(11)
@@ -188,7 +188,7 @@ fn partitioned_node_falls_back_to_watchdog_with_down_link_diagnostic() {
         ..SimParams::default()
     };
     let mut sim = Sim::builder().config(cfg).params(params).build();
-    let mut drv = BatchDriver::builder(&sim)
+    let mut drv = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(20)
         .seed(11)
@@ -258,7 +258,7 @@ fn vc_deadlock_trips_watchdog_instead_of_hanging() {
         ..SimParams::default()
     };
     let mut sim = Sim::builder().config(cfg).params(params).build();
-    let mut drv = BatchDriver::builder(&sim)
+    let mut drv = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(NodePermutation::new(perm)))
         .packets_per_endpoint(400)
         .seed(7)
@@ -293,12 +293,16 @@ fn deadlock_report_carries_flight_recorder_events_and_roundtrips() {
     let params = SimParams {
         buffer_depth: 2,
         watchdog_cycles: 5_000,
-        trace: TraceConfig::events(128),
+        trace: TraceConfig {
+            events: true,
+            ring_capacity: 128,
+            ..TraceConfig::default()
+        },
         preflight: PreflightMode::WarnOnly,
         ..SimParams::default()
     };
     let mut sim = Sim::builder().config(cfg).params(params).build();
-    let mut drv = BatchDriver::builder(&sim)
+    let mut drv = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(NodePermutation::new(perm)))
         .packets_per_endpoint(400)
         .seed(7)

@@ -128,7 +128,7 @@ fn idle_machine_footprint_is_exact_and_per_node() {
 /// seed 42) runs to completion.
 fn saturated_peak(packets: u64) -> i64 {
     let mut sim = machine(4);
-    let mut driver = BatchDriver::builder(&sim)
+    let mut driver = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(packets)
         .seed(42)
@@ -203,7 +203,7 @@ fn light_load_machine(lossy: bool) -> Sim {
 /// The open-loop uniform-random load of 0.2% per endpoint per cycle, driver
 /// seed 42, that delivers `packets` per endpoint.
 fn light_load(sim: &Sim, packets: u64) -> LoadDriver {
-    LoadDriver::new(sim, Box::new(UniformRandom), 0.002, packets, 42)
+    LoadDriver::for_config(&sim.cfg, Box::new(UniformRandom), 0.002, packets, 42)
 }
 
 /// The most heap an ideal [`light_load_machine`] holds above its built self

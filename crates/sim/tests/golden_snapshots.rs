@@ -332,10 +332,7 @@ fn fig9_inverse_weighted(kernel: Kernel) -> String {
     let cfg = MachineConfig::new(TorusShape::cube(2));
     let analysis = LoadAnalysis::compute(&cfg, &UniformRandom);
     let weights = ArbiterWeightSet::compute(&cfg, &[&analysis], 5);
-    let params = SimParams {
-        arbiter: ArbiterKind::InverseWeighted { m_bits: 5 }.into(),
-        ..SimParams::default()
-    };
+    let iw = ArbiterKind::InverseWeighted { m_bits: 5 };
     let inner = BatchDriver::builder_for(&cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(8)
@@ -346,7 +343,7 @@ fn fig9_inverse_weighted(kernel: Kernel) -> String {
         Kernel::Serial => {
             let mut sim = Sim::builder()
                 .config(cfg)
-                .params(params)
+                .arbiter(iw)
                 .weights(weights)
                 .build();
             let outcome = sim.run(&mut drv, 2_000_000);
@@ -357,7 +354,7 @@ fn fig9_inverse_weighted(kernel: Kernel) -> String {
         Kernel::Sharded(n) => {
             let mut sim = Sim::builder()
                 .config(cfg)
-                .params(params)
+                .arbiter(iw)
                 .weights(weights)
                 .shards(n)
                 .build_sharded();

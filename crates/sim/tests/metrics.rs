@@ -27,7 +27,7 @@ fn small_batch(seed: u64, fault: Option<FaultSchedule>) -> (Sim, BatchDriver) {
         ..SimParams::default()
     };
     let sim = Sim::builder().config(cfg).params(params).build();
-    let drv = BatchDriver::builder(&sim)
+    let drv = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(8)
         .seed(1)
@@ -117,7 +117,7 @@ fn instrumentation_toggles_never_change_routing_or_deliveries() {
             ..SimParams::default()
         };
         let mut sim = Sim::builder().config(cfg).params(params).build();
-        let inner = BatchDriver::builder(&sim)
+        let inner = BatchDriver::builder_for(&sim.cfg)
             .pattern(Box::new(UniformRandom))
             .packets_per_endpoint(6)
             .payload_bytes(payload_bytes)
@@ -150,20 +150,33 @@ fn instrumentation_toggles_never_change_routing_or_deliveries() {
         // Observability at any setting: full event recording (tiny and large
         // rings), sampling at several window sizes, stall attribution, energy
         // counting, all at once, and the profiler flag.
+        let off = TraceConfig::default();
+        let events = |ring_capacity| TraceConfig {
+            events: true,
+            ring_capacity,
+            ..off
+        };
+        let sampled = |sample_every| TraceConfig {
+            sample_every,
+            ..off
+        };
         let trace_variants = [
-            TraceConfig::events(4),
-            TraceConfig::events(4096),
-            TraceConfig::sampled(1),
-            TraceConfig::sampled(37),
-            TraceConfig::sampled(100_000), // larger than the run: tail-only
-            TraceConfig::stalls(),
+            events(4),
+            events(4096),
+            sampled(1),
+            sampled(37),
+            sampled(100_000), // larger than the run: tail-only
             TraceConfig {
                 stalls: true,
-                ..TraceConfig::events(16)
+                ..off
+            },
+            TraceConfig {
+                stalls: true,
+                ..events(16)
             },
             TraceConfig {
                 energy: true,
-                ..TraceConfig::default()
+                ..off
             },
             TraceConfig {
                 events: true,
@@ -200,7 +213,7 @@ fn recorder_and_sampler_capture_the_run() {
         ..SimParams::default()
     };
     let mut sim = Sim::builder().config(cfg).params(params).build();
-    let mut drv = BatchDriver::builder(&sim)
+    let mut drv = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(8)
         .seed(2)
@@ -373,7 +386,7 @@ fn lossy_wire_wakes_follow_frames_not_cycles() {
         ..SimParams::default()
     };
     let mut sim = Sim::builder().config(cfg).params(params).build();
-    let mut drv = LoadDriver::new(&sim, Box::new(UniformRandom), 0.005, 40, 3);
+    let mut drv = LoadDriver::for_config(&sim.cfg, Box::new(UniformRandom), 0.005, 40, 3);
     assert_eq!(sim.run(&mut drv, 1_000_000), RunOutcome::Completed);
     let frames = sim
         .metrics()
@@ -389,14 +402,19 @@ fn lossy_wire_wakes_follow_frames_not_cycles() {
     );
     // Everything is delivered; what remains on the links is acks and, where
     // one was lost, a retransmission round (timeout 192 cycles). Once those
-    // have landed no timer may keep a wire on the wheel.
-    for _ in 0..1_000 {
-        sim.step();
+    // have landed no timer may keep a wire on the wheel. A driver that is
+    // never done runs each budget out.
+    struct Never;
+    impl Driver for Never {
+        fn pre_cycle(&mut self, _sim: &mut Sim) {}
+        fn on_delivery(&mut self, _sim: &mut Sim, _d: &Delivery) {}
+        fn done(&self, _sim: &Sim) -> bool {
+            false
+        }
     }
+    assert_eq!(sim.run(&mut Never, 1_000), RunOutcome::TimedOut);
     let settled = sim.kernel_work().wakes[3];
-    for _ in 0..10_000 {
-        sim.step();
-    }
+    assert_eq!(sim.run(&mut Never, 10_000), RunOutcome::TimedOut);
     assert_eq!(sim.kernel_work().wakes[3], settled, "an idle link woke");
 }
 
@@ -535,7 +553,10 @@ fn multicast_pin() -> LayerPin {
     );
     let (src, dst) = (at(src_node, 0), at(NodeCoord::new(2, 2, 2), 5));
     let params = SimParams {
-        trace: TraceConfig::stalls(),
+        trace: TraceConfig {
+            stalls: true,
+            ..TraceConfig::default()
+        },
         ..SimParams::default()
     };
     let mut sim = Sim::builder().config(cfg).params(params).build();
@@ -639,7 +660,7 @@ fn batch_pin(
     }
     let mut sim = builder.build();
     sim.add_multicast_group(group);
-    let drv = BatchDriver::builder(&sim)
+    let drv = BatchDriver::builder_for(&sim.cfg)
         .packets_per_endpoint(packets_per_endpoint)
         .payload_bytes(payload_bytes)
         .seed(1);
@@ -762,7 +783,11 @@ fn exact_counts_are_pinned_on_each_layer_path() {
     let params = SimParams {
         fault: Some(down),
         torus_buffer_depth: 4,
-        trace: TraceConfig::events(64),
+        trace: TraceConfig {
+            events: true,
+            ring_capacity: 64,
+            ..TraceConfig::default()
+        },
         ..SimParams::default()
     };
     pin(

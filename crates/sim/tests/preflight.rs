@@ -14,7 +14,8 @@ use anton_traffic::patterns::{NodePermutation, UniformRandom};
 
 #[test]
 fn default_config_certifies_at_construction() {
-    let sim = Sim::builder().shape(TorusShape::cube(2)).build();
+    // The builder's default machine is a 2×2×2 torus.
+    let sim = Sim::builder().build();
     assert_eq!(sim.static_verdict(), StaticVerdict::CertifiedAcyclic);
 }
 
@@ -37,12 +38,9 @@ fn explicit_config_and_params_certify_through_the_builder() {
 #[should_panic(expected = "AV019")]
 fn enforce_mode_rejects_oversharded_machine() {
     // A 2x2x2 machine has 8 nodes.
-    let serial = Sim::builder().shape(TorusShape::cube(2)).shards(9).build();
+    let serial = Sim::builder().shards(9).build();
     assert_eq!(serial.static_verdict(), StaticVerdict::CertifiedAcyclic);
-    let _ = Sim::builder()
-        .shape(TorusShape::cube(2))
-        .shards(9)
-        .build_sharded();
+    let _ = Sim::builder().shards(9).build_sharded();
 }
 
 #[test]
@@ -114,7 +112,7 @@ fn predicted_deadlock_is_labeled_in_the_report() {
     assert_eq!(sim.static_verdict(), StaticVerdict::PredictedDeadlock);
 
     let perm: Vec<u32> = (0..4u32).map(|x| (x + 2) % 4).collect();
-    let mut drv = BatchDriver::builder(&sim)
+    let mut drv = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(NodePermutation::new(perm)))
         .packets_per_endpoint(400)
         .seed(7)
@@ -250,7 +248,7 @@ fn warn_only_leaves_a_mismatched_weight_set_uninstalled() {
             builder = builder.weights(set);
         }
         let mut sim = builder.build();
-        let mut drv = BatchDriver::builder(&sim)
+        let mut drv = BatchDriver::builder_for(&sim.cfg)
             .pattern(Box::new(UniformRandom))
             .packets_per_endpoint(32)
             .seed(11)

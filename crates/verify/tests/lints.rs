@@ -1,11 +1,12 @@
 //! Unit coverage for the configuration lint engine: one scenario per
 //! diagnostic code, plus a clean bill of health for the paper defaults.
-//! Parameter views start from the simulator's defaults
-//! (`SimParams::default().verify_view()`).
+//! Parameter views start from the simulator's defaults under its
+//! round-robin arbiters (`SimParams::default().verify_view(..)`).
 
 use std::sync::LazyLock;
 
 use anton_analysis::weights::{ArbiterWeightSet, WeightTables};
+use anton_arbiter::ArbiterKind;
 use anton_core::chip::ChanId;
 use anton_core::config::MachineConfig;
 use anton_core::topology::{Dim, NodeId, Sign, Slice, TorusDir, TorusShape};
@@ -18,10 +19,10 @@ fn codes(diags: &[anton_verify::Diagnostic]) -> Vec<&'static str> {
     diags.iter().map(|d| d.code).collect()
 }
 
-/// The view of the simulator's default parameters.
+/// The view of the simulator's default parameters and arbiters.
 fn default_view() -> ParamsView<'static> {
     static DEFAULTS: LazyLock<SimParams> = LazyLock::new(SimParams::default);
-    DEFAULTS.verify_view()
+    DEFAULTS.verify_view(&ArbiterKind::RoundRobin.into())
 }
 
 fn default_cfg() -> MachineConfig {

@@ -15,7 +15,6 @@ use anton2::anton_core::config::{GlobalEndpoint, MachineConfig};
 use anton2::anton_core::multicast::McGroupId;
 use anton2::anton_core::packet::{Destination, Packet, Payload};
 use anton2::anton_core::topology::TorusShape;
-use anton2::anton_sim::params::SimParams;
 use anton2::anton_sim::sim::{Delivery, Driver, RunOutcome, Sim};
 use anton2::anton_traffic::md::{alternating_variants, build_halo_groups, HaloSpec};
 
@@ -59,10 +58,7 @@ fn main() {
         spec.endpoints_per_node, unicast_hops, tree_hops
     );
 
-    let mut sim = Sim::builder()
-        .config(cfg.clone())
-        .params(SimParams::default())
-        .build();
+    let mut sim = Sim::builder().config(cfg.clone()).build();
     let nodes = cfg.shape.num_nodes() as u64;
     for g in groups {
         sim.add_multicast_group(g);

@@ -31,11 +31,18 @@
 //! use anton2::prelude::*;
 //!
 //! let cfg = MachineConfig::new(TorusShape::cube(2));
-//! let mut sim = Sim::builder().config(cfg).params(SimParams::default()).build();
-//! let mut driver = BatchDriver::builder(&sim)
+//! let mut driver = BatchDriver::builder_for(&cfg)
 //!     .pattern(Box::new(UniformRandom))
 //!     .packets_per_endpoint(4)
 //!     .seed(1)
+//!     .build();
+//! let mut sim = Sim::builder()
+//!     .config(cfg)
+//!     .arbiter(ArbiterKind::Age)
+//!     .params(SimParams {
+//!         seed: 7,
+//!         ..SimParams::default()
+//!     })
 //!     .build();
 //! assert_eq!(sim.run(&mut driver, 100_000), RunOutcome::Completed);
 //! assert!(sim.metrics().stats.delivered_packets > 0);

@@ -26,7 +26,7 @@ fn simulated_link_traffic_tracks_analytic_loads() {
         .params(SimParams::default())
         .build();
     let batch = 400u64;
-    let mut driver = BatchDriver::builder(&sim)
+    let mut driver = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(batch)
         .seed(5)
@@ -82,7 +82,7 @@ fn default_configuration_is_deadlock_free_end_to_end() {
         .config(cfg)
         .params(SimParams::default())
         .build();
-    let mut driver = BatchDriver::builder(&sim)
+    let mut driver = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(80)
         .seed(9)
@@ -101,17 +101,13 @@ fn weight_tables_install_at_every_arbitration_point() {
     assert!(weights.outputs.programmed().count() > 0);
     assert!(weights.serializers.programmed().count() > 0);
     assert!(weights.inputs.programmed().count() > 0);
-    let params = SimParams {
-        arbiter: anton2::anton_arbiter::ArbiterKind::InverseWeighted { m_bits: 5 }.into(),
-        ..SimParams::default()
-    };
     // Construction panics on any index mismatch.
     let mut sim = Sim::builder()
         .config(cfg)
-        .params(params)
+        .arbiter(anton2::anton_arbiter::ArbiterKind::InverseWeighted { m_bits: 5 })
         .weights(weights)
         .build();
-    let mut driver = BatchDriver::builder(&sim)
+    let mut driver = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(50)
         .seed(3)
@@ -134,11 +130,11 @@ fn paper_configuration_builds_and_runs_at_8x8x8() {
     assert_eq!(weights.inputs.programmed().count(), 40_960);
 
     let mut sim = Sim::builder()
-        .shape(TorusShape::cube(8))
+        .config(cfg)
         .arbiter(anton2::anton_arbiter::ArbiterKind::InverseWeighted { m_bits: 5 })
         .traffic(Box::new(UniformRandom))
         .build();
-    let mut driver = BatchDriver::builder(&sim)
+    let mut driver = BatchDriver::builder_for(&sim.cfg)
         .pattern(Box::new(UniformRandom))
         .packets_per_endpoint(2)
         .seed(11)
